@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check staticcheck bench bench-fleet bench-scale chaos cover ci
+.PHONY: build test vet fmt-check staticcheck bench bench-fleet bench-scale chaos fuzz cover ci
 
 build:
 	$(GO) build ./...
@@ -72,4 +72,17 @@ chaos:
 		-run 'TestFaultConservation|TestNoRecoveryLosesTerminally|TestCrashRecoveryWithoutAdmission|TestFaultsDisabledEquivalence|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestParallelFaultStormChaos|TestPrefixDisabledEquivalence|TestPrefixCacheConservation|TestChunkingDisabledEquivalence|TestChunkedParallelEquivalence|TestChunkedConservation|TestChunkPolicyEquivalence' \
 		./internal/cluster/ ./internal/kv/ ./internal/engine/
 
-ci: build vet fmt-check staticcheck test chaos
+# fuzz runs every native fuzz target in the module (go test -list finds
+# them, so a new FuzzXxx needs no edit here) for FUZZTIME each, one at a
+# time: -fuzz takes a single target of a single package. The committed seed
+# corpora under testdata/fuzz already run as plain tests in `make test`; a
+# failure here writes its input into that directory — commit it with the fix.
+FUZZTIME ?= 10s
+fuzz:
+	@$(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ { names[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, names[i]; n = 0 }' | \
+	while read -r pkg fn; do \
+		echo "fuzz $$pkg $$fn ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime=$(FUZZTIME) "$$pkg" || exit 1; \
+	done
+
+ci: build vet fmt-check staticcheck test chaos fuzz

@@ -132,6 +132,32 @@ func TestProbeZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestProbePinsWindowGeneration pins the contract behind holding a live
+// dist.Sampler across events: the history window moves only inside Step,
+// every Step clears estValid, so a probe always prices its candidate on the
+// window generation the warm estimator was built at. Every fleet test runs
+// through that check; this one shows it fires when the window is moved
+// behind the cluster's back.
+func TestProbePinsWindowGeneration(t *testing.T) {
+	f := MustNew(Config{Replicas: replicas(2, 20_000), Policy: FutureHeadroom})
+	f.Serve(poissonReqs(100, 40, 3), 1e9)
+	cand := request.New(int64(9_999), 800, 400, 512, 0)
+	f.pick(cand)
+	for i, rep := range f.reps {
+		if !rep.estValid || rep.estGen != rep.eng.History().Generation() || rep.estGen == 0 {
+			t.Fatalf("replica %d: warm estimator at generation %d, window at %d",
+				i, rep.estGen, rep.eng.History().Generation())
+		}
+	}
+	f.reps[0].eng.History().Add(77) // no Step, so estValid stays set
+	defer func() {
+		if recover() == nil {
+			t.Fatal("probe read a sampler whose window moved since ensureEst")
+		}
+	}()
+	f.pick(cand)
+}
+
 func TestRoundRobinStartsAtFirstReplica(t *testing.T) {
 	// Regression: the original router incremented its rotation counter
 	// before the modulo, so the first request skipped replica 0.

@@ -205,8 +205,12 @@ type replica struct {
 
 	// Warm probe state: est holds QuantileEntry for every running and
 	// queued request, rebuilt lazily after the replica's state changes.
+	// sampler is a live view of the engine's history window, so est is only
+	// as fresh as the window generation it was built at (estGen): the window
+	// moves only inside Step, and every Step clears estValid.
 	est      core.PeakEstimator
 	sampler  *dist.Sampler
+	estGen   uint64
 	estValid bool
 
 	activeAt   float64 // when the current active span began
@@ -640,6 +644,12 @@ func (p *Pool) probe(rep *replica, req *request.Request) float64 {
 		return float64(peak) / float64(rep.eng.Pool().CapacityTokens())
 	}
 	p.ensureEst(rep)
+	if rep.eng.History().Generation() != rep.estGen {
+		// The candidate would be priced on a newer distribution than the
+		// entries it is compared with: someone moved the window without
+		// clearing estValid.
+		panic("cluster: routing probe over a history window that moved since ensureEst")
+	}
 	cand := core.QuantileEntry(req, rep.sampler, p.cfg.Quantile)
 	return float64(rep.est.PeakWith(cand)) / float64(rep.eng.Pool().CapacityTokens())
 }
@@ -764,6 +774,7 @@ func (p *Pool) ensureEst(rep *replica) {
 		return
 	}
 	rep.sampler = rep.eng.History().Sampler()
+	rep.estGen = rep.eng.History().Generation()
 	rep.est.Reset()
 	push := func(r *request.Request) {
 		rep.est.Push(core.QuantileEntry(r, rep.sampler, p.cfg.Quantile))

@@ -2,22 +2,22 @@
 // window of recently observed output lengths (paper §3.2, Equation 1) and a
 // sampler over its empirical distribution.
 //
-// # Cached-CDF design
+// # Always-sorted CDF
 //
-// The window is a fixed-capacity ring buffer: Add is O(1), and once the
-// window is full the oldest observation is evicted, so the distribution
-// tracks workload drift (the paper's API-trace observation). The empirical
-// CDF — a sorted copy of the window contents — is NOT rebuilt on every
-// mutation. Instead the window carries a generation counter that increments
-// on every Add, and Sampler() rebuilds the sorted array lazily, only when
-// the generation has moved since the last rebuild. The admission loop calls
-// Sampler() once per scheduling step (and once per service class in
-// per-class mode) while the window mutates only when a request finishes, so
-// in steady state most steps reuse the cached CDF and pay nothing.
+// The window is a fixed-capacity ring buffer: once it is full the oldest
+// observation is evicted, so the distribution tracks workload drift (the
+// paper's API-trace observation). Beside the ring the window keeps the same
+// observations in ascending order, and Add maintains that order in place:
+// it binary-searches the evicted value out and the new value in and closes
+// the gap with one copy over the span between them — O(n) word moves, no
+// comparison sort, no allocation. The sorted array is therefore exact after
+// every Add, and Sampler() is a plain accessor: the admission loop, the
+// routing probes and the reference estimators may ask for it as often as
+// they like at no cost.
 //
 // A sorted array IS the empirical CDF: the value at rank i has cumulative
 // probability (i+1)/n. Every query therefore runs in O(log n) binary search
-// (or O(1) indexing) over the cached array:
+// (or O(1) indexing) over it:
 //
 //   - Sample draws uniformly over the window (an i.i.d. draw from P(l)),
 //   - Quantile returns the smallest value whose CDF reaches q,
@@ -27,21 +27,22 @@
 //     remains above the conditioning point,
 //   - Max returns the window's support maximum.
 //
-// The rebuild itself is O(n log n) into a buffer reused across rebuilds, so
-// a warm Window/Sampler pair performs zero heap allocations — a requirement
-// of the engine's allocation-free scheduling hot path.
+// Both arrays are allocated once, at NewWindow, so a Window performs zero
+// heap allocations for the rest of its life — a requirement of the engine's
+// allocation-free scheduling hot path.
 package dist
 
-// Window is a fixed-capacity sliding window of observed output lengths with
-// a lazily rebuilt, generation-cached Sampler. Not safe for concurrent use.
+import "sort"
+
+// Window is a fixed-capacity sliding window of observed output lengths that
+// keeps its empirical CDF sorted at all times. Not safe for concurrent use.
 type Window struct {
-	buf  []int // ring buffer
+	buf  []int // ring buffer, arrival order
 	head int   // index of the oldest observation
 	n    int   // observations currently held
 	gen  uint64
 
-	samp     Sampler
-	rebuilds int // sampler rebuild count (cache-effectiveness tests)
+	samp Sampler // the same n observations, ascending
 }
 
 // NewWindow creates a window holding at most capacity observations.
@@ -50,18 +51,44 @@ func NewWindow(capacity int) *Window {
 	if capacity <= 0 {
 		panic("dist: window capacity must be positive")
 	}
-	return &Window{buf: make([]int, capacity)}
+	return &Window{
+		buf:  make([]int, capacity),
+		samp: Sampler{sorted: make([]int, 0, capacity)},
+	}
 }
 
 // Add records one observation, evicting the oldest when the window is full,
-// and invalidates the cached sampler.
+// and moves the sorted CDF to match.
 func (w *Window) Add(v int) {
+	s := w.samp.sorted
 	if w.n < len(w.buf) {
-		w.buf[(w.head+w.n)%len(w.buf)] = v
+		// Still filling: head is 0, the next ring slot is n.
+		w.buf[w.n] = v
 		w.n++
+		i := sort.SearchInts(s, v)
+		s = s[:len(s)+1]
+		copy(s[i+1:], s[i:])
+		s[i] = v
+		w.samp.sorted = s
 	} else {
+		old := w.buf[w.head]
 		w.buf[w.head] = v
-		w.head = (w.head + 1) % len(w.buf)
+		w.head++
+		if w.head == len(w.buf) {
+			w.head = 0
+		}
+		// Take one copy of old out and put v in: everything strictly
+		// between their ranks shifts by one slot toward the hole.
+		if v != old {
+			i, j := sort.SearchInts(s, old), sort.SearchInts(s, v)
+			if j > i { // v > old: ranks (i, j) slide down, v lands below rank j
+				copy(s[i:], s[i+1:j])
+				s[j-1] = v
+			} else { // v < old: ranks [j, i) slide up, v takes rank j
+				copy(s[j+1:], s[j:i])
+				s[j] = v
+			}
+		}
 	}
 	w.gen++
 }
@@ -77,7 +104,7 @@ func (w *Window) Generation() uint64 { return w.gen }
 
 // Values returns the observations in arrival order (oldest first) as a
 // fresh slice. Observation/test helper; the scheduling hot path uses the
-// cached Sampler instead.
+// Sampler instead.
 func (w *Window) Values() []int {
 	out := make([]int, w.n)
 	for i := 0; i < w.n; i++ {
@@ -86,15 +113,9 @@ func (w *Window) Values() []int {
 	return out
 }
 
-// Sampler returns the sampler over the window's current contents, rebuilding
-// the cached CDF only if the window has mutated since the last call. The
-// returned pointer aliases the window's cache: it remains valid until the
-// next Sampler() call that follows a mutation, which is exactly the
-// per-scheduling-step usage pattern of the admission loop.
-func (w *Window) Sampler() *Sampler {
-	if !w.samp.valid || w.samp.gen != w.gen {
-		w.samp.rebuild(w)
-		w.rebuilds++
-	}
-	return &w.samp
-}
+// Sampler returns the sampler over the window's contents. It is a live view,
+// not a snapshot: the pointer stays valid for the window's lifetime and
+// every query reflects all Adds so far. A caller that derives state from it
+// and keeps that state across an Add (the cluster's warm routing estimator)
+// must notice the move itself — Generation() is the signal.
+func (w *Window) Sampler() *Sampler { return &w.samp }

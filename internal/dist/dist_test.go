@@ -83,33 +83,141 @@ func TestWindowEvictionAtCapacity(t *testing.T) {
 	}
 }
 
-func TestSamplerCacheReusedUntilMutation(t *testing.T) {
-	w := windowOf(10, 5, 1, 9)
-	s1 := w.Sampler()
-	s2 := w.Sampler()
-	if s1 != s2 {
-		t.Fatal("Sampler() returned distinct snapshots without mutation")
+// naiveSampler is the reference the incremental CDF is checked against: it
+// re-sorts the window's arrival-order contents from scratch and answers
+// every query by linear scan.
+type naiveSampler []int
+
+func naiveOf(w *Window) naiveSampler {
+	v := w.Values()
+	sort.Ints(v)
+	return v
+}
+
+// above returns the observations strictly greater than x, ascending.
+func (n naiveSampler) above(x int) naiveSampler {
+	for i, v := range n {
+		if v > x {
+			return n[i:]
+		}
 	}
-	if w.rebuilds != 1 {
-		t.Fatalf("rebuilds = %d, want 1 (cache hit on second call)", w.rebuilds)
+	return nil
+}
+
+// quantile scans for the smallest value whose CDF reaches q.
+func (n naiveSampler) quantile(q float64) int {
+	for i, v := range n {
+		if float64(i+1)/float64(len(n)) >= q {
+			return v
+		}
+	}
+	return n[len(n)-1]
+}
+
+// checkAgainstOracle compares the window's live sampler with the naive
+// reference: the CDF array itself, then every query kind at conditioning
+// points and quantiles around the window's support.
+func checkAgainstOracle(t testing.TB, w *Window, seed uint64) {
+	t.Helper()
+	want := naiveOf(w)
+	s := w.Sampler()
+	if s.Len() != len(want) || w.Len() != len(want) {
+		t.Fatalf("Len = %d (window %d), want %d", s.Len(), w.Len(), len(want))
+	}
+	for i, v := range want {
+		if s.sorted[i] != v {
+			t.Fatalf("CDF = %v, want sort(Values()) = %v", s.sorted, []int(want))
+		}
+	}
+	if len(want) == 0 {
+		return
+	}
+	if got := s.Max(); got != want[len(want)-1] {
+		t.Fatalf("Max = %d, want %d", got, want[len(want)-1])
+	}
+	// Dyadic quantiles: q·n and (i+1)/n are then exact in floating point, so
+	// the reference's CDF scan and the sampler's ceil(q·n) cannot disagree
+	// over a rounding error.
+	quantiles := []float64{0, 0.25, 0.5, 0.75, 0.875, 1}
+	for _, q := range quantiles {
+		if got, ref := s.Quantile(q), want.quantile(q); got != ref {
+			t.Fatalf("Quantile(%v) = %d, want %d over %v", q, got, ref, []int(want))
+		}
+	}
+	points := []int{want[0] - 1, want[0], want[len(want)/2], want[len(want)-1] - 1, want[len(want)-1]}
+	for _, g := range points {
+		tail := want.above(g)
+		for _, q := range quantiles {
+			got, ok := s.QuantileGreater(q, g)
+			if ok != (len(tail) > 0) || (ok && got != tail.quantile(q)) {
+				t.Fatalf("QuantileGreater(%v, %d) = %d,%v, want tail %v", q, g, got, ok, []int(tail))
+			}
+		}
+		// Same seed on both sides: the draw must index the same tail.
+		got, ok := s.SampleGreater(rng.New(seed), g)
+		if ok != (len(tail) > 0) || (ok && got != tail[rng.New(seed).Intn(len(tail))]) {
+			t.Fatalf("SampleGreater(%d) = %d,%v, want a draw from %v", g, got, ok, []int(tail))
+		}
 	}
 }
 
-func TestSamplerCacheInvalidatedByAdd(t *testing.T) {
-	w := windowOf(10, 5)
-	if got := w.Sampler().Max(); got != 5 {
-		t.Fatalf("Max = %d", got)
+// TestWindowAddMatchesSortOracle is the property the incremental CDF stands
+// on: after every Add of a random sequence the sorted array equals
+// sort(Values()) and every query equals the naive reference — across tiny
+// and production capacities, heavy duplicates (so evicted and inserted
+// values often tie, including old == new), and several wrap-arounds.
+func TestWindowAddMatchesSortOracle(t *testing.T) {
+	for _, capacity := range []int{1, 2, 7, 1000} {
+		for _, support := range []int{1, 3, 50, 100000} {
+			w := NewWindow(capacity)
+			r := rng.New(uint64(capacity*131 + support))
+			adds := 4*capacity + 3 // several full wraps
+			every := 1
+			if capacity > 100 {
+				every = 37 // the oracle is O(n log n) per check
+			}
+			for i := 0; i < adds; i++ {
+				w.Add(r.Intn(support) - support/2) // negatives too
+				if w.Generation() != uint64(i+1) {
+					t.Fatalf("generation = %d after %d adds", w.Generation(), i+1)
+				}
+				if i%every == 0 || i >= adds-3 {
+					checkAgainstOracle(t, w, uint64(i))
+				}
+			}
+		}
 	}
+}
+
+// TestSamplerIsLiveView pins the accessor contract: Sampler() hands out one
+// stable pointer and that pointer reflects every later Add.
+func TestSamplerIsLiveView(t *testing.T) {
+	w := windowOf(2, 5)
+	s := w.Sampler()
 	w.Add(42)
-	if got := w.Sampler().Max(); got != 42 {
-		t.Fatalf("Max after Add = %d, want 42 (stale cache)", got)
+	w.Add(7) // evicts 5
+	if s != w.Sampler() {
+		t.Fatal("Sampler() returned a different pointer after Add")
 	}
-	if w.rebuilds != 2 {
-		t.Fatalf("rebuilds = %d, want 2", w.rebuilds)
+	if s.Len() != 2 || s.Quantile(0) != 7 || s.Max() != 42 {
+		t.Fatalf("held sampler reads %v, want [7 42]", s.sorted)
 	}
-	if w.Generation() != 2 {
-		t.Fatalf("generation = %d, want 2", w.Generation())
-	}
+}
+
+// FuzzWindowAdd drives a window of fuzzer-chosen capacity with
+// fuzzer-chosen observations and checks the oracle after every Add. Each
+// input byte pair is one observation; a small modulus keeps ties frequent.
+func FuzzWindowAdd(f *testing.F) {
+	f.Add(uint8(1), []byte{0, 1, 0, 1, 0, 0})
+	f.Add(uint8(2), []byte{9, 9, 9, 9, 9, 9, 9, 9})
+	f.Add(uint8(7), []byte("the quick brown fox jumps over the lazy dog"))
+	f.Fuzz(func(t *testing.T, capacity uint8, data []byte) {
+		w := NewWindow(int(capacity)%64 + 1)
+		for i := 0; i+1 < len(data); i += 2 {
+			w.Add((int(data[i])<<8 | int(data[i+1])) % 97)
+			checkAgainstOracle(t, w, uint64(i))
+		}
+	})
 }
 
 func TestQuantileBoundaries(t *testing.T) {

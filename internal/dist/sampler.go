@@ -7,34 +7,18 @@ import (
 	"github.com/lightllm-go/lightllm/internal/rng"
 )
 
-// Sampler answers distribution queries over a snapshot of a Window's
-// contents. Obtain one via Window.Sampler(); the zero value behaves as a
-// sampler over an empty window. All queries are O(log n) or better against
-// the cached sorted array and perform no heap allocations.
+// Sampler answers distribution queries over a Window's contents. Obtain
+// one via Window.Sampler(); the zero value behaves as a sampler over an
+// empty window. All queries are O(log n) or better against the window's
+// sorted array and perform no heap allocations.
 type Sampler struct {
 	sorted []int // window contents, ascending: the empirical CDF
-	gen    uint64
-	valid  bool
 }
 
-// rebuild refreshes the snapshot from the window, reusing the sorted buffer.
-func (s *Sampler) rebuild(w *Window) {
-	if cap(s.sorted) < w.n {
-		s.sorted = make([]int, w.n)
-	}
-	s.sorted = s.sorted[:w.n]
-	for i := 0; i < w.n; i++ {
-		s.sorted[i] = w.buf[(w.head+i)%len(w.buf)]
-	}
-	sort.Ints(s.sorted)
-	s.gen = w.gen
-	s.valid = true
-}
-
-// Len returns the number of observations in the snapshot.
+// Len returns the number of observations in the window.
 func (s *Sampler) Len() int { return len(s.sorted) }
 
-// Max returns the largest observation, or 0 for an empty snapshot.
+// Max returns the largest observation, or 0 for an empty window.
 func (s *Sampler) Max() int {
 	if len(s.sorted) == 0 {
 		return 0
@@ -43,7 +27,7 @@ func (s *Sampler) Max() int {
 }
 
 // Sample draws uniformly from the window — an i.i.d. draw from the
-// empirical P(l). It returns 0 for an empty snapshot.
+// empirical P(l). It returns 0 for an empty window.
 func (s *Sampler) Sample(r *rng.RNG) int {
 	if len(s.sorted) == 0 {
 		return 0
@@ -52,7 +36,7 @@ func (s *Sampler) Sample(r *rng.RNG) int {
 }
 
 // Quantile returns the smallest observed value whose cumulative probability
-// reaches q (clamped to [0, 1]), or 0 for an empty snapshot.
+// reaches q (clamped to [0, 1]), or 0 for an empty window.
 func (s *Sampler) Quantile(q float64) int {
 	if len(s.sorted) == 0 {
 		return 0

@@ -139,3 +139,46 @@ func TestHardwareAccessors(t *testing.T) {
 		t.Fatalf("CostWeight %v, want %v (> 0)", got, want)
 	}
 }
+
+// TestIterationBatchSizeCountsRequests pins Iteration.BatchSize to a request
+// count on every iteration kind. "mixed" and "chunked" iterations used to
+// report compute tokens there, so a 4096-token chunk read as a batch of
+// 4096. The first iteration has no decode lanes yet, so it must report
+// exactly the prompts that advanced a chunk; none may exceed the requests
+// in flight.
+func TestIterationBatchSizeCountsRequests(t *testing.T) {
+	const n = 10
+	pm := testPerf(t)
+	for _, tc := range []struct {
+		kind  string
+		first int // prompts the first iteration's 64-token budget reaches
+		cfg   Config
+	}{
+		{"mixed", 1, Config{Perf: pm, Scheduler: core.MustNewConservative(1.0), Strategy: SplitFuse,
+			SplitFuseBudget: 64, CapacityOverride: 3000}},
+		{"chunked", 2, Config{Perf: pm, Scheduler: core.MustNewConservative(1.0), MaxPrefillTokens: 64,
+			CapacityOverride: 3000, Chunked: ChunkConfig{Enabled: true, ChunkTokens: 48}}},
+	} {
+		e, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sizes []int
+		e.AddIterationHook(func(_ float64, it Iteration) {
+			if it.Kind != tc.kind {
+				t.Fatalf("%s engine ran a %q iteration", tc.kind, it.Kind)
+			}
+			if it.BatchSize < 1 || it.BatchSize > n {
+				t.Fatalf("%s iteration reports batch %d with %d requests in flight", tc.kind, it.BatchSize, n)
+			}
+			sizes = append(sizes, it.BatchSize)
+		})
+		e.SubmitAll(mkReqs(n, 100, 20, 150))
+		if res := e.Run(); len(res.Finished) != n {
+			t.Fatalf("%s finished %d of %d", tc.kind, len(res.Finished), n)
+		}
+		if sizes[0] != tc.first {
+			t.Fatalf("%s: first iteration reports batch %d, want %d chunking prompts", tc.kind, sizes[0], tc.first)
+		}
+	}
+}

@@ -144,7 +144,7 @@ func (e *Engine) runChunked() {
 	e.decodeSteps++ // a chunked iteration advances decoding by one step
 
 	for _, r := range e.running {
-		if !e.pool.Extend(r.ID, 1) {
+		if !e.pool.Extend(r.KV, 1) {
 			e.requeue(r) // defensive; ensureExtendable guarantees space
 			continue
 		}
@@ -174,7 +174,7 @@ func (e *Engine) runChunked() {
 	}
 	e.completeDone()
 	e.observe(e.clock)
-	e.iterationHook("chunked", dur, decodeTokens+chunkUsed)
+	e.iterationHook("chunked", dur, decodeTokens+nChunks)
 }
 
 // chunkSignals computes the SLO-aware sizer's per-iteration deadline

@@ -150,8 +150,11 @@ type Hooks struct {
 
 // Iteration describes one executed engine iteration for observers.
 type Iteration struct {
-	Kind      string // "prefill", "decode", "mixed", "static"
-	Duration  float64
+	Kind     string // "prefill", "decode", "mixed", "chunked", "static"
+	Duration float64
+	// BatchSize is the number of requests in the iteration: prompts on
+	// "prefill", decode lanes on "decode" and "static", decode lanes plus
+	// the prompts that advanced a chunk on "mixed" and "chunked".
 	BatchSize int
 	KVTokens  int
 }
@@ -836,14 +839,14 @@ func (e *Engine) Crash() []*request.Request {
 	}
 	e.running = e.running[:0]
 	for _, p := range e.prefilling {
-		if e.pool.Allocated(p.req.ID) {
+		if e.pool.Allocated(p.req.KV) {
 			e.free(p.req)
 		}
 		orphans = append(orphans, p.req)
 	}
 	e.prefilling = e.prefilling[:0]
 	for _, r := range e.staticBatch {
-		if e.pool.Allocated(r.ID) {
+		if e.pool.Allocated(r.KV) {
 			e.free(r)
 		}
 		orphans = append(orphans, r)

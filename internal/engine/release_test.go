@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/lightllm-go/lightllm/internal/core"
+	"github.com/lightllm-go/lightllm/internal/kv"
 	"github.com/lightllm-go/lightllm/internal/request"
 )
 
@@ -101,4 +102,66 @@ func TestReleasedLastStep(t *testing.T) {
 			t.Fatalf("finished request outcome %v", r.Outcome)
 		}
 	}
+}
+
+// TestHandleFollowsMemory pins where a request's kv.Handle lives: it is live
+// in the engine's pool exactly while the request holds memory (every token
+// is emitted through it), it is zero again after eviction, completion and
+// crash, and an admission of a request that still carries one is refused
+// loudly instead of leaking the first allocation.
+func TestHandleFollowsMemory(t *testing.T) {
+	e := newEngine(t, core.MustNewAggressive(0.99), 1500) // tight: forces evictions
+	e.AddTokenHook(func(_ float64, r *request.Request) {
+		if !e.Pool().Allocated(r.KV) {
+			t.Fatalf("request %d emitted a token without a live handle", r.ID)
+		}
+	})
+	evicted := 0
+	e.AddEvictHook(func(_ float64, r *request.Request) {
+		evicted++
+		if r.KV != (kv.Handle{}) {
+			t.Fatalf("evicted request %d kept its handle", r.ID)
+		}
+	})
+	reqs := mkReqs(12, 200, 120, 200)
+	e.SubmitAll(reqs)
+	for i := 0; i < 40 && e.Step(); i++ {
+	}
+	if e.Pool().ActiveRequests() != len(e.running) || len(e.running) == 0 {
+		t.Fatalf("%d live allocations for %d running requests", e.Pool().ActiveRequests(), len(e.running))
+	}
+	for _, r := range e.Crash() {
+		if r.KV != (kv.Handle{}) {
+			t.Fatalf("orphan %d kept its handle", r.ID)
+		}
+	}
+	if e.Pool().ActiveRequests() != 0 {
+		t.Fatalf("%d allocations survived the crash", e.Pool().ActiveRequests())
+	}
+	for _, r := range reqs {
+		r.ResetForRetry()
+	}
+	e.SubmitAll(reqs)
+	res := e.Run()
+	if len(res.Finished) != len(reqs) || evicted == 0 {
+		t.Fatalf("finished %d of %d with %d evictions; scenario exercises nothing", len(res.Finished), len(reqs), evicted)
+	}
+	for _, r := range reqs {
+		if r.KV != (kv.Handle{}) {
+			t.Fatalf("finished request %d kept its handle", r.ID)
+		}
+	}
+	if err := e.Pool().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	stale := request.New(99, 100, 5, 50, e.Clock())
+	stale.KV = func() kv.Handle { h, _ := e.Pool().Allocate(1); return h }()
+	e.Submit(stale)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("admitting a request that already holds KV memory did not panic")
+		}
+	}()
+	e.Run()
 }

@@ -54,10 +54,12 @@ func (e *Engine) formStaticBatch() bool {
 	}
 	for i := 0; i < take; i++ {
 		r := e.queue.PopFront()
-		if !e.pool.Allocate(r.ID, maxIn) { // padded to the longest prompt
+		h, ok := e.pool.Allocate(maxIn) // padded to the longest prompt
+		if !ok {
 			e.failRequest(r)
 			continue
 		}
+		r.KV = h
 		r.State = request.Running
 		r.Admissions++
 		e.admissions++
@@ -88,7 +90,7 @@ func (e *Engine) stepStaticDecode() bool {
 	e.decodeSteps++
 	allDone := true
 	for _, r := range e.staticBatch {
-		e.pool.Extend(r.ID, 1) // padding: every lane grows
+		e.pool.Extend(r.KV, 1) // padding: every lane grows
 		if r.Done() {
 			continue // finished lane, pure padding waste
 		}
@@ -105,7 +107,7 @@ func (e *Engine) stepStaticDecode() bool {
 	if allDone {
 		// Whole batch complete: release all lanes.
 		for _, r := range e.staticBatch {
-			e.pool.Free(r.ID)
+			e.free(r)
 		}
 		e.staticBatch = e.staticBatch[:0]
 	}

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"fmt"
+
 	"github.com/lightllm-go/lightllm/internal/core"
+	"github.com/lightllm-go/lightllm/internal/kv"
 	"github.com/lightllm-go/lightllm/internal/obs"
 	"github.com/lightllm-go/lightllm/internal/request"
 )
@@ -253,8 +256,13 @@ func (e *Engine) admit() []*request.Request {
 // stamped with the tokens its prefill will not re-encode. Migrated and
 // swapped admissions already carry their KV state and bypass the cache.
 func (e *Engine) allocateFor(r *request.Request) bool {
+	if r.KV != (kv.Handle{}) {
+		panic(fmt.Sprintf("engine: request %d admitted while holding KV memory", r.ID))
+	}
 	if !e.pool.PrefixCacheEnabled() || len(r.PrefixHashes) == 0 || r.Migrated || r.Swapped {
-		return e.pool.Allocate(r.ID, r.Footprint())
+		h, ok := e.pool.Allocate(r.Footprint())
+		r.KV = h
+		return ok
 	}
 	restore := 0
 	hitBlocks, offBlocks := e.pool.MatchPrefixDetail(r.PrefixHashes)
@@ -269,10 +277,11 @@ func (e *Engine) allocateFor(r *request.Request) bool {
 			restore = offBlocks
 		}
 	}
-	hit, restored, ok := e.pool.AllocatePrefixed(r.ID, r.Footprint(), r.PrefixHashes, restore)
+	h, hit, restored, ok := e.pool.AllocatePrefixed(r.Footprint(), r.PrefixHashes, restore)
 	if !ok {
 		return false
 	}
+	r.KV = h
 	r.CachedTokens = hit
 	r.RestoredTokens = restored
 	e.cacheHitTokens += int64(hit)
@@ -280,11 +289,13 @@ func (e *Engine) allocateFor(r *request.Request) bool {
 	return true
 }
 
-// free releases a request's KV allocation together with its prefix-cache
-// stamps: once the allocation is gone the shared blocks are unpinned, so
-// the discount must not survive into the estimators or a re-admission.
+// free releases a request's KV allocation together with its handle and its
+// prefix-cache stamps: once the allocation is gone the shared blocks are
+// unpinned, so the discount must not survive into the estimators or a
+// re-admission.
 func (e *Engine) free(r *request.Request) {
-	e.pool.Free(r.ID)
+	e.pool.Free(r.KV)
+	r.KV = kv.Handle{}
 	r.CachedTokens = 0
 	r.RestoredTokens = 0
 	r.ChunkedPrefill = false
@@ -298,8 +309,8 @@ func (e *Engine) ensureExtendable(grow []*request.Request) {
 	for {
 		need := 0
 		for _, r := range grow {
-			if e.pool.Allocated(r.ID) { // evicted entries drop out
-				need += e.pool.BlocksNeededToExtendByOne(r.ID)
+			if e.pool.Allocated(r.KV) { // evicted entries drop out
+				need += e.pool.BlocksNeededToExtendByOne(r.KV)
 			}
 		}
 		// Reclaimable cached blocks count as space: Extend evicts cold cache
@@ -441,7 +452,7 @@ func (e *Engine) runDecode() {
 	e.clock += dur
 	e.decodeSteps++
 	for _, r := range e.running {
-		if !e.pool.Extend(r.ID, 1) {
+		if !e.pool.Extend(r.KV, 1) {
 			// ensureExtendable guarantees space; defensive requeue.
 			e.requeue(r)
 			continue
@@ -471,6 +482,7 @@ func (e *Engine) runMixed() {
 	}
 	chunk := budget - decodeTokens
 	chunkUsed := 0
+	nChunked := 0 // prompts that advanced this iteration
 	var finishedPrefills []*request.Request
 	for _, p := range e.prefilling {
 		if p.need == 0 { // swapped-in request: ready immediately
@@ -487,6 +499,7 @@ func (e *Engine) runMixed() {
 		p.need -= take
 		chunk -= take
 		chunkUsed += take
+		nChunked++
 		if p.need == 0 {
 			finishedPrefills = append(finishedPrefills, p.req)
 		}
@@ -501,9 +514,10 @@ func (e *Engine) runMixed() {
 	e.prefilling = remaining
 
 	e.ensureExtendable(e.running)
+	lanes := len(e.running) // eviction may have shrunk the batch
 
 	computeTokens := decodeTokens + chunkUsed
-	kvTokens := e.pool.UsedTokens() + len(e.running)
+	kvTokens := e.pool.UsedTokens() + lanes
 	dur := e.scaled(e.cfg.Perf.MixedTime(computeTokens, kvTokens) + e.pendingSwapIn)
 	e.prefillComputeTokens += int64(chunkUsed)
 	e.pendingSwapIn = 0
@@ -512,7 +526,7 @@ func (e *Engine) runMixed() {
 	e.decodeSteps++ // a mixed iteration advances decoding by one step
 
 	for _, r := range e.running {
-		if !e.pool.Extend(r.ID, 1) {
+		if !e.pool.Extend(r.KV, 1) {
 			e.requeue(r) // defensive; ensureExtendable guarantees space
 			continue
 		}
@@ -531,12 +545,12 @@ func (e *Engine) runMixed() {
 	e.running = append(e.running, finishedPrefills...)
 	e.completeDone()
 	e.observe(e.clock)
-	e.iterationHook("mixed", dur, computeTokens)
+	e.iterationHook("mixed", dur, lanes+nChunked)
 }
 
 // requeue returns a request to the queue front after a failed extension.
 func (e *Engine) requeue(r *request.Request) {
-	if e.pool.Allocated(r.ID) {
+	if e.pool.Allocated(r.KV) {
 		e.free(r)
 	}
 	for i, rr := range e.running {
@@ -589,6 +603,10 @@ func (e *Engine) observe(t float64) {
 	e.batchSize.Observe(t, float64(len(e.running)+len(e.prefilling)+len(e.staticBatch)))
 }
 
+// iterationHook reports one executed iteration to the observers. batch is
+// the number of requests that took part — decode lanes plus, on "mixed" and
+// "chunked" iterations, the prompts that advanced a chunk — never a token
+// count (chunk tokens are reported through Recorder.Chunk).
 func (e *Engine) iterationHook(kind string, dur float64, batch int) {
 	if e.cfg.Hooks.OnIteration != nil {
 		e.cfg.Hooks.OnIteration(e.clock, Iteration{

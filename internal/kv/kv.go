@@ -8,6 +8,20 @@
 // logical token counts; the pool additionally accounts the physical blocks
 // so fragmentation shows up in memory-utilisation metrics and in the
 // block-size ablation.
+//
+// # Handles
+//
+// An allocation is addressed by the Handle that Allocate / AllocatePrefixed
+// returned, not by a request id. The pool keeps its per-allocation records
+// by value in one slab; a handle is a slot of that slab plus the slot's
+// generation at allocation time, and Free bumps the generation and puts the
+// slot on a free list. The engine stores the handle on the request while
+// the request holds memory, so the decode loop's extend-need / Extend pair
+// is two bounds-checked slab reads — no hash lookup, and no per-request
+// heap object. A handle that was freed, never issued, or issued by another
+// pool panics in Extend, BlocksNeededToExtendByOne and Free (engine bugs,
+// exactly as unknown ids were) and reads as "not allocated" in the
+// Allocated / AllocatedTokens / CanExtend queries.
 package kv
 
 import "fmt"
@@ -19,7 +33,9 @@ type Pool struct {
 	blockSize      int
 	totalBlocks    int
 	freeBlocks     int
-	allocs         map[int64]*alloc
+
+	slab      []alloc  // per-allocation records, addressed by Handle.slot
+	freeSlots []uint32 // slab slots without a live allocation, LIFO
 
 	logicalUsed int // sum of allocated logical tokens
 	peakLogical int
@@ -30,13 +46,24 @@ type Pool struct {
 	prefix *prefixState
 }
 
+// Handle names one live allocation of one pool. The zero Handle names
+// nothing. Handles are plain values: copy them freely, compare them with ==.
+type Handle struct {
+	pool *Pool
+	slot uint32
+	gen  uint32
+}
+
+// alloc is one slab slot. A free slot keeps its generation (already bumped
+// past every handle issued for it) and the capacity of shared for reuse.
 type alloc struct {
 	tokens int // logical tokens allocated privately to the request
 	blocks int // physical blocks backing the private tokens
 	// shared are the pinned prefix-cache blocks the request references
-	// (nil outside prefix-caching mode). Shared blocks are accounted once
+	// (empty outside prefix-caching mode). Shared blocks are accounted once
 	// pool-wide, not per request.
 	shared []*prefixBlock
+	gen    uint32
 }
 
 // NewPool creates a pool with the given capacity in token slots and block
@@ -54,8 +81,47 @@ func NewPool(capacityTokens, blockSize int) *Pool {
 		blockSize:      blockSize,
 		totalBlocks:    total,
 		freeBlocks:     total,
-		allocs:         make(map[int64]*alloc),
 	}
+}
+
+// newSlot takes a slot off the free list (growing the slab when it is
+// empty) and returns the handle for the allocation about to live there.
+// The slot's record is zero apart from its generation and shared's spare
+// capacity.
+func (p *Pool) newSlot() (Handle, *alloc) {
+	var slot uint32
+	if n := len(p.freeSlots); n > 0 {
+		slot = p.freeSlots[n-1]
+		p.freeSlots = p.freeSlots[:n-1]
+	} else {
+		slot = uint32(len(p.slab))
+		p.slab = append(p.slab, alloc{})
+	}
+	a := &p.slab[slot]
+	return Handle{pool: p, slot: slot, gen: a.gen}, a
+}
+
+// lookup resolves a handle to its live record, or nil when the handle is
+// zero, stale (freed since), or was issued by another pool.
+func (p *Pool) lookup(h Handle) *alloc {
+	if h.pool != p || int(h.slot) >= len(p.slab) {
+		return nil
+	}
+	if a := &p.slab[h.slot]; a.gen == h.gen {
+		return a
+	}
+	return nil
+}
+
+// must is lookup for the mutating paths, where a dead handle is an engine
+// bug: op names the operation in the panic.
+func (p *Pool) must(h Handle, op string) *alloc {
+	a := p.lookup(h)
+	if a == nil {
+		panic(fmt.Sprintf("kv: %s of unallocated handle (slot %d, generation %d, own pool %v)",
+			op, h.slot, h.gen, h.pool == p))
+	}
+	return a
 }
 
 // CapacityTokens returns the usable capacity in token slots.
@@ -95,27 +161,25 @@ func (p *Pool) FragmentationWaste() int {
 // PeakUsedTokens returns the high-water mark of logical usage.
 func (p *Pool) PeakUsedTokens() int { return p.peakLogical }
 
-// Allocated reports whether the request holds an allocation.
-func (p *Pool) Allocated(id int64) bool {
-	_, ok := p.allocs[id]
-	return ok
-}
+// Allocated reports whether the handle names a live allocation of this pool.
+func (p *Pool) Allocated(h Handle) bool { return p.lookup(h) != nil }
 
-// AllocatedTokens returns the logical tokens held by the request (0 if
-// none), shared prefix blocks included.
-func (p *Pool) AllocatedTokens(id int64) int {
-	if a, ok := p.allocs[id]; ok {
-		tokens := a.tokens
-		if p.prefix != nil {
-			tokens += len(a.shared) * p.prefix.blockTokens
-		}
-		return tokens
+// AllocatedTokens returns the logical tokens held by the allocation (0 if
+// the handle is not live), shared prefix blocks included.
+func (p *Pool) AllocatedTokens(h Handle) int {
+	a := p.lookup(h)
+	if a == nil {
+		return 0
 	}
-	return 0
+	tokens := a.tokens
+	if p.prefix != nil {
+		tokens += len(a.shared) * p.prefix.blockTokens
+	}
+	return tokens
 }
 
 // ActiveRequests returns the number of live allocations.
-func (p *Pool) ActiveRequests() int { return len(p.allocs) }
+func (p *Pool) ActiveRequests() int { return len(p.slab) - len(p.freeSlots) }
 
 func blocksFor(tokens, blockSize int) int {
 	return (tokens + blockSize - 1) / blockSize
@@ -137,33 +201,27 @@ func (p *Pool) availableBlocks() int {
 	return avail
 }
 
-// Allocate reserves tokens slots for the request. It returns false (and
-// changes nothing) if the pool lacks physical space — in prefix-caching
-// mode it first reclaims cached blocks LRU-first. Allocating twice for the
-// same id panics — the engine must Free (eviction) before re-admitting.
-func (p *Pool) Allocate(id int64, tokens int) bool {
+// Allocate reserves tokens slots and returns the handle that addresses
+// them. It returns ok=false (and changes nothing) if the pool lacks
+// physical space — in prefix-caching mode it first reclaims cached blocks
+// LRU-first. The caller owns the handle until it passes it to Free.
+func (p *Pool) Allocate(tokens int) (h Handle, ok bool) {
 	if tokens <= 0 {
-		panic(fmt.Sprintf("kv: allocate %d tokens for request %d", tokens, id))
-	}
-	if _, dup := p.allocs[id]; dup {
-		panic(fmt.Sprintf("kv: double allocation for request %d", id))
+		panic(fmt.Sprintf("kv: allocate %d tokens", tokens))
 	}
 	need := blocksFor(tokens, p.blockSize)
 	if need > p.freeBlocks {
 		if need > p.availableBlocks() {
-			return false
+			return Handle{}, false
 		}
 		p.reclaimFor(need)
 	}
 	p.freeBlocks -= need
-	if px := p.prefix; px != nil {
-		p.allocs[id] = px.newAlloc(tokens, need, 0)
-	} else {
-		p.allocs[id] = &alloc{tokens: tokens, blocks: need}
-	}
+	h, a := p.newSlot()
+	a.tokens, a.blocks = tokens, need
 	p.logicalUsed += tokens
 	p.notePeaks()
-	return true
+	return h, true
 }
 
 // FreeBlocks returns the number of free physical blocks.
@@ -175,20 +233,17 @@ func (p *Pool) FreeBlocks() int { return p.freeBlocks }
 func (p *Pool) AvailableBlocks() int { return p.availableBlocks() }
 
 // BlocksNeededToExtendByOne returns how many new blocks (0 or 1) extending
-// the request by one token would consume. Unknown ids panic.
-func (p *Pool) BlocksNeededToExtendByOne(id int64) int {
-	a, ok := p.allocs[id]
-	if !ok {
-		panic(fmt.Sprintf("kv: extend-need of unallocated request %d", id))
-	}
+// the allocation by one token would consume. Dead handles panic.
+func (p *Pool) BlocksNeededToExtendByOne(h Handle) int {
+	a := p.must(h, "extend-need")
 	return blocksFor(a.tokens+1, p.blockSize) - a.blocks
 }
 
-// CanExtend reports whether growing the request by extra tokens fits
-// (reclaimable cached blocks count as available).
-func (p *Pool) CanExtend(id int64, extra int) bool {
-	a, ok := p.allocs[id]
-	if !ok {
+// CanExtend reports whether growing the allocation by extra tokens fits
+// (reclaimable cached blocks count as available); false for a dead handle.
+func (p *Pool) CanExtend(h Handle, extra int) bool {
+	a := p.lookup(h)
+	if a == nil {
 		return false
 	}
 	need := blocksFor(a.tokens+extra, p.blockSize) - a.blocks
@@ -198,17 +253,14 @@ func (p *Pool) CanExtend(id int64, extra int) bool {
 // Extend grows an existing allocation by extra tokens, returning false if
 // physical space is exhausted — in prefix-caching mode it first reclaims
 // cached blocks LRU-first, so decode never stalls behind cold cache.
-// Extending an unknown id panics. Growth is private: generated tokens are
+// Extending a dead handle panics. Growth is private: generated tokens are
 // never published into the prefix cache (a follow-up turn republishes them
 // as prompt blocks).
-func (p *Pool) Extend(id int64, extra int) bool {
+func (p *Pool) Extend(h Handle, extra int) bool {
 	if extra <= 0 {
 		panic(fmt.Sprintf("kv: extend by %d tokens", extra))
 	}
-	a, ok := p.allocs[id]
-	if !ok {
-		panic(fmt.Sprintf("kv: extend of unallocated request %d", id))
-	}
+	a := p.must(h, "extend")
 	need := blocksFor(a.tokens+extra, p.blockSize) - a.blocks
 	if need > p.freeBlocks {
 		if need > p.availableBlocks() {
@@ -224,23 +276,24 @@ func (p *Pool) Extend(id int64, extra int) bool {
 	return true
 }
 
-// Free releases the request's allocation and returns the logical tokens it
-// held (shared prefix blocks included). Private blocks return to the free
-// list; shared blocks are unpinned and, once unreferenced, stay resident as
-// reclaimable cache. Freeing an unknown id panics: a double free is an
-// engine bug.
-func (p *Pool) Free(id int64) int {
-	a, ok := p.allocs[id]
-	if !ok {
-		panic(fmt.Sprintf("kv: free of unallocated request %d", id))
-	}
+// Free releases the allocation and returns the logical tokens it held
+// (shared prefix blocks included). Private blocks return to the free list;
+// shared blocks are unpinned and, once unreferenced, stay resident as
+// reclaimable cache. The handle — and every copy of it — is dead from here
+// on: the slot's generation moves, so a later allocation reusing the slot
+// cannot be reached through it. Freeing a dead handle panics: a double free
+// is an engine bug.
+func (p *Pool) Free(h Handle) int {
+	a := p.must(h, "free")
 	p.freeBlocks += a.blocks
 	p.logicalUsed -= a.tokens
-	delete(p.allocs, id)
 	tokens := a.tokens
 	if p.prefix != nil {
 		tokens += p.releaseShared(a)
 	}
+	a.tokens, a.blocks = 0, 0
+	a.gen++
+	p.freeSlots = append(p.freeSlots, h.slot)
 	return tokens
 }
 
@@ -253,25 +306,45 @@ func (p *Pool) Utilization() float64 {
 // operation sequences. It returns an error rather than panicking so
 // property tests can report the failing sequence.
 func (p *Pool) CheckInvariants() error {
+	// Slab: every slot is either on the free list exactly once (and then
+	// holds nothing) or live; there is no third state.
+	free := make([]bool, len(p.slab))
+	for _, slot := range p.freeSlots {
+		if int(slot) >= len(p.slab) {
+			return fmt.Errorf("kv: free list names slot %d beyond the slab (%d)", slot, len(p.slab))
+		}
+		if free[slot] {
+			return fmt.Errorf("kv: slot %d on the free list twice", slot)
+		}
+		free[slot] = true
+		if a := &p.slab[slot]; a.tokens != 0 || a.blocks != 0 || len(a.shared) != 0 {
+			return fmt.Errorf("kv: free slot %d still holds tokens=%d blocks=%d shared=%d",
+				slot, a.tokens, a.blocks, len(a.shared))
+		}
+	}
 	usedBlocks := 0
 	logical := 0
 	pins := 0
-	for id, a := range p.allocs {
+	for id := range p.slab {
+		if free[id] {
+			continue
+		}
+		a := &p.slab[id]
 		if a.tokens < 0 || a.blocks < 0 || (a.tokens == 0 && len(a.shared) == 0) {
-			return fmt.Errorf("kv: request %d has empty allocation", id)
+			return fmt.Errorf("kv: live slot %d has empty allocation", id)
 		}
 		if a.blocks != blocksFor(a.tokens, p.blockSize) {
-			return fmt.Errorf("kv: request %d blocks=%d tokens=%d inconsistent", id, a.blocks, a.tokens)
+			return fmt.Errorf("kv: slot %d blocks=%d tokens=%d inconsistent", id, a.blocks, a.tokens)
 		}
 		if p.prefix == nil && len(a.shared) != 0 {
-			return fmt.Errorf("kv: request %d holds shared blocks without prefix cache", id)
+			return fmt.Errorf("kv: slot %d holds shared blocks without prefix cache", id)
 		}
 		for _, b := range a.shared {
 			if b.refs <= 0 || b.inLRU {
-				return fmt.Errorf("kv: request %d pins block %x with refs=%d inLRU=%v", id, b.hash, b.refs, b.inLRU)
+				return fmt.Errorf("kv: slot %d pins block %x with refs=%d inLRU=%v", id, b.hash, b.refs, b.inLRU)
 			}
 			if p.prefix.resident[b.hash] != b {
-				return fmt.Errorf("kv: request %d pins non-resident block %x", id, b.hash)
+				return fmt.Errorf("kv: slot %d pins non-resident block %x", id, b.hash)
 			}
 		}
 		pins += len(a.shared)

@@ -102,7 +102,6 @@ type prefixState struct {
 	// Freelists keep steady-state churn allocation-free.
 	blockFree []*prefixBlock
 	offFree   []*offBlock
-	allocFree []*alloc
 }
 
 // EnablePrefixCache switches the pool into prefix-caching mode. It must be
@@ -111,7 +110,7 @@ func (p *Pool) EnablePrefixCache(cfg PrefixConfig) {
 	if p.prefix != nil {
 		panic("kv: prefix cache already enabled")
 	}
-	if len(p.allocs) != 0 {
+	if p.ActiveRequests() != 0 {
 		panic("kv: prefix cache must be enabled before allocations")
 	}
 	if cfg.BlockTokens <= 0 || cfg.BlockTokens%p.blockSize != 0 {
@@ -204,28 +203,25 @@ func (p *Pool) MatchPrefixDetail(hashes []uint64) (hitBlocks, offloadBlocks int)
 	return hitBlocks, offloadBlocks
 }
 
-// AllocatePrefixed reserves tokens slots for the request, sharing every
-// resident block named in hashes, restoring up to restoreBlocks offloaded
-// blocks, and creating fresh shared blocks for the rest of the hash chain;
-// the uncovered tail (tokens - len(hashes)*BlockTokens) is allocated
-// privately. It returns the tokens served by resident hits and by offload
-// restores — both are prefill the engine does not recompute, but restores
-// pay wire time. Returns ok=false (nothing changed) if the demand exceeds
-// free plus reclaimable memory.
-func (p *Pool) AllocatePrefixed(id int64, tokens int, hashes []uint64, restoreBlocks int) (hitTokens, restoredTokens int, ok bool) {
+// AllocatePrefixed reserves tokens slots, sharing every resident block
+// named in hashes, restoring up to restoreBlocks offloaded blocks, and
+// creating fresh shared blocks for the rest of the hash chain; the
+// uncovered tail (tokens - len(hashes)*BlockTokens) is allocated privately.
+// Beside the handle it returns the tokens served by resident hits and by
+// offload restores — both are prefill the engine does not recompute, but
+// restores pay wire time. Returns ok=false (nothing changed) if the demand
+// exceeds free plus reclaimable memory.
+func (p *Pool) AllocatePrefixed(tokens int, hashes []uint64, restoreBlocks int) (h Handle, hitTokens, restoredTokens int, ok bool) {
 	px := p.prefix
 	if px == nil {
 		panic("kv: AllocatePrefixed without prefix cache enabled")
 	}
 	if tokens <= 0 {
-		panic(fmt.Sprintf("kv: allocate %d tokens for request %d", tokens, id))
-	}
-	if _, dup := p.allocs[id]; dup {
-		panic(fmt.Sprintf("kv: double allocation for request %d", id))
+		panic(fmt.Sprintf("kv: allocate %d tokens", tokens))
 	}
 	covered := len(hashes) * px.blockTokens
 	if covered > tokens {
-		panic(fmt.Sprintf("kv: request %d prefix hashes cover %d tokens but footprint is %d", id, covered, tokens))
+		panic(fmt.Sprintf("kv: prefix hashes cover %d tokens but footprint is %d", covered, tokens))
 	}
 
 	// Feasibility walk, read-only: count hits (and how many of them are
@@ -251,14 +247,18 @@ func (p *Pool) AllocatePrefixed(id int64, tokens int, hashes []uint64, restoreBl
 	private := tokens - covered
 	needPhys := (restores+creates)*px.physPerBlock + blocksFor(private, p.blockSize)
 	if needPhys > p.freeBlocks+(px.freeCnt-unpinnedHits)*px.physPerBlock {
-		return 0, 0, false
+		return Handle{}, 0, 0, false
 	}
 
 	// Commit in two passes: pin every resident hit first, so the reclaim
 	// loop driven by later restores/creates can never evict a block this
 	// same request is about to share (pinning removes it from the reclaim
 	// list).
-	a := px.newAlloc(private, blocksFor(private, p.blockSize), hits+restores+creates)
+	h, a := p.newSlot()
+	a.tokens, a.blocks = private, blocksFor(private, p.blockSize)
+	if n := hits + restores + creates; cap(a.shared) < n {
+		a.shared = make([]*prefixBlock, 0, n)
+	}
 	for _, h := range hashes {
 		if b, res := px.resident[h]; res {
 			if b.refs == 0 {
@@ -311,11 +311,10 @@ func (p *Pool) AllocatePrefixed(id int64, tokens int, hashes []uint64, restoreBl
 		p.freeBlocks -= a.blocks
 	}
 	p.logicalUsed += private
-	p.allocs[id] = a
 	px.stats.HitTokens += int64(hitTokens)
 	px.stats.RestoredTokens += int64(restoredTokens)
 	p.notePeaks()
-	return hitTokens, restoredTokens, true
+	return h, hitTokens, restoredTokens, true
 }
 
 // DropPrefixCache discards every resident cached block — the crash path: a
@@ -404,26 +403,10 @@ func (px *prefixState) newBlock(hash uint64) *prefixBlock {
 	return b
 }
 
-func (px *prefixState) newAlloc(tokens, blocks, sharedCap int) *alloc {
-	var a *alloc
-	if n := len(px.allocFree); n > 0 {
-		a = px.allocFree[n-1]
-		px.allocFree = px.allocFree[:n-1]
-	} else {
-		a = &alloc{}
-	}
-	a.tokens, a.blocks = tokens, blocks
-	if cap(a.shared) < sharedCap {
-		a.shared = make([]*prefixBlock, 0, sharedCap)
-	} else {
-		a.shared = a.shared[:0]
-	}
-	return a
-}
-
 // releaseShared unpins an allocation's shared blocks at Free time: a block
 // whose last pin drops becomes reclaimable cache (newest end of the LRU)
-// and leaves the logical count. Returns the logical tokens unpinned.
+// and leaves the logical count. The slot keeps shared's capacity for its
+// next allocation. Returns the logical tokens unpinned.
 func (p *Pool) releaseShared(a *alloc) int {
 	px := p.prefix
 	for _, b := range a.shared {
@@ -437,7 +420,6 @@ func (p *Pool) releaseShared(a *alloc) int {
 	}
 	released := len(a.shared) * px.blockTokens
 	a.shared = a.shared[:0]
-	px.allocFree = append(px.allocFree, a)
 	return released
 }
 

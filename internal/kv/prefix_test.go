@@ -19,12 +19,23 @@ func hashes(n int, salt uint64) []uint64 {
 	return out
 }
 
-func mustPrefixed(t *testing.T, p *Pool, id int64, tokens int, hs []uint64, restore int) (hit, restored int) {
+// prefixHandles maps the tests' request ids to the handles they hold, so
+// the scenarios below keep reading in terms of "request 1, request 2".
+type prefixHandles map[int64]Handle
+
+func (hs prefixHandles) free(p *Pool, id int64) int {
+	h := hs[id]
+	delete(hs, id)
+	return p.Free(h)
+}
+
+func (hs prefixHandles) mustPrefixed(t *testing.T, p *Pool, id int64, tokens int, hashes []uint64, restore int) (hit, restored int) {
 	t.Helper()
-	hit, restored, ok := p.AllocatePrefixed(id, tokens, hs, restore)
+	h, hit, restored, ok := p.AllocatePrefixed(tokens, hashes, restore)
 	if !ok {
 		t.Fatalf("AllocatePrefixed(%d, %d tokens) failed", id, tokens)
 	}
+	hs[id] = h
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -36,16 +47,17 @@ func mustPrefixed(t *testing.T, p *Pool, id int64, tokens int, hs []uint64, rest
 // FragmentationWaste never counts shared or cached blocks as waste.
 func TestPrefixSharedAccountedOnce(t *testing.T) {
 	p := prefixPool(t, 4096, 16, 64, 0)
+	held := prefixHandles{}
 	hs := hashes(4, 1) // 256 shared prompt tokens
 
-	if hit, _ := mustPrefixed(t, p, 1, 300, hs, 0); hit != 0 {
+	if hit, _ := held.mustPrefixed(t, p, 1, 300, hs, 0); hit != 0 {
 		t.Fatalf("cold allocation hit %d tokens", hit)
 	}
 	phys1 := p.PhysicalUsedTokens()
 	if phys1 != 256+48 { // 4 prefix blocks + 44 private tokens in 3 phys blocks
 		t.Fatalf("physical after first = %d", phys1)
 	}
-	if hit, _ := mustPrefixed(t, p, 2, 300, hs, 0); hit != 256 {
+	if hit, _ := held.mustPrefixed(t, p, 2, 300, hs, 0); hit != 256 {
 		t.Fatalf("second request hit %d tokens, want 256", hit)
 	}
 	// The shared 256 tokens appear once: only request 2's 44 private
@@ -63,7 +75,7 @@ func TestPrefixSharedAccountedOnce(t *testing.T) {
 
 	// Free one sharer: the shared blocks stay (pinned by the other), only
 	// its private tail returns to the free list.
-	if got := p.Free(1); got != 300 {
+	if got := held.free(p, 1); got != 300 {
 		t.Fatalf("Free returned %d, want 300", got)
 	}
 	if got := p.PhysicalUsedTokens(); got != phys1 {
@@ -71,7 +83,7 @@ func TestPrefixSharedAccountedOnce(t *testing.T) {
 	}
 	// Free the last sharer: blocks become reclaimable cache — physically
 	// resident, logically free, not fragmentation.
-	p.Free(2)
+	held.free(p, 2)
 	if got := p.ReclaimableTokens(); got != 256 {
 		t.Fatalf("reclaimable = %d, want 256", got)
 	}
@@ -94,16 +106,17 @@ func TestPrefixSharedAccountedOnce(t *testing.T) {
 // store.
 func TestPrefixLRUReclaim(t *testing.T) {
 	p := prefixPool(t, 256, 1, 64, -1)
+	held := prefixHandles{}
 	a, b, c, d := hashes(1, 1), hashes(1, 2), hashes(1, 3), hashes(1, 4)
-	mustPrefixed(t, p, 1, 64, a, 0)
-	mustPrefixed(t, p, 2, 64, b, 0)
-	mustPrefixed(t, p, 3, 64, c, 0)
-	p.Free(1) // a oldest reclaimable
-	p.Free(2)
-	p.Free(3)
+	held.mustPrefixed(t, p, 1, 64, a, 0)
+	held.mustPrefixed(t, p, 2, 64, b, 0)
+	held.mustPrefixed(t, p, 3, 64, c, 0)
+	held.free(p, 1) // a oldest reclaimable
+	held.free(p, 2)
+	held.free(p, 3)
 
 	// A fourth prefix fits only by evicting; a (LRU) must go, b must stay.
-	mustPrefixed(t, p, 4, 128, d, 0)
+	held.mustPrefixed(t, p, 4, 128, d, 0)
 	if got := p.MatchPrefix(a); got != 0 {
 		t.Fatalf("LRU block survived eviction: match=%d", got)
 	}
@@ -124,16 +137,17 @@ func TestPrefixLRUReclaim(t *testing.T) {
 // offload store.
 func TestPrefixOffloadRestore(t *testing.T) {
 	p := prefixPool(t, 256, 1, 64, -1)
+	held := prefixHandles{}
 	a := hashes(2, 7)
-	mustPrefixed(t, p, 1, 128, a, 0)
-	p.Free(1)
-	mustPrefixed(t, p, 2, 256, hashes(4, 9), 0) // forces both blocks out
-	p.Free(2)
+	held.mustPrefixed(t, p, 1, 128, a, 0)
+	held.free(p, 1)
+	held.mustPrefixed(t, p, 2, 256, hashes(4, 9), 0) // forces both blocks out
+	held.free(p, 2)
 	if hb, ob := p.MatchPrefixDetail(a); hb != 0 || ob != 2 {
 		t.Fatalf("expected both blocks offloaded, hit=%d off=%d", hb, ob)
 	}
 
-	hit, restored := mustPrefixed(t, p, 3, 128, a, 2)
+	hit, restored := held.mustPrefixed(t, p, 3, 128, a, 2)
 	if hit != 0 || restored != 128 {
 		t.Fatalf("hit=%d restored=%d, want 0/128", hit, restored)
 	}
@@ -146,10 +160,10 @@ func TestPrefixOffloadRestore(t *testing.T) {
 	}
 
 	// With restores forbidden, the same blocks are recomputed instead.
-	p.Free(3)
-	mustPrefixed(t, p, 4, 256, hashes(4, 11), 0)
-	p.Free(4)
-	hit, restored = mustPrefixed(t, p, 5, 128, a, 0)
+	held.free(p, 3)
+	held.mustPrefixed(t, p, 4, 256, hashes(4, 11), 0)
+	held.free(p, 4)
+	hit, restored = held.mustPrefixed(t, p, 5, 128, a, 0)
 	if hit != 0 || restored != 0 {
 		t.Fatalf("restoreBlocks=0 still reused: hit=%d restored=%d", hit, restored)
 	}
@@ -159,12 +173,13 @@ func TestPrefixOffloadRestore(t *testing.T) {
 // identity is dropped once the cap is reached.
 func TestPrefixOffloadCapacity(t *testing.T) {
 	p := prefixPool(t, 128, 1, 64, 64) // host store holds exactly one block
+	held := prefixHandles{}
 	a, b := hashes(1, 1), hashes(1, 2)
-	mustPrefixed(t, p, 1, 64, a, 0)
-	p.Free(1)
-	mustPrefixed(t, p, 2, 64, b, 0)
-	p.Free(2)
-	mustPrefixed(t, p, 3, 128, hashes(2, 3), 0) // evicts and spills both
+	held.mustPrefixed(t, p, 1, 64, a, 0)
+	held.free(p, 1)
+	held.mustPrefixed(t, p, 2, 64, b, 0)
+	held.free(p, 2)
+	held.mustPrefixed(t, p, 3, 128, hashes(2, 3), 0) // evicts and spills both
 	if _, ob := p.MatchPrefixDetail(a); ob != 0 {
 		t.Fatal("capped store kept the older spill")
 	}
@@ -177,11 +192,12 @@ func TestPrefixOffloadCapacity(t *testing.T) {
 // the host offload store survives.
 func TestPrefixDropOnCrash(t *testing.T) {
 	p := prefixPool(t, 256, 1, 64, -1)
+	held := prefixHandles{}
 	a, b := hashes(1, 1), hashes(2, 2)
-	mustPrefixed(t, p, 1, 64, a, 0)
-	p.Free(1)
-	mustPrefixed(t, p, 2, 256, b, 0) // evicts a to offload
-	p.Free(2)
+	held.mustPrefixed(t, p, 1, 64, a, 0)
+	held.free(p, 1)
+	held.mustPrefixed(t, p, 2, 256, b, 0) // evicts a to offload
+	held.free(p, 2)
 
 	if got := p.DropPrefixCache(); got != 2 {
 		t.Fatalf("dropped %d blocks, want 2", got)
@@ -204,20 +220,21 @@ func TestPrefixDropOnCrash(t *testing.T) {
 // the hole: surviving later blocks still count as hits.
 func TestPrefixPartialChainHole(t *testing.T) {
 	p := prefixPool(t, 1024, 1, 64, 0)
+	held := prefixHandles{}
 	hs := hashes(3, 5)
-	mustPrefixed(t, p, 1, 192, hs, 0)
+	held.mustPrefixed(t, p, 1, 192, hs, 0)
 	// Re-pin only blocks 0 and 2, then drop the middle from cache by
 	// filling memory while 0 and 2 are pinned.
-	hit, _ := mustPrefixed(t, p, 2, 192, hs, 0)
+	hit, _ := held.mustPrefixed(t, p, 2, 192, hs, 0)
 	if hit != 192 {
 		t.Fatalf("warm hit = %d, want 192", hit)
 	}
-	p.Free(1)
-	p.Free(2)
+	held.free(p, 1)
+	held.free(p, 2)
 	// All three reclaimable now; a large cold request evicts the oldest.
-	mustPrefixed(t, p, 3, 1024-64-64, hashes(2, 6), 0)
-	p.Free(3)
-	hit, _ = mustPrefixed(t, p, 4, 192, hs, 0)
+	held.mustPrefixed(t, p, 3, 1024-64-64, hashes(2, 6), 0)
+	held.free(p, 3)
+	hit, _ = held.mustPrefixed(t, p, 4, 192, hs, 0)
 	if hit != 128 {
 		t.Fatalf("hole hit = %d, want 128 (two surviving blocks)", hit)
 	}
@@ -230,12 +247,13 @@ func TestPrefixPartialChainHole(t *testing.T) {
 // on a caching pool: cold cache yields to real demand.
 func TestPlainAllocateReclaimsCache(t *testing.T) {
 	p := prefixPool(t, 128, 1, 64, 0)
-	mustPrefixed(t, p, 1, 128, hashes(2, 1), 0)
-	p.Free(1)
+	held := prefixHandles{}
+	held.mustPrefixed(t, p, 1, 128, hashes(2, 1), 0)
+	held.free(p, 1)
 	if !p.CanAllocate(128) {
 		t.Fatal("CanAllocate ignored reclaimable cache")
 	}
-	if !p.Allocate(2, 128) {
+	if _, ok := p.Allocate(128); !ok {
 		t.Fatal("plain allocation failed against reclaimable cache")
 	}
 	if err := p.CheckInvariants(); err != nil {
@@ -250,8 +268,9 @@ func TestPlainAllocateReclaimsCache(t *testing.T) {
 // pinned blocks are not reclaimable, so an oversized request fails cleanly.
 func TestPrefixAllocateRejectsWhenPinned(t *testing.T) {
 	p := prefixPool(t, 128, 1, 64, 0)
-	mustPrefixed(t, p, 1, 128, hashes(2, 1), 0)
-	if _, _, ok := p.AllocatePrefixed(2, 64, hashes(1, 2), 0); ok {
+	held := prefixHandles{}
+	held.mustPrefixed(t, p, 1, 128, hashes(2, 1), 0)
+	if _, _, _, ok := p.AllocatePrefixed(64, hashes(1, 2), 0); ok {
 		t.Fatal("allocation succeeded with every block pinned")
 	}
 	if err := p.CheckInvariants(); err != nil {
@@ -268,10 +287,11 @@ func BenchmarkPrefixMatch(b *testing.B) {
 	hs := make([][]uint64, chains)
 	for i := range hs {
 		hs[i] = hashes(32, uint64(i+1)) // 2048-token prompts
-		if _, _, ok := p.AllocatePrefixed(int64(i), 32*64+17, hs[i], 0); !ok {
+		h, _, _, ok := p.AllocatePrefixed(32*64+17, hs[i], 0)
+		if !ok {
 			b.Fatal("warmup allocation failed")
 		}
-		p.Free(int64(i))
+		p.Free(h)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -280,10 +300,10 @@ func BenchmarkPrefixMatch(b *testing.B) {
 		if got := p.MatchPrefix(c); got != 32*64 {
 			b.Fatalf("match = %d", got)
 		}
-		id := int64(1000 + i%chains)
-		if _, _, ok := p.AllocatePrefixed(id, 32*64+17, c, 0); !ok {
+		h, _, _, ok := p.AllocatePrefixed(32*64+17, c, 0)
+		if !ok {
 			b.Fatal("allocate failed")
 		}
-		p.Free(id)
+		p.Free(h)
 	}
 }

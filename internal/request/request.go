@@ -8,7 +8,11 @@
 // The request's KV footprint at any instant is InputLen + Generated tokens.
 package request
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/lightllm-go/lightllm/internal/kv"
+)
 
 // State is a request's lifecycle phase.
 type State int
@@ -97,6 +101,10 @@ type Request struct {
 	Generated  int // output tokens emitted so far (kept across evictions)
 	Evictions  int // times this request was evicted from the running batch
 	Admissions int // times this request was admitted (1 + re-admissions)
+	// KV addresses the request's allocation in the admitting engine's pool;
+	// the zero Handle whenever the request holds no memory (queued, evicted,
+	// handed off, terminal).
+	KV kv.Handle
 
 	// SLA bookkeeping.
 	FirstTokenAt float64 // timestamp of first output token; <0 until set

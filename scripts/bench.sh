@@ -8,11 +8,14 @@
 #   scripts/bench.sh scale    # long-trace replay sweep   -> BENCH_scale.json
 #
 # The micro suite covers BenchmarkAdmitHotPath, BenchmarkFutureRequiredMemory,
-# BenchmarkWindowSampler, the fleet-scale BenchmarkFleetRoute series, the
-# cluster-front admission deadline heap, the MaxPrefillTokens trim, the
-# prefix-cache longest-match lookup (BenchmarkPrefixMatch, 0 allocs steady
-# state), and the SLO-aware chunk sizer (BenchmarkChunkSchedule, 0 allocs —
-# it runs inside every chunked iteration). The fleet suite runs the
+# BenchmarkWindowSampler (/add: one Add on a full 1000-entry window, 0
+# allocs), the fleet-scale BenchmarkFleetRoute series, the cluster-front
+# admission deadline heap, the MaxPrefillTokens trim, the prefix-cache
+# longest-match lookup (BenchmarkPrefixMatch, 0 allocs steady state), one
+# decode step's handle-addressed KV growth over a 256-request batch
+# (BenchmarkPoolGrow, 0 allocs), and the SLO-aware chunk sizer
+# (BenchmarkChunkSchedule, 0 allocs — it runs inside every chunked
+# iteration). The fleet suite runs the
 # cmd/fleetsim scenario family on one bursty ramp: reactive vs predictive
 # autoscaling, disaggregated prefill/decode, the 2× overload-ramp admission
 # comparison (shed on/off), the heterogeneous mixed-GPU fleet (cost-aware
@@ -42,13 +45,14 @@ run_micro() {
 		-benchmem ./internal/cluster/ | tee -a "$tmp"
 	go test -run '^$' -bench 'BenchmarkPrefillTrim|BenchmarkChunkSchedule' \
 		-benchmem ./internal/engine/ | tee -a "$tmp"
-	go test -run '^$' -bench 'BenchmarkPrefixMatch' \
+	go test -run '^$' -bench 'BenchmarkPrefixMatch|BenchmarkPoolGrow' \
 		-benchmem ./internal/kv/ | tee -a "$tmp"
 
 	awk '
 	BEGIN { print "["; first = 1 }
 	/^Benchmark/ {
 		name = $1; ns = ""; allocs = "null"
+		sub(/-[0-9]+$/, "", name) # GOMAXPROCS suffix: keep names host-independent
 		for (i = 2; i <= NF; i++) {
 			if ($i == "ns/op") ns = $(i - 1)
 			if ($i == "allocs/op") allocs = $(i - 1)
