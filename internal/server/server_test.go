@@ -20,26 +20,44 @@ import (
 	"github.com/lightllm-go/lightllm/internal/rng"
 )
 
-// newTestServer builds a server over a 7B/A100 engine running as fast as
-// possible (timescale 0).
-func newTestServer(t *testing.T, queueTimeout float64) (*Server, *httptest.Server) {
+// newServer builds a server over a 7B/A100 engine; its driver is not started.
+func newServer(t testing.TB, timescale float64) *Server {
 	t.Helper()
 	pm := perf.MustNew(perf.Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1)})
 	eng := engine.MustNew(engine.Config{
-		Perf:         pm,
-		Scheduler:    core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.03, Rng: rng.New(1)}),
-		QueueTimeout: queueTimeout,
+		Perf:      pm,
+		Scheduler: core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.03, Rng: rng.New(1)}),
 	})
-	srv, err := New(Config{Engine: eng, Timescale: 0, Seed: 1})
+	srv, err := New(Config{Engine: eng, Timescale: timescale, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Run()
-	ts := httptest.NewServer(srv.Handler())
+	return srv
+}
+
+// newRunningServer starts the driver and waits for it to exit at cleanup.
+func newRunningServer(t testing.TB, timescale float64) *Server {
+	t.Helper()
+	srv := newServer(t, timescale)
+	stopped := make(chan struct{})
+	go func() {
+		srv.Run()
+		close(stopped)
+	}()
 	t.Cleanup(func() {
-		ts.Close()
 		srv.Close()
+		<-stopped
 	})
+	return srv
+}
+
+// newTestServer serves a running server over loopback; timescale 0 runs it
+// as fast as possible.
+func newTestServer(t *testing.T, timescale float64) (*Server, *httptest.Server) {
+	t.Helper()
+	srv := newRunningServer(t, timescale)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
 	return srv, ts
 }
 
@@ -221,23 +239,9 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestTimescalePacesWallClock(t *testing.T) {
-	pm := perf.MustNew(perf.Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1)})
-	eng := engine.MustNew(engine.Config{
-		Perf:      pm,
-		Scheduler: core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.03, Rng: rng.New(1)}),
-	})
 	// 100x faster than real time: a ~1.5s simulated generation should take
 	// ~15ms wall-clock (plus scheduling noise).
-	srv, err := New(Config{Engine: eng, Timescale: 100, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Run()
-	ts := httptest.NewServer(srv.Handler())
-	defer func() {
-		ts.Close()
-		srv.Close()
-	}()
+	_, ts := newTestServer(t, 100)
 	start := time.Now()
 	resp := postJSON(t, ts.URL+"/v1/generate", map[string]interface{}{
 		"input_tokens": 100, "max_new_tokens": 64, "output_tokens": 30,

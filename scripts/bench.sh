@@ -13,9 +13,11 @@
 # admission deadline heap, the MaxPrefillTokens trim, the prefix-cache
 # longest-match lookup (BenchmarkPrefixMatch, 0 allocs steady state), one
 # decode step's handle-addressed KV growth over a 256-request batch
-# (BenchmarkPoolGrow, 0 allocs), and the SLO-aware chunk sizer
+# (BenchmarkPoolGrow, 0 allocs), the SLO-aware chunk sizer
 # (BenchmarkChunkSchedule, 0 allocs — it runs inside every chunked
-# iteration). The fleet suite runs the
+# iteration), and the live path's handler with no socket
+# (BenchmarkServeGenerate: a plain reply and a 64-token streamed one, engine
+# driver goroutine included). The fleet suite runs the
 # cmd/fleetsim scenario family on one bursty ramp: reactive vs predictive
 # autoscaling, disaggregated prefill/decode, the 2× overload-ramp admission
 # comparison (shed on/off), the heterogeneous mixed-GPU fleet (cost-aware
@@ -47,6 +49,8 @@ run_micro() {
 		-benchmem ./internal/engine/ | tee -a "$tmp"
 	go test -run '^$' -bench 'BenchmarkPrefixMatch|BenchmarkPoolGrow' \
 		-benchmem ./internal/kv/ | tee -a "$tmp"
+	go test -run '^$' -bench 'BenchmarkServeGenerate' \
+		-benchmem ./internal/server/ | tee -a "$tmp"
 
 	awk '
 	BEGIN { print "["; first = 1 }
