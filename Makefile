@@ -63,13 +63,17 @@ bench-scale:
 # conservation through the full KV reuse hierarchy (cache hits, eviction,
 # offload, crash-induced cache drops) under a crash storm, the chunked-
 # prefill pins (chunking-disabled bit-identity, chunked parallel-core
-# equivalence, greedy-vs-degenerate-SLO policy equivalence), and exactly-once
-# conservation through chunked prefill × prefix-cache hits × crash storms.
+# equivalence, greedy-vs-degenerate-SLO policy equivalence), exactly-once
+# conservation through chunked prefill × prefix-cache hits × crash storms,
+# and the placement-visibility pins (TestHerd*: a burst spreads over
+# identical replicas; TestPlacement*: spliced warm estimator ≡ rebuilt ≡
+# naive reference and the per-replica ledger after every arrival of a crash
+# storm, cores agreeing on bursty streams).
 # Widen with e.g. `make chaos CHAOS_SEEDS=50`.
 CHAOS_SEEDS ?= 5
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 \
-		-run 'TestFaultConservation|TestNoRecoveryLosesTerminally|TestCrashRecoveryWithoutAdmission|TestFaultsDisabledEquivalence|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestParallelFaultStormChaos|TestPrefixDisabledEquivalence|TestPrefixCacheConservation|TestChunkingDisabledEquivalence|TestChunkedParallelEquivalence|TestChunkedConservation|TestChunkPolicyEquivalence' \
+		-run 'TestFaultConservation|TestNoRecoveryLosesTerminally|TestCrashRecoveryWithoutAdmission|TestFaultsDisabledEquivalence|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestParallelFaultStormChaos|TestPrefixDisabledEquivalence|TestPrefixCacheConservation|TestChunkingDisabledEquivalence|TestChunkedParallelEquivalence|TestChunkedConservation|TestChunkPolicyEquivalence|TestHerd|TestPlacement|TestWaitingSet' \
 		./internal/cluster/ ./internal/kv/ ./internal/engine/
 
 # fuzz runs every native fuzz target in the module (go test -list finds

@@ -26,8 +26,9 @@ import (
 // request (head-of-line blocking), greedy chunking interleaves but sizes
 // chunks blindly, and the SLO-aware sizer shrinks chunks only while a
 // tighter-deadline request is actually waiting. The win condition is the
-// slo arm beating none on short-request served p99 TTFT without losing
-// long-prompt attainment.
+// slo arm holding the overall SLA attainment none loses (a fused long prefill
+// stalls every running stream), short- and long-class TTFT attainment intact,
+// with fewer chunks than greedy.
 
 // longctxModes expands the long-share sweep into mode names. With compare
 // the unchunked and greedy arms run first at each point, so the slo row is

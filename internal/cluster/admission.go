@@ -456,12 +456,14 @@ func (a *admission) place(now float64, r *request.Request) {
 }
 
 func (a *admission) submit(now float64, r *request.Request, rep *replica) {
-	if c := a.clu; c.rec != nil {
+	c := a.clu
+	entry := c.pools[c.entry]
+	if c.rec != nil {
 		c.rec.Place(now, r, c.entry, rep.idx, rep.flv.name)
 	}
 	rep.eng.SubmitAt(r, now)
-	rep.estValid = false
-	a.clu.ensureStepEvent(a.clu.pools[a.clu.entry], rep)
+	entry.placed(rep, r)
+	c.ensureStepEvent(entry, rep)
 }
 
 // shed refuses a request terminally and feeds the planners' shed-rate

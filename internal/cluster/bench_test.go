@@ -11,8 +11,8 @@ import (
 // and queues, then returns it with a candidate to probe. The Serve warm-up
 // also warms every replica's history window, so the probes measured are the
 // steady-state hot path.
-func benchFleet(b *testing.B, nReplicas int, naive bool) (*Fleet, *request.Request) {
-	b.Helper()
+func benchFleet(tb testing.TB, nReplicas int, naive bool) (*Fleet, *request.Request) {
+	tb.Helper()
 	f := MustNew(Config{
 		Replicas:   replicas(nReplicas, 20_000),
 		Policy:     FutureHeadroom,
@@ -38,6 +38,60 @@ func BenchmarkFleetRoute(b *testing.B) {
 				f.pick(cand)
 			}
 		})
+	}
+}
+
+// placeLoop returns place — one whole arrival on a warm fleet: the routing
+// decision, the engine submission, and the splice that makes the placed
+// request visible to the next decision (Pool.placed), with no estimator
+// rebuild anywhere — and reset, which takes every replica back to its base
+// load (evacuate, drop the placed candidates, resubmit, rebuild once) so a
+// long loop does not grow the batches without bound. Nothing steps after
+// benchFleet and a probe prices a waiting request like a running one, so it
+// does not matter that the base load sits in the waiting set from the first
+// reset on.
+func placeLoop(tb testing.TB) (place, reset func()) {
+	f, cand := benchFleet(tb, 4, false)
+	base := make([][]*request.Request, len(f.reps))
+	place = func() {
+		rep := f.pick(cand)
+		rep.eng.Submit(cand)
+		f.placed(rep, cand)
+	}
+	reset = func() {
+		for i, rep := range f.reps {
+			orphans := rep.eng.Crash()
+			if base[i] == nil {
+				base[i] = orphans
+			}
+			rep.eng.SubmitAll(base[i])
+			rep.estValid = false
+		}
+		f.pick(cand)
+	}
+	reset()
+	return place, reset
+}
+
+// placeBurst is how many placements placeLoop's callers make between two
+// resets: 64 more entries per replica on top of benchFleet's 16–28, the
+// batch sizes the splice has to stay cheap at.
+const placeBurst = 256
+
+// BenchmarkFleetRoutePlace measures place-then-probe: every iteration's
+// pick probes the estimators the previous iteration spliced into. The
+// companion TestPlaceThenProbeZeroAllocs pins allocs/op to 0.
+func BenchmarkFleetRoutePlace(b *testing.B) {
+	place, reset := placeLoop(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%placeBurst == placeBurst-1 {
+			b.StopTimer()
+			reset()
+			b.StartTimer()
+		}
+		place()
 	}
 }
 

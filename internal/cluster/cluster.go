@@ -22,10 +22,23 @@
 //     decode pool and is admitted through engine.SubmitMigrated with its
 //     KV footprint pre-seeded.
 //
-// Routing probes go through one warm core.PeakEstimator per replica: the
-// estimator is rebuilt only when its replica's state changed, and each
-// probe is an O(log B) PeakWith — no per-probe clone+sort, no per-probe
-// allocations. Autoscaling is per pool: the threshold-reactive
+// Routing probes go through one warm core.PeakEstimator per replica, and
+// each probe is an O(log B) PeakWith — no per-probe clone+sort, no per-probe
+// allocations. What a probe counts is everything the router has put on the
+// replica: the running batch, the FCFS queue, and the requests placed since
+// the replica's last step, which still sit in its engine's arrival heap
+// (engine.WaitingLen is queue + placed-not-yet-queued; the LeastLoaded
+// policy and the reactive autoscaler's load signal count the same set). A
+// placement is therefore visible to the very next probe, also one for an
+// arrival at the same instant, and keeping it visible costs one splice: a
+// replica's step invalidates its estimator and the next probe rebuilds it,
+// while a placement pushes its single entry into the sorted estimator
+// (Pool.placed). What a probe does not count is KV still in transit: a
+// handoff booked on the link toward a decode replica (replica.pendingIn)
+// becomes visible when it is delivered, not when it is booked — measured
+// neutral on the full-feature workload, see ROADMAP.
+//
+// Autoscaling is per pool: the threshold-reactive
 // high/low-water policy, or the predictive SLA planner (PlannerConfig)
 // that forecasts load and scales straight to the replica count whose
 // interpolated latency meets the targets — TTFT sizes a prefill pool,
@@ -71,6 +84,36 @@ type Handoff struct {
 
 	// bytes is the booked transfer size, kept for fault-injected re-bookings.
 	bytes int64
+}
+
+// handoffChunk is the number of records in one chunk of a handoffLog.
+const handoffChunk = 512
+
+// handoffLog is the append-only record of issued handoffs, kept in
+// fixed-size chunks. Events carry a record's index and handlers hold its
+// address across later appends, so records never move; and the bytes the
+// log allocates grow with the count one chunk at a time, not in the
+// ever-larger copies of a growing slice (a fifth of a disaggregated
+// replay's allocated bytes, the last copy alone 4 MB).
+type handoffLog struct {
+	chunks [][]Handoff
+	n      int
+}
+
+// add appends h and returns its index.
+func (l *handoffLog) add(h Handoff) int {
+	if l.n == len(l.chunks)*handoffChunk {
+		l.chunks = append(l.chunks, make([]Handoff, 0, handoffChunk))
+	}
+	last := len(l.chunks) - 1
+	l.chunks[last] = append(l.chunks[last], h)
+	l.n++
+	return l.n - 1
+}
+
+// at returns the i-th record.
+func (l *handoffLog) at(i int) *Handoff {
+	return &l.chunks[i/handoffChunk][i%handoffChunk]
 }
 
 // ClusterConfig configures a Cluster.
@@ -137,7 +180,7 @@ type Cluster struct {
 	// floor prices (a request is only refused when *no* flavor could make
 	// its deadline). Actual bookings size by the source replica's own model.
 	minKVBytesPerToken int64
-	handoffs           []Handoff
+	handoffs           handoffLog
 
 	adm *admission
 	flt *faultState
@@ -292,7 +335,13 @@ func (c *Cluster) Pool(i int) *Pool { return c.pools[i] }
 // handoff record exists only for booked transfers: a request shed at the
 // prefill→transfer boundary never appears here and never consumed link
 // bandwidth.
-func (c *Cluster) Handoffs() []Handoff { return c.handoffs }
+func (c *Cluster) Handoffs() []Handoff {
+	out := make([]Handoff, 0, c.handoffs.n)
+	for _, chunk := range c.handoffs.chunks {
+		out = append(out, chunk...)
+	}
+	return out
+}
 
 // ShedRequests returns every request refused by admission control, in shed
 // order (nil without admission control). Complete after Serve.
@@ -477,7 +526,7 @@ func (c *Cluster) handleArrival(t float64, req *request.Request) {
 		c.rec.Arrive(req.ArrivalTime, req)
 		c.rec.Place(req.ArrivalTime, req, entry.id, rep.idx, rep.flv.name)
 	}
-	rep.estValid = false
+	entry.placed(rep, req)
 	c.ensureStepEvent(entry, rep)
 }
 
@@ -700,7 +749,7 @@ func (c *Cluster) issueHandoff(ev event) {
 			}
 			return
 		}
-		c.handoffs = append(c.handoffs, Handoff{
+		idx := c.handoffs.add(Handoff{
 			Req: r, FromReplica: ev.rep, ToReplica: -1,
 			PrefillDoneAt: ev.at, DeliveredAt: -1,
 			bytes: bytes,
@@ -708,7 +757,7 @@ func (c *Cluster) issueHandoff(ev event) {
 		if c.rec != nil {
 			c.rec.XferFail(ev.at, r, rep.repairAt)
 		}
-		c.pushEvent(event{at: rep.repairAt, kind: evXferRetry, pool: c.decode, rep: len(c.handoffs) - 1, req: r})
+		c.pushEvent(event{at: rep.repairAt, kind: evXferRetry, pool: c.decode, rep: idx, req: r})
 		return
 	}
 	if c.adm != nil && c.adm.cfg.Shed && r.TTFTDeadline > 0 && deliverAt > r.TTFTDeadline {
@@ -728,12 +777,12 @@ func (c *Cluster) issueHandoff(ev event) {
 	}
 	dp.routeTo(r, rep)
 	rep.pendingIn++
-	c.handoffs = append(c.handoffs, Handoff{
+	idx := c.handoffs.add(Handoff{
 		Req: r, FromReplica: ev.rep, ToReplica: rep.idx,
 		PrefillDoneAt: ev.at, DeliveredAt: deliverAt,
 		bytes: bytes,
 	})
-	c.pushEvent(event{at: deliverAt, kind: evDeliver, pool: c.decode, rep: len(c.handoffs) - 1, req: r})
+	c.pushEvent(event{at: deliverAt, kind: evDeliver, pool: c.decode, rep: idx, req: r})
 }
 
 // pickDecode is the contention-aware second routing stage: each accepting
@@ -814,7 +863,7 @@ func (c *Cluster) deliver(ev event) {
 			c.failDelivery(ev) // the transfer died on the wire
 			return
 		}
-		if c.pools[c.decode].reps[c.handoffs[ev.rep].ToReplica].down {
+		if c.pools[c.decode].reps[c.handoffs.at(ev.rep).ToReplica].down {
 			// The destination crashed while the transfer was in flight: the
 			// KV landed nowhere. A failed delivery, not a free re-route.
 			c.failDelivery(ev)
@@ -838,7 +887,7 @@ func (c *Cluster) deliver(ev event) {
 	if dp.cfg.Scale != nil {
 		dp.reactiveScale(ev.at)
 	}
-	h := &c.handoffs[ev.rep]
+	h := c.handoffs.at(ev.rep)
 	rep := dp.reps[h.ToReplica]
 	rep.pendingIn--
 	if !rep.active || !rep.awake || rep.draining {
@@ -855,7 +904,7 @@ func (c *Cluster) deliver(ev event) {
 		c.rec.XferDeliver(ev.at, r, c.decode, rep.idx)
 	}
 	rep.eng.SubmitMigrated(r, ev.at)
-	rep.estValid = false
+	dp.placed(rep, r)
 	c.ensureStepEvent(dp, rep)
 	if c.cfg.OnHandoff != nil {
 		c.cfg.OnHandoff(*h)

@@ -132,6 +132,21 @@ func TestProbeZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestPlaceThenProbeZeroAllocs: keeping a placement visible costs no
+// allocation either. Once a first burst has grown the buffers, a whole
+// arrival — pick, submit, splice into the warm estimator — allocates
+// nothing, and neither does the pick that follows it.
+func TestPlaceThenProbeZeroAllocs(t *testing.T) {
+	place, reset := placeLoop(t)
+	for i := 0; i < placeBurst; i++ {
+		place()
+	}
+	reset()
+	if allocs := testing.AllocsPerRun(placeBurst-1, place); allocs != 0 {
+		t.Fatalf("place-then-probe allocates %v times per run", allocs)
+	}
+}
+
 // TestProbePinsWindowGeneration pins the contract behind holding a live
 // dist.Sampler across events: the history window moves only inside Step,
 // every Step clears estValid, so a probe always prices its candidate on the

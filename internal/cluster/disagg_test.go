@@ -329,3 +329,27 @@ func TestDisaggDualPlanners(t *testing.T) {
 		t.Fatalf("pool replica-seconds do not sum: %+v", rep)
 	}
 }
+
+// TestHandoffLogRecordsDoNotMove pins what the event handlers rely on: an
+// index and an address taken before later appends still name the same
+// record across chunk boundaries, and Handoffs() lists them in issue order.
+func TestHandoffLogRecordsDoNotMove(t *testing.T) {
+	var c Cluster
+	n := 2*handoffChunk + 3
+	addrs := make([]*Handoff, n)
+	for i := 0; i < n; i++ {
+		if idx := c.handoffs.add(Handoff{FromReplica: i}); idx != i {
+			t.Fatalf("add #%d returned index %d", i, idx)
+		}
+		addrs[i] = c.handoffs.at(i)
+	}
+	hs := c.Handoffs()
+	if len(hs) != n {
+		t.Fatalf("Handoffs() has %d records, want %d", len(hs), n)
+	}
+	for i := 0; i < n; i++ {
+		if c.handoffs.at(i) != addrs[i] || addrs[i].FromReplica != i || hs[i].FromReplica != i {
+			t.Fatalf("record %d moved or is out of order", i)
+		}
+	}
+}

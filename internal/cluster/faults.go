@@ -192,6 +192,7 @@ func (c *Cluster) crashReplica(ev event) {
 	c.pushEvent(event{at: ev.at + flt.Duration, kind: evRecover, pool: flt.Pool, rep: ev.rep})
 
 	orphans := rep.eng.Crash()
+	rep.estValid = false // the warm estimator's entries evaporated with the engine's
 	c.flt.orphaned += len(orphans)
 	if c.rec != nil {
 		c.rec.Crash(ev.at, flt.Pool, flt.Replica, len(orphans))
@@ -238,7 +239,7 @@ func (c *Cluster) reenter(now float64, r *request.Request) {
 		c.rec.Place(now, r, entry.id, rep.idx, rep.flv.name)
 	}
 	rep.eng.SubmitAt(r, now)
-	rep.estValid = false
+	entry.placed(rep, r)
 	c.ensureStepEvent(entry, rep)
 }
 
@@ -302,7 +303,7 @@ func (c *Cluster) slowEnd(ev event) {
 // which sheds it terminally only if even that is infeasible. Without
 // recovery the request is lost.
 func (c *Cluster) failDelivery(ev event) {
-	h := &c.handoffs[ev.rep]
+	h := c.handoffs.at(ev.rep)
 	r := ev.req
 	dp := c.pools[c.decode]
 	old := dp.reps[h.ToReplica]
@@ -354,7 +355,7 @@ func (c *Cluster) failDelivery(ev event) {
 // deferred before ever being routed (issued while every decode replica was
 // down).
 func (c *Cluster) retryHandoff(ev event) {
-	h := &c.handoffs[ev.rep]
+	h := c.handoffs.at(ev.rep)
 	r := ev.req
 	dp := c.pools[c.decode]
 	var old *replica

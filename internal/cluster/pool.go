@@ -18,10 +18,12 @@ type Policy int
 const (
 	// RoundRobin cycles through accepting replicas, starting at the first.
 	RoundRobin Policy = iota
-	// LeastLoaded picks the replica with the fewest in-flight requests.
+	// LeastLoaded picks the replica with the fewest requests on it: running
+	// plus waiting, where waiting includes what the router placed since the
+	// replica's last step (engine.WaitingLen).
 	LeastLoaded
 	// FutureHeadroom picks the replica whose predicted future peak memory
-	// (running + queued + the candidate, conditional-quantile predictions
+	// (running + waiting + the candidate, conditional-quantile predictions
 	// from the replica's own history window) leaves the most headroom.
 	FutureHeadroom
 )
@@ -203,11 +205,14 @@ type replica struct {
 	// in-order replay by the batched core; nil on the reference path.
 	buf *engine.EffectBuffer
 
-	// Warm probe state: est holds QuantileEntry for every running and
-	// queued request, rebuilt lazily after the replica's state changes.
-	// sampler is a live view of the engine's history window, so est is only
-	// as fresh as the window generation it was built at (estGen): the window
-	// moves only inside Step, and every Step clears estValid.
+	// Warm probe state: est holds a QuantileEntry for every request running
+	// or waiting on the engine (engine.WaitingLen: queued, or placed by the
+	// router and not yet queued). A Step invalidates it (estValid = false) and
+	// the next probe rebuilds it; a placement splices its one entry in
+	// (Pool.placed), so the probe for the very next arrival already counts
+	// it. sampler is a live view of the engine's history window, so est is
+	// only as fresh as the window generation it was built at (estGen): the
+	// window moves only inside Step, and every Step clears estValid.
 	est      core.PeakEstimator
 	sampler  *dist.Sampler
 	estGen   uint64
@@ -574,7 +579,7 @@ func (p *Pool) pick(req *request.Request) *replica {
 	case LeastLoaded:
 		best, bestLoad := cands[0], math.MaxInt
 		for _, rep := range cands {
-			load := rep.eng.QueueLen() + rep.eng.RunningLen()
+			load := rep.eng.WaitingLen() + rep.eng.RunningLen()
 			if load < bestLoad {
 				best, bestLoad = rep, load
 			}
@@ -631,14 +636,16 @@ func (p *Pool) routeTo(req *request.Request, rep *replica) {
 	}
 }
 
-// probe returns the predicted future peak memory of a replica's batch plus
-// queue plus the candidate, as a fraction of its capacity. The warm path is
-// allocation-free: the per-replica estimator is rebuilt in place only when
-// the replica's state changed, and the candidate is an O(log B) PeakWith.
+// probe returns the predicted future peak memory of everything on a replica
+// — its running batch and its waiting set, which includes requests the
+// router placed since the replica's last step — plus the candidate, as a
+// fraction of its capacity. KV transfers still on the wire toward the
+// replica (replica.pendingIn) are not counted. The warm path is
+// allocation-free: the per-replica estimator is rebuilt in place only after
+// the replica stepped, and the candidate is an O(log B) PeakWith.
 func (p *Pool) probe(rep *replica, req *request.Request) float64 {
 	if p.cfg.NaiveProbe {
-		batch := rep.eng.RunningRequests()
-		batch = append(batch, rep.eng.QueuedRequests()...)
+		batch := append(rep.eng.RunningRequests(), rep.eng.WaitingRequests()...)
 		batch = append(batch, req)
 		peak := core.PredictedBatchPeak(batch, rep.eng.History(), p.cfg.Quantile)
 		return float64(peak) / float64(rep.eng.Pool().CapacityTokens())
@@ -754,12 +761,11 @@ func (p *Pool) bestCachedTokens(r *request.Request) int {
 	return best
 }
 
-// load returns the predicted peak of a replica's batch plus queue (no
+// load returns the predicted peak of a replica's batch plus waiting set (no
 // candidate) as a fraction of capacity — the reactive autoscaler's signal.
 func (p *Pool) load(rep *replica) float64 {
 	if p.cfg.NaiveProbe {
-		batch := rep.eng.RunningRequests()
-		batch = append(batch, rep.eng.QueuedRequests()...)
+		batch := append(rep.eng.RunningRequests(), rep.eng.WaitingRequests()...)
 		peak := core.PredictedBatchPeak(batch, rep.eng.History(), p.cfg.Quantile)
 		return float64(peak) / float64(rep.eng.Pool().CapacityTokens())
 	}
@@ -767,8 +773,8 @@ func (p *Pool) load(rep *replica) float64 {
 	return float64(rep.est.Peak()) / float64(rep.eng.Pool().CapacityTokens())
 }
 
-// ensureEst rebuilds a replica's warm estimator if its engine stepped or
-// received a request since the last probe.
+// ensureEst rebuilds a replica's warm estimator if its engine stepped (or
+// crashed) since the last probe.
 func (p *Pool) ensureEst(rep *replica) {
 	if rep.estValid {
 		return
@@ -780,8 +786,24 @@ func (p *Pool) ensureEst(rep *replica) {
 		rep.est.Push(core.QuantileEntry(r, rep.sampler, p.cfg.Quantile))
 	}
 	rep.eng.ForEachRunning(push)
-	rep.eng.ForEachQueued(push)
+	rep.eng.ForEachWaiting(push)
 	rep.estValid = true
+}
+
+// placed keeps a replica's warm estimator equal to a rebuild after the
+// router submitted req to its engine: the request now sits in the engine's
+// waiting set, so its entry is spliced into the sorted estimator (one binary
+// search, one copy, no allocation) and the next probe — possibly for an
+// arrival at this same instant — prices the replica with req on it. An
+// estimator that is already stale (the replica stepped, or its window moved)
+// stays stale: the next probe's rebuild walks the waiting set and finds req
+// there. Every placement path calls this right after its Submit.
+func (p *Pool) placed(rep *replica, req *request.Request) {
+	if rep.estValid && rep.estGen == rep.eng.History().Generation() {
+		rep.est.Push(core.QuantileEntry(req, rep.sampler, p.cfg.Quantile))
+	} else {
+		rep.estValid = false
+	}
 }
 
 // reactiveScale applies the high/low-water policy on the mean predicted

@@ -70,7 +70,14 @@ type PoolReport struct {
 // Report rolls up per-replica results against an SLA. Call after Serve with
 // the results it returned (pool-major order).
 func (c *Cluster) Report(results []*engine.Result, sla metrics.SLA) Report {
-	var finished, timedOut []*request.Request
+	// finished is sized exactly: grown by append it would cost a
+	// count-dependent multiple of its final size.
+	nFinished := 0
+	for _, res := range results {
+		nFinished += len(res.Finished)
+	}
+	finished := make([]*request.Request, 0, nFinished)
+	var timedOut []*request.Request
 	failed := 0
 	for _, res := range results {
 		finished = append(finished, res.Finished...)
@@ -121,7 +128,7 @@ func (c *Cluster) Report(results []*engine.Result, sla metrics.SLA) Report {
 		Failed:         failed,
 		TimedOut:       len(timedOut),
 		Duration:       c.Duration(),
-		Handoffs:       len(c.handoffs),
+		Handoffs:       c.handoffs.n,
 	}
 	if c.adm != nil {
 		r.Shed = len(c.adm.shedList)
@@ -147,12 +154,15 @@ func (c *Cluster) Report(results []*engine.Result, sla metrics.SLA) Report {
 	}
 	var delay float64
 	delivered := 0
-	for _, h := range c.handoffs {
-		if h.DeliveredAt < 0 {
-			continue // deferred by a fault and never booked
+	for _, chunk := range c.handoffs.chunks {
+		for i := range chunk {
+			h := &chunk[i]
+			if h.DeliveredAt < 0 {
+				continue // deferred by a fault and never booked
+			}
+			delay += h.DeliveredAt - h.PrefillDoneAt
+			delivered++
 		}
-		delay += h.DeliveredAt - h.PrefillDoneAt
-		delivered++
 	}
 	if delivered > 0 {
 		r.MeanTransferDelay = delay / float64(delivered)

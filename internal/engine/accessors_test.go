@@ -22,7 +22,7 @@ func TestObserverAccessorsMidRun(t *testing.T) {
 		t.Fatalf("running=%d queue=%d", e.RunningLen(), e.QueueLen())
 	}
 	running := e.RunningRequests()
-	queued := e.QueuedRequests()
+	queued := e.WaitingRequests()
 	if len(running) != 1 || running[0] != a {
 		t.Fatalf("running snapshot: %v", running)
 	}
@@ -32,10 +32,58 @@ func TestObserverAccessorsMidRun(t *testing.T) {
 	// Snapshots are copies: mutating them must not affect the engine.
 	running[0] = nil
 	queued[0] = nil
-	if e.RunningRequests()[0] != a || e.QueuedRequests()[0] != b {
+	if e.RunningRequests()[0] != a || e.WaitingRequests()[0] != b {
 		t.Fatal("snapshots aliased engine state")
 	}
 	e.Run()
+}
+
+// TestWaitingSetCountsSubmittedBeforeStep: from Submit until the engine's
+// next Step a request is in the arrival heap, not the FCFS queue. The
+// waiting-set observers must count it there, on every submission path, and
+// stop counting it exactly when it is queued, admitted, or evacuated.
+func TestWaitingSetCountsSubmittedBeforeStep(t *testing.T) {
+	e := newEngine(t, core.MustNewConservative(1.0), 300)
+	a := request.New(1, 100, 20, 150, 0)
+	b := request.New(2, 100, 20, 150, 0)
+	e.Submit(a)
+	e.Submit(b)
+	e.Step() // a runs, b queues
+	c := request.New(3, 50, 5, 20, 0)
+	d := request.New(4, 50, 5, 20, 0)
+	e.Submit(c)
+	e.SubmitAt(d, e.Clock()+1)
+	if e.QueueLen() != 1 || e.WaitingLen() != 3 {
+		t.Fatalf("queue %d, waiting %d; want 1 queued plus 2 submitted", e.QueueLen(), e.WaitingLen())
+	}
+	want := map[*request.Request]bool{b: true, c: true, d: true}
+	check := func(label string, got []*request.Request) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d requests, want %d", label, len(got), len(want))
+		}
+		for _, r := range got {
+			if !want[r] {
+				t.Fatalf("%s: unexpected request %d", label, r.ID)
+			}
+		}
+	}
+	snapshot := e.WaitingRequests()
+	check("WaitingRequests", snapshot)
+	if snapshot[0] != b {
+		t.Fatalf("WaitingRequests starts with request %d, want the FCFS queue head", snapshot[0].ID)
+	}
+	var walked []*request.Request
+	e.ForEachWaiting(func(r *request.Request) { walked = append(walked, r) })
+	check("ForEachWaiting", walked)
+
+	e.Step() // c is due and moves to the queue; d is not
+	if e.WaitingLen()+e.RunningLen() != 4 || e.WaitingLen() <= e.QueueLen() {
+		t.Fatalf("after a step: queue %d, waiting %d, running %d", e.QueueLen(), e.WaitingLen(), e.RunningLen())
+	}
+	if orphans := e.Crash(); len(orphans) != 4 || e.WaitingLen() != 0 {
+		t.Fatalf("crash evacuated %d of 4, %d still waiting", len(orphans), e.WaitingLen())
+	}
 }
 
 func TestAllHookAddersChain(t *testing.T) {

@@ -19,6 +19,18 @@
 // tokens are recomputed in a fresh prefill. Evicted requests keep their
 // generated-token count (recomputation is deterministic) but their users
 // see a stalled stream: the gap shows up in MTPOT and breaks the SLA.
+//
+// What an observer between two Steps may count. A submitted request is in
+// exactly one place: the arrival heap (submitted, not yet queued — it moves
+// at the first Step whose clock has reached its due time), the FCFS queue,
+// the running batch (including prompts mid-chunk), or one of the terminal
+// lists in Result. "Waiting" is the first two together — WaitingLen,
+// WaitingRequests, ForEachWaiting — and is the only definition observers
+// should use for work that has no batch slot yet: QueueLen alone misses
+// everything submitted since the last Step. The cluster's routing probes,
+// its load signals and the server's status page all count running + waiting.
+// The engine knows nothing of KV transfers still on a cluster link toward
+// it; those are the cluster's to count.
 package engine
 
 import (
@@ -569,8 +581,18 @@ func (e *Engine) KVBytesPerToken() int64 { return e.cfg.Perf.Spec().KVBytesPerTo
 // heterogeneous-fleet cost accounting.
 func (e *Engine) CostWeight() float64 { return e.cfg.Perf.CostWeight() }
 
-// QueueLen returns the number of waiting requests.
+// QueueLen returns the length of the FCFS wait queue: requests a Step has
+// already moved out of the arrival heap. A request submitted since the last
+// Step is not in it yet — see WaitingLen.
 func (e *Engine) QueueLen() int { return e.queue.Len() }
+
+// WaitingLen returns how many requests wait on this engine without a batch
+// slot: the FCFS queue plus everything submitted (Submit, SubmitAt,
+// SubmitMigrated, SubmitAll) that no Step has queued yet. This — not
+// QueueLen — is what an observer between two Steps must count (see the
+// package comment): a submitted request will claim memory on this engine
+// just like a queued one.
+func (e *Engine) WaitingLen() int { return e.queue.Len() + e.arrivals.Len() }
 
 // RunningRequests returns a copy of the running batch (including splitfuse
 // prompts in flight), for observers like the multi-replica router.
@@ -584,9 +606,15 @@ func (e *Engine) RunningRequests() []*request.Request {
 	return out
 }
 
-// QueuedRequests returns a copy of the wait queue.
-func (e *Engine) QueuedRequests() []*request.Request {
-	return e.queue.AppendTo(make([]*request.Request, 0, e.queue.Len()))
+// WaitingRequests returns a copy of the waiting set (see WaitingLen): the
+// wait queue in FCFS order, then the submitted-but-not-yet-queued requests
+// in no particular order.
+func (e *Engine) WaitingRequests() []*request.Request {
+	out := e.queue.AppendTo(make([]*request.Request, 0, e.WaitingLen()))
+	for _, it := range e.arrivals {
+		out = append(out, it.r)
+	}
+	return out
 }
 
 // ForEachRunning calls f for every request in the running batch (including
@@ -605,10 +633,13 @@ func (e *Engine) ForEachRunning(f func(*request.Request)) {
 	}
 }
 
-// ForEachQueued calls f for every waiting request in FCFS order without
-// allocating.
-func (e *Engine) ForEachQueued(f func(*request.Request)) {
+// ForEachWaiting calls f for every waiting request (see WaitingLen) without
+// allocating, in WaitingRequests order.
+func (e *Engine) ForEachWaiting(f func(*request.Request)) {
 	e.queue.ForEach(f)
+	for _, it := range e.arrivals {
+		f(it.r)
+	}
 }
 
 // RunningLen returns the size of the running batch (including prompts being

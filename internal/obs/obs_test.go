@@ -199,6 +199,51 @@ func TestSpanCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpanCSVInvisibleFirstToken: a request that is held, prefilled, loses
+// its KV transfer on the wire and is shed at the boundary never showed its
+// user a token, although the prefill engine stamped FirstTokenAt. Its row
+// must read ttft −1 (the header's contract), not the prefill-side clock —
+// which the stage columns, wire and outage included, do not sum to.
+func TestSpanCSVInvisibleFirstToken(t *testing.T) {
+	c := NewCollector(1)
+	r := request.New(81, 200, 4, 8, 0)
+	r.TTFTDeadline = 6
+	c.Arrive(0, r)
+	c.Hold(0, r, 1)
+	c.Release(1.0, r, 0)
+	c.Place(1.0, r, 0, 0, "")
+	c.Admit(1.25, r, 0, 0)
+	r.EmitToken(2.25)
+	c.FirstToken(2.25, r, 0, 0)
+	c.XferBook(2.25, r, 0, 0, 1, 3, 4096, 2.30, 2.50)
+	c.XferFail(2.50, r, 3.0)
+	r.Shed(3.0)
+	c.Shed(3.0, r, ShedBoundary)
+
+	if r.TTFT() < 0 || r.Retries != 0 {
+		t.Fatalf("scenario drifted: request ttft %v retries %d", r.TTFT(), r.Retries)
+	}
+	var buf bytes.Buffer
+	if err := c.WriteSpanCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := ReadSpanCSV(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 {
+		t.Fatalf("got %d rows", len(rows))
+	}
+	got := rows[0]
+	if got.TTFT != -1 {
+		t.Fatalf("ttft column %v for a span with no visible token (stage sum %v, request clock %v), want -1",
+			got.TTFT, got.StageSum(), r.TTFT())
+	}
+	if got.ShedWhere != ShedBoundary || !approx(got.Wire, 0.25) || !approx(got.Outage, 0.5) {
+		t.Fatalf("row %+v", got)
+	}
+}
+
 // TestReadSpanCSVRejectsGarbage guards the parser against truncated rows
 // and foreign headers.
 func TestReadSpanCSVRejectsGarbage(t *testing.T) {

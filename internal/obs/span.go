@@ -31,11 +31,17 @@ func (c *Collector) WriteSpanCSV(w io.Writer) error {
 		if s.HeldOnce {
 			held = "1"
 		}
+		// r.TTFT() alone is not enough: a prefill-side token that died on the
+		// wire leaves FirstTokenAt set on a request whose user saw nothing.
+		ttft := r.TTFT()
+		if s.TTFTAt < 0 {
+			ttft = -1
+		}
 		rec := []string{
 			strconv.FormatInt(r.ID, 10), r.Class,
 			formatFloat(r.ArrivalTime), formatFloat(r.TTFTDeadline),
 			r.Outcome.String(), s.ShedWhere,
-			formatFloat(r.FirstTokenAt), formatFloat(r.FinishedAt), formatFloat(r.TTFT()),
+			formatFloat(r.FirstTokenAt), formatFloat(r.FinishedAt), formatFloat(ttft),
 			formatFloat(s.Hold), formatFloat(s.Queue), formatFloat(s.Prefill),
 			formatFloat(s.Wire), formatFloat(s.Outage),
 			strconv.Itoa(s.Pool), strconv.Itoa(s.Rep), s.Flavor,

@@ -472,7 +472,9 @@ func appendFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// statusResponse is GET /v1/status.
+// statusResponse is GET /v1/status. Queue is everything accepted and not
+// yet running (engine.WaitingLen): a request accepted since the driver's
+// last step counts there too.
 type statusResponse struct {
 	Clock       float64 `json:"clock"`
 	Queue       int     `json:"queue"`
@@ -487,7 +489,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
 	s.mu.Lock()
 	resp := statusResponse{
 		Clock:       s.eng.Clock(),
-		Queue:       s.eng.QueueLen(),
+		Queue:       s.eng.WaitingLen(),
 		Running:     s.eng.RunningLen(),
 		KVUsed:      s.eng.Pool().UsedTokens(),
 		KVCapacity:  s.eng.Pool().CapacityTokens(),

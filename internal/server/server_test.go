@@ -226,6 +226,30 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 }
 
+// TestStatusCountsAcceptedBeforeStep: a request accepted between two driver
+// steps sits in the engine's arrival heap, in neither the FCFS queue nor the
+// batch. /v1/status must still count it — "queue" is engine.WaitingLen, the
+// definition the cluster's routing probes use. No driver runs here, so the
+// two accepted requests stay exactly there.
+func TestStatusCountsAcceptedBeforeStep(t *testing.T) {
+	srv := newServer(t, 0)
+	for i := 0; i < 2; i++ {
+		srv.submit(generateRequest{InputTokens: 100, OutputTokens: 5})
+	}
+	if srv.eng.QueueLen() != 0 || srv.eng.RunningLen() != 0 {
+		t.Fatalf("engine stepped: queue %d, running %d", srv.eng.QueueLen(), srv.eng.RunningLen())
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/status", nil))
+	var status statusResponse
+	if err := json.NewDecoder(rec.Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	if status.Queue != 2 || status.Running != 0 {
+		t.Fatalf("status counts queue %d, running %d with 2 requests accepted and none stepped", status.Queue, status.Running)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, 0)
 	resp, err := http.Get(ts.URL + "/healthz")
