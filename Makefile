@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check staticcheck bench bench-fleet bench-scale chaos fuzz cover ci
+.PHONY: build test vet fmt-check staticcheck bench bench-smoke bench-fleet bench-scale chaos fuzz cover ci
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,12 @@ fmt-check:
 # scenario family into BENCH_fleet.json.
 bench:
 	./scripts/bench.sh
+
+# bench-smoke runs every micro-benchmark under internal/ for one iteration:
+# no number is read, it only proves the benchmarks scripts/bench.sh records
+# still build and run to completion, so that file cannot rot unseen.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # bench-fleet refreshes only BENCH_fleet.json (the cmd/fleetsim scenario
 # family: autoscaling comparison, disaggregation, overload shedding, and
@@ -89,4 +95,4 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime=$(FUZZTIME) "$$pkg" || exit 1; \
 	done
 
-ci: build vet fmt-check staticcheck test chaos fuzz
+ci: build vet fmt-check staticcheck test bench-smoke chaos fuzz

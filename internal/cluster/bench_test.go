@@ -10,11 +10,12 @@ import (
 // benchFleet builds a fleet whose replicas carry realistic running batches
 // and queues, then returns it with a candidate to probe. The Serve warm-up
 // also warms every replica's history window, so the probes measured are the
-// steady-state hot path.
-func benchFleet(tb testing.TB, nReplicas int, naive bool) (*Fleet, *request.Request) {
+// steady-state hot path; with seed > 0 every window starts out holding that
+// many observations (seededReplicas).
+func benchFleet(tb testing.TB, nReplicas, seed int, naive bool) (*Fleet, *request.Request) {
 	tb.Helper()
 	f := MustNew(Config{
-		Replicas:   replicas(nReplicas, 20_000),
+		Replicas:   seededReplicas(nReplicas, 20_000, seed),
 		Policy:     FutureHeadroom,
 		NaiveProbe: naive,
 	})
@@ -24,13 +25,21 @@ func benchFleet(tb testing.TB, nReplicas int, naive bool) (*Fleet, *request.Requ
 	return f, request.New(1_000_000, 800, 400, 512, 0)
 }
 
+// benchSeed is the window fill of the 96-replica rows: full 1000-sample
+// windows, so the fleet's probe state (96 sorted windows of 8 kB beside the
+// estimators and the requests) is far larger than the first-level cache that
+// the 4- and 16-replica fleets run from. What a probe costs when the memory
+// it reads is cold — the cost a replay of a large fleet pays — shows only
+// here.
+const benchSeed = 1000
+
 // BenchmarkFleetRoute measures one FutureHeadroom routing decision across
 // the fleet — the warm per-replica estimator path (rebuild amortised,
 // PeakWith probes). The companion TestProbeZeroAllocs pins allocs/op to 0.
 func BenchmarkFleetRoute(b *testing.B) {
-	for _, n := range []int{4, 16} {
-		b.Run(fmt.Sprintf("replicas=%d", n), func(b *testing.B) {
-			f, cand := benchFleet(b, n, false)
+	for _, tc := range []struct{ n, seed int }{{4, 0}, {16, 0}, {96, benchSeed}} {
+		b.Run(fmt.Sprintf("replicas=%d", tc.n), func(b *testing.B) {
+			f, cand := benchFleet(b, tc.n, tc.seed, false)
 			f.pick(cand)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -38,6 +47,24 @@ func BenchmarkFleetRoute(b *testing.B) {
 				f.pick(cand)
 			}
 		})
+	}
+}
+
+// BenchmarkFleetRouteStepped is a routing decision the way a replay of a
+// large fleet makes it: 96 replicas with full windows, an eighth of them
+// having stepped since the previous arrival (replay-day rebuilds 11.6
+// estimators per arrival), so each pick is 12 rebuilds — every running
+// request re-priced at its own length — and 96 probes.
+func BenchmarkFleetRouteStepped(b *testing.B) {
+	f, cand := benchFleet(b, 96, benchSeed, false)
+	f.pick(cand)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := i % 8; k < len(f.reps); k += 8 {
+			f.reps[k].estValid = false
+		}
+		f.pick(cand)
 	}
 }
 
@@ -51,7 +78,7 @@ func BenchmarkFleetRoute(b *testing.B) {
 // does not matter that the base load sits in the waiting set from the first
 // reset on.
 func placeLoop(tb testing.TB) (place, reset func()) {
-	f, cand := benchFleet(tb, 4, false)
+	f, cand := benchFleet(tb, 4, 0, false)
 	base := make([][]*request.Request, len(f.reps))
 	place = func() {
 		rep := f.pick(cand)
@@ -99,7 +126,7 @@ func BenchmarkFleetRoutePlace(b *testing.B) {
 // estimator each decision — the worst case where every replica stepped
 // between arrivals and all estimators rebuild from their engines' state.
 func BenchmarkFleetRouteRebuild(b *testing.B) {
-	f, cand := benchFleet(b, 4, false)
+	f, cand := benchFleet(b, 4, 0, false)
 	f.pick(cand)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -115,7 +142,7 @@ func BenchmarkFleetRouteRebuild(b *testing.B) {
 // core.PredictedBatchPeak per replica per decision, as the original router
 // computed it.
 func BenchmarkFleetRouteNaive(b *testing.B) {
-	f, cand := benchFleet(b, 4, true)
+	f, cand := benchFleet(b, 4, 0, true)
 	f.pick(cand)
 	b.ReportAllocs()
 	b.ResetTimer()

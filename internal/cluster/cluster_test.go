@@ -20,15 +20,28 @@ func testPerf() *perf.Model {
 }
 
 func replicas(n, capacity int) []*engine.Engine {
+	return seededReplicas(n, capacity, 0)
+}
+
+// seededReplicas is replicas with every history window starting from
+// `samples` ShareGPT output lengths of the replica's own, the way a replica
+// that has served for a while holds a full window.
+func seededReplicas(n, capacity, samples int) []*engine.Engine {
 	pm := testPerf()
 	out := make([]*engine.Engine, n)
 	for i := range out {
+		r := rng.New(uint64(1000 + i))
+		hist := make([]int, samples)
+		for k := range hist {
+			_, hist[k] = workload.ShareGPT.Sample(r)
+		}
 		out[i] = engine.MustNew(engine.Config{
 			Perf: pm,
 			Scheduler: core.MustNewPastFuture(core.PastFutureConfig{
 				Reserved: 0.05, Rng: rng.New(uint64(i + 1)),
 			}),
 			CapacityOverride: capacity,
+			SeedHistory:      hist,
 		})
 	}
 	return out

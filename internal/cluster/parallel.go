@@ -156,15 +156,14 @@ func (c *Cluster) validateParallel() error {
 }
 
 // refreshProbes precomputes a FutureHeadroom pick's probe fractions on the
-// worker pool, immediately before the routing decision. The replay profile
-// puts the probe loop — estimator rebuilds plus per-candidate quantile
-// predictions — at over half of total CPU, all of it on the serial arrival
-// path: every step invalidates its replica's estimate, so each arrival
-// rebuilds most of the fleet. A probe is a pure per-replica function (see
-// runProbes), so computing the fractions concurrently and handing them to
-// pick's sequential argmin is bit-identical to probing inline. No-op on
-// the reference core, at Workers == 1 (no runner), and for policies that
-// never probe.
+// worker pool, immediately before the routing decision. The probe loop —
+// estimator rebuilds plus per-candidate quantile predictions — sits on the
+// serial arrival path: every step invalidates its replica's estimate, so
+// each arrival rebuilds most of the fleet. A probe is a pure per-replica
+// function (see runProbes), so computing the fractions concurrently and
+// handing them to pick's sequential argmin is bit-identical to probing
+// inline. No-op on the reference core, at Workers == 1 (no runner), and for
+// policies that never probe.
 func (c *Cluster) refreshProbes(p *Pool, req *request.Request) {
 	if c.runner == nil || p.cfg.Policy != FutureHeadroom || p.cfg.NaiveProbe || len(p.accepting) < 2 {
 		return

@@ -179,14 +179,27 @@ func (l *placementLedger) Crash(at float64, pool, rep, orphans int) {
 	l.Collector.Crash(at, pool, rep, orphans)
 }
 
+// probeCandidates are the two kinds of request a probe prices: a new arrival,
+// whose entry comes from the fresh-request quantile the replica recorded at
+// its last rebuild, and a crash orphan re-routed mid-output (Generated > 0),
+// whose entry conditions on its own length through the live sampler.
+func probeCandidates() []*request.Request {
+	fresh := request.New(1_000_000, 800, 400, 512, 0)
+	orphan := request.New(1_000_001, 800, 400, 512, 0)
+	for k := 0; k < 37; k++ {
+		orphan.EmitToken(0)
+	}
+	return []*request.Request{fresh, orphan}
+}
+
 // checkPlacementState runs between two events of a live cluster. For every
 // accepting replica the warm estimator — whatever mix of rebuilds and
-// splices produced it — must price a candidate, and the replica's own load,
-// exactly like an estimator built from scratch now and like the naive
+// splices produced it — must price each candidate, and the replica's own
+// load, exactly like an estimator built from scratch now and like the naive
 // clone-and-sort reference. For every replica, accepting or not, the engine
 // must hold exactly what was submitted to it and has not left. It returns
 // how many of the warm estimators checked carried a spliced entry.
-func checkPlacementState(t *testing.T, c *Cluster, led *placementLedger, cand *request.Request) (spliced int) {
+func checkPlacementState(t *testing.T, c *Cluster, led *placementLedger, cands []*request.Request) (spliced int) {
 	t.Helper()
 	for _, p := range c.pools {
 		naive := *p
@@ -198,9 +211,12 @@ func checkPlacementState(t *testing.T, c *Cluster, led *placementLedger, cand *r
 			scratch := *rep // same engine, cold estimator: a from-scratch ensureEst
 			scratch.est = core.PeakEstimator{}
 			scratch.estValid = false
-			warm, rebuilt, ref := p.probe(rep, cand), p.probe(&scratch, cand), naive.probe(rep, cand)
-			if warm != rebuilt || warm != ref {
-				t.Fatalf("pool %d replica %d: probe warm %v, rebuilt %v, naive %v", p.id, rep.idx, warm, rebuilt, ref)
+			for _, cand := range cands {
+				warm, rebuilt, ref := p.probe(rep, cand), p.probe(&scratch, cand), naive.probe(rep, cand)
+				if warm != rebuilt || warm != ref {
+					t.Fatalf("pool %d replica %d: probe of a candidate %d tokens in: warm %v, rebuilt %v, naive %v",
+						p.id, rep.idx, cand.Generated, warm, rebuilt, ref)
+				}
 			}
 			if warm, rebuilt, ref := p.load(rep), p.load(&scratch), naive.load(rep); warm != rebuilt || warm != ref {
 				t.Fatalf("pool %d replica %d: load warm %v, rebuilt %v, naive %v", p.id, rep.idx, warm, rebuilt, ref)
@@ -226,6 +242,10 @@ func checkPlacementState(t *testing.T, c *Cluster, led *placementLedger, cand *r
 // conservation storm — and checks the estimator equivalence and the
 // per-replica ledger after every arrival (ServeStream pulls the next arrival
 // only after the previous one was placed, so the pull is the probe point).
+// Requests finish between most consecutive probe points, so every value a
+// replica keeps from its history window — the fresh-request quantile
+// included — is compared with the naive probe's live read after the window
+// moved; the run must have had such probe points.
 func TestPlacementCrossCheck(t *testing.T) {
 	sla := metrics.SLA{TTFT: 6, MTPOT: 1.5}
 	scenarios := []struct {
@@ -260,20 +280,36 @@ func TestPlacementCrossCheck(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed=%d", sc.name, seed), func(t *testing.T) {
 				led := newPlacementLedger()
 				c := sc.build(seed, led)
-				cand := request.New(1_000_000, 800, 400, 512, 0)
+				cands := probeCandidates()
 				reqs := poissonReqs(350, 60, seed)
 				i, spliced := 0, 0
+				// Probe points at which a replica probed before had finished
+				// a request since: its window moved under what it kept.
+				windowMoved := 0
+				lastGen := map[*replica]uint64{}
 				c.ServeStream(func() *request.Request {
-					spliced += checkPlacementState(t, c, led, cand)
+					spliced += checkPlacementState(t, c, led, cands)
+					for _, p := range c.pools {
+						for _, rep := range p.accepting {
+							gen := rep.eng.History().Generation()
+							if prev, ok := lastGen[rep]; ok && prev != gen {
+								windowMoved++
+							}
+							lastGen[rep] = gen
+						}
+					}
 					if i == len(reqs) {
 						return nil
 					}
 					i++
 					return reqs[i-1]
 				}, 1e9)
-				checkPlacementState(t, c, led, cand)
+				checkPlacementState(t, c, led, cands)
 				if spliced == 0 {
 					t.Fatal("no warm estimator ever carried a spliced placement: the run never exercised the splice")
+				}
+				if windowMoved == 0 {
+					t.Fatal("no request finished between two probes of one replica: the run never exercised a moved window")
 				}
 				if c.flt.crashes == 0 || c.flt.orphaned == 0 {
 					t.Fatalf("%d crashes evacuated %d requests: the run never exercised crash evacuation", c.flt.crashes, c.flt.orphaned)

@@ -212,9 +212,12 @@ type replica struct {
 	// (Pool.placed), so the probe for the very next arrival already counts
 	// it. sampler is a live view of the engine's history window, so est is
 	// only as fresh as the window generation it was built at (estGen): the
-	// window moves only inside Step, and every Step clears estValid.
+	// window moves only inside Step, and every Step clears estValid. fresh is
+	// that window's answer for a request with nothing generated, read at the
+	// same generation, so pricing a new arrival reads no window memory.
 	est      core.PeakEstimator
 	sampler  *dist.Sampler
+	fresh    core.FreshQuantile
 	estGen   uint64
 	estValid bool
 
@@ -657,8 +660,18 @@ func (p *Pool) probe(rep *replica, req *request.Request) float64 {
 		// clearing estValid.
 		panic("cluster: routing probe over a history window that moved since ensureEst")
 	}
-	cand := core.QuantileEntry(req, rep.sampler, p.cfg.Quantile)
-	return float64(rep.est.PeakWith(cand)) / float64(rep.eng.Pool().CapacityTokens())
+	return float64(rep.est.PeakWith(p.entry(rep, req))) / float64(rep.eng.Pool().CapacityTokens())
+}
+
+// entry is core.QuantileEntry over the window ensureEst last read: from the
+// recorded fresh-request quantile for a request that has generated nothing,
+// from the live sampler for one that has (an orphan re-routed mid-output, a
+// request already decoding on the replica).
+func (p *Pool) entry(rep *replica, r *request.Request) core.Entry {
+	if r.Generated == 0 {
+		return rep.fresh.Entry(r)
+	}
+	return core.QuantileEntry(r, rep.sampler, p.cfg.Quantile)
 }
 
 // betterFit is the shared (fits, speed-normalized score) lexicographic
@@ -780,10 +793,11 @@ func (p *Pool) ensureEst(rep *replica) {
 		return
 	}
 	rep.sampler = rep.eng.History().Sampler()
+	rep.fresh = core.NewFreshQuantile(rep.sampler, p.cfg.Quantile)
 	rep.estGen = rep.eng.History().Generation()
 	rep.est.Reset()
 	push := func(r *request.Request) {
-		rep.est.Push(core.QuantileEntry(r, rep.sampler, p.cfg.Quantile))
+		rep.est.Push(p.entry(rep, r))
 	}
 	rep.eng.ForEachRunning(push)
 	rep.eng.ForEachWaiting(push)
@@ -800,7 +814,7 @@ func (p *Pool) ensureEst(rep *replica) {
 // there. Every placement path calls this right after its Submit.
 func (p *Pool) placed(rep *replica, req *request.Request) {
 	if rep.estValid && rep.estGen == rep.eng.History().Generation() {
-		rep.est.Push(core.QuantileEntry(req, rep.sampler, p.cfg.Quantile))
+		rep.est.Push(p.entry(rep, req))
 	} else {
 		rep.estValid = false
 	}

@@ -142,11 +142,20 @@ func TrueFutureRequiredMemory(batch []*request.Request) int {
 // cluster routing probes, so that the warm-estimator and clone+sort paths
 // are bit-identical by construction.
 func QuantilePrediction(r *request.Request, sampler *dist.Sampler, quantile float64) int {
-	pred := r.MaxNewTokens
+	v, ok := 0, false
 	if sampler != nil {
-		if v, ok := sampler.QuantileGreater(quantile, r.Generated); ok {
-			pred = v
-		}
+		v, ok = sampler.QuantileGreater(quantile, r.Generated)
+	}
+	return clampPrediction(r, v, ok)
+}
+
+// clampPrediction is the request's half of the prediction rule: it folds
+// what the sampler answered for P(l | l > r.Generated) — ok false when there
+// is no sampler or no mass left — into (r.Generated, r.MaxNewTokens].
+func clampPrediction(r *request.Request, v int, ok bool) int {
+	pred := r.MaxNewTokens
+	if ok {
+		pred = v
 	}
 	if pred > r.MaxNewTokens {
 		pred = r.MaxNewTokens
@@ -167,10 +176,40 @@ func QuantilePrediction(r *request.Request, sampler *dist.Sampler, quantile floa
 // probes — see phantom footprint. CachedTokens is 0 whenever prefix caching
 // is off, keeping this the exact pre-cache entry.
 func QuantileEntry(r *request.Request, sampler *dist.Sampler, quantile float64) Entry {
-	pred := QuantilePrediction(r, sampler, quantile)
+	return quantileEntry(r, QuantilePrediction(r, sampler, quantile))
+}
+
+func quantileEntry(r *request.Request, pred int) Entry {
 	// Chunked prefill: only KVLanded() is resident now; the unprefilled
 	// tail rides in Remaining so the projected peak is unchanged.
 	return Entry{Current: r.KVLanded() - r.CachedTokens, Remaining: pred - r.Generated + r.PrefillRemaining()}
+}
+
+// FreshQuantile is the sampler's half of QuantileEntry for every request
+// that has generated nothing yet, read once: such requests all condition on
+// l > 0, so a caller pricing many of them against one unchanged window — a
+// routing probe's candidates, a replica's waiting set — keeps this value and
+// never touches the window's memory for them. It is only as fresh as the
+// window it was read from: take a new one after any Add.
+type FreshQuantile struct {
+	v  int
+	ok bool
+}
+
+// NewFreshQuantile reads the quantile of P(l | l > 0) from the sampler; a
+// nil sampler (cold start) yields the value that predicts every cap.
+func NewFreshQuantile(sampler *dist.Sampler, quantile float64) FreshQuantile {
+	if sampler == nil {
+		return FreshQuantile{}
+	}
+	v, ok := sampler.QuantileGreater(quantile, 0)
+	return FreshQuantile{v, ok}
+}
+
+// Entry is QuantileEntry(r, sampler, quantile) for a request with
+// r.Generated == 0, over the sampler and quantile f was read at.
+func (f FreshQuantile) Entry(r *request.Request) Entry {
+	return quantileEntry(r, clampPrediction(r, f.v, f.ok))
 }
 
 // PredictedBatchPeak estimates a batch's future peak memory from the

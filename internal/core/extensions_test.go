@@ -87,6 +87,54 @@ func TestPredictedBatchPeakColdStartUsesCaps(t *testing.T) {
 	}
 }
 
+// TestFreshQuantileMatchesQuantileEntry: for a request that has generated
+// nothing, the entry built from a quantile read once equals the entry read
+// through the sampler — with no sampler, an empty window, a window whose
+// mass lies under, around and above the request's cap, and a prompt partly
+// served from a prefix cache — and stops being equal once the window moves,
+// which is why its holder must re-read it.
+func TestFreshQuantileMatchesQuantileEntry(t *testing.T) {
+	reqs := []*request.Request{
+		request.New(1, 30, 5, 70, 0),
+		request.New(2, 500, 300, 4096, 0),
+		request.New(3, 64, 1, 1, 0),
+	}
+	reqs[1].CachedTokens = 128
+	windows := map[string]*dist.Window{
+		"nil":       nil,
+		"empty":     dist.NewWindow(10),
+		"zeros":     fullWindow(0, 20), // no mass above 0: every cap
+		"below cap": fullWindow(40, 50),
+		"above cap": fullWindow(10_000, 50),
+	}
+	mixed := dist.NewWindow(100)
+	for i := 0; i < 100; i++ {
+		mixed.Add(i * 13 % 97)
+	}
+	windows["mixed"] = mixed
+	for name, w := range windows {
+		var s *dist.Sampler
+		if w != nil {
+			s = w.Sampler()
+		}
+		for _, q := range []float64{0, 0.5, 0.9, 1} {
+			fresh := NewFreshQuantile(s, q)
+			for _, r := range reqs {
+				if got, want := fresh.Entry(r), QuantileEntry(r, s, q); got != want {
+					t.Fatalf("%s window, q=%v, request %d: fresh entry %+v, QuantileEntry %+v", name, q, r.ID, got, want)
+				}
+			}
+		}
+	}
+	stale := NewFreshQuantile(mixed.Sampler(), 0.9)
+	for i := 0; i < 100; i++ {
+		mixed.Add(2000)
+	}
+	if r := reqs[1]; stale.Entry(r) == QuantileEntry(r, mixed.Sampler(), 0.9) {
+		t.Fatal("a quantile read before 100 Adds still matches the window: the test no longer shows staleness")
+	}
+}
+
 func TestPredictedBatchPeakClampsToCap(t *testing.T) {
 	w := fullWindow(10_000, 50) // history far above the request's cap
 	batch := []*request.Request{request.New(1, 30, 5, 64, 0)}

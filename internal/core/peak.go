@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sort"
 
 	"github.com/lightllm-go/lightllm/internal/request"
 )
@@ -72,21 +71,59 @@ func (pe *PeakEstimator) Push(e Entry) {
 	}
 	// Incremental phase: splice into the descending-remaining order and
 	// repair the aggregates from the insertion rank.
-	p := sort.Search(len(pe.ent), func(i int) bool { return pe.ent[i].Remaining < e.Remaining })
+	p := pe.rank(e.Remaining)
 	pe.ent = append(pe.ent, Entry{})
 	copy(pe.ent[p+1:], pe.ent[p:])
 	pe.ent[p] = e
 	pe.rebuildFrom(p)
 }
 
-// flush sorts buffered entries and rebuilds the aggregates.
+// rank returns the insertion rank of a remaining length in the descending
+// order: the first index whose entry has less remaining, after any ties. The
+// entries must be sorted.
+func (pe *PeakEstimator) rank(remaining int) int {
+	lo, hi := 0, len(pe.ent)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if pe.ent[mid].Remaining >= remaining {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// insertionSortMax is the largest batch flush sorts by insertion. A replica's
+// running batch plus waiting set — what the routing probes rebuild after
+// every step — sits well under it, and at that size the comparator call per
+// comparison of a generic sort costs more than the comparisons it saves.
+const insertionSortMax = 48
+
+// flush sorts buffered entries, descending by remaining length, and
+// rebuilds the aggregates. Neither sort allocates — a requirement of the
+// zero-allocation admission hot path.
 func (pe *PeakEstimator) flush() {
 	if !pe.unsorted {
 		return
 	}
-	// slices.SortFunc, unlike sort.Slice, performs no allocations — a
-	// requirement of the zero-allocation admission hot path.
-	slices.SortFunc(pe.ent, func(a, b Entry) int { return b.Remaining - a.Remaining })
+	if ent := pe.ent; len(ent) <= insertionSortMax {
+		// Callers push a batch in engine order: running requests oldest
+		// first, then the waiting set — the least remaining first and the
+		// most last, close to this sort's worst case. Reversed, it is close
+		// to sorted, and an insertion sort moves next to nothing.
+		slices.Reverse(ent)
+		for i := 1; i < len(ent); i++ {
+			e := ent[i]
+			j := i
+			for ; j > 0 && ent[j-1].Remaining < e.Remaining; j-- {
+				ent[j] = ent[j-1]
+			}
+			ent[j] = e
+		}
+	} else {
+		slices.SortFunc(ent, func(a, b Entry) int { return b.Remaining - a.Remaining })
+	}
 	pe.rebuildFrom(0)
 	pe.unsorted = false
 }
@@ -146,7 +183,7 @@ func (pe *PeakEstimator) PeakWith(cand Entry) int {
 	}
 	pe.flush()
 	n := len(pe.ent)
-	p := sort.Search(n, func(i int) bool { return pe.ent[i].Remaining < cand.Remaining })
+	p := pe.rank(cand.Remaining)
 
 	// The candidate's own completion point at rank p+1.
 	prefBefore := 0

@@ -58,6 +58,49 @@ func TestPeakEstimatorPeakWithMatchesReferenceQuick(t *testing.T) {
 	}
 }
 
+// TestPeakEstimatorAcrossSortSizes runs the admission-loop access pattern —
+// build, query, push, query — at batch sizes on both sides of flush's
+// insertion-sort limit (and far above it), on one estimator reused across
+// all of them, against the clone+sort reference. Remaining is drawn from a
+// handful of values so most entries tie, and includes zero and negatives;
+// the hand-written rank must land after a run of ties exactly where the
+// reference's sort puts the candidate.
+func TestPeakEstimatorAcrossSortSizes(t *testing.T) {
+	var est PeakEstimator
+	for _, n := range []int{300, 0, 1, 2, insertionSortMax - 1, insertionSortMax, insertionSortMax + 1, 300} {
+		for _, spread := range []int{1, 5, 400} { // all ties, heavy ties, mostly distinct
+			r := rng.New(uint64(n*1000 + spread))
+			draw := func() Entry {
+				return Entry{Current: r.Intn(200), Remaining: r.Intn(spread+2) - 2}
+			}
+			est.Reset()
+			entries := make([]Entry, 0, n+8)
+			for i := 0; i < n; i++ {
+				e := draw()
+				if i%3 == 0 {
+					e.Remaining = spread - i // a descending run, then ascending noise
+				}
+				entries = append(entries, e)
+				est.Push(e)
+			}
+			if got, want := est.Peak(), FutureRequiredMemory(entries); got != want {
+				t.Fatalf("n=%d spread=%d: Peak = %d, reference %d", n, spread, got, want)
+			}
+			for i := 0; i < 8; i++ {
+				cand := draw()
+				if got, want := est.PeakWith(cand), futurePeakWithCandidate(entries, cand); got != want {
+					t.Fatalf("n=%d spread=%d: PeakWith(%+v) = %d, reference %d", n, spread, cand, got, want)
+				}
+				est.Push(cand)
+				entries = append(entries, cand)
+				if got, want := est.Peak(), FutureRequiredMemory(entries); got != want {
+					t.Fatalf("n=%d spread=%d: Peak after splicing %+v = %d, reference %d", n, spread, cand, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestPeakEstimatorEmptyAndReset(t *testing.T) {
 	var est PeakEstimator
 	if got := est.Peak(); got != 0 {

@@ -10,29 +10,46 @@
 // observations in ascending order, and Add maintains that order in place:
 // it binary-searches the evicted value out and the new value in and closes
 // the gap with one copy over the span between them — O(n) word moves, no
-// comparison sort, no allocation. The sorted array is therefore exact after
-// every Add, and Sampler() is a plain accessor: the admission loop, the
-// routing probes and the reference estimators may ask for it as often as
-// they like at no cost.
+// comparison sort. The sorted array is therefore exact after every Add, and
+// Sampler() is a plain accessor: the admission loop, the routing probes and
+// the reference estimators may ask for it as often as they like at no cost.
 //
 // A sorted array IS the empirical CDF: the value at rank i has cumulative
-// probability (i+1)/n. Every query therefore runs in O(log n) binary search
-// (or O(1) indexing) over it:
+// probability (i+1)/n, so every unconditional query is one index into it:
 //
 //   - Sample draws uniformly over the window (an i.i.d. draw from P(l)),
 //   - Quantile returns the smallest value whose CDF reaches q,
-//   - SampleGreater / QuantileGreater condition on l > l_t by binary
-//     searching the suffix with values above l_t (Equation 1's dynamic
-//     update P(l | l > l_t)); both report ok=false when no probability mass
-//     remains above the conditioning point,
 //   - Max returns the window's support maximum.
 //
-// Both arrays are allocated once, at NewWindow, so a Window performs zero
-// heap allocations for the rest of its life — a requirement of the engine's
-// allocation-free scheduling hot path.
+// # Rank index
+//
+// The conditional queries — SampleGreater / QuantileGreater, Equation 1's
+// dynamic update P(l | l > l_t) — first need the rank of l_t: how many
+// observations are ≤ l_t. The scheduler asks that for every running request
+// at every step and the router for every candidate on every replica, so the
+// window answers it from a table instead of a search: le[g] is the number of
+// observations ≤ g for every g in [0, len(le)), and len(le) exceeds every
+// observation held. Replacing old by v changes "observations ≤ g" only for g
+// between the two, so Add shifts le over [min(old, v), max(old, v)) — work
+// proportional to how far apart they are, paid once per finished request,
+// against one load per query. Both conditional queries report ok=false when
+// no probability mass remains above the conditioning point.
+//
+// The table is bounded by rankBound entries whatever the observations are:
+// Add accepts any int, and an observation that is negative or ≥ rankBound
+// drops the table for good — the window then ranks by binary search over the
+// sorted array, with the same answers.
+//
+// The ring and the sorted array are allocated once, at NewWindow, and the
+// table grows geometrically to the largest observation seen, so a Window in
+// steady state performs zero heap allocations — a requirement of the
+// engine's allocation-free scheduling hot path.
 package dist
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Window is a fixed-capacity sliding window of observed output lengths that
 // keeps its empirical CDF sorted at all times. Not safe for concurrent use.
@@ -42,7 +59,7 @@ type Window struct {
 	n    int   // observations currently held
 	gen  uint64
 
-	samp Sampler // the same n observations, ascending
+	samp Sampler // the same n observations, ascending, and their rank index
 }
 
 // NewWindow creates a window holding at most capacity observations.
@@ -51,14 +68,18 @@ func NewWindow(capacity int) *Window {
 	if capacity <= 0 {
 		panic("dist: window capacity must be positive")
 	}
-	return &Window{
+	w := &Window{
 		buf:  make([]int, capacity),
 		samp: Sampler{sorted: make([]int, 0, capacity)},
 	}
+	if capacity <= math.MaxInt32 { // the table counts in int32
+		w.samp.le = make([]int32, 0, rankMinCap)
+	}
+	return w
 }
 
 // Add records one observation, evicting the oldest when the window is full,
-// and moves the sorted CDF to match.
+// and moves the sorted CDF and the rank index to match.
 func (w *Window) Add(v int) {
 	s := w.samp.sorted
 	if w.n < len(w.buf) {
@@ -70,6 +91,10 @@ func (w *Window) Add(v int) {
 		copy(s[i+1:], s[i:])
 		s[i] = v
 		w.samp.sorted = s
+		// One more observation ≤ g for every g from v up.
+		if w.samp.cover(v, w.n-1) {
+			shift(w.samp.le[v:], 1)
+		}
 	} else {
 		old := w.buf[w.head]
 		w.buf[w.head] = v
@@ -78,15 +103,22 @@ func (w *Window) Add(v int) {
 			w.head = 0
 		}
 		// Take one copy of old out and put v in: everything strictly
-		// between their ranks shifts by one slot toward the hole.
+		// between their ranks shifts by one slot toward the hole, and the
+		// count of observations ≤ g moves by one for every g between them.
 		if v != old {
 			i, j := sort.SearchInts(s, old), sort.SearchInts(s, v)
 			if j > i { // v > old: ranks (i, j) slide down, v lands below rank j
 				copy(s[i:], s[i+1:j])
 				s[j-1] = v
+				if w.samp.cover(v, w.n) {
+					shift(w.samp.le[old:v], -1)
+				}
 			} else { // v < old: ranks [j, i) slide up, v takes rank j
 				copy(s[j+1:], s[j:i])
 				s[j] = v
+				if w.samp.cover(v, w.n) {
+					shift(w.samp.le[v:old], 1)
+				}
 			}
 		}
 	}

@@ -129,8 +129,25 @@ func checkAgainstOracle(t testing.TB, w *Window, seed uint64) {
 			t.Fatalf("CDF = %v, want sort(Values()) = %v", s.sorted, []int(want))
 		}
 	}
+	if len(s.le) > rankBound {
+		t.Fatalf("rank index holds %d entries, bound %d", len(s.le), rankBound)
+	}
 	if len(want) == 0 {
 		return
+	}
+	// The one rank function, table or search, against the definition: at the
+	// edges of the support and on both sides of every observation.
+	rankAt := func(g int) {
+		if got, ref := s.rank(g), sort.SearchInts(want, g+1); got != ref {
+			t.Fatalf("rank(%d) = %d, want %d over %v (table %v)", g, got, ref, []int(want), s.le != nil)
+		}
+	}
+	rankAt(-1)
+	rankAt(want[len(want)-1] + 1)
+	for _, v := range want {
+		rankAt(v - 1)
+		rankAt(v)
+		rankAt(v + 1)
 	}
 	if got := s.Max(); got != want[len(want)-1] {
 		t.Fatalf("Max = %d, want %d", got, want[len(want)-1])
@@ -161,33 +178,120 @@ func checkAgainstOracle(t testing.TB, w *Window, seed uint64) {
 	}
 }
 
-// TestWindowAddMatchesSortOracle is the property the incremental CDF stands
-// on: after every Add of a random sequence the sorted array equals
-// sort(Values()) and every query equals the naive reference — across tiny
-// and production capacities, heavy duplicates (so evicted and inserted
-// values often tie, including old == new), and several wrap-arounds.
+// TestWindowAddMatchesSortOracle is the property the incremental CDF and its
+// rank index stand on: after every Add of a random sequence the sorted array
+// equals sort(Values()) and every query equals the naive reference — across
+// tiny and production capacities, heavy duplicates (so evicted and inserted
+// values often tie, including old == new), and several wrap-arounds. Each
+// sequence runs twice: from zero up, which keeps the rank table (and, at
+// support 100000, runs it into its bound), and centred on zero, whose first
+// negative observation drops it.
 func TestWindowAddMatchesSortOracle(t *testing.T) {
 	for _, capacity := range []int{1, 2, 7, 1000} {
-		for _, support := range []int{1, 3, 50, 100000} {
-			w := NewWindow(capacity)
-			r := rng.New(uint64(capacity*131 + support))
-			adds := 4*capacity + 3 // several full wraps
-			every := 1
-			if capacity > 100 {
-				every = 37 // the oracle is O(n log n) per check
-			}
-			for i := 0; i < adds; i++ {
-				w.Add(r.Intn(support) - support/2) // negatives too
-				if w.Generation() != uint64(i+1) {
-					t.Fatalf("generation = %d after %d adds", w.Generation(), i+1)
+		for _, support := range []int{1, 3, 50, 5000, 100000} {
+			for _, offset := range []int{0, support / 2} {
+				w := NewWindow(capacity)
+				r := rng.New(uint64(capacity*131 + support))
+				adds := 4*capacity + 3 // several full wraps
+				every := 1
+				if capacity > 100 {
+					every = 37 // the oracle is O(n log n) per check
 				}
-				if i%every == 0 || i >= adds-3 {
-					checkAgainstOracle(t, w, uint64(i))
+				outside := false
+				for i := 0; i < adds; i++ {
+					v := r.Intn(support) - offset
+					outside = outside || v < 0 || v >= rankBound
+					w.Add(v)
+					if w.Generation() != uint64(i+1) {
+						t.Fatalf("generation = %d after %d adds", w.Generation(), i+1)
+					}
+					if i%every == 0 || i >= adds-3 {
+						checkAgainstOracle(t, w, uint64(i))
+					}
+				}
+				if indexed := w.Sampler().le != nil; indexed == outside {
+					t.Fatalf("capacity %d support %d offset %d: rank table kept = %v", capacity, support, offset, indexed)
 				}
 			}
 		}
 	}
 }
+
+// TestRankIndexBound pins the table's limits: it grows to the largest
+// observation seen and no further, an observation at the bound or below zero
+// drops it for the rest of the window's life, and the answers do not change.
+func TestRankIndexBound(t *testing.T) {
+	w := windowOf(4, 3, rankBound-1, 0)
+	if got := len(w.Sampler().le); got != rankBound {
+		t.Fatalf("table holds %d entries after observing %d, want %d", got, rankBound-1, rankBound)
+	}
+	checkAgainstOracle(t, w, 1)
+	for _, outside := range []int{rankBound, -1, 1 << 40} {
+		w := windowOf(2, 5, 9)
+		w.Add(outside)
+		if w.Sampler().le != nil {
+			t.Fatalf("observation %d kept the rank table", outside)
+		}
+		checkAgainstOracle(t, w, 2)
+		w.Add(7) // the outlier's eviction does not bring the table back
+		w.Add(8)
+		if w.Sampler().le != nil {
+			t.Fatalf("rank table came back after %d left the window", outside)
+		}
+		checkAgainstOracle(t, w, 3)
+	}
+}
+
+// TestConditionalDrawsGolden replays 10k interleaved Adds and conditional
+// queries from one seed and compares a running hash of every answer with the
+// value recorded before the rank index existed (commit f9ec57c, where both
+// queries were a binary search): the admission loop's draw sequence is
+// unchanged, with the table and, on the stream with outliers, without it.
+func TestConditionalDrawsGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		outliers bool
+		want     uint64
+	}{
+		{"table", false, goldenTable},
+		{"outliers", true, goldenOutliers},
+	} {
+		w := NewWindow(1000)
+		s := w.Sampler()
+		src, r := rng.New(17), rng.New(23)
+		h := uint64(14695981039346656037)
+		mix := func(v int, ok bool) {
+			if ok {
+				v = v<<1 | 1
+			}
+			h = (h ^ uint64(v)) * 1099511628211
+		}
+		for i := 0; i < 10000; i++ {
+			v := src.Intn(600)
+			switch src.Intn(50) {
+			case 0:
+				v = src.Intn(9000) // a long output: the table grows under the window
+			case 1:
+				if tc.outliers {
+					v = []int{-1, 1 << 40, -7}[src.Intn(3)]
+				}
+			}
+			w.Add(v)
+			g := src.Intn(700) - 1
+			mix(s.SampleGreater(r, g))
+			mix(s.QuantileGreater(0.9, g))
+			mix(s.QuantileGreater(0.5, src.Intn(10000)))
+		}
+		if h != tc.want {
+			t.Errorf("%s: draw hash %#x, want %#x", tc.name, h, tc.want)
+		}
+	}
+}
+
+const (
+	goldenTable    = 0x626b36cd2d1e5a5b
+	goldenOutliers = 0x113312ada259988f
+)
 
 // TestSamplerIsLiveView pins the accessor contract: Sampler() hands out one
 // stable pointer and that pointer reflects every later Add.
@@ -204,9 +308,16 @@ func TestSamplerIsLiveView(t *testing.T) {
 	}
 }
 
+// fuzzOutliers are the observations a 0xff byte selects in FuzzWindowAdd:
+// both sides of each edge of the rank table's range, and magnitudes no table
+// could be sized by.
+var fuzzOutliers = []int{-1, 1 << 40, rankBound - 1, rankBound, -1 << 40, rankMinCap}
+
 // FuzzWindowAdd drives a window of fuzzer-chosen capacity with
-// fuzzer-chosen observations and checks the oracle after every Add. Each
-// input byte pair is one observation; a small modulus keeps ties frequent.
+// fuzzer-chosen observations and checks the oracle — sorted array, rank at
+// and around every observation, every query, the table's bound — after every
+// Add. Each input byte pair is one observation; a small modulus keeps ties
+// frequent, and a pair led by 0xff picks from fuzzOutliers instead.
 func FuzzWindowAdd(f *testing.F) {
 	f.Add(uint8(1), []byte{0, 1, 0, 1, 0, 0})
 	f.Add(uint8(2), []byte{9, 9, 9, 9, 9, 9, 9, 9})
@@ -214,7 +325,11 @@ func FuzzWindowAdd(f *testing.F) {
 	f.Fuzz(func(t *testing.T, capacity uint8, data []byte) {
 		w := NewWindow(int(capacity)%64 + 1)
 		for i := 0; i+1 < len(data); i += 2 {
-			w.Add((int(data[i])<<8 | int(data[i+1])) % 97)
+			v := (int(data[i])<<8 | int(data[i+1])) % 97
+			if data[i] == 0xff {
+				v = fuzzOutliers[int(data[i+1])%len(fuzzOutliers)]
+			}
+			w.Add(v)
 			checkAgainstOracle(t, w, uint64(i))
 		}
 	})

@@ -303,9 +303,13 @@ func (e *Engine) free(r *request.Request) {
 }
 
 // ensureExtendable evicts running requests (most recently admitted first)
-// until every request in grow can gain one token. Returns the requests that
-// remain extendable; if even a lone request cannot grow, it is failed.
+// until every request in grow can gain one token; if even a lone request
+// cannot grow, it is failed. One token needs at most one new block per
+// request, so with a free block for each of them there is nothing to count.
 func (e *Engine) ensureExtendable(grow []*request.Request) {
+	if len(grow) <= e.pool.AvailableBlocks() {
+		return
+	}
 	for {
 		need := 0
 		for _, r := range grow {

@@ -8,17 +8,21 @@
 #   scripts/bench.sh scale    # long-trace replay sweep   -> BENCH_scale.json
 #
 # The micro suite covers BenchmarkAdmitHotPath, BenchmarkFutureRequiredMemory,
+# BenchmarkPeakEstimatorPush (the splice of one admitted request),
 # BenchmarkWindowSampler (/add: one Add on a full 1000-entry window, 0
-# allocs), the fleet-scale BenchmarkFleetRoute series, the cluster-front
-# admission deadline heap, the MaxPrefillTokens trim, the prefix-cache
-# longest-match lookup (BenchmarkPrefixMatch, 0 allocs steady state), one
-# decode step's handle-addressed KV growth over a 256-request batch
-# (BenchmarkPoolGrow, 0 allocs), the SLO-aware chunk sizer
-# (BenchmarkChunkSchedule, 0 allocs — it runs inside every chunked
-# iteration), and the live path's handler with no socket
-# (BenchmarkServeGenerate: a plain reply and a 64-token streamed one, engine
-# driver goroutine included). The fleet suite runs the
-# cmd/fleetsim scenario family on one bursty ramp: reactive vs predictive
+# allocs; /greater: the two conditional queries at a moving conditioning
+# point), the fleet-scale BenchmarkFleetRoute series (replicas=96 and
+# BenchmarkFleetRouteStepped: 96 replicas with full windows, the rows whose
+# working set is a large replay's), the cluster-front admission deadline
+# heap, the MaxPrefillTokens trim, a decode-heavy engine run end to end
+# (BenchmarkEngineDecodeHeavy), the prefix-cache longest-match lookup
+# (BenchmarkPrefixMatch, 0 allocs steady state), one decode step's
+# handle-addressed KV growth over a 256-request batch (BenchmarkPoolGrow, 0
+# allocs), the SLO-aware chunk sizer (BenchmarkChunkSchedule, 0 allocs — it
+# runs inside every chunked iteration), and the live path's handler with no
+# socket (BenchmarkServeGenerate: a plain reply and a 64-token streamed one,
+# engine driver goroutine included). The fleet suite runs the cmd/fleetsim
+# scenario family on one bursty ramp: reactive vs predictive
 # autoscaling, disaggregated prefill/decode, the 2× overload-ramp admission
 # comparison (shed on/off), the heterogeneous mixed-GPU fleet (cost-aware
 # planner vs the premium flavor alone, compared on CostSeconds), the
@@ -39,13 +43,13 @@ run_micro() {
 	tmp=$(mktemp)
 	trap 'rm -f "$tmp"' EXIT
 
-	go test -run '^$' -bench 'BenchmarkAdmitHotPath|BenchmarkFutureRequiredMemory' \
+	go test -run '^$' -bench 'BenchmarkAdmitHotPath|BenchmarkFutureRequiredMemory|BenchmarkPeakEstimatorPush' \
 		-benchmem ./internal/core/ | tee "$tmp"
 	go test -run '^$' -bench 'BenchmarkWindowSampler' \
 		-benchmem ./internal/dist/ | tee -a "$tmp"
 	go test -run '^$' -bench 'BenchmarkFleetRoute|BenchmarkClusterAdmit' \
 		-benchmem ./internal/cluster/ | tee -a "$tmp"
-	go test -run '^$' -bench 'BenchmarkPrefillTrim|BenchmarkChunkSchedule' \
+	go test -run '^$' -bench 'BenchmarkPrefillTrim|BenchmarkChunkSchedule|BenchmarkEngineDecodeHeavy' \
 		-benchmem ./internal/engine/ | tee -a "$tmp"
 	go test -run '^$' -bench 'BenchmarkPrefixMatch|BenchmarkPoolGrow' \
 		-benchmem ./internal/kv/ | tee -a "$tmp"
