@@ -74,12 +74,15 @@ bench-scale:
 # and the placement-visibility pins (TestHerd*: a burst spreads over
 # identical replicas; TestPlacement*: spliced warm estimator ≡ rebuilt ≡
 # naive reference and the per-replica ledger after every arrival of a crash
-# storm, cores agreeing on bursty streams).
+# storm, cores agreeing on bursty streams), and the lagged-estimator pins
+# (TestLagged*: an estimator kept across pure decode steps bounds the exact
+# probe from below after every event of six small fleets, and every routing
+# decision equals the exact sweep's).
 # Widen with e.g. `make chaos CHAOS_SEEDS=50`.
 CHAOS_SEEDS ?= 5
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 \
-		-run 'TestFaultConservation|TestNoRecoveryLosesTerminally|TestCrashRecoveryWithoutAdmission|TestFaultsDisabledEquivalence|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestParallelFaultStormChaos|TestPrefixDisabledEquivalence|TestPrefixCacheConservation|TestChunkingDisabledEquivalence|TestChunkedParallelEquivalence|TestChunkedConservation|TestChunkPolicyEquivalence|TestHerd|TestPlacement|TestWaitingSet' \
+		-run 'TestFaultConservation|TestNoRecoveryLosesTerminally|TestCrashRecoveryWithoutAdmission|TestFaultsDisabledEquivalence|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestParallelFaultStormChaos|TestPrefixDisabledEquivalence|TestPrefixCacheConservation|TestChunkingDisabledEquivalence|TestChunkedParallelEquivalence|TestChunkedConservation|TestChunkPolicyEquivalence|TestHerd|TestPlacement|TestWaitingSet|TestLagged|TestPureDecode' \
 		./internal/cluster/ ./internal/kv/ ./internal/engine/
 
 # fuzz runs every native fuzz target in the module (go test -list finds

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"github.com/lightllm-go/lightllm/internal/request"
 )
@@ -50,22 +51,47 @@ func BenchmarkFleetRoute(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetRouteStepped is a routing decision the way a replay of a
+// BenchmarkFleetRoutePureStep is a routing decision the way a replay of a
 // large fleet makes it: 96 replicas with full windows, an eighth of them
-// having stepped since the previous arrival (replay-day rebuilds 11.6
-// estimators per arrival), so each pick is 12 rebuilds — every running
-// request re-priced at its own length — and 96 probes.
-func BenchmarkFleetRouteStepped(b *testing.B) {
-	f, cand := benchFleet(b, 96, benchSeed, false)
+// having taken a decode step since the previous arrival (replay-day steps
+// 11.6 replicas per arrival, 87% of those steps plain decode iterations).
+// (Until PR 21 a BenchmarkFleetRouteStepped invalidated that eighth instead;
+// that workload, and its ledger trajectory, is
+// BenchmarkFleetRouteRebuild/replicas=96.)
+// The steps are real — batches of 20 requests long enough to outlast any
+// b.N, on pools that never fill, so every one is a pure decode step and
+// evicts the probe state from the cache the way a replay's does — and only
+// the pick is timed (two clock reads, ~3% of it): 96 probes, 12 of them past
+// their memo, and the one rebuild that proves the winner.
+func BenchmarkFleetRoutePureStep(b *testing.B) {
+	f := MustNew(Config{Replicas: seededReplicas(96, 1<<40, benchSeed), Policy: FutureHeadroom})
+	for i, rep := range f.reps {
+		for k := 0; k < 20; k++ {
+			rep.eng.Submit(request.New(int64(100*i+k), 200+50*k, 1<<24, 1<<24, 0))
+		}
+		rep.eng.Step() // the prefill iteration
+	}
+	cand := request.New(1_000_000, 800, 400, 512, 0)
 	f.pick(cand)
+	var picking time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k := i % 8; k < len(f.reps); k += 8 {
-			f.reps[k].estValid = false
+			rep := f.reps[k]
+			rep.eng.Step()
+			rep.moved(rep.eng.PureDecodeLastStep())
 		}
+		t0 := time.Now()
 		f.pick(cand)
+		picking += time.Since(t0)
 	}
+	for k := (b.N - 1) % 8; k < len(f.reps); k += 8 {
+		if !f.reps[k].eng.PureDecodeLastStep() {
+			b.Fatal("a replica's last step was not a pure decode step")
+		}
+	}
+	b.ReportMetric(float64(picking.Nanoseconds())/float64(b.N), "ns/op")
 }
 
 // placeLoop returns place — one whole arrival on a warm fleet: the routing
@@ -92,7 +118,7 @@ func placeLoop(tb testing.TB) (place, reset func()) {
 				base[i] = orphans
 			}
 			rep.eng.SubmitAll(base[i])
-			rep.estValid = false
+			rep.moved(false)
 		}
 		f.pick(cand)
 	}
@@ -122,19 +148,26 @@ func BenchmarkFleetRoutePlace(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetRouteRebuild additionally invalidates every replica's
-// estimator each decision — the worst case where every replica stepped
-// between arrivals and all estimators rebuild from their engines' state.
+// BenchmarkFleetRouteRebuild is the worst case, where no step since the
+// previous arrival was a pure decode step and every estimator that moved
+// rebuilds from its engine's state — every running request re-priced at its
+// own length: all of a 4-replica fleet per decision, and an eighth of the
+// 96-replica fleet with full windows (12 rebuilds and 96 probes, what every
+// replay-day arrival cost before estimators outlived a decode step).
 func BenchmarkFleetRouteRebuild(b *testing.B) {
-	f, cand := benchFleet(b, 4, 0, false)
-	f.pick(cand)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, rep := range f.reps {
-			rep.estValid = false
-		}
-		f.pick(cand)
+	for _, tc := range []struct{ n, seed, every int }{{4, 0, 1}, {96, benchSeed, 8}} {
+		b.Run(fmt.Sprintf("replicas=%d", tc.n), func(b *testing.B) {
+			f, cand := benchFleet(b, tc.n, tc.seed, false)
+			f.pick(cand)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := i % tc.every; k < len(f.reps); k += tc.every {
+					f.reps[k].moved(false)
+				}
+				f.pick(cand)
+			}
+		})
 	}
 }
 

@@ -22,21 +22,35 @@
 //     decode pool and is admitted through engine.SubmitMigrated with its
 //     KV footprint pre-seeded.
 //
-// Routing probes go through one warm core.PeakEstimator per replica, and
-// each probe is an O(log B) PeakWith — no per-probe clone+sort, no per-probe
-// allocations. What a probe counts is everything the router has put on the
-// replica: the running batch, the FCFS queue, and the requests placed since
-// the replica's last step, which still sit in its engine's arrival heap
-// (engine.WaitingLen is queue + placed-not-yet-queued; the LeastLoaded
-// policy and the reactive autoscaler's load signal count the same set). A
-// placement is therefore visible to the very next probe, also one for an
-// arrival at the same instant, and keeping it visible costs one splice: a
-// replica's step invalidates its estimator and the next probe rebuilds it,
-// while a placement pushes its single entry into the sorted estimator
-// (Pool.placed). What a probe does not count is KV still in transit: a
-// handoff booked on the link toward a decode replica (replica.pendingIn)
-// becomes visible when it is delivered, not when it is booked — measured
-// neutral on the full-feature workload, see ROADMAP.
+// Routing probes go through one warm core.PeakEstimator per replica — no
+// per-probe clone+sort, no per-probe allocations. What a probe counts is
+// everything the router has put on the replica: the running batch, the FCFS
+// queue, and the requests placed since the replica's last step, which still
+// sit in its engine's arrival heap (engine.WaitingLen is queue +
+// placed-not-yet-queued; the LeastLoaded policy and the reactive
+// autoscaler's load signal count the same set). A placement is therefore
+// visible to the very next probe, also one for an arrival at the same
+// instant, and keeping it visible costs one splice: a placement pushes its
+// single entry into the sorted estimator (Pool.placed). What a probe does
+// not count is KV still in transit: a handoff booked on the link toward a
+// decode replica (replica.pendingIn) becomes visible when it is delivered,
+// not when it is booked — measured neutral on the full-feature workload, see
+// ROADMAP.
+//
+// An estimator outlives its replica's pure decode steps
+// (engine.PureDecodeLastStep — most steps of a busy replica). Eq. 2–4's M* is a maximum
+// over future time points, and such a step only moves the replica along its
+// own time axis, so an estimator built k steps ago, asked about the
+// candidate shifted k steps back, answers at most what a rebuild would
+// (Pool.probeBound) — and an argmin needs no more than that of every replica
+// but the one it returns. The FutureHeadroom pick, the admission gate
+// (Pool.bestProbe) and the decode pick (Cluster.pickDecode) sweep over those
+// bounds and rebuild only the replica the sweep ends on; any other step, and
+// a crash, invalidates the estimator as before (replica.moved). Every
+// decision is the exact sweep's, bit for bit: TestLaggedBoundIsSound,
+// TestFutureHeadroomDecisionsGolden. Between steps a probe costs two
+// compares: the estimator's two candidate-independent terms are kept per
+// replica (core.PeakTerms).
 //
 // Autoscaling is per pool: the threshold-reactive
 // high/low-water policy, or the predictive SLA planner (PlannerConfig)
@@ -517,7 +531,6 @@ func (c *Cluster) handleArrival(t float64, req *request.Request) {
 		c.adm.arrive(t, req)
 		return
 	}
-	c.refreshProbes(entry, req)
 	rep := entry.route(req)
 	rep.eng.Submit(req)
 	if c.rec != nil {
@@ -639,9 +652,9 @@ func (c *Cluster) handle(ev event) {
 			return // stale step on a crashed replica; recovery re-arms
 		}
 		rep.eng.Step()
-		// Invalidate unconditionally: a Step returning false can still have
-		// mutated state (queue-timeout drops run before the drained check).
-		rep.estValid = false
+		// Unconditionally: a Step returning false can still have mutated
+		// state (queue-timeout drops run before the drained check).
+		rep.moved(rep.eng.PureDecodeLastStep())
 		if rep.draining && p.drained(rep) {
 			p.retire(rep, rep.eng.Clock())
 		}
@@ -802,30 +815,38 @@ func (c *Cluster) pickDecode(now float64, r *request.Request, bytes int64, dp *P
 		rep := dp.fallbackReplica()
 		return rep, c.expectedDelivery(now, bytes, rep.idx)
 	}
-	var best *replica
-	bestFits, bestDeliver, bestScore := false, math.Inf(1), math.Inf(1)
-	for _, rep := range cands {
-		frac := dp.probe(rep, r)
-		score := frac / rep.flv.relSpeed
-		deliver := c.expectedDelivery(now, bytes, rep.idx)
-		fits := frac <= 1
-		better := false
-		switch {
-		case best == nil:
-			better = true
-		case fits != bestFits:
-			better = fits
-		case deliver != bestDeliver:
-			better = deliver < bestDeliver
-		default:
-			// Equal fit and delivery: the shared (fits, score) ranking.
-			better = betterFit(fits, score, bestFits, bestScore)
+	for {
+		var best *replica
+		bestFits, bestDeliver, bestScore := false, math.Inf(1), math.Inf(1)
+		bestFrac, bestExact := 0.0, true
+		for _, rep := range cands {
+			frac, exact := dp.probeBound(rep, r)
+			score := frac / rep.flv.relSpeed
+			deliver := c.expectedDelivery(now, bytes, rep.idx)
+			fits := frac <= 1
+			better := false
+			switch {
+			case best == nil:
+				better = true
+			case fits != bestFits:
+				better = fits
+			case deliver != bestDeliver:
+				better = deliver < bestDeliver
+			default:
+				// Equal fit and delivery: the shared (fits, score) ranking.
+				better = betterFit(fits, score, bestFits, bestScore)
+			}
+			if better {
+				best, bestFits, bestDeliver, bestScore = rep, fits, deliver, score
+				bestFrac, bestExact = frac, exact
+			}
 		}
-		if better {
-			best, bestFits, bestDeliver, bestScore = rep, fits, deliver, score
+		// The cost vector is monotone in the fraction, so the sweep ends on
+		// the true pick once it ends on an exact value (see bestProbe).
+		if bestExact || dp.probe(best, r) == bestFrac {
+			return best, bestDeliver
 		}
 	}
-	return best, bestDeliver
 }
 
 // scheduleRetry queues an admission re-examination at time `at`, coalescing

@@ -137,7 +137,7 @@ func TestProbeZeroAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
 		for _, rep := range f.reps {
-			rep.estValid = false // state changed, window did not
+			rep.moved(false) // state changed, window did not
 		}
 		f.pick(cand)
 	}); allocs != 0 {
@@ -161,11 +161,12 @@ func TestPlaceThenProbeZeroAllocs(t *testing.T) {
 }
 
 // TestProbePinsWindowGeneration pins the contract behind holding a live
-// dist.Sampler across events: the history window moves only inside Step,
-// every Step clears estValid, so a probe always prices its candidate on the
-// window generation the warm estimator was built at. Every fleet test runs
-// through that check; this one shows it fires when the window is moved
-// behind the cluster's back.
+// dist.Sampler across events: the history window moves only inside a Step
+// that finishes a request, which is never a pure decode step, so every such
+// Step invalidates the warm estimator (replica.moved) and a probe always
+// prices its candidate on the window generation the estimator was built at.
+// Every fleet test runs through that check; this one shows it fires when the
+// window is moved behind the cluster's back.
 func TestProbePinsWindowGeneration(t *testing.T) {
 	f := MustNew(Config{Replicas: replicas(2, 20_000), Policy: FutureHeadroom})
 	f.Serve(poissonReqs(100, 40, 3), 1e9)
@@ -177,10 +178,10 @@ func TestProbePinsWindowGeneration(t *testing.T) {
 				i, rep.estGen, rep.eng.History().Generation())
 		}
 	}
-	f.reps[0].eng.History().Add(77) // no Step, so estValid stays set
+	f.reps[0].eng.History().Add(77) // no Step, so nobody told the replica
 	defer func() {
 		if recover() == nil {
-			t.Fatal("probe read a sampler whose window moved since ensureEst")
+			t.Fatal("probe read a sampler whose window moved since the estimator was built")
 		}
 	}()
 	f.pick(cand)

@@ -192,7 +192,7 @@ func (c *Cluster) crashReplica(ev event) {
 	c.pushEvent(event{at: ev.at + flt.Duration, kind: evRecover, pool: flt.Pool, rep: ev.rep})
 
 	orphans := rep.eng.Crash()
-	rep.estValid = false // the warm estimator's entries evaporated with the engine's
+	rep.moved(false) // the warm estimator's entries evaporated with the engine's
 	c.flt.orphaned += len(orphans)
 	if c.rec != nil {
 		c.rec.Crash(ev.at, flt.Pool, flt.Replica, len(orphans))

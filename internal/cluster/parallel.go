@@ -38,7 +38,6 @@ import (
 	"sync"
 
 	"github.com/lightllm-go/lightllm/internal/engine"
-	"github.com/lightllm-go/lightllm/internal/request"
 )
 
 // stepEntry is one accepted batch member, in event-pop order.
@@ -47,41 +46,26 @@ type stepEntry struct {
 	rep *replica
 }
 
-// chunk is one worker dispatch: a contiguous run of step jobs, or of
-// probe jobs (steps nil). Individual jobs are microseconds — far below the
-// cost of a channel round-trip — so the runner hands each worker one
-// contiguous slice per batch instead of one job at a time, amortizing the
-// coordination across the whole chunk.
-type chunk struct {
-	steps []stepEntry // step chunk: run each entry's engine Step()
-	// Probe chunk: fracs[i] = p.probe(cands[i], req). The slices are
-	// aligned sub-ranges, so writes land in disjoint elements.
-	p     *Pool
-	cands []*replica
-	req   *request.Request
-	fracs []float64
-}
-
-// stepRunner is the persistent worker pool: a chunk channel feeding Workers
-// goroutines that each run engine steps or routing probes. Created lazily
-// on the first evented serve and stopped when it returns, so idle clusters
-// hold no goroutines (test suites build thousands of them).
+// stepRunner is the persistent worker pool: a channel feeding Workers
+// goroutines that each run engine steps. One dispatch is a contiguous run of
+// a batch: individual steps are microseconds — far below the cost of a
+// channel round-trip — so each worker gets one slice per batch instead of one
+// step at a time. Created lazily on the first evented serve and stopped when
+// it returns, so idle clusters hold no goroutines (test suites build
+// thousands of them).
 type stepRunner struct {
 	workers int
-	jobs    chan chunk
+	jobs    chan []stepEntry
 	wg      sync.WaitGroup
 }
 
 func newStepRunner(workers int) *stepRunner {
-	r := &stepRunner{workers: workers, jobs: make(chan chunk, workers)}
+	r := &stepRunner{workers: workers, jobs: make(chan []stepEntry, workers)}
 	for i := 0; i < workers; i++ {
 		go func() {
 			for ch := range r.jobs {
-				for _, se := range ch.steps {
+				for _, se := range ch {
 					se.rep.eng.Step()
-				}
-				for i, rep := range ch.cands {
-					ch.fracs[i] = ch.p.probe(rep, ch.req)
 				}
 				r.wg.Done()
 			}
@@ -90,38 +74,20 @@ func newStepRunner(workers int) *stepRunner {
 	return r
 }
 
-// split sends f(lo, hi) over n ≤ workers even contiguous ranges of a
-// length-k batch and waits for all of them. The caller may reuse the
-// underlying batch slices after return: the wait guarantees no worker
-// still holds a sub-slice.
-func (r *stepRunner) split(k int, f func(lo, hi int) chunk) {
-	n := r.workers
+// run executes one step batch over n ≤ workers even contiguous ranges and
+// waits for every member. Effects were deferred into per-replica buffers, so
+// the only cross-goroutine state is the job channel and the wait group;
+// the caller may reuse the batch slice after return.
+func (r *stepRunner) run(batch []stepEntry) {
+	k, n := len(batch), r.workers
 	if k < n {
 		n = k
 	}
 	r.wg.Add(n)
 	for i := 0; i < n; i++ {
-		r.jobs <- f(i*k/n, (i+1)*k/n)
+		r.jobs <- batch[i*k/n : (i+1)*k/n]
 	}
 	r.wg.Wait()
-}
-
-// run executes one step batch and waits for every member. Effects were
-// deferred into per-replica buffers, so the only cross-goroutine state is
-// the chunk channel and the wait group.
-func (r *stepRunner) run(batch []stepEntry) {
-	r.split(len(batch), func(lo, hi int) chunk { return chunk{steps: batch[lo:hi]} })
-}
-
-// runProbes computes every candidate's probe fraction concurrently and
-// waits. A probe is a pure function of one replica's exclusively owned
-// state (engine queue and batch, history sampler, warm estimator — exactly
-// what validateParallel guarantees) plus the read-only request, so the
-// sequential argmin that follows reads bit-identical values.
-func (r *stepRunner) runProbes(p *Pool, cands []*replica, req *request.Request, fracs []float64) {
-	r.split(len(cands), func(lo, hi int) chunk {
-		return chunk{p: p, cands: cands[lo:hi], req: req, fracs: fracs[lo:hi]}
-	})
 }
 
 func (r *stepRunner) stop() { close(r.jobs) }
@@ -153,27 +119,6 @@ func (c *Cluster) validateParallel() error {
 		}
 	}
 	return nil
-}
-
-// refreshProbes precomputes a FutureHeadroom pick's probe fractions on the
-// worker pool, immediately before the routing decision. The probe loop —
-// estimator rebuilds plus per-candidate quantile predictions — sits on the
-// serial arrival path: every step invalidates its replica's estimate, so
-// each arrival rebuilds most of the fleet. A probe is a pure per-replica
-// function (see runProbes), so computing the fractions concurrently and
-// handing them to pick's sequential argmin is bit-identical to probing
-// inline. No-op on the reference core, at Workers == 1 (no runner), and for
-// policies that never probe.
-func (c *Cluster) refreshProbes(p *Pool, req *request.Request) {
-	if c.runner == nil || p.cfg.Policy != FutureHeadroom || p.cfg.NaiveProbe || len(p.accepting) < 2 {
-		return
-	}
-	if cap(p.fracs) < len(p.accepting) {
-		p.fracs = make([]float64, len(p.accepting))
-	}
-	p.fracs = p.fracs[:len(p.accepting)]
-	c.runner.runProbes(p, p.accepting, req, p.fracs)
-	p.fracsFor = req
 }
 
 // advanceBatched is advanceTo for the batched core: identical event
@@ -242,7 +187,7 @@ func (c *Cluster) advanceBatched(t float64) {
 		for _, se := range c.batch {
 			p, rep := se.p, se.rep
 			rep.buf.Replay()
-			rep.estValid = false
+			rep.moved(rep.eng.PureDecodeLastStep())
 			if rep.draining && p.drained(rep) {
 				p.retire(rep, rep.eng.Clock())
 			}

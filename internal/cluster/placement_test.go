@@ -193,13 +193,14 @@ func probeCandidates() []*request.Request {
 }
 
 // checkPlacementState runs between two events of a live cluster. For every
-// accepting replica the warm estimator — whatever mix of rebuilds and
-// splices produced it — must price each candidate, and the replica's own
-// load, exactly like an estimator built from scratch now and like the naive
-// clone-and-sort reference. For every replica, accepting or not, the engine
-// must hold exactly what was submitted to it and has not left. It returns
-// how many of the warm estimators checked carried a spliced entry.
-func checkPlacementState(t *testing.T, c *Cluster, led *placementLedger, cands []*request.Request) (spliced int) {
+// accepting replica the warm estimator — whatever mix of rebuilds, splices
+// and pure decode steps it has been through — must price each candidate, and
+// the replica's own load, like an estimator built from scratch now and like
+// the naive clone-and-sort reference: exactly if it does not lag, from below
+// if it does. For every replica, accepting or not, the engine must hold
+// exactly what was submitted to it and has not left. It returns how many of
+// the warm estimators checked carried a spliced entry, and how many lagged.
+func checkPlacementState(t *testing.T, c *Cluster, led *placementLedger, cands []*request.Request) (spliced, lagged int) {
 	t.Helper()
 	for _, p := range c.pools {
 		naive := *p
@@ -208,18 +209,28 @@ func checkPlacementState(t *testing.T, c *Cluster, led *placementLedger, cands [
 			if rep.estValid && rep.eng.WaitingLen() > rep.eng.QueueLen() {
 				spliced++
 			}
-			scratch := *rep // same engine, cold estimator: a from-scratch ensureEst
+			if rep.estValid && rep.lag > 0 {
+				lagged++
+			}
+			scratch := *rep // same engine, cold estimator: a from-scratch rebuild
 			scratch.est = core.PeakEstimator{}
-			scratch.estValid = false
+			scratch.moved(false)
+			// The warm estimator is read through a copy and never made exact:
+			// whether the run's next decision rebuilds it is the run's business.
+			warm := *rep
 			for _, cand := range cands {
-				warm, rebuilt, ref := p.probe(rep, cand), p.probe(&scratch, cand), naive.probe(rep, cand)
-				if warm != rebuilt || warm != ref {
-					t.Fatalf("pool %d replica %d: probe of a candidate %d tokens in: warm %v, rebuilt %v, naive %v",
-						p.id, rep.idx, cand.Generated, warm, rebuilt, ref)
+				bound, exact := p.probeBound(&warm, cand)
+				rebuilt, ref := p.probe(&scratch, cand), naive.probe(rep, cand)
+				if rebuilt != ref || bound > ref || (exact && bound != ref) {
+					t.Fatalf("pool %d replica %d: probe of a candidate %d tokens in: warm %v (exact %v, lag %d), rebuilt %v, naive %v",
+						p.id, rep.idx, cand.Generated, bound, exact, warm.lag, rebuilt, ref)
 				}
 			}
-			if warm, rebuilt, ref := p.load(rep), p.load(&scratch), naive.load(rep); warm != rebuilt || warm != ref {
-				t.Fatalf("pool %d replica %d: load warm %v, rebuilt %v, naive %v", p.id, rep.idx, warm, rebuilt, ref)
+			// load is always exact, so only an estimator that does not lag
+			// can answer it without the rebuild the copy must not do.
+			if rebuilt, ref := p.load(&scratch), naive.load(rep); rebuilt != ref || (warm.lag == 0 && p.load(&warm) != ref) {
+				t.Fatalf("pool %d replica %d: load rebuilt %v, naive %v; the warm estimator (lag %d) must answer the same when it does not lag",
+					p.id, rep.idx, rebuilt, ref, warm.lag)
 			}
 		}
 		for _, rep := range p.reps {
@@ -233,7 +244,7 @@ func checkPlacementState(t *testing.T, c *Cluster, led *placementLedger, cands [
 			}
 		}
 	}
-	return spliced
+	return spliced, lagged
 }
 
 // TestPlacementCrossCheck interleaves placements, engine steps and crash
@@ -282,13 +293,14 @@ func TestPlacementCrossCheck(t *testing.T) {
 				c := sc.build(seed, led)
 				cands := probeCandidates()
 				reqs := poissonReqs(350, 60, seed)
-				i, spliced := 0, 0
+				i, spliced, lagged := 0, 0, 0
 				// Probe points at which a replica probed before had finished
 				// a request since: its window moved under what it kept.
 				windowMoved := 0
 				lastGen := map[*replica]uint64{}
 				c.ServeStream(func() *request.Request {
-					spliced += checkPlacementState(t, c, led, cands)
+					sp, lg := checkPlacementState(t, c, led, cands)
+					spliced, lagged = spliced+sp, lagged+lg
 					for _, p := range c.pools {
 						for _, rep := range p.accepting {
 							gen := rep.eng.History().Generation()
@@ -307,6 +319,9 @@ func TestPlacementCrossCheck(t *testing.T) {
 				checkPlacementState(t, c, led, cands)
 				if spliced == 0 {
 					t.Fatal("no warm estimator ever carried a spliced placement: the run never exercised the splice")
+				}
+				if lagged == 0 {
+					t.Fatal("no warm estimator ever lagged its engine at a probe point: the run never exercised the lower bound")
 				}
 				if windowMoved == 0 {
 					t.Fatal("no request finished between two probes of one replica: the run never exercised a moved window")

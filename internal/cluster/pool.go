@@ -207,19 +207,47 @@ type replica struct {
 
 	// Warm probe state: est holds a QuantileEntry for every request running
 	// or waiting on the engine (engine.WaitingLen: queued, or placed by the
-	// router and not yet queued). A Step invalidates it (estValid = false) and
-	// the next probe rebuilds it; a placement splices its one entry in
-	// (Pool.placed), so the probe for the very next arrival already counts
-	// it. sampler is a live view of the engine's history window, so est is
-	// only as fresh as the window generation it was built at (estGen): the
-	// window moves only inside Step, and every Step clears estValid. fresh is
-	// that window's answer for a request with nothing generated, read at the
-	// same generation, so pricing a new arrival reads no window memory.
+	// router and not yet queued), as of the last rebuild (Pool.rebuild). The
+	// engine's changes reach it through moved and placed only:
+	//
+	//   - A placement splices its one entry in (Pool.placed), so the probe
+	//     for the very next arrival already counts it.
+	//   - A pure decode step (engine.PureDecodeLastStep) leaves est alone and
+	//     counts one more step of lag: every running request is one token
+	//     further along its trajectory, which only shifts est's time axis, so
+	//     est still bounds a probe from below (Pool.probeBound) and the
+	//     replica is rebuilt only when that bound cannot rule it out. static
+	//     counts the entries the shift does not apply to — the waiting set at
+	//     the rebuild plus every splice since — each of which costs the bound
+	//     up to lag tokens.
+	//   - Any other step, and a crash, clears estValid: the next probe
+	//     rebuilds.
+	//
+	// sampler is a live view of the engine's history window, so est is only
+	// as fresh as the window generation it was built at (estGen): the window
+	// moves only inside a Step that finishes a request, which is never a pure
+	// decode step. fresh is that window's answer for a request with nothing
+	// generated, read at the same generation, so pricing a new arrival reads
+	// no window memory. memo holds est's PeakTerms for the remaining length
+	// memoRem, the last one probed (noMemo when est changed since), so a
+	// probe that asks for the same length again is two compares. That takes a
+	// replica that neither stepped nor took a placement since its previous
+	// probe, and two candidates whose predictions clamp to one value: the
+	// same max_new_tokens cap at or under the window's quantile (all of
+	// replay-day), or any two caps above it. Counted at seed 1, 88% of
+	// replay-day's probes hit (9% ask for another length, 3% find noMemo) and
+	// 54% of storm-product's (34%, 12%); against probing through PeakWith
+	// that is ×1.08 of replay-day's requests_per_s in 10 of 10 alternating
+	// pairs and nothing either way on storm-product (CHANGES.md, PR 21).
 	est      core.PeakEstimator
 	sampler  *dist.Sampler
 	fresh    core.FreshQuantile
 	estGen   uint64
 	estValid bool
+	lag      int
+	static   int
+	memoRem  int
+	memo     core.PeakTerms
 
 	activeAt   float64 // when the current active span began
 	activeSecs float64 // closed active spans (replica-seconds accounting)
@@ -242,13 +270,6 @@ type Pool struct {
 	plan          *planner
 	planScheduled bool
 	flavActive    []int // scratch: active replica count per flavor at tick time
-
-	// Probe fractions precomputed on the worker pool for one request
-	// (parallel core only; see Cluster.refreshProbes). pick consumes them
-	// when fracsFor matches the request it is routing, aligned with the
-	// accepting slice the fractions were computed over.
-	fracs    []float64
-	fracsFor *request.Request
 
 	scaleUps int
 	scaleIns int
@@ -589,31 +610,7 @@ func (p *Pool) pick(req *request.Request) *replica {
 		}
 		return best
 	case FutureHeadroom:
-		// Rank (fits, speed-normalized score) lexicographically, like the
-		// decode cost vector: speed never makes a predicted overflow fit,
-		// so a fitting slow replica always beats an overflowing fast one.
-		// Fits is a threshold on the raw fraction, so in a single-flavor
-		// pool (score == fraction) this is exactly the raw-fraction argmin.
-		fracs := p.fracs
-		if p.fracsFor != req || len(fracs) != len(cands) {
-			fracs = nil // no precomputed probes for this request: probe inline
-		}
-		p.fracsFor = nil
-		var best *replica
-		bestFits, bestScore := false, math.Inf(1)
-		for i, rep := range cands {
-			var frac float64
-			if fracs != nil {
-				frac = fracs[i]
-			} else {
-				frac = p.probe(rep, req)
-			}
-			fits := frac <= 1
-			score := frac/rep.flv.relSpeed - p.affinity(rep, req)
-			if best == nil || betterFit(fits, score, bestFits, bestScore) {
-				best, bestFits, bestScore = rep, fits, score
-			}
-		}
+		best, _ := p.bestProbe(req, math.Inf(1))
 		return best
 	default: // RoundRobin — rotation starts at the first accepting replica
 		rep := cands[p.rr%len(cands)]
@@ -645,25 +642,54 @@ func (p *Pool) routeTo(req *request.Request, rep *replica) {
 // fraction of its capacity. KV transfers still on the wire toward the
 // replica (replica.pendingIn) are not counted. The warm path is
 // allocation-free: the per-replica estimator is rebuilt in place only after
-// the replica stepped, and the candidate is an O(log B) PeakWith.
+// the replica stepped, and the candidate is an O(log B) PeakWith at most.
 func (p *Pool) probe(rep *replica, req *request.Request) float64 {
+	if !p.cfg.NaiveProbe {
+		p.ensureEst(rep)
+	}
+	frac, _ := p.probeBound(rep, req)
+	return frac
+}
+
+// probeBound is probe without the rebuild a lagging estimator would need: a
+// lower bound of probe's value, and whether it is that value (always, for an
+// estimator that does not lag, and for the NaiveProbe reference).
+//
+// An estimator built lag pure decode steps ago describes memory over time
+// from its own instant: an entry (C, R) holds C+τ tokens at τ ≤ R steps on.
+// Seen from there, today's candidate (C, R) is (C−lag, R+lag). Every running
+// request holds what its entry said it would, for at least as long — its
+// conditional quantile never falls as it generates. Every static entry —
+// waiting then, or spliced in since — has not grown meanwhile and holds up
+// to lag tokens less than its entry says. The future peak M* is a maximum
+// over time points of the sum, so PeakWith(C−lag, R+lag) − lag·static cannot
+// exceed what a rebuild would answer, and equals it when nothing waits and
+// no running request's clamped quantile moved.
+func (p *Pool) probeBound(rep *replica, req *request.Request) (frac float64, exact bool) {
 	if p.cfg.NaiveProbe {
 		batch := append(rep.eng.RunningRequests(), rep.eng.WaitingRequests()...)
 		batch = append(batch, req)
 		peak := core.PredictedBatchPeak(batch, rep.eng.History(), p.cfg.Quantile)
-		return float64(peak) / float64(rep.eng.Pool().CapacityTokens())
+		return float64(peak) / float64(rep.eng.Pool().CapacityTokens()), true
 	}
-	p.ensureEst(rep)
+	if !rep.estValid {
+		p.rebuild(rep)
+	}
 	if rep.eng.History().Generation() != rep.estGen {
 		// The candidate would be priced on a newer distribution than the
 		// entries it is compared with: someone moved the window without
-		// clearing estValid.
-		panic("cluster: routing probe over a history window that moved since ensureEst")
+		// telling the replica (replica.moved).
+		panic("cluster: routing probe over a history window that moved since the estimator was built")
 	}
-	return float64(rep.est.PeakWith(p.entry(rep, req))) / float64(rep.eng.Pool().CapacityTokens())
+	e, k := p.entry(rep, req), rep.lag
+	if rem := e.Remaining + k; rem != rep.memoRem {
+		rep.memo, rep.memoRem = rep.est.Terms(rem), rem
+	}
+	peak := max(rep.memo.With(e.Current-k)-k*rep.static, 0)
+	return float64(peak) / float64(rep.flv.capacity), k == 0
 }
 
-// entry is core.QuantileEntry over the window ensureEst last read: from the
+// entry is core.QuantileEntry over the window rebuild last read: from the
 // recorded fresh-request quantile for a request that has generated nothing,
 // from the live sampler for one that has (an orphan re-routed mid-output, a
 // request already decoding on the replica).
@@ -675,11 +701,11 @@ func (p *Pool) entry(rep *replica, r *request.Request) core.Entry {
 }
 
 // betterFit is the shared (fits, speed-normalized score) lexicographic
-// ranking behind every flavor-aware replica choice: pick()'s
-// FutureHeadroom arm, bestProbe's placement argmin (which MUST stay
-// decision-identical to pick, so admission placements reuse the gate's
-// choice), and the final tie-break of the decode cost vector. One
-// comparator, so the copies cannot drift apart.
+// ranking behind every flavor-aware replica choice: bestProbe's argmin —
+// which is pick()'s FutureHeadroom arm and admission's placement — and the
+// final tie-break of the decode cost vector. Like that vector it ranks fits
+// first: speed never makes a predicted overflow fit, so a fitting slow
+// replica always beats an overflowing fast one.
 func betterFit(fits bool, score float64, bestFits bool, bestScore float64) bool {
 	if fits != bestFits {
 		return fits
@@ -691,47 +717,62 @@ func betterFit(fits bool, score float64, bestFits bool, bestScore float64) bool 
 // accepting replicas whose *raw* probe fraction passes the admission gate,
 // together with the smallest raw fraction across all accepting replicas —
 // the gate's signal: some replica can take the request iff that minimum is
-// at or under the gate. gate = +Inf degrades to the plain FutureHeadroom
-// argmin ((nil, +Inf) when no replica accepts, e.g. everything is still
-// activating). With gate = +Inf the ranking, iteration order, and strict
-// `<` match pick()'s FutureHeadroom argmin exactly, so a placement reusing
-// the returned replica is decision-identical to routing again; a finite
-// gate restricts the argmin to gate-passing replicas, which can diverge
-// from pick() in a heterogeneous pool (a fast replica over the gate but
-// under 1.0 is pickable yet not placeable — the gate is admission's
-// stricter contract). In a single-flavor pool score == fraction and fits
-// is a threshold on that same fraction, so the qualifying argmin coincides
-// with the pre-flavor raw-fraction behavior whenever the gate passes at
-// all.
+// at or under the gate. gate = +Inf is the plain FutureHeadroom argmin,
+// pick()'s ((nil, +Inf) when no replica accepts, e.g. everything is still
+// activating), so an admission placement reusing the returned replica is
+// decision-identical to routing again; a finite gate restricts the argmin to
+// gate-passing replicas, which can diverge from pick() in a heterogeneous
+// pool (a fast replica over the gate but under 1.0 is pickable yet not
+// placeable — the gate is admission's stricter contract). Fits is a
+// threshold on the raw fraction, so in a single-flavor pool (score ==
+// fraction) the argmin is exactly the raw-fraction argmin.
+//
+// A replica whose estimator lags is priced by its lower bound first
+// (probeBound). Both rankings are monotone in the fraction, so a sweep over
+// bounds and exact values that ends on exact ones — for the argmin and for
+// the minimum — ends where a sweep over exact values would, index-order ties
+// included: every other replica's true fraction is no smaller than what it
+// lost with. Only the replicas a sweep ends on are rebuilt, and the sweep
+// repeats only if that moved their value.
 func (p *Pool) bestProbe(req *request.Request, gate float64) (*replica, float64) {
-	var bestRep *replica
-	bestFits, bestScore, minFrac := false, math.Inf(1), math.Inf(1)
-	for _, rep := range p.accepting {
-		f := p.probe(rep, req)
-		if f < minFrac {
-			minFrac = f
+	for {
+		var bestRep, minRep *replica
+		bestFits, bestScore, minFrac := false, math.Inf(1), math.Inf(1)
+		bestFrac, bestExact, minExact := 0.0, true, true
+		for _, rep := range p.accepting {
+			f, exact := p.probeBound(rep, req)
+			if f < minFrac || (f == minFrac && exact && !minExact) {
+				minRep, minFrac, minExact = rep, f, exact
+			}
+			if f > gate {
+				continue
+			}
+			fits := f <= 1
+			score := f/rep.flv.relSpeed - p.affinity(rep, req)
+			if bestRep == nil || betterFit(fits, score, bestFits, bestScore) {
+				bestRep, bestFits, bestScore, bestFrac, bestExact = rep, fits, score, f, exact
+			}
 		}
-		if f > gate {
-			continue
+		settled := true
+		if !bestExact {
+			settled = p.probe(bestRep, req) == bestFrac
 		}
-		fits := f <= 1
-		score := f/rep.flv.relSpeed - p.affinity(rep, req)
-		if bestRep == nil || betterFit(fits, score, bestFits, bestScore) {
-			bestRep, bestFits, bestScore = rep, fits, score
+		if !minExact && minRep != bestRep {
+			settled = p.probe(minRep, req) == minFrac && settled
+		}
+		if settled {
+			return bestRep, minFrac
 		}
 	}
-	return bestRep, minFrac
 }
 
 // affinity is the prefix-cache routing bonus subtracted from a replica's
 // speed-normalized probe score: AffinityWeight × the fraction of the
 // request's prompt the replica's resident prefix blocks already hold. The
-// match is an exact read-only probe of the replica's KV pool, evaluated on
-// the cluster thread (the parallel core precomputes only the pure memory
-// fractions; the affinity term reads live cache state, which routing of
-// earlier arrivals mutates). Exactly 0 whenever the blend is off, the
-// request carries no prefix hashes, or caching is disabled — the score then
-// reduces bit-identically to frac/relSpeed.
+// match is an exact read-only probe of the replica's KV pool — only the
+// memory fraction of a lagging replica is ever a bound. Exactly 0 whenever
+// the blend is off, the request carries no prefix hashes, or caching is
+// disabled — the score then reduces bit-identically to frac/relSpeed.
 func (p *Pool) affinity(rep *replica, req *request.Request) float64 {
 	w := p.cfg.AffinityWeight
 	if w == 0 || len(req.PrefixHashes) == 0 || req.InputLen <= 0 {
@@ -786,12 +827,16 @@ func (p *Pool) load(rep *replica) float64 {
 	return float64(rep.est.Peak()) / float64(rep.eng.Pool().CapacityTokens())
 }
 
-// ensureEst rebuilds a replica's warm estimator if its engine stepped (or
-// crashed) since the last probe.
+// ensureEst makes a replica's warm estimator exact: rebuilt if its engine
+// stepped (or crashed) since it was built.
 func (p *Pool) ensureEst(rep *replica) {
-	if rep.estValid {
-		return
+	if !rep.estValid || rep.lag > 0 {
+		p.rebuild(rep)
 	}
+}
+
+// rebuild reads a replica's warm probe state afresh from its engine.
+func (p *Pool) rebuild(rep *replica) {
 	rep.sampler = rep.eng.History().Sampler()
 	rep.fresh = core.NewFreshQuantile(rep.sampler, p.cfg.Quantile)
 	rep.estGen = rep.eng.History().Generation()
@@ -802,21 +847,42 @@ func (p *Pool) ensureEst(rep *replica) {
 	rep.eng.ForEachRunning(push)
 	rep.eng.ForEachWaiting(push)
 	rep.estValid = true
+	rep.lag, rep.static, rep.memoRem = 0, rep.eng.WaitingLen(), noMemo
+}
+
+// noMemo is the memoRem of an estimator nobody has probed since it changed;
+// no candidate's remaining length is negative.
+const noMemo = -1
+
+// moved tells the warm probe state that the replica's engine changed under
+// it other than by a placement: after every Step — pureDecode is the
+// engine's PureDecodeLastStep — and, with pureDecode false, after a crash or
+// anything else that leaves the estimator describing a batch that is gone.
+// It is the only place that decides between lagging and rebuilding.
+func (rep *replica) moved(pureDecode bool) {
+	if pureDecode && rep.estValid {
+		rep.lag++
+		return
+	}
+	rep.estValid = false
 }
 
 // placed keeps a replica's warm estimator equal to a rebuild after the
 // router submitted req to its engine: the request now sits in the engine's
 // waiting set, so its entry is spliced into the sorted estimator (one binary
 // search, one copy, no allocation) and the next probe — possibly for an
-// arrival at this same instant — prices the replica with req on it. An
-// estimator that is already stale (the replica stepped, or its window moved)
-// stays stale: the next probe's rebuild walks the waiting set and finds req
-// there. Every placement path calls this right after its Submit.
+// arrival at this same instant — prices the replica with req on it. Spliced
+// into a lagging estimator it is one more static entry. An estimator that is
+// already stale (the replica stepped, or its window moved) stays stale: the
+// next probe's rebuild walks the waiting set and finds req there. Every
+// placement path calls this right after its Submit.
 func (p *Pool) placed(rep *replica, req *request.Request) {
 	if rep.estValid && rep.estGen == rep.eng.History().Generation() {
 		rep.est.Push(p.entry(rep, req))
+		rep.static++
+		rep.memoRem = noMemo
 	} else {
-		rep.estValid = false
+		rep.moved(false)
 	}
 }
 

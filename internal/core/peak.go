@@ -178,33 +178,43 @@ func (pe *PeakEstimator) Peak() int {
 // without mutating the estimator. It is bit-identical to
 // futurePeakWithCandidate over the same entries.
 func (pe *PeakEstimator) PeakWith(cand Entry) int {
-	if cand.Remaining < 0 {
-		cand.Remaining = 0
+	return pe.Terms(cand.Remaining).With(cand.Current)
+}
+
+// PeakTerms is PeakWith with the candidate's Remaining fixed: around the
+// candidate's insertion rank p the peak is max(a, Current + d, 0), where a is
+// the maximum over the ranks ahead of it (untouched by the candidate) and d
+// the larger of its own completion point and the ranks behind it, both less
+// its Current. The terms depend only on the estimator's entries and that
+// Remaining, so a caller pricing many candidates of one predicted length
+// against an estimator nobody pushes to keeps them and skips the search.
+type PeakTerms struct{ a, d int }
+
+// Terms returns the PeakTerms of a candidate with the given remaining length.
+// They hold until the next Push or Reset.
+func (pe *PeakEstimator) Terms(remaining int) PeakTerms {
+	if remaining < 0 {
+		remaining = 0
 	}
 	pe.flush()
-	n := len(pe.ent)
-	p := pe.rank(cand.Remaining)
-
+	p := pe.rank(remaining)
 	// The candidate's own completion point at rank p+1.
-	prefBefore := 0
-	peak := negInfPeak
+	t := PeakTerms{a: negInfPeak, d: remaining * (p + 1)}
 	if p > 0 {
-		prefBefore = pe.prefC[p-1]
-		peak = pe.prefMaxM[p-1] // ranks ahead of the candidate: unchanged
-	}
-	if m := prefBefore + cand.Current + cand.Remaining*(p+1); m > peak {
-		peak = m
+		t.a = pe.prefMaxM[p-1] // ranks ahead of the candidate: unchanged
+		t.d += pe.prefC[p-1]
 	}
 	// Ranks behind the candidate: each gains Current and one extra step.
-	if p < n {
-		if m := pe.sufMaxMR[p] + cand.Current; m > peak {
-			peak = m
-		}
+	if p < len(pe.ent) && pe.sufMaxMR[p] > t.d {
+		t.d = pe.sufMaxMR[p]
 	}
-	if peak < 0 {
-		return 0
-	}
-	return peak
+	return t
+}
+
+// With returns PeakWith(Entry{current, remaining}) over the estimator and
+// remaining length t was read at.
+func (t PeakTerms) With(current int) int {
+	return max(t.a, current+t.d, 0)
 }
 
 // PushTrue pushes a request's ground-truth memory trajectory — the oracle's

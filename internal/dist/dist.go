@@ -37,8 +37,10 @@
 //
 // The table is bounded by rankBound entries whatever the observations are:
 // Add accepts any int, and an observation that is negative or ≥ rankBound
-// drops the table for good — the window then ranks by binary search over the
-// sorted array, with the same answers.
+// drops the table — the window then ranks by binary search over the sorted
+// array, with the same answers — until that observation has left the window
+// and everything held lies in [0, rankBound) again, when the table is built
+// anew from the sorted array. RankDrops counts the drops.
 //
 // The ring and the sorted array are allocated once, at NewWindow, and the
 // table grows geometrically to the largest observation seen, so a Window in
@@ -60,6 +62,8 @@ type Window struct {
 	gen  uint64
 
 	samp Sampler // the same n observations, ascending, and their rank index
+
+	rankDrops int // times an observation outside [0, rankBound) dropped the index
 }
 
 // NewWindow creates a window holding at most capacity observations.
@@ -72,16 +76,21 @@ func NewWindow(capacity int) *Window {
 		buf:  make([]int, capacity),
 		samp: Sampler{sorted: make([]int, 0, capacity)},
 	}
-	if capacity <= math.MaxInt32 { // the table counts in int32
+	if w.indexable() {
 		w.samp.le = make([]int32, 0, rankMinCap)
 	}
 	return w
 }
 
+// indexable reports whether the window keeps a rank index while its contents
+// allow one: the table counts in int32.
+func (w *Window) indexable() bool { return len(w.buf) <= math.MaxInt32 }
+
 // Add records one observation, evicting the oldest when the window is full,
 // and moves the sorted CDF and the rank index to match.
 func (w *Window) Add(v int) {
 	s := w.samp.sorted
+	hadIndex := w.samp.le != nil
 	if w.n < len(w.buf) {
 		// Still filling: head is 0, the next ring slot is n.
 		w.buf[w.n] = v
@@ -123,7 +132,21 @@ func (w *Window) Add(v int) {
 		}
 	}
 	w.gen++
+	if w.samp.le == nil && w.indexable() {
+		if hadIndex {
+			w.rankDrops++
+		}
+		if s = w.samp.sorted; s[0] >= 0 && s[len(s)-1] < rankBound {
+			w.samp.reindex() // the last observation outside the bound just left
+		}
+	}
 }
+
+// RankDrops returns how many times an observation outside [0, rankBound)
+// dropped the rank index (it comes back once the observation has left the
+// window). Each drop means O(log n) conditional queries for up to a window's
+// worth of Adds: a served model's output lengths should never cause one.
+func (w *Window) RankDrops() int { return w.rankDrops }
 
 // Len returns the number of observations currently held.
 func (w *Window) Len() int { return w.n }

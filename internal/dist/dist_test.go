@@ -135,6 +135,11 @@ func checkAgainstOracle(t testing.TB, w *Window, seed uint64) {
 	if len(want) == 0 {
 		return
 	}
+	// The table is there exactly while everything held allows one (every
+	// window these tests build is small enough to count in int32).
+	if inside := want[0] >= 0 && want[len(want)-1] < rankBound; (s.le != nil) != inside {
+		t.Fatalf("rank table kept = %v over %v", s.le != nil, []int(want))
+	}
 	// The one rank function, table or search, against the definition: at the
 	// edges of the support and on both sides of every observation.
 	rankAt := func(g int) {
@@ -184,8 +189,9 @@ func checkAgainstOracle(t testing.TB, w *Window, seed uint64) {
 // tiny and production capacities, heavy duplicates (so evicted and inserted
 // values often tie, including old == new), and several wrap-arounds. Each
 // sequence runs twice: from zero up, which keeps the rank table (and, at
-// support 100000, runs it into its bound), and centred on zero, whose first
-// negative observation drops it.
+// support 100000, runs it into its bound and back under), and centred on
+// zero, where negative observations drop it and their eviction rebuilds it,
+// time and again at the small capacities.
 func TestWindowAddMatchesSortOracle(t *testing.T) {
 	for _, capacity := range []int{1, 2, 7, 1000} {
 		for _, support := range []int{1, 3, 50, 5000, 100000} {
@@ -197,10 +203,12 @@ func TestWindowAddMatchesSortOracle(t *testing.T) {
 				if capacity > 100 {
 					every = 37 // the oracle is O(n log n) per check
 				}
-				outside := false
+				outside := 0
 				for i := 0; i < adds; i++ {
 					v := r.Intn(support) - offset
-					outside = outside || v < 0 || v >= rankBound
+					if v < 0 || v >= rankBound {
+						outside++
+					}
 					w.Add(v)
 					if w.Generation() != uint64(i+1) {
 						t.Fatalf("generation = %d after %d adds", w.Generation(), i+1)
@@ -209,8 +217,8 @@ func TestWindowAddMatchesSortOracle(t *testing.T) {
 						checkAgainstOracle(t, w, uint64(i))
 					}
 				}
-				if indexed := w.Sampler().le != nil; indexed == outside {
-					t.Fatalf("capacity %d support %d offset %d: rank table kept = %v", capacity, support, offset, indexed)
+				if drops := w.RankDrops(); drops > outside || (drops == 0) != (outside == 0) {
+					t.Fatalf("capacity %d support %d offset %d: %d drops for %d observations outside the bound", capacity, support, offset, drops, outside)
 				}
 			}
 		}
@@ -218,8 +226,10 @@ func TestWindowAddMatchesSortOracle(t *testing.T) {
 }
 
 // TestRankIndexBound pins the table's limits: it grows to the largest
-// observation seen and no further, an observation at the bound or below zero
-// drops it for the rest of the window's life, and the answers do not change.
+// observation seen and no further; an observation at the bound or below zero
+// drops it, counted, for as long as the window holds one; it comes back, built
+// from what the window holds then, with the Add that evicts the last of them;
+// and the answers never change.
 func TestRankIndexBound(t *testing.T) {
 	w := windowOf(4, 3, rankBound-1, 0)
 	if got := len(w.Sampler().le); got != rankBound {
@@ -229,16 +239,34 @@ func TestRankIndexBound(t *testing.T) {
 	for _, outside := range []int{rankBound, -1, 1 << 40} {
 		w := windowOf(2, 5, 9)
 		w.Add(outside)
-		if w.Sampler().le != nil {
-			t.Fatalf("observation %d kept the rank table", outside)
+		if w.Sampler().le != nil || w.RankDrops() != 1 {
+			t.Fatalf("observation %d: rank table kept = %v after %d drops", outside, w.Sampler().le != nil, w.RankDrops())
 		}
 		checkAgainstOracle(t, w, 2)
-		w.Add(7) // the outlier's eviction does not bring the table back
-		w.Add(8)
+		w.Add(7) // evicts 5: the outlier is still held
 		if w.Sampler().le != nil {
-			t.Fatalf("rank table came back after %d left the window", outside)
+			t.Fatalf("rank table came back while the window still held %d", outside)
 		}
 		checkAgainstOracle(t, w, 3)
+		w.Add(8) // evicts the outlier
+		if got := len(w.Sampler().le); got != 9 || w.RankDrops() != 1 {
+			t.Fatalf("table holds %d entries after %d left a window of {7, 8} (%d drops), want 9 and 1", got, outside, w.RankDrops())
+		}
+		checkAgainstOracle(t, w, 4)
+		w.Add(300) // and it grows and shifts like one that was never dropped
+		w.Add(2)
+		checkAgainstOracle(t, w, 5)
+		w.Add(outside)
+		w.Add(-3) // two outliers held: the first one leaving is not enough
+		w.Add(1)
+		if w.Sampler().le != nil || w.RankDrops() != 2 {
+			t.Fatalf("rank table kept = %v with -3 still held, %d drops", w.Sampler().le != nil, w.RankDrops())
+		}
+		w.Add(4)
+		if w.Sampler().le == nil {
+			t.Fatal("rank table did not come back after both outliers left")
+		}
+		checkAgainstOracle(t, w, 6)
 	}
 }
 

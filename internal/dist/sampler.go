@@ -15,8 +15,8 @@ type Sampler struct {
 	sorted []int // window contents, ascending: the empirical CDF
 	// le is the rank index: le[g] observations are ≤ g, and len(le) exceeds
 	// every observation held. nil when the window ranks by binary search
-	// instead — it saw an observation outside [0, rankBound), or is the zero
-	// Sampler.
+	// instead — it holds an observation outside [0, rankBound), or is the
+	// zero Sampler.
 	le []int32
 }
 
@@ -75,6 +75,20 @@ func (s *Sampler) cover(v, n int) bool {
 		}
 	}
 	return true
+}
+
+// reindex builds the rank index from the sorted array, whose observations
+// all lie in [0, rankBound).
+func (s *Sampler) reindex() {
+	top := s.sorted[len(s.sorted)-1]
+	s.le = make([]int32, top+1, max(top+1, rankMinCap))
+	i := 0
+	for g := range s.le {
+		for i < len(s.sorted) && s.sorted[i] <= g {
+			i++
+		}
+		s.le[g] = int32(i)
+	}
 }
 
 // shift adds d to every count in t.

@@ -70,6 +70,8 @@ func (e *Engine) enqueueChunked(admitted []*request.Request) {
 // (RolePrefillOnly) — KV handoff happens strictly after the final chunk.
 func (e *Engine) runChunked() {
 	decodeTokens := len(e.running)
+	// With nothing in the chunk pipeline this is a plain decode iteration.
+	batch, noChunks := len(e.running), len(e.prefilling) == 0
 	budget := e.cfg.MaxPrefillTokens
 	if budget <= 0 {
 		budget = math.MaxInt
@@ -173,6 +175,7 @@ func (e *Engine) runChunked() {
 		e.running = append(e.running, e.finishScratch...)
 	}
 	e.completeDone()
+	e.pureDecode = noChunks && e.keptBatch(batch)
 	e.observe(e.clock)
 	e.iterationHook("chunked", dur, decodeTokens+nChunks)
 }

@@ -372,6 +372,7 @@ type Engine struct {
 	startClock           float64
 	admitRetries         int
 	released             bool // a request left the engine during the last Step
+	pureDecode           bool // the last Step only grew the running batch by one token each
 
 	// rec is the optional lifecycle recorder; obsPool/obsRep identify this
 	// engine in the cluster when emitting. nil disables every emission site
@@ -756,6 +757,17 @@ func (e *Engine) failRequest(r *request.Request) {
 // evicted request re-queues on the same engine, leaving the predicted peak
 // unchanged.
 func (e *Engine) ReleasedLastStep() bool { return e.released }
+
+// PureDecodeLastStep reports whether the last Step was a plain decode
+// iteration: every running request gained exactly one token, and nothing
+// else an observer prices moved — nobody joined or left the batch (no
+// admission, prompt chunk, eviction, finish or failure), nobody left the
+// waiting set (requests may have moved from the arrival heap into the queue,
+// which WaitingLen counts as one set), no chunk or prefix-cache stamp
+// changed, and the history window did not move. The cluster's routing probes
+// keep a replica's warm estimator across such steps — they only shift its
+// time axis — and rebuild it after any other.
+func (e *Engine) PureDecodeLastStep() bool { return e.pureDecode }
 
 // AddIterationHook chains f after any existing OnIteration hook.
 func (e *Engine) AddIterationHook(f func(now float64, it Iteration)) {

@@ -165,3 +165,80 @@ func TestHandleFollowsMemory(t *testing.T) {
 	}()
 	e.Run()
 }
+
+// TestPureDecodeLastStep pins the signal the cluster's routing probes keep a
+// warm estimator across: whenever a Step reports a pure decode iteration,
+// everything an estimator entry is made of moved the one way a decode step
+// moves it — the same requests run, each one token further with one more
+// token landed, the same requests wait, no chunk or prefix-cache stamp and
+// no history window changed — over engines that admit, finish, evict at the
+// memory edge, chunk prompts and drop timed-out requests between such steps.
+// And a plain decode iteration is reported as one: most steps are.
+func TestPureDecodeLastStep(t *testing.T) {
+	type stamp struct{ generated, landed, cached, prefillDone int }
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want func(res *Result) bool // the run met what it is there for
+	}{
+		{"evictions", Config{Scheduler: core.MustNewAggressive(0.99), CapacityOverride: 1500},
+			func(res *Result) bool { return res.Evictions > 0 }},
+		{"chunked", Config{Scheduler: core.NewOracle(), CapacityOverride: 4000, MaxPrefillTokens: 128,
+			Chunked: ChunkConfig{Enabled: true, ChunkTokens: 64}},
+			func(res *Result) bool { return res.PrefillChunks > 12 }},
+		{"queue-timeout", Config{Scheduler: core.MustNewConservative(1.0), CapacityOverride: 1400, QueueTimeout: 0.5},
+			func(res *Result) bool { return len(res.TimedOut) > 0 }},
+	} {
+		tc.cfg.Perf = testPerf(t)
+		e, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs := mkReqs(12, 200, 120, 200)
+		for i, r := range reqs {
+			r.ArrivalTime = 0.05 * float64(i) // arrivals land between decode steps
+			r.TrueOutputLen -= 7 * i          // and finishes spread out
+		}
+		e.SubmitAll(reqs)
+		steps, pure := 0, 0
+		for {
+			before := map[*request.Request]stamp{}
+			e.ForEachRunning(func(r *request.Request) {
+				before[r] = stamp{r.Generated, r.KVLanded(), r.CachedTokens, r.PrefillDone}
+			})
+			waiting := map[*request.Request]bool{}
+			e.ForEachWaiting(func(r *request.Request) { waiting[r] = true })
+			gen := e.History().Generation()
+			if !e.Step() {
+				break
+			}
+			steps++
+			if !e.PureDecodeLastStep() {
+				continue
+			}
+			pure++
+			if e.ReleasedLastStep() || e.History().Generation() != gen || e.RunningLen() != len(before) || e.WaitingLen() != len(waiting) {
+				t.Fatalf("%s step %d reported pure: released %v, window %d→%d, running %d→%d, waiting %d→%d", tc.name, steps,
+					e.ReleasedLastStep(), gen, e.History().Generation(), len(before), e.RunningLen(), len(waiting), e.WaitingLen())
+			}
+			e.ForEachRunning(func(r *request.Request) {
+				was, ok := before[r]
+				if now := (stamp{r.Generated - 1, r.KVLanded() - 1, r.CachedTokens, r.PrefillDone}); !ok || now != was {
+					t.Fatalf("%s step %d reported pure: request %d went %+v → %+v less a token (ran before: %v)", tc.name, steps, r.ID, was, now, ok)
+				}
+			})
+			e.ForEachWaiting(func(r *request.Request) {
+				if !waiting[r] {
+					t.Fatalf("%s step %d reported pure: request %d joined the waiting set", tc.name, steps, r.ID)
+				}
+			})
+		}
+		res := e.Snapshot()
+		if len(res.Finished)+len(res.TimedOut)+len(res.Failed) != len(reqs) || !tc.want(res) {
+			t.Fatalf("%s: %v; the scenario exercises nothing", tc.name, res)
+		}
+		if pure*2 < steps || pure == steps {
+			t.Fatalf("%s: %d of %d steps reported pure", tc.name, pure, steps)
+		}
+	}
+}

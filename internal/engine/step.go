@@ -17,6 +17,7 @@ const maxAdmitRetries = 3
 // fully drained (no queue, no batch, no future arrivals).
 func (e *Engine) Step() bool {
 	e.released = false
+	e.pureDecode = false
 	if e.Idle() {
 		return false
 	}
@@ -446,6 +447,7 @@ func (e *Engine) completePrefills(admitted []*request.Request) {
 
 // runDecode executes one decode step: every running request emits one token.
 func (e *Engine) runDecode() {
+	batch := len(e.running)
 	e.ensureExtendable(e.running)
 	if len(e.running) == 0 {
 		return
@@ -472,8 +474,18 @@ func (e *Engine) runDecode() {
 		e.outputTokens++
 	}
 	e.completeDone()
+	e.pureDecode = e.keptBatch(batch)
 	e.observe(e.clock)
 	e.iterationHook("decode", dur, n)
+}
+
+// keptBatch reports whether a decode iteration that began with batch running
+// requests and an empty prefill pipeline ended with the same ones: evictions,
+// failed extensions and finishes only ever shrink the batch, and every way
+// out of the engine (a queue timeout earlier in the Step included) sets
+// released.
+func (e *Engine) keptBatch(batch int) bool {
+	return len(e.running) == batch && !e.released
 }
 
 // runMixed executes one splitfuse iteration: all running requests decode one

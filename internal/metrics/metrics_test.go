@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -254,5 +255,39 @@ func TestCostPerGoodCompletion(t *testing.T) {
 	empty.CostSeconds = 10
 	if empty.CostPerGoodCompletion() != 0 {
 		t.Fatal("cost per good completion with zero SLAOK should be 0")
+	}
+}
+
+// TestSummarizeGolden10k pins every value of a Summary over 10 000 finished
+// requests — some outside the window, latencies heavy-tailed and full of
+// ties — to the bits Summarize produced when it still grew its slices by
+// append and took each percentile from stats.Percentile's copy-and-sort
+// (commit 01bf65f): the means must sum in request order and the percentiles
+// interpolate the same two ranks.
+func TestSummarizeGolden10k(t *testing.T) {
+	x := uint64(0x9e3779b97f4a7c15)
+	next := func(n int) int { // xorshift64*: the package does not import rng
+		x ^= x >> 12
+		x ^= x << 25
+		x ^= x >> 27
+		return int((x * 2685821657736338717) >> 33 % uint64(n))
+	}
+	reqs := make([]*request.Request, 10_000)
+	for i := range reqs {
+		arrival := float64(i) * 0.01
+		first := arrival + float64(next(400))/100 + float64(next(100)*next(100)*next(100))/1e5
+		gaps := make([]float64, next(30))
+		for k := range gaps {
+			gaps[k] = float64(next(50))/1000 + float64(next(20)/19)*float64(next(300))/100
+		}
+		reqs[i] = finishedReq(int64(i), arrival, first, gaps)
+		reqs[i].Evictions = next(40) / 38
+	}
+	s := Summarize(reqs, SLA{TTFT: 3, MTPOT: 1}, 5, 95)
+	type fields Summary // without String: every field, floats in shortest round-trip form
+	got := fmt.Sprintf("%+v", fields(s))
+	const want = "{Window:90 Total:8920 SLAOK:2839 TimedOut:0 Shed:0 ViolatedTTFT:4540 ViolatedMTPOT:3209 Crashes:0 Orphaned:0 Recovered:0 ReShed:0 Lost:0 TransferRetries:0 RePrefills:0 MeanTimeToRecover:0 OutputTokens:138584 GoodTokens:36332 Throughput:1539.8222222222223 Goodput:403.68888888888887 MeanTTFT:3.2004995213004537 P99TTFT:8.825196599999986 MeanTPOT:0.09538777395797521 P99TPOT:0.6004049999999994 MeanMTPOT:0.8394673766815993 P99MTPOT:2.9839999999999973 MeanEvictions:0.05190582959641256 CostSeconds:0}"
+	if got != want {
+		t.Fatalf("Summary over the 10k-request result:\n got %s\nwant %s", got, want)
 	}
 }

@@ -474,7 +474,10 @@ func appendFloat(b []byte, f float64) []byte {
 
 // statusResponse is GET /v1/status. Queue is everything accepted and not
 // yet running (engine.WaitingLen): a request accepted since the driver's
-// last step counts there too.
+// last step counts there too. RankDrops is how often an output length
+// outside the history window's rank-index bound made the scheduler's
+// conditional queries fall back to a search (dist.Window.RankDrops); it
+// should stay 0.
 type statusResponse struct {
 	Clock       float64 `json:"clock"`
 	Queue       int     `json:"queue"`
@@ -483,6 +486,7 @@ type statusResponse struct {
 	KVCapacity  int     `json:"kv_capacity_tokens"`
 	Utilization float64 `json:"kv_utilization"`
 	HistoryLen  int     `json:"history_window_len"`
+	RankDrops   int     `json:"history_rank_drops"`
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
@@ -495,6 +499,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
 		KVCapacity:  s.eng.Pool().CapacityTokens(),
 		Utilization: s.eng.Pool().Utilization(),
 		HistoryLen:  s.eng.History().Len(),
+		RankDrops:   s.eng.History().RankDrops(),
 	}
 	s.mu.Unlock()
 	writeJSON(w, resp)

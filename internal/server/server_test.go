@@ -239,6 +239,7 @@ func TestStatusCountsAcceptedBeforeStep(t *testing.T) {
 	if srv.eng.QueueLen() != 0 || srv.eng.RunningLen() != 0 {
 		t.Fatalf("engine stepped: queue %d, running %d", srv.eng.QueueLen(), srv.eng.RunningLen())
 	}
+	srv.eng.History().Add(1 << 20) // an output length past the rank index's bound
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/status", nil))
 	var status statusResponse
@@ -247,6 +248,9 @@ func TestStatusCountsAcceptedBeforeStep(t *testing.T) {
 	}
 	if status.Queue != 2 || status.Running != 0 {
 		t.Fatalf("status counts queue %d, running %d with 2 requests accepted and none stepped", status.Queue, status.Running)
+	}
+	if status.RankDrops != 1 {
+		t.Fatalf("status counts %d rank-index drops after one out-of-bound length", status.RankDrops)
 	}
 }
 

@@ -109,6 +109,14 @@ func CosineSimilarity(a, b []float64) float64 {
 // Percentile returns the p-quantile (p in [0,1]) of vs using linear
 // interpolation between closest ranks. It panics on an empty input.
 func Percentile(vs []float64, p float64) float64 {
+	sorted := make([]float64, len(vs))
+	copy(sorted, vs)
+	return PercentileInPlace(sorted, p)
+}
+
+// PercentileInPlace is Percentile for a caller that owns vs and is done with
+// its order: it sorts vs instead of a copy.
+func PercentileInPlace(vs []float64, p float64) float64 {
 	if len(vs) == 0 {
 		panic("stats: percentile of empty slice")
 	}
@@ -118,20 +126,18 @@ func Percentile(vs []float64, p float64) float64 {
 	if p > 1 {
 		p = 1
 	}
-	sorted := make([]float64, len(vs))
-	copy(sorted, vs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
+	sort.Float64s(vs)
+	if len(vs) == 1 {
+		return vs[0]
 	}
-	rank := p * float64(len(sorted)-1)
+	rank := p * float64(len(vs)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return sorted[lo]
+		return vs[lo]
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return vs[lo]*(1-frac) + vs[hi]*frac
 }
 
 // Mean returns the arithmetic mean, or 0 for an empty slice.

@@ -11,9 +11,11 @@
 # BenchmarkPeakEstimatorPush (the splice of one admitted request),
 # BenchmarkWindowSampler (/add: one Add on a full 1000-entry window, 0
 # allocs; /greater: the two conditional queries at a moving conditioning
-# point), the fleet-scale BenchmarkFleetRoute series (replicas=96 and
-# BenchmarkFleetRouteStepped: 96 replicas with full windows, the rows whose
-# working set is a large replay's), the cluster-front admission deadline
+# point), the fleet-scale BenchmarkFleetRoute series (replicas=96,
+# BenchmarkFleetRoutePureStep and BenchmarkFleetRouteRebuild/replicas=96: 96
+# replicas with full windows, the rows whose working set is a large replay's
+# — nothing stepped, an eighth took a pure decode step, an eighth must
+# rebuild), the cluster-front admission deadline
 # heap, the MaxPrefillTokens trim, a decode-heavy engine run end to end
 # (BenchmarkEngineDecodeHeavy), the prefix-cache longest-match lookup
 # (BenchmarkPrefixMatch, 0 allocs steady state), one decode step's
