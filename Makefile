@@ -77,12 +77,14 @@ bench-scale:
 # storm, cores agreeing on bursty streams), and the lagged-estimator pins
 # (TestLagged*: an estimator kept across pure decode steps bounds the exact
 # probe from below after every event of six small fleets, and every routing
-# decision equals the exact sweep's).
+# decision equals the exact sweep's), and the coasted-decode-step pin
+# (TestCoastMatchesPerTokenPath: an engine that owes its batch tokens and one
+# that walks it every step are indistinguishable, per case and seed).
 # Widen with e.g. `make chaos CHAOS_SEEDS=50`.
 CHAOS_SEEDS ?= 5
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 \
-		-run 'TestFaultConservation|TestNoRecoveryLosesTerminally|TestCrashRecoveryWithoutAdmission|TestFaultsDisabledEquivalence|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestParallelFaultStormChaos|TestPrefixDisabledEquivalence|TestPrefixCacheConservation|TestChunkingDisabledEquivalence|TestChunkedParallelEquivalence|TestChunkedConservation|TestChunkPolicyEquivalence|TestHerd|TestPlacement|TestWaitingSet|TestLagged|TestPureDecode' \
+		-run 'TestFaultConservation|TestNoRecoveryLosesTerminally|TestCrashRecoveryWithoutAdmission|TestFaultsDisabledEquivalence|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestParallelFaultStormChaos|TestPrefixDisabledEquivalence|TestPrefixCacheConservation|TestChunkingDisabledEquivalence|TestChunkedParallelEquivalence|TestChunkedConservation|TestChunkPolicyEquivalence|TestHerd|TestPlacement|TestWaitingSet|TestLagged|TestPureDecode|TestCoast' \
 		./internal/cluster/ ./internal/kv/ ./internal/engine/
 
 # fuzz runs every native fuzz target in the module (go test -list finds

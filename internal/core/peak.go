@@ -40,7 +40,8 @@ type PeakEstimator struct {
 	prefC    []int
 	prefMaxM []int
 	sufMaxMR []int
-	unsorted bool // entries appended since the last sort
+	keys     []uint64 // sortPacked's scratch, reused across flushes
+	unsorted bool     // entries appended since the last sort
 }
 
 // sentinel for empty suffix maxima; far below any reachable M value but far
@@ -94,10 +95,13 @@ func (pe *PeakEstimator) rank(remaining int) int {
 	return lo
 }
 
-// insertionSortMax is the largest batch flush sorts by insertion. A replica's
-// running batch plus waiting set — what the routing probes rebuild after
-// every step — sits well under it, and at that size the comparator call per
-// comparison of a generic sort costs more than the comparisons it saves.
+// insertionSortMax is the largest batch flush sorts by insertion. A fleet
+// replica's running batch plus waiting set — what the routing probes rebuild —
+// sits well under it, where the calls of a generic sort cost more than the
+// comparisons it saves. A single engine at the memory knee does not: the
+// paper's Fig. 7 setting (50 closed-loop clients) runs 44–50 requests plus
+// its queue and straddles the limit, so the sort above it (sortPacked) has to
+// be cheap as well.
 const insertionSortMax = 48
 
 // flush sorts buffered entries, descending by remaining length, and
@@ -121,11 +125,36 @@ func (pe *PeakEstimator) flush() {
 			}
 			ent[j] = e
 		}
-	} else {
+	} else if !pe.sortPacked() {
 		slices.SortFunc(ent, func(a, b Entry) int { return b.Remaining - a.Remaining })
 	}
 	pe.rebuildFrom(0)
 	pe.unsorted = false
+}
+
+// sortPacked sorts the entries descending by remaining length through one
+// word per entry — Remaining in the high half, Current in the low — so the
+// sort compares machine words instead of calling a comparator per pair. Ties
+// come out ordered by Current, which M* cannot see: it depends on the entry
+// multiset only, and every rank lands on a tie group's boundary. It reports
+// false, the entries untouched, when a field does not fit its half: during
+// cold start Remaining is the request's cap, and the server accepts a
+// max_new_tokens of 2^62.
+func (pe *PeakEstimator) sortPacked() bool {
+	keys := pe.keys[:0]
+	for _, e := range pe.ent {
+		if uint64(e.Current)>>32 != 0 || uint64(e.Remaining)>>32 != 0 {
+			return false
+		}
+		keys = append(keys, uint64(e.Remaining)<<32|uint64(e.Current))
+	}
+	pe.keys = keys
+	slices.Sort(keys)
+	last := len(keys) - 1
+	for i, k := range keys {
+		pe.ent[last-i] = Entry{Current: int(uint32(k)), Remaining: int(k >> 32)}
+	}
+	return true
 }
 
 // rebuildFrom recomputes prefix aggregates for ranks ≥ p and the suffix

@@ -64,13 +64,19 @@ func TestPeakEstimatorPeakWithMatchesReferenceQuick(t *testing.T) {
 // all of them, against the clone+sort reference. Remaining is drawn from a
 // handful of values so most entries tie, and includes zero and negatives;
 // the hand-written rank must land after a run of ties exactly where the
-// reference's sort puts the candidate.
+// reference's sort puts the candidate. Above the limit the sort packs an
+// entry into one word; the widest spread includes a Remaining of 2^40 (a
+// cold-start prediction of a huge max_new_tokens), which does not fit and
+// must take the exact path.
 func TestPeakEstimatorAcrossSortSizes(t *testing.T) {
 	var est PeakEstimator
-	for _, n := range []int{300, 0, 1, 2, insertionSortMax - 1, insertionSortMax, insertionSortMax + 1, 300} {
-		for _, spread := range []int{1, 5, 400} { // all ties, heavy ties, mostly distinct
-			r := rng.New(uint64(n*1000 + spread))
+	for _, n := range []int{300, 0, 1, 2, insertionSortMax - 1, insertionSortMax, insertionSortMax + 1, 64, 300} {
+		for _, spread := range []int{1, 5, 400, 1 << 40} { // all ties, heavy ties, mostly distinct, beyond 32 bits
+			r := rng.New(uint64(n*1000 + spread%997))
 			draw := func() Entry {
+				if spread > 400 {
+					return Entry{Current: r.Intn(200), Remaining: []int{spread, 7, spread - 1, 300}[r.Intn(4)]}
+				}
 				return Entry{Current: r.Intn(200), Remaining: r.Intn(spread+2) - 2}
 			}
 			est.Reset()
@@ -97,6 +103,20 @@ func TestPeakEstimatorAcrossSortSizes(t *testing.T) {
 					t.Fatalf("n=%d spread=%d: Peak after splicing %+v = %d, reference %d", n, spread, cand, got, want)
 				}
 			}
+		}
+	}
+	// Warm, no sort allocates: the packed keys live in a reused scratch slice,
+	// and an entry that does not fit falls back to the comparator sort.
+	for _, wide := range []int{0, 1 << 40} {
+		allocs := testing.AllocsPerRun(20, func() {
+			est.Reset()
+			for i := 0; i < 300; i++ {
+				est.Push(Entry{Current: i, Remaining: (i*7919)%500 + wide})
+			}
+			est.Peak()
+		})
+		if allocs != 0 {
+			t.Fatalf("flush of 300 entries (Remaining from %d) allocates %v per run, want 0", wide, allocs)
 		}
 	}
 }

@@ -31,6 +31,22 @@
 // its load signals and the server's status page all count running + waiting.
 // The engine knows nothing of KV transfers still on a cluster link toward
 // it; those are the cluster's to count.
+//
+// Decode steps that owe their tokens. Between completion points every running
+// request grows by exactly one token per step (the fact the paper's Eq. 2–4
+// rest on), so a decode step on which nothing else can happen need not touch
+// the batch: Step advances the engine-wide state — clock, counters, the
+// occupancy series, the iteration observers — and counts one more token owed
+// to each running request (see coast for the condition and the reason for
+// each of its terms). The invariant: between Steps a running request's
+// Generated, LastEmitAt, MaxGap and KV size may trail the engine by the owed
+// tokens; every method that hands out a running request or the pool
+// (RunningRequests, ForEachRunning, Pool, Crash, Snapshot) settles first, in
+// one pass over the batch, and so does Step before any iteration that is not
+// such a step. Read running requests through the engine, never through a
+// pointer kept across Steps. Every simulated number is the one the per-token
+// path produces — the same float additions in the same order — and an engine
+// with a token hook (the streaming server) stays on that path.
 package engine
 
 import (
@@ -304,6 +320,13 @@ type PrefixCacheConfig struct {
 
 // Engine is the continuous-batching serving engine. Not safe for concurrent
 // use; the HTTP server serializes access.
+//
+// Between Steps a running request's Generated, LastEmitAt, MaxGap and KV size
+// may trail the engine by the tokens coasted decode steps owe it (owed, see
+// the package comment): every method that hands out a running request or the
+// pool calls settle first. Inside the package, e.running's requests and
+// e.pool's usage are exact only after settle; code that runs with tokens owed
+// (coast, observe, iterationHook, decodeFloor) reads usage through usedTokens.
 type Engine struct {
 	cfg       Config
 	pool      *kv.Pool
@@ -373,6 +396,19 @@ type Engine struct {
 	admitRetries         int
 	released             bool // a request left the engine during the last Step
 	pureDecode           bool // the last Step only grew the running batch by one token each
+
+	// Coasted decode steps (see the package comment and coast). owed tokens
+	// are counted for every running request — in clock, outputTokens and the
+	// occupancy series — but not yet handed to it or to the pool; owedGap is
+	// the largest clock advance among the steps that owe them, each request's
+	// largest inter-token gap over the run. minLeft is the fewest tokens any
+	// running request had left to emit when the batch was last settled; it is
+	// positive only after a runDecode that kept its batch, the one state a
+	// run of coasted steps can start from.
+	owed         int
+	owedGap      float64
+	minLeft      int
+	coastedSteps int
 
 	// rec is the optional lifecycle recorder; obsPool/obsRep identify this
 	// engine in the cluster when emitting. nil disables every emission site
@@ -525,8 +561,13 @@ func MustNew(cfg Config) *Engine {
 // Clock returns the current simulated time in seconds.
 func (e *Engine) Clock() float64 { return e.clock }
 
-// Pool exposes the KV pool for observation (tests, server status page).
-func (e *Engine) Pool() *kv.Pool { return e.pool }
+// Pool exposes the KV pool for observation (tests, server status page). Like
+// a running request, read it through the engine each time: a pointer kept
+// across Steps may trail the engine by the owed tokens.
+func (e *Engine) Pool() *kv.Pool {
+	e.settle()
+	return e.pool
+}
 
 // History exposes the finished-output-length window.
 func (e *Engine) History() *dist.Window { return e.history }
@@ -598,6 +639,7 @@ func (e *Engine) WaitingLen() int { return e.queue.Len() + e.arrivals.Len() }
 // RunningRequests returns a copy of the running batch (including splitfuse
 // prompts in flight), for observers like the multi-replica router.
 func (e *Engine) RunningRequests() []*request.Request {
+	e.settle()
 	out := make([]*request.Request, 0, len(e.running)+len(e.prefilling)+len(e.staticBatch))
 	out = append(out, e.running...)
 	for _, p := range e.prefilling {
@@ -623,6 +665,7 @@ func (e *Engine) WaitingRequests() []*request.Request {
 // the cluster routing probes' view of the batch. The iteration order
 // matches RunningRequests.
 func (e *Engine) ForEachRunning(f func(*request.Request)) {
+	e.settle()
 	for _, r := range e.running {
 		f(r)
 	}
@@ -868,8 +911,13 @@ func (e *Engine) scaled(dur float64) float64 {
 // (Idle) and its clock untouched; the cluster layer decides each orphan's
 // fate (re-admission with ResetForRetry, or a terminal loss without
 // recovery). No engine counters or hooks fire: the work evaporated, it did
-// not complete, time out, or fail in the engine-semantics sense.
+// not complete, time out, or fail in the engine-semantics sense. Orphans
+// carry every token the engine counted for them, and the last Step's flags
+// (ReleasedLastStep, PureDecodeLastStep) are cleared with the batch they
+// described.
 func (e *Engine) Crash() []*request.Request {
+	e.settle()
+	e.released, e.pureDecode, e.minLeft = false, false, 0
 	orphans := make([]*request.Request, 0,
 		e.queue.Len()+len(e.running)+len(e.prefilling)+len(e.staticBatch)+e.arrivals.Len())
 	e.queue.Filter(
@@ -914,6 +962,8 @@ func (e *Engine) Crash() []*request.Request {
 // outage execute in the past.
 func (e *Engine) SyncClock(t float64) {
 	if t > e.clock {
+		e.settle() // owed tokens were emitted at the old clock
+		e.minLeft = 0
 		e.clock = t
 	}
 }

@@ -554,6 +554,36 @@ func BenchmarkEngineDecodeHeavy(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineDecodeLong is the decode step with nothing else going on: 48
+// requests of 4000 output tokens on a pool that never fills, so after one
+// prefill every step but the last is a pure decode step. /coast is the engine
+// as built; /token-hook carries a no-op token hook and walks its batch on
+// every step — the per-token path the coasted step replaces.
+// BenchmarkEngineDecodeHeavy finishes a request every few steps and sees
+// next to none of the difference.
+func BenchmarkEngineDecodeLong(b *testing.B) {
+	pm := perf.MustNew(perf.Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1)})
+	for _, tokenHook := range []bool{false, true} {
+		name := "coast"
+		if tokenHook {
+			name = "token-hook"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e := MustNew(Config{Perf: pm, Scheduler: core.MustNewConservative(1.0), CapacityOverride: 400_000})
+				if tokenHook {
+					e.AddTokenHook(func(float64, *request.Request) {})
+				}
+				e.SubmitAll(mkReqs(48, 64, 4000, 4096))
+				if res := e.Run(); res.DecodeSteps != 4000 || (res.CoastedSteps > 0) == tokenHook {
+					b.Fatalf("%d decode steps, %d coasted", res.DecodeSteps, res.CoastedSteps)
+				}
+				benchPool = e.Pool()
+			}
+		})
+	}
+}
+
 // TestStepZeroAllocsNilRecorder pins the observability layer's engine-side
 // zero-cost contract: with no recorder attached, a warm steady-state decode
 // step allocates nothing — every emission site is a nil check, so tracing
@@ -561,7 +591,7 @@ func BenchmarkEngineDecodeHeavy(b *testing.B) {
 func TestStepZeroAllocsNilRecorder(t *testing.T) {
 	e := newEngine(t, core.MustNewConservative(1.0), 200_000)
 	// A large decode-heavy batch: admissions settle, then every measured
-	// step is a pure decode iteration over warm storage.
+	// step is a pure decode iteration over warm storage — a coasted one.
 	for _, r := range mkReqs(32, 64, 4000, 4096) {
 		e.Submit(r)
 	}
@@ -577,5 +607,8 @@ func TestStepZeroAllocsNilRecorder(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("recorder-disabled Step allocates %v per op, want 0", allocs)
+	}
+	if res := e.Snapshot(); res.CoastedSteps < 100 {
+		t.Fatalf("%d of %d decode steps coasted; the measured steps were meant to", res.CoastedSteps, res.DecodeSteps)
 	}
 }

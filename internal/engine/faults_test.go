@@ -50,6 +50,10 @@ func TestCrashEvacuatesEverything(t *testing.T) {
 	if !e.Idle() {
 		t.Fatal("engine not idle after crash")
 	}
+	if e.PureDecodeLastStep() || e.ReleasedLastStep() {
+		t.Fatalf("after Crash: pure decode %v, released %v; both describe a batch that is gone",
+			e.PureDecodeLastStep(), e.ReleasedLastStep())
+	}
 	if used := e.Pool().UsedTokens(); used != 0 {
 		t.Fatalf("crashed engine leaked %d KV tokens", used)
 	}
@@ -75,6 +79,64 @@ func TestCrashEvacuatesEverything(t *testing.T) {
 		if r.Retries != 1 {
 			t.Fatalf("request %d retries %d, want 1", r.ID, r.Retries)
 		}
+	}
+}
+
+// TestCrashEvacuatesEverythingMidCoast: ReleasedLastStep and PureDecodeLastStep
+// describe the batch of the Step before the crash, and the second gates the
+// O(1) decode step. A crash in the middle of a run of such steps hands the
+// orphans every token the engine counted for them, clears both flags, and the
+// recovered engine walks its new batch again before it coasts: an idle jump, a
+// prefill and one full decode step come first.
+func TestCrashEvacuatesEverythingMidCoast(t *testing.T) {
+	e := newEngine(t, core.MustNewConservative(1.0), 20_000)
+	reqs := mkReqs(8, 100, 200, 256)
+	e.SubmitAll(reqs)
+	for i := 0; i < 40; i++ {
+		e.Step()
+	}
+	if res := e.Snapshot(); !e.PureDecodeLastStep() || res.CoastedSteps == 0 {
+		t.Fatalf("crash lands outside a run of coasted steps (%d coasted); the scenario exercises nothing", res.CoastedSteps)
+	}
+	for i := 0; i < 7; i++ {
+		e.Step() // nothing settles: seven tokens are owed at the crash
+	}
+	orphans := e.Crash()
+	if e.PureDecodeLastStep() || e.ReleasedLastStep() {
+		t.Fatalf("after Crash: pure decode %v, released %v; both describe a batch that is gone",
+			e.PureDecodeLastStep(), e.ReleasedLastStep())
+	}
+	for _, r := range orphans {
+		// The prefill iteration emits nothing; every decode step one token.
+		if want := e.Snapshot().DecodeSteps; r.Generated != want {
+			t.Fatalf("orphan %d carries %d tokens, the engine counted %d", r.ID, r.Generated, want)
+		}
+	}
+
+	e.SyncClock(e.Clock() + 1)
+	for _, r := range orphans {
+		r.ResetForRetry()
+		e.SubmitAt(r, e.Clock()+0.5)
+	}
+	coasted := e.Snapshot().CoastedSteps
+	for i, want := range []string{"idle", "prefill", "decode"} {
+		clock, steps := e.Clock(), e.Snapshot().DecodeSteps
+		e.Step()
+		res := e.Snapshot()
+		if res.CoastedSteps != coasted {
+			t.Fatalf("step %d after recovery (%s) coasted", i, want)
+		}
+		if want == "idle" && (e.Clock() != clock+0.5 || res.DecodeSteps != steps) {
+			t.Fatalf("step %d after recovery: clock %v → %v, decode steps %d → %d; want the jump to the arrivals",
+				i, clock, e.Clock(), steps, res.DecodeSteps)
+		}
+	}
+	e.Step()
+	if got := e.Snapshot().CoastedSteps; got != coasted+1 {
+		t.Fatalf("second decode step after recovery: %d coasted steps, want %d", got, coasted+1)
+	}
+	if res := e.Run(); len(res.Finished) != len(reqs) {
+		t.Fatalf("finished %d of %d after recovery", len(res.Finished), len(reqs))
 	}
 }
 

@@ -373,10 +373,10 @@ func (e *Engine) EffectFloor() float64 {
 // request outright — so no guarantee holds.
 func (e *Engine) decodeFloor() float64 {
 	n := len(e.running)
-	if e.pool.FreeBlocks() < n {
+	if e.pool.FreeBlocks()-e.owedTokens() < n {
 		return e.clock
 	}
-	return e.clock + e.scaled(e.cfg.Perf.DecodeTime(n, e.pool.UsedTokens()+n))
+	return e.clock + e.scaled(e.cfg.Perf.DecodeTime(n, e.usedTokens()+n))
 }
 
 // headOfLine returns the request the next admission pass would consider

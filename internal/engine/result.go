@@ -31,6 +31,11 @@ type Result struct {
 	// DecodeSteps counts decode (and splitfuse mixed) iterations — Table 1's
 	// "Decoding Steps" column normalised per run.
 	DecodeSteps int
+	// CoastedSteps counts the decode steps among them that cost O(1): the
+	// engine owed each running request its token and settled the batch once
+	// per run of such steps (see Engine). Host-side bookkeeping — no
+	// simulated number depends on it.
+	CoastedSteps int
 	// PrefillIters counts fused prefill iterations.
 	PrefillIters int
 	// ChunkIters counts chunked-prefill iterations (chunked mode only).
@@ -130,6 +135,7 @@ func (e *Engine) RunUntil(deadline float64) *Result {
 
 // Snapshot assembles a Result from the current counters without stepping.
 func (e *Engine) Snapshot() *Result {
+	e.settle()
 	name := "static-batch"
 	if e.sched != nil {
 		name = e.sched.Name()
@@ -142,6 +148,7 @@ func (e *Engine) Snapshot() *Result {
 		TimedOut:             append([]*request.Request(nil), e.timedOut...),
 		HandedOff:            append([]*request.Request(nil), e.handedOff...),
 		DecodeSteps:          e.decodeSteps,
+		CoastedSteps:         e.coastedSteps,
 		PrefillIters:         e.prefillIters,
 		ChunkIters:           e.chunkIters,
 		PrefillChunks:        e.prefillChunks,

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/lightllm-go/lightllm/internal/core"
 	"github.com/lightllm-go/lightllm/internal/kv"
@@ -16,8 +17,13 @@ const maxAdmitRetries = 3
 // Step executes one engine iteration and returns false when the engine is
 // fully drained (no queue, no batch, no future arrivals).
 func (e *Engine) Step() bool {
+	if e.coast() {
+		return true
+	}
+	e.settle()
 	e.released = false
 	e.pureDecode = false
+	e.minLeft = 0
 	if e.Idle() {
 		return false
 	}
@@ -111,6 +117,81 @@ func (e *Engine) Step() bool {
 	}
 	return false
 }
+
+// coast takes a decode step in O(1) when the per-token step (runDecode) could
+// change nothing but one token per running request, and reports whether it
+// did. It is chosen per step from what the engine can observe; each term of
+// the condition removes one thing the per-token step might do besides:
+//
+//   - minLeft > 0: the previous Step was a runDecode that kept its batch, so
+//     every running request has its first token and LastEmitAt == clock — the
+//     gap this step adds is the clock advance, the same for all of them (a
+//     prefill's newcomers have neither; chunked, split-fuse and static
+//     iterations never set minLeft);
+//   - owed+1 < minLeft: no running request emits its last token on this step,
+//     so nobody finishes, the history window holds and no hook fires;
+//   - nothing queued and no arrival due: no admission round (a sampling
+//     scheduler draws from its generator in every one) and no queue timeout;
+//   - no OnToken hook: nobody is told of tokens one by one;
+//   - block size 1 and a physically free block for every owed token and this
+//     step's: each token is one block, nothing is evicted, and no cached
+//     prefix block is reclaimed to make room (AvailableBlocks would count
+//     those as free).
+//
+// What remains is engine-wide: the step's duration priced on the KV the batch
+// would hold, the clock, the counters, the occupancy series and the iteration
+// observers, all read off the owed-adjusted pool numbers.
+func (e *Engine) coast() bool {
+	n := len(e.running)
+	if e.owed+1 >= e.minLeft || e.queue.Len() > 0 ||
+		(e.arrivals.Len() > 0 && e.arrivals[0].at <= e.clock) ||
+		e.cfg.Hooks.OnToken != nil ||
+		e.pool.BlockSize() != 1 || (e.owed+1)*n > e.pool.FreeBlocks() {
+		return false
+	}
+	prev := e.clock
+	dur := e.scaled(e.cfg.Perf.DecodeTime(n, e.usedTokens()+n))
+	e.clock += dur
+	e.decodeSteps++
+	e.coastedSteps++
+	e.outputTokens += int64(n)
+	e.owed++
+	// What EmitToken would measure: every request last emitted at prev.
+	if gap := e.clock - prev; gap > e.owedGap {
+		e.owedGap = gap
+	}
+	e.observe(e.clock)
+	e.iterationHook("decode", dur, n)
+	return true
+}
+
+// settle hands every running request the tokens coasted steps owe it — KV
+// growth, Generated, LastEmitAt, MaxGap — in one pass, leaving the engine as
+// the per-token path would have. The pool's usage only grew over the run, so
+// its peaks land on the values they would have reached token by token.
+func (e *Engine) settle() {
+	k := e.owed
+	if k == 0 {
+		return
+	}
+	e.owed = 0
+	for _, r := range e.running {
+		if !e.pool.Extend(r.KV, k) {
+			panic(fmt.Sprintf("engine: no room for %d owed tokens of request %d", k, r.ID))
+		}
+		r.EmitTokens(k, e.clock, e.owedGap)
+	}
+	e.minLeft -= k
+	e.owedGap = 0
+}
+
+// owedTokens is how many tokens the pool's usage trails the engine by — and
+// how many blocks: the block size is 1 whenever any are owed.
+func (e *Engine) owedTokens() int { return e.owed * len(e.running) }
+
+// usedTokens is the pool's logical usage with the owed tokens counted: what
+// UsedTokens would read had every coasted step extended the batch.
+func (e *Engine) usedTokens() int { return e.pool.UsedTokens() + e.owedTokens() }
 
 // moveArrivals transfers due arrivals into the FCFS queue.
 func (e *Engine) moveArrivals() {
@@ -457,6 +538,7 @@ func (e *Engine) runDecode() {
 	dur := e.scaled(e.cfg.Perf.DecodeTime(n, kvTokens))
 	e.clock += dur
 	e.decodeSteps++
+	minLeft := math.MaxInt
 	for _, r := range e.running {
 		if !e.pool.Extend(r.KV, 1) {
 			// ensureExtendable guarantees space; defensive requeue.
@@ -472,9 +554,13 @@ func (e *Engine) runDecode() {
 			e.rec.FirstToken(e.clock, r, e.obsPool, e.obsRep)
 		}
 		e.outputTokens++
+		minLeft = min(minLeft, r.RemainingTrue())
 	}
 	e.completeDone()
 	e.pureDecode = e.keptBatch(batch)
+	if e.pureDecode {
+		e.minLeft = minLeft // the batch coast may start from
+	}
 	e.observe(e.clock)
 	e.iterationHook("decode", dur, n)
 }
@@ -614,8 +700,8 @@ func (e *Engine) completeDone() {
 // observe records occupancy and batch-size time series at time t.
 func (e *Engine) observe(t float64) {
 	capacity := float64(e.pool.CapacityTokens())
-	e.memUtil.Observe(t, float64(e.pool.UsedTokens())/capacity)
-	e.physUtil.Observe(t, float64(e.pool.PhysicalUsedTokens())/capacity)
+	e.memUtil.Observe(t, float64(e.usedTokens())/capacity)
+	e.physUtil.Observe(t, float64(e.pool.PhysicalUsedTokens()+e.owedTokens())/capacity)
 	e.batchSize.Observe(t, float64(len(e.running)+len(e.prefilling)+len(e.staticBatch)))
 }
 
@@ -626,7 +712,7 @@ func (e *Engine) observe(t float64) {
 func (e *Engine) iterationHook(kind string, dur float64, batch int) {
 	if e.cfg.Hooks.OnIteration != nil {
 		e.cfg.Hooks.OnIteration(e.clock, Iteration{
-			Kind: kind, Duration: dur, BatchSize: batch, KVTokens: e.pool.UsedTokens(),
+			Kind: kind, Duration: dur, BatchSize: batch, KVTokens: e.usedTokens(),
 		})
 	}
 	if e.rec != nil {
@@ -639,7 +725,7 @@ func (e *Engine) iterationHook(kind string, dur float64, batch int) {
 				e.lastCacheEvict += d
 			}
 		}
-		kvBytes := int64(e.pool.UsedTokens()) * e.KVBytesPerToken()
+		kvBytes := int64(e.usedTokens()) * e.KVBytesPerToken()
 		e.rec.Iteration(e.clock, e.obsPool, e.obsRep, kind, dur, batch, kvBytes, e.queue.Len())
 	}
 }

@@ -273,6 +273,23 @@ func (r *Request) EmitToken(now float64) {
 	r.Generated++
 }
 
+// EmitTokens records k output tokens at once for a request that already has
+// its first: the last of them at now, maxGap the largest gap between
+// consecutive ones (the first measured from LastEmitAt). It leaves the
+// request exactly as k EmitToken calls at those times would — the engine
+// uses it to settle a run of decode steps it did not walk the batch for.
+func (r *Request) EmitTokens(k int, now, maxGap float64) {
+	if r.FirstTokenAt < 0 || k <= 0 || r.Generated+k > r.TrueOutputLen {
+		panic(fmt.Sprintf("request %d: %d tokens emitted at once after %d of %d (first token at %v)",
+			r.ID, k, r.Generated, r.TrueOutputLen, r.FirstTokenAt))
+	}
+	if maxGap > r.MaxGap {
+		r.MaxGap = maxGap
+	}
+	r.LastEmitAt = now
+	r.Generated += k
+}
+
 // Finish marks completion at the given time.
 func (r *Request) Finish(now float64) {
 	if !r.Done() {

@@ -17,7 +17,9 @@
 # — nothing stepped, an eighth took a pure decode step, an eighth must
 # rebuild), the cluster-front admission deadline
 # heap, the MaxPrefillTokens trim, a decode-heavy engine run end to end
-# (BenchmarkEngineDecodeHeavy), the prefix-cache longest-match lookup
+# (BenchmarkEngineDecodeHeavy), 4000 pure decode steps of a 48-request batch
+# (BenchmarkEngineDecodeLong: /coast as built, /token-hook on the per-token
+# path the coasted step replaces), the prefix-cache longest-match lookup
 # (BenchmarkPrefixMatch, 0 allocs steady state), one decode step's
 # handle-addressed KV growth over a 256-request batch (BenchmarkPoolGrow, 0
 # allocs), the SLO-aware chunk sizer (BenchmarkChunkSchedule, 0 allocs — it
@@ -51,7 +53,7 @@ run_micro() {
 		-benchmem ./internal/dist/ | tee -a "$tmp"
 	go test -run '^$' -bench 'BenchmarkFleetRoute|BenchmarkClusterAdmit' \
 		-benchmem ./internal/cluster/ | tee -a "$tmp"
-	go test -run '^$' -bench 'BenchmarkPrefillTrim|BenchmarkChunkSchedule|BenchmarkEngineDecodeHeavy' \
+	go test -run '^$' -bench 'BenchmarkPrefillTrim|BenchmarkChunkSchedule|BenchmarkEngineDecode' \
 		-benchmem ./internal/engine/ | tee -a "$tmp"
 	go test -run '^$' -bench 'BenchmarkPrefixMatch|BenchmarkPoolGrow' \
 		-benchmem ./internal/kv/ | tee -a "$tmp"
