@@ -53,38 +53,39 @@ bench-fleet:
 	./scripts/bench.sh fleet
 
 # bench-scale refreshes BENCH_scale.json: the streamed million-request day
-# trace replayed on the reference, 1-worker, and full-width simulation
-# cores, hard-failing unless all three reports are byte-identical. Scale up
+# trace replayed as built and as its per-step twin (no coasted decode
+# steps), hard-failing unless the two reports are byte-identical. Scale up
 # with e.g. `make bench-scale SCALE_REQUESTS=10000000`.
 bench-scale:
-	SCALE_REQUESTS=$(SCALE_REQUESTS) SCALE_WORKERS=$(SCALE_WORKERS) \
-		SCALE_REPEAT=$(SCALE_REPEAT) ./scripts/bench.sh scale
+	SCALE_REQUESTS=$(SCALE_REQUESTS) SCALE_REPEAT=$(SCALE_REPEAT) ./scripts/bench.sh scale
 
 # chaos sweeps the fault-injection suite under the race detector: randomized
 # crash/retry conservation across CHAOS_SEEDS seeds (default 5), the KV-link
 # backoff/busy-monotonicity properties, the 4-seed faults-disabled
-# bit-identical equivalence pin, the parallel-core fault-storm sweep
-# (batched core vs sequential reference, decision-for-decision, per seed),
-# the 4-seed prefix-caching-disabled equivalence pin, exactly-once
-# conservation through the full KV reuse hierarchy (cache hits, eviction,
-# offload, crash-induced cache drops) under a crash storm, the chunked-
-# prefill pins (chunking-disabled bit-identity, chunked parallel-core
-# equivalence, greedy-vs-degenerate-SLO policy equivalence), exactly-once
-# conservation through chunked prefill × prefix-cache hits × crash storms,
-# and the placement-visibility pins (TestHerd*: a burst spreads over
-# identical replicas; TestPlacement*: spliced warm estimator ≡ rebuilt ≡
-# naive reference and the per-replica ledger after every arrival of a crash
-# storm, cores agreeing on bursty streams), and the lagged-estimator pins
+# bit-identical equivalence pin, the 4-seed prefix-caching-disabled
+# equivalence pin, exactly-once conservation through the full KV reuse
+# hierarchy (cache hits, eviction, offload, crash-induced cache drops) under
+# a crash storm, the chunk policy pin (greedy-vs-degenerate-SLO
+# equivalence), exactly-once conservation through chunked prefill ×
+# prefix-cache hits × crash storms, and the placement-visibility pins
+# (TestHerd*: a burst spreads over identical replicas; TestPlacement*:
+# spliced warm estimator ≡ rebuilt ≡ naive reference and the per-replica
+# ledger after every arrival of a crash storm), and the lagged-estimator pins
 # (TestLagged*: an estimator kept across pure decode steps bounds the exact
 # probe from below after every event of six small fleets, and every routing
-# decision equals the exact sweep's), and the coasted-decode-step pin
+# decision equals the exact sweep's), and the coasted-decode-step pins
 # (TestCoastMatchesPerTokenPath: an engine that owes its batch tokens and one
-# that walks it every step are indistinguishable, per case and seed).
+# that walks it every step are indistinguishable, per case and seed;
+# TestCoastRunIsPredicted: a run's priced end is where coasting stops;
+# TestCoastRunMatchesPerStepPath: a cluster that pops one event per run of
+# coasted steps and its per-step twin are indistinguishable — decisions,
+# every request's times, span, time-series and Perfetto exports — on the
+# seam, storm, chunked, prefix, placement and lock-step scenarios).
 # Widen with e.g. `make chaos CHAOS_SEEDS=50`.
 CHAOS_SEEDS ?= 5
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 \
-		-run 'TestFaultConservation|TestNoRecoveryLosesTerminally|TestCrashRecoveryWithoutAdmission|TestFaultsDisabledEquivalence|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestParallelFaultStormChaos|TestPrefixDisabledEquivalence|TestPrefixCacheConservation|TestChunkingDisabledEquivalence|TestChunkedParallelEquivalence|TestChunkedConservation|TestChunkPolicyEquivalence|TestHerd|TestPlacement|TestWaitingSet|TestLagged|TestPureDecode|TestCoast' \
+		-run 'TestFaultConservation|TestNoRecoveryLosesTerminally|TestCrashRecoveryWithoutAdmission|TestFaultsDisabledEquivalence|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestPrefixDisabledEquivalence|TestPrefixCacheConservation|TestChunkedConservation|TestChunkPolicyEquivalence|TestHerd|TestPlacement|TestWaitingSet|TestLagged|TestPureDecode|TestCoast' \
 		./internal/cluster/ ./internal/kv/ ./internal/engine/
 
 # fuzz runs every native fuzz target in the module (go test -list finds

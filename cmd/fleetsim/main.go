@@ -210,12 +210,11 @@ func main() {
 		decodeHR  = flag.Float64("decode-headroom", 0.7, "disagg: decode pool planner utilization target (decode queueing costs MTPOT; the MTPOT correction loop lets this run tighter than the old 0.6 default)")
 		linkGBps  = flag.Float64("link-gbps", 64, "disagg: KV-transfer link bandwidth, GB/s (0 = latency-only)")
 		linkLat   = flag.Float64("link-latency", 0.002, "disagg: KV-transfer link latency, seconds")
-		scaleRun_ = flag.Bool("scale", false, "run the long-trace replay throughput sweep (reference core, 1-worker batched core, -workers batched core) on a streamed diurnal day trace; -json writes BENCH_scale.json")
-		workers   = flag.Int("workers", 8, "scale: batched-core width for the widest run (0/1 skip the wide run)")
+		scaleRun_ = flag.Bool("scale", false, "run the long-trace replay on a streamed diurnal day trace, as built and as its per-step twin (no coasted decode steps), and require identical reports; -json writes BENCH_scale.json")
 		scaleReqs = flag.Int("scale-requests", 1_000_000, "scale: day-trace length, requests")
 		scaleReps = flag.Int("scale-replicas", 96, "scale: fleet width for the replay")
 		scalePeak = flag.Float64("scale-peak", 1200, "scale: diurnal peak arrival rate, req/s")
-		scaleRep  = flag.Int("scale-repeat", 1, "scale: timing repeats per core (wall-clock is the min; report equality is checked on every repeat)")
+		scaleRep  = flag.Int("scale-repeat", 1, "scale: timing repeats per mode (wall-clock is the min; report equality is checked on every repeat)")
 		jsonPath  = flag.String("json", "", "write the report(s) as JSON to this file")
 		csvPath   = flag.String("csv", "", "write the planner evaluation trace as CSV to this file")
 		dynSlack  = flag.Bool("dynamic-slack", false, "overload: append an overload-dynshed mode that adapts the admission reserve from observed engine-side waits (A/B against overload-shed's static -slack)")
@@ -243,7 +242,7 @@ func main() {
 	if *scaleRun_ {
 		res := runScale(scaleOptions{
 			requests: *scaleReqs, replicas: *scaleReps, capacity: *capacity,
-			peak: *scalePeak, workers: *workers, repeat: *scaleRep,
+			peak: *scalePeak, repeat: *scaleRep,
 			seed: *seed, maxNew: 150,
 		})
 		if *jsonPath != "" {

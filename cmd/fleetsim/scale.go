@@ -2,13 +2,14 @@ package main
 
 // The -scale mode: long-trace replay throughput. A compressed "day" of
 // traffic — diurnal rate curve, drifting workload mixture — streams through
-// a large monolithic Past-Future fleet three times on identical regenerated
-// arrival streams: the sequential reference core (workers=0), the batched
-// core with one worker (the coordination-overhead baseline), and the
-// batched core at the requested width. The run hard-fails unless all three
-// reports are byte-identical — the speedup numbers are only meaningful
-// because the answers are exactly the same — and reports wall-clock,
-// events/sec, and speedups, optionally as BENCH_scale.json via -json.
+// a large monolithic Past-Future fleet twice on identical regenerated arrival
+// streams: as built, where a run of coasted decode steps costs one heap event,
+// and as its per-step twin, the same fleet with a no-op token hook on every
+// engine, which never coasts and so pops one event per engine step. The run
+// hard-fails unless the two reports are byte-identical — the speed numbers
+// mean something only because the answers are exactly the same — and reports
+// wall-clock, heap events and simulated seconds per wall second for both,
+// optionally as BENCH_scale.json via -json.
 
 import (
 	"encoding/json"
@@ -24,6 +25,7 @@ import (
 	"github.com/lightllm-go/lightllm/internal/metrics"
 	"github.com/lightllm-go/lightllm/internal/model"
 	"github.com/lightllm-go/lightllm/internal/perf"
+	"github.com/lightllm-go/lightllm/internal/request"
 	"github.com/lightllm-go/lightllm/internal/rng"
 	"github.com/lightllm-go/lightllm/internal/workload"
 )
@@ -34,23 +36,20 @@ type scaleOptions struct {
 	replicas int     // fleet width
 	capacity int     // per-replica KV capacity override, tokens
 	peak     float64 // diurnal peak arrival rate, req/s
-	workers  int     // batched-core width for the widest run
-	repeat   int     // timing repeats per core; wall-clock is the min
+	repeat   int     // timing repeats per mode; wall-clock is the min
 	seed     uint64
 	maxNew   int // output cap: keeps OSL ≈ 150, the day-trace calibration
 }
 
-// scaleRun is one core's measured replay.
+// scaleRun is one mode's measured replay.
 type scaleRun struct {
-	Workers      int     `json:"workers"`
-	WallSeconds  float64 `json:"wall_s"`
-	Events       int64   `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	// MeanBatchWidth is steps per formed batch (0 on the reference core);
-	// it bounds how many workers the replay can actually use.
-	MeanBatchWidth float64 `json:"mean_batch_width,omitempty"`
-	// SpeedupVsRef is reference wall-clock over this run's wall-clock.
-	SpeedupVsRef float64 `json:"speedup_vs_ref"`
+	// Mode is "coasting" (as built) or "per-step" (the token-hooked twin).
+	Mode        string  `json:"mode"`
+	WallSeconds float64 `json:"wall_s"`
+	// HeapEvents is what the cluster popped off its event heap.
+	HeapEvents int64 `json:"heap_events"`
+	// SimPerWall is simulated seconds served per wall-clock second.
+	SimPerWall float64 `json:"sim_s_per_wall_s"`
 }
 
 // scaleResult is the BENCH_scale.json payload.
@@ -61,20 +60,19 @@ type scaleResult struct {
 	PeakRate float64 `json:"peak_rate_req_s"`
 	Seed     uint64  `json:"seed"`
 	Repeat   int     `json:"timing_repeats"`
-	// NumCPU bounds any honest speedup claim: on a single-core host the
-	// widest run can only tie the 1-worker baseline, whatever the code does.
-	NumCPU       int     `json:"num_cpu"`
-	GoMaxProcs   int     `json:"gomaxprocs"`
-	SimSeconds   float64 `json:"sim_duration_s"`
-	Finished     int     `json:"finished"`
-	MeanTTFT     float64 `json:"mean_ttft_s"`
-	ReportsMatch bool    `json:"reports_match"`
-	// SpeedupVs1 is the headline: widest run vs the 1-worker batched core.
-	SpeedupVs1 float64 `json:"speedup_vs_1worker"`
-	// Par1OverheadVsRef is (wall_1 - wall_ref)/wall_ref: the price of the
-	// batching machinery itself, which must stay small.
-	Par1OverheadVsRef float64    `json:"par1_overhead_vs_ref"`
-	Runs              []scaleRun `json:"runs"`
+	// NumCPU says what host the wall-clock numbers come from; the replay
+	// itself runs on one core.
+	NumCPU     int     `json:"num_cpu"`
+	SimSeconds float64 `json:"sim_duration_s"`
+	Finished   int     `json:"finished"`
+	MeanTTFT   float64 `json:"mean_ttft_s"`
+	// ReportsMatch certifies that the coasting replay and its per-step twin
+	// reported byte-identical results on every repeat.
+	ReportsMatch bool `json:"reports_match"`
+	// SpeedupVsPerStep is the per-step twin's wall-clock over the coasting
+	// replay's.
+	SpeedupVsPerStep float64    `json:"speedup_vs_per_step"`
+	Runs             []scaleRun `json:"runs"`
 }
 
 // dayStream regenerates the -scale arrival stream: a diurnal rate curve
@@ -115,10 +113,11 @@ func dayStream(opts scaleOptions) *workload.Stream {
 	})
 }
 
-// buildScaleFleet assembles the replay fleet on the chosen core: mixed-role
-// Past-Future replicas, per-replica scheduler RNG streams, no autoscaler —
-// a fixed fleet keeps all three runs' work identical by construction.
-func buildScaleFleet(opts scaleOptions, workers int) *cluster.Fleet {
+// buildScaleFleet assembles the replay fleet: mixed-role Past-Future
+// replicas, per-replica scheduler RNG streams, no autoscaler — a fixed fleet
+// keeps both modes' work identical by construction. perStep gives every
+// engine a no-op token hook, which keeps it off coasted decode steps.
+func buildScaleFleet(opts scaleOptions, perStep bool) *cluster.Fleet {
 	pm := perf.MustNew(perf.Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1)})
 	engines := make([]*engine.Engine, opts.replicas)
 	for i := range engines {
@@ -129,57 +128,44 @@ func buildScaleFleet(opts scaleOptions, workers int) *cluster.Fleet {
 			}),
 			CapacityOverride: opts.capacity,
 		})
+		if perStep {
+			engines[i].AddTokenHook(func(float64, *request.Request) {})
+		}
 	}
-	f, err := cluster.New(cluster.Config{
-		Replicas: engines,
-		Policy:   cluster.FutureHeadroom,
-		Workers:  workers,
-	})
+	f, err := cluster.New(cluster.Config{Replicas: engines, Policy: cluster.FutureHeadroom})
 	if err != nil {
 		fatal(err)
 	}
 	return f
 }
 
-// runScale executes the replay sweep and returns the measurements. Each
-// core's replay repeats opts.repeat times on freshly regenerated identical
-// streams; the reported wall-clock is the minimum — the least-noise
-// estimator on a shared host — while the report equality check covers
-// every repeat.
+// runScale replays the day in both modes and returns the measurements. Each
+// mode repeats opts.repeat times on freshly regenerated identical streams,
+// alternating modes; the reported wall-clock is the minimum — the
+// least-noise estimator on a shared host — while the report equality check
+// covers every repeat.
 func runScale(opts scaleOptions) scaleResult {
 	sla := metrics.SLA{TTFT: 8, MTPOT: 1.5}
-	sweep := []int{0, 1}
-	if opts.workers > 1 {
-		sweep = append(sweep, opts.workers)
-	}
 	if opts.repeat < 1 {
 		opts.repeat = 1
 	}
-
 	res := scaleResult{
 		Requests: opts.requests, Replicas: opts.replicas,
 		Capacity: opts.capacity, PeakRate: opts.peak, Seed: opts.seed,
-		Repeat: opts.repeat, NumCPU: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
-		ReportsMatch: true,
+		Repeat: opts.repeat, NumCPU: runtime.NumCPU(), ReportsMatch: true,
 	}
+	runs := []scaleRun{{Mode: "coasting"}, {Mode: "per-step"}}
 	var refReport string
-	var refWall float64
-	for _, w := range sweep {
-		var run scaleRun
-		for rep := 0; rep < opts.repeat; rep++ {
-			f := buildScaleFleet(opts, w)
+	for rep := 0; rep < opts.repeat; rep++ {
+		for i := range runs {
+			f := buildScaleFleet(opts, runs[i].Mode == "per-step")
 			stream := dayStream(opts)
 			start := time.Now()
 			results := f.ServeStream(stream.Next, 1e9)
 			wall := time.Since(start).Seconds()
 			report := f.Report(results, sla)
 			repStr := fmt.Sprintf("%+v", report)
-
-			if rep == 0 || wall < run.WallSeconds {
-				run = scaleRun{Workers: w, WallSeconds: wall, Events: f.EventsProcessed()}
-				_, run.MeanBatchWidth = f.BatchStats()
-			}
-			if w == 0 && rep == 0 {
+			if rep == 0 && i == 0 {
 				refReport = repStr
 				res.SimSeconds = report.Duration
 				res.Finished = report.Finished
@@ -187,41 +173,30 @@ func runScale(opts scaleOptions) scaleResult {
 			} else if repStr != refReport {
 				res.ReportsMatch = false
 			}
-		}
-		wall := run.WallSeconds
-		if wall > 0 {
-			run.EventsPerSec = float64(run.Events) / wall
-		}
-		if w == 0 {
-			refWall = wall
-		}
-		if refWall > 0 {
-			run.SpeedupVsRef = refWall / wall
-		}
-		res.Runs = append(res.Runs, run)
-		fmt.Printf("workers=%-2d  wall %8.2fs  %12d events  %11.0f ev/s  speedup vs ref %5.2fx  batch width %5.1f\n",
-			w, wall, run.Events, run.EventsPerSec, run.SpeedupVsRef, run.MeanBatchWidth)
-	}
-	widest := res.Runs[len(res.Runs)-1]
-	for _, r := range res.Runs {
-		if r.Workers == 1 && r.WallSeconds > 0 && widest.WallSeconds > 0 {
-			res.SpeedupVs1 = r.WallSeconds / widest.WallSeconds
-			if refWall > 0 {
-				res.Par1OverheadVsRef = (r.WallSeconds - refWall) / refWall
+			if rep == 0 || wall < runs[i].WallSeconds {
+				runs[i].WallSeconds = wall
 			}
+			runs[i].HeapEvents = f.EventsProcessed()
 		}
+	}
+	for i := range runs {
+		if runs[i].WallSeconds > 0 {
+			runs[i].SimPerWall = res.SimSeconds / runs[i].WallSeconds
+		}
+		fmt.Printf("%-9s wall %8.2fs  %12d heap events  %9.1f sim-s per wall-s\n",
+			runs[i].Mode, runs[i].WallSeconds, runs[i].HeapEvents, runs[i].SimPerWall)
+	}
+	res.Runs = runs
+	if runs[0].WallSeconds > 0 {
+		res.SpeedupVsPerStep = runs[1].WallSeconds / runs[0].WallSeconds
 	}
 	if !res.ReportsMatch {
-		fatal(fmt.Errorf("scale replay: parallel report diverges from the reference — the cores are NOT equivalent"))
+		fatal(fmt.Errorf("scale replay: the coasting report diverges from its per-step twin's"))
 	}
-	fmt.Printf("day trace: %d requests over %.0fs simulated (%d finished, mean TTFT %.2fs), reports identical across cores\n",
+	fmt.Printf("day trace: %d requests over %.0fs simulated (%d finished, mean TTFT %.2fs), reports identical in both modes\n",
 		res.Requests, res.SimSeconds, res.Finished, res.MeanTTFT)
-	fmt.Printf("speedup at %d workers vs 1 worker: %.2fx; 1-worker overhead vs reference: %+.1f%%\n",
-		opts.workers, res.SpeedupVs1, res.Par1OverheadVsRef*100)
-	if res.GoMaxProcs < opts.workers {
-		fmt.Printf("note: GOMAXPROCS=%d < %d workers — this host cannot run the batches in parallel, so the widest run can at best tie the 1-worker baseline; re-run on a host with ≥%d cores for a speedup measurement\n",
-			res.GoMaxProcs, opts.workers, opts.workers)
-	}
+	fmt.Printf("coasting vs per-step: %.2fx wall-clock, %.1f%% of the heap events\n",
+		res.SpeedupVsPerStep, 100*float64(runs[0].HeapEvents)/float64(runs[1].HeapEvents))
 	return res
 }
 

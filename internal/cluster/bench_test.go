@@ -171,6 +171,32 @@ func BenchmarkFleetRouteRebuild(b *testing.B) {
 	}
 }
 
+// BenchmarkFleetCoast is what a replay of a busy fleet pays per arrival for
+// the steps between arrivals — the row the BenchmarkFleetRoute series cannot
+// see, since they never step an engine. 16 replicas decode 2000-token outputs
+// in pools that never fill; one arrival every 0.25 simulated seconds keeps
+// about eight on each, and between two arrivals each replica takes some
+// fifteen decode steps, nearly all of them coasted. Timed per arrival: the
+// event loop up to it, the catch-up, the pick and the placement.
+func BenchmarkFleetCoast(b *testing.B) {
+	c := MustNewCluster(ClusterConfig{Pools: []Config{{Replicas: replicas(16, 1<<30), Policy: FutureHeadroom}}})
+	c.start(0)
+	arrive := func(i int) {
+		at := float64(i) * 0.25
+		c.advanceTo(at)
+		c.handleArrival(at, request.New(int64(i+1), 200+(37*i)%400, 2000, 2048, at))
+	}
+	const warm = 400 // 100 simulated seconds: the batches are at their steady size
+	for i := 0; i < warm; i++ {
+		arrive(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arrive(warm + i)
+	}
+}
+
 // BenchmarkFleetRouteNaive is the reference baseline: one clone+sort
 // core.PredictedBatchPeak per replica per decision, as the original router
 // computed it.

@@ -49,100 +49,51 @@ func chunkedPrefillReplicas(n, capacity int, chunk engine.ChunkConfig) []*engine
 // traffic with the given chunking configuration on the prefill pool. The
 // zero-value ChunkConfig arm is the pre-chunking reference shape: same
 // pools, same admission, same per-iteration prefill budget.
-func runChunkPin(seed uint64, chunk engine.ChunkConfig, flt *FaultConfig, workers int, rec ...obs.Recorder) decisionTrace {
-	var tr decisionTrace
+func runChunkPin(seed uint64, chunk engine.ChunkConfig, flt *FaultConfig, rec ...obs.Recorder) decisionTrace {
 	var recorder obs.Recorder
 	if len(rec) > 0 {
 		recorder = rec[0]
 	}
-	onRoute := func(pool int) func(r *request.Request, rep int) {
-		return func(r *request.Request, rep int) {
-			tr.routes = append(tr.routes, fmt.Sprintf("p%d r%d req%d", pool, rep, r.ID))
-		}
-	}
-	sla := metrics.SLA{TTFT: 20, MTPOT: 1.5}
-	c := MustNewCluster(ClusterConfig{
+	var tr decisionTrace
+	c := chunkCluster(seed, chunk, flt, recorder, &tr)
+	results := c.Serve(longctxReqs(220, 30, seed), 1e9)
+	tr.collect(c, results, chunkSLA)
+	return tr
+}
+
+// chunkSLA is the long-context pins' SLA: a TTFT budget a 64k prompt can make.
+var chunkSLA = metrics.SLA{TTFT: 20, MTPOT: 1.5}
+
+// chunkCluster builds the chunked pins' cluster: chunked prefill-only
+// replicas under the given chunking, decode replicas behind a real link,
+// admission with shedding, flt's faults. tr logs its routing.
+func chunkCluster(seed uint64, chunk engine.ChunkConfig, flt *FaultConfig, recorder obs.Recorder, tr *decisionTrace) *Cluster {
+	return MustNewCluster(ClusterConfig{
 		Pools: []Config{
 			{
 				Role: engine.RolePrefillOnly, Policy: FutureHeadroom,
 				Replicas: chunkedPrefillReplicas(2, 80_000, chunk),
-				OnRoute:  onRoute(0),
+				OnRoute:  tr.onRoute(0),
 			},
 			{
 				Role: engine.RoleDecodeOnly, Policy: FutureHeadroom,
 				Replicas: decodeReplicas(3, 70_000, seed),
-				OnRoute:  onRoute(1),
+				OnRoute:  tr.onRoute(1),
 			},
 		},
 		Link:      kv.MustNewLink(50e9, 0.002),
-		Admission: &AdmissionConfig{TTFTBudget: sla.TTFT, Shed: true, Slack: 0.5},
+		Admission: &AdmissionConfig{TTFTBudget: chunkSLA.TTFT, Shed: true, Slack: 0.5},
 		Faults:    flt,
-		Workers:   workers,
 		Recorder:  recorder,
 	})
-	results := c.Serve(longctxReqs(220, 30, seed), 1e9)
-	for _, s := range c.ShedRequests() {
-		tr.sheds = append(tr.sheds, fmt.Sprintf("req%d@%.9f", s.ID, s.ShedAt))
-	}
-	for _, h := range c.Handoffs() {
-		tr.handoffs = append(tr.handoffs, fmt.Sprintf("req%d %d->%d @%.9f", h.Req.ID, h.FromReplica, h.ToReplica, h.DeliveredAt))
-	}
-	tr.report = fmt.Sprintf("%+v", c.Report(results, sla))
-	return tr
 }
 
-// chunkStorm is the fault schedule for the chunked equivalence pins.
+// chunkStorm is the fault schedule for the chunked pins.
 func chunkStorm(seed uint64) *FaultConfig {
 	return &FaultConfig{
 		Schedule: stormSchedule(seed), Recover: true,
 		MaxTransferRetries: 3, RetryBackoff: 0.05,
 		LinkFailRate: 0.08, Seed: seed ^ 0x9e37,
-	}
-}
-
-// TestChunkingDisabledEquivalence is the zero-value pin: with chunking
-// disabled, every decision — routing, sheds, handoffs, the report — must be
-// bit-identical across both simulation cores and through the fault storm.
-// The disabled configuration is exactly the pre-chunking engine shape, so
-// any divergence means the chunking plumbing leaked into the default path.
-func TestChunkingDisabledEquivalence(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			ref := runChunkPin(seed, engine.ChunkConfig{}, nil, 0)
-			refStorm := runChunkPin(seed, engine.ChunkConfig{}, chunkStorm(seed), 0)
-			cases := []struct {
-				label string
-				got   decisionTrace
-				want  decisionTrace
-			}{
-				{"workers=4", runChunkPin(seed, engine.ChunkConfig{}, nil, 4), ref},
-				{"storm workers=4", runChunkPin(seed, engine.ChunkConfig{}, chunkStorm(seed), 4), refStorm},
-			}
-			for _, tc := range cases {
-				compareTraces(t, tc.label, tc.got, tc.want)
-			}
-		})
-	}
-}
-
-// TestChunkedParallelEquivalence pins determinism of the chunked path
-// itself: with SLO-aware chunked prefill enabled on the prefill pool, the
-// parallel core and the sequential core must make identical decisions, with
-// and without the fault storm — chunk-granular footprints, mid-chunk
-// crashes, and post-last-chunk handoffs included.
-func TestChunkedParallelEquivalence(t *testing.T) {
-	chunk := engine.ChunkConfig{Enabled: true, Policy: engine.ChunkSLOAware, ChunkTokens: 512}
-	for seed := uint64(1); seed <= 2; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			compareTraces(t, "workers=4",
-				runChunkPin(seed, chunk, nil, 4),
-				runChunkPin(seed, chunk, nil, 0))
-			compareTraces(t, "storm workers=4",
-				runChunkPin(seed, chunk, chunkStorm(seed), 4),
-				runChunkPin(seed, chunk, chunkStorm(seed), 0))
-		})
 	}
 }
 
@@ -244,7 +195,7 @@ func TestChunkedConservation(t *testing.T) {
 func TestChunkedObservability(t *testing.T) {
 	col := obs.NewCollector(1)
 	chunk := engine.ChunkConfig{Enabled: true, Policy: engine.ChunkSLOAware, ChunkTokens: 512}
-	runChunkPin(3, chunk, nil, 0, col)
+	runChunkPin(3, chunk, nil, col)
 
 	if err := col.CheckDecomposition(1e-6); err != nil {
 		t.Fatalf("chunked spans broke the TTFT decomposition: %v", err)
@@ -284,7 +235,7 @@ func TestChunkedObservability(t *testing.T) {
 
 	// The disabled arm records nothing chunk-shaped anywhere.
 	off := obs.NewCollector(1)
-	runChunkPin(3, engine.ChunkConfig{}, nil, 0, off)
+	runChunkPin(3, engine.ChunkConfig{}, nil, off)
 	for _, s := range off.Spans() {
 		if s.Chunks != 0 {
 			t.Fatalf("request %d recorded %d chunks with chunking disabled", s.R.ID, s.Chunks)

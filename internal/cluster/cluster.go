@@ -52,6 +52,16 @@
 // compares: the estimator's two candidate-independent terms are kept per
 // replica (core.PeakTerms).
 //
+// The simulation runs on one core: one event heap, one event at a time, and
+// one event per run of coasted decode steps rather than per step. Most steps
+// of a busy replica are coasted (engine.CoastEnd): nobody else can see them
+// until the run ends, so the replica's step event sits at the run's end and
+// the replica is caught up lazily, before any arrival or non-step event
+// reads or changes it (events.go). The decisions are those of a loop that
+// pops every step: an engine with a token hook never coasts, so a cluster of
+// such engines is that loop, and TestCoastRunMatchesPerStepPath runs every
+// equivalence scenario both ways.
+//
 // Autoscaling is per pool: the threshold-reactive
 // high/low-water policy, or the predictive SLA planner (PlannerConfig)
 // that forecasts load and scales straight to the replica count whose
@@ -162,17 +172,10 @@ type ClusterConfig struct {
 	// events — so recorded runs make bit-identical decisions to unrecorded
 	// ones. nil disables every emission site at zero cost.
 	Recorder obs.Recorder
-	// Workers selects the simulation core. 0 (the default) is the
-	// single-threaded reference event loop, unchanged. Any positive value
-	// switches to the conservatively batched core (parallel.go): engine
-	// steps that provably cannot influence one another run as a batch —
-	// concurrently on Workers goroutines when Workers ≥ 2, inline when
-	// Workers == 1 (same machinery, no goroutines: the coordination-overhead
-	// baseline) — with their cluster-visible effects replayed in event-pop
-	// order. Results are bit-identical to the reference for every Workers
-	// value. Requires each replica to own its engine and scheduler outright
-	// (validated), and every hook to be installed before NewCluster (hooks
-	// added later would fire on worker goroutines).
+	// Workers is accepted and ignored. It selected a batched simulation core
+	// that ran independent engine steps on worker goroutines; that core never
+	// beat the single one it had to reproduce and is gone. The field stays
+	// one release so callers that set it still build; it will be removed.
 	Workers int
 }
 
@@ -213,13 +216,15 @@ type Cluster struct {
 	startAt float64
 	endAt   float64
 
-	// Parallel-core state (parallel.go). workers == 0 on the reference path.
-	workers      int
-	runner       *stepRunner
-	batch        []stepEntry
-	popped       int64 // events handled, the bench's events/sec numerator
-	batches      int64 // step batches formed (parallel core only)
-	batchedSteps int64 // steps executed through batches
+	popped int64 // heap events popped, stale ones included
+	// coasting lists the replicas whose step event ends a run of coasted steps
+	// their engine has not all taken yet (replica.coastIdx is the position +
+	// 1): the replicas catchUp visits.
+	coasting []*replica
+	// cuts counts, by the kind of event that forced it, the catch-ups that
+	// took coasted steps inside a run; arrivals, which are no heap event,
+	// count under evStep, which never forces one.
+	cuts [evXferRetry + 1]int
 }
 
 // NewCluster validates the configuration and builds a cluster.
@@ -241,18 +246,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	default:
 		return nil, fmt.Errorf("cluster: %d pools; want one mixed or prefill+decode", len(cfg.Pools))
 	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("cluster: negative worker count %d", cfg.Workers)
-	}
 	for i, pc := range cfg.Pools {
 		if pc.Admission != nil {
 			return nil, fmt.Errorf("cluster: pool %d carries an AdmissionConfig; admission is cluster-wide, set ClusterConfig.Admission", i)
 		}
 		if pc.Recorder != nil {
 			return nil, fmt.Errorf("cluster: pool %d carries a Recorder; observability is cluster-wide, set ClusterConfig.Recorder", i)
-		}
-		if pc.Workers != 0 {
-			return nil, fmt.Errorf("cluster: pool %d carries a worker count; the simulation core is cluster-wide, set ClusterConfig.Workers", i)
 		}
 		p, err := newPool(c, i, pc)
 		if err != nil {
@@ -308,20 +307,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// Handoffs book per-destination lanes keyed by decode replica index:
 		// size the lane table once so a day-long replay never grows it.
 		c.link.PreallocateLanes(len(c.pools[c.decode].reps))
-	}
-	if cfg.Workers > 0 {
-		// Arm the batched core last: DeferEffects wraps whatever hooks exist
-		// at this point (pool planner observers, admission slack, handoffs,
-		// recorder emission), so every install above must already be done.
-		if err := c.validateParallel(); err != nil {
-			return nil, err
-		}
-		c.workers = cfg.Workers
-		for _, p := range c.pools {
-			for _, rep := range p.reps {
-				rep.buf = rep.eng.DeferEffects()
-			}
-		}
 	}
 	return c, nil
 }
@@ -442,13 +427,8 @@ func (c *Cluster) Serve(reqs []*request.Request, deadline float64) []*engine.Res
 // ServeStream is Serve over a pull-based arrival source: next returns the
 // requests in nondecreasing ArrivalTime order and nil at end of stream, so
 // a million-request replay never materializes its slice. On a sorted slice
-// it is decision-identical to Serve (which now wraps it). With Workers > 0
-// arrivals route through the event heap (serveEvented); the reference path
-// is the same per-arrival loop Serve has always run.
+// it is decision-identical to Serve (which wraps it).
 func (c *Cluster) ServeStream(next func() *request.Request, deadline float64) []*engine.Result {
-	if c.workers > 0 {
-		return c.serveEvented(next, deadline)
-	}
 	req := next()
 	startAt := 0.0
 	if req != nil {
@@ -468,52 +448,13 @@ func (c *Cluster) ServeStream(next func() *request.Request, deadline float64) []
 	return c.results()
 }
 
-// arrivalBlock bounds how many pending arrivals the evented path keeps in
-// the heap at once, so streaming a 10M-request day holds O(block) arrival
-// state instead of O(N).
-const arrivalBlock = 4096
-
-// serveEvented is the Workers > 0 serve loop: arrivals become evArrive heap
-// events (in blocks, pulled lazily from the stream), so each advanceTo spans
-// thousands of events and the batched core can form wide step batches. The
-// heap's (time, kind, seq) order reproduces the reference loop exactly:
-// evArrive sorts after same-instant activations and before every other
-// same-instant kind — precisely where the sequential loop processes an
-// arrival — and stale step events pushed by routing sort before later
-// arrivals just as the reference's next advanceTo would pop them.
-func (c *Cluster) serveEvented(next func() *request.Request, deadline float64) []*engine.Result {
-	if c.workers > 1 && c.runner == nil {
-		c.runner = newStepRunner(c.workers)
-		defer func() {
-			c.runner.stop()
-			c.runner = nil
-		}()
-	}
-	req := next()
-	startAt := 0.0
-	if req != nil {
-		startAt = req.ArrivalTime
-	}
-	c.start(startAt)
-	for req != nil && req.ArrivalTime <= deadline {
-		for n := 0; n < arrivalBlock && req != nil && req.ArrivalTime <= deadline; n++ {
-			c.pushEvent(event{at: req.ArrivalTime, kind: evArrive, req: req})
-			req = next()
-		}
-		if req != nil && req.ArrivalTime <= deadline {
-			c.advanceTo(req.ArrivalTime)
-		}
-	}
-	c.advanceTo(deadline)
-	c.finish(deadline)
-	return c.results()
-}
-
-// handleArrival runs the per-arrival pipeline at time t: planner load
-// observation, tick arming, reactive scaling, then admission or immediate
-// routing. Shared verbatim by the sequential loop and the evArrive handler
-// so both cores make identical decisions.
+// handleArrival runs the per-arrival pipeline at time t, once every event
+// before t has been handled: catch-up, planner load observation, tick arming,
+// reactive scaling, then admission or immediate routing.
 func (c *Cluster) handleArrival(t float64, req *request.Request) {
+	if c.catchUp(t, false) {
+		c.cuts[evStep]++
+	}
 	entry := c.pools[c.entry]
 	if entry.plan != nil {
 		entry.plan.observeArrival(req.InputLen)
@@ -554,21 +495,15 @@ func (c *Cluster) results() []*engine.Result {
 	return results
 }
 
-// EventsProcessed returns how many simulation events the cluster has
-// handled — heap pops plus evented arrivals — the throughput numerator the
-// scale benchmark reports as events/sec.
+// EventsProcessed returns how many events the cluster popped off its event
+// heap, stale step events included. Arrivals are not heap events, and a run
+// of coasted decode steps is one event, not one per step.
 func (c *Cluster) EventsProcessed() int64 { return c.popped }
 
-// BatchStats reports the parallel core's batch formation quality: how many
-// step batches ran and the mean steps per batch (0, 0 on the reference
-// core). Mean width bounds the achievable speedup — a width of w can use at
-// most w workers.
-func (c *Cluster) BatchStats() (batches int64, meanWidth float64) {
-	if c.batches == 0 {
-		return 0, 0
-	}
-	return c.batches, float64(c.batchedSteps) / float64(c.batches)
-}
+// BatchStats always returns (0, 0). It reported how the batched simulation
+// core, now gone, grouped engine steps; it stays one release for callers
+// that still read it, and will be removed.
+func (c *Cluster) BatchStats() (batches int64, meanWidth float64) { return 0, 0 }
 
 // start arms the event loop: replica-seconds clocks for the initially
 // active replicas and step events for engines pre-loaded before Serve.
@@ -591,8 +526,10 @@ func (c *Cluster) start(t float64) {
 
 // finish closes replica-seconds accounting at the cluster's end time and
 // terminates whatever admission still holds (the stream is over; an
-// unserved hold is a refusal).
+// unserved hold is a refusal). Every event before the deadline has been
+// handled; the coasted steps before it are taken here.
 func (c *Cluster) finish(deadline float64) {
+	c.catchUp(deadline, false)
 	c.endAt = c.startAt
 	for _, p := range c.pools {
 		for _, rep := range p.reps {
@@ -622,16 +559,9 @@ func (c *Cluster) finish(deadline float64) {
 }
 
 // advanceTo pops and handles every event due strictly before t, plus
-// activations and evented arrivals at exactly t (a replica whose delay
-// elapses at t must be eligible for an arrival at t, matching the scan
-// router's t ≥ wakeAt; an evArrive at t is the arrival the sequential loop
-// would process after its own advanceTo(t) — the reference never pushes
-// evArrive, so admitting the kind here changes nothing for it).
+// activations at exactly t (a replica whose delay elapses at t must be
+// eligible for an arrival at t, matching the scan router's t ≥ wakeAt).
 func (c *Cluster) advanceTo(t float64) {
-	if c.workers > 0 {
-		c.advanceBatched(t)
-		return
-	}
 	for c.events.Len() > 0 {
 		top := c.events.top()
 		if top.at > t || (top.at == t && top.kind != evActivate) {
@@ -644,12 +574,26 @@ func (c *Cluster) advanceTo(t float64) {
 
 func (c *Cluster) handle(ev event) {
 	p := c.pools[ev.pool]
+	if ev.kind != evStep && c.catchUp(ev.at, ev.kind > evStep) {
+		c.cuts[ev.kind]++
+	}
 	switch ev.kind {
 	case evStep:
 		rep := p.reps[ev.rep]
-		rep.inHeap = false
+		if ev.seq != rep.stepSeq {
+			return // superseded: the cluster changed the engine under the run
+		}
+		rep.stepSeq = 0
+		if rep.coastIdx != 0 {
+			rep.decoded(rep.eng.CoastUntil(ev.at, false))
+			c.dropCoaster(rep)
+		}
+		if rep.eng.Clock() != ev.at {
+			panic(fmt.Sprintf("cluster: pool %d replica %d: step event at %v, engine clock %v: the engine moved under its run without a new event",
+				p.id, rep.idx, ev.at, rep.eng.Clock()))
+		}
 		if rep.down {
-			return // stale step on a crashed replica; recovery re-arms
+			return // a crashed replica steps nothing; recovery re-arms
 		}
 		rep.eng.Step()
 		// Unconditionally: a Step returning false can still have mutated
@@ -668,8 +612,6 @@ func (c *Cluster) handle(ev event) {
 		if c.adm != nil && rep.eng.ReleasedLastStep() {
 			c.scheduleRetry(rep.eng.Clock())
 		}
-	case evArrive:
-		c.handleArrival(ev.at, ev.req)
 	case evActivate:
 		rep := p.reps[ev.rep]
 		// Stale activations (the replica was scaled back in, re-armed with a
@@ -935,14 +877,73 @@ func (c *Cluster) deliver(ev event) {
 	}
 }
 
-// ensureStepEvent inserts a step event for a busy replica that has none. A
-// crashed replica steps nothing until repaired — recovery re-arms it.
+// ensureStepEvent keeps a replica's step event where its engine's next real
+// step starts (engine.CoastEnd). A busy replica without one gets one; a
+// crashed one gets none until repaired — recovery re-arms it. Every site that
+// changes an engine (a placement, a crash, a slowdown or its end, a clock
+// sync) calls this after the change: if the change cut a run of coasted steps
+// short, or re-priced it, the run's event is superseded by one at the new
+// end — for all but a slowdown, the engine's clock. A crashed replica's event
+// moves too, to the clock at which the per-step loop's event would sit.
 func (c *Cluster) ensureStepEvent(p *Pool, rep *replica) {
-	if rep.down || rep.inHeap || rep.eng.Idle() {
-		return
+	switch {
+	case rep.stepSeq != 0:
+		if rep.stepAt == rep.eng.Clock() {
+			return // no run pending: the next step decides for itself
+		}
+		if end := rep.eng.CoastEnd(); end != rep.stepAt {
+			c.pushStep(p, rep, end)
+		}
+	case !rep.down && !rep.eng.Idle():
+		c.pushStep(p, rep, rep.eng.CoastEnd())
 	}
-	rep.inHeap = true
-	c.pushEvent(event{at: rep.eng.Clock(), kind: evStep, pool: p.id, rep: rep.idx})
+}
+
+// pushStep makes an event at `at` the replica's one live step event, and
+// lists the replica as coasting while its engine's clock trails it.
+func (c *Cluster) pushStep(p *Pool, rep *replica, at float64) {
+	c.pushEvent(event{at: at, kind: evStep, pool: p.id, rep: rep.idx})
+	rep.stepSeq, rep.stepAt = c.evSeq, at
+	switch coasting := at != rep.eng.Clock(); {
+	case coasting && rep.coastIdx == 0:
+		c.coasting = append(c.coasting, rep)
+		rep.coastIdx = len(c.coasting)
+	case !coasting && rep.coastIdx != 0:
+		c.dropCoaster(rep)
+	}
+}
+
+// dropCoaster takes a replica off the coasting list.
+func (c *Cluster) dropCoaster(rep *replica) {
+	last := c.coasting[len(c.coasting)-1]
+	c.coasting[rep.coastIdx-1] = last
+	last.coastIdx = rep.coastIdx
+	c.coasting = c.coasting[:len(c.coasting)-1]
+	rep.coastIdx = 0
+}
+
+// catchUp brings every coasting replica to where the per-step loop would
+// have it before an event at t (events.go): it takes the coasted steps that
+// start before t, and those at t too when inclusive — the event's kind sorts
+// after evStep. Each counts one step of probe lag, as a popped pure decode
+// step would. A replica that reaches the end of its run leaves the list; its
+// step event is the next thing it waits for. It reports whether any replica
+// took a step.
+func (c *Cluster) catchUp(t float64, inclusive bool) bool {
+	took := false
+	for i := 0; i < len(c.coasting); {
+		rep := c.coasting[i]
+		if n := rep.eng.CoastUntil(t, inclusive); n > 0 {
+			rep.decoded(n)
+			took = true
+		}
+		if rep.eng.Clock() == rep.stepAt {
+			c.dropCoaster(rep) // the last replica moved into slot i
+			continue
+		}
+		i++
+	}
+	return took
 }
 
 func (c *Cluster) anyBusy() bool {

@@ -88,6 +88,42 @@ func TestFleetValidation(t *testing.T) {
 	}
 }
 
+// TestServeStreamMatchesServe: the pull-based arrival source — the streaming
+// entry point long-trace replay uses — produces the same results as the
+// materialized slice. ClusterConfig.Workers is accepted and changes nothing.
+func TestServeStreamMatchesServe(t *testing.T) {
+	run := func(workers int, stream bool) string {
+		c := MustNewCluster(ClusterConfig{
+			Pools:   []Config{{Replicas: replicas(2, 8_000), Policy: FutureHeadroom}},
+			Workers: workers,
+		})
+		reqs := poissonReqs(200, 60, 7)
+		var results []*engine.Result
+		if stream {
+			i := 0
+			results = c.ServeStream(func() *request.Request {
+				if i >= len(reqs) {
+					return nil
+				}
+				i++
+				return reqs[i-1]
+			}, 1e9)
+		} else {
+			results = c.Serve(reqs, 1e9)
+		}
+		if c.EventsProcessed() == 0 {
+			t.Fatal("no events counted")
+		}
+		return fmt.Sprintf("%+v", c.Report(results, metrics.SLA{TTFT: 6, MTPOT: 1.5}))
+	}
+	ref := run(0, false)
+	for _, w := range []int{0, 4} {
+		if got := run(w, true); got != ref {
+			t.Fatalf("workers=%d stream report diverges:\ngot: %s\nref: %s", w, got, ref)
+		}
+	}
+}
+
 // TestWarmProbeMatchesNaive pins the tentpole's equivalence claim: the warm
 // per-replica PeakEstimator probe path (incremental PeakWith, zero
 // allocations) must reproduce, decision for decision, the routing of the

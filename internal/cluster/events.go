@@ -21,8 +21,15 @@ import "github.com/lightllm-go/lightllm/internal/request"
 //   - evPlan: a periodic autoscaler evaluation for one pool (the SLA
 //     planner's adjustment interval, or the reactive policy's optional
 //     tick).
-//   - evStep: a busy replica's engine is due for its next iteration; the
-//     event's timestamp is the replica's clock when the event was pushed.
+//   - evStep: a busy replica's engine is due for its next real iteration —
+//     one that is not a coasted decode step (engine.CoastEnd). It is either
+//     the one step at the replica's clock, or the end of a run of coasted
+//     steps: the engine can price such a run before taking it, and nothing
+//     in it is visible to anyone but the replica, so the run costs one heap
+//     event instead of one per step. A replica holds at most one live step
+//     event; rep.stepSeq names it, and an event whose sequence number is not
+//     its replica's is stale — superseded when the cluster changed the
+//     engine under the run — and is popped and dropped.
 //   - evRetry: cluster-front admission re-examines its held queue. A step
 //     that released capacity does so at its *end* time, so — like evXfer —
 //     the retry is deferred to an event rather than run inline: an eager
@@ -33,33 +40,44 @@ import "github.com/lightllm-go/lightllm/internal/request"
 // is before t (activations exactly at t also fire, because a replica whose
 // delay elapses at t must be eligible for that arrival — the same `t >=
 // wakeAt` edge the scan-based router used). Each popped evStep runs exactly
-// one engine iteration and, if the engine is still busy, re-inserts itself
-// at the engine's new clock. Per event the cost is O(log(R+E)) heap work,
-// replacing the previous router's per-arrival O(R) min-clock scan over all
-// replicas (repeated once per engine iteration it triggered).
+// one real engine iteration and, if the engine is still busy, re-inserts
+// itself at the end of the engine's next run (its new clock when the next
+// step does not coast). Per event the cost is O(log(R+E)) heap work.
+//
+// Catching up. Between its step events a coasting replica's engine trails
+// the cluster: it has not taken the coasted steps that the per-step loop —
+// one event per step — would have popped by now. Anything that reads or
+// changes an engine must see the per-step state, so before the cluster
+// handles an arrival or any non-step event at (t, kind), every coasting
+// replica takes the coasted steps that would have popped first: those that
+// start before t, and those that start at t when kind sorts after evStep.
+// Heap order is (time, kind, seq): a step at t pops before a same-instant
+// retry, crash, recovery, slowdown or transfer retry, and after a
+// same-instant activation, booking, delivery or plan; an arrival at t is
+// handled once the events before t and the activations at t have popped, so
+// it sees no step at t either. The steps are counted into the replica's
+// probe lag as the per-step loop would have. A step event pops only after
+// its own replica caught up to it; no other replica needs to: a step reads
+// and changes nothing but its own engine. When a handler then changes an
+// engine under a run — a placement, a crash, a slowdown or its end, a clock
+// sync — the run ends elsewhere, and ensureStepEvent supersedes its event.
+// A run-end event that finds its replica's clock anywhere but at the event's
+// time panics: someone changed the engine without superseding.
 //
 // A typed heap rather than container/heap for the same reason as the
 // engine's arrival heap: interface boxing in heap.Push/Pop allocates, and
 // Serve's steady state must not.
 
 // evKind orders simultaneous events: activations first (so a replica waking
-// exactly at an arrival's timestamp can receive it), then external arrivals
-// (parallel mode routes them through the heap; the kind sits directly after
-// evActivate so a same-instant arrival still sees the woken replica but
-// runs before any same-instant booking, delivery, or step — exactly where
-// the sequential Serve loop processes it), then handoff bookings (the wire
-// must be priced before later work observes it), then KV deliveries (a
-// landed handoff is routable work), then autoscaler evaluations, then
-// engine steps.
+// exactly at an arrival's timestamp can receive it; arrivals themselves are
+// not events, they are handled once every event before them popped), then
+// handoff bookings (the wire must be priced before later work observes it),
+// then KV deliveries (a landed handoff is routable work), then autoscaler
+// evaluations, then engine steps.
 type evKind uint8
 
 const (
 	evActivate evKind = iota
-	// evArrive: an external request reaches the cluster front. Only the
-	// parallel/streaming path (Cluster.ServeStream with Workers > 0) pushes
-	// these; the sequential reference drives arrivals from its own loop, so
-	// its heap never contains one and its event sequence is untouched.
-	evArrive
 	evXfer
 	evDeliver
 	evPlan

@@ -193,6 +193,7 @@ func (c *Cluster) crashReplica(ev event) {
 
 	orphans := rep.eng.Crash()
 	rep.moved(false) // the warm estimator's entries evaporated with the engine's
+	c.ensureStepEvent(p, rep)
 	c.flt.orphaned += len(orphans)
 	if c.rec != nil {
 		c.rec.Crash(ev.at, flt.Pool, flt.Replica, len(orphans))
@@ -278,21 +279,28 @@ func (c *Cluster) recoverReplica(ev event) {
 		}
 	}
 	// Work may have been force-placed on this replica while it was down (the
-	// fallback path when every replica was out): serve it now.
+	// fallback path when every replica was out): serve it now, from the
+	// synced clock.
 	c.ensureStepEvent(p, rep)
 }
 
 // slowReplica / slowEnd handle evSlow / evSlowEnd: the degradation window of
-// one Slowdown fault.
+// one Slowdown fault. A new factor re-prices the rest of a coasted run.
 func (c *Cluster) slowReplica(ev event) {
 	flt := c.flt.timed[ev.rep]
-	c.pools[flt.Pool].reps[flt.Replica].eng.SetSlowFactor(flt.Factor)
+	c.setSlow(flt, flt.Factor)
 	c.pushEvent(event{at: ev.at + flt.Duration, kind: evSlowEnd, pool: flt.Pool, rep: ev.rep})
 }
 
 func (c *Cluster) slowEnd(ev event) {
-	flt := c.flt.timed[ev.rep]
-	c.pools[flt.Pool].reps[flt.Replica].eng.SetSlowFactor(1)
+	c.setSlow(c.flt.timed[ev.rep], 1)
+}
+
+func (c *Cluster) setSlow(flt faults.Fault, factor float64) {
+	p := c.pools[flt.Pool]
+	rep := p.reps[flt.Replica]
+	rep.eng.SetSlowFactor(factor)
+	c.ensureStepEvent(p, rep)
 }
 
 // failDelivery handles a KV delivery destroyed in flight (link fault, or

@@ -51,25 +51,9 @@ func TestFaultsDisabledEquivalence(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			off := runSeamScenario(seed, false, nil)
-			armed := runSeamScenario(seed, false, &FaultConfig{Recover: true})
-			compare := func(kind string, got, want []string) {
-				if len(got) != len(want) {
-					t.Fatalf("%s counts differ: armed %d, off %d", kind, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s %d differs:\narmed: %s\noff:   %s", kind, i, got[i], want[i])
-					}
-				}
-			}
-			compare("route", armed.routes, off.routes)
-			compare("plan", armed.plans, off.plans)
-			compare("shed", armed.sheds, off.sheds)
-			compare("handoff", armed.handoffs, off.handoffs)
-			if armed.report != off.report {
-				t.Fatalf("reports differ:\narmed: %s\noff:   %s", armed.report, off.report)
-			}
+			compareTraces(t, "armed",
+				runSeamScenario(seed, false, &FaultConfig{Recover: true}),
+				runSeamScenario(seed, false, nil))
 		})
 	}
 }

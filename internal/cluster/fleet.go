@@ -20,9 +20,9 @@ type Fleet struct {
 // deadline shedding) in front of the fleet — the monolithic API gets the
 // same overload protection as an explicit cluster, decision for decision.
 func New(cfg Config) (*Fleet, error) {
-	adm, rec, wrk := cfg.Admission, cfg.Recorder, cfg.Workers
-	cfg.Admission, cfg.Recorder, cfg.Workers = nil, nil, 0 // cluster-wide concerns: lift them out of the pool config
-	clu, err := NewCluster(ClusterConfig{Pools: []Config{cfg}, Admission: adm, Recorder: rec, Workers: wrk})
+	adm, rec := cfg.Admission, cfg.Recorder
+	cfg.Admission, cfg.Recorder = nil, nil // cluster-wide concerns: lift them out of the pool config
+	clu, err := NewCluster(ClusterConfig{Pools: []Config{cfg}, Admission: adm, Recorder: rec})
 	if err != nil {
 		return nil, err
 	}
@@ -55,13 +55,9 @@ func (f *Fleet) ServeStream(next func() *request.Request, deadline float64) []*e
 	return f.clu.ServeStream(next, deadline)
 }
 
-// EventsProcessed returns how many simulation events the fleet handled —
-// the scale benchmark's events/sec numerator.
+// EventsProcessed returns how many events the fleet popped off its event
+// heap; see Cluster.EventsProcessed.
 func (f *Fleet) EventsProcessed() int64 { return f.clu.EventsProcessed() }
-
-// BatchStats reports the parallel core's batch formation quality; see
-// Cluster.BatchStats.
-func (f *Fleet) BatchStats() (batches int64, meanWidth float64) { return f.clu.BatchStats() }
 
 // Duration returns the simulated span of the served stream (after Serve).
 func (f *Fleet) Duration() float64 { return f.clu.Duration() }

@@ -325,49 +325,51 @@ type decisionTrace struct {
 	report   string
 }
 
-func runSeamScenario(seed uint64, homogeneous bool, flt *FaultConfig, rec ...obs.Recorder) decisionTrace {
-	return runSeamScenarioWorkers(seed, homogeneous, flt, 0, rec...)
+// compareTraces fails the test on the first field where two decision
+// traces diverge.
+func compareTraces(t *testing.T, label string, got, want decisionTrace) {
+	t.Helper()
+	compare := func(kind string, g, w []string) {
+		t.Helper()
+		if len(g) != len(w) {
+			t.Fatalf("%s: %s counts differ: got %d, reference %d", label, kind, len(g), len(w))
+		}
+		for i := range g {
+			if g[i] != w[i] {
+				t.Fatalf("%s: %s %d differs:\ngot:       %s\nreference: %s", label, kind, i, g[i], w[i])
+			}
+		}
+	}
+	compare("route", got.routes, want.routes)
+	compare("plan", got.plans, want.plans)
+	compare("shed", got.sheds, want.sheds)
+	compare("handoff", got.handoffs, want.handoffs)
+	if got.report != want.report {
+		t.Fatalf("%s: reports differ:\ngot:       %s\nreference: %s", label, got.report, want.report)
+	}
 }
 
-// runSeamScenarioWorkers is runSeamScenario on a chosen simulation core
-// (workers 0 = the single-threaded reference) — the substrate of the
-// parallel-equivalence tests in parallel_test.go.
-func runSeamScenarioWorkers(seed uint64, homogeneous bool, flt *FaultConfig, workers int, rec ...obs.Recorder) decisionTrace {
+func runSeamScenario(seed uint64, homogeneous bool, flt *FaultConfig, rec ...obs.Recorder) decisionTrace {
 	var recorder obs.Recorder
 	if len(rec) > 0 {
 		recorder = rec[0]
 	}
 	var tr decisionTrace
-	onRoute := func(pool int) func(r *request.Request, rep int) {
-		return func(r *request.Request, rep int) {
-			tr.routes = append(tr.routes, fmt.Sprintf("p%d r%d req%d", pool, rep, r.ID))
-		}
+	c := seamCluster(seed, homogeneous, flt, recorder, &tr)
+	tr.collect(c, c.Serve(poissonReqs(350, 60, seed), 1e9), seamSLA)
+	return tr
+}
+
+// onRoute returns an OnRoute hook that logs pool's routing decisions.
+func (tr *decisionTrace) onRoute(pool int) func(r *request.Request, rep int) {
+	return func(r *request.Request, rep int) {
+		tr.routes = append(tr.routes, fmt.Sprintf("p%d r%d req%d", pool, rep, r.ID))
 	}
-	sla := metrics.SLA{TTFT: 6, MTPOT: 1.5}
-	planner := func(max int) *PlannerConfig {
-		return &PlannerConfig{
-			SLA: sla, Min: 1, Max: max, Interval: 5,
-			Predictor: HoltPredictor, ActivationDelay: 1,
-		}
-	}
-	c := MustNewCluster(ClusterConfig{
-		Pools: []Config{
-			{
-				Role: engine.RolePrefillOnly, Replicas: prefillReplicas(2, 20_000), Policy: FutureHeadroom,
-				Planner: planner(2), HomogeneousPlan: homogeneous, OnRoute: onRoute(0),
-			},
-			{
-				Role: engine.RoleDecodeOnly, Replicas: decodeReplicas(3, 12_000, seed), Policy: FutureHeadroom,
-				Planner: planner(3), HomogeneousPlan: homogeneous, OnRoute: onRoute(1),
-			},
-		},
-		Link:      kv.MustNewLink(50e9, 0.002),
-		Admission: &AdmissionConfig{TTFTBudget: sla.TTFT, Shed: true, Slack: 0.5},
-		Faults:    flt,
-		Recorder:  recorder,
-		Workers:   workers,
-	})
-	results := c.Serve(poissonReqs(350, 60, seed), 1e9)
+}
+
+// collect records what a served cluster decided besides routing: sheds,
+// handoff bookings, plan targets and the rolled-up report.
+func (tr *decisionTrace) collect(c *Cluster, results []*engine.Result, sla metrics.SLA) {
 	for _, s := range c.ShedRequests() {
 		tr.sheds = append(tr.sheds, fmt.Sprintf("req%d@%.9f", s.ID, s.ShedAt))
 	}
@@ -380,7 +382,38 @@ func runSeamScenarioWorkers(seed uint64, homogeneous bool, flt *FaultConfig, wor
 		}
 	}
 	tr.report = fmt.Sprintf("%+v", c.Report(results, sla))
-	return tr
+}
+
+// seamSLA is the SLA of the seam scenario and of the pins built on it.
+var seamSLA = metrics.SLA{TTFT: 6, MTPOT: 1.5}
+
+// seamCluster builds the seam scenario's cluster: a disaggregated pool pair
+// behind admission with shedding, a per-pool SLA planner on each, KV
+// handoffs over a real link, and flt's faults. tr logs its routing.
+func seamCluster(seed uint64, homogeneous bool, flt *FaultConfig, recorder obs.Recorder, tr *decisionTrace) *Cluster {
+	sla := seamSLA
+	planner := func(max int) *PlannerConfig {
+		return &PlannerConfig{
+			SLA: sla, Min: 1, Max: max, Interval: 5,
+			Predictor: HoltPredictor, ActivationDelay: 1,
+		}
+	}
+	return MustNewCluster(ClusterConfig{
+		Pools: []Config{
+			{
+				Role: engine.RolePrefillOnly, Replicas: prefillReplicas(2, 20_000), Policy: FutureHeadroom,
+				Planner: planner(2), HomogeneousPlan: homogeneous, OnRoute: tr.onRoute(0),
+			},
+			{
+				Role: engine.RoleDecodeOnly, Replicas: decodeReplicas(3, 12_000, seed), Policy: FutureHeadroom,
+				Planner: planner(3), HomogeneousPlan: homogeneous, OnRoute: tr.onRoute(1),
+			},
+		},
+		Link:      kv.MustNewLink(50e9, 0.002),
+		Admission: &AdmissionConfig{TTFTBudget: sla.TTFT, Shed: true, Slack: 0.5},
+		Faults:    flt,
+		Recorder:  recorder,
+	})
 }
 
 // TestSingleFlavorMatchesHomogeneous is the refactor-seam equivalence
@@ -393,27 +426,10 @@ func TestSingleFlavorMatchesHomogeneous(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			flavored := runSeamScenario(seed, false, nil)
-			reference := runSeamScenario(seed, true, nil)
-			compare := func(kind string, got, want []string) {
-				if len(got) != len(want) {
-					t.Fatalf("%s counts differ: flavored %d, reference %d", kind, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s %d differs:\nflavored:  %s\nreference: %s", kind, i, got[i], want[i])
-					}
-				}
-			}
-			compare("route", flavored.routes, reference.routes)
-			compare("plan", flavored.plans, reference.plans)
-			compare("shed", flavored.sheds, reference.sheds)
-			compare("handoff", flavored.handoffs, reference.handoffs)
 			if len(flavored.sheds) == 0 {
 				t.Fatal("scenario shed nothing; the seam test exercises no admission pressure")
 			}
-			if flavored.report != reference.report {
-				t.Fatalf("reports differ:\nflavored:  %s\nreference: %s", flavored.report, reference.report)
-			}
+			compareTraces(t, "flavored", flavored, runSeamScenario(seed, true, nil))
 		})
 	}
 }

@@ -33,25 +33,9 @@ func TestRecorderDisabledEquivalence(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			off := runSeamScenario(seed, false, stormFaults(seed))
-			traced := runSeamScenario(seed, false, stormFaults(seed), obs.NewCollector(1))
-			compare := func(kind string, got, want []string) {
-				if len(got) != len(want) {
-					t.Fatalf("%s counts differ: traced %d, off %d", kind, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s %d differs:\ntraced: %s\noff:    %s", kind, i, got[i], want[i])
-					}
-				}
-			}
-			compare("route", traced.routes, off.routes)
-			compare("plan", traced.plans, off.plans)
-			compare("shed", traced.sheds, off.sheds)
-			compare("handoff", traced.handoffs, off.handoffs)
-			if traced.report != off.report {
-				t.Fatalf("reports differ:\ntraced: %s\noff:    %s", traced.report, off.report)
-			}
+			compareTraces(t, "traced",
+				runSeamScenario(seed, false, stormFaults(seed), obs.NewCollector(1)),
+				runSeamScenario(seed, false, stormFaults(seed)))
 		})
 	}
 }

@@ -333,44 +333,3 @@ func TestPlacementCrossCheck(t *testing.T) {
 		}
 	}
 }
-
-// TestPlacementCoresAgree: the sequential core and the batched core at 1 and
-// 4 workers route a bursty stream — same-instant groups and sub-step gaps,
-// where a placement's visibility decides the next pick — identically, under
-// both load-aware policies.
-func TestPlacementCoresAgree(t *testing.T) {
-	stream := func(seed uint64) []*request.Request {
-		reqs := poissonReqs(240, 40, seed)
-		for i := range reqs {
-			// Groups of 6 share the arrival instant of their first member but
-			// for a 0.1 ms stagger on every second one.
-			reqs[i].ArrivalTime = reqs[i-i%6].ArrivalTime + float64(i%2)*1e-4
-		}
-		return reqs
-	}
-	for _, policy := range []Policy{FutureHeadroom, LeastLoaded} {
-		for _, seed := range chaosSeeds(t) {
-			policy, seed := policy, seed
-			t.Run(fmt.Sprintf("%v/seed=%d", policy, seed), func(t *testing.T) {
-				trace := func(workers int) decisionTrace {
-					var tr decisionTrace
-					f := MustNew(Config{
-						Replicas: replicas(4, 12_000),
-						Policy:   policy,
-						Workers:  workers,
-						OnRoute: func(r *request.Request, rep int) {
-							tr.routes = append(tr.routes, fmt.Sprintf("r%d req%d", rep, r.ID))
-						},
-					})
-					results := f.Serve(stream(seed), 1e9)
-					tr.report = fmt.Sprintf("%+v", f.Report(results, metrics.SLA{TTFT: 6, MTPOT: 1.5}))
-					return tr
-				}
-				ref := trace(0)
-				for _, w := range parallelWorkerCounts {
-					compareTraces(t, fmt.Sprintf("workers=%d", w), trace(w), ref)
-				}
-			})
-		}
-	}
-}

@@ -138,12 +138,6 @@ type Config struct {
 	// OnRoute, when non-nil, observes every routing decision into this pool
 	// (pool-local replica index).
 	OnRoute func(r *request.Request, replica int)
-	// Workers selects the simulation core when this Config builds the
-	// monolithic Fleet (cluster.New) — the same switch
-	// ClusterConfig.Workers gives an explicit cluster. Like Admission it is
-	// a cluster-wide concern: inside an explicit ClusterConfig a pool-level
-	// worker count is rejected.
-	Workers int
 }
 
 // flavor groups a pool's replicas that share one hardware deployment: the
@@ -198,12 +192,16 @@ type replica struct {
 	repairAt float64 // when the current repair completes (valid while down)
 
 	routed    int
-	inHeap    bool // a step event for this replica is in the event heap
-	pendingIn int  // booked KV transfers in flight toward this replica
+	pendingIn int // booked KV transfers in flight toward this replica
 
-	// buf defers the engine's step effects (hooks, recorder emissions) for
-	// in-order replay by the batched core; nil on the reference path.
-	buf *engine.EffectBuffer
+	// The replica's live step event (events.go): its sequence number (0: none)
+	// and time, the end of the run of coasted steps its engine is on — or the
+	// engine's clock when the next step does not coast. coastIdx is 1 + the
+	// replica's position in Cluster.coasting while its engine trails stepAt,
+	// else 0.
+	stepSeq  int64
+	stepAt   float64
+	coastIdx int
 
 	// Warm probe state: est holds a QuantileEntry for every request running
 	// or waiting on the engine (engine.WaitingLen: queued, or placed by the
@@ -860,11 +858,19 @@ const noMemo = -1
 // anything else that leaves the estimator describing a batch that is gone.
 // It is the only place that decides between lagging and rebuilding.
 func (rep *replica) moved(pureDecode bool) {
-	if pureDecode && rep.estValid {
-		rep.lag++
+	if pureDecode {
+		rep.decoded(1)
 		return
 	}
 	rep.estValid = false
+}
+
+// decoded is moved(true) n times over: the engine took n pure decode steps —
+// the coasted steps of a run the cluster caught the replica up on.
+func (rep *replica) decoded(n int) {
+	if rep.estValid {
+		rep.lag += n
+	}
 }
 
 // placed keeps a replica's warm estimator equal to a rebuild after the

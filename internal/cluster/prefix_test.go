@@ -8,7 +8,7 @@ import (
 	"github.com/lightllm-go/lightllm/internal/engine"
 	"github.com/lightllm-go/lightllm/internal/faults"
 	"github.com/lightllm-go/lightllm/internal/kv"
-	"github.com/lightllm-go/lightllm/internal/metrics"
+	"github.com/lightllm-go/lightllm/internal/obs"
 	"github.com/lightllm-go/lightllm/internal/request"
 	"github.com/lightllm-go/lightllm/internal/rng"
 	"github.com/lightllm-go/lightllm/internal/workload"
@@ -68,87 +68,54 @@ func cachedReplicas(n, capacity, offload int, seed uint64) []*engine.Engine {
 // session traffic, with a non-zero AffinityWeight configured on the entry
 // pool but caching disabled on every engine. strip removes the prefix
 // stamps before serving.
-func runPrefixPin(seed uint64, strip bool, flt *FaultConfig, workers int) decisionTrace {
+func runPrefixPin(seed uint64, strip bool, flt *FaultConfig) decisionTrace {
 	var tr decisionTrace
-	onRoute := func(pool int) func(r *request.Request, rep int) {
-		return func(r *request.Request, rep int) {
-			tr.routes = append(tr.routes, fmt.Sprintf("p%d r%d req%d", pool, rep, r.ID))
-		}
-	}
-	sla := metrics.SLA{TTFT: 6, MTPOT: 1.5}
-	planner := func(max int) *PlannerConfig {
-		return &PlannerConfig{
-			SLA: sla, Min: 1, Max: max, Interval: 5,
-			Predictor: HoltPredictor, ActivationDelay: 1,
-		}
-	}
-	c := MustNewCluster(ClusterConfig{
-		Pools: []Config{
-			{
-				Role: engine.RolePrefillOnly, Replicas: prefillReplicas(2, 20_000), Policy: FutureHeadroom,
-				Planner: planner(2), AffinityWeight: 0.35, OnRoute: onRoute(0),
-			},
-			{
-				Role: engine.RoleDecodeOnly, Replicas: decodeReplicas(3, 12_000, seed), Policy: FutureHeadroom,
-				Planner: planner(3), OnRoute: onRoute(1),
-			},
-		},
-		Link:      kv.MustNewLink(50e9, 0.002),
-		Admission: &AdmissionConfig{TTFTBudget: sla.TTFT, Shed: true, Slack: 0.5},
-		Faults:    flt,
-		Workers:   workers,
-	})
+	c := prefixCluster(seed, flt, nil, &tr)
 	reqs := sessionReqs(350, 60, seed)
 	if strip {
 		stripPrefix(reqs)
 	}
-	results := c.Serve(reqs, 1e9)
-	for _, s := range c.ShedRequests() {
-		tr.sheds = append(tr.sheds, fmt.Sprintf("req%d@%.9f", s.ID, s.ShedAt))
-	}
-	for _, h := range c.Handoffs() {
-		tr.handoffs = append(tr.handoffs, fmt.Sprintf("req%d %d->%d @%.9f", h.Req.ID, h.FromReplica, h.ToReplica, h.DeliveredAt))
-	}
-	for pi := 0; pi < c.NumPools(); pi++ {
-		for _, s := range c.Pool(pi).PlanHistory() {
-			tr.plans = append(tr.plans, fmt.Sprintf("p%d @%.3f target=%d active=%d targets=%v", pi, s.At, s.Target, s.Active, s.Targets))
+	tr.collect(c, c.Serve(reqs, 1e9), seamSLA)
+	return tr
+}
+
+// prefixCluster is seamCluster with AffinityWeight set on the entry pool.
+func prefixCluster(seed uint64, flt *FaultConfig, recorder obs.Recorder, tr *decisionTrace) *Cluster {
+	planner := func(max int) *PlannerConfig {
+		return &PlannerConfig{
+			SLA: seamSLA, Min: 1, Max: max, Interval: 5,
+			Predictor: HoltPredictor, ActivationDelay: 1,
 		}
 	}
-	tr.report = fmt.Sprintf("%+v", c.Report(results, sla))
-	return tr
+	return MustNewCluster(ClusterConfig{
+		Pools: []Config{
+			{
+				Role: engine.RolePrefillOnly, Replicas: prefillReplicas(2, 20_000), Policy: FutureHeadroom,
+				Planner: planner(2), AffinityWeight: 0.35, OnRoute: tr.onRoute(0),
+			},
+			{
+				Role: engine.RoleDecodeOnly, Replicas: decodeReplicas(3, 12_000, seed), Policy: FutureHeadroom,
+				Planner: planner(3), OnRoute: tr.onRoute(1),
+			},
+		},
+		Link:      kv.MustNewLink(50e9, 0.002),
+		Admission: &AdmissionConfig{TTFTBudget: seamSLA.TTFT, Shed: true, Slack: 0.5},
+		Faults:    flt,
+		Recorder:  recorder,
+	})
 }
 
 // TestPrefixDisabledEquivalence is the opt-in pin: with caching disabled on
 // every engine, prefix hashes riding on the requests — and a configured
 // AffinityWeight — must change no decision anywhere: routing, plans, sheds,
 // handoffs, and the report are bit-identical to the same traffic with the
-// stamps stripped, on both simulation cores and through the fault storm.
+// stamps stripped, also through the fault storm.
 func TestPrefixDisabledEquivalence(t *testing.T) {
-	storm := func(seed uint64) *FaultConfig {
-		return &FaultConfig{
-			Schedule: stormSchedule(seed), Recover: true,
-			MaxTransferRetries: 3, RetryBackoff: 0.05,
-			LinkFailRate: 0.08, Seed: seed ^ 0x9e37,
-		}
-	}
 	for seed := uint64(1); seed <= 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			ref := runPrefixPin(seed, true, nil, 0)
-			refStorm := runPrefixPin(seed, true, storm(seed), 0)
-			cases := []struct {
-				label string
-				got   decisionTrace
-				want  decisionTrace
-			}{
-				{"hashed", runPrefixPin(seed, false, nil, 0), ref},
-				{"hashed workers=4", runPrefixPin(seed, false, nil, 4), ref},
-				{"hashed storm", runPrefixPin(seed, false, storm(seed), 0), refStorm},
-				{"hashed storm workers=4", runPrefixPin(seed, false, storm(seed), 4), refStorm},
-			}
-			for _, tc := range cases {
-				compareTraces(t, tc.label, tc.got, tc.want)
-			}
+			compareTraces(t, "hashed", runPrefixPin(seed, false, nil), runPrefixPin(seed, true, nil))
+			compareTraces(t, "hashed storm", runPrefixPin(seed, false, chunkStorm(seed)), runPrefixPin(seed, true, chunkStorm(seed)))
 		})
 	}
 }

@@ -37,12 +37,12 @@ func (cr *coastRun) submit(rs ...*request.Request) {
 }
 
 // glance logs what an observer reads between two Steps without making the
-// engine settle; it must already count the owed tokens (EffectFloor prices
-// the next decode step off the pool, and refuses to at the memory edge).
+// engine settle; it must already count the owed tokens (usedTokens is what
+// coast and CoastEnd price the next decode step on).
 func (cr *coastRun) glance() {
 	e := cr.e
-	cr.logf("clock=%x floor=%x running=%d waiting=%d pure=%v released=%v",
-		math.Float64bits(e.Clock()), math.Float64bits(e.EffectFloor()),
+	cr.logf("clock=%x used=%d running=%d waiting=%d pure=%v released=%v",
+		math.Float64bits(e.Clock()), e.usedTokens(),
 		e.RunningLen(), e.WaitingLen(), e.PureDecodeLastStep(), e.ReleasedLastStep())
 }
 
@@ -408,6 +408,119 @@ func TestCoastMatchesPerTokenPath(t *testing.T) {
 					tc.name, seed, gotRes.CoastedSteps, gotRes.DecodeSteps, tc.noCoast)
 			}
 			sameLog(t, fmt.Sprintf("%s seed %d", tc.name, seed), got.log, ref.log)
+		}
+	}
+}
+
+// TestCoastRunIsPredicted pins the two calls a caller that schedules runs of
+// coasted steps relies on. Driven Step by Step and left alone, an engine's
+// CoastEnd after every Step is the clock the first following Step that does
+// not coast starts at. And driven the cluster's way — CoastUntil to a point
+// inside each run, to the start of a step there (taken only when inclusive),
+// to the run's end, then one Step — it ends exactly where the Step-by-Step
+// engine does: every request and the Result, floats bit for bit.
+func TestCoastRunIsPredicted(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  func(seed uint64) Config
+		reqs func(seed uint64) []*request.Request
+	}{
+		{"past-future-arrivals", func(seed uint64) Config {
+			return Config{Scheduler: core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.05, Rng: rng.New(seed)}),
+				CapacityOverride: 9000, SeedHistory: seedHistory(seed, 300)}
+		}, func(seed uint64) []*request.Request { return stream(seed, 60, 0.25, 200, 300) }},
+		{"memory-edge", func(uint64) Config {
+			return Config{Scheduler: core.MustNewAggressive(1.0), CapacityOverride: 1200}
+		}, func(uint64) []*request.Request {
+			var rs []*request.Request
+			for i := 0; i < 24; i++ {
+				rs = append(rs, request.New(int64(i+1), 20+7*(i%5), 30+11*(i%7), 128, 0))
+			}
+			return rs
+		}},
+	}
+	for _, tc := range cases {
+		for _, seed := range coastSeeds(t) {
+			for _, slow := range []float64{1, 3} {
+				label := fmt.Sprintf("%s seed %d slow %v", tc.name, seed, slow)
+				build := func() (*Engine, []*request.Request) {
+					cfg := tc.cfg(seed)
+					cfg.Perf = testPerf(t)
+					e := MustNew(cfg)
+					e.SetSlowFactor(slow)
+					rs := tc.reqs(seed)
+					e.SubmitAll(rs)
+					return e, rs
+				}
+
+				ref, refReqs := build()
+				var starts []float64 // the clock each Step started at
+				var coasted []bool
+				var preds []float64 // CoastEnd before each Step
+				for {
+					starts, preds = append(starts, ref.Clock()), append(preds, ref.CoastEnd())
+					before := ref.coastedSteps
+					if !ref.Step() {
+						break
+					}
+					coasted = append(coasted, ref.coastedSteps > before)
+				}
+				runs := 0
+				for i, pred := range preds[:len(coasted)] {
+					j := i
+					for j < len(coasted) && coasted[j] {
+						j++
+					}
+					if pred != starts[j] {
+						t.Fatalf("%s: before step %d CoastEnd said %v; the first step that did not coast started at %v",
+							label, i, pred, starts[j])
+					}
+					if j > i {
+						runs++
+					}
+				}
+				if runs == 0 {
+					t.Fatalf("%s: nothing coasted", label)
+				}
+
+				got, gotReqs := build()
+				inclusiveTaken := 0
+				for !got.Idle() {
+					if end := got.CoastEnd(); end > got.Clock() {
+						got.CoastUntil(got.Clock()+(end-got.Clock())/3, false)
+						if c := got.Clock(); c < end {
+							if n := got.CoastUntil(c, false); n != 0 {
+								t.Fatalf("%s: a strict catch-up to the clock took %d steps", label, n)
+							}
+							if n := got.CoastUntil(c, true); n != 1 {
+								t.Fatalf("%s: an inclusive catch-up to the clock took %d steps, want the one starting there", label, n)
+							}
+							inclusiveTaken++
+						}
+						got.CoastUntil(end, false)
+						if got.Clock() != end {
+							t.Fatalf("%s: caught up to %v, the run was priced to end at %v", label, got.Clock(), end)
+						}
+					}
+					got.Step()
+				}
+				if inclusiveTaken == 0 {
+					t.Fatalf("%s: no run was long enough to cut inside", label)
+				}
+				scalars := func(e *Engine) string {
+					res := *e.Snapshot()
+					res.Finished, res.Failed, res.TimedOut, res.HandedOff = nil, nil, nil, nil
+					return fmt.Sprintf("%+v", res)
+				}
+				if g, r := scalars(got), scalars(ref); g != r {
+					t.Fatalf("%s: results differ\n run-driven: %s\nstep-driven: %s", label, g, r)
+				}
+				for i := range refReqs {
+					if g, r := stamp(gotReqs[i]), stamp(refReqs[i]); g != r {
+						t.Fatalf("%s: request %d run-driven %s, step-driven %s", label, i, g, r)
+					}
+				}
+			}
 		}
 	}
 }

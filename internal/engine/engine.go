@@ -47,6 +47,14 @@
 // pointer kept across Steps. Every simulated number is the one the per-token
 // path produces — the same float additions in the same order — and an engine
 // with a token hook (the streaming server) stays on that path.
+//
+// Runs of such steps. Inside a run nothing but the clock moves, so where a run
+// ends follows from the engine's state alone: CoastEnd prices it step by step
+// without taking a step, and CoastUntil takes the run's steps up to a given
+// time. A caller that steps many engines on one clock (internal/cluster) can
+// so schedule one event at the end of a run and catch the engine up lazily
+// when something lands inside it; between those points the engine trails the
+// caller's clock, which is why it must be read only after the catch-up.
 package engine
 
 import (
@@ -326,7 +334,7 @@ type PrefixCacheConfig struct {
 // the package comment): every method that hands out a running request or the
 // pool calls settle first. Inside the package, e.running's requests and
 // e.pool's usage are exact only after settle; code that runs with tokens owed
-// (coast, observe, iterationHook, decodeFloor) reads usage through usedTokens.
+// (coast, CoastEnd, observe, iterationHook) reads usage through usedTokens.
 type Engine struct {
 	cfg       Config
 	pool      *kv.Pool

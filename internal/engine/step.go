@@ -165,6 +165,48 @@ func (e *Engine) coast() bool {
 	return true
 }
 
+// CoastEnd returns the clock at which the first Step that would not coast
+// starts, assuming nothing outside the engine touches it meanwhile: the
+// current clock when the next Step does not coast, else the end of the run of
+// coasted steps it begins. Only the clock moves inside such a run, so the run
+// ends at the first of: a request at its last token, the last free block, an
+// arrival falling due. Each step is priced as coast prices it — the same
+// scaled(DecodeTime(n, used+owed·n+n)) added in the same order — so the value
+// is exactly the clock that many Steps would reach. The cluster schedules
+// one event here instead of one per step.
+func (e *Engine) CoastEnd() float64 {
+	n := len(e.running)
+	if n == 0 || e.queue.Len() > 0 || e.cfg.Hooks.OnToken != nil || e.pool.BlockSize() != 1 {
+		return e.clock
+	}
+	// coast's two counting terms, solved for the number of steps k: step j
+	// (owing owed+j tokens before it) coasts while owed+j+1 < minLeft and
+	// (owed+j+1)·n ≤ FreeBlocks.
+	k := min(e.minLeft-e.owed-1, e.pool.FreeBlocks()/n-e.owed)
+	due := math.Inf(1)
+	if e.arrivals.Len() > 0 {
+		due = e.arrivals[0].at
+	}
+	clock, used := e.clock, e.usedTokens()
+	for ; k > 0 && clock < due; k-- {
+		used += n
+		clock += e.scaled(e.cfg.Perf.DecodeTime(n, used))
+	}
+	return clock
+}
+
+// CoastUntil takes coasted steps while the next one starts before t — or at
+// t, when inclusive — and reports how many it took. It stops early where the
+// run does (CoastEnd): it never takes a step that would not coast. This is
+// how the cluster catches a replica up to an event that lands inside its run.
+func (e *Engine) CoastUntil(t float64, inclusive bool) int {
+	k := 0
+	for (e.clock < t || inclusive && e.clock == t) && e.coast() {
+		k++
+	}
+	return k
+}
+
 // settle hands every running request the tokens coasted steps owe it — KV
 // growth, Generated, LastEmitAt, MaxGap — in one pass, leaving the engine as
 // the per-token path would have. The pool's usage only grew over the run, so

@@ -347,3 +347,61 @@ func TestPerfettoValidJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestPerfettoIterationOrder: iteration slices are written in (end time,
+// pool, replica) order whatever order they were reported in — a replica that
+// coasts reports a run's steps when the cluster catches it up — and one
+// replica's same-instant iterations keep the order they ran in.
+func TestPerfettoIterationOrder(t *testing.T) {
+	type iter struct {
+		at, dur   float64
+		pool, rep int
+		kind      string
+	}
+	// Per replica in the order each ran: replica (1, 0) lands a migrated
+	// prompt in a zero-length iteration and decodes at the same instant, and
+	// (0, 1) ends steps at the same instants as (0, 0).
+	perRep := [][]iter{
+		{{0.5, 0.1, 0, 0, "prefill"}, {0.6, 0.1, 0, 0, "decode"}, {0.7, 0.1, 0, 0, "decode"}},
+		{{0.6, 0.2, 0, 1, "decode"}, {0.7, 0.1, 0, 1, "decode"}},
+		{{0.6, 0, 1, 0, "prefill"}, {0.6, 0.05, 1, 0, "decode"}, {0.65, 0.05, 1, 0, "decode"}},
+	}
+	write := func(order [][2]int) string {
+		c := NewCollector(1)
+		for _, o := range order {
+			it := perRep[o[0]][o[1]]
+			c.Iteration(it.at, it.pool, it.rep, it.kind, it.dur, 4, 1024, 0)
+		}
+		var buf bytes.Buffer
+		if err := c.WritePerfetto(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	// Replica by replica, then round-robin across replicas from the last.
+	byReplica := [][2]int{{0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1}, {2, 0}, {2, 1}, {2, 2}}
+	interleaved := [][2]int{{2, 0}, {1, 0}, {0, 0}, {2, 1}, {1, 1}, {0, 1}, {2, 2}, {0, 2}}
+	a, b := write(byReplica), write(interleaved)
+	if a != b {
+		t.Fatalf("the same iterations reported in two orders write different traces:\n%s\n%s", a, b)
+	}
+	var parsed struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Pid  int    `json:"pid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(a), &parsed); err != nil {
+		t.Fatal(err)
+	}
+	var pool1 []string
+	for _, ev := range parsed.TraceEvents {
+		if ev.Ph == "X" && ev.Pid == 1 {
+			pool1 = append(pool1, ev.Name)
+		}
+	}
+	if strings.Join(pool1, ",") != "prefill,decode,decode" {
+		t.Fatalf("replica (1, 0)'s slices in the order %v; its zero-length prefill ran before its same-instant decode", pool1)
+	}
+}

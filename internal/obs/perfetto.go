@@ -79,7 +79,21 @@ func (c *Collector) WritePerfetto(w io.Writer) error {
 	meta(pidKVLink, 0, "process_name", "kv-link")
 	meta(pidRequests, 0, "process_name", "requests")
 
-	// Replica tracks: engine iterations as complete slices.
+	// Replica tracks: engine iterations as complete slices, in (end time,
+	// pool, replica) order. The emission order is not the simulator's to
+	// promise: a replica that coasts reports a run's steps when the cluster
+	// catches it up, not when they end. A stable sort keeps one replica's
+	// same-instant iterations in the order they ran.
+	sort.SliceStable(c.iters, func(i, j int) bool {
+		a, b := &c.iters[i], &c.iters[j]
+		if a.At != b.At {
+			return a.At < b.At
+		}
+		if a.Pool != b.Pool {
+			return a.Pool < b.Pool
+		}
+		return a.Rep < b.Rep
+	})
 	for _, it := range c.iters {
 		evs = append(evs, perfettoEvent{
 			Name: it.Kind, Ph: "X", Cat: "engine",

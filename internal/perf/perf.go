@@ -65,6 +65,13 @@ type Model struct {
 	bw       float64 // achievable bytes/s
 	overhead float64 // seconds per iteration
 	chunkOH  float64 // seconds per prefill chunk
+
+	// The spec's per-token constants as the iteration prices use them, read
+	// once: a decode step is priced once per simulated step, twice when the
+	// step is part of a run of coasted steps the cluster schedules ahead.
+	flopsPerToken float64
+	weightBytes   float64
+	kvPerToken    float64
 }
 
 // New validates the config and derives the deployment's KV capacity.
@@ -114,6 +121,10 @@ func New(cfg Config) (*Model, error) {
 		bw:       cfg.Cluster.EffectiveBandwidth() * be * sp,
 		overhead: oh,
 		chunkOH:  coh,
+
+		flopsPerToken: cfg.Model.FLOPsPerToken(),
+		weightBytes:   float64(cfg.Model.WeightBytes()),
+		kvPerToken:    float64(cfg.Model.KVBytesPerToken()),
 	}, nil
 }
 
@@ -149,8 +160,8 @@ func (m *Model) PrefillTime(promptTokens int) float64 {
 	if promptTokens <= 0 {
 		return 0
 	}
-	compute := float64(promptTokens) * m.spec.FLOPsPerToken() / m.flops
-	weights := float64(m.spec.WeightBytes()) / m.bw
+	compute := float64(promptTokens) * m.flopsPerToken / m.flops
+	weights := m.weightBytes / m.bw
 	return m.overhead + maxf(compute, weights)
 }
 
@@ -175,8 +186,8 @@ func (m *Model) DecodeTime(batchSize, kvTokens int) float64 {
 	if batchSize <= 0 {
 		return 0
 	}
-	compute := float64(batchSize) * m.spec.FLOPsPerToken() / m.flops
-	bytes := float64(m.spec.WeightBytes()) + float64(kvTokens)*float64(m.spec.KVBytesPerToken())
+	compute := float64(batchSize) * m.flopsPerToken / m.flops
+	bytes := m.weightBytes + float64(kvTokens)*m.kvPerToken
 	memory := bytes / m.bw
 	return m.overhead + maxf(compute, memory)
 }
@@ -188,8 +199,8 @@ func (m *Model) MixedTime(computeTokens, kvTokens int) float64 {
 	if computeTokens <= 0 {
 		return 0
 	}
-	compute := float64(computeTokens) * m.spec.FLOPsPerToken() / m.flops
-	bytes := float64(m.spec.WeightBytes()) + float64(kvTokens)*float64(m.spec.KVBytesPerToken())
+	compute := float64(computeTokens) * m.flopsPerToken / m.flops
+	bytes := m.weightBytes + float64(kvTokens)*m.kvPerToken
 	memory := bytes / m.bw
 	return m.overhead + maxf(compute, memory)
 }

@@ -5,7 +5,7 @@
 #   scripts/bench.sh          # both standing suites (make bench)
 #   scripts/bench.sh micro    # hot-path micro-benchmarks -> BENCH_hotpath.json
 #   scripts/bench.sh fleet    # fleet-scale scenarios     -> BENCH_fleet.json
-#   scripts/bench.sh scale    # long-trace replay sweep   -> BENCH_scale.json
+#   scripts/bench.sh scale    # long-trace replay, both ways -> BENCH_scale.json
 #
 # The micro suite covers BenchmarkAdmitHotPath, BenchmarkFutureRequiredMemory,
 # BenchmarkPeakEstimatorPush (the splice of one admitted request),
@@ -15,7 +15,9 @@
 # BenchmarkFleetRoutePureStep and BenchmarkFleetRouteRebuild/replicas=96: 96
 # replicas with full windows, the rows whose working set is a large replay's
 # — nothing stepped, an eighth took a pure decode step, an eighth must
-# rebuild), the cluster-front admission deadline
+# rebuild), BenchmarkFleetCoast (16 replicas decoding long outputs between
+# sparse arrivals, timed per arrival: the event loop over the steps between
+# two arrivals, nearly all of them coasted), the cluster-front admission deadline
 # heap, the MaxPrefillTokens trim, a decode-heavy engine run end to end
 # (BenchmarkEngineDecodeHeavy), 4000 pure decode steps of a 48-request batch
 # (BenchmarkEngineDecodeLong: /coast as built, /token-hook on the per-token
@@ -51,7 +53,7 @@ run_micro() {
 		-benchmem ./internal/core/ | tee "$tmp"
 	go test -run '^$' -bench 'BenchmarkWindowSampler' \
 		-benchmem ./internal/dist/ | tee -a "$tmp"
-	go test -run '^$' -bench 'BenchmarkFleetRoute|BenchmarkClusterAdmit' \
+	go test -run '^$' -bench 'BenchmarkFleetRoute|BenchmarkFleetCoast|BenchmarkClusterAdmit' \
 		-benchmem ./internal/cluster/ | tee -a "$tmp"
 	go test -run '^$' -bench 'BenchmarkPrefillTrim|BenchmarkChunkSchedule|BenchmarkEngineDecode' \
 		-benchmem ./internal/engine/ | tee -a "$tmp"
@@ -154,28 +156,30 @@ run_fleet() {
 
 run_scale() {
 	# Long-trace replay throughput (make bench-scale): a streamed diurnal
-	# day trace through the sequential reference core, the 1-worker batched
-	# core, and the full-width batched core, on identical regenerated
-	# streams. The binary hard-fails unless all three reports are
-	# byte-identical, so a BENCH_scale.json that exists at all certifies
-	# core equivalence at this scale. Tune with e.g.
-	# `SCALE_REQUESTS=10000000 scripts/bench.sh scale` for the full 10M day.
+	# day trace served as built (one heap event per run of coasted decode
+	# steps) and as its per-step twin (a no-op token hook on every engine:
+	# one heap event per step), on identical regenerated streams. The binary
+	# hard-fails unless the two reports are byte-identical, so a
+	# BENCH_scale.json that exists at all certifies the equivalence at this
+	# scale. Tune with e.g. `SCALE_REQUESTS=10000000 scripts/bench.sh scale`
+	# for the full 10M day.
 	go run ./cmd/fleetsim -scale \
 		-scale-requests "${SCALE_REQUESTS:-1000000}" \
-		-workers "${SCALE_WORKERS:-8}" \
 		-scale-repeat "${SCALE_REPEAT:-2}" \
 		-json BENCH_scale.json
 
-	# Fail loudly if the sweep did not refresh the record: a stale
+	# Fail loudly if the replay did not refresh the record: a stale
 	# BENCH_scale.json would silently misreport the replay trajectory.
 	grep -q '"reports_match": true' BENCH_scale.json || {
 		echo "BENCH_scale.json is stale: no report-equality certificate recorded" >&2
 		exit 1
 	}
-	grep -q "\"workers\": ${SCALE_WORKERS:-8}" BENCH_scale.json || {
-		echo "BENCH_scale.json is stale: widest run missing" >&2
-		exit 1
-	}
+	for field in '"mode": "coasting"' '"mode": "per-step"' '"heap_events"' '"sim_s_per_wall_s"' '"num_cpu"'; do
+		grep -q "$field" BENCH_scale.json || {
+			echo "BENCH_scale.json is stale: no $field recorded" >&2
+			exit 1
+		}
+	done
 }
 
 case "$mode" in
