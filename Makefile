@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check staticcheck bench bench-smoke bench-fleet bench-scale chaos fuzz cover ci
+.PHONY: build test vet fmt-check staticcheck bench bench-smoke bench-fleet bench-scale chaos fuzz examples cover ci
 
 build:
 	$(GO) build ./...
@@ -67,7 +67,11 @@ bench-scale:
 # hierarchy (cache hits, eviction, offload, crash-induced cache drops) under
 # a crash storm, the chunk policy pin (greedy-vs-degenerate-SLO
 # equivalence), exactly-once conservation through chunked prefill ×
-# prefix-cache hits × crash storms, and the placement-visibility pins
+# prefix-cache hits × crash storms, the test oracles the warm paths are held
+# to (TestWarmProbeMatchesNaive: every FutureHeadroom pick is the argmin of
+# the clone+sort reference probe; TestPlannerVectorMatchesScalarRule: the
+# flavor-aware planner sizes like the pre-flavor scalar rule on randomized
+# planners), the placement-visibility pins
 # (TestHerd*: a burst spreads over identical replicas; TestPlacement*:
 # spliced warm estimator ≡ rebuilt ≡ naive reference and the per-replica
 # ledger after every arrival of a crash storm), and the lagged-estimator pins
@@ -85,7 +89,7 @@ bench-scale:
 CHAOS_SEEDS ?= 5
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 \
-		-run 'TestFaultConservation|TestNoRecoveryLosesTerminally|TestCrashRecoveryWithoutAdmission|TestFaultsDisabledEquivalence|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestPrefixDisabledEquivalence|TestPrefixCacheConservation|TestChunkedConservation|TestChunkPolicyEquivalence|TestHerd|TestPlacement|TestWaitingSet|TestLagged|TestPureDecode|TestCoast' \
+		-run 'TestFaultConservation|TestNoRecoveryLosesTerminally|TestCrashRecoveryWithoutAdmission|TestFaultsDisabledEquivalence|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestPrefixDisabledEquivalence|TestPrefixCacheConservation|TestChunkedConservation|TestChunkPolicyEquivalence|TestHerd|TestPlacement|TestWaitingSet|TestLagged|TestPureDecode|TestCoast|TestWarmProbeMatchesNaive|TestPlannerVectorMatchesScalarRule' \
 		./internal/cluster/ ./internal/kv/ ./internal/engine/
 
 # fuzz runs every native fuzz target in the module (go test -list finds
@@ -101,4 +105,12 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime=$(FUZZTIME) "$$pkg" || exit 1; \
 	done
 
-ci: build vet fmt-check staticcheck test bench-smoke chaos fuzz
+# examples runs every program under examples/ to completion, so a library
+# change that breaks one fails here rather than behind a passing go build.
+examples:
+	@for d in ./examples/*/; do \
+		echo "example $$d"; \
+		$(GO) run "$$d" >/dev/null || exit 1; \
+	done
+
+ci: build vet fmt-check staticcheck test bench-smoke examples chaos fuzz

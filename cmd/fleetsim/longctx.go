@@ -88,7 +88,7 @@ func longctxTraffic(opts options, share float64) []*request.Request {
 // fleet is fixed-size for the same reason the multiturn sweep's is: the
 // acceptance axis is equal provisioned capacity, and an autoscaler would
 // paper over head-of-line blocking by scaling out.
-func buildLongctxFleet(opts options, chunk engine.ChunkConfig) *cluster.Fleet {
+func buildLongctxFleet(opts options, chunk engine.ChunkConfig) *cluster.Cluster {
 	pm := perf.MustNew(perf.Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1)})
 	engines := make([]*engine.Engine, opts.replicas)
 	for i := range engines {
@@ -102,15 +102,7 @@ func buildLongctxFleet(opts options, chunk engine.ChunkConfig) *cluster.Fleet {
 			Chunked:          chunk,
 		})
 	}
-	f, err := cluster.New(cluster.Config{
-		Replicas: engines,
-		Policy:   opts.policy,
-		Recorder: opts.rec,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	return f
+	return newFleet(cluster.Config{Replicas: engines, Policy: opts.policy}, opts.rec)
 }
 
 // runLongctxOne serves one (share, arm) point and splits the SLA axes by

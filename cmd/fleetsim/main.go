@@ -585,16 +585,16 @@ func runOne(opts options, csvPath string) row {
 	case heteroMode:
 		f := buildHetero(opts)
 		rep = f.Report(f.Serve(reqs, 1e9), opts.sla)
-		history = f.PlanHistory()
+		history = f.Pool(0).PlanHistory()
 		var parts []string
-		for _, fi := range f.Flavors() {
+		for _, fi := range f.Pool(0).Flavors() {
 			parts = append(parts, fmt.Sprintf("%d×%s", fi.Replicas, fi.Name))
 		}
 		flavorMix = strings.Join(parts, " + ")
 	default:
 		f := buildFleet(opts)
 		rep = f.Report(f.Serve(reqs, 1e9), opts.sla)
-		history = f.PlanHistory()
+		history = f.Pool(0).PlanHistory()
 	}
 
 	mode := opts.scaler
@@ -733,7 +733,7 @@ func attainment(total, violated int) float64 {
 // "hetero-premium" forces the same ramp onto the premium flavor alone (the
 // pre-heterogeneity fleet), the baseline the CostSeconds axis is judged
 // against.
-func buildHetero(opts options) *cluster.Fleet {
+func buildHetero(opts options) *cluster.Cluster {
 	if opts.scaler == "hetero-premium" {
 		// The premium baseline IS the predictive fleet — same engines, same
 		// seeds, same planner — so build it through the same code path.
@@ -758,16 +758,17 @@ func buildHetero(opts options) *cluster.Fleet {
 		plan.Headroom = opts.heteroHR
 		plan.SpeedAware = false
 	}
-	f, err := cluster.New(cluster.Config{
-		Replicas: engines,
-		Policy:   opts.policy,
-		Planner:  plan,
-		Recorder: opts.rec,
-	})
+	return newFleet(cluster.Config{Replicas: engines, Policy: opts.policy, Planner: plan}, opts.rec)
+}
+
+// newFleet builds a monolithic fleet — the cluster of one mixed-role pool —
+// with rec attached, and exits on a configuration error.
+func newFleet(pool cluster.Config, rec obs.Recorder) *cluster.Cluster {
+	c, err := cluster.NewCluster(cluster.ClusterConfig{Pools: []cluster.Config{pool}, Recorder: rec})
 	if err != nil {
 		fatal(err)
 	}
-	return f
+	return c
 }
 
 // mkEngines builds n Past-Future replicas on one perf model, seeded
@@ -786,10 +787,10 @@ func mkEngines(pm *perf.Model, n int, opts options, seedOff uint64) []*engine.En
 	return out
 }
 
-func buildFleet(opts options) *cluster.Fleet {
+func buildFleet(opts options) *cluster.Cluster {
 	pm := perf.MustNew(perf.Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1)})
 	engines := mkEngines(pm, opts.replicas, opts, 0)
-	cfg := cluster.Config{Replicas: engines, Policy: opts.policy, Recorder: opts.rec}
+	cfg := cluster.Config{Replicas: engines, Policy: opts.policy}
 	switch opts.scaler {
 	case "none":
 	case "reactive":
@@ -807,11 +808,7 @@ func buildFleet(opts options) *cluster.Fleet {
 	default:
 		fatal(fmt.Errorf("unknown scaler %q (none, reactive, predictive)", opts.scaler))
 	}
-	f, err := cluster.New(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	return f
+	return newFleet(cfg, opts.rec)
 }
 
 // burstyWorkload synthesizes four ShareGPT phases: calm, ramp, burst, calm.

@@ -85,7 +85,7 @@ func sessionTraffic(opts options, share float64) []*request.Request {
 // fixed-size — the acceptance axis is equal provisioned capacity, so the
 // autoscaler must not paper over blind routing's extra prefill by scaling
 // out. weight is the only difference between the arms.
-func buildMultiturnFleet(opts options, weight float64) *cluster.Fleet {
+func buildMultiturnFleet(opts options, weight float64) *cluster.Cluster {
 	pm := perf.MustNew(perf.Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1)})
 	engines := make([]*engine.Engine, opts.replicas)
 	for i := range engines {
@@ -100,16 +100,7 @@ func buildMultiturnFleet(opts options, weight float64) *cluster.Fleet {
 			},
 		})
 	}
-	f, err := cluster.New(cluster.Config{
-		Replicas:       engines,
-		Policy:         opts.policy,
-		AffinityWeight: weight,
-		Recorder:       opts.rec,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	return f
+	return newFleet(cluster.Config{Replicas: engines, Policy: opts.policy, AffinityWeight: weight}, opts.rec)
 }
 
 // runMultiturnOne serves one (share, arm) point and rolls the cache

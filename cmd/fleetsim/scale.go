@@ -117,7 +117,7 @@ func dayStream(opts scaleOptions) *workload.Stream {
 // replicas, per-replica scheduler RNG streams, no autoscaler — a fixed fleet
 // keeps both modes' work identical by construction. perStep gives every
 // engine a no-op token hook, which keeps it off coasted decode steps.
-func buildScaleFleet(opts scaleOptions, perStep bool) *cluster.Fleet {
+func buildScaleFleet(opts scaleOptions, perStep bool) *cluster.Cluster {
 	pm := perf.MustNew(perf.Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1)})
 	engines := make([]*engine.Engine, opts.replicas)
 	for i := range engines {
@@ -132,11 +132,7 @@ func buildScaleFleet(opts scaleOptions, perStep bool) *cluster.Fleet {
 			engines[i].AddTokenHook(func(float64, *request.Request) {})
 		}
 	}
-	f, err := cluster.New(cluster.Config{Replicas: engines, Policy: cluster.FutureHeadroom})
-	if err != nil {
-		fatal(err)
-	}
-	return f
+	return newFleet(cluster.Config{Replicas: engines, Policy: cluster.FutureHeadroom}, nil)
 }
 
 // runScale replays the day in both modes and returns the measurements. Each

@@ -1,6 +1,7 @@
-// Fleet: the paper's future-work proposal (§7) in action — a router spreads
-// traffic over several serving replicas using the Past-Future estimator's
-// predicted memory demand, and scales the fleet on the same signal.
+// Fleet: the paper's future-work proposal (§7) in action — a one-pool
+// cluster spreads traffic over several serving replicas using the
+// Past-Future estimator's predicted memory demand, and scales the fleet on
+// the same signal.
 //
 //	go run ./examples/fleet
 package main
@@ -10,12 +11,13 @@ import (
 	"log"
 
 	"github.com/lightllm-go/lightllm"
-	"github.com/lightllm-go/lightllm/internal/router"
+	"github.com/lightllm-go/lightllm/internal/cluster"
 	"github.com/lightllm-go/lightllm/internal/workload"
 )
 
 func main() {
-	mkReplicas := func(n int) []*lightllm.Engine {
+	// A monolithic fleet is the cluster of one mixed-role pool.
+	mkFleet := func(n int, pol cluster.Policy, scale *cluster.AutoScale) (*cluster.Cluster, *cluster.Pool) {
 		reps := make([]*lightllm.Engine, n)
 		for i := range reps {
 			eng, err := lightllm.NewServing(lightllm.ServingConfig{
@@ -29,7 +31,13 @@ func main() {
 			}
 			reps[i] = eng
 		}
-		return reps
+		c, err := cluster.NewCluster(cluster.ClusterConfig{
+			Pools: []cluster.Config{{Replicas: reps, Policy: pol, Scale: scale}},
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return c, c.Pool(0)
 	}
 
 	// A bursty, size-skewed request stream (mixed chat + long-document)
@@ -45,12 +53,9 @@ func main() {
 
 	fmt.Println("routing 300 mixed-size requests over 3 Llama-2-7B replicas:")
 	fmt.Printf("%-18s %10s %10s %12s\n", "policy", "meanTTFT", "p99TTFT", "imbalance")
-	for _, pol := range []router.Policy{router.RoundRobin, router.LeastLoaded, router.FutureHeadroom} {
-		rt, err := router.New(router.Config{Replicas: mkReplicas(3), Policy: pol})
-		if err != nil {
-			log.Fatal(err)
-		}
-		results := rt.Serve(mkStream(), 1e9)
+	for _, pol := range []cluster.Policy{cluster.RoundRobin, cluster.LeastLoaded, cluster.FutureHeadroom} {
+		c, pool := mkFleet(3, pol, nil)
+		results := c.Serve(mkStream(), 1e9)
 		var sum, worst float64
 		var n int
 		for _, res := range results {
@@ -62,23 +67,17 @@ func main() {
 				n++
 			}
 		}
-		fmt.Printf("%-18s %9.2fs %9.2fs %12.3f\n", pol, sum/float64(n), worst, rt.Imbalance())
+		fmt.Printf("%-18s %9.2fs %9.2fs %12.3f\n", pol, sum/float64(n), worst, pool.Imbalance())
 	}
 
 	// Predictive autoscaling: start with one replica, grow under load.
 	fmt.Println("\npredictive autoscaling (min 1, max 4 replicas, high-water 70%):")
-	rt, err := router.New(router.Config{
-		Replicas: mkReplicas(4),
-		Policy:   router.FutureHeadroom,
-		Scale:    &router.AutoScale{Min: 1, Max: 4, HighWater: 0.7, LowWater: 0.2, ActivationDelay: 5},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	rt.Serve(mkStream(), 1e9)
-	out, in := rt.ScaleEvents()
+	c, pool := mkFleet(4, cluster.FutureHeadroom,
+		&cluster.AutoScale{Min: 1, Max: 4, HighWater: 0.7, LowWater: 0.2, ActivationDelay: 5})
+	c.Serve(mkStream(), 1e9)
+	out, in := pool.ScaleEvents()
 	fmt.Printf("scale-out events: %d, scale-in events: %d, final active replicas: %d\n",
-		out, in, rt.ActiveReplicas())
+		out, in, pool.ActiveReplicas())
 	fmt.Println("\nthe estimator that schedules a single batch also sizes the fleet:")
 	fmt.Println("predicted future memory demand is the load signal (§7 of the paper).")
 }

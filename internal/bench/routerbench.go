@@ -44,9 +44,9 @@ func (r *RouterResult) PolicyRows(name string) []RouterRow {
 
 // RunRouter evaluates the future-work load-aware routing: round-robin vs
 // least-loaded vs future-headroom (estimator-based) across offered loads on
-// a fleet of Past-Future replicas serving a size-skewed workload. It drives
-// the cluster fleet directly (the event-heap simulator behind the router
-// adapter); cmd/fleetsim covers the autoscaling side of the same subsystem.
+// a fleet of Past-Future replicas serving a size-skewed workload: a one-pool
+// cluster, the monolithic fleet. cmd/fleetsim covers the autoscaling side of
+// the same subsystem.
 func RunRouter(opts Options) *RouterResult {
 	opts = opts.normalized()
 	const replicaCount = 3
@@ -71,7 +71,7 @@ func RunRouter(opts Options) *RouterResult {
 					CapacityOverride: 30_000,
 				})
 			}
-			rt, err := cluster.New(cluster.Config{Replicas: reps, Policy: pol})
+			rt, err := cluster.NewCluster(cluster.ClusterConfig{Pools: []cluster.Config{{Replicas: reps, Policy: pol}}})
 			if err != nil {
 				panic(err)
 			}
@@ -91,7 +91,7 @@ func RunRouter(opts Options) *RouterResult {
 				Policy:    pol.String(),
 				Rate:      rate,
 				Finished:  finished,
-				Imbalance: rt.Imbalance(),
+				Imbalance: rt.Pool(0).Imbalance(),
 			}
 			if len(ttfts) > 0 {
 				row.MeanTTFT = stats.Mean(ttfts)

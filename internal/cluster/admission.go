@@ -85,6 +85,11 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 }
 
 func (c AdmissionConfig) validate() error {
+	for _, v := range []float64{c.TTFTBudget, c.MaxProbe, c.DecodeMaxProbe, c.Slack, c.ClassBucket} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("cluster: non-finite admission parameter %v", v)
+		}
+	}
 	if c.TTFTBudget < 0 {
 		return fmt.Errorf("cluster: negative admission TTFT budget %v", c.TTFTBudget)
 	}

@@ -24,6 +24,13 @@ func TestAdmissionValidation(t *testing.T) {
 		{TTFTBudget: 1, DecodeMaxProbe: -1},
 		{Slack: -1},
 		{Shed: true}, // shedding needs a budget
+		// Non-finite values: NaN passes every "< 0" check.
+		{TTFTBudget: math.NaN()},
+		{TTFTBudget: math.Inf(1), Shed: true},
+		{TTFTBudget: 5, MaxProbe: math.NaN()},
+		{TTFTBudget: 5, DecodeMaxProbe: math.Inf(1)},
+		{TTFTBudget: 5, Slack: math.NaN()},
+		{TTFTBudget: 5, ClassBucket: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		cfg := cfg

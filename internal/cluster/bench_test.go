@@ -9,21 +9,17 @@ import (
 )
 
 // benchFleet builds a fleet whose replicas carry realistic running batches
-// and queues, then returns it with a candidate to probe. The Serve warm-up
-// also warms every replica's history window, so the probes measured are the
-// steady-state hot path; with seed > 0 every window starts out holding that
-// many observations (seededReplicas).
-func benchFleet(tb testing.TB, nReplicas, seed int, naive bool) (*Fleet, *request.Request) {
+// and queues, then returns its pool with a candidate to probe. The Serve
+// warm-up also warms every replica's history window, so the probes measured
+// are the steady-state hot path; with seed > 0 every window starts out
+// holding that many observations (seededReplicas).
+func benchFleet(tb testing.TB, nReplicas, seed int) (*Pool, *request.Request) {
 	tb.Helper()
-	f := MustNew(Config{
-		Replicas:   seededReplicas(nReplicas, 20_000, seed),
-		Policy:     FutureHeadroom,
-		NaiveProbe: naive,
-	})
+	c := mono(Config{Replicas: seededReplicas(nReplicas, 20_000, seed), Policy: FutureHeadroom})
 	// 60 requests/replica at 10 req/s/replica arrive over ~6 s; stopping the
 	// serve at 3 s leaves every replica with a populated batch and queue.
-	f.Serve(poissonReqs(60*nReplicas, float64(10*nReplicas), 41), 3)
-	return f, request.New(1_000_000, 800, 400, 512, 0)
+	c.Serve(poissonReqs(60*nReplicas, float64(10*nReplicas), 41), 3)
+	return c.pools[0], request.New(1_000_000, 800, 400, 512, 0)
 }
 
 // benchSeed is the window fill of the 96-replica rows: full 1000-sample
@@ -40,7 +36,7 @@ const benchSeed = 1000
 func BenchmarkFleetRoute(b *testing.B) {
 	for _, tc := range []struct{ n, seed int }{{4, 0}, {16, 0}, {96, benchSeed}} {
 		b.Run(fmt.Sprintf("replicas=%d", tc.n), func(b *testing.B) {
-			f, cand := benchFleet(b, tc.n, tc.seed, false)
+			f, cand := benchFleet(b, tc.n, tc.seed)
 			f.pick(cand)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -64,7 +60,7 @@ func BenchmarkFleetRoute(b *testing.B) {
 // the pick is timed (two clock reads, ~3% of it): 96 probes, 12 of them past
 // their memo, and the one rebuild that proves the winner.
 func BenchmarkFleetRoutePureStep(b *testing.B) {
-	f := MustNew(Config{Replicas: seededReplicas(96, 1<<40, benchSeed), Policy: FutureHeadroom})
+	f := mono(Config{Replicas: seededReplicas(96, 1<<40, benchSeed), Policy: FutureHeadroom}).pools[0]
 	for i, rep := range f.reps {
 		for k := 0; k < 20; k++ {
 			rep.eng.Submit(request.New(int64(100*i+k), 200+50*k, 1<<24, 1<<24, 0))
@@ -104,7 +100,7 @@ func BenchmarkFleetRoutePureStep(b *testing.B) {
 // does not matter that the base load sits in the waiting set from the first
 // reset on.
 func placeLoop(tb testing.TB) (place, reset func()) {
-	f, cand := benchFleet(tb, 4, 0, false)
+	f, cand := benchFleet(tb, 4, 0)
 	base := make([][]*request.Request, len(f.reps))
 	place = func() {
 		rep := f.pick(cand)
@@ -157,7 +153,7 @@ func BenchmarkFleetRoutePlace(b *testing.B) {
 func BenchmarkFleetRouteRebuild(b *testing.B) {
 	for _, tc := range []struct{ n, seed, every int }{{4, 0, 1}, {96, benchSeed, 8}} {
 		b.Run(fmt.Sprintf("replicas=%d", tc.n), func(b *testing.B) {
-			f, cand := benchFleet(b, tc.n, tc.seed, false)
+			f, cand := benchFleet(b, tc.n, tc.seed)
 			f.pick(cand)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -179,7 +175,7 @@ func BenchmarkFleetRouteRebuild(b *testing.B) {
 // fifteen decode steps, nearly all of them coasted. Timed per arrival: the
 // event loop up to it, the catch-up, the pick and the placement.
 func BenchmarkFleetCoast(b *testing.B) {
-	c := MustNewCluster(ClusterConfig{Pools: []Config{{Replicas: replicas(16, 1<<30), Policy: FutureHeadroom}}})
+	c := mono(Config{Replicas: replicas(16, 1<<30), Policy: FutureHeadroom})
 	c.start(0)
 	arrive := func(i int) {
 		at := float64(i) * 0.25
@@ -197,16 +193,16 @@ func BenchmarkFleetCoast(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetRouteNaive is the reference baseline: one clone+sort
-// core.PredictedBatchPeak per replica per decision, as the original router
-// computed it.
+// BenchmarkFleetRouteNaive is the reference baseline: the test oracle
+// naivePick, one clone+sort core.PredictedBatchPeak per replica per
+// decision, as the original router computed it.
 func BenchmarkFleetRouteNaive(b *testing.B) {
-	f, cand := benchFleet(b, 4, 0, true)
-	f.pick(cand)
+	f, cand := benchFleet(b, 4, 0)
+	naivePick(f, cand)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.pick(cand)
+		naivePick(f, cand)
 	}
 }
 

@@ -10,8 +10,8 @@
 // steps, replica activations, autoscaler ticks, KV-handoff deliveries) so
 // every pool shares one simulated clock. Two topologies are supported:
 //
-//   - Monolithic: one RoleMixed pool. This is the PR 2 fleet, unchanged —
-//     Fleet is now a thin wrapper over this degenerate cluster.
+//   - Monolithic: one RoleMixed pool, NewCluster(ClusterConfig{Pools:
+//     []Config{cfg}}); its Pool(0) is the fleet's routing and scaling view.
 //   - Disaggregated (Dynamo/DistServe/Splitwise-style): a prefill pool and
 //     a decode pool behind a two-stage router. Arrivals take a
 //     FutureHeadroom (or RR/least-loaded) pick in the prefill pool; a
@@ -247,12 +247,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: %d pools; want one mixed or prefill+decode", len(cfg.Pools))
 	}
 	for i, pc := range cfg.Pools {
-		if pc.Admission != nil {
-			return nil, fmt.Errorf("cluster: pool %d carries an AdmissionConfig; admission is cluster-wide, set ClusterConfig.Admission", i)
-		}
-		if pc.Recorder != nil {
-			return nil, fmt.Errorf("cluster: pool %d carries a Recorder; observability is cluster-wide, set ClusterConfig.Recorder", i)
-		}
 		p, err := newPool(c, i, pc)
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/lightllm-go/lightllm/internal/core"
@@ -54,37 +55,40 @@ func poissonReqs(n int, rate float64, seed uint64) []*request.Request {
 	return reqs
 }
 
+// mono builds the monolithic fleet: the cluster of one RoleMixed pool.
+func mono(cfg Config) *Cluster {
+	return MustNewCluster(ClusterConfig{Pools: []Config{cfg}})
+}
+
+// TestFleetValidation: NewCluster rejects every malformed pool
+// configuration, non-finite values included — NaN passes any "x < lo || x >
+// hi" check, so each range has to be written to reject it.
 func TestFleetValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := NewCluster(ClusterConfig{Pools: []Config{{}}}); err == nil {
 		t.Fatal("no replicas accepted")
 	}
-	if _, err := New(Config{Replicas: replicas(2, 1000), Quantile: 1.5}); err == nil {
-		t.Fatal("bad quantile accepted")
-	}
-	if _, err := New(Config{
-		Replicas: replicas(2, 1000),
-		Scale:    &AutoScale{Min: 0, Max: 2},
-	}); err == nil {
-		t.Fatal("bad autoscale bounds accepted")
-	}
-	if _, err := New(Config{
-		Replicas: replicas(2, 1000),
-		Scale:    &AutoScale{Min: 1, Max: 2},
-		Planner:  &PlannerConfig{SLA: metrics.SLASmall, Min: 1, Max: 2},
-	}); err == nil {
-		t.Fatal("Scale+Planner accepted")
-	}
-	if _, err := New(Config{
-		Replicas: replicas(2, 1000),
-		Planner:  &PlannerConfig{SLA: metrics.SLA{}, Min: 1, Max: 2},
-	}); err == nil {
-		t.Fatal("zero SLA targets accepted")
-	}
-	if _, err := New(Config{
-		Replicas: replicas(2, 1000),
-		Planner:  &PlannerConfig{SLA: metrics.SLASmall, Min: 2, Max: 1},
-	}); err == nil {
-		t.Fatal("bad planner bounds accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		pool Config
+	}{
+		{"quantile above 1", Config{Quantile: 1.5}},
+		{"NaN quantile", Config{Quantile: nan}},
+		{"negative affinity", Config{AffinityWeight: -1}},
+		{"NaN affinity", Config{AffinityWeight: nan}},
+		{"infinite affinity", Config{AffinityWeight: inf}},
+		{"bad autoscale bounds", Config{Scale: &AutoScale{Min: 0, Max: 2}}},
+		{"Scale and Planner", Config{
+			Scale:   &AutoScale{Min: 1, Max: 2},
+			Planner: &PlannerConfig{SLA: metrics.SLASmall, Min: 1, Max: 2},
+		}},
+		{"zero SLA targets", Config{Planner: &PlannerConfig{SLA: metrics.SLA{}, Min: 1, Max: 2}}},
+		{"bad planner bounds", Config{Planner: &PlannerConfig{SLA: metrics.SLASmall, Min: 2, Max: 1}}},
+	} {
+		tc.pool.Replicas = replicas(2, 1000)
+		if _, err := NewCluster(ClusterConfig{Pools: []Config{tc.pool}}); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -124,34 +128,33 @@ func TestServeStreamMatchesServe(t *testing.T) {
 	}
 }
 
-// TestWarmProbeMatchesNaive pins the tentpole's equivalence claim: the warm
-// per-replica PeakEstimator probe path (incremental PeakWith, zero
-// allocations) must reproduce, decision for decision, the routing of the
-// reference clone+sort core.PredictedBatchPeak path the original router
-// used — on randomized seeded workloads heavy enough to queue.
+// TestWarmProbeMatchesNaive pins the warm probe path to the reference the
+// original router used: at every FutureHeadroom decision of a fleet heavy
+// enough to queue, the replica the warm per-replica estimators chose must be
+// naivePick's — the argmin of one clone+sort core.PredictedBatchPeak per
+// accepting replica. OnRoute fires before the engine sees the request, so the
+// oracle reads the state the pick read. Seeds follow CHAOS_SEEDS (make chaos).
 func TestWarmProbeMatchesNaive(t *testing.T) {
-	for seed := uint64(1); seed <= 5; seed++ {
+	for _, seed := range chaosSeeds(t) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			trace := func(naive bool) []int {
-				var picks []int
-				f := MustNew(Config{
-					Replicas:   replicas(3, 12_000),
-					Policy:     FutureHeadroom,
-					NaiveProbe: naive,
-					OnRoute:    func(_ *request.Request, rep int) { picks = append(picks, rep) },
-				})
-				f.Serve(poissonReqs(250, 25, seed), 1e9)
-				return picks
-			}
-			warm, naive := trace(false), trace(true)
-			if len(warm) != len(naive) {
-				t.Fatalf("decision counts differ: warm %d, naive %d", len(warm), len(naive))
-			}
-			for i := range warm {
-				if warm[i] != naive[i] {
-					t.Fatalf("decision %d differs: warm chose %d, naive chose %d", i, warm[i], naive[i])
-				}
+			var p *Pool
+			decisions := 0
+			c := mono(Config{
+				Replicas: replicas(3, 12_000),
+				Policy:   FutureHeadroom,
+				OnRoute: func(r *request.Request, rep int) {
+					if want := naivePick(p, r); want.idx != rep {
+						t.Fatalf("decision %d (request %d): warm chose replica %d, naive argmin %d", decisions, r.ID, rep, want.idx)
+					}
+					decisions++
+				},
+			})
+			p = c.pools[0]
+			const n = 250
+			c.Serve(poissonReqs(n, 25, seed), 1e9)
+			if decisions != n {
+				t.Fatalf("%d decisions checked for %d arrivals", decisions, n)
 			}
 		})
 	}
@@ -162,9 +165,9 @@ func TestWarmProbeMatchesNaive(t *testing.T) {
 // fleet) performs zero heap allocations; so does an estimator rebuild after
 // an invalidation that did not change the history window.
 func TestProbeZeroAllocs(t *testing.T) {
-	f := MustNew(Config{Replicas: replicas(4, 20_000), Policy: FutureHeadroom})
-	reqs := poissonReqs(200, 40, 7)
-	f.Serve(reqs, 1e9)
+	c := mono(Config{Replicas: replicas(4, 20_000), Policy: FutureHeadroom})
+	c.Serve(poissonReqs(200, 40, 7), 1e9)
+	f := c.pools[0]
 
 	cand := request.New(int64(9_999), 800, 400, 512, 0)
 	f.pick(cand) // warm every replica's estimator and sampler
@@ -204,8 +207,9 @@ func TestPlaceThenProbeZeroAllocs(t *testing.T) {
 // Every fleet test runs through that check; this one shows it fires when the
 // window is moved behind the cluster's back.
 func TestProbePinsWindowGeneration(t *testing.T) {
-	f := MustNew(Config{Replicas: replicas(2, 20_000), Policy: FutureHeadroom})
-	f.Serve(poissonReqs(100, 40, 3), 1e9)
+	c := mono(Config{Replicas: replicas(2, 20_000), Policy: FutureHeadroom})
+	c.Serve(poissonReqs(100, 40, 3), 1e9)
+	f := c.pools[0]
 	cand := request.New(int64(9_999), 800, 400, 512, 0)
 	f.pick(cand)
 	for i, rep := range f.reps {
@@ -226,11 +230,12 @@ func TestProbePinsWindowGeneration(t *testing.T) {
 func TestRoundRobinStartsAtFirstReplica(t *testing.T) {
 	// Regression: the original router incremented its rotation counter
 	// before the modulo, so the first request skipped replica 0.
-	f := MustNew(Config{Replicas: replicas(3, 50_000), Policy: RoundRobin})
-	reqs := poissonReqs(3, 5, 11)
 	var picks []int
-	f.cfg.OnRoute = func(_ *request.Request, rep int) { picks = append(picks, rep) }
-	f.Serve(reqs, 1e9)
+	f := mono(Config{
+		Replicas: replicas(3, 50_000), Policy: RoundRobin,
+		OnRoute: func(_ *request.Request, rep int) { picks = append(picks, rep) },
+	})
+	f.Serve(poissonReqs(3, 5, 11), 1e9)
 	want := []int{0, 1, 2}
 	for i, p := range picks {
 		if p != want[i] {
@@ -241,7 +246,7 @@ func TestRoundRobinStartsAtFirstReplica(t *testing.T) {
 
 func TestAllRequestsServedOnce(t *testing.T) {
 	for _, pol := range []Policy{RoundRobin, LeastLoaded, FutureHeadroom} {
-		f := MustNew(Config{Replicas: replicas(3, 50_000), Policy: pol})
+		f := mono(Config{Replicas: replicas(3, 50_000), Policy: pol})
 		results := f.Serve(poissonReqs(120, 30, 2), 1e9)
 		seen := map[int64]bool{}
 		for _, res := range results {
@@ -264,7 +269,7 @@ func TestActivationDelayGate(t *testing.T) {
 	const delay = 3.0
 	var routed []*request.Request
 	var toNew []*request.Request
-	f := MustNew(Config{
+	f := mono(Config{
 		Replicas: replicas(2, 6_000),
 		Policy:   FutureHeadroom,
 		Scale:    &AutoScale{Min: 1, Max: 2, HighWater: 0.3, LowWater: 0.01, ActivationDelay: delay},
@@ -276,13 +281,13 @@ func TestActivationDelayGate(t *testing.T) {
 		},
 	})
 	f.Serve(poissonReqs(200, 30, 13), 1e9)
-	if out, _ := f.ScaleEvents(); out == 0 {
+	if out, _ := f.Pool(0).ScaleEvents(); out == 0 {
 		t.Fatal("load never triggered a scale-out")
 	}
 	if len(toNew) == 0 {
 		t.Fatal("scaled-out replica never received traffic")
 	}
-	wake := f.reps[1].wakeAt
+	wake := f.pools[0].reps[1].wakeAt
 	if wake <= 0 {
 		t.Fatalf("scaled-out replica has no wake time")
 	}
@@ -302,15 +307,15 @@ func TestActivationDelayGate(t *testing.T) {
 // active replica, even when the autoscaler's low-water threshold is
 // permanently exceeded, and no request may be lost to a scale-in.
 func TestScaleInKeepsLastReplica(t *testing.T) {
-	f := MustNew(Config{
+	f := mono(Config{
 		Replicas: replicas(3, 50_000),
 		Policy:   LeastLoaded,
 		// LowWater 1.0: every evaluation wants to scale in.
 		Scale: &AutoScale{Min: 1, Max: 3, HighWater: 2.0, LowWater: 1.0, ActivationDelay: 0.5, EvalInterval: 1},
 	})
 	results := f.Serve(poissonReqs(150, 10, 17), 1e9)
-	if f.ActiveReplicas() < 1 {
-		t.Fatalf("fleet scaled to %d active replicas", f.ActiveReplicas())
+	if f.Pool(0).ActiveReplicas() < 1 {
+		t.Fatalf("fleet scaled to %d active replicas", f.Pool(0).ActiveReplicas())
 	}
 	finished := 0
 	for _, res := range results {
@@ -326,7 +331,7 @@ func TestScaleInKeepsLastReplica(t *testing.T) {
 // its queue and batch are empty.
 func TestPlannerDrainBeforeRetire(t *testing.T) {
 	var assignments = map[int64]int{}
-	f := MustNew(Config{
+	f := mono(Config{
 		Replicas: replicas(4, 10_000),
 		Policy:   FutureHeadroom,
 		Planner: &PlannerConfig{
@@ -346,12 +351,12 @@ func TestPlannerDrainBeforeRetire(t *testing.T) {
 	if finished != 250 {
 		t.Fatalf("finished %d of 250 across planner scale events", finished)
 	}
-	for _, s := range f.PlanHistory() {
+	for _, s := range f.Pool(0).PlanHistory() {
 		if s.Active < 1 || s.Target < 1 {
 			t.Fatalf("planner sample %+v dropped below one replica", s)
 		}
 	}
-	if _, in := f.ScaleEvents(); in == 0 {
+	if _, in := f.Pool(0).ScaleEvents(); in == 0 {
 		t.Fatal("planner never scaled in after the burst drained")
 	}
 }
@@ -359,7 +364,7 @@ func TestPlannerDrainBeforeRetire(t *testing.T) {
 // TestPlannerScalesOutUnderRamp: a ramping load must drive the planner's
 // target up before the fleet saturates.
 func TestPlannerScalesOutUnderRamp(t *testing.T) {
-	f := MustNew(Config{
+	f := mono(Config{
 		Replicas: replicas(4, 8_000),
 		Policy:   FutureHeadroom,
 		Planner: &PlannerConfig{
@@ -378,17 +383,17 @@ func TestPlannerScalesOutUnderRamp(t *testing.T) {
 		reqs = append(reqs, part...)
 	}
 	f.Serve(reqs, 1e9)
-	if out, _ := f.ScaleEvents(); out == 0 {
+	if out, _ := f.Pool(0).ScaleEvents(); out == 0 {
 		t.Fatal("planner never scaled out under a ramping load")
 	}
 	maxTarget := 0
-	for _, s := range f.PlanHistory() {
+	for _, s := range f.Pool(0).PlanHistory() {
 		if s.Target > maxTarget {
 			maxTarget = s.Target
 		}
 	}
 	if maxTarget < 2 {
-		t.Fatalf("planner target never exceeded one replica; history %+v", f.PlanHistory())
+		t.Fatalf("planner target never exceeded one replica; history %+v", f.Pool(0).PlanHistory())
 	}
 }
 
@@ -400,7 +405,7 @@ func TestServeDrainsPreloadedEnginesWithoutStream(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		reps[0].Submit(request.New(int64(100+i), 200, 50, 100, 0))
 	}
-	f := MustNew(Config{Replicas: reps, Policy: RoundRobin})
+	f := mono(Config{Replicas: reps, Policy: RoundRobin})
 	results := f.Serve(nil, 1e9)
 	if len(results[0].Finished) != 5 {
 		t.Fatalf("pre-loaded engine finished %d of 5 with an empty stream", len(results[0].Finished))
@@ -408,7 +413,7 @@ func TestServeDrainsPreloadedEnginesWithoutStream(t *testing.T) {
 }
 
 func TestReplicaSecondsNoScaling(t *testing.T) {
-	f := MustNew(Config{Replicas: replicas(3, 50_000), Policy: RoundRobin})
+	f := mono(Config{Replicas: replicas(3, 50_000), Policy: RoundRobin})
 	results := f.Serve(poissonReqs(60, 20, 29), 1e9)
 	var last float64
 	for _, res := range results {
@@ -424,7 +429,7 @@ func TestReplicaSecondsNoScaling(t *testing.T) {
 }
 
 func TestFleetReport(t *testing.T) {
-	f := MustNew(Config{Replicas: replicas(2, 50_000), Policy: RoundRobin})
+	f := mono(Config{Replicas: replicas(2, 50_000), Policy: RoundRobin})
 	results := f.Serve(poissonReqs(80, 20, 31), 1e9)
 	rep := f.Report(results, metrics.SLASmall)
 	if rep.Finished != 80 {
@@ -460,5 +465,155 @@ func TestPolicyString(t *testing.T) {
 	}
 	if _, err := ParsePolicy("random"); err == nil {
 		t.Fatal("unknown policy accepted")
+	}
+}
+
+func TestRoundRobinBalances(t *testing.T) {
+	c := mono(Config{Replicas: replicas(4, 50_000), Policy: RoundRobin})
+	results := c.Serve(poissonReqs(200, 20, 1), 1e9)
+	for i, n := range c.Pool(0).RoutedCounts() {
+		if n != 50 {
+			t.Fatalf("replica %d got %d requests: %v", i, n, c.Pool(0).RoutedCounts())
+		}
+	}
+	total := 0
+	for _, res := range results {
+		total += len(res.Finished)
+	}
+	if total != 200 {
+		t.Fatalf("finished %d of 200", total)
+	}
+	if imb := c.Pool(0).Imbalance(); imb != 0 {
+		t.Fatalf("round robin imbalance %v", imb)
+	}
+}
+
+// TestFutureHeadroomAvoidsLoadedReplica: replica 0 is pre-loaded with
+// long-running requests, so the headroom policy must steer arrivals to
+// replica 1.
+func TestFutureHeadroomAvoidsLoadedReplica(t *testing.T) {
+	reps := replicas(2, 20_000)
+	for i := 0; i < 8; i++ {
+		reps[0].Submit(request.New(int64(1000+i), 1000, 1000, 1200, 0))
+	}
+	c := mono(Config{Replicas: reps, Policy: FutureHeadroom})
+	c.Serve(poissonReqs(40, 50, 3), 1e9)
+	if counts := c.Pool(0).RoutedCounts(); counts[1] <= counts[0] {
+		t.Fatalf("headroom routing did not avoid the loaded replica: %v", counts)
+	}
+}
+
+func TestLeastLoadedAvoidsQueuedReplica(t *testing.T) {
+	reps := replicas(2, 20_000)
+	for i := 0; i < 30; i++ {
+		reps[0].Submit(request.New(int64(1000+i), 2000, 500, 600, 0))
+	}
+	c := mono(Config{Replicas: reps, Policy: LeastLoaded})
+	c.Serve(poissonReqs(40, 50, 4), 1e9)
+	if counts := c.Pool(0).RoutedCounts(); counts[1] <= counts[0] {
+		t.Fatalf("least-loaded routing did not avoid the queued replica: %v", counts)
+	}
+}
+
+// TestAutoscaleOutUnderLoad: small replicas under heavy traffic make the
+// reactive autoscaler grow the fleet from one active replica.
+func TestAutoscaleOutUnderLoad(t *testing.T) {
+	c := mono(Config{
+		Replicas: replicas(4, 8_000),
+		Policy:   FutureHeadroom,
+		Scale:    &AutoScale{Min: 1, Max: 4, HighWater: 0.6, LowWater: 0.1, ActivationDelay: 1.0},
+	})
+	p := c.Pool(0)
+	if p.ActiveReplicas() != 1 {
+		t.Fatalf("initial active = %d", p.ActiveReplicas())
+	}
+	c.Serve(poissonReqs(300, 40, 5), 1e9)
+	if out, _ := p.ScaleEvents(); out == 0 {
+		t.Fatal("no scale-out under heavy load")
+	}
+	if p.ActiveReplicas() < 2 {
+		t.Fatalf("active replicas %d after heavy load", p.ActiveReplicas())
+	}
+}
+
+// TestAutoscaleInWhenIdle: a heavy burst forces a scale-out, then a long
+// trickle lets the load fall below the low-water mark, which scales in.
+func TestAutoscaleInWhenIdle(t *testing.T) {
+	c := mono(Config{
+		Replicas: replicas(3, 8_000),
+		Policy:   LeastLoaded,
+		Scale:    &AutoScale{Min: 1, Max: 3, HighWater: 0.7, LowWater: 0.2, ActivationDelay: 0.5},
+	})
+	burst := poissonReqs(200, 50, 6)
+	trickle := workload.Build(workload.ShareGPT, rng.New(7), 60, 10_000, 256)
+	workload.AssignPoissonArrivals(trickle, rng.New(8), 0.5, 120) // slow arrivals after the burst
+	c.Serve(append(burst, trickle...), 1e9)
+	up, down := c.Pool(0).ScaleEvents()
+	if up == 0 {
+		t.Fatal("no scale-out during burst")
+	}
+	if down == 0 {
+		t.Fatal("no scale-in during trickle")
+	}
+}
+
+// TestHeadroomBeatsRoundRobinOnSkewedLoad: heterogeneous request sizes
+// create load skew that round-robin cannot see. At moderate utilisation
+// (near the knee, where queueing is transient rather than saturated),
+// estimator-driven routing must give a lower mean TTFT.
+func TestHeadroomBeatsRoundRobinOnSkewedLoad(t *testing.T) {
+	meanTTFT := func(policy Policy) float64 {
+		gen := workload.Uniform{Label: "skewed", InLo: 100, InHi: 4000, OutLo: 50, OutHi: 2000}
+		rr := rng.New(9)
+		reqs := workload.Build(gen, rr, 300, 1, 2048)
+		workload.AssignPoissonArrivals(reqs, rr, 1.3, 0)
+		var sum float64
+		var n int
+		for _, res := range mono(Config{Replicas: replicas(3, 30_000), Policy: policy}).Serve(reqs, 1e9) {
+			for _, req := range res.Finished {
+				sum += req.TTFT()
+				n++
+			}
+		}
+		if n == 0 {
+			t.Fatal("nothing finished")
+		}
+		return sum / float64(n)
+	}
+	if hr, rrob := meanTTFT(FutureHeadroom), meanTTFT(RoundRobin); hr >= rrob {
+		t.Fatalf("future-headroom mean TTFT %.2fs not below round-robin %.2fs", hr, rrob)
+	}
+}
+
+// TestMonolithicAdmissionSheds: a one-pool cluster behind shedding admission
+// refuses part of an overloaded stream terminally, every arrival ends exactly
+// once in {completed, shed}, and nothing stays held after Serve.
+func TestMonolithicAdmissionSheds(t *testing.T) {
+	const n = 300
+	c := MustNewCluster(ClusterConfig{
+		Pools:     []Config{{Replicas: replicas(2, 8_000), Policy: FutureHeadroom}},
+		Admission: &AdmissionConfig{TTFTBudget: 4, Shed: true, Slack: 0.5, MaxProbe: 0.9},
+	})
+	rr := rng.New(5)
+	reqs := workload.Build(workload.ShareGPT, rr, n, 1, 512)
+	workload.AssignPoissonArrivals(reqs, rr, 60, 0)
+	finished := 0
+	for _, res := range c.Serve(reqs, 1e9) {
+		finished += len(res.Finished)
+	}
+	shed := c.ShedRequests()
+	if len(shed) == 0 {
+		t.Fatal("overloaded cluster shed nothing")
+	}
+	if finished+len(shed) != n {
+		t.Fatalf("%d finished + %d shed != %d arrivals", finished, len(shed), n)
+	}
+	if c.HeldRequests() != 0 {
+		t.Fatalf("%d requests left held after Serve", c.HeldRequests())
+	}
+	for _, s := range shed {
+		if s.Outcome != request.OutcomeShed {
+			t.Fatalf("shed request %d outcome %v", s.ID, s.Outcome)
+		}
 	}
 }

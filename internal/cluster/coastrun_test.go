@@ -36,10 +36,10 @@ func twinScenarios() []twinScenario {
 	chunked := engine.ChunkConfig{Enabled: true, Policy: engine.ChunkSLOAware, ChunkTokens: 512}
 	scs := []twinScenario{
 		{name: "seam", sla: seamSLA, build: func(seed uint64, rec obs.Recorder, tr *decisionTrace) (*Cluster, []*request.Request) {
-			return seamCluster(seed, false, nil, rec, tr), poissonReqs(350, 60, seed)
+			return seamCluster(seed, nil, rec, tr), poissonReqs(350, 60, seed)
 		}},
 		{name: "seam-storm", sla: seamSLA, build: func(seed uint64, rec obs.Recorder, tr *decisionTrace) (*Cluster, []*request.Request) {
-			return seamCluster(seed, false, stormFaults(seed), rec, tr), poissonReqs(350, 60, seed)
+			return seamCluster(seed, stormFaults(seed), rec, tr), poissonReqs(350, 60, seed)
 		}},
 		{name: "chunked-storm", sla: chunkSLA, build: func(seed uint64, rec obs.Recorder, tr *decisionTrace) (*Cluster, []*request.Request) {
 			return chunkCluster(seed, chunked, chunkStorm(seed), rec, tr), longctxReqs(220, 30, seed)

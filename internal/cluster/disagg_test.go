@@ -8,7 +8,6 @@ import (
 	"github.com/lightllm-go/lightllm/internal/engine"
 	"github.com/lightllm-go/lightllm/internal/kv"
 	"github.com/lightllm-go/lightllm/internal/metrics"
-	"github.com/lightllm-go/lightllm/internal/request"
 	"github.com/lightllm-go/lightllm/internal/rng"
 )
 
@@ -90,49 +89,6 @@ func TestClusterTopologyValidation(t *testing.T) {
 	}
 }
 
-// TestMonolithicClusterMatchesFleet pins the degenerate-configuration
-// claim: the Fleet API (now a one-pool RoleMixed cluster) and an explicit
-// NewCluster with the same single pool must reproduce PR 2's routing
-// decisions bit-identically on randomized workloads — including against
-// the NaiveProbe reference path.
-func TestMonolithicClusterMatchesFleet(t *testing.T) {
-	for seed := uint64(1); seed <= 5; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			trace := func(build func(cfg Config) func([]*request.Request, float64) []*engine.Result, naive bool) []int {
-				var picks []int
-				cfg := Config{
-					Replicas:   replicas(3, 12_000),
-					Policy:     FutureHeadroom,
-					NaiveProbe: naive,
-					OnRoute:    func(_ *request.Request, rep int) { picks = append(picks, rep) },
-				}
-				build(cfg)(poissonReqs(250, 25, seed), 1e9)
-				return picks
-			}
-			viaFleet := func(cfg Config) func([]*request.Request, float64) []*engine.Result {
-				return MustNew(cfg).Serve
-			}
-			viaCluster := func(cfg Config) func([]*request.Request, float64) []*engine.Result {
-				return MustNewCluster(ClusterConfig{Pools: []Config{cfg}}).Serve
-			}
-			fleetWarm := trace(viaFleet, false)
-			clusterWarm := trace(viaCluster, false)
-			clusterNaive := trace(viaCluster, true)
-			if len(fleetWarm) != len(clusterWarm) || len(fleetWarm) != len(clusterNaive) {
-				t.Fatalf("decision counts differ: fleet %d, cluster %d, naive %d",
-					len(fleetWarm), len(clusterWarm), len(clusterNaive))
-			}
-			for i := range fleetWarm {
-				if fleetWarm[i] != clusterWarm[i] || fleetWarm[i] != clusterNaive[i] {
-					t.Fatalf("decision %d differs: fleet %d, cluster %d, naive %d",
-						i, fleetWarm[i], clusterWarm[i], clusterNaive[i])
-				}
-			}
-		})
-	}
-}
-
 // TestDisaggConservation is the handoff conservation law: on randomized
 // seeded workloads, no request is lost or duplicated across the KV
 // transfer, and every request's token accounting (prompt + generated)
@@ -156,16 +112,13 @@ func TestDisaggConservation(t *testing.T) {
 			}
 			link := kv.MustNewLink(50e9, 0.002)
 			disagg := serve(disaggCluster(t, 2, 3, link, seed).Serve(poissonReqs(n, 25, seed), 1e9))
-			mono := serve(MustNew(Config{
-				Replicas: replicas(3, 50_000),
-				Policy:   FutureHeadroom,
-			}).Serve(poissonReqs(n, 25, seed), 1e9))
+			whole := serve(mono(Config{Replicas: replicas(3, 50_000), Policy: FutureHeadroom}).Serve(poissonReqs(n, 25, seed), 1e9))
 
-			if len(disagg) != n || len(mono) != n {
-				t.Fatalf("finished %d disaggregated, %d monolithic, want %d both", len(disagg), len(mono), n)
+			if len(disagg) != n || len(whole) != n {
+				t.Fatalf("finished %d disaggregated, %d monolithic, want %d both", len(disagg), len(whole), n)
 			}
 			for id, got := range disagg {
-				want, ok := mono[id]
+				want, ok := whole[id]
 				if !ok {
 					t.Fatalf("request %d finished disaggregated but not monolithic", id)
 				}

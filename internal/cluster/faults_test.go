@@ -52,8 +52,8 @@ func TestFaultsDisabledEquivalence(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			compareTraces(t, "armed",
-				runSeamScenario(seed, false, &FaultConfig{Recover: true}),
-				runSeamScenario(seed, false, nil))
+				runSeamScenario(seed, &FaultConfig{Recover: true}),
+				runSeamScenario(seed, nil))
 		})
 	}
 }
@@ -312,7 +312,7 @@ func TestPlannerCrashSuppressesScaleIn(t *testing.T) {
 	p := newPlanner(PlannerConfig{
 		SLA: metrics.SLASmall, Min: 1, Max: 4, Interval: 10,
 		Predictor: ConstantPredictor, ScaleInPatience: 1,
-	}.withDefaults(), []*flavor{fl}, engine.RoleMixed, false)
+	}.withDefaults(), []*flavor{fl}, engine.RoleMixed)
 
 	// Zero demand against 3 active replicas wants Min=1 — shrinking — but
 	// the crash holds the fleet and resets the patience.
@@ -343,7 +343,7 @@ func TestPlannerSpareTopsUp(t *testing.T) {
 		return newPlanner(PlannerConfig{
 			SLA: metrics.SLASmall, Min: 1, Max: 4, Interval: 10,
 			Predictor: ConstantPredictor, Spare: spare,
-		}.withDefaults(), []*flavor{fl}, engine.RoleMixed, false)
+		}.withDefaults(), []*flavor{fl}, engine.RoleMixed)
 	}
 	// Zero demand sizes to Min=1; one spare makes the standing target 2.
 	if targets := mk(1).tick(10, []int{1}); targets[0] != 2 {
@@ -370,12 +370,11 @@ func TestPlannerSpareTopsUp(t *testing.T) {
 // index-order picks.
 func TestReactiveScaleCostAware(t *testing.T) {
 	pmExp, pmCheap := perfFor(hw.A100_80G), perfFor(hw.RTX4090)
-	f := MustNew(Config{
+	p := mono(Config{
 		Replicas: mixedReplicas(pmExp, 2, pmCheap, 2, 10_000, 3),
 		Policy:   FutureHeadroom,
 		Scale:    &AutoScale{Min: 1, Max: 4, HighWater: 0.85, LowWater: 0.3},
-	})
-	p := f.clu.pools[0]
+	}).pools[0]
 	exp, cheap := p.reps[0].flv, p.reps[2].flv
 	if cheap.cost >= exp.cost {
 		t.Skipf("4090 cost %v not below A100 %v; scenario tests nothing", cheap.cost, exp.cost)
@@ -416,11 +415,10 @@ func TestReactiveScaleCostAware(t *testing.T) {
 
 	// Homogeneous reduction: identical flavors fall back to the pre-flavor
 	// index-order picks (first cold out, last drained in).
-	h := MustNew(Config{
+	hp := mono(Config{
 		Replicas: replicas(3, 10_000), Policy: FutureHeadroom,
 		Scale: &AutoScale{Min: 1, Max: 3, HighWater: -1, LowWater: -2},
-	})
-	hp := h.clu.pools[0]
+	}).pools[0]
 	hp.retire(hp.reps[1], 0)
 	hp.retire(hp.reps[2], 0)
 	hp.reactiveScale(1)

@@ -50,11 +50,10 @@ func mixedReplicas(pmA *perf.Model, nA int, pmB *perf.Model, nB int, capacity in
 // fastest flavor is exactly 1.
 func TestFlavorGrouping(t *testing.T) {
 	pmFast, pmSlow := perfFor(hw.A100_80G), perfFor(hw.A30)
-	f := MustNew(Config{
+	flavors := mono(Config{
 		Replicas: mixedReplicas(pmFast, 2, pmSlow, 3, 8_000, 1),
 		Policy:   FutureHeadroom,
-	})
-	flavors := f.Flavors()
+	}).Pool(0).Flavors()
 	if len(flavors) != 2 {
 		t.Fatalf("flavors %d, want 2: %+v", len(flavors), flavors)
 	}
@@ -80,39 +79,9 @@ func TestFlavorGrouping(t *testing.T) {
 	// A homogeneous pool is one flavor with relSpeed exactly 1.0 — the
 	// invariant that makes speed-normalized scores bit-identical to raw
 	// probe fractions.
-	h := MustNew(Config{Replicas: replicas(3, 8_000), Policy: FutureHeadroom})
-	hf := h.Flavors()
+	hf := mono(Config{Replicas: replicas(3, 8_000), Policy: FutureHeadroom}).Pool(0).Flavors()
 	if len(hf) != 1 || hf[0].RelSpeed != 1.0 || hf[0].Replicas != 3 {
 		t.Fatalf("homogeneous flavors wrong: %+v", hf)
-	}
-}
-
-// TestHomogeneousPlanRejectsMixedPool: the scalar reference plan is only
-// legal on single-flavor pools.
-func TestHomogeneousPlanRejectsMixedPool(t *testing.T) {
-	_, err := New(Config{
-		Replicas:        mixedReplicas(perfFor(hw.A100_80G), 1, perfFor(hw.A30), 1, 8_000, 1),
-		Policy:          FutureHeadroom,
-		HomogeneousPlan: true,
-	})
-	if err == nil {
-		t.Fatal("HomogeneousPlan accepted on a two-flavor pool")
-	}
-}
-
-// TestPoolAdmissionRejected: pool-level AdmissionConfig inside an explicit
-// ClusterConfig is ambiguous (admission is cluster-wide) and must be
-// rejected; the field exists for the monolithic Fleet constructor.
-func TestPoolAdmissionRejected(t *testing.T) {
-	_, err := NewCluster(ClusterConfig{
-		Pools: []Config{{
-			Replicas:  replicas(1, 10_000),
-			Policy:    FutureHeadroom,
-			Admission: &AdmissionConfig{TTFTBudget: 8},
-		}},
-	})
-	if err == nil {
-		t.Fatal("pool-level AdmissionConfig accepted inside ClusterConfig")
 	}
 }
 
@@ -122,7 +91,7 @@ func TestPoolAdmissionRejected(t *testing.T) {
 // ReplicaSeconds.
 func TestCostSecondsAccounting(t *testing.T) {
 	pmFast, pmSlow := perfFor(hw.A100_80G), perfFor(hw.A30)
-	f := MustNew(Config{
+	f := mono(Config{
 		Replicas: mixedReplicas(pmFast, 1, pmSlow, 2, 20_000, 3),
 		Policy:   RoundRobin,
 	})
@@ -136,7 +105,7 @@ func TestCostSecondsAccounting(t *testing.T) {
 		t.Fatalf("cost-seconds %v, want %v (%.3f weight × %.2fs)", got, want, wantWeight, f.Duration())
 	}
 
-	h := MustNew(Config{Replicas: replicas(2, 20_000), Policy: RoundRobin})
+	h := mono(Config{Replicas: replicas(2, 20_000), Policy: RoundRobin})
 	h.Serve(poissonReqs(40, 20, 31), 1e9)
 	if got, want := h.CostSeconds(), h.ReplicaSeconds(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("baseline fleet cost-seconds %v != replica-seconds %v", got, want)
@@ -151,12 +120,12 @@ func TestCostSecondsAccounting(t *testing.T) {
 func TestSpeedNormalizedPick(t *testing.T) {
 	pmSlow, pmFast := perfFor(hw.A30), perfFor(hw.A100_80G)
 	// Slow flavor first: on a raw-fraction tie the old argmin picks index 0.
-	f := MustNew(Config{
+	var picks []int
+	f := mono(Config{
 		Replicas: mixedReplicas(pmSlow, 1, pmFast, 1, 10_000, 5),
 		Policy:   FutureHeadroom,
+		OnRoute:  func(_ *request.Request, rep int) { picks = append(picks, rep) },
 	})
-	var picks []int
-	f.cfg.OnRoute = func(_ *request.Request, rep int) { picks = append(picks, rep) }
 	f.Serve([]*request.Request{request.New(1, 400, 4, 64, 0)}, 1e9)
 	if len(picks) != 1 || picks[0] != 1 {
 		t.Fatalf("first pick %v, want the fast replica (index 1)", picks)
@@ -173,7 +142,7 @@ func TestHeteroPlannerPrefersCheapFlavor(t *testing.T) {
 	exp := &flavor{name: "premium", pm: pmExp, capacity: 10_000, cost: pmExp.CostWeight(), relSpeed: 1, reps: make([]*replica, 4)}
 	p := newPlanner(PlannerConfig{
 		SLA: metrics.SLASmall, Min: 1, Max: 8, Interval: 10, Predictor: ConstantPredictor,
-	}.withDefaults(), []*flavor{exp, cheap}, engine.RoleMixed, false)
+	}.withDefaults(), []*flavor{exp, cheap}, engine.RoleMixed)
 
 	// Sanity: the 4090 must actually be the cheaper way to buy throughput
 	// at this shape, else the scenario tests nothing.
@@ -189,20 +158,20 @@ func TestHeteroPlannerPrefersCheapFlavor(t *testing.T) {
 
 	// Low demand: everything lands on the cheap flavor (flavor order in the
 	// targets vector follows the pool's flavor order: premium first).
-	low := p.sizeTargets(thrCheap.thr*2, 500, 300)
+	low := p.targetVec(thrCheap.thr*2, 500, 300)
 	if low[0] != 0 || low[1] < 1 || low[1] > 4 {
 		t.Fatalf("low-demand targets %v, want premium 0 and cheap in [1,4]", low)
 	}
 	// Demand beyond the cheap flavor's four replicas spills onto premium.
-	high := p.sizeTargets(thrCheap.thr*8, 500, 300)
+	high := p.targetVec(thrCheap.thr*8, 500, 300)
 	if high[1] != 4 || high[0] < 1 {
 		t.Fatalf("high-demand targets %v, want cheap maxed at 4 and premium > 0", high)
 	}
 	// An infeasible shape (absurd rate with impossible SLA) maxes out.
 	pTight := newPlanner(PlannerConfig{
 		SLA: metrics.SLA{TTFT: 1e-9, MTPOT: 1e-9}, Min: 1, Max: 8, Interval: 10, Predictor: ConstantPredictor,
-	}.withDefaults(), []*flavor{exp, cheap}, engine.RoleMixed, false)
-	all := pTight.sizeTargets(5, 500, 300)
+	}.withDefaults(), []*flavor{exp, cheap}, engine.RoleMixed)
+	all := pTight.targetVec(5, 500, 300)
 	if all[0]+all[1] != 8 {
 		t.Fatalf("infeasible shape targets %v, want the whole fleet (8)", all)
 	}
@@ -220,7 +189,7 @@ func TestHoldRespectsMaxTotal(t *testing.T) {
 	p := newPlanner(PlannerConfig{
 		SLA: metrics.SLASmall, Min: 1, Max: 10, Interval: 10,
 		Predictor: ConstantPredictor, ScaleInPatience: 2,
-	}.withDefaults(), []*flavor{exp, cheap}, engine.RoleMixed, false)
+	}.withDefaults(), []*flavor{exp, cheap}, engine.RoleMixed)
 
 	thrCheap := p.flavorThroughput(cheap, 500, 300)
 	if thrCheap.thr <= 0 {
@@ -279,7 +248,7 @@ func TestHeteroFloorUsesFastestFlavor(t *testing.T) {
 func TestHeteroServesEverything(t *testing.T) {
 	const n = 200
 	pmExp, pmCheap := perfFor(hw.A100_80G), perfFor(hw.RTX4090)
-	f := MustNew(Config{
+	f := mono(Config{
 		Replicas: mixedReplicas(pmExp, 2, pmCheap, 4, 10_000, 11),
 		Policy:   FutureHeadroom,
 		Planner: &PlannerConfig{
@@ -303,7 +272,7 @@ func TestHeteroServesEverything(t *testing.T) {
 	if f.CostSeconds() <= 0 {
 		t.Fatal("mixed fleet recorded no provisioning cost")
 	}
-	for _, s := range f.PlanHistory() {
+	for _, s := range f.Pool(0).PlanHistory() {
 		if len(s.Targets) != 2 {
 			t.Fatalf("plan sample lacks per-flavor targets: %+v", s)
 		}
@@ -349,13 +318,13 @@ func compareTraces(t *testing.T, label string, got, want decisionTrace) {
 	}
 }
 
-func runSeamScenario(seed uint64, homogeneous bool, flt *FaultConfig, rec ...obs.Recorder) decisionTrace {
+func runSeamScenario(seed uint64, flt *FaultConfig, rec ...obs.Recorder) decisionTrace {
 	var recorder obs.Recorder
 	if len(rec) > 0 {
 		recorder = rec[0]
 	}
 	var tr decisionTrace
-	c := seamCluster(seed, homogeneous, flt, recorder, &tr)
+	c := seamCluster(seed, flt, recorder, &tr)
 	tr.collect(c, c.Serve(poissonReqs(350, 60, seed), 1e9), seamSLA)
 	return tr
 }
@@ -390,7 +359,7 @@ var seamSLA = metrics.SLA{TTFT: 6, MTPOT: 1.5}
 // seamCluster builds the seam scenario's cluster: a disaggregated pool pair
 // behind admission with shedding, a per-pool SLA planner on each, KV
 // handoffs over a real link, and flt's faults. tr logs its routing.
-func seamCluster(seed uint64, homogeneous bool, flt *FaultConfig, recorder obs.Recorder, tr *decisionTrace) *Cluster {
+func seamCluster(seed uint64, flt *FaultConfig, recorder obs.Recorder, tr *decisionTrace) *Cluster {
 	sla := seamSLA
 	planner := func(max int) *PlannerConfig {
 		return &PlannerConfig{
@@ -402,11 +371,11 @@ func seamCluster(seed uint64, homogeneous bool, flt *FaultConfig, recorder obs.R
 		Pools: []Config{
 			{
 				Role: engine.RolePrefillOnly, Replicas: prefillReplicas(2, 20_000), Policy: FutureHeadroom,
-				Planner: planner(2), HomogeneousPlan: homogeneous, OnRoute: tr.onRoute(0),
+				Planner: planner(2), OnRoute: tr.onRoute(0),
 			},
 			{
 				Role: engine.RoleDecodeOnly, Replicas: decodeReplicas(3, 12_000, seed), Policy: FutureHeadroom,
-				Planner: planner(3), HomogeneousPlan: homogeneous, OnRoute: tr.onRoute(1),
+				Planner: planner(3), OnRoute: tr.onRoute(1),
 			},
 		},
 		Link:      kv.MustNewLink(50e9, 0.002),
@@ -414,77 +383,4 @@ func seamCluster(seed uint64, homogeneous bool, flt *FaultConfig, recorder obs.R
 		Faults:    flt,
 		Recorder:  recorder,
 	})
-}
-
-// TestSingleFlavorMatchesHomogeneous is the refactor-seam equivalence
-// test: a cluster configured with a single flavor must route, plan, and
-// shed bit-identically to the pre-refactor homogeneous path (the scalar
-// HomogeneousPlan reference, replica 0's model everywhere) — same seeds,
-// same decisions — across the full disaggregated admission pipeline.
-func TestSingleFlavorMatchesHomogeneous(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			flavored := runSeamScenario(seed, false, nil)
-			if len(flavored.sheds) == 0 {
-				t.Fatal("scenario shed nothing; the seam test exercises no admission pressure")
-			}
-			compareTraces(t, "flavored", flavored, runSeamScenario(seed, true, nil))
-		})
-	}
-}
-
-// TestFleetAdmissionMatchesCluster pins the Fleet/router admission
-// threading (ROADMAP open item): a monolithic Fleet with shedding must
-// refuse exactly the same arrivals, and route the survivors identically,
-// as the equivalent explicit one-pool Cluster.
-func TestFleetAdmissionMatchesCluster(t *testing.T) {
-	adm := func() *AdmissionConfig {
-		return &AdmissionConfig{TTFTBudget: 4, Shed: true, Slack: 0.5, MaxProbe: 0.9}
-	}
-	type trace struct {
-		routes []string
-		sheds  []string
-	}
-	run := func(fleet bool, seed uint64) trace {
-		var tr trace
-		cfg := Config{
-			Replicas: replicas(2, 8_000),
-			Policy:   FutureHeadroom,
-			OnRoute: func(r *request.Request, rep int) {
-				tr.routes = append(tr.routes, fmt.Sprintf("r%d req%d", rep, r.ID))
-			},
-		}
-		reqs := poissonReqs(300, 60, seed)
-		var shed []*request.Request
-		if fleet {
-			cfg.Admission = adm()
-			f := MustNew(cfg)
-			f.Serve(reqs, 1e9)
-			shed = f.ShedRequests()
-			if f.HeldRequests() != 0 {
-				t.Fatal("fleet left requests held after Serve")
-			}
-		} else {
-			c := MustNewCluster(ClusterConfig{Pools: []Config{cfg}, Admission: adm()})
-			c.Serve(reqs, 1e9)
-			shed = c.ShedRequests()
-		}
-		for _, s := range shed {
-			tr.sheds = append(tr.sheds, fmt.Sprintf("req%d@%.9f", s.ID, s.ShedAt))
-		}
-		return tr
-	}
-	for seed := uint64(1); seed <= 3; seed++ {
-		fl, cl := run(true, seed), run(false, seed)
-		if len(fl.sheds) == 0 {
-			t.Fatalf("seed %d: fleet shed nothing; no admission pressure", seed)
-		}
-		if fmt.Sprint(fl.sheds) != fmt.Sprint(cl.sheds) {
-			t.Fatalf("seed %d: shed sets differ:\nfleet:   %v\ncluster: %v", seed, fl.sheds, cl.sheds)
-		}
-		if fmt.Sprint(fl.routes) != fmt.Sprint(cl.routes) {
-			t.Fatalf("seed %d: routing differs", seed)
-		}
-	}
 }

@@ -176,37 +176,6 @@ func lagCandidates(maxNew int) []*request.Request {
 	return []*request.Request{short, long, orphan}
 }
 
-// naiveProbes is the reference every check compares against: the naive
-// clone-and-sort probe of every accepting replica, indexed by replica — what
-// each would answer if rebuilt now.
-func naiveProbes(p *Pool, req *request.Request) []float64 {
-	naive := *p
-	naive.cfg.NaiveProbe = true
-	ref := make([]float64, len(p.reps))
-	for _, rep := range p.accepting {
-		ref[rep.idx] = naive.probe(rep, req)
-	}
-	return ref
-}
-
-// bruteBestProbe is bestProbe as a plain sweep over the reference probes.
-func bruteBestProbe(p *Pool, req *request.Request, gate float64, ref []float64) (*replica, float64) {
-	var bestRep *replica
-	bestFits, bestScore, minFrac := false, math.Inf(1), math.Inf(1)
-	for _, rep := range p.accepting {
-		f := ref[rep.idx]
-		minFrac = min(minFrac, f)
-		if f > gate {
-			continue
-		}
-		fits, score := f <= 1, f/rep.flv.relSpeed-p.affinity(rep, req)
-		if bestRep == nil || betterFit(fits, score, bestFits, bestScore) {
-			bestRep, bestFits, bestScore = rep, fits, score
-		}
-	}
-	return bestRep, minFrac
-}
-
 // brutePickDecode is pickDecode as a plain sweep over the reference probes.
 func brutePickDecode(c *Cluster, now float64, bytes int64, dp *Pool, ref []float64) (*replica, float64) {
 	var best *replica
@@ -387,7 +356,7 @@ func TestLaggedBoundIsSound(t *testing.T) {
 // which had to be rebuilt to prove it — and the higher index, which ties from
 // behind and cannot win, is ruled out on its bound alone.
 func TestLaggedTieKeepsIndexOrder(t *testing.T) {
-	f := MustNew(Config{Replicas: replicas(3, 20_000), Policy: FutureHeadroom})
+	f := mono(Config{Replicas: replicas(3, 20_000), Policy: FutureHeadroom}).pools[0]
 	stepAll := func() {
 		for _, rep := range f.reps {
 			rep.eng.Step()

@@ -34,8 +34,8 @@ func TestRecorderDisabledEquivalence(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			compareTraces(t, "traced",
-				runSeamScenario(seed, false, stormFaults(seed), obs.NewCollector(1)),
-				runSeamScenario(seed, false, stormFaults(seed)))
+				runSeamScenario(seed, stormFaults(seed), obs.NewCollector(1)),
+				runSeamScenario(seed, stormFaults(seed)))
 		})
 	}
 }
@@ -48,7 +48,7 @@ func TestRecorderDisabledEquivalence(t *testing.T) {
 // handoff flows.
 func TestFaultStormObservability(t *testing.T) {
 	col := obs.NewCollector(1)
-	runSeamScenario(3, false, stormFaults(3), col)
+	runSeamScenario(3, stormFaults(3), col)
 
 	spans := col.Spans()
 	if len(spans) == 0 {
@@ -241,32 +241,5 @@ func TestDynamicSlackValidation(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("DynamicSlack without a Slack seed accepted")
-	}
-}
-
-// TestPoolLevelRecorderRejected mirrors the pool-level Admission rejection:
-// observability is cluster-wide.
-func TestPoolLevelRecorderRejected(t *testing.T) {
-	_, err := NewCluster(ClusterConfig{
-		Pools: []Config{{Replicas: replicas(1, 10_000), Policy: FutureHeadroom, Recorder: obs.NewCollector(1)}},
-	})
-	if err == nil {
-		t.Fatal("pool-level Recorder accepted")
-	}
-}
-
-// TestFleetRecorderLift: the monolithic Fleet lifts a pool-config Recorder
-// into the cluster the same way it lifts Admission, and the recorded spans
-// decompose exactly.
-func TestFleetRecorderLift(t *testing.T) {
-	col := obs.NewCollector(1)
-	f := MustNew(Config{Replicas: replicas(2, 20_000), Policy: FutureHeadroom, Recorder: col})
-	reqs := poissonReqs(50, 20, 5)
-	f.Serve(reqs, 1e9)
-	if len(col.Spans()) != len(reqs) {
-		t.Fatalf("recorded %d spans for %d requests", len(col.Spans()), len(reqs))
-	}
-	if err := col.CheckDecomposition(1e-9); err != nil {
-		t.Fatal(err)
 	}
 }

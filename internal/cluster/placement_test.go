@@ -68,19 +68,20 @@ func assertEvenSpread(t *testing.T, label string, counts []int) {
 // the admission gate (bestProbe's argmin is the placement there).
 func TestHerdSameInstantArrivals(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name   string
+		policy Policy
+		cfg    ClusterConfig
 	}{
-		{"future-headroom", Config{Policy: FutureHeadroom}},
-		{"least-loaded", Config{Policy: LeastLoaded}},
-		{"admission-gate", Config{Policy: FutureHeadroom, Admission: &AdmissionConfig{TTFTBudget: 5}}},
+		{"future-headroom", FutureHeadroom, ClusterConfig{}},
+		{"least-loaded", LeastLoaded, ClusterConfig{}},
+		{"admission-gate", FutureHeadroom, ClusterConfig{Admission: &AdmissionConfig{TTFTBudget: 5}}},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			tc.cfg.Replicas = replicas(4, 20_000)
-			f := MustNew(tc.cfg)
+			tc.cfg.Pools = []Config{{Replicas: replicas(4, 20_000), Policy: tc.policy}}
+			f := MustNewCluster(tc.cfg)
 			results := f.Serve(burst(1, 8, 0, 0), 1e9)
-			assertEvenSpread(t, tc.name, f.RoutedCounts())
+			assertEvenSpread(t, tc.name, f.Pool(0).RoutedCounts())
 			finished := 0
 			for _, res := range results {
 				finished += len(res.Finished)
@@ -106,20 +107,19 @@ func TestHerdBurstWithinOneStep(t *testing.T) {
 					e.Submit(request.New(int64(1000*(i+1)+k), 300, 400, 512, 0))
 				}
 			}
-			var f *Fleet
-			f = MustNew(Config{
+			f := mono(Config{
 				Replicas: engines,
 				Policy:   policy,
 				OnRoute: func(*request.Request, int) {
-					for i, rep := range f.reps {
-						if rep.eng.RunningLen() == 0 {
+					for i, e := range engines {
+						if e.RunningLen() == 0 {
 							t.Errorf("replica %d is idle during the burst: the scenario no longer tests busy replicas", i)
 						}
 					}
 				},
 			})
 			f.Serve(burst(1, 8, 1.0, 0.00025), 1e9)
-			assertEvenSpread(t, policy.String(), f.RoutedCounts())
+			assertEvenSpread(t, policy.String(), f.Pool(0).RoutedCounts())
 		})
 	}
 }
@@ -196,15 +196,14 @@ func probeCandidates() []*request.Request {
 // accepting replica the warm estimator — whatever mix of rebuilds, splices
 // and pure decode steps it has been through — must price each candidate, and
 // the replica's own load, like an estimator built from scratch now and like
-// the naive clone-and-sort reference: exactly if it does not lag, from below
-// if it does. For every replica, accepting or not, the engine must hold
-// exactly what was submitted to it and has not left. It returns how many of
-// the warm estimators checked carried a spliced entry, and how many lagged.
+// the naive clone-and-sort reference (naiveProbe, naiveLoad): exactly if it
+// does not lag, from below if it does. For every replica, accepting or not,
+// the engine must hold exactly what was submitted to it and has not left. It
+// returns how many of the warm estimators checked carried a spliced entry,
+// and how many lagged.
 func checkPlacementState(t *testing.T, c *Cluster, led *placementLedger, cands []*request.Request) (spliced, lagged int) {
 	t.Helper()
 	for _, p := range c.pools {
-		naive := *p
-		naive.cfg.NaiveProbe = true
 		for _, rep := range p.accepting {
 			if rep.estValid && rep.eng.WaitingLen() > rep.eng.QueueLen() {
 				spliced++
@@ -220,7 +219,7 @@ func checkPlacementState(t *testing.T, c *Cluster, led *placementLedger, cands [
 			warm := *rep
 			for _, cand := range cands {
 				bound, exact := p.probeBound(&warm, cand)
-				rebuilt, ref := p.probe(&scratch, cand), naive.probe(rep, cand)
+				rebuilt, ref := p.probe(&scratch, cand), naiveProbe(p, rep, cand)
 				if rebuilt != ref || bound > ref || (exact && bound != ref) {
 					t.Fatalf("pool %d replica %d: probe of a candidate %d tokens in: warm %v (exact %v, lag %d), rebuilt %v, naive %v",
 						p.id, rep.idx, cand.Generated, bound, exact, warm.lag, rebuilt, ref)
@@ -228,7 +227,7 @@ func checkPlacementState(t *testing.T, c *Cluster, led *placementLedger, cands [
 			}
 			// load is always exact, so only an estimator that does not lag
 			// can answer it without the rebuild the copy must not do.
-			if rebuilt, ref := p.load(&scratch), naive.load(rep); rebuilt != ref || (warm.lag == 0 && p.load(&warm) != ref) {
+			if rebuilt, ref := p.load(&scratch), naiveLoad(p, rep); rebuilt != ref || (warm.lag == 0 && p.load(&warm) != ref) {
 				t.Fatalf("pool %d replica %d: load rebuilt %v, naive %v; the warm estimator (lag %d) must answer the same when it does not lag",
 					p.id, rep.idx, rebuilt, ref, warm.lag)
 			}

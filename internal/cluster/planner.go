@@ -132,10 +132,6 @@ type planner struct {
 	cfg     PlannerConfig
 	flavors []*flavor   // the pool's flavor groups (sizing inputs)
 	role    engine.Role // selects the sizing rule
-	// homogeneous selects the pre-flavor scalar sizing rule (replica 0's
-	// flavor assumed everywhere) — the cross-check reference. Only legal
-	// with one flavor.
-	homogeneous bool
 
 	predRate, predISL, predOSL Predictor
 
@@ -193,9 +189,9 @@ type flavorThr struct {
 	predTPOT float64
 }
 
-func newPlanner(cfg PlannerConfig, flavors []*flavor, role engine.Role, homogeneous bool) *planner {
+func newPlanner(cfg PlannerConfig, flavors []*flavor, role engine.Role) *planner {
 	return &planner{
-		cfg: cfg, flavors: flavors, role: role, homogeneous: homogeneous,
+		cfg: cfg, flavors: flavors, role: role,
 		predRate: cfg.Predictor.New(),
 		predISL:  cfg.Predictor.New(),
 		predOSL:  cfg.Predictor.New(),
@@ -305,16 +301,15 @@ func (p *planner) tick(now float64, activeByFlavor []int) []int {
 	// scale in below load that is demonstrably arriving right now (a
 	// transient forecast dip at a ramp onset would otherwise shed the
 	// capacity the next interval needs).
-	targets := p.sizeTargets(math.Max(predRate, rate), predISL, predOSL)
+	targets := p.targetVec(math.Max(predRate, rate), predISL, predOSL)
 	total := 0
 	for _, t := range targets {
 		total += t
 	}
 	// N+1 redundancy: top the forecast-sized fleet up with Spare extra
 	// replicas, cheapest flavor first (p.order is cost-ranked by
-	// sizeTargets; zero — flavor 0 — on the homogeneous path, where there
-	// is nothing to rank). The spares are part of the standing target, so
-	// the patience logic below treats losing one as shrinking.
+	// targetVec). The spares are part of the standing target, so the
+	// patience logic below treats losing one as shrinking.
 	for s := 0; s < p.cfg.Spare && total < p.cfg.Max; s++ {
 		added := false
 		for _, fi := range p.order {
@@ -401,37 +396,6 @@ func (p *planner) tick(now float64, activeByFlavor []int) []int {
 		Targets: append([]int(nil), targets...),
 	})
 	return targets
-}
-
-// sizeTargets converts a demand forecast into per-flavor replica targets:
-// the scalar pre-flavor rule under HomogeneousPlan, the cost-aware vector
-// rule otherwise. The two are decision-identical on single-flavor pools.
-func (p *planner) sizeTargets(rate, isl, osl float64) []int {
-	if p.homogeneous {
-		p.targets[0] = p.targetScalar(rate, isl, osl)
-		return p.targets
-	}
-	return p.targetVec(rate, isl, osl)
-}
-
-// targetScalar is the pre-flavor sizing rule: the minimum replica count
-// whose interpolated latency meets the (correction-tightened) SLA, with
-// every replica assumed identical to the pool's single flavor. Kept as the
-// cross-check reference for the refactor-seam equivalence tests.
-func (p *planner) targetScalar(rate, isl, osl float64) int {
-	op := p.flavorThroughput(p.flavors[0], isl, osl)
-	p.lastPredTTFT, p.lastPredTPOT = op.predTTFT, op.predTPOT
-	if op.thr <= 0 {
-		return p.cfg.Max // SLA infeasible at this shape: throw the fleet at it
-	}
-	n := int(math.Ceil(rate / (op.thr * p.cfg.Headroom)))
-	if n < p.cfg.Min {
-		n = p.cfg.Min
-	}
-	if n > p.cfg.Max {
-		n = p.cfg.Max
-	}
-	return n
 }
 
 // targetVec is the cost-aware sizing rule: every flavor's SLA-feasible

@@ -7,7 +7,6 @@ import (
 	"github.com/lightllm-go/lightllm/internal/core"
 	"github.com/lightllm-go/lightllm/internal/dist"
 	"github.com/lightllm-go/lightllm/internal/engine"
-	"github.com/lightllm-go/lightllm/internal/obs"
 	"github.com/lightllm-go/lightllm/internal/perf"
 	"github.com/lightllm-go/lightllm/internal/request"
 )
@@ -76,8 +75,8 @@ type AutoScale struct {
 }
 
 // Config configures one Pool: a set of same-role replicas behind a routing
-// policy with optional autoscaling. It doubles as the Fleet configuration —
-// a monolithic fleet *is* the one-pool RoleMixed cluster.
+// policy with optional autoscaling. A monolithic fleet is the cluster of one
+// RoleMixed pool: NewCluster(ClusterConfig{Pools: []Config{cfg}}).
 type Config struct {
 	// Role is the serving phase this pool executes. Every replica engine
 	// must be built with the same engine.Role. RoleMixed (zero value) is
@@ -110,31 +109,6 @@ type Config struct {
 	// caching off every replica matches zero tokens, so routing is
 	// bit-identical to the cache-blind policy either way.
 	AffinityWeight float64
-	// NaiveProbe computes every FutureHeadroom probe and reactive load with
-	// the reference core.PredictedBatchPeak (one estimator clone+sort per
-	// probe) instead of the warm per-replica estimators. The decisions are
-	// identical either way; this switch exists as the benchmark baseline
-	// and for cross-check tests.
-	NaiveProbe bool
-	// HomogeneousPlan sizes the SLA planner with the pre-flavor scalar rule
-	// — every replica assumed identical to replica 0 — instead of the
-	// flavor-aware vector sizing. The two are decision-identical on
-	// single-flavor pools; this switch is the cross-check baseline for the
-	// refactor-seam equivalence tests (the planner's NaiveProbe). Rejected
-	// on pools with more than one flavor.
-	HomogeneousPlan bool
-	// Admission enables cluster-front admission control when this Config
-	// builds the monolithic Fleet (cluster.New) or the router adapter — the
-	// same pipeline ClusterConfig.Admission gives an explicit cluster.
-	// Inside an explicit ClusterConfig the pipeline is cluster-wide, so
-	// pool-level Admission must be nil there (NewCluster rejects it).
-	Admission *AdmissionConfig
-	// Recorder attaches the observability layer when this Config builds the
-	// monolithic Fleet (cluster.New) — the same stream
-	// ClusterConfig.Recorder gives an explicit cluster. Like Admission it is
-	// a cluster-wide concern: inside an explicit ClusterConfig a pool-level
-	// Recorder is rejected.
-	Recorder obs.Recorder
 	// OnRoute, when non-nil, observes every routing decision into this pool
 	// (pool-local replica index).
 	OnRoute func(r *request.Request, replica int)
@@ -287,14 +261,16 @@ func newPool(c *Cluster, id int, cfg Config) (*Pool, error) {
 	if cfg.Quantile == 0 {
 		cfg.Quantile = 0.9
 	}
-	if cfg.Quantile < 0 || cfg.Quantile > 1 {
+	// Range checks are written as "inside" tests so that NaN, which fails
+	// every comparison, is rejected with them.
+	if !(cfg.Quantile >= 0 && cfg.Quantile <= 1) {
 		return nil, fmt.Errorf("cluster: quantile %v outside [0,1]", cfg.Quantile)
 	}
 	if cfg.Scale != nil && cfg.Planner != nil {
 		return nil, fmt.Errorf("cluster: reactive Scale and predictive Planner are mutually exclusive")
 	}
-	if cfg.AffinityWeight < 0 {
-		return nil, fmt.Errorf("cluster: negative affinity weight %v", cfg.AffinityWeight)
+	if !(cfg.AffinityWeight >= 0 && cfg.AffinityWeight < math.Inf(1)) {
+		return nil, fmt.Errorf("cluster: affinity weight %v outside [0,+Inf)", cfg.AffinityWeight)
 	}
 	initial := len(cfg.Replicas)
 	if cfg.Scale != nil {
@@ -326,11 +302,8 @@ func newPool(c *Cluster, id int, cfg Config) (*Pool, error) {
 		p.reps[i].awake = true
 	}
 	p.buildFlavors(c)
-	if cfg.HomogeneousPlan && len(p.flavors) > 1 {
-		return nil, fmt.Errorf("cluster: pool %d: HomogeneousPlan is the single-flavor reference, pool has %d flavors", id, len(p.flavors))
-	}
 	if p.cfg.Planner != nil {
-		p.plan = newPlanner(*p.cfg.Planner, p.flavors, cfg.Role, cfg.HomogeneousPlan)
+		p.plan = newPlanner(*p.cfg.Planner, p.flavors, cfg.Role)
 		for _, rep := range p.reps {
 			rep.eng.AddFinishHook(func(_ float64, r *request.Request) {
 				// A decode pool corrects on observed MTPOT — the metric it
@@ -642,16 +615,14 @@ func (p *Pool) routeTo(req *request.Request, rep *replica) {
 // allocation-free: the per-replica estimator is rebuilt in place only after
 // the replica stepped, and the candidate is an O(log B) PeakWith at most.
 func (p *Pool) probe(rep *replica, req *request.Request) float64 {
-	if !p.cfg.NaiveProbe {
-		p.ensureEst(rep)
-	}
+	p.ensureEst(rep)
 	frac, _ := p.probeBound(rep, req)
 	return frac
 }
 
 // probeBound is probe without the rebuild a lagging estimator would need: a
 // lower bound of probe's value, and whether it is that value (always, for an
-// estimator that does not lag, and for the NaiveProbe reference).
+// estimator that does not lag).
 //
 // An estimator built lag pure decode steps ago describes memory over time
 // from its own instant: an entry (C, R) holds C+τ tokens at τ ≤ R steps on.
@@ -664,12 +635,6 @@ func (p *Pool) probe(rep *replica, req *request.Request) float64 {
 // exceed what a rebuild would answer, and equals it when nothing waits and
 // no running request's clamped quantile moved.
 func (p *Pool) probeBound(rep *replica, req *request.Request) (frac float64, exact bool) {
-	if p.cfg.NaiveProbe {
-		batch := append(rep.eng.RunningRequests(), rep.eng.WaitingRequests()...)
-		batch = append(batch, req)
-		peak := core.PredictedBatchPeak(batch, rep.eng.History(), p.cfg.Quantile)
-		return float64(peak) / float64(rep.eng.Pool().CapacityTokens()), true
-	}
 	if !rep.estValid {
 		p.rebuild(rep)
 	}
@@ -816,11 +781,6 @@ func (p *Pool) bestCachedTokens(r *request.Request) int {
 // load returns the predicted peak of a replica's batch plus waiting set (no
 // candidate) as a fraction of capacity — the reactive autoscaler's signal.
 func (p *Pool) load(rep *replica) float64 {
-	if p.cfg.NaiveProbe {
-		batch := append(rep.eng.RunningRequests(), rep.eng.WaitingRequests()...)
-		peak := core.PredictedBatchPeak(batch, rep.eng.History(), p.cfg.Quantile)
-		return float64(peak) / float64(rep.eng.Pool().CapacityTokens())
-	}
 	p.ensureEst(rep)
 	return float64(rep.est.Peak()) / float64(rep.eng.Pool().CapacityTokens())
 }

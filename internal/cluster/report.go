@@ -170,12 +170,6 @@ func (c *Cluster) Report(results []*engine.Result, sla metrics.SLA) Report {
 	return r
 }
 
-// Report rolls up per-replica results against an SLA — the monolithic
-// fleet's view of the cluster report.
-func (f *Fleet) Report(results []*engine.Result, sla metrics.SLA) Report {
-	return f.clu.Report(results, sla)
-}
-
 // String renders a one-line report for logs.
 func (r Report) String() string {
 	return fmt.Sprintf("fleet(%d): %s, %.0f replica-seconds, %d out/%d in",

@@ -106,17 +106,6 @@ func FutureRequiredMemory(entries []Entry) int {
 	return peak
 }
 
-// futurePeakWithCandidate computes M* for entries plus one extra candidate
-// without mutating entries — the naive per-candidate path (one allocation
-// and a full re-sort per call), kept as the PeakEstimator's reference
-// baseline for benchmarks and cross-check tests.
-func futurePeakWithCandidate(entries []Entry, cand Entry) int {
-	tmp := make([]Entry, len(entries)+1)
-	copy(tmp, entries)
-	tmp[len(entries)] = cand
-	return FutureRequiredMemory(tmp)
-}
-
 // TrueFutureRequiredMemory returns the ground-truth M* of a batch — what the
 // batch will actually need. The metrics layer records this after every
 // admission (Table 1's "Future Required Memory"); a value above capacity

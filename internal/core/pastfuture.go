@@ -36,12 +36,6 @@ type PastFutureConfig struct {
 	// P(l > l_t) at every step (§3.2's dynamic update). The paper's full
 	// scheduler keeps this false.
 	NoResample bool
-	// NaivePeak computes each candidate's M* with the reference clone+sort
-	// FutureRequiredMemory instead of the incremental PeakEstimator. The
-	// admission decisions are identical either way (the estimator is
-	// bit-exact); this switch exists as the benchmark baseline and for
-	// cross-check tests. Production configurations leave it false.
-	NaivePeak bool
 	// PerClass predicts each request from its own service-class history
 	// window when the engine maintains one (engine.Config.ClassHistory) —
 	// an extension for multi-tenant mixtures whose *global* distribution
@@ -75,8 +69,7 @@ func (c PastFutureConfig) withDefaults() PastFutureConfig {
 type PastFuture struct {
 	cfg PastFutureConfig
 
-	est     PeakEstimator // incremental M* over the running batch
-	entries []Entry       // NaivePeak baseline scratch
+	est PeakEstimator // incremental M* over the running batch
 
 	// classMemo caches (class → sampler) for the duration of one Admit call
 	// in PerClass mode: every request of a class after the first skips the
@@ -87,14 +80,16 @@ type PastFuture struct {
 }
 
 // NewPastFuture validates the configuration and builds the scheduler.
+// The range checks are written as "inside" tests so that NaN, which fails
+// every comparison, is rejected with them.
 func NewPastFuture(cfg PastFutureConfig) (*PastFuture, error) {
-	if cfg.Reserved < 0 || cfg.Reserved >= 1 {
+	if !(cfg.Reserved >= 0 && cfg.Reserved < 1) {
 		return nil, fmt.Errorf("core: reserved fraction %v outside [0,1)", cfg.Reserved)
 	}
 	if !cfg.Deterministic && cfg.Rng == nil {
 		return nil, fmt.Errorf("core: sampling mode requires an RNG")
 	}
-	if cfg.Quantile < 0 || cfg.Quantile > 1 {
+	if !(cfg.Quantile >= 0 && cfg.Quantile <= 1) {
 		return nil, fmt.Errorf("core: quantile %v outside [0,1]", cfg.Quantile)
 	}
 	cfg = cfg.withDefaults()
@@ -144,19 +139,13 @@ func (pf *PastFuture) Admit(v *View, queue []*request.Request) int {
 	}
 
 	pf.est.Reset()
-	pf.entries = pf.entries[:0]
 	for _, r := range v.Running {
 		pred := pf.predict(pf.samplerFor(v, global, r), r, multi)
 		r.PredictedLen = pred
 		// Mid-chunk requests have only KVLanded() tokens resident; the
 		// unprefilled prompt tail is charged as guaranteed future growth so
 		// the eventual peak matches the unchunked view.
-		e := Entry{Current: r.KVLanded(), Remaining: pred - r.Generated + r.PrefillRemaining()}
-		if pf.cfg.NaivePeak {
-			pf.entries = append(pf.entries, e)
-		} else {
-			pf.est.Push(e)
-		}
+		pf.est.Push(Entry{Current: r.KVLanded(), Remaining: pred - r.Generated + r.PrefillRemaining()})
 	}
 
 	admitted := 0
@@ -168,17 +157,10 @@ func (pf *PastFuture) Admit(v *View, queue []*request.Request) int {
 		if promptNeed+q.Footprint() > v.FreeTokens {
 			break // prompt cannot be physically allocated this iteration
 		}
-		if pf.cfg.NaivePeak {
-			if futurePeakWithCandidate(pf.entries, cand) > threshold {
-				break
-			}
-			pf.entries = append(pf.entries, cand)
-		} else {
-			if pf.est.PeakWith(cand) > threshold {
-				break
-			}
-			pf.est.Push(cand)
+		if pf.est.PeakWith(cand) > threshold {
+			break
 		}
+		pf.est.Push(cand)
 		promptNeed += q.Footprint()
 		admitted++
 	}

@@ -205,7 +205,7 @@ func (pe *PeakEstimator) Peak() int {
 
 // PeakWith returns M* of the pushed entries plus one hypothetical candidate,
 // without mutating the estimator. It is bit-identical to
-// futurePeakWithCandidate over the same entries.
+// FutureRequiredMemory over the same entries plus the candidate.
 func (pe *PeakEstimator) PeakWith(cand Entry) int {
 	return pe.Terms(cand.Remaining).With(cand.Current)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -213,6 +214,16 @@ func TestPastFutureConfigValidation(t *testing.T) {
 	}
 	if _, err := NewPastFuture(PastFutureConfig{Deterministic: true, Quantile: 1.5}); err == nil {
 		t.Fatal("quantile > 1 accepted")
+	}
+	// NaN fails every comparison, so a range written as "x < lo || x > hi"
+	// would pass it; ±Inf is outside every range here.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewPastFuture(PastFutureConfig{Reserved: v, Deterministic: true}); err == nil {
+			t.Fatalf("reserve %v accepted", v)
+		}
+		if _, err := NewPastFuture(PastFutureConfig{Deterministic: true, Quantile: v}); err == nil {
+			t.Fatalf("quantile %v accepted", v)
+		}
 	}
 }
 

@@ -17,8 +17,9 @@ import (
 // chunk of Sarathi/DeepSpeed-FastGen, and an SLO-aware sizer that spends a
 // bounded share of the tightest waiting request's remaining TTFT budget
 // per chunk — long prompts yield to tight deadlines behind them and
-// stretch out when slack is plentiful. The greedy policy is kept as the
-// reference for decision-equivalence tests, mirroring NaivePeak/NaiveProbe.
+// stretch out when slack is plentiful. The greedy policy doubles as the
+// reference the SLO-aware sizer is held to: narrowed to a fixed window, the
+// sizer decides exactly as greedy does (TestChunkPolicyEquivalence).
 
 // chunkEmit is one chunk's deferred recorder emission: chunks are carved
 // before the iteration's duration is known, but observed at its end.

@@ -101,11 +101,11 @@ func TestChunkedPrefillConservation(t *testing.T) {
 	}
 }
 
-// TestChunkPolicyEquivalence is the decision-equivalence cross-check
-// mirroring NaiveProbe/NaivePeak: the SLO-aware sizer degenerated to a
-// fixed window (Min = Max = ChunkTokens) must make bit-identical decisions
-// to the greedy fixed-chunk reference on the same workload — same clocks,
-// same chunk counts, same per-request timings.
+// TestChunkPolicyEquivalence is the chunk sizers' decision-equivalence
+// cross-check: the SLO-aware sizer degenerated to a fixed window (Min = Max
+// = ChunkTokens) must make bit-identical decisions to the greedy fixed-chunk
+// reference on the same workload — same clocks, same chunk counts, same
+// per-request timings.
 func TestChunkPolicyEquivalence(t *testing.T) {
 	trace := func(chunk ChunkConfig) []string {
 		e := chunkEngine(t, chunk, 2048, 7)

@@ -7,7 +7,10 @@
 #   scripts/bench.sh fleet    # fleet-scale scenarios     -> BENCH_fleet.json
 #   scripts/bench.sh scale    # long-trace replay, both ways -> BENCH_scale.json
 #
-# The micro suite covers BenchmarkAdmitHotPath, BenchmarkFutureRequiredMemory,
+# The micro suite covers BenchmarkAdmitHotPath (/naive times the clone+sort
+# admission oracle of the core tests, as BenchmarkFleetRouteNaive times the
+# cluster tests' naive routing oracle: reference rows, not production paths),
+# BenchmarkFutureRequiredMemory,
 # BenchmarkPeakEstimatorPush (the splice of one admitted request),
 # BenchmarkWindowSampler (/add: one Add on a full 1000-entry window, 0
 # allocs; /greater: the two conditional queries at a moving conditioning
