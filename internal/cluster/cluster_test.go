@@ -64,14 +64,12 @@ func mono(cfg Config) *Cluster {
 // configuration, non-finite values included — NaN passes any "x < lo || x >
 // hi" check, so each range has to be written to reject it.
 func TestFleetValidation(t *testing.T) {
-	if _, err := NewCluster(ClusterConfig{Pools: []Config{{}}}); err == nil {
-		t.Fatal("no replicas accepted")
-	}
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
 		name string
 		pool Config
 	}{
+		{"no replicas", Config{Replicas: []*engine.Engine{}}},
 		{"quantile above 1", Config{Quantile: 1.5}},
 		{"NaN quantile", Config{Quantile: nan}},
 		{"negative affinity", Config{AffinityWeight: -1}},
@@ -85,10 +83,15 @@ func TestFleetValidation(t *testing.T) {
 		{"zero SLA targets", Config{Planner: &PlannerConfig{SLA: metrics.SLA{}, Min: 1, Max: 2}}},
 		{"bad planner bounds", Config{Planner: &PlannerConfig{SLA: metrics.SLASmall, Min: 2, Max: 1}}},
 	} {
-		tc.pool.Replicas = replicas(2, 1000)
-		if _, err := NewCluster(ClusterConfig{Pools: []Config{tc.pool}}); err == nil {
-			t.Errorf("%s accepted", tc.name)
-		}
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.pool.Replicas == nil { // every row but "no replicas"
+				tc.pool.Replicas = replicas(2, 1000)
+			}
+			if _, err := NewCluster(ClusterConfig{Pools: []Config{tc.pool}}); err == nil {
+				t.Errorf("%s accepted", tc.name)
+			}
+		})
 	}
 }
 
@@ -246,20 +249,23 @@ func TestRoundRobinStartsAtFirstReplica(t *testing.T) {
 
 func TestAllRequestsServedOnce(t *testing.T) {
 	for _, pol := range []Policy{RoundRobin, LeastLoaded, FutureHeadroom} {
-		f := mono(Config{Replicas: replicas(3, 50_000), Policy: pol})
-		results := f.Serve(poissonReqs(120, 30, 2), 1e9)
-		seen := map[int64]bool{}
-		for _, res := range results {
-			for _, req := range res.Finished {
-				if seen[req.ID] {
-					t.Fatalf("%v: request %d served twice", pol, req.ID)
+		pol := pol
+		t.Run(pol.String(), func(t *testing.T) {
+			f := mono(Config{Replicas: replicas(3, 50_000), Policy: pol})
+			results := f.Serve(poissonReqs(120, 30, 2), 1e9)
+			seen := map[int64]bool{}
+			for _, res := range results {
+				for _, req := range res.Finished {
+					if seen[req.ID] {
+						t.Fatalf("request %d served twice", req.ID)
+					}
+					seen[req.ID] = true
 				}
-				seen[req.ID] = true
 			}
-		}
-		if len(seen) != 120 {
-			t.Fatalf("%v: served %d of 120", pol, len(seen))
-		}
+			if len(seen) != 120 {
+				t.Fatalf("served %d of 120", len(seen))
+			}
+		})
 	}
 }
 

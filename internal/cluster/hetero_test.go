@@ -384,3 +384,87 @@ func seamCluster(seed uint64, flt *FaultConfig, recorder obs.Recorder, tr *decis
 		Recorder:  recorder,
 	})
 }
+
+// TestSingleFlavorMatchesHomogeneous holds a single-flavor cluster to the
+// homogeneous path flavors replaced, across the full disaggregated admission
+// pipeline of the seam scenario: each pool is one flavor at relative speed
+// exactly 1, so speed-normalized routing scores are the raw probe fractions,
+// and every planner tick sizes its pool by the pre-flavor scalar rule
+// (checkScalarPlan) — same seeds, same decisions.
+func TestSingleFlavorMatchesHomogeneous(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			var tr decisionTrace
+			c := seamCluster(seed, nil, nil, &tr)
+			initial := make([]int, c.NumPools())
+			for pi := range initial {
+				initial[pi] = c.Pool(pi).ActiveReplicas()
+			}
+			c.Serve(poissonReqs(350, 60, seed), 1e9)
+			if len(c.ShedRequests()) == 0 {
+				t.Fatal("scenario shed nothing; the seam test exercises no admission pressure")
+			}
+			moved := 0
+			for pi := 0; pi < c.NumPools(); pi++ {
+				p := c.Pool(pi)
+				if fl := p.Flavors(); len(fl) != 1 || fl[0].RelSpeed != 1 {
+					t.Fatalf("pool %d flavors %+v, want one at relative speed 1", pi, fl)
+				}
+				moved += checkScalarPlan(t, pi, p, initial[pi])
+			}
+			if moved == 0 {
+				t.Fatal("no planner tick changed a target; the scalar rule went unchecked")
+			}
+		})
+	}
+}
+
+// checkScalarPlan replays a single-flavor pool's plan history against the
+// scalar rule (scalarTarget at Headroom): the forecast is rebuilt from the
+// observations each tick recorded, sized at the recorded correction factors
+// and hit rate, and scale-in is held by the same patience and shed/crash
+// rule. Without faults or a reactive scaler only the planner moves the active
+// count, so each tick starts from the count the previous one left. It returns
+// how many ticks set a target other than the active count they started from.
+func checkScalarPlan(t *testing.T, pi int, p *Pool, active int) int {
+	t.Helper()
+	hist := p.PlanHistory()
+	if len(hist) == 0 {
+		t.Fatalf("pool %d never planned", pi)
+	}
+	ref := newPlanner(p.plan.cfg, p.plan.flavors, p.plan.role)
+	moved, belowFor := 0, 0
+	for k, s := range hist {
+		ref.predRate.Observe(s.Rate)
+		ref.predISL.Observe(s.ISL)
+		ref.predOSL.Observe(s.OSL)
+		predRate := math.Max(ref.predRate.Predict(), 0)
+		if predRate != s.PredRate {
+			t.Fatalf("pool %d tick %d: replayed forecast %v, planner forecast %v", pi, k, predRate, s.PredRate)
+		}
+		ref.corrTTFT, ref.corrTPOT, ref.hitRate = s.CorrTTFT, s.CorrTPOT, s.HitRate
+		want, _ := scalarTarget(ref, ref.flavors[0], ref.cfg.Headroom, math.Max(predRate, s.Rate),
+			math.Max(ref.predISL.Predict(), 1), math.Max(ref.predOSL.Predict(), 1))
+		if want < active {
+			belowFor++
+			if s.Shed > 0 || s.Crashes > 0 {
+				belowFor = 0
+			}
+			if belowFor == 0 || belowFor < ref.cfg.ScaleInPatience {
+				want = active
+			}
+		} else {
+			belowFor = 0
+		}
+		if s.Target != want || len(s.Targets) != 1 || s.Targets[0] != want {
+			t.Fatalf("pool %d tick %d @%.3f: target %d (%v) from %d active; scalar rule wants %d",
+				pi, k, s.At, s.Target, s.Targets, active, want)
+		}
+		if want != active {
+			moved++
+		}
+		active = s.Active
+	}
+	return moved
+}

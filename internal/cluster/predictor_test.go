@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -146,111 +147,114 @@ func TestPlannerVectorMatchesScalarRule(t *testing.T) {
 	models := []*perf.Model{perfFor(hw.H800), perfFor(hw.A100_80G), perfFor(hw.A30), perfFor(hw.RTX4090)}
 	roles := []engine.Role{engine.RoleMixed, engine.RolePrefillOnly, engine.RoleDecodeOnly}
 	for _, seed := range chaosSeeds(t) {
-		r := rng.New(seed + 900)
-		// What the trials met: single-flavor checks, single-flavor pools the
-		// SLA rules out, two-flavor checks, and those among them whose lead
-		// flavor's target speed awareness changed.
-		var single, infeasible, lead, speedAware int
-		for trial := 0; trial < 400; trial++ {
-			role := roles[r.Intn(len(roles))]
-			mk := func(n int, models []*perf.Model) *flavor {
-				pm := models[r.Intn(len(models))]
-				f := &flavor{name: pm.Cluster().Name(), pm: pm, capacity: 4_000 + r.Intn(80_000),
-					cost: pm.CostWeight(), relSpeed: 1, reps: make([]*replica, n)}
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			r := rng.New(seed + 900)
+			// What the trials met: single-flavor checks, single-flavor pools the
+			// SLA rules out, two-flavor checks, and those among them whose lead
+			// flavor's target speed awareness changed.
+			var single, infeasible, lead, speedAware int
+			for trial := 0; trial < 400; trial++ {
+				role := roles[r.Intn(len(roles))]
+				mk := func(n int, models []*perf.Model) *flavor {
+					pm := models[r.Intn(len(models))]
+					f := &flavor{name: pm.Cluster().Name(), pm: pm, capacity: 4_000 + r.Intn(80_000),
+						cost: pm.CostWeight(), relSpeed: 1, reps: make([]*replica, n)}
+					if r.Intn(2) == 0 {
+						f.chunkOver = func(tokens float64) float64 { return 0.002 * math.Ceil(tokens/512) }
+					}
+					if role == engine.RolePrefillOnly && r.Intn(2) == 0 {
+						f.xfer = func(isl float64) float64 { return 2e-5 * isl }
+					}
+					return f
+				}
+				two, first := r.Intn(2) == 0, models
+				if two {
+					first = models[:2]
+				}
+				flavors := []*flavor{mk(1+r.Intn(12), first)}
+				if two {
+					cheap := mk(4+r.Intn(9), models[2:])
+					cheap.cost = 1e-3 // leads the cost order whenever it is feasible
+					flavors = append(flavors, cheap)
+				}
+				n := 0
+				for _, f := range flavors {
+					n += len(f.reps)
+				}
+				hi := 1 + r.Intn(n)
+				headroom := 0.3 + 0.7*r.Float64()
+				switch r.Intn(5) {
+				case 0:
+					headroom = 0 // the default
+				case 1:
+					headroom = 1
+				}
+				cfg := PlannerConfig{
+					SLA:      metrics.SLA{TTFT: 0.05 + 8*r.Float64(), MTPOT: 0.01 + 0.4*r.Float64()},
+					Min:      1 + r.Intn(hi),
+					Max:      hi,
+					Headroom: headroom, Spare: r.Intn(3), SpeedAware: r.Intn(2) == 0,
+				}
+				if err := cfg.validate(n); err != nil {
+					t.Fatal(err)
+				}
+				p := newPlanner(cfg.withDefaults(), flavors, role)
+				p.corrTTFT = correctionFloor + (correctionCeil-correctionFloor)*r.Float64()
+				p.corrTPOT = correctionFloor + (correctionCeil-correctionFloor)*r.Float64()
 				if r.Intn(2) == 0 {
-					f.chunkOver = func(tokens float64) float64 { return 0.002 * math.Ceil(tokens/512) }
+					p.hitRate = 0.9 * r.Float64()
 				}
-				if role == engine.RolePrefillOnly && r.Intn(2) == 0 {
-					f.xfer = func(isl float64) float64 { return 2e-5 * isl }
+				isl, osl := 1+4000*r.Float64(), 1+2000*r.Float64()
+				ops := make([]flavorThr, len(flavors))
+				fastest := 0.0
+				for i, f := range flavors {
+					ops[i] = p.flavorThroughput(f, isl, osl)
+					fastest = math.Max(fastest, ops[i].thr)
 				}
-				return f
-			}
-			two, first := r.Intn(2) == 0, models
-			if two {
-				first = models[:2]
-			}
-			flavors := []*flavor{mk(1+r.Intn(12), first)}
-			if two {
-				cheap := mk(4+r.Intn(9), models[2:])
-				cheap.cost = 1e-3 // leads the cost order whenever it is feasible
-				flavors = append(flavors, cheap)
-			}
-			n := 0
-			for _, f := range flavors {
-				n += len(f.reps)
-			}
-			hi := 1 + r.Intn(n)
-			headroom := 0.3 + 0.7*r.Float64()
-			switch r.Intn(5) {
-			case 0:
-				headroom = 0 // the default
-			case 1:
-				headroom = 1
-			}
-			cfg := PlannerConfig{
-				SLA:      metrics.SLA{TTFT: 0.05 + 8*r.Float64(), MTPOT: 0.01 + 0.4*r.Float64()},
-				Min:      1 + r.Intn(hi),
-				Max:      hi,
-				Headroom: headroom, Spare: r.Intn(3), SpeedAware: r.Intn(2) == 0,
-			}
-			if err := cfg.validate(n); err != nil {
-				t.Fatal(err)
-			}
-			p := newPlanner(cfg.withDefaults(), flavors, role)
-			p.corrTTFT = correctionFloor + (correctionCeil-correctionFloor)*r.Float64()
-			p.corrTPOT = correctionFloor + (correctionCeil-correctionFloor)*r.Float64()
-			if r.Intn(2) == 0 {
-				p.hitRate = 0.9 * r.Float64()
-			}
-			isl, osl := 1+4000*r.Float64(), 1+2000*r.Float64()
-			ops := make([]flavorThr, len(flavors))
-			fastest := 0.0
-			for i, f := range flavors {
-				ops[i] = p.flavorThroughput(f, isl, osl)
-				fastest = math.Max(fastest, ops[i].thr)
-			}
-			li := 0
-			if len(flavors) == 2 {
-				li = 1
-				if ops[1].thr <= 0 {
-					li = 0
+				li := 0
+				if len(flavors) == 2 {
+					li = 1
+					if ops[1].thr <= 0 {
+						li = 0
+					}
+					if ops[li].thr <= 0 {
+						continue // nothing feasible: the vector rule throws the fleet at it
+					}
 				}
-				if ops[li].thr <= 0 {
-					continue // nothing feasible: the vector rule throws the fleet at it
+				// Half the demands land where the lead flavor's replica count is
+				// decided: between none and all of its replicas at their target.
+				h := refHeadroom(p.cfg, ops[li].thr, fastest)
+				rate := 100 * r.Float64()
+				if ops[li].thr > 0 && r.Intn(2) == 0 {
+					rate = ops[li].thr * h * float64(len(flavors[li].reps)) * r.Float64()
+				}
+				want, op := scalarTarget(p, flavors[li], h, rate, isl, osl)
+				if len(flavors) == 2 && want > len(flavors[li].reps) {
+					continue // the demand spills over onto the other flavor
+				}
+				got := p.targetVec(rate, isl, osl)
+				if got[li] != want || (len(got) == 2 && got[1-li] != 0) ||
+					p.lastPredTTFT != op.predTTFT || p.lastPredTPOT != op.predTPOT {
+					t.Fatalf("seed %d trial %d (%v, %d flavors, %+v, headroom %v): targetVec %v, predicted (%v, %v); scalar rule on flavor %d wants %d, predicted (%v, %v)",
+						seed, trial, role, len(flavors), p.cfg, h, got, p.lastPredTTFT, p.lastPredTPOT, li, want, op.predTTFT, op.predTPOT)
+				}
+				switch {
+				case len(flavors) == 2:
+					lead++
+					if atH, _ := scalarTarget(p, flavors[li], p.cfg.Headroom, rate, isl, osl); atH != want {
+						speedAware++
+					}
+				case op.thr <= 0:
+					infeasible++
+				default:
+					single++
 				}
 			}
-			// Half the demands land where the lead flavor's replica count is
-			// decided: between none and all of its replicas at their target.
-			h := refHeadroom(p.cfg, ops[li].thr, fastest)
-			rate := 100 * r.Float64()
-			if ops[li].thr > 0 && r.Intn(2) == 0 {
-				rate = ops[li].thr * h * float64(len(flavors[li].reps)) * r.Float64()
+			if single == 0 || infeasible == 0 || lead == 0 || speedAware == 0 {
+				t.Fatalf("seed %d met %d single-flavor, %d infeasible, %d two-flavor and %d speed-aware two-flavor cases: some rule went unchecked",
+					seed, single, infeasible, lead, speedAware)
 			}
-			want, op := scalarTarget(p, flavors[li], h, rate, isl, osl)
-			if len(flavors) == 2 && want > len(flavors[li].reps) {
-				continue // the demand spills over onto the other flavor
-			}
-			got := p.targetVec(rate, isl, osl)
-			if got[li] != want || (len(got) == 2 && got[1-li] != 0) ||
-				p.lastPredTTFT != op.predTTFT || p.lastPredTPOT != op.predTPOT {
-				t.Fatalf("seed %d trial %d (%v, %d flavors, %+v, headroom %v): targetVec %v, predicted (%v, %v); scalar rule on flavor %d wants %d, predicted (%v, %v)",
-					seed, trial, role, len(flavors), p.cfg, h, got, p.lastPredTTFT, p.lastPredTPOT, li, want, op.predTTFT, op.predTPOT)
-			}
-			switch {
-			case len(flavors) == 2:
-				lead++
-				if atH, _ := scalarTarget(p, flavors[li], p.cfg.Headroom, rate, isl, osl); atH != want {
-					speedAware++
-				}
-			case op.thr <= 0:
-				infeasible++
-			default:
-				single++
-			}
-		}
-		if single == 0 || infeasible == 0 || lead == 0 || speedAware == 0 {
-			t.Fatalf("seed %d met %d single-flavor, %d infeasible, %d two-flavor and %d speed-aware two-flavor cases: some rule went unchecked",
-				seed, single, infeasible, lead, speedAware)
-		}
+		})
 	}
 }
