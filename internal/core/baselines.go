@@ -141,13 +141,16 @@ func (o *Oracle) Admit(v *View, queue []*request.Request) int {
 		if promptNeed+q.Footprint() > v.FreeTokens {
 			break
 		}
-		if o.est.PeakWith(cand) > v.CapacityTokens {
+		if o.est.Exceeds(cand, v.CapacityTokens) {
 			break
 		}
 		o.est.Push(cand)
 		promptNeed += q.Footprint()
 		q.PredictedLen = q.TrueOutputLen
 		admitted++
+	}
+	if admitted > 0 {
+		v.PredictedPeak = o.est.Peak()
 	}
 	return admitted
 }

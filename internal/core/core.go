@@ -28,7 +28,7 @@ import (
 
 // View is the engine state a scheduler sees when making an admission
 // decision. Schedulers must treat it as read-only except for the
-// PredictedLen scratch field on requests.
+// PredictedLen scratch field on requests and the PredictedPeak output.
 type View struct {
 	// Now is the simulation time of this scheduling step.
 	Now float64
@@ -48,6 +48,14 @@ type View struct {
 	// window (nil for unseen classes). Class-aware schedulers prefer it
 	// over the global mixture for multi-tenant deployments.
 	ClassHistory func(class string) *dist.Window
+
+	// PredictedPeak is an output: the M* a scheduler predicted for the batch
+	// it leaves behind — the running batch plus the prefix it admitted — or
+	// 0 when it admitted nothing or predicts no peak (the aggressive and
+	// conservative baselines). The engine zeroes it before every Admit and
+	// holds it against the batch's true M*. A field rather than an optional
+	// interface, so a decorator that embeds Scheduler passes it through.
+	PredictedPeak int
 }
 
 // Scheduler decides admissions. Admit returns how many requests from the

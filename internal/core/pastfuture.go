@@ -157,12 +157,15 @@ func (pf *PastFuture) Admit(v *View, queue []*request.Request) int {
 		if promptNeed+q.Footprint() > v.FreeTokens {
 			break // prompt cannot be physically allocated this iteration
 		}
-		if pf.est.PeakWith(cand) > threshold {
+		if pf.est.Exceeds(cand, threshold) {
 			break
 		}
 		pf.est.Push(cand)
 		promptNeed += q.Footprint()
 		admitted++
+	}
+	if admitted > 0 {
+		v.PredictedPeak = pf.est.Peak() // sorted by the admitting queries: O(1)
 	}
 	return admitted
 }

@@ -32,6 +32,15 @@ import (
 // which only happens once per *admitted* request. All buffers are reused
 // across Reset, so a warm estimator performs zero heap allocations.
 //
+// An admission gate asks a yes/no question — does M* with the candidate pass
+// the limit? — and Exceeds answers it. Most rounds at the memory knee refuse
+// the queue's head, and one term of Eq. 2–4 refuses it before anything is
+// sorted: the last completion point of the batch with the candidate, where
+// every entry is still resident and every one of the n+1 has grown by the
+// smallest Remaining, ΣCurrent + (n+1)·min Remaining. The build phase keeps
+// ΣCurrent and min Remaining beside the buffered entries, so that term costs
+// O(1); only when it passes does Exceeds sort and answer through PeakWith.
+//
 // Results are bit-identical to FutureRequiredMemory (the reference
 // implementation, kept for cross-checking): M* depends only on the entry
 // multiset, so tie order between equal remaining lengths cannot change it.
@@ -42,6 +51,15 @@ type PeakEstimator struct {
 	sufMaxMR []int
 	keys     []uint64 // sortPacked's scratch, reused across flushes
 	unsorted bool     // entries appended since the last sort
+
+	// Build-phase aggregates, kept by Push from Reset to the first query:
+	// ΣCurrent, the smallest clamped Remaining, and the OR of every Current
+	// and Remaining (its high half set means some value does not fit in 32
+	// bits). Exceeds reads them only while unsorted or empty; Reset clears
+	// them.
+	sumC int
+	minR int
+	bits uint64
 }
 
 // sentinel for empty suffix maxima; far below any reachable M value but far
@@ -52,6 +70,7 @@ const negInfPeak = -1 << 60
 func (pe *PeakEstimator) Reset() {
 	pe.ent = pe.ent[:0]
 	pe.unsorted = false
+	pe.sumC, pe.minR, pe.bits = 0, 0, 0
 }
 
 // Len returns the number of entries pushed since the last Reset.
@@ -66,6 +85,11 @@ func (pe *PeakEstimator) Push(e Entry) {
 	}
 	if pe.unsorted || len(pe.ent) == 0 {
 		// Build phase: defer sorting to the first query.
+		if len(pe.ent) == 0 || e.Remaining < pe.minR {
+			pe.minR = e.Remaining
+		}
+		pe.sumC += e.Current
+		pe.bits |= uint64(e.Current) | uint64(e.Remaining)
 		pe.ent = append(pe.ent, e)
 		pe.unsorted = true
 		return
@@ -98,10 +122,11 @@ func (pe *PeakEstimator) rank(remaining int) int {
 // insertionSortMax is the largest batch flush sorts by insertion. A fleet
 // replica's running batch plus waiting set — what the routing probes rebuild —
 // sits well under it, where the calls of a generic sort cost more than the
-// comparisons it saves. A single engine at the memory knee does not: the
-// paper's Fig. 7 setting (50 closed-loop clients) runs 44–50 requests plus
-// its queue and straddles the limit, so the sort above it (sortPacked) has to
-// be cheap as well.
+// comparisons it saves. A single engine at the memory knee runs 44–50
+// requests in the paper's Fig. 7 setting (50 closed-loop clients) and
+// straddles the limit, so the sort above it (sortPacked) has to be cheap as
+// well — but only the rounds that admit, and the few refusals Exceeds cannot
+// settle from its build-phase term, sort at all there.
 const insertionSortMax = 48
 
 // flush sorts buffered entries, descending by remaining length, and
@@ -138,8 +163,9 @@ func (pe *PeakEstimator) flush() {
 // come out ordered by Current, which M* cannot see: it depends on the entry
 // multiset only, and every rank lands on a tie group's boundary. It reports
 // false, the entries untouched, when a field does not fit its half: during
-// cold start Remaining is the request's cap, and the server accepts a
-// max_new_tokens of 2^62.
+// cold start Remaining is the request's cap, and a direct engine caller may
+// pass a max_new_tokens of 2^62 (the server answers 400 to any cap above the
+// KV capacity).
 func (pe *PeakEstimator) sortPacked() bool {
 	keys := pe.keys[:0]
 	for _, e := range pe.ent {
@@ -208,6 +234,42 @@ func (pe *PeakEstimator) Peak() int {
 // FutureRequiredMemory over the same entries plus the candidate.
 func (pe *PeakEstimator) PeakWith(cand Entry) int {
 	return pe.Terms(cand.Remaining).With(cand.Current)
+}
+
+// Exceeds reports PeakWith(cand) > limit — the admission gate's question —
+// and settles a refusal without sorting when it can. While the entries are
+// still buffered (or there are none) it first computes
+//
+//	M_{n+1} = ΣCurrent + cand.Current + (n+1)·min(min Remaining, cand.Remaining)
+//
+// from the build-phase aggregates: the completion point of the last of the
+// n+1 entries in descending-Remaining order, one of the terms Eq. 2–4 take
+// the maximum over. Which entry holds the last rank among ties does not
+// matter — the term reads only the sum and the smallest Remaining — and
+// PeakWith builds the same term from the same integer operations (its prefix
+// sums and products regroup it, and two's-complement sums are associative),
+// so the two agree bit for bit. When that term is over the limit the peak is
+// too, and Exceeds returns true; otherwise it sorts and asks PeakWith.
+//
+// The shortcut needs PeakWith's maximum to cover the term, which holds as
+// long as nothing wraps: PeakWith takes a maximum before adding the
+// candidate's Current, and a wrapped sum there could drop below the term.
+// Every term is at most ΣCurrent + (n+1)·max Remaining, so with each value
+// under 2^32 and n+1 ≤ 2^30 none wraps; outside that range — a negative
+// Current, a cap of 2^62 during cold start — Exceeds goes straight to
+// PeakWith. Either way its answer is exactly PeakWith(cand) > limit.
+func (pe *PeakEstimator) Exceeds(cand Entry, limit int) bool {
+	if pe.unsorted || len(pe.ent) == 0 {
+		r, n := max(cand.Remaining, 0), len(pe.ent)
+		fits := (pe.bits|uint64(cand.Current)|uint64(r))>>32 == 0 && n < 1<<30
+		if n > 0 {
+			r = min(r, pe.minR)
+		}
+		if fits && pe.sumC+cand.Current+(n+1)*r > limit {
+			return true
+		}
+	}
+	return pe.PeakWith(cand) > limit
 }
 
 // PeakTerms is PeakWith with the candidate's Remaining fixed: around the

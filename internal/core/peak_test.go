@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -162,6 +163,137 @@ func TestPeakEstimatorPushTrue(t *testing.T) {
 	}
 }
 
+// buildEstimator pushes entries into a fresh estimator. With split in
+// [0, len(entries)] it queries after the first split entries, so the rest
+// splice into the sorted order; any other split leaves every entry buffered.
+func buildEstimator(entries []Entry, split int) *PeakEstimator {
+	est := &PeakEstimator{}
+	for i, e := range entries {
+		if i == split {
+			est.Peak()
+		}
+		est.Push(e)
+	}
+	if split == len(entries) {
+		est.Peak()
+	}
+	return est
+}
+
+// checkExceeds holds Exceeds to PeakWith at the limits one below, at and one
+// above the peak, each on an estimator freshly built in both phases: every
+// entry buffered, and split (queried after the first entries, the rest
+// spliced). PeakWith is read from a twin built the same way: with a negative
+// Current the order inside a tie group shows in M*, and the two phases may
+// order ties differently. It reports how many of the answers the buffered
+// estimator gave without sorting.
+func checkExceeds(t *testing.T, entries []Entry, split int, cand Entry) (shortcuts int) {
+	t.Helper()
+	for _, s := range []int{-1, split} {
+		want := buildEstimator(entries, s).PeakWith(cand)
+		for _, d := range []int{-1, 0, 1} {
+			if want == math.MaxInt && d == 1 {
+				continue
+			}
+			limit := want + d
+			est := buildEstimator(entries, s)
+			buffered := est.unsorted
+			if got := est.Exceeds(cand, limit); got != (want > limit) {
+				t.Fatalf("entries %v (split %d), cand %+v, limit %d: Exceeds = %v, PeakWith = %d",
+					entries, s, cand, limit, got, want)
+			}
+			if buffered && est.unsorted {
+				shortcuts++
+			}
+		}
+	}
+	return shortcuts
+}
+
+// TestPeakExceedsMatchesPeakWith: Exceeds(cand, limit) is PeakWith(cand) >
+// limit on buffered and on spliced estimators — the empty one, all ties,
+// negative Remaining on entries and on the candidate, values near 2^62 (where
+// sums wrap and the shortcut must stand aside), and randomized batches
+// shaped like a knee, where the last completion point usually is the peak.
+func TestPeakExceedsMatchesPeakWith(t *testing.T) {
+	const big = 1 << 62
+	shortcuts := 0
+	for _, c := range []struct {
+		name    string
+		entries []Entry
+		cand    Entry
+	}{
+		{"empty", nil, Entry{Current: 3, Remaining: 4}},
+		{"empty, negative candidate", nil, Entry{Current: 3, Remaining: -4}},
+		{"ties", []Entry{{5, 7}, {9, 7}, {1, 7}, {4, 7}}, Entry{Current: 2, Remaining: 7}},
+		{"ties behind the candidate", []Entry{{5, 3}, {9, 3}, {1, 9}}, Entry{Current: 2, Remaining: 5}},
+		{"negative entries", []Entry{{10, -3}, {4, -1}, {8, 6}}, Entry{Current: 2, Remaining: 5}},
+		{"negative candidate", []Entry{{10, 3}, {4, 1}, {8, 6}}, Entry{Current: 2, Remaining: -5}},
+		{"cap 2^62 everywhere", []Entry{{100, big}, {200, big - 3}}, Entry{Current: 50, Remaining: big}},
+		{"2^32 edge", []Entry{{1<<32 - 1, 1<<32 - 1}, {1, 1}}, Entry{Current: 1 << 32, Remaining: 0}},
+		// The last-rank term fits (2^22 + 3) while PeakWith's maximum wraps
+		// to 0 past the candidate's Current: the shortcut would refuse
+		// where PeakWith admits, so it must not run here.
+		{"term fits, maximum wraps", []Entry{{0, big - 1<<20}, {0, 1}}, Entry{Current: 1 << 22, Remaining: big - 1<<20 + 1}},
+		{"negative current", []Entry{{-1 << 40, 5}, {1 << 40, 5}}, Entry{Current: 7, Remaining: 1}},
+	} {
+		for split := 0; split <= len(c.entries); split++ {
+			shortcuts += checkExceeds(t, c.entries, split, c.cand)
+		}
+	}
+	r := rng.New(27)
+	for trial := 0; trial < 400; trial++ {
+		n := r.Intn(80)
+		knee := trial%2 == 0
+		draw := func() Entry {
+			if knee { // resident memory dominates what is left to grow
+				return Entry{Current: 500 + r.Intn(1500), Remaining: r.Intn(60) - 2}
+			}
+			return Entry{Current: r.Intn(400), Remaining: r.Intn(300) - 3}
+		}
+		entries := make([]Entry, n)
+		for i := range entries {
+			entries[i] = draw()
+		}
+		shortcuts += checkExceeds(t, entries, r.Intn(n+1), draw())
+	}
+	if shortcuts == 0 {
+		t.Fatal("no answer came from the build-phase term: the shortcut is never exercised")
+	}
+}
+
+// peakOutliers are the values a 0xfe or 0xff selector byte picks in
+// FuzzPeakExceeds: both sides of the 32-bit fit, caps around 2^62, and the
+// extremes.
+var peakOutliers = []int{-1, 0, 1<<32 - 1, 1 << 32, 1<<62 - 1, 1 << 62, -1 << 62, math.MaxInt, math.MinInt}
+
+// FuzzPeakExceeds decodes a batch and a candidate — three bytes an entry,
+// the last entry the candidate — and holds Exceeds to PeakWith through
+// checkExceeds. A small range keeps ties and negative Remaining frequent; a
+// lead byte of 0xff takes Current, and 0xfe Remaining, from peakOutliers.
+func FuzzPeakExceeds(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 10, 20, 0, 30, 4})
+	f.Add(uint8(255), []byte{0, 200, 5, 0, 250, 5, 0, 240, 5, 0, 10, 5})
+	f.Fuzz(func(t *testing.T, split uint8, data []byte) {
+		var entries []Entry
+		for i := 0; i+2 < len(data); i += 3 {
+			e := Entry{Current: int(data[i+1]) * 8, Remaining: int(data[i+2]) - 4}
+			switch data[i] {
+			case 0xff:
+				e.Current = peakOutliers[int(data[i+1])%len(peakOutliers)]
+			case 0xfe:
+				e.Remaining = peakOutliers[int(data[i+2])%len(peakOutliers)]
+			}
+			entries = append(entries, e)
+		}
+		if len(entries) == 0 {
+			return
+		}
+		last := len(entries) - 1
+		checkExceeds(t, entries[:last], int(split)%(last+2)-1, entries[last])
+	})
+}
+
 // futurePeakWithCandidate computes M* for entries plus one extra candidate
 // without mutating entries: the clone+sort reference PeakWith is checked
 // against, one allocation and a full re-sort per call.
@@ -204,74 +336,215 @@ func naiveAdmit(pf *PastFuture, v *View, queue []*request.Request, entries []Ent
 	return admitted, entries
 }
 
-// TestPastFutureDecisionsBitIdenticalToNaive: deterministic-mode admissions
-// must agree between the PeakEstimator hot path and the clone+sort oracle
-// (naiveAdmit) on randomized views, batches, and queues.
+// naiveOracleAdmit is Oracle.Admit with every M* taken from the clone+sort
+// reference: the same true-length entries, the same physical-allocation and
+// capacity gates. It returns the admitted count and the post-admission
+// entries.
+func naiveOracleAdmit(v *View, queue []*request.Request) (int, []Entry) {
+	var entries []Entry
+	for _, r := range v.Running {
+		entries = append(entries, Entry{Current: r.KVLanded(), Remaining: r.RemainingTrue() + r.PrefillRemaining()})
+	}
+	admitted, promptNeed := 0, 0
+	for _, q := range queue {
+		cand := Entry{Current: q.Footprint(), Remaining: q.RemainingTrue()}
+		if promptNeed+q.Footprint() > v.FreeTokens || futurePeakWithCandidate(entries, cand) > v.CapacityTokens {
+			break
+		}
+		entries = append(entries, cand)
+		promptNeed += q.Footprint()
+		q.PredictedLen = q.TrueOutputLen
+		admitted++
+	}
+	return admitted, entries
+}
+
+// lastRankTerm is the term Exceeds checks before it sorts, computed from the
+// caller's own entries: the completion point of the last of entries plus
+// cand, with every one resident and every one grown by the smallest clamped
+// Remaining.
+func lastRankTerm(entries []Entry, cand Entry) int {
+	sum, r := cand.Current, max(cand.Remaining, 0)
+	for _, e := range entries {
+		sum += e.Current
+		r = min(r, max(e.Remaining, 0))
+	}
+	return sum + (len(entries)+1)*r
+}
+
+// refusedByTerm reports, from a reference round's own entries, whether the
+// estimator's build-phase term settled it: nothing was admitted, the head
+// passed the physical gate, and the last completion point with the head's
+// candidate in the batch is already over the limit.
+func refusedByTerm(admitted int, v *View, queue []*request.Request, entries []Entry, head Entry, limit int) bool {
+	return admitted == 0 && queue[0].Footprint() <= v.FreeTokens && lastRankTerm(entries, head) > limit
+}
+
+// admitTrial draws one randomized admission round's history window and
+// returns the constructor of its state. Every call builds a structurally
+// identical view and queue from seed, so PredictedLen scratch writes on one
+// path cannot leak into another's decisions. A knee round fills at least 90%
+// of its capacity with requests far from done, and a window that knows long
+// outputs, so most rounds refuse the head.
+func admitTrial(r *rng.RNG, seed uint64, knee bool) func() (*View, []*request.Request) {
+	w := dist.NewWindow(1 + r.Intn(300))
+	histN, longest := r.Intn(400), 600
+	if knee {
+		longest = 4000
+	}
+	for i := 0; i < histN; i++ {
+		w.Add(1 + r.Intn(longest))
+	}
+	capacity := 500 + r.Intn(20_000)
+	return func() (*View, []*request.Request) {
+		rr := rng.New(seed)
+		mkReq := func(id int64, fresh bool) *request.Request {
+			var req *request.Request
+			if knee {
+				req = request.New(id, 20+rr.Intn(300), 1000+rr.Intn(3000), 4096, 0)
+			} else {
+				req = request.New(id, 1+rr.Intn(200), 1+rr.Intn(300), 1+rr.Intn(600), 0)
+			}
+			gen := rr.Intn(min(req.TrueOutputLen, 600) + 1)
+			if fresh {
+				gen = 0
+			}
+			for j := 0; j < gen && !req.Done(); j++ {
+				req.EmitToken(float64(j))
+			}
+			return req
+		}
+		nRun, nQueue := rr.Intn(20), rr.Intn(24)
+		if knee {
+			nRun, nQueue = 8+rr.Intn(40), 1+rr.Intn(12)
+		}
+		used := 0
+		var running []*request.Request
+		for i := 0; i < nRun; i++ {
+			req := mkReq(int64(i), false)
+			req.State = request.Running
+			used += req.Footprint()
+			running = append(running, req)
+		}
+		var queue []*request.Request
+		for i := 0; i < nQueue; i++ {
+			queue = append(queue, mkReq(int64(100+i), knee && rr.Intn(4) > 0))
+		}
+		c := capacity
+		if knee {
+			c = used + rr.Intn(used/9+1)
+		}
+		return &View{
+			CapacityTokens: c,
+			UsedTokens:     used,
+			FreeTokens:     max(c-used, 0),
+			Running:        running,
+			History:        w,
+		}, queue
+	}
+}
+
+// checkSameRound fails unless a scheduler's round agrees with its reference
+// round: the admitted count, every running and queued PredictedLen, and the
+// predicted M* on the view — the reference's M* over its post-admission
+// entries when it admitted, 0 when it did not.
+func checkSameRound(t *testing.T, trial, got, want int, vGot, vWant *View, qGot, qWant []*request.Request, entries []Entry) {
+	t.Helper()
+	if got != want {
+		t.Fatalf("trial %d: estimator admitted %d, reference admitted %d", trial, got, want)
+	}
+	for i := range vGot.Running {
+		if g, w := vGot.Running[i].PredictedLen, vWant.Running[i].PredictedLen; g != w {
+			t.Fatalf("trial %d: running[%d] prediction %d vs %d", trial, i, g, w)
+		}
+	}
+	for i := range qGot {
+		if g, w := qGot[i].PredictedLen, qWant[i].PredictedLen; g != w {
+			t.Fatalf("trial %d: queue[%d] prediction %d vs %d", trial, i, g, w)
+		}
+	}
+	peak := 0
+	if want > 0 {
+		peak = FutureRequiredMemory(entries)
+	}
+	if vGot.PredictedPeak != peak {
+		t.Fatalf("trial %d: PredictedPeak %d, reference M* %d", trial, vGot.PredictedPeak, peak)
+	}
+}
+
+// TestPastFutureDecisionsBitIdenticalToNaive: admissions agree between the
+// PeakEstimator hot path and the clone+sort oracle (naiveAdmit) on randomized
+// views, batches and queues — anywhere, at the memory knee, and at the knee
+// with sampled predictions, where two schedulers seeded alike must draw the
+// same lengths in the same order. The knee arms must contain rounds that the
+// estimator's build-phase term refused on its own.
 func TestPastFutureDecisionsBitIdenticalToNaive(t *testing.T) {
-	src := rng.New(2024)
-	for trial := 0; trial < 200; trial++ {
-		r := src.Split()
-		w := dist.NewWindow(1 + r.Intn(300))
-		histN := r.Intn(400)
-		for i := 0; i < histN; i++ {
-			w.Add(1 + r.Intn(600))
-		}
-		capacity := 500 + r.Intn(20_000)
-
-		// Two structurally identical states (same per-trial seed) so
-		// PredictedLen scratch writes from one path cannot leak into the
-		// other's decisions.
-		mkState := func() (*View, []*request.Request) {
-			rr := rng.New(uint64(trial)*7 + 13)
-			mkReq := func(id int64) *request.Request {
-				req := request.New(id, 1+rr.Intn(200), 1+rr.Intn(300), 1+rr.Intn(600), 0)
-				gen := rr.Intn(req.TrueOutputLen + 1)
-				for j := 0; j < gen && !req.Done(); j++ {
-					req.EmitToken(float64(j))
+	for _, arm := range []struct {
+		name           string
+		knee, sampling bool
+	}{{"random", false, false}, {"knee", true, false}, {"sampling", true, true}} {
+		t.Run(arm.name, func(t *testing.T) {
+			src := rng.New(2024)
+			shortcuts := 0
+			for trial := 0; trial < 200; trial++ {
+				r := src.Split()
+				mkState := admitTrial(r, uint64(trial)*7+13, arm.knee)
+				cfg := PastFutureConfig{
+					Reserved: float64(r.Intn(3)) * 0.05, Deterministic: !arm.sampling, Quantile: 0.5 + 0.4*r.Float64(),
+					MinHistory: 1 + r.Intn(50),
 				}
-				return req
+				seed := r.Uint64()
+				mk := func() *PastFuture {
+					if arm.sampling {
+						cfg.Rng = rng.New(seed) // each scheduler its own stream, seeded alike
+					}
+					return MustNewPastFuture(cfg)
+				}
+				pfFast, pfNaive := mk(), mk()
+				vFast, qFast := mkState()
+				vNaive, qNaive := mkState()
+				got := pfFast.Admit(vFast, qFast)
+				want, entries := naiveAdmit(pfNaive, vNaive, qNaive, nil)
+				checkSameRound(t, trial, got, want, vFast, vNaive, qFast, qNaive, entries)
+				if len(qNaive) > 0 {
+					head := Entry{Current: qNaive[0].Footprint(), Remaining: qNaive[0].PredictedLen - qNaive[0].Generated}
+					threshold := int(float64(vNaive.CapacityTokens) * (1 - cfg.Reserved))
+					if refusedByTerm(want, vNaive, qNaive, entries, head, threshold) {
+						shortcuts++
+					}
+				}
 			}
-			used := 0
-			var running []*request.Request
-			for i := 0; i < rr.Intn(20); i++ {
-				req := mkReq(int64(i))
-				req.State = request.Running
-				used += req.Footprint()
-				running = append(running, req)
+			if arm.knee && shortcuts == 0 {
+				t.Fatal("no round was refused by the build-phase term alone: the shortcut is never exercised")
 			}
-			var queue []*request.Request
-			for i := 0; i < rr.Intn(24); i++ {
-				queue = append(queue, mkReq(int64(100+i)))
-			}
-			free := capacity - used
-			if free < 0 {
-				free = 0
-			}
-			return &View{
-				CapacityTokens: capacity,
-				UsedTokens:     used,
-				FreeTokens:     free,
-				Running:        running,
-				History:        w,
-			}, queue
-		}
-
-		pf := MustNewPastFuture(PastFutureConfig{
-			Reserved: float64(r.Intn(3)) * 0.05, Deterministic: true, Quantile: 0.5 + 0.4*r.Float64(),
-			MinHistory: 1 + r.Intn(50),
 		})
-		vFast, qFast := mkState()
-		vNaive, qNaive := mkState()
-		gotFast := pf.Admit(vFast, qFast)
-		gotNaive, _ := naiveAdmit(pf, vNaive, qNaive, nil)
-		if gotFast != gotNaive {
-			t.Fatalf("trial %d: estimator admitted %d, naive admitted %d", trial, gotFast, gotNaive)
-		}
-		for i := range qFast {
-			if qFast[i].PredictedLen != qNaive[i].PredictedLen {
-				t.Fatalf("trial %d: queue[%d] prediction %d vs %d",
-					trial, i, qFast[i].PredictedLen, qNaive[i].PredictedLen)
+	}
+}
+
+// TestOracleDecisionsBitIdenticalToNaive is the oracle's counterpart: its
+// admissions and predicted M* agree with a clone+sort reference over the
+// true lengths, anywhere and at the memory knee, where some rounds must be
+// refused by the build-phase term on its own.
+func TestOracleDecisionsBitIdenticalToNaive(t *testing.T) {
+	for _, knee := range []bool{false, true} {
+		src := rng.New(2025)
+		shortcuts := 0
+		for trial := 0; trial < 200; trial++ {
+			mkState := admitTrial(src.Split(), uint64(trial)*11+5, knee)
+			vFast, qFast := mkState()
+			vNaive, qNaive := mkState()
+			got := NewOracle().Admit(vFast, qFast)
+			want, entries := naiveOracleAdmit(vNaive, qNaive)
+			checkSameRound(t, trial, got, want, vFast, vNaive, qFast, qNaive, entries)
+			if len(qNaive) > 0 {
+				head := Entry{Current: qNaive[0].Footprint(), Remaining: qNaive[0].RemainingTrue()}
+				if refusedByTerm(want, vNaive, qNaive, entries, head, vNaive.CapacityTokens) {
+					shortcuts++
+				}
 			}
+		}
+		if knee && shortcuts == 0 {
+			t.Fatal("no knee round was refused by the build-phase term alone")
 		}
 	}
 }
@@ -309,25 +582,65 @@ func hotPathState(batch, queue int) (*View, []*request.Request) {
 	}, queued
 }
 
+// kneeState is hotPathState's batch at the memory knee — capacity 5% above
+// what it holds, so the queue's head still fits physically, but its last
+// completion point alone puts M* over the threshold.
+func kneeState(batch int) (*View, []*request.Request) {
+	v, q := hotPathState(batch, 8)
+	v.CapacityTokens = v.UsedTokens * 21 / 20
+	v.FreeTokens = v.CapacityTokens - v.UsedTokens
+	return v, q
+}
+
+// refusesWithoutSort reports whether Admit refused the whole queue of the
+// knee state and left its estimator unsorted: the build-phase term decided.
+func refusesWithoutSort(pf *PastFuture, v *View, q []*request.Request) bool {
+	return pf.Admit(v, q) == 0 && pf.est.unsorted
+}
+
+// TestAdmitRefusalAllocs: a refusal at the knee — the common round of a
+// memory-bound engine — allocates nothing, and is settled without a sort.
+func TestAdmitRefusalAllocs(t *testing.T) {
+	pf := MustNewPastFuture(PastFutureConfig{Reserved: 0.03, Deterministic: true})
+	v, q := kneeState(48)
+	if !refusesWithoutSort(pf, v, q) {
+		t.Fatal("knee state is not refused by the build-phase term")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { pf.Admit(v, q) }); allocs != 0 {
+		t.Fatalf("a knee refusal allocates %v per round, want 0", allocs)
+	}
+}
+
 // BenchmarkAdmitHotPath measures one deterministic Past-Future admission
 // decision over batch=256, queue=64: the incremental PeakEstimator hot path
 // against the naive clone+sort oracle (naiveAdmit). The estimator path must
 // run with zero allocations in steady state (acceptance: 0 allocs/op, ≥5×
-// faster).
+// faster). /refuse is the knee's common round: 48 running requests, the
+// head refused by the estimator's build-phase term (0 allocs/op).
 func BenchmarkAdmitHotPath(b *testing.B) {
 	var scratch []Entry
 	naive := func(pf *PastFuture, v *View, q []*request.Request) (n int) {
 		n, scratch = naiveAdmit(pf, v, q, scratch)
 		return n
 	}
+	hot := func() (*View, []*request.Request) { return hotPathState(256, 64) }
 	for _, variant := range []struct {
 		name  string
+		state func() (*View, []*request.Request)
 		admit func(*PastFuture, *View, []*request.Request) int
-	}{{"estimator", (*PastFuture).Admit}, {"naive", naive}} {
+	}{
+		{"estimator", hot, (*PastFuture).Admit},
+		{"naive", hot, naive},
+		{"refuse", func() (*View, []*request.Request) { return kneeState(48) }, (*PastFuture).Admit},
+	} {
 		b.Run(variant.name, func(b *testing.B) {
 			pf := MustNewPastFuture(PastFutureConfig{Reserved: 0.03, Deterministic: true})
-			v, q := hotPathState(256, 64)
-			if variant.admit(pf, v, q) == 0 {
+			v, q := variant.state()
+			if variant.name == "refuse" {
+				if !refusesWithoutSort(pf, v, q) {
+					b.Fatal("knee scenario is not refused by the build-phase term")
+				}
+			} else if variant.admit(pf, v, q) == 0 {
 				b.Fatal("benchmark scenario admits nothing; not exercising the loop")
 			}
 			b.ReportAllocs()

@@ -398,6 +398,8 @@ type Engine struct {
 	memUtil              stats.TimeWeighted
 	physUtil             stats.TimeWeighted
 	futureReq            stats.Online
+	mstarErr             stats.Online // |predicted − true| M* ÷ true, per comparable round
+	mstarUnder           int          // rounds among them whose prediction fell short
 	batchSize            stats.TimeWeighted
 	started              bool
 	startClock           float64

@@ -94,6 +94,35 @@ func TestOracleNeverEvicts(t *testing.T) {
 	}
 }
 
+// TestMStarErrorOracleExact: the oracle predicts M* from the true lengths, so
+// on an unchunked, untrimmed engine every round's predicted M* equals the
+// true one the engine rebuilds after admission — error exactly 0, nothing
+// under-predicted. A scheduler that predicts no M* is counted in no round.
+func TestMStarErrorOracleExact(t *testing.T) {
+	reqs := func() []*request.Request {
+		rs := make([]*request.Request, 60)
+		for i := range rs {
+			rs[i] = request.New(int64(i+1), 10+(i*13)%70, 5+(i*37)%120, 150, float64(i)*0.02)
+		}
+		return rs
+	}
+	e := newEngine(t, core.NewOracle(), 1500)
+	e.SubmitAll(reqs())
+	res := e.Run()
+	if res.MStarRounds == 0 {
+		t.Fatal("no admission round compared the oracle's M* with the true one")
+	}
+	if res.MStarRelErrMax != 0 || res.MStarRelErrMean != 0 || res.MStarUnderShare != 0 {
+		t.Fatalf("oracle M* error: mean %v max %v under-share %v over %d rounds, want all 0",
+			res.MStarRelErrMean, res.MStarRelErrMax, res.MStarUnderShare, res.MStarRounds)
+	}
+	e = newEngine(t, core.MustNewConservative(1.0), 1500)
+	e.SubmitAll(reqs())
+	if res := e.Run(); res.MStarRounds != 0 {
+		t.Fatalf("conservative predicts no M*, yet %d rounds were compared", res.MStarRounds)
+	}
+}
+
 func TestConservativeNeverEvicts(t *testing.T) {
 	e := newEngine(t, core.MustNewConservative(1.0), 1500)
 	e.SubmitAll(mkReqs(30, 20, 80, 100))

@@ -82,6 +82,18 @@ type Result struct {
 	FutureRequiredMean float64
 	// FutureRequiredMax is the worst single admission.
 	FutureRequiredMax float64
+	// MStarRounds counts the admission rounds whose scheduler predicted the
+	// M* of the batch it left (core.View.PredictedPeak: Past-Future and the
+	// oracle) and whose whole admitted prefix the engine kept. Over those
+	// rounds MStarRelErrMean and MStarRelErrMax are the mean and the largest
+	// |predicted − true| ÷ true M*, the true one from the requests' real
+	// lengths, and MStarUnderShare is the share that predicted too little —
+	// the direction that evicts. The oracle predicts from the true lengths,
+	// so on an unchunked engine its error is exactly 0.
+	MStarRounds     int
+	MStarRelErrMean float64
+	MStarRelErrMax  float64
+	MStarUnderShare float64
 	// MeanBatchSize is the time-weighted mean running batch size.
 	MeanBatchSize float64
 	// PeakUsedTokens is the KV pool's logical high-water mark.
@@ -140,6 +152,10 @@ func (e *Engine) Snapshot() *Result {
 	if e.sched != nil {
 		name = e.sched.Name()
 	}
+	underShare := 0.0
+	if n := e.mstarErr.Count(); n > 0 {
+		underShare = float64(e.mstarUnder) / float64(n)
+	}
 	return &Result{
 		Scheduler:            name,
 		Duration:             e.clock - e.startClock,
@@ -166,6 +182,10 @@ func (e *Engine) Snapshot() *Result {
 		PhysMemUtilization:   e.physUtil.Mean(),
 		FutureRequiredMean:   e.futureReq.Mean(),
 		FutureRequiredMax:    e.futureReq.Max(),
+		MStarRounds:          e.mstarErr.Count(),
+		MStarRelErrMean:      e.mstarErr.Mean(),
+		MStarRelErrMax:       e.mstarErr.Max(),
+		MStarUnderShare:      underShare,
 		MeanBatchSize:        e.batchSize.Mean(),
 		PeakUsedTokens:       e.pool.PeakUsedTokens(),
 		CapacityTokens:       e.pool.CapacityTokens(),

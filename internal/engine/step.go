@@ -283,6 +283,7 @@ func (e *Engine) admit() []*request.Request {
 		batchView = e.batchScratch
 	}
 	e.queueScratch = e.queue.AppendTo(e.queueScratch[:0])
+	// A fresh View: PredictedPeak starts at 0 every round.
 	e.viewScratch = core.View{
 		Now:            e.clock,
 		CapacityTokens: e.pool.CapacityTokens(),
@@ -298,6 +299,7 @@ func (e *Engine) admit() []*request.Request {
 	if n <= 0 {
 		return nil
 	}
+	asked := n // the prefix the scheduler's PredictedPeak priced
 	if e.cfg.Strategy == PrefillPriority && e.cfg.MaxPrefillTokens > 0 && !e.cfg.Chunked.Enabled {
 		// Chunked prefill repurposes MaxPrefillTokens as the per-iteration
 		// chunk budget instead of an admission trim: admissions reserve KV
@@ -369,7 +371,17 @@ func (e *Engine) admit() []*request.Request {
 	for _, r := range admitted {
 		e.truePeak.PushTrue(r)
 	}
-	e.futureReq.Add(float64(e.truePeak.Peak()) / float64(e.pool.CapacityTokens()))
+	truth := e.truePeak.Peak()
+	e.futureReq.Add(float64(truth) / float64(e.pool.CapacityTokens()))
+	// The scheduler's predicted M* is comparable only when the engine kept
+	// the whole prefix it priced: a prefill trim or a fragmented pool leaves
+	// a different batch behind.
+	if pred := e.viewScratch.PredictedPeak; pred > 0 && truth > 0 && len(admitted) == asked {
+		e.mstarErr.Add(math.Abs(float64(pred-truth)) / float64(truth))
+		if pred < truth {
+			e.mstarUnder++
+		}
+	}
 	return admitted
 }
 
