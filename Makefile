@@ -46,18 +46,19 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
-# bench-fleet refreshes only BENCH_fleet.json (the cmd/fleetsim scenario
-# family: autoscaling comparison, disaggregation, overload shedding, and
-# the heterogeneous mixed-GPU fleet) without the micro-bench suite.
+# bench-fleet refreshes only BENCH_fleet.json without the micro-bench suite:
+# `fleetsim fleet`, the six cmd/fleetsim scenarios ramp (reactive vs
+# predictive vs disaggregated), overload, hetero, faults, multiturn and
+# longctx, each checked against its win condition.
 bench-fleet:
 	./scripts/bench.sh fleet
 
-# bench-scale refreshes BENCH_scale.json: the streamed million-request day
-# trace replayed as built and as its per-step twin (no coasted decode
-# steps), hard-failing unless the two reports are byte-identical. Scale up
-# with e.g. `make bench-scale SCALE_REQUESTS=10000000`.
+# bench-scale refreshes BENCH_scale.json: `fleetsim scale`, the streamed
+# million-request day trace replayed twice as built and twice as its
+# per-step twin (no coasted decode steps), hard-failing unless the reports
+# are byte-identical.
 bench-scale:
-	SCALE_REQUESTS=$(SCALE_REQUESTS) SCALE_REPEAT=$(SCALE_REPEAT) ./scripts/bench.sh scale
+	./scripts/bench.sh scale
 
 # chaos sweeps the fault-injection suite under the race detector: randomized
 # crash/retry conservation across CHAOS_SEEDS seeds (default 5), the KV-link

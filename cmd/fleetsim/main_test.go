@@ -1,0 +1,88 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// fleetsim runs the command in-process and fails the test on an exit code
+// other than want.
+func fleetsim(t *testing.T, want int, args ...string) (stdout, stderr string) {
+	t.Helper()
+	var out, errOut bytes.Buffer
+	if code := run(args, &out, &errOut); code != want {
+		t.Fatalf("fleetsim %s: exit %d, want %d\nstdout:\n%s\nstderr:\n%s", strings.Join(args, " "), code, want, out.String(), errOut.String())
+	}
+	return out.String(), errOut.String()
+}
+
+// TestFleetReproducesRecord pins every scenario of the fleet suite: the
+// committed BENCH_fleet.json is what seed 1 produces, byte for byte, and
+// every win condition holds.
+func TestFleetReproducesRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.json")
+	fleetsim(t, 0, "-json", path, "fleet")
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../../BENCH_fleet.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			t.Fatalf("fleet diverges from BENCH_fleet.json at line %d:\n got %s\nwant %s", i+1, g[i], w[i])
+		}
+	}
+	t.Fatalf("fleet has %d lines, BENCH_fleet.json %d", len(g), len(w))
+}
+
+// TestTracedFaultsMatchUntraced holds the recorder to being a strict
+// observer: the fault storm with every export armed reports the same rows
+// and prints the same stdout as without.
+func TestTracedFaultsMatchUntraced(t *testing.T) {
+	dir := t.TempDir()
+	off := filepath.Join(dir, "off.json")
+	on := filepath.Join(dir, "on.json")
+	offOut, _ := fleetsim(t, 0, "-json", off, "faults")
+	onOut, _ := fleetsim(t, 0, "-json", on,
+		"-trace", filepath.Join(dir, "trace.json"), "-spans", filepath.Join(dir, "spans.csv"),
+		"-timeseries", filepath.Join(dir, "ts.csv"), "-requests", filepath.Join(dir, "reqs.csv"),
+		"faults")
+	if onOut != offOut {
+		t.Errorf("traced stdout differs:\n%s\nuntraced:\n%s", onOut, offOut)
+	}
+	a, err := os.ReadFile(off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(on)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("traced rows differ from untraced rows")
+	}
+	for _, f := range []string{"trace.json", "spans.csv", "ts.csv", "reqs.csv"} {
+		if st, err := os.Stat(filepath.Join(dir, f)); err != nil || st.Size() == 0 {
+			t.Errorf("%s not written: %v", f, err)
+		}
+	}
+}
+
+func TestUnknownScenarioListsValidNames(t *testing.T) {
+	_, stderr := fleetsim(t, 2, "nope")
+	for _, name := range append(fleetSuite, "scale", "fleet") {
+		if !strings.Contains(stderr, name) {
+			t.Errorf("usage error does not name %q:\n%s", name, stderr)
+		}
+	}
+}

@@ -31,17 +31,11 @@
 # runs inside every chunked iteration), and the live path's handler with no
 # socket (BenchmarkServeGenerate: a plain reply and a 64-token streamed one,
 # engine driver goroutine included). The fleet suite runs the cmd/fleetsim
-# scenario family on one bursty ramp: reactive vs predictive
-# autoscaling, disaggregated prefill/decode, the 2× overload-ramp admission
-# comparison (shed on/off), the heterogeneous mixed-GPU fleet (cost-aware
-# planner vs the premium flavor alone, compared on CostSeconds), the
-# crash-storm fault trio (no faults / no recovery / full recovery, compared
-# on SLA-met completions and served p99 TTFT), the multi-turn prefix-share
-# sweep (cache-affinity vs cache-blind routing at equal provisioned
-# capacity, compared on hit rate, served p99 TTFT, and prefill tokens
-# computed), and the long-context chunked-prefill sweep (unchunked vs greedy
-# fixed-chunk vs SLO-aware chunk scheduling at fixed capacity, compared on
-# short-request served p99 TTFT and long-prompt attainment).
+# scenarios of `fleetsim fleet` (ramp, overload, hetero, faults, multiturn,
+# longctx); fleetsim exits non-zero if any scenario's win condition fails,
+# and `go test ./cmd/fleetsim` holds the committed BENCH_fleet.json to it.
+# The scale replay hard-fails unless the coasting day and its per-step twin
+# report identically, and writes BENCH_scale.json only then.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -86,103 +80,11 @@ run_micro() {
 }
 
 run_fleet() {
-	# Fleet-scale SLA demos on the bursty ramp workload: reactive vs
-	# predictive (Holt) autoscaling, the disaggregated prefill/decode
-	# cluster with its dual-pool planner, the 2× overload ramp served three
-	# ways (route-on-arrival, admission hold, deadline-aware shedding), the
-	# heterogeneous mixed-GPU fleet judged on normalized CostSeconds, the
-	# mid-burst crash-storm trio (no faults / no recovery / recovery
-	# with retries, re-admission, and N+1 spares), the multi-turn
-	# prefix-share sweep (cache-affinity vs cache-blind routing on a fixed
-	# caching fleet, judged on hit rate, served p99 TTFT, and prefill
-	# tokens computed), and the long-context chunked-prefill sweep
-	# (long-prompt share × chunk policy {none, greedy, slo} at fixed
-	# capacity, judged on short-request served p99 TTFT and long-prompt
-	# attainment — the head-of-line-blocking acceptance axis).
-	go run ./cmd/fleetsim -disagg -compare -overload -hetero -faults -multiturn -longctx -json BENCH_fleet.json
-
-	# Fail loudly if the comparison did not refresh the record: a stale
-	# BENCH_fleet.json would silently misreport the fleet trajectory.
-	grep -q '"mode": "disaggregated-holt"' BENCH_fleet.json || {
-		echo "BENCH_fleet.json is stale: no disaggregated mode recorded" >&2
-		exit 1
-	}
-	grep -q '"mode": "overload-shed"' BENCH_fleet.json || {
-		echo "BENCH_fleet.json is stale: no overload shedding mode recorded" >&2
-		exit 1
-	}
-	grep -q '"mode": "hetero-cost"' BENCH_fleet.json || {
-		echo "BENCH_fleet.json is stale: no heterogeneous cost-aware mode recorded" >&2
-		exit 1
-	}
-	grep -q '"mode": "faults-recover"' BENCH_fleet.json || {
-		echo "BENCH_fleet.json is stale: no fault-recovery mode recorded" >&2
-		exit 1
-	}
-	grep -q '"mode": "multiturn-0.75-affinity"' BENCH_fleet.json || {
-		echo "BENCH_fleet.json is stale: no multi-turn prefix-caching sweep recorded" >&2
-		exit 1
-	}
-	grep -q '"prefill_savings_vs_blind"' BENCH_fleet.json || {
-		echo "BENCH_fleet.json is stale: no cache-blind baseline for the prefix sweep" >&2
-		exit 1
-	}
-	grep -q '"chunk_policy": "slo"' BENCH_fleet.json || {
-		echo "BENCH_fleet.json is stale: no SLO-aware chunked-prefill arm recorded" >&2
-		exit 1
-	}
-	grep -q '"chunk_policy": "none"' BENCH_fleet.json || {
-		echo "BENCH_fleet.json is stale: no unchunked baseline for the long-context sweep" >&2
-		exit 1
-	}
-
-	# Trace parity: the observability layer must be a strict observer. Run
-	# the fault-storm trio once recorder-disabled and once with every
-	# export armed — the reports (and stdout) must be byte-identical, or a
-	# trace-enabled run is no longer measuring the system it claims to.
-	obsdir=$(mktemp -d)
-	go run ./cmd/fleetsim -faults -json "$obsdir/off.json" |
-		grep -v '^wrote ' > "$obsdir/off.out"
-	go run ./cmd/fleetsim -faults -json "$obsdir/on.json" \
-		-trace "$obsdir/trace.json" -spans "$obsdir/spans.csv" \
-		-timeseries "$obsdir/ts.csv" -requests "$obsdir/reqs.csv" |
-		grep -v '^wrote ' > "$obsdir/on.out"
-	if ! cmp -s "$obsdir/off.json" "$obsdir/on.json" ||
-		! cmp -s "$obsdir/off.out" "$obsdir/on.out"; then
-		echo "observability parity broken: trace-enabled run diverged from the recorder-disabled run" >&2
-		rm -rf "$obsdir"
-		exit 1
-	fi
-	echo "observability parity: traced fault-storm run bit-identical to untraced"
-	rm -rf "$obsdir"
+	go run ./cmd/fleetsim -json BENCH_fleet.json fleet
 }
 
 run_scale() {
-	# Long-trace replay throughput (make bench-scale): a streamed diurnal
-	# day trace served as built (one heap event per run of coasted decode
-	# steps) and as its per-step twin (a no-op token hook on every engine:
-	# one heap event per step), on identical regenerated streams. The binary
-	# hard-fails unless the two reports are byte-identical, so a
-	# BENCH_scale.json that exists at all certifies the equivalence at this
-	# scale. Tune with e.g. `SCALE_REQUESTS=10000000 scripts/bench.sh scale`
-	# for the full 10M day.
-	go run ./cmd/fleetsim -scale \
-		-scale-requests "${SCALE_REQUESTS:-1000000}" \
-		-scale-repeat "${SCALE_REPEAT:-2}" \
-		-json BENCH_scale.json
-
-	# Fail loudly if the replay did not refresh the record: a stale
-	# BENCH_scale.json would silently misreport the replay trajectory.
-	grep -q '"reports_match": true' BENCH_scale.json || {
-		echo "BENCH_scale.json is stale: no report-equality certificate recorded" >&2
-		exit 1
-	}
-	for field in '"mode": "coasting"' '"mode": "per-step"' '"heap_events"' '"sim_s_per_wall_s"' '"num_cpu"'; do
-		grep -q "$field" BENCH_scale.json || {
-			echo "BENCH_scale.json is stale: no $field recorded" >&2
-			exit 1
-		}
-	done
+	go run ./cmd/fleetsim -json BENCH_scale.json scale
 }
 
 case "$mode" in
