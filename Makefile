@@ -106,12 +106,18 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime=$(FUZZTIME) "$$pkg" || exit 1; \
 	done
 
-# examples runs every program under examples/ to completion, so a library
-# change that breaks one fails here rather than behind a passing go build.
+# examples runs every program under examples/ to completion and diffs its
+# stdout against the golden beside it (testdata/stdout.golden; every example
+# is deterministic), so a library change that breaks one, or moves one of its
+# numbers, fails here rather than behind a passing go build. Re-record a
+# golden only for a change meant to move it:
+#   go run ./examples/fleet > examples/fleet/testdata/stdout.golden
 examples:
-	@for d in ./examples/*/; do \
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	for d in ./examples/*/; do \
 		echo "example $$d"; \
-		$(GO) run "$$d" >/dev/null || exit 1; \
+		$(GO) run "$$d" > "$$out" || exit 1; \
+		diff -u "$${d}testdata/stdout.golden" "$$out" || exit 1; \
 	done
 
 ci: build vet fmt-check staticcheck test bench-smoke examples chaos fuzz

@@ -21,16 +21,10 @@ type AdmissionConfig struct {
 	// Required (> 0) when Shed is set; with 0, the queue degrades to FIFO
 	// order and never sheds.
 	TTFTBudget float64
-	// MaxProbe is the entry-pool admission gate: an arrival is placed
-	// immediately only if some accepting replica's FutureHeadroom probe
-	// (predicted future peak as a fraction of capacity, candidate included)
-	// stays at or below this; otherwise it is held at the cluster front.
-	// 0 selects 1.0 — hold only when every replica predicts an overflow.
-	MaxProbe float64
 	// DecodeMaxProbe additionally gates arrivals on the decode pool of a
 	// disaggregated cluster (pool-aware admission: a saturated decode pool
 	// holds arrivals at the front instead of drowning in handoffs it pays
-	// for in MTPOT). 0 selects MaxProbe.
+	// for in MTPOT). 0 selects 1.0, the entry pool's gate.
 	DecodeMaxProbe float64
 	// Shed enables deadline shedding: a held request whose remaining budget
 	// cannot cover predicted prefill + transfer is refused with
@@ -42,50 +36,24 @@ type AdmissionConfig struct {
 	// reserve for the admission wait the floor cannot see (the engine-side
 	// queueing between placement and the prefill iteration). 0 = none.
 	Slack float64
-	// DynamicSlack replaces the static Slack reserve with an observed one:
-	// the pipeline tracks the actual placement→prefill-admission wait of
-	// first-pass arrivals on the entry pool (a smoothed estimate, clamped to
-	// [Slack/4, 4·Slack] so one outlier cannot open or close the gate), and
-	// the feasibility check uses that estimate instead of the static
-	// reserve. Requires Slack > 0 — the static value seeds the estimate and
-	// anchors the clamp. Deliberately independent of any attached Recorder:
-	// the observation rides the engine's admission hook, so dynamic-slack
-	// runs make identical decisions with and without tracing.
-	DynamicSlack bool
-	// ClassRank orders held requests *within one deadline bucket* by
-	// service class: lower ranks release first when capacity frees, so at
-	// equal slack the higher-ranked (less critical) class is the one left
-	// behind to expire — best-effort sheds before interactive, the
-	// policy-controllable half of overload degradation. nil ranks every
-	// class 0, preserving pure EDF + FIFO.
-	ClassRank func(class string) int
-	// ClassBucket widens the deadline tie the class rank breaks: deadlines
-	// are quantized into *fixed* absolute windows of this many seconds
-	// ([k·bucket, (k+1)·bucket)), and within one window class rank
-	// dominates (EDF still orders inside one rank). Real arrival streams
-	// never produce bit-identical deadlines, so without a bucket the class
-	// policy only fires on hand-crafted ties. The windows are fixed, not
-	// sliding: two deadlines 20 ms apart straddling a boundary do not tie,
-	// while two at opposite ends of one window do — the quantization is
-	// what keeps the heap a single-key order. 0 = exact ties only (pure
-	// EDF across classes).
-	ClassBucket float64
-	// OnShed, when non-nil, observes every shed decision.
-	OnShed func(now float64, r *request.Request)
 }
 
+// entryMaxProbe is the entry-pool admission gate: an arrival is placed
+// immediately only if some accepting replica's FutureHeadroom probe
+// (predicted future peak as a fraction of capacity, candidate included)
+// stays at or below it; otherwise it is held at the cluster front. At 1.0 an
+// arrival is held only when every replica predicts an overflow.
+const entryMaxProbe = 1.0
+
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
-	if c.MaxProbe == 0 {
-		c.MaxProbe = 1.0
-	}
 	if c.DecodeMaxProbe == 0 {
-		c.DecodeMaxProbe = c.MaxProbe
+		c.DecodeMaxProbe = entryMaxProbe
 	}
 	return c
 }
 
 func (c AdmissionConfig) validate() error {
-	for _, v := range []float64{c.TTFTBudget, c.MaxProbe, c.DecodeMaxProbe, c.Slack, c.ClassBucket} {
+	for _, v := range []float64{c.TTFTBudget, c.DecodeMaxProbe, c.Slack} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("cluster: non-finite admission parameter %v", v)
 		}
@@ -93,56 +61,37 @@ func (c AdmissionConfig) validate() error {
 	if c.TTFTBudget < 0 {
 		return fmt.Errorf("cluster: negative admission TTFT budget %v", c.TTFTBudget)
 	}
-	if c.MaxProbe < 0 || c.DecodeMaxProbe < 0 {
-		return fmt.Errorf("cluster: negative admission probe gate (%v, %v)", c.MaxProbe, c.DecodeMaxProbe)
+	if c.DecodeMaxProbe < 0 {
+		return fmt.Errorf("cluster: negative decode admission probe gate %v", c.DecodeMaxProbe)
 	}
 	if c.Slack < 0 {
 		return fmt.Errorf("cluster: negative admission slack %v", c.Slack)
 	}
-	if c.ClassBucket < 0 {
-		return fmt.Errorf("cluster: negative admission class bucket %v", c.ClassBucket)
-	}
 	if c.Shed && c.TTFTBudget == 0 {
 		return fmt.Errorf("cluster: shedding requires a TTFT budget")
-	}
-	if c.DynamicSlack && c.Slack <= 0 {
-		return fmt.Errorf("cluster: dynamic slack requires a positive static slack seed")
 	}
 	return nil
 }
 
 // admitItem is one held request keyed by its TTFT deadline (+Inf when the
-// request carries none, so deadline-less traffic degrades to FIFO), the
-// deadline's class bucket (the deadline itself when ClassBucket is 0), and
-// its service-class rank (0 without a ClassRank policy).
+// request carries none, so deadline-less traffic degrades to FIFO) and its
+// arrival sequence number.
 type admitItem struct {
 	r        *request.Request
 	deadline float64
-	bucket   float64
-	rank     int
 	seq      int64
 }
 
 // admitHeap is the deadline-indexed global queue: a typed EDF min-heap —
-// earliest deadline bucket first, class rank inside one bucket, exact
-// deadline inside one rank, FIFO last — so at (bucket-)equal slack an
-// interactive request is released ahead of a best-effort one, and the
-// best-effort one is what expires. With ClassBucket 0 the bucket is the
-// deadline itself and the order is pure EDF (rank, FIFO on exact ties).
-// Typed rather than container/heap for the same reason as the engine's
-// arrival heap — the push/retry cycle runs on every capacity event and
-// must not allocate in steady state (storage is retained across pops).
+// earliest deadline first, FIFO on ties. Typed rather than container/heap
+// for the same reason as the engine's arrival heap — the push/retry cycle
+// runs on every capacity event and must not allocate in steady state
+// (storage is retained across pops).
 type admitHeap []admitItem
 
 func (h admitHeap) Len() int { return len(h) }
 
 func (h admitHeap) less(i, j int) bool {
-	if h[i].bucket != h[j].bucket {
-		return h[i].bucket < h[j].bucket
-	}
-	if h[i].rank != h[j].rank {
-		return h[i].rank < h[j].rank
-	}
 	if h[i].deadline != h[j].deadline {
 		return h[i].deadline < h[j].deadline
 	}
@@ -218,87 +167,13 @@ type admission struct {
 	shedList      []*request.Request
 	frontSheds    int
 	boundarySheds int
-
-	// Observed placement→admission wait (DynamicSlack): a smoothed estimate
-	// seeded by the static Slack, fed by the entry engines' admission hooks.
-	obsWait    float64
-	obsWaitSet bool
 }
 
 func newAdmission(c *Cluster, cfg AdmissionConfig) (*admission, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	a := &admission{
-		cfg: cfg.withDefaults(),
-		clu: c,
-	}
-	if a.cfg.DynamicSlack {
-		for _, rep := range c.pools[c.entry].reps {
-			rep.eng.AddAdmitHook(func(now float64, admitted []*request.Request) {
-				for _, r := range admitted {
-					// First-pass arrivals only: migrations and fault retries
-					// measure recovery waits, not the admission gap the slack
-					// reserves for.
-					if r.Admissions == 1 && !r.Migrated && r.Retries == 0 {
-						a.observeWait(now - r.ArrivalTime)
-					}
-				}
-			})
-		}
-	}
-	return a, nil
-}
-
-// observeWait folds one observed arrival→prefill-admission wait into the
-// dynamic-slack estimate (same 0.5 smoothing as the planner's correction
-// factors). The observed wait includes any cluster-front hold, which the
-// floor also cannot see, so charging it against the slack reserve is
-// conservative in the right direction.
-func (a *admission) observeWait(w float64) {
-	if w < 0 {
-		w = 0
-	}
-	if !a.obsWaitSet {
-		a.obsWait = w
-		a.obsWaitSet = true
-		return
-	}
-	a.obsWait = 0.5*a.obsWait + 0.5*w
-}
-
-// effSlack returns the slack reserve the feasibility check uses: the static
-// configured value, or — under DynamicSlack, once an observation exists —
-// the smoothed observed wait clamped to [Slack/4, 4·Slack].
-func (a *admission) effSlack() float64 {
-	if !a.cfg.DynamicSlack || !a.obsWaitSet {
-		return a.cfg.Slack
-	}
-	s := a.obsWait
-	if min := a.cfg.Slack * 0.25; s < min {
-		s = min
-	}
-	if max := a.cfg.Slack * 4; s > max {
-		s = max
-	}
-	return s
-}
-
-// rank maps one request to its service-class rank (0 without a policy).
-func (a *admission) rank(r *request.Request) int {
-	if a.cfg.ClassRank == nil {
-		return 0
-	}
-	return a.cfg.ClassRank(r.Class)
-}
-
-// bucketKey quantizes a deadline into its class-tie bucket (the deadline
-// itself without a ClassBucket, so only exact ties break by class).
-func (a *admission) bucketKey(deadline float64) float64 {
-	if a.cfg.ClassBucket <= 0 {
-		return deadline
-	}
-	return math.Floor(deadline / a.cfg.ClassBucket)
+	return &admission{cfg: cfg.withDefaults(), clu: c}, nil
 }
 
 // Held returns the number of requests currently held at the cluster front.
@@ -326,8 +201,7 @@ func (a *admission) arrive(now float64, r *request.Request) {
 		return
 	}
 	a.seq++
-	dl := deadlineKey(r)
-	a.heap.push(admitItem{r: r, deadline: dl, bucket: a.bucketKey(dl), rank: a.rank(r), seq: a.seq})
+	a.heap.push(admitItem{r: r, deadline: deadlineKey(r), seq: a.seq})
 	if a.clu.rec != nil {
 		a.clu.rec.Hold(now, r, a.heap.Len())
 	}
@@ -362,15 +236,10 @@ func (a *admission) retry(now float64) {
 }
 
 // shedExpired sheds queue heads whose remaining budget can no longer cover
-// their service floor. Lazy (heads only): under pure EDF the head owns the
+// their service floor. Lazy (heads only): under EDF the head owns the
 // earliest deadline, so expiry almost always surfaces there first; a
 // later-deadline request with a larger floor is caught when it reaches the
-// head. With ClassRank + ClassBucket the head can instead be a
-// higher-priority request whose deadline is up to one bucket later, so a
-// buried lower-rank request may expire before surfacing — its shed is then
-// recorded late (bounded by the bucket width, or by the end-of-run flush),
-// the deliberate price of letting class order trump strict EDF inside one
-// window.
+// head.
 func (a *admission) shedExpired(now float64) {
 	if !a.cfg.Shed {
 		return
@@ -386,7 +255,7 @@ func (a *admission) infeasible(now float64, r *request.Request) bool {
 	if r.TTFTDeadline <= 0 {
 		return false
 	}
-	return now+a.floor(r)+a.effSlack() > r.TTFTDeadline
+	return now+a.floor(r)+a.cfg.Slack > r.TTFTDeadline
 }
 
 // floor is the best-case remaining service time before the request's first
@@ -435,8 +304,8 @@ func (a *admission) floor(r *request.Request) float64 {
 func (a *admission) tryPlace(now float64, r *request.Request) bool {
 	c := a.clu
 	entry := c.pools[c.entry]
-	rep, frac := entry.bestProbe(r, a.cfg.MaxProbe)
-	if frac > a.cfg.MaxProbe {
+	rep, frac := entry.bestProbe(r, entryMaxProbe)
+	if frac > entryMaxProbe {
 		return false
 	}
 	if c.Disaggregated() {
@@ -488,9 +357,6 @@ func (a *admission) shed(now float64, r *request.Request, where int) {
 		if p := c.pools[c.entry]; p.plan != nil {
 			p.plan.observeShed()
 		}
-	}
-	if a.cfg.OnShed != nil {
-		a.cfg.OnShed(now, r)
 	}
 	if c.rec != nil {
 		site := obs.ShedFront

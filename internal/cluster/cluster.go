@@ -157,9 +157,6 @@ type ClusterConfig struct {
 	// cover the predicted service floor. nil routes every arrival
 	// immediately (the pre-admission behavior).
 	Admission *AdmissionConfig
-	// OnHandoff, when non-nil, observes every completed KV migration at its
-	// delivery time.
-	OnHandoff func(h Handoff)
 	// Faults enables deterministic fault injection and recovery (faults.go).
 	// nil — or an empty schedule — leaves the cluster bit-identical to the
 	// pre-fault path.
@@ -777,9 +774,7 @@ func (c *Cluster) pickDecode(now float64, r *request.Request, bytes int64, dp *P
 				bestFrac, bestExact = frac, exact
 			}
 		}
-		// The cost vector is monotone in the fraction, so the sweep ends on
-		// the true pick once it ends on an exact value (see bestProbe).
-		if bestExact || dp.probe(best, r) == bestFrac {
+		if dp.settled(best, r, bestFrac, bestExact) {
 			return best, bestDeliver
 		}
 	}
@@ -863,9 +858,6 @@ func (c *Cluster) deliver(ev event) {
 	rep.eng.SubmitMigrated(r, ev.at)
 	dp.placed(rep, r)
 	c.ensureStepEvent(dp, rep)
-	if c.cfg.OnHandoff != nil {
-		c.cfg.OnHandoff(*h)
-	}
 	if c.adm != nil {
 		c.adm.retry(ev.at) // the prefill side freed this footprint at handoff
 	}

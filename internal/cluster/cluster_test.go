@@ -70,18 +70,23 @@ func TestFleetValidation(t *testing.T) {
 		pool Config
 	}{
 		{"no replicas", Config{Replicas: []*engine.Engine{}}},
-		{"quantile above 1", Config{Quantile: 1.5}},
-		{"NaN quantile", Config{Quantile: nan}},
 		{"negative affinity", Config{AffinityWeight: -1}},
 		{"NaN affinity", Config{AffinityWeight: nan}},
 		{"infinite affinity", Config{AffinityWeight: inf}},
 		{"bad autoscale bounds", Config{Scale: &AutoScale{Min: 0, Max: 2}}},
+		{"NaN autoscale high water", Config{Scale: &AutoScale{Min: 1, Max: 2, HighWater: nan}}},
+		{"NaN autoscale eval interval", Config{Scale: &AutoScale{Min: 1, Max: 2, EvalInterval: nan}}},
+		{"negative autoscale activation delay", Config{Scale: &AutoScale{Min: 1, Max: 2, ActivationDelay: -1}}},
 		{"Scale and Planner", Config{
 			Scale:   &AutoScale{Min: 1, Max: 2},
 			Planner: &PlannerConfig{SLA: metrics.SLASmall, Min: 1, Max: 2},
 		}},
 		{"zero SLA targets", Config{Planner: &PlannerConfig{SLA: metrics.SLA{}, Min: 1, Max: 2}}},
 		{"bad planner bounds", Config{Planner: &PlannerConfig{SLA: metrics.SLASmall, Min: 2, Max: 1}}},
+		{"NaN planner interval", Config{Planner: &PlannerConfig{SLA: metrics.SLASmall, Min: 1, Max: 2, Interval: nan}}},
+		{"NaN planner headroom", Config{Planner: &PlannerConfig{SLA: metrics.SLASmall, Min: 1, Max: 2, Headroom: nan}}},
+		{"NaN planner TTFT target", Config{Planner: &PlannerConfig{SLA: metrics.SLA{TTFT: nan, MTPOT: 1.5}, Min: 1, Max: 2}}},
+		{"negative planner activation delay", Config{Planner: &PlannerConfig{SLA: metrics.SLASmall, Min: 1, Max: 2, ActivationDelay: -5}}},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -463,15 +468,6 @@ func TestPolicyString(t *testing.T) {
 	if Policy(9).String() == "" {
 		t.Fatal("unknown policy string empty")
 	}
-	for _, p := range []Policy{RoundRobin, LeastLoaded, FutureHeadroom} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Fatalf("round-trip %v: got %v, %v", p, got, err)
-		}
-	}
-	if _, err := ParsePolicy("random"); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
 }
 
 func TestRoundRobinBalances(t *testing.T) {
@@ -598,7 +594,7 @@ func TestMonolithicAdmissionSheds(t *testing.T) {
 	const n = 300
 	c := MustNewCluster(ClusterConfig{
 		Pools:     []Config{{Replicas: replicas(2, 8_000), Policy: FutureHeadroom}},
-		Admission: &AdmissionConfig{TTFTBudget: 4, Shed: true, Slack: 0.5, MaxProbe: 0.9},
+		Admission: &AdmissionConfig{TTFTBudget: 4, Shed: true, Slack: 0.5},
 	})
 	rr := rng.New(5)
 	reqs := workload.Build(workload.ShareGPT, rr, n, 1, 512)

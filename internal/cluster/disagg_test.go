@@ -181,18 +181,23 @@ func TestDisaggTTFTAfterTransfer(t *testing.T) {
 }
 
 // TestDisaggHandoffRecords checks the migration ledger: one complete record
-// per multi-token request, routed to a real decode replica, observer fired.
+// per multi-token request, routed to a real decode replica.
 func TestDisaggHandoffRecords(t *testing.T) {
-	var observed int
 	c := MustNewCluster(ClusterConfig{
 		Pools: []Config{
 			{Role: engine.RolePrefillOnly, Replicas: prefillReplicas(2, 20_000), Policy: RoundRobin},
 			{Role: engine.RoleDecodeOnly, Replicas: decodeReplicas(2, 50_000, 7), Policy: LeastLoaded},
 		},
-		Link:      kv.MustNewLink(100e9, 0.001),
-		OnHandoff: func(h Handoff) { observed++ },
+		Link: kv.MustNewLink(100e9, 0.001),
 	})
-	results := c.Serve(poissonReqs(80, 20, 7), 1e9)
+	reqs := poissonReqs(80, 20, 7)
+	multiToken := 0
+	for _, r := range reqs {
+		if r.TrueOutputLen > 1 {
+			multiToken++
+		}
+	}
+	results := c.Serve(reqs, 1e9)
 	finished := 0
 	for _, res := range results {
 		finished += len(res.Finished)
@@ -201,8 +206,8 @@ func TestDisaggHandoffRecords(t *testing.T) {
 		t.Fatalf("finished %d of 80", finished)
 	}
 	hs := c.Handoffs()
-	if len(hs) == 0 || observed != len(hs) {
-		t.Fatalf("handoffs %d, observer saw %d", len(hs), observed)
+	if len(hs) == 0 || len(hs) != multiToken {
+		t.Fatalf("handoffs %d, want one per multi-token request (%d)", len(hs), multiToken)
 	}
 	for _, h := range hs {
 		if h.FromReplica < 0 || h.FromReplica >= 2 || h.ToReplica < 0 || h.ToReplica >= 2 {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/lightllm-go/lightllm/internal/faults"
 	"github.com/lightllm-go/lightllm/internal/kv"
@@ -62,18 +63,22 @@ func (c FaultConfig) withDefaults() FaultConfig {
 	return c
 }
 
+// validate writes its range checks as "inside" tests so that NaN, which
+// fails every comparison, is rejected with them.
 func (c FaultConfig) validate(poolSizes []int) error {
 	if err := faults.Validate(c.Schedule, poolSizes); err != nil {
 		return err
 	}
-	if c.LinkFailRate < 0 || c.LinkFailRate >= 1 {
+	if !(c.LinkFailRate >= 0 && c.LinkFailRate < 1) {
 		return fmt.Errorf("cluster: link fail rate %v outside [0,1)", c.LinkFailRate)
 	}
 	if c.MaxTransferRetries < 0 {
 		return fmt.Errorf("cluster: negative transfer retry bound %d", c.MaxTransferRetries)
 	}
-	if c.RetryBackoff < 0 || c.RetryBackoffCap < 0 {
-		return fmt.Errorf("cluster: negative transfer backoff (%v, %v)", c.RetryBackoff, c.RetryBackoffCap)
+	for _, b := range []float64{c.RetryBackoff, c.RetryBackoffCap} {
+		if !(b >= 0 && b < math.Inf(1)) {
+			return fmt.Errorf("cluster: transfer backoff %v outside [0,+Inf)", b)
+		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"testing"
@@ -19,19 +20,27 @@ func TestFaultConfigValidation(t *testing.T) {
 	pools := func() []Config {
 		return []Config{{Replicas: replicas(2, 10_000), Policy: FutureHeadroom}}
 	}
-	bad := []FaultConfig{
-		{Schedule: faults.Script{{At: 0, Kind: faults.Crash, Pool: 5, Duration: 1}}},
-		{Schedule: faults.Script{{At: 0, Kind: faults.Crash, Replica: 2, Duration: 1}}},
-		{LinkFailRate: 1},
-		{LinkFailRate: -0.1},
-		{MaxTransferRetries: -1},
-		{RetryBackoff: -1},
-	}
-	for i, cfg := range bad {
-		cfg := cfg
-		if _, err := NewCluster(ClusterConfig{Pools: pools(), Faults: &cfg}); err == nil {
-			t.Fatalf("bad fault config %d accepted: %+v", i, cfg)
-		}
+	for _, tc := range []struct {
+		name string
+		cfg  FaultConfig
+	}{
+		{"crash in a missing pool", FaultConfig{Schedule: faults.Script{{At: 0, Kind: faults.Crash, Pool: 5, Duration: 1}}}},
+		{"crash of a missing replica", FaultConfig{Schedule: faults.Script{{At: 0, Kind: faults.Crash, Replica: 2, Duration: 1}}}},
+		{"link fail rate 1", FaultConfig{LinkFailRate: 1}},
+		{"negative link fail rate", FaultConfig{LinkFailRate: -0.1}},
+		{"negative retry bound", FaultConfig{MaxTransferRetries: -1}},
+		{"negative backoff", FaultConfig{RetryBackoff: -1}},
+		// NaN passes every "< 0" check; a NaN backoff would become a NaN
+		// event time on the heap.
+		{"NaN backoff", FaultConfig{RetryBackoff: math.NaN()}},
+		{"NaN link fail rate", FaultConfig{LinkFailRate: math.NaN()}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := NewCluster(ClusterConfig{Pools: pools(), Faults: &tc.cfg}); err == nil {
+				t.Errorf("%s accepted: %+v", tc.name, tc.cfg)
+			}
+		})
 	}
 	good := &FaultConfig{
 		Schedule: faults.Script{{At: 1, Kind: faults.Crash, Replica: 1, Duration: 2}},
@@ -311,7 +320,7 @@ func TestPlannerCrashSuppressesScaleIn(t *testing.T) {
 	fl := &flavor{name: "a", pm: pm, capacity: 10_000, cost: 1, relSpeed: 1, reps: make([]*replica, 4)}
 	p := newPlanner(PlannerConfig{
 		SLA: metrics.SLASmall, Min: 1, Max: 4, Interval: 10,
-		Predictor: ConstantPredictor, ScaleInPatience: 1,
+		Predictor: ConstantPredictor,
 	}.withDefaults(), []*flavor{fl}, engine.RoleMixed)
 
 	// Zero demand against 3 active replicas wants Min=1 — shrinking — but
@@ -324,12 +333,16 @@ func TestPlannerCrashSuppressesScaleIn(t *testing.T) {
 	if s := p.History[0]; s.Crashes != 1 {
 		t.Fatalf("plan sample crashes %d, want 1", s.Crashes)
 	}
-	// The next calm interval satisfies patience 1 and shrinks.
-	targets = p.tick(20, []int{3})
+	// The patience counts from the crash: the first calm interval still
+	// holds, the second completes the patience and shrinks.
+	if targets = p.tick(20, []int{3}); targets[0] != 3 {
+		t.Fatalf("first calm interval after the crash shrank to %d before the patience ran out", targets[0])
+	}
+	targets = p.tick(30, []int{3})
 	if targets[0] >= 3 {
 		t.Fatalf("calm interval still held: target %d", targets[0])
 	}
-	if s := p.History[1]; s.Crashes != 0 {
+	if s := p.History[2]; s.Crashes != 0 {
 		t.Fatalf("calm sample crashes %d, want 0", s.Crashes)
 	}
 }

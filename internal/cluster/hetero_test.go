@@ -188,7 +188,7 @@ func TestHoldRespectsMaxTotal(t *testing.T) {
 	cheap := &flavor{name: "cheap", pm: pmCheap, capacity: 10_000, cost: pmCheap.CostWeight(), relSpeed: 1, reps: make([]*replica, 6)}
 	p := newPlanner(PlannerConfig{
 		SLA: metrics.SLASmall, Min: 1, Max: 10, Interval: 10,
-		Predictor: ConstantPredictor, ScaleInPatience: 2,
+		Predictor: ConstantPredictor,
 	}.withDefaults(), []*flavor{exp, cheap}, engine.RoleMixed)
 
 	thrCheap := p.flavorThroughput(cheap, 500, 300)
@@ -451,7 +451,7 @@ func checkScalarPlan(t *testing.T, pi int, p *Pool, active int) int {
 			if s.Shed > 0 || s.Crashes > 0 {
 				belowFor = 0
 			}
-			if belowFor == 0 || belowFor < ref.cfg.ScaleInPatience {
+			if belowFor == 0 || belowFor < scaleInPatience {
 				want = active
 			}
 		} else {

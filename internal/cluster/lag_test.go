@@ -157,8 +157,13 @@ var lagScenarios = []lagScenario{
 					{Role: engine.RoleDecodeOnly, Policy: FutureHeadroom, Replicas: decode},
 				},
 				Link:      link,
-				Admission: &AdmissionConfig{TTFTBudget: 6, Shed: true, Slack: 0.5, MaxProbe: 0.8, DecodeMaxProbe: 0.9},
+				Admission: &AdmissionConfig{TTFTBudget: 6, Shed: true, Slack: 0.5, DecodeMaxProbe: 0.9},
 			})
+		},
+		exercised: func(t *testing.T, c *Cluster, _ []*engine.Result) {
+			if c.adm.seq == 0 {
+				t.Fatal("the admission gate never held an arrival")
+			}
 		},
 	},
 }

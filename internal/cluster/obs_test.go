@@ -155,91 +155,3 @@ func TestRecorderNilRouteZeroAllocs(t *testing.T) {
 		t.Fatalf("recorder-disabled admission/route path allocates %v per op, want 0", allocs)
 	}
 }
-
-// TestDynamicSlackMechanism pins the observed-wait reserve's arithmetic:
-// the static Slack seeds the estimate, observations fold in with the same
-// 0.5 smoothing as the planner's correction factors, the clamp holds the
-// effective reserve inside [Slack/4, 4·Slack], and the feasibility check
-// actually consumes the adapted value.
-func TestDynamicSlackMechanism(t *testing.T) {
-	c := admissionCluster(1, 1, 50_000, 1, &AdmissionConfig{
-		TTFTBudget: 5, Shed: true, Slack: 0.1, DynamicSlack: true,
-	}, nil)
-	a := c.adm
-	if got := a.effSlack(); got != 0.1 {
-		t.Fatalf("unobserved effSlack %v, want the static seed 0.1", got)
-	}
-	a.observeWait(2.0) // first observation replaces the seed, then clamps
-	if got := a.effSlack(); got != 0.4 {
-		t.Fatalf("effSlack after a huge wait %v, want the 4×Slack clamp 0.4", got)
-	}
-	a.observeWait(0) // EWMA halves: 1.0, still above the clamp
-	a.observeWait(0) // 0.5
-	a.observeWait(0) // 0.25
-	a.observeWait(0) // 0.125, inside the band
-	if got := a.effSlack(); got != 0.125 {
-		t.Fatalf("effSlack after decay %v, want the raw estimate 0.125", got)
-	}
-	for i := 0; i < 20; i++ {
-		a.observeWait(0)
-	}
-	if got := a.effSlack(); got != 0.025 {
-		t.Fatalf("effSlack after vanishing waits %v, want the Slack/4 clamp 0.025", got)
-	}
-
-	// The check consumes the adapted reserve: a deadline that clears the
-	// floor by 0.05 is feasible under the decayed reserve (0.025) and
-	// infeasible once observed waits blow past it.
-	r := request.New(1, 400, 50, 64, 0)
-	r.TTFTDeadline = a.floor(r) + 0.05
-	if a.infeasible(0, r) {
-		t.Fatal("feasible request rejected under the decayed reserve")
-	}
-	a.observeWait(2.0)
-	a.observeWait(2.0)
-	if !a.infeasible(0, r) {
-		t.Fatal("request still feasible after observed waits blew past its margin")
-	}
-}
-
-// TestDynamicSlackObservesRealWaits pins the feed end-to-end: under an
-// overloaded stream the entry engines' admission hooks populate the
-// observed-wait estimate (first-pass arrivals only), the effective reserve
-// moves off its static seed, and conservation still holds — every arrival
-// ends exactly once in {completed, shed}.
-func TestDynamicSlackObservesRealWaits(t *testing.T) {
-	c := admissionCluster(1, 1, 6_000, 3, &AdmissionConfig{
-		TTFTBudget: 2.0, Shed: true, Slack: 0.05, DynamicSlack: true,
-	}, nil)
-	reqs := poissonReqs(300, 80, 3)
-	c.Serve(reqs, 1e9)
-	if !c.adm.obsWaitSet {
-		t.Fatal("dynamic slack never observed an admission wait")
-	}
-	var shed, completed int
-	for _, r := range reqs {
-		switch r.Outcome {
-		case request.OutcomeShed:
-			shed++
-		case request.OutcomeCompleted:
-			completed++
-		}
-	}
-	if shed+completed != len(reqs) {
-		t.Fatalf("conservation broken: %d shed + %d completed != %d arrivals", shed, completed, len(reqs))
-	}
-	if shed == 0 {
-		t.Fatal("overload scenario shed nothing; the feed was not exercised under pressure")
-	}
-}
-
-// TestDynamicSlackValidation: the observed reserve needs a static seed.
-func TestDynamicSlackValidation(t *testing.T) {
-	_, err := NewCluster(ClusterConfig{
-		Pools:     []Config{{Replicas: replicas(1, 10_000), Policy: FutureHeadroom}},
-		Admission: &AdmissionConfig{TTFTBudget: 5, Shed: true, DynamicSlack: true},
-	})
-	if err == nil {
-		t.Fatal("DynamicSlack without a Slack seed accepted")
-	}
-}

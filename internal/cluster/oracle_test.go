@@ -18,14 +18,14 @@ import (
 func naiveProbe(p *Pool, rep *replica, req *request.Request) float64 {
 	batch := append(rep.eng.RunningRequests(), rep.eng.WaitingRequests()...)
 	batch = append(batch, req)
-	return float64(core.PredictedBatchPeak(batch, rep.eng.History(), p.cfg.Quantile)) / float64(rep.eng.Pool().CapacityTokens())
+	return float64(core.PredictedBatchPeak(batch, rep.eng.History(), probeQuantile)) / float64(rep.eng.Pool().CapacityTokens())
 }
 
 // naiveLoad is Pool.load by the same reference: the batch and the waiting
 // set, no candidate.
 func naiveLoad(p *Pool, rep *replica) float64 {
 	batch := append(rep.eng.RunningRequests(), rep.eng.WaitingRequests()...)
-	return float64(core.PredictedBatchPeak(batch, rep.eng.History(), p.cfg.Quantile)) / float64(rep.eng.Pool().CapacityTokens())
+	return float64(core.PredictedBatchPeak(batch, rep.eng.History(), probeQuantile)) / float64(rep.eng.Pool().CapacityTokens())
 }
 
 // naiveProbes is naiveProbe of every accepting replica, indexed by replica:

@@ -48,11 +48,6 @@ type PlannerConfig struct {
 	// against the same burst. On a single-flavor pool the derived target is
 	// exactly Headroom, so homogeneous fleets size bit-identically.
 	SpeedAware bool
-	// ScaleInPatience is the number of consecutive evaluations that must
-	// want a smaller fleet before the planner scales in (scale-out is
-	// always immediate: under-provisioning breaks the SLA, a spare replica
-	// only costs replica-seconds). 0 selects 2.
-	ScaleInPatience int
 	// Spare provisions N extra replicas beyond the forecast-sized fleet
 	// (N+1 redundancy against replica crashes): a crash then removes spare
 	// capacity instead of tearing a hole in the SLA-sized fleet while the
@@ -68,23 +63,31 @@ func (c PlannerConfig) withDefaults() PlannerConfig {
 	if c.Headroom == 0 {
 		c.Headroom = 0.8
 	}
-	if c.ScaleInPatience == 0 {
-		c.ScaleInPatience = 2
-	}
 	return c
 }
 
+// scaleInPatience is the number of consecutive evaluations that must want a
+// smaller fleet before the planner scales in (scale-out is always immediate:
+// under-provisioning breaks the SLA, a spare replica only costs
+// replica-seconds).
+const scaleInPatience = 2
+
+// validate writes its range checks as "inside" tests so that NaN, which
+// fails every comparison, is rejected with them.
 func (c PlannerConfig) validate(replicas int) error {
-	if c.SLA.TTFT <= 0 || c.SLA.MTPOT <= 0 {
+	if !(c.SLA.TTFT > 0 && c.SLA.MTPOT > 0) {
 		return fmt.Errorf("cluster: planner SLA targets must be positive, got %v", c.SLA)
 	}
 	if c.Min < 1 || c.Max > replicas || c.Min > c.Max {
 		return fmt.Errorf("cluster: bad planner bounds [%d, %d] for %d replicas", c.Min, c.Max, replicas)
 	}
-	if c.Interval < 0 {
-		return fmt.Errorf("cluster: negative planner interval %v", c.Interval)
+	if !(c.Interval >= 0 && c.Interval < math.Inf(1)) {
+		return fmt.Errorf("cluster: planner interval %v outside [0,+Inf)", c.Interval)
 	}
-	if c.Headroom < 0 || c.Headroom > 1 {
+	if !(c.ActivationDelay >= 0 && c.ActivationDelay < math.Inf(1)) {
+		return fmt.Errorf("cluster: planner activation delay %v outside [0,+Inf)", c.ActivationDelay)
+	}
+	if !(c.Headroom >= 0 && c.Headroom <= 1) {
 		return fmt.Errorf("cluster: planner headroom %v outside (0,1]", c.Headroom)
 	}
 	if c.Spare < 0 {
@@ -324,7 +327,7 @@ func (p *planner) tick(now float64, activeByFlavor []int) []int {
 			break
 		}
 	}
-	// Scale-out is immediate; scale-in waits for ScaleInPatience
+	// Scale-out is immediate; scale-in waits for scaleInPatience
 	// consecutive shrinking evaluations so a one-interval lull (or a noisy
 	// forecast at a phase boundary) cannot flap the fleet down right
 	// before load returns. The patience guards every *per-flavor*
@@ -355,7 +358,7 @@ func (p *planner) tick(now float64, activeByFlavor []int) []int {
 			hold = true
 		} else {
 			p.belowFor++
-			if p.belowFor < p.cfg.ScaleInPatience {
+			if p.belowFor < scaleInPatience {
 				hold = true
 			}
 		}

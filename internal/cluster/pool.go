@@ -41,16 +41,6 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy resolves a policy name (CLI flags), inverse of String.
-func ParsePolicy(s string) (Policy, error) {
-	for _, p := range []Policy{RoundRobin, LeastLoaded, FutureHeadroom} {
-		if s == p.String() {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("cluster: unknown policy %q (round-robin, least-loaded, future-headroom)", s)
-}
-
 // AutoScale is the threshold-reactive scaling policy: scale out when the
 // mean predicted load of the accepting replicas exceeds HighWater, scale in
 // (one drained replica at a time) when it falls below LowWater. It is the
@@ -88,8 +78,6 @@ type Config struct {
 	Replicas []*engine.Engine
 	// Policy selects the routing policy.
 	Policy Policy
-	// Quantile for FutureHeadroom predictions. 0 selects 0.9.
-	Quantile float64
 	// Scale enables threshold-reactive autoscaling. Mutually exclusive with
 	// Planner; nil (with nil Planner) serves on all replicas.
 	Scale *AutoScale
@@ -258,17 +246,11 @@ func newPool(c *Cluster, id int, cfg Config) (*Pool, error) {
 				id, cfg.Role, i, e.Role())
 		}
 	}
-	if cfg.Quantile == 0 {
-		cfg.Quantile = 0.9
-	}
-	// Range checks are written as "inside" tests so that NaN, which fails
-	// every comparison, is rejected with them.
-	if !(cfg.Quantile >= 0 && cfg.Quantile <= 1) {
-		return nil, fmt.Errorf("cluster: quantile %v outside [0,1]", cfg.Quantile)
-	}
 	if cfg.Scale != nil && cfg.Planner != nil {
 		return nil, fmt.Errorf("cluster: reactive Scale and predictive Planner are mutually exclusive")
 	}
+	// Range checks are written as "inside" tests so that NaN, which fails
+	// every comparison, is rejected with them.
 	if !(cfg.AffinityWeight >= 0 && cfg.AffinityWeight < math.Inf(1)) {
 		return nil, fmt.Errorf("cluster: affinity weight %v outside [0,+Inf)", cfg.AffinityWeight)
 	}
@@ -278,8 +260,14 @@ func newPool(c *Cluster, id int, cfg Config) (*Pool, error) {
 			return nil, fmt.Errorf("cluster: bad autoscale bounds [%d, %d] for %d replicas",
 				cfg.Scale.Min, cfg.Scale.Max, len(cfg.Replicas))
 		}
-		if cfg.Scale.EvalInterval < 0 {
-			return nil, fmt.Errorf("cluster: negative autoscale eval interval %v", cfg.Scale.EvalInterval)
+		if !(cfg.Scale.EvalInterval >= 0 && cfg.Scale.EvalInterval < math.Inf(1)) {
+			return nil, fmt.Errorf("cluster: autoscale eval interval %v outside [0,+Inf)", cfg.Scale.EvalInterval)
+		}
+		if !(cfg.Scale.ActivationDelay >= 0 && cfg.Scale.ActivationDelay < math.Inf(1)) {
+			return nil, fmt.Errorf("cluster: autoscale activation delay %v outside [0,+Inf)", cfg.Scale.ActivationDelay)
+		}
+		if math.IsNaN(cfg.Scale.HighWater) || math.IsNaN(cfg.Scale.LowWater) {
+			return nil, fmt.Errorf("cluster: NaN autoscale water mark (%v, %v)", cfg.Scale.HighWater, cfg.Scale.LowWater)
 		}
 		initial = cfg.Scale.Min
 	}
@@ -652,6 +640,10 @@ func (p *Pool) probeBound(rep *replica, req *request.Request) (frac float64, exa
 	return float64(peak) / float64(rep.flv.capacity), k == 0
 }
 
+// probeQuantile is the conditional quantile every routing probe prices a
+// request's output length at (core.PastFutureConfig's default).
+const probeQuantile = 0.9
+
 // entry is core.QuantileEntry over the window rebuild last read: from the
 // recorded fresh-request quantile for a request that has generated nothing,
 // from the live sampler for one that has (an orphan re-routed mid-output, a
@@ -660,7 +652,7 @@ func (p *Pool) entry(rep *replica, r *request.Request) core.Entry {
 	if r.Generated == 0 {
 		return rep.fresh.Entry(r)
 	}
-	return core.QuantileEntry(r, rep.sampler, p.cfg.Quantile)
+	return core.QuantileEntry(r, rep.sampler, probeQuantile)
 }
 
 // betterFit is the shared (fits, speed-normalized score) lexicographic
@@ -690,13 +682,8 @@ func betterFit(fits bool, score float64, bestFits bool, bestScore float64) bool 
 // threshold on the raw fraction, so in a single-flavor pool (score ==
 // fraction) the argmin is exactly the raw-fraction argmin.
 //
-// A replica whose estimator lags is priced by its lower bound first
-// (probeBound). Both rankings are monotone in the fraction, so a sweep over
-// bounds and exact values that ends on exact ones — for the argmin and for
-// the minimum — ends where a sweep over exact values would, index-order ties
-// included: every other replica's true fraction is no smaller than what it
-// lost with. Only the replicas a sweep ends on are rebuilt, and the sweep
-// repeats only if that moved their value.
+// The sweep runs over probe bounds and repeats until it ends on values that
+// hold (see settled): once for the argmin, once for the minimum.
 func (p *Pool) bestProbe(req *request.Request, gate float64) (*replica, float64) {
 	for {
 		var bestRep, minRep *replica
@@ -716,17 +703,32 @@ func (p *Pool) bestProbe(req *request.Request, gate float64) (*replica, float64)
 				bestRep, bestFits, bestScore, bestFrac, bestExact = rep, fits, score, f, exact
 			}
 		}
-		settled := true
-		if !bestExact {
-			settled = p.probe(bestRep, req) == bestFrac
+		ok := p.settled(bestRep, req, bestFrac, bestExact)
+		if minRep != bestRep {
+			ok = p.settled(minRep, req, minFrac, minExact) && ok
 		}
-		if !minExact && minRep != bestRep {
-			settled = p.probe(minRep, req) == minFrac && settled
-		}
-		if settled {
+		if ok {
 			return bestRep, minFrac
 		}
 	}
+}
+
+// settled ends one sweep of a decision over probe bounds (probeBound) for a
+// replica the sweep ended on, priced at frac: it reports whether frac is that
+// replica's probe, rebuilding the replica when frac was only a bound. A nil
+// replica (nothing passed the gate) priced exactly is trivially settled.
+//
+// Why that suffices. Every ranking built on probes — bestProbe's (fits,
+// speed-normalized score) argmin and its raw-fraction minimum, pickDecode's
+// (fits, delivery, score) vector — is monotone in the fraction, and a bound
+// never exceeds the probe. A sweep that ends on a replica whose value holds
+// therefore ends where a sweep over exact values would, index-order ties
+// included: every other replica's probe is no smaller than the bound it lost
+// with. Only the replicas a sweep ends on are rebuilt; when a rebuild moved
+// the value the caller sweeps again, and since a rebuilt replica is exact
+// from then on, the loop ends.
+func (p *Pool) settled(rep *replica, req *request.Request, frac float64, exact bool) bool {
+	return exact || p.probe(rep, req) == frac
 }
 
 // affinity is the prefix-cache routing bonus subtracted from a replica's
@@ -796,7 +798,7 @@ func (p *Pool) ensureEst(rep *replica) {
 // rebuild reads a replica's warm probe state afresh from its engine.
 func (p *Pool) rebuild(rep *replica) {
 	rep.sampler = rep.eng.History().Sampler()
-	rep.fresh = core.NewFreshQuantile(rep.sampler, p.cfg.Quantile)
+	rep.fresh = core.NewFreshQuantile(rep.sampler, probeQuantile)
 	rep.estGen = rep.eng.History().Generation()
 	rep.est.Reset()
 	push := func(r *request.Request) {

@@ -47,20 +47,6 @@ func (k PredictorKind) String() string {
 	}
 }
 
-// ParsePredictor resolves a predictor name (CLI flags).
-func ParsePredictor(s string) (PredictorKind, error) {
-	switch s {
-	case "constant":
-		return ConstantPredictor, nil
-	case "ewma":
-		return EWMAPredictor, nil
-	case "holt":
-		return HoltPredictor, nil
-	default:
-		return 0, fmt.Errorf("cluster: unknown predictor %q (constant, ewma, holt)", s)
-	}
-}
-
 // New builds a fresh predictor instance of this kind with default smoothing
 // parameters (one instance per load signal).
 func (k PredictorKind) New() Predictor {

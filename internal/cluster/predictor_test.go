@@ -58,18 +58,6 @@ func TestHoltPredictorExtrapolatesTrend(t *testing.T) {
 	}
 }
 
-func TestParsePredictor(t *testing.T) {
-	for _, k := range []PredictorKind{ConstantPredictor, EWMAPredictor, HoltPredictor} {
-		got, err := ParsePredictor(k.String())
-		if err != nil || got != k {
-			t.Fatalf("round-trip %v: got %v, %v", k, got, err)
-		}
-	}
-	if _, err := ParsePredictor("prophet"); err == nil {
-		t.Fatal("unknown predictor accepted")
-	}
-}
-
 func TestReplicaThroughputInterpolation(t *testing.T) {
 	pm := testPerf()
 	capTokens := pm.CapacityTokens()

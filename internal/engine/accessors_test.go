@@ -88,11 +88,10 @@ func TestWaitingSetCountsSubmittedBeforeStep(t *testing.T) {
 
 func TestAllHookAddersChain(t *testing.T) {
 	e := newEngine(t, core.MustNewAggressive(0.99), 500)
-	var tokens, finishes, evicts, iters int
+	var tokens, finishes, iters int
 	e.AddTokenHook(func(float64, *request.Request) { tokens++ })
 	e.AddTokenHook(func(float64, *request.Request) { tokens++ }) // chained: counts twice
 	e.AddFinishHook(func(float64, *request.Request) { finishes++ })
-	e.AddEvictHook(func(float64, *request.Request) { evicts++ })
 	e.AddIterationHook(func(float64, Iteration) { iters++ })
 	e.SubmitAll(mkReqs(10, 20, 40, 100))
 	res := e.Run()
@@ -101,9 +100,6 @@ func TestAllHookAddersChain(t *testing.T) {
 	}
 	if finishes != len(res.Finished) {
 		t.Fatalf("finish hook %d vs %d", finishes, len(res.Finished))
-	}
-	if evicts != res.Evictions {
-		t.Fatalf("evict hook %d vs %d", evicts, res.Evictions)
 	}
 	if iters == 0 {
 		t.Fatal("iteration hook never fired")

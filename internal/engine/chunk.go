@@ -153,8 +153,8 @@ func (e *Engine) runChunked() {
 		}
 		first := r.FirstTokenAt < 0
 		r.EmitToken(e.clock)
-		if e.cfg.Hooks.OnToken != nil {
-			e.cfg.Hooks.OnToken(e.clock, r)
+		if e.hooks.OnToken != nil {
+			e.hooks.OnToken(e.clock, r)
 		}
 		if first && e.rec != nil {
 			e.rec.FirstToken(e.clock, r, e.obsPool, e.obsRep)

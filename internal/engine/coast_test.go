@@ -348,24 +348,24 @@ var coastCases = []coastCase{
 		// An observer inside the step: the hook reads the batch while the
 		// step that called it is the latest one owing tokens.
 		name: "iteration-hook-reads-batch",
-		cfg: func(cr *coastRun) Config {
-			n := 0
-			return Config{Scheduler: core.MustNewConservative(1.0), CapacityOverride: 20_000,
-				Hooks: Hooks{OnIteration: func(now float64, it Iteration) {
-					if n++; n%5 != 0 {
-						return
-					}
-					sum := 0
-					for _, r := range cr.e.RunningRequests() {
-						if it.Kind == "decode" && r.LastEmitAt != now {
-							cr.t.Errorf("iteration %d: request %d last emitted at %v, the step ended at %v", n, r.ID, r.LastEmitAt, now)
-						}
-						sum += r.Generated
-					}
-					cr.logf("iteration %d kv=%d generated=%d", n, it.KVTokens, sum)
-				}}}
+		cfg: func(*coastRun) Config {
+			return Config{Scheduler: core.MustNewConservative(1.0), CapacityOverride: 20_000}
 		},
 		drive: func(cr *coastRun) *Result {
+			n := 0
+			cr.e.AddIterationHook(func(now float64, it Iteration) {
+				if n++; n%5 != 0 {
+					return
+				}
+				sum := 0
+				for _, r := range cr.e.RunningRequests() {
+					if it.Kind == "decode" && r.LastEmitAt != now {
+						cr.t.Errorf("iteration %d: request %d last emitted at %v, the step ended at %v", n, r.ID, r.LastEmitAt, now)
+					}
+					sum += r.Generated
+				}
+				cr.logf("iteration %d kv=%d generated=%d", n, it.KVTokens, sum)
+			})
 			cr.submit(stream(cr.seed, 30, 0.2, 100, 200)...)
 			return cr.finish()
 		},

@@ -109,7 +109,7 @@ const (
 	RoleMixed Role = iota
 	// RolePrefillOnly runs prompts only: a request completes at its first
 	// token (computed by the prefill pass), frees its KV allocation, and is
-	// handed off to a decode engine through the OnHandoff hook — unless the
+	// handed off to a decode engine through AddHandoffHook — unless the
 	// first token is also its last, in which case it finishes here.
 	RolePrefillOnly
 	// RoleDecodeOnly runs decode only: it accepts requests migrated from a
@@ -159,8 +159,9 @@ func (p EvictionPolicy) String() string {
 	}
 }
 
-// Hooks are optional observation callbacks. Nil hooks are skipped.
-type Hooks struct {
+// hooks are the engine's optional observation callbacks, attached through
+// the Add*Hook methods. Nil hooks are skipped.
+type hooks struct {
 	// OnAdmit fires after a batch of admissions, before their prefill runs.
 	// The admitted slice is a per-step scratch buffer the engine reuses:
 	// read it during the callback, copy it if it must outlive the Step.
@@ -170,8 +171,6 @@ type Hooks struct {
 	// OnFinish fires when a request completes (closed-loop clients submit
 	// their next request from here).
 	OnFinish func(now float64, r *request.Request)
-	// OnEvict fires when a request is evicted from the running batch.
-	OnEvict func(now float64, r *request.Request)
 	// OnDrop fires when a queued request is abandoned via QueueTimeout.
 	OnDrop func(now float64, r *request.Request)
 	// OnFail fires when the engine drops a request as unservable.
@@ -254,8 +253,6 @@ type Config struct {
 	// Chunked configures chunked prefill. The zero value disables it,
 	// keeping the engine bit-identical to the fused-prefill code path.
 	Chunked ChunkConfig
-
-	Hooks Hooks
 }
 
 // ChunkPolicy selects how the chunked-prefill scheduler sizes each chunk.
@@ -341,6 +338,7 @@ type Engine struct {
 	history   *dist.Window
 	classHist map[string]*dist.Window // per-class windows (ClassHistory)
 	sched     core.Scheduler
+	hooks     hooks
 	clock     float64
 	arrivals  arrivalHeap
 	seq       int64
@@ -593,11 +591,6 @@ func (e *Engine) Role() Role { return e.cfg.Role }
 // the cluster's routing affinity and admission-floor discount key off it.
 func (e *Engine) PrefixCacheEnabled() bool { return e.pool.PrefixCacheEnabled() }
 
-// ChunkedPrefillEnabled reports whether the engine lands prompts chunk by
-// chunk — the cluster's admission floor and planner add the per-chunk
-// overhead penalty exactly when this is on.
-func (e *Engine) ChunkedPrefillEnabled() bool { return e.cfg.Chunked.Enabled }
-
 // ChunkOverheadCurve returns the extra prefill seconds chunking costs a
 // prompt of the given length on this engine (chunk count at the configured
 // chunk size × the perf model's per-chunk overhead), or nil when chunking
@@ -703,8 +696,8 @@ func (e *Engine) RunningLen() int { return len(e.running) + len(e.prefilling) }
 // AddFinishHook chains f after any existing OnFinish hook. Closed-loop
 // clients use this to submit their next request on completion.
 func (e *Engine) AddFinishHook(f func(now float64, r *request.Request)) {
-	prev := e.cfg.Hooks.OnFinish
-	e.cfg.Hooks.OnFinish = func(now float64, r *request.Request) {
+	prev := e.hooks.OnFinish
+	e.hooks.OnFinish = func(now float64, r *request.Request) {
 		if prev != nil {
 			prev(now, r)
 		}
@@ -714,19 +707,8 @@ func (e *Engine) AddFinishHook(f func(now float64, r *request.Request)) {
 
 // AddTokenHook chains f after any existing OnToken hook (streaming server).
 func (e *Engine) AddTokenHook(f func(now float64, r *request.Request)) {
-	prev := e.cfg.Hooks.OnToken
-	e.cfg.Hooks.OnToken = func(now float64, r *request.Request) {
-		if prev != nil {
-			prev(now, r)
-		}
-		f(now, r)
-	}
-}
-
-// AddEvictHook chains f after any existing OnEvict hook.
-func (e *Engine) AddEvictHook(f func(now float64, r *request.Request)) {
-	prev := e.cfg.Hooks.OnEvict
-	e.cfg.Hooks.OnEvict = func(now float64, r *request.Request) {
+	prev := e.hooks.OnToken
+	e.hooks.OnToken = func(now float64, r *request.Request) {
 		if prev != nil {
 			prev(now, r)
 		}
@@ -736,8 +718,8 @@ func (e *Engine) AddEvictHook(f func(now float64, r *request.Request)) {
 
 // AddDropHook chains f after any existing OnDrop hook.
 func (e *Engine) AddDropHook(f func(now float64, r *request.Request)) {
-	prev := e.cfg.Hooks.OnDrop
-	e.cfg.Hooks.OnDrop = func(now float64, r *request.Request) {
+	prev := e.hooks.OnDrop
+	e.hooks.OnDrop = func(now float64, r *request.Request) {
 		if prev != nil {
 			prev(now, r)
 		}
@@ -748,8 +730,8 @@ func (e *Engine) AddDropHook(f func(now float64, r *request.Request)) {
 // AddHandoffHook chains f after any existing OnHandoff hook. The cluster's
 // transfer link schedules the KV migration from here.
 func (e *Engine) AddHandoffHook(f func(now float64, r *request.Request)) {
-	prev := e.cfg.Hooks.OnHandoff
-	e.cfg.Hooks.OnHandoff = func(now float64, r *request.Request) {
+	prev := e.hooks.OnHandoff
+	e.hooks.OnHandoff = func(now float64, r *request.Request) {
 		if prev != nil {
 			prev(now, r)
 		}
@@ -759,8 +741,8 @@ func (e *Engine) AddHandoffHook(f func(now float64, r *request.Request)) {
 
 // AddFailHook chains f after any existing OnFail hook.
 func (e *Engine) AddFailHook(f func(now float64, r *request.Request)) {
-	prev := e.cfg.Hooks.OnFail
-	e.cfg.Hooks.OnFail = func(now float64, r *request.Request) {
+	prev := e.hooks.OnFail
+	e.hooks.OnFail = func(now float64, r *request.Request) {
 		if prev != nil {
 			prev(now, r)
 		}
@@ -769,10 +751,10 @@ func (e *Engine) AddFailHook(f func(now float64, r *request.Request)) {
 }
 
 // AddAdmitHook chains f after any existing OnAdmit hook. The cluster's
-// dynamic admission slack observes the engine-side wait from here.
+// planner observes prefix-cache hits from here.
 func (e *Engine) AddAdmitHook(f func(now float64, admitted []*request.Request)) {
-	prev := e.cfg.Hooks.OnAdmit
-	e.cfg.Hooks.OnAdmit = func(now float64, admitted []*request.Request) {
+	prev := e.hooks.OnAdmit
+	e.hooks.OnAdmit = func(now float64, admitted []*request.Request) {
 		if prev != nil {
 			prev(now, admitted)
 		}
@@ -794,8 +776,8 @@ func (e *Engine) failRequest(r *request.Request) {
 	r.MarkFailed()
 	e.failed = append(e.failed, r)
 	e.released = true
-	if e.cfg.Hooks.OnFail != nil {
-		e.cfg.Hooks.OnFail(e.clock, r)
+	if e.hooks.OnFail != nil {
+		e.hooks.OnFail(e.clock, r)
 	}
 	if e.rec != nil {
 		e.rec.Fail(e.clock, r, e.obsPool, e.obsRep)
@@ -824,8 +806,8 @@ func (e *Engine) PureDecodeLastStep() bool { return e.pureDecode }
 
 // AddIterationHook chains f after any existing OnIteration hook.
 func (e *Engine) AddIterationHook(f func(now float64, it Iteration)) {
-	prev := e.cfg.Hooks.OnIteration
-	e.cfg.Hooks.OnIteration = func(now float64, it Iteration) {
+	prev := e.hooks.OnIteration
+	e.hooks.OnIteration = func(now float64, it Iteration) {
 		if prev != nil {
 			prev(now, it)
 		}

@@ -295,12 +295,12 @@ func TestDeterministicRuns(t *testing.T) {
 func TestClosedLoopViaOnFinish(t *testing.T) {
 	e := newEngine(t, core.NewOracle(), 1000)
 	served := 0
-	e.cfg.Hooks.OnFinish = func(now float64, r *request.Request) {
+	e.AddFinishHook(func(now float64, r *request.Request) {
 		served++
 		if served < 5 {
 			e.Submit(request.New(r.ID+100, 50, 10, 20, now))
 		}
-	}
+	})
 	e.Submit(request.New(1, 50, 10, 20, 0))
 	res := e.Run()
 	if len(res.Finished) != 5 {
@@ -501,7 +501,7 @@ func TestPoolInvariantsThroughoutRun(t *testing.T) {
 			t.Fatalf("at %v: %v", now, err)
 		}
 	}
-	e.cfg.Hooks.OnIteration = check
+	e.AddIterationHook(check)
 	e.SubmitAll(mkReqs(20, 20, 50, 100))
 	e.Run()
 }

@@ -33,9 +33,6 @@ func TestDecodeAtTheMemoryEdge(t *testing.T) {
 			Scheduler:        core.MustNewAggressive(1.0),
 			BlockSize:        tc.blockSize,
 			CapacityOverride: 1200,
-			Hooks: Hooks{OnEvict: func(_ float64, r *request.Request) {
-				evicted = append(evicted, fmt.Sprintf("%d@%d", r.ID, r.Generated))
-			}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -45,15 +42,20 @@ func TestDecodeAtTheMemoryEdge(t *testing.T) {
 		}
 		roomy, tightNoEvict, tightEvict := 0, 0, 0
 		for {
-			running, avail, before := e.RunningLen(), e.Pool().AvailableBlocks(), len(evicted)
+			running, avail, before := e.RunningLen(), e.Pool().AvailableBlocks(), e.evictions
 			if !e.Step() {
 				break
+			}
+			// A step's victims wait at the queue front, the last one first.
+			for i := e.evictions - before - 1; i >= 0; i-- {
+				r := e.queue.At(i)
+				evicted = append(evicted, fmt.Sprintf("%d@%d", r.ID, r.Generated))
 			}
 			switch {
 			case running == 0:
 			case running <= avail:
 				roomy++
-			case len(evicted) == before:
+			case e.evictions == before:
 				tightNoEvict++
 			default:
 				tightEvict++

@@ -216,7 +216,7 @@ func TestMaxPrefillTokensCapsFusedPrefills(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxBatch := 0
-	e.cfg.Hooks.OnAdmit = func(now float64, admitted []*request.Request) {
+	e.AddAdmitHook(func(now float64, admitted []*request.Request) {
 		tokens := 0
 		for _, r := range admitted {
 			tokens += r.Footprint()
@@ -227,7 +227,7 @@ func TestMaxPrefillTokensCapsFusedPrefills(t *testing.T) {
 		if len(admitted) > maxBatch {
 			maxBatch = len(admitted)
 		}
-	}
+	})
 	e.SubmitAll(mkReqs(10, 400, 20, 50))
 	res := e.Run()
 	if len(res.Finished) != 10 {

@@ -116,12 +116,14 @@ func TestHandleFollowsMemory(t *testing.T) {
 			t.Fatalf("request %d emitted a token without a live handle", r.ID)
 		}
 	})
-	evicted := 0
-	e.AddEvictHook(func(_ float64, r *request.Request) {
-		evicted++
-		if r.KV != (kv.Handle{}) {
-			t.Fatalf("evicted request %d kept its handle", r.ID)
-		}
+	// An evicted request waits in the queue until a later step readmits it,
+	// so every victim is in the queue when its step's iteration hook fires.
+	e.AddIterationHook(func(float64, Iteration) {
+		e.queue.ForEach(func(r *request.Request) {
+			if r.KV != (kv.Handle{}) {
+				t.Fatalf("queued request %d (evicted %d times) kept its handle", r.ID, r.Evictions)
+			}
+		})
 	})
 	reqs := mkReqs(12, 200, 120, 200)
 	e.SubmitAll(reqs)
@@ -143,8 +145,8 @@ func TestHandleFollowsMemory(t *testing.T) {
 	}
 	e.SubmitAll(reqs)
 	res := e.Run()
-	if len(res.Finished) != len(reqs) || evicted == 0 {
-		t.Fatalf("finished %d of %d with %d evictions; scenario exercises nothing", len(res.Finished), len(reqs), evicted)
+	if len(res.Finished) != len(reqs) || res.Evictions == 0 {
+		t.Fatalf("finished %d of %d with %d evictions; scenario exercises nothing", len(res.Finished), len(reqs), res.Evictions)
 	}
 	for _, r := range reqs {
 		if r.KV != (kv.Handle{}) {

@@ -95,8 +95,8 @@ func (e *Engine) stepStaticDecode() bool {
 			continue // finished lane, pure padding waste
 		}
 		r.EmitToken(e.clock)
-		if e.cfg.Hooks.OnToken != nil {
-			e.cfg.Hooks.OnToken(e.clock, r)
+		if e.hooks.OnToken != nil {
+			e.hooks.OnToken(e.clock, r)
 		}
 		e.outputTokens++
 		if !r.Done() {
@@ -127,8 +127,8 @@ func (e *Engine) finishStaticDone() {
 		e.recordFinishedLength(r.Class, r.TrueOutputLen)
 		e.finished = append(e.finished, r)
 		e.released = true
-		if e.cfg.Hooks.OnFinish != nil {
-			e.cfg.Hooks.OnFinish(e.clock, r)
+		if e.hooks.OnFinish != nil {
+			e.hooks.OnFinish(e.clock, r)
 		}
 	}
 }

@@ -145,7 +145,7 @@ func (e *Engine) coast() bool {
 	n := len(e.running)
 	if e.owed+1 >= e.minLeft || e.queue.Len() > 0 ||
 		(e.arrivals.Len() > 0 && e.arrivals[0].at <= e.clock) ||
-		e.cfg.Hooks.OnToken != nil ||
+		e.hooks.OnToken != nil ||
 		e.pool.BlockSize() != 1 || (e.owed+1)*n > e.pool.FreeBlocks() {
 		return false
 	}
@@ -176,7 +176,7 @@ func (e *Engine) coast() bool {
 // one event here instead of one per step.
 func (e *Engine) CoastEnd() float64 {
 	n := len(e.running)
-	if n == 0 || e.queue.Len() > 0 || e.cfg.Hooks.OnToken != nil || e.pool.BlockSize() != 1 {
+	if n == 0 || e.queue.Len() > 0 || e.hooks.OnToken != nil || e.pool.BlockSize() != 1 {
 		return e.clock
 	}
 	// coast's two counting terms, solved for the number of steps k: step j
@@ -257,8 +257,8 @@ func (e *Engine) dropExpired() {
 			r.MarkDropped(e.clock)
 			e.timedOut = append(e.timedOut, r)
 			e.released = true
-			if e.cfg.Hooks.OnDrop != nil {
-				e.cfg.Hooks.OnDrop(e.clock, r)
+			if e.hooks.OnDrop != nil {
+				e.hooks.OnDrop(e.clock, r)
 			}
 			if e.rec != nil {
 				e.rec.Drop(e.clock, r, e.obsPool, e.obsRep)
@@ -341,8 +341,8 @@ func (e *Engine) admit() []*request.Request {
 		return nil
 	}
 	e.admitRetries = 0
-	if e.cfg.Hooks.OnAdmit != nil {
-		e.cfg.Hooks.OnAdmit(e.clock, admitted)
+	if e.hooks.OnAdmit != nil {
+		e.hooks.OnAdmit(e.clock, admitted)
 	}
 	if e.rec != nil {
 		cached := e.pool.PrefixCacheEnabled()
@@ -486,9 +486,6 @@ func (e *Engine) evictLast() {
 	}
 	e.evictions++
 	e.queue.PushFront(victim)
-	if e.cfg.Hooks.OnEvict != nil {
-		e.cfg.Hooks.OnEvict(e.clock, victim)
-	}
 	if e.rec != nil {
 		e.rec.Evict(e.clock, victim, e.obsPool, e.obsRep)
 	}
@@ -551,8 +548,8 @@ func (e *Engine) completePrefills(admitted []*request.Request) {
 	for _, r := range admitted {
 		first := r.FirstTokenAt < 0
 		r.EmitToken(e.clock)
-		if e.cfg.Hooks.OnToken != nil {
-			e.cfg.Hooks.OnToken(e.clock, r)
+		if e.hooks.OnToken != nil {
+			e.hooks.OnToken(e.clock, r)
 		}
 		if first && e.rec != nil {
 			e.rec.FirstToken(e.clock, r, e.obsPool, e.obsRep)
@@ -564,8 +561,8 @@ func (e *Engine) completePrefills(admitted []*request.Request) {
 			r.Finish(e.clock)
 			e.recordFinishedLength(r.Class, r.TrueOutputLen)
 			e.finished = append(e.finished, r)
-			if e.cfg.Hooks.OnFinish != nil {
-				e.cfg.Hooks.OnFinish(e.clock, r)
+			if e.hooks.OnFinish != nil {
+				e.hooks.OnFinish(e.clock, r)
 			}
 			if e.rec != nil {
 				e.rec.Finish(e.clock, r, e.obsPool, e.obsRep)
@@ -574,8 +571,8 @@ func (e *Engine) completePrefills(admitted []*request.Request) {
 		}
 		r.PrefillDoneAt = e.clock
 		e.handedOff = append(e.handedOff, r)
-		if e.cfg.Hooks.OnHandoff != nil {
-			e.cfg.Hooks.OnHandoff(e.clock, r)
+		if e.hooks.OnHandoff != nil {
+			e.hooks.OnHandoff(e.clock, r)
 		}
 	}
 }
@@ -601,8 +598,8 @@ func (e *Engine) runDecode() {
 		}
 		first := r.FirstTokenAt < 0
 		r.EmitToken(e.clock)
-		if e.cfg.Hooks.OnToken != nil {
-			e.cfg.Hooks.OnToken(e.clock, r)
+		if e.hooks.OnToken != nil {
+			e.hooks.OnToken(e.clock, r)
 		}
 		if first && e.rec != nil {
 			e.rec.FirstToken(e.clock, r, e.obsPool, e.obsRep)
@@ -688,8 +685,8 @@ func (e *Engine) runMixed() {
 		}
 		first := r.FirstTokenAt < 0
 		r.EmitToken(e.clock)
-		if e.cfg.Hooks.OnToken != nil {
-			e.cfg.Hooks.OnToken(e.clock, r)
+		if e.hooks.OnToken != nil {
+			e.hooks.OnToken(e.clock, r)
 		}
 		if first && e.rec != nil {
 			e.rec.FirstToken(e.clock, r, e.obsPool, e.obsRep)
@@ -719,9 +716,6 @@ func (e *Engine) requeue(r *request.Request) {
 	r.Evictions++
 	e.evictions++
 	e.queue.PushFront(r)
-	if e.cfg.Hooks.OnEvict != nil {
-		e.cfg.Hooks.OnEvict(e.clock, r)
-	}
 	if e.rec != nil {
 		e.rec.Evict(e.clock, r, e.obsPool, e.obsRep)
 	}
@@ -741,8 +735,8 @@ func (e *Engine) completeDone() {
 		r.Finish(e.clock)
 		e.recordFinishedLength(r.Class, r.TrueOutputLen)
 		e.finished = append(e.finished, r)
-		if e.cfg.Hooks.OnFinish != nil {
-			e.cfg.Hooks.OnFinish(e.clock, r)
+		if e.hooks.OnFinish != nil {
+			e.hooks.OnFinish(e.clock, r)
 		}
 		if e.rec != nil {
 			e.rec.Finish(e.clock, r, e.obsPool, e.obsRep)
@@ -764,8 +758,8 @@ func (e *Engine) observe(t float64) {
 // "chunked" iterations, the prompts that advanced a chunk — never a token
 // count (chunk tokens are reported through Recorder.Chunk).
 func (e *Engine) iterationHook(kind string, dur float64, batch int) {
-	if e.cfg.Hooks.OnIteration != nil {
-		e.cfg.Hooks.OnIteration(e.clock, Iteration{
+	if e.hooks.OnIteration != nil {
+		e.hooks.OnIteration(e.clock, Iteration{
 			Kind: kind, Duration: dur, BatchSize: batch, KVTokens: e.usedTokens(),
 		})
 	}

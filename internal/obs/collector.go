@@ -193,13 +193,6 @@ type Collector struct {
 	// Interval is the rollup bucket width in simulated seconds (0 ⇒ 1.0).
 	Interval float64
 
-	// SampleEvery keeps the full per-request Span (and its wire spans) for
-	// one request in every SampleEvery, by ID; 0 or 1 keeps all of them —
-	// bit-identical to the pre-sampling collector. Long-trace replays use
-	// this to bound span memory to N/SampleEvery while every interval
-	// counter, peak, and plan point still sees every event exactly.
-	SampleEvery int64
-
 	spans map[int64]*Span
 	order []int64
 
@@ -227,19 +220,9 @@ func NewCollector(interval float64) *Collector {
 
 var _ Recorder = (*Collector)(nil)
 
-// keep reports whether the request's span is assembled under the sampling
-// rate.
-func (c *Collector) keep(r *request.Request) bool {
-	return c.SampleEvery <= 1 || r.ID%c.SampleEvery == 0
-}
-
 // span returns the request's span, creating one if an event arrives before
-// its Arrive (defensive: engine-only wiring). nil when sampled out: span
-// callers must tolerate it, counter paths must not depend on it.
+// its Arrive (defensive: engine-only wiring).
 func (c *Collector) span(at float64, r *request.Request) *Span {
-	if !c.keep(r) {
-		return nil
-	}
 	s, ok := c.spans[r.ID]
 	if !ok {
 		s = newSpan(r, at)
@@ -260,24 +243,19 @@ func (c *Collector) Spans() []*Span {
 
 // Arrive implements Recorder.
 func (c *Collector) Arrive(at float64, r *request.Request) {
-	if c.keep(r) {
-		s, ok := c.spans[r.ID]
-		if !ok {
-			s = newSpan(r, at)
-			c.spans[r.ID] = s
-			c.order = append(c.order, r.ID)
-		} else if !s.terminal() {
-			// Fault-recovery re-entry: the TTFT clock reopens and the request
-			// waits at the front again.
-			s.transition(at, stHold)
-		}
+	if s, ok := c.spans[r.ID]; !ok {
+		c.span(at, r)
+	} else if !s.terminal() {
+		// Fault-recovery re-entry: the TTFT clock reopens and the request
+		// waits at the front again.
+		s.transition(at, stHold)
 	}
 	c.front(at).Arrivals++
 }
 
 // Hold implements Recorder.
 func (c *Collector) Hold(at float64, r *request.Request, held int) {
-	if s := c.span(at, r); s != nil && !s.terminal() {
+	if s := c.span(at, r); !s.terminal() {
 		s.advance(at)
 		s.HeldOnce = true
 	}
@@ -289,7 +267,7 @@ func (c *Collector) Hold(at float64, r *request.Request, held int) {
 
 // Release implements Recorder.
 func (c *Collector) Release(at float64, r *request.Request, held int) {
-	if s := c.span(at, r); s != nil && !s.terminal() {
+	if s := c.span(at, r); !s.terminal() {
 		s.advance(at)
 	}
 	c.heldSamples = append(c.heldSamples, sample{at, held})
@@ -298,26 +276,24 @@ func (c *Collector) Release(at float64, r *request.Request, held int) {
 
 // Place implements Recorder.
 func (c *Collector) Place(at float64, r *request.Request, pool, rep int, flavor string) {
-	if s := c.span(at, r); s != nil {
-		if s.terminal() {
-			return // re-placing a finished request: the pipeline never does this
-		}
-		s.Pool, s.Rep, s.Flavor = pool, rep, flavor
-		if s.stage == stHold {
-			s.transition(at, stQueue)
-		} else {
-			s.advance(at)
-		}
+	s := c.span(at, r)
+	if s.terminal() {
+		return // re-placing a finished request: the pipeline never does this
+	}
+	s.Pool, s.Rep, s.Flavor = pool, rep, flavor
+	if s.stage == stHold {
+		s.transition(at, stQueue)
+	} else {
+		s.advance(at)
 	}
 	c.front(at).Places++
 }
 
 // Shed implements Recorder.
 func (c *Collector) Shed(at float64, r *request.Request, where string) {
-	if s := c.span(at, r); s != nil {
-		s.transition(at, stDone)
-		s.ShedWhere = where
-	}
+	s := c.span(at, r)
+	s.transition(at, stDone)
+	s.ShedWhere = where
 	row := c.front(at)
 	row.Sheds++
 	switch where {
@@ -331,7 +307,7 @@ func (c *Collector) Shed(at float64, r *request.Request, where string) {
 // Admit implements Recorder.
 func (c *Collector) Admit(at float64, r *request.Request, pool, rep int) {
 	s := c.span(at, r)
-	if s == nil || s.terminal() {
+	if s.terminal() {
 		return
 	}
 	s.Pool, s.Rep = pool, rep
@@ -344,7 +320,7 @@ func (c *Collector) Admit(at float64, r *request.Request, pool, rep int) {
 
 // FirstToken implements Recorder.
 func (c *Collector) FirstToken(at float64, r *request.Request, pool, rep int) {
-	if s := c.span(at, r); s != nil && !s.terminal() {
+	if s := c.span(at, r); !s.terminal() {
 		s.Pool, s.Rep = pool, rep
 		if s.TTFTAt < 0 {
 			s.transition(at, stPost)
@@ -358,7 +334,7 @@ func (c *Collector) FirstToken(at float64, r *request.Request, pool, rep int) {
 
 // Evict implements Recorder.
 func (c *Collector) Evict(at float64, r *request.Request, pool, rep int) {
-	if s := c.span(at, r); s != nil && !s.terminal() {
+	if s := c.span(at, r); !s.terminal() {
 		if s.stage != stPost {
 			// Pre-first-token eviction: back to the engine queue, still TTFT.
 			s.transition(at, stQueue)
@@ -371,17 +347,15 @@ func (c *Collector) Evict(at float64, r *request.Request, pool, rep int) {
 
 // Drop implements Recorder.
 func (c *Collector) Drop(at float64, r *request.Request, pool, rep int) {
-	if s := c.span(at, r); s != nil {
-		s.transition(at, stDone)
-	}
+	s := c.span(at, r)
+	s.transition(at, stDone)
 	c.pool(at, pool).Drops++
 }
 
 // Fail implements Recorder.
 func (c *Collector) Fail(at float64, r *request.Request, pool, rep int) {
-	if s := c.span(at, r); s != nil {
-		s.transition(at, stDone)
-	}
+	s := c.span(at, r)
+	s.transition(at, stDone)
 	if pool >= 0 {
 		c.pool(at, pool).Fails++
 	} else {
@@ -391,7 +365,7 @@ func (c *Collector) Fail(at float64, r *request.Request, pool, rep int) {
 
 // Finish implements Recorder.
 func (c *Collector) Finish(at float64, r *request.Request, pool, rep int) {
-	if s := c.span(at, r); s != nil && !s.terminal() {
+	if s := c.span(at, r); !s.terminal() {
 		s.Pool, s.Rep = pool, rep
 		s.transition(at, stDone)
 	}
@@ -400,23 +374,21 @@ func (c *Collector) Finish(at float64, r *request.Request, pool, rep int) {
 
 // XferBook implements Recorder.
 func (c *Collector) XferBook(at float64, r *request.Request, fromPool, fromRep, toPool, toRep int, bytes int64, start, done float64) {
-	if s := c.span(at, r); s != nil {
-		if !s.terminal() {
-			s.transition(at, stWire)
-		}
-		// Wire spans are per-request raw series: sampled with the span.
-		c.wires = append(c.wires, wireSpan{
-			ReqID: r.ID, FromPool: fromPool, FromRep: fromRep,
-			ToPool: toPool, ToRep: toRep, Bytes: bytes,
-			BookAt: at, Start: start, Done: done,
-		})
+	s := c.span(at, r)
+	if !s.terminal() {
+		s.transition(at, stWire)
 	}
+	c.wires = append(c.wires, wireSpan{
+		ReqID: r.ID, FromPool: fromPool, FromRep: fromRep,
+		ToPool: toPool, ToRep: toRep, Bytes: bytes,
+		BookAt: at, Start: start, Done: done,
+	})
 	c.front(at).XferBooks++
 }
 
 // XferFail implements Recorder.
 func (c *Collector) XferFail(at float64, r *request.Request, retryAt float64) {
-	if s := c.span(at, r); s != nil && !s.terminal() {
+	if s := c.span(at, r); !s.terminal() {
 		s.transition(at, stOutage)
 	}
 	c.front(at).XferFails++
@@ -424,7 +396,7 @@ func (c *Collector) XferFail(at float64, r *request.Request, retryAt float64) {
 
 // XferDeliver implements Recorder.
 func (c *Collector) XferDeliver(at float64, r *request.Request, pool, rep int) {
-	if s := c.span(at, r); s != nil && !s.terminal() {
+	if s := c.span(at, r); !s.terminal() {
 		s.Pool, s.Rep = pool, rep
 		s.transition(at, stPost)
 		s.TTFTAt = at
@@ -443,7 +415,7 @@ func (c *Collector) Crash(at float64, pool, rep int, orphans int) {
 
 // Orphan implements Recorder.
 func (c *Collector) Orphan(at float64, r *request.Request) {
-	if s := c.span(at, r); s != nil && !s.terminal() {
+	if s := c.span(at, r); !s.terminal() {
 		s.transition(at, stOutage)
 	}
 }
@@ -481,7 +453,7 @@ func (c *Collector) PlanPoint(at float64, pool, target, active int) {
 // decomposition) are untouched: a chunk boundary is a sub-division of
 // prefill time, not a new stage. Interval rows count chunks and tokens.
 func (c *Collector) Chunk(at float64, r *request.Request, pool, rep int, tokens, done, total int) {
-	if s := c.span(at, r); s != nil && !s.terminal() {
+	if s := c.span(at, r); !s.terminal() {
 		s.Chunks++
 		if s.stage == stPrefill {
 			// Close the running prefill segment at the chunk boundary so the

@@ -220,9 +220,6 @@ func (o *Online) Variance() float64 {
 	return o.m2 / float64(o.n)
 }
 
-// Stddev returns the population standard deviation.
-func (o *Online) Stddev() float64 { return math.Sqrt(o.Variance()) }
-
 // Max returns the largest sample (0 if empty).
 func (o *Online) Max() float64 { return o.max }
 

@@ -1,10 +1,10 @@
-// Package trace imports and exports per-request records in CSV and JSON so
-// experiment outputs can be inspected, plotted, or replayed outside Go.
+// Package trace exports and imports per-request records as CSV so experiment
+// outputs can be inspected and plotted outside Go (fleetsim -requests writes
+// them, traceview reads them).
 package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -19,23 +19,23 @@ import (
 // carry placement, so FromRequest leaves them unknown and cluster-aware
 // exporters fill them from the observability spans).
 type Record struct {
-	ID         int64   `json:"id"`
-	Class      string  `json:"class"`
-	Arrival    float64 `json:"arrival"`
-	Input      int     `json:"input_tokens"`
-	Output     int     `json:"output_tokens"`
-	TTFT       float64 `json:"ttft"`
-	TPOT       float64 `json:"tpot"`
-	MTPOT      float64 `json:"mtpot"`
-	Finish     float64 `json:"finish"`
-	Evictions  int     `json:"evictions"`
-	Outcome    string  `json:"outcome"`
-	Deadline   float64 `json:"ttft_deadline"`
-	Pool       int     `json:"pool"`
-	Replica    int     `json:"replica"`
-	Flavor     string  `json:"flavor,omitempty"`
-	Migrations int     `json:"migrations"`
-	Retries    int     `json:"retries"`
+	ID         int64
+	Class      string
+	Arrival    float64
+	Input      int
+	Output     int
+	TTFT       float64
+	TPOT       float64
+	MTPOT      float64
+	Finish     float64
+	Evictions  int
+	Outcome    string
+	Deadline   float64
+	Pool       int
+	Replica    int
+	Flavor     string
+	Migrations int
+	Retries    int
 }
 
 // FromRequest converts a finished request into a Record.
@@ -62,15 +62,6 @@ func FromRequest(r *request.Request) Record {
 		Migrations: migrations,
 		Retries:    r.Retries,
 	}
-}
-
-// FromRequests converts a slice of finished requests.
-func FromRequests(rs []*request.Request) []Record {
-	out := make([]Record, len(rs))
-	for i, r := range rs {
-		out[i] = FromRequest(r)
-	}
-	return out
 }
 
 var csvHeader = []string{
@@ -192,19 +183,3 @@ func parseRow(row []string) (Record, error) {
 }
 
 func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
-// WriteJSON writes records as a JSON array (indented for diffability).
-func WriteJSON(w io.Writer, recs []Record) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(recs)
-}
-
-// ReadJSON parses a JSON array of records.
-func ReadJSON(r io.Reader) ([]Record, error) {
-	var recs []Record
-	if err := json.NewDecoder(r).Decode(&recs); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	return recs, nil
-}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -37,23 +38,6 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, sample()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sample()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-}
-
 func TestCSVHeaderWritten(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, nil); err != nil {
@@ -65,28 +49,74 @@ func TestCSVHeaderWritten(t *testing.T) {
 	}
 }
 
+const header = "id,class,arrival,input_tokens,output_tokens,ttft,tpot,mtpot,finish,evictions,outcome,ttft_deadline,pool,replica,flavor,migrations,retries\n"
+
+// garbage holds inputs ReadCSV must reject.
+var garbage = []struct{ name, in string }{
+	{"empty input", ""},
+	{"wrong header", "a,b\n1,2\n"},
+	{"bad id", header + "notanint,x,0,1,2,3,4,5,6,7,completed,8,0,0,,0,0\n"},
+	{"pre-extension row width", header + "1,x,0,1,2,3,4,5,6,7\n"},
+}
+
 func TestReadCSVRejectsGarbage(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Fatal("empty input accepted")
-	}
-	if _, err := ReadCSV(strings.NewReader("a,b\n1,2\n")); err == nil {
-		t.Fatal("wrong header accepted")
-	}
-	header := "id,class,arrival,input_tokens,output_tokens,ttft,tpot,mtpot,finish,evictions,outcome,ttft_deadline,pool,replica,flavor,migrations,retries\n"
-	bad := header + "notanint,x,0,1,2,3,4,5,6,7,completed,8,0,0,,0,0\n"
-	if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
-		t.Fatal("bad id accepted")
-	}
-	short := header + "1,x,0,1,2,3,4,5,6,7\n"
-	if _, err := ReadCSV(strings.NewReader(short)); err == nil {
-		t.Fatal("pre-extension row width accepted")
+	for _, g := range garbage {
+		if _, err := ReadCSV(strings.NewReader(g.in)); err == nil {
+			t.Fatalf("%s accepted", g.name)
+		}
 	}
 }
 
-func TestReadJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{not json")); err == nil {
-		t.Fatal("garbage JSON accepted")
+// recordBits is a comparable view of a Record with every float as its
+// IEEE-754 bits, so a NaN matches itself and -0 does not match 0.
+type recordBits struct {
+	Record
+	floats [6]uint64
+}
+
+func bitsOf(r Record) recordBits {
+	f := [6]uint64{}
+	for i, v := range []*float64{&r.Arrival, &r.TTFT, &r.TPOT, &r.MTPOT, &r.Finish, &r.Deadline} {
+		f[i] = math.Float64bits(*v)
+		*v = 0
 	}
+	return recordBits{r, f}
+}
+
+// FuzzReadCSV holds the parser traceview runs on files from outside the
+// program: ReadCSV never panics, and whatever it accepts comes back as the
+// same records, float bits included, after WriteCSV → ReadCSV.
+func FuzzReadCSV(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, sample()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	for _, g := range garbage {
+		f.Add(g.in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		recs, err := ReadCSV(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteCSV(&out, recs); err != nil {
+			t.Fatalf("writing %d accepted records: %v", len(recs), err)
+		}
+		again, err := ReadCSV(&out)
+		if err != nil {
+			t.Fatalf("rereading accepted records: %v\n%s", err, out.String())
+		}
+		if len(again) != len(recs) {
+			t.Fatalf("%d records reread as %d", len(recs), len(again))
+		}
+		for i := range recs {
+			if bitsOf(again[i]) != bitsOf(recs[i]) {
+				t.Fatalf("record %d: reread %+v, want %+v", i, again[i], recs[i])
+			}
+		}
+	})
 }
 
 func TestFromRequest(t *testing.T) {
@@ -120,18 +150,5 @@ func TestFromRequestCarriesFaultAxes(t *testing.T) {
 	rec := FromRequest(r)
 	if rec.Outcome != "completed" || rec.Deadline != 5.0 || rec.Migrations != 1 || rec.Retries != 1 {
 		t.Fatalf("fault axes = %+v", rec)
-	}
-}
-
-func TestFromRequests(t *testing.T) {
-	a := request.New(1, 10, 1, 5, 0)
-	a.EmitToken(1)
-	a.Finish(1)
-	b := request.New(2, 20, 1, 5, 0)
-	b.EmitToken(2)
-	b.Finish(2)
-	recs := FromRequests([]*request.Request{a, b})
-	if len(recs) != 2 || recs[0].ID != 1 || recs[1].ID != 2 {
-		t.Fatalf("recs = %+v", recs)
 	}
 }
