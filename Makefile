@@ -54,9 +54,10 @@ bench-fleet:
 	./scripts/bench.sh fleet
 
 # bench-scale refreshes BENCH_scale.json: `fleetsim scale`, the streamed
-# million-request day trace replayed twice as built and twice as its
-# per-step twin (no coasted decode steps), hard-failing unless the reports
-# are byte-identical.
+# million-request day trace replayed twice, hard-failing unless both repeats
+# report byte-identically and every request finishes. The coasting-vs-
+# per-step equivalence is TestCoastRunMatchesPerStepPath's, under chaos;
+# `go test ./cmd/fleetsim` checks the record's shape and constants.
 bench-scale:
 	./scripts/bench.sh scale
 

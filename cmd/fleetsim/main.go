@@ -6,6 +6,7 @@
 //	fleetsim -json BENCH_fleet.json fleet  # every scenario but scale
 //	fleetsim -csv plan.csv ramp            # planner evaluation trace
 //	fleetsim -trace t.json -spans s.csv -timeseries ts.csv faults
+//	fleetsim router                        # round-robin vs least-loaded vs future-headroom
 //	fleetsim -json BENCH_scale.json scale
 //
 // A scenario (scenarios.go, scale.go) is a name, its arms and its win
@@ -13,13 +14,12 @@
 // the table, writes the outputs and then one line per win condition, and the
 // run exits 1 if any fails.
 //
-// -trace/-timeseries/-spans/-requests attach an observability collector to
-// the run's last arm. It is a strict observer: a traced run's rows and stdout
-// equal an untraced run's.
+// -trace/-timeseries/-spans attach an observability collector to the run's
+// last arm; -spans is the one per-request file. It is a strict observer: a
+// traced run's rows and stdout equal an untraced run's.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -34,14 +34,16 @@ import (
 	"github.com/lightllm-go/lightllm/internal/engine"
 	"github.com/lightllm-go/lightllm/internal/obs"
 	"github.com/lightllm-go/lightllm/internal/request"
-	"github.com/lightllm-go/lightllm/internal/trace"
 )
 
 // A scenario is one registry entry: the arms the runner serves in order,
 // and the claims their rows must back.
 type scenario struct {
 	name, about string
-	arms        []arm
+	// setup describes the scenario's fleet and traffic when they are not
+	// the shared ones the constants in scenarios.go build.
+	setup string
+	arms  []arm
 	// wins states the win conditions over the scenario's rows, in arm order.
 	wins func(rows []row) []claim
 	// solo, set instead of arms, runs a scenario that measures itself.
@@ -75,14 +77,14 @@ type claim struct {
 }
 
 var (
-	registry = []scenario{rampScenario, overloadScenario, heteroScenario, faultsScenario, multiturnScenario, longctxScenario, scaleScenario}
+	registry = []scenario{rampScenario, overloadScenario, heteroScenario, faultsScenario, multiturnScenario, longctxScenario, routerScenario, scaleScenario}
 	// fleetSuite is what BENCH_fleet.json records.
 	fleetSuite = []string{"ramp", "overload", "hetero", "faults", "multiturn", "longctx"}
 )
 
 // outputs are the paths the run writes ("" = not requested).
 type outputs struct {
-	json, csv, trace, timeseries, spans, requests string
+	json, csv, trace, timeseries, spans string
 }
 
 func main() {
@@ -101,8 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&out.csv, "csv", "", "write the planner evaluation trace as CSV to this file")
 	fs.StringVar(&out.trace, "trace", "", "write a Chrome/Perfetto trace-event JSON of the last arm to this file")
 	fs.StringVar(&out.timeseries, "timeseries", "", "write the last arm's interval rollup time series as CSV to this file")
-	fs.StringVar(&out.spans, "spans", "", "write the last arm's per-request lifecycle spans (exact TTFT decomposition) as CSV to this file")
-	fs.StringVar(&out.requests, "requests", "", "write the last arm's per-request trace records as CSV to this file")
+	fs.StringVar(&out.spans, "spans", "", "write the last arm's per-request spans (exact TTFT decomposition, sizes, pacing) as CSV to this file")
 	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: fleetsim [flags] <scenario>...\n\nscenarios:")
@@ -190,7 +191,7 @@ func runArms(stdout, stderr io.Writer, list []scenario, seed uint64, out outputs
 	// (the full-recovery or full-shedding configuration of the trios).
 	var col *obs.Collector
 	last := list[len(list)-1].arms
-	if out.trace != "" || out.timeseries != "" || out.spans != "" || out.requests != "" {
+	if out.trace != "" || out.timeseries != "" || out.spans != "" {
 		col = obs.NewCollector(obsInterval)
 		fmt.Fprintf(stderr, "observability: recording mode %s\n", last[len(last)-1].mode)
 	}
@@ -212,7 +213,7 @@ func runArms(stdout, stderr io.Writer, list []scenario, seed uint64, out outputs
 		}
 	}
 
-	printRows(stdout, seed, rows)
+	printRows(stdout, seed, list, rows)
 	type output struct {
 		path  string
 		write func(string) error
@@ -225,8 +226,7 @@ func runArms(stdout, stderr io.Writer, list []scenario, seed uint64, out outputs
 		writes = append(writes,
 			output{out.trace, col.WritePerfettoFile},
 			output{out.timeseries, col.WriteTimeSeriesCSVFile},
-			output{out.spans, col.WriteSpanCSVFile},
-			output{out.requests, func(path string) error { return writeRequestCSV(path, col) }})
+			output{out.spans, col.WriteSpanCSVFile})
 	}
 	for _, w := range writes {
 		if w.path == "" {
@@ -365,16 +365,30 @@ type row struct {
 	LongServed      int     `json:"long_served,omitempty"`
 	ChunkIters      int     `json:"chunk_iters,omitempty"`
 	PrefillChunks   int64   `json:"prefill_chunks,omitempty"`
+
+	// Routing fields (the router scenario): the offered Poisson rate and
+	// the coefficient of variation of requests routed per replica.
+	Rate      float64 `json:"rate_req_s,omitempty"`
+	Imbalance float64 `json:"imbalance,omitempty"`
 }
 
-func printRows(w io.Writer, seed uint64, rows []row) {
-	fmt.Fprintf(w, "fleet: %d×Llama2-7B (cap %d tok), policy %s, SLA %s\n", replicas, capacity, policy, sla)
-	fmt.Fprintf(w, "workload: %.0f→%.0f→%.0f→%.0f req/s × %.0fs phases (seed %d; overload ramps to %.0f)\n",
-		rate, (rate+burst)/2, burst, rate, phaseSec, seed, burst*overloadX)
-	fmt.Fprintf(w, "%-20s %9s %9s %9s %9s %9s %12s %10s %6s\n",
+// printRows prints the table: first the shared fleet and workload, if any
+// listed scenario runs them, and each other scenario's own setup.
+func printRows(w io.Writer, seed uint64, list []scenario, rows []row) {
+	if slices.ContainsFunc(list, func(s scenario) bool { return s.setup == "" }) {
+		fmt.Fprintf(w, "fleet: %d×Llama2-7B (cap %d tok), policy %s, SLA %s\n", replicas, capacity, policy, sla)
+		fmt.Fprintf(w, "workload: %.0f→%.0f→%.0f→%.0f req/s × %.0fs phases (seed %d; overload ramps to %.0f)\n",
+			rate, (rate+burst)/2, burst, rate, phaseSec, seed, burst*overloadX)
+	}
+	for _, s := range list {
+		if s.setup != "" {
+			fmt.Fprintf(w, "%s: %s (seed %d)\n", s.name, s.setup, seed)
+		}
+	}
+	fmt.Fprintf(w, "%-26s %9s %9s %9s %9s %9s %12s %10s %6s\n",
 		"mode", "ttft-att", "sla-att", "p99TTFT", "good-r/s", "shed", "replica-sec", "cost-sec", "out/in")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-20s %8.1f%% %8.1f%% %8.2fs %9.2f %9d %12.0f %10.0f %3d/%-3d\n",
+		fmt.Fprintf(w, "%-26s %8.1f%% %8.1f%% %8.2fs %9.2f %9d %12.0f %10.0f %3d/%-3d\n",
 			r.Mode, r.TTFTAttainment*100, r.SLAAttainment*100,
 			r.P99TTFT, r.GoodputReq, r.Shed, r.ReplicaSeconds, r.CostSeconds, r.ScaleOuts, r.ScaleIns)
 	}
@@ -386,6 +400,9 @@ func printRows(w io.Writer, seed uint64, rows []row) {
 		if r.Crashes > 0 {
 			fmt.Fprintf(w, "%s: %d crashes (MTTR %.1fs), %d orphaned, %d recovered + %d re-shed + %d lost, %d transfer retries, %d re-prefills\n",
 				r.Mode, r.Crashes, r.MTTR, r.Orphaned, r.Recovered, r.ReShed, r.Lost, r.TransferRetries, r.RePrefills)
+		}
+		if r.Rate > 0 {
+			fmt.Fprintf(w, "%s: %d finished, mean TTFT %.2fs, imbalance %.2f\n", r.Mode, r.Finished, r.MeanTTFT, r.Imbalance)
 		}
 		if r.Handoffs > 0 {
 			fmt.Fprintf(w, "%s: %d prefill + %d decode replicas (%.0f + %.0f replica-sec), %d handoffs, mean transfer %.1f ms",
@@ -442,23 +459,4 @@ func writePlanCSV(path string, samples []cluster.PlanSample) error {
 			s.Shed, s.Crashes, strings.Join(parts, "|"))
 	}
 	return os.WriteFile(path, []byte(b.String()), 0o644)
-}
-
-// writeRequestCSV exports one trace.Record per observed request, with the
-// placement fields (pool/replica/flavor/migrations) the request alone does
-// not carry filled in from the assembled spans.
-func writeRequestCSV(path string, col *obs.Collector) error {
-	spans := col.Spans()
-	recs := make([]trace.Record, 0, len(spans))
-	for _, s := range spans {
-		rec := trace.FromRequest(s.R)
-		rec.Pool, rec.Replica, rec.Flavor = s.Pool, s.Rep, s.Flavor
-		rec.Migrations = s.Deliveries
-		recs = append(recs, rec)
-	}
-	var b bytes.Buffer
-	if err := trace.WriteCSV(&b, recs); err != nil {
-		return err
-	}
-	return os.WriteFile(path, b.Bytes(), 0o644)
 }

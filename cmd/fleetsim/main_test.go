@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,8 +56,7 @@ func TestTracedFaultsMatchUntraced(t *testing.T) {
 	offOut, _ := fleetsim(t, 0, "-json", off, "faults")
 	onOut, _ := fleetsim(t, 0, "-json", on,
 		"-trace", filepath.Join(dir, "trace.json"), "-spans", filepath.Join(dir, "spans.csv"),
-		"-timeseries", filepath.Join(dir, "ts.csv"), "-requests", filepath.Join(dir, "reqs.csv"),
-		"faults")
+		"-timeseries", filepath.Join(dir, "ts.csv"), "faults")
 	if onOut != offOut {
 		t.Errorf("traced stdout differs:\n%s\nuntraced:\n%s", onOut, offOut)
 	}
@@ -71,7 +71,7 @@ func TestTracedFaultsMatchUntraced(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Error("traced rows differ from untraced rows")
 	}
-	for _, f := range []string{"trace.json", "spans.csv", "ts.csv", "reqs.csv"} {
+	for _, f := range []string{"trace.json", "spans.csv", "ts.csv"} {
 		if st, err := os.Stat(filepath.Join(dir, f)); err != nil || st.Size() == 0 {
 			t.Errorf("%s not written: %v", f, err)
 		}
@@ -80,9 +80,37 @@ func TestTracedFaultsMatchUntraced(t *testing.T) {
 
 func TestUnknownScenarioListsValidNames(t *testing.T) {
 	_, stderr := fleetsim(t, 2, "nope")
-	for _, name := range append(fleetSuite, "scale", "fleet") {
+	for _, name := range append(fleetSuite, "router", "scale", "fleet") {
 		if !strings.Contains(stderr, name) {
 			t.Errorf("usage error does not name %q:\n%s", name, stderr)
 		}
+	}
+}
+
+// TestRouterScenarioWins holds the §7 routing study to its win conditions.
+func TestRouterScenarioWins(t *testing.T) {
+	fleetsim(t, 0, "router")
+}
+
+// TestScaleRecordIsCurrent holds the committed BENCH_scale.json to the
+// scenario that writes it: the same fields, and the same day, fleet and
+// repeat count as the constants. Its timings depend on the host and are not
+// checked.
+func TestScaleRecordIsCurrent(t *testing.T) {
+	f, err := os.Open("../../BENCH_scale.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	var got scaleResult
+	if err := dec.Decode(&got); err != nil {
+		t.Fatalf("BENCH_scale.json is not a scale record: %v", err)
+	}
+	if got.Requests != dayRequests || got.Replicas != dayReplicas || got.Capacity != capacity ||
+		got.PeakRate != dayPeak || got.Repeat != dayRepeats {
+		t.Errorf("BENCH_scale.json records %+v; the scenario runs %d requests on %d replicas (cap %d, peak %v req/s, %d repeats): re-record it with make bench-scale",
+			got, dayRequests, dayReplicas, capacity, dayPeak, dayRepeats)
 	}
 }

@@ -511,3 +511,76 @@ func classFields(share float64, chunkPolicy string) func(r *row, s served) {
 		}
 	}
 }
+
+// The router scenario: the paper's §7 proposal, routing on the estimator the
+// scheduler admits with. One size-skewed workload is served by a fixed fleet
+// of Past-Future replicas under each routing policy, at a calm load, the
+// knee and an overload. No deadline is set, so every request finishes.
+const (
+	routerReplicas = 3
+	routerCapacity = 30_000 // KV per replica, tokens
+	routerRequests = 600
+)
+
+var routerScenario = scenario{
+	name:  "router",
+	about: "the paper's §7 load-aware routing: round-robin vs least-loaded vs future-headroom at three loads",
+	setup: fmt.Sprintf("%d×Llama2-7B (cap %d tok) per arm; %d size-skewed requests (in 100–4000, out 50–2000 tok), Poisson at 0.9, 1.3 and 1.8 req/s",
+		routerReplicas, routerCapacity, routerRequests),
+	arms: routerArms([]float64{0.9, 1.3, 1.8}),
+	wins: func(rows []row) []claim {
+		done, even := true, true
+		for _, r := range rows {
+			done = done && r.Finished == routerRequests
+			if r.Policy == cluster.RoundRobin.String() {
+				even = even && r.Imbalance == 0
+			}
+		}
+		rr, fh := rows[3], rows[5] // the knee, 1.3 req/s
+		return []claim{
+			{fmt.Sprintf("every arm finishes all %d requests", routerRequests), done},
+			{"round-robin routes evenly at every rate (imbalance 0)", even},
+			{fmt.Sprintf("%s mean TTFT %.2fs ≤ %s's %.2fs", fh.Mode, fh.MeanTTFT, rr.Mode, rr.MeanTTFT),
+				fh.MeanTTFT <= rr.MeanTTFT},
+		}
+	},
+}
+
+// routerArms serves every policy at each rate, rate by rate.
+func routerArms(rates []float64) []arm {
+	var arms []arm
+	for _, rate := range rates {
+		for _, pol := range []cluster.Policy{cluster.RoundRobin, cluster.LeastLoaded, cluster.FutureHeadroom} {
+			arms = append(arms, arm{mode: fmt.Sprintf("router-%.1f-%s", rate, pol),
+				traffic: skewed(rate), fleet: routedFleet(pol), fill: routeFields(pol, rate)})
+		}
+	}
+	return arms
+}
+
+// skewed returns one rate's traffic: uniform prompt and output lengths over
+// a wide range, so a blind router stacks long requests on one replica.
+func skewed(rate float64) func(seed uint64) []*request.Request {
+	return func(seed uint64) []*request.Request {
+		r := rng.New(seed + 77)
+		gen := workload.Uniform{Label: "skewed", InLo: 100, InHi: 4000, OutLo: 50, OutHi: 2000}
+		reqs := workload.Build(gen, r, routerRequests, 1, 2048)
+		workload.AssignPoissonArrivals(reqs, r, rate, 0)
+		return reqs
+	}
+}
+
+// routedFleet is fixed-size; the routing policy is the arms' only difference.
+func routedFleet(pol cluster.Policy) func(seed uint64, rec obs.Recorder) *cluster.Cluster {
+	return func(seed uint64, rec obs.Recorder) *cluster.Cluster {
+		engines := pastFuture(routerReplicas, seed, engine.Config{Perf: llama2(hw.A100_80G), CapacityOverride: routerCapacity})
+		return cluster.MustNewCluster(cluster.ClusterConfig{Pools: []cluster.Config{{Replicas: engines, Policy: pol}}, Recorder: rec})
+	}
+}
+
+// routeFields names the arm's policy and load and how evenly it routed.
+func routeFields(pol cluster.Policy, rate float64) func(r *row, s served) {
+	return func(r *row, s served) {
+		r.Policy, r.Rate, r.Imbalance = pol.String(), rate, s.c.Pool(0).Imbalance()
+	}
+}

@@ -1,4 +1,5 @@
-// Command pfsim regenerates the paper's tables and figures.
+// Command pfsim regenerates the paper's tables and figures, and nothing
+// else: experiments beyond the paper are cmd/fleetsim scenarios.
 //
 // Usage:
 //
@@ -7,12 +8,13 @@
 //	pfsim -exp fig7 -models Llama2-7B -datasets ShareGPT-o1
 //
 // Experiments: table1, table2, fig1, fig3, fig4, fig5, fig6, fig7, fig8,
-// fig9, ablation, all. Scale 1.0 reproduces the paper's experiment sizes;
-// smaller scales preserve the qualitative shapes at a fraction of the
-// runtime.
+// fig9, ablation, predict, all. Scale 1.0 reproduces the paper's experiment
+// sizes; smaller scales preserve the qualitative shapes at a fraction of the
+// runtime. testdata/all-0.05.golden is what `-exp all -scale 0.05` prints.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -24,23 +26,36 @@ import (
 )
 
 func main() {
-	var (
-		exp      = flag.String("exp", "all", "experiment: table1|table2|fig1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|ablation|router|all")
-		scale    = flag.Float64("scale", 1.0, "experiment scale (1.0 = paper size)")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		outPath  = flag.String("o", "", "write tables to this file instead of stdout")
-		models   = flag.String("models", "", "comma-separated model-name prefixes (fig7/fig9)")
-		datasets = flag.String("datasets", "", "comma-separated dataset prefixes (fig7)")
-		hardware = flag.String("hardware", "", "comma-separated hardware prefixes (fig9)")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var out io.Writer = os.Stdout
+// run is the whole command: it returns 2 on a usage error, 1 on a failed
+// run, 0 otherwise. Tables go to stdout (or -o), progress to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pfsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		exp      = fs.String("exp", "all", "experiment: table1|table2|fig1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|ablation|predict|all")
+		scale    = fs.Float64("scale", 1.0, "experiment scale (1.0 = paper size)")
+		seed     = fs.Uint64("seed", 1, "random seed")
+		outPath  = fs.String("o", "", "write tables to this file instead of stdout")
+		models   = fs.String("models", "", "comma-separated model-name prefixes (fig7/fig9)")
+		datasets = fs.String("datasets", "", "comma-separated dataset prefixes (fig7)")
+		hardware = fs.String("hardware", "", "comma-separated hardware prefixes (fig9)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	out := stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pfsim:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "pfsim:", err)
+			return 1
 		}
 		defer f.Close()
 		out = f
@@ -59,32 +74,31 @@ func main() {
 		"fig8":     func() { lightllm.RunFigure8(opts) },
 		"fig9":     func() { lightllm.RunFigure9(opts, split(*models), split(*hardware)) },
 		"ablation": func() { lightllm.RunAblation(opts) },
-		"router":   func() { lightllm.RunRouter(opts) },
 		"predict":  func() { lightllm.RunPredictor(opts) },
 	}
-	order := []string{"fig1", "fig3", "fig4", "fig5", "fig6", "predict", "table1", "fig7", "fig8", "fig9", "table2", "ablation", "router"}
+	order := []string{"fig1", "fig3", "fig4", "fig5", "fig6", "predict", "table1", "fig7", "fig8", "fig9", "table2", "ablation"}
 
-	selected := strings.Split(strings.ToLower(*exp), ",")
 	var todo []string
-	for _, s := range selected {
+	for _, s := range strings.Split(strings.ToLower(*exp), ",") {
 		s = strings.TrimSpace(s)
 		if s == "all" {
 			todo = order
 			break
 		}
 		if _, ok := runners[s]; !ok {
-			fmt.Fprintf(os.Stderr, "pfsim: unknown experiment %q\n", s)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "pfsim: unknown experiment %q\n", s)
+			return 2
 		}
 		todo = append(todo, s)
 	}
 
 	for _, name := range todo {
 		start := time.Now()
-		fmt.Fprintf(os.Stderr, "pfsim: running %s (scale %.3g)...\n", name, *scale)
+		fmt.Fprintf(stderr, "pfsim: running %s (scale %.3g)...\n", name, *scale)
 		runners[name]()
-		fmt.Fprintf(os.Stderr, "pfsim: %s done in %s\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "pfsim: %s done in %s\n", name, time.Since(start).Round(time.Millisecond))
 	}
+	return 0
 }
 
 func split(s string) []string {

@@ -2,23 +2,24 @@
 //
 // Distribution similarity (the paper's Figures 3 and 4 machinery):
 // output-length similarity between time windows of a trace, either on the
-// built-in synthetic traces or on a CSV trace produced by the serving
-// tools (column "output_tokens").
+// built-in synthetic traces or on the output_tokens column of a span CSV
+// written by `fleetsim -spans`.
 //
-// Span report: a TTFT waterfall and shed audit over a per-request
-// lifecycle span CSV produced by `fleetsim -spans` (internal/obs): where
-// the TTFT of served requests actually went (hold / queue / prefill /
-// wire / outage — the stages partition each TTFT exactly), the worst
-// offenders with per-request waterfalls, and who was refused where.
+// Span report: a TTFT waterfall and shed audit over that same per-request
+// span CSV (internal/obs): where the TTFT of served requests actually went
+// (hold / queue / prefill / wire / outage — the stages partition each TTFT
+// exactly), the worst offenders with per-request waterfalls, and who was
+// refused where.
 //
 // Usage:
 //
 //	traceview -trace BurstGPT-API -n 40000 -window 1000
-//	traceview -csv run.csv -window 500 -matrix
+//	traceview -csv run.spans.csv -window 500 -matrix
 //	traceview -spans run.spans.csv -top 10
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,83 +30,113 @@ import (
 	"github.com/lightllm-go/lightllm/internal/obs"
 	"github.com/lightllm-go/lightllm/internal/rng"
 	"github.com/lightllm-go/lightllm/internal/stats"
-	"github.com/lightllm-go/lightllm/internal/trace"
 	"github.com/lightllm-go/lightllm/internal/workload"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it returns 2 on a usage error, 1 on a failed
+// run, 0 otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("traceview", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		traceName = flag.String("trace", "BurstGPT-Conv", "built-in trace name (see -list)")
-		csvPath   = flag.String("csv", "", "analyse output_tokens from this CSV instead")
-		spansPath = flag.String("spans", "", "print a TTFT waterfall + shed audit over this span CSV (from fleetsim -spans)")
-		top       = flag.Int("top", 10, "spans: number of worst-TTFT requests to show")
-		n         = flag.Int("n", 40000, "number of synthetic requests")
-		window    = flag.Int("window", 1000, "window size in requests")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		matrix    = flag.Bool("matrix", false, "print the full similarity matrix")
-		list      = flag.Bool("list", false, "list built-in traces")
+		traceName = fs.String("trace", "BurstGPT-Conv", "built-in trace name (see -list)")
+		csvPath   = fs.String("csv", "", "analyse output_tokens from this span CSV (from fleetsim -spans) instead")
+		spansPath = fs.String("spans", "", "print a TTFT waterfall + shed audit over this span CSV (from fleetsim -spans)")
+		top       = fs.Int("top", 10, "spans: number of worst-TTFT requests to show")
+		n         = fs.Int("n", 40000, "number of synthetic requests")
+		window    = fs.Int("window", 1000, "window size in requests")
+		seed      = fs.Uint64("seed", 1, "random seed")
+		matrix    = fs.Bool("matrix", false, "print the full similarity matrix")
+		list      = fs.Bool("list", false, "list built-in traces")
 	)
-	flag.Parse()
-
-	if *spansPath != "" {
-		if err := spanReport(os.Stdout, *spansPath, *top); err != nil {
-			fatal(err)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		return
+		return 2
 	}
-	if *list {
+	var bad string
+	switch {
+	case *window <= 0:
+		bad = fmt.Sprintf("-window %d: want a positive window size", *window)
+	case *top < 0:
+		bad = fmt.Sprintf("-top %d: want zero or more requests", *top)
+	case *n < 0:
+		bad = fmt.Sprintf("-n %d: want zero or more requests", *n)
+	}
+	if bad != "" {
+		fmt.Fprintln(stderr, "traceview:", bad)
+		fs.Usage()
+		return 2
+	}
+
+	var err error
+	switch {
+	case *spansPath != "":
+		err = spanReport(stdout, *spansPath, *top)
+	case *list:
 		for _, tr := range workload.Figure3Traces() {
-			fmt.Println(tr.Label)
+			fmt.Fprintln(stdout, tr.Label)
 		}
-		return
+	default:
+		var lengths []int
+		var label string
+		if lengths, label, err = outputLengths(*csvPath, *traceName, *n, *seed); err == nil {
+			err = similarity(stdout, label, lengths, *window, *matrix)
+		}
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "traceview:", err)
+		return 1
+	}
+	return 0
+}
 
-	var lengths []int
-	var label string
-	if *csvPath != "" {
-		f, err := os.Open(*csvPath)
+// outputLengths returns the output lengths to analyse and their label: the
+// output_tokens column of a span CSV, or n draws from a built-in trace.
+func outputLengths(csvPath, traceName string, n int, seed uint64) ([]int, string, error) {
+	if csvPath != "" {
+		rows, err := obs.ReadSpanCSVFile(csvPath)
 		if err != nil {
-			fatal(err)
+			return nil, "", err
 		}
-		recs, err := trace.ReadCSV(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
+		lengths := make([]int, len(rows))
+		for i, row := range rows {
+			lengths[i] = row.Output
 		}
-		for _, rec := range recs {
-			lengths = append(lengths, rec.Output)
-		}
-		label = *csvPath
-	} else {
-		var tr *workload.Trace
-		for _, t := range workload.Figure3Traces() {
-			if t.Label == *traceName {
-				tr = t
-				break
-			}
-		}
-		if tr == nil {
-			fatal(fmt.Errorf("unknown trace %q (use -list)", *traceName))
-		}
-		lengths = tr.Lengths(rng.New(*seed), *n)
-		label = tr.Label
+		return lengths, csvPath, nil
 	}
+	for _, tr := range workload.Figure3Traces() {
+		if tr.Label == traceName {
+			return tr.Lengths(rng.New(seed), n), tr.Label, nil
+		}
+	}
+	return nil, "", fmt.Errorf("unknown trace %q (use -list)", traceName)
+}
 
-	if len(lengths) < 2**window {
-		fatal(fmt.Errorf("trace too short (%d) for window %d", len(lengths), *window))
+// similarity prints the window-to-window output-length similarity of one
+// trace: the adjacent-window and all-pairs means, and optionally the matrix.
+func similarity(w io.Writer, label string, lengths []int, window int, matrix bool) error {
+	if len(lengths)/window < 2 {
+		return fmt.Errorf("trace too short (%d) for window %d", len(lengths), window)
 	}
-	m := workload.WindowSimilarityMatrix(lengths, *window)
-	fmt.Printf("trace: %s, %d requests, %d windows of %d\n", label, len(lengths), len(m), *window)
-	fmt.Printf("adjacent-window similarity (diagonal): %.3f\n", workload.DiagonalMean(m))
-	fmt.Printf("all-pairs similarity (global):         %.3f\n", workload.GlobalMean(m))
-	if *matrix {
+	m := workload.WindowSimilarityMatrix(lengths, window)
+	fmt.Fprintf(w, "trace: %s, %d requests, %d windows of %d\n", label, len(lengths), len(m), window)
+	fmt.Fprintf(w, "adjacent-window similarity (diagonal): %.3f\n", workload.DiagonalMean(m))
+	fmt.Fprintf(w, "all-pairs similarity (global):         %.3f\n", workload.GlobalMean(m))
+	if matrix {
 		for i := range m {
 			for j := range m[i] {
-				fmt.Printf("%.2f ", m[i][j])
+				fmt.Fprintf(w, "%.2f ", m[i][j])
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
+	return nil
 }
 
 // stageNames orders the TTFT decomposition stages and the one-letter keys
@@ -276,9 +307,4 @@ func sortedKeys(m map[string]int) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "traceview:", err)
-	os.Exit(1)
 }

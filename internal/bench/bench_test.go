@@ -373,36 +373,6 @@ func TestPredictorShapes(t *testing.T) {
 	}
 }
 
-func TestRouterShapes(t *testing.T) {
-	res := RunRouter(Options{Seed: 1, Scale: 0.5})
-	if res.Replicas != 3 {
-		t.Fatalf("replicas = %d", res.Replicas)
-	}
-	rr := res.PolicyRows("round-robin")
-	hr := res.PolicyRows("future-headroom")
-	if len(rr) != 3 || len(hr) != 3 {
-		t.Fatalf("rows: rr=%d hr=%d", len(rr), len(hr))
-	}
-	// Round-robin is perfectly balanced by construction.
-	for _, row := range rr {
-		if row.Imbalance != 0 {
-			t.Fatalf("round-robin imbalance %v", row.Imbalance)
-		}
-	}
-	// At the knee (middle rate), estimator routing must not be worse on
-	// mean TTFT than load-oblivious round-robin.
-	if hr[1].MeanTTFT > rr[1].MeanTTFT {
-		t.Errorf("future-headroom mean TTFT %.2f above round-robin %.2f at the knee",
-			hr[1].MeanTTFT, rr[1].MeanTTFT)
-	}
-	// Everything offered is eventually served (no deadline in this sweep).
-	for _, row := range res.Rows {
-		if row.Finished == 0 {
-			t.Fatalf("%s at %.1f req/s finished nothing", row.Policy, row.Rate)
-		}
-	}
-}
-
 func TestAblationShapes(t *testing.T) {
 	res := RunAblation(Options{Seed: 1, Scale: 0.08})
 	for _, study := range []string{"block-size", "history-window", "multi-sample",

@@ -200,14 +200,6 @@ type Cluster struct {
 	flt *faultState
 
 	rec obs.Recorder
-	// lastBook captures the most recent link booking (wire start after lane
-	// queueing, completion) between ScheduleTo and the XferBook emission —
-	// the kv package reports timing through Link.OnSchedule without knowing
-	// about the recorder.
-	lastBook struct {
-		start, done float64
-		ok          bool
-	}
 
 	started bool
 	startAt float64
@@ -286,11 +278,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		for _, p := range c.pools {
 			for _, rep := range p.reps {
 				rep.eng.SetRecorder(c.rec, p.id, rep.idx)
-			}
-		}
-		if c.link != nil {
-			c.link.OnSchedule = func(now, start, done float64, bytes int64, dst int) {
-				c.lastBook.start, c.lastBook.done, c.lastBook.ok = start, done, true
 			}
 		}
 	}
@@ -710,16 +697,12 @@ func (c *Cluster) issueHandoff(ev event) {
 		c.adm.shed(ev.at, r, shedBoundary)
 		return
 	}
+	start := ev.at
 	if c.link != nil {
-		deliverAt = c.link.ScheduleTo(ev.at, bytes, rep.idx)
+		start, deliverAt = c.link.ScheduleTo(ev.at, bytes, rep.idx)
 	}
 	if c.rec != nil {
-		start, done := ev.at, deliverAt
-		if c.lastBook.ok {
-			start, done = c.lastBook.start, c.lastBook.done
-			c.lastBook.ok = false
-		}
-		c.rec.XferBook(ev.at, r, c.entry, ev.rep, c.decode, rep.idx, bytes, start, done)
+		c.rec.XferBook(ev.at, r, c.entry, ev.rep, c.decode, rep.idx, bytes, start, deliverAt)
 	}
 	dp.routeTo(r, rep)
 	rep.pendingIn++

@@ -395,16 +395,12 @@ func (c *Cluster) retryHandoff(ev event) {
 		c.adm.shed(ev.at, r, shedBoundary)
 		return
 	}
+	start := ev.at
 	if c.link != nil {
-		deliverAt = c.link.ScheduleTo(ev.at, h.bytes, rep.idx)
+		start, deliverAt = c.link.ScheduleTo(ev.at, h.bytes, rep.idx)
 	}
 	if c.rec != nil {
-		start, done := ev.at, deliverAt
-		if c.lastBook.ok {
-			start, done = c.lastBook.start, c.lastBook.done
-			c.lastBook.ok = false
-		}
-		c.rec.XferBook(ev.at, r, c.entry, h.FromReplica, c.decode, rep.idx, h.bytes, start, done)
+		c.rec.XferBook(ev.at, r, c.entry, h.FromReplica, c.decode, rep.idx, h.bytes, start, deliverAt)
 	}
 	if rep != old {
 		if old != nil {

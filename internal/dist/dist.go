@@ -151,9 +151,6 @@ func (w *Window) RankDrops() int { return w.rankDrops }
 // Len returns the number of observations currently held.
 func (w *Window) Len() int { return w.n }
 
-// Cap returns the window capacity.
-func (w *Window) Cap() int { return len(w.buf) }
-
 // Generation returns the mutation counter; it increments on every Add.
 func (w *Window) Generation() uint64 { return w.gen }
 

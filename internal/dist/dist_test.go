@@ -66,8 +66,8 @@ func TestColdStartWindowBelowMinHistory(t *testing.T) {
 
 func TestWindowEvictionAtCapacity(t *testing.T) {
 	w := windowOf(3, 1, 2, 3)
-	if w.Len() != 3 || w.Cap() != 3 {
-		t.Fatalf("Len/Cap = %d/%d", w.Len(), w.Cap())
+	if w.Len() != 3 {
+		t.Fatalf("Len = %d", w.Len())
 	}
 	w.Add(4) // evicts 1
 	w.Add(5) // evicts 2

@@ -47,14 +47,6 @@ func (d *reqDeque) cumAt(i int) int64 {
 	return d.cum[(d.head+i)%len(d.buf)] + d.adj
 }
 
-// TokenSum returns the total KV footprint of every queued request.
-func (d *reqDeque) TokenSum() int64 {
-	if d.n == 0 {
-		return 0
-	}
-	return d.cumAt(d.n - 1)
-}
-
 // PrefixWithin returns the largest k ≤ limit such that the first k queued
 // requests' footprints sum to at most budget — the MaxPrefillTokens fusion
 // cut. O(log n) over the maintained prefix sums; 0 when even the head

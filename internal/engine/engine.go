@@ -885,9 +885,6 @@ func (e *Engine) SetSlowFactor(f float64) {
 	e.slow = f
 }
 
-// SlowFactor returns the current service-time multiplier.
-func (e *Engine) SlowFactor() float64 { return e.slow }
-
 // scaled applies the degradation multiplier to one iteration duration.
 func (e *Engine) scaled(dur float64) float64 {
 	if e.slow != 1 {

@@ -474,8 +474,8 @@ func TestResultHelpers(t *testing.T) {
 	if res.Throughput() <= 0 {
 		t.Fatal("throughput not positive")
 	}
-	if res.EvictionRate() != 0 {
-		t.Fatal("eviction rate should be 0")
+	if res.Evictions != 0 {
+		t.Fatal("the oracle evicted")
 	}
 	if res.String() == "" {
 		t.Fatal("empty String()")

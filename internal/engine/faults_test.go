@@ -161,9 +161,6 @@ func TestSlowFactorScalesServiceTime(t *testing.T) {
 	}
 
 	e := newEngine(t, core.NewOracle(), 4000)
-	if e.SlowFactor() != 1 {
-		t.Fatalf("default slow factor %v, want exactly 1", e.SlowFactor())
-	}
 	e.SetSlowFactor(2)
 	e.SetSlowFactor(1)
 	e.SubmitAll(mkReqs(6, 300, 40, 100))

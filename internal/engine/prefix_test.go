@@ -44,9 +44,6 @@ func TestPrefixSumsMatchNaive(t *testing.T) {
 	check := func(op string) {
 		t.Helper()
 		if d.Len() == 0 {
-			if got := d.TokenSum(); got != 0 {
-				t.Fatalf("%s: empty queue token sum %d", op, got)
-			}
 			return
 		}
 		var want int64
@@ -55,9 +52,6 @@ func TestPrefixSumsMatchNaive(t *testing.T) {
 			if got := d.cumAt(i); got != want {
 				t.Fatalf("%s: prefix sum at %d = %d, want %d", op, i, got, want)
 			}
-		}
-		if got := d.TokenSum(); got != want {
-			t.Fatalf("%s: token sum %d, want %d", op, got, want)
 		}
 		for trial := 0; trial < 4; trial++ {
 			budget := int64(rng.Intn(int(want) + 100))

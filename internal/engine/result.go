@@ -102,15 +102,6 @@ type Result struct {
 	CapacityTokens int
 }
 
-// EvictionRate returns evictions per finished request (can exceed 1; the
-// paper reports >100% for the aggressive scheduler under heavy load).
-func (r *Result) EvictionRate() float64 {
-	if len(r.Finished) == 0 {
-		return 0
-	}
-	return float64(r.Evictions) / float64(len(r.Finished))
-}
-
 // Throughput returns output tokens per simulated second.
 func (r *Result) Throughput() float64 {
 	if r.Duration <= 0 {

@@ -122,12 +122,8 @@ type DeployOptions struct {
 	SeedHistory []int
 }
 
-// NewEngine builds a ready engine for the preset serving spec on cluster.
-func (p Preset) NewEngine(spec model.Spec, cluster hw.Cluster, seed uint64) (*engine.Engine, error) {
-	return p.NewEngineOpts(spec, cluster, seed, DeployOptions{})
-}
-
-// NewEngineOpts is NewEngine with deployment options.
+// NewEngineOpts builds a ready engine for the preset serving spec on
+// cluster, deployed with opts.
 func (p Preset) NewEngineOpts(spec model.Spec, cluster hw.Cluster, seed uint64, opts DeployOptions) (*engine.Engine, error) {
 	pm, err := perf.New(perf.Config{
 		Model:        spec,

@@ -14,7 +14,7 @@ import (
 func TestAllPresetsBuildEngines(t *testing.T) {
 	cluster := hw.NewCluster(hw.A100_80G, 1)
 	for _, p := range All() {
-		e, err := p.NewEngine(model.Llama2_7B, cluster, 1)
+		e, err := p.NewEngineOpts(model.Llama2_7B, cluster, 1, DeployOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
@@ -65,7 +65,7 @@ func TestMIIUsesSplitfuse(t *testing.T) {
 func TestPresetEnginesServeWork(t *testing.T) {
 	cluster := hw.NewCluster(hw.A100_80G, 1)
 	for _, p := range All() {
-		e, err := p.NewEngine(model.Llama2_7B, cluster, 2)
+		e, err := p.NewEngineOpts(model.Llama2_7B, cluster, 2, DeployOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestFrameworkThroughputOrdering(t *testing.T) {
 	// lowest among prefill-priority frameworks.
 	cluster := hw.NewCluster(hw.A100_80G, 1)
 	tp := func(p Preset) float64 {
-		e, err := p.NewEngine(model.Llama2_7B, cluster, 5)
+		e, err := p.NewEngineOpts(model.Llama2_7B, cluster, 5, DeployOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -149,12 +149,6 @@ func (c Cluster) EffectiveFLOPS() float64 {
 // gpu_memory_utilization defaults to 0.90).
 const activationReserveFrac = 0.10
 
-// Fits reports whether the model's weights fit on the cluster at all.
-func (c Cluster) Fits(spec model.Spec) bool {
-	usable := float64(c.TotalMemBytes()) * (1 - activationReserveFrac)
-	return float64(spec.WeightBytes()) < usable
-}
-
 // KVCapacityTokens returns the number of KV-cache token slots available for
 // the given model on this cluster: usable memory minus weights, divided by
 // the model's per-token KV footprint.

@@ -21,7 +21,7 @@
 // heap object. A handle that was freed, never issued, or issued by another
 // pool panics in Extend, BlocksNeededToExtendByOne and Free (engine bugs,
 // exactly as unknown ids were) and reads as "not allocated" in the
-// Allocated / AllocatedTokens / CanExtend queries.
+// Allocated / AllocatedTokens queries.
 package kv
 
 import "fmt"
@@ -237,17 +237,6 @@ func (p *Pool) AvailableBlocks() int { return p.availableBlocks() }
 func (p *Pool) BlocksNeededToExtendByOne(h Handle) int {
 	a := p.must(h, "extend-need")
 	return blocksFor(a.tokens+1, p.blockSize) - a.blocks
-}
-
-// CanExtend reports whether growing the allocation by extra tokens fits
-// (reclaimable cached blocks count as available); false for a dead handle.
-func (p *Pool) CanExtend(h Handle, extra int) bool {
-	a := p.lookup(h)
-	if a == nil {
-		return false
-	}
-	need := blocksFor(a.tokens+extra, p.blockSize) - a.blocks
-	return need <= p.availableBlocks()
 }
 
 // Extend grows an existing allocation by extra tokens, returning false if

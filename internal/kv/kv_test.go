@@ -123,23 +123,14 @@ func TestTokenGranularityNoWaste(t *testing.T) {
 	}
 }
 
-func TestCanAllocateAndExtend(t *testing.T) {
+func TestCanAllocate(t *testing.T) {
 	p := NewPool(32, 16)
 	if !p.CanAllocate(32) {
 		t.Fatal("CanAllocate(32) = false")
 	}
-	h1 := mustAlloc(t, p, 20) // 2 blocks
+	mustAlloc(t, p, 20) // 2 blocks
 	if p.CanAllocate(1) {
 		t.Fatal("no free blocks, CanAllocate should be false")
-	}
-	if !p.CanExtend(h1, 12) { // stays in 2 blocks
-		t.Fatal("CanExtend within block = false")
-	}
-	if p.CanExtend(h1, 13) { // needs block 3
-		t.Fatal("CanExtend beyond capacity = true")
-	}
-	if p.CanExtend(Handle{}, 1) {
-		t.Fatal("CanExtend of the zero handle = true")
 	}
 }
 
@@ -171,7 +162,7 @@ func TestZeroHandlePanics(t *testing.T) {
 func TestForeignHandlePanics(t *testing.T) {
 	p, q := NewPool(100, 1), NewPool(100, 1)
 	hp, hq := mustAlloc(t, p, 10), mustAlloc(t, q, 20)
-	if q.Allocated(hp) || q.AllocatedTokens(hp) != 0 || q.CanExtend(hp, 1) {
+	if q.Allocated(hp) || q.AllocatedTokens(hp) != 0 {
 		t.Fatal("foreign handle reads as allocated")
 	}
 	mustPanic(t, "extend through the wrong pool", func() { q.Extend(hp, 1) })

@@ -29,14 +29,6 @@ type Link struct {
 	// existing single-wire callers are unaffected.
 	PerDestination bool
 
-	// OnSchedule, when set, observes every booked transfer: the issue time,
-	// the wire start after any lane queueing, the completion time, the size,
-	// and the destination lane (−1 on the shared wire). Pure observation —
-	// the booking it sees is already committed — so the cluster's
-	// observability layer can record wire occupancy without this package
-	// knowing about it. Nil skips the call.
-	OnSchedule func(now, start, done float64, bytes int64, dst int)
-
 	busyUntil float64
 	lanes     []float64 // per-destination busy-until, grown on demand
 }
@@ -91,27 +83,24 @@ func (l *Link) ExpectedDelivery(now float64, bytes int64) float64 {
 	return start + l.TransferTime(bytes)
 }
 
-// Schedule books one transfer issued at now and returns its completion
-// time. On a serialized link the transfer waits for the wire to free first;
-// the wire is then busy until the returned time.
+// Schedule books one transfer issued at now and returns when it takes the
+// wire and when it completes. On a serialized link the transfer waits for
+// the wire to free first; the wire is then busy until done.
 //
 // Bookings must be issued in nondecreasing `now` order — the cluster event
 // loop guarantees this by deferring handoffs to issue-time-ordered events
 // (booking in engine-step order instead used to queue an earlier-issued
 // transfer behind a later one).
-func (l *Link) Schedule(now float64, bytes int64) float64 {
-	start := now
+func (l *Link) Schedule(now float64, bytes int64) (start, done float64) {
+	start = now
 	if l.Serialize && l.busyUntil > start {
 		start = l.busyUntil
 	}
-	done := start + l.TransferTime(bytes)
+	done = start + l.TransferTime(bytes)
 	if l.Serialize {
 		l.busyUntil = done
 	}
-	if l.OnSchedule != nil {
-		l.OnSchedule(now, start, done, bytes, -1)
-	}
-	return done
+	return start, done
 }
 
 // ExpectedDeliveryTo is ExpectedDelivery for one destination's ingress
@@ -129,27 +118,25 @@ func (l *Link) ExpectedDeliveryTo(now float64, bytes int64, dst int) float64 {
 	return start + l.TransferTime(bytes)
 }
 
-// ScheduleTo books one transfer to a destination lane and returns its
-// completion time. Without PerDestination it books the shared wire.
-func (l *Link) ScheduleTo(now float64, bytes int64, dst int) float64 {
+// ScheduleTo books one transfer to a destination lane and returns when it
+// takes the lane and when it completes. Without PerDestination it books the
+// shared wire.
+func (l *Link) ScheduleTo(now float64, bytes int64, dst int) (start, done float64) {
 	if !l.PerDestination || dst < 0 {
 		return l.Schedule(now, bytes)
 	}
-	start := now
+	start = now
 	if l.Serialize && dst < len(l.lanes) && l.lanes[dst] > start {
 		start = l.lanes[dst]
 	}
-	done := start + l.TransferTime(bytes)
+	done = start + l.TransferTime(bytes)
 	if l.Serialize {
 		for dst >= len(l.lanes) {
 			l.lanes = append(l.lanes, 0)
 		}
 		l.lanes[dst] = done
 	}
-	if l.OnSchedule != nil {
-		l.OnSchedule(now, start, done, bytes, dst)
-	}
-	return done
+	return start, done
 }
 
 // PreallocateLanes sizes the per-destination lane table up front so a

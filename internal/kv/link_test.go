@@ -39,8 +39,8 @@ func TestLinkTransferTime(t *testing.T) {
 func TestLinkSerializesTransfers(t *testing.T) {
 	l := MustNewLink(100, 0) // 1 byte per 10 ms
 	// Two transfers issued at the same instant queue behind each other.
-	first := l.Schedule(10, 100) // 10 → 11
-	second := l.Schedule(10, 50) // waits: 11 → 11.5
+	_, first := l.Schedule(10, 100) // 10 → 11
+	_, second := l.Schedule(10, 50) // waits: 11 → 11.5
 	if !almost(first, 11) || !almost(second, 11.5) {
 		t.Fatalf("serialized completions (%v, %v), want (11, 11.5)", first, second)
 	}
@@ -48,7 +48,7 @@ func TestLinkSerializesTransfers(t *testing.T) {
 		t.Fatalf("busyUntil %v, want 11.5", l.BusyUntil())
 	}
 	// A transfer issued after the wire freed starts immediately.
-	third := l.Schedule(20, 100)
+	_, third := l.Schedule(20, 100)
 	if !almost(third, 21) {
 		t.Fatalf("post-idle completion %v, want 21", third)
 	}
@@ -56,8 +56,8 @@ func TestLinkSerializesTransfers(t *testing.T) {
 
 func TestLinkOverlapped(t *testing.T) {
 	l := &Link{BandwidthBytesPerSec: 100, Serialize: false}
-	a := l.Schedule(10, 100)
-	b := l.Schedule(10, 100)
+	_, a := l.Schedule(10, 100)
+	_, b := l.Schedule(10, 100)
 	if !almost(a, 11) || !almost(b, 11) {
 		t.Fatalf("overlapped completions (%v, %v), want (11, 11)", a, b)
 	}
@@ -72,7 +72,7 @@ func TestLinkExpectedDeliveryIsNonMutating(t *testing.T) {
 	if l.BusyUntil() != 0 {
 		t.Fatal("preview booked the wire")
 	}
-	first := l.Schedule(10, 100) // wire busy until 11
+	_, first := l.Schedule(10, 100) // wire busy until 11
 	if !almost(first, 11) {
 		t.Fatalf("schedule %v, want 11", first)
 	}
@@ -80,7 +80,7 @@ func TestLinkExpectedDeliveryIsNonMutating(t *testing.T) {
 	if got := l.ExpectedDelivery(10.5, 50); !almost(got, 11.5) {
 		t.Fatalf("queued expected delivery %v, want 11.5", got)
 	}
-	if got := l.Schedule(10.5, 50); !almost(got, 11.5) {
+	if _, got := l.Schedule(10.5, 50); !almost(got, 11.5) {
 		t.Fatalf("queued schedule %v, want 11.5", got)
 	}
 }
@@ -151,7 +151,7 @@ func TestLinkBusyNeverRegresses(t *testing.T) {
 				}
 				continue
 			}
-			done := l.ScheduleTo(now, bytes, dst)
+			_, done := l.ScheduleTo(now, bytes, dst)
 			if min := now + l.TransferTime(bytes); done < min-1e-12 {
 				t.Fatalf("seed %d op %d: delivery %v before issue+wire %v", seed, op, done, min)
 			}
@@ -189,8 +189,8 @@ func TestLinkPerDestinationLanes(t *testing.T) {
 	l := MustNewLink(100, 0)
 	l.PerDestination = true
 	// Same instant, different destinations: the lanes overlap.
-	a := l.ScheduleTo(10, 100, 0)
-	b := l.ScheduleTo(10, 100, 1)
+	_, a := l.ScheduleTo(10, 100, 0)
+	_, b := l.ScheduleTo(10, 100, 1)
 	if !almost(a, 11) || !almost(b, 11) {
 		t.Fatalf("cross-lane completions (%v, %v), want (11, 11)", a, b)
 	}
@@ -198,7 +198,7 @@ func TestLinkPerDestinationLanes(t *testing.T) {
 	if got := l.ExpectedDeliveryTo(10, 50, 0); !almost(got, 11.5) {
 		t.Fatalf("lane-0 expected delivery %v, want 11.5", got)
 	}
-	if got := l.ScheduleTo(10, 50, 0); !almost(got, 11.5) {
+	if _, got := l.ScheduleTo(10, 50, 0); !almost(got, 11.5) {
 		t.Fatalf("lane-0 completion %v, want 11.5", got)
 	}
 	if !almost(l.LaneBusyUntil(0), 11.5) || !almost(l.LaneBusyUntil(1), 11) {
@@ -209,7 +209,7 @@ func TestLinkPerDestinationLanes(t *testing.T) {
 		t.Fatal("lane booking leaked onto the shared wire")
 	}
 	// A negative destination (monolithic callers) books the shared wire.
-	if got := l.ScheduleTo(10, 100, -1); !almost(got, 11) {
+	if _, got := l.ScheduleTo(10, 100, -1); !almost(got, 11) {
 		t.Fatalf("shared-wire fallback %v, want 11", got)
 	}
 	if !almost(l.BusyUntil(), 11) {
@@ -217,48 +217,32 @@ func TestLinkPerDestinationLanes(t *testing.T) {
 	}
 	// Without PerDestination, ScheduleTo is Schedule regardless of dst.
 	shared := MustNewLink(100, 0)
-	x := shared.ScheduleTo(10, 100, 0)
-	y := shared.ScheduleTo(10, 100, 1)
+	_, x := shared.ScheduleTo(10, 100, 0)
+	_, y := shared.ScheduleTo(10, 100, 1)
 	if !almost(x, 11) || !almost(y, 12) {
 		t.Fatalf("single-wire completions (%v, %v), want (11, 12)", x, y)
 	}
 }
 
-// TestLinkOnScheduleObserves pins the observation hook: every booking
-// reports its issue time, post-queueing wire start, completion, size, and
-// lane — and the reported completion is exactly what the caller got, on both
-// the shared wire and per-destination lanes.
-func TestLinkOnScheduleObserves(t *testing.T) {
-	type book struct {
-		now, start, done float64
-		bytes            int64
-		dst              int
-	}
-	var seen []book
+// TestLinkReturnsWireStart pins what a booking reports: the wire start
+// after any queueing on the shared wire or the destination's lane, and the
+// completion the wire is then busy until.
+func TestLinkReturnsWireStart(t *testing.T) {
 	l := MustNewLink(100, 0.5)
-	l.OnSchedule = func(now, start, done float64, bytes int64, dst int) {
-		seen = append(seen, book{now, start, done, bytes, dst})
+	s1, d1 := l.Schedule(0, 100)  // 0 → 1.5
+	s2, d2 := l.Schedule(0.5, 50) // queues behind the first: 1.5 → 2.5
+	if !almost(s1, 0) || !almost(d1, 1.5) {
+		t.Fatalf("first booking (%v, %v), want (0, 1.5)", s1, d1)
 	}
-	d1 := l.Schedule(0, 100)  // 0 → 1.5
-	d2 := l.Schedule(0.5, 50) // queues behind d1: starts 1.5, done 3.0
-	if len(seen) != 2 {
-		t.Fatalf("saw %d bookings, want 2", len(seen))
-	}
-	if !almost(seen[0].start, 0) || !almost(seen[0].done, d1) || seen[0].dst != -1 {
-		t.Fatalf("first booking %+v", seen[0])
-	}
-	if !almost(seen[1].now, 0.5) || !almost(seen[1].start, 1.5) || !almost(seen[1].done, d2) {
-		t.Fatalf("queued booking %+v, want start 1.5 done %v", seen[1], d2)
+	if !almost(s2, 1.5) || !almost(d2, 2.5) || l.BusyUntil() != d2 {
+		t.Fatalf("queued booking (%v, %v), busy until %v; want (1.5, 2.5)", s2, d2, l.BusyUntil())
 	}
 
-	l2 := MustNewLink(100, 0)
-	l2.PerDestination = true
-	l2.OnSchedule = func(now, start, done float64, bytes int64, dst int) {
-		seen = append(seen, book{now, start, done, bytes, dst})
-	}
-	d3 := l2.ScheduleTo(10, 100, 3)
-	last := seen[len(seen)-1]
-	if last.dst != 3 || !almost(last.start, 10) || !almost(last.done, d3) || last.bytes != 100 {
-		t.Fatalf("lane booking %+v", last)
+	lanes := MustNewLink(100, 0)
+	lanes.PerDestination = true
+	s3, d3 := lanes.ScheduleTo(10, 100, 3)
+	s4, d4 := lanes.ScheduleTo(10.5, 100, 3) // same lane: waits for 11
+	if !almost(s3, 10) || !almost(d3, 11) || !almost(s4, 11) || !almost(d4, 12) || lanes.LaneBusyUntil(3) != d4 {
+		t.Fatalf("lane bookings (%v, %v) and (%v, %v), want (10, 11) and (11, 12)", s3, d3, s4, d4)
 	}
 }

@@ -157,9 +157,11 @@ func TestShedTerminal(t *testing.T) {
 	}
 }
 
-// TestSpanCSVRoundTrip: WriteSpanCSV → ReadSpanCSV is lossless for the
-// fields the report reads, and the parsed rows satisfy the decomposition.
-func TestSpanCSVRoundTrip(t *testing.T) {
+// sampleSpanCSV serves one chat request through a collector, its tokens at
+// uneven gaps so tpot and mtpot differ, and returns the request and the span
+// CSV written for it.
+func sampleSpanCSV(tb testing.TB) (*request.Request, string) {
+	tb.Helper()
 	c := NewCollector(1)
 	r := request.New(11, 300, 5, 8, 0.5)
 	r.Class = "chat"
@@ -169,17 +171,24 @@ func TestSpanCSVRoundTrip(t *testing.T) {
 	c.Admit(1.0, r, 0, 1)
 	r.EmitToken(2.0)
 	c.FirstToken(2.0, r, 0, 1)
-	for !r.Done() {
-		r.EmitToken(3)
+	for i := 0; !r.Done(); i++ {
+		r.EmitToken(2.25 + 0.5*float64(i*i))
 	}
-	r.Finish(3)
-	c.Finish(3, r, 0, 1)
+	r.Finish(r.LastEmitAt)
+	c.Finish(r.LastEmitAt, r, 0, 1)
 
 	var buf bytes.Buffer
 	if err := c.WriteSpanCSV(&buf); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	rows, err := ReadSpanCSV(strings.NewReader(buf.String()))
+	return r, buf.String()
+}
+
+// TestSpanCSVRoundTrip: WriteSpanCSV → ReadSpanCSV is lossless for the
+// fields the report reads, and the parsed rows satisfy the decomposition.
+func TestSpanCSVRoundTrip(t *testing.T) {
+	r, csv := sampleSpanCSV(t)
+	rows, err := ReadSpanCSV(strings.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +205,9 @@ func TestSpanCSVRoundTrip(t *testing.T) {
 	}
 	if !approx(got.Queue, 0.5) || !approx(got.Prefill, 1.0) {
 		t.Fatalf("parsed queue %v prefill %v", got.Queue, got.Prefill)
+	}
+	if got.Input != 300 || got.Output != 5 || got.TPOT != r.TPOT() || got.MTPOT != r.MTPOT() || got.MTPOT <= got.TPOT {
+		t.Fatalf("sizes and pacing: row %+v, request tpot %v mtpot %v", got, r.TPOT(), r.MTPOT())
 	}
 }
 
@@ -244,21 +256,52 @@ func TestSpanCSVInvisibleFirstToken(t *testing.T) {
 	}
 }
 
-// TestReadSpanCSVRejectsGarbage guards the parser against truncated rows
-// and foreign headers.
+var csvHeader = strings.Join(spanHeader, ",") + "\n"
+
+// garbage holds inputs ReadSpanCSV must reject.
+var garbage = []struct{ name, in string }{
+	{"empty input", ""},
+	{"foreign header", "nope,nope\n1,2\n"},
+	{"pre-extension header", strings.Join(spanHeader[:22], ",") + "\n"},
+	{"garbage id", csvHeader + "x,y,0,0,completed,,0,0,0,0,0,0,0,0,0,0,,0,0,0,0,0,1,1,0,0\n"},
+	{"truncated row", csvHeader + "1,y,0,0,completed,,0,0,0,0,0,0,0,0,0,0,,0,0,0,0\n"},
+	{"negative output_tokens", csvHeader + "1,y,0,0,completed,,0,0,0,0,0,0,0,0,0,0,,0,0,0,0,0,1,-5,0,0\n"},
+	{"negative retries", csvHeader + "1,y,0,0,completed,,0,0,0,0,0,0,0,0,0,0,,0,0,-1,0,0,1,1,0,0\n"},
+}
+
+// TestReadSpanCSVRejectsGarbage guards the parser against foreign headers,
+// truncated rows and negative counts.
 func TestReadSpanCSVRejectsGarbage(t *testing.T) {
-	if _, err := ReadSpanCSV(strings.NewReader("nope,nope\n1,2\n")); err == nil {
-		t.Fatal("foreign header accepted")
+	for _, g := range garbage {
+		if _, err := ReadSpanCSV(strings.NewReader(g.in)); err == nil {
+			t.Errorf("%s accepted", g.name)
+		}
 	}
-	var buf bytes.Buffer
-	c := NewCollector(1)
-	if err := c.WriteSpanCSV(&buf); err != nil {
-		t.Fatal(err)
+	if _, err := ReadSpanCSV(strings.NewReader(csvHeader)); err != nil {
+		t.Errorf("header-only CSV rejected: %v", err)
 	}
-	bad := buf.String() + "x,y,z,0,completed,,0,0,0,0,0,0,0,0,0,0,,0,0,0,0\n"
-	if _, err := ReadSpanCSV(strings.NewReader(bad)); err == nil {
-		t.Fatal("garbage id accepted")
+}
+
+// FuzzReadSpanCSV holds the parser traceview runs on files from outside the
+// program: ReadSpanCSV never panics, and every row it accepts has
+// non-negative token and count columns.
+func FuzzReadSpanCSV(f *testing.F) {
+	_, csv := sampleSpanCSV(f)
+	f.Add(csv)
+	for _, g := range garbage {
+		f.Add(g.in)
 	}
+	f.Fuzz(func(t *testing.T, in string) {
+		rows, err := ReadSpanCSV(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for i, s := range rows {
+			if min(s.Migrations, s.Retries, s.Evictions, s.Chunks, s.Input, s.Output) < 0 {
+				t.Fatalf("row %d accepted with a negative count: %+v", i, s)
+			}
+		}
+	})
 }
 
 // TestTimeSeriesRollup checks interval attribution and the planner

@@ -5,18 +5,23 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 )
 
-// spanHeader is the per-request span CSV schema. The five stage columns
-// (hold..outage) partition the TTFT exactly; ttft is the request's own SLA
-// clock (arrival → visible first token), −1 when no token became visible.
+// spanHeader is the per-request span CSV schema, the one per-request file a
+// run writes. The five stage columns (hold..outage) partition the TTFT
+// exactly; ttft is the request's own SLA clock (arrival → visible first
+// token), −1 when no token became visible. The last four are the request's
+// own sizes and decode pacing: prompt tokens, generated tokens, mean and
+// maximum inter-token gap.
 var spanHeader = []string{
 	"id", "class", "arrival", "deadline", "outcome", "shed_where",
 	"first_token", "finish", "ttft",
 	"hold", "queue", "prefill", "wire", "outage",
 	"pool", "replica", "flavor",
 	"held", "migrations", "retries", "evictions", "chunks",
+	"input_tokens", "output_tokens", "tpot", "mtpot",
 }
 
 // WriteSpanCSV writes one row per request in first-seen order.
@@ -47,6 +52,8 @@ func (c *Collector) WriteSpanCSV(w io.Writer) error {
 			strconv.Itoa(s.Pool), strconv.Itoa(s.Rep), s.Flavor,
 			held, strconv.Itoa(s.Deliveries), strconv.Itoa(r.Retries), strconv.Itoa(r.Evictions),
 			strconv.Itoa(s.Chunks),
+			strconv.Itoa(r.InputLen), strconv.Itoa(r.Generated),
+			formatFloat(r.TPOT()), formatFloat(r.MTPOT()),
 		}
 		if err := cw.Write(rec); err != nil {
 			return err
@@ -82,12 +89,15 @@ type SpanRow struct {
 	Held                               bool
 	Migrations, Retries, Evictions     int
 	Chunks                             int
+	Input, Output                      int
+	TPOT, MTPOT                        float64
 }
 
 // StageSum returns the decomposed TTFT (the sum of the stage columns).
 func (s SpanRow) StageSum() float64 { return s.Hold + s.Queue + s.Prefill + s.Wire + s.Outage }
 
-// ReadSpanCSV parses a span CSV produced by WriteSpanCSV.
+// ReadSpanCSV parses a span CSV produced by WriteSpanCSV. It rejects any
+// other header and a negative token or count column.
 func ReadSpanCSV(rd io.Reader) ([]SpanRow, error) {
 	rows, err := csv.NewReader(rd).ReadAll()
 	if err != nil {
@@ -96,7 +106,7 @@ func ReadSpanCSV(rd io.Reader) ([]SpanRow, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("obs: empty span CSV")
 	}
-	if len(rows[0]) != len(spanHeader) || rows[0][0] != "id" {
+	if !slices.Equal(rows[0], spanHeader) {
 		return nil, fmt.Errorf("obs: unrecognized span CSV header %q", rows[0])
 	}
 	out := make([]SpanRow, 0, len(rows)-1)
@@ -126,44 +136,41 @@ func parseSpanRow(row []string) (SpanRow, error) {
 		return s, fmt.Errorf("have %d fields, want %d", len(row), len(spanHeader))
 	}
 	var err error
-	fail := func(e error) (SpanRow, error) { return s, e }
 	if s.ID, err = strconv.ParseInt(row[0], 10, 64); err != nil {
-		return fail(err)
+		return s, err
 	}
-	s.Class = row[1]
-	floats := []struct {
+	s.Class, s.Outcome, s.ShedWhere, s.Flavor = row[1], row[4], row[5], row[16]
+	s.Held = row[17] == "1"
+	for _, f := range []struct {
 		dst *float64
 		idx int
 	}{
 		{&s.Arrival, 2}, {&s.Deadline, 3},
 		{&s.FirstToken, 6}, {&s.Finish, 7}, {&s.TTFT, 8},
 		{&s.Hold, 9}, {&s.Queue, 10}, {&s.Prefill, 11}, {&s.Wire, 12}, {&s.Outage, 13},
-	}
-	s.Outcome, s.ShedWhere = row[4], row[5]
-	for _, f := range floats {
+		{&s.TPOT, 24}, {&s.MTPOT, 25},
+	} {
 		if *f.dst, err = strconv.ParseFloat(row[f.idx], 64); err != nil {
-			return fail(err)
+			return s, err
 		}
 	}
-	if s.Pool, err = strconv.Atoi(row[14]); err != nil {
-		return fail(err)
-	}
-	if s.Replica, err = strconv.Atoi(row[15]); err != nil {
-		return fail(err)
-	}
-	s.Flavor = row[16]
-	s.Held = row[17] == "1"
-	if s.Migrations, err = strconv.Atoi(row[18]); err != nil {
-		return fail(err)
-	}
-	if s.Retries, err = strconv.Atoi(row[19]); err != nil {
-		return fail(err)
-	}
-	if s.Evictions, err = strconv.Atoi(row[20]); err != nil {
-		return fail(err)
-	}
-	if s.Chunks, err = strconv.Atoi(row[21]); err != nil {
-		return fail(err)
+	// Pool and replica read −1 for a request never placed; every other
+	// integer column counts something.
+	for _, f := range []struct {
+		dst   *int
+		idx   int
+		count bool
+	}{
+		{&s.Pool, 14, false}, {&s.Replica, 15, false},
+		{&s.Migrations, 18, true}, {&s.Retries, 19, true}, {&s.Evictions, 20, true}, {&s.Chunks, 21, true},
+		{&s.Input, 22, true}, {&s.Output, 23, true},
+	} {
+		if *f.dst, err = strconv.Atoi(row[f.idx]); err != nil {
+			return s, err
+		}
+		if f.count && *f.dst < 0 {
+			return s, fmt.Errorf("negative %s %d", spanHeader[f.idx], *f.dst)
+		}
 	}
 	return s, nil
 }

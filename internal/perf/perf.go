@@ -151,9 +151,6 @@ func (m *Model) CapacityTokens() int { return m.capacity }
 // weight behind the heterogeneous fleet's CostSeconds axis.
 func (m *Model) CostWeight() float64 { return m.cluster.CostWeight() }
 
-// Overhead returns the fixed per-iteration overhead in seconds.
-func (m *Model) Overhead() float64 { return m.overhead }
-
 // PrefillTime returns the duration of one prefill iteration processing
 // promptTokens total prompt tokens (possibly from several fused requests).
 func (m *Model) PrefillTime(promptTokens int) float64 {
@@ -249,16 +246,6 @@ func (m *Model) SwapTime(tokens int) float64 {
 	}
 	bytes := float64(tokens) * float64(m.spec.KVBytesPerToken())
 	return bytes / m.cluster.GPU.HostLink()
-}
-
-// DecodeTokensPerSec returns the steady-state decode throughput at the given
-// operating point, a convenience for capacity-planning examples.
-func (m *Model) DecodeTokensPerSec(batchSize, kvTokens int) float64 {
-	t := m.DecodeTime(batchSize, kvTokens)
-	if t == 0 {
-		return 0
-	}
-	return float64(batchSize) / t
 }
 
 func maxf(a, b float64) float64 {

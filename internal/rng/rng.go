@@ -118,25 +118,6 @@ func (r *RNG) Exp(mean float64) float64 {
 	return mean * r.ExpFloat64()
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher–Yates order.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Categorical draws an index with probability proportional to weights[i].
 // It panics if weights is empty or sums to a non-positive value.
 func (r *RNG) Categorical(weights []float64) int {

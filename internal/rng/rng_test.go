@@ -192,35 +192,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(12)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(13)
-	s := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	sum2 := 0
-	for _, v := range s {
-		sum2 += v
-	}
-	if sum != sum2 {
-		t.Fatalf("shuffle changed contents: %v", s)
-	}
-}
-
 func TestCategorical(t *testing.T) {
 	r := New(14)
 	w := []float64{1, 0, 3}

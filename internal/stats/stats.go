@@ -51,13 +51,6 @@ func (h *Histogram) AddAll(vs []int) {
 // Total returns the number of recorded samples.
 func (h *Histogram) Total() int { return h.total }
 
-// Bins returns a copy of the raw bin counts.
-func (h *Histogram) Bins() []float64 {
-	out := make([]float64, len(h.counts))
-	copy(out, h.counts)
-	return out
-}
-
 // Vector returns the bin counts as a probability vector (sums to 1). An
 // empty histogram returns an all-zero vector.
 func (h *Histogram) Vector() []float64 {
@@ -185,18 +178,15 @@ func Min(vs []float64) float64 {
 type Online struct {
 	n          int
 	mean       float64
-	m2         float64
 	max        float64
 	min        float64
 	haveSample bool
 }
 
-// Add records one sample (Welford's algorithm for the variance).
+// Add records one sample.
 func (o *Online) Add(v float64) {
 	o.n++
-	d := v - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (v - o.mean)
+	o.mean += (v - o.mean) / float64(o.n)
 	if !o.haveSample || v > o.max {
 		o.max = v
 	}
@@ -211,14 +201,6 @@ func (o *Online) Count() int { return o.n }
 
 // Mean returns the running mean (0 if empty).
 func (o *Online) Mean() float64 { return o.mean }
-
-// Variance returns the population variance (0 if fewer than 2 samples).
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n)
-}
 
 // Max returns the largest sample (0 if empty).
 func (o *Online) Max() float64 { return o.max }
@@ -273,6 +255,3 @@ func (tw *TimeWeighted) Mean() float64 {
 
 // Max returns the largest observed value.
 func (tw *TimeWeighted) Max() float64 { return tw.max }
-
-// Elapsed returns the total observed time span.
-func (tw *TimeWeighted) Elapsed() float64 { return tw.elapsed }

@@ -14,9 +14,8 @@ func TestHistogramBinning(t *testing.T) {
 	h.Add(49) // bin 4
 	h.Add(50) // clamped to bin 4
 	h.Add(999)
-	bins := h.Bins()
-	if bins[0] != 2 || bins[1] != 1 || bins[4] != 3 {
-		t.Fatalf("unexpected bins %v", bins)
+	if v := h.Vector(); v[0] != 2.0/6 || v[1] != 1.0/6 || v[4] != 3.0/6 {
+		t.Fatalf("unexpected bin shares %v", v)
 	}
 	if h.Total() != 6 {
 		t.Fatalf("total = %d", h.Total())
@@ -210,9 +209,6 @@ func TestOnline(t *testing.T) {
 	if o.Max() != 4 || o.Min() != 1 {
 		t.Fatalf("max/min = %v/%v", o.Max(), o.Min())
 	}
-	if math.Abs(o.Variance()-1.25) > 1e-12 {
-		t.Fatalf("variance = %v", o.Variance())
-	}
 }
 
 func TestOnlineNegativeValues(t *testing.T) {
@@ -254,9 +250,6 @@ func TestTimeWeighted(t *testing.T) {
 	}
 	if tw.Max() != 20 {
 		t.Fatalf("max = %v", tw.Max())
-	}
-	if tw.Elapsed() != 3 {
-		t.Fatalf("elapsed = %v", tw.Elapsed())
 	}
 }
 

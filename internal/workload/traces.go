@@ -48,16 +48,6 @@ func (t *Trace) Lengths(r *rng.RNG, n int) []int {
 	return out
 }
 
-// SampleSeries generates n (input, output) pairs in trace order.
-func (t *Trace) SampleSeries(r *rng.RNG, n int) (ins, outs []int) {
-	ins = make([]int, n)
-	outs = make([]int, n)
-	for i := range ins {
-		ins[i], outs[i] = t.sampleAt(r, float64(i)/float64(n))
-	}
-	return ins, outs
-}
-
 func (t *Trace) sampleAt(r *rng.RNG, progress float64) (int, int) {
 	idx := 0
 	if len(t.Classes) > 1 {

@@ -233,22 +233,6 @@ func TestPairSimilarityPanicsOnBadSizes(t *testing.T) {
 	PairSimilarity([]int{1, 2, 3}, 0, 5)
 }
 
-func TestTraceSampleSeriesInputsPlausible(t *testing.T) {
-	r := rng.New(11)
-	ins, outs := InHouseCode.SampleSeries(r, 5000)
-	var inMean, outMean float64
-	for i := range ins {
-		inMean += float64(ins[i])
-		outMean += float64(outs[i])
-	}
-	inMean /= float64(len(ins))
-	outMean /= float64(len(outs))
-	// Code completion: prompts much longer than completions.
-	if inMean < 3*outMean {
-		t.Fatalf("code trace should be prefill-heavy: in=%v out=%v", inMean, outMean)
-	}
-}
-
 func TestClosedLoopMaintainsConcurrency(t *testing.T) {
 	pm := perf.MustNew(perf.Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1)})
 	e := engine.MustNew(engine.Config{

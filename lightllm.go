@@ -235,7 +235,6 @@ var (
 	RunTable1    = bench.RunTable1
 	RunTable2    = bench.RunTable2
 	RunFigure8   = bench.RunFigure8
-	RunRouter    = bench.RunRouter
 	RunPredictor = bench.RunPredictor
 	RunFigure1   = bench.RunFigure1
 	RunFigure3   = bench.RunFigure3

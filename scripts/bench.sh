@@ -5,7 +5,7 @@
 #   scripts/bench.sh          # both standing suites (make bench)
 #   scripts/bench.sh micro    # hot-path micro-benchmarks -> BENCH_hotpath.json
 #   scripts/bench.sh fleet    # fleet-scale scenarios     -> BENCH_fleet.json
-#   scripts/bench.sh scale    # long-trace replay, both ways -> BENCH_scale.json
+#   scripts/bench.sh scale    # long-trace replay, twice    -> BENCH_scale.json
 #
 # The micro suite covers BenchmarkAdmitHotPath (/naive times the clone+sort
 # admission oracle of the core tests, as BenchmarkFleetRouteNaive times the
@@ -34,8 +34,9 @@
 # scenarios of `fleetsim fleet` (ramp, overload, hetero, faults, multiturn,
 # longctx); fleetsim exits non-zero if any scenario's win condition fails,
 # and `go test ./cmd/fleetsim` holds the committed BENCH_fleet.json to it.
-# The scale replay hard-fails unless the coasting day and its per-step twin
-# report identically, and writes BENCH_scale.json only then.
+# The scale replay hard-fails unless its two repeats report identically and
+# every one of the day's requests finishes, and writes BENCH_scale.json only
+# then.
 set -eu
 cd "$(dirname "$0")/.."
 
