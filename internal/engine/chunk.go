@@ -59,7 +59,7 @@ func (e *Engine) enqueueChunked(admitted []*request.Request) {
 			r.PrefillDone = r.Footprint() - need
 			e.chunkPending += need
 		}
-		e.prefilling = append(e.prefilling, &prefillState{req: r, need: need})
+		e.prefilling = append(e.prefilling, prefillState{req: r, need: need})
 	}
 }
 
@@ -88,7 +88,8 @@ func (e *Engine) runChunked() {
 	nChunks := 0
 	finished := e.finishScratch[:0]
 	emits := e.chunkEmitScratch[:0]
-	for idx, p := range e.prefilling {
+	for idx := range e.prefilling {
+		p := &e.prefilling[idx]
 		if p.need == 0 { // migrated/swapped/fully cached: ready immediately
 			finished = append(finished, p.req)
 			continue
@@ -202,7 +203,7 @@ func (e *Engine) chunkSignals() float64 {
 	e.chunkSuffix[len(e.prefilling)] = math.Inf(1)
 	for i := len(e.prefilling) - 1; i >= 0; i-- {
 		d := math.Inf(1)
-		p := e.prefilling[i]
+		p := &e.prefilling[i]
 		if p.need > 0 && p.req.FirstTokenAt < 0 && p.req.TTFTDeadline > 0 {
 			d = p.req.TTFTDeadline
 		}

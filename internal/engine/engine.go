@@ -345,7 +345,7 @@ type Engine struct {
 
 	queue      reqDeque           // FCFS wait queue; evictions push front
 	running    []*request.Request // decoding batch, admission order
-	prefilling []*prefillState    // splitfuse/chunked: prompts being chunked
+	prefilling []prefillState     // splitfuse/chunked: prompts being chunked
 
 	// chunkPending is the total prompt tokens reserved but not yet landed
 	// across e.prefilling under chunked prefill — the gap between the KV

@@ -70,7 +70,7 @@ func (e *Engine) Step() bool {
 				}
 				need -= c
 			}
-			e.prefilling = append(e.prefilling, &prefillState{req: r, need: need})
+			e.prefilling = append(e.prefilling, prefillState{req: r, need: need})
 		}
 		if len(e.running)+len(e.prefilling) > 0 {
 			e.runMixed()
@@ -637,7 +637,8 @@ func (e *Engine) runMixed() {
 	chunkUsed := 0
 	nChunked := 0 // prompts that advanced this iteration
 	var finishedPrefills []*request.Request
-	for _, p := range e.prefilling {
+	for i := range e.prefilling {
+		p := &e.prefilling[i]
 		if p.need == 0 { // swapped-in request: ready immediately
 			finishedPrefills = append(finishedPrefills, p.req)
 			continue

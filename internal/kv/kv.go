@@ -59,10 +59,10 @@ type Handle struct {
 type alloc struct {
 	tokens int // logical tokens allocated privately to the request
 	blocks int // physical blocks backing the private tokens
-	// shared are the pinned prefix-cache blocks the request references
-	// (empty outside prefix-caching mode). Shared blocks are accounted once
-	// pool-wide, not per request.
-	shared []*prefixBlock
+	// shared are the resident-slab slots of the pinned prefix-cache blocks
+	// the request references (empty outside prefix-caching mode). Shared
+	// blocks are accounted once pool-wide, not per request.
+	shared []int32
 	gen    uint32
 }
 
@@ -313,7 +313,10 @@ func (p *Pool) CheckInvariants() error {
 	}
 	usedBlocks := 0
 	logical := 0
-	pins := 0
+	var pins []int32 // per resident-slab slot, the live allocations pinning it
+	if p.prefix != nil {
+		pins = make([]int32, len(p.prefix.blocks))
+	}
 	for id := range p.slab {
 		if free[id] {
 			continue
@@ -328,57 +331,22 @@ func (p *Pool) CheckInvariants() error {
 		if p.prefix == nil && len(a.shared) != 0 {
 			return fmt.Errorf("kv: slot %d holds shared blocks without prefix cache", id)
 		}
-		for _, b := range a.shared {
-			if b.refs <= 0 || b.inLRU {
-				return fmt.Errorf("kv: slot %d pins block %x with refs=%d inLRU=%v", id, b.hash, b.refs, b.inLRU)
+		for _, s := range a.shared {
+			if s < 0 || int(s) >= len(pins) {
+				return fmt.Errorf("kv: slot %d pins resident slot %d outside the slab", id, s)
 			}
-			if p.prefix.resident[b.hash] != b {
-				return fmt.Errorf("kv: slot %d pins non-resident block %x", id, b.hash)
-			}
+			pins[s]++
 		}
-		pins += len(a.shared)
 		usedBlocks += a.blocks
 		logical += a.tokens
 	}
 	if px := p.prefix; px != nil {
-		refs, reclaimable := 0, 0
-		for h, b := range px.resident {
-			if b.hash != h {
-				return fmt.Errorf("kv: resident block %x indexed under %x", b.hash, h)
-			}
-			refs += b.refs
-			if b.refs == 0 {
-				reclaimable++
-				if !b.inLRU {
-					return fmt.Errorf("kv: refs-0 block %x off the reclaim list", h)
-				}
-			} else {
-				if b.inLRU {
-					return fmt.Errorf("kv: pinned block %x on the reclaim list", h)
-				}
-				logical += px.blockTokens // referenced shared blocks count once
-			}
-			if _, off := px.offload[h]; off {
-				return fmt.Errorf("kv: block %x both resident and offloaded", h)
-			}
+		pinned, err := px.check(pins)
+		if err != nil {
+			return err
 		}
-		if refs != pins {
-			return fmt.Errorf("kv: refcount drift: %d pins vs %d refs", pins, refs)
-		}
-		if reclaimable != px.freeCnt {
-			return fmt.Errorf("kv: reclaim count drift: %d listed vs %d counted", px.freeCnt, reclaimable)
-		}
-		walked := 0
-		for b := px.lruHead; b != nil; b = b.next {
-			if b.refs != 0 || !b.inLRU {
-				return fmt.Errorf("kv: reclaim list holds pinned block %x", b.hash)
-			}
-			walked++
-		}
-		if walked != px.freeCnt {
-			return fmt.Errorf("kv: reclaim list length %d vs freeCnt %d", walked, px.freeCnt)
-		}
-		usedBlocks += len(px.resident) * px.physPerBlock
+		logical += pinned * px.blockTokens // referenced shared blocks count once
+		usedBlocks += px.resident * px.physPerBlock
 	}
 	if usedBlocks+p.freeBlocks != p.totalBlocks {
 		return fmt.Errorf("kv: blocks leak: used=%d free=%d total=%d", usedBlocks, p.freeBlocks, p.totalBlocks)

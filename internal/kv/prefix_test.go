@@ -278,9 +278,190 @@ func TestPrefixAllocateRejectsWhenPinned(t *testing.T) {
 	}
 }
 
-// BenchmarkPrefixMatch measures the routing probe's longest-prefix lookup
-// plus a full pin/unpin churn cycle on a warm cache — the per-arrival cost
-// of cache-affinity routing. Steady state must not allocate.
+// TestPrefixDuplicateHashPanics holds AllocatePrefixed to its precondition:
+// a chain that names one hash twice would pin or create the block once but
+// cover its tokens twice, leaving UsedTokens short ({a, b, b} over 202
+// tokens would read 138). A repeat of a fresh block and a repeat of a
+// resident hit both panic.
+func TestPrefixDuplicateHashPanics(t *testing.T) {
+	a, b := hashes(1, 1)[0], hashes(1, 2)[0]
+	p := prefixPool(t, 1024, 1, 64, 0)
+	mustPanic(t, "chain {a, b, b}", func() { p.AllocatePrefixed(202, []uint64{a, b, b}, 0) })
+
+	p = prefixPool(t, 1024, 1, 64, 0)
+	held := prefixHandles{}
+	held.mustPrefixed(t, p, 1, 64, []uint64{a}, 0)
+	held.free(p, 1)
+	mustPanic(t, "chain {a, a} over a resident a", func() { p.AllocatePrefixed(128, []uint64{a, a}, 0) })
+}
+
+// TestPrefixRestoreOutlivesItsOwnSpill restores the oldest identity of a
+// full offload store while the memory for it must first be reclaimed: the
+// eviction's spill pushes that very identity out of the store. The block is
+// restored all the same, and the store ends up holding the evicted block
+// alone.
+func TestPrefixRestoreOutlivesItsOwnSpill(t *testing.T) {
+	p := prefixPool(t, 128, 1, 64, 64) // two resident blocks, a one-block store
+	held := prefixHandles{}
+	a, b := hashes(1, 1), hashes(2, 2)
+	held.mustPrefixed(t, p, 1, 64, a, 0)
+	held.free(p, 1)
+	held.mustPrefixed(t, p, 2, 128, b, 0) // evicts a into the store
+	held.free(p, 2)
+	if _, restored := held.mustPrefixed(t, p, 3, 64, a, 1); restored != 64 {
+		t.Fatalf("restored %d tokens, want 64", restored)
+	}
+	if hb, ob := p.MatchPrefixDetail(b); hb != 1 || ob != 1 {
+		t.Fatalf("b: %d resident, %d offloaded; want its first block spilled", hb, ob)
+	}
+	if st := p.PrefixStats(); st.OffloadBlocks != 1 || st.RestoredTokens != 64 {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestCheckInvariantsCatchesPrefixCorruption breaks a warm cache's table,
+// slabs and lists by hand, one way at a time, and expects CheckInvariants
+// to name each.
+func TestCheckInvariantsCatchesPrefixCorruption(t *testing.T) {
+	fresh := func() (*Pool, *prefixState) {
+		p := prefixPool(t, 512, 1, 64, -1)
+		held := prefixHandles{}
+		held.mustPrefixed(t, p, 1, 256, hashes(4, 1), 0)
+		held.free(p, 1)
+		held.mustPrefixed(t, p, 2, 384, hashes(6, 2), 0) // spills two of the first chain
+		held.mustPrefixed(t, p, 3, 64, hashes(1, 2), 0)  // pins one block twice
+		return p, p.prefix
+	}
+	corruptions := map[string]func(px *prefixState){
+		"entry moved off its probe run": func(px *prefixState) {
+			for i, e := range px.table {
+				if e.ref != 0 {
+					px.table[i], px.table[(i+len(px.table)/2)&(len(px.table)-1)] = tableEntry{}, e
+					return
+				}
+			}
+		},
+		"entry naming another slot": func(px *prefixState) {
+			for i := range px.table {
+				if px.table[i].ref > 0 {
+					px.table[i].ref = int32(len(px.blocks)) + 1
+					return
+				}
+			}
+		},
+		"refs drift":                  func(px *prefixState) { px.blocks[0].refs++ },
+		"reclaim list cut":            func(px *prefixState) { px.lruTail = px.lruHead },
+		"offload count drift":         func(px *prefixState) { px.offloaded++ },
+		"live slots on the free list": func(px *prefixState) { px.blockFree = px.lruHead },
+	}
+	for name, corrupt := range corruptions {
+		p, px := fresh()
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(px)
+		if p.CheckInvariants() == nil {
+			t.Errorf("%s not detected", name)
+		}
+	}
+}
+
+// prefixChurn drives a pool of 4096 prefix blocks over a 1024-block
+// offload store with four-block chains, allocated with restores allowed and
+// freed at once. Steps alternate two families: a, a cycle of 532 chains,
+// each back 40 steps after the cache evicted it, so it restores from the
+// store; and b, a cycle of 4096, always long gone, so it is recomputed. The
+// first 1024 steps fill the cache without evicting; from then on every step
+// reclaims four blocks and spills them, and once the store is full, drops
+// its oldest four.
+type prefixChurn struct{ a, b [][]uint64 }
+
+func newPrefixChurn() *prefixChurn {
+	c := &prefixChurn{a: make([][]uint64, 532), b: make([][]uint64, 4096)}
+	for i := range c.a {
+		c.a[i] = hashes(4, uint64(i+1))
+	}
+	for i := range c.b {
+		c.b[i] = hashes(4, uint64(i+1)<<32)
+	}
+	return c
+}
+
+// fill returns a new pool whose cache the first 1024 steps fill exactly.
+func (c *prefixChurn) fill(tb testing.TB) *Pool {
+	p := prefixPool(tb, 4096*64, 16, 64, 1024*64)
+	for n := 0; n < 1024; n++ {
+		c.step(tb, p, n)
+	}
+	return p
+}
+
+func (c *prefixChurn) step(tb testing.TB, p *Pool, n int) {
+	chain := c.a[n/2%len(c.a)]
+	if n%2 == 1 {
+		chain = c.b[n/2%len(c.b)]
+	}
+	h, _, _, ok := p.AllocatePrefixed(len(chain)*64, chain, len(chain))
+	if !ok {
+		tb.Fatalf("step %d: allocation failed", n)
+	}
+	p.Free(h)
+}
+
+// TestPrefixCacheAllocs pins the flat cache's allocation behaviour: filling
+// a pool's cache to capacity allocates O(log n) times — the table and the
+// resident slab double as they grow — and churning the full cache through
+// reclaim, spill, drop and restore allocates nothing.
+func TestPrefixCacheAllocs(t *testing.T) {
+	c := newPrefixChurn()
+	var p *Pool
+	fillAllocs := testing.AllocsPerRun(1, func() { p = c.fill(t) })
+	if st := p.PrefixStats(); st.ResidentBlocks != 4096 || st.EvictedBlocks != 0 {
+		t.Fatalf("fill left %+v, want 4096 resident blocks and no eviction", st)
+	}
+	t.Logf("filling 4096 blocks allocated %v times", fillAllocs)
+	if limit := 3 * 12.0; fillAllocs > limit { // 12 = log2(4096)
+		t.Fatalf("filling 4096 blocks allocated %v times, want at most %v", fillAllocs, limit)
+	}
+	n := 1024
+	for ; n < 3024; n++ { // past the store filling up
+		c.step(t, p, n)
+	}
+	if got := testing.AllocsPerRun(500, func() { c.step(t, p, n); n++ }); got != 0 {
+		t.Fatalf("churn allocated %v times per step, want 0", got)
+	}
+	st := p.PrefixStats()
+	if dropped := st.SpilledBlocks - st.RestoredTokens/64 - int64(st.OffloadBlocks); st.RestoredTokens == 0 || dropped <= 0 {
+		t.Fatalf("churn left %+v: want restores, and spills the full store dropped", st)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkPrefixChurn times one prefixChurn step of a full cache: a
+// four-block allocation that reclaims and spills four blocks into a full
+// offload store — restoring its own four from it on every other step —
+// and its free. Steady state must not allocate.
+func BenchmarkPrefixChurn(b *testing.B) {
+	c := newPrefixChurn()
+	p := c.fill(b)
+	n := 1024
+	for ; n < 3024; n++ {
+		c.step(b, p, n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.step(b, p, n)
+		n++
+	}
+}
+
+// BenchmarkPrefixMatch measures the routing probe's lookup of every block
+// of a chain plus a full pin/unpin churn cycle on a warm cache — the
+// per-arrival cost of cache-affinity routing. Steady state must not
+// allocate.
 func BenchmarkPrefixMatch(b *testing.B) {
 	p := prefixPool(b, 1<<20, 16, 64, 0)
 	const chains = 64

@@ -190,13 +190,16 @@ func (s *Sessions) SampleSession(r *rng.RNG) SessionSample {
 	} else {
 		in, out = s.cfg.Base.Sample(r)
 	}
-	ses := &session{id: s.nextID, class: class, salt: kv.PrefixHash(sharedSystemSalt, uint64(s.nextID))}
+	prompt := s.cfg.SystemPromptTokens + in
+	ses := &session{
+		id: s.nextID, class: class, salt: kv.PrefixHash(sharedSystemSalt, uint64(s.nextID)),
+		chain: make([]uint64, 0, prompt/s.cfg.BlockTokens),
+	}
 	s.nextID++
 	if s.cfg.SystemPromptTokens > 0 && r.Bool(s.cfg.SharedSystemRatio) {
 		ses.sys = len(s.sysChain)
 		ses.chain = append(ses.chain, s.sysChain...)
 	}
-	prompt := s.cfg.SystemPromptTokens + in
 	return s.finish(ses, r, prompt, in, out)
 }
 
@@ -213,11 +216,18 @@ func (s *Sessions) emit(ses *session, r *rng.RNG) SessionSample {
 }
 
 // finish extends the session's hash chain over the new prompt, decides
-// whether the session continues, and assembles the sample.
+// whether the session continues, and assembles the sample. The chain grows
+// in one step to the prompt's blocks; earlier samples keep the arrays
+// they were handed.
 func (s *Sessions) finish(ses *session, r *rng.RNG, prompt, in, out int) SessionSample {
 	ses.turn++
 	ses.hist = prompt + out
 	blocks := prompt / s.cfg.BlockTokens
+	if blocks > cap(ses.chain) {
+		chain := make([]uint64, len(ses.chain), blocks)
+		copy(chain, ses.chain)
+		ses.chain = chain
+	}
 	for len(ses.chain) < blocks {
 		prev := uint64(0)
 		if n := len(ses.chain); n > 0 {

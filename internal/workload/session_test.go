@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"github.com/lightllm-go/lightllm/internal/rng"
@@ -79,6 +81,33 @@ func TestSessionsPrefixChains(t *testing.T) {
 	}
 	if shared < 2 {
 		t.Fatal("no sessions shared the system prompt (ratio 0.5)")
+	}
+}
+
+// TestSessionsHashesGolden folds every hash chain of the first 10 000
+// SampleSession draws at seed 1 into one FNV-1a value, recorded before the
+// chain learned to grow once per turn: how a chain is stored may change, the
+// hashes it holds may not.
+func TestSessionsHashesGolden(t *testing.T) {
+	const golden = 0x6dcea4dbecea8866
+	gen, err := NewSessions(sessionsCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(1)
+	h := fnv.New64a()
+	var buf [8]byte
+	for i := 0; i < 10_000; i++ {
+		sm := gen.SampleSession(r)
+		binary.LittleEndian.PutUint64(buf[:], uint64(len(sm.PrefixHashes)))
+		h.Write(buf[:])
+		for _, x := range sm.PrefixHashes {
+			binary.LittleEndian.PutUint64(buf[:], x)
+			h.Write(buf[:])
+		}
+	}
+	if got := h.Sum64(); got != golden {
+		t.Fatalf("session hash chains fold to %#x, golden %#x", got, golden)
 	}
 }
 

@@ -24,10 +24,12 @@
 # heap, the MaxPrefillTokens trim, a decode-heavy engine run end to end
 # (BenchmarkEngineDecodeHeavy), 4000 pure decode steps of a 48-request batch
 # (BenchmarkEngineDecodeLong: /coast as built, /token-hook on the per-token
-# path the coasted step replaces), the prefix-cache longest-match lookup
-# (BenchmarkPrefixMatch, 0 allocs steady state), one decode step's
-# handle-addressed KV growth over a 256-request batch (BenchmarkPoolGrow, 0
-# allocs), the SLO-aware chunk sizer (BenchmarkChunkSchedule, 0 allocs — it
+# path the coasted step replaces), the prefix-cache lookup of every block
+# of a chain with a pin/unpin cycle (BenchmarkPrefixMatch, 0 allocs steady
+# state), one churn step of a full prefix cache through reclaim, spill into
+# a full offload store and restore (BenchmarkPrefixChurn, 0 allocs), one
+# decode step's handle-addressed KV growth over a 256-request batch
+# (BenchmarkPoolGrow, 0 allocs), the SLO-aware chunk sizer (BenchmarkChunkSchedule, 0 allocs — it
 # runs inside every chunked iteration), and the live path's handler with no
 # socket (BenchmarkServeGenerate: a plain reply and a 64-token streamed one,
 # engine driver goroutine included). The fleet suite runs the cmd/fleetsim
@@ -55,7 +57,7 @@ run_micro() {
 		-benchmem ./internal/cluster/ | tee -a "$tmp"
 	go test -run '^$' -bench 'BenchmarkPrefillTrim|BenchmarkChunkSchedule|BenchmarkEngineDecode' \
 		-benchmem ./internal/engine/ | tee -a "$tmp"
-	go test -run '^$' -bench 'BenchmarkPrefixMatch|BenchmarkPoolGrow' \
+	go test -run '^$' -bench 'BenchmarkPrefixMatch|BenchmarkPrefixChurn|BenchmarkPoolGrow' \
 		-benchmem ./internal/kv/ | tee -a "$tmp"
 	go test -run '^$' -bench 'BenchmarkServeGenerate' \
 		-benchmem ./internal/server/ | tee -a "$tmp"
