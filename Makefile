@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check staticcheck bench bench-smoke bench-fleet bench-scale chaos fuzz examples cover ci
+.PHONY: build test vet fmt-check staticcheck bench bench-smoke bench-fleet bench-scale chaos fuzz examples pins cover ci
 
 build:
 	$(GO) build ./...
@@ -121,4 +121,16 @@ examples:
 		diff -u "$${d}testdata/stdout.golden" "$$out" || exit 1; \
 	done
 
-ci: build vet fmt-check staticcheck test bench-smoke examples chaos fuzz
+# pins runs every test that holds a committed record byte for byte, then the
+# example goldens: the fleet record and its recorded exports, the scale
+# record's shape, the paper's tables (pfsim), the routing decisions of two
+# whole days, and the session generator's prefix hashes. A change that moves a
+# decision or a recorded event fails here under the record's own name.
+pins:
+	$(GO) test -count=1 -run '^(TestFleetReproducesRecord|TestScaleRecordIsCurrent|TestRecordedOutputMatchesGolden)$$' ./cmd/fleetsim
+	$(GO) test -count=1 -run '^TestAllMatchesGolden$$' ./cmd/pfsim
+	$(GO) test -count=1 -run '^TestFutureHeadroomDecisionsGolden$$' ./internal/cluster
+	$(GO) test -count=1 -run '^TestSessionsHashesGolden$$' ./internal/workload
+	$(MAKE) examples
+
+ci: build vet fmt-check staticcheck pins test bench-smoke chaos fuzz

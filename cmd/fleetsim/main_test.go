@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -75,6 +78,49 @@ func TestTracedFaultsMatchUntraced(t *testing.T) {
 		if st, err := os.Stat(filepath.Join(dir, f)); err != nil || st.Size() == 0 {
 			t.Errorf("%s not written: %v", f, err)
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "re-record testdata/traces.golden")
+
+// traceScenarios are the scenarios whose recorded output traces.golden pins:
+// a crash storm with recovery on a shedding disaggregated fleet, chunked long
+// prompts, and cached multi-turn prefixes.
+var traceScenarios = []string{"faults", "longctx", "multiturn"}
+
+// TestRecordedOutputMatchesGolden pins what the recorder sees, not only what
+// the run reports: every export of each trace scenario at seed 1 hashes to the
+// line testdata/traces.golden holds for it. Re-record it with
+// `go test ./cmd/fleetsim -run TestRecordedOutputMatchesGolden -update` only
+// for a change meant to move a recorded event.
+func TestRecordedOutputMatchesGolden(t *testing.T) {
+	var b strings.Builder
+	for _, s := range traceScenarios {
+		dir := t.TempDir()
+		files := []string{"trace.json", "spans.csv", "timeseries.csv"}
+		fleetsim(t, 0, "-trace", filepath.Join(dir, files[0]), "-spans", filepath.Join(dir, files[1]),
+			"-timeseries", filepath.Join(dir, files[2]), s)
+		for _, f := range files {
+			data, err := os.ReadFile(filepath.Join(dir, f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%s %s %x %d\n", s, f, sha256.Sum256(data), len(data))
+		}
+	}
+	path := filepath.Join("testdata", "traces.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("recorded output differs from %s:\ngot:\n%swant:\n%s", path, got, want)
 	}
 }
 

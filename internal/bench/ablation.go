@@ -10,6 +10,7 @@ import (
 	"github.com/lightllm-go/lightllm/internal/model"
 	"github.com/lightllm-go/lightllm/internal/perf"
 	"github.com/lightllm-go/lightllm/internal/rng"
+	"github.com/lightllm-go/lightllm/internal/stats"
 	"github.com/lightllm-go/lightllm/internal/workload"
 )
 
@@ -83,7 +84,7 @@ func runBatch(study, config string, eng *engine.Engine, reqs int) AblationRow {
 	}
 	p99 := 0.0
 	if len(mtpots) > 0 {
-		p99 = percentile99(mtpots)
+		p99 = stats.Percentile(mtpots, 0.99)
 	}
 	return AblationRow{
 		Study:       study,
@@ -96,22 +97,6 @@ func runBatch(study, config string, eng *engine.Engine, reqs int) AblationRow {
 		P99MTPOT:    p99,
 		Finished:    len(r.Finished),
 	}
-}
-
-func percentile99(vs []float64) float64 {
-	// Tiny helper to avoid importing stats here just for one call.
-	max1, max2 := 0.0, 0.0
-	for _, v := range vs {
-		if v > max1 {
-			max1, max2 = v, max1
-		} else if v > max2 {
-			max2 = v
-		}
-	}
-	if len(vs) >= 100 {
-		return max2
-	}
-	return max1
 }
 
 // blockSize: LightLLM token granularity vs vLLM 16-token paging.

@@ -197,7 +197,7 @@ func (a *admission) arrive(now float64, r *request.Request) {
 		// Nothing is running, so no capacity will ever free: holding would
 		// deadlock. Force the placement and let the engine's own admission
 		// (and unservable-request handling) judge it.
-		a.place(now, r)
+		a.clu.place(now, r)
 		return
 	}
 	a.seq++
@@ -228,7 +228,7 @@ func (a *admission) retry(now float64) {
 			if a.clu.rec != nil {
 				a.clu.rec.Release(now, head, a.heap.Len())
 			}
-			a.place(now, head) // liveness: idle cluster, force the engine to judge
+			a.clu.place(now, head) // liveness: idle cluster, force the engine to judge
 			continue
 		}
 		return
@@ -315,22 +315,22 @@ func (a *admission) tryPlace(now float64, r *request.Request) bool {
 	}
 	if entry.cfg.Policy == FutureHeadroom && rep != nil {
 		entry.routeTo(r, rep)
-		a.submit(now, r, rep)
+		c.submit(now, r, rep)
 	} else {
-		a.place(now, r) // other policies route their own way
+		c.place(now, r) // other policies route their own way
 	}
 	return true
 }
 
 // place routes the request into the entry pool under the configured policy,
-// preserving its ArrivalTime (the cluster-front hold is charged to TTFT).
-func (a *admission) place(now float64, r *request.Request) {
-	entry := a.clu.pools[a.clu.entry]
-	a.submit(now, r, entry.route(r))
+// preserving its ArrivalTime (a cluster-front hold or a fault outage is
+// charged to TTFT).
+func (c *Cluster) place(now float64, r *request.Request) {
+	c.submit(now, r, c.pools[c.entry].route(r))
 }
 
-func (a *admission) submit(now float64, r *request.Request, rep *replica) {
-	c := a.clu
+// submit places the request on an entry replica the caller routed it to.
+func (c *Cluster) submit(now float64, r *request.Request, rep *replica) {
 	entry := c.pools[c.entry]
 	if c.rec != nil {
 		c.rec.Place(now, r, c.entry, rep.idx, rep.flv.name)

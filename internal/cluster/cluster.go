@@ -450,6 +450,8 @@ func (c *Cluster) handleArrival(t float64, req *request.Request) {
 		c.adm.arrive(t, req)
 		return
 	}
+	// Not c.place: a fresh arrival goes through Submit, which clamps a stale
+	// ArrivalTime up to the engine's clock, where a placement keeps it.
 	rep := entry.route(req)
 	rep.eng.Submit(req)
 	if c.rec != nil {
@@ -601,8 +603,8 @@ func (c *Cluster) handle(ev event) {
 				c.adm.retry(ev.at) // fresh capacity: release held arrivals
 			}
 		}
-	case evXfer:
-		c.issueHandoff(ev)
+	case evXfer, evXferRetry:
+		c.book(ev)
 	case evRetry:
 		c.adm.retryPending = false
 		c.adm.retry(ev.at)
@@ -638,8 +640,6 @@ func (c *Cluster) handle(ev event) {
 		c.slowReplica(ev)
 	case evSlowEnd:
 		c.slowEnd(ev)
-	case evXferRetry:
-		c.retryHandoff(ev)
 	}
 }
 
@@ -654,39 +654,57 @@ func (c *Cluster) onHandoff(fromRep int, now float64, r *request.Request) {
 	c.pushEvent(event{at: now, kind: evXfer, pool: c.decode, rep: fromRep, req: r})
 }
 
-// issueHandoff books one handoff at the prefill→transfer boundary: the
-// decode replica is picked on a (fits, expected delivery, headroom) cost
-// vector, and — under admission shedding — a request whose TTFT budget the
-// expected delivery already overruns is shed *before* any link bandwidth
-// is committed to it.
-func (c *Cluster) issueHandoff(ev event) {
+// book books one handoff's KV transfer, in event-time order, which honors
+// the link's nondecreasing issue-time contract. evXfer issues a handoff at
+// the prefill→transfer boundary (ev.rep is its source replica; no record
+// exists yet); evXferRetry re-books a failed or deferred one (ev.rep is its
+// record, whose ToReplica is -1 if it was never routed). The decode replica
+// is picked on a (fits, expected delivery, headroom) cost vector — on a
+// retry the original may be down or retired — and, under admission
+// shedding, a request whose TTFT budget the expected delivery already
+// overruns is shed *before* any link bandwidth is committed to it: on a
+// retry a re-prefill would pay strictly more, so that shed is terminal too.
+// An issued handoff gets its record only when it is booked or deferred, so
+// a shed one never appears in Handoffs.
+func (c *Cluster) book(ev event) {
 	r := ev.req
 	dp := c.pools[c.decode]
-	// The transfer moves the KV cache the source replica materialized, so
-	// its size comes from that replica's own model — per-flavor in a
-	// heterogeneous prefill pool, identical to the old fleet-wide constant
-	// in a homogeneous one.
-	bytes := int64(r.Footprint()) * c.pools[c.entry].reps[ev.rep].eng.KVBytesPerToken()
-	rep, deliverAt := c.pickDecode(ev.at, r, bytes, dp)
-	if c.flt != nil && rep.down {
+	idx := -1
+	var fresh Handoff
+	h := &fresh
+	var old *replica
+	if ev.kind == evXferRetry {
+		idx = ev.rep
+		h = c.handoffs.at(idx)
+		if h.ToReplica >= 0 {
+			old = dp.reps[h.ToReplica]
+		}
+	} else {
+		// The transfer moves the KV cache the source replica materialized, so
+		// its size comes from that replica's own model — per-flavor in a
+		// heterogeneous prefill pool, identical to the old fleet-wide constant
+		// in a homogeneous one.
+		fresh = Handoff{
+			Req: r, FromReplica: ev.rep, ToReplica: -1,
+			PrefillDoneAt: ev.at, DeliveredAt: -1,
+			bytes: int64(r.Footprint()) * c.pools[c.entry].reps[ev.rep].eng.KVBytesPerToken(),
+		}
+	}
+	rep, deliverAt := c.pickDecode(ev.at, r, h.bytes, dp)
+	if rep.down {
 		// Every decode replica is down (the pick fell through to the crashed
 		// fallback). The wire never carries a transfer to a crashed
 		// destination: without recovery the request is lost here; with it,
 		// the booking defers to the destination's repair, where the retry
-		// re-picks and prices normally.
+		// re-picks and prices normally. Not a wire failure, so Retries is
+		// not charged.
 		if !c.flt.cfg.Recover {
-			r.MarkFailed()
-			c.flt.lost = append(c.flt.lost, r)
-			if c.rec != nil {
-				c.rec.Fail(ev.at, r, c.decode, rep.idx)
-			}
+			c.lose(ev.at, r, c.decode, rep.idx)
 			return
 		}
-		idx := c.handoffs.add(Handoff{
-			Req: r, FromReplica: ev.rep, ToReplica: -1,
-			PrefillDoneAt: ev.at, DeliveredAt: -1,
-			bytes: bytes,
-		})
+		if idx < 0 {
+			idx = c.handoffs.add(fresh)
+		}
 		if c.rec != nil {
 			c.rec.XferFail(ev.at, r, rep.repairAt)
 		}
@@ -694,23 +712,31 @@ func (c *Cluster) issueHandoff(ev event) {
 		return
 	}
 	if c.adm != nil && c.adm.cfg.Shed && r.TTFTDeadline > 0 && deliverAt > r.TTFTDeadline {
+		if old != nil {
+			old.routed--
+		}
 		c.adm.shed(ev.at, r, shedBoundary)
 		return
 	}
 	start := ev.at
 	if c.link != nil {
-		start, deliverAt = c.link.ScheduleTo(ev.at, bytes, rep.idx)
+		start, deliverAt = c.link.ScheduleTo(ev.at, h.bytes, rep.idx)
 	}
 	if c.rec != nil {
-		c.rec.XferBook(ev.at, r, c.entry, ev.rep, c.decode, rep.idx, bytes, start, deliverAt)
+		c.rec.XferBook(ev.at, r, c.entry, h.FromReplica, c.decode, rep.idx, h.bytes, start, deliverAt)
 	}
-	dp.routeTo(r, rep)
+	if rep != old {
+		if old != nil {
+			old.routed--
+		}
+		dp.routeTo(r, rep)
+		h.ToReplica = rep.idx
+	}
 	rep.pendingIn++
-	idx := c.handoffs.add(Handoff{
-		Req: r, FromReplica: ev.rep, ToReplica: rep.idx,
-		PrefillDoneAt: ev.at, DeliveredAt: deliverAt,
-		bytes: bytes,
-	})
+	h.DeliveredAt = deliverAt
+	if idx < 0 {
+		idx = c.handoffs.add(fresh)
+	}
 	c.pushEvent(event{at: deliverAt, kind: evDeliver, pool: c.decode, rep: idx, req: r})
 }
 

@@ -208,11 +208,7 @@ func (c *Cluster) crashReplica(ev event) {
 			c.rec.Orphan(ev.at, r)
 		}
 		if !c.flt.cfg.Recover {
-			r.MarkFailed()
-			c.flt.lost = append(c.flt.lost, r)
-			if c.rec != nil {
-				c.rec.Fail(ev.at, r, flt.Pool, flt.Replica)
-			}
+			c.lose(ev.at, r, flt.Pool, flt.Replica)
 			continue
 		}
 		// Re-enter at the cluster front with the original ArrivalTime and
@@ -239,14 +235,17 @@ func (c *Cluster) reenter(now float64, r *request.Request) {
 		c.adm.arrive(now, r)
 		return
 	}
-	entry := c.pools[c.entry]
-	rep := entry.route(r)
+	c.place(now, r)
+}
+
+// lose ends a request as a terminal fault loss (no-recovery mode), charged
+// to the pool and replica it was lost on.
+func (c *Cluster) lose(now float64, r *request.Request, pool, rep int) {
+	r.MarkFailed()
+	c.flt.lost = append(c.flt.lost, r)
 	if c.rec != nil {
-		c.rec.Place(now, r, entry.id, rep.idx, rep.flv.name)
+		c.rec.Fail(now, r, pool, rep)
 	}
-	rep.eng.SubmitAt(r, now)
-	entry.placed(rep, r)
-	c.ensureStepEvent(entry, rep)
 }
 
 // recoverReplica handles evRecover: repair is complete. A replica that was
@@ -322,96 +321,39 @@ func (c *Cluster) failDelivery(ev event) {
 	old := dp.reps[h.ToReplica]
 	old.pendingIn--
 	flt := c.flt
-	if !flt.cfg.Recover {
-		old.routed--
-		r.MarkFailed()
-		flt.lost = append(flt.lost, r)
-		if c.rec != nil {
-			c.rec.XferFail(ev.at, r, -1)
-			c.rec.Fail(ev.at, r, c.decode, h.ToReplica)
+	retryAt := -1.0 // no retry: the request is lost, or falls back to re-prefill
+	if flt.cfg.Recover {
+		h.Retries++
+		at := ev.at + kv.Backoff(flt.cfg.RetryBackoff, flt.cfg.RetryBackoffCap, h.Retries-1)
+		feasible := h.Retries <= flt.cfg.MaxTransferRetries
+		if feasible && r.TTFTDeadline > 0 && c.link != nil &&
+			at+c.link.TransferTime(h.bytes) > r.TTFTDeadline {
+			feasible = false // even an unqueued wire cannot land in budget
 		}
-		return
+		if feasible {
+			retryAt = at
+		}
 	}
-	h.Retries++
-	retryAt := ev.at + kv.Backoff(flt.cfg.RetryBackoff, flt.cfg.RetryBackoffCap, h.Retries-1)
-	retryFeasible := h.Retries <= flt.cfg.MaxTransferRetries
-	if retryFeasible && r.TTFTDeadline > 0 && c.link != nil &&
-		retryAt+c.link.TransferTime(h.bytes) > r.TTFTDeadline {
-		retryFeasible = false // even an unqueued wire cannot land in budget
+	if c.rec != nil {
+		c.rec.XferFail(ev.at, r, retryAt)
 	}
-	if !retryFeasible {
+	switch {
+	case !flt.cfg.Recover:
+		old.routed--
+		c.lose(ev.at, r, c.decode, h.ToReplica)
+	case retryAt < 0:
 		// Fall back to re-prefill: the decode route is undone and the
 		// request re-enters at the cluster front. ResetForRetry clears the
 		// prefill token, so admission prices a full prefill + fresh transfer
 		// against the remaining budget and sheds if it cannot fit.
 		flt.rePrefills++
 		old.routed--
-		if c.rec != nil {
-			c.rec.XferFail(ev.at, r, -1)
-		}
 		r.ResetForRetry()
 		c.reenter(ev.at, r)
-		return
+	default:
+		flt.transferRetries++
+		c.pushEvent(event{at: retryAt, kind: evXferRetry, pool: c.decode, rep: ev.rep, req: r})
 	}
-	flt.transferRetries++
-	if c.rec != nil {
-		c.rec.XferFail(ev.at, r, retryAt)
-	}
-	c.pushEvent(event{at: retryAt, kind: evXferRetry, pool: c.decode, rep: ev.rep, req: r})
-}
-
-// retryHandoff handles evXferRetry: re-book the failed (or deferred)
-// transfer at the retry instant. The destination is re-picked through the
-// normal contention-aware cost vector — the original may be down or retired
-// — and the booking happens here, in event-time order, honoring the link's
-// nondecreasing issue-time contract. ToReplica is -1 for a handoff that was
-// deferred before ever being routed (issued while every decode replica was
-// down).
-func (c *Cluster) retryHandoff(ev event) {
-	h := c.handoffs.at(ev.rep)
-	r := ev.req
-	dp := c.pools[c.decode]
-	var old *replica
-	if h.ToReplica >= 0 {
-		old = dp.reps[h.ToReplica]
-	}
-	rep, deliverAt := c.pickDecode(ev.at, r, h.bytes, dp)
-	if rep.down {
-		// Still nowhere to land (every decode replica down again): defer to
-		// the next repair rather than book a transfer to a crashed
-		// destination. Not a wire failure, so Retries is not charged.
-		if c.rec != nil {
-			c.rec.XferFail(ev.at, r, rep.repairAt)
-		}
-		c.pushEvent(event{at: rep.repairAt, kind: evXferRetry, pool: c.decode, rep: ev.rep, req: r})
-		return
-	}
-	if c.adm != nil && c.adm.cfg.Shed && r.TTFTDeadline > 0 && deliverAt > r.TTFTDeadline {
-		// The retry itself can no longer land in budget (lane queueing): a
-		// re-prefill pays strictly more, so this is a terminal boundary shed.
-		if old != nil {
-			old.routed--
-		}
-		c.adm.shed(ev.at, r, shedBoundary)
-		return
-	}
-	start := ev.at
-	if c.link != nil {
-		start, deliverAt = c.link.ScheduleTo(ev.at, h.bytes, rep.idx)
-	}
-	if c.rec != nil {
-		c.rec.XferBook(ev.at, r, c.entry, h.FromReplica, c.decode, rep.idx, h.bytes, start, deliverAt)
-	}
-	if rep != old {
-		if old != nil {
-			old.routed--
-		}
-		dp.routeTo(r, rep)
-		h.ToReplica = rep.idx
-	}
-	rep.pendingIn++
-	h.DeliveredAt = deliverAt
-	c.pushEvent(event{at: deliverAt, kind: evDeliver, pool: c.decode, rep: ev.rep, req: r})
 }
 
 // LostRequests returns every request terminally lost to faults (no-recovery

@@ -124,14 +124,7 @@ func (e *Engine) runChunked() {
 	e.finishScratch = finished
 	e.chunkEmitScratch = emits
 
-	// Drop completed prefills from the chunk pipeline (order preserved).
-	remaining := e.prefilling[:0]
-	for _, p := range e.prefilling {
-		if p.need > 0 {
-			remaining = append(remaining, p)
-		}
-	}
-	e.prefilling = remaining
+	e.dropLanded()
 
 	e.ensureExtendable(e.running)
 	decodeTokens = len(e.running) // eviction may have shrunk the batch
@@ -147,21 +140,7 @@ func (e *Engine) runChunked() {
 	e.prefillChunks += int64(nChunks)
 	e.decodeSteps++ // a chunked iteration advances decoding by one step
 
-	for _, r := range e.running {
-		if !e.pool.Extend(r.KV, 1) {
-			e.requeue(r) // defensive; ensureExtendable guarantees space
-			continue
-		}
-		first := r.FirstTokenAt < 0
-		r.EmitToken(e.clock)
-		if e.hooks.OnToken != nil {
-			e.hooks.OnToken(e.clock, r)
-		}
-		if first && e.rec != nil {
-			e.rec.FirstToken(e.clock, r, e.obsPool, e.obsRep)
-		}
-		e.outputTokens++
-	}
+	e.decodeRunning()
 	if e.rec != nil {
 		for _, c := range e.chunkEmitScratch {
 			e.rec.Chunk(e.clock, c.r, e.obsPool, e.obsRep, c.tokens, c.done, c.total)

@@ -374,7 +374,6 @@ type Engine struct {
 	handedOff       []*request.Request // prefill-only: completed prompts awaiting migration
 	decodeSteps     int
 	prefillIters    int
-	mixedIters      int
 	chunkIters      int   // chunked-prefill iterations executed
 	prefillChunks   int64 // prefill chunks carved across them
 	evictions       int

@@ -11,7 +11,7 @@ func (e *Engine) stepStatic() bool {
 		if e.queue.Len() == 0 {
 			// Wait for arrivals, if any.
 			if e.arrivals.Len() > 0 {
-				next := e.arrivals[0].r.ArrivalTime
+				next := e.arrivals[0].at
 				if next > e.clock {
 					e.observe(next)
 					e.clock = next
@@ -94,16 +94,16 @@ func (e *Engine) stepStaticDecode() bool {
 		if r.Done() {
 			continue // finished lane, pure padding waste
 		}
-		r.EmitToken(e.clock)
-		if e.hooks.OnToken != nil {
-			e.hooks.OnToken(e.clock, r)
-		}
-		e.outputTokens++
+		e.emit(r)
 		if !r.Done() {
 			allDone = false
 		}
 	}
-	e.finishStaticDone()
+	for _, r := range e.staticBatch {
+		if r.State != request.Finished && r.Done() {
+			e.finish(r) // the lane stays allocated until the batch drains
+		}
+	}
 	if allDone {
 		// Whole batch complete: release all lanes.
 		for _, r := range e.staticBatch {
@@ -114,21 +114,4 @@ func (e *Engine) stepStaticDecode() bool {
 	e.observe(e.clock)
 	e.iterationHook("static", dur, n)
 	return true
-}
-
-// finishStaticDone records completions (metrics + history) while keeping
-// the lanes allocated until the batch drains.
-func (e *Engine) finishStaticDone() {
-	for _, r := range e.staticBatch {
-		if r.State == request.Finished || !r.Done() {
-			continue
-		}
-		r.Finish(e.clock)
-		e.recordFinishedLength(r.Class, r.TrueOutputLen)
-		e.finished = append(e.finished, r)
-		e.released = true
-		if e.hooks.OnFinish != nil {
-			e.hooks.OnFinish(e.clock, r)
-		}
-	}
 }

@@ -219,12 +219,19 @@ func (e *Engine) settle() {
 	e.owed = 0
 	for _, r := range e.running {
 		if !e.pool.Extend(r.KV, k) {
-			panic(fmt.Sprintf("engine: no room for %d owed tokens of request %d", k, r.ID))
+			noRoom(r, k)
 		}
 		r.EmitTokens(k, e.clock, e.owedGap)
 	}
 	e.minLeft -= k
 	e.owedGap = 0
+}
+
+// noRoom panics for a running request the pool could not grow by k tokens.
+// Every caller made room first (ensureExtendable, or coast's free-block term),
+// so only a bug gets here.
+func noRoom(r *request.Request, k int) {
+	panic(fmt.Sprintf("engine: no room for %d tokens of request %d", k, r.ID))
 }
 
 // owedTokens is how many tokens the pool's usage trails the engine by — and
@@ -546,27 +553,11 @@ func (e *Engine) runPrefill(admitted []*request.Request) {
 // migration to a decode engine.
 func (e *Engine) completePrefills(admitted []*request.Request) {
 	for _, r := range admitted {
-		first := r.FirstTokenAt < 0
-		r.EmitToken(e.clock)
-		if e.hooks.OnToken != nil {
-			e.hooks.OnToken(e.clock, r)
-		}
-		if first && e.rec != nil {
-			e.rec.FirstToken(e.clock, r, e.obsPool, e.obsRep)
-		}
-		e.outputTokens++
+		e.emit(r)
 		e.free(r)
 		e.released = true
 		if r.Done() {
-			r.Finish(e.clock)
-			e.recordFinishedLength(r.Class, r.TrueOutputLen)
-			e.finished = append(e.finished, r)
-			if e.hooks.OnFinish != nil {
-				e.hooks.OnFinish(e.clock, r)
-			}
-			if e.rec != nil {
-				e.rec.Finish(e.clock, r, e.obsPool, e.obsRep)
-			}
+			e.finish(r)
 			continue
 		}
 		r.PrefillDoneAt = e.clock
@@ -575,6 +566,51 @@ func (e *Engine) completePrefills(admitted []*request.Request) {
 			e.hooks.OnHandoff(e.clock, r)
 		}
 	}
+}
+
+// emit hands r its next token at the engine clock — the one place a token
+// reaches a request, its observers and the output counter.
+func (e *Engine) emit(r *request.Request) {
+	first := r.FirstTokenAt < 0
+	r.EmitToken(e.clock)
+	if e.hooks.OnToken != nil {
+		e.hooks.OnToken(e.clock, r)
+	}
+	if first && e.rec != nil {
+		e.rec.FirstToken(e.clock, r, e.obsPool, e.obsRep)
+	}
+	e.outputTokens++
+}
+
+// finish completes r at the engine clock — the one place a request finishes:
+// its actual output length feeds the history window and its observers hear of
+// it. Freeing its KV is the caller's, since a static batch keeps finished
+// lanes allocated until the whole batch drains.
+func (e *Engine) finish(r *request.Request) {
+	r.Finish(e.clock)
+	e.recordFinishedLength(r.Class, r.TrueOutputLen)
+	e.finished = append(e.finished, r)
+	e.released = true
+	if e.hooks.OnFinish != nil {
+		e.hooks.OnFinish(e.clock, r)
+	}
+	if e.rec != nil {
+		e.rec.Finish(e.clock, r, e.obsPool, e.obsRep)
+	}
+}
+
+// decodeRunning gives every running request one token, after ensureExtendable
+// made room for it, and returns the fewest tokens any of them has left.
+func (e *Engine) decodeRunning() (minLeft int) {
+	minLeft = math.MaxInt
+	for _, r := range e.running {
+		if !e.pool.Extend(r.KV, 1) {
+			noRoom(r, 1)
+		}
+		e.emit(r)
+		minLeft = min(minLeft, r.RemainingTrue())
+	}
+	return minLeft
 }
 
 // runDecode executes one decode step: every running request emits one token.
@@ -589,24 +625,7 @@ func (e *Engine) runDecode() {
 	dur := e.scaled(e.cfg.Perf.DecodeTime(n, kvTokens))
 	e.clock += dur
 	e.decodeSteps++
-	minLeft := math.MaxInt
-	for _, r := range e.running {
-		if !e.pool.Extend(r.KV, 1) {
-			// ensureExtendable guarantees space; defensive requeue.
-			e.requeue(r)
-			continue
-		}
-		first := r.FirstTokenAt < 0
-		r.EmitToken(e.clock)
-		if e.hooks.OnToken != nil {
-			e.hooks.OnToken(e.clock, r)
-		}
-		if first && e.rec != nil {
-			e.rec.FirstToken(e.clock, r, e.obsPool, e.obsRep)
-		}
-		e.outputTokens++
-		minLeft = min(minLeft, r.RemainingTrue())
-	}
+	minLeft := e.decodeRunning()
 	e.completeDone()
 	e.pureDecode = e.keptBatch(batch)
 	if e.pureDecode {
@@ -658,42 +677,20 @@ func (e *Engine) runMixed() {
 			finishedPrefills = append(finishedPrefills, p.req)
 		}
 	}
-	// Drop completed prefills from the chunk pipeline (FIFO prefix).
-	remaining := e.prefilling[:0]
-	for _, p := range e.prefilling {
-		if p.need > 0 {
-			remaining = append(remaining, p)
-		}
-	}
-	e.prefilling = remaining
+	e.dropLanded()
 
 	e.ensureExtendable(e.running)
 	lanes := len(e.running) // eviction may have shrunk the batch
 
 	computeTokens := decodeTokens + chunkUsed
 	kvTokens := e.pool.UsedTokens() + lanes
-	dur := e.scaled(e.cfg.Perf.MixedTime(computeTokens, kvTokens) + e.pendingSwapIn)
+	dur := e.scaled(e.cfg.Perf.DecodeTime(computeTokens, kvTokens) + e.pendingSwapIn)
 	e.prefillComputeTokens += int64(chunkUsed)
 	e.pendingSwapIn = 0
 	e.clock += dur
-	e.mixedIters++
 	e.decodeSteps++ // a mixed iteration advances decoding by one step
 
-	for _, r := range e.running {
-		if !e.pool.Extend(r.KV, 1) {
-			e.requeue(r) // defensive; ensureExtendable guarantees space
-			continue
-		}
-		first := r.FirstTokenAt < 0
-		r.EmitToken(e.clock)
-		if e.hooks.OnToken != nil {
-			e.hooks.OnToken(e.clock, r)
-		}
-		if first && e.rec != nil {
-			e.rec.FirstToken(e.clock, r, e.obsPool, e.obsRep)
-		}
-		e.outputTokens++
-	}
+	e.decodeRunning()
 	// Fully chunked prompts join the running batch; their first token is
 	// emitted on the next mixed iteration, like prefill-priority admission.
 	e.running = append(e.running, finishedPrefills...)
@@ -702,28 +699,20 @@ func (e *Engine) runMixed() {
 	e.iterationHook("mixed", dur, lanes+nChunked)
 }
 
-// requeue returns a request to the queue front after a failed extension.
-func (e *Engine) requeue(r *request.Request) {
-	if e.pool.Allocated(r.KV) {
-		e.free(r)
-	}
-	for i, rr := range e.running {
-		if rr == r {
-			e.running = append(e.running[:i], e.running[i+1:]...)
-			break
+// dropLanded removes from the chunk pipeline the prompts with nothing left to
+// encode, keeping the rest in order.
+func (e *Engine) dropLanded() {
+	remaining := e.prefilling[:0]
+	for _, p := range e.prefilling {
+		if p.need > 0 {
+			remaining = append(remaining, p)
 		}
 	}
-	r.State = request.Waiting
-	r.Evictions++
-	e.evictions++
-	e.queue.PushFront(r)
-	if e.rec != nil {
-		e.rec.Evict(e.clock, r, e.obsPool, e.obsRep)
-	}
+	e.prefilling = remaining
 }
 
-// completeDone finishes every running request whose output is complete:
-// memory is released and the actual output length feeds the history window.
+// completeDone finishes and frees every running request whose output is
+// complete.
 func (e *Engine) completeDone() {
 	kept := e.running[:0]
 	for _, r := range e.running {
@@ -732,16 +721,7 @@ func (e *Engine) completeDone() {
 			continue
 		}
 		e.free(r)
-		e.released = true
-		r.Finish(e.clock)
-		e.recordFinishedLength(r.Class, r.TrueOutputLen)
-		e.finished = append(e.finished, r)
-		if e.hooks.OnFinish != nil {
-			e.hooks.OnFinish(e.clock, r)
-		}
-		if e.rec != nil {
-			e.rec.Finish(e.clock, r, e.obsPool, e.obsRep)
-		}
+		e.finish(r)
 	}
 	e.running = kept
 }

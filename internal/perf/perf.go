@@ -178,25 +178,14 @@ func (m *Model) PrefillMarginal(base, extra int) float64 {
 }
 
 // DecodeTime returns the duration of one decode step for a batch of
-// batchSize requests whose KV caches total kvTokens tokens.
+// batchSize requests whose KV caches total kvTokens tokens. A splitfuse
+// iteration is priced the same way, with batchSize the tokens of work it
+// processes (decode tokens plus prefill-chunk tokens).
 func (m *Model) DecodeTime(batchSize, kvTokens int) float64 {
 	if batchSize <= 0 {
 		return 0
 	}
 	compute := float64(batchSize) * m.flopsPerToken / m.flops
-	bytes := m.weightBytes + float64(kvTokens)*m.kvPerToken
-	memory := bytes / m.bw
-	return m.overhead + maxf(compute, memory)
-}
-
-// MixedTime returns the duration of one splitfuse iteration that processes
-// computeTokens tokens of work (decode tokens plus prefill-chunk tokens)
-// against a running KV footprint of kvTokens.
-func (m *Model) MixedTime(computeTokens, kvTokens int) float64 {
-	if computeTokens <= 0 {
-		return 0
-	}
-	compute := float64(computeTokens) * m.flopsPerToken / m.flops
 	bytes := m.weightBytes + float64(kvTokens)*m.kvPerToken
 	memory := bytes / m.bw
 	return m.overhead + maxf(compute, memory)
@@ -210,11 +199,11 @@ func (m *Model) ChunkOverhead() float64 { return m.chunkOH }
 // ChunkedTime returns the duration of one chunked-prefill iteration:
 // chunkTokens prompt tokens (across chunks prefill chunks, each paying the
 // per-chunk overhead) fused with a decodeBatch-wide decode step against a
-// running KV footprint of kvTokens. With chunks == 0 it degrades to
-// MixedTime exactly, which is how a pure-decode iteration under chunked
-// scheduling prices identically to DecodeTime.
+// running KV footprint of kvTokens. With chunks == 0 it is DecodeTime over
+// the iteration's tokens, which is how a pure-decode iteration under chunked
+// scheduling prices identically to a plain decode step.
 func (m *Model) ChunkedTime(chunkTokens, chunks, decodeBatch, kvTokens int) float64 {
-	t := m.MixedTime(chunkTokens+decodeBatch, kvTokens)
+	t := m.DecodeTime(chunkTokens+decodeBatch, kvTokens)
 	if chunks > 0 {
 		t += float64(chunks) * m.chunkOH
 	}

@@ -81,17 +81,17 @@ func TestDecodeThroughputImprovesWithBatch(t *testing.T) {
 
 func TestZeroWorkZeroTime(t *testing.T) {
 	m := a100_7b(t)
-	if m.PrefillTime(0) != 0 || m.DecodeTime(0, 1000) != 0 || m.MixedTime(0, 10) != 0 {
+	if m.PrefillTime(0) != 0 || m.DecodeTime(0, 1000) != 0 || m.ChunkedTime(0, 0, 0, 10) != 0 {
 		t.Fatal("zero work must take zero time")
 	}
 }
 
 func TestMixedBetweenPrefillAndDecode(t *testing.T) {
 	m := a100_7b(t)
-	// A splitfuse step doing 256 tokens of work over the same KV footprint
+	// A chunked step doing 256 tokens of work over the same KV footprint
 	// costs at least a plain decode step of the same batch and less than a
 	// monolithic 4k prefill.
-	mixed := m.MixedTime(256, 50_000)
+	mixed := m.ChunkedTime(240, 1, 16, 50_000)
 	if mixed < m.DecodeTime(1, 50_000) {
 		t.Fatalf("mixed %v below minimal decode", mixed)
 	}
