@@ -85,8 +85,9 @@ var update = flag.Bool("update", false, "re-record testdata/traces.golden")
 
 // traceScenarios are the scenarios whose recorded output traces.golden pins:
 // a crash storm with recovery on a shedding disaggregated fleet, chunked long
-// prompts, and cached multi-turn prefixes.
-var traceScenarios = []string{"faults", "longctx", "multiturn"}
+// prompts, cached multi-turn prefixes, and three fleets whose replicas hold
+// admission rounds that admit nothing — a ramp, an overload and mixed GPUs.
+var traceScenarios = []string{"faults", "longctx", "multiturn", "ramp", "overload", "hetero"}
 
 // TestRecordedOutputMatchesGolden pins what the recorder sees, not only what
 // the run reports: every export of each trace scenario at seed 1 hashes to the
