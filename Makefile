@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check staticcheck bench bench-smoke bench-fleet bench-scale chaos fuzz examples pins cover ci
+.PHONY: build test vet fmt-check staticcheck bench bench-smoke bench-fleet bench-scale pairs chaos fuzz examples pins cover ci
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,17 @@ bench-fleet:
 bench-scale:
 	./scripts/bench.sh scale
 
+# pairs compares the whole-run benchmark (BENCHMARK.json) of the working tree
+# with a base commit on one workload, over N pairs whose order alternates
+# (scripts/pairs.sh): each side's median and quartiles of requests_per_s and
+# setup_s, and how many pairs the change won. It fails if any run reports
+# "correct":false. engine-closed takes ~6 min at N=10.
+W ?= engine-closed
+N ?= 10
+BASE ?= HEAD
+pairs:
+	./scripts/pairs.sh $(W) $(N) $(BASE)
+
 # chaos sweeps the fault-injection suite under the race detector: randomized
 # crash/retry conservation across CHAOS_SEEDS seeds (default 5), the KV-link
 # backoff/busy-monotonicity properties, the 4-seed faults-disabled
@@ -82,7 +93,8 @@ bench-scale:
 # decision equals the exact sweep's), and the coasted-decode-step pins
 # (TestCoastMatchesPerTokenPath: an engine that owes its batch tokens and one
 # that walks it every step are indistinguishable, per case and seed;
-# TestCoastRunIsPredicted: a run's priced end is where coasting stops;
+# TestCoastRunIsPredicted: a run's priced end is where coasting stops or an
+# admission round is held, refused or not;
 # TestCoastRunMatchesPerStepPath: a cluster that pops one event per run of
 # coasted steps and its per-step twin are indistinguishable — decisions,
 # every request's times, span, time-series and Perfetto exports — on the

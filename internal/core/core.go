@@ -83,6 +83,7 @@ type Entry struct {
 // incremental PeakEstimator instead, which is cross-checked against this
 // function for bit-identical results.
 //
+// Remaining lengths are clamped into [0, 2^31−1] first (see maxRemaining).
 // Sorting by remaining length descending, the memory at the moment the i-th
 // request finishes is
 //
@@ -97,9 +98,7 @@ func FutureRequiredMemory(entries []Entry) int {
 	sorted := make([]Entry, len(entries))
 	copy(sorted, entries)
 	for i := range sorted {
-		if sorted[i].Remaining < 0 {
-			sorted[i].Remaining = 0 // finished-this-step requests hold memory but grow no further
-		}
+		sorted[i].Remaining = clampRemaining(sorted[i].Remaining)
 	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Remaining > sorted[j].Remaining })
 	peak := 0

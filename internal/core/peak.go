@@ -66,6 +66,18 @@ type PeakEstimator struct {
 // from overflow when a candidate's Current is added on top.
 const negInfPeak = -1 << 60
 
+// maxRemaining caps a Remaining length wherever M* is computed. No KV pool
+// holds 2^31 tokens, so the cap moves no peak that a limit below it can see;
+// what it buys is that (n+1)·Remaining stays under 2^61 while n < 2^30, so no
+// completion point wraps — a cold-start cap of 2^62 used to wrap M* negative
+// and admit.
+const maxRemaining = 1<<31 - 1
+
+// clampRemaining folds a Remaining length into [0, maxRemaining]: negative
+// lengths (a request finished this step holds memory but grows no further)
+// to zero, huge ones to the cap.
+func clampRemaining(r int) int { return min(max(r, 0), maxRemaining) }
+
 // Reset empties the estimator, retaining capacity.
 func (pe *PeakEstimator) Reset() {
 	pe.ent = pe.ent[:0]
@@ -76,13 +88,10 @@ func (pe *PeakEstimator) Reset() {
 // Len returns the number of entries pushed since the last Reset.
 func (pe *PeakEstimator) Len() int { return len(pe.ent) }
 
-// Push adds an entry to the batch. Negative remaining lengths are clamped
-// to zero exactly like the reference implementation (a finished-this-step
-// request holds memory but grows no further).
+// Push adds an entry to the batch. Remaining lengths are clamped into
+// [0, maxRemaining] exactly like the reference implementation.
 func (pe *PeakEstimator) Push(e Entry) {
-	if e.Remaining < 0 {
-		e.Remaining = 0
-	}
+	e.Remaining = clampRemaining(e.Remaining)
 	if pe.unsorted || len(pe.ent) == 0 {
 		// Build phase: defer sorting to the first query.
 		if len(pe.ent) == 0 || e.Remaining < pe.minR {
@@ -162,10 +171,8 @@ func (pe *PeakEstimator) flush() {
 // sort compares machine words instead of calling a comparator per pair. Ties
 // come out ordered by Current, which M* cannot see: it depends on the entry
 // multiset only, and every rank lands on a tie group's boundary. It reports
-// false, the entries untouched, when a field does not fit its half: during
-// cold start Remaining is the request's cap, and a direct engine caller may
-// pass a max_new_tokens of 2^62 (the server answers 400 to any cap above the
-// KV capacity).
+// false, the entries untouched, when a Current does not fit its half
+// (Remaining always does: Push clamps it under 2^31).
 func (pe *PeakEstimator) sortPacked() bool {
 	keys := pe.keys[:0]
 	for _, e := range pe.ent {
@@ -254,13 +261,13 @@ func (pe *PeakEstimator) PeakWith(cand Entry) int {
 // The shortcut needs PeakWith's maximum to cover the term, which holds as
 // long as nothing wraps: PeakWith takes a maximum before adding the
 // candidate's Current, and a wrapped sum there could drop below the term.
-// Every term is at most ΣCurrent + (n+1)·max Remaining, so with each value
-// under 2^32 and n+1 ≤ 2^30 none wraps; outside that range — a negative
-// Current, a cap of 2^62 during cold start — Exceeds goes straight to
+// Every term is at most ΣCurrent + (n+1)·max Remaining, so with each Current
+// under 2^32, every Remaining clamped under 2^31 and n+1 ≤ 2^30 none wraps;
+// outside that range — a negative or huge Current — Exceeds goes straight to
 // PeakWith. Either way its answer is exactly PeakWith(cand) > limit.
 func (pe *PeakEstimator) Exceeds(cand Entry, limit int) bool {
 	if pe.unsorted || len(pe.ent) == 0 {
-		r, n := max(cand.Remaining, 0), len(pe.ent)
+		r, n := clampRemaining(cand.Remaining), len(pe.ent)
 		fits := (pe.bits|uint64(cand.Current)|uint64(r))>>32 == 0 && n < 1<<30
 		if n > 0 {
 			r = min(r, pe.minR)
@@ -284,9 +291,7 @@ type PeakTerms struct{ a, d int }
 // Terms returns the PeakTerms of a candidate with the given remaining length.
 // They hold until the next Push or Reset.
 func (pe *PeakEstimator) Terms(remaining int) PeakTerms {
-	if remaining < 0 {
-		remaining = 0
-	}
+	remaining = clampRemaining(remaining)
 	pe.flush()
 	p := pe.rank(remaining)
 	// The candidate's own completion point at rank p+1.

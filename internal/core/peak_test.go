@@ -67,8 +67,8 @@ func TestPeakEstimatorPeakWithMatchesReferenceQuick(t *testing.T) {
 // the hand-written rank must land after a run of ties exactly where the
 // reference's sort puts the candidate. Above the limit the sort packs an
 // entry into one word; the widest spread includes a Remaining of 2^40 (a
-// cold-start prediction of a huge max_new_tokens), which does not fit and
-// must take the exact path.
+// cold-start prediction of a huge max_new_tokens), which both sides clamp to
+// 2^31−1 and so ties with its neighbour 2^40−1.
 func TestPeakEstimatorAcrossSortSizes(t *testing.T) {
 	var est PeakEstimator
 	for _, n := range []int{300, 0, 1, 2, insertionSortMax - 1, insertionSortMax, insertionSortMax + 1, 64, 300} {
@@ -106,8 +106,7 @@ func TestPeakEstimatorAcrossSortSizes(t *testing.T) {
 			}
 		}
 	}
-	// Warm, no sort allocates: the packed keys live in a reused scratch slice,
-	// and an entry that does not fit falls back to the comparator sort.
+	// Warm, no sort allocates: the packed keys live in a reused scratch slice.
 	for _, wide := range []int{0, 1 << 40} {
 		allocs := testing.AllocsPerRun(20, func() {
 			est.Reset()
@@ -212,9 +211,10 @@ func checkExceeds(t *testing.T, entries []Entry, split int, cand Entry) (shortcu
 
 // TestPeakExceedsMatchesPeakWith: Exceeds(cand, limit) is PeakWith(cand) >
 // limit on buffered and on spliced estimators — the empty one, all ties,
-// negative Remaining on entries and on the candidate, values near 2^62 (where
-// sums wrap and the shortcut must stand aside), and randomized batches
-// shaped like a knee, where the last completion point usually is the peak.
+// negative Remaining on entries and on the candidate, Remaining near 2^62
+// (clamped to 2^31−1, so no sum wraps), Current past 2^32 or negative (where
+// the shortcut must stand aside), and randomized batches shaped like a knee,
+// where the last completion point usually is the peak.
 func TestPeakExceedsMatchesPeakWith(t *testing.T) {
 	const big = 1 << 62
 	shortcuts := 0
@@ -231,10 +231,9 @@ func TestPeakExceedsMatchesPeakWith(t *testing.T) {
 		{"negative candidate", []Entry{{10, 3}, {4, 1}, {8, 6}}, Entry{Current: 2, Remaining: -5}},
 		{"cap 2^62 everywhere", []Entry{{100, big}, {200, big - 3}}, Entry{Current: 50, Remaining: big}},
 		{"2^32 edge", []Entry{{1<<32 - 1, 1<<32 - 1}, {1, 1}}, Entry{Current: 1 << 32, Remaining: 0}},
-		// The last-rank term fits (2^22 + 3) while PeakWith's maximum wraps
-		// to 0 past the candidate's Current: the shortcut would refuse
-		// where PeakWith admits, so it must not run here.
-		{"term fits, maximum wraps", []Entry{{0, big - 1<<20}, {0, 1}}, Entry{Current: 1 << 22, Remaining: big - 1<<20 + 1}},
+		// Before Remaining was clamped, PeakWith's maximum wrapped to 0 here
+		// past the candidate's Current and admitted under any limit.
+		{"wrapped before the clamp", []Entry{{0, big - 1<<20}, {0, 1}}, Entry{Current: 1 << 22, Remaining: big - 1<<20 + 1}},
 		{"negative current", []Entry{{-1 << 40, 5}, {1 << 40, 5}}, Entry{Current: 7, Remaining: 1}},
 	} {
 		for split := 0; split <= len(c.entries); split++ {
@@ -259,6 +258,17 @@ func TestPeakExceedsMatchesPeakWith(t *testing.T) {
 	}
 	if shortcuts == 0 {
 		t.Fatal("no answer came from the build-phase term: the shortcut is never exercised")
+	}
+	// The case that wrapped: its peak is at least one clamped Remaining.
+	wrapped := []Entry{{0, big - 1<<20}, {0, 1}}
+	cand := Entry{Current: 1 << 22, Remaining: big - 1<<20 + 1}
+	for split := -1; split <= len(wrapped); split++ {
+		if got := buildEstimator(wrapped, split).PeakWith(cand); got < maxRemaining {
+			t.Fatalf("split %d: PeakWith = %d, want at least %d", split, got, maxRemaining)
+		}
+	}
+	if got := futurePeakWithCandidate(wrapped, cand); got < maxRemaining {
+		t.Fatalf("FutureRequiredMemory = %d, want at least %d", got, maxRemaining)
 	}
 }
 

@@ -22,9 +22,38 @@ type coastRun struct {
 	t     *testing.T
 	seed  uint64
 	e     *Engine
+	sched *countingScheduler // the engine's scheduler, counting its rounds
 	reqs  []*request.Request // every request the case ever submitted
 	log   []string
 	looks int
+	// refusedCoasts counts the Steps that held an admission round and
+	// coasted: the round admitted nothing.
+	refusedCoasts int
+}
+
+// countingScheduler counts the admission rounds the engine holds: the
+// coasting engine must ask its scheduler exactly when the per-token one does.
+type countingScheduler struct {
+	core.Scheduler
+	calls int
+}
+
+func (s *countingScheduler) Admit(v *core.View, queue []*request.Request) int {
+	s.calls++
+	return s.Scheduler.Admit(v, queue)
+}
+
+// newEngine builds the engine of one twin, its scheduler wrapped in a
+// countingScheduler.
+func (cr *coastRun) newEngine(cfg Config) {
+	cr.sched = &countingScheduler{Scheduler: cfg.Scheduler}
+	cfg.Scheduler = cr.sched
+	cfg.Perf = testPerf(cr.t)
+	e, err := New(cfg)
+	if err != nil {
+		cr.t.Fatal(err)
+	}
+	cr.e = e
 }
 
 func (cr *coastRun) logf(format string, args ...any) {
@@ -87,8 +116,12 @@ func stamp(r *request.Request) string {
 // engine still has work.
 func (cr *coastRun) steps(n, every int) bool {
 	for i := 0; i < n; i++ {
+		round, coasted := cr.e.roundDue(), cr.e.coastedSteps
 		if !cr.e.Step() {
 			return false
+		}
+		if round && cr.e.coastedSteps > coasted {
+			cr.refusedCoasts++
 		}
 		cr.glance()
 		if cr.e.decodeSteps%every == 0 {
@@ -106,7 +139,8 @@ func (cr *coastRun) finish() *Result {
 	res := cr.e.Snapshot()
 	sc := *res
 	sc.Finished, sc.Failed, sc.TimedOut, sc.HandedOff, sc.CoastedSteps = nil, nil, nil, nil, 0
-	cr.logf("result %+v finished=%d failed=%d timedout=%d", sc, len(res.Finished), len(res.Failed), len(res.TimedOut))
+	cr.logf("result %+v finished=%d failed=%d timedout=%d admits=%d",
+		sc, len(res.Finished), len(res.Failed), len(res.TimedOut), cr.sched.calls)
 	for _, r := range cr.reqs {
 		cr.logf("final %s", stamp(r))
 	}
@@ -174,6 +208,8 @@ type coastCase struct {
 	drive   func(cr *coastRun) *Result
 	want    func(res *Result) bool
 	noCoast bool // the engine must never coast (multi-token blocks)
+	// refused: some Step that held an admission round must have coasted.
+	refused bool
 }
 
 func pastFutureCase(name string, pf func(seed uint64) core.PastFutureConfig) coastCase {
@@ -210,7 +246,53 @@ func memoryEdgeCase(blockSize int) coastCase {
 	}
 }
 
+// A pool at the memory knee behind a standing queue: kneeRequests requests
+// with long outputs arrive within a few seconds on a pool that holds a
+// fraction of them, so most rounds refuse the queue's head while the batch
+// decodes on. With a timeout, queued requests are dropped while it does.
+const kneeRequests = 70
+
+func kneeConfig(sched core.Scheduler, seed uint64, timeout float64) Config {
+	return Config{Scheduler: sched, CapacityOverride: 7000, QueueTimeout: timeout, SeedHistory: seedHistory(seed, 500)}
+}
+
+func kneeStream(seed uint64) []*request.Request { return stream(seed, kneeRequests, 0.05, 150, 500) }
+
+func kneeCase(name string, sched func(seed uint64) core.Scheduler, timeout float64) coastCase {
+	return coastCase{
+		name: "knee/" + name,
+		cfg:  func(cr *coastRun) Config { return kneeConfig(sched(cr.seed), cr.seed, timeout) },
+		drive: func(cr *coastRun) *Result {
+			cr.submit(kneeStream(cr.seed)...)
+			return cr.finish()
+		},
+		want: func(res *Result) bool {
+			if timeout > 0 {
+				return len(res.TimedOut) > 0 && len(res.Finished)+len(res.TimedOut) == kneeRequests
+			}
+			return len(res.Finished) == kneeRequests
+		},
+		refused: true,
+	}
+}
+
+// kneeSampling is a Past-Future scheduler in sampling mode for kneeCase.
+func kneeSampling(pf core.PastFutureConfig) func(seed uint64) core.Scheduler {
+	return func(seed uint64) core.Scheduler {
+		pf.Reserved, pf.Rng = 0.05, rng.New(seed)
+		return core.MustNewPastFuture(pf)
+	}
+}
+
 var coastCases = []coastCase{
+	kneeCase("past-future-sampling", kneeSampling(core.PastFutureConfig{}), 0),
+	// Every round redraws each length Samples times: SmallBatch above any
+	// batch plus queue this pool holds.
+	kneeCase("past-future-multi-sample", kneeSampling(core.PastFutureConfig{SmallBatch: 1000}), 0),
+	kneeCase("past-future-no-resample", kneeSampling(core.PastFutureConfig{NoResample: true}), 0),
+	kneeCase("oracle", func(uint64) core.Scheduler { return core.NewOracle() }, 0),
+	kneeCase("aggressive-full-pool", func(uint64) core.Scheduler { return core.MustNewAggressive(1.0) }, 0),
+	kneeCase("past-future-queue-timeout", kneeSampling(core.PastFutureConfig{}), 3),
 	pastFutureCase("past-future-sampling", func(seed uint64) core.PastFutureConfig {
 		return core.PastFutureConfig{Reserved: 0.05, Rng: rng.New(seed)}
 	}),
@@ -376,23 +458,18 @@ var coastCases = []coastCase{
 // TestCoastMatchesPerTokenPath pins the O(1) decode step against the step it
 // replaces: every case runs twice, and an observer must not be able to tell
 // which engine walked its batch on every step — not between Steps, not in the
-// Result, not on any request. A case that never coasted fails: it compared
-// the per-token path with itself.
+// Result, not on any request, not in how often the scheduler was asked. A
+// case that never coasted fails: it compared the per-token path with itself;
+// so does a knee case none of whose refused rounds coasted.
 func TestCoastMatchesPerTokenPath(t *testing.T) {
 	for _, tc := range coastCases {
 		for _, seed := range coastSeeds(t) {
 			run := func(perToken bool) (*coastRun, *Result) {
 				cr := &coastRun{t: t, seed: seed}
-				cfg := tc.cfg(cr)
-				cfg.Perf = testPerf(t)
-				e, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				cr.newEngine(tc.cfg(cr))
 				if perToken {
-					e.AddTokenHook(func(float64, *request.Request) {})
+					cr.e.AddTokenHook(func(float64, *request.Request) {})
 				}
-				cr.e = e
 				return cr, tc.drive(cr)
 			}
 			ref, refRes := run(true)
@@ -407,6 +484,13 @@ func TestCoastMatchesPerTokenPath(t *testing.T) {
 				t.Fatalf("%s seed %d: coasted %d of %d decode steps, want none: %v",
 					tc.name, seed, gotRes.CoastedSteps, gotRes.DecodeSteps, tc.noCoast)
 			}
+			if tc.refused && got.refusedCoasts == 0 {
+				t.Fatalf("%s seed %d: no step that held an admission round coasted (%d of %d decode steps coasted)",
+					tc.name, seed, gotRes.CoastedSteps, gotRes.DecodeSteps)
+			}
+			if got.sched.calls != ref.sched.calls {
+				t.Fatalf("%s seed %d: %d admission rounds, per-token path %d", tc.name, seed, got.sched.calls, ref.sched.calls)
+			}
 			sameLog(t, fmt.Sprintf("%s seed %d", tc.name, seed), got.log, ref.log)
 		}
 	}
@@ -414,11 +498,14 @@ func TestCoastMatchesPerTokenPath(t *testing.T) {
 
 // TestCoastRunIsPredicted pins the two calls a caller that schedules runs of
 // coasted steps relies on. Driven Step by Step and left alone, an engine's
-// CoastEnd after every Step is the clock the first following Step that does
-// not coast starts at. And driven the cluster's way — CoastUntil to a point
-// inside each run, to the start of a step there (taken only when inclusive),
-// to the run's end, then one Step — it ends exactly where the Step-by-Step
-// engine does: every request and the Result, floats bit for bit.
+// CoastEnd after every Step is the clock the first following Step that holds
+// an admission round or does not coast starts at: a step holding a round ends
+// a run even when the round admits nothing and the step coasts. And driven
+// the cluster's way — CoastUntil to a point inside each run, to the start of
+// a step there (taken only when inclusive), to the run's end (where an
+// inclusive catch-up takes no step if a round is due there), then one Step —
+// it ends exactly where the Step-by-Step engine does: every request and the
+// Result, floats bit for bit.
 func TestCoastRunIsPredicted(t *testing.T) {
 	cases := []struct {
 		name string
@@ -429,6 +516,9 @@ func TestCoastRunIsPredicted(t *testing.T) {
 			return Config{Scheduler: core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.05, Rng: rng.New(seed)}),
 				CapacityOverride: 9000, SeedHistory: seedHistory(seed, 300)}
 		}, func(seed uint64) []*request.Request { return stream(seed, 60, 0.25, 200, 300) }},
+		{"knee", func(seed uint64) Config {
+			return kneeConfig(kneeSampling(core.PastFutureConfig{})(seed), seed, 0)
+		}, kneeStream},
 		{"memory-edge", func(uint64) Config {
 			return Config{Scheduler: core.MustNewAggressive(1.0), CapacityOverride: 1200}
 		}, func(uint64) []*request.Request {
@@ -439,6 +529,7 @@ func TestCoastRunIsPredicted(t *testing.T) {
 			return rs
 		}},
 	}
+	refusedCoasts := 0 // Steps that held a round and coasted, over every case
 	for _, tc := range cases {
 		for _, seed := range coastSeeds(t) {
 			for _, slow := range []float64{1, 3} {
@@ -455,24 +546,30 @@ func TestCoastRunIsPredicted(t *testing.T) {
 
 				ref, refReqs := build()
 				var starts []float64 // the clock each Step started at
-				var coasted []bool
-				var preds []float64 // CoastEnd before each Step
+				var ends []bool      // whether the Step held a round or did not coast
+				var preds []float64  // CoastEnd before each Step
+				refused := 0         // Steps that held a round and coasted
 				for {
 					starts, preds = append(starts, ref.Clock()), append(preds, ref.CoastEnd())
-					before := ref.coastedSteps
+					round, before := ref.roundDue(), ref.coastedSteps
 					if !ref.Step() {
 						break
 					}
-					coasted = append(coasted, ref.coastedSteps > before)
+					coasted := ref.coastedSteps > before
+					ends = append(ends, round || !coasted)
+					if round && coasted {
+						refused++
+					}
 				}
+				refusedCoasts += refused
 				runs := 0
-				for i, pred := range preds[:len(coasted)] {
+				for i, pred := range preds[:len(ends)] {
 					j := i
-					for j < len(coasted) && coasted[j] {
+					for j < len(ends) && !ends[j] {
 						j++
 					}
 					if pred != starts[j] {
-						t.Fatalf("%s: before step %d CoastEnd said %v; the first step that did not coast started at %v",
+						t.Fatalf("%s: before step %d CoastEnd said %v; the first step that held a round or did not coast started at %v",
 							label, i, pred, starts[j])
 					}
 					if j > i {
@@ -484,7 +581,7 @@ func TestCoastRunIsPredicted(t *testing.T) {
 				}
 
 				got, gotReqs := build()
-				inclusiveTaken := 0
+				inclusiveTaken, dueChecked := 0, 0
 				for !got.Idle() {
 					if end := got.CoastEnd(); end > got.Clock() {
 						got.CoastUntil(got.Clock()+(end-got.Clock())/3, false)
@@ -502,10 +599,18 @@ func TestCoastRunIsPredicted(t *testing.T) {
 							t.Fatalf("%s: caught up to %v, the run was priced to end at %v", label, got.Clock(), end)
 						}
 					}
+					if got.roundDue() {
+						// The round is the Step's: a catch-up to this very
+						// clock must leave it alone.
+						if n := got.CoastUntil(got.Clock(), true); n != 0 {
+							t.Fatalf("%s: an inclusive catch-up to a due round took %d steps", label, n)
+						}
+						dueChecked++
+					}
 					got.Step()
 				}
-				if inclusiveTaken == 0 {
-					t.Fatalf("%s: no run was long enough to cut inside", label)
+				if inclusiveTaken == 0 || dueChecked == 0 {
+					t.Fatalf("%s: %d runs long enough to cut inside, %d due rounds caught up to", label, inclusiveTaken, dueChecked)
 				}
 				scalars := func(e *Engine) string {
 					res := *e.Snapshot()
@@ -522,6 +627,9 @@ func TestCoastRunIsPredicted(t *testing.T) {
 				}
 			}
 		}
+	}
+	if refusedCoasts == 0 {
+		t.Fatal("no step holding an admission round coasted: no run ended at a refused round")
 	}
 }
 
@@ -564,13 +672,8 @@ func fuzzConfig(b byte) Config {
 // tokens owed at that moment were emitted before anyone listened.
 func runFuzzOps(t *testing.T, data []byte, perToken bool) (*coastRun, *Result) {
 	cr := &coastRun{t: t}
-	cfg := fuzzConfig(data[0])
-	cfg.Perf = testPerf(t)
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr.e = e
+	cr.newEngine(fuzzConfig(data[0]))
+	e := cr.e
 	listening, tokens := false, 0
 	count := func(float64, *request.Request) {
 		if listening {

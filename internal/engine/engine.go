@@ -38,23 +38,29 @@
 // the batch: Step advances the engine-wide state — clock, counters, the
 // occupancy series, the iteration observers — and counts one more token owed
 // to each running request (see coast for the condition and the reason for
-// each of its terms). The invariant: between Steps a running request's
-// Generated, LastEmitAt, MaxGap and KV size may trail the engine by the owed
-// tokens; every method that hands out a running request or the pool
-// (RunningRequests, ForEachRunning, Pool, Crash, Snapshot) settles first, in
-// one pass over the batch, and so does Step before any iteration that is not
-// such a step. Read running requests through the engine, never through a
-// pointer kept across Steps. Every simulated number is the one the per-token
-// path produces — the same float additions in the same order — and an engine
-// with a token hook (the streaming server) stays on that path.
+// each of its terms). An admission round that admits nothing is such a thing:
+// before it the running requests get their owed tokens, the pool's growth
+// stays owed, and the scheduler reads the pool's numbers with that growth
+// counted — what a settled engine would show it. The invariant: between Steps
+// a running request's Generated, LastEmitAt, MaxGap and KV size may trail the
+// engine by the owed tokens; every method that hands out a running request or
+// the pool (RunningRequests, ForEachRunning, Pool, Crash, Snapshot) settles
+// first, in one pass over the batch, and so does Step before any iteration
+// that is not such a step. Read running requests through the engine, never
+// through a pointer kept across Steps. Every simulated number is the one the
+// per-token path produces — the same float additions in the same order, the
+// same scheduler calls — and an engine with a token hook (the streaming
+// server) stays on that path.
 //
 // Runs of such steps. Inside a run nothing but the clock moves, so where a run
 // ends follows from the engine's state alone: CoastEnd prices it step by step
 // without taking a step, and CoastUntil takes the run's steps up to a given
-// time. A caller that steps many engines on one clock (internal/cluster) can
-// so schedule one event at the end of a run and catch the engine up lazily
-// when something lands inside it; between those points the engine trails the
-// caller's clock, which is why it must be read only after the catch-up.
+// time. A run ends at the first step that holds an admission round, refused
+// or not, so a run holds none. A caller that steps many engines on one clock
+// (internal/cluster) can so schedule one event at the end of a run and catch
+// the engine up lazily when something lands inside it; between those points
+// the engine trails the caller's clock, which is why it must be read only
+// after the catch-up.
 package engine
 
 import (
@@ -406,16 +412,21 @@ type Engine struct {
 
 	// Coasted decode steps (see the package comment and coast). owed tokens
 	// are counted for every running request — in clock, outputTokens and the
-	// occupancy series — but not yet handed to it or to the pool; owedGap is
-	// the largest clock advance among the steps that owe them, each request's
-	// largest inter-token gap over the run. minLeft is the fewest tokens any
-	// running request had left to emit when the batch was last settled; it is
-	// positive only after a runDecode that kept its batch, the one state a
-	// run of coasted steps can start from.
+	// occupancy series — but not yet grown into the pool; the first handed of
+	// them were also handed to the requests (handOut, before an admission
+	// round), the rest not yet. owedGap is the largest clock advance among
+	// the steps that owe unhanded tokens, each request's largest inter-token
+	// gap over them. minLeft is the fewest tokens any running request had
+	// left to emit when the batch was last settled; it is positive only after
+	// a runDecode that kept its batch, the one state a run of coasted steps
+	// can start from. decided is the admission a coasting attempt's round
+	// settled on (refuse), taken by this Step's admit; 0 when none is pending.
 	owed         int
+	handed       int
 	owedGap      float64
 	minLeft      int
 	coastedSteps int
+	decided      int
 
 	// rec is the optional lifecycle recorder; obsPool/obsRep identify this
 	// engine in the cluster when emitting. nil disables every emission site

@@ -587,24 +587,33 @@ func BenchmarkEngineDecodeHeavy(b *testing.B) {
 // requests of 4000 output tokens on a pool that never fills, so after one
 // prefill every step but the last is a pure decode step. /coast is the engine
 // as built; /token-hook carries a no-op token hook and walks its batch on
-// every step — the per-token path the coasted step replaces.
-// BenchmarkEngineDecodeHeavy finishes a request every few steps and sees
-// next to none of the difference.
+// every step — the per-token path the coasted step replaces; /queued is
+// /coast with a 49th request queued behind the batch that Conservative
+// refuses until the batch drains (refusedBehind), so every step holds an
+// admission round that admits nothing. BenchmarkEngineDecodeHeavy finishes a
+// request every few steps and sees next to none of the difference.
 func BenchmarkEngineDecodeLong(b *testing.B) {
 	pm := perf.MustNew(perf.Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1)})
-	for _, tokenHook := range []bool{false, true} {
-		name := "coast"
-		if tokenHook {
-			name = "token-hook"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		tokenHook bool
+		queued    bool
+	}{{"coast", false, false}, {"token-hook", true, false}, {"queued", false, true}} {
+		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				e := MustNew(Config{Perf: pm, Scheduler: core.MustNewConservative(1.0), CapacityOverride: 400_000})
-				if tokenHook {
+				const capacity = 400_000
+				e := MustNew(Config{Perf: pm, Scheduler: core.MustNewConservative(1.0), CapacityOverride: capacity})
+				if c.tokenHook {
 					e.AddTokenHook(func(float64, *request.Request) {})
 				}
-				e.SubmitAll(mkReqs(48, 64, 4000, 4096))
-				if res := e.Run(); res.DecodeSteps != 4000 || (res.CoastedSteps > 0) == tokenHook {
+				reqs := mkReqs(48, 64, 4000, 4096)
+				steps := 4000
+				if c.queued {
+					reqs = append(reqs, refusedBehind(reqs, capacity))
+					steps++ // the 49th request's one token, after the batch drained
+				}
+				e.SubmitAll(reqs)
+				if res := e.Run(); res.DecodeSteps != steps || (res.CoastedSteps > 0) == c.tokenHook {
 					b.Fatalf("%d decode steps, %d coasted", res.DecodeSteps, res.CoastedSteps)
 				}
 				benchPool = e.Pool()
@@ -613,31 +622,53 @@ func BenchmarkEngineDecodeLong(b *testing.B) {
 	}
 }
 
+// refusedBehind returns a request, queued behind batch at time 0, whose
+// worst case (prompt + max_new_tokens) Conservative cannot reserve beside
+// the batch's on a pool of the given capacity: it is admitted only once the
+// batch has drained, then emits one token.
+func refusedBehind(batch []*request.Request, capacity int) *request.Request {
+	reserved := 0
+	for _, r := range batch {
+		reserved += r.InputLen + r.MaxNewTokens
+	}
+	return request.New(int64(len(batch)+1), 64, 1, capacity-reserved, 0)
+}
+
 // TestStepZeroAllocsNilRecorder pins the observability layer's engine-side
 // zero-cost contract: with no recorder attached, a warm steady-state decode
 // step allocates nothing — every emission site is a nil check, so tracing
-// support costs disabled runs nothing on the hot path.
+// support costs disabled runs nothing on the hot path. With a request queued
+// that the scheduler refuses, every measured step also holds an admission
+// round that admits nothing.
 func TestStepZeroAllocsNilRecorder(t *testing.T) {
-	e := newEngine(t, core.MustNewConservative(1.0), 200_000)
-	// A large decode-heavy batch: admissions settle, then every measured
-	// step is a pure decode iteration over warm storage — a coasted one.
-	for _, r := range mkReqs(32, 64, 4000, 4096) {
-		e.Submit(r)
-	}
-	for i := 0; i < 50; i++ {
-		if !e.Step() {
-			t.Fatal("engine drained during warmup; lengthen the requests")
+	for _, queued := range []bool{false, true} {
+		const capacity = 200_000
+		e := newEngine(t, core.MustNewConservative(1.0), capacity)
+		// A large decode-heavy batch: admissions settle, then every measured
+		// step is a pure decode iteration over warm storage — a coasted one.
+		reqs := mkReqs(32, 64, 4000, 4096)
+		if queued {
+			reqs = append(reqs, refusedBehind(reqs, capacity))
 		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if !e.Step() {
-			t.Fatal("engine drained mid-measurement; lengthen the requests")
+		for _, r := range reqs {
+			e.Submit(r)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("recorder-disabled Step allocates %v per op, want 0", allocs)
-	}
-	if res := e.Snapshot(); res.CoastedSteps < 100 {
-		t.Fatalf("%d of %d decode steps coasted; the measured steps were meant to", res.CoastedSteps, res.DecodeSteps)
+		for i := 0; i < 50; i++ {
+			if !e.Step() {
+				t.Fatal("engine drained during warmup; lengthen the requests")
+			}
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if !e.Step() {
+				t.Fatal("engine drained mid-measurement; lengthen the requests")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("queued %v: recorder-disabled Step allocates %v per op, want 0", queued, allocs)
+		}
+		if res := e.Snapshot(); res.CoastedSteps < 100 || e.QueueLen() != len(reqs)-32 {
+			t.Fatalf("queued %v: %d of %d decode steps coasted, %d queued; the measured steps were meant to coast",
+				queued, res.CoastedSteps, res.DecodeSteps, e.QueueLen())
+		}
 	}
 }

@@ -130,23 +130,24 @@ func (e *Engine) Step() bool {
 //     iterations never set minLeft);
 //   - owed+1 < minLeft: no running request emits its last token on this step,
 //     so nobody finishes, the history window holds and no hook fires;
-//   - nothing queued and no arrival due: no admission round (a sampling
-//     scheduler draws from its generator in every one) and no queue timeout;
 //   - no OnToken hook: nobody is told of tokens one by one;
 //   - block size 1 and a physically free block for every owed token and this
 //     step's: each token is one block, nothing is evicted, and no cached
 //     prefix block is reclaimed to make room (AvailableBlocks would count
-//     those as free).
+//     those as free);
+//   - no admission round, or one that admits nothing (refuse): a refused
+//     round changes nothing the decode step reads.
 //
 // What remains is engine-wide: the step's duration priced on the KV the batch
 // would hold, the clock, the counters, the occupancy series and the iteration
 // observers, all read off the owed-adjusted pool numbers.
 func (e *Engine) coast() bool {
 	n := len(e.running)
-	if e.owed+1 >= e.minLeft || e.queue.Len() > 0 ||
-		(e.arrivals.Len() > 0 && e.arrivals[0].at <= e.clock) ||
-		e.hooks.OnToken != nil ||
+	if e.owed+1 >= e.minLeft || e.hooks.OnToken != nil ||
 		e.pool.BlockSize() != 1 || (e.owed+1)*n > e.pool.FreeBlocks() {
+		return false
+	}
+	if e.roundDue() && !e.refuse() {
 		return false
 	}
 	prev := e.clock
@@ -165,15 +166,45 @@ func (e *Engine) coast() bool {
 	return true
 }
 
-// CoastEnd returns the clock at which the first Step that would not coast
-// starts, assuming nothing outside the engine touches it meanwhile: the
-// current clock when the next Step does not coast, else the end of the run of
-// coasted steps it begins. Only the clock moves inside such a run, so the run
-// ends at the first of: a request at its last token, the last free block, an
-// arrival falling due. Each step is priced as coast prices it — the same
-// scaled(DecodeTime(n, used+owed·n+n)) added in the same order — so the value
-// is exactly the clock that many Steps would reach. The cluster schedules
-// one event here instead of one per step.
+// roundDue reports whether the next Step holds an admission round: a request
+// waits in the queue or an arrival has fallen due.
+func (e *Engine) roundDue() bool {
+	return e.queue.Len() > 0 || e.arrivals.Len() > 0 && e.arrivals[0].at <= e.clock
+}
+
+// refuse holds the admission round of a step that may otherwise coast, as
+// the per-token Step would hold it, and reports whether it admitted nothing.
+// It queues the due arrivals; a queued request past QueueTimeout sends the
+// step down the per-token path, where dropExpired and its observers run.
+// Otherwise the running requests get their owed tokens (handOut) and decide
+// asks the scheduler. An admission is kept in decided for admit, so the
+// scheduler is asked once per step either way and a sampling scheduler draws
+// from its generator exactly as on the per-token path.
+func (e *Engine) refuse() bool {
+	e.moveArrivals()
+	for i := 0; i < e.queue.Len(); i++ {
+		if e.expired(e.queue.At(i)) {
+			return false
+		}
+	}
+	e.handOut()
+	if k := e.decide(); k > 0 {
+		e.decided = k
+		return false
+	}
+	return true
+}
+
+// CoastEnd returns the clock at which the first Step that holds an admission
+// round or does not coast starts, assuming nothing outside the engine touches
+// it meanwhile: the current clock when the next Step is such a step, else the
+// end of the run of coasted steps it begins. Only the clock moves inside such
+// a run, so the run ends at the first of: a request at its last token, the
+// last free block, an arrival falling due. Each step is priced as coast
+// prices it — the same scaled(DecodeTime(n, used+owed·n+n)) added in the same
+// order — so the value is exactly the clock that many Steps would reach. The
+// cluster schedules one event here instead of one per step, and so never
+// leaves a round to a catch-up.
 func (e *Engine) CoastEnd() float64 {
 	n := len(e.running)
 	if n == 0 || e.queue.Len() > 0 || e.hooks.OnToken != nil || e.pool.BlockSize() != 1 {
@@ -197,34 +228,54 @@ func (e *Engine) CoastEnd() float64 {
 
 // CoastUntil takes coasted steps while the next one starts before t — or at
 // t, when inclusive — and reports how many it took. It stops early where the
-// run does (CoastEnd): it never takes a step that would not coast. This is
-// how the cluster catches a replica up to an event that lands inside its run.
+// run does (CoastEnd): it never takes a step that would not coast, nor one
+// that holds an admission round, which is the Step's at the run's end. This
+// is how the cluster catches a replica up to an event that lands inside its
+// run.
 func (e *Engine) CoastUntil(t float64, inclusive bool) int {
 	k := 0
-	for (e.clock < t || inclusive && e.clock == t) && e.coast() {
+	for (e.clock < t || inclusive && e.clock == t) && !e.roundDue() && e.coast() {
 		k++
 	}
 	return k
 }
 
 // settle hands every running request the tokens coasted steps owe it — KV
-// growth, Generated, LastEmitAt, MaxGap — in one pass, leaving the engine as
-// the per-token path would have. The pool's usage only grew over the run, so
-// its peaks land on the values they would have reached token by token.
+// growth, and Generated, LastEmitAt, MaxGap where handOut has not already —
+// in one pass, leaving the engine as the per-token path would have. The
+// pool's usage only grew over the run, so its peaks land on the values they
+// would have reached token by token.
 func (e *Engine) settle() {
 	k := e.owed
 	if k == 0 {
 		return
 	}
-	e.owed = 0
+	emit := k - e.handed
 	for _, r := range e.running {
 		if !e.pool.Extend(r.KV, k) {
 			noRoom(r, k)
 		}
+		if emit > 0 {
+			r.EmitTokens(emit, e.clock, e.owedGap)
+		}
+	}
+	e.owed, e.handed, e.owedGap = 0, 0, 0
+	e.minLeft -= k
+}
+
+// handOut gives every running request the owed tokens it has not had yet —
+// Generated, LastEmitAt, MaxGap — and leaves the pool's growth owed. A
+// scheduler then reads the batch as a settled engine shows it; decide counts
+// the pool's owed growth for it.
+func (e *Engine) handOut() {
+	k := e.owed - e.handed
+	if k == 0 {
+		return
+	}
+	for _, r := range e.running {
 		r.EmitTokens(k, e.clock, e.owedGap)
 	}
-	e.minLeft -= k
-	e.owedGap = 0
+	e.handed, e.owedGap = e.owed, 0
 }
 
 // noRoom panics for a running request the pool could not grow by k tokens.
@@ -257,9 +308,7 @@ func (e *Engine) dropExpired() {
 		return
 	}
 	e.queue.Filter(
-		func(r *request.Request) bool {
-			return !(r.FirstTokenAt < 0 && e.clock-r.ArrivalTime > e.cfg.QueueTimeout)
-		},
+		func(r *request.Request) bool { return !e.expired(r) },
 		func(r *request.Request) {
 			r.MarkDropped(e.clock)
 			e.timedOut = append(e.timedOut, r)
@@ -274,13 +323,18 @@ func (e *Engine) dropExpired() {
 	)
 }
 
-// admit asks the scheduler for a FCFS prefix, allocates prompt memory, and
-// removes the admitted requests from the queue. All slices it hands out
-// (the scheduler's view, the OnAdmit hook argument, the returned admissions)
-// are per-step scratch buffers: valid until the next Step, never retained
-// by the engine, and must not be retained by hooks or schedulers. Reusing
-// them keeps a steady-state Step free of heap allocations.
-func (e *Engine) admit() []*request.Request {
+// expired reports whether a queued request has waited past QueueTimeout
+// without a token: dropExpired abandons it.
+func (e *Engine) expired(r *request.Request) bool {
+	return e.cfg.QueueTimeout > 0 && r.FirstTokenAt < 0 && e.clock-r.ArrivalTime > e.cfg.QueueTimeout
+}
+
+// decide builds the scheduler's view of the engine and asks it how long a
+// FCFS prefix of the queue to admit. The view counts the pool's owed growth,
+// so every scheduler sees the numbers a settled engine shows it; the running
+// requests must have had their owed tokens (handOut). Step asks at most once:
+// admit takes an answer coast already got (decided) instead of asking again.
+func (e *Engine) decide() int {
 	batchView := e.running
 	if len(e.prefilling) > 0 {
 		e.batchScratch = append(e.batchScratch[:0], e.running...)
@@ -294,15 +348,29 @@ func (e *Engine) admit() []*request.Request {
 	e.viewScratch = core.View{
 		Now:            e.clock,
 		CapacityTokens: e.pool.CapacityTokens(),
-		UsedTokens:     e.pool.UsedTokens(),
-		FreeTokens:     e.pool.FreeTokens(),
+		UsedTokens:     e.usedTokens(),
+		FreeTokens:     e.pool.FreeTokens() - e.owedTokens(),
 		Running:        batchView,
 		History:        e.history,
 	}
 	if e.classHist != nil {
 		e.viewScratch.ClassHistory = e.ClassWindow
 	}
-	n := e.sched.Admit(&e.viewScratch, e.queueScratch)
+	return e.sched.Admit(&e.viewScratch, e.queueScratch)
+}
+
+// admit asks the scheduler for a FCFS prefix, allocates prompt memory, and
+// removes the admitted requests from the queue. All slices it hands out
+// (the scheduler's view, the OnAdmit hook argument, the returned admissions)
+// are per-step scratch buffers: valid until the next Step, never retained
+// by the engine, and must not be retained by hooks or schedulers. Reusing
+// them keeps a steady-state Step free of heap allocations.
+func (e *Engine) admit() []*request.Request {
+	n := e.decided
+	e.decided = 0
+	if n == 0 {
+		n = e.decide()
+	}
 	if n <= 0 {
 		return nil
 	}
@@ -372,7 +440,7 @@ func (e *Engine) admit() []*request.Request {
 	// Record the ground-truth future peak of the post-admission batch
 	// (Table 1's "Future Required Memory") via the reusable estimator.
 	e.truePeak.Reset()
-	for _, r := range batchView {
+	for _, r := range e.viewScratch.Running {
 		e.truePeak.PushTrue(r)
 	}
 	for _, r := range admitted {

@@ -24,7 +24,9 @@
 # heap, the MaxPrefillTokens trim, a decode-heavy engine run end to end
 # (BenchmarkEngineDecodeHeavy), 4000 pure decode steps of a 48-request batch
 # (BenchmarkEngineDecodeLong: /coast as built, /token-hook on the per-token
-# path the coasted step replaces), the prefix-cache lookup of every block
+# path the coasted step replaces, /queued with a request queued behind the
+# batch that every step's admission round refuses), the prefix-cache lookup
+# of every block
 # of a chain with a pin/unpin cycle (BenchmarkPrefixMatch, 0 allocs steady
 # state), one churn step of a full prefix cache through reclaim, spill into
 # a full offload store and restore (BenchmarkPrefixChurn, 0 allocs), one
