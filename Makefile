@@ -65,12 +65,15 @@ bench-scale:
 # with a base commit on one workload, over N pairs whose order alternates
 # (scripts/pairs.sh): each side's median and quartiles of requests_per_s and
 # setup_s, and how many pairs the change won. It fails if any run reports
-# "correct":false. engine-closed takes ~6 min at N=10.
+# "correct":false. engine-closed takes ~6 min at N=10. SEED (default 1) is
+# the workload seed; a claimed gain must also hold on a second one, e.g.
+# make pairs W=engine-closed SEED=7.
 W ?= engine-closed
 N ?= 10
 BASE ?= HEAD
+SEED ?= 1
 pairs:
-	./scripts/pairs.sh $(W) $(N) $(BASE)
+	./scripts/pairs.sh $(W) $(N) $(BASE) $(SEED)
 
 # chaos sweeps the fault-injection suite under the race detector: randomized
 # crash/retry conservation across CHAOS_SEEDS seeds (default 5), the KV-link

@@ -28,7 +28,10 @@ import (
 
 // View is the engine state a scheduler sees when making an admission
 // decision. Schedulers must treat it as read-only except for the
-// PredictedLen scratch field on requests and the PredictedPeak output.
+// PredictedLen scratch field on requests and the PredictedPeak output. A
+// request's PredictedLen holds the prediction of the last round that priced
+// it; a round that refuses without pricing (PastFuture's refusal before
+// drawing) leaves it as it was.
 type View struct {
 	// Now is the simulation time of this scheduling step.
 	Now float64

@@ -77,6 +77,10 @@ type PastFuture struct {
 	// the window's generation check. A nil value memoises "class is cold,
 	// use the global sampler". Cleared (not reallocated) every step.
 	classMemo map[string]*dist.Sampler
+
+	// undrawn records that the last Admit refused the head before drawing
+	// (refusedUndrawn): it priced nothing and wrote no PredictedLen.
+	undrawn bool
 }
 
 // NewPastFuture validates the configuration and builds the scheduler.
@@ -91,6 +95,13 @@ func NewPastFuture(cfg PastFutureConfig) (*PastFuture, error) {
 	}
 	if !(cfg.Quantile >= 0 && cfg.Quantile <= 1) {
 		return nil, fmt.Errorf("core: quantile %v outside [0,1]", cfg.Quantile)
+	}
+	// A negative Samples would skip predict's draw loop and price every
+	// multi-sampled request at Generated+1 — the aggressive rule under this
+	// scheduler's name; negative SmallBatch and MinHistory are as meaningless.
+	if cfg.Samples < 0 || cfg.SmallBatch < 0 || cfg.MinHistory < 0 {
+		return nil, fmt.Errorf("core: negative samples %d, small batch %d or min history %d",
+			cfg.Samples, cfg.SmallBatch, cfg.MinHistory)
 	}
 	cfg = cfg.withDefaults()
 	return &PastFuture{cfg: cfg}, nil
@@ -116,9 +127,13 @@ func (pf *PastFuture) Reserved() float64 { return pf.cfg.Reserved }
 // Admit implements Algorithm 1. At each scheduling step it
 //
 //  1. rebuilds P(l) from the history window (Equation 1),
-//  2. resamples the predicted total output length of every running request
+//  2. refuses the queue's head before drawing anything when a floor under
+//     M* is already over the threshold — the batch's landed KV, the head's
+//     prompt and one more token for each of the n+1 — and skips the RNG
+//     past the draws steps 3 and 4 would have made (refusedUndrawn),
+//  3. resamples the predicted total output length of every running request
 //     from P(l > generated) — the "past" informing the present batch,
-//  3. walks the queue FCFS, sampling each candidate's length from P(l),
+//  4. walks the queue FCFS, sampling each candidate's length from P(l),
 //     computing the batch's future peak memory M* with the candidate
 //     included (Equations 2–4), and admitting while
 //     M* ≤ (1-reserved) × capacity — the "future" gate.
@@ -139,6 +154,10 @@ func (pf *PastFuture) Admit(v *View, queue []*request.Request) int {
 	}
 
 	pf.est.Reset()
+	pf.undrawn = pf.refusedUndrawn(v, global, queue[0], threshold, multi)
+	if pf.undrawn {
+		return 0
+	}
 	for _, r := range v.Running {
 		pred := pf.predict(pf.samplerFor(v, global, r), r, multi)
 		r.PredictedLen = pred
@@ -170,6 +189,64 @@ func (pf *PastFuture) Admit(v *View, queue []*request.Request) int {
 	return admitted
 }
 
+// refusedUndrawn is Admit's step 2, one pass over the batch that sums its
+// landed KV and counts the draws predict would make for it and the head.
+// Outside cold start every prediction leaves at least one token to come, so
+// the term Exceeds checks first with the head as candidate, ΣCurrent +
+// (n+1)·min Remaining, is at least ΣKVLanded + head.Footprint() + (n+1).
+// When that floor is over the threshold, the head is refused whatever the
+// draws would have been: refusedUndrawn skips the RNG past them, so every
+// later draw is the one the full round would have left, and reports true.
+//
+// It declines, and the round draws, when a request is in cold start (the cap
+// predict falls back to has no floor of 1), when a value lies outside
+// Exceeds' no-wrap range (every Current below 2^32, n below 2^30), or when a
+// NoResample request would draw a prediction that a later round keeps: a
+// running one, whose Generated grows, or a requeued head that has generated.
+// Otherwise no PredictedLen needs writing. Only NoResample reads it back, and
+// a kept prediction comes back as max(PredictedLen, Generated+1) whether or
+// not this round floored it first.
+func (pf *PastFuture) refusedUndrawn(v *View, global *dist.Sampler, head *request.Request, threshold int, multi bool) bool {
+	sum := head.Footprint()
+	bits := uint64(sum)
+	draws := 0
+	for _, r := range v.Running {
+		c := r.KVLanded()
+		sum += c
+		bits |= uint64(c)
+		s := pf.samplerFor(v, global, r)
+		if s == nil {
+			return false
+		}
+		if !pf.cfg.Deterministic {
+			n := pf.draws(s, r, multi)
+			if n > 0 && pf.cfg.NoResample {
+				return false
+			}
+			draws += n
+		}
+	}
+	s := pf.samplerFor(v, global, head)
+	if s == nil {
+		return false
+	}
+	if !pf.cfg.Deterministic {
+		n := pf.draws(s, head, multi)
+		if n > 0 && pf.cfg.NoResample && head.Generated > 0 {
+			return false
+		}
+		draws += n
+	}
+	n := len(v.Running)
+	if bits>>32 != 0 || n >= 1<<30 || sum+n+1 <= threshold {
+		return false
+	}
+	if draws > 0 {
+		pf.cfg.Rng.Skip(draws)
+	}
+	return true
+}
+
 // usableSampler returns the history sampler, or nil during cold start.
 func (pf *PastFuture) usableSampler(v *View) *dist.Sampler {
 	if v.History == nil || v.History.Len() < pf.cfg.MinHistory {
@@ -180,11 +257,18 @@ func (pf *PastFuture) usableSampler(v *View) *dist.Sampler {
 
 // samplerFor resolves the distribution for one request: the request's
 // service-class window in PerClass mode (when warm), otherwise the global
-// window. Resolutions are memoised per scheduling step in classMemo.
+// window. Resolutions are memoised per scheduling step in classMemo. The
+// class lookup is kept out of line so that the common case inlines into the
+// per-request loops.
 func (pf *PastFuture) samplerFor(v *View, global *dist.Sampler, r *request.Request) *dist.Sampler {
 	if !pf.cfg.PerClass || v.ClassHistory == nil {
 		return global
 	}
+	return pf.classSampler(v, global, r)
+}
+
+// classSampler is samplerFor in PerClass mode.
+func (pf *PastFuture) classSampler(v *View, global *dist.Sampler, r *request.Request) *dist.Sampler {
 	if s, ok := pf.classMemo[r.Class]; ok {
 		if s != nil {
 			return s
@@ -202,6 +286,34 @@ func (pf *PastFuture) samplerFor(v *View, global *dist.Sampler, r *request.Reque
 	return global
 }
 
+// keeps reports whether the NoResample ablation keeps r's admission-time
+// prediction instead of drawing a new one.
+func (pf *PastFuture) keeps(r *request.Request) bool {
+	return pf.cfg.NoResample && r.Generated > 0 && r.PredictedLen > 0
+}
+
+// draws returns how many values predict takes from a warm sampler for r: none
+// when it keeps r's prediction or the window holds nothing to take (no
+// observation above r.Generated for a request that has generated, an empty
+// window for one that has not), otherwise Samples when multi and 1 when not.
+// In sampling mode each value is one Intn: one Uint64 from the RNG.
+func (pf *PastFuture) draws(sampler *dist.Sampler, r *request.Request, multi bool) int {
+	if pf.keeps(r) {
+		return 0
+	}
+	if r.Generated > 0 {
+		if sampler.Max() <= r.Generated {
+			return 0
+		}
+	} else if sampler.Len() == 0 {
+		return 0
+	}
+	if multi {
+		return pf.cfg.Samples
+	}
+	return 1
+}
+
 // predict returns the predicted *total* output length for a request that
 // has already generated r.Generated tokens. The result is always in
 // (r.Generated, r.MaxNewTokens] so the remaining-length term stays positive.
@@ -209,45 +321,34 @@ func (pf *PastFuture) predict(sampler *dist.Sampler, r *request.Request, multi b
 	if sampler == nil {
 		return r.MaxNewTokens // cold start: assume the cap
 	}
-	if pf.cfg.NoResample && r.Generated > 0 && r.PredictedLen > 0 {
+	if pf.keeps(r) {
 		// Ablation: keep the admission-time prediction, only floored so the
 		// remaining-length term stays positive.
-		if r.PredictedLen > r.Generated {
-			return r.PredictedLen
-		}
-		return r.Generated + 1
+		return max(r.PredictedLen, r.Generated+1)
 	}
-	draws := 1
-	if multi {
-		draws = pf.cfg.Samples
-	}
+	n := pf.draws(sampler, r, multi)
 	pred := 0
-	for i := 0; i < draws; i++ {
+	if n == 0 && r.Generated > 0 {
+		// No historical mass above the current length: the window says
+		// this request "should have finished"; predict the cap.
+		pred = r.MaxNewTokens
+	}
+	for i := 0; i < n; i++ {
 		var v int
-		var ok bool
 		if r.Generated > 0 {
 			// Running (or evicted-and-requeued) request: condition on the
 			// fact that it has not stopped yet.
 			if pf.cfg.Deterministic {
-				v, ok = sampler.QuantileGreater(pf.cfg.Quantile, r.Generated)
+				v, _ = sampler.QuantileGreater(pf.cfg.Quantile, r.Generated)
 			} else {
-				v, ok = sampler.SampleGreater(pf.cfg.Rng, r.Generated)
+				v, _ = sampler.SampleGreater(pf.cfg.Rng, r.Generated)
 			}
+		} else if pf.cfg.Deterministic {
+			v = sampler.Quantile(pf.cfg.Quantile)
 		} else {
-			if pf.cfg.Deterministic {
-				v, ok = sampler.Quantile(pf.cfg.Quantile), true
-			} else {
-				v, ok = sampler.Sample(pf.cfg.Rng), true
-			}
+			v = sampler.Sample(pf.cfg.Rng)
 		}
-		if !ok {
-			// No historical mass above the current length: the window says
-			// this request "should have finished"; predict the cap.
-			v = r.MaxNewTokens
-		}
-		if v > pred {
-			pred = v
-		}
+		pred = max(pred, v)
 	}
 	if pred > r.MaxNewTokens {
 		pred = r.MaxNewTokens

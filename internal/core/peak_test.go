@@ -315,26 +315,36 @@ func futurePeakWithCandidate(entries []Entry, cand Entry) int {
 }
 
 // naiveAdmit is PastFuture.Admit with every M* taken from the clone+sort
-// reference instead of the incremental PeakEstimator: the same predictions
-// in the same order, the same physical-allocation and threshold gates. It
-// reads the global window only, so it models configurations that leave
-// PerClass off. It is the oracle Admit is checked against and the baseline
-// BenchmarkAdmitHotPath/naive times; entries is scratch, returned for reuse.
+// reference instead of the incremental PeakEstimator, and without the
+// refusal before drawing: every round predicts the whole batch and the
+// queue up to the first refusal, in the same order, through the same
+// physical-allocation and threshold gates. In PerClass mode it looks up
+// each request's class window itself, unmemoised. It is the oracle Admit is
+// checked against and the baseline BenchmarkAdmitHotPath/naive times;
+// entries is scratch, returned for reuse.
 func naiveAdmit(pf *PastFuture, v *View, queue []*request.Request, entries []Entry) (int, []Entry) {
 	entries = entries[:0]
 	if len(queue) == 0 {
 		return 0, entries
 	}
 	global := pf.usableSampler(v)
+	sampler := func(r *request.Request) *dist.Sampler {
+		if pf.cfg.PerClass && v.ClassHistory != nil {
+			if w := v.ClassHistory(r.Class); w != nil && w.Len() >= pf.cfg.MinHistory {
+				return w.Sampler()
+			}
+		}
+		return global
+	}
 	threshold := int(float64(v.CapacityTokens) * (1 - pf.cfg.Reserved))
 	multi := len(v.Running)+len(queue) < pf.cfg.SmallBatch
 	for _, r := range v.Running {
-		r.PredictedLen = pf.predict(global, r, multi)
+		r.PredictedLen = pf.predict(sampler(r), r, multi)
 		entries = append(entries, Entry{Current: r.KVLanded(), Remaining: r.PredictedLen - r.Generated + r.PrefillRemaining()})
 	}
 	admitted, promptNeed := 0, 0
 	for _, q := range queue {
-		q.PredictedLen = pf.predict(global, q, multi)
+		q.PredictedLen = pf.predict(sampler(q), q, multi)
 		cand := Entry{Current: q.Footprint(), Remaining: q.PredictedLen - q.Generated}
 		if promptNeed+q.Footprint() > v.FreeTokens || futurePeakWithCandidate(entries, cand) > threshold {
 			break
@@ -390,21 +400,45 @@ func refusedByTerm(admitted int, v *View, queue []*request.Request, entries []En
 	return admitted == 0 && queue[0].Footprint() <= v.FreeTokens && lastRankTerm(entries, head) > limit
 }
 
-// admitTrial draws one randomized admission round's history window and
+// admitTrial draws one randomized admission round's history windows and
 // returns the constructor of its state. Every call builds a structurally
 // identical view and queue from seed, so PredictedLen scratch writes on one
 // path cannot leak into another's decisions. A knee round fills at least 90%
 // of its capacity with requests far from done, and a window that knows long
 // outputs, so most rounds refuse the head.
+//
+// Some windows hold only short outputs, so that running requests have
+// generated past every observation, and some only zero-length ones; an
+// eighth of the requests have generated exactly the window's longest. Requests
+// belong to one of three classes: "warm" has a full window of its own,
+// "cold" a nearly empty one, and "unseen" none. Each request carries a
+// preset PredictedLen for the NoResample ablation to keep, some at or below
+// its Generated; one in 16 running requests and half the queued ones carry
+// none.
 func admitTrial(r *rng.RNG, seed uint64, knee bool) func() (*View, []*request.Request) {
 	w := dist.NewWindow(1 + r.Intn(300))
 	histN, longest := r.Intn(400), 600
 	if knee {
 		longest = 4000
 	}
-	for i := 0; i < histN; i++ {
-		w.Add(1 + r.Intn(longest))
+	shortest := 1
+	switch r.Intn(8) {
+	case 0:
+		longest = 1 + r.Intn(40) // every observation below most Generated
+	case 1:
+		shortest, longest = 0, 0 // zero-length outputs only
 	}
+	output := func() int { return shortest + r.Intn(longest-shortest+1) }
+	for i := 0; i < histN; i++ {
+		w.Add(output())
+	}
+	warm, cold := dist.NewWindow(64), dist.NewWindow(64)
+	for i := 0; i < 64; i++ {
+		warm.Add(output())
+	}
+	cold.Add(output())
+	classes := map[string]*dist.Window{"warm": warm, "cold": cold}
+	names := [...]string{"warm", "cold", "unseen"}
 	capacity := 500 + r.Intn(20_000)
 	return func() (*View, []*request.Request) {
 		rr := rng.New(seed)
@@ -416,13 +450,24 @@ func admitTrial(r *rng.RNG, seed uint64, knee bool) func() (*View, []*request.Re
 				req = request.New(id, 1+rr.Intn(200), 1+rr.Intn(300), 1+rr.Intn(600), 0)
 			}
 			gen := rr.Intn(min(req.TrueOutputLen, 600) + 1)
+			if rr.Intn(8) == 0 {
+				gen = w.Sampler().Max() // nothing in the window lies above it
+			}
 			if fresh {
 				gen = 0
 			}
 			for j := 0; j < gen && !req.Done(); j++ {
 				req.EmitToken(float64(j))
 			}
+			req.Class = names[rr.Intn(len(names))]
 			return req
+		}
+		// preset gives a request a prediction for NoResample to keep, but
+		// leaves one in none without.
+		preset := func(req *request.Request, none int) {
+			if rr.Intn(none) > 0 {
+				req.PredictedLen = rr.Intn(req.Generated + 100)
+			}
 		}
 		nRun, nQueue := rr.Intn(20), rr.Intn(24)
 		if knee {
@@ -433,12 +478,15 @@ func admitTrial(r *rng.RNG, seed uint64, knee bool) func() (*View, []*request.Re
 		for i := 0; i < nRun; i++ {
 			req := mkReq(int64(i), false)
 			req.State = request.Running
+			preset(req, 16)
 			used += req.Footprint()
 			running = append(running, req)
 		}
 		var queue []*request.Request
 		for i := 0; i < nQueue; i++ {
-			queue = append(queue, mkReq(int64(100+i), knee && rr.Intn(4) > 0))
+			req := mkReq(int64(100+i), knee && rr.Intn(4) > 0)
+			preset(req, 2)
+			queue = append(queue, req)
 		}
 		c := capacity
 		if knee {
@@ -450,27 +498,37 @@ func admitTrial(r *rng.RNG, seed uint64, knee bool) func() (*View, []*request.Re
 			FreeTokens:     max(c-used, 0),
 			Running:        running,
 			History:        w,
+			ClassHistory:   func(class string) *dist.Window { return classes[class] },
 		}, queue
 	}
 }
 
+// predictions lists the PredictedLen of a round's running batch, then of its
+// queue.
+func predictions(v *View, queue []*request.Request) []int {
+	var p []int
+	for _, r := range v.Running {
+		p = append(p, r.PredictedLen)
+	}
+	for _, q := range queue {
+		p = append(p, q.PredictedLen)
+	}
+	return p
+}
+
 // checkSameRound fails unless a scheduler's round agrees with its reference
-// round: the admitted count, every running and queued PredictedLen, and the
-// predicted M* on the view — the reference's M* over its post-admission
-// entries when it admitted, 0 when it did not.
-func checkSameRound(t *testing.T, trial, got, want int, vGot, vWant *View, qGot, qWant []*request.Request, entries []Entry) {
+// round: the admitted count, every running and queued PredictedLen against
+// wantPred (in predictions' order), and the predicted M* on the view — the
+// reference's M* over its post-admission entries when it admitted, 0 when it
+// did not.
+func checkSameRound(t *testing.T, trial, got, want int, vGot *View, qGot []*request.Request, wantPred []int, entries []Entry) {
 	t.Helper()
 	if got != want {
 		t.Fatalf("trial %d: estimator admitted %d, reference admitted %d", trial, got, want)
 	}
-	for i := range vGot.Running {
-		if g, w := vGot.Running[i].PredictedLen, vWant.Running[i].PredictedLen; g != w {
-			t.Fatalf("trial %d: running[%d] prediction %d vs %d", trial, i, g, w)
-		}
-	}
-	for i := range qGot {
-		if g, w := qGot[i].PredictedLen, qWant[i].PredictedLen; g != w {
-			t.Fatalf("trial %d: queue[%d] prediction %d vs %d", trial, i, g, w)
+	for i, g := range predictions(vGot, qGot) {
+		if w := wantPred[i]; g != w {
+			t.Fatalf("trial %d: prediction %d of %d running then queued: %d vs %d", trial, i, len(vGot.Running), g, w)
 		}
 	}
 	peak := 0
@@ -482,12 +540,32 @@ func checkSameRound(t *testing.T, trial, got, want int, vGot, vWant *View, qGot,
 	}
 }
 
+// nextRound moves a round's state on by one decode step: every running
+// request that can emits a token, and the admitted prefix leaves the queue
+// (it joins no batch — both sides of a comparison move alike).
+func nextRound(v *View, queue []*request.Request, admitted int) []*request.Request {
+	for _, r := range v.Running {
+		if !r.Done() {
+			r.EmitToken(1)
+		}
+	}
+	v.PredictedPeak = 0
+	return queue[admitted:]
+}
+
 // TestPastFutureDecisionsBitIdenticalToNaive: admissions agree between the
 // PeakEstimator hot path and the clone+sort oracle (naiveAdmit) on randomized
-// views, batches and queues — anywhere, at the memory knee, and at the knee
-// with sampled predictions, where two schedulers seeded alike must draw the
-// same lengths in the same order. The knee arms must contain rounds that the
-// estimator's build-phase term refused on its own.
+// views, batches, queues and configurations — anywhere, at the memory knee,
+// and at the knee with sampled predictions, where two schedulers seeded alike
+// must draw the same lengths in the same order and leave their generators in
+// the same state. Multi-sampling, NoResample, PerClass and windows with
+// nothing above a request's Generated are all drawn at random.
+//
+// Predictions are compared on rounds that priced the batch. A round that
+// refused the head before drawing (refusedUndrawn) must leave every
+// PredictedLen as it was before the round. The knee arms must contain rounds
+// refused before drawing and rounds that the estimator's build-phase term
+// refused on its own after drawing.
 func TestPastFutureDecisionsBitIdenticalToNaive(t *testing.T) {
 	for _, arm := range []struct {
 		name           string
@@ -495,13 +573,19 @@ func TestPastFutureDecisionsBitIdenticalToNaive(t *testing.T) {
 	}{{"random", false, false}, {"knee", true, false}, {"sampling", true, true}} {
 		t.Run(arm.name, func(t *testing.T) {
 			src := rng.New(2024)
-			shortcuts := 0
-			for trial := 0; trial < 200; trial++ {
+			undrawn, shortcuts := 0, 0
+			for trial := 0; trial < 400; trial++ {
 				r := src.Split()
 				mkState := admitTrial(r, uint64(trial)*7+13, arm.knee)
 				cfg := PastFutureConfig{
 					Reserved: float64(r.Intn(3)) * 0.05, Deterministic: !arm.sampling, Quantile: 0.5 + 0.4*r.Float64(),
 					MinHistory: 1 + r.Intn(50),
+					Samples:    r.Intn(6),
+					NoResample: r.Intn(3) == 0,
+					PerClass:   r.Intn(2) == 0,
+				}
+				if r.Intn(2) == 0 {
+					cfg.SmallBatch = 1 + r.Intn(80) // often above batch + queue: multi-sampled
 				}
 				seed := r.Uint64()
 				mk := func() *PastFuture {
@@ -513,20 +597,41 @@ func TestPastFutureDecisionsBitIdenticalToNaive(t *testing.T) {
 				pfFast, pfNaive := mk(), mk()
 				vFast, qFast := mkState()
 				vNaive, qNaive := mkState()
-				got := pfFast.Admit(vFast, qFast)
-				want, entries := naiveAdmit(pfNaive, vNaive, qNaive, nil)
-				checkSameRound(t, trial, got, want, vFast, vNaive, qFast, qNaive, entries)
-				if len(qNaive) > 0 {
-					head := Entry{Current: qNaive[0].Footprint(), Remaining: qNaive[0].PredictedLen - qNaive[0].Generated}
-					threshold := int(float64(vNaive.CapacityTokens) * (1 - cfg.Reserved))
-					if refusedByTerm(want, vNaive, qNaive, entries, head, threshold) {
-						shortcuts++
+				// Two rounds a decode step apart: under NoResample the second
+				// reads back what the first wrote, or chose not to write.
+				for round := 0; round < 2; round++ {
+					before := predictions(vFast, qFast)
+					got := pfFast.Admit(vFast, qFast)
+					want, entries := naiveAdmit(pfNaive, vNaive, qNaive, nil)
+					wantPred := predictions(vNaive, qNaive)
+					if pfFast.undrawn {
+						undrawn++
+						wantPred = before
 					}
+					checkSameRound(t, trial, got, want, vFast, qFast, wantPred, entries)
+					if arm.sampling {
+						if g, w := pfFast.cfg.Rng.Uint64(), pfNaive.cfg.Rng.Uint64(); g != w {
+							t.Fatalf("trial %d round %d (undrawn %v): generators diverged: next value %d vs %d",
+								trial, round, pfFast.undrawn, g, w)
+						}
+					}
+					if len(qNaive) > 0 && !pfFast.undrawn {
+						head := Entry{Current: qNaive[0].Footprint(), Remaining: qNaive[0].PredictedLen - qNaive[0].Generated}
+						threshold := int(float64(vNaive.CapacityTokens) * (1 - cfg.Reserved))
+						if refusedByTerm(want, vNaive, qNaive, entries, head, threshold) {
+							shortcuts++
+						}
+					}
+					qFast, qNaive = nextRound(vFast, qFast, got), nextRound(vNaive, qNaive, want)
 				}
 			}
-			if arm.knee && shortcuts == 0 {
-				t.Fatal("no round was refused by the build-phase term alone: the shortcut is never exercised")
+			if arm.knee && undrawn == 0 {
+				t.Fatal("no round was refused before drawing: refusedUndrawn is never exercised")
 			}
+			if arm.knee && shortcuts == 0 {
+				t.Fatal("no drawn round was refused by the build-phase term alone: the shortcut is never exercised")
+			}
+			t.Logf("%d rounds refused before drawing, %d more by the build-phase term", undrawn, shortcuts)
 		})
 	}
 }
@@ -545,7 +650,7 @@ func TestOracleDecisionsBitIdenticalToNaive(t *testing.T) {
 			vNaive, qNaive := mkState()
 			got := NewOracle().Admit(vFast, qFast)
 			want, entries := naiveOracleAdmit(vNaive, qNaive)
-			checkSameRound(t, trial, got, want, vFast, vNaive, qFast, qNaive, entries)
+			checkSameRound(t, trial, got, want, vFast, qFast, predictions(vNaive, qNaive), entries)
 			if len(qNaive) > 0 {
 				head := Entry{Current: qNaive[0].Footprint(), Remaining: qNaive[0].RemainingTrue()}
 				if refusedByTerm(want, vNaive, qNaive, entries, head, vNaive.CapacityTokens) {
@@ -593,31 +698,73 @@ func hotPathState(batch, queue int) (*View, []*request.Request) {
 }
 
 // kneeState is hotPathState's batch at the memory knee — capacity 5% above
-// what it holds, so the queue's head still fits physically, but its last
-// completion point alone puts M* over the threshold.
+// what it holds, so the queue's head still fits physically, but the batch's
+// landed KV, the head's prompt and one token for each of the 49 are already
+// over the threshold: the round is refused before anything is drawn.
 func kneeState(batch int) (*View, []*request.Request) {
+	return kneeStateAt(batch, 21, 20)
+}
+
+// drawnKneeState is kneeState with capacity 1.5× what the batch holds: the
+// floor passes, and only the build-phase term over the drawn predictions,
+// ΣCurrent + (n+1)·min Remaining, refuses the head.
+func drawnKneeState(batch int) (*View, []*request.Request) {
+	return kneeStateAt(batch, 3, 2)
+}
+
+// kneeStateAt sizes hotPathState's capacity at num/den of what the batch
+// holds.
+func kneeStateAt(batch, num, den int) (*View, []*request.Request) {
 	v, q := hotPathState(batch, 8)
-	v.CapacityTokens = v.UsedTokens * 21 / 20
+	v.CapacityTokens = v.UsedTokens * num / den
 	v.FreeTokens = v.CapacityTokens - v.UsedTokens
 	return v, q
 }
 
-// refusesWithoutSort reports whether Admit refused the whole queue of the
-// knee state and left its estimator unsorted: the build-phase term decided.
-func refusesWithoutSort(pf *PastFuture, v *View, q []*request.Request) bool {
-	return pf.Admit(v, q) == 0 && pf.est.unsorted
+// refusesWithoutSort reports whether Admit refused the whole queue without
+// a sort, and how: before drawing (refusedUndrawn, the estimator left empty)
+// when undrawn is set, by the estimator's build-phase term over the drawn
+// batch (the estimator left unsorted) when it is not.
+func refusesWithoutSort(pf *PastFuture, v *View, q []*request.Request, undrawn bool) bool {
+	if pf.Admit(v, q) != 0 || pf.undrawn != undrawn {
+		return false
+	}
+	if undrawn {
+		return pf.est.Len() == 0
+	}
+	return pf.est.unsorted
 }
 
 // TestAdmitRefusalAllocs: a refusal at the knee — the common round of a
-// memory-bound engine — allocates nothing, and is settled without a sort.
+// memory-bound engine — allocates nothing and is settled without a sort,
+// whether it is refused before drawing or by the build-phase term after.
 func TestAdmitRefusalAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		state   func(int) (*View, []*request.Request)
+		undrawn bool
+	}{{"undrawn", kneeState, true}, {"drawn", drawnKneeState, false}} {
+		pf := MustNewPastFuture(PastFutureConfig{Reserved: 0.03, Deterministic: true})
+		v, q := c.state(48)
+		if !refusesWithoutSort(pf, v, q, c.undrawn) {
+			t.Fatalf("%s: knee state is not refused the way it should be", c.name)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { pf.Admit(v, q) }); allocs != 0 {
+			t.Fatalf("%s: a knee refusal allocates %v per round, want 0", c.name, allocs)
+		}
+	}
+}
+
+// TestRefusedUndrawnKeepsNoWrapRange: a batch holding a Current of 2^32 or
+// more is over any floor, yet the round is not refused before drawing: the
+// floor under M* holds only in Exceeds' no-wrap range, so the round draws
+// and the estimator decides.
+func TestRefusedUndrawnKeepsNoWrapRange(t *testing.T) {
 	pf := MustNewPastFuture(PastFutureConfig{Reserved: 0.03, Deterministic: true})
 	v, q := kneeState(48)
-	if !refusesWithoutSort(pf, v, q) {
-		t.Fatal("knee state is not refused by the build-phase term")
-	}
-	if allocs := testing.AllocsPerRun(100, func() { pf.Admit(v, q) }); allocs != 0 {
-		t.Fatalf("a knee refusal allocates %v per round, want 0", allocs)
+	v.Running[0].InputLen = 1 << 32
+	if got := pf.Admit(v, q); got != 0 || pf.undrawn {
+		t.Fatalf("admitted %d, refused before drawing %v; want a refusal after drawing", got, pf.undrawn)
 	}
 }
 
@@ -626,7 +773,9 @@ func TestAdmitRefusalAllocs(t *testing.T) {
 // against the naive clone+sort oracle (naiveAdmit). The estimator path must
 // run with zero allocations in steady state (acceptance: 0 allocs/op, ≥5×
 // faster). /refuse is the knee's common round: 48 running requests, the
-// head refused by the estimator's build-phase term (0 allocs/op).
+// head refused before anything is drawn. /refuse-drawn is the same batch
+// with more headroom, the head refused by the estimator's build-phase term
+// over the drawn predictions. Both run at 0 allocs/op.
 func BenchmarkAdmitHotPath(b *testing.B) {
 	var scratch []Entry
 	naive := func(pf *PastFuture, v *View, q []*request.Request) (n int) {
@@ -635,20 +784,23 @@ func BenchmarkAdmitHotPath(b *testing.B) {
 	}
 	hot := func() (*View, []*request.Request) { return hotPathState(256, 64) }
 	for _, variant := range []struct {
-		name  string
-		state func() (*View, []*request.Request)
-		admit func(*PastFuture, *View, []*request.Request) int
+		name    string
+		state   func() (*View, []*request.Request)
+		admit   func(*PastFuture, *View, []*request.Request) int
+		refuses bool // the round is a refusal; undrawn says which kind
+		undrawn bool
 	}{
-		{"estimator", hot, (*PastFuture).Admit},
-		{"naive", hot, naive},
-		{"refuse", func() (*View, []*request.Request) { return kneeState(48) }, (*PastFuture).Admit},
+		{"estimator", hot, (*PastFuture).Admit, false, false},
+		{"naive", hot, naive, false, false},
+		{"refuse", func() (*View, []*request.Request) { return kneeState(48) }, (*PastFuture).Admit, true, true},
+		{"refuse-drawn", func() (*View, []*request.Request) { return drawnKneeState(48) }, (*PastFuture).Admit, true, false},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
 			pf := MustNewPastFuture(PastFutureConfig{Reserved: 0.03, Deterministic: true})
 			v, q := variant.state()
-			if variant.name == "refuse" {
-				if !refusesWithoutSort(pf, v, q) {
-					b.Fatal("knee scenario is not refused by the build-phase term")
+			if variant.refuses {
+				if !refusesWithoutSort(pf, v, q, variant.undrawn) {
+					b.Fatal("knee scenario is not refused the way it should be")
 				}
 			} else if variant.admit(pf, v, q) == 0 {
 				b.Fatal("benchmark scenario admits nothing; not exercising the loop")

@@ -215,6 +215,17 @@ func TestPastFutureConfigValidation(t *testing.T) {
 	if _, err := NewPastFuture(PastFutureConfig{Deterministic: true, Quantile: 1.5}); err == nil {
 		t.Fatal("quantile > 1 accepted")
 	}
+	// A negative Samples would skip predict's draw loop: every multi-sampled
+	// prediction Generated+1, the aggressive rule under Past-Future's name.
+	for _, cfg := range []PastFutureConfig{
+		{Deterministic: true, Samples: -1},
+		{Deterministic: true, SmallBatch: -1},
+		{Deterministic: true, MinHistory: -1},
+	} {
+		if _, err := NewPastFuture(cfg); err == nil {
+			t.Fatalf("negative count accepted: %+v", cfg)
+		}
+	}
 	// NaN fails every comparison, so a range written as "x < lo || x > hi"
 	// would pass it; ±Inf is outside every range here.
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {

@@ -144,8 +144,10 @@ type Request struct {
 	// before the handoff completes.
 	DeliveredAt float64
 
-	// PredictedLen is scheduler scratch space: the current predicted total
-	// output length (Past-Future resamples it every step).
+	// PredictedLen is scheduler scratch space: the predicted total output
+	// length from the last admission round that priced this request.
+	// Past-Future prices the batch every round except one it refuses before
+	// drawing, which leaves this field as it was.
 	PredictedLen int
 
 	// Retries counts fault recoveries: each ResetForRetry (after a replica

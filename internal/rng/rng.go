@@ -42,17 +42,34 @@ func (r *RNG) Split() *RNG {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// next is xoshiro256**'s state transition.
+func next(s0, s1, s2, s3 uint64) (uint64, uint64, uint64, uint64) {
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return s0, s1, s2, rotl(s3, 45)
+}
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
 	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	r.s[0], r.s[1], r.s[2], r.s[3] = next(r.s[0], r.s[1], r.s[2], r.s[3])
 	return result
+}
+
+// Skip advances the generator past n values, as n calls of Uint64 would: a
+// caller that knows how many draws it does not need can leave the stream
+// where drawing them would have. The state stays in locals across the loop,
+// which runs about twice as fast as n Uint64 calls.
+func (r *RNG) Skip(n int) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for ; n > 0; n-- {
+		s0, s1, s2, s3 = next(s0, s1, s2, s3)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.

@@ -16,6 +16,26 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestSkipMatchesUint64: Skip(n) leaves the generator where n Uint64 calls
+// would, n = 0 included, and the streams agree afterwards.
+func TestSkipMatchesUint64(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 48, 193} {
+		a, b := New(uint64(n)+3), New(uint64(n)+3)
+		a.Uint64() // off the seed state, so Skip(0) has something to keep
+		b.Uint64()
+		a.Skip(n)
+		for i := 0; i < n; i++ {
+			b.Uint64()
+		}
+		if a.State() != b.State() {
+			t.Fatalf("Skip(%d): state %x, %d Uint64 calls %x", n, a.State(), n, b.State())
+		}
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("Skip(%d): next value %d vs %d", n, x, y)
+		}
+	}
+}
+
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a := New(1)
 	b := New(2)
