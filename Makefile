@@ -75,39 +75,24 @@ SEED ?= 1
 pairs:
 	./scripts/pairs.sh $(W) $(N) $(BASE) $(SEED)
 
-# chaos sweeps the fault-injection suite under the race detector: randomized
-# crash/retry conservation across CHAOS_SEEDS seeds (default 5), the KV-link
-# backoff/busy-monotonicity properties, the 4-seed faults-disabled
-# bit-identical equivalence pin, the 4-seed prefix-caching-disabled
-# equivalence pin, exactly-once conservation through the full KV reuse
-# hierarchy (cache hits, eviction, offload, crash-induced cache drops) under
-# a crash storm, the chunk policy pin (greedy-vs-degenerate-SLO
-# equivalence), exactly-once conservation through chunked prefill ×
-# prefix-cache hits × crash storms, the test oracles the warm paths are held
-# to (TestWarmProbeMatchesNaive: every FutureHeadroom pick is the argmin of
-# the clone+sort reference probe; TestPlannerVectorMatchesScalarRule: the
-# flavor-aware planner sizes like the pre-flavor scalar rule on randomized
-# planners), the placement-visibility pins
-# (TestHerd*: a burst spreads over identical replicas; TestPlacement*:
-# spliced warm estimator ≡ rebuilt ≡ naive reference and the per-replica
-# ledger after every arrival of a crash storm), and the lagged-estimator pins
-# (TestLagged*: an estimator kept across pure decode steps bounds the exact
-# probe from below after every event of six small fleets, and every routing
-# decision equals the exact sweep's), and the coasted-decode-step pins
-# (TestCoastMatchesPerTokenPath: an engine that owes its batch tokens and one
-# that walks it every step are indistinguishable, per case and seed;
-# TestCoastRunIsPredicted: a run's priced end is where coasting stops or an
-# admission round is held, refused or not;
-# TestCoastRunMatchesPerStepPath: a cluster that pops one event per run of
-# coasted steps and its per-step twin are indistinguishable — decisions,
-# every request's times, span, time-series and Perfetto exports — on the
-# seam, storm, chunked, prefix, placement and lock-step scenarios).
+# chaos runs, under the race detector and over CHAOS_SEEDS seeds (default 5),
+# TestFeatureMatrix — a pairwise-covering table of the cluster's features
+# (disaggregation, mixed GPUs, admission, a crash storm with or without
+# recovery, prefix cache, chunked prefill, planner), each cell held to
+# conservation, KV-pool, trace-export and inert-twin checks — beside the
+# KV-link, placement, lagged-estimator and coasting pins and the oracles the
+# warm paths are held to. It first fails if an alternative of its -run regex
+# matches no test, so a deleted test cannot silently leave the sweep.
 # Widen with e.g. `make chaos CHAOS_SEEDS=50`.
 CHAOS_SEEDS ?= 5
+CHAOS_RUN = TestFeatureMatrix|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestChunkPolicyEquivalence|TestHerd|TestPlacement|TestWaitingSet|TestLagged|TestPureDecode|TestCoast|TestWarmProbeMatchesNaive|TestPlannerVectorMatchesScalarRule
+CHAOS_PKGS = ./internal/cluster/ ./internal/kv/ ./internal/engine/
 chaos:
-	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 \
-		-run 'TestFaultConservation|TestNoRecoveryLosesTerminally|TestCrashRecoveryWithoutAdmission|TestFaultsDisabledEquivalence|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestPrefixDisabledEquivalence|TestPrefixCacheConservation|TestChunkedConservation|TestChunkPolicyEquivalence|TestHerd|TestPlacement|TestWaitingSet|TestLagged|TestPureDecode|TestCoast|TestWarmProbeMatchesNaive|TestPlannerVectorMatchesScalarRule' \
-		./internal/cluster/ ./internal/kv/ ./internal/engine/
+	@tests=$$($(GO) test -list . $(CHAOS_PKGS)) || exit 1; \
+	for alt in $$(echo '$(CHAOS_RUN)' | tr '|' ' '); do \
+		echo "$$tests" | grep -q -- "$$alt" || { echo "chaos: $$alt matches no test"; exit 1; }; \
+	done
+	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
 
 # fuzz runs every native fuzz target in the module (go test -list finds
 # them, so a new FuzzXxx needs no edit here) for FUZZTIME each, one at a

@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/lightllm-go/lightllm/internal/hw"
+	"github.com/lightllm-go/lightllm/internal/model"
+	"github.com/lightllm-go/lightllm/internal/rng"
+	"github.com/lightllm-go/lightllm/internal/workload"
 )
 
 // The tests in this file are the repository's acceptance criteria (DESIGN.md
@@ -412,5 +417,25 @@ func TestAblationShapes(t *testing.T) {
 	}
 	if b16.PhysMemUtil-b16.MemUtil <= b1.PhysMemUtil-b1.MemUtil {
 		t.Error("block=16 should show more fragmentation than block=1")
+	}
+}
+
+// TestFrameworkThroughputOrdering: under light load with no memory
+// pressure, TensorRT-LLM's faster kernels give a higher raw throughput than
+// TGI's slower ones. Figure 9's runs load every framework to its knee, so
+// this regime is pinned here.
+func TestFrameworkThroughputOrdering(t *testing.T) {
+	cluster := hw.NewCluster(hw.A100_80G, 1)
+	tp := map[string]float64{}
+	for _, fw := range fig9Frameworks {
+		e, err := fw.newEngine(model.Llama2_7B, cluster, 5, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SubmitAll(workload.Build(workload.ShareGPT, rng.New(6), 40, 1, 512))
+		tp[fw.name] = e.Run().Throughput()
+	}
+	if tp["TensorRT-LLM"] <= tp["TGI"] {
+		t.Fatalf("TensorRT-LLM %v not above TGI %v under light load", tp["TensorRT-LLM"], tp["TGI"])
 	}
 }

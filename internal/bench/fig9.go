@@ -3,13 +3,69 @@ package bench
 import (
 	"fmt"
 
-	"github.com/lightllm-go/lightllm/internal/frameworks"
+	"github.com/lightllm-go/lightllm/internal/core"
+	"github.com/lightllm-go/lightllm/internal/engine"
 	"github.com/lightllm-go/lightllm/internal/hw"
 	"github.com/lightllm-go/lightllm/internal/metrics"
 	"github.com/lightllm-go/lightllm/internal/model"
+	"github.com/lightllm-go/lightllm/internal/perf"
 	"github.com/lightllm-go/lightllm/internal/rng"
 	"github.com/lightllm-go/lightllm/internal/workload"
 )
+
+// fig9Framework emulates one serving framework the paper compares in §5.4
+// (December-2023 versions, like the paper) by what its scheduling shows:
+// the admission policy, the KV allocation granularity, the iteration
+// strategy, a kernel speed multiplier and a per-iteration overhead. The
+// paper's point — and what the table preserves — is that end-to-end goodput
+// differences come from the scheduler, not kernel speed.
+type fig9Framework struct {
+	name string
+	// sched builds the framework's scheduler over the RNG a sampling
+	// scheduler draws from.
+	sched        func(r *rng.RNG) core.Scheduler
+	blockSize    int
+	strategy     engine.Strategy
+	speedup      float64 // static kernel multiplier fed to the perf model
+	iterOverhead float64 // per-iteration framework overhead, seconds
+}
+
+func conservative(*rng.RNG) core.Scheduler { return core.MustNewConservative(1.0) }
+
+// fig9Frameworks lists the frameworks in the paper's legend order.
+var fig9Frameworks = []fig9Framework{
+	// TGI budgets input + max_new_tokens, over slower kernels.
+	{"TGI", conservative, 1, engine.PrefillPriority, 0.95, 0.005},
+	// vLLM admits up to a watermark over PagedAttention's 16-token blocks.
+	{"vLLM", func(*rng.RNG) core.Scheduler { return core.MustNewAggressive(0.97) }, 16, engine.PrefillPriority, 1.0, 0.004},
+	// DeepSpeed-MII (FastGen) budgets like TGI with splitfuse chunked prefill.
+	{"DeepSpeed-MII", conservative, 1, engine.SplitFuse, 1.0, 0.004},
+	// TensorRT-LLM budgets like TGI over fast static kernels.
+	{"TensorRT-LLM", conservative, 1, engine.PrefillPriority, 1.25, 0.002},
+	// LightLLM runs Past-Future over token-granular KV (TokenAttention)
+	// behind a multi-process async router (low overhead).
+	{"LightLLM", func(r *rng.RNG) core.Scheduler {
+		return core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.03, Rng: r})
+	}, 1, engine.PrefillPriority, 1.0, 0.003},
+}
+
+// newEngine builds the framework's engine serving spec on cluster, its
+// scheduler drawing from rng.New(seed). It fails when the model does not fit
+// the cluster.
+func (f fig9Framework) newEngine(spec model.Spec, cluster hw.Cluster, seed uint64, queueTimeout float64, seedHist []int) (*engine.Engine, error) {
+	pm, err := perf.New(perf.Config{Model: spec, Cluster: cluster, Speedup: f.speedup, IterOverhead: f.iterOverhead})
+	if err != nil {
+		return nil, err
+	}
+	return engine.New(engine.Config{
+		Perf:         pm,
+		Scheduler:    f.sched(rng.New(seed)),
+		BlockSize:    f.blockSize,
+		Strategy:     f.strategy,
+		QueueTimeout: queueTimeout,
+		SeedHistory:  seedHist,
+	})
+}
 
 // Fig9Cell is one (model, hardware, framework) result: the framework's best
 // throughput and best goodput across client counts, mirroring Figure 9's
@@ -100,16 +156,13 @@ func RunFigure9(fopts Fig9Options) *Fig9Result {
 				Header: []string{"Framework", "MaxThroughput(tok/s)", "MaxGoodput(tok/s)", "Goodput/Throughput"},
 			}
 			seedHist := historySample(workload.ShareGPT, opts.Seed+99, 500, 2048)
-			for fi, preset := range frameworks.All() {
-				cell := Fig9Cell{Model: st.spec.Name, Hardware: cluster.Name(), Framework: preset.Name}
+			for fi, fw := range fig9Frameworks {
+				cell := Fig9Cell{Model: st.spec.Name, Hardware: cluster.Name(), Framework: fw.name}
 				for _, clients := range st.clients {
 					seed := opts.Seed + uint64(fi*10_000+clients)
-					eng, err := preset.NewEngineOpts(st.spec, cluster, seed, frameworks.DeployOptions{
-						QueueTimeout: st.sla.TTFT,
-						SeedHistory:  seedHist,
-					})
+					eng, err := fw.newEngine(st.spec, cluster, seed, st.sla.TTFT, seedHist)
 					if err != nil {
-						// Model does not fit this cluster with this preset.
+						// Model does not fit this cluster with this framework.
 						continue
 					}
 					workload.NewClosedLoop(eng, workload.ShareGPT, rng.New(seed+3), clients, 2048, 0, duration)

@@ -12,7 +12,6 @@ import (
 	"github.com/lightllm-go/lightllm/internal/metrics"
 	"github.com/lightllm-go/lightllm/internal/obs"
 	"github.com/lightllm-go/lightllm/internal/request"
-	"github.com/lightllm-go/lightllm/internal/rng"
 )
 
 // A run of coasted decode steps is one heap event: its replica is caught up
@@ -32,41 +31,21 @@ type twinScenario struct {
 	deadline float64
 }
 
+// coastCells are the feature-matrix cells the twin test serves: every
+// feature at once, and the cells that replaced its former scenarios — the
+// disaggregated seam with and without the storm, chunked prefill on long
+// documents under the storm, and the prefix cache's small pools under
+// crashes.
+var coastCells = map[string]bool{"all-on": true, "seam": true, "seam-storm": true, "chunked-storm": true, "prefix-cache-crashes": true}
+
 func twinScenarios() []twinScenario {
-	chunked := engine.ChunkConfig{Enabled: true, Policy: engine.ChunkSLOAware, ChunkTokens: 512}
-	scs := []twinScenario{
-		{name: "seam", sla: seamSLA, build: func(seed uint64, rec obs.Recorder, tr *decisionTrace) (*Cluster, []*request.Request) {
-			return seamCluster(seed, nil, rec, tr), poissonReqs(350, 60, seed)
-		}},
-		{name: "seam-storm", sla: seamSLA, build: func(seed uint64, rec obs.Recorder, tr *decisionTrace) (*Cluster, []*request.Request) {
-			return seamCluster(seed, stormFaults(seed), rec, tr), poissonReqs(350, 60, seed)
-		}},
-		{name: "chunked-storm", sla: chunkSLA, build: func(seed uint64, rec obs.Recorder, tr *decisionTrace) (*Cluster, []*request.Request) {
-			return chunkCluster(seed, chunked, chunkStorm(seed), rec, tr), longctxReqs(220, 30, seed)
-		}},
-		{name: "prefix-storm", sla: seamSLA, build: func(seed uint64, rec obs.Recorder, tr *decisionTrace) (*Cluster, []*request.Request) {
-			return prefixCluster(seed, chunkStorm(seed), rec, tr), sessionReqs(350, 60, seed)
-		}},
-		// TestPrefixCacheConservation's fleet: pools full of reclaimable
-		// prefix blocks, so a run can end on the last physically free block
-		// and the step after it take a cached one.
-		{name: "prefix-cache-crashes", sla: seamSLA, build: func(seed uint64, rec obs.Recorder, tr *decisionTrace) (*Cluster, []*request.Request) {
-			sch := faults.Script{
-				{At: 0.5, Kind: faults.Crash, Pool: 0, Replica: 0, Duration: 1.5},
-				{At: 1.5, Kind: faults.Crash, Pool: 0, Replica: 2, Duration: 1},
-			}
-			return MustNewCluster(ClusterConfig{
-				Pools: []Config{{
-					Replicas: cachedReplicas(3, 8_000, -1, seed), Policy: FutureHeadroom,
-					AffinityWeight: 0.3, OnRoute: tr.onRoute(0),
-				}},
-				Admission: &AdmissionConfig{TTFTBudget: 5, Shed: true},
-				Faults:    &FaultConfig{Schedule: append(sch, faults.Generate(rng.New(seed), 0, 3, 4, 1, 8)...), Recover: true},
-				Recorder:  rec,
-			}), sessionReqs(300, 60, seed)
-		}},
-		{name: "exact-instants", sla: seamSLA, build: exactInstants},
+	var scs []twinScenario
+	for _, mc := range matrixCells() {
+		if coastCells[mc.name] {
+			scs = append(scs, twinScenario{name: mc.name, sla: mc.shapeOf().sla, build: mc.build})
+		}
 	}
+	scs = append(scs, twinScenario{name: "exact-instants", sla: seamSLA, build: exactInstants})
 	for _, policy := range []Policy{FutureHeadroom, LeastLoaded} {
 		policy := policy
 		// TestHerdBurstWithinOneStep's fleet: four identical replicas in
@@ -328,16 +307,14 @@ func sameText(t *testing.T, label, what, got, ref string) {
 	t.Fatalf("%s: %s has %d lines, the per-step twin's %d", label, what, len(g), len(r))
 }
 
-// TestCoastRunMatchesPerStepPath serves every scenario of the former
-// core-equivalence pins — the disaggregated seam with and without the fault
-// storm, chunked prefill and the prefix pin under the storm, bursty
-// placements, the lock-step herd — plus runs cut at the exact start of a
-// coasted step, twice: as built, and as the per-step twin. Decisions, the
-// report, every request's times bit for bit, the span CSV, the time-series
-// CSV and the Perfetto export must be equal. A case fails if it never
-// coasted — popped no fewer heap events than its twin, so it compared the
-// per-step loop with itself — and the test fails unless catch-ups cut runs
-// before an arrival, a crash, a slowdown and a repair.
+// TestCoastRunMatchesPerStepPath serves the feature-matrix cells of
+// coastCells, bursty placements and the lock-step herd, plus runs cut at the
+// exact start of a coasted step, twice: as built, and as the per-step twin.
+// Decisions, the report, every request's times bit for bit, the span CSV,
+// the time-series CSV and the Perfetto export must be equal. A case fails if
+// it never coasted — popped no fewer heap events than its twin, so it
+// compared the per-step loop with itself — and the test fails unless
+// catch-ups cut runs before an arrival, a crash, a slowdown and a repair.
 // Seeds follow CHAOS_SEEDS (make chaos).
 func TestCoastRunMatchesPerStepPath(t *testing.T) {
 	var cuts [evXferRetry + 1]int

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/lightllm-go/lightllm/internal/core"
@@ -86,48 +85,6 @@ func TestClusterTopologyValidation(t *testing.T) {
 		{Role: engine.RoleMixed, Replicas: replicas(1, 10_000)},
 	}}); err == nil {
 		t.Fatal("three pools accepted")
-	}
-}
-
-// TestDisaggConservation is the handoff conservation law: on randomized
-// seeded workloads, no request is lost or duplicated across the KV
-// transfer, and every request's token accounting (prompt + generated)
-// matches a monolithic run of the same seed.
-func TestDisaggConservation(t *testing.T) {
-	const n = 200
-	for seed := uint64(1); seed <= 5; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			serve := func(results []*engine.Result) map[int64][2]int {
-				counts := map[int64][2]int{}
-				for _, res := range results {
-					for _, r := range res.Finished {
-						if _, dup := counts[r.ID]; dup {
-							t.Fatalf("request %d finished twice", r.ID)
-						}
-						counts[r.ID] = [2]int{r.InputLen, r.Generated}
-					}
-				}
-				return counts
-			}
-			link := kv.MustNewLink(50e9, 0.002)
-			disagg := serve(disaggCluster(t, 2, 3, link, seed).Serve(poissonReqs(n, 25, seed), 1e9))
-			whole := serve(mono(Config{Replicas: replicas(3, 50_000), Policy: FutureHeadroom}).Serve(poissonReqs(n, 25, seed), 1e9))
-
-			if len(disagg) != n || len(whole) != n {
-				t.Fatalf("finished %d disaggregated, %d monolithic, want %d both", len(disagg), len(whole), n)
-			}
-			for id, got := range disagg {
-				want, ok := whole[id]
-				if !ok {
-					t.Fatalf("request %d finished disaggregated but not monolithic", id)
-				}
-				if got != want {
-					t.Fatalf("request %d tokens (in=%d, out=%d) disaggregated vs (in=%d, out=%d) monolithic",
-						id, got[0], got[1], want[0], want[1])
-				}
-			}
-		})
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // The configuration is a zero-cost abstraction: with a nil FaultConfig — or
 // an empty schedule and zero LinkFailRate — the cluster's decisions, event
 // sequence numbers, and reports are bit-identical to a build without the
-// fault subsystem (the equivalence test pins this across seeds).
+// fault subsystem (TestFeatureMatrix pins this on every fault-free cell).
 type FaultConfig struct {
 	// Schedule is the fault injection plan (scripted, or faults.Generate for
 	// MTBF/MTTR stochastic storms). Crash and Slowdown faults become heap

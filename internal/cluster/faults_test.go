@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"fmt"
+	"encoding/binary"
 	"math"
-	"os"
-	"strconv"
 	"testing"
 
 	"github.com/lightllm-go/lightllm/internal/engine"
@@ -12,8 +10,6 @@ import (
 	"github.com/lightllm-go/lightllm/internal/hw"
 	"github.com/lightllm-go/lightllm/internal/kv"
 	"github.com/lightllm-go/lightllm/internal/metrics"
-	"github.com/lightllm-go/lightllm/internal/request"
-	"github.com/lightllm-go/lightllm/internal/rng"
 )
 
 func TestFaultConfigValidation(t *testing.T) {
@@ -48,267 +44,6 @@ func TestFaultConfigValidation(t *testing.T) {
 	}
 	if _, err := NewCluster(ClusterConfig{Pools: pools(), Faults: good}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestFaultsDisabledEquivalence pins the zero-cost-abstraction claim: a
-// cluster built with an armed-but-empty fault subsystem (no scheduled
-// faults, zero link-fail rate) makes bit-identical decisions — routing,
-// plans, sheds, handoff bookings, and the rolled-up report — to one built
-// with no fault subsystem at all, across seeds.
-func TestFaultsDisabledEquivalence(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			compareTraces(t, "armed",
-				runSeamScenario(seed, &FaultConfig{Recover: true}),
-				runSeamScenario(seed, nil))
-		})
-	}
-}
-
-// chaosSeeds returns the conservation sweep's seed set: 1..5 by default,
-// 1..N when CHAOS_SEEDS=N (the `make chaos` widening knob).
-func chaosSeeds(t *testing.T) []uint64 {
-	n := 5
-	if s := os.Getenv("CHAOS_SEEDS"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 1 {
-			t.Fatalf("bad CHAOS_SEEDS %q", s)
-		}
-		n = v
-	}
-	seeds := make([]uint64, n)
-	for i := range seeds {
-		seeds[i] = uint64(i + 1)
-	}
-	return seeds
-}
-
-// stormSchedule is the conservation storm: scripted crashes placed in every
-// lifecycle window faults can interrupt — mid-prefill (t=0.5), mid-decode
-// and mid-transfer (t=1.0), while admission holds work (t=2.5, which also
-// opens an every-decode-replica-down span until 3.0) — plus scripted wire
-// failures, a slowdown, and a seeded stochastic crash storm on top.
-func stormSchedule(seed uint64) faults.Script {
-	s := faults.Script{
-		{At: 0.5, Kind: faults.Crash, Pool: 0, Replica: 0, Duration: 1.5},
-		{At: 0.8, Kind: faults.LinkFailure, Count: 3},
-		{At: 1.0, Kind: faults.Crash, Pool: 1, Replica: 0, Duration: 2},
-		{At: 2.5, Kind: faults.Crash, Pool: 1, Replica: 1, Duration: 1.5},
-		{At: 3.0, Kind: faults.LinkFailure, Count: 2},
-		{At: 4.0, Kind: faults.Slowdown, Pool: 1, Replica: 0, Duration: 2, Factor: 1.8},
-	}
-	return append(s, faults.Generate(rng.New(seed), 1, 2, 4, 1, 8)...)
-}
-
-// downWindows replays a schedule's crash faults through the cluster's
-// overlap rule (a crash landing during an open repair span is a no-op) and
-// returns each pool-replica's actual down spans.
-type downSpan struct{ from, to float64 }
-
-func downWindows(s faults.Script) map[[2]int][]downSpan {
-	wins := map[[2]int][]downSpan{}
-	up := map[[2]int]float64{}
-	for _, f := range faults.Sorted(s) {
-		if f.Kind != faults.Crash {
-			continue
-		}
-		key := [2]int{f.Pool, f.Replica}
-		if f.At < up[key] {
-			continue // replica already down: overlapping crash is a no-op
-		}
-		wins[key] = append(wins[key], downSpan{from: f.At, to: f.At + f.Duration})
-		up[key] = f.At + f.Duration
-	}
-	return wins
-}
-
-// TestFaultConservation is the tentpole's conservation law under fire:
-// across seeded crash storms interleaving with prefill, KV transfer,
-// decode, and admission holds, every arrival still terminates exactly once
-// in {completed, shed} — nothing lost, duplicated, or left held — and no
-// KV transfer is ever delivered into a destination's down span.
-func TestFaultConservation(t *testing.T) {
-	const n = 300
-	recoveredTotal := 0
-	for _, seed := range chaosSeeds(t) {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			sch := stormSchedule(seed)
-			c := MustNewCluster(ClusterConfig{
-				Pools: []Config{
-					{Role: engine.RolePrefillOnly, Replicas: prefillReplicas(1, 10_000), Policy: FutureHeadroom},
-					{Role: engine.RoleDecodeOnly, Replicas: decodeReplicas(2, 10_000, seed), Policy: FutureHeadroom},
-				},
-				Link:      kv.MustNewLink(50e9, 0.002),
-				Admission: &AdmissionConfig{TTFTBudget: 5, Shed: true},
-				Faults: &FaultConfig{
-					Schedule: sch, Recover: true,
-					MaxTransferRetries: 3, RetryBackoff: 0.05,
-					LinkFailRate: 0.05, Seed: seed,
-				},
-			})
-			results := c.Serve(poissonReqs(n, 80, seed), 1e9)
-
-			finished := map[int64]bool{}
-			for _, res := range results {
-				for _, r := range res.Finished {
-					if finished[r.ID] {
-						t.Fatalf("request %d finished twice", r.ID)
-					}
-					if r.Outcome != request.OutcomeCompleted {
-						t.Fatalf("finished request %d outcome %v", r.ID, r.Outcome)
-					}
-					finished[r.ID] = true
-				}
-				if len(res.Failed) != 0 || len(res.TimedOut) != 0 {
-					t.Fatalf("recovery run saw failures (%d) or timeouts (%d)", len(res.Failed), len(res.TimedOut))
-				}
-			}
-			shed := map[int64]bool{}
-			for _, r := range c.ShedRequests() {
-				if shed[r.ID] {
-					t.Fatalf("request %d shed twice", r.ID)
-				}
-				if finished[r.ID] {
-					t.Fatalf("request %d both finished and shed", r.ID)
-				}
-				if r.Outcome != request.OutcomeShed {
-					t.Fatalf("shed request %d outcome %v", r.ID, r.Outcome)
-				}
-				shed[r.ID] = true
-			}
-			if got := len(finished) + len(shed); got != n {
-				t.Fatalf("%d finished + %d shed = %d, want %d", len(finished), len(shed), got, n)
-			}
-			if lost := c.LostRequests(); len(lost) != 0 {
-				t.Fatalf("recovery run lost %d requests", len(lost))
-			}
-			if c.HeldRequests() != 0 {
-				t.Fatalf("%d requests still held after Serve", c.HeldRequests())
-			}
-			// The storm must actually have hit live work for the run to mean
-			// anything.
-			rep := c.Report(results, metrics.SLA{TTFT: 5, MTPOT: 1.5})
-			if rep.Summary.Crashes == 0 || rep.Summary.Orphaned == 0 {
-				t.Fatalf("storm touched nothing: %d crashes, %d orphans", rep.Summary.Crashes, rep.Summary.Orphaned)
-			}
-			recoveredTotal += rep.Summary.Recovered
-			// No transfer lands inside its destination's down span: for each
-			// handoff whose delivery stuck (the request's recorded delivery
-			// matches the booking), the instant must be outside every down
-			// window of the destination replica.
-			wins := downWindows(sch)
-			for _, h := range c.Handoffs() {
-				if h.DeliveredAt < 0 || h.Req.DeliveredAt != h.DeliveredAt {
-					continue // never delivered, or re-tried elsewhere later
-				}
-				for _, w := range wins[[2]int{1, h.ToReplica}] {
-					if h.DeliveredAt > w.from && h.DeliveredAt <= w.to {
-						t.Fatalf("request %d delivered at %v into decode replica %d's down span [%v, %v]",
-							h.Req.ID, h.DeliveredAt, h.ToReplica, w.from, w.to)
-					}
-				}
-			}
-		})
-	}
-	// Individual seeds may shed every orphan under the tight budget, but the
-	// sweep as a whole must exercise end-to-end recovery.
-	if recoveredTotal == 0 {
-		t.Fatal("no orphaned request recovered to completion in any seed")
-	}
-}
-
-// TestNoRecoveryLosesTerminally: the same storm with recovery disabled
-// conserves arrivals across {completed, shed, lost}; every lost request is
-// terminally failed, and the report charges each one as an SLA violation.
-func TestNoRecoveryLosesTerminally(t *testing.T) {
-	const n = 300
-	seed := uint64(3)
-	c := MustNewCluster(ClusterConfig{
-		Pools: []Config{
-			{Role: engine.RolePrefillOnly, Replicas: prefillReplicas(1, 10_000), Policy: FutureHeadroom},
-			{Role: engine.RoleDecodeOnly, Replicas: decodeReplicas(2, 10_000, seed), Policy: FutureHeadroom},
-		},
-		Link:      kv.MustNewLink(50e9, 0.002),
-		Admission: &AdmissionConfig{TTFTBudget: 5, Shed: true},
-		Faults:    &FaultConfig{Schedule: stormSchedule(seed), LinkFailRate: 0.05, Seed: seed},
-	})
-	results := c.Serve(poissonReqs(n, 80, seed), 1e9)
-	finished := 0
-	for _, res := range results {
-		finished += len(res.Finished)
-	}
-	lost := c.LostRequests()
-	if len(lost) == 0 {
-		t.Fatal("storm without recovery lost nothing")
-	}
-	seen := map[int64]bool{}
-	for _, r := range lost {
-		if seen[r.ID] {
-			t.Fatalf("request %d lost twice", r.ID)
-		}
-		seen[r.ID] = true
-		if r.Outcome != request.OutcomeFailed {
-			t.Fatalf("lost request %d outcome %v, want failed", r.ID, r.Outcome)
-		}
-	}
-	if got := finished + len(c.ShedRequests()) + len(lost); got != n {
-		t.Fatalf("%d finished + %d shed + %d lost = %d, want %d",
-			finished, len(c.ShedRequests()), len(lost), got, n)
-	}
-	rep := c.Report(results, metrics.SLA{TTFT: 5, MTPOT: 1.5})
-	if rep.Summary.Lost != len(lost) {
-		t.Fatalf("summary lost %d, want %d", rep.Summary.Lost, len(lost))
-	}
-	if rep.Summary.Recovered != 0 || rep.Summary.TransferRetries != 0 {
-		t.Fatalf("no-recovery run recorded recoveries: %+v", rep.Summary)
-	}
-}
-
-// TestCrashRecoveryWithoutAdmission: the recovery path also works on a
-// cluster with no admission front — orphans re-enter through the entry
-// pool's routing policy and still complete exactly once.
-func TestCrashRecoveryWithoutAdmission(t *testing.T) {
-	const n = 60
-	c := MustNewCluster(ClusterConfig{
-		Pools: []Config{{Replicas: replicas(2, 10_000), Policy: FutureHeadroom}},
-		Faults: &FaultConfig{
-			Recover: true,
-			Schedule: faults.Script{
-				{At: 0.5, Kind: faults.Crash, Pool: 0, Replica: 0, Duration: 2},
-				{At: 1.2, Kind: faults.Crash, Pool: 0, Replica: 1, Duration: 1}, // both down 1.2–2.5
-			},
-		},
-	})
-	results := c.Serve(poissonReqs(n, 20, 3), 1e9)
-	seen := map[int64]bool{}
-	retried := 0
-	for _, res := range results {
-		for _, r := range res.Finished {
-			if seen[r.ID] {
-				t.Fatalf("request %d finished twice", r.ID)
-			}
-			seen[r.ID] = true
-			if r.Retries > 0 {
-				retried++
-			}
-		}
-	}
-	if len(seen) != n {
-		t.Fatalf("finished %d of %d", len(seen), n)
-	}
-	if retried == 0 {
-		t.Fatal("no request survived a crash; the scenario exercised nothing")
-	}
-	rep := c.Report(results, metrics.SLASmall)
-	if rep.Summary.Crashes != 2 || rep.Summary.Recovered != retried {
-		t.Fatalf("summary crashes=%d recovered=%d, want 2 and %d",
-			rep.Summary.Crashes, rep.Summary.Recovered, retried)
-	}
-	if rep.Summary.MeanTimeToRecover <= 0 {
-		t.Fatal("no repair time recorded")
 	}
 }
 
@@ -444,4 +179,84 @@ func TestReactiveScaleCostAware(t *testing.T) {
 	if hp.reps[2].active || !hp.reps[1].active {
 		t.Fatal("homogeneous scale-in skipped the last drained replica")
 	}
+}
+
+// faultBytes is the size of one fault in FuzzFaultScript's input: At,
+// Duration and Factor as raw float64 bits, then the kind, pool, replica and
+// link-failure count, one signed byte each.
+const faultBytes = 28
+
+// encodeScript is decodeScript's inverse, for seeding the corpus.
+func encodeScript(recover bool, s faults.Script) []byte {
+	b := []byte{0}
+	if recover {
+		b[0] = 1
+	}
+	for _, f := range s {
+		for _, v := range []float64{f.At, f.Duration, f.Factor} {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		b = append(b, byte(f.Kind), byte(int8(f.Pool)), byte(int8(f.Replica)), byte(int8(f.Count)))
+	}
+	return b
+}
+
+// decodeScript reads at most 8 faults; the floats come from raw bits, so
+// NaN, ±Inf and negative values occur.
+func decodeScript(b []byte) (recover bool, s faults.Script) {
+	if len(b) == 0 {
+		return false, nil
+	}
+	recover, b = b[0]&1 == 1, b[1:]
+	for len(b) >= faultBytes && len(s) < 8 {
+		float := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])) }
+		s = append(s, faults.Fault{
+			At: float(0), Duration: float(1), Factor: float(2),
+			Kind: faults.Kind(b[24] % 4), Pool: int(int8(b[25])), Replica: int(int8(b[26])), Count: int(int8(b[27])),
+		})
+		b = b[faultBytes:]
+	}
+	return recover, s
+}
+
+// FuzzFaultScript serves a small disaggregated cluster under any fault
+// script NewCluster accepts: Serve must return without a panic by its
+// deadline, every arrival must end completed, shed or lost — or still be
+// pending in a run the deadline cut — and every KV pool must stay
+// consistent.
+func FuzzFaultScript(f *testing.F) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		f.Add(encodeScript(true, stormSchedule(seed)))
+	}
+	nan := math.NaN()
+	for _, flt := range []faults.Fault{
+		{At: nan, Kind: faults.Crash, Pool: 1, Duration: 1},
+		{At: 0.5, Kind: faults.Slowdown, Pool: 1, Duration: nan, Factor: 2},
+		{At: 0.5, Kind: faults.Slowdown, Pool: 1, Duration: 1, Factor: nan},
+		{At: 0.5, Kind: faults.Slowdown, Pool: 1, Duration: 1, Factor: math.Inf(1)},
+		{At: 0.5, Kind: faults.Crash, Pool: 1, Duration: math.Inf(1)},
+	} {
+		f.Add(encodeScript(false, faults.Script{flt}))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		recover, sch := decodeScript(b)
+		c, err := NewCluster(ClusterConfig{
+			Pools: []Config{
+				{Role: engine.RolePrefillOnly, Replicas: prefillReplicas(1, 10_000), Policy: FutureHeadroom},
+				{Role: engine.RoleDecodeOnly, Replicas: decodeReplicas(2, 10_000, 1), Policy: FutureHeadroom},
+			},
+			Link:      kv.MustNewLink(50e9, 0.002),
+			Admission: &AdmissionConfig{TTFTBudget: 5, Shed: true},
+			Faults:    &FaultConfig{Schedule: sch, Recover: recover, LinkFailRate: 0.05, Seed: 1},
+		})
+		if err != nil {
+			return
+		}
+		const deadline = 1e4
+		s := served{c: c, reqs: poissonReqs(40, 20, 1)}
+		s.results = c.Serve(s.reqs, deadline)
+		cut := c.events.Len() > 0 // work remains past the deadline
+		checkEnded(t, s, cut)
+		checkPools(t, c, !cut)
+	})
 }

@@ -8,10 +8,8 @@ import (
 	"github.com/lightllm-go/lightllm/internal/core"
 	"github.com/lightllm-go/lightllm/internal/engine"
 	"github.com/lightllm-go/lightllm/internal/hw"
-	"github.com/lightllm-go/lightllm/internal/kv"
 	"github.com/lightllm-go/lightllm/internal/metrics"
 	"github.com/lightllm-go/lightllm/internal/model"
-	"github.com/lightllm-go/lightllm/internal/obs"
 	"github.com/lightllm-go/lightllm/internal/perf"
 	"github.com/lightllm-go/lightllm/internal/request"
 	"github.com/lightllm-go/lightllm/internal/rng"
@@ -242,181 +240,42 @@ func TestHeteroFloorUsesFastestFlavor(t *testing.T) {
 	}
 }
 
-// TestHeteroServesEverything: a mixed-GPU fleet under the predictive
-// planner must still serve every request exactly once — the conservation
-// law survives per-flavor scaling.
-func TestHeteroServesEverything(t *testing.T) {
-	const n = 200
-	pmExp, pmCheap := perfFor(hw.A100_80G), perfFor(hw.RTX4090)
-	f := mono(Config{
-		Replicas: mixedReplicas(pmExp, 2, pmCheap, 4, 10_000, 11),
-		Policy:   FutureHeadroom,
-		Planner: &PlannerConfig{
-			SLA: metrics.SLASmall, Min: 1, Max: 6, Interval: 5,
-			Predictor: HoltPredictor, ActivationDelay: 1,
-		},
-	})
-	results := f.Serve(poissonReqs(n, 25, 13), 1e9)
-	seen := map[int64]bool{}
-	for _, res := range results {
-		for _, req := range res.Finished {
-			if seen[req.ID] {
-				t.Fatalf("request %d served twice", req.ID)
-			}
-			seen[req.ID] = true
-		}
-	}
-	if len(seen) != n {
-		t.Fatalf("served %d of %d on the mixed fleet", len(seen), n)
-	}
-	if f.CostSeconds() <= 0 {
-		t.Fatal("mixed fleet recorded no provisioning cost")
-	}
-	for _, s := range f.Pool(0).PlanHistory() {
-		if len(s.Targets) != 2 {
-			t.Fatalf("plan sample lacks per-flavor targets: %+v", s)
-		}
-		if tot := s.Targets[0] + s.Targets[1]; tot != s.Target {
-			t.Fatalf("per-flavor targets %v do not sum to %d", s.Targets, s.Target)
-		}
-	}
-}
-
-// decisionTrace drives one full disaggregated admission+planner scenario
-// and records every decision the seam refactor could have disturbed:
-// routing picks per pool, plan targets, shed identities and times, handoff
-// bookings, and the rolled-up report.
-type decisionTrace struct {
-	routes   []string
-	plans    []string
-	sheds    []string
-	handoffs []string
-	report   string
-}
-
-// compareTraces fails the test on the first field where two decision
-// traces diverge.
-func compareTraces(t *testing.T, label string, got, want decisionTrace) {
-	t.Helper()
-	compare := func(kind string, g, w []string) {
-		t.Helper()
-		if len(g) != len(w) {
-			t.Fatalf("%s: %s counts differ: got %d, reference %d", label, kind, len(g), len(w))
-		}
-		for i := range g {
-			if g[i] != w[i] {
-				t.Fatalf("%s: %s %d differs:\ngot:       %s\nreference: %s", label, kind, i, g[i], w[i])
-			}
-		}
-	}
-	compare("route", got.routes, want.routes)
-	compare("plan", got.plans, want.plans)
-	compare("shed", got.sheds, want.sheds)
-	compare("handoff", got.handoffs, want.handoffs)
-	if got.report != want.report {
-		t.Fatalf("%s: reports differ:\ngot:       %s\nreference: %s", label, got.report, want.report)
-	}
-}
-
-func runSeamScenario(seed uint64, flt *FaultConfig, rec ...obs.Recorder) decisionTrace {
-	var recorder obs.Recorder
-	if len(rec) > 0 {
-		recorder = rec[0]
-	}
-	var tr decisionTrace
-	c := seamCluster(seed, flt, recorder, &tr)
-	tr.collect(c, c.Serve(poissonReqs(350, 60, seed), 1e9), seamSLA)
-	return tr
-}
-
-// onRoute returns an OnRoute hook that logs pool's routing decisions.
-func (tr *decisionTrace) onRoute(pool int) func(r *request.Request, rep int) {
-	return func(r *request.Request, rep int) {
-		tr.routes = append(tr.routes, fmt.Sprintf("p%d r%d req%d", pool, rep, r.ID))
-	}
-}
-
-// collect records what a served cluster decided besides routing: sheds,
-// handoff bookings, plan targets and the rolled-up report.
-func (tr *decisionTrace) collect(c *Cluster, results []*engine.Result, sla metrics.SLA) {
-	for _, s := range c.ShedRequests() {
-		tr.sheds = append(tr.sheds, fmt.Sprintf("req%d@%.9f", s.ID, s.ShedAt))
-	}
-	for _, h := range c.Handoffs() {
-		tr.handoffs = append(tr.handoffs, fmt.Sprintf("req%d %d->%d @%.9f", h.Req.ID, h.FromReplica, h.ToReplica, h.DeliveredAt))
-	}
-	for pi := 0; pi < c.NumPools(); pi++ {
-		for _, s := range c.Pool(pi).PlanHistory() {
-			tr.plans = append(tr.plans, fmt.Sprintf("p%d @%.3f target=%d active=%d targets=%v", pi, s.At, s.Target, s.Active, s.Targets))
-		}
-	}
-	tr.report = fmt.Sprintf("%+v", c.Report(results, sla))
-}
-
-// seamSLA is the SLA of the seam scenario and of the pins built on it.
-var seamSLA = metrics.SLA{TTFT: 6, MTPOT: 1.5}
-
-// seamCluster builds the seam scenario's cluster: a disaggregated pool pair
-// behind admission with shedding, a per-pool SLA planner on each, KV
-// handoffs over a real link, and flt's faults. tr logs its routing.
-func seamCluster(seed uint64, flt *FaultConfig, recorder obs.Recorder, tr *decisionTrace) *Cluster {
-	sla := seamSLA
-	planner := func(max int) *PlannerConfig {
-		return &PlannerConfig{
-			SLA: sla, Min: 1, Max: max, Interval: 5,
-			Predictor: HoltPredictor, ActivationDelay: 1,
-		}
-	}
-	return MustNewCluster(ClusterConfig{
-		Pools: []Config{
-			{
-				Role: engine.RolePrefillOnly, Replicas: prefillReplicas(2, 20_000), Policy: FutureHeadroom,
-				Planner: planner(2), OnRoute: tr.onRoute(0),
-			},
-			{
-				Role: engine.RoleDecodeOnly, Replicas: decodeReplicas(3, 12_000, seed), Policy: FutureHeadroom,
-				Planner: planner(3), OnRoute: tr.onRoute(1),
-			},
-		},
-		Link:      kv.MustNewLink(50e9, 0.002),
-		Admission: &AdmissionConfig{TTFTBudget: sla.TTFT, Shed: true, Slack: 0.5},
-		Faults:    flt,
-		Recorder:  recorder,
-	})
-}
-
 // TestSingleFlavorMatchesHomogeneous holds a single-flavor cluster to the
-// homogeneous path flavors replaced, across the full disaggregated admission
-// pipeline of the seam scenario: each pool is one flavor at relative speed
+// homogeneous path flavors replaced, on every fault-free matrix cell with a
+// planner and one GPU type: each pool is one flavor at relative speed
 // exactly 1, so speed-normalized routing scores are the raw probe fractions,
 // and every planner tick sizes its pool by the pre-flavor scalar rule
 // (checkScalarPlan) — same seeds, same decisions.
 func TestSingleFlavorMatchesHomogeneous(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			var tr decisionTrace
-			c := seamCluster(seed, nil, nil, &tr)
-			initial := make([]int, c.NumPools())
-			for pi := range initial {
-				initial[pi] = c.Pool(pi).ActiveReplicas()
-			}
-			c.Serve(poissonReqs(350, 60, seed), 1e9)
-			if len(c.ShedRequests()) == 0 {
-				t.Fatal("scenario shed nothing; the seam test exercises no admission pressure")
-			}
-			moved := 0
-			for pi := 0; pi < c.NumPools(); pi++ {
-				p := c.Pool(pi)
-				if fl := p.Flavors(); len(fl) != 1 || fl[0].RelSpeed != 1 {
-					t.Fatalf("pool %d flavors %+v, want one at relative speed 1", pi, fl)
+	for _, mc := range matrixCells() {
+		if !mc.planner || mc.hetero || mc.faults != faultsOff {
+			continue
+		}
+		for seed := uint64(1); seed <= 4; seed++ {
+			mc, seed := mc, seed
+			t.Run(fmt.Sprintf("%s/seed=%d", mc.name, seed), func(t *testing.T) {
+				c, reqs := mc.build(seed, nil, &decisionTrace{})
+				initial := make([]int, c.NumPools())
+				for pi := range initial {
+					initial[pi] = c.Pool(pi).ActiveReplicas()
 				}
-				moved += checkScalarPlan(t, pi, p, initial[pi])
-			}
-			if moved == 0 {
-				t.Fatal("no planner tick changed a target; the scalar rule went unchecked")
-			}
-		})
+				c.Serve(reqs, 1e9)
+				if mc.admit && len(c.ShedRequests()) == 0 {
+					t.Fatal("the cell shed nothing; the test exercises no admission pressure")
+				}
+				moved := 0
+				for pi := 0; pi < c.NumPools(); pi++ {
+					p := c.Pool(pi)
+					if fl := p.Flavors(); len(fl) != 1 || fl[0].RelSpeed != 1 {
+						t.Fatalf("pool %d flavors %+v, want one at relative speed 1", pi, fl)
+					}
+					moved += checkScalarPlan(t, pi, p, initial[pi])
+				}
+				if moved == 0 {
+					t.Fatal("no planner tick changed a target; the scalar rule went unchecked")
+				}
+			})
+		}
 	}
 }
 
@@ -467,4 +326,24 @@ func checkScalarPlan(t *testing.T, pi int, p *Pool, active int) int {
 		active = s.Active
 	}
 	return moved
+}
+
+// TestSpeedAwareHeadroom unit-pins the per-flavor utilization targets
+// derived from absolute service speed: the fastest flavor gets exactly the
+// configured headroom (bit-identity on homogeneous fleets), slower flavors
+// get strictly lower targets, monotone in speed, and the feature is inert
+// when disabled.
+func TestSpeedAwareHeadroom(t *testing.T) {
+	p := &planner{cfg: PlannerConfig{Headroom: 0.8, SpeedAware: true}}
+	if got := p.headroomFor(10, 10); got != 0.8 {
+		t.Fatalf("fastest flavor target %v, want exactly the configured 0.8", got)
+	}
+	slow, slower := p.headroomFor(5, 10), p.headroomFor(2, 10)
+	if !(slow < 0.8 && slow > 0) || !(slower < slow) {
+		t.Fatalf("slower flavors must get strictly lower targets: %v, %v", slow, slower)
+	}
+	off := &planner{cfg: PlannerConfig{Headroom: 0.8}}
+	if got := off.headroomFor(2, 10); got != 0.8 {
+		t.Fatalf("disabled speed-aware target %v, want 0.8", got)
+	}
 }

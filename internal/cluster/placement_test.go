@@ -246,6 +246,12 @@ func checkPlacementState(t *testing.T, c *Cluster, led *placementLedger, cands [
 	return spliced, lagged
 }
 
+// stormFaults is the storm with recovery and background wire flakiness the
+// placement cross-check runs under.
+func stormFaults(seed uint64) *FaultConfig {
+	return &FaultConfig{Schedule: stormSchedule(seed), Recover: true, LinkFailRate: 0.02, Seed: seed}
+}
+
 // TestPlacementCrossCheck interleaves placements, engine steps and crash
 // evacuations through the real event loop — a monolithic fleet re-routing
 // crash orphans directly, and the disaggregated admission pipeline under the

@@ -144,6 +144,7 @@ func TestChunkedConfigValidation(t *testing.T) {
 		{Perf: pm, Scheduler: sched(), Chunked: ChunkConfig{Enabled: true, ChunkTokens: -1}},
 		{Perf: pm, Scheduler: sched(), Chunked: ChunkConfig{Enabled: true, MinChunkTokens: 512, MaxChunkTokens: 128}},
 		{Perf: pm, Scheduler: sched(), Chunked: ChunkConfig{Enabled: true, SlackShare: 1.5}},
+		{Perf: pm, Scheduler: sched(), Chunked: ChunkConfig{Enabled: true, SlackShare: math.NaN()}},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

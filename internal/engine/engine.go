@@ -480,8 +480,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.CapacityOverride > 0 {
 		capacity = cfg.CapacityOverride
 	}
-	if cfg.QueueTimeout < 0 {
-		return nil, fmt.Errorf("engine: negative queue timeout %v", cfg.QueueTimeout)
+	// Range checks are "inside" tests so that NaN fails them too.
+	if !(cfg.QueueTimeout >= 0) {
+		return nil, fmt.Errorf("engine: queue timeout %v outside [0,+Inf]", cfg.QueueTimeout)
 	}
 	if cfg.Role != RoleMixed && cfg.Strategy != PrefillPriority {
 		return nil, fmt.Errorf("engine: role %v requires the prefill-priority strategy, got %v", cfg.Role, cfg.Strategy)
@@ -509,7 +510,7 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("engine: chunk floor %d above cap %d",
 				cfg.Chunked.MinChunkTokens, cfg.Chunked.MaxChunkTokens)
 		}
-		if cfg.Chunked.SlackShare < 0 || cfg.Chunked.SlackShare > 1 {
+		if !(cfg.Chunked.SlackShare >= 0 && cfg.Chunked.SlackShare <= 1) {
 			return nil, fmt.Errorf("engine: chunk slack share %v outside [0,1]", cfg.Chunked.SlackShare)
 		}
 	}

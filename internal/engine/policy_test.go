@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"github.com/lightllm-go/lightllm/internal/core"
@@ -156,6 +157,10 @@ func TestQueueTimeoutDropHookAndState(t *testing.T) {
 func TestNegativeQueueTimeoutRejected(t *testing.T) {
 	if _, err := New(Config{Perf: testPerf(t), Scheduler: core.NewOracle(), QueueTimeout: -1}); err == nil {
 		t.Fatal("negative timeout accepted")
+	}
+	// A NaN timeout would silently disable timeouts.
+	if _, err := New(Config{Perf: testPerf(t), Scheduler: core.NewOracle(), QueueTimeout: math.NaN()}); err == nil {
+		t.Fatal("NaN timeout accepted")
 	}
 }
 

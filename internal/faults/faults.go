@@ -13,6 +13,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/lightllm-go/lightllm/internal/rng"
@@ -73,11 +74,13 @@ type Fault struct {
 type Script []Fault
 
 // Validate checks a schedule against a cluster shape: poolSizes[p] is the
-// replica count of pool p.
+// replica count of pool p. Its range checks are written as "inside" tests so
+// that NaN, which fails every comparison, is rejected with them. An infinite
+// Duration is a permanent crash or slowdown.
 func Validate(s []Fault, poolSizes []int) error {
 	for i, f := range s {
-		if f.At < 0 {
-			return fmt.Errorf("faults: fault %d at negative time %v", i, f.At)
+		if !(f.At >= 0 && f.At < math.Inf(1)) {
+			return fmt.Errorf("faults: fault %d at time %v outside [0,+Inf)", i, f.At)
 		}
 		switch f.Kind {
 		case Crash, Slowdown:
@@ -88,11 +91,11 @@ func Validate(s []Fault, poolSizes []int) error {
 				return fmt.Errorf("faults: fault %d targets replica %d of %d in pool %d",
 					i, f.Replica, poolSizes[f.Pool], f.Pool)
 			}
-			if f.Duration <= 0 {
-				return fmt.Errorf("faults: fault %d has non-positive duration %v", i, f.Duration)
+			if !(f.Duration > 0) {
+				return fmt.Errorf("faults: fault %d has duration %v outside (0,+Inf]", i, f.Duration)
 			}
-			if f.Kind == Slowdown && f.Factor <= 1 {
-				return fmt.Errorf("faults: slowdown %d needs factor > 1, got %v", i, f.Factor)
+			if f.Kind == Slowdown && !(f.Factor > 1 && f.Factor < math.Inf(1)) {
+				return fmt.Errorf("faults: slowdown %d has factor %v outside (1,+Inf)", i, f.Factor)
 			}
 		case LinkFailure:
 			if f.Count < 0 {

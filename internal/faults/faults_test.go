@@ -2,15 +2,18 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/lightllm-go/lightllm/internal/rng"
 )
 
 func TestValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	pools := []int{2, 3}
 	good := Script{
 		{At: 0, Kind: Crash, Pool: 0, Replica: 1, Duration: 5},
+		{At: 1, Kind: Crash, Pool: 1, Replica: 0, Duration: inf}, // a permanent failure
 		{At: 2, Kind: Slowdown, Pool: 1, Replica: 2, Duration: 1, Factor: 1.5},
 		{At: 3, Kind: LinkFailure, Count: 2},
 	}
@@ -26,6 +29,12 @@ func TestValidate(t *testing.T) {
 		{At: 0, Kind: Slowdown, Duration: 0, Factor: 2},           // no window
 		{At: 0, Kind: LinkFailure, Count: -1},                     // negative count
 		{At: 0, Kind: Kind(99), Pool: 0, Replica: 0, Duration: 1}, // unknown kind
+		// NaN fails every comparison: each range must be an inside test.
+		{At: nan, Kind: Crash, Duration: 1},               // NaN time: never fires
+		{At: inf, Kind: LinkFailure, Count: 1},            // never arms
+		{At: 0, Kind: Slowdown, Duration: nan, Factor: 2}, // NaN window
+		{At: 0, Kind: Slowdown, Duration: 1, Factor: nan}, // NaN step times
+		{At: 0, Kind: Slowdown, Duration: 1, Factor: inf}, // a stalled replica
 	}
 	for i, f := range bad {
 		if err := Validate(Script{f}, pools); err == nil {
