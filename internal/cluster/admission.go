@@ -75,11 +75,12 @@ func (c AdmissionConfig) validate() error {
 
 // admitItem is one held request keyed by its TTFT deadline (+Inf when the
 // request carries none, so deadline-less traffic degrades to FIFO) and its
-// arrival sequence number.
+// arrival sequence number, with the instant it was held.
 type admitItem struct {
 	r        *request.Request
 	deadline float64
 	seq      int64
+	at       float64
 }
 
 // admitHeap is the deadline-indexed global queue: a typed EDF min-heap —
@@ -201,7 +202,7 @@ func (a *admission) arrive(now float64, r *request.Request) {
 		return
 	}
 	a.seq++
-	a.heap.push(admitItem{r: r, deadline: deadlineKey(r), seq: a.seq})
+	a.heap.push(admitItem{r: r, deadline: deadlineKey(r), seq: a.seq, at: now})
 	if a.clu.rec != nil {
 		a.clu.rec.Hold(now, r, a.heap.Len())
 	}
@@ -371,10 +372,14 @@ func (a *admission) shed(now float64, r *request.Request, where int) {
 }
 
 // flush terminates every request still held when the run ends: the stream
-// is over, nothing more will free, and an unserved hold is a refusal.
+// is over, nothing more will free, and an unserved hold is a refusal. The
+// run's end is read off the engine clocks, which trail a hold that no step
+// followed (every replica down, say); such a request is shed at the instant
+// it was held.
 func (a *admission) flush(now float64) {
 	for a.heap.Len() > 0 {
-		a.shed(now, a.heap.pop().r, shedFlush)
+		it := a.heap.pop()
+		a.shed(max(now, it.at), it.r, shedFlush)
 	}
 }
 

@@ -694,11 +694,12 @@ func (c *Cluster) book(ev event) {
 	if rep.down {
 		// Every decode replica is down (the pick fell through to the crashed
 		// fallback). The wire never carries a transfer to a crashed
-		// destination: without recovery the request is lost here; with it,
-		// the booking defers to the destination's repair, where the retry
-		// re-picks and prices normally. Not a wire failure, so Retries is
-		// not charged.
-		if !c.flt.cfg.Recover {
+		// destination: without recovery the request is lost here, and so it
+		// is when the destination never comes back (an infinite repair); with
+		// recovery, the booking defers to the destination's repair, where the
+		// retry re-picks and prices normally. Not a wire failure, so Retries
+		// is not charged.
+		if !c.flt.cfg.Recover || math.IsInf(rep.repairAt, 1) {
 			c.lose(ev.at, r, c.decode, rep.idx)
 			return
 		}

@@ -32,11 +32,14 @@ type twinScenario struct {
 }
 
 // coastCells are the feature-matrix cells the twin test serves: every
-// feature at once, and the cells that replaced its former scenarios — the
-// disaggregated seam with and without the storm, chunked prefill on long
-// documents under the storm, and the prefix cache's small pools under
+// feature at once, and the cells that replaced its former scenarios, in
+// their shapes — the disaggregated seam past its knee with and without the
+// storm and under the salted storm on session traffic, chunked prefill on
+// long documents under the storm, and the prefix cache's small pools under
 // crashes.
-var coastCells = map[string]bool{"all-on": true, "seam": true, "seam-storm": true, "chunked-storm": true, "prefix-cache-crashes": true}
+var coastCells = map[string]bool{
+	"all-on": true, "seam": true, "seam-storm": true, "prefix-storm": true, "chunked-storm": true, "prefix-cache-crashes": true,
+}
 
 func twinScenarios() []twinScenario {
 	var scs []twinScenario
@@ -314,10 +317,13 @@ func sameText(t *testing.T, label, what, got, ref string) {
 // the time-series CSV and the Perfetto export must be equal. A case fails if
 // it never coasted — popped no fewer heap events than its twin, so it
 // compared the per-step loop with itself — and the test fails unless
-// catch-ups cut runs before an arrival, a crash, a slowdown and a repair.
+// catch-ups cut runs before an arrival, a crash, a slowdown and a repair,
+// and in each feature-matrix cell some coasted run ends at a refused
+// admission round (the knee).
 // Seeds follow CHAOS_SEEDS (make chaos).
 func TestCoastRunMatchesPerStepPath(t *testing.T) {
 	var cuts [evXferRetry + 1]int
+	knee := map[string]int{}
 	for _, sc := range twinScenarios() {
 		for _, seed := range chaosSeeds(t) {
 			sc, seed := sc, seed
@@ -331,8 +337,9 @@ func TestCoastRunMatchesPerStepPath(t *testing.T) {
 				sameText(t, label, "span CSV", got.spans, ref.spans)
 				sameText(t, label, "time-series CSV", got.series, ref.series)
 				sameText(t, label, "Perfetto trace", got.traced, ref.traced)
-				if ref.cuts != ([evXferRetry + 1]int{}) {
-					t.Fatalf("%s: the per-step twin caught up %v: its engines coasted", label, ref.cuts)
+				if ref.cuts != ([evXferRetry + 1]int{}) || ref.trace.kneeRounds != 0 {
+					t.Fatalf("%s: the per-step twin caught up %v and refused %d rounds inside runs: its engines coasted",
+						label, ref.cuts, ref.trace.kneeRounds)
 				}
 				if got.pops >= ref.pops {
 					t.Fatalf("%s: %d heap events against the per-step twin's %d: nothing coasted", label, got.pops, ref.pops)
@@ -340,6 +347,7 @@ func TestCoastRunMatchesPerStepPath(t *testing.T) {
 				for k, n := range got.cuts {
 					cuts[k] += n
 				}
+				knee[sc.name] += got.trace.kneeRounds
 			})
 		}
 	}
@@ -349,6 +357,11 @@ func TestCoastRunMatchesPerStepPath(t *testing.T) {
 	}{{evStep, "an arrival"}, {evCrash, "a crash"}, {evSlow, "a slowdown"}, {evRecover, "a repair"}} {
 		if cuts[cut.kind] == 0 {
 			t.Errorf("no catch-up before %s took a coasted step (catch-ups by kind: %v)", cut.what, cuts)
+		}
+	}
+	for name := range coastCells {
+		if knee[name] == 0 {
+			t.Errorf("%s: no coasted run ended at a refused admission round (kneeProbe)", name)
 		}
 	}
 }

@@ -356,9 +356,10 @@ func (c *Cluster) failDelivery(ev event) {
 	}
 }
 
-// LostRequests returns every request terminally lost to faults (no-recovery
-// mode only; with recovery, nothing is ever lost — every orphan completes or
-// is shed). Complete after Serve.
+// LostRequests returns every request terminally lost to faults. With
+// recovery only a handoff no decode replica will ever take is lost (every
+// decode replica down for good); every other orphan completes or is shed.
+// Complete after Serve.
 func (c *Cluster) LostRequests() []*request.Request {
 	if c.flt == nil {
 		return nil

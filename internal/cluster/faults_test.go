@@ -10,6 +10,7 @@ import (
 	"github.com/lightllm-go/lightllm/internal/hw"
 	"github.com/lightllm-go/lightllm/internal/kv"
 	"github.com/lightllm-go/lightllm/internal/metrics"
+	"github.com/lightllm-go/lightllm/internal/request"
 )
 
 func TestFaultConfigValidation(t *testing.T) {
@@ -219,10 +220,77 @@ func decodeScript(b []byte) (recover bool, s faults.Script) {
 	return recover, s
 }
 
+// faultScriptCluster is FuzzFaultScript's cluster: one prefill and two
+// decode replicas over a flaky link, behind admission with shedding.
+func faultScriptCluster(recover bool, sch faults.Script) (*Cluster, error) {
+	return NewCluster(ClusterConfig{
+		Pools: []Config{
+			{Role: engine.RolePrefillOnly, Replicas: prefillReplicas(1, 10_000), Policy: FutureHeadroom},
+			{Role: engine.RoleDecodeOnly, Replicas: decodeReplicas(2, 10_000, 1), Policy: FutureHeadroom},
+		},
+		Link:      kv.MustNewLink(50e9, 0.002),
+		Admission: &AdmissionConfig{TTFTBudget: 5, Shed: true},
+		Faults:    &FaultConfig{Schedule: sch, Recover: recover, LinkFailRate: 0.05, Seed: 1},
+	})
+}
+
+// serveScript serves faultScriptCluster's traffic to a deadline of 1e4 and
+// checks it: every arrival ends completed, shed or lost, and every KV pool
+// is consistent and, once drained, empty. Only a run the deadline cut may
+// leave work behind: a live step, a booking, a delivery or a retry on the
+// heap (fault and repair events are not work), or a request held by a
+// replica still down at the deadline.
+func serveScript(t *testing.T, c *Cluster) {
+	t.Helper()
+	s := served{c: c, reqs: poissonReqs(40, 20, 1)}
+	s.results = c.Serve(s.reqs, 1e4)
+	cut := false
+	for _, ev := range c.events {
+		switch ev.kind {
+		case evStep:
+			cut = cut || ev.seq == c.pools[ev.pool].reps[ev.rep].stepSeq
+		case evXfer, evDeliver, evRetry, evXferRetry:
+			cut = cut || ev.at < math.Inf(1)
+		}
+	}
+	stuck := map[*request.Request]bool{}
+	for _, p := range c.pools {
+		for _, rep := range p.reps {
+			if rep.down {
+				rep.eng.ForEachWaiting(func(r *request.Request) { stuck[r] = true })
+				rep.eng.ForEachRunning(func(r *request.Request) { stuck[r] = true })
+			}
+		}
+	}
+	checkEnded(t, s, func(r *request.Request) bool { return cut || stuck[r] })
+	checkPools(t, c, !cut && len(stuck) == 0)
+}
+
+// TestPermanentCrash serves FuzzFaultScript's cluster with decode replicas
+// that never come back, with and without recovery: every arrival must end,
+// lost when no decode replica is left to take its KV.
+func TestPermanentCrash(t *testing.T) {
+	inf := math.Inf(1)
+	for _, sch := range []faults.Script{
+		{{At: 0.5, Kind: faults.Crash, Pool: 1, Duration: inf}},
+		{{At: 0.5, Kind: faults.Crash, Pool: 1, Duration: inf}, {At: 0.7, Kind: faults.Crash, Pool: 1, Replica: 1, Duration: inf}},
+	} {
+		for _, recover := range []bool{false, true} {
+			c, err := faultScriptCluster(recover, sch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := served{c: c, reqs: poissonReqs(40, 20, 1)}
+			s.results = c.Serve(s.reqs, 1e4)
+			checkEnded(t, s, nil)
+			checkPools(t, c, true)
+		}
+	}
+}
+
 // FuzzFaultScript serves a small disaggregated cluster under any fault
-// script NewCluster accepts: Serve must return without a panic by its
-// deadline, every arrival must end completed, shed or lost — or still be
-// pending in a run the deadline cut — and every KV pool must stay
+// script NewCluster accepts (serveScript): Serve must return without a
+// panic by its deadline, conserve every arrival and keep every KV pool
 // consistent.
 func FuzzFaultScript(f *testing.F) {
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -235,28 +303,16 @@ func FuzzFaultScript(f *testing.F) {
 		{At: 0.5, Kind: faults.Slowdown, Pool: 1, Duration: 1, Factor: nan},
 		{At: 0.5, Kind: faults.Slowdown, Pool: 1, Duration: 1, Factor: math.Inf(1)},
 		{At: 0.5, Kind: faults.Crash, Pool: 1, Duration: math.Inf(1)},
+		{At: 0.5, Kind: faults.Crash, Pool: 0, Duration: math.Inf(1)},
 	} {
 		f.Add(encodeScript(false, faults.Script{flt}))
+		f.Add(encodeScript(true, faults.Script{flt}))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		recover, sch := decodeScript(b)
-		c, err := NewCluster(ClusterConfig{
-			Pools: []Config{
-				{Role: engine.RolePrefillOnly, Replicas: prefillReplicas(1, 10_000), Policy: FutureHeadroom},
-				{Role: engine.RoleDecodeOnly, Replicas: decodeReplicas(2, 10_000, 1), Policy: FutureHeadroom},
-			},
-			Link:      kv.MustNewLink(50e9, 0.002),
-			Admission: &AdmissionConfig{TTFTBudget: 5, Shed: true},
-			Faults:    &FaultConfig{Schedule: sch, Recover: recover, LinkFailRate: 0.05, Seed: 1},
-		})
+		c, err := faultScriptCluster(decodeScript(b))
 		if err != nil {
 			return
 		}
-		const deadline = 1e4
-		s := served{c: c, reqs: poissonReqs(40, 20, 1)}
-		s.results = c.Serve(s.reqs, deadline)
-		cut := c.events.Len() > 0 // work remains past the deadline
-		checkEnded(t, s, cut)
-		checkPools(t, c, !cut)
+		serveScript(t, c)
 	})
 }

@@ -39,35 +39,49 @@ const (
 	nFaultModes
 )
 
-// cellShape sizes a cell: its traffic, its SLA and its replicas' KV
-// capacity per pool role.
+// cellShape sizes a cell: its traffic, its SLA, its replicas' KV capacity
+// per pool role, and the wire its storm fails.
 type cellShape struct {
 	sla                    metrics.SLA
 	base                   workload.Generator // the sessions' fresh-text lengths
+	plain                  bool               // base's own requests: no sessions, no prefix hashes
 	n                      int
 	rate                   float64
 	mixed, prefill, decode int
-	offload                int // the prefix cache's host store: 0 none, -1 unbounded
+	offload                int     // the prefix cache's host store: 0 none, -1 unbounded
+	affinity, slack        float64 // the entry pool's AffinityWeight, admission's Slack
+	linkFail               float64 // the storm's background rate of failed deliveries
+	salted                 bool    // the storm's wire draws from a salted seed
 }
 
 var (
-	// seamSLA is the SLA of the default shape.
+	// seamSLA is the SLA of the seam shapes.
 	seamSLA = metrics.SLA{TTFT: 6, MTPOT: 1.5}
-	// seamShape is every cell's shape unless it names another: the pools of
-	// the disaggregated admission-and-planner seam, sized so that most
+	// seamShape is every cell's shape unless it names another: the seam's
+	// pools with a larger decode pool and a fifth of its load, so that most
 	// arrivals complete with every feature on.
 	seamShape = &cellShape{sla: seamSLA, base: workload.ShareGPT, n: 200, rate: 12,
-		mixed: 20_000, prefill: 20_000, decode: 16_000}
+		mixed: 20_000, prefill: 20_000, decode: 16_000, linkFail: 0.05, affinity: 0.35, slack: 0.5}
+	// kneeShape is the disaggregated admission-and-planner seam as its
+	// scenarios were chosen: 350 plain ShareGPT requests at 60/s on
+	// 12k-token decode replicas, past the knee, where admission sheds and
+	// the decode replicas' coasted runs end at refused admission rounds.
+	kneeShape = &cellShape{sla: seamSLA, base: workload.ShareGPT, plain: true, n: 350, rate: 60,
+		mixed: 20_000, prefill: 20_000, decode: 12_000, linkFail: 0.02, affinity: 0.35, slack: 0.5}
+	// kneeSessionShape is kneeShape's load as session traffic, under the
+	// salted storm of a flakier wire.
+	kneeSessionShape = &cellShape{sla: seamSLA, base: workload.ShareGPT, n: 350, rate: 60,
+		mixed: 20_000, prefill: 20_000, decode: 12_000, linkFail: 0.08, salted: true, affinity: 0.35, slack: 0.5}
 	// longShape is the long-context shape chunked prefill exists for: 10%
 	// of the prompts are 16k–64k documents.
-	longShape = &cellShape{sla: metrics.SLA{TTFT: 20, MTPOT: 1.5}, base: workload.LongCtxMix(0.10), n: 220, rate: 30,
-		mixed: 80_000, prefill: 80_000, decode: 70_000}
+	longShape = &cellShape{sla: metrics.SLA{TTFT: 20, MTPOT: 1.5}, base: workload.LongCtxMix(0.10), plain: true, n: 220, rate: 30,
+		mixed: 80_000, prefill: 80_000, decode: 70_000, linkFail: 0.08, salted: true, affinity: 0.35, slack: 0.5}
 	// cachedShape fills small pools with reclaimable prefix blocks, so a
 	// run of coasted steps can end on the last physically free block and
 	// the step after it take a cached one, and evicted prefixes spill to an
 	// unbounded host store.
-	cachedShape = &cellShape{sla: metrics.SLA{TTFT: 5, MTPOT: 1.5}, base: workload.ShareGPT, n: 200, rate: 10,
-		mixed: 8_000, prefill: 8_000, decode: 8_000, offload: -1}
+	cachedShape = &cellShape{sla: metrics.SLA{TTFT: 5, MTPOT: 1.5}, base: workload.ShareGPT, n: 300, rate: 60,
+		mixed: 8_000, prefill: 8_000, decode: 8_000, offload: -1, affinity: 0.3}
 )
 
 // matrixCell is one combination of the cluster's features.
@@ -87,8 +101,9 @@ func matrixCells() []matrixCell {
 	return []matrixCell{
 		{name: "all-off"},
 		{name: "all-on", disagg: true, hetero: true, admit: true, faults: faultsRecover, prefix: true, chunk: true, planner: true},
-		{name: "seam", disagg: true, admit: true, planner: true},
-		{name: "seam-storm", disagg: true, admit: true, faults: faultsRecover, planner: true},
+		{name: "seam", disagg: true, admit: true, planner: true, shape: kneeShape},
+		{name: "seam-storm", disagg: true, admit: true, faults: faultsRecover, planner: true, shape: kneeShape},
+		{name: "prefix-storm", disagg: true, admit: true, faults: faultsRecover, planner: true, shape: kneeSessionShape},
 		{name: "seam-lost", disagg: true, admit: true, faults: faultsLost},
 		{name: "chunked-storm", disagg: true, admit: true, faults: faultsRecover, chunk: true, shape: longShape},
 		{name: "prefix-cache-crashes", admit: true, faults: faultsRecover, prefix: true, shape: cachedShape},
@@ -125,8 +140,8 @@ func (mc matrixCell) shapeOf() *cellShape {
 }
 
 // twins returns the cell's inert forms, one per feature it leaves off that
-// has one: an empty fault subsystem, the traffic without its prefix hashes,
-// and speed-aware planning on a single flavor.
+// has one: an empty fault subsystem, session traffic without its prefix
+// hashes, and speed-aware planning on a single flavor.
 func (mc matrixCell) twins() []matrixCell {
 	var out []matrixCell
 	if mc.faults == faultsOff {
@@ -134,7 +149,7 @@ func (mc matrixCell) twins() []matrixCell {
 		tw.name, tw.armed = mc.name+"+armed-faults", true
 		out = append(out, tw)
 	}
-	if !mc.prefix {
+	if !mc.prefix && !mc.shapeOf().plain {
 		tw := mc
 		tw.name, tw.stripped = mc.name+"+stripped-hashes", true
 		out = append(out, tw)
@@ -154,11 +169,11 @@ func (mc matrixCell) build(seed uint64, rec obs.Recorder, tr *decisionTrace) (*C
 	var pools []Config
 	if mc.disagg {
 		pools = []Config{
-			{Role: engine.RolePrefillOnly, Replicas: mc.engines(engine.RolePrefillOnly, 2, sh.prefill, seed)},
-			{Role: engine.RoleDecodeOnly, Replicas: mc.engines(engine.RoleDecodeOnly, 3, sh.decode, seed)},
+			{Role: engine.RolePrefillOnly, Replicas: mc.engines(engine.RolePrefillOnly, 2, sh.prefill, seed, tr)},
+			{Role: engine.RoleDecodeOnly, Replicas: mc.engines(engine.RoleDecodeOnly, 3, sh.decode, seed, tr)},
 		}
 	} else {
-		pools = []Config{{Replicas: mc.engines(engine.RoleMixed, 3, sh.mixed, seed)}}
+		pools = []Config{{Replicas: mc.engines(engine.RoleMixed, 3, sh.mixed, seed, tr)}}
 	}
 	for i := range pools {
 		pools[i].Policy = FutureHeadroom
@@ -170,15 +185,22 @@ func (mc matrixCell) build(seed uint64, rec obs.Recorder, tr *decisionTrace) (*C
 			}
 		}
 	}
-	pools[0].AffinityWeight = 0.35
+	pools[0].AffinityWeight = sh.affinity
 	cfg := ClusterConfig{Pools: pools, Faults: mc.faultConfig(seed), Recorder: rec}
 	if mc.disagg {
 		cfg.Link = kv.MustNewLink(50e9, 0.002)
 	}
 	if mc.admit {
-		cfg.Admission = &AdmissionConfig{TTFTBudget: sh.sla.TTFT, Shed: true, Slack: 0.5}
+		cfg.Admission = &AdmissionConfig{TTFTBudget: sh.sla.TTFT, Shed: true, Slack: sh.slack}
 	}
-	reqs := sessionReqs(sh.base, sh.n, sh.rate, seed)
+	var reqs []*request.Request
+	if sh.plain {
+		r := rng.New(seed)
+		reqs = workload.Build(sh.base, r, sh.n, 1, 512)
+		workload.AssignPoissonArrivals(reqs, r, sh.rate, 0)
+	} else {
+		reqs = sessionReqs(sh.base, sh.n, sh.rate, seed)
+	}
 	if mc.stripped {
 		for _, r := range reqs {
 			r.PrefixHashes, r.SessionID, r.Turn = nil, 0, 0
@@ -191,7 +213,7 @@ func (mc matrixCell) build(seed uint64, rec obs.Recorder, tr *decisionTrace) (*C
 // usage (its requests leave at the end of their own prefill, so there is no
 // future peak to reserve for); the others run Past-Future. On a mixed-GPU
 // cell the last replica of each pool is an A30.
-func (mc matrixCell) engines(role engine.Role, n, capacity int, seed uint64) []*engine.Engine {
+func (mc matrixCell) engines(role engine.Role, n, capacity int, seed uint64, tr *decisionTrace) []*engine.Engine {
 	sh := mc.shapeOf()
 	fast, slow := testPerf(), perfFor(hw.A30)
 	out := make([]*engine.Engine, n)
@@ -200,10 +222,13 @@ func (mc matrixCell) engines(role engine.Role, n, capacity int, seed uint64) []*
 		if mc.hetero && i == n-1 {
 			cfg.Perf = slow
 		}
+		var probe *kneeProbe
 		if role == engine.RolePrefillOnly {
 			cfg.Scheduler = core.MustNewAggressive(0.95)
 		} else {
-			cfg.Scheduler = core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.05, Rng: rng.New(seed + uint64(i))})
+			probe = &kneeProbe{Scheduler: core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.05, Rng: rng.New(seed + uint64(i))}),
+				count: &tr.kneeRounds}
+			cfg.Scheduler = probe
 		}
 		if role != engine.RoleDecodeOnly && mc.chunk {
 			cfg.MaxPrefillTokens = 2048
@@ -213,8 +238,29 @@ func (mc matrixCell) engines(role engine.Role, n, capacity int, seed uint64) []*
 			cfg.PrefixCache = engine.PrefixCacheConfig{Enabled: true, BlockTokens: 64, OffloadCapacityTokens: sh.offload}
 		}
 		out[i] = engine.MustNew(cfg)
+		if probe != nil {
+			probe.pool = out[i].Pool()
+		}
 	}
 	return out
+}
+
+// kneeProbe passes a Past-Future replica's admission rounds through and
+// counts each one it refuses while the engine still owes its batch the KV
+// of coasted steps: a run of coasted steps that ends at a refused round. The
+// view counts the owed growth; the pool, read directly, does not yet.
+type kneeProbe struct {
+	core.Scheduler
+	pool  *kv.Pool
+	count *int
+}
+
+func (k *kneeProbe) Admit(v *core.View, queue []*request.Request) int {
+	n := k.Scheduler.Admit(v, queue)
+	if n == 0 && v.UsedTokens != k.pool.UsedTokens() {
+		*k.count++
+	}
+	return n
 }
 
 // faultConfig is the cell's fault subsystem: none, the empty one of the
@@ -230,7 +276,11 @@ func (mc matrixCell) faultConfig(seed uint64) *FaultConfig {
 	if mc.disagg {
 		sch = stormSchedule(seed)
 	}
-	return &FaultConfig{Schedule: sch, Recover: mc.faults == faultsRecover, LinkFailRate: 0.05, Seed: seed}
+	sh, wire := mc.shapeOf(), seed
+	if sh.salted {
+		wire ^= 0x9e37
+	}
+	return &FaultConfig{Schedule: sch, Recover: mc.faults == faultsRecover, LinkFailRate: sh.linkFail, Seed: wire}
 }
 
 // chaosSeeds returns the matrix's seed set: 1..5 by default, 1..N when
@@ -327,13 +377,15 @@ func sessionReqs(base workload.Generator, n int, rate float64, seed uint64) []*r
 
 // decisionTrace records every decision of a served cluster: routing picks
 // per pool, plan targets, shed identities and times, handoff bookings and the
-// rolled-up report.
+// rolled-up report. kneeRounds counts, beside them, the admission rounds
+// refused at the end of a run of coasted steps (kneeProbe).
 type decisionTrace struct {
-	routes   []string
-	plans    []string
-	sheds    []string
-	handoffs []string
-	report   string
+	routes     []string
+	plans      []string
+	sheds      []string
+	handoffs   []string
+	report     string
+	kneeRounds int
 }
 
 // onRoute returns an OnRoute hook that logs pool's routing decisions.
@@ -443,10 +495,10 @@ func checkCell(t *testing.T, mc matrixCell, seed uint64, b bite) {
 }
 
 // checkEnded checks that every arrival ended in exactly one of the
-// completed, shed and lost lists, with its list's outcome, and that
-// admission holds nothing. A run cut at its deadline may leave arrivals
-// pending instead.
-func checkEnded(t *testing.T, s served, cut bool) (completed, lost []*request.Request) {
+// completed, shed and lost lists, with its list's outcome, that none was
+// shed before it arrived, and that admission holds nothing. An arrival for
+// which pending reports true may stay pending instead (pending may be nil).
+func checkEnded(t *testing.T, s served, pending func(*request.Request) bool) (completed, lost []*request.Request) {
 	t.Helper()
 	for _, res := range s.results {
 		completed = append(completed, res.Finished...)
@@ -473,10 +525,13 @@ func checkEnded(t *testing.T, s served, cut bool) (completed, lost []*request.Re
 			if r.Outcome != l.want {
 				t.Fatalf("%s request %d outcome %v", l.name, r.ID, r.Outcome)
 			}
+			if r.Outcome == request.OutcomeShed && !(r.ShedAt >= r.ArrivalTime) {
+				t.Fatalf("request %d arrived at %v, shed at %v", r.ID, r.ArrivalTime, r.ShedAt)
+			}
 		}
 	}
 	for _, r := range s.reqs {
-		if _, ok := ended[r]; !ok && !(cut && r.Outcome == request.OutcomePending) {
+		if _, ok := ended[r]; !ok && !(pending != nil && pending(r) && r.Outcome == request.OutcomePending) {
 			t.Fatalf("arrival %d never ended (outcome %v)", r.ID, r.Outcome)
 		}
 		delete(ended, r)
@@ -512,7 +567,7 @@ func checkPools(t *testing.T, c *Cluster, drained bool) {
 func checkServed(t *testing.T, mc matrixCell, s served, b bite) {
 	t.Helper()
 	c := s.c
-	completed, lost := checkEnded(t, s, false)
+	completed, lost := checkEnded(t, s, nil)
 	checkPools(t, c, true)
 	rep := c.Report(s.results, mc.shapeOf().sla)
 	switch {
