@@ -52,6 +52,7 @@ type cellShape struct {
 	affinity, slack        float64 // the entry pool's AffinityWeight, admission's Slack
 	linkFail               float64 // the storm's background rate of failed deliveries
 	salted                 bool    // the storm's wire draws from a salted seed
+	oneToken               int     // every oneToken-th request outputs a single token; 0 none
 }
 
 var (
@@ -76,6 +77,11 @@ var (
 	// of the prompts are 16k–64k documents.
 	longShape = &cellShape{sla: metrics.SLA{TTFT: 20, MTPOT: 1.5}, base: workload.LongCtxMix(0.10), plain: true, n: 220, rate: 30,
 		mixed: 80_000, prefill: 80_000, decode: 70_000, linkFail: 0.08, salted: true, affinity: 0.35, slack: 0.5}
+	// oneTokenShape is seamShape with every eighth request answered in a
+	// single token: on a disaggregated cell it finishes with its prefill, on
+	// the prefill replica, and never reaches the link.
+	oneTokenShape = &cellShape{sla: seamSLA, base: workload.ShareGPT, n: 200, rate: 12,
+		mixed: 20_000, prefill: 20_000, decode: 16_000, linkFail: 0.05, affinity: 0.35, slack: 0.5, oneToken: 8}
 	// cachedShape fills small pools with reclaimable prefix blocks, so a
 	// run of coasted steps can end on the last physically free block and
 	// the step after it take a cached one, and evicted prefixes spill to an
@@ -104,7 +110,7 @@ func matrixCells() []matrixCell {
 		{name: "seam", disagg: true, admit: true, planner: true, shape: kneeShape},
 		{name: "seam-storm", disagg: true, admit: true, faults: faultsRecover, planner: true, shape: kneeShape},
 		{name: "prefix-storm", disagg: true, admit: true, faults: faultsRecover, planner: true, shape: kneeSessionShape},
-		{name: "seam-lost", disagg: true, admit: true, faults: faultsLost},
+		{name: "seam-lost", disagg: true, admit: true, faults: faultsLost, shape: oneTokenShape},
 		{name: "chunked-storm", disagg: true, admit: true, faults: faultsRecover, chunk: true, shape: longShape},
 		{name: "prefix-cache-crashes", admit: true, faults: faultsRecover, prefix: true, shape: cachedShape},
 		{name: "disagg-open", disagg: true, hetero: true, prefix: true},
@@ -204,6 +210,11 @@ func (mc matrixCell) build(seed uint64, rec obs.Recorder, tr *decisionTrace) (*C
 	if mc.stripped {
 		for _, r := range reqs {
 			r.PrefixHashes, r.SessionID, r.Turn = nil, 0, 0
+		}
+	}
+	if k := sh.oneToken; k > 0 {
+		for i := k - 1; i < len(reqs); i += k {
+			reqs[i].TrueOutputLen = 1
 		}
 	}
 	return MustNewCluster(cfg), reqs
@@ -462,7 +473,7 @@ var biteKeys = []string{
 	"crashes", "orphans", "recoveries", "link retries", "losses", "closed repair spans", // faults
 	"rollup crashes", "rollup recoveries", "rollup transfer failures", "spans of retried requests",
 	"sheds", "spans of shed requests", // admission
-	"handoffs", // disaggregation
+	"handoffs", "single-token finishes on a prefill replica", // disaggregation
 }
 
 // checkCell serves one cell at one seed untraced, traced and as each of its
@@ -590,6 +601,9 @@ func checkServed(t *testing.T, mc matrixCell, s served, b bite) {
 		}
 		if r.Retries > 0 {
 			retried++
+		}
+		if mc.disagg && r.TrueOutputLen == 1 {
+			b["single-token finishes on a prefill replica"]++
 		}
 	}
 	if rep.Summary.Recovered != retried {

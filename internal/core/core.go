@@ -51,6 +51,17 @@ type View struct {
 	// window (nil for unseen classes). Class-aware schedulers prefer it
 	// over the global mixture for multi-tenant deployments.
 	ClassHistory func(class string) *dist.Window
+	// Epoch names the stretch of steps the batch has only decoded through.
+	// Two rounds with the same non-zero Epoch promise that between them
+	// Running kept the same members in the same order and nothing but
+	// decoding happened to them: no member's Generated or KVLanded fell, and
+	// none grew by more than Running[0].Generated did. 0 promises nothing;
+	// a caller that does not track its batch's steps leaves it there. The
+	// engine starts at 1 and moves it on before any step that follows one
+	// which was not a pure decode step, and on a crash. Other fields — the
+	// queue, the windows, the capacity — are not covered: a scheduler that
+	// keeps state across rounds of one Epoch checks those itself.
+	Epoch uint64
 
 	// PredictedPeak is an output: the M* a scheduler predicted for the batch
 	// it leaves behind — the running batch plus the prefix it admitted — or

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/lightllm-go/lightllm/internal/dist"
 	"github.com/lightllm-go/lightllm/internal/request"
@@ -81,6 +82,32 @@ type PastFuture struct {
 	// undrawn records that the last Admit refused the head before drawing
 	// (refusedUndrawn): it priced nothing and wrote no PredictedLen.
 	undrawn bool
+
+	// cert is what the last round's refusal before drawing proved, kept for
+	// the rounds of the same View.Epoch after it (repeatRefusal); its epoch
+	// is 0 when the last round did not refuse that way.
+	cert refusal
+}
+
+// refusal is the certificate refusedUndrawn leaves: the round it refused, and
+// what a later round of the same Epoch needs to know to refuse the same way
+// without walking the batch.
+type refusal struct {
+	epoch     uint64
+	head      *request.Request
+	n         int // len(Running)
+	window    *dist.Window
+	gen       uint64 // the window's Generation
+	threshold int
+	multi     bool
+	draws     int    // the RNG values the round skipped
+	bits      uint64 // OR of the head's footprint and every landed value
+	g0        int    // Running[0].Generated, when n > 0
+	// gap is the fewest tokens any running request that draws can still
+	// generate before it reaches the window's largest observation, after
+	// which it draws nothing; math.MaxInt when none draws or no draw is
+	// counted (Deterministic).
+	gap int
 }
 
 // NewPastFuture validates the configuration and builds the scheduler.
@@ -130,7 +157,10 @@ func (pf *PastFuture) Reserved() float64 { return pf.cfg.Reserved }
 //  2. refuses the queue's head before drawing anything when a floor under
 //     M* is already over the threshold — the batch's landed KV, the head's
 //     prompt and one more token for each of the n+1 — and skips the RNG
-//     past the draws steps 3 and 4 would have made (refusedUndrawn),
+//     past the draws steps 3 and 4 would have made (refusedUndrawn). A
+//     round of the same View.Epoch as such a refusal, whose floor has only
+//     grown and whose draw count cannot have changed, is refused the same
+//     way in O(1) (repeatRefusal),
 //  3. resamples the predicted total output length of every running request
 //     from P(l > generated) — the "past" informing the present batch,
 //  4. walks the queue FCFS, sampling each candidate's length from P(l),
@@ -154,6 +184,11 @@ func (pf *PastFuture) Admit(v *View, queue []*request.Request) int {
 	}
 
 	pf.est.Reset()
+	if pf.repeatRefusal(v, queue[0], threshold, multi) {
+		pf.undrawn = true
+		return 0
+	}
+	pf.cert.epoch = 0
 	pf.undrawn = pf.refusedUndrawn(v, global, queue[0], threshold, multi)
 	if pf.undrawn {
 		return 0
@@ -206,10 +241,13 @@ func (pf *PastFuture) Admit(v *View, queue []*request.Request) int {
 // Otherwise no PredictedLen needs writing. Only NoResample reads it back, and
 // a kept prediction comes back as max(PredictedLen, Generated+1) whether or
 // not this round floored it first.
+//
+// A refusal under a non-zero View.Epoch, outside PerClass mode, leaves its
+// certificate in pf.cert for repeatRefusal.
 func (pf *PastFuture) refusedUndrawn(v *View, global *dist.Sampler, head *request.Request, threshold int, multi bool) bool {
 	sum := head.Footprint()
 	bits := uint64(sum)
-	draws := 0
+	draws, drawn := 0, math.MinInt // drawn: the largest Generated that draws
 	for _, r := range v.Running {
 		c := r.KVLanded()
 		sum += c
@@ -220,8 +258,11 @@ func (pf *PastFuture) refusedUndrawn(v *View, global *dist.Sampler, head *reques
 		}
 		if !pf.cfg.Deterministic {
 			n := pf.draws(s, r, multi)
-			if n > 0 && pf.cfg.NoResample {
-				return false
+			if n > 0 {
+				if pf.cfg.NoResample {
+					return false
+				}
+				drawn = max(drawn, r.Generated)
 			}
 			draws += n
 		}
@@ -243,6 +284,57 @@ func (pf *PastFuture) refusedUndrawn(v *View, global *dist.Sampler, head *reques
 	}
 	if draws > 0 {
 		pf.cfg.Rng.Skip(draws)
+	}
+	if v.Epoch != 0 && !pf.cfg.PerClass {
+		// Outside PerClass every request draws from global.
+		gap := math.MaxInt
+		if drawn != math.MinInt {
+			gap = global.Max() - drawn
+		}
+		pf.cert = refusal{epoch: v.Epoch, head: head, n: n, window: v.History, gen: v.History.Generation(),
+			threshold: threshold, multi: multi, draws: draws, bits: bits, gap: gap}
+		if n > 0 {
+			pf.cert.g0 = v.Running[0].Generated
+		}
+	}
+	return true
+}
+
+// repeatRefusal is step 2 for a round of the same Epoch as the last round's
+// refusal before drawing, in O(1). Between the two the batch only decoded,
+// each request by at most adv = Running[0].Generated − g0 tokens (View.Epoch),
+// and the round checks that everything else refusedUndrawn read is as it was:
+// the head, the batch's size, the window and its generation, the threshold
+// and multi. Then
+//
+//   - the floor only grew: landed values and Generated did not fall;
+//   - every landed value is at most bits + adv, so while that stays under
+//     2^32 the no-wrap range still holds;
+//   - no draw count changed: a running request stops drawing once its
+//     Generated reaches the window's largest observation, which takes more
+//     than adv tokens while adv < gap; one that drew nothing still draws
+//     nothing (its Generated only grew, or NoResample keeps what it has); the
+//     head, still queued, is unchanged; and the warm samplers are the same.
+//
+// So refusedUndrawn would refuse again and skip the same number of values,
+// and repeatRefusal does that. It declines — and the round takes the full
+// pass — when any of it fails, and always in PerClass mode, whose per-class
+// windows the certificate does not follow.
+func (pf *PastFuture) repeatRefusal(v *View, head *request.Request, threshold int, multi bool) bool {
+	c := &pf.cert
+	if v.Epoch == 0 || c.epoch != v.Epoch || c.head != head || c.n != len(v.Running) ||
+		c.window != v.History || c.gen != v.History.Generation() || c.threshold != threshold || c.multi != multi {
+		return false
+	}
+	adv := 0
+	if c.n > 0 {
+		adv = v.Running[0].Generated - c.g0
+	}
+	if adv < 0 || adv >= c.gap || (c.bits+uint64(adv))>>32 != 0 {
+		return false
+	}
+	if c.draws > 0 {
+		pf.cfg.Rng.Skip(c.draws)
 	}
 	return true
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"github.com/lightllm-go/lightllm/internal/request"
@@ -26,11 +27,13 @@ import (
 // O(log B) binary search plus O(1) arithmetic — the whole admission loop
 // drops from O(Q·B log B) to O((B+Q) log B) per scheduling step.
 //
-// Push buffers entries unsorted until the first query, which sorts once
-// (O(B log B) — the per-step batch rebuild); a Push after a query splices
-// into the sorted order and repairs the aggregates in O(B) word moves,
-// which only happens once per *admitted* request. All buffers are reused
-// across Reset, so a warm estimator performs zero heap allocations.
+// Push buffers entries unsorted until the first query, which sorts once —
+// by insertion up to insertionSortMax entries, by a radix sort over the
+// significant bytes of Remaining above it (the per-step batch rebuild). A
+// Push after a query splices into the sorted order and repairs the
+// aggregates in O(B) word moves, which only happens once per *admitted*
+// request. All buffers are reused across Reset, so a warm estimator performs
+// zero heap allocations.
 //
 // An admission gate asks a yes/no question — does M* with the candidate pass
 // the limit? — and Exceeds answers it. Most rounds at the memory knee refuse
@@ -49,8 +52,9 @@ type PeakEstimator struct {
 	prefC    []int
 	prefMaxM []int
 	sufMaxMR []int
-	keys     []uint64 // sortPacked's scratch, reused across flushes
-	unsorted bool     // entries appended since the last sort
+	spare    []Entry        // sortRadix's scratch, reused across flushes
+	digits   *[4][256]int32 // sortRadix's digit counts, one row a pass
+	unsorted bool           // entries appended since the last sort
 
 	// Build-phase aggregates, kept by Push from Reset to the first query:
 	// ΣCurrent, the smallest clamped Remaining, and the OR of every Current
@@ -130,17 +134,18 @@ func (pe *PeakEstimator) rank(remaining int) int {
 
 // insertionSortMax is the largest batch flush sorts by insertion. A fleet
 // replica's running batch plus waiting set — what the routing probes rebuild —
-// sits well under it, where the calls of a generic sort cost more than the
-// comparisons it saves. A single engine at the memory knee runs 44–50
+// sits well under it, where a radix sort's bucket passes cost more than the
+// comparisons they save. A single engine at the memory knee runs 44–50
 // requests in the paper's Fig. 7 setting (50 closed-loop clients) and
-// straddles the limit, so the sort above it (sortPacked) has to be cheap as
-// well — but only the rounds that admit, and the few refusals Exceeds cannot
-// settle from its build-phase term, sort at all there.
+// straddles the limit, so the sort above it (sortRadix) has to be cheap as
+// well — but only the rounds that admit, the few refusals Exceeds cannot
+// settle from its build-phase term, and the engine's true M* sort at all
+// there.
 const insertionSortMax = 48
 
 // flush sorts buffered entries, descending by remaining length, and
-// rebuilds the aggregates. Neither sort allocates — a requirement of the
-// zero-allocation admission hot path.
+// rebuilds the aggregates. Neither sort allocates once warm — a requirement
+// of the zero-allocation admission hot path.
 func (pe *PeakEstimator) flush() {
 	if !pe.unsorted {
 		return
@@ -159,35 +164,84 @@ func (pe *PeakEstimator) flush() {
 			}
 			ent[j] = e
 		}
-	} else if !pe.sortPacked() {
-		slices.SortFunc(ent, func(a, b Entry) int { return b.Remaining - a.Remaining })
+	} else {
+		pe.sortRadix()
 	}
 	pe.rebuildFrom(0)
 	pe.unsorted = false
 }
 
-// sortPacked sorts the entries descending by remaining length through one
-// word per entry — Remaining in the high half, Current in the low — so the
-// sort compares machine words instead of calling a comparator per pair. Ties
-// come out ordered by Current, which M* cannot see: it depends on the entry
-// multiset only, and every rank lands on a tie group's boundary. It reports
-// false, the entries untouched, when a Current does not fit its half
-// (Remaining always does: Push clamps it under 2^31).
-func (pe *PeakEstimator) sortPacked() bool {
-	keys := pe.keys[:0]
-	for _, e := range pe.ent {
-		if uint64(e.Current)>>32 != 0 || uint64(e.Remaining)>>32 != 0 {
-			return false
+// sortRadix sorts the entries descending by remaining length with a stable
+// least-significant-digit radix sort. Push clamps every Remaining into
+// [0, 2^31), and the OR of them says how many bits are significant: one pass
+// per significant byte, one to four, with the bits shared evenly among the
+// passes, so that lengths under 2^14 take two passes over 128 buckets rather
+// than 256. One read of the entries counts the digits of every pass; a pass
+// whose digit is the same for every entry moves nothing and is skipped. Each
+// pass scatters between the entries and a reused scratch slice, so the sort
+// makes no comparison and, once warm, no allocation.
+//
+// Ties come out in push order, which M* cannot see: it depends on the entry
+// multiset only, and every rank lands on a tie group's boundary.
+func (pe *PeakEstimator) sortRadix() {
+	src := pe.ent
+	var or uint32
+	for _, e := range src {
+		or |= uint32(e.Remaining)
+	}
+	width := uint(bits.Len32(or))
+	if width == 0 {
+		return // every Remaining is 0
+	}
+	passes := (width + 7) / 8
+	digit := (width + passes - 1) / passes
+	top := uint32(1)<<digit - 1
+	all := uint32(1)<<(digit*passes) - 1
+	// Digits are counted complemented, so the largest lands first.
+	if pe.digits == nil {
+		pe.digits = new([4][256]int32)
+	}
+	at := pe.digits
+	for p := uint(0); p < passes; p++ {
+		clear(at[p][:top+1])
+	}
+	for _, e := range src {
+		r := all - uint32(e.Remaining)
+		at[0][uint8(r&top)]++
+		if passes > 1 {
+			at[1][uint8(r>>digit&top)]++
+			if passes > 2 {
+				at[2][uint8(r>>(2*digit)&top)]++
+				if passes > 3 {
+					at[3][uint8(r>>(3*digit)&top)]++
+				}
+			}
 		}
-		keys = append(keys, uint64(e.Remaining)<<32|uint64(e.Current))
 	}
-	pe.keys = keys
-	slices.Sort(keys)
-	last := len(keys) - 1
-	for i, k := range keys {
-		pe.ent[last-i] = Entry{Current: int(uint32(k)), Remaining: int(k >> 32)}
+	if cap(pe.spare) < len(src) {
+		pe.spare = make([]Entry, len(src), 2*len(src))
 	}
-	return true
+	dst := pe.spare[:len(src)]
+	for p := uint(0); p < passes; p++ {
+		shift, c := digit*p, &at[p]
+		if int(c[uint8((all-uint32(src[0].Remaining))>>shift&top)]) == len(src) {
+			continue
+		}
+		sum := int32(0)
+		for d, n := range c[:top+1] {
+			c[d] = sum
+			sum += n
+		}
+		for _, e := range src {
+			d := uint8((all - uint32(e.Remaining)) >> shift & top)
+			dst[c[d]] = e
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &pe.ent[0] {
+		pe.ent, pe.spare = src, pe.ent // an odd number of passes: trade places
+	}
 }
 
 // rebuildFrom recomputes prefix aggregates for ranks ≥ p and the suffix

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -65,18 +67,22 @@ func TestPeakEstimatorPeakWithMatchesReferenceQuick(t *testing.T) {
 // all of them, against the clone+sort reference. Remaining is drawn from a
 // handful of values so most entries tie, and includes zero and negatives;
 // the hand-written rank must land after a run of ties exactly where the
-// reference's sort puts the candidate. Above the limit the sort packs an
-// entry into one word; the widest spread includes a Remaining of 2^40 (a
-// cold-start prediction of a huge max_new_tokens), which both sides clamp to
-// 2^31−1 and so ties with its neighbour 2^40−1.
+// reference's sort puts the candidate. Above the limit the radix sort takes
+// one pass per significant byte of the largest Remaining, so the spreads
+// give it one (under 2^8), two (2^8 to 2^16), three (2^16 to 2^24) and four
+// (2^24 and up) bytes to sort by, each with runs of ties at both ends of its
+// range; the widest includes a Remaining of 2^40 (a cold-start prediction of
+// a huge max_new_tokens), which both sides clamp to 2^31−1 and so ties with
+// its neighbour 2^40−1.
 func TestPeakEstimatorAcrossSortSizes(t *testing.T) {
 	var est PeakEstimator
-	for _, n := range []int{300, 0, 1, 2, insertionSortMax - 1, insertionSortMax, insertionSortMax + 1, 64, 300} {
-		for _, spread := range []int{1, 5, 400, 1 << 40} { // all ties, heavy ties, mostly distinct, beyond 32 bits
+	sizes := []int{300, 0, 1, 2, insertionSortMax - 1, insertionSortMax, insertionSortMax + 1, 64, 300}
+	for _, n := range sizes {
+		for _, spread := range []int{1, 5, 200, 400, 40_000, 5 << 20, 1 << 40} { // all ties, heavy ties, 1 to 4 bytes
 			r := rng.New(uint64(n*1000 + spread%997))
 			draw := func() Entry {
 				if spread > 400 {
-					return Entry{Current: r.Intn(200), Remaining: []int{spread, 7, spread - 1, 300}[r.Intn(4)]}
+					return Entry{Current: r.Intn(200), Remaining: []int{spread, 7, spread - 1, 300, spread / 3, 0}[r.Intn(6)]}
 				}
 				return Entry{Current: r.Intn(200), Remaining: r.Intn(spread+2) - 2}
 			}
@@ -106,7 +112,26 @@ func TestPeakEstimatorAcrossSortSizes(t *testing.T) {
 			}
 		}
 	}
-	// Warm, no sort allocates: the packed keys live in a reused scratch slice.
+	// Above the limit the order itself: descending by clamped Remaining, ties
+	// in push order, at every width.
+	for _, n := range []int{insertionSortMax + 1, 64, 300} {
+		for _, top := range []int{1 << 8, 1 << 16, 1 << 24, maxRemaining} {
+			r := rng.New(uint64(n + top))
+			est.Reset()
+			entries := make([]Entry, n)
+			for i := range entries {
+				entries[i] = Entry{Current: i, Remaining: []int{0, top - 1, r.Intn(top), top / 2}[r.Intn(4)]}
+				est.Push(entries[i])
+			}
+			est.Peak()
+			want := slices.Clone(entries)
+			slices.SortStableFunc(want, func(a, b Entry) int { return cmp.Compare(b.Remaining, a.Remaining) })
+			if !slices.Equal(est.ent, want) {
+				t.Fatalf("n=%d, Remaining below %d: sorted to %v, want %v", n, top, est.ent, want)
+			}
+		}
+	}
+	// Warm, no sort allocates: the radix sort's buckets and scratch are reused.
 	for _, wide := range []int{0, 1 << 40} {
 		allocs := testing.AllocsPerRun(20, func() {
 			est.Reset()
@@ -284,6 +309,22 @@ var peakOutliers = []int{-1, 0, 1<<32 - 1, 1 << 32, 1<<62 - 1, 1 << 62, -1 << 62
 func FuzzPeakExceeds(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 10, 20, 0, 30, 4})
 	f.Add(uint8(255), []byte{0, 200, 5, 0, 250, 5, 0, 240, 5, 0, 10, 5})
+	// Batches above insertionSortMax, which flush radix-sorts: ties, a
+	// Remaining past 2^32 among them, and a candidate spliced after a split.
+	wide := func(n int, outlier bool) []byte {
+		var data []byte
+		for i := 0; i < n; i++ {
+			lead, r := byte(0), byte(i*37%11+3)
+			if outlier && i%17 == 5 {
+				lead, r = 0xfe, 5 // Remaining 1<<62, clamped
+			}
+			data = append(data, lead, byte(i*53), r)
+		}
+		return data
+	}
+	f.Add(uint8(255), wide(insertionSortMax+2, false))
+	f.Add(uint8(20), wide(64, true))
+	f.Add(uint8(70), wide(90, true))
 	f.Fuzz(func(t *testing.T, split uint8, data []byte) {
 		var entries []Entry
 		for i := 0; i+2 < len(data); i += 3 {
@@ -735,19 +776,47 @@ func refusesWithoutSort(pf *PastFuture, v *View, q []*request.Request, undrawn b
 	return pf.est.unsorted
 }
 
+// repeatsByCertificate reports whether a round of the same Epoch as a
+// refusal before drawing, one decode step later, is refused by the
+// certificate (repeatRefusal): the refusal's g0 survives it, where the full
+// pass would have taken the advanced Generated. It leaves the batch as it
+// found it, under a new Epoch whose refusal has made the certificate, so
+// every further round of v as it stands repeats it.
+func repeatsByCertificate(pf *PastFuture, v *View, q []*request.Request) bool {
+	v.Epoch++
+	if pf.Admit(v, q) != 0 || !pf.undrawn {
+		return false
+	}
+	g0 := pf.cert.g0
+	for _, r := range v.Running {
+		r.Generated++
+	}
+	ok := pf.Admit(v, q) == 0 && pf.undrawn && pf.cert.g0 == g0
+	for _, r := range v.Running {
+		r.Generated--
+	}
+	v.Epoch++
+	return ok && pf.Admit(v, q) == 0 && pf.undrawn
+}
+
 // TestAdmitRefusalAllocs: a refusal at the knee — the common round of a
 // memory-bound engine — allocates nothing and is settled without a sort,
-// whether it is refused before drawing or by the build-phase term after.
+// whether it is refused before drawing, by the certificate of such a refusal
+// earlier in the same Epoch, or by the build-phase term after drawing.
 func TestAdmitRefusalAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		state   func(int) (*View, []*request.Request)
 		undrawn bool
-	}{{"undrawn", kneeState, true}, {"drawn", drawnKneeState, false}} {
+		repeat  bool
+	}{{"undrawn", kneeState, true, false}, {"repeat", kneeState, true, true}, {"drawn", drawnKneeState, false, false}} {
 		pf := MustNewPastFuture(PastFutureConfig{Reserved: 0.03, Deterministic: true})
 		v, q := c.state(48)
 		if !refusesWithoutSort(pf, v, q, c.undrawn) {
 			t.Fatalf("%s: knee state is not refused the way it should be", c.name)
+		}
+		if c.repeat && !repeatsByCertificate(pf, v, q) {
+			t.Fatalf("%s: the round after a decode step is not refused by the certificate", c.name)
 		}
 		if allocs := testing.AllocsPerRun(100, func() { pf.Admit(v, q) }); allocs != 0 {
 			t.Fatalf("%s: a knee refusal allocates %v per round, want 0", c.name, allocs)
@@ -758,7 +827,9 @@ func TestAdmitRefusalAllocs(t *testing.T) {
 // TestRefusedUndrawnKeepsNoWrapRange: a batch holding a Current of 2^32 or
 // more is over any floor, yet the round is not refused before drawing: the
 // floor under M* holds only in Exceeds' no-wrap range, so the round draws
-// and the estimator decides.
+// and the estimator decides. Nor does a certificate carry a refusal across
+// that edge: a batch refused just under it, then decoded past it in the same
+// Epoch, draws too.
 func TestRefusedUndrawnKeepsNoWrapRange(t *testing.T) {
 	pf := MustNewPastFuture(PastFutureConfig{Reserved: 0.03, Deterministic: true})
 	v, q := kneeState(48)
@@ -766,16 +837,31 @@ func TestRefusedUndrawnKeepsNoWrapRange(t *testing.T) {
 	if got := pf.Admit(v, q); got != 0 || pf.undrawn {
 		t.Fatalf("admitted %d, refused before drawing %v; want a refusal after drawing", got, pf.undrawn)
 	}
+	v.Epoch = 1
+	v.Running[0].InputLen = 1<<32 - v.Running[0].Generated - 10
+	if got := pf.Admit(v, q); got != 0 || !pf.undrawn {
+		t.Fatalf("just under 2^32: admitted %d, refused before drawing %v; want a refusal before drawing", got, pf.undrawn)
+	}
+	for _, r := range v.Running {
+		r.Generated += 20
+	}
+	if got := pf.Admit(v, q); got != 0 || pf.undrawn {
+		t.Fatalf("decoded past 2^32 in one Epoch: admitted %d, refused before drawing %v; want a refusal after drawing", got, pf.undrawn)
+	}
 }
 
 // BenchmarkAdmitHotPath measures one deterministic Past-Future admission
 // decision over batch=256, queue=64: the incremental PeakEstimator hot path
 // against the naive clone+sort oracle (naiveAdmit). The estimator path must
 // run with zero allocations in steady state (acceptance: 0 allocs/op, ≥5×
-// faster). /refuse is the knee's common round: 48 running requests, the
-// head refused before anything is drawn. /refuse-drawn is the same batch
-// with more headroom, the head refused by the estimator's build-phase term
-// over the drawn predictions. Both run at 0 allocs/op.
+// faster). /refuse is the knee's first refusal of an Epoch: 48 running
+// requests, the head refused before anything is drawn. /refuse-repeat is
+// every later round of that Epoch, refused by the first one's certificate
+// without walking the batch. /refuse-drawn is the same batch with more
+// headroom, the head refused by the estimator's build-phase term over the
+// drawn predictions. /admit-wide is a round that draws for 50 running
+// requests and admits, so its M* comes from a radix sort of 50 entries and
+// more. All run at 0 allocs/op.
 func BenchmarkAdmitHotPath(b *testing.B) {
 	var scratch []Entry
 	naive := func(pf *PastFuture, v *View, q []*request.Request) (n int) {
@@ -783,27 +869,37 @@ func BenchmarkAdmitHotPath(b *testing.B) {
 		return n
 	}
 	hot := func() (*View, []*request.Request) { return hotPathState(256, 64) }
+	knee := func() (*View, []*request.Request) { return kneeState(48) }
 	for _, variant := range []struct {
 		name    string
 		state   func() (*View, []*request.Request)
 		admit   func(*PastFuture, *View, []*request.Request) int
 		refuses bool // the round is a refusal; undrawn says which kind
 		undrawn bool
+		repeat  bool // under the certificate of an earlier round
 	}{
-		{"estimator", hot, (*PastFuture).Admit, false, false},
-		{"naive", hot, naive, false, false},
-		{"refuse", func() (*View, []*request.Request) { return kneeState(48) }, (*PastFuture).Admit, true, true},
-		{"refuse-drawn", func() (*View, []*request.Request) { return drawnKneeState(48) }, (*PastFuture).Admit, true, false},
+		{"estimator", hot, (*PastFuture).Admit, false, false, false},
+		{"naive", hot, naive, false, false, false},
+		{"refuse", knee, (*PastFuture).Admit, true, true, false},
+		{"refuse-repeat", knee, (*PastFuture).Admit, true, true, true},
+		{"refuse-drawn", func() (*View, []*request.Request) { return drawnKneeState(48) }, (*PastFuture).Admit, true, false, false},
+		{"admit-wide", func() (*View, []*request.Request) { return hotPathState(50, 8) }, (*PastFuture).Admit, false, false, false},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
 			pf := MustNewPastFuture(PastFutureConfig{Reserved: 0.03, Deterministic: true})
 			v, q := variant.state()
-			if variant.refuses {
+			switch {
+			case variant.refuses:
 				if !refusesWithoutSort(pf, v, q, variant.undrawn) {
 					b.Fatal("knee scenario is not refused the way it should be")
 				}
-			} else if variant.admit(pf, v, q) == 0 {
+				if variant.repeat && !repeatsByCertificate(pf, v, q) {
+					b.Fatal("knee scenario is not refused by the certificate")
+				}
+			case variant.admit(pf, v, q) == 0:
 				b.Fatal("benchmark scenario admits nothing; not exercising the loop")
+			case variant.name == "admit-wide" && (len(v.Running) <= insertionSortMax || pf.est.unsorted):
+				b.Fatal("the round did not radix-sort its batch")
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

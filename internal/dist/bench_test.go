@@ -8,33 +8,41 @@ import (
 
 // BenchmarkWindowSampler measures the always-sorted CDF and its rank index:
 // "add" is one Add on a full window (once per finished request: evict,
-// insert, one copy over the span between their ranks and one pass over the
-// rank table between their values), "queries" the four query kinds at fixed
+// insert, one copy over the span between their ranks, and the rank index's
+// two partial blocks and the block bases between their values), "add-long"
+// the same over a support of 8192 — long outputs, where the bases carry the
+// span — "queries" the four query kinds at fixed
 // conditioning points, and "greater" the two conditional queries alone at a
 // conditioning point that moves on every call, the way the admission loop
 // and the routing probes issue them — one per running request or candidate.
 // Sampler() itself is a field address and is not timed.
 func BenchmarkWindowSampler(b *testing.B) {
 	const window = 1000
-	fill := func() *Window {
+	fillTo := func(support int) *Window {
 		w := NewWindow(window)
 		r := rng.New(1)
 		for i := 0; i < window; i++ {
-			w.Add(r.Intn(4096))
+			w.Add(r.Intn(support))
 		}
 		return w
 	}
+	fill := func() *Window { return fillTo(4096) }
 
-	b.Run("add", func(b *testing.B) {
-		w := fill()
-		r := rng.New(3)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w.Add(r.Intn(4096))
-			_ = w.Sampler()
-		}
-	})
+	for _, c := range []struct {
+		name    string
+		support int
+	}{{"add", 4096}, {"add-long", 8192}} {
+		b.Run(c.name, func(b *testing.B) {
+			w := fillTo(c.support)
+			r := rng.New(3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Add(r.Intn(c.support))
+				_ = w.Sampler()
+			}
+		})
+	}
 
 	b.Run("queries", func(b *testing.B) {
 		w := fill()

@@ -27,13 +27,16 @@
 // dynamic update P(l | l > l_t) — first need the rank of l_t: how many
 // observations are ≤ l_t. The scheduler asks that for every running request
 // at every step and the router for every candidate on every replica, so the
-// window answers it from a table instead of a search: le[g] is the number of
-// observations ≤ g for every g in [0, len(le)), and len(le) exceeds every
-// observation held. Replacing old by v changes "observations ≤ g" only for g
-// between the two, so Add shifts le over [min(old, v), max(old, v)) — work
-// proportional to how far apart they are, paid once per finished request,
-// against one load per query. Both conditional queries report ok=false when
-// no probability mass remains above the conditioning point.
+// window answers it from a two-level table instead of a search. The values
+// [0, len(le)) fall into blocks of 64; base[b] counts the observations below
+// block b and le[g] those from the start of g's block up to g, so the rank of
+// g is base[g>>6] + le[g] — two loads — and len(le) exceeds every observation
+// held. Replacing old by v changes "observations ≤ g" only for g between the
+// two. Add moves the in-block counts of the two partial blocks at the ends of
+// that span and the bases of the whole blocks inside it: at most 128 counts
+// and |old − v|/64 bases, paid once per finished request. Both conditional
+// queries report ok=false when no probability mass remains above the
+// conditioning point.
 //
 // The table is bounded by rankBound entries whatever the observations are:
 // Add accepts any int, and an observation that is negative or ≥ rankBound
@@ -43,7 +46,8 @@
 // anew from the sorted array. RankDrops counts the drops.
 //
 // The ring and the sorted array are allocated once, at NewWindow, and the
-// table grows geometrically to the largest observation seen, so a Window in
+// table and its bases grow geometrically to the largest observation seen, so
+// a Window in
 // steady state performs zero heap allocations — a requirement of the
 // engine's allocation-free scheduling hot path.
 package dist
@@ -78,6 +82,7 @@ func NewWindow(capacity int) *Window {
 	}
 	if w.indexable() {
 		w.samp.le = make([]int32, 0, rankMinCap)
+		w.samp.base = make([]int32, 0, rankBlocks(rankMinCap))
 	}
 	return w
 }
@@ -102,7 +107,7 @@ func (w *Window) Add(v int) {
 		w.samp.sorted = s
 		// One more observation ≤ g for every g from v up.
 		if w.samp.cover(v, w.n-1) {
-			shift(w.samp.le[v:], 1)
+			w.samp.shift(v, len(w.samp.le), 1)
 		}
 	} else {
 		old := w.buf[w.head]
@@ -120,13 +125,13 @@ func (w *Window) Add(v int) {
 				copy(s[i:], s[i+1:j])
 				s[j-1] = v
 				if w.samp.cover(v, w.n) {
-					shift(w.samp.le[old:v], -1)
+					w.samp.shift(old, v, -1)
 				}
 			} else { // v < old: ranks [j, i) slide up, v takes rank j
 				copy(s[j+1:], s[j:i])
 				s[j] = v
 				if w.samp.cover(v, w.n) {
-					shift(w.samp.le[v:old], 1)
+					w.samp.shift(v, old, 1)
 				}
 			}
 		}

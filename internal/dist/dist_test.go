@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -140,10 +141,27 @@ func checkAgainstOracle(t testing.TB, w *Window, seed uint64) {
 	if inside := want[0] >= 0 && want[len(want)-1] < rankBound; (s.le != nil) != inside {
 		t.Fatalf("rank table kept = %v over %v", s.le != nil, []int(want))
 	}
+	// The table's layout: one base per block of rankBlock values, counting
+	// the observations below the block; in-block counts from the block's
+	// first value up.
+	if s.le != nil {
+		if len(s.base) != rankBlocks(len(s.le)) {
+			t.Fatalf("%d bases for a table of %d entries", len(s.base), len(s.le))
+		}
+		for b, got := range s.base {
+			if ref := sort.SearchInts(want, b<<rankBlockShift); int(got) != ref {
+				t.Fatalf("base[%d] = %d, want %d observations below %d over %v", b, got, ref, b<<rankBlockShift, []int(want))
+			}
+		}
+	}
 	// The one rank function, table or search, against the definition: at the
 	// edges of the support and on both sides of every observation.
 	rankAt := func(g int) {
-		if got, ref := s.rank(g), sort.SearchInts(want, g+1); got != ref {
+		got, ok := s.rankInside(g)
+		if !ok {
+			got = s.rankOutside(g)
+		}
+		if ref := sort.SearchInts(want, g+1); got != ref {
 			t.Fatalf("rank(%d) = %d, want %d over %v (table %v)", g, got, ref, []int(want), s.le != nil)
 		}
 	}
@@ -191,10 +209,12 @@ func checkAgainstOracle(t testing.TB, w *Window, seed uint64) {
 // sequence runs twice: from zero up, which keeps the rank table (and, at
 // support 100000, runs it into its bound and back under), and centred on
 // zero, where negative observations drop it and their eviction rebuilds it,
-// time and again at the small capacities.
+// time and again at the small capacities. Supports of 130 and 200 keep every
+// evicted and inserted value within a few blocks of rankBlock values, so most
+// Adds shift a span that starts or ends next to a block edge.
 func TestWindowAddMatchesSortOracle(t *testing.T) {
 	for _, capacity := range []int{1, 2, 7, 1000} {
-		for _, support := range []int{1, 3, 50, 5000, 100000} {
+		for _, support := range []int{1, 3, 50, 130, 200, 5000, 100000} {
 			for _, offset := range []int{0, support / 2} {
 				w := NewWindow(capacity)
 				r := rng.New(uint64(capacity*131 + support))
@@ -341,21 +361,31 @@ func TestSamplerIsLiveView(t *testing.T) {
 // could be sized by.
 var fuzzOutliers = []int{-1, 1 << 40, rankBound - 1, rankBound, -1 << 40, rankMinCap}
 
+// fuzzBlockEdges are the observations a 0xfe byte selects in FuzzWindowAdd:
+// both sides of the rank table's first block edges, and of one far up.
+var fuzzBlockEdges = []int{0, rankBlock - 1, rankBlock, rankBlock + 1, 2*rankBlock - 1, 2 * rankBlock, 3*rankBlock + 5, 63*rankBlock - 1, 63 * rankBlock}
+
 // FuzzWindowAdd drives a window of fuzzer-chosen capacity with
 // fuzzer-chosen observations and checks the oracle — sorted array, rank at
 // and around every observation, every query, the table's bound — after every
 // Add. Each input byte pair is one observation; a small modulus keeps ties
-// frequent, and a pair led by 0xff picks from fuzzOutliers instead.
+// frequent, a pair led by 0xff picks from fuzzOutliers instead and one led by
+// 0xfe from fuzzBlockEdges.
 func FuzzWindowAdd(f *testing.F) {
 	f.Add(uint8(1), []byte{0, 1, 0, 1, 0, 0})
 	f.Add(uint8(2), []byte{9, 9, 9, 9, 9, 9, 9, 9})
 	f.Add(uint8(7), []byte("the quick brown fox jumps over the lazy dog"))
+	f.Add(uint8(3), []byte{0xfe, 1, 0xfe, 6, 0xfe, 2, 0xfe, 7, 0xfe, 5, 0xfe, 8, 0xfe, 4, 0xfe, 0, 0xfe, 3})
+	f.Add(uint8(1), []byte{0xfe, 7, 0xfe, 8, 0xfe, 1, 0xfe, 2, 0xfe, 8, 0xfe, 3})
 	f.Fuzz(func(t *testing.T, capacity uint8, data []byte) {
 		w := NewWindow(int(capacity)%64 + 1)
 		for i := 0; i+1 < len(data); i += 2 {
 			v := (int(data[i])<<8 | int(data[i+1])) % 97
-			if data[i] == 0xff {
+			switch data[i] {
+			case 0xff:
 				v = fuzzOutliers[int(data[i+1])%len(fuzzOutliers)]
+			case 0xfe:
+				v = fuzzBlockEdges[int(data[i+1])%len(fuzzBlockEdges)]
 			}
 			w.Add(v)
 			checkAgainstOracle(t, w, uint64(i))
@@ -393,6 +423,30 @@ func TestQuantileBoundaries(t *testing.T) {
 	}
 	if got := s.Quantile(1.5); got != 50 {
 		t.Fatalf("Quantile(1.5) = %d", got)
+	}
+}
+
+// TestQuantileIndexMatchesCeil: quantileIndex's ceiling without math.Ceil
+// is ceil(q·n)−1, clamped, over a grid of quantiles — the dyadic ones, the
+// decimal ones the scheduler is configured with, and their neighbours one
+// ulp away — and every n up to 4096.
+func TestQuantileIndexMatchesCeil(t *testing.T) {
+	var qs []float64
+	for i := 0; i <= 1000; i++ {
+		q := float64(i) / 1000
+		qs = append(qs, q, math.Nextafter(q, -1), math.Nextafter(q, 2))
+	}
+	for i := 0; i <= 64; i++ {
+		qs = append(qs, float64(i)/64)
+	}
+	qs = append(qs, -0.5, -1e-300, 1.5)
+	for n := 1; n <= 4096; n++ {
+		for _, q := range qs {
+			want := min(max(int(math.Ceil(q*float64(n)))-1, 0), n-1)
+			if got := quantileIndex(q, n); got != want {
+				t.Fatalf("quantileIndex(%v, %d) = %d, math.Ceil says %d", q, n, got, want)
+			}
+		}
 	}
 }
 

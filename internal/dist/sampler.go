@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"math"
 	"sort"
 
 	"github.com/lightllm-go/lightllm/internal/rng"
@@ -13,11 +12,15 @@ import (
 // index into the window's sorted array, and performs no heap allocations.
 type Sampler struct {
 	sorted []int // window contents, ascending: the empirical CDF
-	// le is the rank index: le[g] observations are ≤ g, and len(le) exceeds
-	// every observation held. nil when the window ranks by binary search
+	// le and base are the rank index, in blocks of rankBlock values:
+	// base[g>>rankBlockShift] + le[g] observations are ≤ g, for every g in
+	// [0, len(le)), and len(le) exceeds every observation held. base[b]
+	// counts the observations below block b's first value, le[g] those from
+	// there up to g. Both are nil when the window ranks by binary search
 	// instead — it holds an observation outside [0, rankBound), or is the
 	// zero Sampler.
-	le []int32
+	le   []int32
+	base []int32
 }
 
 const (
@@ -27,20 +30,29 @@ const (
 	// rankMinCap is the table's first capacity; short-output windows never
 	// grow past it.
 	rankMinCap = 256
+	// rankBlock values share one base count. An Add rewrites at most two
+	// partial blocks of in-block counts and the bases between them.
+	rankBlockShift = 6
+	rankBlock      = 1 << rankBlockShift
 )
 
-// rank returns the number of observations ≤ g, which is also the index of
-// the first observation > g in the sorted array.
-func (s *Sampler) rank(g int) int {
+// rankBlocks is the number of blocks that n table entries span.
+func rankBlocks(n int) int { return (n + rankBlock - 1) >> rankBlockShift }
+
+// The rank of g is the number of observations ≤ g, which is also the index
+// of the first observation > g in the sorted array. rankInside answers it for
+// a g the table holds (ok false for any other) and rankOutside for the rest;
+// they are two functions so that the first inlines into the queries.
+func (s *Sampler) rankInside(g int) (int, bool) {
 	if uint(g) < uint(len(s.le)) {
-		return int(s.le[g])
+		return int(s.base[g>>rankBlockShift] + s.le[g]), true
 	}
-	return s.rankOutside(g)
+	return 0, false
 }
 
-// rankOutside is rank for a g the table does not hold, kept out of line so
-// that rank inlines into the queries: either g lies beyond every observation
-// on one side, or there is no table and the sorted array is searched.
+// rankOutside is the rank of a g the table does not hold: either g lies
+// beyond every observation on one side, or there is no table and the sorted
+// array is searched.
 func (s *Sampler) rankOutside(g int) int {
 	switch {
 	case s.le == nil:
@@ -60,18 +72,25 @@ func (s *Sampler) cover(v, n int) bool {
 		return false
 	}
 	if v < 0 || v >= rankBound {
-		s.le = nil
+		s.le, s.base = nil, nil
 		return false
 	}
 	if have := len(s.le); v >= have {
 		if v >= cap(s.le) {
-			grown := make([]int32, have, min(max(2*cap(s.le), v+1), rankBound))
-			copy(grown, s.le)
-			s.le = grown
+			c := min(max(2*cap(s.le), v+1), rankBound)
+			le := make([]int32, have, c)
+			copy(le, s.le)
+			base := make([]int32, len(s.base), rankBlocks(c))
+			copy(base, s.base)
+			s.le, s.base = le, base
 		}
 		s.le = s.le[:v+1]
+		// A new block starts above every observation: all n lie below it.
+		for len(s.base) < rankBlocks(v+1) {
+			s.base = append(s.base, int32(n))
+		}
 		for g := have; g <= v; g++ {
-			s.le[g] = int32(n)
+			s.le[g] = int32(n) - s.base[g>>rankBlockShift]
 		}
 	}
 	return true
@@ -82,19 +101,40 @@ func (s *Sampler) cover(v, n int) bool {
 func (s *Sampler) reindex() {
 	top := s.sorted[len(s.sorted)-1]
 	s.le = make([]int32, top+1, max(top+1, rankMinCap))
+	s.base = make([]int32, 0, rankBlocks(cap(s.le)))
 	i := 0
 	for g := range s.le {
+		if g&(rankBlock-1) == 0 {
+			s.base = append(s.base, int32(i)) // i observations lie below g
+		}
 		for i < len(s.sorted) && s.sorted[i] <= g {
 			i++
 		}
-		s.le[g] = int32(i)
+		s.le[g] = int32(i) - s.base[g>>rankBlockShift]
 	}
 }
 
-// shift adds d to every count in t.
-func shift(t []int32, d int32) {
-	for g := range t {
-		t[g] += d
+// shift adds d to the number of observations ≤ g for every g in [lo, hi),
+// where 0 ≤ lo ≤ hi ≤ len(le): the in-block counts from lo to the end of its
+// block, the bases of the blocks that start in (lo, hi], and, since those
+// bases now count for all of their block, minus d on the in-block counts from
+// hi to the end of hi's block. That is at most two partial blocks and
+// (hi−lo)/rankBlock bases.
+func (s *Sampler) shift(lo, hi int, d int32) {
+	bl, bh := lo>>rankBlockShift, hi>>rankBlockShift
+	if bl == bh {
+		addTo(s.le[lo:hi], d)
+		return
+	}
+	addTo(s.le[lo:(bl+1)<<rankBlockShift], d)
+	addTo(s.base[bl+1:min(bh+1, len(s.base))], d)
+	addTo(s.le[hi:min((bh+1)<<rankBlockShift, len(s.le))], -d)
+}
+
+// addTo adds d to every count in t.
+func addTo(t []int32, d int32) {
+	for i := range t {
+		t[i] += d
 	}
 }
 
@@ -133,7 +173,10 @@ func (s *Sampler) Quantile(q float64) int {
 // observation above the conditioning point (the scheduler then falls back
 // to the request's max_new_tokens cap).
 func (s *Sampler) SampleGreater(r *rng.RNG, greater int) (v int, ok bool) {
-	i := s.rank(greater) // first observation > greater
+	i, ok := s.rankInside(greater) // first observation > greater
+	if !ok {
+		i = s.rankOutside(greater)
+	}
 	if i == len(s.sorted) {
 		return 0, false
 	}
@@ -144,7 +187,10 @@ func (s *Sampler) SampleGreater(r *rng.RNG, greater int) (v int, ok bool) {
 // P(l | l > greater); ok is false when no probability mass lies above the
 // conditioning point.
 func (s *Sampler) QuantileGreater(q float64, greater int) (v int, ok bool) {
-	i := s.rank(greater)
+	i, ok := s.rankInside(greater)
+	if !ok {
+		i = s.rankOutside(greater)
+	}
 	m := len(s.sorted) - i
 	if m == 0 {
 		return 0, false
@@ -155,7 +201,14 @@ func (s *Sampler) QuantileGreater(q float64, greater int) (v int, ok bool) {
 // quantileIndex maps quantile q over n sorted values to the smallest index
 // whose CDF (index+1)/n reaches q, clamped to a valid index. n must be > 0.
 func quantileIndex(q float64, n int) int {
-	idx := int(math.Ceil(q*float64(n))) - 1
+	// ceil(q·n) without the call: int truncates toward zero, so a positive
+	// fraction left over means one more.
+	x := q * float64(n)
+	idx := int(x)
+	if float64(idx) < x {
+		idx++
+	}
+	idx--
 	if idx < 0 {
 		idx = 0
 	}

@@ -33,20 +33,69 @@ type coastRun struct {
 
 // countingScheduler counts the admission rounds the engine holds: the
 // coasting engine must ask its scheduler exactly when the per-token one does.
+// It also holds the engine to View.Epoch's promise: a round of the same
+// Epoch as the one before sees the same batch in the same order, no member's
+// Generated or KVLanded lower and none grown by more than the first's
+// Generated. repeats counts those rounds. A blind one hides the Epoch from
+// the scheduler (0 promises nothing), which must then decide the same.
 type countingScheduler struct {
 	core.Scheduler
-	calls int
+	t       *testing.T
+	calls   int
+	blind   bool
+	repeats int
+	epoch   uint64
+	batch   []*request.Request
+	gen     []int // Generated of each member of batch at the last round
+	landed  []int // and KVLanded
 }
 
 func (s *countingScheduler) Admit(v *core.View, queue []*request.Request) int {
 	s.calls++
+	if v.Epoch == 0 {
+		s.t.Fatalf("round %d: the engine sent Epoch 0", s.calls)
+	}
+	if v.Epoch == s.epoch {
+		s.repeats++
+		s.keptPromise(v)
+	}
+	s.epoch = v.Epoch
+	s.batch = append(s.batch[:0], v.Running...)
+	s.gen, s.landed = s.gen[:0], s.landed[:0]
+	for _, r := range v.Running {
+		s.gen, s.landed = append(s.gen, r.Generated), append(s.landed, r.KVLanded())
+	}
+	if s.blind {
+		v.Epoch = 0
+	}
 	return s.Scheduler.Admit(v, queue)
+}
+
+// keptPromise fails unless the batch of a round of the last round's Epoch
+// only decoded since.
+func (s *countingScheduler) keptPromise(v *core.View) {
+	if len(v.Running) != len(s.batch) {
+		s.t.Fatalf("round %d, Epoch %d: %d requests in the batch, %d at the last round", s.calls, v.Epoch, len(v.Running), len(s.batch))
+	}
+	adv := 0
+	for i, r := range v.Running {
+		if r != s.batch[i] {
+			s.t.Fatalf("round %d, Epoch %d: member %d is request %d, was %d", s.calls, v.Epoch, i, r.ID, s.batch[i].ID)
+		}
+		g, l := r.Generated-s.gen[i], r.KVLanded()-s.landed[i]
+		if i == 0 {
+			adv = g
+		}
+		if g < 0 || l < 0 || g > adv || l > adv {
+			s.t.Fatalf("round %d, Epoch %d: request %d grew %d tokens and %d landed, the first %d", s.calls, v.Epoch, r.ID, g, l, adv)
+		}
+	}
 }
 
 // newEngine builds the engine of one twin, its scheduler wrapped in a
 // countingScheduler.
 func (cr *coastRun) newEngine(cfg Config) {
-	cr.sched = &countingScheduler{Scheduler: cfg.Scheduler}
+	cr.sched = &countingScheduler{Scheduler: cfg.Scheduler, t: cr.t}
 	cfg.Scheduler = cr.sched
 	cfg.Perf = testPerf(cr.t)
 	e, err := New(cfg)
@@ -460,20 +509,36 @@ var coastCases = []coastCase{
 // which engine walked its batch on every step — not between Steps, not in the
 // Result, not on any request, not in how often the scheduler was asked. A
 // case that never coasted fails: it compared the per-token path with itself;
-// so does a knee case none of whose refused rounds coasted.
+// so does a knee case none of whose refused rounds coasted. Each knee case
+// runs a third time with the Epoch hidden from its scheduler, which then
+// prices every round in full, and must be told from the first run no better;
+// the knee cases together must hold rounds that repeat an Epoch.
 func TestCoastMatchesPerTokenPath(t *testing.T) {
+	repeats := 0
 	for _, tc := range coastCases {
 		for _, seed := range coastSeeds(t) {
-			run := func(perToken bool) (*coastRun, *Result) {
+			run := func(perToken, blind bool) (*coastRun, *Result) {
 				cr := &coastRun{t: t, seed: seed}
 				cr.newEngine(tc.cfg(cr))
+				cr.sched.blind = blind
 				if perToken {
 					cr.e.AddTokenHook(func(float64, *request.Request) {})
 				}
 				return cr, tc.drive(cr)
 			}
-			ref, refRes := run(true)
-			got, gotRes := run(false)
+			ref, refRes := run(true, false)
+			got, gotRes := run(false, false)
+			if tc.refused {
+				blind, blindRes := run(false, true)
+				if blind.sched.calls != got.sched.calls {
+					t.Fatalf("%s seed %d: %d admission rounds, %d with the Epoch hidden", tc.name, seed, got.sched.calls, blind.sched.calls)
+				}
+				if blindRes.CoastedSteps != gotRes.CoastedSteps {
+					t.Fatalf("%s seed %d: %d coasted steps, %d with the Epoch hidden", tc.name, seed, gotRes.CoastedSteps, blindRes.CoastedSteps)
+				}
+				sameLog(t, fmt.Sprintf("%s seed %d (Epoch hidden)", tc.name, seed), blind.log, got.log)
+				repeats += got.sched.repeats
+			}
 			if refRes.CoastedSteps != 0 {
 				t.Fatalf("%s seed %d: the engine with a token hook coasted %d steps", tc.name, seed, refRes.CoastedSteps)
 			}
@@ -493,6 +558,9 @@ func TestCoastMatchesPerTokenPath(t *testing.T) {
 			}
 			sameLog(t, fmt.Sprintf("%s seed %d", tc.name, seed), got.log, ref.log)
 		}
+	}
+	if repeats == 0 {
+		t.Fatal("no knee round repeated its predecessor's Epoch: the certificate is never offered")
 	}
 }
 

@@ -409,6 +409,10 @@ type Engine struct {
 	admitRetries         int
 	released             bool // a request left the engine during the last Step
 	pureDecode           bool // the last Step only grew the running batch by one token each
+	// epoch is the View.Epoch of the next admission round: it moves on
+	// before every Step that follows one which was not a pure decode step
+	// (coasted steps are), and on Crash.
+	epoch uint64
 
 	// Coasted decode steps (see the package comment and coast). owed tokens
 	// are counted for every running request — in clock, outputTokens and the
@@ -529,6 +533,7 @@ func New(cfg Config) (*Engine, error) {
 		history: dist.NewWindow(cfg.HistoryWindow),
 		sched:   cfg.Scheduler,
 		slow:    1,
+		epoch:   1,
 	}
 	if cfg.PrefixCache.Enabled {
 		e.pool.EnablePrefixCache(kv.PrefixConfig{
@@ -918,6 +923,7 @@ func (e *Engine) scaled(dur float64) float64 {
 func (e *Engine) Crash() []*request.Request {
 	e.settle()
 	e.released, e.pureDecode, e.minLeft = false, false, 0
+	e.epoch++
 	orphans := make([]*request.Request, 0,
 		e.queue.Len()+len(e.running)+len(e.prefilling)+len(e.staticBatch)+e.arrivals.Len())
 	e.queue.Filter(

@@ -21,6 +21,9 @@ func (e *Engine) Step() bool {
 		return true
 	}
 	e.settle()
+	if !e.pureDecode {
+		e.epoch++ // the batch did more than decode since the last round
+	}
 	e.released = false
 	e.pureDecode = false
 	e.minLeft = 0
@@ -352,6 +355,7 @@ func (e *Engine) decide() int {
 		FreeTokens:     e.pool.FreeTokens() - e.owedTokens(),
 		Running:        batchView,
 		History:        e.history,
+		Epoch:          e.epoch,
 	}
 	if e.classHist != nil {
 		e.viewScratch.ClassHistory = e.ClassWindow

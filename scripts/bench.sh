@@ -9,12 +9,14 @@
 #
 # The micro suite covers BenchmarkAdmitHotPath (/naive times the clone+sort
 # admission oracle of the core tests, as BenchmarkFleetRouteNaive times the
-# cluster tests' naive routing oracle: reference rows, not production paths),
+# cluster tests' naive routing oracle: reference rows, not production paths;
+# /refuse, /refuse-repeat and /refuse-drawn the three ways a knee round is
+# refused, /admit-wide a drawn round over 50 running requests that admits),
 # BenchmarkFutureRequiredMemory,
 # BenchmarkPeakEstimatorPush (the splice of one admitted request),
-# BenchmarkWindowSampler (/add: one Add on a full 1000-entry window, 0
-# allocs; /greater: the two conditional queries at a moving conditioning
-# point), the fleet-scale BenchmarkFleetRoute series (replicas=96,
+# BenchmarkWindowSampler (/add and /add-long: one Add on a full 1000-entry
+# window at values below 4096 and 8192, 0 allocs; /greater: the two
+# conditional queries at a moving conditioning point), the fleet-scale BenchmarkFleetRoute series (replicas=96,
 # BenchmarkFleetRoutePureStep and BenchmarkFleetRouteRebuild/replicas=96: 96
 # replicas with full windows, the rows whose working set is a large replay's
 # — nothing stepped, an eighth took a pure decode step, an eighth must

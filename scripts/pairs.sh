@@ -16,6 +16,11 @@
 # won. A claimed gain needs the change to win at least 9 of 10 pairs, with its
 # median beyond the base's interquartile range. It exits non-zero if any run
 # reports "correct":false.
+#
+# Every run also appends one JSON line to BENCH_pairs.jsonl at the root of the
+# checkout: the two commits (the change is HEAD, marked "+dirty" when the
+# working tree differs from it), workload, seed, pairs, nproc, Go version, and
+# for each metric both sides' median and quartiles and the change's wins.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,7 +64,15 @@ for ((i = 0; i < pairs; i++)); do
 	done
 done
 
-awk -v base="$base" -v workload="$workload" -v seed="$seed" '
+change_rev=$(git rev-parse --short=12 HEAD)
+if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
+	change_rev="$change_rev+dirty"
+fi
+base_rev=$(git rev-parse --short=12 "$base")
+
+awk -v base="$base" -v workload="$workload" -v seed="$seed" \
+	-v change_rev="$change_rev" -v base_rev="$base_rev" -v pairs="$pairs" \
+	-v nproc="$(nproc)" -v gover="$(go env GOVERSION)" -v json="$tmp/json" '
 function quantile(v, n, p,    h, lo) {
 	h = (n - 1) * p + 1
 	lo = int(h)
@@ -88,12 +101,17 @@ function report(name, col, higher,    n, i, c, b, mc, mb, wins) {
 	printf("%-15s change median %.6g [%.6g, %.6g]  base median %.6g [%.6g, %.6g]  x%.3f  change won %d of %d pairs\n",
 		name, mc, quantile(c, n, 0.25), quantile(c, n, 0.75),
 		mb, quantile(b, n, 0.25), quantile(b, n, 0.75), mc / mb, wins, n)
+	fields = fields sprintf(",\"%s\":{\"change\":{\"median\":%.6g,\"q1\":%.6g,\"q3\":%.6g},\"base\":{\"median\":%.6g,\"q1\":%.6g,\"q3\":%.6g},\"wins\":%d}",
+		name, mc, quantile(c, n, 0.25), quantile(c, n, 0.75), mb, quantile(b, n, 0.25), quantile(b, n, 0.75), wins)
 }
 { pair[$1] = 1; val[$1, $2, 3] = $3; val[$1, $2, 4] = $4 }
 END {
 	printf("%s seed %s: working tree (change) against %s (base), median [q1, q3]\n", workload, seed, base)
 	report("requests_per_s", 3, 1)
 	report("setup_s", 4, 0)
+	printf("{\"change\":\"%s\",\"base\":\"%s\",\"workload\":\"%s\",\"seed\":%s,\"pairs\":%s,\"nproc\":%s,\"go\":\"%s\"%s}\n",
+		change_rev, base_rev, workload, seed, pairs, nproc, gover, fields) > json
 }
 ' "$tmp/results"
+cat "$tmp/json" >> BENCH_pairs.jsonl
 exit "$bad"
