@@ -63,10 +63,12 @@ bench-scale:
 
 # pairs compares the whole-run benchmark (BENCHMARK.json) of the working tree
 # with a base commit on one workload, over N pairs whose order alternates
-# (scripts/pairs.sh): each side's median and quartiles of requests_per_s and
-# setup_s, and how many pairs the change won. It fails if any run reports
-# "correct":false. engine-closed takes ~6 min at N=10. SEED (default 1) is
-# the workload seed; a claimed gain must also hold on a second one, e.g.
+# (scripts/pairs.sh): for every end-to-end metric BENCHMARK.json lists, each
+# side's median and quartiles, how many pairs the change won, and whether its
+# median is worse than the base's by more than the metric's bound. It fails
+# if any run reports "correct":false or any metric is over its bound.
+# engine-closed takes ~6 min at N=10. SEED (default 1) is the workload seed;
+# a claimed gain must also hold on a second one, e.g.
 # make pairs W=engine-closed SEED=7.
 W ?= engine-closed
 N ?= 10

@@ -1,6 +1,6 @@
 package lightllm
 
-// One benchmark per table and figure of the paper (DESIGN.md §3), each
+// One benchmark per table and figure of the paper (PAPER.md), each
 // regenerating the experiment at reduced scale, plus micro-benchmarks of
 // the scheduler's hot paths. Run everything with:
 //

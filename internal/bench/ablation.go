@@ -43,10 +43,11 @@ func (a *AblationResult) Study(name string) []AblationRow {
 	return out
 }
 
-// RunAblation regenerates the design-choice ablations listed in DESIGN.md
-// §5: KV block granularity, history window size, small-batch multi-sampling,
-// conditional resampling, and iteration strategy under the Past-Future
-// scheduler.
+// RunAblation regenerates the design-choice ablations: KV block granularity,
+// history window size, small-batch multi-sampling, conditional resampling,
+// iteration strategy, eviction policy (recompute vs swap) and the prefill
+// token budget, under the Past-Future scheduler unless a study says
+// otherwise.
 func RunAblation(opts Options) *AblationResult {
 	opts = opts.normalized()
 	res := &AblationResult{}
@@ -56,7 +57,6 @@ func RunAblation(opts Options) *AblationResult {
 	res.resampling(opts)
 	res.strategy(opts)
 	res.evictionPolicy(opts)
-	res.classHistory(opts)
 	res.prefillBudget(opts)
 
 	tbl := &Table{
@@ -180,39 +180,6 @@ func (a *AblationResult) evictionPolicy(opts Options) {
 		})
 		eng.SubmitAll(workload.Build(workload.Distribution1, rng.New(opts.Seed), n, 1, 4096))
 		a.Rows = append(a.Rows, runBatch("eviction-policy", pol.String(), eng, n))
-	}
-}
-
-// classHistory: global window vs per-service-class windows on a stationary
-// multi-tenant mixture. The classes deliberately *overlap* in their early
-// token ranges (medium answers vs long reasoning): the conditional update
-// P(l > l_t) cannot tell them apart until deep into a generation — which is
-// exactly when a global window mispredicts and the class label helps.
-func (a *AblationResult) classHistory(opts Options) {
-	n := scaled(800, opts.Scale, 60)
-	gen := workload.Mixed{
-		Label: "api+chat",
-		Parts: []workload.Generator{
-			workload.LogNormal{Label: "answers-medium", InMu: 5.5, InSigma: 0.6,
-				OutMu: 5.6, OutSigma: 0.5, InLo: 16, InHi: 2048, OutLo: 64, OutHi: 2048},
-			workload.LogNormal{Label: "reasoning-long", InMu: 5.0, InSigma: 0.6,
-				OutMu: 7.4, OutSigma: 0.4, InLo: 16, InHi: 2048, OutLo: 256, OutHi: 6144},
-		},
-	}
-	for _, perClass := range []bool{false, true} {
-		label := "global-window"
-		if perClass {
-			label = "per-class-windows"
-		}
-		eng := engine.MustNew(engine.Config{
-			Perf: ablPerf(),
-			Scheduler: core.MustNewPastFuture(core.PastFutureConfig{
-				Reserved: 0.05, Rng: rng.New(opts.Seed), PerClass: perClass,
-			}),
-			ClassHistory: perClass,
-		})
-		eng.SubmitAll(workload.Build(gen, rng.New(opts.Seed), n, 1, 4096))
-		a.Rows = append(a.Rows, runBatch("class-history", label, eng, n))
 	}
 }
 

@@ -172,7 +172,7 @@ func RunFigure7(fopts Fig7Options) *Fig7Result {
 						Perf:      pm,
 						Scheduler: sd.make(seed),
 						// SLA-aware clients abandon requests queued past
-						// their TTFT budget (see DESIGN.md §4).
+						// their TTFT budget.
 						QueueTimeout: setup.sla.TTFT,
 						SeedHistory:  seedHist,
 					})

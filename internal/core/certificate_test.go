@@ -9,16 +9,15 @@ import (
 )
 
 // certWorld is one side of a certificate twin: a scheduler, its history
-// windows, and the batch and queue it is asked about. Both sides are built
+// window, and the batch and queue it is asked about. Both sides are built
 // from the same seed and every operation is applied to both alike; only the
 // View.Epoch they see differs.
 type certWorld struct {
-	pf      *PastFuture
-	w       *dist.Window
-	classes map[string]*dist.Window
-	v       *View
-	queue   []*request.Request
-	nextID  int64
+	pf     *PastFuture
+	w      *dist.Window
+	v      *View
+	queue  []*request.Request
+	nextID int64
 }
 
 // newCertWorld builds a knee-shaped round from seed: a window of long and
@@ -33,11 +32,6 @@ func newCertWorld(cfg PastFutureConfig, seed uint64) *certWorld {
 	for i := 0; i < 300; i++ {
 		cw.w.Add(1 + r.Intn(longest))
 	}
-	warm := dist.NewWindow(64)
-	for i := 0; i < 64; i++ {
-		warm.Add(1 + r.Intn(longest))
-	}
-	cw.classes = map[string]*dist.Window{"warm": warm}
 	used := 0
 	var running []*request.Request
 	for i := 0; i < 2+r.Intn(60); i++ {
@@ -60,7 +54,6 @@ func newCertWorld(cfg PastFutureConfig, seed uint64) *certWorld {
 		FreeTokens:     max(capacity-used, 0),
 		Running:        running,
 		History:        cw.w,
-		ClassHistory:   func(class string) *dist.Window { return cw.classes[class] },
 	}
 	if cfg.Rng != nil {
 		cfg.Rng = rng.New(seed ^ 0x5eed)
@@ -70,15 +63,11 @@ func newCertWorld(cfg PastFutureConfig, seed uint64) *certWorld {
 }
 
 // request makes a request that has generated gen tokens and will not finish
-// inside any sequence, half of them of the warm class, some with a
-// prediction for NoResample to keep.
+// inside any sequence, some with a prediction for NoResample to keep.
 func (cw *certWorld) request(r *rng.RNG, gen int) *request.Request {
 	cw.nextID++
 	req := request.New(cw.nextID, 20+r.Intn(400), 1<<30, 1<<30, 0)
 	req.Generated = gen
-	if r.Intn(2) == 0 {
-		req.Class = "warm"
-	}
 	if r.Intn(3) > 0 {
 		req.PredictedLen = gen + r.Intn(200)
 	}
@@ -129,7 +118,6 @@ func runCertificateSequence(t *testing.T, seed uint64, ops []byte) certCounts {
 		Reserved:      0.05 * float64(cfgRng.Intn(3)),
 		Deterministic: cfgRng.Intn(4) == 0,
 		NoResample:    cfgRng.Intn(4) == 0,
-		PerClass:      cfgRng.Intn(4) == 0,
 		Samples:       1 + cfgRng.Intn(4),
 		MinHistory:    1 + cfgRng.Intn(20),
 		Quantile:      0.5 + 0.4*cfgRng.Float64(),
@@ -238,7 +226,6 @@ func runCertificateSequence(t *testing.T, seed uint64, ops []byte) certCounts {
 			v := 1 + param*param*3
 			for _, cw := range worlds {
 				cw.w.Add(v)
-				cw.classes["warm"].Add(v)
 			}
 		case 7:
 			d := param - 15

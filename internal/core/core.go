@@ -33,8 +33,6 @@ import (
 // it; a round that refuses without pricing (PastFuture's refusal before
 // drawing) leaves it as it was.
 type View struct {
-	// Now is the simulation time of this scheduling step.
-	Now float64
 	// CapacityTokens is the KV pool's logical capacity.
 	CapacityTokens int
 	// UsedTokens is the logical tokens currently allocated.
@@ -47,10 +45,6 @@ type View struct {
 	// History is the sliding window of actual output lengths of recently
 	// finished requests (the Past-Future scheduler's "past").
 	History *dist.Window
-	// ClassHistory, when non-nil, returns the per-service-class history
-	// window (nil for unseen classes). Class-aware schedulers prefer it
-	// over the global mixture for multi-tenant deployments.
-	ClassHistory func(class string) *dist.Window
 	// Epoch names the stretch of steps the batch has only decoded through.
 	// Two rounds with the same non-zero Epoch promise that between them
 	// Running kept the same members in the same order and nothing but
@@ -59,7 +53,7 @@ type View struct {
 	// a caller that does not track its batch's steps leaves it there. The
 	// engine starts at 1 and moves it on before any step that follows one
 	// which was not a pure decode step, and on a crash. Other fields — the
-	// queue, the windows, the capacity — are not covered: a scheduler that
+	// queue, the window, the capacity — are not covered: a scheduler that
 	// keeps state across rounds of one Epoch checks those itself.
 	Epoch uint64
 

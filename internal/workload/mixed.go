@@ -4,8 +4,8 @@ import "github.com/lightllm-go/lightllm/internal/rng"
 
 // ClassedGenerator is a Generator that labels each sample with a service
 // class (task type). Build propagates the label into Request.Class so
-// class-aware components (per-class history windows, trace analysis) can
-// distinguish tenants.
+// class-aware components (per-class TTFT budgets, span exports, traceview)
+// can distinguish tenants.
 type ClassedGenerator interface {
 	Generator
 	// SampleWithClass returns one length pair plus its class label.
@@ -16,8 +16,7 @@ type ClassedGenerator interface {
 // API endpoint mixing task types request-by-request. Unlike Concat (whose
 // phases follow each other in time, Figure 8's drifting load), Mixed is a
 // stationary mixture: the *global* output distribution is multi-modal even
-// though each class is well-behaved — the regime where per-class history
-// windows beat a single global window.
+// though each class is well-behaved.
 type Mixed struct {
 	Label   string
 	Parts   []Generator

@@ -45,11 +45,8 @@ type SessionsConfig struct {
 	SharedSystemRatio float64
 	// TurnProb is the probability, after each emitted turn, that the
 	// session continues with another one — geometric turn depth. 0 = every
-	// session is single-turn (prefix-share 0 for that class).
+	// session is single-turn (prefix-share 0).
 	TurnProb float64
-	// TurnProbByClass overrides TurnProb per service class (per-class
-	// prefix-share: a class mapped to 0 never produces follow-up turns).
-	TurnProbByClass map[string]float64
 	// MaxTurns caps a session's turn count. 0 selects 8.
 	MaxTurns int
 	// Cooldown is how many other requests interleave between a session's
@@ -117,11 +114,6 @@ func NewSessions(cfg SessionsConfig) (*Sessions, error) {
 	if cfg.TurnProb < 0 || cfg.TurnProb >= 1 {
 		return nil, fmt.Errorf("workload: turn probability %v outside [0,1)", cfg.TurnProb)
 	}
-	for c, p := range cfg.TurnProbByClass {
-		if p < 0 || p >= 1 {
-			return nil, fmt.Errorf("workload: turn probability %v for class %q outside [0,1)", p, c)
-		}
-	}
 	if cfg.MaxTurns == 0 {
 		cfg.MaxTurns = 8
 	}
@@ -161,14 +153,6 @@ func (s *Sessions) Sample(r *rng.RNG) (int, int) {
 func (s *Sessions) SampleWithClass(r *rng.RNG) (int, int, string) {
 	sm := s.SampleSession(r)
 	return sm.In, sm.Out, sm.Class
-}
-
-// turnProb resolves the continuation probability for one class.
-func (s *Sessions) turnProb(class string) float64 {
-	if p, ok := s.cfg.TurnProbByClass[class]; ok {
-		return p
-	}
-	return s.cfg.TurnProb
 }
 
 // SampleSession implements SessionGenerator: emit the due follow-up turn if
@@ -244,7 +228,7 @@ func (s *Sessions) finish(ses *session, r *rng.RNG, prompt, in, out int) Session
 	}
 	if ses.turn < s.cfg.MaxTurns &&
 		(s.cfg.MaxInputTokens == 0 || ses.hist < s.cfg.MaxInputTokens) &&
-		r.Bool(s.turnProb(ses.class)) {
+		r.Bool(s.cfg.TurnProb) {
 		ses.ready = s.draws + 1 + s.cfg.Cooldown
 		s.pending = append(s.pending, ses)
 	}

@@ -152,30 +152,22 @@ func TestSessionsBuildStreamEquivalence(t *testing.T) {
 	}
 }
 
-// A class mapped to turn probability 0 must stay strictly single-turn while
-// other classes still produce follow-ups, and MaxInputTokens must bound
-// every prompt the generator emits.
-func TestSessionsPerClassAndInputCap(t *testing.T) {
+// MaxInputTokens must bound every prompt the generator emits.
+func TestSessionsInputCap(t *testing.T) {
 	cfg := sessionsCfg()
-	chat := Uniform{Label: "chat", InLo: 64, InHi: 512, OutLo: 64, OutHi: 512}
-	batch := Uniform{Label: "batch", InLo: 64, InHi: 512, OutLo: 64, OutHi: 512}
-	cfg.Base = Mixed{Label: "mix", Parts: []Generator{chat, batch}}
+	cfg.Base = Uniform{Label: "chat", InLo: 64, InHi: 512, OutLo: 64, OutHi: 512}
 	cfg.TurnProb = 0.7
-	cfg.TurnProbByClass = map[string]float64{"batch": 0}
 	cfg.MaxInputTokens = 3000
 	gen, err := NewSessions(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rng.New(3)
-	chatFollowups := 0
+	followups := 0
 	for i := 0; i < 600; i++ {
 		sm := gen.SampleSession(r)
-		if sm.Class == "batch" && sm.Turn > 1 {
-			t.Fatalf("batch session %d produced turn %d", sm.SessionID, sm.Turn)
-		}
-		if sm.Class == "chat" && sm.Turn > 1 {
-			chatFollowups++
+		if sm.Turn > 1 {
+			followups++
 		}
 		if sm.Turn > 1 && sm.In >= 3000+512 {
 			// The cap stops continuation once history crosses it, so a prompt
@@ -183,7 +175,7 @@ func TestSessionsPerClassAndInputCap(t *testing.T) {
 			t.Fatalf("prompt %d far past the input cap", sm.In)
 		}
 	}
-	if chatFollowups == 0 {
-		t.Fatal("chat class produced no follow-up turns")
+	if followups == 0 {
+		t.Fatal("no follow-up turns")
 	}
 }

@@ -20,8 +20,8 @@
 //
 //	lightllm.RunTable1(lightllm.BenchOptions{Out: os.Stdout})
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for
-// paper-vs-measured comparisons.
+// README.md's "Package map" is the system inventory; its "Benchmarks"
+// section and `go run ./cmd/pfsim -exp all` give the measured results.
 package lightllm
 
 import (

@@ -10,17 +10,24 @@
 # (default HEAD, exported with git archive), both into a temporary directory
 # outside the checkout. Pair i runs both binaries at the seed (default 1; a
 # claim must also hold on a seed not used while the change was written), the
-# change first on even pairs and the base first on odd ones. It then prints, for
-# requests_per_s (higher is better) and setup_s (lower is better), each side's
-# median and quartiles, the ratio of the medians and how many pairs the change
-# won. A claimed gain needs the change to win at least 9 of 10 pairs, with its
-# median beyond the base's interquartile range. It exits non-zero if any run
-# reports "correct":false.
+# change first on even pairs and the base first on odd ones, and prints every
+# run's values to stderr.
+#
+# It judges every end-to-end metric BENCHMARK.json lists, taking each one's
+# name, direction ("better") and bound from that file: each side's median
+# and quartiles, the ratio of the medians, how many pairs the change won and
+# tied, "over bound" when the change's median is worse than the base's by
+# more than the bound, as a share of the base's median, and "unresolved"
+# when either side's quartiles lie further apart than that. A claimed gain
+# needs the change to win at least 9 of 10 pairs, with its median beyond the
+# base's interquartile range. It exits non-zero if any run reports
+# "correct":false or any metric is over its bound.
 #
 # Every run also appends one JSON line to BENCH_pairs.jsonl at the root of the
 # checkout: the two commits (the change is HEAD, marked "+dirty" when the
 # working tree differs from it), workload, seed, pairs, nproc, Go version, and
-# for each metric both sides' median and quartiles and the change's wins.
+# for each metric both sides' median and quartiles, the change's wins and ties,
+# and whether it is over its bound or unresolved.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +35,34 @@ workload=${1:?usage: scripts/pairs.sh <workload> [pairs] [base] [seed]}
 pairs=${2:-10}
 base=${3:-HEAD}
 seed=${4:-1}
+
+# One "name better bound" line per end-to-end metric, in the file's order.
+# BENCHMARK.json is written by `go test ./benchmark -update` (indented JSON,
+# one key per line), which is the layout this reads.
+metrics=$(awk '
+/"end_to_end": *\[/ { in_list = 1; next }
+in_list && /^ *\]/ { exit }
+in_list && /"(name|better|bound)":/ {
+	key = $1
+	gsub(/[":]/, "", key)
+	val = $2
+	gsub(/[",]/, "", val)
+	m[key] = val
+}
+in_list && /^ *}/ {
+	if (m["name"] == "" || m["better"] !~ /^(higher|lower)$/ || m["bound"] == "") {
+		print "BENCHMARK.json: malformed end_to_end entry" > "/dev/stderr"
+		exit 1
+	}
+	print m["name"], m["better"], m["bound"]
+	delete m
+}
+' BENCHMARK.json)
+if [ -z "$metrics" ]; then
+	echo "BENCHMARK.json: no end_to_end metrics" >&2
+	exit 1
+fi
+names=$(printf '%s\n' "$metrics" | awk '{ print $1 }')
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -57,10 +92,18 @@ for ((i = 0; i < pairs; i++)); do
 			bad=1
 			;;
 		esac
-		rps=$(metric requests_per_s "$line")
-		setup=$(metric setup_s "$line")
-		echo "pair $i $side requests_per_s=$rps setup_s=$setup" >&2
-		echo "$i $side $rps $setup" >> "$tmp/results"
+		shown="pair $i $side"
+		for name in $names; do
+			v=$(metric "$name" "$line")
+			if [ -z "$v" ]; then
+				echo "pair $i $side: no $name in: $line" >&2
+				bad=1
+				continue
+			fi
+			shown="$shown $name=$v"
+			echo "$i $side $name $v" >> "$tmp/results"
+		done
+		echo "$shown" >&2
 	done
 done
 
@@ -70,6 +113,8 @@ if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
 fi
 base_rev=$(git rev-parse --short=12 "$base")
 
+printf '%s\n' "$metrics" > "$tmp/metrics"
+over=0
 awk -v base="$base" -v workload="$workload" -v seed="$seed" \
 	-v change_rev="$change_rev" -v base_rev="$base_rev" -v pairs="$pairs" \
 	-v nproc="$(nproc)" -v gover="$(go env GOVERSION)" -v json="$tmp/json" '
@@ -85,33 +130,52 @@ function sortv(v, n,    i, j, x) {
 		v[j + 1] = x
 	}
 }
-function report(name, col, higher,    n, i, c, b, mc, mb, wins) {
+function abs(x) { return x < 0 ? -x : x }
+function report(name, higher, bound,    n, i, c, b, mc, mb, qc1, qc3, qb1, qb3, wins, ties, worse, flag, wide, ratio) {
 	n = 0
 	wins = 0
+	ties = 0
 	for (i in pair) {
+		if (!((i, "change", name) in val) || !((i, "base", name) in val)) continue
 		n++
-		c[n] = val[i, "change", col]
-		b[n] = val[i, "base", col]
-		if (higher ? c[n] > b[n] : c[n] < b[n]) wins++
+		c[n] = val[i, "change", name]
+		b[n] = val[i, "base", name]
+		if (c[n] == b[n]) ties++
+		else if (higher ? c[n] > b[n] : c[n] < b[n]) wins++
 	}
+	if (n == 0) return
 	sortv(c, n)
 	sortv(b, n)
 	mc = quantile(c, n, 0.5)
+	qc1 = quantile(c, n, 0.25)
+	qc3 = quantile(c, n, 0.75)
 	mb = quantile(b, n, 0.5)
-	printf("%-15s change median %.6g [%.6g, %.6g]  base median %.6g [%.6g, %.6g]  x%.3f  change won %d of %d pairs\n",
-		name, mc, quantile(c, n, 0.25), quantile(c, n, 0.75),
-		mb, quantile(b, n, 0.25), quantile(b, n, 0.75), mc / mb, wins, n)
-	fields = fields sprintf(",\"%s\":{\"change\":{\"median\":%.6g,\"q1\":%.6g,\"q3\":%.6g},\"base\":{\"median\":%.6g,\"q1\":%.6g,\"q3\":%.6g},\"wins\":%d}",
-		name, mc, quantile(c, n, 0.25), quantile(c, n, 0.75), mb, quantile(b, n, 0.25), quantile(b, n, 0.75), wins)
+	qb1 = quantile(b, n, 0.25)
+	qb3 = quantile(b, n, 0.75)
+	worse = higher ? mb - mc : mc - mb
+	flag = worse > bound * abs(mb)
+	if (flag) over++
+	wide = qc3 - qc1 > bound * abs(mc) || qb3 - qb1 > bound * abs(mb)
+	ratio = mb != 0 ? sprintf("x%.3f", mc / mb) : "x-"
+	printf("%-26s change %.6g [%.6g, %.6g]  base %.6g [%.6g, %.6g]  %s  won %d, tied %d of %d  bound %g%s%s\n",
+		name, mc, qc1, qc3, mb, qb1, qb3, ratio, wins, ties, n, bound,
+		flag ? "  OVER BOUND" : "", wide ? "  UNRESOLVED" : "")
+	fields = fields sprintf(",\"%s\":{\"change\":{\"median\":%.6g,\"q1\":%.6g,\"q3\":%.6g},\"base\":{\"median\":%.6g,\"q1\":%.6g,\"q3\":%.6g},\"wins\":%d,\"ties\":%d,\"over_bound\":%s,\"unresolved\":%s}",
+		name, mc, qc1, qc3, mb, qb1, qb3, wins, ties, flag ? "true" : "false", wide ? "true" : "false")
 }
-{ pair[$1] = 1; val[$1, $2, 3] = $3; val[$1, $2, 4] = $4 }
+FNR == NR { order[++nm] = $1; higher[$1] = $2 == "higher"; bound[$1] = $3; next }
+{ pair[$1] = 1; val[$1, $2, $3] = $4 }
 END {
 	printf("%s seed %s: working tree (change) against %s (base), median [q1, q3]\n", workload, seed, base)
-	report("requests_per_s", 3, 1)
-	report("setup_s", 4, 0)
+	for (k = 1; k <= nm; k++) report(order[k], higher[order[k]], bound[order[k]])
 	printf("{\"change\":\"%s\",\"base\":\"%s\",\"workload\":\"%s\",\"seed\":%s,\"pairs\":%s,\"nproc\":%s,\"go\":\"%s\"%s}\n",
 		change_rev, base_rev, workload, seed, pairs, nproc, gover, fields) > json
+	exit (over > 0)
 }
-' "$tmp/results"
+' "$tmp/metrics" "$tmp/results" || over=1
 cat "$tmp/json" >> BENCH_pairs.jsonl
+if ((over)); then
+	echo "a metric's median is worse than the base's by more than its bound" >&2
+	bad=1
+fi
 exit "$bad"
