@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,13 +36,47 @@ func TestAllMatchesGolden(t *testing.T) {
 	if bytes.Equal(out.Bytes(), want) {
 		return
 	}
-	g, w := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(g) && i < len(w); i++ {
-		if g[i] != w[i] {
-			t.Fatalf("output diverges from %s at line %d:\n got %s\nwant %s", path, i+1, g[i], w[i])
+	t.Fatalf("output differs from %s:\n%s", path, goldenDiff(out.String(), string(want), 40))
+}
+
+// goldenDiff lists the lines on which got and want differ, at most limit of
+// them, each under the "==" section header above it, so a re-record's whole
+// footprint shows in one run.
+func goldenDiff(got, want string, limit int) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	at := func(lines []string, i int) string {
+		if i < len(lines) {
+			return lines[i]
 		}
+		return "<no line>"
 	}
-	t.Fatalf("output has %d lines, %s %d", len(g), path, len(w))
+	var b strings.Builder
+	header, shown, n := "", "", 0
+	for i := 0; i < max(len(g), len(w)); i++ {
+		gi, wi := at(g, i), at(w, i)
+		section := wi // the golden's sections, then got's past its end
+		if i >= len(w) {
+			section = gi
+		}
+		if strings.HasPrefix(section, "== ") {
+			header = section
+		}
+		if gi == wi {
+			continue
+		}
+		if n++; n > limit {
+			continue
+		}
+		if header != shown {
+			fmt.Fprintf(&b, "%s\n", header)
+			shown = header
+		}
+		fmt.Fprintf(&b, "line %d\n   got %s\n  want %s\n", i+1, gi, wi)
+	}
+	if n > limit {
+		fmt.Fprintf(&b, "... and %d more differing lines\n", n-limit)
+	}
+	return b.String()
 }
 
 func TestUnknownExperimentIsAUsageError(t *testing.T) {

@@ -220,24 +220,28 @@ func (a *AblationResult) prefillBudget(opts Options) {
 	}
 }
 
-// strategy: prefill-priority vs splitfuse under the Past-Future scheduler.
+// strategy: fused prefill-priority vs chunked prefill (SplitFuse) under the
+// Past-Future scheduler.
 func (a *AblationResult) strategy(opts Options) {
 	duration := 400 * opts.Scale
 	if duration < 60 {
 		duration = 60
 	}
-	for _, st := range []engine.Strategy{engine.PrefillPriority, engine.SplitFuse} {
-		eng := engine.MustNew(engine.Config{
+	for _, label := range []string{"prefill-priority", "chunked"} {
+		cfg := engine.Config{
 			Perf:      ablPerf(),
 			Scheduler: core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.03, Rng: rng.New(opts.Seed)}),
-			Strategy:  st,
-		})
+		}
+		if label == "chunked" {
+			cfg = SplitFuse(cfg)
+		}
+		eng := engine.MustNew(cfg)
 		workload.NewClosedLoop(eng, workload.ShareGPT, rng.New(opts.Seed+9), 40, 2048, 0, duration)
 		r := eng.RunUntil(duration)
 		sum := metrics.Summarize(r.Finished, metrics.SLASmall, duration/3, duration)
 		a.Rows = append(a.Rows, AblationRow{
 			Study:       "strategy",
-			Config:      st.String(),
+			Config:      label,
 			DecodeSteps: r.DecodeSteps,
 			EvictedFrac: float64(r.Evictions) / float64(len(r.Finished)+1),
 			MemUtil:     r.MemUtilization,

@@ -13,10 +13,19 @@ import (
 	"github.com/lightllm-go/lightllm/internal/workload"
 )
 
+// SplitFuse configures cfg as DeepSpeed-MII's Dynamic SplitFuse (FastGen):
+// chunked prefill in greedy 512-token chunks, fused with one decode step
+// under FastGen's fixed budget of 512 prompt tokens per iteration.
+func SplitFuse(cfg engine.Config) engine.Config {
+	cfg.Chunked = engine.ChunkConfig{Enabled: true}
+	cfg.MaxPrefillTokens = 512
+	return cfg
+}
+
 // fig9Framework emulates one serving framework the paper compares in §5.4
 // (December-2023 versions, like the paper) by what its scheduling shows:
-// the admission policy, the KV allocation granularity, the iteration
-// strategy, a kernel speed multiplier and a per-iteration overhead. The
+// the admission policy, the KV allocation granularity, whether prompts are
+// chunked, a kernel speed multiplier and a per-iteration overhead. The
 // paper's point — and what the table preserves — is that end-to-end goodput
 // differences come from the scheduler, not kernel speed.
 type fig9Framework struct {
@@ -25,7 +34,7 @@ type fig9Framework struct {
 	// scheduler draws from.
 	sched        func(r *rng.RNG) core.Scheduler
 	blockSize    int
-	strategy     engine.Strategy
+	splitFuse    bool    // chunked prefill as SplitFuse configures it
 	speedup      float64 // static kernel multiplier fed to the perf model
 	iterOverhead float64 // per-iteration framework overhead, seconds
 }
@@ -35,18 +44,18 @@ func conservative(*rng.RNG) core.Scheduler { return core.MustNewConservative(1.0
 // fig9Frameworks lists the frameworks in the paper's legend order.
 var fig9Frameworks = []fig9Framework{
 	// TGI budgets input + max_new_tokens, over slower kernels.
-	{"TGI", conservative, 1, engine.PrefillPriority, 0.95, 0.005},
+	{"TGI", conservative, 1, false, 0.95, 0.005},
 	// vLLM admits up to a watermark over PagedAttention's 16-token blocks.
-	{"vLLM", func(*rng.RNG) core.Scheduler { return core.MustNewAggressive(0.97) }, 16, engine.PrefillPriority, 1.0, 0.004},
-	// DeepSpeed-MII (FastGen) budgets like TGI with splitfuse chunked prefill.
-	{"DeepSpeed-MII", conservative, 1, engine.SplitFuse, 1.0, 0.004},
+	{"vLLM", func(*rng.RNG) core.Scheduler { return core.MustNewAggressive(0.97) }, 16, false, 1.0, 0.004},
+	// DeepSpeed-MII (FastGen) budgets like TGI with chunked prefill.
+	{"DeepSpeed-MII", conservative, 1, true, 1.0, 0.004},
 	// TensorRT-LLM budgets like TGI over fast static kernels.
-	{"TensorRT-LLM", conservative, 1, engine.PrefillPriority, 1.25, 0.002},
+	{"TensorRT-LLM", conservative, 1, false, 1.25, 0.002},
 	// LightLLM runs Past-Future over token-granular KV (TokenAttention)
 	// behind a multi-process async router (low overhead).
 	{"LightLLM", func(r *rng.RNG) core.Scheduler {
 		return core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.03, Rng: r})
-	}, 1, engine.PrefillPriority, 1.0, 0.003},
+	}, 1, false, 1.0, 0.003},
 }
 
 // newEngine builds the framework's engine serving spec on cluster, its
@@ -57,14 +66,17 @@ func (f fig9Framework) newEngine(spec model.Spec, cluster hw.Cluster, seed uint6
 	if err != nil {
 		return nil, err
 	}
-	return engine.New(engine.Config{
+	cfg := engine.Config{
 		Perf:         pm,
 		Scheduler:    f.sched(rng.New(seed)),
 		BlockSize:    f.blockSize,
-		Strategy:     f.strategy,
 		QueueTimeout: queueTimeout,
 		SeedHistory:  seedHist,
-	})
+	}
+	if f.splitFuse {
+		cfg = SplitFuse(cfg)
+	}
+	return engine.New(cfg)
 }
 
 // Fig9Cell is one (model, hardware, framework) result: the framework's best

@@ -61,7 +61,6 @@ func RunTable2(opts Options) *Table2Result {
 		originPerf := perf.MustNew(perf.Config{Model: spec, Cluster: cluster, Speedup: 0.85, IterOverhead: 0.006})
 		origin := engine.MustNew(engine.Config{
 			Perf:            originPerf,
-			Strategy:        engine.StaticBatch,
 			StaticBatchSize: 64,
 		})
 		origin.SubmitAll(workload.Build(gen, rng.New(opts.Seed), n, 1, maxNew))

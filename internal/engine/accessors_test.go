@@ -109,7 +109,6 @@ func TestAllHookAddersChain(t *testing.T) {
 func TestStaticBatchWaitsForArrivals(t *testing.T) {
 	e, err := New(Config{
 		Perf:             testPerf(t),
-		Strategy:         StaticBatch,
 		StaticBatchSize:  2,
 		CapacityOverride: 5000,
 	})
@@ -133,7 +132,6 @@ func TestStaticBatchWaitsForArrivals(t *testing.T) {
 func TestStaticBatchUnservableHead(t *testing.T) {
 	e, err := New(Config{
 		Perf:             testPerf(t),
-		Strategy:         StaticBatch,
 		StaticBatchSize:  2,
 		CapacityOverride: 100,
 	})
@@ -179,9 +177,8 @@ func TestHardwareAccessors(t *testing.T) {
 }
 
 // TestIterationBatchSizeCountsRequests pins Iteration.BatchSize to a request
-// count on every iteration kind. "mixed" and "chunked" iterations used to
-// report compute tokens there, so a 4096-token chunk read as a batch of
-// 4096. The first iteration has no decode lanes yet, so it must report
+// count on chunked iterations, which used to report compute tokens there,
+// so a 4096-token chunk read as a batch of 4096. The first iteration has no decode lanes yet, so it must report
 // exactly the prompts that advanced a chunk; none may exceed the requests
 // in flight.
 func TestIterationBatchSizeCountsRequests(t *testing.T) {
@@ -192,8 +189,6 @@ func TestIterationBatchSizeCountsRequests(t *testing.T) {
 		first int // prompts the first iteration's 64-token budget reaches
 		cfg   Config
 	}{
-		{"mixed", 1, Config{Perf: pm, Scheduler: core.MustNewConservative(1.0), Strategy: SplitFuse,
-			SplitFuseBudget: 64, CapacityOverride: 3000}},
 		{"chunked", 2, Config{Perf: pm, Scheduler: core.MustNewConservative(1.0), MaxPrefillTokens: 64,
 			CapacityOverride: 3000, Chunked: ChunkConfig{Enabled: true, ChunkTokens: 48}}},
 	} {

@@ -6,12 +6,13 @@ import (
 	"github.com/lightllm-go/lightllm/internal/request"
 )
 
-// Chunked prefill (prefill-priority strategy): instead of fusing every
-// admitted prompt into one blocking prefill iteration, admissions reserve
-// their full KV footprint up front and their prompts land chunk by chunk,
-// each chunk fused with one decode step for the running batch. A 32k-token
-// prompt therefore costs the batch a sequence of bounded mixed iterations
-// rather than one multi-second stall — the head-of-line-blocking fix.
+// Chunked prefill: instead of fusing every admitted prompt into one blocking
+// prefill iteration, admissions reserve their full KV footprint up front and
+// their prompts land chunk by chunk, each chunk fused with one decode step for
+// the running batch. A 32k-token prompt therefore costs the batch a sequence
+// of bounded mixed iterations rather than one multi-second stall — the
+// head-of-line-blocking fix. Greedy chunks under a fixed MaxPrefillTokens
+// budget are DeepSpeed-MII's Dynamic SplitFuse (FastGen).
 //
 // Two chunk sizers are selectable (ChunkConfig.Policy): the greedy fixed
 // chunk of Sarathi/DeepSpeed-FastGen, and an SLO-aware sizer that spends a

@@ -140,7 +140,7 @@ func TestChunkedConfigValidation(t *testing.T) {
 		return core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.05, Rng: rng.New(1)})
 	}
 	bad := []Config{
-		{Perf: pm, Scheduler: sched(), Strategy: SplitFuse, Chunked: ChunkConfig{Enabled: true}},
+		{Perf: pm, Scheduler: sched(), StaticBatchSize: 8, Chunked: ChunkConfig{Enabled: true}},
 		{Perf: pm, Scheduler: sched(), Chunked: ChunkConfig{Enabled: true, ChunkTokens: -1}},
 		{Perf: pm, Scheduler: sched(), Chunked: ChunkConfig{Enabled: true, MinChunkTokens: 512, MaxChunkTokens: 128}},
 		{Perf: pm, Scheduler: sched(), Chunked: ChunkConfig{Enabled: true, SlackShare: 1.5}},

@@ -4,8 +4,8 @@
 //
 // The engine is a step-level discrete-event simulator. Each call to Step
 // executes one engine iteration — a fused prefill over newly admitted
-// prompts, one decode step for the whole running batch, or (under the
-// splitfuse strategy) a mixed token-budget iteration — and advances the
+// prompts, one decode step for the whole running batch, or (under chunked
+// prefill) prompt chunks fused with one decode step — and advances the
 // simulated clock by that iteration's duration from the perf model. All
 // scheduling-visible state (KV token occupancy, queue, running batch,
 // history window of finished output lengths) is exact; only kernel
@@ -74,36 +74,6 @@ import (
 	"github.com/lightllm-go/lightllm/internal/request"
 	"github.com/lightllm-go/lightllm/internal/stats"
 )
-
-// Strategy selects how iterations are composed.
-type Strategy int
-
-const (
-	// PrefillPriority runs admitted prompts as one fused prefill iteration
-	// before resuming decode — the default in LightLLM, vLLM, and TGI.
-	PrefillPriority Strategy = iota
-	// SplitFuse packs prefill chunks and decode tokens into fixed
-	// token-budget iterations (DeepSpeed-MII/FastGen).
-	SplitFuse
-	// StaticBatch disables continuous batching: fixed-size batches run to
-	// completion with padding, emulating the original (pre-serving-
-	// framework) multimodal implementations in Table 2.
-	StaticBatch
-)
-
-// String implements fmt.Stringer.
-func (s Strategy) String() string {
-	switch s {
-	case PrefillPriority:
-		return "prefill-priority"
-	case SplitFuse:
-		return "splitfuse"
-	case StaticBatch:
-		return "static-batch"
-	default:
-		return fmt.Sprintf("strategy(%d)", int(s))
-	}
-}
 
 // Role selects which serving phase the engine executes — the disaggregated
 // prefill/decode split (Dynamo, DistServe, Splitwise) at the engine level.
@@ -191,11 +161,11 @@ type hooks struct {
 
 // Iteration describes one executed engine iteration for observers.
 type Iteration struct {
-	Kind     string // "prefill", "decode", "mixed", "chunked", "static"
+	Kind     string // "prefill", "decode", "chunked", "static"
 	Duration float64
 	// BatchSize is the number of requests in the iteration: prompts on
 	// "prefill", decode lanes on "decode" and "static", decode lanes plus
-	// the prompts that advanced a chunk on "mixed" and "chunked".
+	// the prompts that advanced a chunk on "chunked".
 	BatchSize int
 	KVTokens  int
 }
@@ -204,8 +174,8 @@ type Iteration struct {
 type Config struct {
 	// Perf is the latency/capacity model of the deployment. Required.
 	Perf *perf.Model
-	// Scheduler makes admission decisions. Required unless Strategy is
-	// StaticBatch.
+	// Scheduler makes admission decisions. Required unless StaticBatchSize
+	// is positive.
 	Scheduler core.Scheduler
 	// BlockSize is the KV allocation granularity (1 = LightLLM token
 	// granularity, 16 = vLLM paging). 0 selects 1.
@@ -213,21 +183,21 @@ type Config struct {
 	// HistoryWindow is the size of the finished-output-length window fed to
 	// the scheduler. 0 selects 1000 (the paper's setting).
 	HistoryWindow int
-	// Strategy selects the iteration composition.
-	Strategy Strategy
 	// Role selects monolithic (RoleMixed, default) or disaggregated
-	// prefill-only/decode-only operation. Non-mixed roles require the
-	// PrefillPriority strategy.
+	// prefill-only/decode-only operation. Non-mixed roles require
+	// continuous batching.
 	Role Role
-	// SplitFuseBudget is the token budget per mixed iteration. 0 selects 512.
-	SplitFuseBudget int
 	// MaxPrefillTokens caps the prompt tokens fused into one prefill
-	// iteration under PrefillPriority (real frameworks' max batched-token
-	// knob): a smaller cap bounds how long decode stalls behind admissions,
-	// trading TTFT for MTPOT. 0 = unlimited. At least one request is always
-	// prefilled so oversized prompts still make progress.
+	// iteration (real frameworks' max batched-token knob): a smaller cap
+	// bounds how long decode stalls behind admissions, trading TTFT for
+	// MTPOT. At least one request is always prefilled so oversized prompts
+	// still make progress. Under chunked prefill it is the prompt-token
+	// budget of each chunked iteration instead. 0 = unlimited.
 	MaxPrefillTokens int
-	// StaticBatchSize is the fixed batch size for StaticBatch. 0 selects 8.
+	// StaticBatchSize, when positive, disables continuous batching: batches
+	// of this many requests run to completion with padding, emulating the
+	// original (pre-serving-framework) multimodal implementations in
+	// Table 2. 0 selects continuous batching.
 	StaticBatchSize int
 	// CapacityOverride replaces the perf model's KV capacity (tokens) for
 	// toy scenarios and tests. 0 keeps the model's capacity.
@@ -283,13 +253,12 @@ func (p ChunkPolicy) String() string {
 	}
 }
 
-// ChunkConfig enables chunked prefill under the PrefillPriority strategy:
-// long prompts land chunk by chunk, interleaved with decode steps for the
-// running batch, so a 32k-token prompt no longer head-of-line-blocks every
-// short request behind it. The zero value disables chunking and reproduces
-// the fused-prefill engine bit-identically.
+// ChunkConfig enables chunked prefill: long prompts land chunk by chunk,
+// interleaved with decode steps for the running batch, so a 32k-token prompt
+// no longer head-of-line-blocks every short request behind it. The zero value
+// disables chunking and reproduces the fused-prefill engine bit-identically.
 type ChunkConfig struct {
-	// Enabled switches chunked prefill on. Requires PrefillPriority.
+	// Enabled switches chunked prefill on. Requires continuous batching.
 	Enabled bool
 	// Policy selects the chunk sizer (greedy fixed or SLO-aware).
 	Policy ChunkPolicy
@@ -344,7 +313,7 @@ type Engine struct {
 
 	queue      reqDeque           // FCFS wait queue; evictions push front
 	running    []*request.Request // decoding batch, admission order
-	prefilling []prefillState     // splitfuse/chunked: prompts being chunked
+	prefilling []prefillState     // chunked prefill: prompts being chunked
 
 	// chunkPending is the total prompt tokens reserved but not yet landed
 	// across e.prefilling under chunked prefill — the gap between the KV
@@ -439,7 +408,7 @@ type Engine struct {
 	// are bit-identical to the pre-fault engine.
 	slow float64
 
-	staticBatch []*request.Request // StaticBatch mode: the batch in flight
+	staticBatch []*request.Request // static batching: the batch in flight
 }
 
 type prefillState struct {
@@ -447,47 +416,54 @@ type prefillState struct {
 	need int // prompt tokens still to process
 }
 
+// maxHistoryWindow bounds HistoryWindow: the window holds its samples twice
+// (ring and sorted CDF) from the start, so a size far past any workload's
+// would only exhaust memory.
+const maxHistoryWindow = 1 << 20
+
 // New validates the configuration and builds an engine.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Perf == nil {
 		return nil, fmt.Errorf("engine: perf model is required")
 	}
-	if cfg.Scheduler == nil && cfg.Strategy != StaticBatch {
-		return nil, fmt.Errorf("engine: scheduler is required")
-	}
+	static := cfg.StaticBatchSize > 0
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = 1
 	}
-	if cfg.BlockSize < 0 {
-		return nil, fmt.Errorf("engine: negative block size %d", cfg.BlockSize)
-	}
 	if cfg.HistoryWindow == 0 {
 		cfg.HistoryWindow = 1000
-	}
-	if cfg.HistoryWindow < 0 {
-		return nil, fmt.Errorf("engine: negative history window %d", cfg.HistoryWindow)
-	}
-	if cfg.SplitFuseBudget == 0 {
-		cfg.SplitFuseBudget = 512
-	}
-	if cfg.StaticBatchSize == 0 {
-		cfg.StaticBatchSize = 8
 	}
 	capacity := cfg.Perf.CapacityTokens()
 	if cfg.CapacityOverride > 0 {
 		capacity = cfg.CapacityOverride
 	}
 	// Range checks are "inside" tests so that NaN fails them too.
-	if !(cfg.QueueTimeout >= 0) {
+	switch {
+	case cfg.BlockSize < 0:
+		return nil, fmt.Errorf("engine: negative block size %d", cfg.BlockSize)
+	case capacity < cfg.BlockSize:
+		return nil, fmt.Errorf("engine: KV capacity %d tokens below one block of %d", capacity, cfg.BlockSize)
+	case cfg.HistoryWindow < 0 || cfg.HistoryWindow > maxHistoryWindow:
+		return nil, fmt.Errorf("engine: history window %d outside [1,%d]", cfg.HistoryWindow, maxHistoryWindow)
+	case cfg.StaticBatchSize < 0 || cfg.MaxPrefillTokens < 0 || cfg.CapacityOverride < 0:
+		return nil, fmt.Errorf("engine: negative static batch %d, prefill budget %d or capacity %d",
+			cfg.StaticBatchSize, cfg.MaxPrefillTokens, cfg.CapacityOverride)
+	case cfg.Scheduler == nil && !static:
+		return nil, fmt.Errorf("engine: scheduler is required")
+	case !(cfg.QueueTimeout >= 0):
 		return nil, fmt.Errorf("engine: queue timeout %v outside [0,+Inf]", cfg.QueueTimeout)
-	}
-	if cfg.Role != RoleMixed && cfg.Strategy != PrefillPriority {
-		return nil, fmt.Errorf("engine: role %v requires the prefill-priority strategy, got %v", cfg.Role, cfg.Strategy)
+	case cfg.Role < RoleMixed || cfg.Role > RoleDecodeOnly:
+		return nil, fmt.Errorf("engine: unknown %v", cfg.Role)
+	case cfg.Eviction < Recompute || cfg.Eviction > Swap:
+		return nil, fmt.Errorf("engine: unknown %v", cfg.Eviction)
+	case cfg.Chunked.Policy < ChunkGreedyFixed || cfg.Chunked.Policy > ChunkSLOAware:
+		return nil, fmt.Errorf("engine: unknown %v", cfg.Chunked.Policy)
+	case static && cfg.Role != RoleMixed:
+		return nil, fmt.Errorf("engine: role %v requires continuous batching", cfg.Role)
+	case static && cfg.Chunked.Enabled:
+		return nil, fmt.Errorf("engine: chunked prefill requires continuous batching")
 	}
 	if cfg.Chunked.Enabled {
-		if cfg.Strategy != PrefillPriority {
-			return nil, fmt.Errorf("engine: chunked prefill requires the prefill-priority strategy, got %v", cfg.Strategy)
-		}
 		if cfg.Chunked.ChunkTokens == 0 {
 			cfg.Chunked.ChunkTokens = 512
 		}
@@ -622,8 +598,9 @@ func (e *Engine) QueueLen() int { return e.queue.Len() }
 // just like a queued one.
 func (e *Engine) WaitingLen() int { return e.queue.Len() + e.arrivals.Len() }
 
-// RunningRequests returns a copy of the running batch (including splitfuse
-// prompts in flight), for observers like the multi-replica router.
+// RunningRequests returns a copy of the running batch (including prompts
+// mid-chunk and the static batch), for observers like the multi-replica
+// router.
 func (e *Engine) RunningRequests() []*request.Request {
 	e.settle()
 	out := make([]*request.Request, 0, len(e.running)+len(e.prefilling)+len(e.staticBatch))
@@ -647,7 +624,7 @@ func (e *Engine) WaitingRequests() []*request.Request {
 }
 
 // ForEachRunning calls f for every request in the running batch (including
-// splitfuse prompts in flight and the static batch) without allocating —
+// prompts mid-chunk and the static batch) without allocating —
 // the cluster routing probes' view of the batch. The iteration order
 // matches RunningRequests.
 func (e *Engine) ForEachRunning(f func(*request.Request)) {
@@ -672,8 +649,8 @@ func (e *Engine) ForEachWaiting(f func(*request.Request)) {
 	}
 }
 
-// RunningLen returns the size of the running batch (including prompts being
-// chunk-prefilled under splitfuse).
+// RunningLen returns the size of the running batch (including prompts
+// mid-chunk).
 func (e *Engine) RunningLen() int { return len(e.running) + len(e.prefilling) }
 
 // AddFinishHook chains f after any existing OnFinish hook. Closed-loop

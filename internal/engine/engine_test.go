@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"github.com/lightllm-go/lightllm/internal/core"
@@ -320,13 +321,13 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	}
 }
 
-func TestSplitFuseCompletesAll(t *testing.T) {
+func TestChunkedBudgetCompletesAll(t *testing.T) {
 	e, err := New(Config{
 		Perf:             testPerf(t),
 		Scheduler:        core.MustNewConservative(1.0),
-		Strategy:         SplitFuse,
-		SplitFuseBudget:  64,
+		MaxPrefillTokens: 64,
 		CapacityOverride: 3000,
+		Chunked:          ChunkConfig{Enabled: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +335,7 @@ func TestSplitFuseCompletesAll(t *testing.T) {
 	e.SubmitAll(mkReqs(10, 100, 20, 150))
 	res := e.Run()
 	if len(res.Finished) != 10 {
-		t.Fatalf("splitfuse finished %d of 10", len(res.Finished))
+		t.Fatalf("chunked finished %d of 10", len(res.Finished))
 	}
 	for _, r := range res.Finished {
 		if r.Generated != 20 {
@@ -342,22 +343,20 @@ func TestSplitFuseCompletesAll(t *testing.T) {
 		}
 	}
 	if e.Pool().UsedTokens() != 0 {
-		t.Fatal("splitfuse leaked memory")
+		t.Fatal("chunked prefill leaked memory")
 	}
 }
 
-func TestSplitFuseSmoothsMTPOT(t *testing.T) {
-	// Splitfuse chunks big prompts across iterations, so running requests
-	// never stall behind a monolithic prefill: worst-case MTPOT should not
-	// exceed prefill-priority's.
-	run := func(strategy Strategy) float64 {
-		e := MustNew(Config{
-			Perf:             testPerf(t),
-			Scheduler:        core.MustNewConservative(1.0),
-			Strategy:         strategy,
-			SplitFuseBudget:  128,
-			CapacityOverride: 100_000,
-		})
+func TestChunkedSmoothsMTPOT(t *testing.T) {
+	// Chunked prefill spreads big prompts across iterations, so running
+	// requests never stall behind a monolithic prefill: worst-case MTPOT
+	// should not exceed fused prefill's.
+	run := func(chunked bool) float64 {
+		cfg := Config{Perf: testPerf(t), Scheduler: core.MustNewConservative(1.0), CapacityOverride: 100_000}
+		if chunked {
+			cfg.Chunked, cfg.MaxPrefillTokens = ChunkConfig{Enabled: true}, 128
+		}
+		e := MustNew(cfg)
 		r := rng.New(3)
 		for i := 0; i < 40; i++ {
 			e.Submit(request.New(int64(i), 3000+r.Intn(1000), 100, 4096, float64(i)*0.02))
@@ -371,15 +370,14 @@ func TestSplitFuseSmoothsMTPOT(t *testing.T) {
 		}
 		return worst
 	}
-	if sf, pp := run(SplitFuse), run(PrefillPriority); sf > pp*1.05 {
-		t.Fatalf("splitfuse MTPOT %v worse than prefill-priority %v", sf, pp)
+	if ch, fused := run(true), run(false); ch > fused*1.05 {
+		t.Fatalf("chunked MTPOT %v worse than fused prefill %v", ch, fused)
 	}
 }
 
 func TestStaticBatchMode(t *testing.T) {
 	e, err := New(Config{
 		Perf:             testPerf(t),
-		Strategy:         StaticBatch,
 		StaticBatchSize:  4,
 		CapacityOverride: 10_000,
 	})
@@ -404,12 +402,11 @@ func TestStaticBatchMode(t *testing.T) {
 }
 
 func TestStaticBatchSlowerThanContinuous(t *testing.T) {
-	mk := func(strategy Strategy, sched core.Scheduler) float64 {
+	mk := func(staticBatch int, sched core.Scheduler) float64 {
 		e := MustNew(Config{
 			Perf:             testPerf(t),
 			Scheduler:        sched,
-			Strategy:         strategy,
-			StaticBatchSize:  8,
+			StaticBatchSize:  staticBatch,
 			CapacityOverride: 50_000,
 		})
 		r := rng.New(11)
@@ -419,8 +416,8 @@ func TestStaticBatchSlowerThanContinuous(t *testing.T) {
 		res := e.Run()
 		return res.Throughput()
 	}
-	static := mk(StaticBatch, nil)
-	continuous := mk(PrefillPriority, core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.05, Rng: rng.New(2)}))
+	static := mk(8, nil)
+	continuous := mk(0, core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.05, Rng: rng.New(2)}))
 	if continuous <= static {
 		t.Fatalf("continuous %v tok/s not above static %v", continuous, static)
 	}
@@ -447,23 +444,30 @@ func TestBlockFragmentationAccounting(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("missing perf accepted")
-	}
-	if _, err := New(Config{Perf: testPerf(t)}); err == nil {
-		t.Fatal("missing scheduler accepted")
-	}
-	if _, err := New(Config{Perf: testPerf(t), Scheduler: core.NewOracle(), BlockSize: -1}); err == nil {
-		t.Fatal("negative block size accepted")
-	}
-	if _, err := New(Config{Perf: testPerf(t), Strategy: StaticBatch}); err != nil {
-		t.Fatalf("static batch without scheduler rejected: %v", err)
-	}
-}
-
-func TestStrategyString(t *testing.T) {
-	if PrefillPriority.String() != "prefill-priority" || SplitFuse.String() != "splitfuse" || StaticBatch.String() != "static-batch" {
-		t.Fatal("strategy strings wrong")
+	pm, oracle := testPerf(t), core.NewOracle()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"missing perf", Config{Scheduler: oracle}, false},
+		{"missing scheduler", Config{Perf: pm}, false},
+		{"negative block size", Config{Perf: pm, Scheduler: oracle, BlockSize: -1}, false},
+		{"block above capacity", Config{Perf: pm, Scheduler: oracle, BlockSize: 1 << 30}, false},
+		{"negative static batch", Config{Perf: pm, StaticBatchSize: -1}, false},
+		{"negative capacity", Config{Perf: pm, Scheduler: oracle, CapacityOverride: -1}, false},
+		{"negative prefill budget", Config{Perf: pm, Scheduler: oracle, MaxPrefillTokens: -1}, false},
+		{"history window past its bound", Config{Perf: pm, Scheduler: oracle, HistoryWindow: maxHistoryWindow + 1}, false},
+		{"NaN queue timeout", Config{Perf: pm, Scheduler: oracle, QueueTimeout: math.NaN()}, false},
+		{"unknown role", Config{Perf: pm, Scheduler: oracle, Role: RoleDecodeOnly + 1}, false},
+		{"unknown eviction policy", Config{Perf: pm, Scheduler: oracle, Eviction: Swap + 1}, false},
+		{"unknown chunk policy", Config{Perf: pm, Scheduler: oracle, Chunked: ChunkConfig{Policy: -1}}, false},
+		{"static batch without scheduler", Config{Perf: pm, StaticBatchSize: 1}, true},
+		{"block of the whole capacity", Config{Perf: pm, Scheduler: oracle, BlockSize: 64, CapacityOverride: 64}, true},
+	} {
+		if _, err := New(tc.cfg); (err == nil) != tc.ok {
+			t.Errorf("%s: New returned %v", tc.name, err)
+		}
 	}
 }
 

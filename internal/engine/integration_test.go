@@ -114,15 +114,15 @@ func TestIntegrationInvariantsAcrossSchedulers(t *testing.T) {
 	}
 }
 
-func TestIntegrationSplitfuseInvariants(t *testing.T) {
+func TestIntegrationChunkedInvariants(t *testing.T) {
 	for _, tc := range integrationCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			e := MustNew(Config{
 				Perf:             testPerf(t),
 				Scheduler:        core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.05, Rng: rng.New(2)}),
-				Strategy:         SplitFuse,
-				SplitFuseBudget:  128,
+				MaxPrefillTokens: 128,
 				CapacityOverride: tc.capacity,
+				Chunked:          ChunkConfig{Enabled: true},
 			})
 			r := rng.New(8)
 			for i := 0; i < tc.n; i++ {

@@ -45,14 +45,14 @@ func TestSwapEvictionRecoversWithoutRecompute(t *testing.T) {
 	}
 }
 
-func TestSwapEvictionUnderSplitfuse(t *testing.T) {
+func TestSwapEvictionUnderChunking(t *testing.T) {
 	e, err := New(Config{
 		Perf:             testPerf(t),
 		Scheduler:        core.MustNewAggressive(0.99),
 		Eviction:         Swap,
-		Strategy:         SplitFuse,
-		SplitFuseBudget:  64,
+		MaxPrefillTokens: 64,
 		CapacityOverride: 1200,
+		Chunked:          ChunkConfig{Enabled: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,13 +60,13 @@ func TestSwapEvictionUnderSplitfuse(t *testing.T) {
 	e.SubmitAll(mkReqs(20, 20, 60, 100))
 	res := e.Run()
 	if res.Evictions == 0 || res.SwapInTokens == 0 {
-		t.Fatalf("splitfuse+swap: evictions=%d swapIn=%d", res.Evictions, res.SwapInTokens)
+		t.Fatalf("chunked+swap: evictions=%d swapIn=%d", res.Evictions, res.SwapInTokens)
 	}
 	if len(res.Finished) != 20 {
 		t.Fatalf("finished %d of 20", len(res.Finished))
 	}
 	if e.Pool().UsedTokens() != 0 {
-		t.Fatal("memory leak under splitfuse+swap")
+		t.Fatal("memory leak under chunked+swap")
 	}
 }
 

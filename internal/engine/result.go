@@ -28,7 +28,7 @@ type Result struct {
 	// remaining lifecycle (and SLA metrics) conclude on the decode side.
 	HandedOff []*request.Request
 
-	// DecodeSteps counts decode (and splitfuse mixed) iterations — Table 1's
+	// DecodeSteps counts decode (and chunked) iterations — Table 1's
 	// "Decoding Steps" column normalised per run.
 	DecodeSteps int
 	// CoastedSteps counts the decode steps among them that cost O(1): the

@@ -29,19 +29,18 @@ func roleEngine(t *testing.T, role engine.Role, capacity int) *engine.Engine {
 
 func TestRoleValidation(t *testing.T) {
 	cfg := engine.Config{
-		Perf:      rolePerf(),
-		Scheduler: core.MustNewAggressive(0.95),
-		Role:      engine.RolePrefillOnly,
-		Strategy:  engine.SplitFuse,
+		Perf:            rolePerf(),
+		Scheduler:       core.MustNewAggressive(0.95),
+		Role:            engine.RolePrefillOnly,
+		StaticBatchSize: 8,
 	}
 	if _, err := engine.New(cfg); err == nil {
-		t.Fatal("prefill-only splitfuse accepted")
+		t.Fatal("prefill-only static batch accepted")
 	}
 	cfg.Role = engine.RoleDecodeOnly
-	cfg.Strategy = engine.StaticBatch
 	cfg.Scheduler = nil
 	if _, err := engine.New(cfg); err == nil {
-		t.Fatal("decode-only static-batch accepted")
+		t.Fatal("decode-only static batch accepted")
 	}
 	if engine.RoleMixed.String() != "mixed" || engine.RolePrefillOnly.String() != "prefill-only" ||
 		engine.RoleDecodeOnly.String() != "decode-only" {

@@ -11,7 +11,6 @@ func newStaticEngine(t *testing.T) *Engine {
 	t.Helper()
 	e, err := New(Config{
 		Perf:             testPerf(t),
-		Strategy:         StaticBatch,
 		StaticBatchSize:  2,
 		CapacityOverride: 5000,
 	})

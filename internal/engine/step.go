@@ -43,7 +43,7 @@ func (e *Engine) Step() bool {
 	e.moveArrivals()
 	e.dropExpired()
 
-	if e.cfg.Strategy == StaticBatch {
+	if e.cfg.StaticBatchSize > 0 {
 		return e.stepStatic()
 	}
 
@@ -51,51 +51,19 @@ func (e *Engine) Step() bool {
 	if e.queue.Len() > 0 {
 		admitted = e.admit()
 	}
-
-	switch e.cfg.Strategy {
-	case SplitFuse:
-		for _, r := range admitted {
-			need := r.Footprint()
-			if r.Swapped {
-				// Swap recovery needs no chunked recompute; the transfer
-				// cost is charged to the next mixed iteration.
-				e.pendingSwapIn += e.cfg.Perf.SwapTime(need)
-				e.swapInTokens += int64(need)
-				r.Swapped = false
-				need = 0
-			} else if c := r.CachedTokens + r.RestoredTokens; c > 0 {
-				// Prefix-cache hits need no chunked recompute; restored
-				// blocks charge their host-link wire time to the next mixed
-				// iteration, like swap-in. A fully covered prompt (need 0)
-				// joins the running batch immediately.
-				if r.RestoredTokens > 0 {
-					e.pendingSwapIn += e.cfg.Perf.SwapTime(r.RestoredTokens)
-				}
-				need -= c
-			}
-			e.prefilling = append(e.prefilling, prefillState{req: r, need: need})
-		}
+	switch {
+	case e.cfg.Chunked.Enabled:
+		e.enqueueChunked(admitted)
 		if len(e.running)+len(e.prefilling) > 0 {
-			e.runMixed()
+			e.runChunked()
 			return true
 		}
-	default: // PrefillPriority
-		if e.cfg.Chunked.Enabled {
-			e.enqueueChunked(admitted)
-			if len(e.running)+len(e.prefilling) > 0 {
-				e.runChunked()
-				return true
-			}
-			break
-		}
-		if len(admitted) > 0 {
-			e.runPrefill(admitted)
-			return true
-		}
-		if len(e.running) > 0 {
-			e.runDecode()
-			return true
-		}
+	case len(admitted) > 0:
+		e.runPrefill(admitted)
+		return true
+	case len(e.running) > 0:
+		e.runDecode()
+		return true
 	}
 
 	// Nothing is running and nothing was admitted.
@@ -129,8 +97,8 @@ func (e *Engine) Step() bool {
 //   - minLeft > 0: the previous Step was a runDecode that kept its batch, so
 //     every running request has its first token and LastEmitAt == clock — the
 //     gap this step adds is the clock advance, the same for all of them (a
-//     prefill's newcomers have neither; chunked, split-fuse and static
-//     iterations never set minLeft);
+//     prefill's newcomers have neither; chunked and static iterations never
+//     set minLeft);
 //   - owed+1 < minLeft: no running request emits its last token on this step,
 //     so nobody finishes, the history window holds and no hook fires;
 //   - no OnToken hook: nobody is told of tokens one by one;
@@ -375,7 +343,7 @@ func (e *Engine) admit() []*request.Request {
 		return nil
 	}
 	asked := n // the prefix the scheduler's PredictedPeak priced
-	if e.cfg.Strategy == PrefillPriority && e.cfg.MaxPrefillTokens > 0 && !e.cfg.Chunked.Enabled {
+	if e.cfg.MaxPrefillTokens > 0 && !e.cfg.Chunked.Enabled {
 		// Chunked prefill repurposes MaxPrefillTokens as the per-iteration
 		// chunk budget instead of an admission trim: admissions reserve KV
 		// immediately and their prompts land chunk by chunk.
@@ -712,61 +680,6 @@ func (e *Engine) keptBatch(batch int) bool {
 	return len(e.running) == batch && !e.released
 }
 
-// runMixed executes one splitfuse iteration: all running requests decode one
-// token, and leftover token budget advances queued prompt chunks.
-func (e *Engine) runMixed() {
-	decodeTokens := len(e.running)
-	budget := e.cfg.SplitFuseBudget
-	if budget < decodeTokens {
-		budget = decodeTokens // decode always proceeds
-	}
-	chunk := budget - decodeTokens
-	chunkUsed := 0
-	nChunked := 0 // prompts that advanced this iteration
-	var finishedPrefills []*request.Request
-	for i := range e.prefilling {
-		p := &e.prefilling[i]
-		if p.need == 0 { // swapped-in request: ready immediately
-			finishedPrefills = append(finishedPrefills, p.req)
-			continue
-		}
-		if chunk == 0 {
-			continue
-		}
-		take := p.need
-		if take > chunk {
-			take = chunk
-		}
-		p.need -= take
-		chunk -= take
-		chunkUsed += take
-		nChunked++
-		if p.need == 0 {
-			finishedPrefills = append(finishedPrefills, p.req)
-		}
-	}
-	e.dropLanded()
-
-	e.ensureExtendable(e.running)
-	lanes := len(e.running) // eviction may have shrunk the batch
-
-	computeTokens := decodeTokens + chunkUsed
-	kvTokens := e.pool.UsedTokens() + lanes
-	dur := e.scaled(e.cfg.Perf.DecodeTime(computeTokens, kvTokens) + e.pendingSwapIn)
-	e.prefillComputeTokens += int64(chunkUsed)
-	e.pendingSwapIn = 0
-	e.clock += dur
-	e.decodeSteps++ // a mixed iteration advances decoding by one step
-
-	e.decodeRunning()
-	// Fully chunked prompts join the running batch; their first token is
-	// emitted on the next mixed iteration, like prefill-priority admission.
-	e.running = append(e.running, finishedPrefills...)
-	e.completeDone()
-	e.observe(e.clock)
-	e.iterationHook("mixed", dur, lanes+nChunked)
-}
-
 // dropLanded removes from the chunk pipeline the prompts with nothing left to
 // encode, keeping the rest in order.
 func (e *Engine) dropLanded() {
@@ -803,8 +716,8 @@ func (e *Engine) observe(t float64) {
 }
 
 // iterationHook reports one executed iteration to the observers. batch is
-// the number of requests that took part — decode lanes plus, on "mixed" and
-// "chunked" iterations, the prompts that advanced a chunk — never a token
+// the number of requests that took part — decode lanes plus, on "chunked"
+// iterations, the prompts that advanced a chunk — never a token
 // count (chunk tokens are reported through Recorder.Chunk).
 func (e *Engine) iterationHook(kind string, dur float64, batch int) {
 	if e.hooks.OnIteration != nil {

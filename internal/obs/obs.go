@@ -6,7 +6,7 @@
 // simulator already visits — it never pushes events onto the cluster heap,
 // never draws randomness, and never feeds anything back into a decision —
 // so a recorder-enabled run makes bit-identical decisions to a disabled
-// one (pinned by TestRecorderEquivalence and the bench.sh parity check).
+// one (pinned by TestFeatureMatrix's traced ≡ untraced check).
 // When disabled the abstraction costs nothing: every emission site guards
 // on a nil Recorder, keeping the hot paths at 0 allocs/op.
 //
@@ -102,9 +102,10 @@ type Recorder interface {
 	Orphan(at float64, r *request.Request)
 	// Recover: a crashed replica came back.
 	Recover(at float64, pool, rep int)
-	// Iteration: one engine step (kind "prefill", "decode", or "mixed")
-	// that started at at-dur and ended at at, with its running batch size,
-	// resident KV bytes after the step, and queue depth after the step.
+	// Iteration: one engine step (kind "prefill", "decode", "chunked" or
+	// "static") that started at at-dur and ended at at, with its running
+	// batch size, resident KV bytes after the step, and queue depth after
+	// the step.
 	Iteration(at float64, pool, rep int, kind string, dur float64, batch int, kvBytes int64, queueLen int)
 	// PlanPoint: one planner evaluation — the replica target it chose and
 	// the active count after applying it.

@@ -9,7 +9,7 @@
 //     the active KV cache, so time grows with the batch's KV footprint;
 //   - each iteration pays a fixed framework overhead (scheduler + launch
 //     latency), which differs between the emulated frameworks;
-//   - splitfuse/chunked-prefill iterations mix both cost terms.
+//   - chunked-prefill iterations mix both cost terms.
 //
 // Efficiency factors (fraction of peak FLOPs/bandwidth achieved) are fixed
 // calibration constants, not fitted per experiment.
@@ -154,9 +154,7 @@ func (m *Model) PrefillMarginal(base, extra int) float64 {
 }
 
 // DecodeTime returns the duration of one decode step for a batch of
-// batchSize requests whose KV caches total kvTokens tokens. A splitfuse
-// iteration is priced the same way, with batchSize the tokens of work it
-// processes (decode tokens plus prefill-chunk tokens).
+// batchSize requests whose KV caches total kvTokens tokens.
 func (m *Model) DecodeTime(batchSize, kvTokens int) float64 {
 	if batchSize <= 0 {
 		return 0

@@ -120,11 +120,13 @@ type ServingConfig struct {
 	BlockSize int
 	// QueueTimeout, when positive, enables SLA-aware client abandonment.
 	QueueTimeout float64
-	// Strategy selects the iteration composition: "" (prefill-priority),
-	// "splitfuse" (DeepSpeed-MII chunked prefill), or "static" (no
-	// continuous batching — fixed padded batches, Table 2's origin mode).
+	// Strategy selects the iteration composition: "" or "prefill-priority"
+	// (fused prefill), "splitfuse" (DeepSpeed-MII's FastGen: chunked
+	// prefill under a fixed 512-token budget, bench.SplitFuse), or "static"
+	// (no continuous batching — fixed padded batches, Table 2's origin mode).
 	Strategy string
 	// StaticBatchSize is the fixed batch size for the static strategy.
+	// 0 selects 8.
 	StaticBatchSize int
 }
 
@@ -150,32 +152,25 @@ func NewServing(cfg ServingConfig) (*Engine, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	var strategy engine.Strategy
+	ecfg := engine.Config{Perf: pm, BlockSize: cfg.BlockSize, QueueTimeout: cfg.QueueTimeout}
 	switch strings.ToLower(strings.TrimSpace(cfg.Strategy)) {
 	case "", "prefill-priority":
-		strategy = engine.PrefillPriority
 	case "splitfuse":
-		strategy = engine.SplitFuse
+		ecfg = bench.SplitFuse(ecfg)
 	case "static", "static-batch":
-		strategy = engine.StaticBatch
+		ecfg.StaticBatchSize = cfg.StaticBatchSize
+		if ecfg.StaticBatchSize == 0 {
+			ecfg.StaticBatchSize = 8
+		}
 	default:
 		return nil, fmt.Errorf("lightllm: unknown strategy %q", cfg.Strategy)
 	}
-	var sched Scheduler
-	if strategy != engine.StaticBatch {
-		sched, err = NewScheduler(cfg.Scheduler, cfg.Param, seed)
-		if err != nil {
+	if ecfg.StaticBatchSize == 0 {
+		if ecfg.Scheduler, err = NewScheduler(cfg.Scheduler, cfg.Param, seed); err != nil {
 			return nil, err
 		}
 	}
-	return engine.New(engine.Config{
-		Perf:            pm,
-		Scheduler:       sched,
-		BlockSize:       cfg.BlockSize,
-		QueueTimeout:    cfg.QueueTimeout,
-		Strategy:        strategy,
-		StaticBatchSize: cfg.StaticBatchSize,
-	})
+	return engine.New(ecfg)
 }
 
 // NewScheduler constructs a scheduler by name. param semantics depend on

@@ -1,7 +1,11 @@
 package lightllm
 
 import (
+	"reflect"
+	"slices"
 	"testing"
+
+	"github.com/lightllm-go/lightllm/internal/engine"
 )
 
 func TestNewServingDefaults(t *testing.T) {
@@ -32,6 +36,55 @@ func TestNewServingErrors(t *testing.T) {
 	}
 	if _, err := NewServing(ServingConfig{Model: "Llama2-7B-Chat", GPU: "A100-80G", Scheduler: "wat"}); err == nil {
 		t.Fatal("unknown scheduler accepted")
+	}
+}
+
+// TestNewServingStrategies serves one batch under every ServingConfig.Strategy
+// name and checks the iterations each engine runs: fused prefill and decode
+// under both names of the default, chunked iterations only under
+// "splitfuse", and static batches of the default 8 under "static".
+func TestNewServingStrategies(t *testing.T) {
+	const n = 20
+	for _, tc := range []struct {
+		strategy string
+		kinds    []string // every iteration kind the engine runs, sorted
+	}{
+		{"", []string{"decode", "prefill"}},
+		{"prefill-priority", []string{"decode", "prefill"}},
+		{"splitfuse", []string{"chunked"}},
+		{"static", []string{"static"}},
+	} {
+		eng, err := NewServing(ServingConfig{Model: "Llama2-7B-Chat", GPU: "A100-80G", Strategy: tc.strategy})
+		if err != nil {
+			t.Fatalf("%q: %v", tc.strategy, err)
+		}
+		var kinds []string
+		widest := 0
+		eng.AddIterationHook(func(_ float64, it engine.Iteration) {
+			if !slices.Contains(kinds, it.Kind) {
+				kinds = append(kinds, it.Kind)
+			}
+			widest = max(widest, it.BatchSize)
+		})
+		eng.SubmitAll(BuildWorkload(ShareGPT, NewRNG(1), n, 1, 256))
+		if res := eng.Run(); len(res.Finished) != n {
+			t.Fatalf("%q: finished %d of %d", tc.strategy, len(res.Finished), n)
+		}
+		slices.Sort(kinds)
+		if !reflect.DeepEqual(kinds, tc.kinds) {
+			t.Errorf("%q ran %v iterations, want %v", tc.strategy, kinds, tc.kinds)
+		}
+		if tc.strategy == "static" && widest != 8 {
+			t.Errorf("static batches hold up to %d requests, want the default 8", widest)
+		}
+	}
+	for _, cfg := range []ServingConfig{
+		{Model: "Llama2-7B-Chat", GPU: "A100-80G", Strategy: "wat"},
+		{Model: "Llama2-7B-Chat", GPU: "A100-80G", Strategy: "static", StaticBatchSize: -1},
+	} {
+		if _, err := NewServing(cfg); err == nil {
+			t.Errorf("strategy %q with static batch %d accepted", cfg.Strategy, cfg.StaticBatchSize)
+		}
 	}
 }
 
