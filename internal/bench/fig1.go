@@ -74,6 +74,8 @@ func RunFigure1(opts Options) *Fig1Result {
 		for si, sd := range scheds {
 			reqs := workload.Build(reg.gen, rng.New(opts.Seed), n, 1, reg.gen.OutHi)
 			eng := engine.MustNew(engine.Config{Perf: pm, Scheduler: sd.make(opts.Seed + uint64(si))})
+			truth := core.NewMStarObserver(nil)
+			eng.AddAdmitHook(truth.Observe)
 			var series []float64
 			iter := 0
 			eng.AddIterationHook(func(now float64, it engine.Iteration) {
@@ -88,8 +90,8 @@ func RunFigure1(opts Options) *Fig1Result {
 				Regime:      reg.label,
 				Scheduler:   r.Scheduler,
 				ConsumedMem: r.MemUtilization,
-				FutureReq:   r.FutureRequiredMean,
-				FutureMax:   r.FutureRequiredMax,
+				FutureReq:   truth.FutureRequiredMean(),
+				FutureMax:   truth.FutureRequiredMax(),
 				EvictedFrac: float64(r.Evictions) / float64(n),
 				Series:      series,
 			}

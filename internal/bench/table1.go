@@ -98,6 +98,8 @@ func RunTable1(opts Options) *Table1Result {
 			seed := opts.Seed + uint64(mi)*1000
 			reqs := workload.Build(ds, rng.New(opts.Seed), res.Requests, 1, ds.OutHi)
 			eng := engine.MustNew(engine.Config{Perf: pm, Scheduler: m.make(seed)})
+			truth := core.NewMStarObserver(nil)
+			eng.AddAdmitHook(truth.Observe)
 			eng.SubmitAll(reqs)
 			r := eng.Run()
 			row := Table1Row{
@@ -105,7 +107,7 @@ func RunTable1(opts Options) *Table1Result {
 				Method:         m.label,
 				DecodeSteps:    r.DecodeSteps,
 				ConsumedMem:    r.MemUtilization,
-				FutureRequired: r.FutureRequiredMean,
+				FutureRequired: truth.FutureRequiredMean(),
 				EvictedFrac:    float64(r.Evictions) / float64(res.Requests),
 				Finished:       len(r.Finished),
 				Failed:         len(r.Failed),

@@ -309,8 +309,8 @@ func newPool(c *Cluster, id int, cfg Config) (*Pool, error) {
 				// admissions only: a re-admission after eviction re-reports
 				// the same prompt, and a migrated request arrives with its
 				// KV already in flight.
-				rep.eng.AddAdmitHook(func(_ float64, admitted []*request.Request) {
-					for _, r := range admitted {
+				rep.eng.AddAdmitHook(func(_ float64, round core.AdmitRound) {
+					for _, r := range round.Admitted {
 						if r.Admissions == 1 && !r.Migrated {
 							p.plan.observeCacheHit(r.CachedTokens+r.RestoredTokens, r.InputLen)
 						}

@@ -61,7 +61,8 @@ type View struct {
 	// it leaves behind — the running batch plus the prefix it admitted — or
 	// 0 when it admitted nothing or predicts no peak (the aggressive and
 	// conservative baselines). The engine zeroes it before every Admit and
-	// holds it against the batch's true M*. A field rather than an optional
+	// hands it to its admit hooks (AdmitRound), where an MStarObserver holds
+	// it against the batch's true M*. A field rather than an optional
 	// interface, so a decorator that embeds Scheduler passes it through.
 	PredictedPeak int
 }
@@ -122,11 +123,11 @@ func FutureRequiredMemory(entries []Entry) int {
 }
 
 // TrueFutureRequiredMemory returns the ground-truth M* of a batch — what the
-// batch will actually need. The metrics layer records this after every
+// batch will actually need. An MStarObserver records this after every
 // admission (Table 1's "Future Required Memory"); a value above capacity
 // means the admission has made a future eviction inevitable.
 //
-// Allocation-sensitive callers (the engine's per-step bookkeeping) should
+// Allocation-sensitive callers (the observer's per-round bookkeeping) should
 // instead keep a PeakEstimator and feed it with PushTrue.
 func TrueFutureRequiredMemory(batch []*request.Request) int {
 	var est PeakEstimator

@@ -139,8 +139,8 @@ func (pe *PeakEstimator) rank(remaining int) int {
 // requests in the paper's Fig. 7 setting (50 closed-loop clients) and
 // straddles the limit, so the sort above it (sortRadix) has to be cheap as
 // well — but only the rounds that admit, the few refusals Exceeds cannot
-// settle from its build-phase term, and the engine's true M* sort at all
-// there.
+// settle from its build-phase term, and an attached MStarObserver's true M*
+// sort at all there.
 const insertionSortMax = 48
 
 // flush sorts buffered entries, descending by remaining length, and
@@ -368,7 +368,7 @@ func (t PeakTerms) With(current int) int {
 }
 
 // PushTrue pushes a request's ground-truth memory trajectory — the oracle's
-// and the metrics layer's view of the batch.
+// and the MStarObserver's view of the batch.
 func (pe *PeakEstimator) PushTrue(r *request.Request) {
 	pe.Push(Entry{Current: r.KVLanded(), Remaining: r.RemainingTrue() + r.PrefillRemaining()})
 }

@@ -138,10 +138,11 @@ func (p EvictionPolicy) String() string {
 // hooks are the engine's optional observation callbacks, attached through
 // the Add*Hook methods. Nil hooks are skipped.
 type hooks struct {
-	// OnAdmit fires after a batch of admissions, before their prefill runs.
-	// The admitted slice is a per-step scratch buffer the engine reuses:
-	// read it during the callback, copy it if it must outlive the Step.
-	OnAdmit func(now float64, admitted []*request.Request)
+	// OnAdmit fires after a round that admitted something, before the
+	// prompts' prefill runs. The round's slices and View are per-step
+	// scratch the engine reuses: read them during the callback, copy what
+	// must outlive the Step.
+	OnAdmit func(now float64, round core.AdmitRound)
 	// OnToken fires for every emitted token (used by the streaming server).
 	OnToken func(now float64, r *request.Request)
 	// OnFinish fires when a request completes (closed-loop clients submit
@@ -328,7 +329,6 @@ type Engine struct {
 	batchScratch []*request.Request // running ∪ prefilling view
 	admitScratch []*request.Request // admissions of the current step
 	viewScratch  core.View          // the scheduler's read-only state
-	truePeak     core.PeakEstimator // ground-truth M* bookkeeping
 
 	// Chunked-prefill per-step scratch (see chunk.go).
 	finishScratch    []*request.Request // prompts whose last chunk landed
@@ -362,9 +362,6 @@ type Engine struct {
 	pendingSwapIn        float64 // swap-in seconds owed by the next iteration
 	memUtil              stats.TimeWeighted
 	physUtil             stats.TimeWeighted
-	futureReq            stats.Online
-	mstarErr             stats.Online // |predicted − true| M* ÷ true, per comparable round
-	mstarUnder           int          // rounds among them whose prediction fell short
 	batchSize            stats.TimeWeighted
 	started              bool
 	startClock           float64
@@ -711,14 +708,15 @@ func (e *Engine) AddFailHook(f func(now float64, r *request.Request)) {
 }
 
 // AddAdmitHook chains f after any existing OnAdmit hook. The cluster's
-// planner observes prefix-cache hits from here.
-func (e *Engine) AddAdmitHook(f func(now float64, admitted []*request.Request)) {
+// planner observes prefix-cache hits from here, and a core.MStarObserver
+// (AddAdmitHook(o.Observe)) the true M* of the batch each round leaves.
+func (e *Engine) AddAdmitHook(f func(now float64, round core.AdmitRound)) {
 	prev := e.hooks.OnAdmit
-	e.hooks.OnAdmit = func(now float64, admitted []*request.Request) {
+	e.hooks.OnAdmit = func(now float64, round core.AdmitRound) {
 		if prev != nil {
-			prev(now, admitted)
+			prev(now, round)
 		}
-		f(now, admitted)
+		f(now, round)
 	}
 }
 

@@ -79,8 +79,16 @@ func TestMemoryFullyReleasedAfterRun(t *testing.T) {
 	}
 }
 
+// observeMStar attaches a core.MStarObserver, without a control draw, to e.
+func observeMStar(e *Engine) *core.MStarObserver {
+	o := core.NewMStarObserver(nil)
+	e.AddAdmitHook(o.Observe)
+	return o
+}
+
 func TestOracleNeverEvicts(t *testing.T) {
 	e := newEngine(t, core.NewOracle(), 1500)
+	truth := observeMStar(e)
 	// Outputs far larger than prompts: an aggressive scheduler would evict.
 	e.SubmitAll(mkReqs(30, 20, 80, 100))
 	res := e.Run()
@@ -90,14 +98,14 @@ func TestOracleNeverEvicts(t *testing.T) {
 	if len(res.Finished) != 30 {
 		t.Fatalf("finished %d of 30", len(res.Finished))
 	}
-	if res.FutureRequiredMax > 1.0 {
-		t.Fatalf("oracle future peak %v exceeded capacity", res.FutureRequiredMax)
+	if truth.FutureRequiredMax() > 1.0 {
+		t.Fatalf("oracle future peak %v exceeded capacity", truth.FutureRequiredMax())
 	}
 }
 
 // TestMStarErrorOracleExact: the oracle predicts M* from the true lengths, so
 // on an unchunked, untrimmed engine every round's predicted M* equals the
-// true one the engine rebuilds after admission — error exactly 0, nothing
+// true one the observer rebuilds after admission — error exactly 0, nothing
 // under-predicted. A scheduler that predicts no M* is counted in no round.
 func TestMStarErrorOracleExact(t *testing.T) {
 	reqs := func() []*request.Request {
@@ -108,19 +116,23 @@ func TestMStarErrorOracleExact(t *testing.T) {
 		return rs
 	}
 	e := newEngine(t, core.NewOracle(), 1500)
+	truth := observeMStar(e)
 	e.SubmitAll(reqs())
-	res := e.Run()
-	if res.MStarRounds == 0 {
+	e.Run()
+	res := truth.Scheduler()
+	if res.Rounds == 0 {
 		t.Fatal("no admission round compared the oracle's M* with the true one")
 	}
-	if res.MStarRelErrMax != 0 || res.MStarRelErrMean != 0 || res.MStarUnderShare != 0 {
+	if res.RelErrMax != 0 || res.RelErrMean != 0 || res.UnderShare != 0 {
 		t.Fatalf("oracle M* error: mean %v max %v under-share %v over %d rounds, want all 0",
-			res.MStarRelErrMean, res.MStarRelErrMax, res.MStarUnderShare, res.MStarRounds)
+			res.RelErrMean, res.RelErrMax, res.UnderShare, res.Rounds)
 	}
 	e = newEngine(t, core.MustNewConservative(1.0), 1500)
+	truth = observeMStar(e)
 	e.SubmitAll(reqs())
-	if res := e.Run(); res.MStarRounds != 0 {
-		t.Fatalf("conservative predicts no M*, yet %d rounds were compared", res.MStarRounds)
+	e.Run()
+	if n := truth.Scheduler().Rounds; n != 0 {
+		t.Fatalf("conservative predicts no M*, yet %d rounds were compared", n)
 	}
 }
 
@@ -138,6 +150,7 @@ func TestConservativeNeverEvicts(t *testing.T) {
 
 func TestAggressiveEvictsOnDecodeHeavy(t *testing.T) {
 	e := newEngine(t, core.MustNewAggressive(0.99), 1500)
+	truth := observeMStar(e)
 	// Tiny prompts, huge outputs: all 30 admitted instantly (600 tokens),
 	// then the batch grows to 30×(20+80) = 3000 ≫ 1500 → evictions.
 	e.SubmitAll(mkReqs(30, 20, 80, 100))
@@ -148,7 +161,7 @@ func TestAggressiveEvictsOnDecodeHeavy(t *testing.T) {
 	if len(res.Finished) != 30 {
 		t.Fatalf("finished %d of 30", len(res.Finished))
 	}
-	if res.FutureRequiredMax <= 1.0 {
+	if truth.FutureRequiredMax() <= 1.0 {
 		t.Fatal("aggressive future-required should exceed capacity")
 	}
 }
@@ -639,20 +652,42 @@ func refusedBehind(batch []*request.Request, capacity int) *request.Request {
 }
 
 // TestStepZeroAllocsNilRecorder pins the observability layer's engine-side
-// zero-cost contract: with no recorder attached, a warm steady-state decode
-// step allocates nothing — every emission site is a nil check, so tracing
-// support costs disabled runs nothing on the hot path. With a request queued
-// that the scheduler refuses, every measured step also holds an admission
-// round that admits nothing.
+// zero-cost contract: with no recorder attached, a warm steady-state step
+// allocates nothing — every emission site is a nil check, so tracing support
+// costs disabled runs nothing on the hot path. With a request queued that the
+// scheduler refuses, every measured step also holds an admission round that
+// admits nothing. In the admitting cases every measured op holds a
+// Past-Future round that admits, once bare and once with a
+// core.MStarObserver and its control draw attached: the true M* costs an
+// observed engine no allocation either.
 func TestStepZeroAllocsNilRecorder(t *testing.T) {
-	for _, queued := range []bool{false, true} {
+	for _, c := range []struct {
+		name      string
+		queued    bool
+		admitting bool
+		observed  bool
+	}{{"decode", false, false, false}, {"refused", true, false, false},
+		{"admitting", false, true, false}, {"admitting-observed", false, true, true}} {
 		const capacity = 200_000
-		e := newEngine(t, core.MustNewConservative(1.0), capacity)
-		// A large decode-heavy batch: admissions settle, then every measured
-		// step is a pure decode iteration over warm storage — a coasted one.
-		reqs := mkReqs(32, 64, 4000, 4096)
-		if queued {
-			reqs = append(reqs, refusedBehind(reqs, capacity))
+		var e *Engine
+		var reqs []*request.Request
+		if c.admitting {
+			e = admittingEngine(t, c.observed)
+			// Short varied outputs behind a full batch: nearly every decode
+			// step finishes someone, and the next step admits the queue's
+			// head in their place.
+			for i := 0; i < 4000; i++ {
+				reqs = append(reqs, request.New(int64(i+1), 64, 1+(i*7)%32, 32, 0))
+			}
+		} else {
+			e = newEngine(t, core.MustNewConservative(1.0), capacity)
+			// A large decode-heavy batch: admissions settle, then every
+			// measured step is a pure decode iteration over warm storage — a
+			// coasted one.
+			reqs = mkReqs(32, 64, 4000, 4096)
+			if c.queued {
+				reqs = append(reqs, refusedBehind(reqs, capacity))
+			}
 		}
 		for _, r := range reqs {
 			e.Submit(r)
@@ -662,17 +697,56 @@ func TestStepZeroAllocsNilRecorder(t *testing.T) {
 				t.Fatal("engine drained during warmup; lengthen the requests")
 			}
 		}
+		// An admitting op is two Steps, the round and the prefill after it,
+		// so that one allocation per round reads as one per op.
+		steps := 1
+		if c.admitting {
+			steps = 2
+		}
+		before := e.Snapshot()
 		allocs := testing.AllocsPerRun(100, func() {
-			if !e.Step() {
-				t.Fatal("engine drained mid-measurement; lengthen the requests")
+			for i := 0; i < steps; i++ {
+				if !e.Step() {
+					t.Fatal("engine drained mid-measurement; lengthen the requests")
+				}
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("queued %v: recorder-disabled Step allocates %v per op, want 0", queued, allocs)
+			t.Fatalf("%s: recorder-disabled Step allocates %v per op, want 0", c.name, allocs)
 		}
-		if res := e.Snapshot(); res.CoastedSteps < 100 || e.QueueLen() != len(reqs)-32 {
-			t.Fatalf("queued %v: %d of %d decode steps coasted, %d queued; the measured steps were meant to coast",
-				queued, res.CoastedSteps, res.DecodeSteps, e.QueueLen())
+		res := e.Snapshot()
+		if c.admitting {
+			if rounds := res.PrefillIters - before.PrefillIters; rounds < 95 {
+				t.Fatalf("%s: %d of 101 measured ops admitted; each was meant to", c.name, rounds)
+			}
+		} else if res.CoastedSteps < 100 || e.QueueLen() != len(reqs)-32 {
+			t.Fatalf("%s: %d of %d decode steps coasted, %d queued; the measured steps were meant to coast",
+				c.name, res.CoastedSteps, res.DecodeSteps, e.QueueLen())
 		}
 	}
+}
+
+// admittingEngine returns a sampling Past-Future engine with a warm window on
+// a pool that holds about two hundred short requests, optionally with a
+// core.MStarObserver and its control draw attached.
+func admittingEngine(t *testing.T, observed bool) *Engine {
+	t.Helper()
+	seed := make([]int, 200)
+	for i := range seed {
+		seed[i] = 1 + (i*7)%32
+	}
+	e, err := New(Config{
+		Perf:             testPerf(t),
+		Scheduler:        core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.05, Rng: rng.New(1)}),
+		CapacityOverride: 20_000,
+		SeedHistory:      seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if observed {
+		control := core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.05, Rng: rng.New(2)})
+		e.AddAdmitHook(core.NewMStarObserver(control).Observe)
+	}
+	return e
 }

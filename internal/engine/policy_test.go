@@ -221,7 +221,8 @@ func TestMaxPrefillTokensCapsFusedPrefills(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxBatch := 0
-	e.AddAdmitHook(func(now float64, admitted []*request.Request) {
+	e.AddAdmitHook(func(now float64, round core.AdmitRound) {
+		admitted := round.Admitted
 		tokens := 0
 		for _, r := range admitted {
 			tokens += r.Footprint()

@@ -75,25 +75,11 @@ type Result struct {
 	MemUtilization float64
 	// PhysMemUtilization includes block fragmentation.
 	PhysMemUtilization float64
-	// FutureRequiredMean is the mean, over admission events, of the
-	// ground-truth future peak divided by capacity — Table 1's "Future
-	// Required Memory". Values above 1 mean admissions that guarantee
-	// future evictions.
+	// FutureRequiredMean always reads 0: the engine does not measure the
+	// true future peak. Table 1's "Future Required Memory" and the M* error
+	// come from a core.MStarObserver attached with AddAdmitHook. The field
+	// stays for readers that predate the observer.
 	FutureRequiredMean float64
-	// FutureRequiredMax is the worst single admission.
-	FutureRequiredMax float64
-	// MStarRounds counts the admission rounds whose scheduler predicted the
-	// M* of the batch it left (core.View.PredictedPeak: Past-Future and the
-	// oracle) and whose whole admitted prefix the engine kept. Over those
-	// rounds MStarRelErrMean and MStarRelErrMax are the mean and the largest
-	// |predicted − true| ÷ true M*, the true one from the requests' real
-	// lengths, and MStarUnderShare is the share that predicted too little —
-	// the direction that evicts. The oracle predicts from the true lengths,
-	// so on an unchunked engine its error is exactly 0.
-	MStarRounds     int
-	MStarRelErrMean float64
-	MStarRelErrMax  float64
-	MStarUnderShare float64
 	// MeanBatchSize is the time-weighted mean running batch size.
 	MeanBatchSize float64
 	// PeakUsedTokens is the KV pool's logical high-water mark.
@@ -112,9 +98,9 @@ func (r *Result) Throughput() float64 {
 
 // String summarises the run for logs.
 func (r *Result) String() string {
-	return fmt.Sprintf("%s: %d finished, %d failed, %d decode steps, %d evictions, mem %.1f%%, future %.1f%%, %.0f tok/s",
+	return fmt.Sprintf("%s: %d finished, %d failed, %d decode steps, %d evictions, mem %.1f%%, %.0f tok/s",
 		r.Scheduler, len(r.Finished), len(r.Failed), r.DecodeSteps, r.Evictions,
-		r.MemUtilization*100, r.FutureRequiredMean*100, r.Throughput())
+		r.MemUtilization*100, r.Throughput())
 }
 
 // Run steps the engine until it drains completely and returns the result.
@@ -143,10 +129,6 @@ func (e *Engine) Snapshot() *Result {
 	if e.sched != nil {
 		name = e.sched.Name()
 	}
-	underShare := 0.0
-	if n := e.mstarErr.Count(); n > 0 {
-		underShare = float64(e.mstarUnder) / float64(n)
-	}
 	return &Result{
 		Scheduler:            name,
 		Duration:             e.clock - e.startClock,
@@ -171,12 +153,6 @@ func (e *Engine) Snapshot() *Result {
 		PrefixCache:          e.pool.PrefixStats(),
 		MemUtilization:       e.memUtil.Mean(),
 		PhysMemUtilization:   e.physUtil.Mean(),
-		FutureRequiredMean:   e.futureReq.Mean(),
-		FutureRequiredMax:    e.futureReq.Max(),
-		MStarRounds:          e.mstarErr.Count(),
-		MStarRelErrMean:      e.mstarErr.Mean(),
-		MStarRelErrMax:       e.mstarErr.Max(),
-		MStarUnderShare:      underShare,
 		MeanBatchSize:        e.batchSize.Mean(),
 		PeakUsedTokens:       e.pool.PeakUsedTokens(),
 		CapacityTokens:       e.pool.CapacityTokens(),

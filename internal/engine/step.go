@@ -329,7 +329,7 @@ func (e *Engine) decide() int {
 
 // admit asks the scheduler for a FCFS prefix, allocates prompt memory, and
 // removes the admitted requests from the queue. All slices it hands out
-// (the scheduler's view, the OnAdmit hook argument, the returned admissions)
+// (the scheduler's view, the OnAdmit hook's round, the returned admissions)
 // are per-step scratch buffers: valid until the next Step, never retained
 // by the engine, and must not be retained by hooks or schedulers. Reusing
 // them keeps a steady-state Step free of heap allocations.
@@ -385,7 +385,9 @@ func (e *Engine) admit() []*request.Request {
 	}
 	e.admitRetries = 0
 	if e.hooks.OnAdmit != nil {
-		e.hooks.OnAdmit(e.clock, admitted)
+		e.hooks.OnAdmit(e.clock, core.AdmitRound{
+			View: &e.viewScratch, Queued: len(e.queueScratch), Admitted: admitted, Whole: len(admitted) == asked,
+		})
 	}
 	if e.rec != nil {
 		cached := e.pool.PrefixCacheEnabled()
@@ -403,26 +405,6 @@ func (e *Engine) admit() []*request.Request {
 			if miss := r.Footprint() - r.CachedTokens - r.RestoredTokens; miss > 0 && !r.Swapped {
 				e.rec.CacheEvent(e.clock, e.obsPool, e.obsRep, obs.CacheMiss, miss)
 			}
-		}
-	}
-	// Record the ground-truth future peak of the post-admission batch
-	// (Table 1's "Future Required Memory") via the reusable estimator.
-	e.truePeak.Reset()
-	for _, r := range e.viewScratch.Running {
-		e.truePeak.PushTrue(r)
-	}
-	for _, r := range admitted {
-		e.truePeak.PushTrue(r)
-	}
-	truth := e.truePeak.Peak()
-	e.futureReq.Add(float64(truth) / float64(e.pool.CapacityTokens()))
-	// The scheduler's predicted M* is comparable only when the engine kept
-	// the whole prefix it priced: a prefill trim or a fragmented pool leaves
-	// a different batch behind.
-	if pred := e.viewScratch.PredictedPeak; pred > 0 && truth > 0 && len(admitted) == asked {
-		e.mstarErr.Add(math.Abs(float64(pred-truth)) / float64(truth))
-		if pred < truth {
-			e.mstarUnder++
 		}
 	}
 	return admitted

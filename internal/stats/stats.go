@@ -255,3 +255,77 @@ func (tw *TimeWeighted) Mean() float64 {
 
 // Max returns the largest observed value.
 func (tw *TimeWeighted) Max() float64 { return tw.max }
+
+// LogHistogram counts signed real samples in fixed buckets whose width grows
+// with |x|: each decade of magnitude from lo to hi splits into perDecade
+// buckets of equal log width, on either side of a zero bucket that holds
+// every |x| < lo. Magnitudes at or above hi count in the outermost bucket
+// of their sign. It keeps one counter per bucket and nothing per sample, so
+// a run of any length costs the same memory, and Add never allocates.
+type LogHistogram struct {
+	lo        float64
+	perDecade float64
+	side      int     // buckets per sign
+	counts    []int64 // [−side … −1] mirrored, zero bucket at side, [+1 … +side]
+	total     int64
+}
+
+// NewLogHistogram creates a histogram for magnitudes in [lo, hi) at
+// perDecade buckets per decade.
+func NewLogHistogram(lo, hi float64, perDecade int) *LogHistogram {
+	if !(lo > 0 && hi > lo) || perDecade <= 0 {
+		panic(fmt.Sprintf("stats: log histogram needs 0 < lo < hi and buckets per decade > 0, got %v, %v, %d",
+			lo, hi, perDecade))
+	}
+	side := int(math.Ceil(math.Log10(hi/lo) * float64(perDecade)))
+	return &LogHistogram{lo: lo, perDecade: float64(perDecade), side: side, counts: make([]int64, 2*side+1)}
+}
+
+// bucket returns x's bucket index.
+func (h *LogHistogram) bucket(x float64) int {
+	m := math.Abs(x)
+	if !(m >= h.lo) { // NaN counts as 0
+		return h.side
+	}
+	k := min(int(math.Log10(m/h.lo)*h.perDecade), h.side-1)
+	if x < 0 {
+		return h.side - 1 - k
+	}
+	return h.side + 1 + k
+}
+
+// Add records one sample.
+func (h *LogHistogram) Add(x float64) {
+	h.counts[h.bucket(x)]++
+	h.total++
+}
+
+// Quantile returns the midpoint of the bucket that holds the nearest-rank
+// p-quantile (p in [0,1]): the ⌈p·n⌉-th smallest sample, the first when p is
+// 0. The midpoint is geometric, so it lies within one bucket width of that
+// sample unless the sample's magnitude reached hi; the zero bucket's is 0.
+// An empty histogram returns 0.
+func (h *LogHistogram) Quantile(p float64) float64 {
+	if h.total == 0 {
+		return 0
+	}
+	rank := max(int64(math.Ceil(min(max(p, 0), 1)*float64(h.total))), 1)
+	i, seen := 0, int64(0)
+	for ; i < len(h.counts)-1; i++ {
+		if seen += h.counts[i]; seen >= rank {
+			break
+		}
+	}
+	return h.mid(i)
+}
+
+// mid returns bucket i's geometric midpoint.
+func (h *LogHistogram) mid(i int) float64 {
+	switch {
+	case i < h.side:
+		return -h.lo * math.Pow(10, (float64(h.side-1-i)+0.5)/h.perDecade)
+	case i > h.side:
+		return h.lo * math.Pow(10, (float64(i-h.side-1)+0.5)/h.perDecade)
+	}
+	return 0
+}

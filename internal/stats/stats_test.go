@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -286,5 +287,52 @@ func BenchmarkCosine256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = CosineSimilarity(v, w)
+	}
+}
+
+// TestLogHistogramQuantileMatchesSortedOracle holds the histogram's
+// quantiles to the nearest-rank quantile of the sorted samples: each is the
+// midpoint of the bucket that holds the oracle's sample, so within one bucket
+// width of it.
+func TestLogHistogramQuantileMatchesSortedOracle(t *testing.T) {
+	gens := map[string]func(i int) float64{
+		"signed-ratio": func(i int) float64 { return 0.3 * math.Sin(float64(i)*0.7) * math.Exp(-float64(i%17)/4) },
+		"positive":     func(i int) float64 { return math.Exp(float64(i%41)/5 - 6) },
+		"negative":     func(i int) float64 { return -math.Exp(float64(i%29)/4 - 5) },
+		"with-zeros":   func(i int) float64 { return float64(i%3-1) * 1e-6 * float64(i%5) },
+	}
+	for name, gen := range gens {
+		for _, n := range []int{1, 2, 7, 100, 1001} {
+			h := NewLogHistogram(1e-4, 100, 40)
+			vs := make([]float64, n)
+			for i := range vs {
+				vs[i] = gen(i)
+				h.Add(vs[i])
+			}
+			sort.Float64s(vs)
+			for _, p := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1} {
+				want := vs[max(int(math.Ceil(p*float64(n))), 1)-1]
+				if got := h.Quantile(p); h.bucket(got) != h.bucket(want) {
+					t.Fatalf("%s n=%d: p%v = %v in bucket %d, oracle %v in bucket %d",
+						name, n, p, got, h.bucket(got), want, h.bucket(want))
+				}
+			}
+		}
+	}
+}
+
+func TestLogHistogramEdges(t *testing.T) {
+	h := NewLogHistogram(1e-3, 10, 10)
+	if h.Quantile(0.5) != 0 {
+		t.Fatal("empty histogram quantile not 0")
+	}
+	for _, x := range []float64{1e9, -1e9, 0, math.NaN()} {
+		h.Add(x) // clamped into the outermost buckets or counted as 0
+	}
+	if lo, hi := h.Quantile(0), h.Quantile(1); lo > -8 || hi < 8 {
+		t.Fatalf("clamped extremes at %v, %v; want the outermost buckets", lo, hi)
+	}
+	if q := h.Quantile(0.5); q != 0 {
+		t.Fatalf("median of {−big, 0, NaN, +big} = %v, want the zero bucket", q)
 	}
 }

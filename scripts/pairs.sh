@@ -18,16 +18,18 @@
 # and quartiles, the ratio of the medians, how many pairs the change won and
 # tied, "over bound" when the change's median is worse than the base's by
 # more than the bound, as a share of the base's median, and "unresolved"
-# when either side's quartiles lie further apart than that. A claimed gain
-# needs the change to win at least 9 of 10 pairs, with its median beyond the
-# base's interquartile range. It exits non-zero if any run reports
-# "correct":false or any metric is over its bound.
+# when either side's quartiles lie further apart than that, and "GAIN" when
+# the change holds a gain: it won at least 9 in 10 of the pairs (ties count
+# for neither side) and its median lies beyond the base's quartile on the
+# better side (above the upper one, or below the lower one). It exits
+# non-zero if any run reports "correct":false or any metric is over its
+# bound.
 #
 # Every run also appends one JSON line to BENCH_pairs.jsonl at the root of the
 # checkout: the two commits (the change is HEAD, marked "+dirty" when the
 # working tree differs from it), workload, seed, pairs, nproc, Go version, and
 # for each metric both sides' median and quartiles, the change's wins and ties,
-# and whether it is over its bound or unresolved.
+# and whether it is over its bound, unresolved, or a gain.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -131,7 +133,7 @@ function sortv(v, n,    i, j, x) {
 	}
 }
 function abs(x) { return x < 0 ? -x : x }
-function report(name, higher, bound,    n, i, c, b, mc, mb, qc1, qc3, qb1, qb3, wins, ties, worse, flag, wide, ratio) {
+function report(name, higher, bound,    n, i, c, b, mc, mb, qc1, qc3, qb1, qb3, wins, ties, worse, flag, wide, gain, ratio) {
 	n = 0
 	wins = 0
 	ties = 0
@@ -156,12 +158,13 @@ function report(name, higher, bound,    n, i, c, b, mc, mb, qc1, qc3, qb1, qb3, 
 	flag = worse > bound * abs(mb)
 	if (flag) over++
 	wide = qc3 - qc1 > bound * abs(mc) || qb3 - qb1 > bound * abs(mb)
+	gain = 10 * wins >= 9 * n && (higher ? mc > qb3 : mc < qb1)
 	ratio = mb != 0 ? sprintf("x%.3f", mc / mb) : "x-"
-	printf("%-26s change %.6g [%.6g, %.6g]  base %.6g [%.6g, %.6g]  %s  won %d, tied %d of %d  bound %g%s%s\n",
+	printf("%-26s change %.6g [%.6g, %.6g]  base %.6g [%.6g, %.6g]  %s  won %d, tied %d of %d  bound %g%s%s%s\n",
 		name, mc, qc1, qc3, mb, qb1, qb3, ratio, wins, ties, n, bound,
-		flag ? "  OVER BOUND" : "", wide ? "  UNRESOLVED" : "")
-	fields = fields sprintf(",\"%s\":{\"change\":{\"median\":%.6g,\"q1\":%.6g,\"q3\":%.6g},\"base\":{\"median\":%.6g,\"q1\":%.6g,\"q3\":%.6g},\"wins\":%d,\"ties\":%d,\"over_bound\":%s,\"unresolved\":%s}",
-		name, mc, qc1, qc3, mb, qb1, qb3, wins, ties, flag ? "true" : "false", wide ? "true" : "false")
+		flag ? "  OVER BOUND" : "", wide ? "  UNRESOLVED" : "", gain ? "  GAIN" : "")
+	fields = fields sprintf(",\"%s\":{\"change\":{\"median\":%.6g,\"q1\":%.6g,\"q3\":%.6g},\"base\":{\"median\":%.6g,\"q1\":%.6g,\"q3\":%.6g},\"wins\":%d,\"ties\":%d,\"over_bound\":%s,\"unresolved\":%s,\"gain\":%s}",
+		name, mc, qc1, qc3, mb, qb1, qb3, wins, ties, flag ? "true" : "false", wide ? "true" : "false", gain ? "true" : "false")
 }
 FNR == NR { order[++nm] = $1; higher[$1] = $2 == "higher"; bound[$1] = $3; next }
 { pair[$1] = 1; val[$1, $2, $3] = $4 }
