@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/lightllm-go/lightllm/internal/engine"
 	"github.com/lightllm-go/lightllm/internal/request"
 )
 
@@ -76,14 +77,14 @@ func BenchmarkFleetRoutePureStep(b *testing.B) {
 		for k := i % 8; k < len(f.reps); k += 8 {
 			rep := f.reps[k]
 			rep.eng.Step()
-			rep.moved(rep.eng.PureDecodeLastStep())
+			rep.moved(rep.eng.LastStep())
 		}
 		t0 := time.Now()
 		f.pick(cand)
 		picking += time.Since(t0)
 	}
 	for k := (b.N - 1) % 8; k < len(f.reps); k += 8 {
-		if !f.reps[k].eng.PureDecodeLastStep() {
+		if f.reps[k].eng.LastStep() != engine.StepPureDecode {
 			b.Fatal("a replica's last step was not a pure decode step")
 		}
 	}
@@ -114,7 +115,7 @@ func placeLoop(tb testing.TB) (place, reset func()) {
 				base[i] = orphans
 			}
 			rep.eng.SubmitAll(base[i])
-			rep.moved(false)
+			rep.moved(engine.StepOther)
 		}
 		f.pick(cand)
 	}
@@ -159,7 +160,7 @@ func BenchmarkFleetRouteRebuild(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for k := i % tc.every; k < len(f.reps); k += tc.every {
-					f.reps[k].moved(false)
+					f.reps[k].moved(engine.StepOther)
 				}
 				f.pick(cand)
 			}

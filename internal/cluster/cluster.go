@@ -37,20 +37,29 @@
 // not when it is booked — measured neutral on the full-feature workload, see
 // ROADMAP.
 //
-// An estimator outlives its replica's pure decode steps
-// (engine.PureDecodeLastStep — most steps of a busy replica). Eq. 2–4's M* is a maximum
-// over future time points, and such a step only moves the replica along its
-// own time axis, so an estimator built k steps ago, asked about the
-// candidate shifted k steps back, answers at most what a rebuild would
-// (Pool.probeBound) — and an argmin needs no more than that of every replica
-// but the one it returns. The FutureHeadroom pick, the admission gate
-// (Pool.bestProbe) and the decode pick (Cluster.pickDecode) sweep over those
-// bounds and rebuild only the replica the sweep ends on; any other step, and
-// a crash, invalidates the estimator as before (replica.moved). Every
-// decision is the exact sweep's, bit for bit: TestLaggedBoundIsSound,
-// TestFutureHeadroomDecisionsGolden. Between steps a probe costs two
-// compares: the estimator's two candidate-independent terms are kept per
-// replica (core.PeakTerms).
+// An estimator outlives its replica's pure decode steps and its admission
+// steps (engine.LastStep: StepPureDecode, StepAdmitOnly — most steps of a
+// busy replica). Eq. 2–4's M* is a maximum over future time points, and a
+// pure decode step only moves the replica along its own time axis, so an
+// estimator built k steps ago, asked about the candidate shifted k steps
+// back, answers at most what a rebuild would (Pool.probeBound); an admission
+// step moves requests into the batch with the entries they had while
+// waiting. An argmin needs no more than that of every replica but the one it
+// returns. Any other step, and a crash, invalidates the estimator as before
+// (replica.moved).
+//
+// Each valid estimator also gives its replica a floor, a lower bound of its
+// exact probe for any candidate, and the pool keeps its accepting replicas
+// in floor order (Pool.byFloor). The FutureHeadroom pick and the admission
+// gate (Pool.bestProbe) sweep in that order, stop at the first replica
+// whose floor no replica from there on can get under, price a reached
+// replica only if a floor tightened by the candidate can still win, and
+// rebuild only the replica the sweep ends on; the decode pick
+// (Cluster.pickDecode) sweeps every replica's bound. Every decision is the
+// exact sweep's, bit for bit: TestLaggedBoundIsSound,
+// TestPrunedSweepMatchesFullSweep, TestFutureHeadroomDecisionsGolden.
+// Between steps a probe costs two compares: the estimator's two
+// candidate-independent terms are kept per replica (core.PeakTerms).
 //
 // The simulation runs on one core: one event heap, one event at a time, and
 // one event per run of coasted decode steps rather than per step. Most steps
@@ -578,7 +587,7 @@ func (c *Cluster) handle(ev event) {
 		rep.eng.Step()
 		// Unconditionally: a Step returning false can still have mutated
 		// state (queue-timeout drops run before the drained check).
-		rep.moved(rep.eng.PureDecodeLastStep())
+		rep.moved(rep.eng.LastStep())
 		if rep.draining && p.drained(rep) {
 			p.retire(rep, rep.eng.Clock())
 		}

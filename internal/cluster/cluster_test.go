@@ -184,7 +184,7 @@ func TestProbeZeroAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
 		for _, rep := range f.reps {
-			rep.moved(false) // state changed, window did not
+			rep.moved(engine.StepOther) // state changed, window did not
 		}
 		f.pick(cand)
 	}); allocs != 0 {

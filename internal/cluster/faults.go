@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/lightllm-go/lightllm/internal/engine"
 	"github.com/lightllm-go/lightllm/internal/faults"
 	"github.com/lightllm-go/lightllm/internal/kv"
 	"github.com/lightllm-go/lightllm/internal/request"
@@ -197,7 +198,7 @@ func (c *Cluster) crashReplica(ev event) {
 	c.pushEvent(event{at: ev.at + flt.Duration, kind: evRecover, pool: flt.Pool, rep: ev.rep})
 
 	orphans := rep.eng.Crash()
-	rep.moved(false) // the warm estimator's entries evaporated with the engine's
+	rep.moved(engine.StepOther) // the warm estimator's entries evaporated with the engine's
 	c.ensureStepEvent(p, rep)
 	c.flt.orphaned += len(orphans)
 	if c.rec != nil {

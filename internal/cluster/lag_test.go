@@ -365,7 +365,7 @@ func TestLaggedTieKeepsIndexOrder(t *testing.T) {
 	stepAll := func() {
 		for _, rep := range f.reps {
 			rep.eng.Step()
-			rep.moved(rep.eng.PureDecodeLastStep())
+			rep.moved(rep.eng.LastStep())
 		}
 	}
 	for i, rep := range f.reps {

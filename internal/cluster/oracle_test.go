@@ -56,6 +56,38 @@ func bruteBestProbe(p *Pool, req *request.Request, gate float64, ref []float64) 
 	return bestRep, minFrac
 }
 
+// fullBestProbe is bestProbe without the floors: a sweep over the probe
+// bound of every accepting replica in index order, repeated until the
+// replicas it ends on are settled.
+func fullBestProbe(p *Pool, req *request.Request, gate float64) (*replica, float64) {
+	for {
+		var bestRep, minRep *replica
+		bestFits, bestScore, minFrac := false, math.Inf(1), math.Inf(1)
+		bestFrac, bestExact, minExact := 0.0, true, true
+		for _, rep := range p.accepting {
+			f, exact := p.probeBound(rep, req)
+			if f < minFrac || (f == minFrac && exact && !minExact) {
+				minRep, minFrac, minExact = rep, f, exact
+			}
+			if f > gate {
+				continue
+			}
+			fits := f <= 1
+			score := f/rep.flv.relSpeed - p.affinity(rep, req)
+			if bestRep == nil || betterFit(fits, score, bestFits, bestScore) {
+				bestRep, bestFits, bestScore, bestFrac, bestExact = rep, fits, score, f, exact
+			}
+		}
+		ok := p.settled(bestRep, req, bestFrac, bestExact)
+		if minRep != bestRep {
+			ok = p.settled(minRep, req, minFrac, minExact) && ok
+		}
+		if ok {
+			return bestRep, minFrac
+		}
+	}
+}
+
 // naivePick is the FutureHeadroom pick over the reference probes: nil when
 // no replica accepts.
 func naivePick(p *Pool, req *request.Request) *replica {

@@ -213,7 +213,7 @@ func checkPlacementState(t *testing.T, c *Cluster, led *placementLedger, cands [
 			}
 			scratch := *rep // same engine, cold estimator: a from-scratch rebuild
 			scratch.est = core.PeakEstimator{}
-			scratch.moved(false)
+			scratch.moved(engine.StepOther)
 			// The warm estimator is read through a copy and never made exact:
 			// whether the run's next decision rebuilds it is the run's business.
 			warm := *rep

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/lightllm-go/lightllm/internal/core"
 	"github.com/lightllm-go/lightllm/internal/dist"
@@ -139,11 +140,19 @@ type FlavorInfo struct {
 	RelSpeed float64
 }
 
-// replica is the pool's bookkeeping around one engine.
+// replica is the pool's bookkeeping around one engine. The fields a routing
+// sweep reads of every replica it reaches lead, so that passing one over
+// costs a cache line or two (see the warm probe state below).
 type replica struct {
+	flv    *flavor
+	fresh  core.FreshQuantile
+	lag    int
+	static int
+	peak   int
+	maxRem int
+
 	eng *engine.Engine
 	idx int
-	flv *flavor
 
 	active   bool    // provisioned (may still be activating)
 	awake    bool    // activation delay elapsed; eligible for traffic
@@ -172,7 +181,7 @@ type replica struct {
 	//
 	//   - A placement splices its one entry in (Pool.placed), so the probe
 	//     for the very next arrival already counts it.
-	//   - A pure decode step (engine.PureDecodeLastStep) leaves est alone and
+	//   - A pure decode step (engine.StepPureDecode) leaves est alone and
 	//     counts one more step of lag: every running request is one token
 	//     further along its trajectory, which only shifts est's time axis, so
 	//     est still bounds a probe from below (Pool.probeBound) and the
@@ -180,34 +189,40 @@ type replica struct {
 	//     counts the entries the shift does not apply to — the waiting set at
 	//     the rebuild plus every splice since — each of which costs the bound
 	//     up to lag tokens.
+	//   - An admission step (engine.StepAdmitOnly) leaves est, lag and static
+	//     alone: the requests it moved into the batch have the entries they
+	//     had while waiting, and they stay static — from then on they grow by
+	//     at most lag tokens less than the shift assumes.
 	//   - Any other step, and a crash, clears estValid: the next probe
 	//     rebuilds.
+	//
+	// peak and maxRem are est's Peak and MaxRemaining as of the last rebuild
+	// or splice. They give the replica its floor (floor), a lower bound of its
+	// exact probe for any candidate, and key is that floor as a fraction of
+	// capacity: the replica's place in Pool.byFloor, the order bestProbe
+	// sweeps in. An invalid estimator has no floor; its replica keeps its
+	// place, under its last key, on Pool.stale until a rebuild re-keys it.
 	//
 	// sampler is a live view of the engine's history window, so est is only
 	// as fresh as the window generation it was built at (estGen): the window
 	// moves only inside a Step that finishes a request, which is never a pure
-	// decode step. fresh is that window's answer for a request with nothing
-	// generated, read at the same generation, so pricing a new arrival reads
-	// no window memory. memo holds est's PeakTerms for the remaining length
-	// memoRem, the last one probed (noMemo when est changed since), so a
-	// probe that asks for the same length again is two compares. That takes a
-	// replica that neither stepped nor took a placement since its previous
-	// probe, and two candidates whose predictions clamp to one value: the
-	// same max_new_tokens cap at or under the window's quantile (all of
-	// replay-day), or any two caps above it. Counted at seed 1, 88% of
-	// replay-day's probes hit (9% ask for another length, 3% find noMemo) and
-	// 54% of storm-product's (34%, 12%); against probing through PeakWith
-	// that is ×1.08 of replay-day's requests_per_s in 10 of 10 alternating
-	// pairs and nothing either way on storm-product (CHANGES.md, PR 21).
+	// decode or admission step. fresh is that window's answer for a request
+	// with nothing generated, read at the same generation, so pricing a new
+	// arrival reads no window memory. memo holds est's PeakTerms for the
+	// remaining length memoRem, the last one probed (noMemo when est changed
+	// since), so a probe that asks for the same length again is two compares.
+	// That takes a replica that neither stepped nor took a placement since its
+	// previous probe, and two candidates whose predictions clamp to one value:
+	// the same max_new_tokens cap at or under the window's quantile (all of
+	// replay-day), or any two caps above it.
 	est      core.PeakEstimator
 	sampler  *dist.Sampler
-	fresh    core.FreshQuantile
 	estGen   uint64
 	estValid bool
-	lag      int
-	static   int
 	memoRem  int
 	memo     core.PeakTerms
+	key      float64
+	pool     *Pool
 
 	activeAt   float64 // when the current active span began
 	activeSecs float64 // closed active spans (replica-seconds accounting)
@@ -226,6 +241,16 @@ type Pool struct {
 
 	rr        int
 	accepting []*replica // active, awake, not draining; index order
+	// byFloor holds the accepting replicas ordered by (key, idx), the floor
+	// of their probe; the keys sit in the slots, so neither a sweep's stop
+	// test nor a repair reads a replica. floorPos is each replica's position
+	// in it, -1 when it does not accept. stale lists the accepting replicas
+	// whose estimators were invalidated since the last sweep (some since
+	// rebuilt): each keeps its last key until then.
+	byFloor  []floorSlot
+	floorPos []int
+	stale    []int
+	sweep    sweepCount
 
 	plan          *planner
 	planScheduled bool
@@ -283,7 +308,7 @@ func newPool(c *Cluster, id int, cfg Config) (*Pool, error) {
 	}
 	p.reps = make([]*replica, len(cfg.Replicas))
 	for i, e := range cfg.Replicas {
-		p.reps[i] = &replica{eng: e, idx: i}
+		p.reps[i] = &replica{eng: e, idx: i, pool: p}
 	}
 	for i := 0; i < initial; i++ {
 		p.reps[i].active = true
@@ -526,10 +551,42 @@ func (p *Pool) scheduleTick(at float64) {
 func (p *Pool) rebuildAccepting() {
 	p.accepting = p.accepting[:0]
 	for _, rep := range p.reps {
-		if rep.active && rep.awake && !rep.draining && !rep.down {
+		if rep.accepts() {
 			p.accepting = append(p.accepting, rep)
 		}
 	}
+	p.byFloor = p.byFloor[:0]
+	for _, rep := range p.accepting {
+		p.byFloor = append(p.byFloor, floorSlot{rep.key, rep.idx})
+	}
+	slices.SortFunc(p.byFloor, func(s, t floorSlot) int {
+		if s.before(t) {
+			return -1
+		}
+		if t.before(s) {
+			return 1
+		}
+		return 0
+	})
+	if p.floorPos == nil {
+		p.floorPos = make([]int, len(p.reps))
+	}
+	for i := range p.floorPos {
+		p.floorPos[i] = -1
+	}
+	p.stale = p.stale[:0]
+	for i, s := range p.byFloor {
+		p.floorPos[s.idx] = i
+		if !p.reps[s.idx].estValid {
+			p.stale = append(p.stale, s.idx)
+		}
+	}
+}
+
+// accepts reports whether a replica takes new traffic: active, awake, not
+// draining and not down.
+func (rep *replica) accepts() bool {
+	return rep.active && rep.awake && !rep.draining && !rep.down
 }
 
 // fallbackReplica is the no-accepting-replica escape hatch: every
@@ -626,18 +683,43 @@ func (p *Pool) probeBound(rep *replica, req *request.Request) (frac float64, exa
 	if !rep.estValid {
 		p.rebuild(rep)
 	}
+	return p.boundOf(rep, p.entry(rep, req))
+}
+
+// boundOf is probeBound over a valid estimator, for the candidate's entry e.
+func (p *Pool) boundOf(rep *replica, e core.Entry) (frac float64, exact bool) {
 	if rep.eng.History().Generation() != rep.estGen {
 		// The candidate would be priced on a newer distribution than the
 		// entries it is compared with: someone moved the window without
 		// telling the replica (replica.moved).
 		panic("cluster: routing probe over a history window that moved since the estimator was built")
 	}
-	e, k := p.entry(rep, req), rep.lag
+	k := rep.lag
 	if rem := e.Remaining + k; rem != rep.memoRem {
 		rep.memo, rep.memoRem = rep.est.Terms(rem), rem
 	}
 	peak := max(rep.memo.With(e.Current-k)-k*rep.static, 0)
 	return float64(peak) / float64(rep.flv.capacity), k == 0
+}
+
+// floor is a lower bound of a valid estimator's exact probe for any
+// candidate, in tokens. A rebuild now would hold at least peak − lag·static
+// without the candidate — probeBound's time-shift argument with no candidate
+// — and adding an entry whose Current is not negative never lowers M*.
+func (rep *replica) floor() int {
+	return max(rep.peak-rep.lag*rep.static, 0)
+}
+
+// floorWith is floor for one candidate entry e, in tokens, and a lower bound
+// of probeBound's value too. A candidate whose shifted remaining e.Remaining
+// + lag is at least est's longest is resident at every completion point, so
+// PeakWith(e.Current − lag, e.Remaining + lag) ≥ peak + e.Current − lag; the
+// term joins the floor before its clamp at 0, which static > 0 can cross.
+func (rep *replica) floorWith(e core.Entry) int {
+	if e.Remaining+rep.lag < rep.maxRem {
+		return rep.floor()
+	}
+	return max(rep.peak-rep.lag*rep.static+e.Current-rep.lag, 0)
 }
 
 // probeQuantile is the conditional quantile every routing probe prices a
@@ -683,15 +765,47 @@ func betterFit(fits bool, score float64, bestFits bool, bestScore float64) bool 
 // fraction) the argmin is exactly the raw-fraction argmin.
 //
 // The sweep runs over probe bounds and repeats until it ends on values that
-// hold (see settled): once for the argmin, once for the minimum.
+// hold (see settled): once for the argmin, once for the minimum. It visits the
+// replicas in floor order (byFloor) and stops at the first whose floor rules
+// out every replica from there on: over the running minimum, and over the gate
+// or, at the fastest flavor's speed and the largest affinity bonus, unable to
+// beat or tie the best (fits, score) found so far. Inside the sweep a replica
+// whose candidate-aware floor (floorWith) rules it out likewise is passed over
+// without a probe. Neither can change the result: a replica's probe is never
+// below its floor, and a replica that cannot tie is not the argmin whatever
+// the index order says. Replicas without a floor (stale), whose estimators a
+// step invalidated, are rebuilt first, as any probe of them would be.
 func (p *Pool) bestProbe(req *request.Request, gate float64) (*replica, float64) {
+	for _, idx := range p.stale {
+		if rep := p.reps[idx]; !rep.estValid && p.floorPos[idx] >= 0 {
+			p.rebuild(rep)
+		}
+	}
+	p.stale = p.stale[:0]
+	bonus := p.affinityCap(req)
+	p.sweep.sweeps++
 	for {
 		var bestRep, minRep *replica
 		bestFits, bestScore, minFrac := false, math.Inf(1), math.Inf(1)
 		bestFrac, bestExact, minExact := 0.0, true, true
-		for _, rep := range p.accepting {
-			f, exact := p.probeBound(rep, req)
-			if f < minFrac || (f == minFrac && exact && !minExact) {
+		// beaten reports whether a replica whose probe is at least lo, at
+		// relative speed speed, can neither pass the minimum nor take the argmin.
+		beaten := func(lo, speed float64) bool {
+			return lo > minFrac && (lo > gate || bestRep != nil && betterFit(bestFits, bestScore, lo <= 1, lo/speed-bonus))
+		}
+		for _, slot := range p.byFloor {
+			if beaten(slot.key, 1) {
+				break
+			}
+			rep := p.reps[slot.idx]
+			p.sweep.reached++
+			e := p.entry(rep, req)
+			if beaten(float64(rep.floorWith(e))/float64(rep.flv.capacity), rep.flv.relSpeed) {
+				continue
+			}
+			p.sweep.priced++
+			f, exact := p.boundOf(rep, e)
+			if f < minFrac || f == minFrac && (exact && !minExact || exact == minExact && rep.idx < minRep.idx) {
 				minRep, minFrac, minExact = rep, f, exact
 			}
 			if f > gate {
@@ -699,7 +813,8 @@ func (p *Pool) bestProbe(req *request.Request, gate float64) (*replica, float64)
 			}
 			fits := f <= 1
 			score := f/rep.flv.relSpeed - p.affinity(rep, req)
-			if bestRep == nil || betterFit(fits, score, bestFits, bestScore) {
+			if bestRep == nil || betterFit(fits, score, bestFits, bestScore) ||
+				fits == bestFits && score == bestScore && rep.idx < bestRep.idx {
 				bestRep, bestFits, bestScore, bestFrac, bestExact = rep, fits, score, f, exact
 			}
 		}
@@ -712,6 +827,10 @@ func (p *Pool) bestProbe(req *request.Request, gate float64) (*replica, float64)
 		}
 	}
 }
+
+// sweepCount counts bestProbe's work: sweeps, the replicas they reached in
+// floor order, and those of them a probe priced.
+type sweepCount struct{ sweeps, reached, priced int }
 
 // settled ends one sweep of a decision over probe bounds (probeBound) for a
 // replica the sweep ended on, priced at frac: it reports whether frac is that
@@ -739,18 +858,28 @@ func (p *Pool) settled(rep *replica, req *request.Request, frac float64, exact b
 // the blend is off, the request carries no prefix hashes, or caching is
 // disabled — the score then reduces bit-identically to frac/relSpeed.
 func (p *Pool) affinity(rep *replica, req *request.Request) float64 {
-	w := p.cfg.AffinityWeight
-	if w == 0 || len(req.PrefixHashes) == 0 || req.InputLen <= 0 {
+	if p.affinityCap(req) == 0 {
 		return 0
 	}
 	hit := rep.eng.Pool().MatchPrefix(req.PrefixHashes)
 	if hit == 0 {
 		return 0
 	}
-	if hit > req.InputLen {
-		hit = req.InputLen
+	return p.affinityOf(req, min(hit, req.InputLen))
+}
+
+// affinityCap is the largest affinity any replica can grant req: the bonus
+// of a replica holding its whole prompt, computed the way affinity computes
+// it, so no replica's bonus exceeds it by a rounding.
+func (p *Pool) affinityCap(req *request.Request) float64 {
+	if p.cfg.AffinityWeight == 0 || len(req.PrefixHashes) == 0 || req.InputLen <= 0 {
+		return 0
 	}
-	return w * float64(hit) / float64(req.InputLen)
+	return p.affinityOf(req, req.InputLen)
+}
+
+func (p *Pool) affinityOf(req *request.Request, hit int) float64 {
+	return p.cfg.AffinityWeight * float64(hit) / float64(req.InputLen)
 }
 
 // bestCachedTokens returns the largest prefix-cache coverage — resident
@@ -808,6 +937,14 @@ func (p *Pool) rebuild(rep *replica) {
 	rep.eng.ForEachWaiting(push)
 	rep.estValid = true
 	rep.lag, rep.static, rep.memoRem = 0, rep.eng.WaitingLen(), noMemo
+	p.estimated(rep)
+}
+
+// estimated reads est's peak and longest remaining length after est changed
+// and moves the replica to its new floor.
+func (p *Pool) estimated(rep *replica) {
+	rep.peak, rep.maxRem = rep.est.Peak(), rep.est.MaxRemaining()
+	p.refloor(rep)
 }
 
 // noMemo is the memoRem of an estimator nobody has probed since it changed;
@@ -815,23 +952,34 @@ func (p *Pool) rebuild(rep *replica) {
 const noMemo = -1
 
 // moved tells the warm probe state that the replica's engine changed under
-// it other than by a placement: after every Step — pureDecode is the
-// engine's PureDecodeLastStep — and, with pureDecode false, after a crash or
+// it other than by a placement: after every Step — with what the engine's
+// LastStep says it moved — and, with engine.StepOther, after a crash or
 // anything else that leaves the estimator describing a batch that is gone.
-// It is the only place that decides between lagging and rebuilding.
-func (rep *replica) moved(pureDecode bool) {
-	if pureDecode {
+// It is the only place that decides between keeping, lagging and
+// rebuilding.
+func (rep *replica) moved(step engine.StepKind) {
+	switch step {
+	case engine.StepPureDecode:
 		rep.decoded(1)
-		return
+	case engine.StepAdmitOnly:
+		// Every entry est holds is unchanged, and so is its floor.
+	default:
+		if rep.estValid {
+			rep.estValid = false
+			rep.pool.unfloor(rep)
+		}
 	}
-	rep.estValid = false
 }
 
-// decoded is moved(true) n times over: the engine took n pure decode steps —
-// the coasted steps of a run the cluster caught the replica up on.
+// decoded is moved(engine.StepPureDecode) n times over: the engine took n
+// pure decode steps — the coasted steps of a run the cluster caught the
+// replica up on.
 func (rep *replica) decoded(n int) {
 	if rep.estValid {
 		rep.lag += n
+		if rep.static > 0 {
+			rep.pool.refloor(rep)
+		}
 	}
 }
 
@@ -849,9 +997,58 @@ func (p *Pool) placed(rep *replica, req *request.Request) {
 		rep.est.Push(p.entry(rep, req))
 		rep.static++
 		rep.memoRem = noMemo
+		p.estimated(rep)
 	} else {
-		rep.moved(false)
+		rep.moved(engine.StepOther)
 	}
+}
+
+// refloor recomputes the key of a replica with a valid estimator after the
+// estimator, its lag or its static count changed, and moves the replica to
+// its new place in byFloor.
+func (p *Pool) refloor(rep *replica) {
+	key := float64(rep.floor()) / float64(rep.flv.capacity)
+	if key == rep.key {
+		return
+	}
+	rep.key = key
+	// A copy of a replica (a test's scratch estimator) has no place.
+	i := p.floorPos[rep.idx]
+	if i < 0 || p.reps[rep.idx] != rep {
+		return
+	}
+	// One insertion-sort pass: the floor of a decode step moves a place or
+	// two, a rebuild as far as the batch moved since the replica's last key.
+	now := floorSlot{key, rep.idx}
+	for ; i > 0 && now.before(p.byFloor[i-1]); i-- {
+		p.byFloor[i] = p.byFloor[i-1]
+		p.floorPos[p.byFloor[i].idx] = i
+	}
+	for ; i+1 < len(p.byFloor) && p.byFloor[i+1].before(now); i++ {
+		p.byFloor[i] = p.byFloor[i+1]
+		p.floorPos[p.byFloor[i].idx] = i
+	}
+	p.byFloor[i] = now
+	p.floorPos[rep.idx] = i
+}
+
+// unfloor puts an accepting replica whose estimator was just invalidated on
+// the stale list; it keeps its place until a rebuild re-keys it.
+func (p *Pool) unfloor(rep *replica) {
+	if p.floorPos[rep.idx] >= 0 && p.reps[rep.idx] == rep {
+		p.stale = append(p.stale, rep.idx)
+	}
+}
+
+// floorSlot is one replica's place in byFloor: its key and its index.
+type floorSlot struct {
+	key float64
+	idx int
+}
+
+// before is byFloor's order: by key, then by index.
+func (s floorSlot) before(t floorSlot) bool {
+	return s.key < t.key || s.key == t.key && s.idx < t.idx
 }
 
 // reactiveScale applies the high/low-water policy on the mean predicted

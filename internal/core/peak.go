@@ -290,6 +290,17 @@ func (pe *PeakEstimator) Peak() int {
 	return pe.prefMaxM[n-1]
 }
 
+// MaxRemaining returns the largest clamped Remaining of the pushed entries;
+// 0 when empty. A candidate with at least that much left is resident at every
+// completion point, so PeakWith(cand) ≥ Peak() + cand.Current.
+func (pe *PeakEstimator) MaxRemaining() int {
+	pe.flush()
+	if len(pe.ent) == 0 {
+		return 0
+	}
+	return pe.ent[0].Remaining
+}
+
 // PeakWith returns M* of the pushed entries plus one hypothetical candidate,
 // without mutating the estimator. It is bit-identical to
 // FutureRequiredMemory over the same entries plus the candidate.

@@ -61,6 +61,31 @@ func TestPeakEstimatorPeakWithMatchesReferenceQuick(t *testing.T) {
 	}
 }
 
+// TestMaxRemainingBoundsPeakWith pins the getter the cluster's probe floors
+// read and the inequality they rest on: MaxRemaining is the largest clamped
+// Remaining pushed (0 when empty), and a candidate with at least that much
+// left — Current of either sign, as a lag-shifted candidate has — is resident
+// at every completion point, so PeakWith gains at least its Current over Peak.
+func TestMaxRemainingBoundsPeakWith(t *testing.T) {
+	f := func(batch []struct{ C, R uint8 }, c int8, extra uint8) bool {
+		var est PeakEstimator
+		longest := 0
+		for _, x := range batch {
+			e := Entry{Current: int(x.C), Remaining: int(x.R%48) - 2}
+			longest = max(longest, clampRemaining(e.Remaining))
+			est.Push(e)
+		}
+		if est.MaxRemaining() != longest {
+			return false
+		}
+		cand := Entry{Current: int(c), Remaining: longest + int(extra%4)}
+		return est.PeakWith(cand) >= est.Peak()+cand.Current
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPeakEstimatorAcrossSortSizes runs the admission-loop access pattern —
 // build, query, push, query — at batch sizes on both sides of flush's
 // insertion-sort limit (and far above it), on one estimator reused across

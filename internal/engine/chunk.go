@@ -157,7 +157,9 @@ func (e *Engine) runChunked() {
 		e.running = append(e.running, e.finishScratch...)
 	}
 	e.completeDone()
-	e.pureDecode = noChunks && e.keptBatch(batch)
+	if noChunks && e.keptBatch(batch) {
+		e.lastStep = StepPureDecode
+	}
 	e.observe(e.clock)
 	e.iterationHook("chunked", dur, decodeTokens+nChunks)
 }

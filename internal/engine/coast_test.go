@@ -119,9 +119,9 @@ func (cr *coastRun) submit(rs ...*request.Request) {
 // coast and CoastEnd price the next decode step on).
 func (cr *coastRun) glance() {
 	e := cr.e
-	cr.logf("clock=%x used=%d running=%d waiting=%d pure=%v released=%v",
+	cr.logf("clock=%x used=%d running=%d waiting=%d last=%d released=%v",
 		math.Float64bits(e.Clock()), e.usedTokens(),
-		e.RunningLen(), e.WaitingLen(), e.PureDecodeLastStep(), e.ReleasedLastStep())
+		e.RunningLen(), e.WaitingLen(), e.LastStep(), e.ReleasedLastStep())
 }
 
 // look calls one settling accessor, a different one each time, and then logs

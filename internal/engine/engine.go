@@ -366,8 +366,8 @@ type Engine struct {
 	started              bool
 	startClock           float64
 	admitRetries         int
-	released             bool // a request left the engine during the last Step
-	pureDecode           bool // the last Step only grew the running batch by one token each
+	released             bool     // a request left the engine during the last Step
+	lastStep             StepKind // what the last Step moved, for LastStep
 	// epoch is the View.Epoch of the next admission round: it moves on
 	// before every Step that follows one which was not a pure decode step
 	// (coasted steps are), and on Crash.
@@ -751,16 +751,37 @@ func (e *Engine) failRequest(r *request.Request) {
 // unchanged.
 func (e *Engine) ReleasedLastStep() bool { return e.released }
 
-// PureDecodeLastStep reports whether the last Step was a plain decode
-// iteration: every running request gained exactly one token, and nothing
-// else an observer prices moved — nobody joined or left the batch (no
-// admission, prompt chunk, eviction, finish or failure), nobody left the
-// waiting set (requests may have moved from the arrival heap into the queue,
-// which WaitingLen counts as one set), no chunk or prefix-cache stamp
-// changed, and the history window did not move. The cluster's routing probes
-// keep a replica's warm estimator across such steps — they only shift its
-// time axis — and rebuild it after any other.
-func (e *Engine) PureDecodeLastStep() bool { return e.pureDecode }
+// StepKind says what the last Step moved, as far as an observer that keeps
+// an estimator over the engine's running and waiting requests can tell.
+type StepKind int
+
+const (
+	// StepOther is every Step not described below, and the state after
+	// Crash: an estimator over the engine must be rebuilt.
+	StepOther StepKind = iota
+	// StepPureDecode is a plain decode iteration: every running request
+	// gained exactly one token, and nothing else an observer prices moved —
+	// nobody joined or left the batch (no admission, prompt chunk, eviction,
+	// finish or failure), nobody left the waiting set (requests may have
+	// moved from the arrival heap into the queue, which WaitingLen counts as
+	// one set), no chunk or prefix-cache stamp changed, and the history
+	// window did not move. Coasted steps are such steps.
+	StepPureDecode
+	// StepAdmitOnly is a fused prefill that moved requests from the waiting
+	// set into the running batch and did nothing else: no request left the
+	// engine, no running request gained a token, and no admitted request
+	// took prefix-cache hits, restored tokens or a swap-in, so every
+	// admitted request's estimator entry is the one it had while waiting.
+	// Only continuous-batching engines that are not prefill-only and not
+	// chunked take such steps.
+	StepAdmitOnly
+)
+
+// LastStep reports what the last Step moved. The cluster's routing probes
+// keep a replica's warm estimator across StepPureDecode — such a step only
+// shifts its time axis — and across StepAdmitOnly, which changes no entry,
+// and rebuild it after any other.
+func (e *Engine) LastStep() StepKind { return e.lastStep }
 
 // AddIterationHook chains f after any existing OnIteration hook.
 func (e *Engine) AddIterationHook(f func(now float64, it Iteration)) {
@@ -860,11 +881,11 @@ func (e *Engine) scaled(dur float64) float64 {
 // recovery). No engine counters or hooks fire: the work evaporated, it did
 // not complete, time out, or fail in the engine-semantics sense. Orphans
 // carry every token the engine counted for them, and the last Step's flags
-// (ReleasedLastStep, PureDecodeLastStep) are cleared with the batch they
+// (ReleasedLastStep, LastStep) are cleared with the batch they
 // described.
 func (e *Engine) Crash() []*request.Request {
 	e.settle()
-	e.released, e.pureDecode, e.minLeft = false, false, 0
+	e.released, e.lastStep, e.minLeft = false, StepOther, 0
 	e.epoch++
 	orphans := make([]*request.Request, 0,
 		e.queue.Len()+len(e.running)+len(e.prefilling)+len(e.staticBatch)+e.arrivals.Len())

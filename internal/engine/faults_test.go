@@ -50,9 +50,9 @@ func TestCrashEvacuatesEverything(t *testing.T) {
 	if !e.Idle() {
 		t.Fatal("engine not idle after crash")
 	}
-	if e.PureDecodeLastStep() || e.ReleasedLastStep() {
-		t.Fatalf("after Crash: pure decode %v, released %v; both describe a batch that is gone",
-			e.PureDecodeLastStep(), e.ReleasedLastStep())
+	if e.LastStep() != StepOther || e.ReleasedLastStep() {
+		t.Fatalf("after Crash: last step %v, released %v; both describe a batch that is gone",
+			e.LastStep(), e.ReleasedLastStep())
 	}
 	if used := e.Pool().UsedTokens(); used != 0 {
 		t.Fatalf("crashed engine leaked %d KV tokens", used)
@@ -82,7 +82,7 @@ func TestCrashEvacuatesEverything(t *testing.T) {
 	}
 }
 
-// TestCrashEvacuatesEverythingMidCoast: ReleasedLastStep and PureDecodeLastStep
+// TestCrashEvacuatesEverythingMidCoast: ReleasedLastStep and LastStep
 // describe the batch of the Step before the crash, and the second gates the
 // O(1) decode step. A crash in the middle of a run of such steps hands the
 // orphans every token the engine counted for them, clears both flags, and the
@@ -95,16 +95,16 @@ func TestCrashEvacuatesEverythingMidCoast(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		e.Step()
 	}
-	if res := e.Snapshot(); !e.PureDecodeLastStep() || res.CoastedSteps == 0 {
+	if res := e.Snapshot(); e.LastStep() != StepPureDecode || res.CoastedSteps == 0 {
 		t.Fatalf("crash lands outside a run of coasted steps (%d coasted); the scenario exercises nothing", res.CoastedSteps)
 	}
 	for i := 0; i < 7; i++ {
 		e.Step() // nothing settles: seven tokens are owed at the crash
 	}
 	orphans := e.Crash()
-	if e.PureDecodeLastStep() || e.ReleasedLastStep() {
-		t.Fatalf("after Crash: pure decode %v, released %v; both describe a batch that is gone",
-			e.PureDecodeLastStep(), e.ReleasedLastStep())
+	if e.LastStep() != StepOther || e.ReleasedLastStep() {
+		t.Fatalf("after Crash: last step %v, released %v; both describe a batch that is gone",
+			e.LastStep(), e.ReleasedLastStep())
 	}
 	for _, r := range orphans {
 		// The prefill iteration emits nothing; every decode step one token.

@@ -215,7 +215,7 @@ func TestPureDecodeLastStep(t *testing.T) {
 				break
 			}
 			steps++
-			if !e.PureDecodeLastStep() {
+			if e.LastStep() != StepPureDecode {
 				continue
 			}
 			pure++

@@ -21,11 +21,11 @@ func (e *Engine) Step() bool {
 		return true
 	}
 	e.settle()
-	if !e.pureDecode {
+	if e.lastStep != StepPureDecode {
 		e.epoch++ // the batch did more than decode since the last round
 	}
 	e.released = false
-	e.pureDecode = false
+	e.lastStep = StepOther
 	e.minLeft = 0
 	if e.Idle() {
 		return false
@@ -522,11 +522,17 @@ func (e *Engine) evictLast() {
 // at the next decode step. This matches the paper's memory model exactly: a
 // request admitted with l_t generated tokens occupies l_p + l_t slots and
 // grows by one per decode step until its predicted length.
+//
+// On an engine that keeps what it prefills the step is StepAdmitOnly unless a
+// request left earlier in it, or an admission took a swap-in or a
+// prefix-cache stamp (hit or restore) that its waiting entry did not carry.
 func (e *Engine) runPrefill(admitted []*request.Request) {
 	promptTokens := 0
 	swapTokens := 0
 	restoreTokens := 0
+	stamped := false
 	for _, r := range admitted {
+		stamped = stamped || r.Swapped || r.CachedTokens > 0 || r.RestoredTokens > 0
 		if r.Migrated {
 			// First admission of a KV migration from a prefill engine: the
 			// cache arrived over the cluster's transfer link (already
@@ -560,6 +566,9 @@ func (e *Engine) runPrefill(admitted []*request.Request) {
 		return
 	}
 	e.running = append(e.running, admitted...)
+	if !stamped && !e.released {
+		e.lastStep = StepAdmitOnly
+	}
 	e.observe(e.clock)
 	e.iterationHook("prefill", dur, len(admitted))
 }
@@ -645,8 +654,8 @@ func (e *Engine) runDecode() {
 	e.decodeSteps++
 	minLeft := e.decodeRunning()
 	e.completeDone()
-	e.pureDecode = e.keptBatch(batch)
-	if e.pureDecode {
+	if e.keptBatch(batch) {
+		e.lastStep = StepPureDecode
 		e.minLeft = minLeft // the batch coast may start from
 	}
 	e.observe(e.clock)

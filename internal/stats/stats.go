@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -108,7 +109,10 @@ func Percentile(vs []float64, p float64) float64 {
 }
 
 // PercentileInPlace is Percentile for a caller that owns vs and is done with
-// its order: it sorts vs instead of a copy.
+// its order: it reorders vs instead of a copy. It selects the two ranks the
+// interpolation reads rather than sorting, in sort.Float64s' order (NaN
+// first), so it returns what sorting would, bit for bit — up to which of −0
+// and +0 a rank holds, an order sort.Float64s leaves unspecified too.
 func PercentileInPlace(vs []float64, p float64) float64 {
 	if len(vs) == 0 {
 		panic("stats: percentile of empty slice")
@@ -119,18 +123,77 @@ func PercentileInPlace(vs []float64, p float64) float64 {
 	if p > 1 {
 		p = 1
 	}
-	sort.Float64s(vs)
 	if len(vs) == 1 {
 		return vs[0]
 	}
 	rank := p * float64(len(vs)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
+	selectRank(vs, lo)
 	if lo == hi {
 		return vs[lo]
 	}
+	next := vs[hi]
+	for _, v := range vs[hi+1:] {
+		if floatLess(v, next) {
+			next = v
+		}
+	}
 	frac := rank - float64(lo)
-	return vs[lo]*(1-frac) + vs[hi]*frac
+	return vs[lo]*(1-frac) + next*frac
+}
+
+// floatLess is sort.Float64s' order: NaN before every number.
+func floatLess(a, b float64) bool {
+	return a < b || a != a && b == b
+}
+
+// selectRank reorders vs so that vs[k] holds the value sort.Float64s would
+// put there and nothing after it sorts before it: a quickselect with
+// three-way partitions, so runs of equal values cost one pass, that falls
+// back to sorting the part left when its partitions stop shrinking.
+func selectRank(vs []float64, k int) {
+	lo, hi := 0, len(vs)
+	for budget := 2 * bits.Len(uint(len(vs))); hi-lo > 12; budget-- {
+		if budget == 0 {
+			sort.Float64s(vs[lo:hi])
+			return
+		}
+		a, b, c := vs[lo], vs[lo+(hi-lo)/2], vs[hi-1]
+		if floatLess(b, a) {
+			a, b = b, a
+		}
+		if floatLess(c, b) {
+			b = c
+			if floatLess(b, a) {
+				b = a
+			}
+		}
+		pivot := b // the median of the three
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := vs[i]; {
+			case floatLess(v, pivot):
+				vs[lt], vs[i] = v, vs[lt]
+				lt++
+				i++
+			case floatLess(pivot, v):
+				gt--
+				vs[gt], vs[i] = v, vs[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return // vs[k] is among the values equal to the pivot
+		}
+	}
+	sort.Float64s(vs[lo:hi])
 }
 
 // Mean returns the arithmetic mean, or 0 for an empty slice.

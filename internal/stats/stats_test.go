@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -334,5 +335,64 @@ func TestLogHistogramEdges(t *testing.T) {
 	}
 	if q := h.Quantile(0.5); q != 0 {
 		t.Fatalf("median of {−big, 0, NaN, +big} = %v, want the zero bucket", q)
+	}
+}
+
+// sortedPercentile is PercentileInPlace as it was written before selection:
+// sort, then interpolate between the two closest ranks.
+func sortedPercentile(vs []float64, p float64) float64 {
+	sorted := append([]float64(nil), vs...)
+	sort.Float64s(sorted)
+	p = math.Min(math.Max(p, 0), 1)
+	if len(sorted) == 1 {
+		return sorted[0]
+	}
+	rank := p * float64(len(sorted)-1)
+	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := rank - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// TestPercentileMatchesSortOracle holds the selection to the sort it
+// replaced, bit for bit, over sizes from 1 to 10⁵, inputs full of duplicates,
+// infinities and NaNs, already sorted and reversed inputs, and every
+// percentile the repo reads plus the ends. Zeros compare by value: which of
+// −0 and +0 sits at a rank is left unspecified by sort.Float64s as well.
+func TestPercentileMatchesSortOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	ps := []float64{0, 0.001, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || a == 0 && b == 0
+	}
+	for _, n := range []int{1, 2, 3, 5, 12, 13, 64, 1000, 4097, 100_000} {
+		for shape := 0; shape < 6; shape++ {
+			vs := make([]float64, n)
+			for i := range vs {
+				switch shape {
+				case 0: // continuous
+					vs[i] = r.NormFloat64()
+				case 1: // few distinct values
+					vs[i] = float64(r.Intn(4))
+				case 2: // infinities and NaNs among duplicates
+					vs[i] = []float64{math.Inf(-1), math.Inf(1), math.NaN(), 1, 2, -0.0, 0}[r.Intn(7)]
+				case 3: // sorted
+					vs[i] = float64(i / 3)
+				case 4: // reversed
+					vs[i] = float64(n - i)
+				case 5: // all equal
+					vs[i] = 7
+				}
+			}
+			for _, p := range append(ps, r.Float64()) {
+				want := sortedPercentile(vs, p)
+				got := PercentileInPlace(append([]float64(nil), vs...), p)
+				if !same(got, want) {
+					t.Fatalf("n=%d shape %d p=%v: selection %v, sort %v", n, shape, p, got, want)
+				}
+			}
+		}
 	}
 }
