@@ -82,13 +82,13 @@ pairs:
 # (disaggregation, mixed GPUs, admission, a crash storm with or without
 # recovery, prefix cache, chunked prefill, planner), each cell held to
 # conservation, KV-pool, trace-export and inert-twin checks — beside the
-# KV-link, placement, lagged-estimator, probe-floor, step-kind and coasting
-# pins and the oracles the warm paths are held to. It first fails if an
+# permanent-crash, KV-link, placement, lagged-estimator, probe-floor,
+# step-kind and coasting pins and the oracles the warm paths are held to. It first fails if an
 # alternative of its -run regex matches no test, so a deleted test cannot
 # silently leave the sweep.
 # Widen with e.g. `make chaos CHAOS_SEEDS=50`.
 CHAOS_SEEDS ?= 5
-CHAOS_RUN = TestFeatureMatrix|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestChunkPolicyEquivalence|TestHerd|TestPlacement|TestWaitingSet|TestLagged|TestProbeFloor|TestPrunedSweep|TestPureDecode|TestAdmitOnly|TestCoast|TestWarmProbeMatchesNaive|TestPlannerVectorMatchesScalarRule
+CHAOS_RUN = TestFeatureMatrix|TestPermanentCrash|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestChunkPolicyEquivalence|TestHerd|TestPlacement|TestWaitingSet|TestLagged|TestProbeFloor|TestPrunedSweep|TestPureDecode|TestAdmitOnly|TestCoast|TestWarmProbeMatchesNaive|TestPlannerVectorMatchesScalarRule
 CHAOS_PKGS = ./internal/cluster/ ./internal/kv/ ./internal/engine/
 chaos:
 	@tests=$$($(GO) test -list . $(CHAOS_PKGS)) || exit 1; \

@@ -113,11 +113,9 @@ func fig6State(step int) (running []*request.Request, queue []*request.Request) 
 	emit(r1, 2+step)
 	emit(r2, 3+step)
 	if !r1.Done() {
-		r1.State = request.Running
 		running = append(running, r1)
 	}
 	if !r2.Done() {
-		r2.State = request.Running
 		running = append(running, r2)
 	}
 	q := request.New(3, 4, 3, 3, 0)

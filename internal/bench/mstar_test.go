@@ -136,7 +136,7 @@ func TestMStarObserverIsStrict(t *testing.T) {
 		}
 		for i, a := range bare.Finished {
 			b := observed.Finished[i]
-			if a.ID != b.ID || a.FirstTokenAt != b.FirstTokenAt || a.FinishedAt != b.FinishedAt ||
+			if a.ID != b.ID || a.FirstTokenAt != b.FirstTokenAt || a.EndedAt != b.EndedAt ||
 				a.MaxGap != b.MaxGap || a.PredictedLen != b.PredictedLen {
 				t.Fatalf("%s: finished request %d differs: bare %+v, observed %+v", name, i, *a, *b)
 			}

@@ -325,9 +325,16 @@ func (a *admission) tryPlace(now float64, r *request.Request) bool {
 
 // place routes the request into the entry pool under the configured policy,
 // preserving its ArrivalTime (a cluster-front hold or a fault outage is
-// charged to TTFT).
+// charged to TTFT). A pick that is down for good loses the request.
 func (c *Cluster) place(now float64, r *request.Request) {
-	c.submit(now, r, c.pools[c.entry].route(r))
+	entry := c.pools[c.entry]
+	rep := entry.pick(r)
+	if rep.downForGood() {
+		c.lose(now, r, c.entry, rep.idx)
+		return
+	}
+	entry.routeTo(r, rep)
+	c.submit(now, r, rep)
 }
 
 // submit places the request on an entry replica the caller routed it to.

@@ -183,8 +183,8 @@ func TestAdmissionConservation(t *testing.T) {
 				if finished[r.ID] {
 					t.Fatalf("request %d both finished and shed", r.ID)
 				}
-				if r.Outcome != request.OutcomeShed || r.ShedAt < 0 {
-					t.Fatalf("shed request %d outcome %v at %v", r.ID, r.Outcome, r.ShedAt)
+				if r.Outcome != request.OutcomeShed || r.EndedAt < 0 {
+					t.Fatalf("shed request %d outcome %v at %v", r.ID, r.Outcome, r.EndedAt)
 				}
 				shed[r.ID] = true
 			}

@@ -259,8 +259,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		for _, rep := range c.pools[c.entry].reps {
 			rep := rep
-			rep.eng.AddHandoffHook(func(now float64, r *request.Request) {
-				c.onHandoff(rep.idx, now, r)
+			rep.eng.AddExitHook(func(now float64, r *request.Request) {
+				if r.Outcome == request.OutcomePending { // a handoff
+					c.onHandoff(rep.idx, now, r)
+				}
 			})
 		}
 	}
@@ -461,7 +463,15 @@ func (c *Cluster) handleArrival(t float64, req *request.Request) {
 	}
 	// Not c.place: a fresh arrival goes through Submit, which clamps a stale
 	// ArrivalTime up to the engine's clock, where a placement keeps it.
-	rep := entry.route(req)
+	rep := entry.pick(req)
+	if rep.downForGood() {
+		if c.rec != nil {
+			c.rec.Arrive(t, req)
+		}
+		c.lose(t, req, entry.id, rep.idx)
+		return
+	}
+	entry.routeTo(req, rep)
 	rep.eng.Submit(req)
 	if c.rec != nil {
 		// After Submit: the engine clamps a stale ArrivalTime up to its
@@ -708,7 +718,7 @@ func (c *Cluster) book(ev event) {
 		// recovery, the booking defers to the destination's repair, where the
 		// retry re-picks and prices normally. Not a wire failure, so Retries
 		// is not charged.
-		if !c.flt.cfg.Recover || math.IsInf(rep.repairAt, 1) {
+		if !c.flt.cfg.Recover || rep.downForGood() {
 			c.lose(ev.at, r, c.decode, rep.idx)
 			return
 		}

@@ -273,8 +273,8 @@ func serveTwin(t *testing.T, sc twinScenario, seed uint64, perStep bool) twinSid
 	for _, id := range ids {
 		r := byID[id]
 		fmt.Fprintf(&b, "req%d %v gen=%d evict=%d adm=%d retries=%d", r.ID, r.Outcome, r.Generated, r.Evictions, r.Admissions, r.Retries)
-		for _, f := range []float64{r.ArrivalTime, r.FirstTokenAt, r.LastEmitAt, r.MaxGap, r.FinishedAt,
-			r.DroppedAt, r.ShedAt, r.PrefillDoneAt, r.DeliveredAt} {
+		for _, f := range []float64{r.ArrivalTime, r.FirstTokenAt, r.LastEmitAt, r.MaxGap, r.EndedAt,
+			r.PrefillDoneAt, r.DeliveredAt} {
 			fmt.Fprintf(&b, " %x", math.Float64bits(f))
 		}
 		b.WriteByte('\n')

@@ -242,7 +242,7 @@ func (c *Cluster) reenter(now float64, r *request.Request) {
 // lose ends a request as a terminal fault loss (no-recovery mode), charged
 // to the pool and replica it was lost on.
 func (c *Cluster) lose(now float64, r *request.Request, pool, rep int) {
-	r.MarkFailed()
+	r.MarkFailed(now)
 	c.flt.lost = append(c.flt.lost, r)
 	if c.rec != nil {
 		c.rec.Fail(now, r, pool, rep)

@@ -239,7 +239,8 @@ func faultScriptCluster(recover bool, sch faults.Script) (*Cluster, error) {
 // is consistent and, once drained, empty. Only a run the deadline cut may
 // leave work behind: a live step, a booking, a delivery or a retry on the
 // heap (fault and repair events are not work), or a request held by a
-// replica still down at the deadline.
+// replica still down at the deadline whose repair ends. A replica down for
+// good holds nothing: what would go to it is lost.
 func serveScript(t *testing.T, c *Cluster) {
 	t.Helper()
 	s := served{c: c, reqs: poissonReqs(40, 20, 1)}
@@ -256,7 +257,7 @@ func serveScript(t *testing.T, c *Cluster) {
 	stuck := map[*request.Request]bool{}
 	for _, p := range c.pools {
 		for _, rep := range p.reps {
-			if rep.down {
+			if rep.down && !rep.downForGood() {
 				rep.eng.ForEachWaiting(func(r *request.Request) { stuck[r] = true })
 				rep.eng.ForEachRunning(func(r *request.Request) { stuck[r] = true })
 			}
@@ -266,12 +267,14 @@ func serveScript(t *testing.T, c *Cluster) {
 	checkPools(t, c, !cut && len(stuck) == 0)
 }
 
-// TestPermanentCrash serves FuzzFaultScript's cluster with decode replicas
-// that never come back, with and without recovery: every arrival must end,
-// lost when no decode replica is left to take its KV.
+// TestPermanentCrash serves FuzzFaultScript's cluster with replicas that
+// never come back, with and without recovery: every arrival must end, lost
+// when no decode replica is left to take its KV or the entry replica is
+// gone.
 func TestPermanentCrash(t *testing.T) {
 	inf := math.Inf(1)
 	for _, sch := range []faults.Script{
+		{{At: 0.5, Kind: faults.Crash, Pool: 0, Duration: inf}},
 		{{At: 0.5, Kind: faults.Crash, Pool: 1, Duration: inf}},
 		{{At: 0.5, Kind: faults.Crash, Pool: 1, Duration: inf}, {At: 0.7, Kind: faults.Crash, Pool: 1, Replica: 1, Duration: inf}},
 	} {

@@ -409,7 +409,7 @@ func (tr *decisionTrace) onRoute(pool int) func(r *request.Request, rep int) {
 // collect records what a served cluster decided besides routing.
 func (tr *decisionTrace) collect(c *Cluster, results []*engine.Result, sla metrics.SLA) {
 	for _, s := range c.ShedRequests() {
-		tr.sheds = append(tr.sheds, fmt.Sprintf("req%d@%.9f", s.ID, s.ShedAt))
+		tr.sheds = append(tr.sheds, fmt.Sprintf("req%d@%.9f", s.ID, s.EndedAt))
 	}
 	for _, h := range c.Handoffs() {
 		tr.handoffs = append(tr.handoffs, fmt.Sprintf("req%d %d->%d @%.9f", h.Req.ID, h.FromReplica, h.ToReplica, h.DeliveredAt))
@@ -536,8 +536,11 @@ func checkEnded(t *testing.T, s served, pending func(*request.Request) bool) (co
 			if r.Outcome != l.want {
 				t.Fatalf("%s request %d outcome %v", l.name, r.ID, r.Outcome)
 			}
-			if r.Outcome == request.OutcomeShed && !(r.ShedAt >= r.ArrivalTime) {
-				t.Fatalf("request %d arrived at %v, shed at %v", r.ID, r.ArrivalTime, r.ShedAt)
+			if r.Outcome == request.OutcomeShed && !(r.EndedAt >= r.ArrivalTime) {
+				t.Fatalf("request %d arrived at %v, shed at %v", r.ID, r.ArrivalTime, r.EndedAt)
+			}
+			if !(r.EndedAt >= 0) {
+				t.Fatalf("%s request %d ended at %v", l.name, r.ID, r.EndedAt)
 			}
 		}
 	}

@@ -318,7 +318,10 @@ func newPool(c *Cluster, id int, cfg Config) (*Pool, error) {
 	if p.cfg.Planner != nil {
 		p.plan = newPlanner(*p.cfg.Planner, p.flavors, cfg.Role)
 		for _, rep := range p.reps {
-			rep.eng.AddFinishHook(func(_ float64, r *request.Request) {
+			rep.eng.AddExitHook(func(_ float64, r *request.Request) {
+				if r.Outcome != request.OutcomeCompleted {
+					return
+				}
 				// A decode pool corrects on observed MTPOT — the metric it
 				// owns: the delivery→next-token queueing gap that mean TPOT
 				// amortises away is exactly what its sizing must absorb.
@@ -593,20 +596,32 @@ func (rep *replica) accepts() bool {
 // provisioned replica is still activating (or draining), so fall back to
 // the first active one — traffic is never dropped by the pool itself. A
 // crashed replica is the last resort of the last resort: only when every
-// replica is down does the pool hand one back (work routed to it waits out
-// the repair; recovery re-arms its step events).
+// replica is down does the pool hand one back, one whose repair ends if
+// any does (work routed to it waits out the repair; recovery re-arms its
+// step events). The caller ends a request whose pick is down for good.
 func (p *Pool) fallbackReplica() *replica {
+	var down *replica
 	for _, rep := range p.reps {
-		if rep.active && !rep.down {
+		if !rep.active {
+			continue
+		}
+		if !rep.down {
 			return rep
+		}
+		if down == nil || down.downForGood() && !rep.downForGood() {
+			down = rep
 		}
 	}
-	for _, rep := range p.reps {
-		if rep.active {
-			return rep
-		}
+	if down != nil {
+		return down
 	}
 	return p.reps[0]
+}
+
+// downForGood reports whether the replica is down with a repair that never
+// ends: work placed on it would never run.
+func (rep *replica) downForGood() bool {
+	return rep.down && math.IsInf(rep.repairAt, 1)
 }
 
 // pick selects the replica for one request under the configured policy.

@@ -36,7 +36,6 @@ func newCertWorld(cfg PastFutureConfig, seed uint64) *certWorld {
 	var running []*request.Request
 	for i := 0; i < 2+r.Intn(60); i++ {
 		req := cw.request(r, r.Intn(longest+longest/4))
-		req.State = request.Running
 		used += req.Footprint()
 		running = append(running, req)
 	}
@@ -244,7 +243,6 @@ func runCertificateSequence(t *testing.T, seed uint64, ops []byte) certCounts {
 					cw.v.Running = append(cw.v.Running[:j:j], cw.v.Running[j+1:]...)
 				case param%3 == 1:
 					req := cw.request(r, r.Intn(300))
-					req.State = request.Running
 					cw.v.Running = append(cw.v.Running, req)
 				default:
 					for _, req := range cw.v.Running {

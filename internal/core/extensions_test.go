@@ -16,7 +16,6 @@ func TestNoResampleFreezesPredictions(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		running.EmitToken(float64(i))
 	}
-	running.State = request.Running
 	v := view(10_000, []*request.Request{running}, w)
 	pf.Admit(v, []*request.Request{request.New(2, 10, 5, 200, 0)})
 	if running.PredictedLen != 60 {
@@ -32,7 +31,6 @@ func TestNoResampleFloorsOvertakenPredictions(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		running.EmitToken(float64(i))
 	}
-	running.State = request.Running
 	v := view(10_000, []*request.Request{running}, w)
 	pf.Admit(v, []*request.Request{request.New(2, 10, 5, 200, 0)})
 	if running.PredictedLen != 21 {
@@ -48,7 +46,6 @@ func TestResampleUpdatesEveryStepByDefault(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		running.EmitToken(float64(i))
 	}
-	running.State = request.Running
 	v := view(10_000, []*request.Request{running}, w)
 	pf.Admit(v, []*request.Request{request.New(2, 10, 5, 200, 0)})
 	if running.PredictedLen != 100 {

@@ -523,7 +523,6 @@ func admitTrial(r *rng.RNG, seed uint64, knee bool) func() (*View, []*request.Re
 		var running []*request.Request
 		for i := 0; i < nRun; i++ {
 			req := mkReq(int64(i), false)
-			req.State = request.Running
 			preset(req, 16)
 			used += req.Footprint()
 			running = append(running, req)
@@ -723,7 +722,6 @@ func hotPathState(batch, queue int) (*View, []*request.Request) {
 		for j := 0; j < 16+r.Intn(128); j++ {
 			req.EmitToken(float64(j))
 		}
-		req.State = request.Running
 		used += req.Footprint()
 		running = append(running, req)
 	}

@@ -123,7 +123,6 @@ func TestPastFutureConditionalResampling(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		running.EmitToken(float64(i)) // generated 20 > most history
 	}
-	running.State = request.Running
 	v := view(1000, []*request.Request{running}, w)
 	queued := request.New(2, 5, 10, 100, 0)
 	pf.Admit(v, []*request.Request{queued})
@@ -273,7 +272,6 @@ func TestAggressiveWatermarkBudget(t *testing.T) {
 func TestAggressiveCountsRunningUsage(t *testing.T) {
 	a := MustNewAggressive(1.0)
 	running := request.New(1, 70, 50, 100, 0)
-	running.State = request.Running
 	v := view(100, []*request.Request{running}, dist.NewWindow(10))
 	q := []*request.Request{request.New(2, 40, 5, 10, 0)}
 	if got := a.Admit(v, q); got != 0 {
@@ -318,7 +316,6 @@ func TestConservativeOvercommit(t *testing.T) {
 func TestConservativeCountsRunningReservations(t *testing.T) {
 	c := MustNewConservative(1.0)
 	running := request.New(1, 10, 50, 80, 0) // reserves 90
-	running.State = request.Running
 	v := view(100, []*request.Request{running}, dist.NewWindow(10))
 	q := []*request.Request{request.New(2, 5, 2, 4, 0)} // needs 9 > 10 left
 	if got := c.Admit(v, q); got != 1 {
@@ -393,7 +390,6 @@ func TestFigure6Scenario(t *testing.T) {
 		for i := 0; i < 3+extraSteps; i++ {
 			r2.EmitToken(float64(i))
 		}
-		r1.State, r2.State = request.Running, request.Running
 		q := request.New(3, 4, 3, 3, 0)
 		return []*request.Request{r1, r2}, q
 	}

@@ -88,18 +88,18 @@ func TestWaitingSetCountsSubmittedBeforeStep(t *testing.T) {
 
 func TestAllHookAddersChain(t *testing.T) {
 	e := newEngine(t, core.MustNewAggressive(0.99), 500)
-	var tokens, finishes, iters int
+	var tokens, exits, iters int
 	e.AddTokenHook(func(float64, *request.Request) { tokens++ })
 	e.AddTokenHook(func(float64, *request.Request) { tokens++ }) // chained: counts twice
-	e.AddFinishHook(func(float64, *request.Request) { finishes++ })
+	e.AddExitHook(func(float64, *request.Request) { exits++ })
 	e.AddIterationHook(func(float64, Iteration) { iters++ })
 	e.SubmitAll(mkReqs(10, 20, 40, 100))
 	res := e.Run()
 	if tokens != int(res.OutputTokens)*2 {
 		t.Fatalf("token hook fired %d times for %d tokens", tokens, res.OutputTokens)
 	}
-	if finishes != len(res.Finished) {
-		t.Fatalf("finish hook %d vs %d", finishes, len(res.Finished))
+	if left := len(res.Finished) + len(res.TimedOut) + len(res.Failed); exits != left {
+		t.Fatalf("exit hook %d vs %d", exits, left)
 	}
 	if iters == 0 {
 		t.Fatal("iteration hook never fired")

@@ -114,7 +114,7 @@ func TestChunkPolicyEquivalence(t *testing.T) {
 		out := []string{fmt.Sprintf("dur=%.9f steps=%d chunkIters=%d chunks=%d out=%d",
 			res.Duration, res.DecodeSteps, res.ChunkIters, res.PrefillChunks, res.OutputTokens)}
 		for _, r := range res.Finished {
-			out = append(out, fmt.Sprintf("req%d first=%.9f fin=%.9f", r.ID, r.FirstTokenAt, r.FinishedAt))
+			out = append(out, fmt.Sprintf("req%d first=%.9f fin=%.9f", r.ID, r.FirstTokenAt, r.EndedAt))
 		}
 		return out
 	}

@@ -153,9 +153,9 @@ func (cr *coastRun) look() {
 
 // stamp is everything the engine writes on a request, floats bit for bit.
 func stamp(r *request.Request) string {
-	return fmt.Sprintf("%d:gen=%d,first=%x,last=%x,gap=%x,fin=%x,drop=%x,evict=%d,adm=%d,%v",
+	return fmt.Sprintf("%d:gen=%d,first=%x,last=%x,gap=%x,end=%x,evict=%d,adm=%d,%v",
 		r.ID, r.Generated, math.Float64bits(r.FirstTokenAt), math.Float64bits(r.LastEmitAt),
-		math.Float64bits(r.MaxGap), math.Float64bits(r.FinishedAt), math.Float64bits(r.DroppedAt),
+		math.Float64bits(r.MaxGap), math.Float64bits(r.EndedAt),
 		r.Evictions, r.Admissions, r.Outcome)
 }
 

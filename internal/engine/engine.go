@@ -85,8 +85,9 @@ const (
 	RoleMixed Role = iota
 	// RolePrefillOnly runs prompts only: a request completes at its first
 	// token (computed by the prefill pass), frees its KV allocation, and is
-	// handed off to a decode engine through AddHandoffHook — unless the
-	// first token is also its last, in which case it finishes here.
+	// handed off to a decode engine through AddExitHook (still pending) —
+	// unless the first token is also its last, in which case it finishes
+	// here.
 	RolePrefillOnly
 	// RoleDecodeOnly runs decode only: it accepts requests migrated from a
 	// prefill engine via SubmitMigrated, whose KV footprint (prompt + the
@@ -135,29 +136,23 @@ func (p EvictionPolicy) String() string {
 	}
 }
 
-// hooks are the engine's optional observation callbacks, attached through
-// the Add*Hook methods. Nil hooks are skipped.
+// hooks are the engine's observers, attached through the Add*Hook methods
+// and called in the order they were attached.
 type hooks struct {
-	// OnAdmit fires after a round that admitted something, before the
+	// admit hears of every round that admitted something, before the
 	// prompts' prefill runs. The round's slices and View are per-step
 	// scratch the engine reuses: read them during the callback, copy what
 	// must outlive the Step.
-	OnAdmit func(now float64, round core.AdmitRound)
-	// OnToken fires for every emitted token (used by the streaming server).
-	OnToken func(now float64, r *request.Request)
-	// OnFinish fires when a request completes (closed-loop clients submit
-	// their next request from here).
-	OnFinish func(now float64, r *request.Request)
-	// OnDrop fires when a queued request is abandoned via QueueTimeout.
-	OnDrop func(now float64, r *request.Request)
-	// OnFail fires when the engine drops a request as unservable.
-	OnFail func(now float64, r *request.Request)
-	// OnHandoff fires when a prefill-only engine completes a request's
-	// prompt and releases it for migration to a decode engine. The request's
-	// KV memory is already freed; r.PrefillDoneAt records the handoff time.
-	OnHandoff func(now float64, r *request.Request)
-	// OnIteration fires after every engine iteration.
-	OnIteration func(now float64, it Iteration)
+	admit []func(now float64, round core.AdmitRound)
+	// token hears of every emitted token (the streaming server).
+	token []func(now float64, r *request.Request)
+	// exit hears of every request leaving the engine, after its Outcome and
+	// EndedAt are set: completed, dropped (QueueTimeout) or failed
+	// (unservable) — or handed off by a prefill-only engine, whose outcome
+	// is still pending, with its KV freed and PrefillDoneAt set.
+	exit []func(now float64, r *request.Request)
+	// iteration hears of every engine iteration.
+	iteration []func(now float64, it Iteration)
 }
 
 // Iteration describes one executed engine iteration for observers.
@@ -650,74 +645,29 @@ func (e *Engine) ForEachWaiting(f func(*request.Request)) {
 // mid-chunk).
 func (e *Engine) RunningLen() int { return len(e.running) + len(e.prefilling) }
 
-// AddFinishHook chains f after any existing OnFinish hook. Closed-loop
-// clients use this to submit their next request on completion.
-func (e *Engine) AddFinishHook(f func(now float64, r *request.Request)) {
-	prev := e.hooks.OnFinish
-	e.hooks.OnFinish = func(now float64, r *request.Request) {
-		if prev != nil {
-			prev(now, r)
-		}
-		f(now, r)
-	}
-}
-
-// AddTokenHook chains f after any existing OnToken hook (streaming server).
-func (e *Engine) AddTokenHook(f func(now float64, r *request.Request)) {
-	prev := e.hooks.OnToken
-	e.hooks.OnToken = func(now float64, r *request.Request) {
-		if prev != nil {
-			prev(now, r)
-		}
-		f(now, r)
-	}
-}
-
-// AddDropHook chains f after any existing OnDrop hook.
-func (e *Engine) AddDropHook(f func(now float64, r *request.Request)) {
-	prev := e.hooks.OnDrop
-	e.hooks.OnDrop = func(now float64, r *request.Request) {
-		if prev != nil {
-			prev(now, r)
-		}
-		f(now, r)
-	}
-}
-
-// AddHandoffHook chains f after any existing OnHandoff hook. The cluster's
-// transfer link schedules the KV migration from here.
-func (e *Engine) AddHandoffHook(f func(now float64, r *request.Request)) {
-	prev := e.hooks.OnHandoff
-	e.hooks.OnHandoff = func(now float64, r *request.Request) {
-		if prev != nil {
-			prev(now, r)
-		}
-		f(now, r)
-	}
-}
-
-// AddFailHook chains f after any existing OnFail hook.
-func (e *Engine) AddFailHook(f func(now float64, r *request.Request)) {
-	prev := e.hooks.OnFail
-	e.hooks.OnFail = func(now float64, r *request.Request) {
-		if prev != nil {
-			prev(now, r)
-		}
-		f(now, r)
-	}
-}
-
-// AddAdmitHook chains f after any existing OnAdmit hook. The cluster's
-// planner observes prefix-cache hits from here, and a core.MStarObserver
+// AddAdmitHook attaches f to every admitting round. The cluster's planner
+// observes prefix-cache hits from here, and a core.MStarObserver
 // (AddAdmitHook(o.Observe)) the true M* of the batch each round leaves.
 func (e *Engine) AddAdmitHook(f func(now float64, round core.AdmitRound)) {
-	prev := e.hooks.OnAdmit
-	e.hooks.OnAdmit = func(now float64, round core.AdmitRound) {
-		if prev != nil {
-			prev(now, round)
-		}
-		f(now, round)
-	}
+	e.hooks.admit = append(e.hooks.admit, f)
+}
+
+// AddTokenHook attaches f to every emitted token (the streaming server). An
+// engine with a token hook never coasts.
+func (e *Engine) AddTokenHook(f func(now float64, r *request.Request)) {
+	e.hooks.token = append(e.hooks.token, f)
+}
+
+// AddExitHook attaches f to every request leaving the engine; r.Outcome
+// says how (OutcomePending for a prefill-only handoff). Closed-loop clients
+// submit their next request from here, and the cluster books KV transfers.
+func (e *Engine) AddExitHook(f func(now float64, r *request.Request)) {
+	e.hooks.exit = append(e.hooks.exit, f)
+}
+
+// AddIterationHook attaches f to every executed iteration.
+func (e *Engine) AddIterationHook(f func(now float64, it Iteration)) {
+	e.hooks.iteration = append(e.hooks.iteration, f)
 }
 
 // SetRecorder attaches a lifecycle recorder and this engine's cluster
@@ -729,15 +679,31 @@ func (e *Engine) SetRecorder(rec obs.Recorder, pool, rep int) {
 	e.obsRep = rep
 }
 
-// failRequest records a request as unservable and fires OnFail.
+// failRequest ends r as unservable.
 func (e *Engine) failRequest(r *request.Request) {
-	r.MarkFailed()
-	e.failed = append(e.failed, r)
+	r.MarkFailed(e.clock)
+	e.leave(r, &e.failed)
+}
+
+// leave takes r out of the engine onto its Result list — the one way out,
+// for a completion, a drop, a failure or a handoff: the list, the released
+// flag, the exit hooks, then the recorder's event for r.Outcome (none for a
+// handoff, whose outcome is still pending).
+func (e *Engine) leave(r *request.Request, list *[]*request.Request) {
+	*list = append(*list, r)
 	e.released = true
-	if e.hooks.OnFail != nil {
-		e.hooks.OnFail(e.clock, r)
+	for _, f := range e.hooks.exit {
+		f(e.clock, r)
 	}
-	if e.rec != nil {
+	if e.rec == nil {
+		return
+	}
+	switch r.Outcome {
+	case request.OutcomeCompleted:
+		e.rec.Finish(e.clock, r, e.obsPool, e.obsRep)
+	case request.OutcomeDropped:
+		e.rec.Drop(e.clock, r, e.obsPool, e.obsRep)
+	case request.OutcomeFailed:
 		e.rec.Fail(e.clock, r, e.obsPool, e.obsRep)
 	}
 }
@@ -783,17 +749,6 @@ const (
 // and rebuild it after any other.
 func (e *Engine) LastStep() StepKind { return e.lastStep }
 
-// AddIterationHook chains f after any existing OnIteration hook.
-func (e *Engine) AddIterationHook(f func(now float64, it Iteration)) {
-	prev := e.hooks.OnIteration
-	e.hooks.OnIteration = func(now float64, it Iteration) {
-		if prev != nil {
-			prev(now, it)
-		}
-		f(now, it)
-	}
-}
-
 // Submit schedules a request for arrival. Arrival times before the current
 // clock are clamped to now.
 func (e *Engine) Submit(r *request.Request) {
@@ -830,7 +785,6 @@ func (e *Engine) SubmitMigrated(r *request.Request, at float64) {
 	if !r.Migrated {
 		panic(fmt.Sprintf("engine: SubmitMigrated of request %d without RecordMigration", r.ID))
 	}
-	r.State = request.Waiting
 	e.SubmitAt(r, at)
 }
 

@@ -54,8 +54,8 @@ func TestSingleRequestLifecycle(t *testing.T) {
 	if r.TTFT() < 0 {
 		t.Fatal("TTFT not recorded")
 	}
-	if r.State != request.Finished {
-		t.Fatalf("state = %v", r.State)
+	if r.Outcome != request.OutcomeCompleted {
+		t.Fatalf("state = %v", r.Outcome)
 	}
 	// 1 prefill + 10 decode steps (every output token comes from a decode
 	// step; the prefill only encodes the prompt).
@@ -265,7 +265,7 @@ func TestArrivalTimesRespected(t *testing.T) {
 	if late.FirstTokenAt < 100 {
 		t.Fatalf("late request served at %v before its arrival", late.FirstTokenAt)
 	}
-	if early.FinishedAt >= late.FirstTokenAt {
+	if early.EndedAt >= late.FirstTokenAt {
 		t.Fatal("early request should complete before the late one starts")
 	}
 }
@@ -306,10 +306,10 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-func TestClosedLoopViaOnFinish(t *testing.T) {
+func TestClosedLoopViaExitHook(t *testing.T) {
 	e := newEngine(t, core.NewOracle(), 1000)
 	served := 0
-	e.AddFinishHook(func(now float64, r *request.Request) {
+	e.AddExitHook(func(now float64, r *request.Request) {
 		served++
 		if served < 5 {
 			e.Submit(request.New(r.ID+100, 50, 10, 20, now))
@@ -658,8 +658,8 @@ func refusedBehind(batch []*request.Request, capacity int) *request.Request {
 // scheduler refuses, every measured step also holds an admission round that
 // admits nothing. In the admitting cases every measured op holds a
 // Past-Future round that admits, once bare and once with a
-// core.MStarObserver and its control draw attached: the true M* costs an
-// observed engine no allocation either.
+// core.MStarObserver and its control draw and an exit hook attached: neither
+// the true M* nor the hooks cost an observed engine an allocation.
 func TestStepZeroAllocsNilRecorder(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -728,7 +728,7 @@ func TestStepZeroAllocsNilRecorder(t *testing.T) {
 
 // admittingEngine returns a sampling Past-Future engine with a warm window on
 // a pool that holds about two hundred short requests, optionally with a
-// core.MStarObserver and its control draw attached.
+// core.MStarObserver and its control draw and an exit hook attached.
 func admittingEngine(t *testing.T, observed bool) *Engine {
 	t.Helper()
 	seed := make([]int, 200)
@@ -747,6 +747,8 @@ func admittingEngine(t *testing.T, observed bool) *Engine {
 	if observed {
 		control := core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.05, Rng: rng.New(2)})
 		e.AddAdmitHook(core.NewMStarObserver(control).Observe)
+		exits := 0
+		e.AddExitHook(func(float64, *request.Request) { exits++ })
 	}
 	return e
 }

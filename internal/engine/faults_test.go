@@ -9,14 +9,12 @@ import (
 
 // TestCrashEvacuatesEverything: a crash mid-run returns every request the
 // engine holds — running, queued, and future arrivals — leaves the KV pool
-// empty, and the engine idle. No finish/drop hooks fire: the cluster layer
-// decides the orphans' fate.
+// empty, and the engine idle. No exit hook fires: the cluster layer decides
+// the orphans' fate.
 func TestCrashEvacuatesEverything(t *testing.T) {
 	e := newEngine(t, core.NewOracle(), 4000)
 	var hooks int
-	e.AddFinishHook(func(float64, *request.Request) { hooks++ })
-	e.AddDropHook(func(float64, *request.Request) { hooks++ })
-	e.AddFailHook(func(float64, *request.Request) { hooks++ })
+	e.AddExitHook(func(float64, *request.Request) { hooks++ })
 
 	// Enough work that some is running, some queued, and one arrival is
 	// still in the future when the crash lands.

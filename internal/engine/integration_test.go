@@ -82,8 +82,8 @@ func TestIntegrationInvariantsAcrossSchedulers(t *testing.T) {
 					if req.Generated != req.TrueOutputLen {
 						t.Fatalf("request %d: %d of %d tokens", req.ID, req.Generated, req.TrueOutputLen)
 					}
-					if req.State != request.Finished {
-						t.Fatalf("request %d state %v", req.ID, req.State)
+					if req.Outcome != request.OutcomeCompleted {
+						t.Fatalf("request %d state %v", req.ID, req.Outcome)
 					}
 					emitted += int64(req.Generated)
 				}

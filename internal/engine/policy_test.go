@@ -98,8 +98,8 @@ func TestQueueTimeoutDropsStaleRequests(t *testing.T) {
 	if len(res.TimedOut) != 1 || res.TimedOut[0].ID != 2 {
 		t.Fatalf("timed out: %v", res.TimedOut)
 	}
-	if res.TimedOut[0].DroppedAt <= 0.5 {
-		t.Fatalf("dropped at %v, before the timeout elapsed", res.TimedOut[0].DroppedAt)
+	if res.TimedOut[0].EndedAt <= 0.5 {
+		t.Fatalf("dropped at %v, before the timeout elapsed", res.TimedOut[0].EndedAt)
 	}
 	if len(res.Finished) != 1 {
 		t.Fatalf("finished %d", len(res.Finished))
@@ -145,7 +145,11 @@ func TestQueueTimeoutDropHookAndState(t *testing.T) {
 		t.Fatal(err)
 	}
 	drops := 0
-	e.AddDropHook(func(now float64, r *request.Request) { drops++ })
+	e.AddExitHook(func(now float64, r *request.Request) {
+		if r.Outcome == request.OutcomeDropped {
+			drops++
+		}
+	})
 	e.Submit(request.New(1, 100, 60, 49, 0))
 	e.Submit(request.New(2, 100, 10, 49, 0))
 	e.Run()
@@ -305,7 +309,11 @@ func TestFailHookFires(t *testing.T) {
 		t.Fatal(err)
 	}
 	failed := 0
-	e.AddFailHook(func(now float64, r *request.Request) { failed++ })
+	e.AddExitHook(func(now float64, r *request.Request) {
+		if r.Outcome == request.OutcomeFailed {
+			failed++
+		}
+	})
 	e.Submit(request.New(1, 500, 5, 10, 0)) // unservable
 	res := e.Run()
 	if failed != 1 || len(res.Failed) != 1 {

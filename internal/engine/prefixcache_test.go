@@ -113,9 +113,9 @@ func TestPrefixCacheDisabledInert(t *testing.T) {
 	}
 	for i := range hashed.Finished {
 		h, s := hashed.Finished[i], stripped.Finished[i]
-		if h.ID != s.ID || h.FirstTokenAt != s.FirstTokenAt || h.FinishedAt != s.FinishedAt {
+		if h.ID != s.ID || h.FirstTokenAt != s.FirstTokenAt || h.EndedAt != s.EndedAt {
 			t.Fatalf("finished %d differs: %d@%v/%v vs %d@%v/%v",
-				i, h.ID, h.FirstTokenAt, h.FinishedAt, s.ID, s.FirstTokenAt, s.FinishedAt)
+				i, h.ID, h.FirstTokenAt, h.EndedAt, s.ID, s.FirstTokenAt, s.EndedAt)
 		}
 	}
 }

@@ -29,8 +29,8 @@ func TestSubmitAtPreservesArrivalTime(t *testing.T) {
 		t.Fatalf("SubmitAt mutated ArrivalTime to %v", held.ArrivalTime)
 	}
 	e.Run()
-	if held.State != request.Finished {
-		t.Fatalf("held request state %v", held.State)
+	if held.Outcome != request.OutcomeCompleted {
+		t.Fatalf("held request state %v", held.Outcome)
 	}
 	// The first token cannot precede the release, and TTFT counts from the
 	// user's arrival — the cluster-front hold is not forgiven.
@@ -45,8 +45,8 @@ func TestSubmitAtPreservesArrivalTime(t *testing.T) {
 	late := request.New(3, 100, 5, 50, 1)
 	e.SubmitAt(late, e.Clock()-10)
 	e.Run()
-	if late.State != request.Finished {
-		t.Fatalf("late request state %v", late.State)
+	if late.Outcome != request.OutcomeCompleted {
+		t.Fatalf("late request state %v", late.Outcome)
 	}
 }
 

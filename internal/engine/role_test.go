@@ -57,7 +57,11 @@ func TestRoleValidation(t *testing.T) {
 func TestPrefillOnlyHandsOffAtFirstToken(t *testing.T) {
 	e := roleEngine(t, engine.RolePrefillOnly, 50_000)
 	var hooked []*request.Request
-	e.AddHandoffHook(func(_ float64, r *request.Request) { hooked = append(hooked, r) })
+	e.AddExitHook(func(_ float64, r *request.Request) {
+		if r.Outcome == request.OutcomePending {
+			hooked = append(hooked, r)
+		}
+	})
 
 	reqs := []*request.Request{
 		request.New(1, 400, 200, 512, 0),
@@ -112,7 +116,10 @@ func TestMigratedRequestCompletesOnDecodeEngine(t *testing.T) {
 		want[q.ID] = q.TrueOutputLen
 	}
 
-	pre.AddHandoffHook(func(now float64, q *request.Request) {
+	pre.AddExitHook(func(now float64, q *request.Request) {
+		if q.Outcome != request.OutcomePending {
+			return
+		}
 		q.RecordMigration(now + transferDelay)
 		dec.SubmitMigrated(q, now+transferDelay)
 	})

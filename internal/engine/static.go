@@ -60,7 +60,6 @@ func (e *Engine) formStaticBatch() bool {
 			continue
 		}
 		r.KV = h
-		r.State = request.Running
 		r.Admissions++
 		e.admissions++
 		e.inputTokens += int64(r.InputLen)
@@ -100,7 +99,7 @@ func (e *Engine) stepStaticDecode() bool {
 		}
 	}
 	for _, r := range e.staticBatch {
-		if r.State != request.Finished && r.Done() {
+		if r.Outcome == request.OutcomePending && r.Done() {
 			e.finish(r) // the lane stays allocated until the batch drains
 		}
 	}

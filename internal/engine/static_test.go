@@ -74,7 +74,7 @@ func TestStaticBatchWaitsForDueTime(t *testing.T) {
 			t.Fatalf("no drain after %d steps: clock %v, %d waiting", steps, e.Clock(), e.WaitingLen())
 		}
 	}
-	if r.State != request.Finished || r.FirstTokenAt < due {
-		t.Fatalf("request %v, first token at %v, due %v", r.State, r.FirstTokenAt, due)
+	if r.Outcome != request.OutcomeCompleted || r.FirstTokenAt < due {
+		t.Fatalf("request %v, first token at %v, due %v", r.Outcome, r.FirstTokenAt, due)
 	}
 }

@@ -101,7 +101,7 @@ func (e *Engine) Step() bool {
 //     set minLeft);
 //   - owed+1 < minLeft: no running request emits its last token on this step,
 //     so nobody finishes, the history window holds and no hook fires;
-//   - no OnToken hook: nobody is told of tokens one by one;
+//   - no token hook: nobody is told of tokens one by one;
 //   - block size 1 and a physically free block for every owed token and this
 //     step's: each token is one block, nothing is evicted, and no cached
 //     prefix block is reclaimed to make room (AvailableBlocks would count
@@ -114,7 +114,7 @@ func (e *Engine) Step() bool {
 // observers, all read off the owed-adjusted pool numbers.
 func (e *Engine) coast() bool {
 	n := len(e.running)
-	if e.owed+1 >= e.minLeft || e.hooks.OnToken != nil ||
+	if e.owed+1 >= e.minLeft || len(e.hooks.token) > 0 ||
 		e.pool.BlockSize() != 1 || (e.owed+1)*n > e.pool.FreeBlocks() {
 		return false
 	}
@@ -178,7 +178,7 @@ func (e *Engine) refuse() bool {
 // leaves a round to a catch-up.
 func (e *Engine) CoastEnd() float64 {
 	n := len(e.running)
-	if n == 0 || e.queue.Len() > 0 || e.hooks.OnToken != nil || e.pool.BlockSize() != 1 {
+	if n == 0 || e.queue.Len() > 0 || len(e.hooks.token) > 0 || e.pool.BlockSize() != 1 {
 		return e.clock
 	}
 	// coast's two counting terms, solved for the number of steps k: step j
@@ -282,14 +282,7 @@ func (e *Engine) dropExpired() {
 		func(r *request.Request) bool { return !e.expired(r) },
 		func(r *request.Request) {
 			r.MarkDropped(e.clock)
-			e.timedOut = append(e.timedOut, r)
-			e.released = true
-			if e.hooks.OnDrop != nil {
-				e.hooks.OnDrop(e.clock, r)
-			}
-			if e.rec != nil {
-				e.rec.Drop(e.clock, r, e.obsPool, e.obsRep)
-			}
+			e.leave(r, &e.timedOut)
 		},
 	)
 }
@@ -329,7 +322,7 @@ func (e *Engine) decide() int {
 
 // admit asks the scheduler for a FCFS prefix, allocates prompt memory, and
 // removes the admitted requests from the queue. All slices it hands out
-// (the scheduler's view, the OnAdmit hook's round, the returned admissions)
+// (the scheduler's view, the admit hooks' round, the returned admissions)
 // are per-step scratch buffers: valid until the next Step, never retained
 // by the engine, and must not be retained by hooks or schedulers. Reusing
 // them keeps a steady-state Step free of heap allocations.
@@ -365,7 +358,6 @@ func (e *Engine) admit() []*request.Request {
 			break // block fragmentation: physically infeasible, stop here
 		}
 		e.queue.PopFront()
-		r.State = request.Running
 		r.Admissions++
 		e.admissions++
 		// A migrated first admission encodes nothing here: the prompt was
@@ -384,8 +376,8 @@ func (e *Engine) admit() []*request.Request {
 		return nil
 	}
 	e.admitRetries = 0
-	if e.hooks.OnAdmit != nil {
-		e.hooks.OnAdmit(e.clock, core.AdmitRound{
+	for _, f := range e.hooks.admit {
+		f(e.clock, core.AdmitRound{
 			View: &e.viewScratch, Queued: len(e.queueScratch), Admitted: admitted, Whole: len(admitted) == asked,
 		})
 	}
@@ -504,7 +496,6 @@ func (e *Engine) evictLast() {
 	victim := e.running[len(e.running)-1]
 	e.running = e.running[:len(e.running)-1]
 	e.free(victim)
-	victim.State = request.Waiting
 	victim.Evictions++
 	if e.cfg.Eviction == Swap {
 		victim.Swapped = true // KV parked in host memory
@@ -582,16 +573,12 @@ func (e *Engine) completePrefills(admitted []*request.Request) {
 	for _, r := range admitted {
 		e.emit(r)
 		e.free(r)
-		e.released = true
 		if r.Done() {
 			e.finish(r)
 			continue
 		}
 		r.PrefillDoneAt = e.clock
-		e.handedOff = append(e.handedOff, r)
-		if e.hooks.OnHandoff != nil {
-			e.hooks.OnHandoff(e.clock, r)
-		}
+		e.leave(r, &e.handedOff)
 	}
 }
 
@@ -600,8 +587,8 @@ func (e *Engine) completePrefills(admitted []*request.Request) {
 func (e *Engine) emit(r *request.Request) {
 	first := r.FirstTokenAt < 0
 	r.EmitToken(e.clock)
-	if e.hooks.OnToken != nil {
-		e.hooks.OnToken(e.clock, r)
+	for _, f := range e.hooks.token {
+		f(e.clock, r)
 	}
 	if first && e.rec != nil {
 		e.rec.FirstToken(e.clock, r, e.obsPool, e.obsRep)
@@ -616,14 +603,7 @@ func (e *Engine) emit(r *request.Request) {
 func (e *Engine) finish(r *request.Request) {
 	r.Finish(e.clock)
 	e.history.Add(r.TrueOutputLen)
-	e.finished = append(e.finished, r)
-	e.released = true
-	if e.hooks.OnFinish != nil {
-		e.hooks.OnFinish(e.clock, r)
-	}
-	if e.rec != nil {
-		e.rec.Finish(e.clock, r, e.obsPool, e.obsRep)
-	}
+	e.leave(r, &e.finished)
 }
 
 // decodeRunning gives every running request one token, after ensureExtendable
@@ -711,10 +691,8 @@ func (e *Engine) observe(t float64) {
 // iterations, the prompts that advanced a chunk — never a token
 // count (chunk tokens are reported through Recorder.Chunk).
 func (e *Engine) iterationHook(kind string, dur float64, batch int) {
-	if e.hooks.OnIteration != nil {
-		e.hooks.OnIteration(e.clock, Iteration{
-			Kind: kind, Duration: dur, BatchSize: batch, KVTokens: e.usedTokens(),
-		})
+	for _, f := range e.hooks.iteration {
+		f(e.clock, Iteration{Kind: kind, Duration: dur, BatchSize: batch, KVTokens: e.usedTokens()})
 	}
 	if e.rec != nil {
 		// Cache evictions happen inside pool reclaim loops (allocation,

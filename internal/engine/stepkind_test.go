@@ -109,10 +109,7 @@ func watchSteps(e *engine.Engine) *stepWatch {
 			}
 		}
 	})
-	left := func(float64, *request.Request) { w.left++ }
-	e.AddDropHook(left)
-	e.AddFinishHook(left)
-	e.AddHandoffHook(left)
+	e.AddExitHook(func(float64, *request.Request) { w.left++ })
 	return w
 }
 
@@ -202,8 +199,8 @@ func timeoutBesideAdmission(t *testing.T) (*engine.Engine, []*request.Request) {
 	// A dry run finds when the first request finishes.
 	e, reqs := build(0)
 	finishAt := -1.0
-	e.AddFinishHook(func(now float64, r *request.Request) {
-		if r.ID == 1 {
+	e.AddExitHook(func(now float64, r *request.Request) {
+		if r.ID == 1 && r.Outcome == request.OutcomeCompleted {
 			finishAt = now
 		}
 	})

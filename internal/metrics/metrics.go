@@ -127,7 +127,7 @@ func Summarize(finished []*request.Request, sla SLA, from, to float64) Summary {
 	mtpots := make([]float64, 0, len(finished))
 	var evictions int
 	for _, r := range finished {
-		if r.FinishedAt <= from || r.FinishedAt > to {
+		if r.EndedAt <= from || r.EndedAt > to {
 			continue
 		}
 		s.Total++
@@ -164,12 +164,12 @@ func Summarize(finished []*request.Request, sla SLA, from, to float64) Summary {
 	return s
 }
 
-// AddTimedOut folds queue-abandoned requests (DroppedAt in (from, to]) into
+// AddTimedOut folds queue-abandoned requests (EndedAt in (from, to]) into
 // the summary: each counts as one request violating the TTFT SLA with zero
 // good tokens. Throughput/goodput rates are unchanged (no tokens flowed).
 func (s *Summary) AddTimedOut(dropped []*request.Request, from, to float64) {
 	for _, r := range dropped {
-		if r.DroppedAt <= from || r.DroppedAt > to {
+		if r.EndedAt <= from || r.EndedAt > to {
 			continue
 		}
 		s.Total++
@@ -178,14 +178,14 @@ func (s *Summary) AddTimedOut(dropped []*request.Request, from, to float64) {
 	}
 }
 
-// AddShed folds admission-shed requests (ShedAt in (from, to]) into the
+// AddShed folds admission-shed requests (EndedAt in (from, to]) into the
 // summary: each counts as one request violating the TTFT SLA with zero good
 // tokens, so shedding cannot launder overall attainment — it can only trade
 // refused requests for protected ones. The latency percentiles stay
 // served-only (a shed request has no latency to report).
 func (s *Summary) AddShed(shed []*request.Request, from, to float64) {
 	for _, r := range shed {
-		if r.ShedAt <= from || r.ShedAt > to {
+		if r.EndedAt <= from || r.EndedAt > to {
 			continue
 		}
 		s.Total++
@@ -197,8 +197,9 @@ func (s *Summary) AddShed(shed []*request.Request, from, to float64) {
 // AddLost folds crash-killed requests into the summary: each counts as one
 // request violating the TTFT SLA with zero good tokens, exactly like a shed
 // — service was promised and never rendered. No window filter: a lost
-// request has no completion time to filter on, and excluding it would make
-// losing work look like serving it.
+// request ends when its fault struck, not when service would have, and
+// excluding one whose loss fell outside the window would make losing work
+// look like serving it.
 func (s *Summary) AddLost(lost []*request.Request) {
 	for range lost {
 		s.Total++

@@ -147,9 +147,9 @@ func TestAddTimedOut(t *testing.T) {
 	good := finishedReq(1, 0, 1, []float64{0.5})
 	s := Summarize([]*request.Request{good}, SLA{TTFT: 5, MTPOT: 5}, 0, 10)
 	dropped := request.New(2, 10, 5, 10, 0)
-	dropped.DroppedAt = 4.0
+	dropped.MarkDropped(4.0)
 	outside := request.New(3, 10, 5, 10, 0)
-	outside.DroppedAt = 20.0 // past the window: excluded
+	outside.MarkDropped(20.0) // past the window: excluded
 	s.AddTimedOut([]*request.Request{dropped, outside}, 0, 10)
 	if s.Total != 2 || s.TimedOut != 1 || s.ViolatedTTFT != 1 {
 		t.Fatalf("after drops: total=%d timedout=%d ttftviol=%d", s.Total, s.TimedOut, s.ViolatedTTFT)

@@ -153,7 +153,7 @@ func (c *Collector) WritePerfetto(w io.Writer) error {
 		if s.ShedWhere != "" {
 			evs = append(evs, perfettoEvent{
 				Name: "shed:" + s.ShedWhere, Ph: "i", Cat: "admission", Scope: "p",
-				Ts: s.R.ShedAt * usec, Pid: pidFront, Tid: 0,
+				Ts: s.R.EndedAt * usec, Pid: pidFront, Tid: 0,
 				Args: map[string]any{"req": s.R.ID},
 			})
 		}

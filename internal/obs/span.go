@@ -7,6 +7,8 @@ import (
 	"os"
 	"slices"
 	"strconv"
+
+	"github.com/lightllm-go/lightllm/internal/request"
 )
 
 // spanHeader is the per-request span CSV schema, the one per-request file a
@@ -42,11 +44,15 @@ func (c *Collector) WriteSpanCSV(w io.Writer) error {
 		if s.TTFTAt < 0 {
 			ttft = -1
 		}
+		finishedAt := -1.0
+		if r.Outcome == request.OutcomeCompleted {
+			finishedAt = r.EndedAt
+		}
 		rec := []string{
 			strconv.FormatInt(r.ID, 10), r.Class,
 			formatFloat(r.ArrivalTime), formatFloat(r.TTFTDeadline),
 			r.Outcome.String(), s.ShedWhere,
-			formatFloat(r.FirstTokenAt), formatFloat(r.FinishedAt), formatFloat(ttft),
+			formatFloat(r.FirstTokenAt), formatFloat(finishedAt), formatFloat(ttft),
 			formatFloat(s.Hold), formatFloat(s.Queue), formatFloat(s.Prefill),
 			formatFloat(s.Wire), formatFloat(s.Outage),
 			strconv.Itoa(s.Pool), strconv.Itoa(s.Rep), s.Flavor,
@@ -131,16 +137,14 @@ func ReadSpanCSVFile(path string) ([]SpanRow, error) {
 }
 
 func parseSpanRow(row []string) (SpanRow, error) {
-	var s SpanRow
 	if len(row) != len(spanHeader) {
-		return s, fmt.Errorf("have %d fields, want %d", len(row), len(spanHeader))
+		return SpanRow{}, fmt.Errorf("have %d fields, want %d", len(row), len(spanHeader))
 	}
+	s := SpanRow{Class: row[1], Outcome: row[4], ShedWhere: row[5], Flavor: row[16], Held: row[17] == "1"}
 	var err error
 	if s.ID, err = strconv.ParseInt(row[0], 10, 64); err != nil {
 		return s, err
 	}
-	s.Class, s.Outcome, s.ShedWhere, s.Flavor = row[1], row[4], row[5], row[16]
-	s.Held = row[17] == "1"
 	for _, f := range []struct {
 		dst *float64
 		idx int

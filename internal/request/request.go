@@ -14,37 +14,11 @@ import (
 	"github.com/lightllm-go/lightllm/internal/kv"
 )
 
-// State is a request's lifecycle phase.
-type State int
-
-const (
-	// Waiting: in the queue (newly arrived or re-queued after eviction).
-	Waiting State = iota
-	// Running: in the running batch, holding KV memory.
-	Running
-	// Finished: all output tokens delivered; memory released.
-	Finished
-)
-
-// String implements fmt.Stringer.
-func (s State) String() string {
-	switch s {
-	case Waiting:
-		return "waiting"
-	case Running:
-		return "running"
-	case Finished:
-		return "finished"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
-
-// Outcome is a request's terminal disposition. State tracks where a request
-// sits inside one engine (queue vs batch); Outcome tracks how its life ends
-// across the whole cluster — exactly one terminal outcome per request, which
-// is the conservation law the fleet tests pin: every arrival ends exactly
-// once in {completed, shed, dropped, failed}.
+// Outcome is a request's terminal disposition: how its life ends across the
+// whole cluster — exactly one terminal outcome per request, which is the
+// conservation law the fleet tests pin: every arrival ends exactly once in
+// {completed, shed, dropped, failed}. Where a pending request sits (arrival
+// heap, queue, batch, link) is the container holding it, not a field.
 type Outcome int
 
 const (
@@ -97,7 +71,6 @@ type Request struct {
 	MaxNewTokens  int
 
 	// Runtime state, owned by the engine.
-	State      State
 	Generated  int // output tokens emitted so far (kept across evictions)
 	Evictions  int // times this request was evicted from the running batch
 	Admissions int // times this request was admitted (1 + re-admissions)
@@ -110,18 +83,17 @@ type Request struct {
 	FirstTokenAt float64 // timestamp of first output token; <0 until set
 	LastEmitAt   float64 // timestamp of most recent output token
 	MaxGap       float64 // max gap between consecutive output tokens (MTPOT)
-	FinishedAt   float64 // completion timestamp; <0 until finished
-	DroppedAt    float64 // queue-timeout abandonment timestamp; <0 if never
 
-	// Outcome is the request's terminal disposition (set exactly once).
+	// Outcome is the request's terminal disposition and EndedAt when it was
+	// reached (<0 while pending); both are set once, together, by Finish,
+	// Shed, MarkDropped or MarkFailed.
 	Outcome Outcome
+	EndedAt float64
 	// TTFTDeadline is the absolute time by which the first token must be
 	// visible for the SLA to hold (ArrivalTime + TTFT budget); 0 when no
 	// deadline was stamped. Cluster-front admission control sheds requests
 	// whose remaining budget cannot cover the predicted service floor.
 	TTFTDeadline float64
-	// ShedAt is when admission control shed the request; <0 if never.
-	ShedAt float64
 
 	// Swapped marks a request whose KV cache sits in host memory after a
 	// swap-policy eviction; re-admission pays a swap-in transfer instead of
@@ -214,12 +186,9 @@ func New(id int64, inputLen, trueOutputLen, maxNewTokens int, arrival float64) *
 		InputLen:      inputLen,
 		TrueOutputLen: trueOutputLen,
 		MaxNewTokens:  maxNewTokens,
-		State:         Waiting,
 		FirstTokenAt:  -1,
 		LastEmitAt:    -1,
-		FinishedAt:    -1,
-		DroppedAt:     -1,
-		ShedAt:        -1,
+		EndedAt:       -1,
 		PrefillDoneAt: -1,
 		DeliveredAt:   -1,
 	}
@@ -292,51 +261,39 @@ func (r *Request) EmitTokens(k int, now, maxGap float64) {
 	r.Generated += k
 }
 
+// end sets the terminal outcome o at now — the one place an outcome is set,
+// and the one that refuses a second.
+func (r *Request) end(o Outcome, now float64) {
+	if r.Outcome != OutcomePending {
+		panic(fmt.Sprintf("request %d: %v after terminal outcome %v", r.ID, o, r.Outcome))
+	}
+	r.Outcome = o
+	r.EndedAt = now
+}
+
 // Finish marks completion at the given time.
 func (r *Request) Finish(now float64) {
 	if !r.Done() {
 		panic(fmt.Sprintf("request %d: finished with %d of %d tokens", r.ID, r.Generated, r.TrueOutputLen))
 	}
-	if r.Outcome != OutcomePending {
-		panic(fmt.Sprintf("request %d: finished after terminal outcome %v", r.ID, r.Outcome))
-	}
-	r.State = Finished
-	r.FinishedAt = now
-	r.Outcome = OutcomeCompleted
+	r.end(OutcomeCompleted, now)
 }
 
 // Shed marks the request refused by cluster-front admission control at the
 // given time: its remaining TTFT budget could not cover the predicted
 // prefill + transfer + admission wait, so serving it would only burn
-// capacity on a guaranteed SLA violation. Shedding is terminal — the
-// request must not already hold another terminal outcome — and legal both
-// before any engine saw the request (front-of-cluster shed) and after a
-// prefill-only engine handed it off but before the KV transfer was booked
-// (transfer-boundary shed).
-func (r *Request) Shed(now float64) {
-	if r.Outcome != OutcomePending {
-		panic(fmt.Sprintf("request %d: shed after terminal outcome %v", r.ID, r.Outcome))
-	}
-	r.Outcome = OutcomeShed
-	r.ShedAt = now
-}
+// capacity on a guaranteed SLA violation. Legal both before any engine saw
+// the request (front-of-cluster shed) and after a prefill-only engine
+// handed it off but before the KV transfer was booked (transfer-boundary
+// shed).
+func (r *Request) Shed(now float64) { r.end(OutcomeShed, now) }
 
-// MarkDropped records a queue-timeout abandonment as the terminal outcome.
-func (r *Request) MarkDropped(now float64) {
-	if r.Outcome != OutcomePending {
-		panic(fmt.Sprintf("request %d: dropped after terminal outcome %v", r.ID, r.Outcome))
-	}
-	r.Outcome = OutcomeDropped
-	r.DroppedAt = now
-}
+// MarkDropped records a queue-timeout abandonment at the given time.
+func (r *Request) MarkDropped(now float64) { r.end(OutcomeDropped, now) }
 
-// MarkFailed records an unservable drop as the terminal outcome.
-func (r *Request) MarkFailed() {
-	if r.Outcome != OutcomePending {
-		panic(fmt.Sprintf("request %d: failed after terminal outcome %v", r.ID, r.Outcome))
-	}
-	r.Outcome = OutcomeFailed
-}
+// MarkFailed records at the given time a request the engine found
+// unservable, or one a fault destroyed with no recovery.
+func (r *Request) MarkFailed(now float64) { r.end(OutcomeFailed, now) }
 
 // RecordMigration marks the KV transfer from a prefill-only engine as
 // delivered at the given time. The first token was computed at prefill
@@ -371,7 +328,6 @@ func (r *Request) ResetForRetry() {
 	if r.Outcome != OutcomePending {
 		panic(fmt.Sprintf("request %d: retry after terminal outcome %v", r.ID, r.Outcome))
 	}
-	r.State = Waiting
 	r.Generated = 0
 	r.FirstTokenAt = -1
 	r.LastEmitAt = -1
@@ -407,16 +363,17 @@ func (r *Request) TPOT() float64 {
 // MTPOT returns the maximum inter-token gap (0 for single-token outputs).
 func (r *Request) MTPOT() float64 { return r.MaxGap }
 
-// Latency returns total time from arrival to completion, or -1 if running.
+// Latency returns total time from arrival to completion, or -1 unless
+// completed.
 func (r *Request) Latency() float64 {
-	if r.FinishedAt < 0 {
+	if r.Outcome != OutcomeCompleted {
 		return -1
 	}
-	return r.FinishedAt - r.ArrivalTime
+	return r.EndedAt - r.ArrivalTime
 }
 
 // String implements fmt.Stringer for debug output.
 func (r *Request) String() string {
 	return fmt.Sprintf("req(%d %s in=%d out=%d/%d evict=%d)",
-		r.ID, r.State, r.InputLen, r.Generated, r.TrueOutputLen, r.Evictions)
+		r.ID, r.Outcome, r.InputLen, r.Generated, r.TrueOutputLen, r.Evictions)
 }

@@ -88,8 +88,8 @@ func TestFinishLifecycle(t *testing.T) {
 	r.EmitToken(2.0)
 	r.EmitToken(3.0)
 	r.Finish(3.0)
-	if r.State != Finished {
-		t.Fatalf("state = %v", r.State)
+	if r.Outcome != OutcomeCompleted || r.EndedAt != 3.0 {
+		t.Fatalf("outcome %v at %v", r.Outcome, r.EndedAt)
 	}
 	if got := r.Latency(); got != 2.0 {
 		t.Fatalf("latency = %v", got)
@@ -127,15 +127,6 @@ func TestEvictionGapCountsTowardMTPOT(t *testing.T) {
 	}
 }
 
-func TestStateString(t *testing.T) {
-	if Waiting.String() != "waiting" || Running.String() != "running" || Finished.String() != "finished" {
-		t.Fatal("state strings wrong")
-	}
-	if !strings.HasPrefix(State(99).String(), "state(") {
-		t.Fatal("unknown state string wrong")
-	}
-}
-
 func TestRequestString(t *testing.T) {
 	r := New(7, 10, 3, 10, 0)
 	s := r.String()
@@ -156,13 +147,13 @@ func TestRemainingTrue(t *testing.T) {
 func TestOutcomeTerminalExactlyOnce(t *testing.T) {
 	// Completion is a terminal outcome.
 	r := New(1, 10, 1, 10, 0)
-	if r.Outcome != OutcomePending {
-		t.Fatalf("new request outcome %v, want pending", r.Outcome)
+	if r.Outcome != OutcomePending || r.EndedAt != -1 {
+		t.Fatalf("new request outcome %v at %v, want pending at -1", r.Outcome, r.EndedAt)
 	}
 	r.EmitToken(1)
 	r.Finish(1)
-	if r.Outcome != OutcomeCompleted || r.FinishedAt != 1 {
-		t.Fatalf("finished request outcome %v at %v", r.Outcome, r.FinishedAt)
+	if r.Outcome != OutcomeCompleted || r.EndedAt != 1 {
+		t.Fatalf("finished request outcome %v at %v", r.Outcome, r.EndedAt)
 	}
 	mustPanic(t, "shed after completion", func() { r.Shed(2) })
 
@@ -170,24 +161,25 @@ func TestOutcomeTerminalExactlyOnce(t *testing.T) {
 	s := New(2, 10, 4, 10, 0)
 	s.TTFTDeadline = 8
 	s.Shed(3)
-	if s.Outcome != OutcomeShed || s.ShedAt != 3 {
-		t.Fatalf("shed request outcome %v at %v", s.Outcome, s.ShedAt)
+	if s.Outcome != OutcomeShed || s.EndedAt != 3 {
+		t.Fatalf("shed request outcome %v at %v", s.Outcome, s.EndedAt)
 	}
 	mustPanic(t, "double shed", func() { s.Shed(4) })
 	mustPanic(t, "drop after shed", func() { s.MarkDropped(4) })
-	mustPanic(t, "fail after shed", func() { s.MarkFailed() })
+	mustPanic(t, "fail after shed", func() { s.MarkFailed(4) })
 
 	d := New(3, 10, 4, 10, 0)
 	d.MarkDropped(5)
-	if d.Outcome != OutcomeDropped || d.DroppedAt != 5 {
-		t.Fatalf("dropped request outcome %v at %v", d.Outcome, d.DroppedAt)
+	if d.Outcome != OutcomeDropped || d.EndedAt != 5 {
+		t.Fatalf("dropped request outcome %v at %v", d.Outcome, d.EndedAt)
 	}
 
 	f := New(4, 10, 4, 10, 0)
-	f.MarkFailed()
-	if f.Outcome != OutcomeFailed {
-		t.Fatalf("failed request outcome %v", f.Outcome)
+	f.MarkFailed(6)
+	if f.Outcome != OutcomeFailed || f.EndedAt != 6 {
+		t.Fatalf("failed request outcome %v at %v", f.Outcome, f.EndedAt)
 	}
+	mustPanic(t, "drop after failure", func() { f.MarkDropped(7) })
 }
 
 func TestOutcomeString(t *testing.T) {

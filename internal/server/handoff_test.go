@@ -43,7 +43,7 @@ func TestLinesMatchEncodingJSON(t *testing.T) {
 		}
 
 		sum := generateResponse{ID: id, OutputTokens: token, TTFT: f, TPOT: -f, MTPOT: f / 3, Latency: f / 7,
-			Evictions: i, Status: eventKind(1 + i%3).status()}
+			Evictions: i, Status: status(request.Outcome(1 + i%4))}
 		got = appendSummaryLine(nil, sum)
 		want, err := json.Marshal(sum)
 		if err != nil {
@@ -88,7 +88,7 @@ func TestDrainIsOneWriteOneFlush(t *testing.T) {
 		for i := 1; i <= k; i++ {
 			srv.notify(r.ID, event{kind: evToken, index: i, t: float64(i) / 8})
 		}
-		srv.notify(r.ID, event{kind: evFinish})
+		srv.notify(r.ID, event{kind: evEnd})
 		left := len(srv.subs)
 		srv.mu.Unlock()
 		if left != 0 {
@@ -123,7 +123,7 @@ func TestPlainReplySkipsTokens(t *testing.T) {
 	}
 	events := append([]event(nil), mb.events...)
 	srv.mu.Unlock()
-	if len(events) != 1 || events[0].kind != evFinish {
+	if len(events) != 1 || events[0].kind != evEnd {
 		t.Fatalf("plain mailbox holds %+v, want the finish alone", events)
 	}
 }

@@ -33,12 +33,13 @@
 //
 // # Drain, then flush
 //
-// The engine's token, finish, drop and fail hooks run inside a step, under
-// the server's lock; each appends an event to the request's mailbox and
-// raises a capacity-1 wake signal, so a hook never blocks and nothing is
-// sized by max_new_tokens. The handler wakes, takes every event that is in
-// the mailbox at that moment, encodes them into one buffer and issues one
-// Write and, for a stream, one Flush. It never waits for a batch to fill: a
+// The engine's token and exit hooks run inside a step, under the server's
+// lock; each appends an event to the request's mailbox — a token, or the
+// one evEnd that closes the reply, its status read from the request's
+// outcome — and raises a capacity-1 wake signal, so a hook never blocks and
+// nothing is sized by max_new_tokens. The handler wakes, takes every event
+// that is in the mailbox at that moment, encodes them into one buffer and
+// issues one Write and, for a stream, one Flush. It never waits for a batch to fill: a
 // token that is alone in the mailbox leaves alone, so with Timescale > 0,
 // where the driver sleeps between steps, each token goes out as its step
 // ends and the time to first token on the wire is what it was with a flush
@@ -116,17 +117,15 @@ type eventKind uint8
 
 const (
 	evToken eventKind = iota
-	evFinish
-	evDrop
-	evFail
+	evEnd             // the request left the engine: its reply is complete
 )
 
-// status is the summary's status field for a terminal event kind.
-func (k eventKind) status() string {
-	switch k {
-	case evDrop:
+// status is the summary's status field for a request's outcome.
+func status(o request.Outcome) string {
+	switch o {
+	case request.OutcomeDropped:
 		return "dropped"
-	case evFail:
+	case request.OutcomeFailed:
 		return "failed"
 	}
 	return "ok"
@@ -143,7 +142,7 @@ type event struct {
 type mailbox struct {
 	events []event
 	wake   chan struct{} // capacity 1: "events is not empty"
-	tokens bool          // false: deliver the terminal event only
+	tokens bool          // false: deliver evEnd only
 
 	// The handler's own scratch. It lives here so that a recycled mailbox
 	// brings its grown slices to the next request.
@@ -152,8 +151,8 @@ type mailbox struct {
 }
 
 // mailboxes recycles mailboxes between requests. A handler returns its
-// mailbox only once no hook can reach it: after the terminal event or an
-// unsubscribe, both of which remove it from subs under s.mu.
+// mailbox only once no hook can reach it: after evEnd or an unsubscribe,
+// both of which remove it from subs under s.mu.
 var mailboxes = sync.Pool{New: func() interface{} {
 	return &mailbox{wake: make(chan struct{}, 1)}
 }}
@@ -191,12 +190,9 @@ func New(cfg Config) (*Server, error) {
 	s.eng.AddTokenHook(func(now float64, r *request.Request) {
 		s.notify(r.ID, event{kind: evToken, index: r.Generated, t: now})
 	})
-	terminal := func(kind eventKind) func(float64, *request.Request) {
-		return func(_ float64, r *request.Request) { s.notify(r.ID, event{kind: kind}) }
-	}
-	s.eng.AddFinishHook(terminal(evFinish))
-	s.eng.AddDropHook(terminal(evDrop))
-	s.eng.AddFailHook(terminal(evFail))
+	s.eng.AddExitHook(func(_ float64, r *request.Request) {
+		s.notify(r.ID, event{kind: evEnd})
+	})
 	return s, nil
 }
 
@@ -345,13 +341,13 @@ func (s *Server) submit(body generateRequest) (*request.Request, *mailbox) {
 }
 
 // take moves the mailbox's pending events to mb.taken, whose previous batch
-// the handler is done with, and reports whether the last of them is
-// terminal — if so with the request's summary, read under the same lock.
+// the handler is done with, and reports whether the last of them is evEnd —
+// if so with the request's summary, read under the same lock.
 func (s *Server) take(mb *mailbox, r *request.Request) (sum generateResponse, done bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	mb.taken, mb.events = mb.events, mb.taken[:0]
-	if n := len(mb.taken); n > 0 && mb.taken[n-1].kind != evToken {
+	if n := len(mb.taken); n > 0 && mb.taken[n-1].kind == evEnd {
 		done = true
 		sum = generateResponse{
 			ID:           r.ID,
@@ -361,7 +357,7 @@ func (s *Server) take(mb *mailbox, r *request.Request) (sum generateResponse, do
 			MTPOT:        r.MTPOT(),
 			Latency:      r.Latency(),
 			Evictions:    r.Evictions,
-			Status:       mb.taken[n-1].kind.status(),
+			Status:       status(r.Outcome),
 		}
 	}
 	return sum, done
@@ -376,8 +372,8 @@ func (s *Server) unsubscribe(id int64) {
 
 // reply writes the request's events as they arrive: on every wake, whatever
 // the mailbox holds goes out as one Write (and one Flush for a stream) — a
-// line per token, then the summary line once the terminal event is in. A
-// plain reply's mailbox only ever receives the terminal event.
+// line per token, then the summary line once evEnd is in. A plain reply's
+// mailbox only ever receives evEnd.
 func (s *Server) reply(w http.ResponseWriter, req *http.Request, r *request.Request, mb *mailbox) {
 	var flusher http.Flusher
 	if mb.tokens {

@@ -111,16 +111,16 @@ func NewClosedLoop(eng *engine.Engine, gen Generator, r *rng.RNG, clients, maxNe
 		maxNew: maxNew, think: think, deadline: deadline,
 		nextID: 1,
 	}
-	resubmit := func(now float64, req *request.Request) {
-		next := now + cl.think
-		if next < cl.deadline {
+	// A client issues its next request a think time after the last one
+	// completes or, SLA-aware, abandons the queue (queue timeout).
+	eng.AddExitHook(func(now float64, req *request.Request) {
+		if req.Outcome != request.OutcomeCompleted && req.Outcome != request.OutcomeDropped {
+			return
+		}
+		if next := now + cl.think; next < cl.deadline {
 			cl.submit(req.ClientID, next)
 		}
-	}
-	eng.AddFinishHook(resubmit)
-	// SLA-aware clients that abandon a queued request (queue timeout)
-	// immediately issue their next one.
-	eng.AddDropHook(resubmit)
+	})
 	// Seed one in-flight request per client at t=0.
 	for c := 0; c < clients; c++ {
 		cl.submit(c, 0)

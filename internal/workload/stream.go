@@ -28,8 +28,6 @@ type StreamConfig struct {
 	// MaxNew caps every request's output length (a deployment's
 	// max_new_tokens). Must be positive, as request.New requires.
 	MaxNew int
-	// StartTime offsets the arrival process.
-	StartTime float64
 }
 
 // Stream generates requests one at a time in nondecreasing arrival order —
@@ -38,7 +36,7 @@ type StreamConfig struct {
 // demand and owned by the simulation afterwards, never collected into a
 // slice. Drained fully, a Stream produces exactly the requests that
 // Build(Gen, Lengths, n, FirstID, MaxNew) followed by
-// AssignPhasedArrivals(reqs, Arrivals, Phases, StartTime) would.
+// AssignPhasedArrivals(reqs, Arrivals, Phases, 0) would.
 type Stream struct {
 	cfg     StreamConfig
 	classed ClassedGenerator
@@ -74,12 +72,7 @@ func NewStream(cfg StreamConfig) *Stream {
 	if cfg.N == 0 {
 		cfg.N = PhasedCount(cfg.Phases)
 	}
-	s := &Stream{
-		cfg:      cfg,
-		t:        cfg.StartTime,
-		phaseEnd: cfg.StartTime + cfg.Phases[0].Duration,
-		end:      cfg.StartTime,
-	}
+	s := &Stream{cfg: cfg, phaseEnd: cfg.Phases[0].Duration}
 	s.classed, _ = cfg.Gen.(ClassedGenerator)
 	s.sessed, _ = cfg.Gen.(SessionGenerator)
 	for _, ph := range cfg.Phases {

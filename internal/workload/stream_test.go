@@ -15,11 +15,11 @@ func TestStreamMatchesBuild(t *testing.T) {
 
 	n := PhasedCount(phases)
 	want := Build(gen, rng.New(11), n, 100, 256)
-	end := AssignPhasedArrivals(want, rng.New(22), phases, 1.5)
+	end := AssignPhasedArrivals(want, rng.New(22), phases, 0)
 
 	s := NewStream(StreamConfig{
 		Gen: gen, Lengths: rng.New(11), Arrivals: rng.New(22),
-		Phases: phases, FirstID: 100, MaxNew: 256, StartTime: 1.5,
+		Phases: phases, FirstID: 100, MaxNew: 256,
 	})
 	if s.Total() != n {
 		t.Fatalf("Total() = %d, PhasedCount = %d", s.Total(), n)
