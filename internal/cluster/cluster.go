@@ -219,6 +219,12 @@ type Cluster struct {
 	// their engine has not all taken yet (replica.coastIdx is the position +
 	// 1): the replicas catchUp visits.
 	coasting []*replica
+	// coastClock holds, beside each coasting replica, its engine's clock as
+	// of the last time the cluster moved or looked at it: never above the
+	// clock (clocks never fall), so catchUp passes over a replica whose entry
+	// is past an event without missing a step, and a stale entry costs one
+	// visit.
+	coastClock []float64
 	// cuts counts, by the kind of event that forced it, the catch-ups that
 	// took coasted steps inside a run; arrivals, which are no heap event,
 	// count under evStep, which never forces one.
@@ -919,21 +925,25 @@ func (c *Cluster) ensureStepEvent(p *Pool, rep *replica) {
 func (c *Cluster) pushStep(p *Pool, rep *replica, at float64) {
 	c.pushEvent(event{at: at, kind: evStep, pool: p.id, rep: rep.idx})
 	rep.stepSeq, rep.stepAt = c.evSeq, at
-	switch coasting := at != rep.eng.Clock(); {
+	clock := rep.eng.Clock()
+	switch coasting := at != clock; {
 	case coasting && rep.coastIdx == 0:
 		c.coasting = append(c.coasting, rep)
+		c.coastClock = append(c.coastClock, clock)
 		rep.coastIdx = len(c.coasting)
-	case !coasting && rep.coastIdx != 0:
+	case coasting:
+		c.coastClock[rep.coastIdx-1] = clock
+	case rep.coastIdx != 0:
 		c.dropCoaster(rep)
 	}
 }
 
 // dropCoaster takes a replica off the coasting list.
 func (c *Cluster) dropCoaster(rep *replica) {
-	last := c.coasting[len(c.coasting)-1]
-	c.coasting[rep.coastIdx-1] = last
-	last.coastIdx = rep.coastIdx
-	c.coasting = c.coasting[:len(c.coasting)-1]
+	i, last := rep.coastIdx-1, len(c.coasting)-1
+	c.coasting[i], c.coastClock[i] = c.coasting[last], c.coastClock[last]
+	c.coasting[i].coastIdx = rep.coastIdx
+	c.coasting, c.coastClock = c.coasting[:last], c.coastClock[:last]
 	rep.coastIdx = 0
 }
 
@@ -942,21 +952,28 @@ func (c *Cluster) dropCoaster(rep *replica) {
 // start before t, and those at t too when inclusive — the event's kind sorts
 // after evStep. Each counts one step of probe lag, as a popped pure decode
 // step would. A replica that reaches the end of its run leaves the list; its
-// step event is the next thing it waits for. It reports whether any replica
+// step event is the next thing it waits for. A replica whose clock
+// (coastClock) is past t, or at t when not inclusive, has no step to take and
+// is passed over without touching its engine. It reports whether any replica
 // took a step.
 func (c *Cluster) catchUp(t float64, inclusive bool) bool {
 	took := false
 	for i := 0; i < len(c.coasting); {
+		if clk := c.coastClock[i]; clk > t || clk == t && !inclusive {
+			i++
+			continue
+		}
 		rep := c.coasting[i]
 		if n := rep.eng.CoastUntil(t, inclusive); n > 0 {
 			rep.decoded(n)
 			took = true
 		}
-		if rep.eng.Clock() == rep.stepAt {
-			c.dropCoaster(rep) // the last replica moved into slot i
+		if clk := rep.eng.Clock(); clk != rep.stepAt {
+			c.coastClock[i] = clk
+			i++
 			continue
 		}
-		i++
+		c.dropCoaster(rep) // the last replica moved into slot i
 	}
 	return took
 }

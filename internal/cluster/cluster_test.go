@@ -87,6 +87,10 @@ func TestFleetValidation(t *testing.T) {
 		{"NaN planner headroom", Config{Planner: &PlannerConfig{SLA: metrics.SLASmall, Min: 1, Max: 2, Headroom: nan}}},
 		{"NaN planner TTFT target", Config{Planner: &PlannerConfig{SLA: metrics.SLA{TTFT: nan, MTPOT: 1.5}, Min: 1, Max: 2}}},
 		{"negative planner activation delay", Config{Planner: &PlannerConfig{SLA: metrics.SLASmall, Min: 1, Max: 2, ActivationDelay: -5}}},
+		{"planner interval below a millisecond", Config{Planner: &PlannerConfig{SLA: metrics.SLASmall, Min: 1, Max: 2, Interval: 1e-300}}},
+		{"autoscale eval interval below a millisecond", Config{Scale: &AutoScale{Min: 1, Max: 2, EvalInterval: 1e-4}}},
+		{"unknown planner predictor", Config{Planner: &PlannerConfig{SLA: metrics.SLASmall, Min: 1, Max: 2, Predictor: HoltPredictor + 1}}},
+		{"negative planner predictor", Config{Planner: &PlannerConfig{SLA: metrics.SLASmall, Min: 1, Max: 2, Predictor: -1}}},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

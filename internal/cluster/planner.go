@@ -29,7 +29,8 @@ type PlannerConfig struct {
 	SLA metrics.SLA
 	// Min and Max bound the active replica count. Min ≥ 1.
 	Min, Max int
-	// Interval is the adjustment interval in simulated seconds. 0 selects 10.
+	// Interval is the adjustment interval in simulated seconds. 0 selects 10;
+	// otherwise it is at least minTickInterval.
 	Interval float64
 	// Predictor selects the load-forecast model (one instance per signal).
 	Predictor PredictorKind
@@ -81,8 +82,8 @@ func (c PlannerConfig) validate(replicas int) error {
 	if c.Min < 1 || c.Max > replicas || c.Min > c.Max {
 		return fmt.Errorf("cluster: bad planner bounds [%d, %d] for %d replicas", c.Min, c.Max, replicas)
 	}
-	if !(c.Interval >= 0 && c.Interval < math.Inf(1)) {
-		return fmt.Errorf("cluster: planner interval %v outside [0,+Inf)", c.Interval)
+	if !(c.Interval == 0 || c.Interval >= minTickInterval && c.Interval < math.Inf(1)) {
+		return fmt.Errorf("cluster: planner interval %v neither 0 nor in [%v,+Inf)", c.Interval, minTickInterval)
 	}
 	if !(c.ActivationDelay >= 0 && c.ActivationDelay < math.Inf(1)) {
 		return fmt.Errorf("cluster: planner activation delay %v outside [0,+Inf)", c.ActivationDelay)
@@ -92,6 +93,9 @@ func (c PlannerConfig) validate(replicas int) error {
 	}
 	if c.Spare < 0 {
 		return fmt.Errorf("cluster: negative planner spare count %d", c.Spare)
+	}
+	if !(c.Predictor >= ConstantPredictor && c.Predictor <= HoltPredictor) {
+		return fmt.Errorf("cluster: unknown planner predictor %v", c.Predictor)
 	}
 	return nil
 }

@@ -58,10 +58,10 @@ type AutoScale struct {
 	// ActivationDelay is the simulated seconds between a scale-out decision
 	// and the replica accepting traffic (model load time).
 	ActivationDelay float64
-	// EvalInterval, when positive, additionally evaluates the thresholds on
-	// a periodic tick (so the policy can scale in while traffic drains, not
-	// only at arrivals). 0 evaluates at arrivals only — the original
-	// router behavior.
+	// EvalInterval, when positive (at least minTickInterval), additionally
+	// evaluates the thresholds on a periodic tick (so the policy can scale
+	// in while traffic drains, not only at arrivals). 0 evaluates at
+	// arrivals only — the original router behavior.
 	EvalInterval float64
 }
 
@@ -285,8 +285,8 @@ func newPool(c *Cluster, id int, cfg Config) (*Pool, error) {
 			return nil, fmt.Errorf("cluster: bad autoscale bounds [%d, %d] for %d replicas",
 				cfg.Scale.Min, cfg.Scale.Max, len(cfg.Replicas))
 		}
-		if !(cfg.Scale.EvalInterval >= 0 && cfg.Scale.EvalInterval < math.Inf(1)) {
-			return nil, fmt.Errorf("cluster: autoscale eval interval %v outside [0,+Inf)", cfg.Scale.EvalInterval)
+		if iv := cfg.Scale.EvalInterval; !(iv == 0 || iv >= minTickInterval && iv < math.Inf(1)) {
+			return nil, fmt.Errorf("cluster: autoscale eval interval %v neither 0 nor in [%v,+Inf)", iv, minTickInterval)
 		}
 		if !(cfg.Scale.ActivationDelay >= 0 && cfg.Scale.ActivationDelay < math.Inf(1)) {
 			return nil, fmt.Errorf("cluster: autoscale activation delay %v outside [0,+Inf)", cfg.Scale.ActivationDelay)
@@ -520,6 +520,13 @@ func (p *Pool) Imbalance() float64 {
 	}
 	return math.Sqrt(ss/n) / mean
 }
+
+// minTickInterval is the shortest autoscaler tick period a pool accepts, in
+// simulated seconds. A busy pool ticks every period, one event each: a period
+// below a millisecond buys a policy nothing, and one below the clock's
+// resolution lands each tick on the instant of the one before, so the event
+// loop would tick forever without moving, the planner's history growing.
+const minTickInterval = 1e-3
 
 // tickInterval returns the pool's autoscaler tick period, 0 when untimed.
 func (p *Pool) tickInterval() float64 {

@@ -1,22 +1,3 @@
-// Package core implements the paper's primary contribution: the Past-Future
-// request scheduler (§3, Algorithm 1) and the baseline schedulers it is
-// evaluated against (conservative, aggressive, and the theoretical-optimum
-// oracle).
-//
-// A scheduler's only job is the admission decision of continuous batching:
-// given the running batch, the KV-memory state, and the FCFS wait queue,
-// decide how many requests from the head of the queue join the batch now.
-//
-//   - The conservative scheduler (§2.4; TGI, DeepSpeed-MII) reserves
-//     input + max_new_tokens for every request — safe but wasteful.
-//   - The aggressive scheduler (§2.4; vLLM) admits on current usage only —
-//     high utilisation but frequent evictions once outputs grow.
-//   - The Past-Future scheduler predicts output lengths from the recent
-//     history window (the past) and computes the running batch's peak
-//     memory at every future completion point (the future, Eq. 2–4),
-//     admitting exactly when the peak stays under the reserve threshold.
-//   - The oracle applies the same future-peak computation to the hidden
-//     ground-truth lengths: the paper's "theoretical optimum".
 package core
 
 import (
@@ -30,8 +11,8 @@ import (
 // decision. Schedulers must treat it as read-only except for the
 // PredictedLen scratch field on requests and the PredictedPeak output. A
 // request's PredictedLen holds the prediction of the last round that priced
-// it; a round that refuses without pricing (PastFuture's refusal before
-// drawing) leaves it as it was.
+// it; a round that answers without pricing (PastFuture's refusal or
+// admission before drawing) leaves it as it was.
 type View struct {
 	// CapacityTokens is the KV pool's logical capacity.
 	CapacityTokens int
@@ -56,6 +37,13 @@ type View struct {
 	// queue, the window, the capacity — are not covered: a scheduler that
 	// keeps state across rounds of one Epoch checks those itself.
 	Epoch uint64
+	// Unobserved promises that nobody reads what the round leaves beyond its
+	// answer: not PredictedPeak, and not a request's PredictedLen. A scheduler
+	// may then answer without pricing when pricing cannot change the answer
+	// (PastFuture's admission under the conservative budget). The engine sets
+	// it when it has no admit hook; false, the zero value, asks for a priced
+	// round.
+	Unobserved bool
 
 	// PredictedPeak is an output: the M* a scheduler predicted for the batch
 	// it leaves behind — the running batch plus the prefix it admitted — or

@@ -69,6 +69,10 @@ type PastFuture struct {
 	// undrawn records that the last Admit refused the head before drawing
 	// (refusedUndrawn): it priced nothing and wrote no PredictedLen.
 	undrawn bool
+	// fitted records that the last Admit answered under the conservative
+	// budget before drawing (admittedUndrawn): it priced nothing, wrote no
+	// PredictedLen and left PredictedPeak at 0.
+	fitted bool
 
 	// cert is what the last round's refusal before drawing proved, kept for
 	// the rounds of the same View.Epoch after it (repeatRefusal); its epoch
@@ -141,13 +145,17 @@ func (pf *PastFuture) Reserved() float64 { return pf.cfg.Reserved }
 // Admit implements Algorithm 1. At each scheduling step it
 //
 //  1. rebuilds P(l) from the history window (Equation 1),
-//  2. refuses the queue's head before drawing anything when a floor under
-//     M* is already over the threshold — the batch's landed KV, the head's
-//     prompt and one more token for each of the n+1 — and skips the RNG
-//     past the draws steps 3 and 4 would have made (refusedUndrawn). A
-//     round of the same View.Epoch as such a refusal, whose floor has only
-//     grown and whose draw count cannot have changed, is refused the same
-//     way in O(1) (repeatRefusal),
+//  2. settles the round before drawing anything when the draws cannot change
+//     its answer, and skips the RNG past the draws steps 3 and 4 would have
+//     made. It refuses the queue's head when a floor under M* is already over
+//     the threshold — the batch's landed KV, the head's prompt and one more
+//     token for each of the n+1 (refusedUndrawn). A round of the same
+//     View.Epoch as such a refusal, whose floor has only grown and whose draw
+//     count cannot have changed, is refused the same way in O(1)
+//     (repeatRefusal). When the caller reads nothing the round leaves
+//     (View.Unobserved), it admits the prefix steps 3 and 4 would admit when
+//     a ceiling over M* stays under the threshold — every request held to its
+//     max_new_tokens, the conservative budget (admittedUndrawn),
 //  3. resamples the predicted total output length of every running request
 //     from P(l > generated) — the "past" informing the present batch,
 //  4. walks the queue FCFS, sampling each candidate's length from P(l),
@@ -163,14 +171,23 @@ func (pf *PastFuture) Admit(v *View, queue []*request.Request) int {
 	multi := len(v.Running)+len(queue) < pf.cfg.SmallBatch
 
 	pf.est.Reset()
+	pf.fitted = false
 	if pf.repeatRefusal(v, queue[0], threshold, multi) {
 		pf.undrawn = true
 		return 0
 	}
 	pf.cert.epoch = 0
-	pf.undrawn = pf.refusedUndrawn(v, global, queue[0], threshold, multi)
+	ceiled := v.Unobserved && !pf.cfg.NoResample
+	p, ok := pf.walk(v, global, queue[0], multi, ceiled)
+	pf.undrawn = ok && pf.refusedUndrawn(v, global, queue[0], threshold, multi, &p)
 	if pf.undrawn {
 		return 0
+	}
+	if ok && ceiled {
+		if n, fits := pf.admittedUndrawn(v, global, queue, threshold, multi, &p); fits {
+			pf.fitted = true
+			return n
+		}
 	}
 	for _, r := range v.Running {
 		pred := pf.predict(global, r, multi)
@@ -203,74 +220,152 @@ func (pf *PastFuture) Admit(v *View, queue []*request.Request) int {
 	return admitted
 }
 
-// refusedUndrawn is Admit's step 2, one pass over the batch that sums its
-// landed KV and counts the draws predict would make for it and the head.
-// Outside cold start every prediction leaves at least one token to come, so
-// the term Exceeds checks first with the head as candidate, ΣCurrent +
-// (n+1)·min Remaining, is at least ΣKVLanded + head.Footprint() + (n+1).
-// When that floor is over the threshold, the head is refused whatever the
-// draws would have been: refusedUndrawn skips the RNG past them, so every
-// later draw is the one the full round would have left, and reports true.
-//
-// It declines, and the round draws, in cold start (the cap predict falls back
-// to has no floor of 1), when a value lies outside Exceeds' no-wrap range
-// (every Current below 2^32, n below 2^30), or when a NoResample request
-// would draw a prediction that a later round keeps: a running one, whose
-// Generated grows, or a requeued head that has generated.
-// Otherwise no PredictedLen needs writing. Only NoResample reads it back, and
-// a kept prediction comes back as max(PredictedLen, Generated+1) whether or
-// not this round floored it first.
-//
-// A refusal under a non-zero View.Epoch leaves its certificate in pf.cert for
-// repeatRefusal.
-func (pf *PastFuture) refusedUndrawn(v *View, global *dist.Sampler, head *request.Request, threshold int, multi bool) bool {
-	if global == nil {
-		return false
+// batchPass is what Admit's one walk over the running batch before drawing
+// collects for refusedUndrawn and admittedUndrawn.
+type batchPass struct {
+	floor int    // ΣKVLanded + the head's footprint
+	ceil  int    // Σ(KVLanded + max(MaxNewTokens−Generated, 1) + PrefillRemaining), when ceiled
+	bits  uint64 // OR of the head's footprint and every landed value
+	cbits uint64 // OR of every ceiling term's remaining length
+	draws int    // the values predict would take for the batch and the head
+	drawn int    // the largest Generated that draws; math.MinInt when none
+}
+
+// walk is step 2's one pass over the batch: it sums the landed KV and, when
+// ceiled, the conservative budget, and counts the draws predict would make
+// for the batch and the head, through draws, the helper predict loops over.
+// It reports false when neither refusedUndrawn nor admittedUndrawn may
+// settle the round: in cold start without a ceiling, or when a NoResample
+// request would draw a prediction that a later round keeps — a running one,
+// whose Generated grows, or a requeued head that has generated (NoResample
+// never takes the ceiling).
+func (pf *PastFuture) walk(v *View, global *dist.Sampler, head *request.Request, multi, ceiled bool) (batchPass, bool) {
+	p := batchPass{floor: head.Footprint(), drawn: math.MinInt}
+	if global == nil && !ceiled {
+		return p, false
 	}
-	sum := head.Footprint()
-	bits := uint64(sum)
-	draws, drawn := 0, math.MinInt // drawn: the largest Generated that draws
+	p.bits = uint64(p.floor)
+	count := global != nil && !pf.cfg.Deterministic
 	for _, r := range v.Running {
 		c := r.KVLanded()
-		sum += c
-		bits |= uint64(c)
-		if !pf.cfg.Deterministic {
+		p.floor += c
+		p.bits |= uint64(c)
+		if ceiled {
+			rem := max(r.MaxNewTokens-r.Generated, 1) + r.PrefillRemaining()
+			p.ceil += c + rem
+			p.cbits |= uint64(rem)
+		}
+		if count {
 			n := pf.draws(global, r, multi)
 			if n > 0 {
 				if pf.cfg.NoResample {
-					return false
+					return p, false
 				}
-				drawn = max(drawn, r.Generated)
+				p.drawn = max(p.drawn, r.Generated)
 			}
-			draws += n
+			p.draws += n
 		}
 	}
-	if !pf.cfg.Deterministic {
+	if count {
 		n := pf.draws(global, head, multi)
 		if n > 0 && pf.cfg.NoResample && head.Generated > 0 {
-			return false
+			return p, false
 		}
-		draws += n
+		p.draws += n
 	}
+	return p, true
+}
+
+// refusedUndrawn is Admit's step 2 at the knee, over walk's sums. Outside
+// cold start every prediction leaves at least one token to come, so the term
+// Exceeds checks first with the head as candidate, ΣCurrent + (n+1)·min
+// Remaining, is at least ΣKVLanded + head.Footprint() + (n+1). When that
+// floor is over the threshold, the head is refused whatever the draws would
+// have been: refusedUndrawn skips the RNG past them, so every later draw is
+// the one the full round would have left, and reports true.
+//
+// It declines, and the round draws, in cold start (the cap predict falls back
+// to has no floor of 1) and when a value lies outside Exceeds' no-wrap range
+// (every Current below 2^32, n below 2^30); walk has declined for
+// NoResample. Otherwise no PredictedLen needs writing. Only NoResample reads
+// it back, and a kept prediction comes back as max(PredictedLen,
+// Generated+1) whether or not this round floored it first.
+//
+// A refusal under a non-zero View.Epoch leaves its certificate in pf.cert for
+// repeatRefusal.
+func (pf *PastFuture) refusedUndrawn(v *View, global *dist.Sampler, head *request.Request, threshold int, multi bool, p *batchPass) bool {
 	n := len(v.Running)
-	if bits>>32 != 0 || n >= 1<<30 || sum+n+1 <= threshold {
+	if global == nil || p.bits>>32 != 0 || n >= 1<<30 || p.floor+n+1 <= threshold {
 		return false
 	}
-	if draws > 0 {
-		pf.cfg.Rng.Skip(draws)
+	if p.draws > 0 {
+		pf.cfg.Rng.Skip(p.draws)
 	}
 	if v.Epoch != 0 {
 		gap := math.MaxInt
-		if drawn != math.MinInt {
-			gap = global.Max() - drawn
+		if p.drawn != math.MinInt {
+			gap = global.Max() - p.drawn
 		}
 		pf.cert = refusal{epoch: v.Epoch, head: head, n: n, window: v.History, gen: v.History.Generation(),
-			threshold: threshold, multi: multi, draws: draws, bits: bits, gap: gap}
+			threshold: threshold, multi: multi, draws: p.draws, bits: p.bits, gap: gap}
 		if n > 0 {
 			pf.cert.g0 = v.Running[0].Generated
 		}
 	}
 	return true
+}
+
+// admittedUndrawn is Admit's step 2 below the knee: the mirror of
+// refusedUndrawn, a ceiling over M* instead of a floor under it. predict
+// never returns more than MaxNewTokens nor less than Generated+1, so no
+// entry's Remaining is above its conservative one, max(MaxNewTokens −
+// Generated, 1) (plus the unprefilled prompt tail for a running request).
+// And sorted by Remaining descending, each completion point ΣCurrent_{j≤i} +
+// i·Remaining_i is at most Σ_{j≤i}(Current_j + Remaining_j), so M* of
+// non-negative entries is at most Σ(Current + Remaining). admittedUndrawn
+// walks the queue as steps 3 and 4 would, FCFS under the same FreeTokens
+// rule, adding each candidate's Footprint and conservative Remaining to walk's
+// ceiling. If the ceiling stays at or under the threshold up to where the
+// FreeTokens rule stops the prefix, or to the queue's end, every draw admits
+// that prefix: it skips the RNG past the draws steps 3 and 4 would make —
+// the batch's, and every candidate's up to and including the one the rule
+// stops — and returns the prefix and true.
+//
+// It declines, and the round draws, when a candidate's ceiling would pass
+// the threshold or a value lies outside Exceeds' no-wrap range (every
+// Current and conservative Remaining below 2^32, the batch and queue below
+// 2^30, so the ceiling cannot wrap either). It writes no PredictedLen and
+// leaves PredictedPeak at 0, which is why Admit only asks it under
+// View.Unobserved and not under NoResample, the one reader of PredictedLen.
+func (pf *PastFuture) admittedUndrawn(v *View, global *dist.Sampler, queue []*request.Request, threshold int, multi bool, p *batchPass) (int, bool) {
+	if (p.bits|p.cbits)>>32 != 0 || len(v.Running)+len(queue) >= 1<<30 {
+		return 0, false
+	}
+	count := global != nil && !pf.cfg.Deterministic
+	ceil, draws := p.ceil, p.draws // the head's draws are walk's
+	admitted, promptNeed := 0, 0
+	for i, q := range queue {
+		if i > 0 && count {
+			draws += pf.draws(global, q, multi)
+		}
+		f := q.Footprint()
+		if promptNeed+f > v.FreeTokens {
+			break
+		}
+		rem := max(q.MaxNewTokens-q.Generated, 1)
+		if (uint64(f)|uint64(rem))>>32 != 0 {
+			return 0, false
+		}
+		if ceil += f + rem; ceil > threshold {
+			return 0, false
+		}
+		promptNeed += f
+		admitted++
+	}
+	if draws > 0 {
+		pf.cfg.Rng.Skip(draws)
+	}
+	return admitted, true
 }
 
 // repeatRefusal is step 2 for a round of the same Epoch as the last round's

@@ -547,6 +547,27 @@ func admitTrial(r *rng.RNG, seed uint64, knee bool) func() (*View, []*request.Re
 	}
 }
 
+// lightLoad resizes a trial's views to scale × their conservative budget —
+// every running and queued request held to its max_new_tokens — so that many
+// rounds fit under it, with free × the unused capacity physically free, and
+// marks them Unobserved.
+func lightLoad(mk func() (*View, []*request.Request), scale, free float64) func() (*View, []*request.Request) {
+	return func() (*View, []*request.Request) {
+		v, q := mk()
+		budget := 0
+		for _, r := range v.Running {
+			budget += r.KVLanded() + max(r.MaxNewTokens-r.Generated, 1) + r.PrefillRemaining()
+		}
+		for _, r := range q {
+			budget += r.Footprint() + max(r.MaxNewTokens-r.Generated, 1)
+		}
+		v.CapacityTokens = int(float64(budget) * scale)
+		v.FreeTokens = int(float64(max(v.CapacityTokens-v.UsedTokens, 0)) * free)
+		v.Unobserved = true
+		return v, q
+	}
+}
+
 // predictions lists the PredictedLen of a round's running batch, then of its
 // queue.
 func predictions(v *View, queue []*request.Request) []int {
@@ -606,21 +627,32 @@ func nextRound(v *View, queue []*request.Request, admitted int) []*request.Reque
 // nothing above a request's Generated are all drawn at random.
 //
 // Predictions are compared on rounds that priced the batch. A round that
-// refused the head before drawing (refusedUndrawn) must leave every
-// PredictedLen as it was before the round. The knee arms must contain rounds
-// refused before drawing and rounds that the estimator's build-phase term
-// refused on its own after drawing.
+// refused the head before drawing (refusedUndrawn) or admitted under the
+// conservative budget before drawing (admittedUndrawn) must leave every
+// PredictedLen as it was before the round, and an admission before drawing
+// PredictedPeak at 0. The knee arms must contain rounds refused before
+// drawing and rounds that the estimator's build-phase term refused on its
+// own after drawing. The light arm sizes each view around its conservative
+// budget and marks it Unobserved, and must contain rounds admitted before
+// drawing.
 func TestPastFutureDecisionsBitIdenticalToNaive(t *testing.T) {
 	for _, arm := range []struct {
-		name           string
-		knee, sampling bool
-	}{{"random", false, false}, {"knee", true, false}, {"sampling", true, true}} {
+		name                  string
+		knee, sampling, light bool
+	}{{"random", false, false, false}, {"knee", true, false, false}, {"sampling", true, true, false}, {"light", false, true, true}} {
 		t.Run(arm.name, func(t *testing.T) {
 			src := rng.New(2024)
-			undrawn, shortcuts := 0, 0
+			undrawn, shortcuts, fitted := 0, 0, 0
 			for trial := 0; trial < 400; trial++ {
 				r := src.Split()
 				mkState := admitTrial(r, uint64(trial)*7+13, arm.knee)
+				if arm.light {
+					free := 1.0
+					if r.Intn(2) == 0 {
+						free = r.Float64()
+					}
+					mkState = lightLoad(mkState, 0.5+r.Float64(), free)
+				}
 				cfg := PastFutureConfig{
 					Reserved: float64(r.Intn(3)) * 0.05, Deterministic: !arm.sampling, Quantile: 0.5 + 0.4*r.Float64(),
 					MinHistory: 1 + r.Intn(50),
@@ -647,18 +679,22 @@ func TestPastFutureDecisionsBitIdenticalToNaive(t *testing.T) {
 					got := pfFast.Admit(vFast, qFast)
 					want, entries := naiveAdmit(pfNaive, vNaive, qNaive, nil)
 					wantPred := predictions(vNaive, qNaive)
-					if pfFast.undrawn {
+					switch {
+					case pfFast.undrawn:
 						undrawn++
 						wantPred = before
+					case pfFast.fitted:
+						fitted++
+						wantPred, entries = before, nil // PredictedPeak stays 0
 					}
 					checkSameRound(t, trial, got, want, vFast, qFast, wantPred, entries)
 					if arm.sampling {
 						if g, w := pfFast.cfg.Rng.Uint64(), pfNaive.cfg.Rng.Uint64(); g != w {
-							t.Fatalf("trial %d round %d (undrawn %v): generators diverged: next value %d vs %d",
-								trial, round, pfFast.undrawn, g, w)
+							t.Fatalf("trial %d round %d (undrawn %v, fitted %v): generators diverged: next value %d vs %d",
+								trial, round, pfFast.undrawn, pfFast.fitted, g, w)
 						}
 					}
-					if len(qNaive) > 0 && !pfFast.undrawn {
+					if len(qNaive) > 0 && !pfFast.undrawn && !pfFast.fitted {
 						head := Entry{Current: qNaive[0].Footprint(), Remaining: qNaive[0].PredictedLen - qNaive[0].Generated}
 						threshold := int(float64(vNaive.CapacityTokens) * (1 - cfg.Reserved))
 						if refusedByTerm(want, vNaive, qNaive, entries, head, threshold) {
@@ -674,7 +710,11 @@ func TestPastFutureDecisionsBitIdenticalToNaive(t *testing.T) {
 			if arm.knee && shortcuts == 0 {
 				t.Fatal("no drawn round was refused by the build-phase term alone: the shortcut is never exercised")
 			}
-			t.Logf("%d rounds refused before drawing, %d more by the build-phase term", undrawn, shortcuts)
+			if arm.light && fitted == 0 {
+				t.Fatal("no round was admitted before drawing: admittedUndrawn is never exercised")
+			}
+			t.Logf("%d rounds refused before drawing, %d more by the build-phase term, %d admitted before drawing",
+				undrawn, shortcuts, fitted)
 		})
 	}
 }
@@ -763,6 +803,21 @@ func kneeStateAt(batch, num, den int) (*View, []*request.Request) {
 	return v, q
 }
 
+// lightState is hotPathState's 16-request batch and one candidate, with
+// capacity for twice their conservative budget and the round Unobserved: the
+// candidate is admitted before drawing.
+func lightState() (*View, []*request.Request) {
+	v, q := hotPathState(16, 1)
+	v.CapacityTokens = 0
+	for _, r := range v.Running {
+		v.CapacityTokens += 2 * (r.Footprint() + r.MaxNewTokens - r.Generated)
+	}
+	v.CapacityTokens += 2 * (q[0].Footprint() + q[0].MaxNewTokens)
+	v.FreeTokens = v.CapacityTokens - v.UsedTokens
+	v.Unobserved = true
+	return v, q
+}
+
 // refusesWithoutSort reports whether Admit refused the whole queue without
 // a sort, and how: before drawing (refusedUndrawn, the estimator left empty)
 // when undrawn is set, by the estimator's build-phase term over the drawn
@@ -800,6 +855,19 @@ func repeatsByCertificate(pf *PastFuture, v *View, q []*request.Request) bool {
 	return ok && pf.Admit(v, q) == 0 && pf.undrawn
 }
 
+// TestAdmitLightAllocs: an admission under the conservative budget, before
+// drawing, allocates nothing.
+func TestAdmitLightAllocs(t *testing.T) {
+	pf := MustNewPastFuture(PastFutureConfig{Reserved: 0.03, Rng: rng.New(3)})
+	v, q := lightState()
+	if pf.Admit(v, q) != 1 || !pf.fitted {
+		t.Fatal("the light round is not admitted before drawing")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { pf.Admit(v, q) }); allocs != 0 {
+		t.Fatalf("an admission before drawing allocates %v per round, want 0", allocs)
+	}
+}
+
 // TestAdmitRefusalAllocs: a refusal at the knee — the common round of a
 // memory-bound engine — allocates nothing and is settled without a sort,
 // whether it is refused before drawing, by the certificate of such a refusal
@@ -821,6 +889,65 @@ func TestAdmitRefusalAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(100, func() { pf.Admit(v, q) }); allocs != 0 {
 			t.Fatalf("%s: a knee refusal allocates %v per round, want 0", c.name, allocs)
+		}
+	}
+}
+
+// TestAdmittedUndrawnAtTheCeiling: when every prediction lands on its
+// max_new_tokens and every request has the same remaining length, M* equals
+// the conservative budget, so the ceiling is tight. With the threshold at
+// the budget the round admits the whole queue before drawing; one token
+// below it, the round prices the batch and refuses the last candidate. Both
+// in cold start and from a warm window whose every observation is above the
+// cap, where the round must also leave the generator where a priced twin
+// leaves it. A conservative length of 2^32 or more takes the priced path,
+// one that would wrap the ceiling's sum included.
+func TestAdmittedUndrawnAtTheCeiling(t *testing.T) {
+	state := func(warm bool, maxNew int) (*View, []*request.Request) {
+		var w *dist.Window
+		if warm {
+			w = dist.NewWindow(64)
+			for i := 0; i < 64; i++ {
+				w.Add(1000 + i)
+			}
+		}
+		v := &View{History: w}
+		for i := 0; i < 3; i++ {
+			r := request.New(int64(i), 100, 1000, 50, 0)
+			for j := 0; j < 10; j++ {
+				r.EmitToken(float64(j))
+			}
+			v.Running = append(v.Running, r)
+			v.UsedTokens += r.Footprint()
+		}
+		q := []*request.Request{request.New(10, 100, 1000, 40, 0), request.New(11, 100, 1000, maxNew, 0)}
+		return v, q
+	}
+	const budget = 3*(110+40) + 2*(100+40) // M* of the batch and both candidates
+	for _, warm := range []bool{false, true} {
+		for _, c := range []struct {
+			capacity, maxNew, admitted int
+			fitted                     bool
+		}{{budget, 40, 2, true}, {budget - 1, 40, 1, false}, {budget, 1 << 32, 1, false}, {budget, math.MaxInt, 1, false}} {
+			run := func(unobserved bool) (*PastFuture, *View, int) {
+				pf := MustNewPastFuture(PastFutureConfig{Rng: rng.New(5), MinHistory: 16})
+				v, q := state(warm, c.maxNew)
+				v.CapacityTokens, v.FreeTokens, v.Unobserved = c.capacity, c.capacity-v.UsedTokens, unobserved
+				return pf, v, pf.Admit(v, q)
+			}
+			pf, v, got := run(true)
+			twin, _, want := run(false)
+			if got != c.admitted || want != c.admitted || pf.fitted != c.fitted {
+				t.Fatalf("warm %v, capacity %d, max_new %d: admitted %d (fitted %v), priced twin %d; want %d (fitted %v)",
+					warm, c.capacity, c.maxNew, got, pf.fitted, want, c.admitted, c.fitted)
+			}
+			if c.fitted && (v.PredictedPeak != 0 || v.Running[0].PredictedLen != 0) {
+				t.Fatalf("warm %v: an admission before drawing wrote PredictedPeak %d, PredictedLen %d",
+					warm, v.PredictedPeak, v.Running[0].PredictedLen)
+			}
+			if g, w := pf.cfg.Rng.Uint64(), twin.cfg.Rng.Uint64(); g != w {
+				t.Fatalf("warm %v, capacity %d: generators diverged: next value %d vs %d", warm, c.capacity, g, w)
+			}
 		}
 	}
 }
@@ -862,7 +989,9 @@ func TestRefusedUndrawnKeepsNoWrapRange(t *testing.T) {
 // headroom, the head refused by the estimator's build-phase term over the
 // drawn predictions. /admit-wide is a round that draws for 50 running
 // requests and admits, so its M* comes from a radix sort of 50 entries and
-// more. All run at 0 allocs/op.
+// more. /admit-light is a warm 16-request batch and one candidate that the
+// conservative budget clears: admitted before drawing, nothing drawn or
+// sorted. All run at 0 allocs/op.
 func BenchmarkAdmitHotPath(b *testing.B) {
 	var scratch []Entry
 	naive := func(pf *PastFuture, v *View, q []*request.Request) (n int) {
@@ -885,6 +1014,7 @@ func BenchmarkAdmitHotPath(b *testing.B) {
 		{"refuse-repeat", knee, (*PastFuture).Admit, true, true, true},
 		{"refuse-drawn", func() (*View, []*request.Request) { return drawnKneeState(48) }, (*PastFuture).Admit, true, false, false},
 		{"admit-wide", func() (*View, []*request.Request) { return hotPathState(50, 8) }, (*PastFuture).Admit, false, false, false},
+		{"admit-light", lightState, (*PastFuture).Admit, false, false, false},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
 			pf := MustNewPastFuture(PastFutureConfig{Reserved: 0.03, Deterministic: true})
@@ -901,6 +1031,8 @@ func BenchmarkAdmitHotPath(b *testing.B) {
 				b.Fatal("benchmark scenario admits nothing; not exercising the loop")
 			case variant.name == "admit-wide" && (len(v.Running) <= insertionSortMax || pf.est.unsorted):
 				b.Fatal("the round did not radix-sort its batch")
+			case variant.name == "admit-light" && (!pf.fitted || pf.est.Len() != 0):
+				b.Fatal("the round drew or sorted its batch")
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -38,6 +38,13 @@ func warmEngine(t *testing.T, warm map[string][]int) *Engine {
 	return e
 }
 
+// pricedRounds attaches a no-op admit hook, so every round prices its batch
+// and writes PredictedLen: an unobserved round that the conservative budget
+// clears admits without drawing and writes none.
+func pricedRounds(e *Engine) {
+	e.AddAdmitHook(func(float64, core.AdmitRound) {})
+}
+
 func TestHistoryWindowHoldsEveryClass(t *testing.T) {
 	e := newEngine(t, core.NewOracle(), 5000)
 	for i := 0; i < 5; i++ {
@@ -62,6 +69,7 @@ func TestPredictionsIgnoreClass(t *testing.T) {
 		"short": {20, 20, 20, 20, 20, 20},
 		"long":  {900, 900, 900, 900, 900, 900},
 	})
+	pricedRounds(e)
 	shortReq := classReq(200, "short", 10)
 	longReq := classReq(201, "long", 10)
 	e.Submit(shortReq)
@@ -78,6 +86,7 @@ func TestPredictionsIgnoreClass(t *testing.T) {
 
 func TestUnseenClassPredictsFromWindow(t *testing.T) {
 	e := warmEngine(t, map[string][]int{"seen": {33, 33, 33, 33, 33, 33, 33, 33}})
+	pricedRounds(e)
 	probe := classReq(100, "never-seen", 10)
 	e.Submit(probe)
 	e.Step()

@@ -121,6 +121,13 @@ func (e *Engine) coast() bool {
 	if e.roundDue() && !e.refuse() {
 		return false
 	}
+	e.coastStep(n)
+	return true
+}
+
+// coastStep takes one coasted decode step of an n-request batch: everything
+// coast does once it has chosen to.
+func (e *Engine) coastStep(n int) {
 	prev := e.clock
 	dur := e.scaled(e.cfg.Perf.DecodeTime(n, e.usedTokens()+n))
 	e.clock += dur
@@ -134,7 +141,6 @@ func (e *Engine) coast() bool {
 	}
 	e.observe(e.clock)
 	e.iterationHook("decode", dur, n)
-	return true
 }
 
 // roundDue reports whether the next Step holds an admission round: a request
@@ -171,24 +177,14 @@ func (e *Engine) refuse() bool {
 // it meanwhile: the current clock when the next Step is such a step, else the
 // end of the run of coasted steps it begins. Only the clock moves inside such
 // a run, so the run ends at the first of: a request at its last token, the
-// last free block, an arrival falling due. Each step is priced as coast
-// prices it — the same scaled(DecodeTime(n, used+owed·n+n)) added in the same
-// order — so the value is exactly the clock that many Steps would reach. The
-// cluster schedules one event here instead of one per step, and so never
+// last free block, an arrival falling due (coastRun). Each step is priced as
+// coast prices it — the same scaled(DecodeTime(n, used+owed·n+n)) added in the
+// same order — so the value is exactly the clock that many Steps would reach.
+// The cluster schedules one event here instead of one per step, and so never
 // leaves a round to a catch-up.
 func (e *Engine) CoastEnd() float64 {
+	k, due := e.coastRun()
 	n := len(e.running)
-	if n == 0 || e.queue.Len() > 0 || len(e.hooks.token) > 0 || e.pool.BlockSize() != 1 {
-		return e.clock
-	}
-	// coast's two counting terms, solved for the number of steps k: step j
-	// (owing owed+j tokens before it) coasts while owed+j+1 < minLeft and
-	// (owed+j+1)·n ≤ FreeBlocks.
-	k := min(e.minLeft-e.owed-1, e.pool.FreeBlocks()/n-e.owed)
-	due := math.Inf(1)
-	if e.arrivals.Len() > 0 {
-		due = e.arrivals[0].at
-	}
 	clock, used := e.clock, e.usedTokens()
 	for ; k > 0 && clock < due; k-- {
 		used += n
@@ -202,13 +198,35 @@ func (e *Engine) CoastEnd() float64 {
 // run does (CoastEnd): it never takes a step that would not coast, nor one
 // that holds an admission round, which is the Step's at the run's end. This
 // is how the cluster catches a replica up to an event that lands inside its
-// run.
+// run. The run's bound is taken once: a coasted step moves only the clock and
+// the owed count, and coastRun's k already counts the owed tokens.
 func (e *Engine) CoastUntil(t float64, inclusive bool) int {
-	k := 0
-	for (e.clock < t || inclusive && e.clock == t) && !e.roundDue() && e.coast() {
-		k++
+	k, due := e.coastRun()
+	n := len(e.running)
+	taken := 0
+	for ; taken < k && e.clock < due && (e.clock < t || inclusive && e.clock == t); taken++ {
+		e.coastStep(n)
 	}
-	return k
+	return taken
+}
+
+// coastRun bounds the run of coasted steps the next Step begins: at most k
+// steps, each starting before due, the next arrival's time (+Inf with none).
+// k is 0 when the next Step holds a round or cannot coast. It is coast's
+// terms solved for the number of steps: step j (owing owed+j tokens before
+// it) coasts while owed+j+1 < minLeft and (owed+j+1)·n ≤ FreeBlocks, and
+// holds no round while the queue is empty and no arrival is due.
+func (e *Engine) coastRun() (k int, due float64) {
+	n := len(e.running)
+	if n == 0 || e.queue.Len() > 0 || len(e.hooks.token) > 0 || e.pool.BlockSize() != 1 {
+		return 0, 0
+	}
+	k = min(e.minLeft-e.owed-1, e.pool.FreeBlocks()/n-e.owed)
+	due = math.Inf(1)
+	if e.arrivals.Len() > 0 {
+		due = e.arrivals[0].at
+	}
+	return k, due
 }
 
 // settle hands every running request the tokens coasted steps owe it — KV
@@ -316,6 +334,7 @@ func (e *Engine) decide() int {
 		Running:        batchView,
 		History:        e.history,
 		Epoch:          e.epoch,
+		Unobserved:     len(e.hooks.admit) == 0,
 	}
 	return e.sched.Admit(&e.viewScratch, e.queueScratch)
 }

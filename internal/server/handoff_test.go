@@ -75,9 +75,11 @@ func (w *countingWriter) Write(b []byte) (int, error) {
 }
 func (w *countingWriter) Flush() { w.flushes++ }
 
-// TestDrainIsOneWriteOneFlush fills a mailbox by hand — no driver runs — and
-// checks that whatever is in it when the handler looks leaves in one piece.
-func TestDrainIsOneWriteOneFlush(t *testing.T) {
+// TestDrainIsOneWrite fills a mailbox by hand — no driver runs — and checks
+// that whatever is in it when the handler looks leaves in one piece: one
+// Write and no Flush, since that Write carries the summary line and net/http
+// flushes it when the handler returns.
+func TestDrainIsOneWrite(t *testing.T) {
 	srv := newServer(t, 0)
 	for _, k := range []int{0, 1, 64, 5000} {
 		r := request.New(int64(k+1), 10, k+1, k+1, 0)
@@ -98,8 +100,8 @@ func TestDrainIsOneWriteOneFlush(t *testing.T) {
 		w := &countingWriter{}
 		srv.reply(w, httptest.NewRequest(http.MethodPost, "/v1/generate", nil), r, mb)
 		lines := strings.Split(strings.TrimSuffix(w.body.String(), "\n"), "\n")
-		if w.writes != 1 || w.flushes != 1 || len(lines) != k+1 {
-			t.Fatalf("k=%d: %d writes, %d flushes, %d lines; want 1, 1, %d", k, w.writes, w.flushes, len(lines), k+1)
+		if w.writes != 1 || w.flushes != 0 || len(lines) != k+1 {
+			t.Fatalf("k=%d: %d writes, %d flushes, %d lines; want 1, 0, %d", k, w.writes, w.flushes, len(lines), k+1)
 		}
 		if k > 0 && lines[k-1] != fmt.Sprintf(`{"id":%d,"t":%v,"token":%d}`, r.ID, float64(k)/8, k) {
 			t.Fatalf("k=%d: last token line %q", k, lines[k-1])
@@ -167,6 +169,72 @@ func TestPacedStreamFlushesEachToken(t *testing.T) {
 	}
 	if n := bytes.Count(rest, []byte("\n")); n != 4 {
 		t.Fatalf("%d lines after the first, want 3 tokens and the summary: %q", n, rest)
+	}
+}
+
+// flushLog wraps a live ResponseWriter and logs its Writes ("W") and Flushes
+// ("F") in order.
+type flushLog struct {
+	http.ResponseWriter
+	ops strings.Builder
+}
+
+func (w *flushLog) Write(b []byte) (int, error) {
+	w.ops.WriteByte('W')
+	return w.ResponseWriter.Write(b)
+}
+
+func (w *flushLog) Flush() {
+	w.ops.WriteByte('F')
+	w.ResponseWriter.(http.Flusher).Flush()
+}
+
+// TestStreamFlushesAllButTheLastWrite: a paced stream goes out in several
+// Writes, and every one but the last — the one carrying the summary line,
+// which net/http flushes when the handler returns — is followed by a Flush.
+// The client reads the token lines in order, then the summary.
+func TestStreamFlushesAllButTheLastWrite(t *testing.T) {
+	srv := newRunningServer(t, 0.1)
+	logs := make(chan string, 1)
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fl := &flushLog{ResponseWriter: w}
+		h.ServeHTTP(fl, r)
+		logs <- fl.ops.String()
+	}))
+	t.Cleanup(ts.Close)
+	const tokens = 4
+	resp := postJSON(t, ts.URL+"/v1/generate", map[string]interface{}{
+		"input_tokens": 64, "max_new_tokens": 8, "output_tokens": tokens, "stream": true,
+	})
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := <-logs
+	writes := strings.Count(ops, "W")
+	if writes < 2 || ops != strings.Repeat("WF", writes-1)+"W" {
+		t.Fatalf("writes and flushes %q; want a Flush after every Write but the last, over several Writes", ops)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+	if len(lines) != tokens+1 {
+		t.Fatalf("%d lines, want %d tokens and the summary: %q", len(lines), tokens, body)
+	}
+	var id int64
+	for i, l := range lines[:tokens] {
+		var tl tokenLine
+		if err := json.Unmarshal([]byte(l), &tl); err != nil || tl.Token != i+1 || i > 0 && tl.ID != id {
+			t.Fatalf("line %d %q: %+v, %v", i, l, tl, err)
+		}
+		id = tl.ID
+		if want := string(appendTokenLine(nil, tl.ID, tl.Token, tl.T)); l+"\n" != want {
+			t.Fatalf("line %d %q, want %q", i, l, want)
+		}
+	}
+	var sum generateResponse
+	if err := json.Unmarshal([]byte(lines[tokens]), &sum); err != nil || sum.ID != id || sum.OutputTokens != tokens || sum.Status != "ok" {
+		t.Fatalf("summary %q: %+v, %v", lines[tokens], sum, err)
 	}
 }
 

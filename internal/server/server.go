@@ -39,7 +39,9 @@
 // outcome — and raises a capacity-1 wake signal, so a hook never blocks and
 // nothing is sized by max_new_tokens. The handler wakes, takes every event
 // that is in the mailbox at that moment, encodes them into one buffer and
-// issues one Write and, for a stream, one Flush. It never waits for a batch to fill: a
+// issues one Write and, for a stream, one Flush unless the Write carries the
+// summary line: net/http flushes that last one, with the chunk terminator,
+// when the handler returns. It never waits for a batch to fill: a
 // token that is alone in the mailbox leaves alone, so with Timescale > 0,
 // where the driver sleeps between steps, each token goes out as its step
 // ends and the time to first token on the wire is what it was with a flush
@@ -371,9 +373,10 @@ func (s *Server) unsubscribe(id int64) {
 }
 
 // reply writes the request's events as they arrive: on every wake, whatever
-// the mailbox holds goes out as one Write (and one Flush for a stream) — a
-// line per token, then the summary line once evEnd is in. A plain reply's
-// mailbox only ever receives evEnd.
+// the mailbox holds goes out as one Write — a line per token, then the
+// summary line once evEnd is in. A stream flushes every Write but the last,
+// which net/http flushes when the handler returns. A plain reply's mailbox
+// only ever receives evEnd.
 func (s *Server) reply(w http.ResponseWriter, req *http.Request, r *request.Request, mb *mailbox) {
 	var flusher http.Flusher
 	if mb.tokens {
@@ -409,11 +412,11 @@ func (s *Server) reply(w http.ResponseWriter, req *http.Request, r *request.Requ
 			s.unsubscribe(r.ID)
 			return
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
 		if done {
 			return
+		}
+		if flusher != nil {
+			flusher.Flush()
 		}
 	}
 }

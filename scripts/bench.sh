@@ -11,7 +11,9 @@
 # admission oracle of the core tests, as BenchmarkFleetRouteNaive times the
 # cluster tests' naive routing oracle: reference rows, not production paths;
 # /refuse, /refuse-repeat and /refuse-drawn the three ways a knee round is
-# refused, /admit-wide a drawn round over 50 running requests that admits),
+# refused, /admit-wide a drawn round over 50 running requests that admits,
+# /admit-light a 16-request round admitted under the conservative budget
+# before anything is drawn),
 # BenchmarkFutureRequiredMemory,
 # BenchmarkPeakEstimatorPush (the splice of one admitted request),
 # BenchmarkWindowSampler (/add and /add-long: one Add on a full 1000-entry
