@@ -48,15 +48,19 @@ func (k PredictorKind) String() string {
 }
 
 // New builds a fresh predictor instance of this kind with default smoothing
-// parameters (one instance per load signal).
+// parameters (one instance per load signal). An unknown kind panics, naming
+// it: PlannerConfig validation rejects one before a planner is built, so only
+// a caller that skipped it gets here.
 func (k PredictorKind) New() Predictor {
 	switch k {
+	case ConstantPredictor:
+		return &constant{}
 	case EWMAPredictor:
 		return &ewma{alpha: 0.5}
 	case HoltPredictor:
 		return &holt{alpha: 0.6, beta: 0.35}
 	default:
-		return &constant{}
+		panic(fmt.Sprintf("cluster: New of unknown %v", k))
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/lightllm-go/lightllm/internal/engine"
@@ -18,6 +19,22 @@ func TestConstantPredictor(t *testing.T) {
 	p.Observe(7)
 	if got := p.Predict(); got != 7 {
 		t.Fatalf("constant predicts %v, want last observation 7", got)
+	}
+}
+
+// TestUnknownPredictorPanics: a kind outside the enum is a caller's bug, not
+// a request for the constant predictor, and the panic names the kind.
+func TestUnknownPredictorPanics(t *testing.T) {
+	for _, k := range []PredictorKind{HoltPredictor + 1, -1} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := k.String(); !strings.Contains(msg, want) {
+					t.Fatalf("New of %v: recovered %q, want a panic naming %q", k, msg, want)
+				}
+			}()
+			k.New()
+		}()
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"github.com/lightllm-go/lightllm/internal/core"
 	"github.com/lightllm-go/lightllm/internal/kv"
+	"github.com/lightllm-go/lightllm/internal/obs"
 	"github.com/lightllm-go/lightllm/internal/request"
 	"github.com/lightllm-go/lightllm/internal/rng"
 )
@@ -29,6 +30,43 @@ type coastRun struct {
 	// refusedCoasts counts the Steps that held an admission round and
 	// coasted: the round admitted nothing.
 	refusedCoasts int
+	// Coasted Steps at a boundary where the batch changes: one on which a
+	// request finished (finishCoasts), and one that gave the requests
+	// prefilled since the last decode step their first decode token
+	// (freshCoasts) — after two prefills or more in a row (afterPrefills), or
+	// with a re-admitted request among them (readmitted). prefills counts the
+	// prefills since the last decode step, fresh holds what they admitted.
+	finishCoasts, freshCoasts, afterPrefills, readmitted int
+	prefills                                             int
+	fresh                                                []*request.Request
+}
+
+// eventLog is a recorder that logs every event an engine sends it, in order,
+// floats bit for bit: first tokens and finishes must reach an observer at the
+// same times and in the same order on both paths.
+type eventLog struct {
+	obs.Recorder // the cluster's events: an engine sends none of them
+	cr           *coastRun
+}
+
+func (l eventLog) request(what string, at float64, r *request.Request) {
+	l.cr.logf("event %s at=%x req=%d", what, math.Float64bits(at), r.ID)
+}
+
+func (l eventLog) Admit(at float64, r *request.Request, _, _ int)      { l.request("admit", at, r) }
+func (l eventLog) FirstToken(at float64, r *request.Request, _, _ int) { l.request("first", at, r) }
+func (l eventLog) Evict(at float64, r *request.Request, _, _ int)      { l.request("evict", at, r) }
+func (l eventLog) Drop(at float64, r *request.Request, _, _ int)       { l.request("drop", at, r) }
+func (l eventLog) Fail(at float64, r *request.Request, _, _ int)       { l.request("fail", at, r) }
+func (l eventLog) Finish(at float64, r *request.Request, _, _ int)     { l.request("finish", at, r) }
+
+func (l eventLog) Iteration(at float64, _, _ int, kind string, dur float64, batch int, kvBytes int64, queueLen int) {
+	l.cr.logf("event iteration at=%x %s dur=%x batch=%d kv=%d queue=%d",
+		math.Float64bits(at), kind, math.Float64bits(dur), batch, kvBytes, queueLen)
+}
+
+func (l eventLog) CacheEvent(at float64, _, _ int, kind string, tokens int) {
+	l.cr.logf("event cache at=%x %s %d", math.Float64bits(at), kind, tokens)
 }
 
 // countingScheduler counts the admission rounds the engine holds: the
@@ -102,6 +140,7 @@ func (cr *coastRun) newEngine(cfg Config) {
 	if err != nil {
 		cr.t.Fatal(err)
 	}
+	e.SetRecorder(eventLog{cr: cr}, 0, 0)
 	cr.e = e
 }
 
@@ -165,12 +204,28 @@ func stamp(r *request.Request) string {
 // engine still has work.
 func (cr *coastRun) steps(n, every int) bool {
 	for i := 0; i < n; i++ {
-		round, coasted := cr.e.roundDue(), cr.e.coastedSteps
-		if !cr.e.Step() {
+		e := cr.e
+		round, coasted, prefills, fresh := e.roundDue(), e.coastedSteps, e.prefillIters, len(cr.fresh) > 0
+		readmitted := false
+		for _, r := range cr.fresh {
+			readmitted = readmitted || r.Evictions > 0
+		}
+		if !e.Step() {
 			return false
 		}
-		if round && cr.e.coastedSteps > coasted {
-			cr.refusedCoasts++
+		switch {
+		case e.coastedSteps > coasted:
+			cr.refusedCoasts += b2i(round)
+			cr.finishCoasts += b2i(e.released)
+			cr.freshCoasts += b2i(fresh)
+			cr.afterPrefills += b2i(fresh && cr.prefills > 1)
+			cr.readmitted += b2i(readmitted)
+			cr.prefills, cr.fresh = 0, cr.fresh[:0]
+		case e.prefillIters > prefills:
+			cr.prefills++
+			cr.fresh = append(cr.fresh, e.admitScratch...) // what this Step admitted
+		default:
+			cr.prefills, cr.fresh = 0, cr.fresh[:0]
 		}
 		cr.glance()
 		if cr.e.decodeSteps%every == 0 {
@@ -195,6 +250,27 @@ func (cr *coastRun) finish() *Result {
 	}
 	cr.look()
 	return res
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// stepUntil takes Steps until cond holds after one, and fails the case if
+// it never does within n Steps.
+func (cr *coastRun) stepUntil(what string, n int, cond func(e *Engine) bool) {
+	for i := 0; i < n; i++ {
+		if !cr.steps(1, 1000) {
+			break
+		}
+		if cond(cr.e) {
+			return
+		}
+	}
+	cr.t.Fatalf("seed %d: no Step left the engine %s", cr.seed, what)
 }
 
 // sameLog fails at the first observation the coasting engine's log and its
@@ -259,6 +335,9 @@ type coastCase struct {
 	noCoast bool // the engine must never coast (multi-token blocks)
 	// refused: some Step that held an admission round must have coasted.
 	refused bool
+	// crossed, when set, checks that the coasting engine took the coasted
+	// steps the case is there for (coastRun's boundary counts).
+	crossed func(cr *coastRun) bool
 }
 
 func pastFutureCase(name string, pf func(seed uint64) core.PastFutureConfig) coastCase {
@@ -502,6 +581,113 @@ var coastCases = []coastCase{
 		},
 		want: func(res *Result) bool { return len(res.Finished) == 30 },
 	},
+	{
+		// Outputs spread from a few tokens to a few hundred over a roomy
+		// pool: requests finish on coasted steps, one or several at a time,
+		// and arrivals join between them.
+		name: "staggered-finishes",
+		cfg: func(*coastRun) Config {
+			return Config{Scheduler: core.MustNewConservative(1.0), CapacityOverride: 40_000}
+		},
+		drive: func(cr *coastRun) *Result {
+			reqs := stream(cr.seed, 40, 0.4, 120, 400)
+			for i, r := range reqs {
+				if i%4 == 0 {
+					r.TrueOutputLen = 1 + i%3 // the first decode token is the last
+				}
+			}
+			cr.submit(reqs...)
+			return cr.finish()
+		},
+		want:    func(res *Result) bool { return len(res.Finished) == 40 },
+		crossed: func(cr *coastRun) bool { return cr.finishCoasts > 5 && cr.freshCoasts > 5 },
+	},
+	{
+		// A prefill budget below two prompts: a burst is admitted one
+		// prefill at a time, and the first decode step after the last one
+		// gives every newcomer its first token.
+		name: "prefills-in-a-row",
+		cfg: func(*coastRun) Config {
+			return Config{Scheduler: core.MustNewConservative(1.0), CapacityOverride: 40_000, MaxPrefillTokens: 300}
+		},
+		drive: func(cr *coastRun) *Result {
+			var reqs []*request.Request
+			for i, r := range stream(cr.seed, 36, 0.05, 100, 300) {
+				r.InputLen = 150 + i%7
+				r.ArrivalTime = float64(i/6) * 1.5 // six at a time
+				reqs = append(reqs, r)
+			}
+			cr.submit(reqs...)
+			return cr.finish()
+		},
+		want:    func(res *Result) bool { return len(res.Finished) == 36 && res.PrefillIters >= 36 },
+		crossed: func(cr *coastRun) bool { return cr.afterPrefills > 0 },
+	},
+	evictReadmitCase(Recompute),
+	evictReadmitCase(Swap),
+	{
+		// The clock is moved, and later the engine crashes, each three
+		// coasted steps after a prefill that joined a batch: the first of
+		// them stamped every request, and three tokens are owed.
+		name: "sync-and-crash-mid-run",
+		cfg: func(*coastRun) Config {
+			return Config{Scheduler: core.MustNewConservative(1.0), CapacityOverride: 20_000}
+		},
+		drive: func(cr *coastRun) *Result {
+			reqs := stream(cr.seed, 30, 1, 100, 300)
+			for i, r := range reqs {
+				r.ArrivalTime = float64(max(i-9, 0)) // ten at once, then one a second
+			}
+			cr.submit(reqs...)
+			cut := func(what string) {
+				// Three decode steps after a prefill that joined a batch.
+				cr.stepUntil("just prefilled beside older requests", 2000, func(e *Engine) bool {
+					return len(cr.fresh) > 0 && len(cr.fresh) < len(e.running)
+				})
+				cr.steps(3, 1000)
+				if e := cr.e; len(e.hooks.token) == 0 && (e.prefilled || e.owed != 3) {
+					cr.t.Fatalf("seed %d: %s with the batch stamped %v and %d tokens owed; want it stamped and 3",
+						cr.seed, what, !e.prefilled, e.owed)
+				}
+			}
+			cut("SyncClock")
+			cr.e.SyncClock(cr.e.Clock() + 0.3)
+			cr.look()
+			cut("Crash")
+			orphans := cr.e.Crash()
+			for _, r := range orphans {
+				cr.logf("orphan %s", stamp(r))
+			}
+			cr.look()
+			cr.e.SyncClock(cr.e.Clock() + 1)
+			for _, r := range orphans {
+				r.ResetForRetry()
+				cr.e.SubmitAt(r, cr.e.Clock())
+			}
+			return cr.finish()
+		},
+		want: func(res *Result) bool { return len(res.Finished) == 30 },
+	},
+}
+
+// evictReadmitCase is a pool that a batch outgrows under Aggressive:
+// requests are evicted, re-admitted and take their next token on a coasted
+// step, once recomputed and once swapped back in.
+func evictReadmitCase(policy EvictionPolicy) coastCase {
+	return coastCase{
+		name: "evict-readmit/" + policy.String(),
+		cfg: func(*coastRun) Config {
+			return Config{Scheduler: core.MustNewAggressive(0.9), CapacityOverride: 2400, Eviction: policy}
+		},
+		drive: func(cr *coastRun) *Result {
+			cr.submit(stream(cr.seed, 40, 0.02, 100, 400)...)
+			return cr.finish()
+		},
+		want: func(res *Result) bool {
+			return len(res.Finished) == 40 && res.Evictions > 0 && (policy == Swap) == (res.SwapInTokens > 0)
+		},
+		crossed: func(cr *coastRun) bool { return cr.readmitted > 0 },
+	}
 }
 
 // TestCoastMatchesPerTokenPath pins the O(1) decode step against the step it
@@ -549,6 +735,10 @@ func TestCoastMatchesPerTokenPath(t *testing.T) {
 				t.Fatalf("%s seed %d: coasted %d of %d decode steps, want none: %v",
 					tc.name, seed, gotRes.CoastedSteps, gotRes.DecodeSteps, tc.noCoast)
 			}
+			if tc.crossed != nil && !tc.crossed(got) {
+				t.Fatalf("%s seed %d: coasted %d steps: %d finishing, %d first tokens, %d after prefills in a row, %d re-admitted; the scenario exercises nothing",
+					tc.name, seed, gotRes.CoastedSteps, got.finishCoasts, got.freshCoasts, got.afterPrefills, got.readmitted)
+			}
 			if tc.refused && got.refusedCoasts == 0 {
 				t.Fatalf("%s seed %d: no step that held an admission round coasted (%d of %d decode steps coasted)",
 					tc.name, seed, gotRes.CoastedSteps, gotRes.DecodeSteps)
@@ -567,8 +757,9 @@ func TestCoastMatchesPerTokenPath(t *testing.T) {
 // TestCoastRunIsPredicted pins the two calls a caller that schedules runs of
 // coasted steps relies on. Driven Step by Step and left alone, an engine's
 // CoastEnd after every Step is the clock the first following Step that holds
-// an admission round or does not coast starts at: a step holding a round ends
-// a run even when the round admits nothing and the step coasts. And driven
+// an admission round, releases a request or does not coast starts at: a step
+// holding a round ends a run even when the round admits nothing and the step
+// coasts, and so does a coasted step on which a request finishes. And driven
 // the cluster's way — CoastUntil to a point inside each run, to the start of
 // a step there (taken only when inclusive), to the run's end (where an
 // inclusive catch-up takes no step if a round is due there), then one Step —
@@ -598,6 +789,7 @@ func TestCoastRunIsPredicted(t *testing.T) {
 		}},
 	}
 	refusedCoasts := 0 // Steps that held a round and coasted, over every case
+	finishing := 0     // coasted Steps on which a request finished
 	for _, tc := range cases {
 		for _, seed := range coastSeeds(t) {
 			for _, slow := range []float64{1, 3} {
@@ -614,7 +806,7 @@ func TestCoastRunIsPredicted(t *testing.T) {
 
 				ref, refReqs := build()
 				var starts []float64 // the clock each Step started at
-				var ends []bool      // whether the Step held a round or did not coast
+				var ends []bool      // whether the Step held a round, released or did not coast
 				var preds []float64  // CoastEnd before each Step
 				refused := 0         // Steps that held a round and coasted
 				for {
@@ -624,9 +816,12 @@ func TestCoastRunIsPredicted(t *testing.T) {
 						break
 					}
 					coasted := ref.coastedSteps > before
-					ends = append(ends, round || !coasted)
+					ends = append(ends, round || !coasted || ref.ReleasedLastStep())
 					if round && coasted {
 						refused++
+					}
+					if coasted && ref.ReleasedLastStep() {
+						finishing++
 					}
 				}
 				refusedCoasts += refused
@@ -637,7 +832,7 @@ func TestCoastRunIsPredicted(t *testing.T) {
 						j++
 					}
 					if pred != starts[j] {
-						t.Fatalf("%s: before step %d CoastEnd said %v; the first step that held a round or did not coast started at %v",
+						t.Fatalf("%s: before step %d CoastEnd said %v; the first step that held a round, released or did not coast started at %v",
 							label, i, pred, starts[j])
 					}
 					if j > i {
@@ -699,6 +894,9 @@ func TestCoastRunIsPredicted(t *testing.T) {
 	if refusedCoasts == 0 {
 		t.Fatal("no step holding an admission round coasted: no run ended at a refused round")
 	}
+	if finishing == 0 {
+		t.Fatal("no step on which a request finished coasted: no run ended at a coasted finish")
+	}
 }
 
 // fuzzOp is one operation of FuzzCoastSequence: three bytes, a kind and two
@@ -711,11 +909,13 @@ const (
 	opSlow             // SetSlowFactor(1+p1%3)
 	opTokenHook        // the coasting engine gets a token hook: per-token from here on
 	opRunUntil         // RunUntil((1+p1%8)·0.05 s from now)
+	opSync             // SyncClock((1+p1%4)·0.05 s from now)
 	numOps
 )
 
-// fuzzConfig picks the scheduler (and a queue timeout) from the first byte;
-// the pool is small enough that a few requests reach its edge.
+// fuzzConfig picks the scheduler, a queue timeout, swap recovery and a
+// prefill budget below most pairs of prompts from the first byte; the pool is
+// small enough that a few requests reach its edge.
 func fuzzConfig(b byte) Config {
 	cfg := Config{CapacityOverride: 600}
 	switch b % 3 {
@@ -729,6 +929,12 @@ func fuzzConfig(b byte) Config {
 	}
 	if b&4 != 0 {
 		cfg.QueueTimeout = 1
+	}
+	if b&8 != 0 {
+		cfg.Eviction = Swap
+	}
+	if b&16 != 0 {
+		cfg.MaxPrefillTokens = 64
 	}
 	return cfg
 }
@@ -781,6 +987,8 @@ func runFuzzOps(t *testing.T, data []byte, perToken bool) (*coastRun, *Result) {
 			listening = true
 		case opRunUntil:
 			e.RunUntil(e.Clock() + float64(1+p1%8)*0.05)
+		case opSync:
+			e.SyncClock(e.Clock() + float64(1+p1%4)*0.05)
 		}
 		cr.glance()
 		cr.logf("op %d tokens=%d", kind, tokens)
@@ -794,9 +1002,10 @@ func runFuzzOps(t *testing.T, data []byte, perToken bool) (*coastRun, *Result) {
 }
 
 // FuzzCoastSequence interleaves everything that can cut a run of coasted
-// steps — arrivals, reads, a crash, a slowdown, a token hook, a deadline —
-// on a pool small enough to reach its edge, and requires the coasting engine
-// and its per-token twin to agree after every operation.
+// steps — arrivals, reads, a crash, a slowdown, a token hook, a deadline, a
+// clock jump — on a pool small enough to reach its edge, and requires the
+// coasting engine and its per-token twin to agree after every operation, and
+// their recorders to hear the same events at the same times.
 func FuzzCoastSequence(f *testing.F) {
 	var submits []byte // eight requests: more than the pool holds to the end
 	for i := byte(0); i < 8; i++ {
@@ -811,6 +1020,21 @@ func FuzzCoastSequence(f *testing.F) {
 			f.Add(seq)
 		}
 	}
+	// Ten requests with outputs spread over 2–61 tokens, arriving over 0.15 s:
+	// finishes, first tokens after one prefill or several, evictions and
+	// re-admissions land on coasted steps, with a clock jump and a crash
+	// inside runs — under each scheduler, with swap recovery and with a
+	// prefill budget that admits a prompt or two at a time.
+	var staggered []byte
+	for i := byte(0); i < 10; i++ {
+		staggered = append(staggered, opSubmit, 17+11*i, 6*i+(i%4)<<6)
+	}
+	for _, cfg := range []byte{0, 1, 2, 8, 9, 10, 16, 17, 18, 26} {
+		seq := append([]byte{cfg}, staggered...)
+		seq = append(seq, opStep, 7, 0, opRead, 0, 0, opStep, 31, 0, opSync, 2, 0, opStep, 9, 0,
+			opCrash, 0, 0, opStep, 31, 0, opRead, 0, 0)
+		f.Add(seq)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 || len(data) > 400 {
 			return
@@ -822,4 +1046,37 @@ func FuzzCoastSequence(f *testing.F) {
 		}
 		sameLog(t, "sequence", got.log, ref.log)
 	})
+}
+
+// TestMisowedPanics checks that owed tokens never land silently past a
+// request's output: a settle or a hand-out that would take a running request
+// there panics, as does a settle of a request whose first token was never
+// stamped.
+func TestMisowedPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(r *request.Request)
+		land    func(e *Engine)
+	}{
+		{"settle past output", func(r *request.Request) { r.TrueOutputLen = r.Generated + 1 }, (*Engine).settle},
+		{"hand-out to the last token", func(r *request.Request) { r.TrueOutputLen = r.Generated + 2 }, (*Engine).handOut},
+		{"settle unstamped", func(r *request.Request) { r.FirstTokenAt = -1 }, (*Engine).settle},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEngine(t, core.NewOracle(), 10_000)
+			e.SubmitAll(mkReqs(2, 40, 100, 128))
+			for e.owed < 2 {
+				if !e.Step() {
+					t.Fatal("engine drained before owing two tokens")
+				}
+			}
+			tc.corrupt(e.running[1])
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "handed") {
+					t.Fatalf("%s with %d tokens owed: got %q, want misowed's panic", tc.name, e.owed, msg)
+				}
+			}()
+			tc.land(e)
+		})
+	}
 }

@@ -1,66 +1,3 @@
-// Package engine implements the continuous-batching serving engine the
-// schedulers plug into — the simulated counterpart of LightLLM's router +
-// inference backend (paper §2.3, §4).
-//
-// The engine is a step-level discrete-event simulator. Each call to Step
-// executes one engine iteration — a fused prefill over newly admitted
-// prompts, one decode step for the whole running batch, or (under chunked
-// prefill) prompt chunks fused with one decode step — and advances the
-// simulated clock by that iteration's duration from the perf model. All
-// scheduling-visible state (KV token occupancy, queue, running batch,
-// history window of finished output lengths) is exact; only kernel
-// execution is abstracted into durations.
-//
-// Eviction semantics follow vLLM's recompute policy, which the paper's
-// aggressive baseline uses: when the next decode step cannot allocate one
-// token per running request, the most recently admitted requests are
-// evicted — their KV memory is freed, they re-queue at the *front* of the
-// wait queue, and on re-admission their prompt plus previously generated
-// tokens are recomputed in a fresh prefill. Evicted requests keep their
-// generated-token count (recomputation is deterministic) but their users
-// see a stalled stream: the gap shows up in MTPOT and breaks the SLA.
-//
-// What an observer between two Steps may count. A submitted request is in
-// exactly one place: the arrival heap (submitted, not yet queued — it moves
-// at the first Step whose clock has reached its due time), the FCFS queue,
-// the running batch (including prompts mid-chunk), or one of the terminal
-// lists in Result. "Waiting" is the first two together — WaitingLen,
-// WaitingRequests, ForEachWaiting — and is the only definition observers
-// should use for work that has no batch slot yet: QueueLen alone misses
-// everything submitted since the last Step. The cluster's routing probes,
-// its load signals and the server's status page all count running + waiting.
-// The engine knows nothing of KV transfers still on a cluster link toward
-// it; those are the cluster's to count.
-//
-// Decode steps that owe their tokens. Between completion points every running
-// request grows by exactly one token per step (the fact the paper's Eq. 2–4
-// rest on), so a decode step on which nothing else can happen need not touch
-// the batch: Step advances the engine-wide state — clock, counters, the
-// occupancy series, the iteration observers — and counts one more token owed
-// to each running request (see coast for the condition and the reason for
-// each of its terms). An admission round that admits nothing is such a thing:
-// before it the running requests get their owed tokens, the pool's growth
-// stays owed, and the scheduler reads the pool's numbers with that growth
-// counted — what a settled engine would show it. The invariant: between Steps
-// a running request's Generated, LastEmitAt, MaxGap and KV size may trail the
-// engine by the owed tokens; every method that hands out a running request or
-// the pool (RunningRequests, ForEachRunning, Pool, Crash, Snapshot) settles
-// first, in one pass over the batch, and so does Step before any iteration
-// that is not such a step. Read running requests through the engine, never
-// through a pointer kept across Steps. Every simulated number is the one the
-// per-token path produces — the same float additions in the same order, the
-// same scheduler calls — and an engine with a token hook (the streaming
-// server) stays on that path.
-//
-// Runs of such steps. Inside a run nothing but the clock moves, so where a run
-// ends follows from the engine's state alone: CoastEnd prices it step by step
-// without taking a step, and CoastUntil takes the run's steps up to a given
-// time. A run ends at the first step that holds an admission round, refused
-// or not, so a run holds none. A caller that steps many engines on one clock
-// (internal/cluster) can so schedule one event at the end of a run and catch
-// the engine up lazily when something lands inside it; between those points
-// the engine trails the caller's clock, which is why it must be read only
-// after the catch-up.
 package engine
 
 import (
@@ -322,7 +259,7 @@ type Engine struct {
 	// heap allocations. Valid only within one Step call.
 	queueScratch []*request.Request // queue snapshot handed to the scheduler
 	batchScratch []*request.Request // running ∪ prefilling view
-	admitScratch []*request.Request // admissions of the current step
+	admitScratch []*request.Request // admissions of the current step, then its finishers (sweepDone)
 	viewScratch  core.View          // the scheduler's read-only state
 
 	// Chunked-prefill per-step scratch (see chunk.go).
@@ -371,17 +308,22 @@ type Engine struct {
 	// Coasted decode steps (see the package comment and coast). owed tokens
 	// are counted for every running request — in clock, outputTokens and the
 	// occupancy series — but not yet grown into the pool; the first handed of
-	// them were also handed to the requests (handOut, before an admission
-	// round), the rest not yet. owedGap is the largest clock advance among
-	// the steps that owe unhanded tokens, each request's largest inter-token
-	// gap over them. minLeft is the fewest tokens any running request had
-	// left to emit when the batch was last settled; it is positive only after
-	// a runDecode that kept its batch, the one state a run of coasted steps
-	// can start from. decided is the admission a coasting attempt's round
-	// settled on (refuse), taken by this Step's admit; 0 when none is pending.
+	// them are in the requests' Generated too (handOut, before an admission
+	// round), the rest not yet, and none in their timing. owedGap is the
+	// largest clock advance among the owed steps, each request's largest
+	// inter-token gap over them. prefilled is set from a fused prefill to the
+	// next decode step: the batch holds requests without their first decode
+	// token, and the first coasted step stamps every request (stampAll).
+	// minLeft is the fewest tokens any running request had left to emit when
+	// the batch was last settled; it is positive only after a runDecode, a
+	// runPrefill or a coasted step that left requests running, the states a
+	// run of coasted steps can start from. decided is the admission a
+	// coasting attempt's round settled on (refuse), taken by this Step's
+	// admit; 0 when none is pending.
 	owed         int
 	handed       int
 	owedGap      float64
+	prefilled    bool
 	minLeft      int
 	coastedSteps int
 	decided      int
@@ -839,7 +781,7 @@ func (e *Engine) scaled(dur float64) float64 {
 // described.
 func (e *Engine) Crash() []*request.Request {
 	e.settle()
-	e.released, e.lastStep, e.minLeft = false, StepOther, 0
+	e.released, e.lastStep, e.minLeft, e.prefilled = false, StepOther, 0, false
 	e.epoch++
 	orphans := make([]*request.Request, 0,
 		e.queue.Len()+len(e.running)+len(e.prefilling)+len(e.staticBatch)+e.arrivals.Len())

@@ -607,15 +607,21 @@ func BenchmarkEngineDecodeHeavy(b *testing.B) {
 // every step — the per-token path the coasted step replaces; /queued is
 // /coast with a 49th request queued behind the batch that Conservative
 // refuses until the batch drains (refusedBehind), so every step holds an
-// admission round that admits nothing. BenchmarkEngineDecodeHeavy finishes a
-// request every few steps and sees next to none of the difference.
+// admission round that admits nothing; /staggered spreads the outputs over
+// 64–4000 tokens and re-submits each request as it finishes, 192 in all, so
+// that finishes and first tokens recur — those steps coast too, and the row
+// fails if more than a handful of its decode steps take the per-token path.
+// BenchmarkEngineDecodeHeavy finishes a request every few steps and is mostly
+// admission rounds and prefills.
 func BenchmarkEngineDecodeLong(b *testing.B) {
 	pm := perf.MustNew(perf.Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1)})
 	for _, c := range []struct {
 		name      string
 		tokenHook bool
 		queued    bool
-	}{{"coast", false, false}, {"token-hook", true, false}, {"queued", false, true}} {
+		staggered bool
+	}{{"coast", false, false, false}, {"token-hook", true, false, false}, {"queued", false, true, false},
+		{"staggered", false, false, true}} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				const capacity = 400_000
@@ -629,14 +635,38 @@ func BenchmarkEngineDecodeLong(b *testing.B) {
 					reqs = append(reqs, refusedBehind(reqs, capacity))
 					steps++ // the 49th request's one token, after the batch drained
 				}
+				if c.staggered {
+					staggerResubmit(e, reqs, 4*len(reqs))
+				}
 				e.SubmitAll(reqs)
-				if res := e.Run(); res.DecodeSteps != steps || (res.CoastedSteps > 0) == c.tokenHook {
+				res := e.Run()
+				if c.staggered {
+					if perToken := res.DecodeSteps - res.CoastedSteps; len(res.Finished) != 4*len(reqs) || perToken > 4 {
+						b.Fatalf("%d finished; %d of %d decode steps on the per-token path", len(res.Finished), perToken, res.DecodeSteps)
+					}
+				} else if res.DecodeSteps != steps || (res.CoastedSteps > 0) == c.tokenHook {
 					b.Fatalf("%d decode steps, %d coasted", res.DecodeSteps, res.CoastedSteps)
 				}
 				benchPool = e.Pool()
 			}
 		})
 	}
+}
+
+// staggerResubmit spreads the outputs of batch over 64–4000 tokens and
+// re-submits each request's twin when it finishes, until total have been
+// submitted.
+func staggerResubmit(e *Engine, batch []*request.Request, total int) {
+	for i, r := range batch {
+		r.TrueOutputLen = 64 + i*(4000-64)/(len(batch)-1)
+	}
+	next := int64(len(batch))
+	e.AddExitHook(func(now float64, r *request.Request) {
+		if next < int64(total) {
+			next++
+			e.Submit(request.New(next, r.InputLen, r.TrueOutputLen, r.MaxNewTokens, now))
+		}
+	})
 }
 
 // refusedBehind returns a request, queued behind batch at time 0, whose

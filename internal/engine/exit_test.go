@@ -99,3 +99,55 @@ func TestExitHook(t *testing.T) {
 		})
 	}
 }
+
+// TestExitHookSeesSurvivors pins when a finisher leaves the batch: before
+// any exit hook of its step runs. Six requests finish three at a time; a hook
+// that reads the batch at each exit sees the survivors only, on the coasting
+// engine, on its per-token twin (a token hook) and on a chunked one alike.
+func TestExitHookSeesSurvivors(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		token bool
+	}{
+		{"coasting", Config{}, false},
+		{"per-token", Config{}, true},
+		{"chunked", Config{Chunked: ChunkConfig{Enabled: true}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Perf, tc.cfg.Scheduler, tc.cfg.CapacityOverride = testPerf(t), core.NewOracle(), 10_000
+			e, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.token {
+				e.AddTokenHook(func(float64, *request.Request) {})
+			}
+			var seen [][]int64
+			e.AddExitHook(func(_ float64, r *request.Request) {
+				var ids []int64
+				for _, q := range e.RunningRequests() {
+					ids = append(ids, q.ID)
+				}
+				seen = append(seen, ids)
+			})
+			for id := int64(1); id <= 6; id++ {
+				out := 14
+				if id%2 == 1 {
+					out = 4
+				}
+				e.Submit(request.New(id, 40, out, 32, 0))
+			}
+			res := e.Run()
+			if coasts := tc.name == "coasting"; len(res.Finished) != 6 || coasts != (res.CoastedSteps == res.DecodeSteps) {
+				t.Fatalf("%d finished, %d of %d decode steps coasted; want 6, and all of them only when coasting",
+					len(res.Finished), res.CoastedSteps, res.DecodeSteps)
+			}
+			survivors := []int64{2, 4, 6}
+			want := [][]int64{survivors, survivors, survivors, nil, nil, nil}
+			if !slices.EqualFunc(seen, want, slices.Equal) {
+				t.Fatalf("exit hooks saw the batch %v, want %v", seen, want)
+			}
+		})
+	}
+}

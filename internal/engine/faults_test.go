@@ -84,8 +84,8 @@ func TestCrashEvacuatesEverything(t *testing.T) {
 // describe the batch of the Step before the crash, and the second gates the
 // O(1) decode step. A crash in the middle of a run of such steps hands the
 // orphans every token the engine counted for them, clears both flags, and the
-// recovered engine walks its new batch again before it coasts: an idle jump, a
-// prefill and one full decode step come first.
+// recovered engine starts over: an idle jump and a prefill take the per-token
+// path, and the prefill's newcomers take their first token on a coasted step.
 func TestCrashEvacuatesEverythingMidCoast(t *testing.T) {
 	e := newEngine(t, core.MustNewConservative(1.0), 20_000)
 	reqs := mkReqs(8, 100, 200, 256)
@@ -117,7 +117,7 @@ func TestCrashEvacuatesEverythingMidCoast(t *testing.T) {
 		e.SubmitAt(r, e.Clock()+0.5)
 	}
 	coasted := e.Snapshot().CoastedSteps
-	for i, want := range []string{"idle", "prefill", "decode"} {
+	for i, want := range []string{"idle", "prefill"} {
 		clock, steps := e.Clock(), e.Snapshot().DecodeSteps
 		e.Step()
 		res := e.Snapshot()
@@ -130,8 +130,14 @@ func TestCrashEvacuatesEverythingMidCoast(t *testing.T) {
 		}
 	}
 	e.Step()
-	if got := e.Snapshot().CoastedSteps; got != coasted+1 {
-		t.Fatalf("second decode step after recovery: %d coasted steps, want %d", got, coasted+1)
+	if res := e.Snapshot(); res.CoastedSteps != coasted+1 {
+		t.Fatalf("first decode step after recovery: %d coasted steps, want %d", res.CoastedSteps, coasted+1)
+	}
+	for _, r := range orphans {
+		if r.Generated != 1 || r.FirstTokenAt != e.Clock() {
+			t.Fatalf("request %d after the first decode step: %d tokens, first at %v; want 1 at %v",
+				r.ID, r.Generated, r.FirstTokenAt, e.Clock())
+		}
 	}
 	if res := e.Run(); len(res.Finished) != len(reqs) {
 		t.Fatalf("finished %d of %d after recovery", len(res.Finished), len(reqs))

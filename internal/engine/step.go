@@ -89,18 +89,17 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// coast takes a decode step in O(1) when the per-token step (runDecode) could
-// change nothing but one token per running request, and reports whether it
-// did. It is chosen per step from what the engine can observe; each term of
-// the condition removes one thing the per-token step might do besides:
+// coast takes a decode step that touches only the requests joining or
+// leaving the batch, and reports whether it did. It is chosen per step from
+// what the engine can observe; each term of the condition removes one thing
+// the per-token step (runDecode) might do besides:
 //
-//   - minLeft > 0: the previous Step was a runDecode that kept its batch, so
-//     every running request has its first token and LastEmitAt == clock — the
-//     gap this step adds is the clock advance, the same for all of them (a
-//     prefill's newcomers have neither; chunked and static iterations never
-//     set minLeft);
-//   - owed+1 < minLeft: no running request emits its last token on this step,
-//     so nobody finishes, the history window holds and no hook fires;
+//   - minLeft > owed: the last Step that did not coast was a decode step or a
+//     fused prefill (runDecode, runPrefill), which settled the batch with at
+//     least minLeft tokens left to each request — chunked and static
+//     iterations never set minLeft — and no request has emitted its last
+//     token since; one that emits it on this step (owed+1 == minLeft) settles
+//     alone (finishCoasted);
 //   - no token hook: nobody is told of tokens one by one;
 //   - block size 1 and a physically free block for every owed token and this
 //     step's: each token is one block, nothing is evicted, and no cached
@@ -109,20 +108,41 @@ func (e *Engine) Step() bool {
 //   - no admission round, or one that admits nothing (refuse): a refused
 //     round changes nothing the decode step reads.
 //
-// What remains is engine-wide: the step's duration priced on the KV the batch
-// would hold, the clock, the counters, the occupancy series and the iteration
-// observers, all read off the owed-adjusted pool numbers.
+// What remains is engine-wide — the step's duration priced on the KV the
+// batch would hold, the clock, the counters, the occupancy series and the
+// iteration observers, all read off the owed-adjusted pool numbers — and the
+// requests that change: the finishers (finishCoasted) and, on the first
+// decode step after a prefill, the newcomers' first tokens (stampAll).
 func (e *Engine) coast() bool {
 	n := len(e.running)
-	if e.owed+1 >= e.minLeft || len(e.hooks.token) > 0 ||
-		e.pool.BlockSize() != 1 || (e.owed+1)*n > e.pool.FreeBlocks() {
+	if e.owed >= e.minLeft || !e.coasts() || (e.owed+1)*n > e.pool.FreeBlocks() {
 		return false
 	}
+	e.pureDecode()
 	if e.roundDue() && !e.refuse() {
 		return false
 	}
 	e.coastStep(n)
 	return true
+}
+
+// coasts reports whether the engine may coast at all: no token hook, so
+// nobody is told of tokens one by one, and block size 1, so each owed token
+// is one block.
+func (e *Engine) coasts() bool {
+	return len(e.hooks.token) == 0 && e.pool.BlockSize() == 1
+}
+
+// pureDecode opens coasted steps — coast before its round, CoastUntil before
+// its run: each releases nothing and, unless a request finishes on it, is a
+// pure decode step (LastStep). The first after a Step that was not one moves
+// the epoch, as Step does before its round.
+func (e *Engine) pureDecode() {
+	if e.lastStep != StepPureDecode {
+		e.epoch++
+		e.lastStep = StepPureDecode
+	}
+	e.released = false
 }
 
 // coastStep takes one coasted decode step of an n-request batch: everything
@@ -135,12 +155,53 @@ func (e *Engine) coastStep(n int) {
 	e.coastedSteps++
 	e.outputTokens += int64(n)
 	e.owed++
-	// What EmitToken would measure: every request last emitted at prev.
-	if gap := e.clock - prev; gap > e.owedGap {
+	if e.prefilled {
+		e.stampAll()
+	} else if gap := e.clock - prev; gap > e.owedGap {
+		// What EmitToken would measure: every request last emitted at prev.
 		e.owedGap = gap
+	}
+	if e.owed == e.minLeft {
+		e.finishCoasted()
 	}
 	e.observe(e.clock)
 	e.iterationHook("decode", dur, n)
+}
+
+// stampAll gives every running request the timing of the token it takes on
+// the coasted step just taken, the first decode step after a prefill, as
+// EmitToken would: a newcomer's FirstTokenAt and the recorder's first-token
+// event, any other request's gap since its own last token, which spans the
+// prefill. It is the step's first owed token (the prefill's Step settled the
+// batch), so owedGap stays 0 and the later steps' gaps are clock advances
+// again.
+func (e *Engine) stampAll() {
+	for _, r := range e.running {
+		first := r.FirstTokenAt < 0
+		r.Stamp(e.clock, e.clock-r.LastEmitAt)
+		if first && e.rec != nil {
+			e.rec.FirstToken(e.clock, r, e.obsPool, e.obsRep)
+		}
+	}
+	e.prefilled = false
+}
+
+// finishCoasted ends the requests that emitted their last token on the
+// coasted step just taken, writing to no other request: the pool's peaks
+// first take every owed token (the per-token step grows the whole batch
+// before it frees anyone), then the finishers leave the batch, are settled
+// alone, and are freed and finished in batch order. The survivors keep
+// owing; minLeft becomes theirs.
+func (e *Engine) finishCoasted() {
+	e.pool.NotePeakWith(e.owed * len(e.running))
+	done, minLeft := e.sweepDone()
+	e.settleAll(done)
+	e.minLeft = minLeft
+	if len(e.running) == 0 {
+		e.clearOwed() // nobody is left to owe
+	}
+	e.release(done)
+	e.lastStep = StepOther
 }
 
 // roundDue reports whether the next Step holds an admission round: a request
@@ -173,15 +234,17 @@ func (e *Engine) refuse() bool {
 }
 
 // CoastEnd returns the clock at which the first Step that holds an admission
-// round or does not coast starts, assuming nothing outside the engine touches
-// it meanwhile: the current clock when the next Step is such a step, else the
-// end of the run of coasted steps it begins. Only the clock moves inside such
-// a run, so the run ends at the first of: a request at its last token, the
-// last free block, an arrival falling due (coastRun). Each step is priced as
-// coast prices it — the same scaled(DecodeTime(n, used+owed·n+n)) added in the
-// same order — so the value is exactly the clock that many Steps would reach.
-// The cluster schedules one event here instead of one per step, and so never
-// leaves a round to a catch-up.
+// round, releases a request or does not coast starts, assuming nothing outside
+// the engine touches it meanwhile: the current clock when the next Step is
+// such a step, else the end of the run of coasted steps it begins. Only the
+// clock moves inside such a run, so the run ends at the first of: a request
+// at its last token, the last free block, an arrival falling due (coastRun).
+// The step on which a request finishes coasts too, but ends the run: its
+// finish is an event for the caller. Each step is priced as coast prices it —
+// the same scaled(DecodeTime(n, used+owed·n+n)) added in the same order — so
+// the value is exactly the clock that many Steps would reach. The cluster
+// schedules one event here instead of one per step, and so never leaves a
+// round or a finish to a catch-up.
 func (e *Engine) CoastEnd() float64 {
 	k, due := e.coastRun()
 	n := len(e.running)
@@ -205,6 +268,9 @@ func (e *Engine) CoastUntil(t float64, inclusive bool) int {
 	n := len(e.running)
 	taken := 0
 	for ; taken < k && e.clock < due && (e.clock < t || inclusive && e.clock == t); taken++ {
+		if taken == 0 {
+			e.pureDecode()
+		}
 		e.coastStep(n)
 	}
 	return taken
@@ -212,13 +278,14 @@ func (e *Engine) CoastUntil(t float64, inclusive bool) int {
 
 // coastRun bounds the run of coasted steps the next Step begins: at most k
 // steps, each starting before due, the next arrival's time (+Inf with none).
-// k is 0 when the next Step holds a round or cannot coast. It is coast's
-// terms solved for the number of steps: step j (owing owed+j tokens before
-// it) coasts while owed+j+1 < minLeft and (owed+j+1)·n ≤ FreeBlocks, and
-// holds no round while the queue is empty and no arrival is due.
+// k is at most 0 when the next Step holds a round, finishes a request or
+// cannot coast. It is coast's terms solved for the number of steps: step j
+// (owing owed+j tokens before it) coasts and finishes nobody while
+// owed+j+1 < minLeft and (owed+j+1)·n ≤ FreeBlocks, and holds no round while
+// the queue is empty and no arrival is due.
 func (e *Engine) coastRun() (k int, due float64) {
 	n := len(e.running)
-	if n == 0 || e.queue.Len() > 0 || len(e.hooks.token) > 0 || e.pool.BlockSize() != 1 {
+	if n == 0 || e.queue.Len() > 0 || !e.coasts() {
 		return 0, 0
 	}
 	k = min(e.minLeft-e.owed-1, e.pool.FreeBlocks()/n-e.owed)
@@ -230,41 +297,60 @@ func (e *Engine) coastRun() (k int, due float64) {
 }
 
 // settle hands every running request the tokens coasted steps owe it — KV
-// growth, and Generated, LastEmitAt, MaxGap where handOut has not already —
-// in one pass, leaving the engine as the per-token path would have. The
-// pool's usage only grew over the run, so its peaks land on the values they
-// would have reached token by token.
+// growth, the Generated a round's handOut has not moved yet, and the timing
+// (LastEmitAt, MaxGap) — in one pass, leaving the engine as the per-token path
+// would have. The pool's usage only grew since the last settle or finish
+// (finishCoasted notes the peak before it frees), so its peaks land on the
+// values they would have reached token by token.
 func (e *Engine) settle() {
 	k := e.owed
 	if k == 0 {
 		return
 	}
-	emit := k - e.handed
-	for _, r := range e.running {
+	e.settleAll(e.running)
+	e.minLeft -= k
+	e.clearOwed()
+}
+
+// settleAll settles the requests rs, each of which owes every owed token: KV,
+// Generated and the timing of the last at the clock, owedGap the largest of
+// their gaps over the owed steps. Every one of them has had its first token
+// (stampAll) and none more tokens than its output holds.
+func (e *Engine) settleAll(rs []*request.Request) {
+	k, emit := e.owed, e.owed-e.handed
+	for _, r := range rs {
 		if !e.pool.Extend(r.KV, k) {
 			noRoom(r, k)
 		}
-		if emit > 0 {
-			r.EmitTokens(emit, e.clock, e.owedGap)
+		r.Generated += emit
+		if r.Generated > r.TrueOutputLen || r.FirstTokenAt < 0 {
+			misowed(r)
 		}
+		r.Stamp(e.clock, e.owedGap)
 	}
-	e.owed, e.handed, e.owedGap = 0, 0, 0
-	e.minLeft -= k
 }
 
-// handOut gives every running request the owed tokens it has not had yet —
-// Generated, LastEmitAt, MaxGap — and leaves the pool's growth owed. A
-// scheduler then reads the batch as a settled engine shows it; decide counts
-// the pool's owed growth for it.
+// clearOwed forgets the owed tokens once every running request has them.
+func (e *Engine) clearOwed() {
+	e.owed, e.handed, e.owedGap = 0, 0, 0
+}
+
+// handOut moves every running request's Generated past the owed tokens it
+// has not had yet, the count a scheduler reads (with KVLanded); the pool's
+// growth and the timing stay owed — a maximum taken at settle gives the same
+// bits as one taken now. decide counts the pool's owed growth for it.
 func (e *Engine) handOut() {
 	k := e.owed - e.handed
 	if k == 0 {
 		return
 	}
 	for _, r := range e.running {
-		r.EmitTokens(k, e.clock, e.owedGap)
+		r.Generated += k
+		if r.Done() { // coast keeps every running request short of its last token
+			misowed(r)
+		}
 	}
-	e.handed, e.owedGap = e.owed, 0
+	e.handed = e.owed
 }
 
 // noRoom panics for a running request the pool could not grow by k tokens.
@@ -272,6 +358,14 @@ func (e *Engine) handOut() {
 // so only a bug gets here.
 func noRoom(r *request.Request, k int) {
 	panic(fmt.Sprintf("engine: no room for %d tokens of request %d", k, r.ID))
+}
+
+// misowed panics for a request the owed tokens took past its output, or
+// settled before its first token's timing: only a bug in the coasting
+// bookkeeping gets here.
+func misowed(r *request.Request) {
+	panic(fmt.Sprintf("engine: request %d handed %d of %d tokens (first token at %v)",
+		r.ID, r.Generated, r.TrueOutputLen, r.FirstTokenAt))
 }
 
 // owedTokens is how many tokens the pool's usage trails the engine by — and
@@ -579,6 +673,15 @@ func (e *Engine) runPrefill(admitted []*request.Request) {
 	if !stamped && !e.released {
 		e.lastStep = StepAdmitOnly
 	}
+	if e.coasts() {
+		// The batch is settled here, and each request has a token left: the
+		// next decode step may coast, stamping the whole batch (stampAll).
+		e.prefilled = true
+		e.minLeft = math.MaxInt
+		for _, r := range e.running {
+			e.minLeft = min(e.minLeft, r.RemainingTrue())
+		}
+	}
 	e.observe(e.clock)
 	e.iterationHook("prefill", dur, len(admitted))
 }
@@ -601,8 +704,11 @@ func (e *Engine) completePrefills(admitted []*request.Request) {
 	}
 }
 
-// emit hands r its next token at the engine clock — the one place a token
-// reaches a request, its observers and the output counter.
+// emit hands r its next token at the engine clock — the one place a token of
+// a per-token step reaches a request, its observers and the output counter.
+// A coasted step counts its tokens for the whole batch and hands them over in
+// bulk (handOut, settle), its first tokens' timing and recorder events
+// through stampAll.
 func (e *Engine) emit(r *request.Request) {
 	first := r.FirstTokenAt < 0
 	r.EmitToken(e.clock)
@@ -626,22 +732,20 @@ func (e *Engine) finish(r *request.Request) {
 }
 
 // decodeRunning gives every running request one token, after ensureExtendable
-// made room for it, and returns the fewest tokens any of them has left.
-func (e *Engine) decodeRunning() (minLeft int) {
-	minLeft = math.MaxInt
+// made room for it.
+func (e *Engine) decodeRunning() {
 	for _, r := range e.running {
 		if !e.pool.Extend(r.KV, 1) {
 			noRoom(r, 1)
 		}
 		e.emit(r)
-		minLeft = min(minLeft, r.RemainingTrue())
 	}
-	return minLeft
 }
 
 // runDecode executes one decode step: every running request emits one token.
 func (e *Engine) runDecode() {
 	batch := len(e.running)
+	e.prefilled = false // every request the step keeps emits
 	e.ensureExtendable(e.running)
 	if len(e.running) == 0 {
 		return
@@ -651,11 +755,10 @@ func (e *Engine) runDecode() {
 	dur := e.scaled(e.cfg.Perf.DecodeTime(n, kvTokens))
 	e.clock += dur
 	e.decodeSteps++
-	minLeft := e.decodeRunning()
-	e.completeDone()
+	e.decodeRunning()
+	e.minLeft = e.completeDone() // the batch coast may start from
 	if e.keptBatch(batch) {
 		e.lastStep = StepPureDecode
-		e.minLeft = minLeft // the batch coast may start from
 	}
 	e.observe(e.clock)
 	e.iterationHook("decode", dur, n)
@@ -683,18 +786,47 @@ func (e *Engine) dropLanded() {
 }
 
 // completeDone finishes and frees every running request whose output is
-// complete.
-func (e *Engine) completeDone() {
+// complete, and returns the fewest tokens a request left running has to emit
+// (0 when none is left).
+func (e *Engine) completeDone() int {
+	done, minLeft := e.sweepDone()
+	e.release(done)
+	return minLeft
+}
+
+// sweepDone takes out of the batch, in batch order, the requests that have
+// emitted their last token once the owed ones count, and returns them with
+// the fewest tokens a request left running had when the batch was last
+// settled (0 when none is left). handOut may have moved Generated past that
+// settle by handed tokens. The finishers go in admitScratch: the step's
+// admissions, if any, have joined the batch or the chunk pipeline by now.
+func (e *Engine) sweepDone() (done []*request.Request, minLeft int) {
+	done, minLeft = e.admitScratch[:0], math.MaxInt
 	kept := e.running[:0]
 	for _, r := range e.running {
-		if !r.Done() {
+		if left := r.TrueOutputLen - r.Generated + e.handed; left > e.owed {
 			kept = append(kept, r)
+			minLeft = min(minLeft, left)
 			continue
 		}
+		done = append(done, r)
+	}
+	e.running = kept
+	if len(kept) == 0 {
+		minLeft = 0
+	}
+	return done, minLeft
+}
+
+// release frees and finishes the requests sweepDone took out of the batch, in
+// order; an exit hook that reads the batch sees the survivors only.
+func (e *Engine) release(done []*request.Request) {
+	for _, r := range done {
 		e.free(r)
 		e.finish(r)
 	}
-	e.running = kept
+	clear(done)
+	e.admitScratch = done[:0]
 }
 
 // observe records occupancy and batch-size time series at time t.

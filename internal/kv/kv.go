@@ -161,6 +161,20 @@ func (p *Pool) FragmentationWaste() int {
 // PeakUsedTokens returns the high-water mark of logical usage.
 func (p *Pool) PeakUsedTokens() int { return p.peakLogical }
 
+// NotePeakWith raises the high-water marks to what they would read were
+// extra more tokens allocated now, each in a block of its own: growth a
+// caller owes the pool and is about to make only in part (the engine's
+// coasted decode steps, at block size 1, before a finishing request frees its
+// allocation).
+func (p *Pool) NotePeakWith(extra int) {
+	if used := p.logicalUsed + extra; used > p.peakLogical {
+		p.peakLogical = used
+	}
+	if used := p.totalBlocks - p.freeBlocks + extra; used > p.peakBlocks {
+		p.peakBlocks = used
+	}
+}
+
 // Allocated reports whether the handle names a live allocation of this pool.
 func (p *Pool) Allocated(h Handle) bool { return p.lookup(h) != nil }
 

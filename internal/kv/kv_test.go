@@ -247,6 +247,27 @@ func TestPeakTracking(t *testing.T) {
 	}
 }
 
+// TestNotePeakWith: noting owed growth raises the peak to what the growth
+// made token by token would reach, and lowers nothing.
+func TestNotePeakWith(t *testing.T) {
+	p := NewPool(100, 1)
+	h := mustAlloc(t, p, 40)
+	p.NotePeakWith(25)
+	if p.PeakUsedTokens() != 65 || p.UsedTokens() != 40 {
+		t.Fatalf("peak %d, used %d; want 65 and 40", p.PeakUsedTokens(), p.UsedTokens())
+	}
+	p.NotePeakWith(5)
+	if p.PeakUsedTokens() != 65 {
+		t.Fatalf("a smaller note moved the peak to %d", p.PeakUsedTokens())
+	}
+	if !p.Extend(h, 30) || p.PeakUsedTokens() != 70 {
+		t.Fatalf("peak %d after growing to 70", p.PeakUsedTokens())
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestUtilization(t *testing.T) {
 	p := NewPool(200, 1)
 	mustAlloc(t, p, 50)

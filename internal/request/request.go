@@ -235,30 +235,23 @@ func (r *Request) EmitToken(now float64) {
 	if r.Done() {
 		panic(fmt.Sprintf("request %d: token emitted past completion", r.ID))
 	}
-	if r.FirstTokenAt < 0 {
-		r.FirstTokenAt = now
-	} else if gap := now - r.LastEmitAt; gap > r.MaxGap {
-		r.MaxGap = gap
-	}
-	r.LastEmitAt = now
+	r.Stamp(now, now-r.LastEmitAt)
 	r.Generated++
 }
 
-// EmitTokens records k output tokens at once for a request that already has
-// its first: the last of them at now, maxGap the largest gap between
-// consecutive ones (the first measured from LastEmitAt). It leaves the
-// request exactly as k EmitToken calls at those times would — the engine
-// uses it to settle a run of decode steps it did not walk the batch for.
-func (r *Request) EmitTokens(k int, now, maxGap float64) {
-	if r.FirstTokenAt < 0 || k <= 0 || r.Generated+k > r.TrueOutputLen {
-		panic(fmt.Sprintf("request %d: %d tokens emitted at once after %d of %d (first token at %v)",
-			r.ID, k, r.Generated, r.TrueOutputLen, r.FirstTokenAt))
-	}
-	if maxGap > r.MaxGap {
-		r.MaxGap = maxGap
+// Stamp records the timing of output tokens whose count the engine keeps in
+// Generated itself: the latest of them emitted at now, gap the largest gap
+// between consecutive ones, the first measured from LastEmitAt. The first
+// token of a request sets FirstTokenAt instead and has no gap. The engine
+// settles a run of decode steps it did not walk the batch for with one Stamp
+// per request, leaving it exactly as one EmitToken per token would.
+func (r *Request) Stamp(now, gap float64) {
+	if r.FirstTokenAt < 0 {
+		r.FirstTokenAt = now
+	} else if gap > r.MaxGap {
+		r.MaxGap = gap
 	}
 	r.LastEmitAt = now
-	r.Generated += k
 }
 
 // end sets the terminal outcome o at now — the one place an outcome is set,

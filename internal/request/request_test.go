@@ -2,6 +2,7 @@ package request
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -51,6 +52,23 @@ func TestTTFTAndGaps(t *testing.T) {
 	}
 	if got := r.TPOT(); math.Abs(got-1.0) > 1e-12 {
 		t.Fatalf("TPOT = %v, want 1.0", got)
+	}
+}
+
+// TestStampMatchesEmitToken: tokens counted into Generated by hand and
+// stamped once with their largest gap leave a request as one EmitToken per
+// token does — the first stamp sets FirstTokenAt and ignores its gap.
+func TestStampMatchesEmitToken(t *testing.T) {
+	ref := New(1, 10, 5, 10, 5.0)
+	for _, at := range []float64{7.0, 7.5, 9.0, 9.25} {
+		ref.EmitToken(at)
+	}
+	r := New(1, 10, 5, 10, 5.0)
+	r.Stamp(7.0, 99) // the first token: no gap
+	r.Generated += 4
+	r.Stamp(9.25, 1.5) // the gaps 0.5, 1.5 and 0.25, settled at once
+	if !reflect.DeepEqual(r, ref) {
+		t.Fatalf("stamped %+v, emitted %+v", *r, *ref)
 	}
 }
 

@@ -29,7 +29,9 @@
 # (BenchmarkEngineDecodeHeavy), 4000 pure decode steps of a 48-request batch
 # (BenchmarkEngineDecodeLong: /coast as built, /token-hook on the per-token
 # path the coasted step replaces, /queued with a request queued behind the
-# batch that every step's admission round refuses), the prefix-cache lookup
+# batch that every step's admission round refuses, /staggered with outputs
+# over 64-4000 tokens re-submitted as they finish, so that finishes and first
+# tokens recur on coasted steps), the prefix-cache lookup
 # of every block
 # of a chain with a pin/unpin cycle (BenchmarkPrefixMatch, 0 allocs steady
 # state), one churn step of a full prefix cache through reclaim, spill into
