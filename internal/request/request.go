@@ -108,6 +108,11 @@ type Request struct {
 	// link), and the flag clears on that admission so a later eviction
 	// recomputes normally.
 	Migrated bool
+	// ChunkedPrefill marks a request whose prefill is landing chunk by
+	// chunk; with PrefillDone below it is the chunked-prefill cursor. It
+	// sits beside the other flags so that the three share one word and a
+	// Request stays a 256-byte object.
+	ChunkedPrefill bool
 	// PrefillDoneAt is when a prefill-only engine finished this request's
 	// prompt and emitted the handoff; <0 in monolithic serving.
 	PrefillDoneAt float64
@@ -155,13 +160,12 @@ type Request struct {
 	// Chunked-prefill cursor, owned by the admitting engine and cleared
 	// whenever the allocation is released (eviction, crash, retry).
 	//
-	// ChunkedPrefill marks a request whose prefill is landing chunk by
-	// chunk; PrefillDone is the KV footprint materialised so far (cached,
-	// restored, and already-computed chunk tokens). While mid-chunk, the
-	// request holds a full-footprint reservation but only PrefillDone
+	// PrefillDone is the KV footprint materialised so far (cached,
+	// restored, and already-computed chunk tokens) of a request whose
+	// ChunkedPrefill flag, beside Migrated above, is set. While mid-chunk,
+	// the request holds a full-footprint reservation but only PrefillDone
 	// tokens of it exist — estimators charge the rest as Remaining growth.
-	ChunkedPrefill bool
-	PrefillDone    int
+	PrefillDone int
 }
 
 // New constructs a request. trueOutputLen is clamped to [1, maxNewTokens]:

@@ -5,7 +5,20 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestRequestFitsSizeClass: every request is one heap object, allocated per
+// arrival, so its size class is paid on every workload. At 256 bytes it sits
+// exactly in Go's 256-byte class; one field more (or a bool placed where it
+// pads a word) makes it a 288-byte object, 12% more memory per request. A
+// field that has to cross the class is a deliberate choice: raise the
+// ceiling here with the reason.
+func TestRequestFitsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Request{}); size > 256 {
+		t.Fatalf("request.Request is %d bytes, over the 256-byte size class", size)
+	}
+}
 
 func TestNewClampsOutputLen(t *testing.T) {
 	r := New(1, 100, 5000, 2048, 0)

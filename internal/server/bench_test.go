@@ -24,9 +24,10 @@ func serveOnce(tb testing.TB, h http.Handler, body string) *httptest.ResponseRec
 	return rec
 }
 
-// BenchmarkServeGenerate is the live path without the socket: decode the
-// body, submit, hand every token from the driver goroutine to the handler,
-// encode the reply. scripts/bench.sh records it in BENCH_hotpath.json.
+// BenchmarkServeGenerate is the live path without the socket: read and
+// decode the body, submit, hand every token from the driver goroutine to
+// the handler, encode the reply. scripts/bench.sh records it in
+// BENCH_hotpath.json.
 func BenchmarkServeGenerate(b *testing.B) {
 	for _, c := range generateBodies {
 		b.Run(c.name, func(b *testing.B) {
@@ -41,13 +42,15 @@ func BenchmarkServeGenerate(b *testing.B) {
 	}
 }
 
-// TestServeGenerateAllocs is the allocation guard on the live path: 28 per
+// TestServeGenerateAllocs is the allocation guard on the live path: 21 per
 // request of either kind, most of them the recorder and the request this
-// test builds (a few more under -race, where sync.Pool drops what it is
-// given). With a map, three boxed values and a flush for every token, a
-// streamed reply used to cost 739.
+// test builds. Under -race, where sync.Pool drops a quarter of what it is
+// given and a fresh mailbox regrows its buffers, it read 24 to 33 over 160
+// runs, hence a margin of 15; TestCanonicalBodiesDecodeInPlace holds the
+// body's decode to 0 exactly. With a map, three boxed values and a flush
+// for every token, a streamed reply used to cost 739.
 func TestServeGenerateAllocs(t *testing.T) {
-	const ceiling = 40.0
+	const ceiling = 21.0 + 15
 	for _, c := range generateBodies {
 		h := newRunningServer(t, 0).Handler()
 		serveOnce(t, h, c.body)

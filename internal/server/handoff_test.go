@@ -118,7 +118,8 @@ func TestDrainIsOneWrite(t *testing.T) {
 // event and nothing else, however many tokens the engine produced.
 func TestPlainReplySkipsTokens(t *testing.T) {
 	srv := newServer(t, 0)
-	_, mb := srv.submit(generateRequest{InputTokens: 50, MaxNewTokens: 64, OutputTokens: 40})
+	mb := mailboxes.Get().(*mailbox)
+	srv.submit(generateRequest{InputTokens: 50, MaxNewTokens: 64, OutputTokens: 40}, mb)
 	srv.mu.Lock()
 	for !srv.eng.Idle() {
 		srv.eng.Step()
@@ -360,6 +361,13 @@ func TestHostileBodies(t *testing.T) {
 		{"oversized", `{"input_tokens":8,"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge, ""},
 		{"negative max_new_tokens takes the default", `{"input_tokens":8,"max_new_tokens":-5,"output_tokens":2}`, http.StatusOK, "ok"},
 		{"a prompt the pool can hold but the scheduler never admits", fmt.Sprintf(`{"input_tokens":%d,"output_tokens":2}`, srv.capacity), http.StatusOK, "failed"},
+		// Where the canonical fast path and json.Unmarshal could part: keys
+		// in another case and unknown keys go to Unmarshal, and a repeated
+		// key, decoded in place, keeps its last value as Unmarshal does.
+		{"keys matched without case", `{"INPUT_TOKENS":8,"output_tokens":2}`, http.StatusOK, "ok"},
+		{"an unknown key", `{"input_tokens":8,"output_tokens":2,"temperature":0.7}`, http.StatusOK, "ok"},
+		{"a repeated key takes its last value", fmt.Sprintf(`{"input_tokens":%d,"output_tokens":2,"input_tokens":8}`, over), http.StatusOK, "ok"},
+		{"a repeated key takes its last value, over the pool", fmt.Sprintf(`{"input_tokens":8,"output_tokens":2,"input_tokens":%d}`, over), http.StatusBadRequest, ""},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/v1/generate", "application/json", strings.NewReader(c.body))
@@ -377,7 +385,21 @@ func TestHostileBodies(t *testing.T) {
 		}
 	}
 
-	resp := postJSON(t, ts.URL+"/v1/generate", map[string]interface{}{"input_tokens": 10, "output_tokens": 3})
+	// A chunked body, whose length the server learns only by reading it,
+	// meets the same limit: the wrapper hides the length from http.Post,
+	// which then sends the body with no Content-Length.
+	chunked := struct{ io.Reader }{strings.NewReader(`{"input_tokens":8,"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`)}
+	resp, err := http.Post(ts.URL+"/v1/generate", "application/json", chunked)
+	if err != nil {
+		t.Fatalf("chunked oversized: %v", err)
+	}
+	reply, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("chunked oversized: status %d, want %d (%s)", resp.StatusCode, http.StatusRequestEntityTooLarge, reply)
+	}
+
+	resp = postJSON(t, ts.URL+"/v1/generate", map[string]interface{}{"input_tokens": 10, "output_tokens": 3})
 	var sum generateResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sum); err != nil || sum.OutputTokens != 3 {
 		t.Fatalf("generate after the hostile bodies: %+v, %v", sum, err)

@@ -31,6 +31,20 @@
 // strconv into one buffer and are byte for byte what encoding/json writes
 // for the same values.
 //
+// # Reading the body
+//
+// A POST /v1/generate body has one read path: the handler takes its mailbox
+// from the pool first and reads the body, through http.MaxBytesReader, into
+// the mailbox's buffer, which the pool keeps for the next request unless it
+// grew past 64 KiB. A body in the canonical shape — one object whose keys
+// are the four names above in exact case, integers of at most 18 digits,
+// true or false, JSON whitespace — is decoded in place without allocating;
+// every other body goes to json.Unmarshal, so each body gets the status
+// code and the 400 text it would get from json.Unmarshal alone. A reply's
+// Content-Type is one of two shared one-element slices, assigned to the
+// header map rather than set per request: net/http clones the map when the
+// header is written, so nothing writes into them.
+//
 // # Drain, then flush
 //
 // The engine's token and exit hooks run inside a step, under the server's
@@ -65,10 +79,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -83,6 +97,11 @@ import (
 // maxBodyBytes bounds a POST /v1/generate body.
 const maxBodyBytes = 1 << 20
 
+// maxKeptBody is the largest body buffer a recycled mailbox keeps: the
+// canonical body is ~70 bytes, and a rare large one should not pin its
+// buffer in the pool.
+const maxKeptBody = 64 << 10
+
 // Config configures a Server.
 type Config struct {
 	// Engine is the serving engine (required). The server takes ownership:
@@ -95,7 +114,9 @@ type Config struct {
 	// not specify output_tokens.
 	Seed uint64
 	// DefaultMaxNew caps outputs when the client omits max_new_tokens.
-	// 0 selects 2048.
+	// 0 selects 2048, or the KV pool's capacity in tokens if that is
+	// smaller; a negative value or one above the capacity is an error, as
+	// an explicit max_new_tokens above it is a 400.
 	DefaultMaxNew int
 }
 
@@ -147,9 +168,10 @@ type mailbox struct {
 	tokens bool          // false: deliver evEnd only
 
 	// The handler's own scratch. It lives here so that a recycled mailbox
-	// brings its grown slices to the next request.
-	taken []event // the batch being written; swapped with events by take
-	buf   []byte  // the encoded lines of that batch
+	// brings its grown buffers to the next request.
+	body  bytes.Buffer // the request body, read before the mailbox subscribes
+	taken []event      // the batch being written; swapped with events by take
+	buf   []byte       // the encoded lines of that batch
 }
 
 // mailboxes recycles mailboxes between requests. A handler returns its
@@ -162,6 +184,10 @@ var mailboxes = sync.Pool{New: func() interface{} {
 // recycle empties the mailbox and hands it to the next request.
 func (mb *mailbox) recycle() {
 	mb.events = mb.events[:0]
+	mb.body.Reset()
+	if mb.body.Cap() > maxKeptBody {
+		mb.body = bytes.Buffer{}
+	}
 	select {
 	case <-mb.wake: // raised by an event a previous take already carried off
 	default:
@@ -177,8 +203,15 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Timescale < 0 {
 		return nil, fmt.Errorf("server: negative timescale")
 	}
-	if cfg.DefaultMaxNew == 0 {
+	capacity := cfg.Engine.Pool().CapacityTokens()
+	switch {
+	case cfg.DefaultMaxNew < 0 || cfg.DefaultMaxNew > capacity:
+		return nil, fmt.Errorf("server: default max_new_tokens %d is negative or above the KV capacity of %d tokens", cfg.DefaultMaxNew, capacity)
+	case cfg.DefaultMaxNew == 0:
 		cfg.DefaultMaxNew = 2048
+		if capacity < cfg.DefaultMaxNew {
+			cfg.DefaultMaxNew = capacity
+		}
 	}
 	s := &Server{
 		eng:           cfg.Engine,
@@ -186,7 +219,7 @@ func New(cfg Config) (*Server, error) {
 		subs:          map[int64]*mailbox{},
 		timescale:     cfg.Timescale,
 		defaultMaxNew: cfg.DefaultMaxNew,
-		capacity:      cfg.Engine.Pool().CapacityTokens(),
+		capacity:      capacity,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.eng.AddTokenHook(func(now float64, r *request.Request) {
@@ -270,6 +303,13 @@ type generateRequest struct {
 	Stream       bool `json:"stream"`
 }
 
+// A reply's Content-Type values, shared by every reply (see "Reading the
+// body" above). With len == cap == 1, an Add after them appends to a copy.
+var (
+	contentJSON   = []string{"application/json"}
+	contentNDJSON = []string{"application/x-ndjson"}
+)
+
 // generateResponse is the non-streaming response (and the final streaming
 // event payload).
 type generateResponse struct {
@@ -288,8 +328,18 @@ func (s *Server) handleGenerate(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBodyBytes))
-	if err != nil {
+	// The mailbox comes first so that the body is read into its buffer. It
+	// goes back to the pool after generate returns, not in a defer: after a
+	// panic a hook may still hold it, and it must not reach another request.
+	mb := mailboxes.Get().(*mailbox)
+	s.generate(w, req, mb)
+	mb.recycle()
+}
+
+// generate reads, decodes and checks the body, then submits the request and
+// replies, using mb for the body and the request's events.
+func (s *Server) generate(w http.ResponseWriter, req *http.Request, mb *mailbox) {
+	if _, err := mb.body.ReadFrom(http.MaxBytesReader(w, req.Body, maxBodyBytes)); err != nil {
 		code := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -298,9 +348,8 @@ func (s *Server) handleGenerate(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "bad body: "+err.Error(), code)
 		return
 	}
-	var body generateRequest
-	// Unmarshal, unlike a Decoder, also refuses anything after the object.
-	if err := json.Unmarshal(raw, &body); err != nil {
+	body, err := decodeGenerate(mb.body.Bytes())
+	if err != nil {
 		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -313,14 +362,12 @@ func (s *Server) handleGenerate(w http.ResponseWriter, req *http.Request) {
 			http.StatusBadRequest)
 		return
 	}
-	r, mb := s.submit(body)
-	s.reply(w, req, r, mb)
-	mb.recycle()
+	s.reply(w, req, s.submit(body, mb), mb)
 }
 
 // submit assigns the request its id, hands it to the engine and subscribes
-// a mailbox to its events, all under the lock.
-func (s *Server) submit(body generateRequest) (*request.Request, *mailbox) {
+// mb to its events, all under the lock.
+func (s *Server) submit(body generateRequest, mb *mailbox) *request.Request {
 	maxNew := body.MaxNewTokens
 	if maxNew <= 0 {
 		maxNew = s.defaultMaxNew
@@ -334,12 +381,11 @@ func (s *Server) submit(body generateRequest) (*request.Request, *mailbox) {
 		out = int(s.r.LogNormal(5.3, 0.9)) + 1
 	}
 	r := request.New(s.next, body.InputTokens, out, maxNew, s.eng.Clock())
-	mb := mailboxes.Get().(*mailbox)
 	mb.tokens = body.Stream
 	s.subs[r.ID] = mb
 	s.eng.Submit(r)
 	s.cond.Signal()
-	return r, mb
+	return r
 }
 
 // take moves the mailbox's pending events to mb.taken, whose previous batch
@@ -380,10 +426,10 @@ func (s *Server) unsubscribe(id int64) {
 func (s *Server) reply(w http.ResponseWriter, req *http.Request, r *request.Request, mb *mailbox) {
 	var flusher http.Flusher
 	if mb.tokens {
-		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Header()["Content-Type"] = contentNDJSON
 		flusher, _ = w.(http.Flusher)
 	} else {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = contentJSON
 	}
 	gone := req.Context().Done()
 	for {
@@ -505,6 +551,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = contentJSON
 	_ = json.NewEncoder(w).Encode(v)
 }

@@ -17,6 +17,7 @@ import (
 	"github.com/lightllm-go/lightllm/internal/hw"
 	"github.com/lightllm-go/lightllm/internal/model"
 	"github.com/lightllm-go/lightllm/internal/perf"
+	"github.com/lightllm-go/lightllm/internal/request"
 	"github.com/lightllm-go/lightllm/internal/rng"
 )
 
@@ -234,7 +235,7 @@ func TestStatusEndpoint(t *testing.T) {
 func TestStatusCountsAcceptedBeforeStep(t *testing.T) {
 	srv := newServer(t, 0)
 	for i := 0; i < 2; i++ {
-		srv.submit(generateRequest{InputTokens: 100, OutputTokens: 5})
+		srv.submit(generateRequest{InputTokens: 100, OutputTokens: 5}, mailboxes.Get().(*mailbox))
 	}
 	if srv.eng.QueueLen() != 0 || srv.eng.RunningLen() != 0 {
 		t.Fatalf("engine stepped: queue %d, running %d", srv.eng.QueueLen(), srv.eng.RunningLen())
@@ -292,5 +293,68 @@ func TestServerConfigValidation(t *testing.T) {
 	eng := engine.MustNew(engine.Config{Perf: pm, Scheduler: core.NewOracle()})
 	if _, err := New(Config{Engine: eng, Timescale: -1}); err == nil {
 		t.Fatal("negative timescale accepted")
+	}
+	capacity := eng.Pool().CapacityTokens()
+	for _, c := range []struct {
+		maxNew, want int // want 0: New refuses the config
+	}{
+		{-1, 0},
+		{capacity + 1, 0},
+		{capacity, capacity},
+		{0, 2048},
+	} {
+		srv, err := New(Config{Engine: eng, DefaultMaxNew: c.maxNew})
+		switch {
+		case c.want == 0 && err == nil:
+			t.Errorf("DefaultMaxNew %d accepted with a capacity of %d tokens", c.maxNew, capacity)
+		case c.want != 0 && err != nil:
+			t.Errorf("DefaultMaxNew %d: %v", c.maxNew, err)
+		case c.want != 0 && srv.defaultMaxNew != c.want:
+			t.Errorf("DefaultMaxNew %d became %d, want %d", c.maxNew, srv.defaultMaxNew, c.want)
+		}
+	}
+}
+
+// TestDefaultMaxNewFitsSmallPool: on a pool of fewer than 2048 tokens, a
+// request that omits max_new_tokens is capped at the pool's capacity, the
+// bound an explicit max_new_tokens is held to. The first request sets its
+// cap, so that the scheduler, which predicts from a single finished length
+// here, has a prediction to admit the second by rather than its cap.
+func TestDefaultMaxNewFitsSmallPool(t *testing.T) {
+	const capacity = 1000
+	pm := perf.MustNew(perf.Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1)})
+	eng := engine.MustNew(engine.Config{
+		Perf:             pm,
+		Scheduler:        core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.03, Rng: rng.New(1), MinHistory: 1}),
+		CapacityOverride: capacity,
+	})
+	maxNew := make(chan int, 2)
+	eng.AddExitHook(func(_ float64, r *request.Request) { maxNew <- r.MaxNewTokens })
+	srv, err := New(Config{Engine: eng, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		srv.Run()
+		close(stopped)
+	}()
+	defer func() {
+		srv.Close()
+		<-stopped
+	}()
+	for _, body := range []string{
+		`{"input_tokens":8,"max_new_tokens":16,"output_tokens":2}`,
+		`{"input_tokens":8,"output_tokens":2}`,
+	} {
+		rec := serveOnce(t, srv.Handler(), body)
+		var sum generateResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &sum); err != nil || sum.Status != "ok" || sum.OutputTokens != 2 {
+			t.Fatalf("%s: reply %s (%v), want 2 tokens ok", body, rec.Body, err)
+		}
+	}
+	<-maxNew
+	if got := <-maxNew; got != capacity {
+		t.Fatalf("max_new_tokens %d for a request that omits it, want the capacity %d", got, capacity)
 	}
 }
