@@ -1,91 +1,3 @@
-// Package cluster is the fleet layer between the serving engine and the
-// world: an event-driven multi-replica simulator with predictive,
-// SLA-driven autoscaling — the paper's §7 future-work proposal (routing by
-// predicted future memory demand) grown into a real subsystem.
-//
-// The layer is built from role-aware pools. A Pool owns replicas that all
-// execute one serving phase (engine.RoleMixed, RolePrefillOnly,
-// RoleDecodeOnly) behind a routing policy and an optional autoscaler; a
-// Cluster composes pools behind a single event min-heap (replica engine
-// steps, replica activations, autoscaler ticks, KV-handoff deliveries) so
-// every pool shares one simulated clock. Two topologies are supported:
-//
-//   - Monolithic: one RoleMixed pool, NewCluster(ClusterConfig{Pools:
-//     []Config{cfg}}); its Pool(0) is the fleet's routing and scaling view.
-//   - Disaggregated (Dynamo/DistServe/Splitwise-style): a prefill pool and
-//     a decode pool behind a two-stage router. Arrivals take a
-//     FutureHeadroom (or RR/least-loaded) pick in the prefill pool; a
-//     prefill-only engine completes the request at its first token and
-//     hands it off; the KV cache crosses a kv.Link (bandwidth + latency +
-//     optional serialization, so the handoff is simulated, not free); on
-//     delivery the request takes a second FutureHeadroom pick in the
-//     decode pool and is admitted through engine.SubmitMigrated with its
-//     KV footprint pre-seeded.
-//
-// Routing probes go through one warm core.PeakEstimator per replica — no
-// per-probe clone+sort, no per-probe allocations. What a probe counts is
-// everything the router has put on the replica: the running batch, the FCFS
-// queue, and the requests placed since the replica's last step, which still
-// sit in its engine's arrival heap (engine.WaitingLen is queue +
-// placed-not-yet-queued; the LeastLoaded policy and the reactive
-// autoscaler's load signal count the same set). A placement is therefore
-// visible to the very next probe, also one for an arrival at the same
-// instant, and keeping it visible costs one splice: a placement pushes its
-// single entry into the sorted estimator (Pool.placed). What a probe does
-// not count is KV still in transit: a handoff booked on the link toward a
-// decode replica (replica.pendingIn) becomes visible when it is delivered,
-// not when it is booked — measured neutral on the full-feature workload, see
-// ROADMAP.
-//
-// An estimator outlives its replica's pure decode steps and its admission
-// steps (engine.LastStep: StepPureDecode, StepAdmitOnly — most steps of a
-// busy replica). Eq. 2–4's M* is a maximum over future time points, and a
-// pure decode step only moves the replica along its own time axis, so an
-// estimator built k steps ago, asked about the candidate shifted k steps
-// back, answers at most what a rebuild would (Pool.probeBound); an admission
-// step moves requests into the batch with the entries they had while
-// waiting. An argmin needs no more than that of every replica but the one it
-// returns. Any other step, and a crash, invalidates the estimator as before
-// (replica.moved).
-//
-// Each valid estimator also gives its replica a floor, a lower bound of its
-// exact probe for any candidate, and the pool keeps its accepting replicas
-// in floor order (Pool.byFloor). The FutureHeadroom pick and the admission
-// gate (Pool.bestProbe) sweep in that order, stop at the first replica
-// whose floor no replica from there on can get under, price a reached
-// replica only if a floor tightened by the candidate can still win, and
-// rebuild only the replica the sweep ends on; the decode pick
-// (Cluster.pickDecode) sweeps every replica's bound. Every decision is the
-// exact sweep's, bit for bit: TestLaggedBoundIsSound,
-// TestPrunedSweepMatchesFullSweep, TestFutureHeadroomDecisionsGolden.
-// Between steps a probe costs two compares: the estimator's two
-// candidate-independent terms are kept per replica (core.PeakTerms).
-//
-// The simulation runs on one core: one event heap, one event at a time, and
-// one event per run of coasted decode steps rather than per step. Most steps
-// of a busy replica are coasted (engine.CoastEnd): nobody else can see them
-// until the run ends, so the replica's step event sits at the run's end and
-// the replica is caught up lazily, before any arrival or non-step event
-// reads or changes it (events.go). The decisions are those of a loop that
-// pops every step: an engine with a token hook never coasts, so a cluster of
-// such engines is that loop, and TestCoastRunMatchesPerStepPath runs every
-// equivalence scenario both ways.
-//
-// Autoscaling is per pool: the threshold-reactive
-// high/low-water policy, or the predictive SLA planner (PlannerConfig)
-// that forecasts load and scales straight to the replica count whose
-// interpolated latency meets the targets — TTFT sizes a prefill pool,
-// TPOT sizes a decode pool, both size a mixed pool.
-//
-// With AdmissionConfig the arrival path becomes a cluster-front admission
-// pipeline (admission.go): arrivals the probes cannot place are held in a
-// deadline-indexed global EDF queue, released on capacity events (replica
-// steps that freed a request, activations, KV deliveries, autoscaler
-// moves) instead of per-tick polling, and shed — request.OutcomeShed —
-// once their remaining TTFT budget cannot cover the predicted prefill +
-// transfer floor. Handoffs whose expected delivery already overruns the
-// deadline are dropped at the prefill→transfer boundary, before any link
-// bandwidth is booked.
 package cluster
 
 import (

@@ -70,6 +70,9 @@ func TestFleetValidation(t *testing.T) {
 		pool Config
 	}{
 		{"no replicas", Config{Replicas: []*engine.Engine{}}},
+		{"nil engine", Config{Replicas: []*engine.Engine{replicas(1, 1000)[0], nil}}},
+		{"unknown policy", Config{Policy: FutureHeadroom + 1}},
+		{"negative policy", Config{Policy: -1}},
 		{"negative affinity", Config{AffinityWeight: -1}},
 		{"NaN affinity", Config{AffinityWeight: nan}},
 		{"infinite affinity", Config{AffinityWeight: inf}},
@@ -94,7 +97,7 @@ func TestFleetValidation(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.pool.Replicas == nil { // every row but "no replicas"
+			if tc.pool.Replicas == nil { // every row but "no replicas" and "nil engine"
 				tc.pool.Replicas = replicas(2, 1000)
 			}
 			if _, err := NewCluster(ClusterConfig{Pools: []Config{tc.pool}}); err == nil {
@@ -144,25 +147,21 @@ func TestServeStreamMatchesServe(t *testing.T) {
 // original router used: at every FutureHeadroom decision of a fleet heavy
 // enough to queue, the replica the warm per-replica estimators chose must be
 // naivePick's — the argmin of one clone+sort core.PredictedBatchPeak per
-// accepting replica. OnRoute fires before the engine sees the request, so the
+// accepting replica. onRoute fires before the engine sees the request, so the
 // oracle reads the state the pick read. Seeds follow CHAOS_SEEDS (make chaos).
 func TestWarmProbeMatchesNaive(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			var p *Pool
 			decisions := 0
-			c := mono(Config{
-				Replicas: replicas(3, 12_000),
-				Policy:   FutureHeadroom,
-				OnRoute: func(r *request.Request, rep int) {
-					if want := naivePick(p, r); want.idx != rep {
-						t.Fatalf("decision %d (request %d): warm chose replica %d, naive argmin %d", decisions, r.ID, rep, want.idx)
-					}
-					decisions++
-				},
-			})
-			p = c.pools[0]
+			c := mono(Config{Replicas: replicas(3, 12_000), Policy: FutureHeadroom})
+			p := c.pools[0]
+			p.onRoute = func(r *request.Request, rep int) {
+				if want := naivePick(p, r); want.idx != rep {
+					t.Fatalf("decision %d (request %d): warm chose replica %d, naive argmin %d", decisions, r.ID, rep, want.idx)
+				}
+				decisions++
+			}
 			const n = 250
 			c.Serve(poissonReqs(n, 25, seed), 1e9)
 			if decisions != n {
@@ -243,10 +242,8 @@ func TestRoundRobinStartsAtFirstReplica(t *testing.T) {
 	// Regression: the original router incremented its rotation counter
 	// before the modulo, so the first request skipped replica 0.
 	var picks []int
-	f := mono(Config{
-		Replicas: replicas(3, 50_000), Policy: RoundRobin,
-		OnRoute: func(_ *request.Request, rep int) { picks = append(picks, rep) },
-	})
+	f := mono(Config{Replicas: replicas(3, 50_000), Policy: RoundRobin})
+	f.pools[0].onRoute = func(_ *request.Request, rep int) { picks = append(picks, rep) }
 	f.Serve(poissonReqs(3, 5, 11), 1e9)
 	want := []int{0, 1, 2}
 	for i, p := range picks {
@@ -288,13 +285,13 @@ func TestActivationDelayGate(t *testing.T) {
 		Replicas: replicas(2, 6_000),
 		Policy:   FutureHeadroom,
 		Scale:    &AutoScale{Min: 1, Max: 2, HighWater: 0.3, LowWater: 0.01, ActivationDelay: delay},
-		OnRoute: func(r *request.Request, rep int) {
-			routed = append(routed, r)
-			if rep == 1 {
-				toNew = append(toNew, r)
-			}
-		},
 	})
+	f.pools[0].onRoute = func(r *request.Request, rep int) {
+		routed = append(routed, r)
+		if rep == 1 {
+			toNew = append(toNew, r)
+		}
+	}
 	f.Serve(poissonReqs(200, 30, 13), 1e9)
 	if out, _ := f.Pool(0).ScaleEvents(); out == 0 {
 		t.Fatal("load never triggered a scale-out")
@@ -353,8 +350,8 @@ func TestPlannerDrainBeforeRetire(t *testing.T) {
 			SLA: metrics.SLASmall, Min: 1, Max: 4, Interval: 5,
 			Predictor: HoltPredictor, ActivationDelay: 1,
 		},
-		OnRoute: func(r *request.Request, rep int) { assignments[r.ID] = rep },
 	})
+	f.pools[0].onRoute = func(r *request.Request, rep int) { assignments[r.ID] = rep }
 	// Heavy burst then silence: the planner must scale out, then drain and
 	// retire the extra replicas without losing in-flight work.
 	burst := poissonReqs(250, 35, 19)

@@ -60,10 +60,10 @@ func twinScenarios() []twinScenario {
 					e.Submit(request.New(int64(1000*(i+1)+k), 300, 400, 512, 0))
 				}
 			}
-			return MustNewCluster(ClusterConfig{
-				Pools:    []Config{{Replicas: engines, Policy: policy, OnRoute: tr.onRoute(0)}},
+			return tr.traced(MustNewCluster(ClusterConfig{
+				Pools:    []Config{{Replicas: engines, Policy: policy}},
 				Recorder: rec,
-			}), burst(1, 8, 1.0+float64(seed)*0.01, 0.00025)
+			})), burst(1, 8, 1.0+float64(seed)*0.01, 0.00025)
 		}
 		scs = append(scs,
 			// Same-instant groups and sub-step gaps, where a placement's
@@ -73,10 +73,10 @@ func twinScenarios() []twinScenario {
 				for i := range reqs {
 					reqs[i].ArrivalTime = reqs[i-i%6].ArrivalTime + float64(i%2)*1e-4
 				}
-				return MustNewCluster(ClusterConfig{
-					Pools:    []Config{{Replicas: replicas(4, 12_000), Policy: policy, OnRoute: tr.onRoute(0)}},
+				return tr.traced(MustNewCluster(ClusterConfig{
+					Pools:    []Config{{Replicas: replicas(4, 12_000), Policy: policy}},
 					Recorder: rec,
-				}), reqs
+				})), reqs
 			}},
 			twinScenario{name: "lockstep-herd/" + policy.String(), sla: seamSLA, build: lockstep},
 			// Served to a deadline inside the replicas' runs: the end of the
@@ -105,11 +105,11 @@ func exactInstants(seed uint64, rec obs.Recorder, tr *decisionTrace) (*Cluster, 
 		return reqs
 	}
 	build := func(rec obs.Recorder, tr *decisionTrace) *Cluster {
-		return MustNewCluster(ClusterConfig{
-			Pools:    []Config{{Replicas: replicas(1, 20_000), Policy: FutureHeadroom, OnRoute: tr.onRoute(0)}},
+		return tr.traced(MustNewCluster(ClusterConfig{
+			Pools:    []Config{{Replicas: replicas(1, 20_000), Policy: FutureHeadroom}},
 			Faults:   &FaultConfig{Schedule: script, Recover: true},
 			Recorder: rec,
-		})
+		}))
 	}
 	coastedStart := func(after float64) float64 {
 		c := build(nil, &decisionTrace{})

@@ -1,0 +1,222 @@
+// Package cluster is the fleet layer between the serving engine and the
+// world: an event-driven multi-replica simulator with predictive,
+// SLA-driven autoscaling — the paper's §7 future-work proposal (routing by
+// predicted future memory demand) grown into a real subsystem.
+//
+// The layer is built from role-aware pools. A Pool owns replicas that all
+// execute one serving phase (engine.RoleMixed, RolePrefillOnly,
+// RoleDecodeOnly) behind a routing policy and an optional autoscaler; a
+// Cluster composes pools behind a single event min-heap (replica engine
+// steps, replica activations, autoscaler ticks, KV-handoff deliveries) so
+// every pool shares one simulated clock. Two topologies are supported:
+//
+//   - Monolithic: one RoleMixed pool, NewCluster(ClusterConfig{Pools:
+//     []Config{cfg}}); its Pool(0) is the fleet's routing and scaling view.
+//   - Disaggregated (Dynamo/DistServe/Splitwise-style): a prefill pool and
+//     a decode pool behind a two-stage router. Arrivals take a
+//     FutureHeadroom (or RR/least-loaded) pick in the prefill pool; a
+//     prefill-only engine completes the request at its first token and
+//     hands it off; the KV cache crosses a kv.Link (bandwidth + latency +
+//     optional serialization, so the handoff is simulated, not free); on
+//     delivery the request takes a second FutureHeadroom pick in the
+//     decode pool and is admitted through engine.SubmitMigrated with its
+//     KV footprint pre-seeded.
+//
+// Routing probes, the section below, say what a FutureHeadroom decision
+// reads and why it prices only a few replicas of a large fleet.
+//
+// The simulation runs on one core: one event heap, one event at a time, and
+// one event per run of coasted decode steps rather than per step. Most steps
+// of a busy replica are coasted (engine.CoastEnd): nobody else can see them
+// until the run ends, so the replica's step event sits at the run's end and
+// the replica is caught up lazily, before any arrival or non-step event
+// reads or changes it (events.go). The decisions are those of a loop that
+// pops every step: an engine with a token hook never coasts, so a cluster of
+// such engines is that loop, and TestCoastRunMatchesPerStepPath runs every
+// equivalence scenario both ways.
+//
+// Autoscaling is per pool: the threshold-reactive
+// high/low-water policy, or the predictive SLA planner (PlannerConfig)
+// that forecasts load and scales straight to the replica count whose
+// interpolated latency meets the targets — TTFT sizes a prefill pool,
+// TPOT sizes a decode pool, both size a mixed pool.
+//
+// With AdmissionConfig the arrival path becomes a cluster-front admission
+// pipeline (admission.go): arrivals the probes cannot place are held in a
+// deadline-indexed global EDF queue, released on capacity events (replica
+// steps that freed a request, activations, KV deliveries, autoscaler
+// moves) instead of per-tick polling, and shed — request.OutcomeShed —
+// once their remaining TTFT budget cannot cover the predicted prefill +
+// transfer floor. Handoffs whose expected delivery already overruns the
+// deadline are dropped at the prefill→transfer boundary, before any link
+// bandwidth is booked.
+//
+// # Routing probes
+//
+// Load-aware routing asks each accepting replica one question — what would
+// your predicted future peak memory be with this request on you? — through a
+// warm core.PeakEstimator per replica (FutureHeadroom; LeastLoaded counts
+// requests instead). What the probe counts is everything the router has put
+// on the replica: the running batch, the FCFS queue, and the requests placed
+// since the replica's last step, which wait in the engine's arrival heap
+// until that step runs (engine.WaitingLen = queue + placed-not-yet-queued;
+// the reactive autoscaler's load signal and the server's /v1/status use the
+// same definition). A placement splices its one entry into the sorted
+// estimator (Pool.placed: a binary search and a copy, 0 allocs), so the
+// probe for the very next arrival — also one at the same instant — already
+// sees it. KV still on the wire toward a decode replica is the one thing not
+// counted (measured neutral, see ROADMAP).
+//
+// What a probe reads now. A replica's estimator is rebuilt from its engine
+// only when the routing decision cannot be made without it. After every step
+// the engine says what the step moved (engine.LastStep): StepPureDecode —
+// every running request one token further, nobody admitted, chunked,
+// evicted, finished or dropped, window untouched (87% of replay-day's steps,
+// 92% of storm-product's) — after which the estimator stays and counts one
+// more step of lag; StepAdmitOnly — a fused prefill that moved requests from
+// the waiting set into the batch and did nothing else (no release, no
+// prefix-cache hit or restore, no swap-in; not chunked, not prefill-only) —
+// after which it stays as it is, since every entry it holds is the one it
+// had; and StepOther, which, like a crash, invalidates it (replica.moved is
+// the one place that decides). A probe of a lagging replica asks the old
+// estimator about the candidate shifted back in time — PeakWith({C−k,
+// R+k}) − k·static, k the lag — and that is a lower bound of what a rebuild
+// would answer: Eq. 2–4's M* is a maximum over future time points of the
+// batch's summed memory; seen from the estimator's own instant every running
+// request holds exactly what its entry said it would, for at least as long
+// (a conditional quantile never falls as the request generates), today's
+// candidate is the entry (C−k, R+k), and each *static* entry — waiting at
+// the rebuild, or spliced in since, and still static once an admission step
+// moved it into the batch — holds at most k tokens less than its entry says.
+// The bound is the exact value when nothing is static and no clamped
+// quantile moved.
+//
+// Which replicas a decision prices. Every replica with a valid estimator
+// also has a *floor*, a lower bound of its exact probe for any candidate:
+// max(peak − k·static, 0), the same time shift without a candidate, since a
+// candidate (whose Current is never negative) never lowers M*. The pool
+// keeps its accepting replicas in an index ordered by floor (Pool.byFloor,
+// the keys inline, repaired by one insertion-sort pass when a rebuild, a
+// splice, or a decode step of a replica with static entries moves a floor;
+// an invalidated replica keeps its place on a stale list and is rebuilt
+// before the next sweep, as any probe of it would be). bestProbe — pick's
+// FutureHeadroom arm and the admission gate — sweeps that index in order and
+// stops at the first replica whose floor is over the running minimum and
+// either over the gate or, at the fastest flavor's speed and the largest
+// affinity bonus the request can get, unable to beat or tie the best (fits,
+// score) found so far: no replica after it can. A replica it reaches is
+// first held to a floor tightened by the candidate — when the candidate's
+// shifted remaining length is at least the estimator's longest, it is
+// resident at every completion point, so the bound is at least peak −
+// k·static + C − k (the term joins before the clamp at 0) — and is priced
+// only if that floor can still win. Equal scores resolve by index, as in an
+// index-order sweep. The decision is the sweep over every replica's bound
+// (fullBestProbe, the test oracle) to the bit, replica and minimum fraction
+// (TestPrunedSweepMatchesFullSweep, at every arrival of seven small fleets,
+// one of them heterogeneous with affinity and a gate), and every floor is
+// checked against the brute-force probe after every event
+// (TestProbeFloorIsSound). On a 96-replica fleet shaped like replay-day an
+// arrival reaches about half the replicas and prices about 12 of 96. The
+// decode stage's pickDecode still sweeps every replica: its delivery term
+// has no floor. Ten alternating parent/change pairs: replay-day
+// requests_per_s 160.2k → 192.2k (×1.200) at seed 1 and 165.5k → 207.9k
+// (×1.256) at seed 7, the change ahead in 10 of 10 each; storm-product
+// ×1.05–1.08 (4 and 2 pairs); engine-closed and serve-http inside their
+// spread; every simulated metric equal in every pair. The traced
+// cluster.route_s falls 0.375 → 0.195 s. The 1M-request day runs at the
+// knee, where what routing costs is proving a lagging winner (a rebuild that
+// walks its whole waiting set), and did not move (153.9k → 155.4k heap
+// events per wall second).
+//
+// An argmin needs no more than a lower bound of every replica but the one it
+// returns: bestProbe and pickDecode sweep over bounds and exact values,
+// rebuild the replica the sweep ends on, and sweep again only if that moved
+// its value — the rankings are monotone in the fraction, so the result is
+// the exact sweep's, index-order ties included (TestLaggedBoundIsSound
+// checks replica *and* minimum fraction against a brute-force sweep after
+// every event of six small fleets; TestFutureHeadroomDecisionsGolden pins
+// two whole days to hashes recorded before the change). load and the
+// window-generation guard stay exact. Second, PeakWith(c) = max(a, c.Current
+// + d, 0) where a and d depend only on the estimator and c.Remaining
+// (core.PeakTerms): each replica keeps the pair for the last remaining
+// length probed, so a replica that neither stepped nor took a placement
+// since the previous arrival costs two compares, not a binary search —
+// provided the two candidates' predicted lengths clamp to one value (the
+// same max_new_tokens cap at or under the window's quantile, or any two caps
+// above it). At seed 1 that is 88% of replay-day's probes and 54% of
+// storm-product's; measured apart from the bound, ten alternating pairs
+// against probing through PeakWith (seeds 61–70), it is worth ×1.08 of
+// replay-day's requests_per_s (128.2k → 138.6k, 10 of 10) and nothing either
+// way on storm-product (5 of 10).
+//
+// On replay-day (96 replicas, seed 1) an arrival used to rebuild 10.2
+// estimators; it now rebuilds 1.55 — 1.35 of them because the replica's last
+// step admitted or finished someone, 0.20 to prove a sweep's winner — and
+// rules 67.7 lagging replicas out on their bound; 99.9% of sweeps run once.
+// storm-product (12 prefill and 16 decode replicas behind admission): 7.4 →
+// 1.9 rebuilds per sweep. Ten alternating parent/change pairs on seeds
+// 41–50: replay-day requests_per_s 97.7k (quartiles 96.3–100.9k) → 140.1k
+// (137.4–142.7k), ×1.45, the change ahead in 10 of 10; storm-product 47.8k →
+// 52.7k (×1.10, 10 of 10); engine-closed and serve-http, which route
+// nothing, inside their own spread; every simulated metric on the three
+// deterministic workloads equal to the last digit in all 30 pairs. In the
+// traced run cluster.route_s falls 0.705 → 0.321 s with engine.step_ns and
+// core.admit_ns_per_call where they were. The micro rows that see it (one
+// host, ns per pick): BenchmarkFleetRoute/replicas=96 — nothing stepped,
+// every probe a memo hit — 1808 → 1128; BenchmarkFleetRoutePureStep — an
+// eighth of the 96 replicas took a real pure decode step since the last pick
+// — 1283 (1.9 µs without the memo), against 7790 for the same fleet when
+// every step cost a rebuild, which is what the parent's
+// BenchmarkFleetRouteStepped measured and what
+// BenchmarkFleetRouteRebuild/replicas=96 still does (7997: the worst case is
+// not cheaper, and at replicas=4, all four rebuilt per pick, about 8% dearer
+// — the bound's bookkeeping, the same with and without the memo).
+//
+// What a probe reads is kept small enough to stay in cache across a large
+// fleet. "How many window samples are ≤ g" — the rank behind every
+// conditional quantile P(l | l > g), asked once per running request at each
+// estimator rebuild and once per candidate — is one load from a rank index
+// the history window maintains beside its sorted CDF (internal/dist), not a
+// binary search over the replica's own 8 kB array; a candidate that has
+// generated nothing is priced from the quantile the replica recorded at its
+// last rebuild and reads no window memory at all; and the estimator sorts a
+// rebuilt batch with an insertion sort over the reversed engine order (which
+// is nearly sorted) and finds a candidate's rank with a closure-free search.
+// On replay-day (96 replicas) that took Pool.pick from 60% to 44% of a
+// replay that is itself 1.9× shorter: ten alternating parent/change pairs on
+// seeds 21–30, requests_per_s 39.1k (quartiles 37.7–40.0k) → 73.7k
+// (67.0–77.1k), the change ahead in 10 of 10, every simulated metric equal
+// to the last digit. The 4- and 16-replica micro rows run from the
+// first-level cache and barely see it (BenchmarkFleetRoute/replicas=16 483 →
+// 409 ns); replicas=96 with full 1000-sample windows reads 4.4 → 2.5 µs, and
+// the same fleet with an eighth of the replicas rebuilt per pick — then
+// BenchmarkFleetRouteStepped, today BenchmarkFleetRouteRebuild/replicas=96 —
+// 32.5 → 12.4 µs.
+//
+// Before that splice a placement stayed invisible until the replica's next
+// step — tens of simulated milliseconds — so every arrival inside that
+// interval saw the same "emptiest" replica: on replay-day (125 000 arrivals,
+// 96 replicas, seed 5) the picks came in runs of 6.9 in a row on the same
+// replica on average, the longest 168 (now 1.3 and 25), and that herd — not
+// the fleet's capacity — set the tail. Ten alternating parent/change pairs
+// of the whole-run benchmark on seeds 11–20 (medians; the change ahead in 10
+// of 10 pairs on every simulated row below; storm-product's p99 TTFT stays
+// pinned at its 10 s admission budget):
+//
+//	                                           before                 after
+//	replay-day p99 TTFT, sim-s                 9.30 (9.22–9.59)       0.40 (0.39–0.41)
+//	replay-day SLA attainment                  0.9865                 1.0000
+//	replay-day goodput, tok/sim-s              69.7k                  71.2k
+//	replay-day prefill tokens / request        329.4                  323.0
+//	replay-day requests/s of host time         49.98k (49.37–50.21k)  49.74k (49.51–49.96k)
+//	storm-product goodput / attainment         4641 / 0.923           4677 / 0.932
+//	storm-product requests/s of host time      32.45k                 32.02k
+//	BenchmarkFleetRoutePlace                   —                      354 ns, 0 allocs
+//	8 same-instant arrivals on 4 idle replicas 8 / 0 / 0 / 0          2 / 2 / 2 / 2
+//
+// Parentheses hold quartiles; goodput is in tokens per simulated second.
+// Prefill tokens per request include recompute after evictions.
+// storm-product served 1% more requests to completion, with 4× more
+// admission holds. BenchmarkFleetRoutePlace times a pick over 4 replicas,
+// the submit and the splice.
+package cluster

@@ -122,8 +122,8 @@ func TestSpeedNormalizedPick(t *testing.T) {
 	f := mono(Config{
 		Replicas: mixedReplicas(pmSlow, 1, pmFast, 1, 10_000, 5),
 		Policy:   FutureHeadroom,
-		OnRoute:  func(_ *request.Request, rep int) { picks = append(picks, rep) },
 	})
+	f.pools[0].onRoute = func(_ *request.Request, rep int) { picks = append(picks, rep) }
 	f.Serve([]*request.Request{request.New(1, 400, 4, 64, 0)}, 1e9)
 	if len(picks) != 1 || picks[0] != 1 {
 		t.Fatalf("first pick %v, want the fast replica (index 1)", picks)

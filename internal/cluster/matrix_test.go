@@ -183,7 +183,6 @@ func (mc matrixCell) build(seed uint64, rec obs.Recorder, tr *decisionTrace) (*C
 	}
 	for i := range pools {
 		pools[i].Policy = FutureHeadroom
-		pools[i].OnRoute = tr.onRoute(i)
 		if mc.planner {
 			pools[i].Planner = &PlannerConfig{
 				SLA: sh.sla, Min: 1, Max: len(pools[i].Replicas), Interval: 5,
@@ -217,7 +216,7 @@ func (mc matrixCell) build(seed uint64, rec obs.Recorder, tr *decisionTrace) (*C
 			reqs[i].TrueOutputLen = 1
 		}
 	}
-	return MustNewCluster(cfg), reqs
+	return tr.traced(MustNewCluster(cfg)), reqs
 }
 
 // engines builds one pool's replicas. A prefill replica admits on current
@@ -399,11 +398,15 @@ type decisionTrace struct {
 	kneeRounds int
 }
 
-// onRoute returns an OnRoute hook that logs pool's routing decisions.
-func (tr *decisionTrace) onRoute(pool int) func(r *request.Request, rep int) {
-	return func(r *request.Request, rep int) {
-		tr.routes = append(tr.routes, fmt.Sprintf("p%d r%d req%d", pool, rep, r.ID))
+// traced makes every pool of c log its routing decisions into tr.
+func (tr *decisionTrace) traced(c *Cluster) *Cluster {
+	for i, p := range c.pools {
+		i := i
+		p.onRoute = func(r *request.Request, rep int) {
+			tr.routes = append(tr.routes, fmt.Sprintf("p%d r%d req%d", i, rep, r.ID))
+		}
 	}
+	return c
 }
 
 // collect records what a served cluster decided besides routing.

@@ -107,17 +107,14 @@ func TestHerdBurstWithinOneStep(t *testing.T) {
 					e.Submit(request.New(int64(1000*(i+1)+k), 300, 400, 512, 0))
 				}
 			}
-			f := mono(Config{
-				Replicas: engines,
-				Policy:   policy,
-				OnRoute: func(*request.Request, int) {
-					for i, e := range engines {
-						if e.RunningLen() == 0 {
-							t.Errorf("replica %d is idle during the burst: the scenario no longer tests busy replicas", i)
-						}
+			f := mono(Config{Replicas: engines, Policy: policy})
+			f.pools[0].onRoute = func(*request.Request, int) {
+				for i, e := range engines {
+					if e.RunningLen() == 0 {
+						t.Errorf("replica %d is idle during the burst: the scenario no longer tests busy replicas", i)
 					}
-				},
-			})
+				}
+			}
 			f.Serve(burst(1, 8, 1.0, 0.00025), 1e9)
 			assertEvenSpread(t, policy.String(), f.Pool(0).RoutedCounts())
 		})

@@ -98,9 +98,6 @@ type Config struct {
 	// caching off every replica matches zero tokens, so routing is
 	// bit-identical to the cache-blind policy either way.
 	AffinityWeight float64
-	// OnRoute, when non-nil, observes every routing decision into this pool
-	// (pool-local replica index).
-	OnRoute func(r *request.Request, replica int)
 }
 
 // flavor groups a pool's replicas that share one hardware deployment: the
@@ -258,6 +255,10 @@ type Pool struct {
 
 	scaleUps int
 	scaleIns int
+
+	// onRoute, when non-nil, observes every routing decision into this pool
+	// (pool-local replica index). Tests set it after NewCluster.
+	onRoute func(r *request.Request, replica int)
 }
 
 // newPool validates one pool configuration and builds it into the cluster.
@@ -265,7 +266,13 @@ func newPool(c *Cluster, id int, cfg Config) (*Pool, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("cluster: pool %d: at least one replica required", id)
 	}
+	if cfg.Policy < RoundRobin || cfg.Policy > FutureHeadroom {
+		return nil, fmt.Errorf("cluster: pool %d: unknown %v", id, cfg.Policy)
+	}
 	for i, e := range cfg.Replicas {
+		if e == nil {
+			return nil, fmt.Errorf("cluster: pool %d: replica %d has no engine", id, i)
+		}
 		if e.Role() != cfg.Role {
 			return nil, fmt.Errorf("cluster: pool %d is %v but replica %d's engine is %v",
 				id, cfg.Role, i, e.Role())
@@ -669,8 +676,8 @@ func (p *Pool) route(req *request.Request) *replica {
 // argmin, deliver-time re-routes).
 func (p *Pool) routeTo(req *request.Request, rep *replica) {
 	rep.routed++
-	if p.cfg.OnRoute != nil {
-		p.cfg.OnRoute(req, rep.idx)
+	if p.onRoute != nil {
+		p.onRoute(req, rep.idx)
 	}
 }
 

@@ -29,7 +29,13 @@ func newCertWorld(cfg PastFutureConfig, seed uint64) *certWorld {
 	r := rng.New(seed)
 	cw := &certWorld{w: dist.NewWindow(16 + r.Intn(200))}
 	longest := 40 + r.Intn(600)
-	for i := 0; i < 300; i++ {
+	// Half the worlds start cold, below the 16 lengths Past-Future waits
+	// for, and warm only as window Adds arrive.
+	fill := r.Intn(minHistory)
+	if r.Intn(2) == 0 {
+		fill = minHistory + r.Intn(300)
+	}
+	for i := 0; i < fill; i++ {
 		cw.w.Add(1 + r.Intn(longest))
 	}
 	used := 0
@@ -96,9 +102,10 @@ func (cw *certWorld) gapToMax() int {
 	return gap
 }
 
-// certCounts tallies what a certificate sequence exercised.
+// certCounts tallies what a certificate sequence exercised: its rounds, the
+// cold ones among them, and those refused before drawing.
 type certCounts struct {
-	rounds, undrawn, repeats int
+	rounds, cold, undrawn, repeats int
 }
 
 // runCertificateSequence applies ops to an Epoch-aware scheduler and its
@@ -118,7 +125,6 @@ func runCertificateSequence(t *testing.T, seed uint64, ops []byte) certCounts {
 		Deterministic: cfgRng.Intn(4) == 0,
 		NoResample:    cfgRng.Intn(4) == 0,
 		Samples:       1 + cfgRng.Intn(4),
-		MinHistory:    1 + cfgRng.Intn(20),
 		Quantile:      0.5 + 0.4*cfgRng.Float64(),
 	}
 	if !cfg.Deterministic {
@@ -153,6 +159,9 @@ func runCertificateSequence(t *testing.T, seed uint64, ops []byte) certCounts {
 			got := aware.pf.Admit(aware.v, aware.queue)
 			want := blind.pf.Admit(blind.v, blind.queue)
 			n.rounds++
+			if aware.v.History.Len() < minHistory {
+				n.cold++
+			}
 			if got != want {
 				t.Fatalf("op %d: admitted %d, Epoch-blind twin %d", i, got, want)
 			}
@@ -289,12 +298,13 @@ func TestRefusalCertificate(t *testing.T) {
 		}
 		n := runCertificateSequence(t, seed, ops)
 		total.rounds += n.rounds
+		total.cold += n.cold
 		total.undrawn += n.undrawn
 		total.repeats += n.repeats
 	}
-	if total.repeats == 0 || total.repeats == total.undrawn {
-		t.Fatalf("%d rounds, %d refused before drawing, %d of them by the certificate after an advance: a path is never exercised",
-			total.rounds, total.undrawn, total.repeats)
+	if total.repeats == 0 || total.repeats == total.undrawn || total.cold == 0 || total.cold == total.rounds {
+		t.Fatalf("%d rounds (%d cold), %d refused before drawing, %d of them by the certificate after an advance: a path is never exercised",
+			total.rounds, total.cold, total.undrawn, total.repeats)
 	}
-	t.Logf("%d rounds, %d refused before drawing, %d of them by the certificate after an advance", total.rounds, total.undrawn, total.repeats)
+	t.Logf("%d rounds (%d cold), %d refused before drawing, %d of them by the certificate after an advance", total.rounds, total.cold, total.undrawn, total.repeats)
 }

@@ -24,13 +24,9 @@ type PastFutureConfig struct {
 	// SmallBatch is the batch-size threshold under which multi-sampling is
 	// applied. 0 selects 8.
 	SmallBatch int
-	// MinHistory is the number of finished requests required before the
-	// window is trusted; below it, predictions fall back to max_new_tokens
-	// (the paper's cold-start policy). 0 selects 16.
-	MinHistory int
 	// Deterministic replaces random draws with fixed conditional quantiles
 	// (Quantile), making admissions reproducible without an RNG stream.
-	// Used by tests and by latency-sensitive deployments.
+	// Tests and ROADMAP's reserve/quantile frontier set it; no program does.
 	Deterministic bool
 	// NoResample is an ablation switch: predictions are drawn once at
 	// admission time and never updated, instead of being resampled from
@@ -42,15 +38,17 @@ type PastFutureConfig struct {
 	Quantile float64
 }
 
+// minHistory is the number of finished requests required before the
+// window is trusted; below it, predictions fall back to max_new_tokens (the
+// paper's cold-start policy).
+const minHistory = 16
+
 func (c PastFutureConfig) withDefaults() PastFutureConfig {
 	if c.Samples == 0 {
 		c.Samples = 4
 	}
 	if c.SmallBatch == 0 {
 		c.SmallBatch = 8
-	}
-	if c.MinHistory == 0 {
-		c.MinHistory = 16
 	}
 	if c.Quantile == 0 {
 		c.Quantile = 0.9
@@ -116,10 +114,10 @@ func NewPastFuture(cfg PastFutureConfig) (*PastFuture, error) {
 	}
 	// A negative Samples would skip predict's draw loop and price every
 	// multi-sampled request at Generated+1 — the aggressive rule under this
-	// scheduler's name; negative SmallBatch and MinHistory are as meaningless.
-	if cfg.Samples < 0 || cfg.SmallBatch < 0 || cfg.MinHistory < 0 {
-		return nil, fmt.Errorf("core: negative samples %d, small batch %d or min history %d",
-			cfg.Samples, cfg.SmallBatch, cfg.MinHistory)
+	// scheduler's name; a negative SmallBatch is as meaningless.
+	if cfg.Samples < 0 || cfg.SmallBatch < 0 {
+		return nil, fmt.Errorf("core: negative samples %d or small batch %d",
+			cfg.Samples, cfg.SmallBatch)
 	}
 	cfg = cfg.withDefaults()
 	return &PastFuture{cfg: cfg}, nil
@@ -408,7 +406,7 @@ func (pf *PastFuture) repeatRefusal(v *View, head *request.Request, threshold in
 
 // usableSampler returns the history sampler, or nil during cold start.
 func (pf *PastFuture) usableSampler(v *View) *dist.Sampler {
-	if v.History == nil || v.History.Len() < pf.cfg.MinHistory {
+	if v.History == nil || v.History.Len() < minHistory {
 		return nil
 	}
 	return v.History.Sampler()

@@ -466,13 +466,18 @@ func refusedByTerm(admitted int, v *View, queue []*request.Request, entries []En
 //
 // Some windows hold only short outputs, so that running requests have
 // generated past every observation, and some only zero-length ones; an
-// eighth of the requests have generated exactly the window's longest. Each
-// request carries a preset PredictedLen for the NoResample ablation to keep,
-// some at or below its Generated; one in 16 running requests and half the
-// queued ones carry none.
+// eighth of the requests have generated exactly the window's longest. A
+// quarter of the windows hold fewer than 32 lengths, so that rounds land on
+// both sides of the 16 Past-Future waits for before it trusts the window.
+// Each request carries a preset PredictedLen for the NoResample ablation to
+// keep, some at or below its Generated; one in 16 running requests and half
+// the queued ones carry none.
 func admitTrial(r *rng.RNG, seed uint64, knee bool) func() (*View, []*request.Request) {
 	w := dist.NewWindow(1 + r.Intn(300))
 	histN, longest := r.Intn(400), 600
+	if r.Intn(4) == 0 {
+		histN = r.Intn(2 * minHistory)
+	}
 	if knee {
 		longest = 4000
 	}
@@ -642,7 +647,7 @@ func TestPastFutureDecisionsBitIdenticalToNaive(t *testing.T) {
 	}{{"random", false, false, false}, {"knee", true, false, false}, {"sampling", true, true, false}, {"light", false, true, true}} {
 		t.Run(arm.name, func(t *testing.T) {
 			src := rng.New(2024)
-			undrawn, shortcuts, fitted := 0, 0, 0
+			undrawn, shortcuts, fitted, cold, rounds := 0, 0, 0, 0, 0
 			for trial := 0; trial < 400; trial++ {
 				r := src.Split()
 				mkState := admitTrial(r, uint64(trial)*7+13, arm.knee)
@@ -655,7 +660,6 @@ func TestPastFutureDecisionsBitIdenticalToNaive(t *testing.T) {
 				}
 				cfg := PastFutureConfig{
 					Reserved: float64(r.Intn(3)) * 0.05, Deterministic: !arm.sampling, Quantile: 0.5 + 0.4*r.Float64(),
-					MinHistory: 1 + r.Intn(50),
 					Samples:    r.Intn(6),
 					NoResample: r.Intn(3) == 0,
 				}
@@ -675,6 +679,10 @@ func TestPastFutureDecisionsBitIdenticalToNaive(t *testing.T) {
 				// Two rounds a decode step apart: under NoResample the second
 				// reads back what the first wrote, or chose not to write.
 				for round := 0; round < 2; round++ {
+					rounds++
+					if vFast.History.Len() < minHistory {
+						cold++
+					}
 					before := predictions(vFast, qFast)
 					got := pfFast.Admit(vFast, qFast)
 					want, entries := naiveAdmit(pfNaive, vNaive, qNaive, nil)
@@ -713,8 +721,11 @@ func TestPastFutureDecisionsBitIdenticalToNaive(t *testing.T) {
 			if arm.light && fitted == 0 {
 				t.Fatal("no round was admitted before drawing: admittedUndrawn is never exercised")
 			}
-			t.Logf("%d rounds refused before drawing, %d more by the build-phase term, %d admitted before drawing",
-				undrawn, shortcuts, fitted)
+			if cold == 0 || cold == rounds {
+				t.Fatalf("%d of %d rounds in cold start: both sides of the window gate must be reached", cold, rounds)
+			}
+			t.Logf("%d rounds (%d cold), %d refused before drawing, %d more by the build-phase term, %d admitted before drawing",
+				rounds, cold, undrawn, shortcuts, fitted)
 		})
 	}
 }
@@ -930,7 +941,7 @@ func TestAdmittedUndrawnAtTheCeiling(t *testing.T) {
 			fitted                     bool
 		}{{budget, 40, 2, true}, {budget - 1, 40, 1, false}, {budget, 1 << 32, 1, false}, {budget, math.MaxInt, 1, false}} {
 			run := func(unobserved bool) (*PastFuture, *View, int) {
-				pf := MustNewPastFuture(PastFutureConfig{Rng: rng.New(5), MinHistory: 16})
+				pf := MustNewPastFuture(PastFutureConfig{Rng: rng.New(5)})
 				v, q := state(warm, c.maxNew)
 				v.CapacityTokens, v.FreeTokens, v.Unobserved = c.capacity, c.capacity-v.UsedTokens, unobserved
 				return pf, v, pf.Admit(v, q)

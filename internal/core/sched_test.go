@@ -219,7 +219,6 @@ func TestPastFutureConfigValidation(t *testing.T) {
 	for _, cfg := range []PastFutureConfig{
 		{Deterministic: true, Samples: -1},
 		{Deterministic: true, SmallBatch: -1},
-		{Deterministic: true, MinHistory: -1},
 	} {
 		if _, err := NewPastFuture(cfg); err == nil {
 			t.Fatalf("negative count accepted: %+v", cfg)

@@ -49,8 +49,8 @@ func TestEmptyWindowSampler(t *testing.T) {
 }
 
 func TestColdStartWindowBelowMinHistory(t *testing.T) {
-	// The scheduler gates on Len() < MinHistory during cold start; the
-	// window must report the exact count while partially filled.
+	// The scheduler trusts the window only from 16 lengths on (cold start
+	// below); the window must report the exact count while partially filled.
 	w := NewWindow(1000)
 	for i := 1; i <= 15; i++ {
 		w.Add(i * 10)
@@ -58,8 +58,8 @@ func TestColdStartWindowBelowMinHistory(t *testing.T) {
 			t.Fatalf("after %d adds Len = %d", i, w.Len())
 		}
 	}
-	// The sampler is still fully usable below any MinHistory threshold;
-	// the fallback policy lives in the scheduler, not here.
+	// The sampler is still fully usable below that threshold; the fallback
+	// policy lives in the scheduler, not here.
 	if got := w.Sampler().Max(); got != 150 {
 		t.Fatalf("cold-start Max = %d, want 150", got)
 	}

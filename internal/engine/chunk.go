@@ -19,8 +19,19 @@ import (
 // bounded share of the tightest waiting request's remaining TTFT budget
 // per chunk — long prompts yield to tight deadlines behind them and
 // stretch out when slack is plentiful. The greedy policy doubles as the
-// reference the SLO-aware sizer is held to: narrowed to a fixed window, the
-// sizer decides exactly as greedy does (TestChunkPolicyEquivalence).
+// reference the SLO-aware sizer is held to: with no deadline waiting, the
+// sizer carves maxChunkTokens and decides exactly as greedy does at that
+// chunk size (TestChunkPolicyEquivalence).
+
+// The SLO-aware sizer's window and share: a chunk spends at most
+// slackShare of the tightest waiter's remaining TTFT budget, floored at
+// minChunkTokens so a starved budget still makes progress and capped at
+// maxChunkTokens when slack is plentiful.
+const (
+	minChunkTokens = 128
+	maxChunkTokens = 4096
+	slackShare     = 0.25
+)
 
 // chunkEmit is one chunk's deferred recorder emission: chunks are carved
 // before the iteration's duration is known, but observed at its end.
@@ -202,9 +213,8 @@ func (e *Engine) chunkSignals() float64 {
 // need clamp it. queueTight is the tightest TTFT deadline waiting in the
 // queue (+Inf when none).
 func (e *Engine) chunkSizeAt(idx int, queueTight float64) int {
-	c := &e.cfg.Chunked
-	if c.Policy != ChunkSLOAware {
-		return c.ChunkTokens
+	if e.cfg.Chunked.Policy != ChunkSLOAware {
+		return e.cfg.Chunked.ChunkTokens
 	}
 	tight := queueTight
 	if s := e.chunkSuffix[idx+1]; s < tight {
@@ -213,18 +223,11 @@ func (e *Engine) chunkSizeAt(idx int, queueTight float64) int {
 	if math.IsInf(tight, 1) {
 		// Nobody with a deadline is waiting behind this prompt: stretch the
 		// chunk out and amortise the per-chunk overhead.
-		return c.MaxChunkTokens
+		return maxChunkTokens
 	}
 	slack := tight - e.clock
 	if slack <= 0 {
-		return c.MinChunkTokens
+		return minChunkTokens
 	}
-	size := e.cfg.Perf.PrefillTokensWithin(slack * c.SlackShare)
-	if size < c.MinChunkTokens {
-		size = c.MinChunkTokens
-	}
-	if size > c.MaxChunkTokens {
-		size = c.MaxChunkTokens
-	}
-	return size
+	return min(max(e.cfg.Perf.PrefillTokensWithin(slack*slackShare), minChunkTokens), maxChunkTokens)
 }

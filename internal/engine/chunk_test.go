@@ -102,14 +102,19 @@ func TestChunkedPrefillConservation(t *testing.T) {
 }
 
 // TestChunkPolicyEquivalence is the chunk sizers' decision-equivalence
-// cross-check: the SLO-aware sizer degenerated to a fixed window (Min = Max
-// = ChunkTokens) must make bit-identical decisions to the greedy fixed-chunk
-// reference on the same workload — same clocks, same chunk counts, same
-// per-request timings.
+// cross-check: with no TTFT deadline anywhere the SLO-aware sizer always
+// carves its cap, so it must make bit-identical decisions to the greedy
+// fixed-chunk reference at ChunkTokens = 4096 on the same workload — same
+// clocks, same chunk counts, same per-request timings. Greedy at another
+// chunk size must differ, or the workload does not exercise the size.
 func TestChunkPolicyEquivalence(t *testing.T) {
 	trace := func(chunk ChunkConfig) []string {
-		e := chunkEngine(t, chunk, 2048, 7)
-		e.SubmitAll(longMixReqs(120, 6, 42))
+		e := chunkEngine(t, chunk, 16_384, 7)
+		reqs := longMixReqs(120, 6, 42)
+		for _, q := range reqs {
+			q.TTFTDeadline = 0
+		}
+		e.SubmitAll(reqs)
 		res := e.Run()
 		out := []string{fmt.Sprintf("dur=%.9f steps=%d chunkIters=%d chunks=%d out=%d",
 			res.Duration, res.DecodeSteps, res.ChunkIters, res.PrefillChunks, res.OutputTokens)}
@@ -118,18 +123,49 @@ func TestChunkPolicyEquivalence(t *testing.T) {
 		}
 		return out
 	}
-	greedy := trace(ChunkConfig{Enabled: true, Policy: ChunkGreedyFixed, ChunkTokens: 384})
-	degen := trace(ChunkConfig{
-		Enabled: true, Policy: ChunkSLOAware,
-		ChunkTokens: 384, MinChunkTokens: 384, MaxChunkTokens: 384,
-	})
-	if len(greedy) != len(degen) {
-		t.Fatalf("trace lengths differ: greedy %d, degenerate-slo %d", len(greedy), len(degen))
+	greedy := trace(ChunkConfig{Enabled: true, Policy: ChunkGreedyFixed, ChunkTokens: 4096})
+	slo := trace(ChunkConfig{Enabled: true, Policy: ChunkSLOAware})
+	if len(greedy) != len(slo) {
+		t.Fatalf("trace lengths differ: greedy %d, slo %d", len(greedy), len(slo))
 	}
 	for i := range greedy {
-		if greedy[i] != degen[i] {
-			t.Fatalf("decision %d differs:\ngreedy: %s\nslo:    %s", i, greedy[i], degen[i])
+		if greedy[i] != slo[i] {
+			t.Fatalf("decision %d differs:\ngreedy: %s\nslo:    %s", i, greedy[i], slo[i])
 		}
+	}
+	if small := trace(ChunkConfig{Enabled: true, Policy: ChunkGreedyFixed, ChunkTokens: 512}); small[0] == greedy[0] {
+		t.Fatalf("greedy at 512 and 4096 tokens run alike (%s): the workload does not exercise the chunk size", small[0])
+	}
+}
+
+// TestChunkSizeAt pins the SLO-aware sizer's window: a chunk spends a
+// quarter of the tightest waiter's slack, floored at 128 tokens and capped
+// at 4096.
+func TestChunkSizeAt(t *testing.T) {
+	e := chunkEngine(t, ChunkConfig{Enabled: true, Policy: ChunkSLOAware}, 0, 1)
+	e.clock = 10
+	e.chunkSuffix = []float64{math.Inf(1), math.Inf(1)}
+	perSecond := float64(e.cfg.Perf.PrefillTokensWithin(1))
+	within := func(slack float64) int { return e.cfg.Perf.PrefillTokensWithin(slack * 0.25) }
+	inside := 4 * 1000 / perSecond // a quarter of it encodes ~1000 tokens
+	for _, tc := range []struct {
+		name  string
+		slack float64
+		want  int
+	}{
+		{"deadline passed", -1, 128},
+		{"no slack", 0, 128},
+		{"slack below the floor", 4 * 10 / perSecond, 128},
+		{"slack inside the window", inside, within(inside)},
+		{"slack above the cap", 4 * 100_000 / perSecond, 4096},
+		{"no deadline", math.Inf(1), 4096},
+	} {
+		if got := e.chunkSizeAt(0, e.clock+tc.slack); got != tc.want {
+			t.Errorf("%s (slack %v): chunk %d, want %d", tc.name, tc.slack, got, tc.want)
+		}
+	}
+	if n := within(inside); n <= 128 || n >= 4096 {
+		t.Fatalf("the inside row's chunk %d is not inside (128, 4096)", n)
 	}
 }
 
@@ -142,9 +178,6 @@ func TestChunkedConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Perf: pm, Scheduler: sched(), StaticBatchSize: 8, Chunked: ChunkConfig{Enabled: true}},
 		{Perf: pm, Scheduler: sched(), Chunked: ChunkConfig{Enabled: true, ChunkTokens: -1}},
-		{Perf: pm, Scheduler: sched(), Chunked: ChunkConfig{Enabled: true, MinChunkTokens: 512, MaxChunkTokens: 128}},
-		{Perf: pm, Scheduler: sched(), Chunked: ChunkConfig{Enabled: true, SlackShare: 1.5}},
-		{Perf: pm, Scheduler: sched(), Chunked: ChunkConfig{Enabled: true, SlackShare: math.NaN()}},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -155,8 +188,7 @@ func TestChunkedConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := e.cfg.Chunked
-	if c.ChunkTokens != 512 || c.MinChunkTokens != 128 || c.MaxChunkTokens != 4096 || c.SlackShare != 0.25 {
+	if c := e.cfg.Chunked; c.ChunkTokens != 512 {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 }

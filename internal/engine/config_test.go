@@ -33,14 +33,13 @@ var fuzzBatch = []struct {
 // block larger than the pool, and out-of-range role, eviction and
 // chunk-policy values.
 func FuzzEngineConfig(f *testing.F) {
-	f.Add(0, 0, 0, 0, 4000, 0.0, 0, 0, false, 0, 0, 0, 0, 0.0, false, 0, 0, 0)
-	f.Add(16, 50, 64, 0, 2000, 1.5, 1, 1, true, 1, 32, 8, 64, 0.5, true, 32, -1, 2)
-	f.Add(1, 0, 0, 3, 1500, 0.0, 0, 0, false, 0, 0, 0, 0, 0.0, true, 0, 0, 1)
-	f.Add(0, 0, 0, 0, 3000, math.Inf(1), 0, 0, true, 1, 0, 0, 0, 0.0, false, 0, 0, 3)
-	f.Add(0, 0, 0, 0, 3000, math.Inf(-1), 0, 0, true, 1, 0, 0, 0, math.NaN(), false, 0, 0, 0)
+	f.Add(0, 0, 0, 0, 4000, 0.0, 0, 0, false, 0, 0, false, 0, 0, 0)
+	f.Add(16, 50, 64, 0, 2000, 1.5, 1, 1, true, 1, 32, true, 32, -1, 2)
+	f.Add(1, 0, 0, 3, 1500, 0.0, 0, 0, false, 0, 0, true, 0, 0, 1)
+	f.Add(0, 0, 0, 0, 3000, math.Inf(1), 0, 0, true, 1, 0, false, 0, 0, 3)
+	f.Add(0, 0, 0, 0, 3000, math.Inf(-1), 0, 0, true, 1, 0, false, 0, 0, 0)
 	f.Fuzz(func(t *testing.T, blockSize, historyWindow, maxPrefill, staticBatch, capacity int, queueTimeout float64,
-		role, eviction int, chunked bool, chunkPolicy, chunkTokens, minChunk, maxChunk int, slackShare float64,
-		prefix bool, prefixBlock, offload, sched int) {
+		role, eviction int, chunked bool, chunkPolicy, chunkTokens int, prefix bool, prefixBlock, offload, sched int) {
 		var s core.Scheduler
 		switch sched & 3 {
 		case 0:
@@ -64,8 +63,7 @@ func FuzzEngineConfig(f *testing.F) {
 			Eviction:         EvictionPolicy(eviction),
 			QueueTimeout:     queueTimeout,
 			PrefixCache:      PrefixCacheConfig{Enabled: prefix, BlockTokens: prefixBlock, OffloadCapacityTokens: offload},
-			Chunked: ChunkConfig{Enabled: chunked, Policy: ChunkPolicy(chunkPolicy), ChunkTokens: chunkTokens,
-				MinChunkTokens: minChunk, MaxChunkTokens: maxChunk, SlackShare: slackShare},
+			Chunked:          ChunkConfig{Enabled: chunked, Policy: ChunkPolicy(chunkPolicy), ChunkTokens: chunkTokens},
 		})
 		if err != nil {
 			return

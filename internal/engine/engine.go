@@ -168,8 +168,8 @@ const (
 	ChunkGreedyFixed ChunkPolicy = iota
 	// ChunkSLOAware sizes each chunk from the TTFT slack of the tightest-
 	// deadline request waiting behind it: plentiful slack grows the chunk
-	// toward MaxChunkTokens (fewer per-chunk overheads), a tight deadline
-	// behind a long prompt shrinks it toward MinChunkTokens so the waiter
+	// toward maxChunkTokens (fewer per-chunk overheads), a tight deadline
+	// behind a long prompt shrinks it toward minChunkTokens so the waiter
 	// reaches the batch sooner.
 	ChunkSLOAware
 )
@@ -195,18 +195,9 @@ type ChunkConfig struct {
 	Enabled bool
 	// Policy selects the chunk sizer (greedy fixed or SLO-aware).
 	Policy ChunkPolicy
-	// ChunkTokens is the greedy policy's fixed chunk size and the SLO-aware
-	// policy's no-signal fallback. 0 selects 512.
+	// ChunkTokens is the greedy policy's fixed chunk size and the one
+	// ChunkOverheadCurve prices. 0 selects 512.
 	ChunkTokens int
-	// MinChunkTokens floors the SLO-aware sizer so starved budgets still
-	// make forward progress. 0 selects 128.
-	MinChunkTokens int
-	// MaxChunkTokens caps the SLO-aware sizer when slack is plentiful.
-	// 0 selects 4096.
-	MaxChunkTokens int
-	// SlackShare is the fraction of the tightest waiter's remaining TTFT
-	// budget one chunk may consume. 0 selects 0.25.
-	SlackShare float64
 }
 
 // PrefixCacheConfig enables KV prefix caching on the engine's pool:
@@ -401,24 +392,8 @@ func New(cfg Config) (*Engine, error) {
 		if cfg.Chunked.ChunkTokens == 0 {
 			cfg.Chunked.ChunkTokens = 512
 		}
-		if cfg.Chunked.MinChunkTokens == 0 {
-			cfg.Chunked.MinChunkTokens = 128
-		}
-		if cfg.Chunked.MaxChunkTokens == 0 {
-			cfg.Chunked.MaxChunkTokens = 4096
-		}
-		if cfg.Chunked.SlackShare == 0 {
-			cfg.Chunked.SlackShare = 0.25
-		}
-		if cfg.Chunked.ChunkTokens < 0 || cfg.Chunked.MinChunkTokens < 0 || cfg.Chunked.MaxChunkTokens < 0 {
-			return nil, fmt.Errorf("engine: negative chunk sizes %+v", cfg.Chunked)
-		}
-		if cfg.Chunked.MinChunkTokens > cfg.Chunked.MaxChunkTokens {
-			return nil, fmt.Errorf("engine: chunk floor %d above cap %d",
-				cfg.Chunked.MinChunkTokens, cfg.Chunked.MaxChunkTokens)
-		}
-		if !(cfg.Chunked.SlackShare >= 0 && cfg.Chunked.SlackShare <= 1) {
-			return nil, fmt.Errorf("engine: chunk slack share %v outside [0,1]", cfg.Chunked.SlackShare)
+		if cfg.Chunked.ChunkTokens < 0 {
+			return nil, fmt.Errorf("engine: negative chunk size %d", cfg.Chunked.ChunkTokens)
 		}
 	}
 	if cfg.PrefixCache.Enabled {

@@ -17,12 +17,13 @@ func classReq(id int64, class string, out int) *request.Request {
 
 // warmEngine runs a deterministic past-future engine through one finished
 // request per (class, output length) pair, so its one history window holds
-// every class's lengths.
+// every class's lengths. The pairs must number at least the 16 lengths
+// Past-Future waits for before it trusts the window.
 func warmEngine(t *testing.T, warm map[string][]int) *Engine {
 	t.Helper()
 	e := MustNew(Config{
 		Perf:      testPerf(t),
-		Scheduler: core.MustNewPastFuture(core.PastFutureConfig{Deterministic: true, MinHistory: 4}),
+		Scheduler: core.MustNewPastFuture(core.PastFutureConfig{Deterministic: true}),
 		// Plenty of capacity: admission always succeeds, the tests only
 		// inspect the predictions.
 		CapacityOverride: 100_000,
@@ -35,6 +36,9 @@ func warmEngine(t *testing.T, warm map[string][]int) *Engine {
 		}
 	}
 	e.Run()
+	if n := e.History().Len(); n < 16 {
+		t.Fatalf("warmed with %d lengths: the window is still cold", n)
+	}
 	return e
 }
 
@@ -66,8 +70,8 @@ func TestPredictionsIgnoreClass(t *testing.T) {
 	// Two classes with disjoint output lengths share the one window, so a
 	// fresh request of either class gets the same prediction.
 	e := warmEngine(t, map[string][]int{
-		"short": {20, 20, 20, 20, 20, 20},
-		"long":  {900, 900, 900, 900, 900, 900},
+		"short": {20, 20, 20, 20, 20, 20, 20, 20},
+		"long":  {900, 900, 900, 900, 900, 900, 900, 900},
 	})
 	pricedRounds(e)
 	shortReq := classReq(200, "short", 10)
@@ -85,7 +89,7 @@ func TestPredictionsIgnoreClass(t *testing.T) {
 }
 
 func TestUnseenClassPredictsFromWindow(t *testing.T) {
-	e := warmEngine(t, map[string][]int{"seen": {33, 33, 33, 33, 33, 33, 33, 33}})
+	e := warmEngine(t, map[string][]int{"seen": {33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33}})
 	pricedRounds(e)
 	probe := classReq(100, "never-seen", 10)
 	e.Submit(probe)

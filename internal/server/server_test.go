@@ -317,18 +317,23 @@ func TestServerConfigValidation(t *testing.T) {
 
 // TestDefaultMaxNewFitsSmallPool: on a pool of fewer than 2048 tokens, a
 // request that omits max_new_tokens is capped at the pool's capacity, the
-// bound an explicit max_new_tokens is held to. The first request sets its
-// cap, so that the scheduler, which predicts from a single finished length
-// here, has a prediction to admit the second by rather than its cap.
+// bound an explicit max_new_tokens is held to. The window is primed with the
+// 16 finished lengths the scheduler waits for, so that it has a prediction
+// to admit the request by rather than its cap.
 func TestDefaultMaxNewFitsSmallPool(t *testing.T) {
 	const capacity = 1000
 	pm := perf.MustNew(perf.Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1)})
+	history := make([]int, 16)
+	for i := range history {
+		history[i] = 2
+	}
 	eng := engine.MustNew(engine.Config{
 		Perf:             pm,
-		Scheduler:        core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.03, Rng: rng.New(1), MinHistory: 1}),
+		Scheduler:        core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.03, Rng: rng.New(1)}),
 		CapacityOverride: capacity,
+		SeedHistory:      history,
 	})
-	maxNew := make(chan int, 2)
+	maxNew := make(chan int, 1)
 	eng.AddExitHook(func(_ float64, r *request.Request) { maxNew <- r.MaxNewTokens })
 	srv, err := New(Config{Engine: eng, Seed: 1})
 	if err != nil {
@@ -343,17 +348,12 @@ func TestDefaultMaxNewFitsSmallPool(t *testing.T) {
 		srv.Close()
 		<-stopped
 	}()
-	for _, body := range []string{
-		`{"input_tokens":8,"max_new_tokens":16,"output_tokens":2}`,
-		`{"input_tokens":8,"output_tokens":2}`,
-	} {
-		rec := serveOnce(t, srv.Handler(), body)
-		var sum generateResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &sum); err != nil || sum.Status != "ok" || sum.OutputTokens != 2 {
-			t.Fatalf("%s: reply %s (%v), want 2 tokens ok", body, rec.Body, err)
-		}
+	body := `{"input_tokens":8,"output_tokens":2}`
+	rec := serveOnce(t, srv.Handler(), body)
+	var sum generateResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &sum); err != nil || sum.Status != "ok" || sum.OutputTokens != 2 {
+		t.Fatalf("%s: reply %s (%v), want 2 tokens ok", body, rec.Body, err)
 	}
-	<-maxNew
 	if got := <-maxNew; got != capacity {
 		t.Fatalf("max_new_tokens %d for a request that omits it, want the capacity %d", got, capacity)
 	}
