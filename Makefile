@@ -66,7 +66,9 @@ bench-scale:
 # (scripts/pairs.sh): for every end-to-end metric BENCHMARK.json lists, each
 # side's median and quartiles, how many pairs the change won, and whether its
 # median is worse than the base's by more than the metric's bound. It fails
-# if any run reports "correct":false or any metric is over its bound.
+# if any run reports "correct":false, any metric is over its bound, or a
+# process running either benchmark binary outlives its run (pgrep -f; it
+# names and kills each one).
 # engine-closed takes ~6 min at N=10. SEED (default 1) is the workload seed;
 # a claimed gain must also hold on a second one, e.g.
 # make pairs W=engine-closed SEED=7.

@@ -26,7 +26,7 @@ func main() {
 	modes := []mode{
 		{"origin (static batching)", lightllm.ServingConfig{
 			Model: "LLaVA-1.5-7B", GPU: "A100-80G",
-			Strategy: "static", StaticBatchSize: 64,
+			StaticBatchSize: 64,
 		}},
 		{"LightLLM (past-future)", lightllm.ServingConfig{
 			Model: "LLaVA-1.5-7B", GPU: "A100-80G",

@@ -102,7 +102,6 @@ func pad(s string, w int) string {
 }
 
 func pct(f float64) string   { return fmt.Sprintf("%.2f%%", f*100) }
-func f1(f float64) string    { return fmt.Sprintf("%.1f", f) }
 func f2(f float64) string    { return fmt.Sprintf("%.2f", f) }
 func itoa(i int) string      { return fmt.Sprintf("%d", i) }
 func f0tok(f float64) string { return fmt.Sprintf("%.0f", f) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/lightllm-go/lightllm/internal/minheap"
 	"github.com/lightllm-go/lightllm/internal/obs"
 	"github.com/lightllm-go/lightllm/internal/request"
 )
@@ -83,63 +84,13 @@ type admitItem struct {
 	at       float64
 }
 
-// admitHeap is the deadline-indexed global queue: a typed EDF min-heap —
-// earliest deadline first, FIFO on ties. Typed rather than container/heap
-// for the same reason as the engine's arrival heap — the push/retry cycle
-// runs on every capacity event and must not allocate in steady state
-// (storage is retained across pops).
-type admitHeap []admitItem
-
-func (h admitHeap) Len() int { return len(h) }
-
-func (h admitHeap) less(i, j int) bool {
-	if h[i].deadline != h[j].deadline {
-		return h[i].deadline < h[j].deadline
+// admitBefore orders the deadline-indexed global queue: earliest deadline
+// first, FIFO on ties.
+func admitBefore(a, b *admitItem) bool {
+	if a.deadline != b.deadline {
+		return a.deadline < b.deadline
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h admitHeap) top() admitItem { return h[0] }
-
-func (h *admitHeap) push(it admitItem) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *admitHeap) pop() admitItem {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = admitItem{} // release the request pointer
-	*h = s[:n]
-	s = *h
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && s.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
-	}
-	return top
+	return a.seq < b.seq
 }
 
 // where a shed decision was taken.
@@ -157,7 +108,7 @@ type admission struct {
 	cfg AdmissionConfig
 	clu *Cluster
 
-	heap admitHeap
+	heap minheap.Heap[admitItem] // the EDF queue
 	seq  int64
 
 	// A pending evRetry event and its timestamp (coalescing: see
@@ -174,7 +125,7 @@ func newAdmission(c *Cluster, cfg AdmissionConfig) (*admission, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &admission{cfg: cfg.withDefaults(), clu: c}, nil
+	return &admission{cfg: cfg.withDefaults(), clu: c, heap: minheap.New(admitBefore)}, nil
 }
 
 // Held returns the number of requests currently held at the cluster front.
@@ -202,7 +153,7 @@ func (a *admission) arrive(now float64, r *request.Request) {
 		return
 	}
 	a.seq++
-	a.heap.push(admitItem{r: r, deadline: deadlineKey(r), seq: a.seq, at: now})
+	a.heap.Push(admitItem{r: r, deadline: deadlineKey(r), seq: a.seq, at: now})
 	if a.clu.rec != nil {
 		a.clu.rec.Hold(now, r, a.heap.Len())
 	}
@@ -215,9 +166,9 @@ func (a *admission) arrive(now float64, r *request.Request) {
 func (a *admission) retry(now float64) {
 	a.shedExpired(now)
 	for a.heap.Len() > 0 {
-		head := a.heap.top().r
+		head := a.heap.Top().r
 		if a.tryPlace(now, head) {
-			a.heap.pop()
+			a.heap.Pop()
 			if a.clu.rec != nil {
 				a.clu.rec.Release(now, head, a.heap.Len())
 			}
@@ -225,7 +176,7 @@ func (a *admission) retry(now float64) {
 			continue
 		}
 		if !a.clu.anyBusy() {
-			a.heap.pop()
+			a.heap.Pop()
 			if a.clu.rec != nil {
 				a.clu.rec.Release(now, head, a.heap.Len())
 			}
@@ -245,8 +196,8 @@ func (a *admission) shedExpired(now float64) {
 	if !a.cfg.Shed {
 		return
 	}
-	for a.heap.Len() > 0 && a.infeasible(now, a.heap.top().r) {
-		a.shed(now, a.heap.pop().r, shedFront)
+	for a.heap.Len() > 0 && a.infeasible(now, a.heap.Top().r) {
+		a.shed(now, a.heap.Pop().r, shedFront)
 	}
 }
 
@@ -385,7 +336,7 @@ func (a *admission) shed(now float64, r *request.Request, where int) {
 // it was held.
 func (a *admission) flush(now float64) {
 	for a.heap.Len() > 0 {
-		it := a.heap.pop()
+		it := a.heap.Pop()
 		a.shed(max(now, it.at), it.r, shedFlush)
 	}
 }

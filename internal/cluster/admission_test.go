@@ -10,6 +10,7 @@ import (
 	"github.com/lightllm-go/lightllm/internal/engine"
 	"github.com/lightllm-go/lightllm/internal/kv"
 	"github.com/lightllm-go/lightllm/internal/metrics"
+	"github.com/lightllm-go/lightllm/internal/minheap"
 	"github.com/lightllm-go/lightllm/internal/request"
 	"github.com/lightllm-go/lightllm/internal/rng"
 )
@@ -56,7 +57,7 @@ func TestAdmitQueueEDFProperty(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			r := rng.New(seed)
-			var h admitHeap
+			h := minheap.New(admitBefore)
 			var seq int64
 			type ref struct {
 				deadline float64
@@ -78,10 +79,10 @@ func TestAdmitQueueEDFProperty(t *testing.T) {
 					// Coarse deadlines (now + small grid) force plenty of ties.
 					dl := now + float64(r.Intn(8))
 					seq++
-					h.push(admitItem{deadline: dl, seq: seq})
+					h.Push(admitItem{deadline: dl, seq: seq})
 					model = append(model, ref{deadline: dl, seq: seq})
 				case r.Float64() < 0.7: // retry-pop the EDF head
-					got := h.pop()
+					got := h.Pop()
 					sortModel()
 					want := model[0]
 					model = model[1:]
@@ -92,8 +93,8 @@ func TestAdmitQueueEDFProperty(t *testing.T) {
 				default: // shed sweep: everything with deadline < now expires
 					now += r.Float64() * 2
 					sortModel()
-					for h.Len() > 0 && h.top().deadline < now {
-						got := h.pop()
+					for h.Len() > 0 && h.Top().deadline < now {
+						got := h.Pop()
 						want := model[0]
 						model = model[1:]
 						if got.deadline != want.deadline || got.seq != want.seq {
@@ -117,18 +118,18 @@ func TestAdmitQueueEDFProperty(t *testing.T) {
 // TestAdmitQueueZeroAllocs pins the deadline-heap hot path: once the heap's
 // storage is warm, the push/pop cycle of the retry loop allocates nothing.
 func TestAdmitQueueZeroAllocs(t *testing.T) {
-	var h admitHeap
+	h := minheap.New(admitBefore)
 	r := request.New(1, 100, 10, 64, 0)
 	for i := 0; i < 512; i++ {
-		h.push(admitItem{r: r, deadline: float64(i % 97), seq: int64(i)})
+		h.Push(admitItem{r: r, deadline: float64(i % 97), seq: int64(i)})
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		it := h.pop()
+		it := h.Pop()
 		it.deadline = float64(i % 89)
 		it.seq = int64(i)
 		i++
-		h.push(it)
+		h.Push(it)
 	})
 	if allocs != 0 {
 		t.Fatalf("admit heap push/pop allocates %v per op, want 0", allocs)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/lightllm-go/lightllm/internal/engine"
+	"github.com/lightllm-go/lightllm/internal/minheap"
 	"github.com/lightllm-go/lightllm/internal/request"
 )
 
@@ -212,17 +213,17 @@ func BenchmarkFleetRouteNaive(b *testing.B) {
 // storage is retained across operations, so the steady state performs zero
 // heap allocations (pinned by TestAdmitQueueZeroAllocs).
 func BenchmarkClusterAdmit(b *testing.B) {
-	var h admitHeap
+	h := minheap.New(admitBefore)
 	r := request.New(1, 100, 10, 64, 0)
 	for i := 0; i < 1024; i++ {
-		h.push(admitItem{r: r, deadline: float64(i % 97), seq: int64(i)})
+		h.Push(admitItem{r: r, deadline: float64(i % 97), seq: int64(i)})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := h.pop()
+		it := h.Pop()
 		it.deadline = float64(i % 89)
 		it.seq = int64(i)
-		h.push(it)
+		h.Push(it)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/lightllm-go/lightllm/internal/engine"
 	"github.com/lightllm-go/lightllm/internal/kv"
+	"github.com/lightllm-go/lightllm/internal/minheap"
 	"github.com/lightllm-go/lightllm/internal/obs"
 	"github.com/lightllm-go/lightllm/internal/request"
 )
@@ -103,7 +104,7 @@ type Cluster struct {
 	cfg   ClusterConfig
 	pools []*Pool
 
-	events eventHeap
+	events minheap.Heap[event]
 	evSeq  int64
 
 	entry  int // pool receiving external arrivals
@@ -145,7 +146,7 @@ type Cluster struct {
 
 // NewCluster validates the configuration and builds a cluster.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	c := &Cluster{cfg: cfg, link: cfg.Link, decode: -1}
+	c := &Cluster{cfg: cfg, events: minheap.New(eventBefore), link: cfg.Link, decode: -1}
 	switch len(cfg.Pools) {
 	case 1:
 		if cfg.Pools[0].Role != engine.RoleMixed {
@@ -309,7 +310,7 @@ func (c *Cluster) transferEstimate(bytesPerToken int64) func(isl float64) float6
 func (c *Cluster) pushEvent(ev event) {
 	c.evSeq++
 	ev.seq = c.evSeq
-	c.events.push(ev)
+	c.events.Push(ev)
 }
 
 // Serve routes the requests (sorted by arrival time internally), advancing
@@ -480,12 +481,12 @@ func (c *Cluster) finish(deadline float64) {
 // eligible for an arrival at t, matching the scan router's t ≥ wakeAt).
 func (c *Cluster) advanceTo(t float64) {
 	for c.events.Len() > 0 {
-		top := c.events.top()
+		top := c.events.Top()
 		if top.at > t || (top.at == t && top.kind != evActivate) {
 			return
 		}
 		c.popped++
-		c.handle(c.events.pop())
+		c.handle(c.events.Pop())
 	}
 }
 

@@ -63,10 +63,6 @@ import "github.com/lightllm-go/lightllm/internal/request"
 // sync — the run ends elsewhere, and ensureStepEvent supersedes its event.
 // A run-end event that finds its replica's clock anywhere but at the event's
 // time panics: someone changed the engine without superseding.
-//
-// A typed heap rather than container/heap for the same reason as the
-// engine's arrival heap: interface boxing in heap.Push/Pop allocates, and
-// Serve's steady state must not.
 
 // evKind orders simultaneous events: activations first (so a replica waking
 // exactly at an arrival's timestamp can receive it; arrivals themselves are
@@ -118,71 +114,26 @@ type event struct {
 	req  *request.Request // the migrating request for evXfer/evDeliver
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// eventBefore orders the cluster's events by (time, kind, seq), with the
+// handoff tie-break below for same-instant bookings.
+func eventBefore(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if h[i].kind != h[j].kind {
-		return h[i].kind < h[j].kind
+	if a.kind != b.kind {
+		return a.kind < b.kind
 	}
-	if h[i].kind == evXfer {
+	if a.kind == evXfer {
 		// Handoffs issued at the exact same instant book deterministically:
 		// earliest-arrived user first (then request ID), not whichever
 		// engine's step event happened to pop first.
-		a, b := h[i].req, h[j].req
-		if a.ArrivalTime != b.ArrivalTime {
-			return a.ArrivalTime < b.ArrivalTime
+		ra, rb := a.req, b.req
+		if ra.ArrivalTime != rb.ArrivalTime {
+			return ra.ArrivalTime < rb.ArrivalTime
 		}
-		if a.ID != b.ID {
-			return a.ID < b.ID
+		if ra.ID != rb.ID {
+			return ra.ID < rb.ID
 		}
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) top() event { return h[0] }
-
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // release the request pointer
-	*h = s[:n]
-	s = *h
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && s.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
-	}
-	return top
+	return a.seq < b.seq
 }

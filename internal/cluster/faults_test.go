@@ -246,7 +246,7 @@ func serveScript(t *testing.T, c *Cluster) {
 	s := served{c: c, reqs: poissonReqs(40, 20, 1)}
 	s.results = c.Serve(s.reqs, 1e4)
 	cut := false
-	for _, ev := range c.events {
+	for _, ev := range c.events.Items() {
 		switch ev.kind {
 		case evStep:
 			cut = cut || ev.seq == c.pools[ev.pool].reps[ev.rep].stepSeq

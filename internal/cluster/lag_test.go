@@ -291,13 +291,14 @@ func serveChecked(c *Cluster, reqs []*request.Request, check func(now float64)) 
 	c.start(reqs[0].ArrivalTime)
 	drain := func(t float64) {
 		for c.events.Len() > 0 {
-			top := c.events.top()
+			top := c.events.Top()
 			if top.at > t || (top.at == t && top.kind != evActivate) {
 				return
 			}
 			c.popped++
-			c.handle(c.events.pop())
-			check(top.at)
+			ev := c.events.Pop()
+			c.handle(ev)
+			check(ev.at)
 		}
 	}
 	for _, r := range reqs {

@@ -664,13 +664,6 @@ func (p *Pool) pick(req *request.Request) *replica {
 	}
 }
 
-// route records and executes one routing decision into the pool.
-func (p *Pool) route(req *request.Request) *replica {
-	rep := p.pick(req)
-	p.routeTo(req, rep)
-	return rep
-}
-
 // routeTo records one routing decision whose replica was already chosen
 // (cost-vector decode picks, admission placements reusing the gate's
 // argmin, deliver-time re-routes).

@@ -6,6 +6,7 @@ import (
 	"github.com/lightllm-go/lightllm/internal/core"
 	"github.com/lightllm-go/lightllm/internal/dist"
 	"github.com/lightllm-go/lightllm/internal/kv"
+	"github.com/lightllm-go/lightllm/internal/minheap"
 	"github.com/lightllm-go/lightllm/internal/obs"
 	"github.com/lightllm-go/lightllm/internal/perf"
 	"github.com/lightllm-go/lightllm/internal/request"
@@ -232,7 +233,7 @@ type Engine struct {
 	sched    core.Scheduler
 	hooks    hooks
 	clock    float64
-	arrivals arrivalHeap
+	arrivals minheap.Heap[arrivalItem]
 	seq      int64
 
 	queue      reqDeque           // FCFS wait queue; evictions push front
@@ -288,7 +289,6 @@ type Engine struct {
 	batchSize            stats.TimeWeighted
 	started              bool
 	startClock           float64
-	admitRetries         int
 	released             bool     // a request left the engine during the last Step
 	lastStep             StepKind // what the last Step moved, for LastStep
 	// epoch is the View.Epoch of the next admission round: it moves on
@@ -406,12 +406,13 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	e := &Engine{
-		cfg:     cfg,
-		pool:    kv.NewPool(capacity, cfg.BlockSize),
-		history: dist.NewWindow(cfg.HistoryWindow),
-		sched:   cfg.Scheduler,
-		slow:    1,
-		epoch:   1,
+		cfg:      cfg,
+		pool:     kv.NewPool(capacity, cfg.BlockSize),
+		history:  dist.NewWindow(cfg.HistoryWindow),
+		sched:    cfg.Scheduler,
+		arrivals: minheap.New(arrivalBefore),
+		slow:     1,
+		epoch:    1,
 	}
 	if cfg.PrefixCache.Enabled {
 		e.pool.EnablePrefixCache(kv.PrefixConfig{
@@ -526,7 +527,7 @@ func (e *Engine) RunningRequests() []*request.Request {
 // in no particular order.
 func (e *Engine) WaitingRequests() []*request.Request {
 	out := e.queue.AppendTo(make([]*request.Request, 0, e.WaitingLen()))
-	for _, it := range e.arrivals {
+	for _, it := range e.arrivals.Items() {
 		out = append(out, it.r)
 	}
 	return out
@@ -553,7 +554,7 @@ func (e *Engine) ForEachRunning(f func(*request.Request)) {
 // allocating, in WaitingRequests order.
 func (e *Engine) ForEachWaiting(f func(*request.Request)) {
 	e.queue.ForEach(f)
-	for _, it := range e.arrivals {
+	for _, it := range e.arrivals.Items() {
 		f(it.r)
 	}
 }
@@ -673,7 +674,7 @@ func (e *Engine) Submit(r *request.Request) {
 		r.ArrivalTime = e.clock
 	}
 	e.seq++
-	e.arrivals.push(arrivalItem{r: r, at: r.ArrivalTime, seq: e.seq})
+	e.arrivals.Push(arrivalItem{r: r, at: r.ArrivalTime, seq: e.seq})
 }
 
 // SubmitAt schedules a request to enter this engine at time `at` (clamped
@@ -687,7 +688,7 @@ func (e *Engine) SubmitAt(r *request.Request, at float64) {
 		at = e.clock
 	}
 	e.seq++
-	e.arrivals.push(arrivalItem{r: r, at: at, seq: e.seq})
+	e.arrivals.Push(arrivalItem{r: r, at: at, seq: e.seq})
 }
 
 // SubmitMigrated schedules a request handed off from a prefill-only engine:
@@ -719,9 +720,9 @@ func (e *Engine) SubmitAll(rs []*request.Request) {
 			r.ArrivalTime = e.clock
 		}
 		e.seq++
-		e.arrivals = append(e.arrivals, arrivalItem{r: r, at: r.ArrivalTime, seq: e.seq})
+		e.arrivals.Append(arrivalItem{r: r, at: r.ArrivalTime, seq: e.seq})
 	}
-	e.arrivals.init()
+	e.arrivals.Init()
 }
 
 // SetSlowFactor sets the transient service-time multiplier. 1 restores
@@ -784,7 +785,7 @@ func (e *Engine) Crash() []*request.Request {
 	}
 	e.staticBatch = e.staticBatch[:0]
 	for e.arrivals.Len() > 0 {
-		orphans = append(orphans, e.arrivals.pop().r)
+		orphans = append(orphans, e.arrivals.Pop().r)
 	}
 	// GPU memory died with the replica: every warm cached prefix is gone.
 	// The host offload store survives off-device, so a restarted replica can
@@ -792,7 +793,6 @@ func (e *Engine) Crash() []*request.Request {
 	e.pool.DropPrefixCache()
 	e.pendingSwapIn = 0
 	e.chunkPending = 0
-	e.admitRetries = 0
 	return orphans
 }
 
@@ -814,77 +814,20 @@ func (e *Engine) Idle() bool {
 		len(e.staticBatch) == 0 && e.arrivals.Len() == 0
 }
 
-// arrival heap: orders pending submissions by due time, FIFO on ties. The
-// due time `at` is the request's ArrivalTime for fresh submissions and the
-// KV-delivery time for migrated ones (whose ArrivalTime must stay the
-// user's arrival for SLA accounting).
-// A typed binary heap rather than container/heap: the interface{} boxing of
-// heap.Push/Pop allocates per arrival, which the scheduling hot path avoids.
+// arrivalItem is one pending submission, due at `at`: the request's
+// ArrivalTime for a fresh submission and the KV-delivery time for a
+// migrated one (whose ArrivalTime must stay the user's arrival for SLA
+// accounting).
 type arrivalItem struct {
 	r   *request.Request
 	at  float64
 	seq int64
 }
 
-type arrivalHeap []arrivalItem
-
-func (h arrivalHeap) Len() int { return len(h) }
-
-func (h arrivalHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// arrivalBefore orders the pending submissions by due time, FIFO on ties.
+func arrivalBefore(a, b *arrivalItem) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *arrivalHeap) push(it arrivalItem) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *arrivalHeap) pop() arrivalItem {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = arrivalItem{} // release the request pointer
-	*h = s[:n]
-	(*h).siftDown(0)
-	return top
-}
-
-func (h arrivalHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
-}
-
-// init re-establishes the heap invariant over the whole slice (Floyd's
-// bottom-up heapify, O(n)) — the bulk-merge path of SubmitAll.
-func (h arrivalHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
+	return a.seq < b.seq
 }

@@ -289,6 +289,32 @@ func TestUnservableDoesNotBlockQueue(t *testing.T) {
 	}
 }
 
+// TestIdleEngineServesRefusedHead: a cold Past-Future engine predicts a
+// request's cap, so on a pool smaller than prompt + cap it refuses even the
+// empty batch's head. With nothing running no memory can ever free, so the
+// engine serves the head alone, reporting the round to its admit hooks as
+// unpriced; only a head whose footprint exceeds the pool fails.
+func TestIdleEngineServesRefusedHead(t *testing.T) {
+	e := newEngine(t, core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.03, Rng: rng.New(1)}), 1000)
+	var rounds []core.AdmitRound
+	e.AddAdmitHook(func(_ float64, round core.AdmitRound) {
+		round.View = &core.View{PredictedPeak: round.View.PredictedPeak}
+		rounds = append(rounds, round)
+	})
+	e.Submit(request.New(1, 8, 2, 1000, 0))
+	e.Submit(request.New(2, 1001, 2, 1000, 0)) // larger than the pool
+	res := e.Run()
+	if len(res.Finished) != 1 || res.Finished[0].ID != 1 || res.Finished[0].Generated != 2 {
+		t.Fatalf("finished %v, want request 1 with its 2 tokens", res.Finished)
+	}
+	if len(res.Failed) != 1 || res.Failed[0].ID != 2 {
+		t.Fatalf("failed %v, want request 2", res.Failed)
+	}
+	if len(rounds) != 1 || rounds[0].Whole || rounds[0].View.PredictedPeak != 0 || len(rounds[0].Admitted) != 1 {
+		t.Fatalf("admit rounds %+v, want one unpriced round admitting the head", rounds)
+	}
+}
+
 func TestDeterministicRuns(t *testing.T) {
 	run := func(seed uint64) (int, int, float64) {
 		e := newEngine(t, core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.03, Rng: rng.New(seed)}), 1000)
@@ -540,7 +566,7 @@ func TestSubmitAllMatchesSequentialSubmit(t *testing.T) {
 	drainOrder := func(e *Engine) []int64 {
 		var order []int64
 		for e.arrivals.Len() > 0 {
-			order = append(order, e.arrivals.pop().r.ID)
+			order = append(order, e.arrivals.Pop().r.ID)
 		}
 		return order
 	}
@@ -574,7 +600,7 @@ func TestSubmitAllMergesIntoExistingHeap(t *testing.T) {
 	})
 	want := []int64{4, 2, 3, 1, 5}
 	for i, id := range want {
-		got := e.arrivals.pop().r.ID
+		got := e.arrivals.Pop().r.ID
 		if got != id {
 			t.Fatalf("pop %d = request %d, want %d", i, got, id)
 		}

@@ -11,7 +11,7 @@ func (e *Engine) stepStatic() bool {
 		if e.queue.Len() == 0 {
 			// Wait for arrivals, if any.
 			if e.arrivals.Len() > 0 {
-				next := e.arrivals[0].at
+				next := e.arrivals.Top().at
 				if next > e.clock {
 					e.observe(next)
 					e.clock = next

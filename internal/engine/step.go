@@ -10,10 +10,6 @@ import (
 	"github.com/lightllm-go/lightllm/internal/request"
 )
 
-// maxAdmitRetries bounds re-asking a sampling scheduler about an otherwise
-// unservable queue head before the engine fails the request.
-const maxAdmitRetries = 3
-
 // Step executes one engine iteration and returns false when the engine is
 // fully drained (no queue, no batch, no future arrivals).
 func (e *Engine) Step() bool {
@@ -32,8 +28,8 @@ func (e *Engine) Step() bool {
 	}
 	if !e.started {
 		e.started = true
-		if e.arrivals.Len() > 0 && e.arrivals[0].at > e.clock {
-			e.clock = e.arrivals[0].at
+		if e.arrivals.Len() > 0 && e.arrivals.Top().at > e.clock {
+			e.clock = e.arrivals.Top().at
 		}
 		e.startClock = e.clock
 		e.memUtil.Start(e.clock)
@@ -50,6 +46,12 @@ func (e *Engine) Step() bool {
 	var admitted []*request.Request
 	if e.queue.Len() > 0 {
 		admitted = e.admit()
+		if len(admitted) == 0 && len(e.running)+len(e.prefilling) == 0 {
+			admitted = e.admitHead()
+			if admitted == nil {
+				return true
+			}
+		}
 	}
 	switch {
 	case e.cfg.Chunked.Enabled:
@@ -68,22 +70,12 @@ func (e *Engine) Step() bool {
 
 	// Nothing is running and nothing was admitted.
 	if e.arrivals.Len() > 0 {
-		next := e.arrivals[0].at
+		next := e.arrivals.Top().at
 		if next > e.clock {
 			e.observe(next) // idle gap: occupancy holds (zero) until arrival
 			e.clock = next
 		}
 		e.moveArrivals()
-		return true
-	}
-	if e.queue.Len() > 0 {
-		// No memory can ever free (empty batch) and the scheduler refuses
-		// the head. Retry a few times for sampling schedulers, then fail it.
-		e.admitRetries++
-		if e.admitRetries >= maxAdmitRetries {
-			e.failRequest(e.queue.PopFront())
-			e.admitRetries = 0
-		}
 		return true
 	}
 	return false
@@ -207,7 +199,7 @@ func (e *Engine) finishCoasted() {
 // roundDue reports whether the next Step holds an admission round: a request
 // waits in the queue or an arrival has fallen due.
 func (e *Engine) roundDue() bool {
-	return e.queue.Len() > 0 || e.arrivals.Len() > 0 && e.arrivals[0].at <= e.clock
+	return e.queue.Len() > 0 || e.arrivals.Len() > 0 && e.arrivals.Top().at <= e.clock
 }
 
 // refuse holds the admission round of a step that may otherwise coast, as
@@ -291,7 +283,7 @@ func (e *Engine) coastRun() (k int, due float64) {
 	k = min(e.minLeft-e.owed-1, e.pool.FreeBlocks()/n-e.owed)
 	due = math.Inf(1)
 	if e.arrivals.Len() > 0 {
-		due = e.arrivals[0].at
+		due = e.arrivals.Top().at
 	}
 	return k, due
 }
@@ -378,8 +370,8 @@ func (e *Engine) usedTokens() int { return e.pool.UsedTokens() + e.owedTokens() 
 
 // moveArrivals transfers due arrivals into the FCFS queue.
 func (e *Engine) moveArrivals() {
-	for e.arrivals.Len() > 0 && e.arrivals[0].at <= e.clock {
-		e.queue.PushBack(e.arrivals.pop().r)
+	for e.arrivals.Len() > 0 && e.arrivals.Top().at <= e.clock {
+		e.queue.PushBack(e.arrivals.Pop().r)
 	}
 }
 
@@ -464,6 +456,29 @@ func (e *Engine) admit() []*request.Request {
 			}
 		}
 	}
+	return e.take(n, asked)
+}
+
+// admitHead admits the queue head alone, past the scheduler, for an idle
+// engine whose scheduler refused it: with nothing running or chunking no
+// memory can ever free, so a refusal could only end in failing the head.
+// It fails the head instead, and returns nil, when the pool cannot allocate
+// its footprint. The admit hooks see a round that is not Whole and carries
+// no PredictedPeak: the scheduler priced no batch.
+func (e *Engine) admitHead() []*request.Request {
+	e.viewScratch.PredictedPeak = 0
+	if admitted := e.take(1, 0); admitted != nil {
+		return admitted
+	}
+	e.failRequest(e.queue.PopFront())
+	return nil
+}
+
+// take admits up to n requests off the queue head, stopping at the first the
+// pool cannot allocate, and does the round's bookkeeping: the counters, the
+// admit hooks (Whole when it took the asked prefix the scheduler priced) and
+// the recorder. It returns the admissions, nil for none.
+func (e *Engine) take(n, asked int) []*request.Request {
 	admitted := e.admitScratch[:0]
 	for i := 0; i < n; i++ {
 		r := e.queue.Front()
@@ -488,7 +503,6 @@ func (e *Engine) admit() []*request.Request {
 	if len(admitted) == 0 {
 		return nil
 	}
-	e.admitRetries = 0
 	for _, f := range e.hooks.admit {
 		f(e.clock, core.AdmitRound{
 			View: &e.viewScratch, Queued: len(e.queueScratch), Admitted: admitted, Whole: len(admitted) == asked,

@@ -317,21 +317,16 @@ func TestServerConfigValidation(t *testing.T) {
 
 // TestDefaultMaxNewFitsSmallPool: on a pool of fewer than 2048 tokens, a
 // request that omits max_new_tokens is capped at the pool's capacity, the
-// bound an explicit max_new_tokens is held to. The window is primed with the
-// 16 finished lengths the scheduler waits for, so that it has a prediction
-// to admit the request by rather than its cap.
+// bound an explicit max_new_tokens is held to. The engine starts cold: the
+// scheduler predicts the cap, so prompt + cap overflows the empty pool's
+// budget and it refuses the request, which the idle engine serves alone.
 func TestDefaultMaxNewFitsSmallPool(t *testing.T) {
 	const capacity = 1000
 	pm := perf.MustNew(perf.Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1)})
-	history := make([]int, 16)
-	for i := range history {
-		history[i] = 2
-	}
 	eng := engine.MustNew(engine.Config{
 		Perf:             pm,
 		Scheduler:        core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.03, Rng: rng.New(1)}),
 		CapacityOverride: capacity,
-		SeedHistory:      history,
 	})
 	maxNew := make(chan int, 1)
 	eng.AddExitHook(func(_ float64, r *request.Request) { maxNew <- r.MaxNewTokens })

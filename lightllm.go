@@ -120,13 +120,10 @@ type ServingConfig struct {
 	BlockSize int
 	// QueueTimeout, when positive, enables SLA-aware client abandonment.
 	QueueTimeout float64
-	// Strategy selects the iteration composition: "" or "prefill-priority"
-	// (fused prefill), "splitfuse" (DeepSpeed-MII's FastGen: chunked
-	// prefill under a fixed 512-token budget, bench.SplitFuse), or "static"
-	// (no continuous batching — fixed padded batches, Table 2's origin mode).
-	Strategy string
-	// StaticBatchSize is the fixed batch size for the static strategy.
-	// 0 selects 8.
+	// StaticBatchSize, when positive, turns continuous batching off: the
+	// engine serves fixed padded batches of this size (Table 2's origin
+	// mode) and Scheduler and Param are unused. 0 keeps continuous batching
+	// with fused prefill.
 	StaticBatchSize int
 }
 
@@ -152,19 +149,7 @@ func NewServing(cfg ServingConfig) (*Engine, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	ecfg := engine.Config{Perf: pm, BlockSize: cfg.BlockSize, QueueTimeout: cfg.QueueTimeout}
-	switch strings.ToLower(strings.TrimSpace(cfg.Strategy)) {
-	case "", "prefill-priority":
-	case "splitfuse":
-		ecfg = bench.SplitFuse(ecfg)
-	case "static", "static-batch":
-		ecfg.StaticBatchSize = cfg.StaticBatchSize
-		if ecfg.StaticBatchSize == 0 {
-			ecfg.StaticBatchSize = 8
-		}
-	default:
-		return nil, fmt.Errorf("lightllm: unknown strategy %q", cfg.Strategy)
-	}
+	ecfg := engine.Config{Perf: pm, BlockSize: cfg.BlockSize, QueueTimeout: cfg.QueueTimeout, StaticBatchSize: cfg.StaticBatchSize}
 	if ecfg.StaticBatchSize == 0 {
 		if ecfg.Scheduler, err = NewScheduler(cfg.Scheduler, cfg.Param, seed); err != nil {
 			return nil, err

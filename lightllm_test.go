@@ -39,24 +39,21 @@ func TestNewServingErrors(t *testing.T) {
 	}
 }
 
-// TestNewServingStrategies serves one batch under every ServingConfig.Strategy
-// name and checks the iterations each engine runs: fused prefill and decode
-// under both names of the default, chunked iterations only under
-// "splitfuse", and static batches of the default 8 under "static".
+// TestNewServingStrategies serves one batch with and without a static batch
+// size and checks the iterations each engine runs: fused prefill and decode
+// by default, static batches of the given size when StaticBatchSize is set.
 func TestNewServingStrategies(t *testing.T) {
 	const n = 20
 	for _, tc := range []struct {
-		strategy string
-		kinds    []string // every iteration kind the engine runs, sorted
+		static int
+		kinds  []string // every iteration kind the engine runs, sorted
 	}{
-		{"", []string{"decode", "prefill"}},
-		{"prefill-priority", []string{"decode", "prefill"}},
-		{"splitfuse", []string{"chunked"}},
-		{"static", []string{"static"}},
+		{0, []string{"decode", "prefill"}},
+		{8, []string{"static"}},
 	} {
-		eng, err := NewServing(ServingConfig{Model: "Llama2-7B-Chat", GPU: "A100-80G", Strategy: tc.strategy})
+		eng, err := NewServing(ServingConfig{Model: "Llama2-7B-Chat", GPU: "A100-80G", StaticBatchSize: tc.static})
 		if err != nil {
-			t.Fatalf("%q: %v", tc.strategy, err)
+			t.Fatalf("static batch %d: %v", tc.static, err)
 		}
 		var kinds []string
 		widest := 0
@@ -68,23 +65,18 @@ func TestNewServingStrategies(t *testing.T) {
 		})
 		eng.SubmitAll(BuildWorkload(ShareGPT, NewRNG(1), n, 1, 256))
 		if res := eng.Run(); len(res.Finished) != n {
-			t.Fatalf("%q: finished %d of %d", tc.strategy, len(res.Finished), n)
+			t.Fatalf("static batch %d: finished %d of %d", tc.static, len(res.Finished), n)
 		}
 		slices.Sort(kinds)
 		if !reflect.DeepEqual(kinds, tc.kinds) {
-			t.Errorf("%q ran %v iterations, want %v", tc.strategy, kinds, tc.kinds)
+			t.Errorf("static batch %d ran %v iterations, want %v", tc.static, kinds, tc.kinds)
 		}
-		if tc.strategy == "static" && widest != 8 {
-			t.Errorf("static batches hold up to %d requests, want the default 8", widest)
+		if tc.static > 0 && widest != tc.static {
+			t.Errorf("static batches hold up to %d requests, want %d", widest, tc.static)
 		}
 	}
-	for _, cfg := range []ServingConfig{
-		{Model: "Llama2-7B-Chat", GPU: "A100-80G", Strategy: "wat"},
-		{Model: "Llama2-7B-Chat", GPU: "A100-80G", Strategy: "static", StaticBatchSize: -1},
-	} {
-		if _, err := NewServing(cfg); err == nil {
-			t.Errorf("strategy %q with static batch %d accepted", cfg.Strategy, cfg.StaticBatchSize)
-		}
+	if _, err := NewServing(ServingConfig{Model: "Llama2-7B-Chat", GPU: "A100-80G", StaticBatchSize: -1}); err == nil {
+		t.Error("static batch -1 accepted")
 	}
 }
 

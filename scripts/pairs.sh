@@ -22,8 +22,9 @@
 # the change holds a gain: it won at least 9 in 10 of the pairs (ties count
 # for neither side) and its median lies beyond the base's quartile on the
 # better side (above the upper one, or below the lower one). It exits
-# non-zero if any run reports "correct":false or any metric is over its
-# bound.
+# non-zero if any run reports "correct":false, any metric is over its bound,
+# or a process running either benchmark binary outlives its run (it names
+# and kills each such process).
 #
 # Every run also appends one JSON line to BENCH_pairs.jsonl at the root of the
 # checkout: the two commits (the change is HEAD, marked "+dirty" when the
@@ -87,6 +88,11 @@ for ((i = 0; i < pairs; i++)); do
 	fi
 	for side in $order; do
 		line=$("$tmp/$side.bin" -workload "$workload" -seed "$seed" -trace 0 2>/dev/null | tail -n 1)
+		if left=$(pgrep -af "^$tmp/(change|base)\.bin( |$)"); then
+			echo "pair $i $side: process left running: $left" >&2
+			pkill -f "^$tmp/(change|base)\.bin( |$)" || true
+			bad=1
+		fi
 		case $line in
 		*'"correct":true'*) ;;
 		*)
