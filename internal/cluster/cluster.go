@@ -659,7 +659,7 @@ func (c *Cluster) book(ev event) {
 	}
 	start := ev.at
 	if c.link != nil {
-		start, deliverAt = c.link.ScheduleTo(ev.at, h.bytes, rep.idx)
+		start, deliverAt = c.link.Schedule(ev.at, h.bytes, rep.idx)
 	}
 	if c.rec != nil {
 		c.rec.XferBook(ev.at, r, c.entry, h.FromReplica, c.decode, rep.idx, h.bytes, start, deliverAt)
@@ -682,7 +682,7 @@ func (c *Cluster) book(ev event) {
 // pickDecode is the contention-aware second routing stage: each accepting
 // decode replica is priced as a cost vector — does the probed future peak
 // fit its capacity, when would the KV transfer land on its ingress lane
-// (kv.Link.ExpectedDeliveryTo, wire queueing included), and how much
+// (kv.Link.ExpectedDelivery, wire queueing included), and how much
 // speed-normalized headroom remains (the raw fraction scaled by the
 // replica's flavor speed, so a 4090's and an A100's probes compare) —
 // ranked lexicographically (fits, delivery, headroom). On a single shared
@@ -747,7 +747,7 @@ func (c *Cluster) expectedDelivery(now float64, bytes int64, dst int) float64 {
 	if c.link == nil {
 		return now
 	}
-	return c.link.ExpectedDeliveryTo(now, bytes, dst)
+	return c.link.ExpectedDelivery(now, bytes, dst)
 }
 
 // deliver lands one KV migration on the replica picked at issue time: the

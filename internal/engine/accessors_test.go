@@ -106,6 +106,45 @@ func TestAllHookAddersChain(t *testing.T) {
 	}
 }
 
+// TestRunningLenMatchesRunningRequests: RunningLen counts exactly what
+// RunningRequests and ForEachRunning hand out — the decoding batch, prompts
+// mid-chunk and a static batch's lanes — at every point of a run.
+func TestRunningLenMatchesRunningRequests(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"mixed", Config{Scheduler: core.MustNewConservative(1.0), CapacityOverride: 3000}},
+		{"chunked", Config{Scheduler: core.MustNewConservative(1.0), CapacityOverride: 3000,
+			Chunked: ChunkConfig{Enabled: true, ChunkTokens: 64}}},
+		{"static", Config{StaticBatchSize: 3, CapacityOverride: 3000}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Perf = testPerf(t)
+			e := MustNew(cfg)
+			for i := int64(1); i <= 8; i++ {
+				e.Submit(request.New(i, 200+int(i)*20, 5+int(i)*3, 60, float64(i)*0.01))
+			}
+			busy := 0
+			for e.Step() {
+				n := 0
+				e.ForEachRunning(func(*request.Request) { n++ })
+				if got, want := e.RunningLen(), len(e.RunningRequests()); got != want || n != want {
+					t.Fatalf("clock %v: RunningLen %d, ForEachRunning %d, RunningRequests %d",
+						e.Clock(), got, n, want)
+				}
+				if n > 0 {
+					busy++
+				}
+			}
+			if busy == 0 {
+				t.Fatal("nothing ever ran")
+			}
+		})
+	}
+}
+
 func TestStaticBatchWaitsForArrivals(t *testing.T) {
 	e, err := New(Config{
 		Perf:             testPerf(t),

@@ -57,7 +57,7 @@ func (e *Engine) enqueueChunked(admitted []*request.Request) {
 			// Swap recovery streams the KV back over the host link; the
 			// transfer cost is charged to the next chunked iteration.
 			e.pendingSwapIn += e.cfg.Perf.SwapTime(need)
-			e.swapInTokens += int64(need)
+			e.res.SwapInTokens += int64(need)
 			r.Swapped = false
 			need = 0
 		} else if c := r.CachedTokens + r.RestoredTokens; c > 0 {
@@ -71,7 +71,7 @@ func (e *Engine) enqueueChunked(admitted []*request.Request) {
 			r.PrefillDone = r.Footprint() - need
 			e.chunkPending += need
 		}
-		e.prefilling = append(e.prefilling, prefillState{req: r, need: need})
+		e.prefilling = append(e.prefilling, r)
 	}
 }
 
@@ -100,37 +100,30 @@ func (e *Engine) runChunked() {
 	nChunks := 0
 	finished := e.finishScratch[:0]
 	emits := e.chunkEmitScratch[:0]
-	for idx := range e.prefilling {
-		p := &e.prefilling[idx]
-		if p.need == 0 { // migrated/swapped/fully cached: ready immediately
-			finished = append(finished, p.req)
+	for idx, r := range e.prefilling {
+		need := r.PrefillRemaining()
+		if need == 0 { // migrated/swapped/fully cached: ready immediately
+			finished = append(finished, r)
 			continue
 		}
 		if budget <= 0 {
 			continue
 		}
-		take := e.chunkSizeAt(idx, queueTight)
-		if take > p.need {
-			take = p.need
-		}
-		if take > budget {
-			take = budget
-		}
-		p.need -= take
-		p.req.PrefillDone += take
+		take := min(e.chunkSizeAt(idx, queueTight), need, budget)
+		r.PrefillDone += take
 		e.chunkPending -= take
 		budget -= take
 		chunkUsed += take
 		nChunks++
 		if e.rec != nil {
 			emits = append(emits, chunkEmit{
-				r: p.req, tokens: take, done: p.req.PrefillDone, total: p.req.Footprint(),
+				r: r, tokens: take, done: r.PrefillDone, total: r.Footprint(),
 			})
 		}
-		if p.need == 0 {
-			p.req.ChunkedPrefill = false
-			p.req.PrefillDone = 0
-			finished = append(finished, p.req)
+		if take == need {
+			r.ChunkedPrefill = false
+			r.PrefillDone = 0
+			finished = append(finished, r)
 		}
 	}
 	e.finishScratch = finished
@@ -145,12 +138,12 @@ func (e *Engine) runChunked() {
 	// not yet landed (chunkPending) stream nothing through the kernels.
 	kvTokens := e.pool.UsedTokens() - e.chunkPending + decodeTokens
 	dur := e.scaled(e.cfg.Perf.ChunkedTime(chunkUsed, nChunks, decodeTokens, kvTokens) + e.pendingSwapIn)
-	e.prefillComputeTokens += int64(chunkUsed)
+	e.res.PrefillComputeTokens += int64(chunkUsed)
 	e.pendingSwapIn = 0
 	e.clock += dur
-	e.chunkIters++
-	e.prefillChunks += int64(nChunks)
-	e.decodeSteps++ // a chunked iteration advances decoding by one step
+	e.res.ChunkIters++
+	e.res.PrefillChunks += int64(nChunks)
+	e.res.DecodeSteps++ // a chunked iteration advances decoding by one step
 
 	e.decodeRunning()
 	if e.rec != nil {
@@ -196,9 +189,8 @@ func (e *Engine) chunkSignals() float64 {
 	e.chunkSuffix[len(e.prefilling)] = math.Inf(1)
 	for i := len(e.prefilling) - 1; i >= 0; i-- {
 		d := math.Inf(1)
-		p := &e.prefilling[i]
-		if p.need > 0 && p.req.FirstTokenAt < 0 && p.req.TTFTDeadline > 0 {
-			d = p.req.TTFTDeadline
+		if r := e.prefilling[i]; r.PrefillRemaining() > 0 && r.FirstTokenAt < 0 && r.TTFTDeadline > 0 {
+			d = r.TTFTDeadline
 		}
 		if s := e.chunkSuffix[i+1]; s < d {
 			d = s

@@ -241,7 +241,7 @@ func BenchmarkChunkSchedule(b *testing.B) {
 		r := request.New(int64(1000+i), 8192, 30, 64, 0)
 		r.TTFTDeadline = 2 + float64(i%7)
 		r.ChunkedPrefill = true
-		e.prefilling = append(e.prefilling, prefillState{req: r, need: 8192})
+		e.prefilling = append(e.prefilling, r)
 	}
 	e.clock = 0.5
 	b.ReportAllocs()

@@ -205,7 +205,7 @@ func stamp(r *request.Request) string {
 func (cr *coastRun) steps(n, every int) bool {
 	for i := 0; i < n; i++ {
 		e := cr.e
-		round, coasted, prefills, fresh := e.roundDue(), e.coastedSteps, e.prefillIters, len(cr.fresh) > 0
+		round, coasted, prefills, fresh := e.roundDue(), e.res.CoastedSteps, e.res.PrefillIters, len(cr.fresh) > 0
 		readmitted := false
 		for _, r := range cr.fresh {
 			readmitted = readmitted || r.Evictions > 0
@@ -214,21 +214,21 @@ func (cr *coastRun) steps(n, every int) bool {
 			return false
 		}
 		switch {
-		case e.coastedSteps > coasted:
+		case e.res.CoastedSteps > coasted:
 			cr.refusedCoasts += b2i(round)
 			cr.finishCoasts += b2i(e.released)
 			cr.freshCoasts += b2i(fresh)
 			cr.afterPrefills += b2i(fresh && cr.prefills > 1)
 			cr.readmitted += b2i(readmitted)
 			cr.prefills, cr.fresh = 0, cr.fresh[:0]
-		case e.prefillIters > prefills:
+		case e.res.PrefillIters > prefills:
 			cr.prefills++
 			cr.fresh = append(cr.fresh, e.admitScratch...) // what this Step admitted
 		default:
 			cr.prefills, cr.fresh = 0, cr.fresh[:0]
 		}
 		cr.glance()
-		if cr.e.decodeSteps%every == 0 {
+		if cr.e.res.DecodeSteps%every == 0 {
 			cr.look()
 		}
 	}
@@ -811,11 +811,11 @@ func TestCoastRunIsPredicted(t *testing.T) {
 				refused := 0         // Steps that held a round and coasted
 				for {
 					starts, preds = append(starts, ref.Clock()), append(preds, ref.CoastEnd())
-					round, before := ref.roundDue(), ref.coastedSteps
+					round, before := ref.roundDue(), ref.res.CoastedSteps
 					if !ref.Step() {
 						break
 					}
-					coasted := ref.coastedSteps > before
+					coasted := ref.res.CoastedSteps > before
 					ends = append(ends, round || !coasted || ref.ReleasedLastStep())
 					if round && coasted {
 						refused++

@@ -38,7 +38,7 @@ func FuzzEngineConfig(f *testing.F) {
 	f.Add(1, 0, 0, 3, 1500, 0.0, 0, 0, false, 0, 0, true, 0, 0, 1)
 	f.Add(0, 0, 0, 0, 3000, math.Inf(1), 0, 0, true, 1, 0, false, 0, 0, 3)
 	f.Add(0, 0, 0, 0, 3000, math.Inf(-1), 0, 0, true, 1, 0, false, 0, 0, 0)
-	f.Fuzz(func(t *testing.T, blockSize, historyWindow, maxPrefill, staticBatch, capacity int, queueTimeout float64,
+	f.Fuzz(func(t *testing.T, blockSize, historyWindow, maxPrefill, staticSize, capacity int, queueTimeout float64,
 		role, eviction int, chunked bool, chunkPolicy, chunkTokens int, prefix bool, prefixBlock, offload, sched int) {
 		var s core.Scheduler
 		switch sched & 3 {
@@ -58,7 +58,7 @@ func FuzzEngineConfig(f *testing.F) {
 			HistoryWindow:    historyWindow,
 			Role:             Role(role),
 			MaxPrefillTokens: maxPrefill,
-			StaticBatchSize:  staticBatch,
+			StaticBatchSize:  staticSize,
 			CapacityOverride: capacity,
 			Eviction:         EvictionPolicy(eviction),
 			QueueTimeout:     queueTimeout,

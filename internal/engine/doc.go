@@ -23,8 +23,11 @@
 // What an observer between two Steps may count. A submitted request is in
 // exactly one place: the arrival heap (submitted, not yet queued — it moves
 // at the first Step whose clock has reached its due time), the FCFS queue,
-// the running batch (including prompts mid-chunk), or one of the terminal
-// lists in Result. "Waiting" is the first two together — WaitingLen,
+// the running batch (including prompts mid-chunk and a static batch's
+// lanes), or one of the terminal lists in Result, which the engine keeps as
+// it runs and Snapshot copies. The one overlap: a static lane that finished
+// is on the Finished list and keeps its lane until its batch drains.
+// "Waiting" is the first two together — WaitingLen,
 // WaitingRequests, ForEachWaiting — and is the only definition observers
 // should use for work that has no batch slot yet: QueueLen alone misses
 // everything submitted since the last Step. The cluster's routing probes,

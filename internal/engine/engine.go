@@ -226,6 +226,12 @@ type PrefixCacheConfig struct {
 // pool calls settle first. Inside the package, e.running's requests and
 // e.pool's usage are exact only after settle; code that runs with tokens owed
 // (coast, CoastEnd, observe, iterationHook) reads usage through usedTokens.
+//
+// Each fact has one home: the request lists and counters live in res, the
+// Result that Snapshot copies; a prompt's chunk cursor lives on the request
+// (PrefillDone, PrefillRemaining); a request holding a batch slot is in
+// running (a static batch's lanes too) or prefilling; the wait queue holds
+// requests and nothing derived from them.
 type Engine struct {
 	cfg      Config
 	pool     *kv.Pool
@@ -237,8 +243,8 @@ type Engine struct {
 	seq      int64
 
 	queue      reqDeque           // FCFS wait queue; evictions push front
-	running    []*request.Request // decoding batch, admission order
-	prefilling []prefillState     // chunked prefill: prompts being chunked
+	running    []*request.Request // decoding batch (static: the batch in flight), admission order
+	prefilling []*request.Request // chunked prefill: prompts being chunked
 
 	// chunkPending is the total prompt tokens reserved but not yet landed
 	// across e.prefilling under chunked prefill — the gap between the KV
@@ -259,38 +265,20 @@ type Engine struct {
 	chunkEmitScratch []chunkEmit        // deferred recorder emissions
 	chunkSuffix      []float64          // suffix-min pipeline deadlines
 
-	// Counters and accumulators for Result.
-	finished        []*request.Request
-	failed          []*request.Request
-	timedOut        []*request.Request
-	handedOff       []*request.Request // prefill-only: completed prompts awaiting migration
-	decodeSteps     int
-	prefillIters    int
-	chunkIters      int   // chunked-prefill iterations executed
-	prefillChunks   int64 // prefill chunks carved across them
-	evictions       int
-	admissions      int
-	outputTokens    int64
-	inputTokens     int64
-	recomputeTokens int64
-	swapInTokens    int64
-	// Prefix-cache accumulators. Hit/restored tokens are prefill the engine
-	// skipped; prefillComputeTokens is what it actually encoded — the pair
-	// the benchmark's prefill-savings acceptance reads. lastCacheEvict
-	// watermarks the pool's cumulative eviction counter for per-iteration
-	// CacheEvent emission.
-	cacheHitTokens       int64
-	cacheRestoredTokens  int64
-	prefillComputeTokens int64
-	lastCacheEvict       int64
-	pendingSwapIn        float64 // swap-in seconds owed by the next iteration
-	memUtil              stats.TimeWeighted
-	physUtil             stats.TimeWeighted
-	batchSize            stats.TimeWeighted
-	started              bool
-	startClock           float64
-	released             bool     // a request left the engine during the last Step
-	lastStep             StepKind // what the last Step moved, for LastStep
+	// res holds the request lists and counters; Snapshot fills in the
+	// fields derived at snapshot time (name, duration, pool figures, means).
+	res Result
+	// lastCacheEvict watermarks the pool's cumulative eviction counter for
+	// per-iteration CacheEvent emission.
+	lastCacheEvict int64
+	pendingSwapIn  float64 // swap-in seconds owed by the next iteration
+	memUtil        stats.TimeWeighted
+	physUtil       stats.TimeWeighted
+	batchSize      stats.TimeWeighted
+	started        bool
+	startClock     float64
+	released       bool     // a request left the engine during the last Step
+	lastStep       StepKind // what the last Step moved, for LastStep
 	// epoch is the View.Epoch of the next admission round: it moves on
 	// before every Step that follows one which was not a pure decode step
 	// (coasted steps are), and on Crash.
@@ -311,13 +299,12 @@ type Engine struct {
 	// run of coasted steps can start from. decided is the admission a
 	// coasting attempt's round settled on (refuse), taken by this Step's
 	// admit; 0 when none is pending.
-	owed         int
-	handed       int
-	owedGap      float64
-	prefilled    bool
-	minLeft      int
-	coastedSteps int
-	decided      int
+	owed      int
+	handed    int
+	owedGap   float64
+	prefilled bool
+	minLeft   int
+	decided   int
 
 	// rec is the optional lifecycle recorder; obsPool/obsRep identify this
 	// engine in the cluster when emitting. nil disables every emission site
@@ -332,13 +319,6 @@ type Engine struct {
 	// and clears it. Kept exactly 1 when no fault is active so healthy runs
 	// are bit-identical to the pre-fault engine.
 	slow float64
-
-	staticBatch []*request.Request // static batching: the batch in flight
-}
-
-type prefillState struct {
-	req  *request.Request
-	need int // prompt tokens still to process
 }
 
 // maxHistoryWindow bounds HistoryWindow: the window holds its samples twice
@@ -513,13 +493,9 @@ func (e *Engine) WaitingLen() int { return e.queue.Len() + e.arrivals.Len() }
 // router.
 func (e *Engine) RunningRequests() []*request.Request {
 	e.settle()
-	out := make([]*request.Request, 0, len(e.running)+len(e.prefilling)+len(e.staticBatch))
+	out := make([]*request.Request, 0, len(e.running)+len(e.prefilling))
 	out = append(out, e.running...)
-	for _, p := range e.prefilling {
-		out = append(out, p.req)
-	}
-	out = append(out, e.staticBatch...)
-	return out
+	return append(out, e.prefilling...)
 }
 
 // WaitingRequests returns a copy of the waiting set (see WaitingLen): the
@@ -542,10 +518,7 @@ func (e *Engine) ForEachRunning(f func(*request.Request)) {
 	for _, r := range e.running {
 		f(r)
 	}
-	for _, p := range e.prefilling {
-		f(p.req)
-	}
-	for _, r := range e.staticBatch {
+	for _, r := range e.prefilling {
 		f(r)
 	}
 }
@@ -560,7 +533,7 @@ func (e *Engine) ForEachWaiting(f func(*request.Request)) {
 }
 
 // RunningLen returns the size of the running batch (including prompts
-// mid-chunk).
+// mid-chunk and the static batch): len(RunningRequests()).
 func (e *Engine) RunningLen() int { return len(e.running) + len(e.prefilling) }
 
 // AddAdmitHook attaches f to every admitting round. The cluster's planner
@@ -600,7 +573,7 @@ func (e *Engine) SetRecorder(rec obs.Recorder, pool, rep int) {
 // failRequest ends r as unservable.
 func (e *Engine) failRequest(r *request.Request) {
 	r.MarkFailed(e.clock)
-	e.leave(r, &e.failed)
+	e.leave(r, &e.res.Failed)
 }
 
 // leave takes r out of the engine onto its Result list — the one way out,
@@ -747,7 +720,9 @@ func (e *Engine) scaled(dur float64) float64 {
 // Crash evacuates the engine after a replica failure: the KV pool's contents
 // are lost, so every request it holds — queued, running, mid-prefill, in the
 // static batch, or still in the arrival heap — is pulled out and returned to
-// the caller as orphans, with its KV allocation freed. The engine ends empty
+// the caller as orphans, with its KV allocation freed. A static batch's
+// finished lanes are freed too but not returned: those requests completed,
+// and a lane holds them only until the batch drains. The engine ends empty
 // (Idle) and its clock untouched; the cluster layer decides each orphan's
 // fate (re-admission with ResetForRetry, or a terminal loss without
 // recovery). No engine counters or hooks fire: the work evaporated, it did
@@ -760,30 +735,25 @@ func (e *Engine) Crash() []*request.Request {
 	e.released, e.lastStep, e.minLeft, e.prefilled = false, StepOther, 0, false
 	e.epoch++
 	orphans := make([]*request.Request, 0,
-		e.queue.Len()+len(e.running)+len(e.prefilling)+len(e.staticBatch)+e.arrivals.Len())
+		e.queue.Len()+len(e.running)+len(e.prefilling)+e.arrivals.Len())
 	e.queue.Filter(
 		func(*request.Request) bool { return false },
 		func(r *request.Request) { orphans = append(orphans, r) },
 	)
 	for _, r := range e.running {
 		e.free(r)
-		orphans = append(orphans, r)
+		if r.Outcome == request.OutcomePending {
+			orphans = append(orphans, r)
+		}
 	}
 	e.running = e.running[:0]
-	for _, p := range e.prefilling {
-		if e.pool.Allocated(p.req.KV) {
-			e.free(p.req)
-		}
-		orphans = append(orphans, p.req)
-	}
-	e.prefilling = e.prefilling[:0]
-	for _, r := range e.staticBatch {
+	for _, r := range e.prefilling {
 		if e.pool.Allocated(r.KV) {
 			e.free(r)
 		}
 		orphans = append(orphans, r)
 	}
-	e.staticBatch = e.staticBatch[:0]
+	e.prefilling = e.prefilling[:0]
 	for e.arrivals.Len() > 0 {
 		orphans = append(orphans, e.arrivals.Pop().r)
 	}
@@ -810,8 +780,7 @@ func (e *Engine) SyncClock(t float64) {
 
 // Idle reports whether the engine has nothing to do now or in the future.
 func (e *Engine) Idle() bool {
-	return e.queue.Len() == 0 && len(e.running) == 0 && len(e.prefilling) == 0 &&
-		len(e.staticBatch) == 0 && e.arrivals.Len() == 0
+	return e.queue.Len() == 0 && len(e.running) == 0 && len(e.prefilling) == 0 && e.arrivals.Len() == 0
 }
 
 // arrivalItem is one pending submission, due at `at`: the request's

@@ -441,11 +441,11 @@ func TestStaticBatchMode(t *testing.T) {
 }
 
 func TestStaticBatchSlowerThanContinuous(t *testing.T) {
-	mk := func(staticBatch int, sched core.Scheduler) float64 {
+	mk := func(staticSize int, sched core.Scheduler) float64 {
 		e := MustNew(Config{
 			Perf:             testPerf(t),
 			Scheduler:        sched,
-			StaticBatchSize:  staticBatch,
+			StaticBatchSize:  staticSize,
 			CapacityOverride: 50_000,
 		})
 		r := rng.New(11)

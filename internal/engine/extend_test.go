@@ -42,12 +42,12 @@ func TestDecodeAtTheMemoryEdge(t *testing.T) {
 		}
 		roomy, tightNoEvict, tightEvict := 0, 0, 0
 		for {
-			running, avail, before := e.RunningLen(), e.Pool().AvailableBlocks(), e.evictions
+			running, avail, before := e.RunningLen(), e.Pool().AvailableBlocks(), e.res.Evictions
 			if !e.Step() {
 				break
 			}
 			// A step's victims wait at the queue front, the last one first.
-			for i := e.evictions - before - 1; i >= 0; i-- {
+			for i := e.res.Evictions - before - 1; i >= 0; i-- {
 				r := e.queue.At(i)
 				evicted = append(evicted, fmt.Sprintf("%d@%d", r.ID, r.Generated))
 			}
@@ -55,7 +55,7 @@ func TestDecodeAtTheMemoryEdge(t *testing.T) {
 			case running == 0:
 			case running <= avail:
 				roomy++
-			case e.evictions == before:
+			case e.res.Evictions == before:
 				tightNoEvict++
 			default:
 				tightEvict++

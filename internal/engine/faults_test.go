@@ -80,6 +80,42 @@ func TestCrashEvacuatesEverything(t *testing.T) {
 	}
 }
 
+// TestCrashFreesFinishedStaticLanes: a static lane keeps its finished
+// request allocated until the whole batch drains. A crash in between frees
+// every lane but returns only the pending requests: a completed one is no
+// orphan, and handing it to the recovery path would retry a terminal
+// outcome.
+func TestCrashFreesFinishedStaticLanes(t *testing.T) {
+	e := newStaticEngine(t)
+	short := request.New(1, 50, 2, 20, 0)
+	long := request.New(2, 50, 10, 20, 0)
+	e.SubmitAll([]*request.Request{short, long})
+	for short.Outcome == request.OutcomePending {
+		if !e.Step() {
+			t.Fatal("engine drained before the short lane finished")
+		}
+	}
+	if long.Outcome != request.OutcomePending {
+		t.Fatal("long lane finished with the short one; the scenario exercises nothing")
+	}
+	orphans := e.Crash()
+	if len(orphans) != 1 || orphans[0] != long {
+		t.Fatalf("crash returned %d orphans, want the long lane alone", len(orphans))
+	}
+	if used := e.Pool().UsedTokens(); used != 0 {
+		t.Fatalf("crashed engine leaked %d KV tokens", used)
+	}
+	if err := e.Pool().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if !e.Idle() {
+		t.Fatal("engine not idle after crash")
+	}
+	for _, r := range orphans {
+		r.ResetForRetry()
+	}
+}
+
 // TestCrashEvacuatesEverythingMidCoast: ReleasedLastStep and LastStep
 // describe the batch of the Step before the crash, and the second gates the
 // O(1) decode step. A crash in the middle of a run of such steps hands the

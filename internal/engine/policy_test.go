@@ -213,41 +213,51 @@ func TestColdStartConservativeByComparison(t *testing.T) {
 }
 
 func TestMaxPrefillTokensCapsFusedPrefills(t *testing.T) {
-	// 10 queued requests with 400-token prompts and a 1000-token prefill
-	// budget: admissions must arrive in chunks of ≤2 prompts per prefill.
-	e, err := New(Config{
-		Perf:             testPerf(t),
-		Scheduler:        core.NewOracle(),
-		CapacityOverride: 50_000,
-		MaxPrefillTokens: 1000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxBatch := 0
-	e.AddAdmitHook(func(now float64, round core.AdmitRound) {
-		admitted := round.Admitted
-		tokens := 0
-		for _, r := range admitted {
-			tokens += r.Footprint()
-		}
-		if tokens > 1000 {
-			t.Fatalf("prefill of %d tokens exceeds the 1000 budget", tokens)
-		}
-		if len(admitted) > maxBatch {
-			maxBatch = len(admitted)
-		}
-	})
-	e.SubmitAll(mkReqs(10, 400, 20, 50))
-	res := e.Run()
-	if len(res.Finished) != 10 {
-		t.Fatalf("finished %d", len(res.Finished))
-	}
-	if maxBatch > 2 {
-		t.Fatalf("admitted %d prompts in one prefill", maxBatch)
-	}
-	if res.PrefillIters < 5 {
-		t.Fatalf("prefill iterations %d, want ≥ 5 chunks", res.PrefillIters)
+	// 10 queued requests and a 1000-token prefill budget: every fused
+	// prefill admits the longest queue-head prefix whose prompts fit the
+	// budget, so each round takes exactly perPrefill prompts.
+	for _, tc := range []struct {
+		name               string
+		prompt, perPrefill int
+	}{
+		{"400-token prompts", 400, 2},
+		{"prompts of exactly half the budget", 500, 2},
+		{"prompts of half the budget plus one", 501, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := New(Config{
+				Perf:             testPerf(t),
+				Scheduler:        core.NewOracle(),
+				CapacityOverride: 50_000,
+				MaxPrefillTokens: 1000,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxBatch := 0
+			e.AddAdmitHook(func(now float64, round core.AdmitRound) {
+				admitted := round.Admitted
+				tokens := 0
+				for _, r := range admitted {
+					tokens += r.Footprint()
+				}
+				if tokens > 1000 {
+					t.Fatalf("prefill of %d tokens exceeds the 1000 budget", tokens)
+				}
+				maxBatch = max(maxBatch, len(admitted))
+			})
+			e.SubmitAll(mkReqs(10, tc.prompt, 20, 50))
+			res := e.Run()
+			if len(res.Finished) != 10 {
+				t.Fatalf("finished %d", len(res.Finished))
+			}
+			if maxBatch != tc.perPrefill {
+				t.Fatalf("admitted at most %d prompts in one prefill, want %d", maxBatch, tc.perPrefill)
+			}
+			if want := 10 / tc.perPrefill; res.PrefillIters < want {
+				t.Fatalf("prefill iterations %d, want ≥ %d", res.PrefillIters, want)
+			}
+		})
 	}
 }
 

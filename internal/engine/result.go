@@ -129,32 +129,18 @@ func (e *Engine) Snapshot() *Result {
 	if e.sched != nil {
 		name = e.sched.Name()
 	}
-	return &Result{
-		Scheduler:            name,
-		Duration:             e.clock - e.startClock,
-		Finished:             append([]*request.Request(nil), e.finished...),
-		Failed:               append([]*request.Request(nil), e.failed...),
-		TimedOut:             append([]*request.Request(nil), e.timedOut...),
-		HandedOff:            append([]*request.Request(nil), e.handedOff...),
-		DecodeSteps:          e.decodeSteps,
-		CoastedSteps:         e.coastedSteps,
-		PrefillIters:         e.prefillIters,
-		ChunkIters:           e.chunkIters,
-		PrefillChunks:        e.prefillChunks,
-		Evictions:            e.evictions,
-		Admissions:           e.admissions,
-		OutputTokens:         e.outputTokens,
-		InputTokens:          e.inputTokens,
-		RecomputeTokens:      e.recomputeTokens,
-		SwapInTokens:         e.swapInTokens,
-		PrefillComputeTokens: e.prefillComputeTokens,
-		CacheHitTokens:       e.cacheHitTokens,
-		CacheRestoredTokens:  e.cacheRestoredTokens,
-		PrefixCache:          e.pool.PrefixStats(),
-		MemUtilization:       e.memUtil.Mean(),
-		PhysMemUtilization:   e.physUtil.Mean(),
-		MeanBatchSize:        e.batchSize.Mean(),
-		PeakUsedTokens:       e.pool.PeakUsedTokens(),
-		CapacityTokens:       e.pool.CapacityTokens(),
-	}
+	res := e.res
+	res.Scheduler = name
+	res.Duration = e.clock - e.startClock
+	res.Finished = append([]*request.Request(nil), res.Finished...)
+	res.Failed = append([]*request.Request(nil), res.Failed...)
+	res.TimedOut = append([]*request.Request(nil), res.TimedOut...)
+	res.HandedOff = append([]*request.Request(nil), res.HandedOff...)
+	res.PrefixCache = e.pool.PrefixStats()
+	res.MemUtilization = e.memUtil.Mean()
+	res.PhysMemUtilization = e.physUtil.Mean()
+	res.MeanBatchSize = e.batchSize.Mean()
+	res.PeakUsedTokens = e.pool.PeakUsedTokens()
+	res.CapacityTokens = e.pool.CapacityTokens()
+	return &res
 }

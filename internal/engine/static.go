@@ -7,7 +7,7 @@ import "github.com/lightllm-go/lightllm/internal/request"
 // padded to the longest in the batch, and the batch runs until its *longest*
 // output finishes — no request joins or leaves mid-flight.
 func (e *Engine) stepStatic() bool {
-	if len(e.staticBatch) == 0 {
+	if len(e.running) == 0 {
 		if e.queue.Len() == 0 {
 			// Wait for arrivals, if any.
 			if e.arrivals.Len() > 0 {
@@ -61,34 +61,34 @@ func (e *Engine) formStaticBatch() bool {
 		}
 		r.KV = h
 		r.Admissions++
-		e.admissions++
-		e.inputTokens += int64(r.InputLen)
-		e.staticBatch = append(e.staticBatch, r)
+		e.res.Admissions++
+		e.res.InputTokens += int64(r.InputLen)
+		e.running = append(e.running, r)
 	}
-	if len(e.staticBatch) == 0 {
+	if len(e.running) == 0 {
 		return true
 	}
 	// Padded prefill: compute cost covers maxIn tokens per request. First
 	// tokens are emitted by the following decode steps.
-	dur := e.scaled(e.cfg.Perf.PrefillTime(maxIn * len(e.staticBatch)))
-	e.prefillComputeTokens += int64(maxIn * len(e.staticBatch))
+	dur := e.scaled(e.cfg.Perf.PrefillTime(maxIn * len(e.running)))
+	e.res.PrefillComputeTokens += int64(maxIn * len(e.running))
 	e.clock += dur
-	e.prefillIters++
+	e.res.PrefillIters++
 	e.observe(e.clock)
-	e.iterationHook("static", dur, len(e.staticBatch))
+	e.iterationHook("static", dur, len(e.running))
 	return true
 }
 
 // stepStaticDecode runs one decode step at full batch width: finished
 // requests still occupy a batch lane (padding) until the longest completes.
 func (e *Engine) stepStaticDecode() bool {
-	n := len(e.staticBatch)
+	n := len(e.running)
 	kvTokens := e.pool.UsedTokens() + n
 	dur := e.scaled(e.cfg.Perf.DecodeTime(n, kvTokens))
 	e.clock += dur
-	e.decodeSteps++
+	e.res.DecodeSteps++
 	allDone := true
-	for _, r := range e.staticBatch {
+	for _, r := range e.running {
 		e.pool.Extend(r.KV, 1) // padding: every lane grows
 		if r.Done() {
 			continue // finished lane, pure padding waste
@@ -98,17 +98,17 @@ func (e *Engine) stepStaticDecode() bool {
 			allDone = false
 		}
 	}
-	for _, r := range e.staticBatch {
+	for _, r := range e.running {
 		if r.Outcome == request.OutcomePending && r.Done() {
 			e.finish(r) // the lane stays allocated until the batch drains
 		}
 	}
 	if allDone {
 		// Whole batch complete: release all lanes.
-		for _, r := range e.staticBatch {
+		for _, r := range e.running {
 			e.free(r)
 		}
-		e.staticBatch = e.staticBatch[:0]
+		e.running = e.running[:0]
 	}
 	e.observe(e.clock)
 	e.iterationHook("static", dur, n)

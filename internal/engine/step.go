@@ -143,9 +143,9 @@ func (e *Engine) coastStep(n int) {
 	prev := e.clock
 	dur := e.scaled(e.cfg.Perf.DecodeTime(n, e.usedTokens()+n))
 	e.clock += dur
-	e.decodeSteps++
-	e.coastedSteps++
-	e.outputTokens += int64(n)
+	e.res.DecodeSteps++
+	e.res.CoastedSteps++
+	e.res.OutputTokens += int64(n)
 	e.owed++
 	if e.prefilled {
 		e.stampAll()
@@ -386,7 +386,7 @@ func (e *Engine) dropExpired() {
 		func(r *request.Request) bool { return !e.expired(r) },
 		func(r *request.Request) {
 			r.MarkDropped(e.clock)
-			e.leave(r, &e.timedOut)
+			e.leave(r, &e.res.TimedOut)
 		},
 	)
 }
@@ -405,10 +405,7 @@ func (e *Engine) expired(r *request.Request) bool {
 func (e *Engine) decide() int {
 	batchView := e.running
 	if len(e.prefilling) > 0 {
-		e.batchScratch = append(e.batchScratch[:0], e.running...)
-		for _, p := range e.prefilling {
-			e.batchScratch = append(e.batchScratch, p.req)
-		}
+		e.batchScratch = append(append(e.batchScratch[:0], e.running...), e.prefilling...)
 		batchView = e.batchScratch
 	}
 	e.queueScratch = e.queue.AppendTo(e.queueScratch[:0])
@@ -445,14 +442,15 @@ func (e *Engine) admit() []*request.Request {
 		// Chunked prefill repurposes MaxPrefillTokens as the per-iteration
 		// chunk budget instead of an admission trim: admissions reserve KV
 		// immediately and their prompts land chunk by chunk.
-		// Trim the admitted prefix to the prefill token budget via the
-		// deque's maintained prefix sums — one O(log n) search instead of
-		// re-walking every candidate's footprint. At least one request is
-		// always prefilled so oversized prompts still make progress.
-		if cut := e.queue.PrefixWithin(int64(e.cfg.MaxPrefillTokens), n); cut < n {
-			n = cut
-			if n < 1 {
-				n = 1
+		// Trim the admitted prefix to the longest one whose footprints fit
+		// the prefill token budget, walking only the prefix the scheduler
+		// priced. At least one request is always prefilled so oversized
+		// prompts still make progress.
+		budget := e.cfg.MaxPrefillTokens
+		for i := 0; i < n; i++ {
+			if budget -= e.queue.At(i).Footprint(); budget < 0 {
+				n = max(i, 1)
+				break
 			}
 		}
 	}
@@ -487,14 +485,14 @@ func (e *Engine) take(n, asked int) []*request.Request {
 		}
 		e.queue.PopFront()
 		r.Admissions++
-		e.admissions++
+		e.res.Admissions++
 		// A migrated first admission encodes nothing here: the prompt was
 		// processed on the prefill engine and the KV arrived over the link,
 		// so neither input nor recompute tokens accrue to this engine.
 		if !r.Migrated {
-			e.inputTokens += int64(r.InputLen)
+			e.res.InputTokens += int64(r.InputLen)
 			if r.Generated > 0 && !r.Swapped {
-				e.recomputeTokens += int64(r.Footprint() - r.CachedTokens - r.RestoredTokens)
+				e.res.RecomputeTokens += int64(r.Footprint() - r.CachedTokens - r.RestoredTokens)
 			}
 		}
 		admitted = append(admitted, r)
@@ -564,8 +562,8 @@ func (e *Engine) allocateFor(r *request.Request) bool {
 	r.KV = h
 	r.CachedTokens = hit
 	r.RestoredTokens = restored
-	e.cacheHitTokens += int64(hit)
-	e.cacheRestoredTokens += int64(restored)
+	e.res.CacheHitTokens += int64(hit)
+	e.res.CacheRestoredTokens += int64(restored)
 	return true
 }
 
@@ -627,7 +625,7 @@ func (e *Engine) evictLast() {
 	if e.cfg.Eviction == Swap {
 		victim.Swapped = true // KV parked in host memory
 	}
-	e.evictions++
+	e.res.Evictions++
 	e.queue.PushFront(victim)
 	if e.rec != nil {
 		e.rec.Evict(e.clock, victim, e.obsPool, e.obsRep)
@@ -664,7 +662,7 @@ func (e *Engine) runPrefill(admitted []*request.Request) {
 			// instead of being recomputed.
 			swapTokens += r.Footprint()
 			r.Swapped = false
-			e.swapInTokens += int64(r.Footprint())
+			e.res.SwapInTokens += int64(r.Footprint())
 			continue
 		}
 		// Prefix-cache hits are prompt tokens this iteration never encodes;
@@ -674,9 +672,9 @@ func (e *Engine) runPrefill(admitted []*request.Request) {
 	}
 	dur := e.scaled(e.cfg.Perf.PrefillTime(promptTokens) + e.cfg.Perf.SwapTime(swapTokens) +
 		e.cfg.Perf.SwapTime(restoreTokens))
-	e.prefillComputeTokens += int64(promptTokens)
+	e.res.PrefillComputeTokens += int64(promptTokens)
 	e.clock += dur
-	e.prefillIters++
+	e.res.PrefillIters++
 	if e.cfg.Role == RolePrefillOnly {
 		e.completePrefills(admitted)
 		e.observe(e.clock)
@@ -714,7 +712,7 @@ func (e *Engine) completePrefills(admitted []*request.Request) {
 			continue
 		}
 		r.PrefillDoneAt = e.clock
-		e.leave(r, &e.handedOff)
+		e.leave(r, &e.res.HandedOff)
 	}
 }
 
@@ -732,7 +730,7 @@ func (e *Engine) emit(r *request.Request) {
 	if first && e.rec != nil {
 		e.rec.FirstToken(e.clock, r, e.obsPool, e.obsRep)
 	}
-	e.outputTokens++
+	e.res.OutputTokens++
 }
 
 // finish completes r at the engine clock — the one place a request finishes:
@@ -742,7 +740,7 @@ func (e *Engine) emit(r *request.Request) {
 func (e *Engine) finish(r *request.Request) {
 	r.Finish(e.clock)
 	e.history.Add(r.TrueOutputLen)
-	e.leave(r, &e.finished)
+	e.leave(r, &e.res.Finished)
 }
 
 // decodeRunning gives every running request one token, after ensureExtendable
@@ -768,7 +766,7 @@ func (e *Engine) runDecode() {
 	kvTokens := e.pool.UsedTokens() + n
 	dur := e.scaled(e.cfg.Perf.DecodeTime(n, kvTokens))
 	e.clock += dur
-	e.decodeSteps++
+	e.res.DecodeSteps++
 	e.decodeRunning()
 	e.minLeft = e.completeDone() // the batch coast may start from
 	if e.keptBatch(batch) {
@@ -791,9 +789,9 @@ func (e *Engine) keptBatch(batch int) bool {
 // encode, keeping the rest in order.
 func (e *Engine) dropLanded() {
 	remaining := e.prefilling[:0]
-	for _, p := range e.prefilling {
-		if p.need > 0 {
-			remaining = append(remaining, p)
+	for _, r := range e.prefilling {
+		if r.PrefillRemaining() > 0 {
+			remaining = append(remaining, r)
 		}
 	}
 	e.prefilling = remaining
@@ -848,7 +846,7 @@ func (e *Engine) observe(t float64) {
 	capacity := float64(e.pool.CapacityTokens())
 	e.memUtil.Observe(t, float64(e.usedTokens())/capacity)
 	e.physUtil.Observe(t, float64(e.pool.PhysicalUsedTokens()+e.owedTokens())/capacity)
-	e.batchSize.Observe(t, float64(len(e.running)+len(e.prefilling)+len(e.staticBatch)))
+	e.batchSize.Observe(t, float64(len(e.running)+len(e.prefilling)))
 }
 
 // iterationHook reports one executed iteration to the observers. batch is

@@ -24,9 +24,8 @@ type Link struct {
 	// PerDestination gives every destination its own ingress lane (a
 	// per-GPU NIC on a non-blocking fabric): transfers to different
 	// destinations overlap, transfers to the same destination serialize
-	// (when Serialize is set). The destination-less Schedule and
-	// ExpectedDelivery keep treating the link as one shared wire, so
-	// existing single-wire callers are unaffected.
+	// (when Serialize is set). A negative destination still takes the
+	// shared wire.
 	PerDestination bool
 
 	busyUntil float64
@@ -71,66 +70,32 @@ func (l *Link) TransferTime(bytes int64) float64 {
 	return t
 }
 
-// ExpectedDelivery returns when a transfer of the given size issued at now
-// would land, given the current wire queueing — Schedule without the
-// booking. The contention-aware router and the admission shed checks use
-// it to price a handoff before committing bandwidth to it.
-func (l *Link) ExpectedDelivery(now float64, bytes int64) float64 {
-	start := now
-	if l.Serialize && l.busyUntil > start {
-		start = l.busyUntil
-	}
-	return start + l.TransferTime(bytes)
+// ExpectedDelivery returns when a transfer of the given size to dst issued
+// at now would land, given the current wire queueing — Schedule without the
+// booking. The contention-aware router and the admission shed checks use it
+// to price a handoff before committing bandwidth to it.
+func (l *Link) ExpectedDelivery(now float64, bytes int64, dst int) float64 {
+	return l.wireStart(now, dst) + l.TransferTime(bytes)
 }
 
-// Schedule books one transfer issued at now and returns when it takes the
-// wire and when it completes. On a serialized link the transfer waits for
-// the wire to free first; the wire is then busy until done.
+// Schedule books one transfer to dst issued at now and returns when it
+// takes the wire and when it completes. The wire is dst's ingress lane with
+// PerDestination and a destination that is not negative, else the shared
+// wire. On a serialized link the transfer waits for that wire to free
+// first; the wire is then busy until done.
 //
 // Bookings must be issued in nondecreasing `now` order — the cluster event
 // loop guarantees this by deferring handoffs to issue-time-ordered events
 // (booking in engine-step order instead used to queue an earlier-issued
 // transfer behind a later one).
-func (l *Link) Schedule(now float64, bytes int64) (start, done float64) {
-	start = now
-	if l.Serialize && l.busyUntil > start {
-		start = l.busyUntil
-	}
+func (l *Link) Schedule(now float64, bytes int64, dst int) (start, done float64) {
+	start = l.wireStart(now, dst)
 	done = start + l.TransferTime(bytes)
-	if l.Serialize {
+	switch {
+	case !l.Serialize:
+	case !l.PerDestination || dst < 0:
 		l.busyUntil = done
-	}
-	return start, done
-}
-
-// ExpectedDeliveryTo is ExpectedDelivery for one destination's ingress
-// lane. Without PerDestination (or for a negative destination) it falls
-// back to the shared-wire estimate, so the router's cost vector degrades
-// gracefully to headroom-only ranking on single-wire links.
-func (l *Link) ExpectedDeliveryTo(now float64, bytes int64, dst int) float64 {
-	if !l.PerDestination || dst < 0 {
-		return l.ExpectedDelivery(now, bytes)
-	}
-	start := now
-	if l.Serialize && dst < len(l.lanes) && l.lanes[dst] > start {
-		start = l.lanes[dst]
-	}
-	return start + l.TransferTime(bytes)
-}
-
-// ScheduleTo books one transfer to a destination lane and returns when it
-// takes the lane and when it completes. Without PerDestination it books the
-// shared wire.
-func (l *Link) ScheduleTo(now float64, bytes int64, dst int) (start, done float64) {
-	if !l.PerDestination || dst < 0 {
-		return l.Schedule(now, bytes)
-	}
-	start = now
-	if l.Serialize && dst < len(l.lanes) && l.lanes[dst] > start {
-		start = l.lanes[dst]
-	}
-	done = start + l.TransferTime(bytes)
-	if l.Serialize {
+	default:
 		for dst >= len(l.lanes) {
 			l.lanes = append(l.lanes, 0)
 		}
@@ -139,8 +104,16 @@ func (l *Link) ScheduleTo(now float64, bytes int64, dst int) (start, done float6
 	return start, done
 }
 
+// wireStart returns when a transfer to dst issued at now takes its wire.
+func (l *Link) wireStart(now float64, dst int) float64 {
+	if busy := l.BusyUntil(dst); l.Serialize && busy > now {
+		return busy
+	}
+	return now
+}
+
 // PreallocateLanes sizes the per-destination lane table up front so a
-// long replay's ScheduleTo calls never grow it mid-run. Purely a
+// long replay's Schedule calls never grow it mid-run. Purely a
 // capacity hint: lane state and scheduling results are unchanged, and
 // destinations beyond n still grow on demand.
 func (l *Link) PreallocateLanes(n int) {
@@ -176,15 +149,15 @@ func Backoff(base, cap float64, attempt int) float64 {
 	return d
 }
 
-// BusyUntil returns when the shared wire frees (0 if never used);
-// observational, for reports and tests.
-func (l *Link) BusyUntil() float64 { return l.busyUntil }
-
-// LaneBusyUntil returns when a destination's ingress lane frees (0 if never
-// used); observational.
-func (l *Link) LaneBusyUntil(dst int) float64 {
-	if dst < 0 || dst >= len(l.lanes) {
-		return 0
+// BusyUntil returns when the wire a transfer to dst takes frees (0 if never
+// used): dst's lane with PerDestination and a destination that is not
+// negative, else the shared wire.
+func (l *Link) BusyUntil(dst int) float64 {
+	if !l.PerDestination || dst < 0 {
+		return l.busyUntil
 	}
-	return l.lanes[dst]
+	if dst < len(l.lanes) {
+		return l.lanes[dst]
+	}
+	return 0
 }

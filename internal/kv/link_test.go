@@ -39,16 +39,16 @@ func TestLinkTransferTime(t *testing.T) {
 func TestLinkSerializesTransfers(t *testing.T) {
 	l := MustNewLink(100, 0) // 1 byte per 10 ms
 	// Two transfers issued at the same instant queue behind each other.
-	_, first := l.Schedule(10, 100) // 10 → 11
-	_, second := l.Schedule(10, 50) // waits: 11 → 11.5
+	_, first := l.Schedule(10, 100, -1) // 10 → 11
+	_, second := l.Schedule(10, 50, -1) // waits: 11 → 11.5
 	if !almost(first, 11) || !almost(second, 11.5) {
 		t.Fatalf("serialized completions (%v, %v), want (11, 11.5)", first, second)
 	}
-	if !almost(l.BusyUntil(), 11.5) {
-		t.Fatalf("busyUntil %v, want 11.5", l.BusyUntil())
+	if !almost(l.BusyUntil(-1), 11.5) {
+		t.Fatalf("busyUntil %v, want 11.5", l.BusyUntil(-1))
 	}
 	// A transfer issued after the wire freed starts immediately.
-	_, third := l.Schedule(20, 100)
+	_, third := l.Schedule(20, 100, -1)
 	if !almost(third, 21) {
 		t.Fatalf("post-idle completion %v, want 21", third)
 	}
@@ -56,8 +56,8 @@ func TestLinkSerializesTransfers(t *testing.T) {
 
 func TestLinkOverlapped(t *testing.T) {
 	l := &Link{BandwidthBytesPerSec: 100, Serialize: false}
-	_, a := l.Schedule(10, 100)
-	_, b := l.Schedule(10, 100)
+	_, a := l.Schedule(10, 100, -1)
+	_, b := l.Schedule(10, 100, -1)
 	if !almost(a, 11) || !almost(b, 11) {
 		t.Fatalf("overlapped completions (%v, %v), want (11, 11)", a, b)
 	}
@@ -66,21 +66,21 @@ func TestLinkOverlapped(t *testing.T) {
 func TestLinkExpectedDeliveryIsNonMutating(t *testing.T) {
 	l := MustNewLink(100, 0) // 1 byte per 10 ms
 	// A preview matches what Schedule would return, and booking nothing.
-	if got := l.ExpectedDelivery(10, 100); !almost(got, 11) {
+	if got := l.ExpectedDelivery(10, 100, -1); !almost(got, 11) {
 		t.Fatalf("expected delivery %v, want 11", got)
 	}
-	if l.BusyUntil() != 0 {
+	if l.BusyUntil(-1) != 0 {
 		t.Fatal("preview booked the wire")
 	}
-	_, first := l.Schedule(10, 100) // wire busy until 11
+	_, first := l.Schedule(10, 100, -1) // wire busy until 11
 	if !almost(first, 11) {
 		t.Fatalf("schedule %v, want 11", first)
 	}
 	// The preview now sees the queueing the booking created.
-	if got := l.ExpectedDelivery(10.5, 50); !almost(got, 11.5) {
+	if got := l.ExpectedDelivery(10.5, 50, -1); !almost(got, 11.5) {
 		t.Fatalf("queued expected delivery %v, want 11.5", got)
 	}
-	if _, got := l.Schedule(10.5, 50); !almost(got, 11.5) {
+	if _, got := l.Schedule(10.5, 50, -1); !almost(got, 11.5) {
 		t.Fatalf("queued schedule %v, want 11.5", got)
 	}
 }
@@ -127,7 +127,7 @@ func TestBackoffProperties(t *testing.T) {
 	Backoff(0, 1, 0)
 }
 
-// TestLinkBusyNeverRegresses drives randomized ScheduleTo sequences — mixed
+// TestLinkBusyNeverRegresses drives randomized Schedule sequences — mixed
 // destinations, retry-style nondecreasing issue times, interleaved
 // non-mutating previews — and pins the wire invariants: the shared and
 // per-lane busy-until times never move backward, every booking lands no
@@ -145,13 +145,13 @@ func TestLinkBusyNeverRegresses(t *testing.T) {
 			bytes := int64(r.Intn(200))
 			if r.Float64() < 0.3 { // a preview must not book
 				before := fingerprint(l)
-				l.ExpectedDeliveryTo(now, bytes, dst)
+				l.ExpectedDelivery(now, bytes, dst)
 				if fingerprint(l) != before {
 					t.Fatalf("seed %d op %d: preview mutated the link", seed, op)
 				}
 				continue
 			}
-			_, done := l.ScheduleTo(now, bytes, dst)
+			_, done := l.Schedule(now, bytes, dst)
 			if min := now + l.TransferTime(bytes); done < min-1e-12 {
 				t.Fatalf("seed %d op %d: delivery %v before issue+wire %v", seed, op, done, min)
 			}
@@ -163,11 +163,11 @@ func TestLinkBusyNeverRegresses(t *testing.T) {
 				t.Fatalf("seed %d op %d: lane %d busy regressed %v -> %v", seed, op, dst, busy[key], done)
 			}
 			busy[key] = done
-			if l.BusyUntil() < busy[-1] || l.BusyUntil() != busy[-1] {
-				t.Fatalf("seed %d op %d: shared busy %v, want %v", seed, op, l.BusyUntil(), busy[-1])
+			if l.BusyUntil(-1) < busy[-1] || l.BusyUntil(-1) != busy[-1] {
+				t.Fatalf("seed %d op %d: shared busy %v, want %v", seed, op, l.BusyUntil(-1), busy[-1])
 			}
 			for d := 0; d < 3; d++ {
-				if got := l.LaneBusyUntil(d); got != busy[d] && busy[d] != 0 {
+				if got := l.BusyUntil(d); got != busy[d] && busy[d] != 0 {
 					t.Fatalf("seed %d op %d: lane %d busy %v, want %v", seed, op, d, got, busy[d])
 				}
 			}
@@ -178,9 +178,9 @@ func TestLinkBusyNeverRegresses(t *testing.T) {
 // fingerprint snapshots every observable busy-until on the link.
 func fingerprint(l *Link) [9]float64 {
 	var s [9]float64
-	s[0] = l.BusyUntil()
+	s[0] = l.BusyUntil(-1)
 	for d := 0; d < 8; d++ {
-		s[d+1] = l.LaneBusyUntil(d)
+		s[d+1] = l.BusyUntil(d)
 	}
 	return s
 }
@@ -189,36 +189,36 @@ func TestLinkPerDestinationLanes(t *testing.T) {
 	l := MustNewLink(100, 0)
 	l.PerDestination = true
 	// Same instant, different destinations: the lanes overlap.
-	_, a := l.ScheduleTo(10, 100, 0)
-	_, b := l.ScheduleTo(10, 100, 1)
+	_, a := l.Schedule(10, 100, 0)
+	_, b := l.Schedule(10, 100, 1)
 	if !almost(a, 11) || !almost(b, 11) {
 		t.Fatalf("cross-lane completions (%v, %v), want (11, 11)", a, b)
 	}
 	// Same destination: the lane serializes, and the preview prices it.
-	if got := l.ExpectedDeliveryTo(10, 50, 0); !almost(got, 11.5) {
+	if got := l.ExpectedDelivery(10, 50, 0); !almost(got, 11.5) {
 		t.Fatalf("lane-0 expected delivery %v, want 11.5", got)
 	}
-	if _, got := l.ScheduleTo(10, 50, 0); !almost(got, 11.5) {
+	if _, got := l.Schedule(10, 50, 0); !almost(got, 11.5) {
 		t.Fatalf("lane-0 completion %v, want 11.5", got)
 	}
-	if !almost(l.LaneBusyUntil(0), 11.5) || !almost(l.LaneBusyUntil(1), 11) {
-		t.Fatalf("lane busy (%v, %v), want (11.5, 11)", l.LaneBusyUntil(0), l.LaneBusyUntil(1))
+	if !almost(l.BusyUntil(0), 11.5) || !almost(l.BusyUntil(1), 11) {
+		t.Fatalf("lane busy (%v, %v), want (11.5, 11)", l.BusyUntil(0), l.BusyUntil(1))
 	}
 	// The shared wire was never booked by lane traffic.
-	if l.BusyUntil() != 0 {
+	if l.BusyUntil(-1) != 0 {
 		t.Fatal("lane booking leaked onto the shared wire")
 	}
 	// A negative destination (monolithic callers) books the shared wire.
-	if _, got := l.ScheduleTo(10, 100, -1); !almost(got, 11) {
+	if _, got := l.Schedule(10, 100, -1); !almost(got, 11) {
 		t.Fatalf("shared-wire fallback %v, want 11", got)
 	}
-	if !almost(l.BusyUntil(), 11) {
-		t.Fatalf("shared wire busy %v, want 11", l.BusyUntil())
+	if !almost(l.BusyUntil(-1), 11) {
+		t.Fatalf("shared wire busy %v, want 11", l.BusyUntil(-1))
 	}
-	// Without PerDestination, ScheduleTo is Schedule regardless of dst.
+	// Without PerDestination, every destination takes the shared wire.
 	shared := MustNewLink(100, 0)
-	_, x := shared.ScheduleTo(10, 100, 0)
-	_, y := shared.ScheduleTo(10, 100, 1)
+	_, x := shared.Schedule(10, 100, 0)
+	_, y := shared.Schedule(10, 100, 1)
 	if !almost(x, 11) || !almost(y, 12) {
 		t.Fatalf("single-wire completions (%v, %v), want (11, 12)", x, y)
 	}
@@ -229,20 +229,20 @@ func TestLinkPerDestinationLanes(t *testing.T) {
 // completion the wire is then busy until.
 func TestLinkReturnsWireStart(t *testing.T) {
 	l := MustNewLink(100, 0.5)
-	s1, d1 := l.Schedule(0, 100)  // 0 → 1.5
-	s2, d2 := l.Schedule(0.5, 50) // queues behind the first: 1.5 → 2.5
+	s1, d1 := l.Schedule(0, 100, -1)  // 0 → 1.5
+	s2, d2 := l.Schedule(0.5, 50, -1) // queues behind the first: 1.5 → 2.5
 	if !almost(s1, 0) || !almost(d1, 1.5) {
 		t.Fatalf("first booking (%v, %v), want (0, 1.5)", s1, d1)
 	}
-	if !almost(s2, 1.5) || !almost(d2, 2.5) || l.BusyUntil() != d2 {
-		t.Fatalf("queued booking (%v, %v), busy until %v; want (1.5, 2.5)", s2, d2, l.BusyUntil())
+	if !almost(s2, 1.5) || !almost(d2, 2.5) || l.BusyUntil(-1) != d2 {
+		t.Fatalf("queued booking (%v, %v), busy until %v; want (1.5, 2.5)", s2, d2, l.BusyUntil(-1))
 	}
 
 	lanes := MustNewLink(100, 0)
 	lanes.PerDestination = true
-	s3, d3 := lanes.ScheduleTo(10, 100, 3)
-	s4, d4 := lanes.ScheduleTo(10.5, 100, 3) // same lane: waits for 11
-	if !almost(s3, 10) || !almost(d3, 11) || !almost(s4, 11) || !almost(d4, 12) || lanes.LaneBusyUntil(3) != d4 {
+	s3, d3 := lanes.Schedule(10, 100, 3)
+	s4, d4 := lanes.Schedule(10.5, 100, 3) // same lane: waits for 11
+	if !almost(s3, 10) || !almost(d3, 11) || !almost(s4, 11) || !almost(d4, 12) || lanes.BusyUntil(3) != d4 {
 		t.Fatalf("lane bookings (%v, %v) and (%v, %v), want (10, 11) and (11, 12)", s3, d3, s4, d4)
 	}
 }

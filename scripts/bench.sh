@@ -63,7 +63,7 @@ run_micro() {
 		-benchmem ./internal/dist/ | tee -a "$tmp"
 	go test -run '^$' -bench 'BenchmarkFleetRoute|BenchmarkFleetCoast|BenchmarkClusterAdmit' \
 		-benchmem ./internal/cluster/ | tee -a "$tmp"
-	go test -run '^$' -bench 'BenchmarkPrefillTrim|BenchmarkChunkSchedule|BenchmarkEngineDecode' \
+	go test -run '^$' -bench 'BenchmarkChunkSchedule|BenchmarkEngineDecode' \
 		-benchmem ./internal/engine/ | tee -a "$tmp"
 	go test -run '^$' -bench 'BenchmarkPrefixMatch|BenchmarkPrefixChurn|BenchmarkPoolGrow' \
 		-benchmem ./internal/kv/ | tee -a "$tmp"
