@@ -64,8 +64,10 @@ bench-scale:
 # pairs compares the whole-run benchmark (BENCHMARK.json) of the working tree
 # with a base commit on one workload, over N pairs whose order alternates
 # (scripts/pairs.sh): for every end-to-end metric BENCHMARK.json lists, each
-# side's median and quartiles, how many pairs the change won, and whether its
-# median is worse than the base's by more than the metric's bound. It fails
+# side's median and quartiles, how many pairs the change won, whether its
+# median is worse than the base's by more than the metric's bound, and GAIN
+# when it won 9 in 10 pairs, its median lies beyond the base's quartile and
+# the medians differ by more than a tenth of the bound. It fails
 # if any run reports "correct":false, any metric is over its bound, or a
 # process running either benchmark binary outlives its run (pgrep -f; it
 # names and kills each one).

@@ -211,7 +211,7 @@ func a100s(seed uint64) []*engine.Engine {
 // reactiveFleet scales on high/low-water load thresholds.
 func reactiveFleet(seed uint64, rec obs.Recorder) *cluster.Cluster {
 	return monolithic(cluster.Config{Replicas: a100s(seed), Scale: &cluster.AutoScale{
-		Min: 1, Max: replicas, HighWater: highWater, LowWater: lowWater,
+		Max: replicas, HighWater: highWater, LowWater: lowWater,
 		ActivationDelay: delay, EvalInterval: interval,
 	}}, rec)
 }

@@ -73,7 +73,7 @@ func main() {
 	// Predictive autoscaling: start with one replica, grow under load.
 	fmt.Println("\npredictive autoscaling (min 1, max 4 replicas, high-water 70%):")
 	c, pool := mkFleet(4, cluster.FutureHeadroom,
-		&cluster.AutoScale{Min: 1, Max: 4, HighWater: 0.7, LowWater: 0.2, ActivationDelay: 5})
+		&cluster.AutoScale{Max: 4, HighWater: 0.7, LowWater: 0.2, ActivationDelay: 5})
 	c.Serve(mkStream(), 1e9)
 	out, in := pool.ScaleEvents()
 	fmt.Printf("scale-out events: %d, scale-in events: %d, final active replicas: %d\n",

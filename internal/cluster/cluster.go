@@ -268,7 +268,7 @@ func (c *Cluster) HeldRequests() int {
 	return c.adm.Held()
 }
 
-// ReplicaSeconds returns the provisioned-time integral across all pools.
+// ReplicaSeconds returns the billed-time integral across all pools.
 func (c *Cluster) ReplicaSeconds() float64 {
 	sum := 0.0
 	for _, p := range c.pools {
@@ -423,8 +423,8 @@ func (c *Cluster) EventsProcessed() int64 { return c.popped }
 // that still read it, and will be removed.
 func (c *Cluster) BatchStats() (batches int64, meanWidth float64) { return 0, 0 }
 
-// start arms the event loop: replica-seconds clocks for the initially
-// active replicas and step events for engines pre-loaded before Serve.
+// start arms the event loop: step events for engines pre-loaded before
+// Serve, and the fault schedule.
 func (c *Cluster) start(t float64) {
 	if c.started {
 		return
@@ -433,17 +433,14 @@ func (c *Cluster) start(t float64) {
 	c.startAt = t
 	for _, p := range c.pools {
 		for _, rep := range p.reps {
-			if rep.active {
-				rep.activeAt = t
-			}
 			c.ensureStepEvent(p, rep)
 		}
 	}
 	c.armFaultEvents()
 }
 
-// finish closes replica-seconds accounting at the cluster's end time and
-// terminates whatever admission still holds (the stream is over; an
+// finish fixes the run's end time, which bounds the replica-seconds billed,
+// and terminates whatever admission still holds (the stream is over; an
 // unserved hold is a refusal). Every event before the deadline has been
 // handled; the coasted steps before it are taken here.
 func (c *Cluster) finish(deadline float64) {
@@ -461,18 +458,6 @@ func (c *Cluster) finish(deadline float64) {
 	}
 	if c.adm != nil {
 		c.adm.flush(c.endAt)
-	}
-	for _, p := range c.pools {
-		for _, rep := range p.reps {
-			// A replica still under repair at the end accrues nothing: its
-			// span was closed at the crash.
-			if rep.active && !rep.down {
-				span := c.endAt - rep.activeAt
-				if span > 0 {
-					rep.activeSecs += span
-				}
-			}
-		}
 	}
 }
 
@@ -517,8 +502,8 @@ func (c *Cluster) handle(ev event) {
 		// Unconditionally: a Step returning false can still have mutated
 		// state (queue-timeout drops run before the drained check).
 		rep.moved(rep.eng.LastStep())
-		if rep.draining && p.drained(rep) {
-			p.retire(rep, rep.eng.Clock())
+		if rep.phase == draining && p.drained(rep) {
+			p.transition(rep, rep.eng.Clock(), cold, false)
 		}
 		c.ensureStepEvent(p, rep)
 		// A step that released a request (finish, handoff, timeout, fail)
@@ -533,13 +518,16 @@ func (c *Cluster) handle(ev event) {
 	case evActivate:
 		rep := p.reps[ev.rep]
 		// Stale activations (the replica was scaled back in, re-armed with a
-		// different wake time, or crashed while activating) are ignored.
-		if rep.active && !rep.awake && !rep.down && rep.wakeAt == ev.at {
-			rep.awake = true
-			p.rebuildAccepting()
-			if c.adm != nil {
-				c.adm.retry(ev.at) // fresh capacity: release held arrivals
-			}
+		// different wake time, or crashed) are ignored; one drained before
+		// its wake stays draining.
+		if rep.down || rep.wakeAt != ev.at || rep.phase != waking && rep.phase != draining {
+			break
+		}
+		if rep.phase == waking {
+			p.transition(rep, ev.at, serving, false)
+		}
+		if c.adm != nil {
+			c.adm.retry(ev.at) // fresh capacity: release held arrivals
 		}
 	case evXfer, evXferRetry:
 		c.book(ev)
@@ -790,14 +778,14 @@ func (c *Cluster) deliver(ev event) {
 	h := c.handoffs.at(ev.rep)
 	rep := dp.reps[h.ToReplica]
 	rep.pendingIn--
-	if !rep.active || !rep.awake || rep.draining {
+	if !rep.accepts() {
 		old := rep
 		rep = dp.pick(r)
 		old.routed--
 		dp.routeTo(r, rep) // a fresh routing decision: count it and tell observers
 		h.ToReplica = rep.idx
-		if old.draining && dp.drained(old) {
-			dp.retire(old, ev.at)
+		if old.phase == draining && dp.drained(old) {
+			dp.transition(old, ev.at, cold, false)
 		}
 	}
 	if c.rec != nil {

@@ -76,12 +76,12 @@ func TestFleetValidation(t *testing.T) {
 		{"negative affinity", Config{AffinityWeight: -1}},
 		{"NaN affinity", Config{AffinityWeight: nan}},
 		{"infinite affinity", Config{AffinityWeight: inf}},
-		{"bad autoscale bounds", Config{Scale: &AutoScale{Min: 0, Max: 2}}},
-		{"NaN autoscale high water", Config{Scale: &AutoScale{Min: 1, Max: 2, HighWater: nan}}},
-		{"NaN autoscale eval interval", Config{Scale: &AutoScale{Min: 1, Max: 2, EvalInterval: nan}}},
-		{"negative autoscale activation delay", Config{Scale: &AutoScale{Min: 1, Max: 2, ActivationDelay: -1}}},
+		{"bad autoscale bounds", Config{Scale: &AutoScale{Max: 0}}},
+		{"NaN autoscale high water", Config{Scale: &AutoScale{Max: 2, HighWater: nan}}},
+		{"NaN autoscale eval interval", Config{Scale: &AutoScale{Max: 2, EvalInterval: nan}}},
+		{"negative autoscale activation delay", Config{Scale: &AutoScale{Max: 2, ActivationDelay: -1}}},
 		{"Scale and Planner", Config{
-			Scale:   &AutoScale{Min: 1, Max: 2},
+			Scale:   &AutoScale{Max: 2},
 			Planner: &PlannerConfig{SLA: metrics.SLASmall, Min: 1, Max: 2},
 		}},
 		{"zero SLA targets", Config{Planner: &PlannerConfig{SLA: metrics.SLA{}, Min: 1, Max: 2}}},
@@ -91,7 +91,7 @@ func TestFleetValidation(t *testing.T) {
 		{"NaN planner TTFT target", Config{Planner: &PlannerConfig{SLA: metrics.SLA{TTFT: nan, MTPOT: 1.5}, Min: 1, Max: 2}}},
 		{"negative planner activation delay", Config{Planner: &PlannerConfig{SLA: metrics.SLASmall, Min: 1, Max: 2, ActivationDelay: -5}}},
 		{"planner interval below a millisecond", Config{Planner: &PlannerConfig{SLA: metrics.SLASmall, Min: 1, Max: 2, Interval: 1e-300}}},
-		{"autoscale eval interval below a millisecond", Config{Scale: &AutoScale{Min: 1, Max: 2, EvalInterval: 1e-4}}},
+		{"autoscale eval interval below a millisecond", Config{Scale: &AutoScale{Max: 2, EvalInterval: 1e-4}}},
 		{"unknown planner predictor", Config{Planner: &PlannerConfig{SLA: metrics.SLASmall, Min: 1, Max: 2, Predictor: HoltPredictor + 1}}},
 		{"negative planner predictor", Config{Planner: &PlannerConfig{SLA: metrics.SLASmall, Min: 1, Max: 2, Predictor: -1}}},
 	} {
@@ -284,7 +284,7 @@ func TestActivationDelayGate(t *testing.T) {
 	f := mono(Config{
 		Replicas: replicas(2, 6_000),
 		Policy:   FutureHeadroom,
-		Scale:    &AutoScale{Min: 1, Max: 2, HighWater: 0.3, LowWater: 0.01, ActivationDelay: delay},
+		Scale:    &AutoScale{Max: 2, HighWater: 0.3, LowWater: 0.01, ActivationDelay: delay},
 	})
 	f.pools[0].onRoute = func(r *request.Request, rep int) {
 		routed = append(routed, r)
@@ -323,7 +323,7 @@ func TestScaleInKeepsLastReplica(t *testing.T) {
 		Replicas: replicas(3, 50_000),
 		Policy:   LeastLoaded,
 		// LowWater 1.0: every evaluation wants to scale in.
-		Scale: &AutoScale{Min: 1, Max: 3, HighWater: 2.0, LowWater: 1.0, ActivationDelay: 0.5, EvalInterval: 1},
+		Scale: &AutoScale{Max: 3, HighWater: 2.0, LowWater: 1.0, ActivationDelay: 0.5, EvalInterval: 1},
 	})
 	results := f.Serve(poissonReqs(150, 10, 17), 1e9)
 	if f.Pool(0).ActiveReplicas() < 1 {
@@ -524,7 +524,7 @@ func TestAutoscaleOutUnderLoad(t *testing.T) {
 	c := mono(Config{
 		Replicas: replicas(4, 8_000),
 		Policy:   FutureHeadroom,
-		Scale:    &AutoScale{Min: 1, Max: 4, HighWater: 0.6, LowWater: 0.1, ActivationDelay: 1.0},
+		Scale:    &AutoScale{Max: 4, HighWater: 0.6, LowWater: 0.1, ActivationDelay: 1.0},
 	})
 	p := c.Pool(0)
 	if p.ActiveReplicas() != 1 {
@@ -545,7 +545,7 @@ func TestAutoscaleInWhenIdle(t *testing.T) {
 	c := mono(Config{
 		Replicas: replicas(3, 8_000),
 		Policy:   LeastLoaded,
-		Scale:    &AutoScale{Min: 1, Max: 3, HighWater: 0.7, LowWater: 0.2, ActivationDelay: 0.5},
+		Scale:    &AutoScale{Max: 3, HighWater: 0.7, LowWater: 0.2, ActivationDelay: 0.5},
 	})
 	burst := poissonReqs(200, 50, 6)
 	trickle := workload.Build(workload.ShareGPT, rng.New(7), 60, 10_000, 256)

@@ -17,7 +17,7 @@
 //     FutureHeadroom (or RR/least-loaded) pick in the prefill pool; a
 //     prefill-only engine completes the request at its first token and
 //     hands it off; the KV cache crosses a kv.Link (bandwidth + latency +
-//     optional serialization, so the handoff is simulated, not free); on
+//     queueing on the wire, so the handoff is simulated, not free); on
 //     delivery the request takes a second FutureHeadroom pick in the
 //     decode pool and is admitted through engine.SubmitMigrated with its
 //     KV footprint pre-seeded.
@@ -219,4 +219,34 @@
 // storm-product served 1% more requests to completion, with 4× more
 // admission holds. BenchmarkFleetRoutePlace times a pick over 4 replicas,
 // the submit and the splice.
+//
+// # Replica lifecycle
+//
+// A replica is cold (not provisioned), waking (provisioned, its activation
+// delay running), serving, or draining (scaled in while busy: no new
+// traffic, cold once it holds no work and no KV transfer is on the wire
+// toward it). A pool starts on its first replicas — all without an
+// autoscaler, one under AutoScale, PlannerConfig.Min under a planner. A
+// scale-out takes a draining replica back (to waking if its wake is still
+// ahead) before it wakes a cold one. Down overlays the phase while a crashed
+// replica is under repair, so that the repair knows whether it comes back:
+// a cold one stays cold, a provisioned one wakes again, paying the
+// activation delay; a draining one goes cold at the crash.
+//
+//	phase     billed  counted  accepting
+//	cold      no      no       no
+//	waking    yes     yes      no
+//	serving   yes     yes      yes
+//	draining  yes     no       no
+//	down      no      no       no      (whatever the phase)
+//
+// Billed time is Pool.ReplicaSeconds (CostSeconds weights it by flavor
+// cost), clipped to the span Cluster.Duration measures, so a fault or a
+// tick after the last engine step bills nothing. Counted replicas are what
+// the autoscalers size (ActiveReplicas). Accepting replicas are the routing
+// candidates; when none accepts, the pool routes to the first provisioned
+// replica that is up, and to a down one only when all are down.
+// Pool.transition is the only writer of the phase and down, and it opens
+// or closes the billed span and rebuilds the accepting set when those flip
+// (TestPhaseSetOnlyHere).
 package cluster

@@ -175,26 +175,13 @@ func (c *Cluster) crashReplica(ev event) {
 	if p.plan != nil {
 		p.plan.observeCrash()
 	}
-	rep.down = true
 	rep.downAt = ev.at
 	rep.repairAt = ev.at + flt.Duration
-	if rep.active {
-		// Close the billing span: a dead machine accrues no replica-seconds
-		// until its repair completes (recoverReplica reopens the span).
-		if span := ev.at - rep.activeAt; span > 0 {
-			rep.activeSecs += span
-		}
-		rep.activeAt = ev.at
+	ph := rep.phase
+	if ph == draining {
+		ph = cold // its work just evaporated; the scale-in was counted
 	}
-	if rep.draining {
-		// It was on its way out and its remaining work just evaporated:
-		// retire outright. The span is already closed, so clear the flags
-		// directly rather than through retire().
-		rep.active = false
-		rep.draining = false
-	}
-	rep.awake = false
-	p.rebuildAccepting()
+	p.transition(rep, ev.at, ph, true)
 	c.pushEvent(event{at: ev.at + flt.Duration, kind: evRecover, pool: flt.Pool, rep: ev.rep})
 
 	orphans := rep.eng.Crash()
@@ -249,10 +236,8 @@ func (c *Cluster) lose(now float64, r *request.Request, pool, rep int) {
 	}
 }
 
-// recoverReplica handles evRecover: repair is complete. A replica that was
-// scaled in (or crashed while draining) stays cold; otherwise it re-activates
-// — paying the pool's activation delay again, like a fresh scale-out — and
-// its engine resumes at the recovery instant.
+// recoverReplica handles evRecover: repair is complete. A provisioned
+// replica wakes again, its engine resuming at the recovery instant.
 func (c *Cluster) recoverReplica(ev event) {
 	flt := c.flt.timed[ev.rep]
 	p := c.pools[flt.Pool]
@@ -260,28 +245,19 @@ func (c *Cluster) recoverReplica(ev event) {
 	if !rep.down {
 		return
 	}
-	rep.down = false
 	c.flt.recovered++
 	c.flt.downSum += ev.at - rep.downAt
 	if c.rec != nil {
 		c.rec.Recover(ev.at, flt.Pool, flt.Replica)
 	}
-	if !rep.active {
+	if rep.phase == cold {
+		p.transition(rep, ev.at, cold, false)
 		return
 	}
-	rep.activeAt = ev.at // billing resumes with the repaired span
 	rep.eng.SyncClock(ev.at)
-	if delay := p.activationDelay(); delay > 0 {
-		rep.awake = false
-		rep.wakeAt = ev.at + delay
-		c.pushEvent(event{at: rep.wakeAt, kind: evActivate, pool: p.id, rep: rep.idx})
-	} else {
-		rep.awake = true
-		rep.wakeAt = ev.at
-		p.rebuildAccepting()
-		if c.adm != nil {
-			c.adm.retry(ev.at)
-		}
+	p.wake(rep, ev.at)
+	if rep.phase == serving && c.adm != nil {
+		c.adm.retry(ev.at)
 	}
 	// Work may have been force-placed on this replica while it was down (the
 	// fallback path when every replica was out): serve it now, from the

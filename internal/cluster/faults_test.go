@@ -122,7 +122,7 @@ func TestReactiveScaleCostAware(t *testing.T) {
 	p := mono(Config{
 		Replicas: mixedReplicas(pmExp, 2, pmCheap, 2, 10_000, 3),
 		Policy:   FutureHeadroom,
-		Scale:    &AutoScale{Min: 1, Max: 4, HighWater: 0.85, LowWater: 0.3},
+		Scale:    &AutoScale{Max: 4, HighWater: 0.85, LowWater: 0.3},
 	}).pools[0]
 	exp, cheap := p.reps[0].flv, p.reps[2].flv
 	if cheap.cost >= exp.cost {
@@ -137,50 +137,53 @@ func TestReactiveScaleCostAware(t *testing.T) {
 	// forced below the (idle) load, the policy buys the cheapest cold
 	// replica — index 2, the first 4090 — not cold premium index 1.
 	for _, rep := range p.reps[1:] {
-		p.retire(rep, 0)
+		p.transition(rep, 0, cold, false)
 	}
 	p.cfg.Scale.HighWater = -1
 	p.reactiveScale(1)
-	if !p.reps[2].active || p.reps[1].active || p.reps[3].active {
+	if !provisioned(p.reps[2]) || provisioned(p.reps[1]) || provisioned(p.reps[3]) {
 		t.Fatalf("scale-out active set [%v %v %v %v], want only index 2 added",
-			p.reps[0].active, p.reps[1].active, p.reps[2].active, p.reps[3].active)
+			provisioned(p.reps[0]), provisioned(p.reps[1]), provisioned(p.reps[2]), provisioned(p.reps[3]))
 	}
 
 	// Scale-in: all four active and drained; with the low-water forced above
 	// the load, the policy sheds the costliest-per-goodput replica — premium
 	// index 1 (ties inside the premium flavor keep the highest index).
 	for _, rep := range p.reps {
-		if !rep.active {
-			p.activate(rep, 2, 0)
+		if rep.phase == cold {
+			p.wake(rep, 2)
 		}
 	}
 	p.cfg.Scale.HighWater = 0.85
 	p.cfg.Scale.LowWater = 1e9
 	p.reactiveScale(3)
-	if p.reps[1].active || !p.reps[0].active || !p.reps[2].active || !p.reps[3].active {
+	if provisioned(p.reps[1]) || !provisioned(p.reps[0]) || !provisioned(p.reps[2]) || !provisioned(p.reps[3]) {
 		t.Fatalf("scale-in active set [%v %v %v %v], want only index 1 retired",
-			p.reps[0].active, p.reps[1].active, p.reps[2].active, p.reps[3].active)
+			provisioned(p.reps[0]), provisioned(p.reps[1]), provisioned(p.reps[2]), provisioned(p.reps[3]))
 	}
 
 	// Homogeneous reduction: identical flavors fall back to the pre-flavor
 	// index-order picks (first cold out, last drained in).
 	hp := mono(Config{
 		Replicas: replicas(3, 10_000), Policy: FutureHeadroom,
-		Scale: &AutoScale{Min: 1, Max: 3, HighWater: -1, LowWater: -2},
+		Scale: &AutoScale{Max: 3, HighWater: -1, LowWater: -2},
 	}).pools[0]
-	hp.retire(hp.reps[1], 0)
-	hp.retire(hp.reps[2], 0)
+	hp.transition(hp.reps[1], 0, cold, false)
+	hp.transition(hp.reps[2], 0, cold, false)
 	hp.reactiveScale(1)
-	if !hp.reps[1].active || hp.reps[2].active {
+	if !provisioned(hp.reps[1]) || provisioned(hp.reps[2]) {
 		t.Fatal("homogeneous scale-out skipped the first cold replica")
 	}
-	hp.activate(hp.reps[2], 2, 0)
+	hp.wake(hp.reps[2], 2)
 	hp.cfg.Scale.HighWater, hp.cfg.Scale.LowWater = 10, 5
 	hp.reactiveScale(3)
-	if hp.reps[2].active || !hp.reps[1].active {
+	if provisioned(hp.reps[2]) || !provisioned(hp.reps[1]) {
 		t.Fatal("homogeneous scale-in skipped the last drained replica")
 	}
 }
+
+// provisioned reports whether a replica is out of the cold phase.
+func provisioned(rep *replica) bool { return rep.phase != cold }
 
 // faultBytes is the size of one fault in FuzzFaultScript's input: At,
 // Duration and Factor as raw float64 bits, then the kind, pool, replica and

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"sync"
@@ -628,6 +629,8 @@ func checkServed(t *testing.T, mc matrixCell, s served, b bite) {
 		t.Fatalf("%d retries, want %d (orphans %d, re-prefills %d)", retries, want, rep.Summary.Orphaned, rep.Summary.RePrefills)
 	}
 
+	checkBilled(t, mc, c)
+
 	for _, p := range c.pools {
 		if !mc.hetero || p.plan == nil {
 			continue
@@ -684,6 +687,45 @@ func checkServed(t *testing.T, mc matrixCell, s served, b bite) {
 	b["losses"] += int64(len(lost))
 	b["sheds"] += int64(len(c.ShedRequests()))
 	b["handoffs"] += int64(len(c.Handoffs()))
+}
+
+// checkBilled checks that replica-seconds are conserved: each replica's
+// lie in [0, Duration], ReplicaSeconds and CostSeconds are their plain and
+// cost-weighted sums, and on a cell no planner scales every replica is
+// billed for the whole run less its down time inside it — the script's
+// crashes merged as crashReplica merges them.
+func checkBilled(t *testing.T, mc matrixCell, c *Cluster) {
+	t.Helper()
+	var wins map[[2]int][]downSpan
+	if c.flt != nil {
+		wins = downWindows(c.flt.cfg.Schedule)
+	}
+	dur, sum, cost := c.Duration(), 0.0, 0.0
+	for _, p := range c.pools {
+		for _, r := range p.reps {
+			secs := r.billedSecs(c.startAt, c.endAt)
+			if !(secs >= 0 && secs <= dur) {
+				t.Fatalf("pool %d replica %d billed %v s in a %v s run", p.id, r.idx, secs, dur)
+			}
+			sum += secs
+			cost += secs * r.flv.cost
+			if mc.planner {
+				continue
+			}
+			want := dur
+			for _, w := range wins[[2]int{p.id, r.idx}] {
+				want -= max(min(w.to, c.endAt)-max(w.from, c.startAt), 0)
+			}
+			if math.Abs(secs-want) > 1e-9 {
+				t.Fatalf("pool %d replica %d billed %v s, want the run's %v s less its down time: %v s",
+					p.id, r.idx, secs, dur, want)
+			}
+		}
+	}
+	if math.Abs(c.ReplicaSeconds()-sum) > 1e-9 || math.Abs(c.CostSeconds()-cost) > 1e-9 {
+		t.Fatalf("replica-seconds %v and cost-seconds %v, the replicas' sums %v and %v",
+			c.ReplicaSeconds(), c.CostSeconds(), sum, cost)
+	}
 }
 
 // checkTraced checks a traced serve's exports: the TTFT decomposition, the

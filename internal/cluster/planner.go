@@ -626,9 +626,9 @@ func (p *planner) decodeThroughput(f *flavor, isl, osl float64) flavorThr {
 	return res
 }
 
-// replicaThroughput interpolates, from the perf model, the maximum request
-// rate one replica sustains at shape (isl, osl) while staying inside the
-// TTFT/TPOT targets, together with the interpolated TTFT and TPOT at that
+// replicaThroughputCached interpolates, from the perf model, the maximum
+// request rate one replica sustains at shape (isl, osl) while staying inside
+// the TTFT/TPOT targets, together with the interpolated TTFT and TPOT at that
 // operating point (the baseline the correction factors compare against).
 //
 // The operating point is the largest decode batch B whose step time stays
@@ -643,19 +643,15 @@ func (p *planner) decodeThroughput(f *flavor, isl, osl float64) flavorThr {
 //
 // — the decode pipeline's B/(osl·t_d) throughput, discounted by the
 // prefill time each admitted request steals from it.
-func replicaThroughput(pm *perf.Model, capacityTokens int, isl, osl, ttft, tpot float64) (ratePerSec, predTTFT, predTPOT float64) {
-	return replicaThroughputCached(pm, capacityTokens, isl, isl, osl, ttft, tpot, nil)
-}
-
-// replicaThroughputCached is replicaThroughput with the prefill side priced
-// at a separate (cache-discounted) prompt length: prefISL is the mean
-// prompt suffix a replica actually encodes, while the KV footprint stays
-// at the full isl — shared prefix blocks save memory only while their
-// sharers overlap, so capacity sizing keeps the full shape. prefISL == isl
-// reduces exactly to the cache-blind rule. chunkOver, when non-nil, adds
-// the engine's per-chunk overhead for prompts of the computed suffix
-// length (chunked prefill trades a little prefill throughput for
-// interleaving); nil reduces exactly to the unchunked rule.
+//
+// The prefill side is priced at a separate (cache-discounted) prompt
+// length: prefISL is the mean prompt suffix a replica actually encodes,
+// while the KV footprint stays at the full isl — shared prefix blocks save
+// memory only while their sharers overlap, so capacity sizing keeps the
+// full shape. prefISL == isl is the cache-blind rule. chunkOver, when
+// non-nil, adds the engine's per-chunk overhead for prompts of the
+// computed suffix length (chunked prefill trades a little prefill
+// throughput for interleaving); nil is the unchunked rule.
 func replicaThroughputCached(pm *perf.Model, capacityTokens int, isl, prefISL, osl, ttft, tpot float64, chunkOver func(float64) float64) (ratePerSec, predTTFT, predTPOT float64) {
 	in := int(prefISL + 0.5)
 	if in < 1 {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -45,10 +46,11 @@ func (p Policy) String() string {
 // AutoScale is the threshold-reactive scaling policy: scale out when the
 // mean predicted load of the accepting replicas exceeds HighWater, scale in
 // (one drained replica at a time) when it falls below LowWater. It is the
-// baseline the predictive planner is measured against.
+// baseline the predictive planner is measured against. The pool starts on
+// one replica and never scales in below it.
 type AutoScale struct {
-	// Min and Max bound the active replica count.
-	Min, Max int
+	// Max bounds the replicas the autoscaler counts: 1 ≤ Max ≤ replicas.
+	Max int
 	// HighWater: scale out when mean predicted load across accepting
 	// replicas exceeds this fraction (e.g. 0.85).
 	HighWater float64
@@ -151,11 +153,11 @@ type replica struct {
 	eng *engine.Engine
 	idx int
 
-	active   bool    // provisioned (may still be activating)
-	awake    bool    // activation delay elapsed; eligible for traffic
-	draining bool    // scaling in: no new traffic, retires when drained
-	wakeAt   float64 // activation time of the pending/last activation
-	down     bool    // crashed, under repair (fault injection); unroutable
+	// The lifecycle (doc.go, "Replica lifecycle"). Pool.transition is the
+	// only writer of phase, down and spans.
+	phase    phase
+	down     bool    // crashed, under repair (fault injection)
+	wakeAt   float64 // when the last provisioning accepts traffic
 	downAt   float64 // when the current down span began
 	repairAt float64 // when the current repair completes (valid while down)
 
@@ -221,9 +223,22 @@ type replica struct {
 	key      float64
 	pool     *Pool
 
-	activeAt   float64 // when the current active span began
-	activeSecs float64 // closed active spans (replica-seconds accounting)
+	spans []billedSpan // the last one is open (to +Inf) while billed
 }
+
+// billedSpan is one stretch of time a replica was billed for.
+type billedSpan struct{ from, to float64 }
+
+// phase is where a replica stands in its provisioning lifecycle; down
+// overlays it (doc.go, "Replica lifecycle").
+type phase uint8
+
+const (
+	cold     phase = iota // not provisioned
+	waking                // provisioned, its activation delay still running
+	serving               // provisioned and taking traffic
+	draining              // scaled in: takes no new traffic, goes cold once drained
+)
 
 // Pool owns one role's replicas: routing, warm probe state, and scaling
 // mechanics. The cluster owns the shared event clock; the pool pushes its
@@ -237,7 +252,7 @@ type Pool struct {
 	flavors []*flavor // replica flavor groups, in first-appearance order
 
 	rr        int
-	accepting []*replica // active, awake, not draining; index order
+	accepting []*replica // the replicas that accept, in index order
 	// byFloor holds the accepting replicas ordered by (key, idx), the floor
 	// of their probe; the keys sit in the slots, so neither a sweep's stop
 	// test nor a repair reads a replica. floorPos is each replica's position
@@ -251,7 +266,7 @@ type Pool struct {
 
 	plan          *planner
 	planScheduled bool
-	flavActive    []int // scratch: active replica count per flavor at tick time
+	flavActive    []int // scratch: counted replicas per flavor at tick time
 
 	scaleUps int
 	scaleIns int
@@ -288,9 +303,9 @@ func newPool(c *Cluster, id int, cfg Config) (*Pool, error) {
 	}
 	initial := len(cfg.Replicas)
 	if cfg.Scale != nil {
-		if cfg.Scale.Min < 1 || cfg.Scale.Max > len(cfg.Replicas) || cfg.Scale.Min > cfg.Scale.Max {
-			return nil, fmt.Errorf("cluster: bad autoscale bounds [%d, %d] for %d replicas",
-				cfg.Scale.Min, cfg.Scale.Max, len(cfg.Replicas))
+		if cfg.Scale.Max < 1 || cfg.Scale.Max > len(cfg.Replicas) {
+			return nil, fmt.Errorf("cluster: autoscale Max %d outside [1, %d replicas]",
+				cfg.Scale.Max, len(cfg.Replicas))
 		}
 		if iv := cfg.Scale.EvalInterval; !(iv == 0 || iv >= minTickInterval && iv < math.Inf(1)) {
 			return nil, fmt.Errorf("cluster: autoscale eval interval %v neither 0 nor in [%v,+Inf)", iv, minTickInterval)
@@ -301,7 +316,7 @@ func newPool(c *Cluster, id int, cfg Config) (*Pool, error) {
 		if math.IsNaN(cfg.Scale.HighWater) || math.IsNaN(cfg.Scale.LowWater) {
 			return nil, fmt.Errorf("cluster: NaN autoscale water mark (%v, %v)", cfg.Scale.HighWater, cfg.Scale.LowWater)
 		}
-		initial = cfg.Scale.Min
+		initial = 1
 	}
 	p := &Pool{cfg: cfg, clu: c, id: id}
 	if cfg.Planner != nil {
@@ -316,10 +331,6 @@ func newPool(c *Cluster, id int, cfg Config) (*Pool, error) {
 	p.reps = make([]*replica, len(cfg.Replicas))
 	for i, e := range cfg.Replicas {
 		p.reps[i] = &replica{eng: e, idx: i, pool: p}
-	}
-	for i := 0; i < initial; i++ {
-		p.reps[i].active = true
-		p.reps[i].awake = true
 	}
 	p.buildFlavors(c)
 	if p.cfg.Planner != nil {
@@ -354,7 +365,9 @@ func newPool(c *Cluster, id int, cfg Config) (*Pool, error) {
 			}
 		}
 	}
-	p.rebuildAccepting()
+	for _, rep := range p.reps[:initial] {
+		p.transition(rep, math.Inf(-1), serving, false) // billed from the run's start
+	}
 	return p, nil
 }
 
@@ -431,14 +444,14 @@ func (p *Pool) Flavors() []FlavorInfo {
 	return out
 }
 
-// activeByFlavor refreshes and returns the per-flavor active (non-draining)
-// replica counts in flavor order — the planner tick's view of the fleet.
-// The returned slice is pool-owned scratch, valid until the next call.
+// activeByFlavor refreshes and returns the per-flavor counted replicas in
+// flavor order — the planner tick's view of the fleet. The returned slice
+// is pool-owned scratch, valid until the next call.
 func (p *Pool) activeByFlavor() []int {
 	for i, f := range p.flavors {
 		n := 0
 		for _, rep := range f.reps {
-			if rep.active && !rep.draining && !rep.down {
+			if rep.counts() {
 				n++
 			}
 		}
@@ -462,39 +475,38 @@ func (p *Pool) RoutedCounts() []int {
 // ScaleEvents returns (scale-out, scale-in) decision counts.
 func (p *Pool) ScaleEvents() (out, in int) { return p.scaleUps, p.scaleIns }
 
-// ActiveReplicas returns the number of provisioned, non-draining replicas.
-// A crashed replica under repair does not count: it serves nothing, and the
-// planner's view of the fleet must see the capacity hole the crash tore.
+// ActiveReplicas returns the number of replicas the autoscalers count:
+// waking or serving, and not down.
 func (p *Pool) ActiveReplicas() int {
 	n := 0
 	for _, rep := range p.reps {
-		if rep.active && !rep.draining && !rep.down {
+		if rep.counts() {
 			n++
 		}
 	}
 	return n
 }
 
-// ReplicaSeconds returns the accumulated provisioned time across the pool:
-// the integral of the active replica count over the run, the cost side of
-// the autoscaling comparison. Complete after Serve returns.
+// ReplicaSeconds returns the billed time across the pool: the integral of
+// the billed replica count over the run, the cost side of the autoscaling
+// comparison. Complete after Serve returns.
 func (p *Pool) ReplicaSeconds() float64 {
 	sum := 0.0
 	for _, rep := range p.reps {
-		sum += rep.activeSecs
+		sum += rep.billedSecs(p.clu.startAt, p.clu.endAt)
 	}
 	return sum
 }
 
 // CostSeconds returns the normalized provisioning cost across the pool:
-// each replica's active-time integral scaled by its flavor's cost weight
+// each replica's billed-time integral scaled by its flavor's cost weight
 // (1.0 = one A100-80G replica-second). For a single-A100 pool this equals
 // ReplicaSeconds; for a mixed fleet it is the axis the cost-aware planner
 // minimizes. Complete after Serve returns.
 func (p *Pool) CostSeconds() float64 {
 	sum := 0.0
 	for _, rep := range p.reps {
-		sum += rep.activeSecs * rep.flv.cost
+		sum += rep.billedSecs(p.clu.startAt, p.clu.endAt) * rep.flv.cost
 	}
 	return sum
 }
@@ -563,27 +575,63 @@ func (p *Pool) scheduleTick(at float64) {
 	p.clu.pushEvent(event{at: at, kind: evPlan, pool: p.id})
 }
 
+// transition is the one writer of a replica's lifecycle state: it moves rep
+// to phase ph, down or not, at now. When billed flips it opens or closes
+// the replica's billed span; when accepts flips it rebuilds the accepting
+// set.
+func (p *Pool) transition(rep *replica, now float64, ph phase, down bool) {
+	billed, accepted := rep.billed(), rep.accepts()
+	rep.phase, rep.down = ph, down
+	switch {
+	case !billed && rep.billed():
+		rep.spans = append(rep.spans, billedSpan{now, math.Inf(1)})
+	case billed && !rep.billed():
+		rep.spans[len(rep.spans)-1].to = now
+	}
+	if rep.accepts() != accepted {
+		p.rebuildAccepting()
+	}
+}
+
+// billedSecs returns the replica's billed time inside [from, to].
+func (rep *replica) billedSecs(from, to float64) float64 {
+	secs := 0.0
+	for _, s := range rep.spans {
+		if d := min(s.to, to) - max(s.from, from); d > 0 {
+			secs += d
+		}
+	}
+	return secs
+}
+
+// wake provisions a cold or repaired replica at now: it is billed from now
+// and serves once the pool's activation delay has run, at once without one.
+func (p *Pool) wake(rep *replica, now float64) {
+	delay := p.activationDelay()
+	rep.wakeAt = now + delay
+	if delay <= 0 {
+		p.transition(rep, now, serving, false)
+		return
+	}
+	p.transition(rep, now, waking, false)
+	p.clu.pushEvent(event{at: rep.wakeAt, kind: evActivate, pool: p.id, rep: rep.idx})
+}
+
 // rebuildAccepting refreshes the routing candidate list. Called only when
-// the activation state changes, never per arrival.
+// a replica starts or stops accepting, never per arrival.
 func (p *Pool) rebuildAccepting() {
-	p.accepting = p.accepting[:0]
+	p.accepting, p.byFloor = p.accepting[:0], p.byFloor[:0]
 	for _, rep := range p.reps {
 		if rep.accepts() {
 			p.accepting = append(p.accepting, rep)
+			p.byFloor = append(p.byFloor, floorSlot{rep.key, rep.idx})
 		}
-	}
-	p.byFloor = p.byFloor[:0]
-	for _, rep := range p.accepting {
-		p.byFloor = append(p.byFloor, floorSlot{rep.key, rep.idx})
 	}
 	slices.SortFunc(p.byFloor, func(s, t floorSlot) int {
-		if s.before(t) {
-			return -1
+		if c := cmp.Compare(s.key, t.key); c != 0 {
+			return c
 		}
-		if t.before(s) {
-			return 1
-		}
-		return 0
+		return cmp.Compare(s.idx, t.idx)
 	})
 	if p.floorPos == nil {
 		p.floorPos = make([]int, len(p.reps))
@@ -600,23 +648,21 @@ func (p *Pool) rebuildAccepting() {
 	}
 }
 
-// accepts reports whether a replica takes new traffic: active, awake, not
-// draining and not down.
-func (rep *replica) accepts() bool {
-	return rep.active && rep.awake && !rep.draining && !rep.down
-}
+// billed, accepts and counts are the columns of doc.go's lifecycle table:
+// whether a replica accrues replica-seconds, takes new traffic, and counts
+// as capacity to the autoscalers.
+func (rep *replica) billed() bool  { return rep.phase != cold && !rep.down }
+func (rep *replica) accepts() bool { return rep.phase == serving && !rep.down }
+func (rep *replica) counts() bool  { return (rep.phase == waking || rep.phase == serving) && !rep.down }
 
-// fallbackReplica is the no-accepting-replica escape hatch: every
-// provisioned replica is still activating (or draining), so fall back to
-// the first active one — traffic is never dropped by the pool itself. A
-// crashed replica is the last resort of the last resort: only when every
-// replica is down does the pool hand one back, one whose repair ends if
-// any does (work routed to it waits out the repair; recovery re-arms its
-// step events). The caller ends a request whose pick is down for good.
+// fallbackReplica is the pick when no replica accepts (doc.go, "Replica
+// lifecycle"): traffic is never dropped by the pool itself. Of down
+// replicas it prefers one whose repair ends (work routed to it waits out
+// the repair); the caller ends a request whose pick is down for good.
 func (p *Pool) fallbackReplica() *replica {
 	var down *replica
 	for _, rep := range p.reps {
-		if !rep.active {
+		if rep.phase == cold {
 			continue
 		}
 		if !rep.down {
@@ -1091,17 +1137,18 @@ func (p *Pool) reactiveScale(now float64) {
 	mean := loadSum / float64(len(p.accepting))
 	if mean > sc.HighWater && p.ActiveReplicas() < sc.Max {
 		if rep := p.cheapestCold(); rep != nil {
-			p.activate(rep, now, sc.ActivationDelay)
+			p.scaleUps++
+			p.wake(rep, now)
 		}
 		return
 	}
-	if mean < sc.LowWater && p.ActiveReplicas() > sc.Min {
+	if mean < sc.LowWater && p.ActiveReplicas() > 1 {
 		// Deactivate a fully drained replica. Idle() (not just empty
 		// queue+batch) so a replica with a routed arrival still in its
 		// arrival heap keeps its replica-seconds clock running.
 		if rep := p.costliestDrained(); rep != nil {
 			p.scaleIns++
-			p.retire(rep, now)
+			p.transition(rep, now, cold, false)
 		}
 	}
 }
@@ -1112,7 +1159,7 @@ func (p *Pool) reactiveScale(now float64) {
 func (p *Pool) cheapestCold() *replica {
 	var best *replica
 	for _, rep := range p.reps {
-		if rep.active || rep.down {
+		if rep.phase != cold || rep.down {
 			continue
 		}
 		if best == nil || rep.flv.cost < best.flv.cost {
@@ -1122,7 +1169,7 @@ func (p *Pool) cheapestCold() *replica {
 	return best
 }
 
-// costliestDrained returns the active, fully drained replica with the
+// costliestDrained returns the provisioned, fully drained replica with the
 // highest cost per unit of role-relevant throughput — flavor cost weight
 // over relative speed — so reactive scale-in sheds the least
 // cost-effective capacity first. Ties keep the highest index, the
@@ -1132,7 +1179,7 @@ func (p *Pool) costliestDrained() *replica {
 	var bestRatio float64
 	for i := len(p.reps) - 1; i >= 0; i-- {
 		rep := p.reps[i]
-		if !rep.active || rep.down || !p.drained(rep) {
+		if rep.phase == cold || rep.down || !p.drained(rep) {
 			continue
 		}
 		ratio := rep.flv.cost / rep.flv.relSpeed
@@ -1159,51 +1206,48 @@ func (p *Pool) applyTargets(now float64, targets []int) {
 func (p *Pool) applyTarget(now float64, target int, reps []*replica) {
 	active := 0
 	for _, rep := range reps {
-		if rep.active && !rep.draining && !rep.down {
+		if rep.counts() {
 			active++
 		}
 	}
-	for active < target {
-		undrained := false
+	for ; active < target; active++ {
+		var spare *replica
 		for _, rep := range reps {
-			if rep.active && rep.draining {
-				rep.draining = false
-				p.scaleUps++
-				p.rebuildAccepting()
-				undrained = true
+			if rep.phase == draining {
+				spare = rep
 				break
 			}
-		}
-		if undrained {
-			active++
-			continue
-		}
-		var cold *replica
-		for _, rep := range reps {
-			if !rep.active && !rep.down {
-				cold = rep
-				break
+			if spare == nil && rep.phase == cold && !rep.down {
+				spare = rep
 			}
 		}
-		if cold == nil {
+		switch {
+		case spare == nil:
 			return
+		case spare.phase == draining:
+			// Back to waking if it was drained before its wake: evActivate
+			// sorts before this tick, so a wake at or before now has fired.
+			ph := serving
+			if spare.wakeAt > now {
+				ph = waking
+			}
+			p.transition(spare, now, ph, false)
+		default:
+			p.wake(spare, now)
 		}
-		p.activate(cold, now, p.cfg.Planner.ActivationDelay)
-		active++
+		p.scaleUps++
 	}
-	for active > target {
+	for ; active > target; active-- {
 		rep := p.scaleInVictim(reps)
 		if rep == nil {
 			return
 		}
 		p.scaleIns++
+		ph := draining
 		if p.drained(rep) {
-			p.retire(rep, now)
-		} else {
-			rep.draining = true
-			p.rebuildAccepting()
+			ph = cold
 		}
-		active--
+		p.transition(rep, now, ph, false)
 	}
 }
 
@@ -1215,63 +1259,23 @@ func (p *Pool) drained(rep *replica) bool {
 	return rep.pendingIn == 0 && rep.eng.Idle()
 }
 
-// scaleInVictim picks the next replica to scale in from one subset: idle
-// ones first, then the highest-index busy one (which will drain).
+// scaleInVictim picks the next replica to scale in from one subset: the
+// highest-index idle one, else the highest-index busy one (which will drain).
 func (p *Pool) scaleInVictim(reps []*replica) *replica {
+	var busy *replica
 	for i := len(reps) - 1; i >= 0; i-- {
-		rep := reps[i]
-		if rep.active && !rep.draining && !rep.down && p.drained(rep) {
+		if rep := reps[i]; rep.counts() && p.drained(rep) {
 			return rep
+		} else if busy == nil && rep.counts() {
+			busy = rep
 		}
 	}
-	for i := len(reps) - 1; i >= 0; i-- {
-		rep := reps[i]
-		if rep.active && !rep.draining && !rep.down {
-			return rep
-		}
-	}
-	return nil
-}
-
-// activate provisions a replica: it starts paying replica-seconds now and
-// accepts traffic after the activation delay.
-func (p *Pool) activate(rep *replica, now, delay float64) {
-	rep.active = true
-	rep.draining = false
-	rep.activeAt = now
-	p.scaleUps++
-	if delay <= 0 {
-		rep.awake = true
-		rep.wakeAt = now
-		p.rebuildAccepting()
-		return
-	}
-	rep.awake = false
-	rep.wakeAt = now + delay
-	p.clu.pushEvent(event{at: rep.wakeAt, kind: evActivate, pool: p.id, rep: rep.idx})
-}
-
-// retire closes a replica's active span (scale-in decision already
-// counted). A crashed replica's span was already closed at the crash, and
-// its repair time is never billed.
-func (p *Pool) retire(rep *replica, now float64) {
-	if !rep.active {
-		return
-	}
-	rep.active = false
-	rep.awake = false
-	rep.draining = false
-	if !rep.down {
-		if span := now - rep.activeAt; span > 0 {
-			rep.activeSecs += span
-		}
-	}
-	p.rebuildAccepting()
+	return busy
 }
 
 // activationDelay is the pool's configured activation delay (from the SLA
-// planner or the reactive policy; 0 without an autoscaler). It is also the
-// re-activation price a repaired replica pays before accepting traffic.
+// planner or the reactive policy; 0 without an autoscaler), paid by every
+// wake.
 func (p *Pool) activationDelay() float64 {
 	if p.cfg.Planner != nil {
 		return p.cfg.Planner.ActivationDelay

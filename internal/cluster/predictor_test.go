@@ -79,8 +79,8 @@ func TestReplicaThroughputInterpolation(t *testing.T) {
 	pm := testPerf()
 	capTokens := pm.CapacityTokens()
 
-	loose, _, _ := replicaThroughput(pm, capTokens, 500, 300, 10, 1.5)
-	tight, _, tightTPOT := replicaThroughput(pm, capTokens, 500, 300, 10, 0.05)
+	loose, _, _ := replicaThroughputCached(pm, capTokens, 500, 500, 300, 10, 1.5, nil)
+	tight, _, tightTPOT := replicaThroughputCached(pm, capTokens, 500, 500, 300, 10, 0.05, nil)
 	if loose <= 0 || tight <= 0 {
 		t.Fatalf("throughput not positive: loose %v tight %v", loose, tight)
 	}
@@ -92,7 +92,7 @@ func TestReplicaThroughputInterpolation(t *testing.T) {
 	}
 
 	// A TTFT target below the prefill time of a single prompt is infeasible.
-	if r, predTTFT, _ := replicaThroughput(pm, capTokens, 4000, 300, 1e-6, 1.5); r != 0 || predTTFT <= 0 {
+	if r, predTTFT, _ := replicaThroughputCached(pm, capTokens, 4000, 4000, 300, 1e-6, 1.5, nil); r != 0 || predTTFT <= 0 {
 		t.Fatalf("infeasible TTFT returned rate %v (pred %v)", r, predTTFT)
 	}
 }

@@ -5,8 +5,8 @@ import "fmt"
 // Link models the KV-cache transfer path between disaggregated prefill and
 // decode workers (NVLink/RDMA in Dynamo-style deployments, PCIe within a
 // node): a handoff is not free — it pays a fixed latency plus the cache
-// size over the link bandwidth, and transfers optionally serialize behind
-// each other so a burst of simultaneous handoffs queues on the wire.
+// size over the link bandwidth, and transfers serialize behind each other
+// on their wire, so a burst of simultaneous handoffs queues.
 //
 // The link is a simulation-time resource like the Pool: not safe for
 // concurrent use, owned single-threaded by the cluster event loop.
@@ -17,23 +17,17 @@ type Link struct {
 	// LatencySec is the fixed per-transfer setup cost (connection, metadata
 	// exchange, kernel launch on both ends).
 	LatencySec float64
-	// Serialize queues transfers behind each other: a handoff issued while
-	// an earlier one is still on the wire starts when the wire frees. When
-	// false, transfers overlap perfectly (a modeling upper bound).
-	Serialize bool
 	// PerDestination gives every destination its own ingress lane (a
 	// per-GPU NIC on a non-blocking fabric): transfers to different
-	// destinations overlap, transfers to the same destination serialize
-	// (when Serialize is set). A negative destination still takes the
-	// shared wire.
+	// destinations overlap, transfers to the same destination serialize. A
+	// negative destination still takes the shared wire.
 	PerDestination bool
 
 	busyUntil float64
 	lanes     []float64 // per-destination busy-until, grown on demand
 }
 
-// NewLink validates the parameters and builds a serialized link, the
-// realistic default for a shared interconnect.
+// NewLink validates the parameters and builds a link with one shared wire.
 func NewLink(bandwidthBytesPerSec, latencySec float64) (*Link, error) {
 	if bandwidthBytesPerSec < 0 {
 		return nil, fmt.Errorf("kv: negative link bandwidth %v", bandwidthBytesPerSec)
@@ -41,11 +35,7 @@ func NewLink(bandwidthBytesPerSec, latencySec float64) (*Link, error) {
 	if latencySec < 0 {
 		return nil, fmt.Errorf("kv: negative link latency %v", latencySec)
 	}
-	return &Link{
-		BandwidthBytesPerSec: bandwidthBytesPerSec,
-		LatencySec:           latencySec,
-		Serialize:            true,
-	}, nil
+	return &Link{BandwidthBytesPerSec: bandwidthBytesPerSec, LatencySec: latencySec}, nil
 }
 
 // MustNewLink is NewLink for statically valid parameters.
@@ -81,8 +71,8 @@ func (l *Link) ExpectedDelivery(now float64, bytes int64, dst int) float64 {
 // Schedule books one transfer to dst issued at now and returns when it
 // takes the wire and when it completes. The wire is dst's ingress lane with
 // PerDestination and a destination that is not negative, else the shared
-// wire. On a serialized link the transfer waits for that wire to free
-// first; the wire is then busy until done.
+// wire. The transfer waits for that wire to free first; the wire is then
+// busy until done.
 //
 // Bookings must be issued in nondecreasing `now` order — the cluster event
 // loop guarantees this by deferring handoffs to issue-time-ordered events
@@ -91,25 +81,20 @@ func (l *Link) ExpectedDelivery(now float64, bytes int64, dst int) float64 {
 func (l *Link) Schedule(now float64, bytes int64, dst int) (start, done float64) {
 	start = l.wireStart(now, dst)
 	done = start + l.TransferTime(bytes)
-	switch {
-	case !l.Serialize:
-	case !l.PerDestination || dst < 0:
+	if !l.PerDestination || dst < 0 {
 		l.busyUntil = done
-	default:
-		for dst >= len(l.lanes) {
-			l.lanes = append(l.lanes, 0)
-		}
-		l.lanes[dst] = done
+		return start, done
 	}
+	for dst >= len(l.lanes) {
+		l.lanes = append(l.lanes, 0)
+	}
+	l.lanes[dst] = done
 	return start, done
 }
 
 // wireStart returns when a transfer to dst issued at now takes its wire.
 func (l *Link) wireStart(now float64, dst int) float64 {
-	if busy := l.BusyUntil(dst); l.Serialize && busy > now {
-		return busy
-	}
-	return now
+	return max(l.BusyUntil(dst), now)
 }
 
 // PreallocateLanes sizes the per-destination lane table up front so a

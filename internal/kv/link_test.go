@@ -16,9 +16,6 @@ func TestLinkValidation(t *testing.T) {
 	if _, err := NewLink(0, -1); err == nil {
 		t.Fatal("negative latency accepted")
 	}
-	if l := MustNewLink(1e9, 0.001); !l.Serialize {
-		t.Fatal("NewLink should serialize by default")
-	}
 }
 
 func TestLinkTransferTime(t *testing.T) {
@@ -51,15 +48,6 @@ func TestLinkSerializesTransfers(t *testing.T) {
 	_, third := l.Schedule(20, 100, -1)
 	if !almost(third, 21) {
 		t.Fatalf("post-idle completion %v, want 21", third)
-	}
-}
-
-func TestLinkOverlapped(t *testing.T) {
-	l := &Link{BandwidthBytesPerSec: 100, Serialize: false}
-	_, a := l.Schedule(10, 100, -1)
-	_, b := l.Schedule(10, 100, -1)
-	if !almost(a, 11) || !almost(b, 11) {
-		t.Fatalf("overlapped completions (%v, %v), want (11, 11)", a, b)
 	}
 }
 

@@ -20,8 +20,11 @@
 # more than the bound, as a share of the base's median, and "unresolved"
 # when either side's quartiles lie further apart than that, and "GAIN" when
 # the change holds a gain: it won at least 9 in 10 of the pairs (ties count
-# for neither side) and its median lies beyond the base's quartile on the
-# better side (above the upper one, or below the lower one). It exits
+# for neither side), its median lies beyond the base's quartile on the
+# better side (above the upper one, or below the lower one), and the medians
+# differ by more than a tenth of the bound, as a share of the base's median
+# (so a consistent shift too small to matter on a metric whose runs barely
+# spread is no gain). It exits
 # non-zero if any run reports "correct":false, any metric is over its bound,
 # or a process running either benchmark binary outlives its run (it names
 # and kills each such process).
@@ -164,7 +167,7 @@ function report(name, higher, bound,    n, i, c, b, mc, mb, qc1, qc3, qb1, qb3, 
 	flag = worse > bound * abs(mb)
 	if (flag) over++
 	wide = qc3 - qc1 > bound * abs(mc) || qb3 - qb1 > bound * abs(mb)
-	gain = 10 * wins >= 9 * n && (higher ? mc > qb3 : mc < qb1)
+	gain = 10 * wins >= 9 * n && (higher ? mc > qb3 : mc < qb1) && abs(mc - mb) > bound / 10 * abs(mb)
 	ratio = mb != 0 ? sprintf("x%.3f", mc / mb) : "x-"
 	printf("%-26s change %.6g [%.6g, %.6g]  base %.6g [%.6g, %.6g]  %s  won %d, tied %d of %d  bound %g%s%s%s\n",
 		name, mc, qc1, qc3, mb, qb1, qb3, ratio, wins, ties, n, bound,
