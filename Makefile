@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check staticcheck bench bench-smoke bench-fleet bench-scale pairs chaos fuzz examples pins cover ci
+.PHONY: build test vet fmt-check staticcheck bench bench-smoke bench-fleet bench-scale pairs pairs-all chaos fuzz examples pins cover ci
 
 build:
 	$(GO) build ./...
@@ -81,6 +81,24 @@ SEED ?= 1
 pairs:
 	./scripts/pairs.sh $(W) $(N) $(BASE) $(SEED)
 
+# pairs-all runs scripts/pairs.sh for every workload BENCHMARK.json lists, at
+# each seed in SEEDS, with N and BASE as for pairs: at the defaults, eight
+# runs (four workloads, seeds 1 and 7) — what a change that claims no gain
+# shows for every workload, e.g. make pairs-all N=10. It carries on past a
+# failed run, names every failed one at the end and then exits non-zero.
+SEEDS ?= 1 7
+pairs-all:
+	@workloads=$$(sed -n '/"workloads"/,/^  \]/s/.*"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json); \
+	[ -n "$$workloads" ] || { echo "pairs-all: no workloads in BENCHMARK.json"; exit 1; }; \
+	failed=; \
+	for w in $$workloads; do \
+		for s in $(SEEDS); do \
+			echo "pairs-all: $$w seed $$s"; \
+			./scripts/pairs.sh "$$w" $(N) $(BASE) "$$s" || failed="$$failed $$w@$$s"; \
+		done; \
+	done; \
+	if [ -n "$$failed" ]; then echo "pairs-all: failed:$$failed"; exit 1; fi
+
 # chaos runs, under the race detector and over CHAOS_SEEDS seeds (default 5),
 # TestFeatureMatrix — a pairwise-covering table of the cluster's features
 # (disaggregation, mixed GPUs, admission, a crash storm with or without
@@ -92,7 +110,7 @@ pairs:
 # silently leave the sweep.
 # Widen with e.g. `make chaos CHAOS_SEEDS=50`.
 CHAOS_SEEDS ?= 5
-CHAOS_RUN = TestFeatureMatrix|TestPermanentCrash|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestChunkPolicyEquivalence|TestHerd|TestPlacement|TestWaitingSet|TestLagged|TestProbeFloor|TestPrunedSweep|TestPureDecode|TestAdmitOnly|TestCoast|TestWarmProbeMatchesNaive|TestPlannerVectorMatchesScalarRule
+CHAOS_RUN = TestFeatureMatrix|TestPermanentCrash|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestChunkPolicyEquivalence|TestHerd|TestPlacement|TestWaitingSet|TestLagged|TestProbeFloor|TestPrunedSweep|TestPureDecode|TestAdmitOnly|TestCoast|TestWarmProbeMatchesNaive|TestPlannerVectorMatchesScalarRule|TestFlavorThroughputClosedForms
 CHAOS_PKGS = ./internal/cluster/ ./internal/kv/ ./internal/engine/
 chaos:
 	@tests=$$($(GO) test -list . $(CHAOS_PKGS)) || exit 1; \

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -47,6 +48,33 @@ func TestFleetReproducesRecord(t *testing.T) {
 		}
 	}
 	t.Fatalf("fleet has %d lines, BENCH_fleet.json %d", len(g), len(w))
+}
+
+// TestNoPlanAfterTheRun: once the stream is exhausted and the last request
+// served, no autoscaler tick plans again, so every pool of the ramp's planner
+// arms plans only inside the run it sizes: from the first arrival to the end
+// Duration measures.
+func TestNoPlanAfterTheRun(t *testing.T) {
+	for _, a := range rampScenario.arms {
+		if !a.plan {
+			continue
+		}
+		start := math.Inf(1)
+		for _, r := range a.traffic(1) {
+			start = math.Min(start, r.ArrivalTime)
+		}
+		_, c := serve(a, 1, nil, nil)
+		end := start + c.Duration()
+		for i := 0; i < c.NumPools(); i++ {
+			hist := c.Pool(i).PlanHistory()
+			if len(hist) == 0 {
+				t.Fatalf("%s pool %d never planned", a.mode, i)
+			}
+			if last := hist[len(hist)-1].At; last > end {
+				t.Fatalf("%s pool %d: last plan sample at %.2f s, after the run's end at %.2f s", a.mode, i, last, end)
+			}
+		}
+	}
 }
 
 // TestTracedFaultsMatchUntraced holds the recorder to being a strict

@@ -341,7 +341,7 @@ func sessions(share float64) func(seed uint64) []*request.Request {
 	return func(seed uint64) []*request.Request {
 		gen, err := workload.NewSessions(workload.SessionsConfig{
 			Base: workload.ShareGPT, BlockTokens: 64, SystemPromptTokens: 256, SharedSystemRatio: 0.7,
-			TurnProb: share, MaxTurns: 8, Cooldown: 2, MaxInputTokens: 3000,
+			TurnProb: share, MaxTurns: 8, MaxInputTokens: 3000,
 		})
 		if err != nil {
 			panic(err)

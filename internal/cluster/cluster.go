@@ -126,6 +126,12 @@ type Cluster struct {
 	started bool
 	startAt float64
 	endAt   float64
+	// streamDone is set once the arrival stream is exhausted; from then on
+	// an autoscaler tick that finds the run over (runOver) does nothing.
+	streamDone bool
+	// xferRetries counts the failed or deferred KV transfers waiting in the
+	// heap to re-book (evXferRetry).
+	xferRetries int
 
 	popped int64 // heap events popped, stale ones included
 	// coasting lists the replicas whose step event ends a run of coasted steps
@@ -351,6 +357,7 @@ func (c *Cluster) ServeStream(next func() *request.Request, deadline float64) []
 		c.advanceTo(t)
 		c.handleArrival(t, req)
 	}
+	c.streamDone = true
 	c.advanceTo(deadline) // drain: steps, activations, deliveries, ticks
 	c.finish(deadline)
 	return c.results()
@@ -538,16 +545,15 @@ func (c *Cluster) handle(ev event) {
 		c.deliver(ev)
 	case evPlan:
 		p.planScheduled = false
+		if c.streamDone && c.runOver(ev.at) {
+			return // no tick after the run: nothing is left to serve
+		}
 		if p.plan != nil {
-			targets := p.plan.tick(ev.at, p.activeByFlavor())
-			p.applyTargets(ev.at, targets)
-			p.plan.History[len(p.plan.History)-1].Active = p.ActiveReplicas()
+			p.applyTargets(ev.at, p.plan.tick(ev.at, p.activeByFlavor()))
+			s := &p.plan.History[len(p.plan.History)-1]
+			s.Active = p.ActiveReplicas()
 			if c.rec != nil {
-				total := 0
-				for _, t := range targets {
-					total += t
-				}
-				c.rec.PlanPoint(ev.at, p.id, total, p.ActiveReplicas())
+				c.rec.PlanPoint(ev.at, p.id, s.Target, s.Active)
 			}
 		} else if p.cfg.Scale != nil {
 			p.reactiveScale(ev.at)
@@ -600,6 +606,7 @@ func (c *Cluster) book(ev event) {
 	h := &fresh
 	var old *replica
 	if ev.kind == evXferRetry {
+		c.xferRetries--
 		idx = ev.rep
 		h = c.handoffs.at(idx)
 		if h.ToReplica >= 0 {
@@ -635,6 +642,7 @@ func (c *Cluster) book(ev event) {
 		if c.rec != nil {
 			c.rec.XferFail(ev.at, r, rep.repairAt)
 		}
+		c.xferRetries++
 		c.pushEvent(event{at: rep.repairAt, kind: evXferRetry, pool: c.decode, rep: idx, req: r})
 		return
 	}
@@ -877,6 +885,24 @@ func (c *Cluster) catchUp(t float64, inclusive bool) bool {
 		c.dropCoaster(rep) // the last replica moved into slot i
 	}
 	return took
+}
+
+// runOver reports whether the run has ended by now: every engine idle with
+// its clock at or before now, no KV transfer booked or waiting to retry, and
+// nothing held at admission. Once the arrival stream is exhausted, nothing
+// can start work again after that.
+func (c *Cluster) runOver(now float64) bool {
+	if c.xferRetries > 0 || c.adm != nil && c.adm.Held() > 0 {
+		return false
+	}
+	for _, p := range c.pools {
+		for _, rep := range p.reps {
+			if !rep.eng.Idle() || rep.eng.Clock() > now || rep.pendingIn > 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func (c *Cluster) anyBusy() bool {

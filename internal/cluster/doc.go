@@ -36,10 +36,10 @@
 // equivalence scenario both ways.
 //
 // Autoscaling is per pool: the threshold-reactive
-// high/low-water policy, or the predictive SLA planner (PlannerConfig)
-// that forecasts load and scales straight to the replica count whose
-// interpolated latency meets the targets — TTFT sizes a prefill pool,
-// TPOT sizes a decode pool, both size a mixed pool.
+// high/low-water policy, or the predictive SLA planner (PlannerConfig, the
+// section below) that forecasts load and scales straight to the replica
+// count whose interpolated latency meets the targets — TTFT sizes a prefill
+// pool, TPOT sizes a decode pool, both size a mixed pool.
 //
 // With AdmissionConfig the arrival path becomes a cluster-front admission
 // pipeline (admission.go): arrivals the probes cannot place are held in a
@@ -219,6 +219,89 @@
 // storm-product served 1% more requests to completion, with 4× more
 // admission holds. BenchmarkFleetRoutePlace times a pick over 4 replicas,
 // the submit and the splice.
+//
+// # SLA planner
+//
+// Every Interval a pool's planner closes an observation interval — arrival
+// rate, mean input and output lengths (isl, osl), the mean latencies of the
+// requests finished in it, the prefix-cache hit fraction, sheds and crashes
+// — and sizes the pool for the next one. Holt's linear-trend method is the
+// one forecaster (HoltPredictor, the only PredictorKind): one per signal, a
+// level and a per-interval trend smoothed at 0.6 and 0.35, forecast one
+// interval ahead, so a ramp is extrapolated and the pool scales out before
+// the burst arrives. The rate sized for is the larger of the forecast and
+// the rate just observed: a forecast dip at a ramp's onset never sheds
+// capacity that load arriving now needs.
+//
+// Pricing. flavorThroughput prices one replica of each flavor at the
+// forecast shape from the flavor's perf model. Two quantities are shared by
+// every role: p, the prefill seconds of the cache-discounted prompt
+// isl·(1 − hit rate), rounded and at least one token, plus the per-chunk
+// overhead of a chunked flavor; and the decode operating point (B, t_d),
+// the largest batch whose step time meets the TPOT target at the
+// per-request KV footprint, with the batch capped by the KV capacity
+// (maxDecodeBatch). Per role (TTFT′ and TPOT′ are the corrected targets
+// below):
+//
+//	role          requests/s per replica   feasible when          KV footprint
+//	mixed         B / (osl·t_d + B·p)      p ≤ TTFT′, t_d ≤ TPOT′  isl + osl/2
+//	prefill-only  1 / p                    p + xfer(isl) ≤ TTFT′   —
+//	decode-only   B / (osl·t_d)            t_d ≤ TPOT′             isl + osl
+//
+// A mixed engine serving λ requests/s under prefill-priority batching
+// spends λ·p of each second prefilling and the rest decoding B requests per
+// step, which gives its rate; its footprint is the time average of a
+// request that holds between isl and isl + osl tokens. A decode-only pool's
+// future-peak admission reserves each request's completion footprint, so it
+// is priced at the peak. The KV transfer xfer ships the full prompt, cached
+// blocks included, and footprints keep the full isl: a shared prefix saves
+// memory only while its sharers overlap. An infeasible flavor prices at 0.
+// A ChunkSLOAware flavor's chunk overhead is priced at
+// ChunkConfig.ChunkTokens, a chunk size its sizer does not carve (it carves
+// 128–4096 tokens from the deadline slack), so such a pool's prefill is
+// priced at a chunk size the engine never uses.
+//
+// Correction factors. The targets are divided by two factors, TTFT′ =
+// TTFT/c_ttft and TPOT′ = MTPOT/c_tpot. Each tick blends the observed mean
+// TTFT and TPOT (MTPOT on a decode pool) of the interval's finishes over the
+// values last predicted for the workhorse flavor — the first in cost order —
+// into its factor, smoothed by a half and clamped to [0.25, 4]: a pool that
+// runs 1.5× slower than interpolated (queueing, mixed batches) is sized
+// against a 1.5× tighter target. The hit rate is smoothed the same way.
+//
+// Sizing. The flavors rank feasible first, then by cost per unit of
+// throughput, then by cost; the demand fills them cheapest first, each
+// flavor taking ⌈remaining/(λ·h)⌉ replicas up to its count and Max, with h
+// Headroom (or, SpeedAware, the same absolute slack per request as the
+// fastest flavor's). Every other addition goes through one helper, fill,
+// in that order, each flavor up to its count: when the feasible capacity
+// runs out the rest of the fleet up to Max, then up to Min, then Spare more
+// replicas capped at Max (N+1 redundancy against crashes; spares are part
+// of the standing target). Filling each flavor up to its room gives the
+// same counts as adding one replica at a time.
+//
+// Scale-in patience. Scale-out is immediate: under-provisioning breaks the
+// SLA, a spare replica only costs replica-seconds. A smaller target must be
+// wanted scaleInPatience (2) ticks in a row, so that a one-interval lull or
+// a noisy forecast at a phase boundary cannot flap the pool down just
+// before load returns. The patience guards every per-flavor reduction, not
+// just the total, since a cost-ranking flip at an equal total would
+// otherwise drain a whole flavor at once while its replacement still pays
+// ActivationDelay: while it holds, each shrinking flavor stays at its
+// active count while increases elsewhere go out at once, trimmed most
+// expensive first so the total stays within Max, and by the time it
+// expires the replacement is warm. A tick whose interval shed demand or saw
+// a crash resets it: refusing work shows the pool is not over-provisioned,
+// and a crash dips the observed rate while demand stays.
+//
+// Ticks. A pool ticks every Interval while any engine is busy and re-arms
+// on the next arrival or KV delivery. Once the arrival stream is exhausted,
+// a tick that finds the run over — every engine idle at or before the
+// tick, no KV transfer booked or waiting to retry, nothing held at
+// admission — does nothing: no plan, no scaling, no PlanPoint, no re-arm.
+// Each tick appends one PlanSample; its Active count is written once, after
+// the targets are applied, and the recorder's PlanPoint reads Target and
+// Active off it.
 //
 // # Replica lifecycle
 //

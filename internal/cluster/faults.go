@@ -329,6 +329,7 @@ func (c *Cluster) failDelivery(ev event) {
 		c.reenter(ev.at, r)
 	default:
 		flt.transferRetries++
+		c.xferRetries++
 		c.pushEvent(event{at: retryAt, kind: evXferRetry, pool: c.decode, rep: ev.rep, req: r})
 	}
 }

@@ -56,7 +56,6 @@ func TestPlannerCrashSuppressesScaleIn(t *testing.T) {
 	fl := &flavor{name: "a", pm: pm, capacity: 10_000, cost: 1, relSpeed: 1, reps: make([]*replica, 4)}
 	p := newPlanner(PlannerConfig{
 		SLA: metrics.SLASmall, Min: 1, Max: 4, Interval: 10,
-		Predictor: ConstantPredictor,
 	}.withDefaults(), []*flavor{fl}, engine.RoleMixed)
 
 	// Zero demand against 3 active replicas wants Min=1 — shrinking — but
@@ -91,7 +90,7 @@ func TestPlannerSpareTopsUp(t *testing.T) {
 		fl := &flavor{name: "a", pm: pm, capacity: 10_000, cost: 1, relSpeed: 1, reps: make([]*replica, 4)}
 		return newPlanner(PlannerConfig{
 			SLA: metrics.SLASmall, Min: 1, Max: 4, Interval: 10,
-			Predictor: ConstantPredictor, Spare: spare,
+			Spare: spare,
 		}.withDefaults(), []*flavor{fl}, engine.RoleMixed)
 	}
 	// Zero demand sizes to Min=1; one spare makes the standing target 2.

@@ -139,7 +139,7 @@ func TestHeteroPlannerPrefersCheapFlavor(t *testing.T) {
 	cheap := &flavor{name: "cheap", pm: pmCheap, capacity: 10_000, cost: pmCheap.CostWeight(), relSpeed: 1, reps: make([]*replica, 4)}
 	exp := &flavor{name: "premium", pm: pmExp, capacity: 10_000, cost: pmExp.CostWeight(), relSpeed: 1, reps: make([]*replica, 4)}
 	p := newPlanner(PlannerConfig{
-		SLA: metrics.SLASmall, Min: 1, Max: 8, Interval: 10, Predictor: ConstantPredictor,
+		SLA: metrics.SLASmall, Min: 1, Max: 8, Interval: 10,
 	}.withDefaults(), []*flavor{exp, cheap}, engine.RoleMixed)
 
 	// Sanity: the 4090 must actually be the cheaper way to buy throughput
@@ -156,20 +156,20 @@ func TestHeteroPlannerPrefersCheapFlavor(t *testing.T) {
 
 	// Low demand: everything lands on the cheap flavor (flavor order in the
 	// targets vector follows the pool's flavor order: premium first).
-	low := p.targetVec(thrCheap.thr*2, 500, 300)
+	low, _ := p.targetVec(thrCheap.thr*2, 500, 300)
 	if low[0] != 0 || low[1] < 1 || low[1] > 4 {
 		t.Fatalf("low-demand targets %v, want premium 0 and cheap in [1,4]", low)
 	}
 	// Demand beyond the cheap flavor's four replicas spills onto premium.
-	high := p.targetVec(thrCheap.thr*8, 500, 300)
+	high, _ := p.targetVec(thrCheap.thr*8, 500, 300)
 	if high[1] != 4 || high[0] < 1 {
 		t.Fatalf("high-demand targets %v, want cheap maxed at 4 and premium > 0", high)
 	}
 	// An infeasible shape (absurd rate with impossible SLA) maxes out.
 	pTight := newPlanner(PlannerConfig{
-		SLA: metrics.SLA{TTFT: 1e-9, MTPOT: 1e-9}, Min: 1, Max: 8, Interval: 10, Predictor: ConstantPredictor,
+		SLA: metrics.SLA{TTFT: 1e-9, MTPOT: 1e-9}, Min: 1, Max: 8, Interval: 10,
 	}.withDefaults(), []*flavor{exp, cheap}, engine.RoleMixed)
-	all := pTight.targetVec(5, 500, 300)
+	all, _ := pTight.targetVec(5, 500, 300)
 	if all[0]+all[1] != 8 {
 		t.Fatalf("infeasible shape targets %v, want the whole fleet (8)", all)
 	}
@@ -186,7 +186,6 @@ func TestHoldRespectsMaxTotal(t *testing.T) {
 	cheap := &flavor{name: "cheap", pm: pmCheap, capacity: 10_000, cost: pmCheap.CostWeight(), relSpeed: 1, reps: make([]*replica, 6)}
 	p := newPlanner(PlannerConfig{
 		SLA: metrics.SLASmall, Min: 1, Max: 10, Interval: 10,
-		Predictor: ConstantPredictor,
 	}.withDefaults(), []*flavor{exp, cheap}, engine.RoleMixed)
 
 	thrCheap := p.flavorThroughput(cheap, 500, 300)

@@ -374,7 +374,6 @@ func sessionReqs(base workload.Generator, n int, rate float64, seed uint64) []*r
 		SharedSystemRatio:  0.7,
 		TurnProb:           0.6,
 		MaxTurns:           6,
-		Cooldown:           2,
 		MaxInputTokens:     3000,
 	})
 	if err != nil {
@@ -631,6 +630,15 @@ func checkServed(t *testing.T, mc matrixCell, s served, b bite) {
 
 	checkBilled(t, mc, c)
 
+	// No tick plans after the run: every plan sample lies inside the span
+	// Duration measures.
+	for _, p := range c.pools {
+		for _, ps := range p.PlanHistory() {
+			if !(ps.At >= c.startAt && ps.At <= c.startAt+c.Duration()) {
+				t.Fatalf("pool %d planned @%v, outside the run [%v, %v]", p.id, ps.At, c.startAt, c.startAt+c.Duration())
+			}
+		}
+	}
 	for _, p := range c.pools {
 		if !mc.hetero || p.plan == nil {
 			continue

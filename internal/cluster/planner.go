@@ -15,14 +15,9 @@ import (
 // and output lengths), converts the forecast into the minimum replica count
 // whose interpolated TTFT/TPOT meets the SLA, and scales the fleet straight
 // to that target — the Dynamo-style alternative to threshold-reactive
-// scaling.
-//
-// The planner is role-aware: a mixed pool sizes against both targets (the
-// prefill-discounted decode throughput below); a prefill-only pool sizes
-// against TTFT alone (prompt throughput, with the expected KV-transfer
-// delay deducted from the budget); a decode-only pool sizes against TPOT
-// alone (decode residency). Each pool carries its own predictors and
-// correction factors.
+// scaling. The planner is role-aware, and each pool carries its own
+// forecasts and correction factors; the package documentation's "SLA
+// planner" section has the rules.
 type PlannerConfig struct {
 	// SLA holds the targets: TTFT bounds the interpolated prefill latency,
 	// MTPOT bounds the interpolated decode step time.
@@ -32,7 +27,8 @@ type PlannerConfig struct {
 	// Interval is the adjustment interval in simulated seconds. 0 selects 10;
 	// otherwise it is at least minTickInterval.
 	Interval float64
-	// Predictor selects the load-forecast model (one instance per signal).
+	// Predictor selects the load-forecast model: HoltPredictor, the zero
+	// value, is the only one.
 	Predictor PredictorKind
 	// ActivationDelay is the simulated seconds between a scale-out decision
 	// and the replica accepting traffic (model load time).
@@ -94,7 +90,7 @@ func (c PlannerConfig) validate(replicas int) error {
 	if c.Spare < 0 {
 		return fmt.Errorf("cluster: negative planner spare count %d", c.Spare)
 	}
-	if !(c.Predictor >= ConstantPredictor && c.Predictor <= HoltPredictor) {
+	if c.Predictor != HoltPredictor {
 		return fmt.Errorf("cluster: unknown planner predictor %v", c.Predictor)
 	}
 	return nil
@@ -140,7 +136,7 @@ type planner struct {
 	flavors []*flavor   // the pool's flavor groups (sizing inputs)
 	role    engine.Role // selects the sizing rule
 
-	predRate, predISL, predOSL Predictor
+	predRate, predISL, predOSL holt
 
 	// Interval accumulators, reset every tick.
 	arrivals int
@@ -157,19 +153,13 @@ type planner struct {
 	sumHit   float64
 	sumHitIn float64
 
-	// Correction factors: smoothed observed/interpolated latency ratios
-	// from past intervals, used to divide the SLA targets — if the fleet
-	// runs 1.5× slower than the interpolation predicts (queueing, mixed
-	// batches), the planner sizes against a 1.5×-tightened target.
-	corrTTFT, corrTPOT float64
-	lastPredTTFT       float64 // interpolated TTFT at the last operating point
-	lastPredTPOT       float64
+	// Correction factors (package documentation), and the latencies last
+	// predicted for the workhorse flavor that the next tick compares with
+	// what it observed.
+	corrTTFT, corrTPOT         float64
+	lastPredTTFT, lastPredTPOT float64
 
-	// hitRate is the smoothed prefix-cache hit rate (0 with caching off):
-	// sizing prices the prefill side at isl × (1 − hitRate), the mean
-	// uncached suffix a replica actually computes. KV footprints stay at
-	// the full isl — conservative, since sharing saves memory only while
-	// the co-resident requests overlap.
+	// hitRate is the smoothed prefix-cache hit rate (0 with caching off).
 	hitRate float64
 
 	// Fallbacks when an interval observes no arrivals/finishes.
@@ -199,9 +189,6 @@ type flavorThr struct {
 func newPlanner(cfg PlannerConfig, flavors []*flavor, role engine.Role) *planner {
 	return &planner{
 		cfg: cfg, flavors: flavors, role: role,
-		predRate: cfg.Predictor.New(),
-		predISL:  cfg.Predictor.New(),
-		predOSL:  cfg.Predictor.New(),
 		corrTTFT: 1, corrTPOT: 1,
 		thrs:    make([]flavorThr, len(flavors)),
 		order:   make([]int, len(flavors)),
@@ -271,12 +258,10 @@ func updateCorrection(corr, observed, predicted float64) float64 {
 
 // tick closes the current observation interval at time now and returns the
 // per-flavor replica targets for the next interval (flavor order; the
-// returned slice is planner-owned scratch, valid until the next tick).
+// returned slice is planner-owned scratch, valid until the next tick). The
+// sample it appends to History leaves Active to the caller, which knows it
+// once the targets are applied.
 func (p *planner) tick(now float64, activeByFlavor []int) []int {
-	active := 0
-	for _, a := range activeByFlavor {
-		active += a
-	}
 	rate := float64(p.arrivals) / p.cfg.Interval
 	isl, osl := p.lastISL, p.lastOSL
 	if p.arrivals > 0 {
@@ -303,51 +288,14 @@ func (p *planner) tick(now float64, activeByFlavor []int) []int {
 	predISL := math.Max(p.predISL.Predict(), 1)
 	predOSL := math.Max(p.predOSL.Predict(), 1)
 
-	// Size against the forecast, floored by the rate just observed: the
-	// forecast's job is to scale out ahead of a building burst, never to
-	// scale in below load that is demonstrably arriving right now (a
-	// transient forecast dip at a ramp onset would otherwise shed the
-	// capacity the next interval needs).
-	targets := p.targetVec(math.Max(predRate, rate), predISL, predOSL)
-	total := 0
-	for _, t := range targets {
-		total += t
-	}
-	// N+1 redundancy: top the forecast-sized fleet up with Spare extra
-	// replicas, cheapest flavor first (p.order is cost-ranked by
-	// targetVec). The spares are part of the standing target, so the
-	// patience logic below treats losing one as shrinking.
-	for s := 0; s < p.cfg.Spare && total < p.cfg.Max; s++ {
-		added := false
-		for _, fi := range p.order {
-			if targets[fi] < len(p.flavors[fi].reps) {
-				targets[fi]++
-				total++
-				added = true
-				break
-			}
-		}
-		if !added {
-			break
-		}
-	}
-	// Scale-out is immediate; scale-in waits for scaleInPatience
-	// consecutive shrinking evaluations so a one-interval lull (or a noisy
-	// forecast at a phase boundary) cannot flap the fleet down right
-	// before load returns. The patience guards every *per-flavor*
-	// reduction, not just the total: a cost-ranking flip at equal total
-	// would otherwise drain a whole flavor instantly while its replacement
-	// is still paying ActivationDelay. Holding floors each flavor at its
-	// current active count while increases elsewhere still go out
-	// immediately, so by the time the patience expires the replacement
-	// capacity is warm. (For a single flavor "some flavor shrinks" is
-	// exactly "total < active", the pre-flavor rule.) An interval that
-	// shed demand resets the patience outright: refusing work is proof the
-	// pool is not over-provisioned, whatever the rate forecast says.
-	sheds := p.sheds
-	p.sheds = 0
-	crashes := p.crashes
-	p.crashes = 0
+	// Size against the forecast, floored by the rate just observed (doc.go).
+	targets, total := p.targetVec(math.Max(predRate, rate), predISL, predOSL)
+	total = p.fill(targets, total, min(p.cfg.Spare, p.cfg.Max-total))
+	// Scale-in patience guards every per-flavor reduction, not just the
+	// total: holding floors each shrinking flavor at its active count while
+	// increases elsewhere still go out at once (doc.go).
+	sheds, crashes := p.sheds, p.crashes
+	p.sheds, p.crashes = 0, 0
 	shrinking := false
 	for i, t := range targets {
 		if t < activeByFlavor[i] {
@@ -396,7 +344,7 @@ func (p *planner) tick(now float64, activeByFlavor []int) []int {
 	}
 	p.History = append(p.History, PlanSample{
 		At: now, Rate: rate, ISL: isl, OSL: osl, PredRate: predRate,
-		Target: total, Active: active, CorrTTFT: p.corrTTFT, CorrTPOT: p.corrTPOT,
+		Target: total, CorrTTFT: p.corrTTFT, CorrTPOT: p.corrTPOT,
 		Shed:    sheds,
 		Crashes: crashes,
 		HitRate: p.hitRate,
@@ -405,15 +353,11 @@ func (p *planner) tick(now float64, activeByFlavor []int) []int {
 	return targets
 }
 
-// targetVec is the cost-aware sizing rule: every flavor's SLA-feasible
-// per-replica rate is interpolated from its *own* perf curves, flavors are
-// ranked by cost per unit of that throughput, and the demand is filled
-// cheapest-first — so scale-out buys the cheapest capacity that still
-// meets the latency targets, and a smaller total drains the worst
-// cost-per-goodput flavors first (they are the last filled). Flavors whose
-// interpolated latency cannot meet the SLA at this shape are used only
-// when the feasible ones run out (capacity is capacity under overload).
-func (p *planner) targetVec(rate, isl, osl float64) []int {
+// targetVec is the cost-aware sizing rule (doc.go): it prices every flavor
+// at the forecast shape, ranks the flavors feasible first and then by cost
+// per unit of throughput, and fills the demand cheapest first. It returns
+// the per-flavor targets (planner scratch) and their total.
+func (p *planner) targetVec(rate, isl, osl float64) ([]int, int) {
 	for i, f := range p.flavors {
 		p.thrs[i] = p.flavorThroughput(f, isl, osl)
 		p.targets[i] = 0
@@ -484,38 +428,27 @@ func (p *planner) targetVec(rate, isl, osl float64) []int {
 	}
 	if !met {
 		// Feasible capacity exhausted (or nothing feasible at this shape):
-		// throw the rest of the fleet at it, cheapest first, up to Max.
-		for _, fi := range p.order {
-			room := p.cfg.Max - total
-			if room <= 0 {
-				break
-			}
-			add := len(p.flavors[fi].reps) - p.targets[fi]
-			if add > room {
-				add = room
-			}
-			if add > 0 {
-				p.targets[fi] += add
-				total += add
-			}
-		}
+		// throw the rest of the fleet at it, up to Max.
+		total = p.fill(p.targets, total, p.cfg.Max-total)
 	}
-	// Floor at Min total, adding the cheapest capacity available.
-	for total < p.cfg.Min {
-		added := false
-		for _, fi := range p.order {
-			if p.targets[fi] < len(p.flavors[fi].reps) {
-				p.targets[fi]++
-				total++
-				added = true
-				break
-			}
-		}
-		if !added {
+	return p.targets, p.fill(p.targets, total, p.cfg.Min-total)
+}
+
+// fill adds up to n replicas to targets, cheapest flavor first (p.order, as
+// targetVec last ranked it), each flavor up to its replica count, and
+// returns the new total.
+func (p *planner) fill(targets []int, total, n int) int {
+	for _, fi := range p.order {
+		if n <= 0 {
 			break
 		}
+		if add := min(len(p.flavors[fi].reps)-targets[fi], n); add > 0 {
+			targets[fi] += add
+			total += add
+			n -= add
+		}
 	}
-	return p.targets
+	return total
 }
 
 // headroomFor returns the utilization target for a flavor with feasible
@@ -535,149 +468,48 @@ func (p *planner) headroomFor(thr, fastest float64) float64 {
 	return w / (w + 1/thr)
 }
 
-// flavorThroughput interpolates, from one flavor's perf curves, the
-// request rate one of its replicas sustains inside the
-// (correction-tightened) SLA under the pool's role-specific sizing rule.
+// flavorThroughput prices one replica of flavor f at shape (isl, osl) under
+// the pool's role, by the closed forms of the package documentation: the
+// request rate it sustains inside the corrected SLA (0 when infeasible) and
+// the latencies the correction factors compare against.
 func (p *planner) flavorThroughput(f *flavor, isl, osl float64) flavorThr {
-	switch p.role {
-	case engine.RolePrefillOnly:
-		return p.prefillThroughput(f, isl)
-	case engine.RoleDecodeOnly:
-		return p.decodeThroughput(f, isl, osl)
-	default:
-		effTTFT := p.cfg.SLA.TTFT / p.corrTTFT
-		effTPOT := p.cfg.SLA.MTPOT / p.corrTPOT
-		thr, predTTFT, predTPOT := replicaThroughputCached(f.pm, f.capacity, isl, p.prefillISL(isl), osl, effTTFT, effTPOT, f.chunkOver)
-		return flavorThr{thr: thr, predTTFT: predTTFT, predTPOT: predTPOT}
-	}
-}
-
-// prefillISL returns the mean prompt length the fleet actually computes:
-// the observed shape discounted by the smoothed prefix-cache hit rate (the
-// cached prefix costs no prefill). Identical to isl while the hit rate is
-// 0, so a caching-off planner sizes exactly as before.
-func (p *planner) prefillISL(isl float64) float64 {
-	return isl * (1 - p.hitRate)
-}
-
-// prefillThroughput interpolates the prompt rate one prefill-only replica
-// of this flavor sustains inside the TTFT budget. A saturated prefill
-// engine runs back-to-back fused prefills, so its throughput is one prompt
-// per PrefillTime(isl); feasibility additionally requires a lone prompt's
-// prefill plus the expected KV-transfer delay to fit the
-// (correction-tightened) TTFT target — the correction factor then absorbs
-// the queueing the interpolation cannot see.
-func (p *planner) prefillThroughput(f *flavor, isl float64) flavorThr {
 	effTTFT := p.cfg.SLA.TTFT / p.corrTTFT
-	// Prefill compute covers only the cache-missed suffix; the KV transfer
-	// still ships the full prompt (the decode side needs every block,
-	// cached or not).
-	in := int(p.prefillISL(isl) + 0.5)
+	effTPOT := p.cfg.SLA.MTPOT / p.corrTPOT
+	in := int(isl*(1-p.hitRate) + 0.5)
 	if in < 1 {
 		in = 1
 	}
 	prefill := f.pm.PrefillTime(in)
-	// A chunked prefill engine lands the prompt over several iterations;
-	// its sustainable prompt rate and lone-prompt TTFT both carry the
-	// per-chunk overhead.
 	if f.chunkOver != nil {
 		prefill += f.chunkOver(float64(in))
 	}
-	xfer := 0.0
-	if f.xfer != nil {
-		xfer = f.xfer(isl)
+	out := math.Max(osl, 1)
+	switch p.role {
+	case engine.RolePrefillOnly:
+		ttft := prefill
+		if f.xfer != nil {
+			ttft += f.xfer(isl)
+		}
+		if ttft > effTTFT {
+			return flavorThr{predTTFT: ttft}
+		}
+		return flavorThr{thr: 1 / prefill, predTTFT: ttft}
+	case engine.RoleDecodeOnly:
+		b, td := maxDecodeBatch(f.pm, f.capacity, math.Max(isl+osl, 1), effTPOT)
+		if td > effTPOT {
+			return flavorThr{predTPOT: td}
+		}
+		return flavorThr{thr: float64(b) / (out * td), predTPOT: td}
+	default:
+		if prefill > effTTFT {
+			return flavorThr{predTTFT: prefill}
+		}
+		b, td := maxDecodeBatch(f.pm, f.capacity, math.Max(isl+osl/2, 1), effTPOT)
+		if td > effTPOT {
+			return flavorThr{predTTFT: prefill, predTPOT: td}
+		}
+		return flavorThr{thr: float64(b) / (out*td + float64(b)*prefill), predTTFT: prefill, predTPOT: td}
 	}
-	out := flavorThr{predTTFT: prefill + xfer, predTPOT: 0} // decode is another pool's business
-	if prefill+xfer > effTTFT {
-		return out
-	}
-	out.thr = 1 / prefill
-	return out
-}
-
-// decodeThroughput interpolates the request rate one decode-only replica
-// of this flavor sustains inside the TPOT budget: the largest decode batch
-// B whose step time meets the target serves B requests every osl steps —
-// no prefill discount, the whole point of disaggregation.
-//
-// The residency budget per request is the *completion* footprint isl + osl,
-// not the time-average isl + osl/2 a mixed pool amortises over: a decode
-// pool runs a future-peak admission scheduler that only admits while every
-// resident request's predicted final footprint fits, so memory-capped
-// batches are bounded by the peak, and sizing against the average would
-// overestimate the feasible batch and queue the handoffs — which a decode
-// pool pays for in MTPOT (the delivery→next-token gap), its actual SLA.
-func (p *planner) decodeThroughput(f *flavor, isl, osl float64) flavorThr {
-	effTPOT := p.cfg.SLA.MTPOT / p.corrTPOT
-	out := osl
-	if out < 1 {
-		out = 1
-	}
-	meanFootprint := isl + osl
-	if meanFootprint < 1 {
-		meanFootprint = 1
-	}
-	b, td := maxDecodeBatch(f.pm, f.capacity, meanFootprint, effTPOT)
-	res := flavorThr{predTPOT: td, predTTFT: 0} // prefill is another pool's business
-	if td > effTPOT {
-		return res // even B=1 misses the TPOT target
-	}
-	res.thr = float64(b) / (out * td)
-	return res
-}
-
-// replicaThroughputCached interpolates, from the perf model, the maximum
-// request rate one replica sustains at shape (isl, osl) while staying inside
-// the TTFT/TPOT targets, together with the interpolated TTFT and TPOT at that
-// operating point (the baseline the correction factors compare against).
-//
-// The operating point is the largest decode batch B whose step time stays
-// under the TPOT target and whose KV footprint fits the pool (mean
-// occupancy isl + osl/2 per request, since a request holds between isl and
-// isl+osl tokens over its decode lifetime). Under prefill-priority
-// batching, an engine serving λ req/s spends λ·p of each second prefilling
-// (p = prefill time of one prompt) and the rest decoding at B requests per
-// step, so steady state gives
-//
-//	λ = B / (osl·t_d(B) + B·p)
-//
-// — the decode pipeline's B/(osl·t_d) throughput, discounted by the
-// prefill time each admitted request steals from it.
-//
-// The prefill side is priced at a separate (cache-discounted) prompt
-// length: prefISL is the mean prompt suffix a replica actually encodes,
-// while the KV footprint stays at the full isl — shared prefix blocks save
-// memory only while their sharers overlap, so capacity sizing keeps the
-// full shape. prefISL == isl is the cache-blind rule. chunkOver, when
-// non-nil, adds the engine's per-chunk overhead for prompts of the
-// computed suffix length (chunked prefill trades a little prefill
-// throughput for interleaving); nil is the unchunked rule.
-func replicaThroughputCached(pm *perf.Model, capacityTokens int, isl, prefISL, osl, ttft, tpot float64, chunkOver func(float64) float64) (ratePerSec, predTTFT, predTPOT float64) {
-	in := int(prefISL + 0.5)
-	if in < 1 {
-		in = 1
-	}
-	out := osl
-	if out < 1 {
-		out = 1
-	}
-	prefill := pm.PrefillTime(in)
-	if chunkOver != nil {
-		prefill += chunkOver(float64(in))
-	}
-	if prefill > ttft {
-		return 0, prefill, 0 // a lone prompt already busts the TTFT target
-	}
-	meanFootprint := isl + osl/2
-	if meanFootprint < 1 {
-		meanFootprint = 1
-	}
-	b, td := maxDecodeBatch(pm, capacityTokens, meanFootprint, tpot)
-	if td > tpot {
-		return 0, prefill, td // even B=1 misses the TPOT target
-	}
-	rate := float64(b) / (out*td + float64(b)*prefill)
-	return rate, prefill, td
 }
 
 // maxDecodeBatch binary-searches the largest decode batch whose step time

@@ -13,87 +13,59 @@ import (
 	"github.com/lightllm-go/lightllm/internal/rng"
 )
 
-func TestConstantPredictor(t *testing.T) {
-	p := ConstantPredictor.New()
-	p.Observe(3)
-	p.Observe(7)
-	if got := p.Predict(); got != 7 {
-		t.Fatalf("constant predicts %v, want last observation 7", got)
-	}
-}
-
 // TestUnknownPredictorPanics: a kind outside the enum is a caller's bug, not
-// a request for the constant predictor, and the panic names the kind.
+// a request for Holt, and the panic names the kind.
 func TestUnknownPredictorPanics(t *testing.T) {
 	for _, k := range []PredictorKind{HoltPredictor + 1, -1} {
 		func() {
 			defer func() {
-				msg, _ := recover().(string)
-				if want := k.String(); !strings.Contains(msg, want) {
-					t.Fatalf("New of %v: recovered %q, want a panic naming %q", k, msg, want)
+				err, _ := recover().(error)
+				if want := k.String(); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("MustNewCluster with predictor %v: recovered %v, want a panic naming %q", k, err, want)
 				}
 			}()
-			k.New()
+			MustNewCluster(ClusterConfig{Pools: []Config{{
+				Replicas: replicas(2, 1000),
+				Planner:  &PlannerConfig{SLA: metrics.SLASmall, Min: 1, Max: 2, Predictor: k},
+			}}})
 		}()
 	}
 }
 
-func TestEWMAPredictorSmooths(t *testing.T) {
-	p := EWMAPredictor.New()
-	p.Observe(10)
-	p.Observe(0)
-	got := p.Predict()
-	if got <= 0 || got >= 10 {
-		t.Fatalf("ewma %v not between the observations", got)
-	}
-	// Converges to a constant signal.
-	for i := 0; i < 50; i++ {
-		p.Observe(4)
-	}
-	if math.Abs(p.Predict()-4) > 1e-6 {
-		t.Fatalf("ewma did not converge to 4: %v", p.Predict())
-	}
-}
-
 func TestHoltPredictorExtrapolatesTrend(t *testing.T) {
-	p := HoltPredictor.New()
+	var h holt
 	for _, v := range []float64{1, 2, 3, 4, 5} {
-		p.Observe(v)
+		h.Observe(v)
 	}
 	// On an exactly linear series Holt's recurrences are exact: the
 	// forecast is the next point.
-	if got := p.Predict(); math.Abs(got-6) > 1e-9 {
+	if got := h.Predict(); math.Abs(got-6) > 1e-9 {
 		t.Fatalf("holt predicts %v for 1..5, want 6", got)
-	}
-	// An EWMA on the same ramp lags behind.
-	e := EWMAPredictor.New()
-	for _, v := range []float64{1, 2, 3, 4, 5} {
-		e.Observe(v)
-	}
-	if e.Predict() >= p.Predict() {
-		t.Fatalf("ewma %v should lag holt %v on a ramp", e.Predict(), p.Predict())
 	}
 }
 
 func TestReplicaThroughputInterpolation(t *testing.T) {
 	pm := testPerf()
-	capTokens := pm.CapacityTokens()
-
-	loose, _, _ := replicaThroughputCached(pm, capTokens, 500, 500, 300, 10, 1.5, nil)
-	tight, _, tightTPOT := replicaThroughputCached(pm, capTokens, 500, 500, 300, 10, 0.05, nil)
-	if loose <= 0 || tight <= 0 {
-		t.Fatalf("throughput not positive: loose %v tight %v", loose, tight)
+	f := &flavor{name: "test", pm: pm, capacity: pm.CapacityTokens(), cost: 1, relSpeed: 1, reps: make([]*replica, 1)}
+	price := func(ttft, mtpot, isl float64) flavorThr {
+		p := newPlanner(PlannerConfig{SLA: metrics.SLA{TTFT: ttft, MTPOT: mtpot}, Min: 1, Max: 1}.withDefaults(),
+			[]*flavor{f}, engine.RoleMixed)
+		return p.flavorThroughput(f, isl, 300)
 	}
-	if tight > loose {
-		t.Fatalf("tighter TPOT target yields higher throughput: %v > %v", tight, loose)
+	loose, tight := price(10, 1.5, 500), price(10, 0.05, 500)
+	if loose.thr <= 0 || tight.thr <= 0 {
+		t.Fatalf("throughput not positive: loose %v tight %v", loose.thr, tight.thr)
 	}
-	if tightTPOT > 0.05 {
-		t.Fatalf("operating point %v violates the TPOT target", tightTPOT)
+	if tight.thr > loose.thr {
+		t.Fatalf("tighter TPOT target yields higher throughput: %v > %v", tight.thr, loose.thr)
+	}
+	if tight.predTPOT > 0.05 {
+		t.Fatalf("operating point %v violates the TPOT target", tight.predTPOT)
 	}
 
 	// A TTFT target below the prefill time of a single prompt is infeasible.
-	if r, predTTFT, _ := replicaThroughputCached(pm, capTokens, 4000, 4000, 300, 1e-6, 1.5, nil); r != 0 || predTTFT <= 0 {
-		t.Fatalf("infeasible TTFT returned rate %v (pred %v)", r, predTTFT)
+	if op := price(1e-6, 1.5, 4000); op.thr != 0 || op.predTTFT <= 0 {
+		t.Fatalf("infeasible TTFT returned rate %v (pred %v)", op.thr, op.predTTFT)
 	}
 }
 
@@ -117,13 +89,10 @@ func TestPlannerTargetScalesWithRate(t *testing.T) {
 	pm := testPerf()
 	f := &flavor{name: "test", pm: pm, capacity: pm.CapacityTokens(), cost: 1, relSpeed: 1, reps: make([]*replica, 8)}
 	p := newPlanner(PlannerConfig{
-		SLA: metrics.SLASmall, Min: 1, Max: 8, Interval: 10, Predictor: ConstantPredictor,
+		SLA: metrics.SLASmall, Min: 1, Max: 8, Interval: 10,
 	}.withDefaults(), []*flavor{f}, engine.RoleMixed)
 	total := func(rate float64) int {
-		n := 0
-		for _, tgt := range p.targetVec(rate, 500, 300) {
-			n += tgt
-		}
+		_, n := p.targetVec(rate, 500, 300)
 		return n
 	}
 	low := total(0.5)
@@ -238,7 +207,7 @@ func TestPlannerVectorMatchesScalarRule(t *testing.T) {
 				if len(flavors) == 2 && want > len(flavors[li].reps) {
 					continue // the demand spills over onto the other flavor
 				}
-				got := p.targetVec(rate, isl, osl)
+				got, _ := p.targetVec(rate, isl, osl)
 				if got[li] != want || (len(got) == 2 && got[1-li] != 0) ||
 					p.lastPredTTFT != op.predTTFT || p.lastPredTPOT != op.predTPOT {
 					t.Fatalf("seed %d trial %d (%v, %d flavors, %+v, headroom %v): targetVec %v, predicted (%v, %v); scalar rule on flavor %d wants %d, predicted (%v, %v)",

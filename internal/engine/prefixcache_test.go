@@ -30,7 +30,6 @@ func sessionWorkload(n int, seed uint64) []*request.Request {
 		SharedSystemRatio:  0.7,
 		TurnProb:           0.6,
 		MaxTurns:           6,
-		Cooldown:           2,
 		MaxInputTokens:     3000,
 	})
 	if err != nil {

@@ -49,15 +49,16 @@ type SessionsConfig struct {
 	TurnProb float64
 	// MaxTurns caps a session's turn count. 0 selects 8.
 	MaxTurns int
-	// Cooldown is how many other requests interleave between a session's
-	// consecutive turns (think time expressed in arrival positions, so the
-	// generator stays a pure function of the Lengths draw sequence and
-	// Build/Stream equivalence holds). 0 selects 2.
-	Cooldown int
 	// MaxInputTokens stops continuing a session once its next prompt would
 	// exceed this (conversations cannot outgrow the KV pool). 0 = no cap.
 	MaxInputTokens int
 }
+
+// sessionCooldown is how many other requests interleave between a session's
+// consecutive turns (think time expressed in arrival positions, so the
+// generator stays a pure function of the Lengths draw sequence and
+// Build/Stream equivalence holds).
+const sessionCooldown = 2
 
 // sharedSystemSalt seeds the hash chain of the global shared system prompt;
 // private sessions chain from a per-session salt instead, so their blocks
@@ -119,12 +120,6 @@ func NewSessions(cfg SessionsConfig) (*Sessions, error) {
 	}
 	if cfg.MaxTurns < 0 {
 		return nil, fmt.Errorf("workload: negative max turns %d", cfg.MaxTurns)
-	}
-	if cfg.Cooldown == 0 {
-		cfg.Cooldown = 2
-	}
-	if cfg.Cooldown < 0 {
-		return nil, fmt.Errorf("workload: negative session cooldown %d", cfg.Cooldown)
 	}
 	s := &Sessions{cfg: cfg, nextID: 1}
 	s.classed, _ = cfg.Base.(ClassedGenerator)
@@ -229,7 +224,7 @@ func (s *Sessions) finish(ses *session, r *rng.RNG, prompt, in, out int) Session
 	if ses.turn < s.cfg.MaxTurns &&
 		(s.cfg.MaxInputTokens == 0 || ses.hist < s.cfg.MaxInputTokens) &&
 		r.Bool(s.cfg.TurnProb) {
-		ses.ready = s.draws + 1 + s.cfg.Cooldown
+		ses.ready = s.draws + 1 + sessionCooldown
 		s.pending = append(s.pending, ses)
 	}
 	return sm

@@ -16,7 +16,6 @@ func sessionsCfg() SessionsConfig {
 		SharedSystemRatio:  0.5,
 		TurnProb:           0.6,
 		MaxTurns:           6,
-		Cooldown:           2,
 	}
 }
 

@@ -38,7 +38,9 @@ type knobFile struct {
 // commands, examples and the benchmark count as callers; tests do not. A
 // keyed literal counts for the field of the type it names, or, where the
 // source does not name the literal's type (an element of a slice literal, an
-// assignment through a selector), for every field of that name.
+// assignment through a selector), for every other package's field of that
+// name — unless the setting package declares a knob field of that name
+// itself, when it counts for none.
 //
 // A failure has three fixes: give the field a caller, make it an unexported
 // constant at its default, or add it to knobAllowlist with the reason it
@@ -160,12 +162,24 @@ func TestEveryKnobHasACaller(t *testing.T) {
 			return true
 		})
 	}
+	// A package that declares a knob field of its own by a name sets that
+	// field, as far as this scan can tell, when it sets the name: engine.New
+	// defaulting its own cfg.BlockSize sets no other package's BlockSize.
+	declares := map[string]map[string]bool{} // dir -> its knob field names
+	for ref, fields := range knobs {
+		if declares[ref.dir] == nil {
+			declares[ref.dir] = map[string]bool{}
+		}
+		for _, field := range fields {
+			declares[ref.dir][field] = true
+		}
+	}
 	setElsewhere := func(ref typeRef, field string) bool {
 		if setTyped[ref][field] {
 			return true
 		}
 		for dir := range setByName[field] {
-			if dir != ref.dir {
+			if dir != ref.dir && !declares[dir][field] {
 				return true
 			}
 		}

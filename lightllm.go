@@ -115,9 +115,6 @@ type ServingConfig struct {
 	Param float64
 	// Seed drives the Past-Future sampling predictions. 0 selects 1.
 	Seed uint64
-	// BlockSize is the KV allocation granularity (default 1, LightLLM
-	// token granularity; 16 emulates vLLM paging).
-	BlockSize int
 	// QueueTimeout, when positive, enables SLA-aware client abandonment.
 	QueueTimeout float64
 	// StaticBatchSize, when positive, turns continuous batching off: the
@@ -149,7 +146,7 @@ func NewServing(cfg ServingConfig) (*Engine, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	ecfg := engine.Config{Perf: pm, BlockSize: cfg.BlockSize, QueueTimeout: cfg.QueueTimeout, StaticBatchSize: cfg.StaticBatchSize}
+	ecfg := engine.Config{Perf: pm, QueueTimeout: cfg.QueueTimeout, StaticBatchSize: cfg.StaticBatchSize}
 	if ecfg.StaticBatchSize == 0 {
 		if ecfg.Scheduler, err = NewScheduler(cfg.Scheduler, cfg.Param, seed); err != nil {
 			return nil, err
