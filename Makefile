@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check staticcheck bench bench-smoke bench-fleet bench-scale pairs pairs-all chaos fuzz examples pins cover ci
+.PHONY: build test vet fmt-check staticcheck bench bench-smoke bench-fleet bench-scale profile pairs pairs-all chaos fuzz examples pins cover ci
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,19 @@ bench-fleet:
 bench-scale:
 	./scripts/bench.sh scale
 
+# profile runs one Go benchmark B in package PKG under the CPU profiler and
+# prints the profile's cumulative top (pprof -top -cum), so a perf change can
+# be profiled without patching benchmark/. The test binary and the profile go
+# to .profile/; B is a -bench pattern, one regexp per sub-benchmark level.
+# e.g. make profile B=BenchmarkEngineDecodeLong/queued PKG=./internal/engine
+B ?= BenchmarkAdmitHotPath/admit-wide
+PKG ?= ./internal/core
+profile:
+	@mkdir -p .profile
+	$(GO) test -run '^$$' -bench '$(B)' -benchtime 2s \
+		-cpuprofile .profile/cpu.prof -o .profile/bench.test $(PKG)
+	$(GO) tool pprof -top -cum .profile/bench.test .profile/cpu.prof | head -n 40
+
 # pairs compares the whole-run benchmark (BENCHMARK.json) of the working tree
 # with a base commit on one workload, over N pairs whose order alternates
 # (scripts/pairs.sh): for every end-to-end metric BENCHMARK.json lists, each
@@ -110,7 +123,7 @@ pairs-all:
 # silently leave the sweep.
 # Widen with e.g. `make chaos CHAOS_SEEDS=50`.
 CHAOS_SEEDS ?= 5
-CHAOS_RUN = TestFeatureMatrix|TestPermanentCrash|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestChunkPolicyEquivalence|TestHerd|TestPlacement|TestWaitingSet|TestLagged|TestProbeFloor|TestPrunedSweep|TestPureDecode|TestAdmitOnly|TestCoast|TestWarmProbeMatchesNaive|TestPlannerVectorMatchesScalarRule|TestFlavorThroughputClosedForms
+CHAOS_RUN = TestFeatureMatrix|TestPermanentCrash|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestChunkPolicyEquivalence|TestHerd|TestPlacement|TestWaitingSet|TestLagged|TestProbeFloor|TestPrunedSweep|TestPureDecode|TestAdmitOnly|TestCoast|TestWarmProbeMatchesNaive|TestPlannerVectorMatchesScalarRule|TestFlavorThroughputClosedForms|TestRefusesAgainMatchesAdmit
 CHAOS_PKGS = ./internal/cluster/ ./internal/kv/ ./internal/engine/
 chaos:
 	@tests=$$($(GO) test -list . $(CHAOS_PKGS)) || exit 1; \

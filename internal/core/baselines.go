@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"github.com/lightllm-go/lightllm/internal/dist"
 	"github.com/lightllm-go/lightllm/internal/request"
 )
 
@@ -60,10 +61,28 @@ func (a *Aggressive) Admit(v *View, queue []*request.Request) int {
 // request, running or candidate, reserves input + max_new_tokens. With
 // Overcommit = 1 it can never cause an eviction; the paper also evaluates
 // overcommitted variants (150%, 125%) that assume more memory than exists.
+// Not safe for concurrent use (the last refusal's certificate).
 type Conservative struct {
 	// Overcommit scales the assumed capacity (1.0 = none; 1.5 = paper's
 	// "overcommit=150%").
 	Overcommit float64
+
+	// cert is the last round's refusal of the head on the budget, kept for
+	// the rounds of the same View.Epoch after it (RefusesAgain); its epoch
+	// is 0 when the last round did not refuse that way.
+	cert budgetRefusal
+}
+
+// budgetRefusal is what a refusal of the queue's head on the budget proves
+// for the later rounds of its Epoch: the batch kept its members, so their
+// reservation is the same, and the head, the budget and the engine — named
+// by its window — are checked.
+type budgetRefusal struct {
+	epoch  uint64
+	head   *request.Request
+	n      int
+	window *dist.Window
+	budget int
 }
 
 // NewConservative validates the overcommit factor.
@@ -91,8 +110,18 @@ func (c *Conservative) Name() string {
 	return fmt.Sprintf("conservative(overcommit=%d%%)", int(c.Overcommit*100+0.5))
 }
 
-// Admit reserves worst-case memory for every request.
+// Admit reserves worst-case memory for every request. A round of the same
+// View.Epoch as a refusal of the head on the budget is refused again in O(1)
+// (RefusesAgain).
 func (c *Conservative) Admit(v *View, queue []*request.Request) int {
+	if len(queue) == 0 {
+		return 0
+	}
+	if c.RefusesAgain(RepeatRound{Epoch: v.Epoch, Head: queue[0], Running: len(v.Running),
+		History: v.History, CapacityTokens: v.CapacityTokens}) {
+		return 0
+	}
+	c.cert.epoch = 0
 	budget := int(float64(v.CapacityTokens) * c.Overcommit)
 	reserved := 0
 	for _, r := range v.Running {
@@ -100,9 +129,15 @@ func (c *Conservative) Admit(v *View, queue []*request.Request) int {
 	}
 	promptNeed := 0
 	admitted := 0
-	for _, q := range queue {
+	for i, q := range queue {
 		worst := q.InputLen + q.MaxNewTokens
-		if reserved+worst > budget || promptNeed+q.Footprint() > v.FreeTokens {
+		if reserved+worst > budget {
+			if i == 0 && v.Epoch != 0 {
+				c.cert = budgetRefusal{epoch: v.Epoch, head: q, n: len(v.Running), window: v.History, budget: budget}
+			}
+			break
+		}
+		if promptNeed+q.Footprint() > v.FreeTokens {
 			break
 		}
 		reserved += worst
@@ -111,6 +146,18 @@ func (c *Conservative) Admit(v *View, queue []*request.Request) int {
 		admitted++
 	}
 	return admitted
+}
+
+// RefusesAgain implements RepeatRefuser: it refuses a round of the same
+// Epoch, head, batch size, window and budget as the last round's refusal of
+// the head on the budget. Between the two the batch only decoded, and a
+// request's reservation — input + max_new_tokens — does not move as it
+// decodes, so the head's reservation still does not fit beside the batch's.
+// Admit asks it first.
+func (c *Conservative) RefusesAgain(r RepeatRound) bool {
+	k := &c.cert
+	return r.Epoch != 0 && k.epoch == r.Epoch && k.head == r.Head && k.n == r.Running && k.window == r.History &&
+		k.budget == int(float64(r.CapacityTokens)*c.Overcommit)
 }
 
 // Oracle is the theoretical optimum (Table 1's first row): it evaluates the
@@ -156,7 +203,9 @@ func (o *Oracle) Admit(v *View, queue []*request.Request) int {
 }
 
 var (
-	_ Scheduler = (*Aggressive)(nil)
-	_ Scheduler = (*Conservative)(nil)
-	_ Scheduler = (*Oracle)(nil)
+	_ Scheduler     = (*Aggressive)(nil)
+	_ Scheduler     = (*Conservative)(nil)
+	_ Scheduler     = (*Oracle)(nil)
+	_ RepeatRefuser = (*Conservative)(nil)
+	_ RepeatRefuser = (*PastFuture)(nil)
 )

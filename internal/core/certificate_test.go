@@ -113,7 +113,8 @@ type certCounts struct {
 // fails at the first round on which they differ: the admitted count, the
 // predicted M*, every running and queued PredictedLen, whether the round
 // refused before drawing, and the next value of each generator. Each op byte
-// is one step: a round, a uniform advance, an advance that lands around the
+// is one step: a round (half of them offered to RefusesAgain first), a
+// uniform advance, an advance that lands around the
 // nearest window maximum, a partial advance, a new head or a longer queue, a
 // window Add or a change to the capacity — all under an unchanged Epoch — or
 // a new Epoch over an arbitrary change to the batch.
@@ -156,7 +157,14 @@ func runCertificateSequence(t *testing.T, seed uint64, ops []byte) certCounts {
 				g0 = aware.v.Running[0].Generated
 			}
 			before := aware.pf.cert
-			got := aware.pf.Admit(aware.v, aware.queue)
+			// Half the rounds ask RefusesAgain first, as an engine does,
+			// and reach Admit only when it declines.
+			got := 0
+			if kind == 0 || !aware.pf.RefusesAgain(RepeatRound{Epoch: epoch, Head: aware.queue[0],
+				Running: len(aware.v.Running), Queued: len(aware.queue), Lead: g0, History: aware.v.History,
+				CapacityTokens: aware.v.CapacityTokens}) {
+				got = aware.pf.Admit(aware.v, aware.queue)
+			}
 			want := blind.pf.Admit(blind.v, blind.queue)
 			n.rounds++
 			if aware.v.History.Len() < minHistory {

@@ -63,6 +63,32 @@ type Scheduler interface {
 	Admit(v *View, queue []*request.Request) int
 }
 
+// RepeatRound is what a round of a known Epoch shows before any View is
+// built: enough for a scheduler that refused an earlier round of the same
+// Epoch to tell whether it refuses this one the same way.
+type RepeatRound struct {
+	Epoch uint64           // View.Epoch of the round
+	Head  *request.Request // the queue's head
+	// Running and Queued are the lengths of View.Running and of the queue.
+	Running, Queued int
+	// Lead is Running[0].Generated as the round's View would show it; 0
+	// when nothing runs.
+	Lead           int
+	History        *dist.Window // View.History
+	CapacityTokens int          // View.CapacityTokens
+}
+
+// RepeatRefuser is an optional Scheduler method. RefusesAgain reports
+// whether the scheduler refuses the round r describes, admitting nothing,
+// exactly as Admit would over that round's View and queue — leaving every
+// state Admit would leave, the RNG included. On false nothing has changed
+// and the caller asks Admit. An engine resolves it once and asks it before
+// it builds a View for a round that may well repeat a refusal; a decorator
+// that embeds Scheduler hides it, and then every round goes to Admit.
+type RepeatRefuser interface {
+	RefusesAgain(r RepeatRound) bool
+}
+
 // Entry is one request's memory trajectory as the estimator sees it:
 // Current tokens occupied now, and Remaining output tokens predicted before
 // it completes and releases everything.

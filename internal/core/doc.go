@@ -57,11 +57,12 @@
 // usually over the threshold already. Outside cold start every prediction
 // leaves at least one token to come, so ΣKVLanded + the head's footprint +
 // (n+1) is a floor under the term above, and so under M*. PastFuture.Admit
-// first makes one pass over the batch that sums the landed KV and counts the
-// draws predict would make, through draws, the helper predict itself
-// loops over. When the floor is over the threshold, it refuses and advances
-// the generator by that count (rng.Skip, the state kept in registers).
-// Every later draw, decision and report is byte-identical. On
+// first makes one pass over the batch that sums the landed KV. When the
+// floor is over the threshold, it refuses, counts the draws predict would
+// have made (draws, which mirrors what predict takes: a value per sample
+// that finds mass), and advances the generator by that count (rng.Skip, the
+// state kept in registers). Every later draw, decision and report is
+// byte-identical. On
 // engine-closed, 178 100 of 222 847 rounds end there at seed 1 (80%), and
 // 191 309 of 237 206 at seed 7. Such a round writes no PredictedLen. Only
 // NoResample reads it back, and a kept prediction comes back as
@@ -119,6 +120,67 @@
 // refusedUndrawn 10% → 6%, the sort under flush 19% → 9%, Window.Add
 // 6% → 4.5%. The micro rows are BenchmarkAdmitHotPath/refuse-repeat
 // (~15 ns, 0 allocs), /admit-wide and BenchmarkWindowSampler/add-long.
+//
+// A repeat still cost its caller a round: a coasting engine handed the batch
+// its owed tokens, copied the queue and built a View before Admit could say
+// no. RepeatRefuser is the optional method that asks first. RefusesAgain
+// takes what a repeat needs and what the engine reads in O(1) — the Epoch,
+// the head, the batch's and the queue's lengths, the window, the capacity
+// and the lead request's Generated — and answers through repeatRefusal, the
+// same test Admit makes, so there is one certificate check and one RNG skip.
+// Conservative implements it too, from its last refusal of the head on the
+// budget, which no decoding can change. On engine-closed at seed 1, 167 422
+// of the 170 232 repeats end there (179 309 of 182 560 at seed 7); the rest
+// come on the per-token path, where the engine builds a View anyway, and end
+// inside Admit. PastFuture counts its rounds by exit (Exits: repeat asked or
+// in Admit, refused or admitted before drawing, priced admission or
+// refusal), a host-free witness of the work; TestKneeRoundExitsPinned pins
+// the counts of a small Fig. 7 knee.
+//
+// What is left is the 44 747 priced rounds (26 524 admit, 18 223 refuse), and
+// they paid for more than their draws. walk counted the draws of every
+// running request for exits the round did not take; now only an exit that
+// skips the generator counts them (drawCount). predict derived the count
+// again before drawing; now it draws once and lets the sampler say whether
+// any mass is left (clampPrediction folds it). And the gate built three
+// aggregate arrays, O(n) each, to answer one question: now flush only
+// sorts, Exceeds answers in one forward pass over the sorted entries
+// (scanExceeds: the completion points ahead of the candidate, its own, then
+// the ones behind it one step later and holding its Current — the same
+// integer operations PeakWith makes), a Push into an estimator without
+// aggregates only splices, and Peak takes its maximum in the same kind of
+// pass. Terms and PeakWith build the aggregates on first need, so the
+// cluster's probes and their memo are unchanged. Two ideas measured slower
+// in prototypes and were left out: a bucketed M* sketch with per-bucket
+// bounds, and a top-6-bit counting sort followed by an insertion pass. The
+// sort's parameters stay as they were: the knee sorts 44–50 entries, and 4 309 of 32 215
+// sorts at seed 1 fall in 33–48, where insertion takes ~0.74–0.88 µs and
+// radix ~0.58 µs on random order; moving insertionSortMax to 32 saves about
+// 1 ms of a 150 ms replay while storm-product's 4 718 sorts there come from
+// cluster probes pushed nearly in order, where insertion is the cheaper sort.
+// Digits of 4, 5, 7 and 8 bits measured alike within the host's spread.
+// insertionSortMax stays 48 and the digit at most 8 bits.
+//
+// A floor tighter than refusedUndrawn's that still needs no draw — each
+// running request priced at the smallest window value above its Generated —
+// refused 0 of the 18 223 priced refusals at seed 1 in an instrumented copy:
+// the priced refusals are decided by the drawn lengths, not by the landed
+// KV.
+//
+// Ten alternating parent/change pairs of 15 s runs on a 2-core host: at
+// seed 1, 172.7k requests/s (quartiles 171.4–174.9k) → 214.2k
+// (211.8–217.0k), ×1.24, the change ahead in 10 of 10; at seed 7, 176.4k
+// (172.3–177.9k) → 219.4k (215.2–222.4k), ×1.24, ahead in 10 of 10; a
+// second series at each seed read ×1.27 and ×1.26, 10 of 10. Every
+// simulated metric is unchanged, and replay-day, storm-product and
+// serve-http stay within their bounds (×0.95 to ×1.01). In three CPU
+// profiles of thirteen replays each, PastFuture.Admit with RefusesAgain
+// fell from 4.25 s to 3.40 s of samples; the engine's own part of a round
+// (hand-out, queue copy, View) from 0.57 s to 0.19 s. The micro rows, parent
+// and change back to back: BenchmarkAdmitHotPath/admit-wide 4.6–6.9 µs →
+// 2.0–2.2 µs, /refuse-drawn 0.91–1.03 µs → 0.76–0.79 µs, and
+// internal/engine's BenchmarkEngineDecodeLong/queued, whose Conservative
+// refusals now end in RefusesAgain, 0.53–0.56 ms → 0.19–0.23 ms.
 //
 // # Admission before drawing
 //

@@ -76,6 +76,8 @@ type PastFuture struct {
 	// the rounds of the same View.Epoch after it (repeatRefusal); its epoch
 	// is 0 when the last round did not refuse that way.
 	cert refusal
+
+	exits Exits // rounds by exit
 }
 
 // refusal is the certificate refusedUndrawn leaves: the round it refused, and
@@ -150,10 +152,11 @@ func (pf *PastFuture) Reserved() float64 { return pf.cfg.Reserved }
 //     token for each of the n+1 (refusedUndrawn). A round of the same
 //     View.Epoch as such a refusal, whose floor has only grown and whose draw
 //     count cannot have changed, is refused the same way in O(1)
-//     (repeatRefusal). When the caller reads nothing the round leaves
-//     (View.Unobserved), it admits the prefix steps 3 and 4 would admit when
-//     a ceiling over M* stays under the threshold — every request held to its
-//     max_new_tokens, the conservative budget (admittedUndrawn),
+//     (repeatRefusal, which RefusesAgain offers a caller before any View).
+//     When the caller reads nothing the round leaves (View.Unobserved), it
+//     admits the prefix steps 3 and 4 would admit when a ceiling over M*
+//     stays under the threshold — every request held to its max_new_tokens,
+//     the conservative budget (admittedUndrawn),
 //  3. resamples the predicted total output length of every running request
 //     from P(l > generated) — the "past" informing the present batch,
 //  4. walks the queue FCFS, sampling each candidate's length from P(l),
@@ -165,26 +168,36 @@ func (pf *PastFuture) Admit(v *View, queue []*request.Request) int {
 		return 0
 	}
 	global := pf.usableSampler(v)
-	threshold := int(float64(v.CapacityTokens) * (1 - pf.cfg.Reserved))
-	multi := len(v.Running)+len(queue) < pf.cfg.SmallBatch
+	threshold := pf.threshold(v.CapacityTokens)
+	multi := pf.multi(len(v.Running), len(queue))
 
 	pf.est.Reset()
 	pf.fitted = false
-	if pf.repeatRefusal(v, queue[0], threshold, multi) {
+	lead := 0
+	if len(v.Running) > 0 {
+		lead = v.Running[0].Generated
+	}
+	round := RepeatRound{Epoch: v.Epoch, Head: queue[0], Running: len(v.Running), Queued: len(queue), Lead: lead,
+		History: v.History, CapacityTokens: v.CapacityTokens}
+	if pf.repeatRefusal(round, threshold, multi) {
 		pf.undrawn = true
+		pf.exits.Repeat++
 		return 0
 	}
 	pf.cert.epoch = 0
-	ceiled := v.Unobserved && !pf.cfg.NoResample
-	p, ok := pf.walk(v, global, queue[0], multi, ceiled)
-	pf.undrawn = ok && pf.refusedUndrawn(v, global, queue[0], threshold, multi, &p)
-	if pf.undrawn {
-		return 0
-	}
-	if ok && ceiled {
-		if n, fits := pf.admittedUndrawn(v, global, queue, threshold, multi, &p); fits {
-			pf.fitted = true
-			return n
+	pf.undrawn = false
+	if ceiled := v.Unobserved && !pf.cfg.NoResample; global != nil || ceiled {
+		p := pf.walk(v, queue[0], ceiled)
+		if pf.undrawn = global != nil && pf.refusedUndrawn(v, global, queue[0], threshold, multi, &p); pf.undrawn {
+			pf.exits.RefusedUndrawn++
+			return 0
+		}
+		if ceiled {
+			if n, fits := pf.admittedUndrawn(v, global, queue, threshold, multi, &p); fits {
+				pf.fitted = true
+				pf.exits.AdmittedUndrawn++
+				return n
+			}
 		}
 	}
 	for _, r := range v.Running {
@@ -212,11 +225,57 @@ func (pf *PastFuture) Admit(v *View, queue []*request.Request) int {
 		promptNeed += q.Footprint()
 		admitted++
 	}
-	if admitted > 0 {
-		v.PredictedPeak = pf.est.Peak() // sorted by the admitting queries: O(1)
+	if admitted == 0 {
+		pf.exits.PricedRefuse++
+		return 0
 	}
+	pf.exits.PricedAdmit++
+	v.PredictedPeak = pf.est.Peak() // sorted by the admitting queries: one pass
 	return admitted
 }
+
+// RefusesAgain implements RepeatRefuser through repeatRefusal, the same test
+// Admit makes first: it refuses a round of the same Epoch as the last
+// round's refusal before drawing, skipping the same RNG values, and leaves
+// the scheduler as Admit's refusal would.
+func (pf *PastFuture) RefusesAgain(r RepeatRound) bool {
+	if !pf.repeatRefusal(r, pf.threshold(r.CapacityTokens), pf.multi(r.Running, r.Queued)) {
+		return false
+	}
+	pf.est.Reset()
+	pf.fitted, pf.undrawn = false, true
+	pf.exits.RepeatAsked++
+	return true
+}
+
+// threshold is the M* a round may admit up to over a pool of capacity tokens.
+func (pf *PastFuture) threshold(capacity int) int {
+	return int(float64(capacity) * (1 - pf.cfg.Reserved))
+}
+
+// multi reports whether a round over running requests and queued ones
+// multi-samples each prediction.
+func (pf *PastFuture) multi(running, queued int) bool {
+	return running+queued < pf.cfg.SmallBatch
+}
+
+// Exits counts a PastFuture's rounds by the way each ended: a host-free
+// witness of how much work the admission rounds did. A round of an empty
+// queue is not counted.
+type Exits struct {
+	// RepeatAsked rounds were refused by RefusesAgain, before any View;
+	// Repeat ones by the same certificate inside Admit (repeatRefusal).
+	RepeatAsked, Repeat int64
+	// RefusedUndrawn and AdmittedUndrawn rounds were settled before drawing
+	// (refusedUndrawn, admittedUndrawn).
+	RefusedUndrawn, AdmittedUndrawn int64
+	// PricedAdmit and PricedRefuse rounds drew the batch's predictions and
+	// admitted a prefix, or nothing.
+	PricedAdmit, PricedRefuse int64
+}
+
+// Exits returns the scheduler's round counts since it was built.
+func (pf *PastFuture) Exits() Exits { return pf.exits }
 
 // batchPass is what Admit's one walk over the running batch before drawing
 // collects for refusedUndrawn and admittedUndrawn.
@@ -225,25 +284,15 @@ type batchPass struct {
 	ceil  int    // Σ(KVLanded + max(MaxNewTokens−Generated, 1) + PrefillRemaining), when ceiled
 	bits  uint64 // OR of the head's footprint and every landed value
 	cbits uint64 // OR of every ceiling term's remaining length
-	draws int    // the values predict would take for the batch and the head
-	drawn int    // the largest Generated that draws; math.MinInt when none
 }
 
 // walk is step 2's one pass over the batch: it sums the landed KV and, when
-// ceiled, the conservative budget, and counts the draws predict would make
-// for the batch and the head, through draws, the helper predict loops over.
-// It reports false when neither refusedUndrawn nor admittedUndrawn may
-// settle the round: in cold start without a ceiling, or when a NoResample
-// request would draw a prediction that a later round keeps — a running one,
-// whose Generated grows, or a requeued head that has generated (NoResample
-// never takes the ceiling).
-func (pf *PastFuture) walk(v *View, global *dist.Sampler, head *request.Request, multi, ceiled bool) (batchPass, bool) {
-	p := batchPass{floor: head.Footprint(), drawn: math.MinInt}
-	if global == nil && !ceiled {
-		return p, false
-	}
+// ceiled, the conservative budget. What the draws would be is counted only by
+// an exit that settles the round (drawCount), so a round that goes on to draw
+// pays for no count.
+func (pf *PastFuture) walk(v *View, head *request.Request, ceiled bool) batchPass {
+	p := batchPass{floor: head.Footprint()}
 	p.bits = uint64(p.floor)
-	count := global != nil && !pf.cfg.Deterministic
 	for _, r := range v.Running {
 		c := r.KVLanded()
 		p.floor += c
@@ -253,25 +302,37 @@ func (pf *PastFuture) walk(v *View, global *dist.Sampler, head *request.Request,
 			p.ceil += c + rem
 			p.cbits |= uint64(rem)
 		}
-		if count {
-			n := pf.draws(global, r, multi)
-			if n > 0 {
-				if pf.cfg.NoResample {
-					return p, false
-				}
-				p.drawn = max(p.drawn, r.Generated)
+	}
+	return p
+}
+
+// drawCount counts the values predict would take from a warm sampler for the
+// batch and the head, through draws, the helper that mirrors predict's
+// consumption, and the largest Generated among running requests that draw
+// (math.MinInt when none). In deterministic mode nothing is drawn. It reports
+// false when the round must draw after all: when a NoResample request would
+// draw a prediction that a later round keeps — a running one, whose Generated
+// grows, or a requeued head that has generated.
+func (pf *PastFuture) drawCount(v *View, global *dist.Sampler, head *request.Request, multi bool) (draws, drawn int, ok bool) {
+	drawn = math.MinInt
+	if pf.cfg.Deterministic {
+		return 0, drawn, true
+	}
+	for _, r := range v.Running {
+		n := pf.draws(global, r, multi)
+		if n > 0 {
+			if pf.cfg.NoResample {
+				return 0, drawn, false
 			}
-			p.draws += n
+			drawn = max(drawn, r.Generated)
 		}
+		draws += n
 	}
-	if count {
-		n := pf.draws(global, head, multi)
-		if n > 0 && pf.cfg.NoResample && head.Generated > 0 {
-			return p, false
-		}
-		p.draws += n
+	n := pf.draws(global, head, multi)
+	if n > 0 && pf.cfg.NoResample && head.Generated > 0 {
+		return 0, drawn, false
 	}
-	return p, true
+	return draws + n, drawn, true
 }
 
 // refusedUndrawn is Admit's step 2 at the knee, over walk's sums. Outside
@@ -283,9 +344,9 @@ func (pf *PastFuture) walk(v *View, global *dist.Sampler, head *request.Request,
 // the one the full round would have left, and reports true.
 //
 // It declines, and the round draws, in cold start (the cap predict falls back
-// to has no floor of 1) and when a value lies outside Exceeds' no-wrap range
-// (every Current below 2^32, n below 2^30); walk has declined for
-// NoResample. Otherwise no PredictedLen needs writing. Only NoResample reads
+// to has no floor of 1), when a value lies outside Exceeds' no-wrap range
+// (every Current below 2^32, n below 2^30) and when drawCount does
+// (NoResample). Otherwise no PredictedLen needs writing. Only NoResample reads
 // it back, and a kept prediction comes back as max(PredictedLen,
 // Generated+1) whether or not this round floored it first.
 //
@@ -293,19 +354,23 @@ func (pf *PastFuture) walk(v *View, global *dist.Sampler, head *request.Request,
 // repeatRefusal.
 func (pf *PastFuture) refusedUndrawn(v *View, global *dist.Sampler, head *request.Request, threshold int, multi bool, p *batchPass) bool {
 	n := len(v.Running)
-	if global == nil || p.bits>>32 != 0 || n >= 1<<30 || p.floor+n+1 <= threshold {
+	if p.bits>>32 != 0 || n >= 1<<30 || p.floor+n+1 <= threshold {
 		return false
 	}
-	if p.draws > 0 {
-		pf.cfg.Rng.Skip(p.draws)
+	draws, drawn, ok := pf.drawCount(v, global, head, multi)
+	if !ok {
+		return false
+	}
+	if draws > 0 {
+		pf.cfg.Rng.Skip(draws)
 	}
 	if v.Epoch != 0 {
 		gap := math.MaxInt
-		if p.drawn != math.MinInt {
-			gap = global.Max() - p.drawn
+		if drawn != math.MinInt {
+			gap = global.Max() - drawn
 		}
 		pf.cert = refusal{epoch: v.Epoch, head: head, n: n, window: v.History, gen: v.History.Generation(),
-			threshold: threshold, multi: multi, draws: p.draws, bits: p.bits, gap: gap}
+			threshold: threshold, multi: multi, draws: draws, bits: p.bits, gap: gap}
 		if n > 0 {
 			pf.cert.g0 = v.Running[0].Generated
 		}
@@ -339,13 +404,9 @@ func (pf *PastFuture) admittedUndrawn(v *View, global *dist.Sampler, queue []*re
 	if (p.bits|p.cbits)>>32 != 0 || len(v.Running)+len(queue) >= 1<<30 {
 		return 0, false
 	}
-	count := global != nil && !pf.cfg.Deterministic
-	ceil, draws := p.ceil, p.draws // the head's draws are walk's
+	ceil := p.ceil
 	admitted, promptNeed := 0, 0
-	for i, q := range queue {
-		if i > 0 && count {
-			draws += pf.draws(global, q, multi)
-		}
+	for _, q := range queue {
 		f := q.Footprint()
 		if promptNeed+f > v.FreeTokens {
 			break
@@ -360,18 +421,26 @@ func (pf *PastFuture) admittedUndrawn(v *View, global *dist.Sampler, queue []*re
 		promptNeed += f
 		admitted++
 	}
-	if draws > 0 {
-		pf.cfg.Rng.Skip(draws)
+	if global != nil {
+		draws, _, _ := pf.drawCount(v, global, queue[0], multi) // never declines: not NoResample
+		if !pf.cfg.Deterministic {
+			for _, q := range queue[1:min(admitted+1, len(queue))] {
+				draws += pf.draws(global, q, multi)
+			}
+		}
+		if draws > 0 {
+			pf.cfg.Rng.Skip(draws)
+		}
 	}
 	return admitted, true
 }
 
 // repeatRefusal is step 2 for a round of the same Epoch as the last round's
-// refusal before drawing, in O(1). Between the two the batch only decoded,
-// each request by at most adv = Running[0].Generated − g0 tokens (View.Epoch),
-// and the round checks that everything else refusedUndrawn read is as it was:
-// the head, the batch's size, the window and its generation, the threshold
-// and multi. Then
+// refusal before drawing, in O(1), over the round r describes and its
+// threshold and multi. Between the two the batch only decoded, each request
+// by at most adv = r.Lead − g0 tokens (View.Epoch), and the round checks that
+// everything else refusedUndrawn read is as it was: the head, the batch's
+// size, the window and its generation, the threshold and multi. Then
 //
 //   - the floor only grew: landed values and Generated did not fall;
 //   - every landed value is at most bits + adv, so while that stays under
@@ -384,16 +453,17 @@ func (pf *PastFuture) admittedUndrawn(v *View, global *dist.Sampler, queue []*re
 //
 // So refusedUndrawn would refuse again and skip the same number of values,
 // and repeatRefusal does that. It declines — and the round takes the full
-// pass — when any of it fails.
-func (pf *PastFuture) repeatRefusal(v *View, head *request.Request, threshold int, multi bool) bool {
+// pass — when any of it fails. Admit and RefusesAgain both settle a repeat
+// here.
+func (pf *PastFuture) repeatRefusal(r RepeatRound, threshold int, multi bool) bool {
 	c := &pf.cert
-	if v.Epoch == 0 || c.epoch != v.Epoch || c.head != head || c.n != len(v.Running) ||
-		c.window != v.History || c.gen != v.History.Generation() || c.threshold != threshold || c.multi != multi {
+	if r.Epoch == 0 || c.epoch != r.Epoch || c.head != r.Head || c.n != r.Running ||
+		c.window != r.History || c.gen != r.History.Generation() || c.threshold != threshold || c.multi != multi {
 		return false
 	}
 	adv := 0
 	if c.n > 0 {
-		adv = v.Running[0].Generated - c.g0
+		adv = r.Lead - c.g0
 	}
 	if adv < 0 || adv >= c.gap || (c.bits+uint64(adv))>>32 != 0 {
 		return false
@@ -443,6 +513,8 @@ func (pf *PastFuture) draws(sampler *dist.Sampler, r *request.Request, multi boo
 // predict returns the predicted *total* output length for a request that
 // has already generated r.Generated tokens. The result is always in
 // (r.Generated, r.MaxNewTokens] so the remaining-length term stays positive.
+// A round at the knee — a warm sampler, one draw, resampling — is one sample
+// and clampPrediction, the fold QuantilePrediction uses too.
 func (pf *PastFuture) predict(sampler *dist.Sampler, r *request.Request, multi bool) int {
 	if sampler == nil {
 		return r.MaxNewTokens // cold start: assume the cap
@@ -452,37 +524,36 @@ func (pf *PastFuture) predict(sampler *dist.Sampler, r *request.Request, multi b
 		// remaining-length term stays positive.
 		return max(r.PredictedLen, r.Generated+1)
 	}
-	n := pf.draws(sampler, r, multi)
-	pred := 0
-	if n == 0 && r.Generated > 0 {
-		// No historical mass above the current length: the window says
-		// this request "should have finished"; predict the cap.
-		pred = r.MaxNewTokens
-	}
-	for i := 0; i < n; i++ {
-		var v int
-		if r.Generated > 0 {
-			// Running (or evicted-and-requeued) request: condition on the
-			// fact that it has not stopped yet.
-			if pf.cfg.Deterministic {
-				v, _ = sampler.QuantileGreater(pf.cfg.Quantile, r.Generated)
-			} else {
-				v, _ = sampler.SampleGreater(pf.cfg.Rng, r.Generated)
-			}
-		} else if pf.cfg.Deterministic {
-			v = sampler.Quantile(pf.cfg.Quantile)
-		} else {
-			v = sampler.Sample(pf.cfg.Rng)
+	v, ok := pf.sample(sampler, r)
+	if multi {
+		// The maximum of Samples draws; none when the first found no mass.
+		for i := 1; ok && i < pf.cfg.Samples; i++ {
+			w, _ := pf.sample(sampler, r)
+			v = max(v, w)
 		}
-		pred = max(pred, v)
 	}
-	if pred > r.MaxNewTokens {
-		pred = r.MaxNewTokens
+	// No historical mass above the current length (ok false): the window
+	// says this request "should have finished"; clampPrediction predicts the
+	// cap.
+	return clampPrediction(r, v, ok)
+}
+
+// sample takes one value of r's prediction from the sampler: a running (or
+// evicted-and-requeued) request is conditioned on not having stopped yet,
+// P(l | l > Generated), and ok is false, with nothing drawn, when no
+// observation lies above it; a fresh one draws from P(l), ok always (an empty
+// window gives 0 and draws nothing). draws counts the values it takes.
+func (pf *PastFuture) sample(sampler *dist.Sampler, r *request.Request) (int, bool) {
+	if r.Generated > 0 {
+		if pf.cfg.Deterministic {
+			return sampler.QuantileGreater(pf.cfg.Quantile, r.Generated)
+		}
+		return sampler.SampleGreater(pf.cfg.Rng, r.Generated)
 	}
-	if pred <= r.Generated {
-		pred = r.Generated + 1 // at least one more token is coming
+	if pf.cfg.Deterministic {
+		return sampler.Quantile(pf.cfg.Quantile), true
 	}
-	return pred
+	return sampler.Sample(pf.cfg.Rng), true
 }
 
 var _ Scheduler = (*PastFuture)(nil)

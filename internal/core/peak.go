@@ -29,11 +29,13 @@ import (
 //
 // Push buffers entries unsorted until the first query, which sorts once —
 // by insertion up to insertionSortMax entries, by a radix sort over the
-// significant bytes of Remaining above it (the per-step batch rebuild). A
-// Push after a query splices into the sorted order and repairs the
-// aggregates in O(B) word moves, which only happens once per *admitted*
-// request. All buffers are reused across Reset, so a warm estimator performs
-// zero heap allocations.
+// significant bytes of Remaining above it (the per-step batch rebuild). The
+// aggregates are built lazily: Terms and PeakWith build them on first need
+// after a sort, and from then on a Push splices into the sorted order and
+// repairs them in O(B) word moves. A Push into an estimator that is sorted
+// but has no aggregates yet only splices, and Peak reads them only when they
+// are built. All buffers are reused across Reset, so a warm estimator
+// performs zero heap allocations.
 //
 // An admission gate asks a yes/no question — does M* with the candidate pass
 // the limit? — and Exceeds answers it. Most rounds at the memory knee refuse
@@ -42,7 +44,9 @@ import (
 // every entry is still resident and every one of the n+1 has grown by the
 // smallest Remaining, ΣCurrent + (n+1)·min Remaining. The build phase keeps
 // ΣCurrent and min Remaining beside the buffered entries, so that term costs
-// O(1); only when it passes does Exceeds sort and answer through PeakWith.
+// O(1). When it passes, Exceeds sorts and answers in one forward scan of the
+// sorted entries (scanExceeds) instead of building three aggregate arrays
+// for one question.
 //
 // Results are bit-identical to FutureRequiredMemory (the reference
 // implementation, kept for cross-checking): M* depends only on the entry
@@ -55,6 +59,7 @@ type PeakEstimator struct {
 	spare    []Entry        // sortRadix's scratch, reused across flushes
 	digits   *[4][256]int32 // sortRadix's digit counts, one row a pass
 	unsorted bool           // entries appended since the last sort
+	built    bool           // prefC, prefMaxM and sufMaxMR describe the sorted entries
 
 	// Build-phase aggregates, kept by Push from Reset to the first query:
 	// ΣCurrent, the smallest clamped Remaining, and the OR of every Current
@@ -85,7 +90,7 @@ func clampRemaining(r int) int { return min(max(r, 0), maxRemaining) }
 // Reset empties the estimator, retaining capacity.
 func (pe *PeakEstimator) Reset() {
 	pe.ent = pe.ent[:0]
-	pe.unsorted = false
+	pe.unsorted, pe.built = false, false
 	pe.sumC, pe.minR, pe.bits = 0, 0, 0
 }
 
@@ -108,12 +113,14 @@ func (pe *PeakEstimator) Push(e Entry) {
 		return
 	}
 	// Incremental phase: splice into the descending-remaining order and
-	// repair the aggregates from the insertion rank.
+	// repair the aggregates, if any are built, from the insertion rank.
 	p := pe.rank(e.Remaining)
 	pe.ent = append(pe.ent, Entry{})
 	copy(pe.ent[p+1:], pe.ent[p:])
 	pe.ent[p] = e
-	pe.rebuildFrom(p)
+	if pe.built {
+		pe.rebuildFrom(p)
+	}
 }
 
 // rank returns the insertion rank of a remaining length in the descending
@@ -143,8 +150,8 @@ func (pe *PeakEstimator) rank(remaining int) int {
 // sort at all there.
 const insertionSortMax = 48
 
-// flush sorts buffered entries, descending by remaining length, and
-// rebuilds the aggregates. Neither sort allocates once warm — a requirement
+// flush sorts buffered entries, descending by remaining length; the
+// aggregates wait for build. Neither sort allocates once warm — a requirement
 // of the zero-allocation admission hot path.
 func (pe *PeakEstimator) flush() {
 	if !pe.unsorted {
@@ -167,8 +174,17 @@ func (pe *PeakEstimator) flush() {
 	} else {
 		pe.sortRadix()
 	}
-	pe.rebuildFrom(0)
 	pe.unsorted = false
+}
+
+// build sorts the entries and builds the aggregates over them, unless they
+// already describe them or there are none.
+func (pe *PeakEstimator) build() {
+	pe.flush()
+	if !pe.built && len(pe.ent) > 0 {
+		pe.rebuildFrom(0)
+		pe.built = true
+	}
 }
 
 // sortRadix sorts the entries descending by remaining length with a stable
@@ -280,14 +296,26 @@ func (pe *PeakEstimator) rebuildFrom(p int) {
 	}
 }
 
-// Peak returns M* of the pushed entries; 0 when empty.
+// Peak returns M* of the pushed entries; 0 when empty. It reads the
+// aggregates when they are built and otherwise takes the largest completion
+// point in one pass over the sorted entries, building nothing: a caller that
+// asks for the peak and then resets pays for no aggregate, and Terms still
+// builds them on its first need.
 func (pe *PeakEstimator) Peak() int {
 	pe.flush()
 	n := len(pe.ent)
-	if n == 0 || pe.prefMaxM[n-1] < 0 {
+	if n == 0 {
 		return 0
 	}
-	return pe.prefMaxM[n-1]
+	if pe.built {
+		return max(pe.prefMaxM[n-1], 0)
+	}
+	c, m := 0, 0
+	for i, e := range pe.ent {
+		c += e.Current
+		m = max(m, c+e.Remaining*(i+1))
+	}
+	return m
 }
 
 // MaxRemaining returns the largest clamped Remaining of the pushed entries;
@@ -321,7 +349,8 @@ func (pe *PeakEstimator) PeakWith(cand Entry) int {
 // PeakWith builds the same term from the same integer operations (its prefix
 // sums and products regroup it, and two's-complement sums are associative),
 // so the two agree bit for bit. When that term is over the limit the peak is
-// too, and Exceeds returns true; otherwise it sorts and asks PeakWith.
+// too, and Exceeds returns true. Otherwise it sorts and answers in one scan
+// of the sorted entries (scanExceeds), built aggregates or not.
 //
 // The shortcut needs PeakWith's maximum to cover the term, which holds as
 // long as nothing wraps: PeakWith takes a maximum before adding the
@@ -340,8 +369,36 @@ func (pe *PeakEstimator) Exceeds(cand Entry, limit int) bool {
 		if fits && pe.sumC+cand.Current+(n+1)*r > limit {
 			return true
 		}
+		pe.flush()
 	}
-	return pe.PeakWith(cand) > limit
+	return pe.scanExceeds(cand, limit)
+}
+
+// scanExceeds is Exceeds over sorted entries, aggregates or none:
+// PeakWith(cand) > limit in one forward pass, with the prefix sum of Current
+// carried along. The ranks ahead of the candidate (Remaining at least its
+// own) keep their completion points M_i, and any of them over the limit
+// settles it. Then come the candidate's own completion point and the ranks
+// behind it, each one step later and holding the candidate's Current: their
+// maximum d is taken first and the Current added after, as Terms and With
+// do. Every value is the one PeakWith computes — the same sums in the same
+// order, and M_i + Remaining_i is Remaining_i·(i+2) over the prefix sum in
+// two's-complement arithmetic — so the answer is bit for bit PeakWith's.
+func (pe *PeakEstimator) scanExceeds(cand Entry, limit int) bool {
+	r, ent := clampRemaining(cand.Remaining), pe.ent
+	c, i := 0, 0
+	for ; i < len(ent) && ent[i].Remaining >= r; i++ {
+		c += ent[i].Current
+		if c+ent[i].Remaining*(i+1) > limit {
+			return true
+		}
+	}
+	d := c + r*(i+1)
+	for ; i < len(ent); i++ {
+		c += ent[i].Current
+		d = max(d, c+ent[i].Remaining*(i+2))
+	}
+	return cand.Current+d > limit || limit < 0
 }
 
 // PeakTerms is PeakWith with the candidate's Remaining fixed: around the
@@ -357,7 +414,7 @@ type PeakTerms struct{ a, d int }
 // They hold until the next Push or Reset.
 func (pe *PeakEstimator) Terms(remaining int) PeakTerms {
 	remaining = clampRemaining(remaining)
-	pe.flush()
+	pe.build()
 	p := pe.rank(remaining)
 	// The candidate's own completion point at rank p+1.
 	t := PeakTerms{a: negInfPeak, d: remaining * (p + 1)}

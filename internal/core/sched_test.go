@@ -326,6 +326,48 @@ func TestConservativeCountsRunningReservations(t *testing.T) {
 	}
 }
 
+// TestConservativeRefusesAgain: a refusal of the head on the budget under a
+// non-zero Epoch is a certificate for the later rounds of that Epoch — the
+// same head, batch size, window and budget are refused in O(1), and any of
+// them changed sends the round back through the reservations. A refusal on
+// free memory alone, or under Epoch 0, certifies nothing.
+func TestConservativeRefusesAgain(t *testing.T) {
+	c := MustNewConservative(1.0)
+	running := request.New(1, 10, 50, 80, 0) // reserves 90
+	v := view(100, []*request.Request{running}, dist.NewWindow(10))
+	head := request.New(2, 5, 2, 10, 0) // needs 15 > 10
+	round := func() RepeatRound {
+		return RepeatRound{Epoch: v.Epoch, Head: head, Running: len(v.Running), Queued: 1,
+			History: v.History, CapacityTokens: v.CapacityTokens}
+	}
+	if c.Admit(v, []*request.Request{head}) != 0 || c.RefusesAgain(round()) {
+		t.Fatal("a refusal under Epoch 0 left a certificate")
+	}
+	v.Epoch = 3
+	if c.Admit(v, []*request.Request{head}) != 0 || !c.RefusesAgain(round()) {
+		t.Fatal("a refusal on the budget under Epoch 3 left no certificate")
+	}
+	for _, change := range []func(r *RepeatRound){
+		func(r *RepeatRound) { r.Epoch++ },
+		func(r *RepeatRound) { r.Head = running },
+		func(r *RepeatRound) { r.Running++ },
+		func(r *RepeatRound) { r.History = dist.NewWindow(10) },
+		func(r *RepeatRound) { r.CapacityTokens += 5 },
+	} {
+		r := round()
+		change(&r)
+		if c.RefusesAgain(r) {
+			t.Fatalf("certificate held over a changed round %+v", r)
+		}
+	}
+	// Room in the budget for the head, none in free memory: refused, but
+	// nothing is certified.
+	v.CapacityTokens, v.FreeTokens = 200, 0
+	if c.Admit(v, []*request.Request{head}) != 0 || c.RefusesAgain(round()) {
+		t.Fatal("a refusal on free memory left a certificate")
+	}
+}
+
 func TestConservativeValidation(t *testing.T) {
 	if _, err := NewConservative(0.9); err == nil {
 		t.Fatal("overcommit < 1 accepted")

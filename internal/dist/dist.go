@@ -8,9 +8,10 @@
 // observation is evicted, so the distribution tracks workload drift (the
 // paper's API-trace observation). Beside the ring the window keeps the same
 // observations in ascending order, and Add maintains that order in place:
-// it binary-searches the evicted value out and the new value in and closes
-// the gap with one copy over the span between them — O(n) word moves, no
-// comparison sort. The sorted array is therefore exact after every Add, and
+// it finds where the evicted value leaves and the new value enters (two
+// loads from the rank index below, or a binary search without it) and
+// closes the gap with one copy over the span between them — O(n) word
+// moves, no comparison sort. The sorted array is therefore exact after every Add, and
 // Sampler() is a plain accessor: the admission loop, the routing probes and
 // the reference estimators may ask for it as often as they like at no cost.
 //
@@ -54,7 +55,6 @@ package dist
 
 import (
 	"math"
-	"sort"
 )
 
 // Window is a fixed-capacity sliding window of observed output lengths that
@@ -100,7 +100,7 @@ func (w *Window) Add(v int) {
 		// Still filling: head is 0, the next ring slot is n.
 		w.buf[w.n] = v
 		w.n++
-		i := sort.SearchInts(s, v)
+		i := w.samp.atLeast(v)
 		s = s[:len(s)+1]
 		copy(s[i+1:], s[i:])
 		s[i] = v
@@ -120,7 +120,7 @@ func (w *Window) Add(v int) {
 		// between their ranks shifts by one slot toward the hole, and the
 		// count of observations ≤ g moves by one for every g between them.
 		if v != old {
-			i, j := sort.SearchInts(s, old), sort.SearchInts(s, v)
+			i, j := w.samp.atLeast(old), w.samp.atLeast(v)
 			if j > i { // v > old: ranks (i, j) slide down, v lands below rank j
 				copy(s[i:], s[i+1:j])
 				s[j-1] = v

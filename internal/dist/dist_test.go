@@ -172,6 +172,22 @@ func checkAgainstOracle(t testing.TB, w *Window, seed uint64) {
 		rankAt(v)
 		rankAt(v + 1)
 	}
+	// Where Add inserts and evicts: the first index at or above x, against
+	// the search it replaces — on both sides of every observation, at 0, on
+	// both sides of the table's edge and far beyond it either way.
+	atLeastAt := func(x int) {
+		if got, ref := s.atLeast(x), sort.SearchInts(want, x); got != ref {
+			t.Fatalf("atLeast(%d) = %d, want %d over %v (table of %d)", x, got, ref, []int(want), len(s.le))
+		}
+	}
+	for _, x := range []int{math.MinInt, -1 << 40, -1, 0, 1, len(s.le) - 1, len(s.le), len(s.le) + 1,
+		rankBound - 1, rankBound, rankBound + 1, 1 << 40, math.MaxInt} {
+		atLeastAt(x)
+	}
+	for _, v := range want {
+		atLeastAt(v)
+		atLeastAt(v + 1)
+	}
 	if got := s.Max(); got != want[len(want)-1] {
 		t.Fatalf("Max = %d, want %d", got, want[len(want)-1])
 	}

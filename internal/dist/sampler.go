@@ -63,6 +63,23 @@ func (s *Sampler) rankOutside(g int) int {
 	return len(s.sorted)
 }
 
+// atLeast is the index of the first observation ≥ x in the sorted array,
+// sort.SearchInts(sorted, x): the rank of x−1, read off the rank index when
+// there is one. Every observation then lies in [0, len(le)), so the index is
+// 0 for any x ≤ 0 and len(sorted) for any x past the table.
+func (s *Sampler) atLeast(x int) int {
+	if s.le == nil {
+		return sort.SearchInts(s.sorted, x)
+	}
+	if x <= 0 {
+		return 0
+	}
+	if i, ok := s.rankInside(x - 1); ok {
+		return i
+	}
+	return len(s.sorted)
+}
+
 // cover prepares the rank index for an Add of v to a window holding n
 // observations: it extends the table past v, every new entry counting all n
 // (none of them reaches that far), or drops the table when v lies outside

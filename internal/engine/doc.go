@@ -94,6 +94,20 @@
 //     for the settle, since a maximum taken later gives the same bits. Every
 //     gap is a difference of clocks, never a step's duration, which can
 //     differ in the last bit.
+//   - A round that repeats a refusal touches nobody. Before the hand-out,
+//     refuse asks a scheduler that implements core.RepeatRefuser (resolved
+//     once, in New) whether it refuses this round as it refused an earlier
+//     one of the same Epoch (refusesAgain). What it passes is O(1) to read:
+//     the Epoch, the queue's head, the batch's and the queue's lengths, the
+//     window, the capacity, and the lead request's Generated as the hand-out
+//     would leave it — Generated + owed − handed. On a yes the round is
+//     over: no hand-out, no copy of the queue, no View; the owed tokens
+//     stay owed until the settle. PastFuture answers from the certificate of
+//     its last refusal before drawing (the same repeatRefusal its Admit
+//     asks first), skipping the same RNG values, and Conservative from its
+//     last refusal of the head on the budget. A decorator that embeds
+//     core.Scheduler hides the method and keeps every round on Admit;
+//     TestRefusesAgainMatchesAdmit holds the two to the same run.
 //
 // The invariant: between Steps a running request's Generated, LastEmitAt,
 // MaxGap and KV size may trail the engine by the owed tokens (Generated only
@@ -155,7 +169,8 @@
 // 5.7%, and PastFuture.Admit rose from 38.5% to 44.5%: what is left is mostly
 // the admission round itself (see internal/core's package documentation). The micro rows are BenchmarkEngineDecodeLong's: /coast, 48
 // requests × 4000 output tokens settled once, against /token-hook, the same
-// batch walked token by token; /queued, a refused round on every step; and
+// batch walked token by token; /queued, a refused round on every step, which
+// Conservative's RefusesAgain settles without walking the batch; and
 // /staggered, outputs over 64–4000 tokens re-submitted as they finish, which
 // fails if more than a handful of its decode steps take the per-token path.
 //

@@ -237,6 +237,7 @@ type Engine struct {
 	pool     *kv.Pool
 	history  *dist.Window
 	sched    core.Scheduler
+	refuser  core.RepeatRefuser // sched's RefusesAgain, nil when it has none
 	hooks    hooks
 	clock    float64
 	arrivals minheap.Heap[arrivalItem]
@@ -394,6 +395,7 @@ func New(cfg Config) (*Engine, error) {
 		slow:     1,
 		epoch:    1,
 	}
+	e.refuser, _ = cfg.Scheduler.(core.RepeatRefuser)
 	if cfg.PrefixCache.Enabled {
 		e.pool.EnablePrefixCache(kv.PrefixConfig{
 			BlockTokens:           cfg.PrefixCache.BlockTokens,

@@ -206,10 +206,12 @@ func (e *Engine) roundDue() bool {
 // the per-token Step would hold it, and reports whether it admitted nothing.
 // It queues the due arrivals; a queued request past QueueTimeout sends the
 // step down the per-token path, where dropExpired and its observers run.
-// Otherwise the running requests get their owed tokens (handOut) and decide
-// asks the scheduler. An admission is kept in decided for admit, so the
-// scheduler is asked once per step either way and a sampling scheduler draws
-// from its generator exactly as on the per-token path.
+// Otherwise a scheduler that refuses the round as it refused an earlier one
+// of the Epoch says so in O(1) (refusesAgain). Failing that, the running
+// requests get their owed tokens (handOut) and decide asks the scheduler. An
+// admission is kept in decided for admit, so the scheduler is asked once per
+// step either way and a sampling scheduler draws from its generator exactly
+// as on the per-token path.
 func (e *Engine) refuse() bool {
 	e.moveArrivals()
 	for i := 0; i < e.queue.Len(); i++ {
@@ -217,12 +219,37 @@ func (e *Engine) refuse() bool {
 			return false
 		}
 	}
+	if e.refusesAgain() {
+		return true
+	}
 	e.handOut()
 	if k := e.decide(); k > 0 {
 		e.decided = k
 		return false
 	}
 	return true
+}
+
+// refusesAgain asks the scheduler's RefusesAgain, when it has one, about the
+// round refuse holds, without walking the batch: the Epoch, the queue's head,
+// the batch's and the queue's lengths, the window, the capacity, and the
+// Generated the lead request would show once handOut has given it the owed
+// tokens it has not had (owed − handed). A yes leaves the batch owing them,
+// the queue uncopied and no View built: settle hands them out later, as it
+// would have. A coasting engine chunks nothing, so prefilling is empty and
+// Running is the batch decide would show.
+func (e *Engine) refusesAgain() bool {
+	if e.refuser == nil || e.queue.Len() == 0 || len(e.prefilling) > 0 {
+		return false
+	}
+	lead := 0
+	if len(e.running) > 0 {
+		lead = e.running[0].Generated + e.owed - e.handed
+	}
+	return e.refuser.RefusesAgain(core.RepeatRound{
+		Epoch: e.epoch, Head: e.queue.Front(), Running: len(e.running), Queued: e.queue.Len(),
+		Lead: lead, History: e.history, CapacityTokens: e.pool.CapacityTokens(),
+	})
 }
 
 // CoastEnd returns the clock at which the first Step that holds an admission
